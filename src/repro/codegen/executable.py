@@ -626,22 +626,23 @@ class CompiledProgram:
         )
         env["B"] = engine.globals.broadcast
         engine._vertex_compute = self._factory(env)
-        if hasattr(engine, "install_bulk_receivers"):
-            from .vectorize import build_bulk_receivers
+        if hasattr(engine, "install_array_code"):
+            from .vectorize import build_array_code
 
             tracer = getattr(engine, "tracer", None)
             tracing = tracer is not None and tracer.enabled
             decisions: list | None = [] if tracing else None
-            engine.install_bulk_receivers(
-                build_bulk_receivers(
-                    self.ir, self.schema, fields, env["B"], decisions=decisions
+            engine.install_array_code(
+                *build_array_code(
+                    self.ir, self.schema, fields, engine, decisions=decisions
                 )
             )
             if tracing and decisions is not None:
-                # info-only: which receive phases compiled to bulk handlers
-                # and why the rest stayed scalar.  Never det — the sim
-                # backend skips the vectorizer entirely, so these events
-                # must not enter cross-backend deterministic comparisons.
+                # info-only: which phases compiled to bulk receive handlers
+                # and array kernels, and why the rest stayed scalar.  Never
+                # det — the sim backend skips the vectorizer entirely, so
+                # these events must not enter cross-backend deterministic
+                # comparisons.
                 for decision in decisions:
                     tracer.event("compile.vectorize", cat="compile", info=decision)
         if hasattr(engine, "_columns"):

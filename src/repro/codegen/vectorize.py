@@ -1,12 +1,20 @@
-"""Vectorized bulk receive handlers for the columnar data plane.
+"""Array code for the columnar data plane: bulk receivers and phase kernels.
 
-The PR 6 sweep showed the per-message receive loop (struct-unpack one
-record, run the generated ``for _m in messages`` body) is the dominant
-cost of the columnar backend.  This module compiles eligible receive
-loops into *bulk* handlers that consume a whole per-tag slab at the
-delivery barrier: decode the packed payload into typed numpy columns
-once, then apply each reduction with ``np.ufunc.at`` over the
-destination-vertex array.
+The generated vertex program runs one Python call per vertex per
+superstep.  On the columnar slab fast path this module replaces that
+with numpy code over zero-copy ``np.frombuffer`` views of the existing
+``array.array`` property columns (storage does not change — scalar
+phases keep indexing native Python scalars out of the same buffers):
+
+* a **bulk receive handler** per ``(phase state, tag)`` consumes a whole
+  per-tag slab at the delivery barrier — decode the packed payload into
+  typed numpy columns once, then apply each reduction with
+  ``np.ufunc.at`` over the destination-vertex array;
+* a **phase kernel** per phase state runs the phase's filter + compute
+  body as one array program over all vertices: column arithmetic for the
+  vertex-local statements, one ordered fold per ``put_global``, and one
+  bulk staging call (CSR gather + ``np.repeat`` of the packed records)
+  per neighbour broadcast.
 
 Bit-parity with the simulator is the hard constraint, which dictates
 the design:
@@ -16,48 +24,73 @@ the design:
   per-message loop uses for any single receiver (``np.add.reduceat``
   would use pairwise summation and break float parity, so it is not
   used);
-* a loop is vectorized only when every statement is a plain field
-  reduction (``SUM``/``PRODUCT``/``MIN``/``MAX``), optionally guarded
-  by a side-effect-free condition, and the set of fields *written* by
-  the loop is disjoint from the set of fields *read* anywhere in the
-  phase's receive statements — so evaluating guards and values against
-  pre-delivery column state is indistinguishable from the simulator's
-  message-at-a-time interleaving;
-* guarded reductions evaluate their value expression only over the
-  masked selection, preserving the simulator's guarantee that the
-  guard protects hazardous expressions (e.g. divisions).
+* a receive loop is vectorized only when every statement is a plain
+  field reduction (``SUM``/``PRODUCT``/``MIN``/``MAX``), optionally
+  guarded by a side-effect-free condition, and the set of fields
+  *written* by the loop is disjoint from the set of fields *read*
+  anywhere in the phase's receive statements — so evaluating guards and
+  values against pre-delivery column state is indistinguishable from the
+  simulator's message-at-a-time interleaving;
+* a phase becomes a kernel only when its receive part is empty or bulk
+  and its compute body is straight-line vertex-local code: statement-at-
+  a-time over all vertices then equals vertex-at-a-time, *except* where
+  order shows — so at most one ``put_global`` per global name and one
+  send per tag per phase are accepted (ascending-vid order of the one
+  statement is the simulator's order), float ``SUM``/``PRODUCT`` puts
+  fold left-to-right through ``ufunc.accumulate`` (never pairwise
+  ``np.sum``) and every other put folds over Python values, which also
+  keeps integer folds exact;
+* guarded code is evaluated only over its mask (``VIf``, ``Cond``, the
+  right operand of a hazardous ``and``/``or``, and a send's payload over
+  the vertices that have neighbours), so a guard still protects a
+  division; an *unguarded* division by zero raises as the scalar path
+  does instead of yielding ``inf``; int64 arithmetic that would wrap
+  continues on Python integers, and fails — like the scalar path — only
+  when such a value is stored into an ``array('q')`` column or a wire
+  slot.
 
-Anything outside those rules (assignments, ``put_global``, in-neighbor
-appends, cross-statement field dependences, INF-sentinel payload
-slots) leaves the whole phase on the scalar path.  Handlers are keyed
-by ``(phase_state, tag)`` and engage only on the columnar slab fast
-path, where messages for a consumed tag then bypass inbox slot-fill
-entirely.
+Anything outside those rules leaves the receive loop, or the whole
+phase, on the scalar path.  Both kinds of array code engage only on the
+columnar slab fast path.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from array import array
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..lang.ast import BinOp, UnOp
-from ..pregel.globalmap import GlobalOp
+from ..lang import types as ty
+from ..pregel.backend.codec import slot_range, wire_range_error
+from ..pregel.globalmap import GlobalOp, combine
 from ..pregelir.ir import (
     Bin,
+    Call,
+    CastTo,
+    Cond,
     Field,
     GlobalGet,
     Inf,
     Lit,
+    Local,
     MsgField,
     MyId,
+    Nil,
+    NIL_NODE,
     INF_VALUE,
     PregelIR,
     Un,
+    VAssignLocal,
     VExpr,
+    VFieldAssign,
     VFieldReduce,
+    VGlobalPut,
     VIf,
+    VLocal,
     VMsgLoop,
+    VSendNbrs,
 )
 
 try:  # numpy is optional for the simulator; required for vectorization
@@ -65,19 +98,13 @@ try:  # numpy is optional for the simulator; required for vectorization
 except ImportError:  # pragma: no cover - baked into the container
     _np = None
 
-__all__ = ["build_bulk_receivers"]
+__all__ = ["build_array_code"]
 
 # struct slot code -> numpy field dtype (packed, little-endian)
 _SLOT_DTYPES = {"?": "u1", "i": "<i4", "q": "<i8", "d": "<f8"}
 # array.array column typecode -> numpy view dtype
 _COLUMN_DTYPES = {"b": "i1", "q": "<i8", "d": "<f8"}
 
-_ARITH = {
-    BinOp.ADD: operator.add,
-    BinOp.SUB: operator.sub,
-    BinOp.MUL: operator.mul,
-    BinOp.MOD: operator.mod,
-}
 _COMPARE = {
     BinOp.EQ: operator.eq,
     BinOp.NEQ: operator.ne,
@@ -87,39 +114,251 @@ _COMPARE = {
     BinOp.GE: operator.ge,
 }
 
+_INT64_LIMIT = 2**63
+
 
 class _Unvectorizable(Exception):
-    """Raised while analysing a loop that must stay on the scalar path."""
+    """Raised while analysing code that must stay on the scalar path."""
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic with the scalar path's semantics
+# ---------------------------------------------------------------------------
+
+
+def _integral(x: Any) -> bool:
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, (int, _np.integer)):
+        return True
+    return isinstance(x, _np.ndarray) and x.dtype.kind in "iu"
+
+
+def _num(x: Any) -> Any:
+    """Booleans as the integers Python arithmetic takes them for."""
+    if isinstance(x, _np.ndarray):
+        return x.astype(_np.int64) if x.dtype.kind == "b" else x
+    return int(x) if isinstance(x, (bool, _np.bool_)) else x
+
+
+def _absmax(x: Any) -> int:
+    if isinstance(x, _np.ndarray):
+        return max(abs(int(x.max())), abs(int(x.min()))) if x.size else 0
+    return abs(int(x))
+
+
+def _exact(fn: Callable, bound: Callable[[int, int], int]) -> Callable:
+    """An integer operation that never wraps.  When the operands are large
+    enough for int64 to overflow (``bound`` of their magnitudes reaches
+    2**63), redo it on Python integers — an object array, which numpy then
+    keeps evaluating with Python semantics element by element.  Like the
+    scalar path, nothing fails until such a value is *stored*: an
+    ``array('q')`` column raises ``OverflowError``, a wire slot
+    ``ValueError``, a global put or a float column just takes it."""
+
+    def op(a, b):
+        a, b = _num(a), _num(b)
+        if (
+            (isinstance(a, _np.ndarray) or isinstance(b, _np.ndarray))
+            and _integral(a)
+            and _integral(b)
+            and bound(_absmax(a), _absmax(b)) >= _INT64_LIMIT
+        ):
+            exact = fn(_np.asarray(a, dtype=object), _np.asarray(b, dtype=object))
+            try:
+                return exact.astype(_np.int64)
+            except OverflowError:
+                return exact
+        return fn(a, b)
+
+    return op
+
+
+_ARITH = {
+    BinOp.ADD: _exact(operator.add, operator.add),
+    BinOp.SUB: _exact(operator.sub, operator.add),
+    BinOp.MUL: _exact(operator.mul, operator.mul),
+}
+_exact_mod = _exact(operator.mod, max)
+
+
+def _signed(x: Any) -> Any:
+    """``x`` ready for ``-x`` / ``abs(x)``: int64 cannot negate its minimum."""
+    x = _num(x)
+    if isinstance(x, _np.ndarray) and x.dtype.kind == "i" and _absmax(x) >= _INT64_LIMIT:
+        return x.astype(object)
+    return x
+
+
+def _vec_mod(a: Any, b: Any) -> Any:
+    if not _np.all(b):
+        raise ZeroDivisionError("modulo by zero")
+    return _exact_mod(a, b)
+
+
+def _scalar_gm_div(a: Any, b: Any) -> Any:
+    if _integral(a) and _integral(b):
+        a, b = int(a), int(b)
+        q = abs(a) // abs(b)
+        return q if (a >= 0) == (b >= 0) else -q
+    return a / b
 
 
 def _vec_gm_div(a: Any, b: Any) -> Any:
     """Vectorized Green-Marl division (Int/Int truncates toward zero)."""
-
-    def _integral(x: Any) -> bool:
-        if isinstance(x, bool):
-            return False
-        if isinstance(x, (int, _np.integer)):
-            return True
-        return isinstance(x, _np.ndarray) and x.dtype.kind in "iu"
-
+    if not _np.all(b):
+        raise ZeroDivisionError("division by zero")
+    arrays = [x for x in (a, b) if isinstance(x, _np.ndarray)]
+    if not arrays:
+        return _scalar_gm_div(a, b)
+    if any(x.dtype.kind == "O" for x in arrays):
+        # Python values (see _exact): each element divides by its own type
+        return _np.frompyfunc(_scalar_gm_div, 2, 1)(a, b)
     if _integral(a) and _integral(b):
+        if max(_absmax(a), _absmax(b)) >= _INT64_LIMIT:
+            return _vec_gm_div(_np.asarray(a, dtype=object), b)
         q = _np.abs(a) // _np.abs(b)
         return _np.where(_np.equal(_np.greater_equal(a, 0), _np.greater_equal(b, 0)), q, -q)
     return _np.true_divide(a, b)
+
+
+def _truth(x: Any) -> Any:
+    """Python truthiness of a condition value, element-wise."""
+    if isinstance(x, _np.ndarray):
+        return x if x.dtype.kind == "b" else x != 0
+    return bool(x)
 
 
 # ---------------------------------------------------------------------------
 # Expression compilation (tree -> closure over a per-call context)
 # ---------------------------------------------------------------------------
 #
-# The context dict carries:
-#   "sel"   - the destination-vertex index array for this evaluation
-#   "msg"   - {slot index: decoded payload column}, masked in step with sel
-#   "B"     - the live broadcast dict
-#   "views" - {field name: writable numpy view over its array column}
+# A context is a dict:
+#   "sel" - the vertex ids this evaluation ranges over: an index array (a
+#           receive handler's destination array, duplicates included, or a
+#           kernel's ascending selection), or None for "every vertex"
+#   "msg" - {slot index: decoded payload column}, aligned with sel
+#           (receive handlers only)
+#   "loc" - {name: value} compute-function locals, arrays dense over all
+#           vertices (kernels only)
 
 
-def _compile_expr(e: VExpr, reads: set, msg_used: set) -> Callable[[dict], Any]:
+class _Scope:
+    """What one phase's compiled closures close over, and what analysing
+    them collects.  ``graph`` marks a compute scope (a kernel's filter +
+    compute body); without it the scope is a receive loop's, where locals
+    and the other compute-only expression forms are refused.  ``shared``
+    caches column views and degree arrays across a program's phases."""
+
+    def __init__(self, columns: dict, broadcast: dict, shared: dict, graph=None):
+        self.columns = columns
+        self.broadcast = broadcast
+        self.graph = graph
+        self._shared = shared
+        self.reads: set = set()
+        self.msg_used: set = set()
+        #: local name -> static kind (compute scopes only)
+        self.local_kinds: Optional[Dict[str, Optional[str]]] = (
+            {} if graph is not None else None
+        )
+
+    def view(self, name: str):
+        view = self._shared.get(name)
+        if view is None:
+            col = self.columns.get(name)
+            if not isinstance(col, array):
+                raise _Unvectorizable(f"column {name} is not a typed array")
+            dtype = _COLUMN_DTYPES.get(col.typecode)
+            if dtype is None:
+                raise _Unvectorizable(f"column {name} typecode {col.typecode}")
+            view = self._shared[name] = _np.frombuffer(col, dtype=dtype)
+        return view
+
+    def degrees(self, direction: str):
+        key = ("degrees", direction)  # never a column name: those are str
+        deg = self._shared.get(key)
+        if deg is None:
+            offsets = self.graph.out_offsets if direction == "out" else self.graph.in_offsets
+            deg = self._shared[key] = _np.diff(_np.asarray(offsets, dtype=_np.int64))
+        return deg
+
+
+def _read(view, sel):
+    """``column[sel]`` as a fresh array (a local must not alias a column a
+    later statement overwrites).  Bool columns read as the Python ints
+    array('b') yields, wide enough that arithmetic cannot wrap at 8 bits."""
+    values = view.copy() if sel is None else view[sel]
+    return values.astype(_np.int64) if view.dtype.itemsize == 1 else values
+
+
+def _narrow(ctx: dict, mask) -> dict:
+    """The context restricted to the positions where ``mask`` holds."""
+    sel = ctx["sel"]
+    sub = dict(ctx)
+    sub["sel"] = _np.flatnonzero(mask) if sel is None else sel[mask]
+    if ctx["msg"]:
+        sub["msg"] = {i: v[mask] for i, v in ctx["msg"].items()}
+    return sub
+
+
+def _hazardous(e: VExpr) -> bool:
+    """Whether evaluating ``e`` can raise (so a guard must keep guarding)."""
+    if isinstance(e, Bin):
+        return e.op in (BinOp.DIV, BinOp.MOD) or _hazardous(e.lhs) or _hazardous(e.rhs)
+    if isinstance(e, (Un, CastTo)):
+        return _hazardous(e.operand)
+    if isinstance(e, Cond):
+        return _hazardous(e.cond) or _hazardous(e.then) or _hazardous(e.other)
+    return False
+
+
+def _compile_short_circuit(e: Bin, scope: _Scope) -> Callable[[dict], Any]:
+    lhs = _compile_expr(e.lhs, scope)
+    rhs = _compile_expr(e.rhs, scope)
+    is_and = e.op is BinOp.AND
+    if not _hazardous(e.rhs):
+        fn = _np.logical_and if is_and else _np.logical_or
+        return lambda ctx: fn(lhs(ctx), rhs(ctx))
+
+    def lazy(ctx):
+        left = _truth(lhs(ctx))
+        if not isinstance(left, _np.ndarray):
+            return _truth(rhs(ctx)) if left == is_and else left
+        # the right operand is needed only where the left one leaves the
+        # outcome open: true positions for `and`, false ones for `or`
+        undecided = left if is_and else ~left
+        out = left.copy()
+        if undecided.any():
+            out[undecided] = _truth(rhs(_narrow(ctx, undecided)))
+        return out
+
+    return lazy
+
+
+def _compile_cond(e: Cond, scope: _Scope) -> Callable[[dict], Any]:
+    cond = _compile_expr(e.cond, scope)
+    then = _compile_expr(e.then, scope)
+    other = _compile_expr(e.other, scope)
+
+    def select(ctx):
+        mask = _truth(cond(ctx))
+        if not isinstance(mask, _np.ndarray):
+            return then(ctx) if mask else other(ctx)
+        # each branch is evaluated only over the vertices that take it
+        parts = []
+        for branch, m in ((then, mask), (other, ~mask)):
+            parts.append(_np.asarray(branch(_narrow(ctx, m))) if m.any() else None)
+        dtype = _np.result_type(*[p.dtype for p in parts if p is not None])
+        out = _np.empty(len(mask), dtype=dtype)
+        for part, m in zip(parts, (mask, ~mask)):
+            if part is not None:
+                out[m] = part
+        return out
+
+    return select
+
+
+def _compile_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
     if isinstance(e, Lit):
         value = e.value
         return lambda ctx: value
@@ -127,44 +366,92 @@ def _compile_expr(e: VExpr, reads: set, msg_used: set) -> Callable[[dict], Any]:
         value = -INF_VALUE if e.negative else INF_VALUE
         return lambda ctx: value
     if isinstance(e, GlobalGet):
-        name = e.name
-        return lambda ctx: ctx["B"][name]
+        name, broadcast = e.name, scope.broadcast
+        return lambda ctx: broadcast[name]
     if isinstance(e, Field):
-        name = e.name
-        reads.add(name)
-        return lambda ctx: ctx["views"][name][ctx["sel"]]
+        scope.reads.add(e.name)
+        view = scope.view(e.name)
+        return lambda ctx: _read(view, ctx["sel"])
     if isinstance(e, MsgField):
+        if scope.local_kinds is not None:
+            raise _Unvectorizable("message field outside a receive loop")
         index = e.index
-        msg_used.add(index)
+        scope.msg_used.add(index)
         return lambda ctx: ctx["msg"][index]
     if isinstance(e, MyId):
-        return lambda ctx: ctx["sel"]
+        n = scope.graph.num_nodes if scope.graph is not None else 0
+        return lambda ctx: _np.arange(n, dtype=_np.int64) if ctx["sel"] is None else ctx["sel"]
     if isinstance(e, Bin):
-        lhs = _compile_expr(e.lhs, reads, msg_used)
-        rhs = _compile_expr(e.rhs, reads, msg_used)
+        if e.op in (BinOp.AND, BinOp.OR):
+            return _compile_short_circuit(e, scope)
+        lhs = _compile_expr(e.lhs, scope)
+        rhs = _compile_expr(e.rhs, scope)
         if e.op is BinOp.DIV:
             return lambda ctx: _vec_gm_div(lhs(ctx), rhs(ctx))
-        if e.op is BinOp.AND:
-            return lambda ctx: _np.logical_and(lhs(ctx), rhs(ctx))
-        if e.op is BinOp.OR:
-            return lambda ctx: _np.logical_or(lhs(ctx), rhs(ctx))
+        if e.op is BinOp.MOD:
+            return lambda ctx: _vec_mod(lhs(ctx), rhs(ctx))
         fn = _ARITH.get(e.op) or _COMPARE.get(e.op)
         if fn is None:
             raise _Unvectorizable(f"binary op {e.op}")
         return lambda ctx: fn(lhs(ctx), rhs(ctx))
     if isinstance(e, Un):
-        operand = _compile_expr(e.operand, reads, msg_used)
+        operand = _compile_expr(e.operand, scope)
         if e.op is UnOp.NEG:
-            return lambda ctx: -operand(ctx)
+            return lambda ctx: -_signed(operand(ctx))
         if e.op is UnOp.NOT:
             return lambda ctx: _np.logical_not(operand(ctx))
-        return lambda ctx: _np.abs(operand(ctx))
+        return lambda ctx: abs(_signed(operand(ctx)))
+    if scope.local_kinds is not None:
+        return _compile_compute_expr(e, scope)
     raise _Unvectorizable(f"expression {type(e).__name__}")
 
 
-def _expr_kind(e: VExpr, columns: dict, slot_codes: dict) -> Optional[str]:
+def _compile_compute_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
+    """The expression forms only a phase's compute body may use."""
+    if isinstance(e, Nil):
+        return lambda ctx: NIL_NODE
+    if isinstance(e, Local):
+        name = e.name
+        if name not in scope.local_kinds:
+            raise _Unvectorizable(f"local {name} read before assignment")
+
+        def read_local(ctx):
+            value, sel = ctx["loc"][name], ctx["sel"]
+            return value[sel] if sel is not None and isinstance(value, _np.ndarray) else value
+
+        return read_local
+    if isinstance(e, Cond):
+        return _compile_cond(e, scope)
+    if isinstance(e, CastTo):
+        operand = _compile_expr(e.operand, scope)
+        if isinstance(e.to_type, ty.PrimType) and e.to_type.is_integral():
+            # int() raises on inf/nan and yields unbounded ints
+            raise _Unvectorizable("integer cast")
+        if isinstance(e.to_type, ty.PrimType) and e.to_type.prim is ty.Prim.BOOL:
+            return lambda ctx: _truth(operand(ctx))
+
+        def to_float(ctx):
+            value = operand(ctx)
+            return value.astype(_np.float64) if isinstance(value, _np.ndarray) else float(value)
+
+        return to_float
+    if isinstance(e, Call):
+        if e.name in ("out_degree", "in_degree"):
+            deg = scope.degrees("out" if e.name == "out_degree" else "in")
+            return lambda ctx: deg.copy() if ctx["sel"] is None else deg[ctx["sel"]]
+        if e.name in ("num_nodes", "num_edges"):
+            value = scope.graph.num_nodes if e.name == "num_nodes" else scope.graph.num_edges
+            return lambda ctx: value
+        raise _Unvectorizable(f"builtin {e.name}")
+    raise _Unvectorizable(f"expression {type(e).__name__}")
+
+
+def _expr_kind(e: VExpr, scope: _Scope, slot_codes: dict) -> Optional[str]:
     """Statically classify an expression as integral ('i'), float ('f'),
-    or unknown (None) — used to refuse float folds into integer columns."""
+    or unknown (None) — used to refuse float values where the scalar
+    path's typed store would raise, and int/float-mixed conditionals.
+    Booleans count as integral: the type checker keeps them out of
+    arithmetic, so nothing here depends on telling them from ints."""
     if isinstance(e, Lit):
         if isinstance(e.value, bool):
             return "i"
@@ -172,93 +459,39 @@ def _expr_kind(e: VExpr, columns: dict, slot_codes: dict) -> Optional[str]:
     if isinstance(e, Inf):
         return "f"
     if isinstance(e, Field):
-        col = columns.get(e.name)
+        col = scope.columns.get(e.name)
         code = col.typecode if isinstance(col, array) else None
         return {"b": "i", "q": "i", "d": "f"}.get(code)
     if isinstance(e, MsgField):
         return {"?": "i", "i": "i", "q": "i", "d": "f"}.get(slot_codes.get(e.index))
-    if isinstance(e, MyId):
+    if isinstance(e, (MyId, Nil)):
         return "i"
+    if isinstance(e, Local):
+        return (scope.local_kinds or {}).get(e.name)
+    if isinstance(e, Call):
+        return "i" if e.name != "edge_prop" else None
+    if isinstance(e, CastTo):
+        if isinstance(e.to_type, ty.PrimType) and e.to_type.prim in (ty.Prim.FLOAT, ty.Prim.DOUBLE):
+            return "f"
+        return "i"
+    if isinstance(e, Cond):
+        then = _expr_kind(e.then, scope, slot_codes)
+        return then if then == _expr_kind(e.other, scope, slot_codes) else None
     if isinstance(e, Bin):
-        if e.op is BinOp.DIV:
-            return None  # gm_div result kind depends on runtime types
         if e.op in _COMPARE or e.op in (BinOp.AND, BinOp.OR):
             return "i"
-        lhs = _expr_kind(e.lhs, columns, slot_codes)
-        rhs = _expr_kind(e.rhs, columns, slot_codes)
+        lhs = _expr_kind(e.lhs, scope, slot_codes)
+        rhs = _expr_kind(e.rhs, scope, slot_codes)
         if lhs == "i" and rhs == "i":
-            return "i"
+            return "i"  # gm_div included: Int / Int truncates to an Int
         if lhs in ("i", "f") and rhs in ("i", "f"):
             return "f"
         return None
     if isinstance(e, Un):
         if e.op is UnOp.NOT:
             return "i"
-        return _expr_kind(e.operand, columns, slot_codes)
+        return _expr_kind(e.operand, scope, slot_codes)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Loop / phase analysis
-# ---------------------------------------------------------------------------
-
-
-class _Spec:
-    """One vectorizable reduction: ``[if cond:] target op= value``."""
-
-    __slots__ = ("target", "ufunc", "cond", "value", "cond_expr", "value_expr")
-
-    def __init__(self, target, ufunc, cond, value, cond_expr, value_expr):
-        self.target = target
-        self.ufunc = ufunc
-        self.cond = cond
-        self.value = value
-        self.cond_expr = cond_expr
-        self.value_expr = value_expr
-
-
-def _reduce_ufunc(op: GlobalOp):
-    if op is GlobalOp.SUM:
-        return _np.add
-    if op is GlobalOp.PRODUCT:
-        return _np.multiply
-    if op is GlobalOp.MIN:
-        return _np.minimum
-    if op is GlobalOp.MAX:
-        return _np.maximum
-    raise _Unvectorizable(f"reduction op {op}")
-
-
-def _analyse_loop(loop: VMsgLoop, reads: set, msg_used: set):
-    specs = []
-    for stmt in loop.body:
-        if isinstance(stmt, VFieldReduce):
-            guarded = [(None, stmt)]
-        elif (
-            isinstance(stmt, VIf)
-            and not stmt.other
-            and stmt.then
-            and all(isinstance(s, VFieldReduce) for s in stmt.then)
-        ):
-            guarded = [(stmt.cond, s) for s in stmt.then]
-        else:
-            raise _Unvectorizable(f"statement {type(stmt).__name__}")
-        for cond, red in guarded:
-            ufunc = _reduce_ufunc(red.op)
-            cond_fn = _compile_expr(cond, reads, msg_used) if cond is not None else None
-            value_fn = _compile_expr(red.expr, reads, msg_used)
-            specs.append(_Spec(red.name, ufunc, cond_fn, value_fn, cond, red.expr))
-    return specs
-
-
-def _field_view(columns: dict, name: str):
-    col = columns.get(name)
-    if not isinstance(col, array):
-        raise _Unvectorizable(f"column {name} is not a typed array")
-    dtype = _COLUMN_DTYPES.get(col.typecode)
-    if dtype is None:
-        raise _Unvectorizable(f"column {name} typecode {col.typecode}")
-    return _np.frombuffer(col, dtype=dtype)
 
 
 def _record_dtype(tag_schema):
@@ -281,12 +514,65 @@ def _record_dtype(tag_schema):
     return rec, slot_codes
 
 
-def _build_phase(phase, tag_schemas, columns, broadcast):
-    """Return ({(state, tag): handler}, reason) for one phase.
+# ---------------------------------------------------------------------------
+# Bulk receive handlers
+# ---------------------------------------------------------------------------
 
-    The handler dict is ``None`` when the phase stays scalar; ``reason``
-    then names the first disqualifier (the same strings `_Unvectorizable`
-    carries), so callers can surface *why* a phase missed the fast path.
+
+class _Spec:
+    """One vectorizable reduction: ``[if cond:] target op= value``."""
+
+    __slots__ = ("target", "ufunc", "cond", "value", "value_expr")
+
+    def __init__(self, target, ufunc, cond, value, value_expr):
+        self.target = target
+        self.ufunc = ufunc
+        self.cond = cond
+        self.value = value
+        self.value_expr = value_expr
+
+
+def _reduce_ufunc(op: GlobalOp):
+    if op is GlobalOp.SUM:
+        return _np.add
+    if op is GlobalOp.PRODUCT:
+        return _np.multiply
+    if op is GlobalOp.MIN:
+        return _np.minimum
+    if op is GlobalOp.MAX:
+        return _np.maximum
+    raise _Unvectorizable(f"reduction op {op}")
+
+
+def _analyse_loop(loop: VMsgLoop, scope: _Scope):
+    specs = []
+    for stmt in loop.body:
+        if isinstance(stmt, VFieldReduce):
+            guarded = [(None, stmt)]
+        elif (
+            isinstance(stmt, VIf)
+            and not stmt.other
+            and stmt.then
+            and all(isinstance(s, VFieldReduce) for s in stmt.then)
+        ):
+            guarded = [(stmt.cond, s) for s in stmt.then]
+        else:
+            raise _Unvectorizable(f"statement {type(stmt).__name__}")
+        for cond, red in guarded:
+            ufunc = _reduce_ufunc(red.op)
+            cond_fn = _compile_expr(cond, scope) if cond is not None else None
+            value_fn = _compile_expr(red.expr, scope)
+            specs.append(_Spec(red.name, ufunc, cond_fn, value_fn, red.expr))
+    return specs
+
+
+def _build_receivers(phase, tag_schemas, columns, broadcast, shared):
+    """Return ({(state, tag): handler}, reason) for one phase's receive part.
+
+    The handler dict is ``None`` when the receive loops stay scalar;
+    ``reason`` then names the first disqualifier (the same strings
+    `_Unvectorizable` carries), so callers can surface *why* a phase
+    missed the fast path.
 
     Vectorization is all-or-nothing per phase: bulk handlers run at the
     delivery barrier, before any scalar receive loop, so mixing the two
@@ -302,7 +588,7 @@ def _build_phase(phase, tag_schemas, columns, broadcast):
         return None, "duplicate tag across receive statements"
 
     handlers = {}
-    reads: set = set()
+    scope = _Scope(columns, broadcast, shared)
     writes = []
     try:
         for loop in stmts:
@@ -310,96 +596,343 @@ def _build_phase(phase, tag_schemas, columns, broadcast):
             if tag_schema is None:
                 raise _Unvectorizable("unknown tag")
             rec_dtype, slot_codes = _record_dtype(tag_schema)
-            msg_used: set = set()
-            specs = _analyse_loop(loop, reads, msg_used)
-            if any(i not in slot_codes for i in msg_used):
+            scope.msg_used = set()
+            specs = _analyse_loop(loop, scope)
+            if any(i not in slot_codes for i in scope.msg_used):
                 raise _Unvectorizable("message field out of range")
             for spec in specs:
                 writes.append(spec.target)
-                tgt = _field_view(columns, spec.target)
-                if tgt.dtype.kind != "f":
-                    kind = _expr_kind(spec.value_expr, columns, slot_codes)
-                    if kind != "i":
+                if scope.view(spec.target).dtype.kind != "f":
+                    if _expr_kind(spec.value_expr, scope, slot_codes) != "i":
                         raise _Unvectorizable("non-integral fold into integer column")
             handlers[(phase.phase_id, loop.tag)] = _make_handler(
-                specs, rec_dtype, sorted(msg_used), columns, reads | set(writes), broadcast
+                specs, rec_dtype, sorted(scope.msg_used), scope
             )
         # written fields must be pairwise distinct and never read by the
         # phase's receive statements (guards included): then per-statement
         # batched application equals the simulator's per-message order.
-        if len(set(writes)) != len(writes) or set(writes) & reads:
+        if len(set(writes)) != len(writes) or set(writes) & scope.reads:
             raise _Unvectorizable("field dependence between receive statements")
     except _Unvectorizable as exc:
         return None, str(exc)
     return handlers, "vectorized"
 
 
-def _make_handler(specs, rec_dtype, msg_fields, columns, touched, broadcast):
-    views = {name: _field_view(columns, name) for name in touched}
-    targets = {spec.target: views[spec.target] for spec in specs}
+def _make_handler(specs, rec_dtype, msg_fields, scope):
+    targets = {spec.target: scope.view(spec.target) for spec in specs}
 
     def handler(dsts, payload, count):
         if count == 0:
             return
         if len(dsts) != count:
             dsts = dsts[:count]
-        msg_full: Dict[int, Any] = {}
+        msg: Dict[int, Any] = {}
         if rec_dtype is not None and msg_fields:
             rec = _np.frombuffer(payload, dtype=rec_dtype, count=count)
             for i in msg_fields:
-                msg_full[i] = rec[f"s{i}"]
+                msg[i] = rec[f"s{i}"]
+        full = {"sel": dsts, "msg": msg}
         for spec in specs:
-            sel = dsts
-            msg = msg_full
+            ctx = full
             if spec.cond is not None:
-                ctx = {"sel": dsts, "msg": msg_full, "B": broadcast, "views": views}
-                mask = spec.cond(ctx)
-                if isinstance(mask, _np.ndarray) and mask.ndim:
-                    sel = dsts[mask]
-                    if not sel.size:
+                mask = _truth(spec.cond(full))
+                if isinstance(mask, _np.ndarray):
+                    ctx = _narrow(full, mask)
+                    if not ctx["sel"].size:
                         continue
-                    msg = {i: v[mask] for i, v in msg_full.items()}
                 elif not mask:
                     continue
-            ctx = {"sel": sel, "msg": msg, "B": broadcast, "views": views}
-            spec.ufunc.at(targets[spec.target], sel, spec.value(ctx))
+            spec.ufunc.at(targets[spec.target], ctx["sel"], spec.value(ctx))
 
     return handler
 
 
-def build_bulk_receivers(
-    ir: PregelIR, schema, columns: dict, broadcast: dict, decisions: list | None = None
-) -> Dict[Tuple[int, int], Callable]:
-    """Compile vectorized receive handlers for every eligible phase.
+# ---------------------------------------------------------------------------
+# Whole-phase kernels
+# ---------------------------------------------------------------------------
+
+
+def _fold(op: GlobalOp, values) -> Any:
+    """Fold one put per selected vertex, ascending vid, exactly as the
+    engine's ``put_reduce`` chain would: the first put seeds the slot,
+    each later one combines from the left."""
+    if values.dtype.kind == "f" and op in (GlobalOp.SUM, GlobalOp.PRODUCT):
+        # accumulate is a strict left fold; np.sum / reduce are pairwise
+        ufunc = _np.add if op is GlobalOp.SUM else _np.multiply
+        return ufunc.accumulate(values)[-1].item()
+    items = values.tolist()  # Python values: exact ints, native floats
+    if op is GlobalOp.SUM:
+        return functools.reduce(operator.add, items)
+    if op is GlobalOp.PRODUCT:
+        return functools.reduce(operator.mul, items)
+    if op is GlobalOp.MIN:
+        return min(items)  # keeps the first minimum, like combine()
+    if op is GlobalOp.MAX:
+        return max(items)
+    return functools.reduce(lambda a, b: combine(op, a, b), items)
+
+
+def _store(view, sel, value) -> None:
+    """``column[sel] = value`` with array('b'/'q')'s range checks."""
+    if view.dtype.kind == "i" and view.dtype.itemsize == 1:
+        value = _np.asarray(value)
+        if value.dtype.kind != "b" and value.size and (
+            int(value.min()) < -128 or int(value.max()) > 127
+        ):
+            raise OverflowError("signed char is out of range for a Bool column")
+    if sel is None:
+        view[:] = value
+    else:
+        view[sel] = value
+
+
+def _wire(value, slot, tag: int):
+    """A payload column as slot ``slot`` carries it on the wire."""
+    if slot.code in ("i", "q"):
+        value = _np.asarray(_num(value))
+        lo, hi = slot_range(slot)
+        if value.size:
+            vmin, vmax = int(value.min()), int(value.max())
+            if vmin < lo or vmax > hi:
+                raise wire_range_error(tag, slot, vmin if vmin < lo else vmax)
+        return value
+    if slot.code == "?":
+        return _truth(value)
+    return value
+
+
+_FIELD_REDUCE = {
+    GlobalOp.SUM: _ARITH[BinOp.ADD],
+    GlobalOp.PRODUCT: _ARITH[BinOp.MUL],
+    GlobalOp.MIN: lambda cur, v: _np.where(v < cur, v, cur),
+    GlobalOp.MAX: lambda cur, v: _np.where(v > cur, v, cur),
+    GlobalOp.AND: lambda cur, v: _np.where(_truth(cur), v, cur),
+    GlobalOp.OR: lambda cur, v: _np.where(_truth(cur), cur, v),
+    GlobalOp.OVERWRITE: lambda cur, v: v,
+}
+
+
+class _KernelBuilder:
+    """Compiles one phase's filter + compute body into a list of closures
+    over a context, refusing (``_Unvectorizable``) whatever could make
+    statement-at-a-time evaluation differ from vertex-at-a-time."""
+
+    def __init__(self, scope: _Scope, tag_schemas, engine):
+        self.scope = scope
+        self.tag_schemas = tag_schemas
+        self.engine = engine
+        self.n = scope.graph.num_nodes
+        self.put_names: set = set()
+        self.sent_tags: set = set()
+
+    def block(self, stmts) -> list:
+        return [self.stmt(s) for s in stmts]
+
+    def stmt(self, stmt) -> Callable[[dict], None]:
+        if isinstance(stmt, (VLocal, VAssignLocal)):
+            return self.local(stmt)
+        if isinstance(stmt, (VFieldAssign, VFieldReduce)):
+            return self.field_write(stmt)
+        if isinstance(stmt, VIf):
+            return self.branch(stmt)
+        if isinstance(stmt, VGlobalPut):
+            return self.global_put(stmt)
+        if isinstance(stmt, VSendNbrs):
+            return self.send_nbrs(stmt)
+        raise _Unvectorizable(f"statement {type(stmt).__name__}")
+
+    def expr(self, e: VExpr, *, float_sink: bool = False) -> Callable[[dict], Any]:
+        """Compile ``e``.  A conditional whose arms differ in kind has
+        Python ints at some vertices and floats at others; one array
+        cannot, so it is accepted only where the consumer coerces every
+        value to float anyway (``float_sink``: the top of a store into a
+        double column)."""
+        self._check_conds(e, top_ok=float_sink)
+        return _compile_expr(e, self.scope)
+
+    def _check_conds(self, e: VExpr, top_ok: bool = False) -> None:
+        if isinstance(e, Cond) and not top_ok and _expr_kind(e, self.scope, {}) is None:
+            raise _Unvectorizable("conditional mixes integer and float arms")
+        for attr in ("lhs", "rhs", "operand", "cond", "then", "other"):
+            child = getattr(e, attr, None)
+            if isinstance(child, VExpr):
+                self._check_conds(child)
+
+    def local(self, stmt) -> Callable[[dict], None]:
+        kinds = self.scope.local_kinds
+        if stmt.name in kinds:
+            raise _Unvectorizable(f"local {stmt.name} assigned more than once")
+        value = self.expr(stmt.expr)
+        kinds[stmt.name] = _expr_kind(stmt.expr, self.scope, {})
+        name, n = stmt.name, self.n
+
+        def assign(ctx):
+            v, sel = value(ctx), ctx["sel"]
+            if sel is not None and isinstance(v, _np.ndarray):
+                dense = _np.zeros(n, dtype=v.dtype)
+                dense[sel] = v
+                v = dense
+            ctx["loc"][name] = v
+
+        return assign
+
+    def field_write(self, stmt) -> Callable[[dict], None]:
+        view = self.scope.view(stmt.name)
+        to_float = view.dtype.kind == "f"
+        value = self.expr(stmt.expr, float_sink=to_float)
+        if not to_float and _expr_kind(stmt.expr, self.scope, {}) != "i":
+            raise _Unvectorizable("non-integral store into integer column")
+        if isinstance(stmt, VFieldAssign):
+            return lambda ctx: _store(view, ctx["sel"], value(ctx))
+        fold = _FIELD_REDUCE[stmt.op]
+
+        def reduce_field(ctx):
+            sel = ctx["sel"]
+            _store(view, sel, fold(_read(view, sel), value(ctx)))
+
+        return reduce_field
+
+    def branch(self, stmt: VIf) -> Callable[[dict], None]:
+        cond = self.expr(stmt.cond)
+        then, other = self.block(stmt.then), self.block(stmt.other)
+
+        def run_branch(ctx):
+            mask = _truth(cond(ctx))
+            if not isinstance(mask, _np.ndarray):
+                _run(then if mask else other, ctx)
+                return
+            for body, m in ((then, mask), (other, ~mask)):
+                if body and m.any():
+                    _run(body, _narrow(ctx, m))
+
+        return run_branch
+
+    def global_put(self, stmt: VGlobalPut) -> Callable[[dict], None]:
+        if stmt.name in self.put_names:
+            # two puts to one global interleave per vertex on the scalar path
+            raise _Unvectorizable(f"more than one put to global {stmt.name}")
+        self.put_names.add(stmt.name)
+        value = self.expr(stmt.expr)
+        name, op, n, put = stmt.name, stmt.op, self.n, self.engine.put_global
+
+        def put_fold(ctx):
+            v, sel = value(ctx), ctx["sel"]
+            if not isinstance(v, _np.ndarray) or not v.ndim:
+                v = _np.full(n if sel is None else len(sel), v)
+            put(name, op, _fold(op, v))
+
+        return put_fold
+
+    def send_nbrs(self, stmt: VSendNbrs) -> Callable[[dict], None]:
+        if stmt.direction != "out":
+            raise _Unvectorizable("in-neighbour send")
+        if stmt.tag in self.sent_tags:
+            # two sends on one tag interleave per sender on the scalar path
+            raise _Unvectorizable(f"more than one send on tag {stmt.tag}")
+        self.sent_tags.add(stmt.tag)
+        tag_schema = self.tag_schemas.get(stmt.tag)
+        if tag_schema is None:
+            raise _Unvectorizable("unknown tag")
+        rec_dtype, _slot_codes = _record_dtype(tag_schema)
+        if len(stmt.payload) != len(tag_schema.slots):
+            raise _Unvectorizable("payload does not match the tag layout")
+        payload = []
+        for i, (e, slot) in enumerate(zip(stmt.payload, tag_schema.slots)):
+            if slot.code in ("i", "q") and _expr_kind(e, self.scope, {}) != "i":
+                raise _Unvectorizable("non-integral payload for an integer slot")
+            # edge_prop is refused by _compile_expr: no per-edge payloads
+            payload.append((f"s{i}", slot, self.expr(e, float_sink=slot.code == "d")))
+        tag, tagged = stmt.tag, rec_dtype is not None and "t" in rec_dtype.names
+        deg = self.scope.degrees("out")
+        with_nbrs = _np.flatnonzero(deg)
+        stage = self.engine.send_nbrs_bulk
+
+        def send(ctx):
+            sel = ctx["sel"]
+            # the payload is evaluated only for vertices that have someone
+            # to send to (pagerank divides by the out-degree)
+            senders = with_nbrs if sel is None else sel[deg[sel] != 0]
+            if not senders.size:
+                return
+            records = None
+            if rec_dtype is not None:
+                sub = dict(ctx)
+                sub["sel"] = senders
+                records = _np.empty(len(senders), dtype=rec_dtype)
+                if tagged:
+                    records["t"] = tag
+                for field, slot, value in payload:
+                    records[field] = _wire(value(sub), slot, tag)
+            stage(tag, senders, records)
+
+        return send
+
+
+def _run(body: list, ctx: dict) -> None:
+    for step in body:
+        step(ctx)
+
+
+def _build_kernel(phase, receivers, receive_reason, tag_schemas, columns, engine, shared):
+    """Return (kernel, reason) for one phase; ``kernel`` is ``None`` when
+    the phase keeps the generated scalar ``vertex_compute``."""
+    if phase.receive and receivers is None:
+        return None, f"scalar receive loop ({receive_reason})"
+    scope = _Scope(columns, engine.globals.broadcast, shared, engine.graph)
+    builder = _KernelBuilder(scope, tag_schemas, engine)
+    # ``if not filter: return`` ahead of the body is ``if filter: body``
+    stmts = phase.compute if phase.filter is None else [VIf(phase.filter, phase.compute)]
+    try:
+        body = builder.block(stmts)
+    except _Unvectorizable as exc:
+        return None, str(exc)
+
+    def kernel():
+        if builder.n:  # every vertex; an empty graph has none to compute
+            _run(body, {"sel": None, "msg": None, "loc": {}})
+
+    return kernel, "kernel"
+
+
+def build_array_code(
+    ir: PregelIR, schema, columns: dict, engine, decisions: list | None = None
+) -> Tuple[Dict[Tuple[int, int], Callable], Dict[int, Callable]]:
+    """Compile bulk receive handlers and phase kernels for every eligible
+    phase: ``({(state, tag): handler}, {state: kernel})``.
 
     ``columns`` maps field name -> its storage column (the same objects
-    the generated vertex source closes over); ``broadcast`` is the live
-    broadcast dict, read at call time for globals and dispatch state.
-    Returns ``{}`` when numpy or the schema is unavailable.
+    the generated vertex source closes over); ``engine`` is the columnar
+    engine the kernels stage sends and global puts through
+    (``send_nbrs_bulk`` / ``put_global``) and whose live broadcast dict
+    is read at call time.  Both maps are empty when numpy or the schema
+    is unavailable.
 
     When ``decisions`` is a list, one record per phase is appended:
-    ``{"phase": id, "eligible": bool, "reason": str, "tags": [...]}`` —
-    the observability feed behind the ``compile.vectorize`` trace events.
+    ``{"phase", "eligible", "reason", "tags", "kernel", "kernel_reason"}``
+    — the observability feed behind the ``compile.vectorize`` trace events.
     """
-    if _np is None or schema is None:
-        if decisions is not None:
-            reason = "numpy unavailable" if _np is None else "no message schema"
-            for phase in ir.phases.values():
-                decisions.append(
-                    {
-                        "phase": phase.phase_id,
-                        "eligible": False,
-                        "reason": reason,
-                        "tags": [],
-                    }
-                )
-        return {}
-    handlers: Dict[Tuple[int, int], Callable] = {}
-    tag_schemas = schema.tags
+    receivers: Dict[Tuple[int, int], Callable] = {}
+    kernels: Dict[int, Callable] = {}
+    shared: dict = {}
+    unavailable = None
+    if _np is None:
+        unavailable = "numpy unavailable"
+    elif schema is None:
+        unavailable = "no message schema"
     for phase in ir.phases.values():
-        built, reason = _build_phase(phase, tag_schemas, columns, broadcast)
+        if unavailable is not None:
+            built, reason, kernel, kernel_reason = None, unavailable, None, unavailable
+        else:
+            built, reason = _build_receivers(
+                phase, schema.tags, columns, engine.globals.broadcast, shared
+            )
+            kernel, kernel_reason = _build_kernel(
+                phase, built, reason, schema.tags, columns, engine, shared
+            )
         if built:
-            handlers.update(built)
+            receivers.update(built)
+        if kernel is not None:
+            kernels[phase.phase_id] = kernel
         if decisions is not None:
             decisions.append(
                 {
@@ -407,6 +940,8 @@ def build_bulk_receivers(
                     "eligible": built is not None,
                     "reason": reason,
                     "tags": sorted(tag for _state, tag in built) if built else [],
+                    "kernel": kernel is not None,
+                    "kernel_reason": kernel_reason,
                 }
             )
-    return handlers
+    return receivers, kernels

@@ -35,11 +35,28 @@ from ...pregelir.schema import (
 )
 
 
-def _encoder(slot: SlotSchema):
+def slot_range(slot: SlotSchema) -> tuple[int, int]:
+    """The integers an integral wire slot's struct code can carry."""
+    return (INT64_MIN, INT64_MAX) if slot.code == "q" else (INT32_MIN, INT32_MAX)
+
+
+def wire_range_error(tag: int, slot: SlotSchema, value) -> ValueError:
+    """The one error every staging path raises for an integral payload
+    value its wire slot cannot carry."""
+    lo, hi = slot_range(slot)
+    reserved = " (the bounds are reserved for -INF/+INF)" if slot.inf_sentinel else ""
+    return ValueError(
+        f"cannot encode integral payload value {value!r} in slot "
+        f"'{slot.name}' of message tag {tag}: the {8 * slot.size}-bit wire "
+        f"slot carries {lo}..{hi}{reserved}"
+    )
+
+
+def _encoder(tag: int, slot: SlotSchema):
     """Value -> struct-packable value for one wire slot (None = identity)."""
     if not slot.inf_sentinel:
         return None
-    lo, hi = (INT64_MIN, INT64_MAX) if slot.code == "q" else (INT32_MIN, INT32_MAX)
+    lo, hi = slot_range(slot)
 
     def enc(v, _lo=lo, _hi=hi):
         if type(v) is int:
@@ -51,10 +68,7 @@ def _encoder(slot: SlotSchema):
         else:
             iv = int(v)  # escalated double column carrying an exact int
         if not _lo < iv < _hi:
-            raise ValueError(
-                f"cannot encode integral payload value {v!r}: "
-                f"{_lo} and {_hi} are reserved for -INF/+INF"
-            )
+            raise wire_range_error(tag, slot, v)
         return iv
 
     return enc
@@ -63,7 +77,7 @@ def _encoder(slot: SlotSchema):
 def _decoder(slot: SlotSchema):
     if not slot.inf_sentinel:
         return None
-    lo, hi = (INT64_MIN, INT64_MAX) if slot.code == "q" else (INT32_MIN, INT32_MAX)
+    lo, hi = slot_range(slot)
 
     def dec(v, _lo=lo, _hi=hi):
         if v == _hi:
@@ -76,14 +90,35 @@ def _decoder(slot: SlotSchema):
 
 
 def _make_packer(st: struct.Struct, ts: TagSchema, tagged: bool):
-    encoders = [_encoder(s) for s in ts.slots]
+    encoders = [_encoder(ts.tag, s) for s in ts.slots]
     if not ts.slots:
         empty = st.pack(ts.tag) if tagged else b""
         return lambda msg, _e=empty: _e
     if not any(encoders):
-        if tagged:
-            return lambda msg, _p=st.pack: _p(*msg)
-        return lambda msg, _p=st.pack: _p(*msg[1:])
+
+        def fail(msg):
+            # Called while handling struct.error: an integer the slot
+            # cannot hold is a program value the wire cannot carry, not a
+            # codec bug, so name it; anything else re-raises untouched.
+            for slot, v in zip(ts.slots, msg[1:]):
+                lo, hi = slot_range(slot)
+                if slot.code in "iq" and type(v) is int and not lo <= v <= hi:
+                    raise wire_range_error(ts.tag, slot, v) from None
+            raise
+
+        def pack_tagged(msg, _p=st.pack):
+            try:
+                return _p(*msg)
+            except struct.error:
+                fail(msg)
+
+        def pack_untagged(msg, _p=st.pack):
+            try:
+                return _p(*msg[1:])
+            except struct.error:
+                fail(msg)
+
+        return pack_tagged if tagged else pack_untagged
 
     def pack(msg, _p=st.pack, _encs=encoders, _tagged=tagged):
         vals = [

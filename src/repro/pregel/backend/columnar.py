@@ -7,7 +7,10 @@ per-tag *slabs* — a destination-id array plus a packed payload byte
 buffer — instead of per-destination tuple lists, and decoded once at the
 batched-routing barrier.  Loop-invariant neighbor broadcasts
 (``send_nbrs``) stage one CSR slice + ``record * degree`` bytes, turning
-the per-message Python send loop into a handful of bulk operations.
+the per-message Python send loop into a handful of bulk operations; a
+phase that ``repro.codegen.vectorize`` compiled to an array kernel skips
+the per-vertex loop altogether and stages a whole phase's broadcast in
+one ``send_nbrs_bulk`` call.
 
 Composition policy: the slab fast path engages only when nothing needs to
 observe individual staged messages.  Fault-tolerance checkpointing, the
@@ -80,9 +83,11 @@ class ColumnarEngine(PregelEngine):
         self.scheduling = requested
         self.schema = schema
         self.metrics.backend = "columnar"
-        #: (phase state, tag) -> vectorized bulk receive handler; installed
-        #: by the code generator, consulted only on the slab fast path.
+        #: (phase state, tag) -> vectorized bulk receive handler, and
+        #: phase state -> whole-phase array kernel; installed by the code
+        #: generator, consulted only on the slab fast path.
         self._bulk_receivers: dict = {}
+        self._phase_kernels: dict = {}
         tracing = self.tracer is not None and self.tracer.enabled
         self._slab_active = (
             schema is not None
@@ -100,6 +105,8 @@ class ColumnarEngine(PregelEngine):
             self._m_slab_records = self._mreg.counter("columnar.slab_records")
             self._m_bulk_records = self._mreg.counter("columnar.bulk_records")
             self._m_scalar_records = self._mreg.counter("columnar.scalar_records")
+            self._m_kernel_vertices = self._mreg.counter("columnar.kernel_vertices")
+            self._m_scalar_vertices = self._mreg.counter("columnar.scalar_vertices")
         self._codec = MessageCodec(schema)
         ntags = (max(schema.tags) + 1) if schema.tags else 0
         #: per-tag staging: interleave-ordered destination chunks (numpy
@@ -112,33 +119,68 @@ class ColumnarEngine(PregelEngine):
             owner = np.frombuffer(self._worker_of, dtype=np.uint8)
         else:  # >256 workers: the placement table is a plain int list
             owner = np.asarray(self._worker_of, dtype=np.int64)
+        self._np_owner = owner
         self._nbr_owner = owner[self._np_out_tgt]
         # Per-vertex cross-worker neighbor counts, precomputed in one
         # vectorized pass so the per-send hot path stays numpy-free (a
         # per-call ``owners == w`` comparison costs microseconds).
         n = graph.num_nodes
-        degrees = np.diff(np.asarray(graph.out_offsets, dtype=np.int64))
+        self._np_out_off = np.asarray(graph.out_offsets, dtype=np.int64)
+        self._np_degrees = degrees = np.diff(self._np_out_off)
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         same = self._nbr_owner == np.repeat(owner, degrees)
-        self._cross_nbrs = (degrees - np.bincount(src[same], minlength=n)).tolist()
+        self._np_cross_nbrs = degrees - np.bincount(src[same], minlength=n)
+        self._cross_nbrs = self._np_cross_nbrs.tolist()
+        #: how many vertices have out-neighbours / how many each worker owns
+        self._num_senders = int(np.count_nonzero(degrees))
+        self._worker_vertices = np.bincount(owner, minlength=self.num_workers).tolist()
         self._enqueue = self._slab_enqueue  # type: ignore[method-assign]
 
-    def install_bulk_receivers(self, handlers: dict) -> None:
-        """Register vectorized receive handlers keyed by (state, tag).
+    def install_array_code(self, receivers: dict, kernels: dict) -> None:
+        """Register the vectorizer's output: bulk receive handlers keyed by
+        (state, tag) and whole-phase kernels keyed by state.
 
         A registered handler consumes a whole per-tag slab at the delivery
         barrier — the tag's messages then never reach per-vertex inbox
         slots, and the scalar receive loop (tag-filtered) sees none of
-        them, so effects are applied exactly once.  Only honored while the
-        slab fast path is active; fallback staging keeps scalar semantics.
+        them, so effects are applied exactly once.  A registered kernel
+        runs its phase's filter + compute body for every vertex in place
+        of the per-vertex loop.  Only honored while the slab fast path is
+        active; fallback staging keeps scalar semantics.
         """
         if self._slab_active:
-            self._bulk_receivers = handlers
-            # Backend provenance for RunMetrics.summary(): which receive
-            # phases actually have a vectorized path on this run.
-            self.metrics.vectorized_phases = sorted(
-                {f"phase{state}" for state, _tag in handlers}
-            )
+            self._bulk_receivers = receivers
+            self._phase_kernels = kernels
+            # Backend provenance for RunMetrics.summary(): which phases
+            # run either side as array code on this run.
+            states = {state for state, _tag in receivers} | set(kernels)
+            self.metrics.vectorized_phases = [f"phase{s}" for s in sorted(states)]
+
+    # -- vertex phase -----------------------------------------------------
+
+    def _vertex_phase(self, frontier, inbox) -> None:
+        kernel = None
+        if self._phase_kernels:
+            # The master has already broadcast this superstep's state.
+            kernel = self._phase_kernels.get(self.globals.broadcast.get("_state"))
+        metered = self._mreg is not None and self._slab_active
+        if kernel is None:
+            super()._vertex_phase(frontier, inbox)
+            if metered:
+                self._m_scalar_vertices.inc(self.graph.num_nodes)
+            return
+        # Kernels exist only on the slab fast path, which excludes voting:
+        # the phase computes every vertex, as the dense loop would.
+        if self._track_makespan:
+            step_work = self._step_work
+            for w, owned in enumerate(self._worker_vertices):
+                step_work[w] += owned
+        kernel()
+        slots = self._inbox_slots
+        for dst in self._touched:
+            slots[dst] = _NO_MESSAGES
+        if metered:
+            self._m_kernel_vertices.inc(self.graph.num_nodes)
 
     # -- staging --------------------------------------------------------
 
@@ -184,6 +226,53 @@ class ColumnarEngine(PregelEngine):
             owners = self._nbr_owner[s:e]
             for w, c in enumerate(np.bincount(owners, minlength=self.num_workers)):
                 step_work[w] += int(c)
+
+    def send_nbrs_bulk(self, tag: int, senders, records) -> None:
+        """A whole phase's ``send_nbrs`` calls in one: stage ``records[i]``
+        to every out-neighbor of ``senders[i]``.
+
+        ``senders`` are ascending vertex ids that all have out-neighbors;
+        ``records`` is the numpy array of their packed wire records (None
+        for an empty layout).  Staged order — sender by sender, each CSR
+        slice in edge order — and every metered quantity are exactly what
+        the per-vertex calls would have produced.
+        """
+        counts = self._np_degrees[senders]
+        if len(senders) == self._num_senders:
+            # every vertex that has neighbors sends: the whole CSR, as is
+            edges = None
+            dsts = self._np_out_tgt
+        else:
+            ends = np.cumsum(counts)
+            edges = np.repeat(self._np_out_off[senders] - (ends - counts), counts)
+            edges += np.arange(ends[-1])
+            dsts = self._np_out_tgt[edges]
+        singles = self._slab_singles[tag]
+        if singles:
+            self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
+            singles.clear()
+        self._slab_chunks[tag].append(dsts)
+        if records is not None:
+            self._slab_payloads[tag] += np.repeat(records, counts).view(np.uint8).data
+        m = self.metrics
+        size = self._codec.sizes[tag]
+        total = len(dsts)
+        m.messages += total
+        m.message_bytes += size * total
+        workers = self.num_workers
+        sent = np.bincount(self._np_owner[senders], weights=counts, minlength=workers)
+        for w, c in enumerate(sent.astype(np.int64).tolist()):
+            m.worker_sent[w] += c
+        cross = int(self._np_cross_nbrs[senders].sum())
+        if cross:
+            m.net_messages += cross
+            m.net_bytes += size * cross
+        if self._track_makespan:
+            step_work = self._step_work
+            dst_owner = self._nbr_owner if edges is None else self._nbr_owner[edges]
+            received = np.bincount(dst_owner, minlength=workers).tolist()
+            for w in range(workers):
+                step_work[w] += int(sent[w]) + received[w]
 
     def send_list(self, dsts: list, msg: tuple) -> None:
         if not self._slab_active:

@@ -164,9 +164,10 @@ class RunMetrics:
     mem_peak_bytes: int = 0
     checkpoint_peak_bytes: int = 0
     # -- codegen/backend provenance ---------------------------------------
-    #: receive phases the columnar vectorizer actually installed bulk
-    #: handlers for ("phase<id>" labels) — empty on sim/mp and whenever the
-    #: slab fast path is inactive.  Backend provenance like ``backend``
+    #: phases the columnar vectorizer runs as array code on this run — a
+    #: bulk receive handler, a whole-phase kernel, or both ("phase<id>"
+    #: labels) — empty on sim/mp and whenever the slab fast path is
+    #: inactive.  Backend provenance like ``backend``
     #: itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
 
@@ -915,6 +916,59 @@ class PregelEngine:
                         receiving(dst)
                     part.clear()
 
+    def _vertex_phase(self, frontier, inbox) -> None:
+        """Run ``vertex.compute()`` over this superstep's active set.
+
+        ``frontier`` is the sparse vertex list of a frontier-mode superstep
+        (``None`` = every un-voted vertex); ``inbox`` is dense scheduling's
+        ``{dst: msgs}`` map, ``None`` under batched routing, whose dense
+        inbox index was filled at delivery and is reset here.  Execution
+        backends override this hook to run a phase as array code."""
+        n = self.graph.num_nodes
+        voted = self._voted
+        compute = self._vertex_compute
+        track = self._track_makespan
+        step_work = self._step_work
+        worker_of = self._worker_of
+        if inbox is None:
+            slots = self._inbox_slots
+            if frontier is not None:
+                for vid in frontier:
+                    self._current_vertex = vid
+                    if track:
+                        step_work[worker_of[vid]] += 1
+                    compute(self, vid, slots[vid])
+            elif voted is None:
+                for vid in range(n):
+                    self._current_vertex = vid
+                    if track:
+                        step_work[worker_of[vid]] += 1
+                    compute(self, vid, slots[vid])
+            else:
+                for vid in range(n):
+                    if voted[vid]:
+                        continue
+                    self._current_vertex = vid
+                    if track:
+                        step_work[worker_of[vid]] += 1
+                    compute(self, vid, slots[vid])
+            for dst in self._touched:
+                slots[dst] = _NO_MESSAGES
+        elif voted is None:
+            for vid in range(n):
+                self._current_vertex = vid
+                if track:
+                    step_work[worker_of[vid]] += 1
+                compute(self, vid, inbox.get(vid, _NO_MESSAGES))
+        else:
+            for vid in range(n):
+                if voted[vid]:
+                    continue
+                self._current_vertex = vid
+                if track:
+                    step_work[worker_of[vid]] += 1
+                compute(self, vid, inbox.get(vid, _NO_MESSAGES))
+
     def _run_loop(self, halt_reason, tracer, traced, mem, mem_limited) -> str:
         graph = self.graph
         n = graph.num_nodes
@@ -1093,50 +1147,9 @@ class PregelEngine:
                     )
 
             before = self.metrics.messages
-            compute = self._vertex_compute
             track = self._track_makespan
             step_work = self._step_work
-            worker_of = self._worker_of
-            if batched:
-                # The dense inbox index was filled at delivery; touched slots
-                # are reset after the phase.
-                slots = self._inbox_slots
-                if frontier is not None:
-                    for vid in frontier:
-                        self._current_vertex = vid
-                        if track:
-                            step_work[worker_of[vid]] += 1
-                        compute(self, vid, slots[vid])
-                elif voted is None:
-                    for vid in range(n):
-                        self._current_vertex = vid
-                        if track:
-                            step_work[worker_of[vid]] += 1
-                        compute(self, vid, slots[vid])
-                else:
-                    for vid in range(n):
-                        if voted[vid]:
-                            continue
-                        self._current_vertex = vid
-                        if track:
-                            step_work[worker_of[vid]] += 1
-                        compute(self, vid, slots[vid])
-                for dst in touched:
-                    slots[dst] = _NO_MESSAGES
-            elif voted is None:
-                for vid in range(n):
-                    self._current_vertex = vid
-                    if track:
-                        step_work[worker_of[vid]] += 1
-                    compute(self, vid, inbox.get(vid, _NO_MESSAGES))
-            else:
-                for vid in range(n):
-                    if voted[vid]:
-                        continue
-                    self._current_vertex = vid
-                    if track:
-                        step_work[worker_of[vid]] += 1
-                    compute(self, vid, inbox.get(vid, _NO_MESSAGES))
+            self._vertex_phase(frontier, None if batched else inbox)
             self._current_vertex = -1  # leaving the vertex phase
             if instr:
                 t_now = time.perf_counter()

@@ -1005,3 +1005,357 @@ class TestVectorizedReceivers:
         )
         # Fallback staging (here: fault tolerance) keeps scalar semantics.
         assert engine._bulk_receivers == {}
+
+
+class TestPhaseKernels:
+    """Whole-phase array kernels: a phase whose receive part is empty or
+    bulk and whose filter + compute body is straight-line vertex-local
+    code runs as one numpy program instead of the per-vertex loop —
+    selected from the IR and the engine's composition alone, and
+    bit-identical to the simulator wherever it runs."""
+
+    #: algorithm -> the phase states that compile to kernels
+    EXPECTED = {
+        "pagerank": [0, 4],
+        "avg_teen_cnt": [0, 2],
+        "conductance": [4, 6],
+        "bc_approx": [1, 4, 6, 12, 14],
+        "sssp": [0],
+        "bipartite_matching": [0],
+    }
+
+    @staticmethod
+    def decisions(program, graph, args=None):
+        from repro.codegen.vectorize import build_array_code
+
+        engine, fields, _master = program.make_engine(graph, args, backend="columnar")
+        decisions: list = []
+        build_array_code(program.ir, program.schema, fields, engine, decisions=decisions)
+        return engine, {d["phase"]: d for d in decisions}
+
+    @staticmethod
+    def compile(source):
+        from repro.compiler import compile_source
+
+        return compile_source(source, emit_java=False).program
+
+    # -- (a) eligibility ------------------------------------------------
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_eligibility_table(self, programs, graph, alg):
+        engine, by_phase = self.decisions(programs[alg], graph, default_args(alg, graph))
+        assert sorted(engine._phase_kernels) == self.EXPECTED[alg]
+        for phase, d in by_phase.items():
+            assert d["kernel"] == (phase in self.EXPECTED[alg])
+            assert (d["kernel_reason"] == "kernel") == d["kernel"]
+
+    def test_refusal_reasons(self, programs, graph):
+        reasons = {}
+        for alg in ALGORITHMS:
+            _engine, by_phase = self.decisions(
+                programs[alg], graph, default_args(alg, graph)
+            )
+            for phase, d in by_phase.items():
+                if not d["kernel"]:
+                    reasons[alg, phase] = d["kernel_reason"]
+        # every scalar receive loop keeps its whole phase scalar, and the
+        # receiver's own reason rides along
+        assert reasons["sssp", 9] == (
+            "scalar receive loop (slot f0 carries an INF sentinel)"
+        )
+        for key in (
+            ("bipartite_matching", 3), ("bipartite_matching", 5),
+            ("bipartite_matching", 8), ("conductance", 7),
+            ("bc_approx", 9), ("bc_approx", 15),
+        ):
+            assert reasons.pop(key).startswith("scalar receive loop ("), key
+        assert reasons == {
+            ("sssp", 9): "scalar receive loop (slot f0 carries an INF sentinel)",
+            ("bc_approx", 10): "in-neighbour send",
+        }
+
+    # -- (b) parity matrix ------------------------------------------------
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize("partitioning", ("hash", "range"))
+    @pytest.mark.parametrize("scheduling", ("frontier", "dense"))
+    def test_parity_matrix(self, programs, graph, alg, scheduling, partitioning):
+        for workers in (1, 2, 4):
+            opts = dict(
+                scheduling=scheduling, partitioning=partitioning, num_workers=workers
+            )
+            sim = run_on(programs, graph, alg, "sim", track_makespan=True, **opts)
+            for track in (False, True):
+                col = run_on(
+                    programs, graph, alg, "columnar", track_makespan=track, **opts
+                )
+                assert col.metrics.vectorized_phases == [
+                    f"phase{p}" for p in self.EXPECTED[alg]
+                ]
+                assert_parity(sim, col)
+                if track:
+                    assert col.metrics.makespan_units == sim.metrics.makespan_units
+                    assert col.metrics.ideal_units == sim.metrics.ideal_units
+
+    def test_bipartite_graph_parity(self, programs):
+        g = load_graph("bipartite", 0.15)
+        sim = run_on(programs, g, "bipartite_matching", "sim")
+        col = run_on(programs, g, "bipartite_matching", "columnar")
+        assert sim.result > 0
+        assert_parity(sim, col)
+
+    FORMS = """
+    Procedure forms(G: Graph, age: N_P<Int>, member: N_P<Int>, w: N_P<Double>;
+                    oi: N_P<Int>, od: N_P<Double>, ob: N_P<Bool>): Double {
+      Int lo = 1000000;
+      Int hi = 0;
+      Bool anyone = False;
+      Bool everyone = True;
+      Double prod = 1.0;
+      Foreach (n: G.Nodes) {
+        Int half = n.age / 2;
+        Double r = (n.member == 1) ? (Double) half : n.w * 0.5;
+        n.oi = (n.age % 7) - |half - 20|;
+        n.od = r / 3.0 + (Double) (n.Degree() - n.InDegree());
+        n.ob = (n.age > 30 && n.member == 1) || n.w < 0.25;
+        lo min= n.age;
+        hi max= n.age - half;
+        anyone |= n.age > 60;
+        everyone &= n.age > 10;
+        prod *= 1.0 + n.w / 100.0;
+      }
+      Foreach (n: G.Nodes)[n.ob] {
+        n.oi min= n.age - 50;
+        n.od max= 2.5;
+        If (n.age % 2 == 0) { n.oi += -n.age; } Else { n.od += 1.0; }
+      }
+      Return prod + (Double) (hi - lo);
+    }
+    """
+
+    def test_expression_and_statement_forms(self, graph):
+        # what the six algorithms do not reach: locals, truncating Int
+        # division, %, |x|, unary minus, casts, ?:, && / ||, Bool columns,
+        # If/Else, field min=/max=, and MIN/MAX/AND/OR/PRODUCT global puts
+        import random
+
+        rng = random.Random(5)
+        graph.add_node_prop(
+            "w", [rng.random() * (rng.random() < 0.9) for _ in range(graph.num_nodes)]
+        )
+        try:
+            program = self.compile(self.FORMS)
+            engine, _fields, _master = program.make_engine(graph, backend="columnar")
+            assert sorted(engine._phase_kernels) == [0]
+            sim = program.run(graph, backend="sim")
+            assert_parity(sim, program.run(graph, backend="columnar"))
+            assert type(sim.result) is float and len(set(sim.outputs["oi"])) > 10
+        finally:
+            del graph.node_props["w"]
+
+    @pytest.mark.parametrize(
+        "alg,args,kernels",
+        [
+            ("degree_stats", {}, [0, 2]),
+            ("hits", {"max_iter": 5}, [4, 10, 14, 16]),
+            ("connected_components", {}, [7, 9]),
+        ],
+    )
+    def test_extra_algorithms(self, graph, alg, args, kernels):
+        program = compile_algorithm(alg, emit_java=False).program
+        engine, _fields, _master = program.make_engine(graph, args, backend="columnar")
+        assert sorted(engine._phase_kernels) == kernels
+        assert_parity(
+            program.run(graph, args, backend="sim"),
+            program.run(graph, args, backend="columnar"),
+        )
+
+    # -- (c) edges ----------------------------------------------------------
+
+    @staticmethod
+    def small_graph(num_nodes, edges):
+        from repro.graphgen.generators import attach_standard_props
+        from repro.pregel.graph import Graph
+
+        return attach_standard_props(Graph.from_edges(num_nodes, edges))
+
+    @pytest.mark.parametrize(
+        "num_nodes,edges,workers",
+        [
+            (5, [], 2),                                  # all-sink graph
+            (1, [], 1),                                  # single vertex
+            (1, [(0, 0)], 4),                            # ... with a self loop
+            (3, [(0, 1), (1, 2), (2, 0)], 8),            # workers > vertices
+            (6, [(0, 1), (0, 2), (1, 2), (3, 0)], 2),    # sinks + isolated
+        ],
+    )
+    @pytest.mark.parametrize(
+        "alg", ("pagerank", "avg_teen_cnt", "conductance", "bc_approx", "sssp")
+    )
+    def test_degenerate_graphs(self, programs, alg, num_nodes, edges, workers):
+        g = self.small_graph(num_nodes, edges)
+        opts = dict(num_workers=workers, track_makespan=True)
+        sim = run_on(programs, g, alg, "sim", **opts)
+        col = run_on(programs, g, alg, "columnar", **opts)
+        assert_parity(sim, col)
+        assert col.metrics.makespan_units == sim.metrics.makespan_units
+
+    def test_zero_degree_senders_under_the_degree_guard(self, programs):
+        # pagerank's payload divides by the out-degree; the kernel, like
+        # the generated code, evaluates it only for vertices with neighbours
+        g = self.small_graph(4, [(0, 1), (0, 2), (1, 2)])  # 2 and 3 are sinks
+        sim = run_on(programs, g, "pagerank", "sim")
+        col = run_on(programs, g, "pagerank", "columnar")
+        assert col.metrics.vectorized_phases == ["phase0", "phase4"]
+        assert_parity(sim, col)
+
+    def test_empty_selection_makes_no_put(self, graph):
+        program = self.compile(
+            "Procedure p(G: Graph, age: N_P<Int>): Int {\n"
+            "  Int s = 0;\n"
+            "  Foreach (n: G.Nodes)[n.age > 1000] { s += n.age; }\n"
+            "  Return s;\n"
+            "}"
+        )
+        engine, _fields, _master = program.make_engine(graph, backend="columnar")
+        assert sorted(engine._phase_kernels) == [0]
+        metrics = engine.run()
+        # nobody passed the filter: the global was never put, so the
+        # master's finalize sees no aggregate (not a zero)
+        assert not engine.globals.has_aggregated("s")
+        assert metrics.result == program.run(graph, backend="sim").result == 0
+
+    def test_unguarded_division_by_zero_fails_loudly(self):
+        program = self.compile(
+            "Procedure p(G: Graph; o: N_P<Double>) {\n"
+            "  Foreach (n: G.Nodes) { n.o = 1.0 / n.Degree(); }\n"
+            "}"
+        )
+        g = self.small_graph(3, [(0, 1), (1, 2)])  # vertex 2 has degree 0
+        engine, _fields, _master = program.make_engine(g, backend="columnar")
+        assert sorted(engine._phase_kernels) == [0]
+        for backend in ("sim", "columnar"):
+            with pytest.raises(ZeroDivisionError):
+                program.run(g, backend=backend)
+
+    def test_guard_still_protects_a_division(self):
+        program = self.compile(
+            "Procedure p(G: Graph; o: N_P<Double>) {\n"
+            "  Foreach (n: G.Nodes)[n.Degree() > 0] { n.o = 1.0 / n.Degree(); }\n"
+            "}"
+        )
+        g = self.small_graph(3, [(0, 1), (0, 2), (1, 2)])
+        col = program.run(g, backend="columnar")
+        assert col.metrics.vectorized_phases == ["phase0"]
+        assert col.outputs == program.run(g, backend="sim").outputs == {
+            "o": [0.5, 1.0, 0.0]
+        }
+
+    def test_duplicate_global_phase_is_refused(self, graph):
+        program = self.compile(
+            "Procedure p(G: Graph, age: N_P<Int>, member: N_P<Int>): Int {\n"
+            "  Int s = 0;\n"
+            "  Foreach (n: G.Nodes) { s += n.age; s += n.member; }\n"
+            "  Return s;\n"
+            "}"
+        )
+        engine, by_phase = self.decisions(program, graph)
+        assert engine._phase_kernels == {}
+        assert by_phase[0]["kernel_reason"] == "more than one put to global s"
+        assert_parity(program.run(graph, backend="sim"), program.run(graph, backend="columnar"))
+
+    def test_duplicate_tag_phase_is_refused(self, graph):
+        import copy
+
+        from repro.codegen.executable import CompiledProgram
+        from repro.pregelir.ir import VSendNbrs
+
+        ir = copy.deepcopy(compile_algorithm("pagerank").ir)
+        compute = ir.phases[4].compute
+        send = next(s for s in compute if isinstance(s, VSendNbrs))
+        compute.append(copy.deepcopy(send))
+        program = CompiledProgram(ir)
+        args = default_args("pagerank", graph)
+        engine, by_phase = self.decisions(program, graph, args)
+        assert sorted(engine._phase_kernels) == [0]
+        assert by_phase[4]["kernel_reason"] == "more than one send on tag 0"
+        # ... and the refused phase still runs, scalar, to the same answer
+        assert_parity(
+            program.run(graph, args, backend="sim"),
+            program.run(graph, args, backend="columnar"),
+        )
+
+    # -- (d) composition ------------------------------------------------------
+
+    @pytest.mark.parametrize(
+        "feature", ("ft", "tracer", "mem", "combiners", "voting")
+    )
+    def test_kernels_disengage_with_the_slab_path(self, programs, graph, feature, tmp_path):
+        from repro.obs import Tracer
+        from repro.pregel.mem import MemPlan, MemoryManager
+
+        opts = {
+            "ft": lambda: {"ft": FaultTolerance(FaultPlan(checkpoint_every=2))},
+            "tracer": lambda: {"tracer": Tracer()},
+            "mem": lambda: {
+                "mem": MemoryManager(
+                    MemPlan(budget_bytes=1 << 30, spill_dir=str(tmp_path))
+                )
+            },
+            "combiners": lambda: {"use_combiners": True},
+            "voting": lambda: {"use_voting": True},
+        }[feature]
+        args = default_args("pagerank", graph)
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, args, backend="columnar", **opts()
+        )
+        # exactly as the bulk receivers: fallback staging keeps the
+        # generated scalar vertex_compute for every phase
+        assert engine._phase_kernels == {} and engine._bulk_receivers == {}
+        assert engine.metrics.vectorized_phases == []
+        sim = programs["pagerank"].run(graph, args, backend="sim", **opts())
+        col = programs["pagerank"].run(graph, args, backend="columnar", **opts())
+        assert_parity(sim, col)
+
+    # -- wire range (satellite bugfix) ------------------------------------------
+
+    WIRE = (
+        "Procedure p(G: Graph, age: N_P<Int>{extra}; o: N_P<Int>) {{\n"
+        "  Foreach (n: G.Nodes) {{ Foreach (t: n.Nbrs) {{ {body} }} }}\n"
+        "}}"
+    )
+
+    @pytest.mark.parametrize(
+        "extra,body,kernel",
+        [
+            # loop-invariant payload: phase 0 is a kernel (astype('<i4') path)
+            ("", "t.o += n.age;", True),
+            # per-edge payload: scalar sends through MessageCodec.pack
+            (", len: E_P<Int>", "Edge e = t.ToEdge(); t.o += n.age + e.len;", False),
+        ],
+    )
+    def test_int_payload_outside_the_wire_slot(self, extra, body, kernel):
+        program = self.compile(self.WIRE.format(extra=extra, body=body))
+        g = self.small_graph(3, [(0, 1), (1, 2)])
+        engine, _fields, _master = program.make_engine(g, backend="columnar")
+        assert (0 in engine._phase_kernels) == kernel
+        assert_parity(program.run(g, backend="sim"), program.run(g, backend="columnar"))
+        g.node_props["age"] = [2**31 + 5, 1, 2]
+        assert program.run(g, backend="sim").outputs["o"][1] >= 2**31 + 5
+        with pytest.raises(ValueError, match=r"214748365\d.*slot 'f0' of message tag 0"):
+            program.run(g, backend="columnar")
+
+    def test_codec_names_tag_slot_and_value(self):
+        schema = compile_algorithm("bipartite_matching").program.schema
+        codec = MessageCodec(schema)
+        with pytest.raises(ValueError, match=r"-2147483649.*slot 'f0' of message tag 1"):
+            codec.pack[1]((1, -(2**31) - 1))
+        # the INF-sentinel encoder raises the same error
+        sssp = MessageCodec(compile_algorithm("sssp").program.schema)
+        with pytest.raises(ValueError, match=r"2147483647.*slot 'f0' of message tag 0.*reserved"):
+            sssp.pack[0]((0, 2**31 - 1))
+        # a wrong *type* is still the codec's own error
+        import struct
+
+        with pytest.raises(struct.error):
+            codec.pack[1]((1, 1.5))

@@ -6,7 +6,10 @@ construct pool — vertex updates, push loops in both directions, pull loops
 While loops (exercising the state machine and intra-loop merging), group
 assignments — then asserts that the shared-memory interpreter and the
 compiled Pregel program agree on every output property and the returned
-scalar.  This sweeps interactions the hand-written tests cannot enumerate.
+scalar, and that the columnar backend (array kernels + bulk receivers
+wherever the vectorizer finds them eligible) is bit-identical to the
+simulator.  This sweeps interactions the hand-written tests cannot
+enumerate.
 
 The generator only emits *race-free* parallel loops (Green-Marl leaves racy
 programs nondeterministic, so there is nothing to compare): within one loop,
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_source
@@ -233,6 +237,26 @@ def _compare(program: str, seed: int) -> None:
             )
     assert _close(interp.result, run.result), (
         f"result: interp={interp.result} pregel={run.result}\n{program}"
+    )
+
+    # The columnar backend runs every eligible phase as an array kernel
+    # (and every eligible receive loop as a bulk handler): random programs
+    # exercise that eligibility analysis, and whatever it accepts must be
+    # bit-identical to the simulator — not merely close.
+    try:
+        col = compiled.program.run(graph, backend="columnar")
+    except OverflowError:
+        # Int columns are array('q'): a program whose integers outgrow
+        # int64 fails at the store on every columnar path.  Voting switches
+        # the slab fast path — and with it all array code — off, so the
+        # generated scalar program must fail the same way.
+        with pytest.raises(OverflowError):
+            compiled.program.run(graph, backend="columnar", use_voting=True)
+        return
+    assert col.outputs == run.outputs, f"columnar outputs differ\n{program}"
+    assert col.result == run.result, f"columnar result differs\n{program}"
+    assert col.metrics.parity_key() == run.metrics.parity_key(), (
+        f"columnar parity_key differs\n{program}"
     )
 
 

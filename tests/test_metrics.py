@@ -257,6 +257,34 @@ class TestMeteredParityMatrix:
         assert slab == bulk + scalar > 0
         assert run.metrics.vectorized_phases  # pagerank's fold vectorizes
 
+    @pytest.mark.parametrize(
+        "alg,kernel_steps",
+        # pagerank runs every superstep as an array kernel; sssp only its
+        # one-superstep init phase — the relax loop stays scalar
+        [("pagerank", None), ("sssp", 1)],
+    )
+    def test_columnar_compute_side_coverage(self, programs, graph, alg, kernel_steps):
+        registry = MetricsRegistry()
+        run = _run(programs, graph, alg, "columnar", registry)
+        snap = registry.snapshot()
+        steps = run.metrics.supersteps
+        if kernel_steps is None:
+            kernel_steps = steps
+        n = graph.num_nodes
+        kernel = snap["columnar.kernel_vertices"]["series"][0]["value"]
+        scalar = snap["columnar.scalar_vertices"]["series"][0]["value"]
+        assert kernel == n * kernel_steps
+        assert scalar == n * (steps - kernel_steps)
+        # coverage describes how this backend ran, not what was computed
+        det = deterministic_snapshot(snap)
+        assert "columnar.kernel_vertices" not in det
+        assert "columnar.scalar_vertices" not in det
+
+    def test_compute_side_coverage_is_columnar_only(self, programs, graph):
+        registry = MetricsRegistry()
+        _run(programs, graph, "pagerank", "sim", registry)
+        assert not [k for k in registry.snapshot() if k.startswith("columnar.")]
+
     @needs_mp
     def test_mp_worker_families_merge_at_barrier(self, programs, graph):
         registry = MetricsRegistry()
@@ -317,11 +345,33 @@ class TestVectorizeTelemetry:
         assert events, "columnar runs must report per-phase vectorizer decisions"
         for e in events:
             assert e.det is None  # info-only: sim never runs the vectorizer
-            assert set(e.info) == {"phase", "eligible", "reason", "tags"}
+            assert set(e.info) == {
+                "phase", "eligible", "reason", "tags", "kernel", "kernel_reason",
+            }
         assert any(e.info["eligible"] for e in events)
         for e in events:
             if not e.info["eligible"]:
                 assert e.info["reason"] != "vectorized"
+        # pagerank: both phases compile to array kernels
+        assert [e.info["kernel"] for e in events] == [True, True]
+        assert {e.info["kernel_reason"] for e in events} == {"kernel"}
+
+    def test_kernel_refusals_carry_a_reason(self, graph):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        compiled = compile_algorithm("sssp", emit_java=False, tracer=tracer)
+        compiled.program.run(
+            graph, default_args("sssp", graph), backend="columnar", tracer=tracer
+        )
+        by_phase = {
+            e.info["phase"]: e.info
+            for e in tracer.events
+            if e.name == "compile.vectorize"
+        }
+        assert by_phase[0]["kernel"] and not by_phase[0]["eligible"]
+        assert not by_phase[9]["kernel"]
+        assert by_phase[9]["kernel_reason"].startswith("scalar receive loop")
 
     def test_sim_trace_has_no_decisions(self, graph):
         from repro.obs import Tracer
@@ -339,6 +389,16 @@ class TestVectorizeTelemetry:
         assert "vectorized=[" in run.metrics.summary()
         # the field is backend provenance, never part of the parity key
         assert "vectorized_phases" not in run.metrics.parity_key()
+
+    def test_vectorized_phases_lists_kernel_only_phases(self, programs, graph):
+        # sssp vectorizes no receive loop, but its init phase is a kernel:
+        # a phase is listed when either side runs as array code
+        run = _run(programs, graph, "sssp", "columnar")
+        assert run.metrics.vectorized_phases == ["phase0"]
+        run = _run(programs, graph, "bc_approx", "columnar")
+        assert run.metrics.vectorized_phases == [
+            "phase1", "phase4", "phase6", "phase12", "phase14",
+        ]
 
 
 # ---------------------------------------------------------------------------
