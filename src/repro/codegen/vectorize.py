@@ -13,8 +13,9 @@ phases keep indexing native Python scalars out of the same buffers):
 * a **phase kernel** per phase state runs the phase's filter + compute
   body as one array program over all vertices: column arithmetic for the
   vertex-local statements, one ordered fold per ``put_global``, and one
-  bulk staging call (CSR gather + ``np.repeat`` of the packed records)
-  per neighbour broadcast.
+  bulk staging call (CSR gather + one packed record per out-edge) per
+  neighbour send — the payload evaluated once per sender, or once per
+  edge when it reads an edge property.
 
 Bit-parity with the simulator is the hard constraint, which dictates
 the design:
@@ -25,12 +26,23 @@ the design:
   would use pairwise summation and break float parity, so it is not
   used);
 * a receive loop is vectorized only when every statement is a plain
-  field reduction (``SUM``/``PRODUCT``/``MIN``/``MAX``), optionally
-  guarded by a side-effect-free condition, and the set of fields
-  *written* by the loop is disjoint from the set of fields *read*
-  anywhere in the phase's receive statements — so evaluating guards and
-  values against pre-delivery column state is indistinguishable from the
-  simulator's message-at-a-time interleaving;
+  field reduction (``SUM``/``PRODUCT``/``MIN``/``MAX``, ``OR``/``AND``
+  into a Bool column), optionally guarded by a side-effect-free
+  condition, and the set of fields *written* by the loop is disjoint
+  from the set of fields *read* anywhere in the phase's receive
+  statements — so evaluating guards and values against pre-delivery
+  column state is indistinguishable from the simulator's
+  message-at-a-time interleaving;
+* one read of a written field is accepted, the improve flag
+  ``g |= e < f; f min= e`` (``_improve_flag``): the scalar loop compares
+  each message against a running minimum, but
+  ∃i: eᵢ < min(f₀, e₁..eᵢ₋₁)  ⇔  minᵢ eᵢ < f₀, so the flag is "the
+  reduce moved ``f``" and needs only ``f`` before and after;
+* an INF-sentinel ``'i'`` wire slot is decoded to doubles (every int32 is
+  exact in one, and such a program's Int columns are ``'d'`` already)
+  and encoded with the scalar packer's checks and errors; where Python
+  ints and doubles part ways — ``*``, ``/``, ``%`` on a decoded value,
+  64-bit sentinel slots — the scalar path stays;
 * a phase becomes a kernel only when its receive part is empty or bulk
   and its compute body is straight-line vertex-local code: statement-at-
   a-time over all vertices then equals vertex-at-a-time, *except* where
@@ -63,8 +75,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
-from ..pregel.backend.codec import slot_range, wire_range_error
-from ..pregel.globalmap import GlobalOp, combine
+from ..pregel.backend.codec import slot_range, wire_integral_error, wire_range_error
+from ..pregel.globalmap import GlobalOp
 from ..pregelir.ir import (
     Bin,
     Call,
@@ -241,6 +253,11 @@ def _truth(x: Any) -> Any:
 #           (receive handlers only)
 #   "loc" - {name: value} compute-function locals, arrays dense over all
 #           vertices (kernels only)
+#   "edges" - inside a per-edge send payload only: the CSR position of the
+#           out-edge each evaluation point stands for; sel then holds that
+#           edge's sender, so vertex-side reads need no other code
+#   "improved" - {field: per-message bool} outcomes of watched MIN/MAX
+#           reduces (receive handlers only; see _improve_flag)
 
 
 class _Scope:
@@ -257,6 +274,10 @@ class _Scope:
         self._shared = shared
         self.reads: set = set()
         self.msg_used: set = set()
+        #: slot index -> SlotSchema of the message loop being analysed
+        self.msg_slots: dict = {}
+        #: named idioms the analysis leaned on, for the decision record
+        self.idioms: list = []
         #: local name -> static kind (compute scopes only)
         self.local_kinds: Optional[Dict[str, Optional[str]]] = (
             {} if graph is not None else None
@@ -282,6 +303,23 @@ class _Scope:
             deg = self._shared[key] = _np.diff(_np.asarray(offsets, dtype=_np.int64))
         return deg
 
+    def named(self, outcome: str) -> str:
+        """``outcome`` with the idioms it took, for the decision record."""
+        idioms = sorted(set(self.idioms))
+        return outcome + (f" ({', '.join(idioms)})" if idioms else "")
+
+    def edge_prop(self, name: str):
+        """An edge property as an array in CSR order: built once per engine,
+        and only if some kernel's send payload reads it."""
+        key = ("edge_prop", name)
+        values = self._shared.get(key)
+        if values is None:
+            values = _np.asarray(self.graph.edge_props[name])
+            if values.dtype.kind not in "bif":
+                raise _Unvectorizable(f"edge property {name} is not a numeric array")
+            self._shared[key] = values
+        return values
+
 
 def _read(view, sel):
     """``column[sel]`` as a fresh array (a local must not alias a column a
@@ -298,7 +336,18 @@ def _narrow(ctx: dict, mask) -> dict:
     sub["sel"] = _np.flatnonzero(mask) if sel is None else sel[mask]
     if ctx["msg"]:
         sub["msg"] = {i: v[mask] for i, v in ctx["msg"].items()}
+    if "edges" in ctx:
+        sub["edges"] = ctx["edges"][mask]
     return sub
+
+
+def _subexprs(e: VExpr):
+    """``e`` and every expression nested in it."""
+    yield e
+    for attr in ("lhs", "rhs", "operand", "cond", "then", "other"):
+        child = getattr(e, attr, None)
+        if isinstance(child, VExpr):
+            yield from _subexprs(child)
 
 
 def _hazardous(e: VExpr) -> bool:
@@ -384,6 +433,14 @@ def _compile_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
     if isinstance(e, Bin):
         if e.op in (BinOp.AND, BinOp.OR):
             return _compile_short_circuit(e, scope)
+        if e.op in (BinOp.MUL, BinOp.DIV, BinOp.MOD) and any(
+            isinstance(sub, MsgField)
+            and getattr(scope.msg_slots.get(sub.index), "inf_sentinel", False)
+            for sub in _subexprs(e)
+        ):
+            # the slot decodes to doubles; only where int and float agree
+            # (compare, add, subtract, fold into a double column) may it go
+            raise _Unvectorizable("integer arithmetic on an INF-sentinel payload")
         lhs = _compile_expr(e.lhs, scope)
         rhs = _compile_expr(e.rhs, scope)
         if e.op is BinOp.DIV:
@@ -442,11 +499,15 @@ def _compile_compute_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
         if e.name in ("num_nodes", "num_edges"):
             value = scope.graph.num_nodes if e.name == "num_nodes" else scope.graph.num_edges
             return lambda ctx: value
+        if e.name == "edge_prop":
+            # only a send payload holds one; it is evaluated on the edge axis
+            values = scope.edge_prop(e.args[0])
+            return lambda ctx: values[ctx["edges"]]
         raise _Unvectorizable(f"builtin {e.name}")
     raise _Unvectorizable(f"expression {type(e).__name__}")
 
 
-def _expr_kind(e: VExpr, scope: _Scope, slot_codes: dict) -> Optional[str]:
+def _expr_kind(e: VExpr, scope: _Scope) -> Optional[str]:
     """Statically classify an expression as integral ('i'), float ('f'),
     or unknown (None) — used to refuse float values where the scalar
     path's typed store would raise, and int/float-mixed conditionals.
@@ -463,25 +524,30 @@ def _expr_kind(e: VExpr, scope: _Scope, slot_codes: dict) -> Optional[str]:
         code = col.typecode if isinstance(col, array) else None
         return {"b": "i", "q": "i", "d": "f"}.get(code)
     if isinstance(e, MsgField):
-        return {"?": "i", "i": "i", "q": "i", "d": "f"}.get(slot_codes.get(e.index))
+        slot = scope.msg_slots.get(e.index)
+        if slot is None or slot.inf_sentinel:
+            return None  # a sentinel slot's value is an int or ±INF
+        return "f" if slot.code == "d" else "i"
     if isinstance(e, (MyId, Nil)):
         return "i"
     if isinstance(e, Local):
         return (scope.local_kinds or {}).get(e.name)
     if isinstance(e, Call):
-        return "i" if e.name != "edge_prop" else None
+        if e.name == "edge_prop":
+            return "f" if scope.edge_prop(e.args[0]).dtype.kind == "f" else "i"
+        return "i"
     if isinstance(e, CastTo):
         if isinstance(e.to_type, ty.PrimType) and e.to_type.prim in (ty.Prim.FLOAT, ty.Prim.DOUBLE):
             return "f"
         return "i"
     if isinstance(e, Cond):
-        then = _expr_kind(e.then, scope, slot_codes)
-        return then if then == _expr_kind(e.other, scope, slot_codes) else None
+        then = _expr_kind(e.then, scope)
+        return then if then == _expr_kind(e.other, scope) else None
     if isinstance(e, Bin):
         if e.op in _COMPARE or e.op in (BinOp.AND, BinOp.OR):
             return "i"
-        lhs = _expr_kind(e.lhs, scope, slot_codes)
-        rhs = _expr_kind(e.rhs, scope, slot_codes)
+        lhs = _expr_kind(e.lhs, scope)
+        rhs = _expr_kind(e.rhs, scope)
         if lhs == "i" and rhs == "i":
             return "i"  # gm_div included: Int / Int truncates to an Int
         if lhs in ("i", "f") and rhs in ("i", "f"):
@@ -490,28 +556,78 @@ def _expr_kind(e: VExpr, scope: _Scope, slot_codes: dict) -> Optional[str]:
     if isinstance(e, Un):
         if e.op is UnOp.NOT:
             return "i"
-        return _expr_kind(e.operand, scope, slot_codes)
+        return _expr_kind(e.operand, scope)
     return None
 
 
 def _record_dtype(tag_schema):
+    """(numpy record dtype of one packed wire record or None for an empty
+    layout, {slot index: SlotSchema})."""
     fields = []
     if tag_schema.fmt.startswith("<B"):
         fields.append(("t", "u1"))
-    slot_codes = {}
     for i, slot in enumerate(tag_schema.slots):
-        if slot.inf_sentinel:
-            # sentinel re-integerization is a per-value branch; keep scalar
-            raise _Unvectorizable(f"slot {slot.name} carries an INF sentinel")
+        if slot.inf_sentinel and slot.code != "i":
+            # int64 -> double rounds above 2**53, where the scalar path
+            # still compares Python ints exactly
+            raise _Unvectorizable(f"slot {slot.name} carries an INF sentinel in 64 bits")
         dtype = _SLOT_DTYPES.get(slot.code)
         if dtype is None:
             raise _Unvectorizable(f"slot code {slot.code}")
         fields.append((f"s{i}", dtype))
-        slot_codes[i] = slot.code
     rec = _np.dtype(fields) if fields else None
     if rec is not None and rec.itemsize != tag_schema.size:
         raise _Unvectorizable("record layout mismatch")
-    return rec, slot_codes
+    return rec, dict(enumerate(tag_schema.slots))
+
+
+def _item(values, i: int):
+    """``values[i]`` as the Python value ``tolist()`` would hold."""
+    x = values[i]
+    return x.item() if isinstance(x, _np.generic) else x
+
+
+def _from_wire(column, slot):
+    """A decoded payload column as the scalar unpacker delivers it.  An
+    INF-sentinel ``'i'`` slot becomes doubles with the two reserved bounds
+    read as ±INF — every int32 is exact in a double, and a program with
+    such a slot has all its Int columns escalated to ``'d'`` already."""
+    if not slot.inf_sentinel:
+        return column
+    lo, hi = slot_range(slot)
+    values = column.astype(_np.float64)
+    values[column == hi] = INF_VALUE
+    values[column == lo] = -INF_VALUE
+    return values
+
+
+def _wire(value, slot, tag: int):
+    """A payload column as slot ``slot`` carries it on the wire; what the
+    slot cannot carry raises the scalar packer's error, for the first
+    offending value in staged order."""
+    if slot.code == "?":
+        return _truth(value)
+    if slot.code == "d":
+        return value
+    value = _np.asarray(_num(value))
+    lo, hi = slot_range(slot)
+    if slot.inf_sentinel:
+        pos, neg = value == INF_VALUE, value == -INF_VALUE
+        ok = (value > lo) & (value < hi)  # the bounds are reserved; NaN fails
+        if value.dtype.kind == "f":
+            ok &= value == _np.floor(value)
+        ok |= pos | neg
+    else:
+        ok = (value >= lo) & (value <= hi)
+    if not ok.all():
+        bad = _item(value.reshape(-1), int(_np.argmin(ok)))
+        if isinstance(bad, float) and not bad.is_integer():
+            int(bad)  # NaN: the ValueError the scalar encoder's int() raises
+            raise wire_integral_error(tag, slot, bad)
+        raise wire_range_error(tag, slot, bad)
+    if slot.inf_sentinel and (pos.any() or neg.any()):
+        value = _np.where(pos, hi, _np.where(neg, lo, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -520,33 +636,91 @@ def _record_dtype(tag_schema):
 
 
 class _Spec:
-    """One vectorizable reduction: ``[if cond:] target op= value``."""
+    """One vectorizable reduction: ``[if cond:] target op= value``, applied
+    as ``reduce(view, dsts, values)``.  ``improved`` is set on a MIN/MAX
+    reduce that an improve flag watches: the strict comparison telling, per
+    message, whether the reduce moved its receiver."""
 
-    __slots__ = ("target", "ufunc", "cond", "value", "value_expr")
+    __slots__ = ("target", "reduce", "cond", "value", "value_expr", "improved")
 
-    def __init__(self, target, ufunc, cond, value, value_expr):
+    def __init__(self, target, reduce, cond, value, value_expr):
         self.target = target
-        self.ufunc = ufunc
+        self.reduce = reduce
         self.cond = cond
         self.value = value
         self.value_expr = value_expr
+        self.improved = None
 
 
-def _reduce_ufunc(op: GlobalOp):
+def _or_at(view, dsts, values) -> None:
+    """``view[d] = view[d] or v`` per message on 0/1 values: a truthy
+    receiver keeps what it holds, a 0 becomes 1 if any of its values is
+    true (and else ends on its last, false, value: 0)."""
+    hit = dsts[_np.broadcast_to(_truth(values), dsts.shape)]
+    view[hit[view[hit] == 0]] = 1
+
+
+def _and_at(view, dsts, values) -> None:
+    """``view[d] = view[d] and v`` per message on 0/1 values: a 0 stays, a
+    truthy receiver becomes whether all of its values are true."""
+    view[dsts[view[dsts] != 0]] = 1
+    view[dsts[~_np.broadcast_to(_truth(values), dsts.shape)]] = 0
+
+
+def _reduce_at(op: GlobalOp, view):
+    """``reduce(view, dsts, values)`` folding ``values`` into ``view[dsts]``
+    one message after the other, in index order."""
     if op is GlobalOp.SUM:
-        return _np.add
+        return _np.add.at
     if op is GlobalOp.PRODUCT:
-        return _np.multiply
+        return _np.multiply.at
     if op is GlobalOp.MIN:
-        return _np.minimum
+        return _np.minimum.at
     if op is GlobalOp.MAX:
-        return _np.maximum
+        return _np.maximum.at
+    if op in (GlobalOp.OR, GlobalOp.AND):
+        if view.dtype.itemsize != 1:
+            raise _Unvectorizable(f"{op.value}-reduction into a non-Bool column")
+        return _or_at if op is GlobalOp.OR else _and_at
     raise _Unvectorizable(f"reduction op {op}")
+
+
+#: MIN/MAX reduce -> the strict comparison under which a value improves it
+_STRICT = {GlobalOp.MIN: BinOp.LT, GlobalOp.MAX: BinOp.GT}
+_MIRRORED = {BinOp.LT: BinOp.GT, BinOp.GT: BinOp.LT}
+
+
+def _improve_flag(body: list, i: int) -> Optional[int]:
+    """The one cross-statement dependence a receive loop may have (module
+    docstring).  If statement ``i`` is the unguarded flag ``g |= e < f`` and
+    a later statement of the same loop is the unguarded reduce ``f min= e``
+    (``e > f`` for ``max=``; either operand order; syntactically the same
+    ``e``), return that statement's index."""
+    flag = body[i]
+    if not (
+        isinstance(flag, VFieldReduce)
+        and flag.op is GlobalOp.OR
+        and isinstance(flag.expr, Bin)
+    ):
+        return None
+    cmp = flag.expr
+    for j in range(i + 1, len(body)):
+        red = body[j]
+        strict = _STRICT.get(red.op) if isinstance(red, VFieldReduce) else None
+        if strict is None:
+            continue
+        f = Field(red.name)
+        if (cmp.op is strict and (cmp.lhs, cmp.rhs) == (red.expr, f)) or (
+            cmp.op is _MIRRORED[strict] and (cmp.lhs, cmp.rhs) == (f, red.expr)
+        ):
+            return j
+    return None
 
 
 def _analyse_loop(loop: VMsgLoop, scope: _Scope):
     specs = []
-    for stmt in loop.body:
+    watchers: Dict[int, list] = {}  # reduce statement -> flags waiting on it
+    for i, stmt in enumerate(loop.body):
         if isinstance(stmt, VFieldReduce):
             guarded = [(None, stmt)]
         elif (
@@ -558,11 +732,32 @@ def _analyse_loop(loop: VMsgLoop, scope: _Scope):
             guarded = [(stmt.cond, s) for s in stmt.then]
         else:
             raise _Unvectorizable(f"statement {type(stmt).__name__}")
+        watched = _improve_flag(loop.body, i)
+        if watched is not None:
+            # the comparison is never compiled, so its read of f stays out
+            # of scope.reads; the flag is applied right after the reduce
+            reduce, f = loop.body[watched], loop.body[watched].name
+            watchers.setdefault(watched, []).append(
+                _Spec(
+                    stmt.name,
+                    _reduce_at(stmt.op, scope.view(stmt.name)),
+                    None,
+                    lambda ctx, f=f: ctx["improved"][f],
+                    stmt.expr,
+                )
+            )
+            scope.idioms.append(f"improve-flag {reduce.op.value}")
+            continue
         for cond, red in guarded:
-            ufunc = _reduce_ufunc(red.op)
             cond_fn = _compile_expr(cond, scope) if cond is not None else None
             value_fn = _compile_expr(red.expr, scope)
-            specs.append(_Spec(red.name, ufunc, cond_fn, value_fn, red.expr))
+            spec = _Spec(
+                red.name, _reduce_at(red.op, scope.view(red.name)), cond_fn, value_fn, red.expr
+            )
+            specs.append(spec)
+            if i in watchers:
+                spec.improved = _COMPARE[_STRICT[red.op]]
+                specs.extend(watchers[i])
     return specs
 
 
@@ -595,31 +790,33 @@ def _build_receivers(phase, tag_schemas, columns, broadcast, shared):
             tag_schema = tag_schemas.get(loop.tag)
             if tag_schema is None:
                 raise _Unvectorizable("unknown tag")
-            rec_dtype, slot_codes = _record_dtype(tag_schema)
+            rec_dtype, scope.msg_slots = _record_dtype(tag_schema)
             scope.msg_used = set()
             specs = _analyse_loop(loop, scope)
-            if any(i not in slot_codes for i in scope.msg_used):
+            if any(i not in scope.msg_slots for i in scope.msg_used):
                 raise _Unvectorizable("message field out of range")
             for spec in specs:
                 writes.append(spec.target)
                 if scope.view(spec.target).dtype.kind != "f":
-                    if _expr_kind(spec.value_expr, scope, slot_codes) != "i":
+                    if _expr_kind(spec.value_expr, scope) != "i":
                         raise _Unvectorizable("non-integral fold into integer column")
             handlers[(phase.phase_id, loop.tag)] = _make_handler(
                 specs, rec_dtype, sorted(scope.msg_used), scope
             )
         # written fields must be pairwise distinct and never read by the
-        # phase's receive statements (guards included): then per-statement
-        # batched application equals the simulator's per-message order.
+        # phase's receive statements (guards included; _improve_flag's
+        # comparison is the one exception): then per-statement batched
+        # application equals the simulator's per-message order.
         if len(set(writes)) != len(writes) or set(writes) & scope.reads:
             raise _Unvectorizable("field dependence between receive statements")
     except _Unvectorizable as exc:
         return None, str(exc)
-    return handlers, "vectorized"
+    return handlers, scope.named("vectorized")
 
 
 def _make_handler(specs, rec_dtype, msg_fields, scope):
     targets = {spec.target: scope.view(spec.target) for spec in specs}
+    slots = scope.msg_slots
 
     def handler(dsts, payload, count):
         if count == 0:
@@ -630,8 +827,8 @@ def _make_handler(specs, rec_dtype, msg_fields, scope):
         if rec_dtype is not None and msg_fields:
             rec = _np.frombuffer(payload, dtype=rec_dtype, count=count)
             for i in msg_fields:
-                msg[i] = rec[f"s{i}"]
-        full = {"sel": dsts, "msg": msg}
+                msg[i] = _from_wire(rec[f"s{i}"], slots[i])
+        full = {"sel": dsts, "msg": msg, "improved": {}}
         for spec in specs:
             ctx = full
             if spec.cond is not None:
@@ -642,7 +839,13 @@ def _make_handler(specs, rec_dtype, msg_fields, scope):
                         continue
                 elif not mask:
                     continue
-            spec.ufunc.at(targets[spec.target], ctx["sel"], spec.value(ctx))
+            view, sel = targets[spec.target], ctx["sel"]
+            if spec.improved is None:
+                spec.reduce(view, sel, spec.value(ctx))
+            else:  # watched reduces are unguarded: sel is all of dsts
+                old = view[sel]
+                spec.reduce(view, sel, spec.value(ctx))
+                full["improved"][spec.target] = spec.improved(view[sel], old)
 
     return handler
 
@@ -660,6 +863,12 @@ def _fold(op: GlobalOp, values) -> Any:
         # accumulate is a strict left fold; np.sum / reduce are pairwise
         ufunc = _np.add if op is GlobalOp.SUM else _np.multiply
         return ufunc.accumulate(values)[-1].item()
+    if op in (GlobalOp.OR, GlobalOp.AND):
+        # `a or b` / `a and b` hand back an operand: the first that decides
+        # the outcome (truthy for OR, falsy for AND), else the last
+        decides = _truth(values) if op is GlobalOp.OR else ~_truth(values)
+        first = int(decides.argmax())
+        return _item(values, first if decides[first] else -1)
     items = values.tolist()  # Python values: exact ints, native floats
     if op is GlobalOp.SUM:
         return functools.reduce(operator.add, items)
@@ -669,7 +878,7 @@ def _fold(op: GlobalOp, values) -> Any:
         return min(items)  # keeps the first minimum, like combine()
     if op is GlobalOp.MAX:
         return max(items)
-    return functools.reduce(lambda a, b: combine(op, a, b), items)
+    return items[-1]  # OVERWRITE
 
 
 def _store(view, sel, value) -> None:
@@ -684,21 +893,6 @@ def _store(view, sel, value) -> None:
         view[:] = value
     else:
         view[sel] = value
-
-
-def _wire(value, slot, tag: int):
-    """A payload column as slot ``slot`` carries it on the wire."""
-    if slot.code in ("i", "q"):
-        value = _np.asarray(_num(value))
-        lo, hi = slot_range(slot)
-        if value.size:
-            vmin, vmax = int(value.min()), int(value.max())
-            if vmin < lo or vmax > hi:
-                raise wire_range_error(tag, slot, vmin if vmin < lo else vmax)
-        return value
-    if slot.code == "?":
-        return _truth(value)
-    return value
 
 
 _FIELD_REDUCE = {
@@ -747,23 +941,24 @@ class _KernelBuilder:
         cannot, so it is accepted only where the consumer coerces every
         value to float anyway (``float_sink``: the top of a store into a
         double column)."""
-        self._check_conds(e, top_ok=float_sink)
+        self._check_conds(e, float_sink)
         return _compile_expr(e, self.scope)
 
-    def _check_conds(self, e: VExpr, top_ok: bool = False) -> None:
-        if isinstance(e, Cond) and not top_ok and _expr_kind(e, self.scope, {}) is None:
-            raise _Unvectorizable("conditional mixes integer and float arms")
-        for attr in ("lhs", "rhs", "operand", "cond", "then", "other"):
-            child = getattr(e, attr, None)
-            if isinstance(child, VExpr):
-                self._check_conds(child)
+    def _check_conds(self, e: VExpr, top_ok: bool) -> None:
+        for sub in _subexprs(e):
+            if (
+                isinstance(sub, Cond)
+                and not (top_ok and sub is e)
+                and _expr_kind(sub, self.scope) is None
+            ):
+                raise _Unvectorizable("conditional mixes integer and float arms")
 
     def local(self, stmt) -> Callable[[dict], None]:
         kinds = self.scope.local_kinds
         if stmt.name in kinds:
             raise _Unvectorizable(f"local {stmt.name} assigned more than once")
         value = self.expr(stmt.expr)
-        kinds[stmt.name] = _expr_kind(stmt.expr, self.scope, {})
+        kinds[stmt.name] = _expr_kind(stmt.expr, self.scope)
         name, n = stmt.name, self.n
 
         def assign(ctx):
@@ -780,7 +975,7 @@ class _KernelBuilder:
         view = self.scope.view(stmt.name)
         to_float = view.dtype.kind == "f"
         value = self.expr(stmt.expr, float_sink=to_float)
-        if not to_float and _expr_kind(stmt.expr, self.scope, {}) != "i":
+        if not to_float and _expr_kind(stmt.expr, self.scope) != "i":
             raise _Unvectorizable("non-integral store into integer column")
         if isinstance(stmt, VFieldAssign):
             return lambda ctx: _store(view, ctx["sel"], value(ctx))
@@ -833,19 +1028,31 @@ class _KernelBuilder:
         tag_schema = self.tag_schemas.get(stmt.tag)
         if tag_schema is None:
             raise _Unvectorizable("unknown tag")
-        rec_dtype, _slot_codes = _record_dtype(tag_schema)
+        rec_dtype, _slots = _record_dtype(tag_schema)
         if len(stmt.payload) != len(tag_schema.slots):
             raise _Unvectorizable("payload does not match the tag layout")
+        # a payload that reads an edge property is evaluated per out-edge,
+        # any other once per sender and repeated along the sender's edges
+        per_edge = any(
+            isinstance(sub, Call) and sub.name == "edge_prop"
+            for e in stmt.payload
+            for sub in _subexprs(e)
+        )
         payload = []
         for i, (e, slot) in enumerate(zip(stmt.payload, tag_schema.slots)):
-            if slot.code in ("i", "q") and _expr_kind(e, self.scope, {}) != "i":
+            # a sentinel slot takes floats too (±INF, escalated columns):
+            # _wire checks each value as the scalar encoder would
+            floats = slot.code == "d" or slot.inf_sentinel
+            if not floats and slot.code in ("i", "q") and _expr_kind(e, self.scope) != "i":
                 raise _Unvectorizable("non-integral payload for an integer slot")
-            # edge_prop is refused by _compile_expr: no per-edge payloads
-            payload.append((f"s{i}", slot, self.expr(e, float_sink=slot.code == "d")))
+            payload.append((f"s{i}", slot, self.expr(e, float_sink=floats)))
+        if per_edge:
+            self.scope.idioms.append("per-edge send")
         tag, tagged = stmt.tag, rec_dtype is not None and "t" in rec_dtype.names
         deg = self.scope.degrees("out")
         with_nbrs = _np.flatnonzero(deg)
-        stage = self.engine.send_nbrs_bulk
+        num_edges = self.scope.graph.num_edges
+        out_edges, stage = self.engine.out_edges, self.engine.send_nbrs_bulk
 
         def send(ctx):
             sel = ctx["sel"]
@@ -854,16 +1061,23 @@ class _KernelBuilder:
             senders = with_nbrs if sel is None else sel[deg[sel] != 0]
             if not senders.size:
                 return
+            edges, counts = out_edges(senders)
             records = None
             if rec_dtype is not None:
                 sub = dict(ctx)
-                sub["sel"] = senders
-                records = _np.empty(len(senders), dtype=rec_dtype)
+                if per_edge:
+                    sub["sel"] = _np.repeat(senders, counts)
+                    sub["edges"] = _np.arange(num_edges) if edges is None else edges
+                else:
+                    sub["sel"] = senders
+                records = _np.empty(len(sub["sel"]), dtype=rec_dtype)
                 if tagged:
                     records["t"] = tag
                 for field, slot, value in payload:
                     records[field] = _wire(value(sub), slot, tag)
-            stage(tag, senders, records)
+                if not per_edge:
+                    records = _np.repeat(records, counts)
+            stage(tag, senders, edges, counts, records)
 
         return send
 
@@ -891,7 +1105,7 @@ def _build_kernel(phase, receivers, receive_reason, tag_schemas, columns, engine
         if builder.n:  # every vertex; an empty graph has none to compute
             _run(body, {"sel": None, "msg": None, "loc": {}})
 
-    return kernel, "kernel"
+    return kernel, scope.named("kernel")
 
 
 def build_array_code(

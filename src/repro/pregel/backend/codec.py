@@ -52,6 +52,17 @@ def wire_range_error(tag: int, slot: SlotSchema, value) -> ValueError:
     )
 
 
+def wire_integral_error(tag: int, slot: SlotSchema, value) -> ValueError:
+    """The one error every staging path raises for a payload value that is
+    not a whole number in an integral wire slot (the simulator delivers it
+    as it is; packing it would truncate)."""
+    return ValueError(
+        f"cannot encode non-integral payload value {value!r} in slot "
+        f"'{slot.name}' of message tag {tag}: the {8 * slot.size}-bit wire "
+        f"slot carries whole numbers only"
+    )
+
+
 def _encoder(tag: int, slot: SlotSchema):
     """Value -> struct-packable value for one wire slot (None = identity)."""
     if not slot.inf_sentinel:
@@ -67,6 +78,8 @@ def _encoder(tag: int, slot: SlotSchema):
             return _lo
         else:
             iv = int(v)  # escalated double column carrying an exact int
+            if iv != v:
+                raise wire_integral_error(tag, slot, v)
         if not _lo < iv < _hi:
             raise wire_range_error(tag, slot, v)
         return iv
@@ -98,12 +111,17 @@ def _make_packer(st: struct.Struct, ts: TagSchema, tagged: bool):
 
         def fail(msg):
             # Called while handling struct.error: an integer the slot
-            # cannot hold is a program value the wire cannot carry, not a
-            # codec bug, so name it; anything else re-raises untouched.
+            # cannot hold, or a fractional value for it, is a program value
+            # the wire cannot carry, not a codec bug, so name it; anything
+            # else re-raises untouched.
             for slot, v in zip(ts.slots, msg[1:]):
+                if slot.code not in "iq":
+                    continue
                 lo, hi = slot_range(slot)
-                if slot.code in "iq" and type(v) is int and not lo <= v <= hi:
+                if type(v) is int and not lo <= v <= hi:
                     raise wire_range_error(ts.tag, slot, v) from None
+                if isinstance(v, float) and not v.is_integer():
+                    raise wire_integral_error(ts.tag, slot, v) from None
             raise
 
         def pack_tagged(msg, _p=st.pack):

@@ -185,8 +185,8 @@ class ColumnarEngine(PregelEngine):
     # -- staging --------------------------------------------------------
 
     def _slab_enqueue(self, dst: int, msg: tuple) -> None:
-        # Scalar sends (random writes, per-edge-property payloads) append
-        # to the pending singles run; metering already happened in send().
+        # Scalar sends (random writes, per-edge payloads of scalar phases)
+        # append to the pending singles run; send() does the metering.
         tag = msg[0]
         self._slab_singles[tag].append(dst)
         self._slab_payloads[tag] += self._codec.pack[tag](msg)
@@ -227,33 +227,37 @@ class ColumnarEngine(PregelEngine):
             for w, c in enumerate(np.bincount(owners, minlength=self.num_workers)):
                 step_work[w] += int(c)
 
-    def send_nbrs_bulk(self, tag: int, senders, records) -> None:
-        """A whole phase's ``send_nbrs`` calls in one: stage ``records[i]``
-        to every out-neighbor of ``senders[i]``.
-
-        ``senders`` are ascending vertex ids that all have out-neighbors;
-        ``records`` is the numpy array of their packed wire records (None
-        for an empty layout).  Staged order — sender by sender, each CSR
-        slice in edge order — and every metered quantity are exactly what
-        the per-vertex calls would have produced.
-        """
+    def out_edges(self, senders):
+        """``(edges, counts)`` for ascending ``senders`` that all have
+        out-neighbors: the CSR positions of their out-edges — sender by
+        sender, each slice in edge order — and how many each sender has.
+        ``edges`` is ``None`` when that is the whole CSR, as it is."""
         counts = self._np_degrees[senders]
         if len(senders) == self._num_senders:
-            # every vertex that has neighbors sends: the whole CSR, as is
-            edges = None
-            dsts = self._np_out_tgt
-        else:
-            ends = np.cumsum(counts)
-            edges = np.repeat(self._np_out_off[senders] - (ends - counts), counts)
-            edges += np.arange(ends[-1])
-            dsts = self._np_out_tgt[edges]
+            return None, counts
+        ends = np.cumsum(counts)
+        edges = np.repeat(self._np_out_off[senders] - (ends - counts), counts)
+        edges += np.arange(ends[-1])
+        return edges, counts
+
+    def send_nbrs_bulk(self, tag: int, senders, edges, counts, records) -> None:
+        """A whole phase's neighbor sends in one: stage ``records[k]`` along
+        out-edge ``edges[k]``.
+
+        ``edges``/``counts`` are ``out_edges(senders)``; ``records`` is the
+        numpy array of packed wire records, one per edge (None for an empty
+        layout).  Staged order and every metered quantity are exactly what
+        the per-vertex ``send_nbrs`` calls — or a per-edge ``send`` loop —
+        would have produced.
+        """
+        dsts = self._np_out_tgt if edges is None else self._np_out_tgt[edges]
         singles = self._slab_singles[tag]
         if singles:
             self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
             singles.clear()
         self._slab_chunks[tag].append(dsts)
         if records is not None:
-            self._slab_payloads[tag] += np.repeat(records, counts).view(np.uint8).data
+            self._slab_payloads[tag] += records.view(np.uint8).data
         m = self.metrics
         size = self._codec.sizes[tag]
         total = len(dsts)

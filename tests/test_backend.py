@@ -8,6 +8,7 @@ may only differ in wall time, memory, and the ``metrics.backend`` label.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -986,14 +987,15 @@ class TestVectorizedReceivers:
         return engine._bulk_receivers
 
     def test_reduction_phases_vectorize(self, programs, graph):
-        for alg in ("pagerank", "avg_teen_cnt", "conductance", "bc_approx"):
+        # sssp's receive couples two fields across statements, but only
+        # through the improve-flag idiom (`flag |= e < f; f min= e`)
+        for alg in ("pagerank", "avg_teen_cnt", "conductance", "bc_approx", "sssp"):
             assert self.handlers(programs, graph, alg), alg
 
     def test_dependent_or_stateful_phases_do_not(self, programs, graph):
-        # sssp's receive couples two fields across statements; bipartite
-        # matching assigns fields and writes globals from receive loops.
-        for alg in ("sssp", "bipartite_matching"):
-            assert self.handlers(programs, graph, alg) == {}, alg
+        # bipartite matching assigns fields and writes globals from its
+        # receive loops.
+        assert self.handlers(programs, graph, "bipartite_matching") == {}
 
     def test_handlers_only_engage_on_slab_fast_path(self, programs, graph):
         program = programs["pagerank"]
@@ -1020,7 +1022,7 @@ class TestPhaseKernels:
         "avg_teen_cnt": [0, 2],
         "conductance": [4, 6],
         "bc_approx": [1, 4, 6, 12, 14],
-        "sssp": [0],
+        "sssp": [0, 9],
         "bipartite_matching": [0],
     }
 
@@ -1039,6 +1041,24 @@ class TestPhaseKernels:
 
         return compile_source(source, emit_java=False).program
 
+    @staticmethod
+    def run_scalar_slab(program, graph, args=None, **opts):
+        """A columnar run on the slab fast path with the array code taken
+        out: the generated scalar program through ``MessageCodec.pack``."""
+        from repro.codegen.executable import RunResult
+
+        opts["backend"] = "columnar"
+        engine, fields, _master = program.make_engine(graph, args, **opts)
+        assert engine._slab_active
+        engine.install_array_code({}, {})
+        metrics = engine.run()
+        outputs = {
+            p.name: fields[p.name].tolist()
+            for p in program.ir.params
+            if p.is_output and p.name in fields
+        }
+        return RunResult(metrics, outputs, metrics.result, fields)
+
     # -- (a) eligibility ------------------------------------------------
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -1047,7 +1067,7 @@ class TestPhaseKernels:
         assert sorted(engine._phase_kernels) == self.EXPECTED[alg]
         for phase, d in by_phase.items():
             assert d["kernel"] == (phase in self.EXPECTED[alg])
-            assert (d["kernel_reason"] == "kernel") == d["kernel"]
+            assert d["kernel_reason"].startswith("kernel") == d["kernel"]
 
     def test_refusal_reasons(self, programs, graph):
         reasons = {}
@@ -1060,8 +1080,8 @@ class TestPhaseKernels:
                     reasons[alg, phase] = d["kernel_reason"]
         # every scalar receive loop keeps its whole phase scalar, and the
         # receiver's own reason rides along
-        assert reasons["sssp", 9] == (
-            "scalar receive loop (slot f0 carries an INF sentinel)"
+        assert reasons["bipartite_matching", 3] == (
+            "scalar receive loop (statement VIf)"
         )
         for key in (
             ("bipartite_matching", 3), ("bipartite_matching", 5),
@@ -1069,10 +1089,15 @@ class TestPhaseKernels:
             ("bc_approx", 9), ("bc_approx", 15),
         ):
             assert reasons.pop(key).startswith("scalar receive loop ("), key
-        assert reasons == {
-            ("sssp", 9): "scalar receive loop (slot f0 carries an INF sentinel)",
-            ("bc_approx", 10): "in-neighbour send",
-        }
+        assert reasons == {("bc_approx", 10): "in-neighbour send"}
+
+    def test_decisions_name_the_idioms(self, programs, graph):
+        _engine, by_phase = self.decisions(
+            programs["sssp"], graph, default_args("sssp", graph)
+        )
+        assert by_phase[9]["reason"] == "vectorized (improve-flag min)"
+        assert by_phase[9]["kernel_reason"] == "kernel (per-edge send)"
+        assert by_phase[0]["kernel_reason"] == "kernel"
 
     # -- (b) parity matrix ------------------------------------------------
 
@@ -1285,6 +1310,263 @@ class TestPhaseKernels:
             program.run(graph, args, backend="columnar"),
         )
 
+    # -- (c') edge-weighted relaxation (sssp phase 9) --------------------------
+
+    @staticmethod
+    def weighted(num_nodes, edges):
+        """A graph from ``(src, dst, len)`` triples."""
+        from repro.pregel.graph import Graph
+
+        return Graph.from_edges(
+            num_nodes, [e[:2] for e in edges], {"len": [e[2] for e in edges]}
+        )
+
+    @pytest.mark.parametrize(
+        "num_nodes,edges,dist",
+        [
+            # unreachable vertices keep INF
+            (5, [(0, 1, 2), (1, 2, 3), (3, 4, 1)], [0, 2, 5, INF_VALUE, INF_VALUE]),
+            # a root with nobody to send to
+            (3, [(1, 2, 4), (2, 0, 1)], [0, INF_VALUE, INF_VALUE]),
+            # parallel edges: two improving messages to vertex 1 in one superstep
+            (3, [(0, 1, 5), (0, 1, 3), (0, 2, 1), (2, 1, 1)], [0, 2, 1]),
+            # improving messages in descending and in ascending order
+            (4, [(0, 3, 9), (1, 3, 7), (2, 3, 8), (3, 0, 1), (3, 1, 1), (3, 2, 1)],
+             [0, 10, 10, 9]),
+        ],
+    )
+    def test_sssp_relaxation_edges(self, programs, num_nodes, edges, dist):
+        g = self.weighted(num_nodes, edges)
+        for workers in (1, 2):
+            opts = dict(num_workers=workers, track_makespan=True)
+            sim = run_on(programs, g, "sssp", "sim", **opts)
+            col = run_on(programs, g, "sssp", "columnar", **opts)
+            assert col.metrics.vectorized_phases == ["phase0", "phase9"]
+            assert_parity(sim, col)
+            assert col.metrics.makespan_units == sim.metrics.makespan_units
+            assert col.outputs["dist"] == dist
+
+    def test_sssp_equal_distance_is_no_improvement(self, programs):
+        # 0 -> 1 costs 2 directly and 1 + 1 through vertex 2: the second
+        # offer ties, so updated_nxt must stay false and the run must end
+        g = self.weighted(3, [(0, 1, 2), (0, 2, 1), (2, 1, 1)])
+        sim = run_on(programs, g, "sssp", "sim")
+        col = run_on(programs, g, "sssp", "columnar")
+        assert_parity(sim, col)
+        assert col.outputs["dist"] == [0, 2, 1]
+        assert col.fields["updated_nxt"].tolist() == [0, 0, 0]
+        assert (col.metrics.supersteps, col.metrics.messages) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "length,message",
+        [
+            # dist + len reaches the slot's reserved upper bound
+            (2**31 - 5, r"2147483647\.0 in slot 'f0' of message tag 0.*reserved"),
+            (2**31 + 3, r"2147483655\.0 in slot 'f0' of message tag 0"),
+            # E_P<Int> handed fractions: sim delivers them, the wire cannot
+            (2.5, r"non-integral payload value 6\.5 in slot 'f0' of message tag 0"),
+            (float("nan"), r"cannot convert float NaN to integer"),
+        ],
+    )
+    def test_sssp_payload_the_wire_cannot_carry(self, programs, length, message):
+        g = self.weighted(3, [(0, 1, 4), (1, 2, length)])
+        args = default_args("sssp", g)
+        programs["sssp"].run(g, args, backend="sim")  # sim has no wire
+        errors = []
+        for run in (
+            functools.partial(programs["sssp"].run, backend="columnar"),
+            functools.partial(self.run_scalar_slab, programs["sssp"]),
+        ):
+            with pytest.raises(ValueError, match=message) as raised:
+                run(g, args)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]  # kernel == scalar packer, to the letter
+
+    def relaxation_variant(self, old, new):
+        from repro.algorithms.sources import load_source
+
+        source = load_source("sssp")
+        assert source.count(old) == 1
+        return self.compile(source.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # not strict: min e <= f0 cannot be told from the reduced column
+            ("e.len) < s.dist_nxt", "e.len) <= s.dist_nxt"),
+            # the wrong way round for a min-reduce
+            ("e.len) < s.dist_nxt", "e.len) > s.dist_nxt"),
+            # not the value the reduce folds
+            ("(n.dist + e.len) < s.dist_nxt", "(n.dist + e.len + 1) < s.dist_nxt"),
+            # an and-flag is no existential
+            ("s.updated_nxt |=", "s.updated_nxt &="),
+        ],
+    )
+    def test_near_misses_of_the_improve_flag_stay_scalar(self, graph, old, new):
+        program = self.relaxation_variant(old, new)
+        args = default_args("sssp", graph)
+        engine, by_phase = self.decisions(program, graph, args)
+        assert sorted(engine._phase_kernels) == [0]
+        assert by_phase[9]["kernel_reason"] == (
+            "scalar receive loop (field dependence between receive statements)"
+        )
+        assert_parity(
+            program.run(graph, args, backend="sim"),
+            program.run(graph, args, backend="columnar"),
+        )
+
+    @pytest.mark.parametrize("surgery", ("flag after the reduce", "guarded reduce"))
+    def test_misplaced_improve_flag_stays_scalar(self, graph, surgery):
+        import copy
+
+        from repro.codegen.executable import CompiledProgram
+        from repro.pregelir.ir import Lit, VIf
+
+        ir = copy.deepcopy(compile_algorithm("sssp").ir)
+        body = ir.phases[9].receive[0].body
+        if surgery == "flag after the reduce":
+            body.reverse()  # dist_nxt min= e; flag |= e < dist_nxt: never fires
+        else:
+            body[1] = VIf(Lit(True), [body[1]])
+        program = CompiledProgram(ir)
+        args = default_args("sssp", graph)
+        engine, by_phase = self.decisions(program, graph, args)
+        assert sorted(engine._phase_kernels) == [0]
+        assert by_phase[9]["reason"] == "field dependence between receive statements"
+        sim = program.run(graph, args, backend="sim")
+        assert_parity(sim, program.run(graph, args, backend="columnar"))
+        if surgery == "flag after the reduce":
+            assert sim.metrics.supersteps == 3
+
+    def test_max_relaxation_vectorizes_too(self, graph):
+        # the mirror image, with the comparison's operands swapped
+        program = self.compile(
+            "Procedure widest(G: Graph, len: E_P<Int>; far: N_P<Int>) {\n"
+            "  N_P<Int> nxt; N_P<Bool> up; N_P<Bool> up_nxt;\n"
+            "  G.far = -INF; G.nxt = -INF; G.up = True; G.up_nxt = False;\n"
+            "  Int k = 0;\n"
+            "  While (k < 3) {\n"
+            "    Foreach (n: G.Nodes)[n.up] { Foreach (s: n.Nbrs) {\n"
+            "      Edge e = s.ToEdge();\n"
+            "      s.up_nxt |= s.nxt < e.len - k;\n"
+            "      s.nxt max= e.len - k;\n"
+            "    } }\n"
+            "    G.far = G.nxt; G.up = G.up_nxt; G.up_nxt = False;\n"
+            "    k++;\n"
+            "  }\n"
+            "}"
+        )
+        engine, by_phase = self.decisions(program, graph)
+        flagged = [d for d in by_phase.values() if d["reason"].endswith("(improve-flag max)")]
+        assert flagged and all(d["kernel"] for d in flagged)
+        sim = program.run(graph, backend="sim")
+        assert_parity(sim, program.run(graph, backend="columnar"))
+        assert len(set(sim.outputs["far"])) > 3
+
+    SENTINEL = (
+        "Procedure p(G: Graph, w: N_P<{t}>; o: N_P<{t}>) {{\n"
+        "  G.o = +INF;\n"
+        "  Foreach (n: G.Nodes) {{ Foreach (t: n.Nbrs) {{ t.o {update}; }} }}\n"
+        "}}"
+    )
+
+    @pytest.mark.parametrize(
+        "t,update,reason",
+        [
+            ("Int", "min= n.w", None),
+            ("Int", "+= n.w + t.w", None),
+            # Python ints on the scalar path, doubles in a decoded column
+            ("Int", "+= n.w * t.w", "integer arithmetic on an INF-sentinel payload"),
+            # int64 -> double rounds above 2**53
+            ("Long", "min= n.w", "slot f0 carries an INF sentinel in 64 bits"),
+        ],
+    )
+    def test_sentinel_slots_in_receivers(self, graph, t, update, reason):
+        graph.add_node_prop("w", [(v * 37) % 101 - 20 for v in range(graph.num_nodes)])
+        try:
+            program = self.compile(self.SENTINEL.format(t=t, update=update))
+            _engine, by_phase = self.decisions(program, graph)
+            receiving = [d for d in by_phase.values() if d["reason"] != "no receive statements"]
+            assert len(receiving) == 1
+            if reason is None:
+                assert receiving[0]["eligible"] and receiving[0]["kernel"]
+            else:
+                assert receiving[0]["reason"] == reason
+                assert receiving[0]["kernel_reason"] == f"scalar receive loop ({reason})"
+            sim = program.run(graph, backend="sim")
+            assert_parity(sim, program.run(graph, backend="columnar"))
+            assert INF_VALUE in sim.outputs["o"] or t == "Int"
+        finally:
+            del graph.node_props["w"]
+
+    BOOL_PUSH = (
+        "Procedure p(G: Graph, age: N_P<Int>, member: N_P<Int>; any: N_P<Bool>, all: N_P<Bool>) {\n"
+        "  Foreach (n: G.Nodes) { n.any = n.age > 65; n.all = n.member == 0; }\n"
+        "  Foreach (n: G.Nodes) { Foreach (t: n.Nbrs) {\n"
+        "    t.any |= n.age < 10;\n"
+        "    t.all &= n.age > 12;\n"
+        "  } }\n"
+        "}"
+    )
+
+    def test_bool_reductions_in_a_receive_loop(self, graph):
+        program = self.compile(self.BOOL_PUSH)
+        engine, by_phase = self.decisions(program, graph)
+        assert [d["reason"] for d in by_phase.values() if d["eligible"]] == ["vectorized"]
+        assert all(d["kernel"] for d in by_phase.values())
+        sim = program.run(graph, backend="sim")
+        assert_parity(sim, program.run(graph, backend="columnar"))
+        for name in ("any", "all"):
+            assert {False, True} == set(sim.outputs[name])
+
+    def test_bool_reduction_into_an_int_column_stays_scalar(self, graph):
+        import copy
+
+        from repro.codegen.executable import CompiledProgram
+        from repro.lang import types as ty
+
+        ir = copy.deepcopy(self.compile(self.BOOL_PUSH).ir)
+        ir.vertex_fields["any"] = ty.PrimType(ty.Prim.INT)
+        program = CompiledProgram(ir)
+        _engine, by_phase = self.decisions(program, graph)
+        assert "or-reduction into a non-Bool column" in {
+            d["reason"] for d in by_phase.values()
+        }
+
+    @pytest.mark.parametrize("op", ("OR", "AND"))
+    def test_bool_put_fold_matches_the_scalar_chain(self, op):
+        import random
+
+        import numpy as np
+
+        from repro.codegen.vectorize import _fold
+        from repro.pregel.globalmap import GlobalOp, combine
+
+        rng = random.Random(11)
+        gop = GlobalOp[op]
+        cases = [[0] * 9, [1] * 9, [0], [1], [False, True, False], [True, True]]
+        cases += [[rng.randrange(2) for _ in range(rng.randrange(1, 40))] for _ in range(50)]
+        cases += [[rng.random() < 0.5 for _ in range(7)] for _ in range(10)]
+        cases += [[0, 3, 0, 2], [2, 0, 3], [0.0, 2.5, 0.0]]  # returns an *operand*
+        for items in cases:
+            want = functools.reduce(lambda a, b: combine(gop, a, b), items)
+            got = _fold(gop, np.asarray(items))
+            assert got == want and type(got) is type(want), (op, items)
+
+    def test_empty_selection_makes_no_bool_put(self, graph):
+        program = self.compile(
+            "Procedure p(G: Graph, age: N_P<Int>): Bool {\n"
+            "  Bool seen = False;\n"
+            "  Foreach (n: G.Nodes)[n.age > 1000] { seen |= n.age > 5; }\n"
+            "  Return seen;\n"
+            "}"
+        )
+        engine, _fields, _master = program.make_engine(graph, backend="columnar")
+        assert sorted(engine._phase_kernels) == [0]
+        metrics = engine.run()
+        assert not engine.globals.has_aggregated("seen")
+        assert metrics.result is program.run(graph, backend="sim").result is False
+
     # -- (d) composition ------------------------------------------------------
 
     @pytest.mark.parametrize(
@@ -1328,22 +1610,25 @@ class TestPhaseKernels:
     @pytest.mark.parametrize(
         "extra,body,kernel",
         [
-            # loop-invariant payload: phase 0 is a kernel (astype('<i4') path)
+            # loop-invariant payload, staged by the phase kernel
             ("", "t.o += n.age;", True),
-            # per-edge payload: scalar sends through MessageCodec.pack
+            # per-edge payload: with the array code taken out (scalar sends
+            # through MessageCodec.pack), and staged by the phase kernel
             (", len: E_P<Int>", "Edge e = t.ToEdge(); t.o += n.age + e.len;", False),
+            (", len: E_P<Int>", "Edge e = t.ToEdge(); t.o += n.age + e.len;", True),
         ],
     )
     def test_int_payload_outside_the_wire_slot(self, extra, body, kernel):
         program = self.compile(self.WIRE.format(extra=extra, body=body))
         g = self.small_graph(3, [(0, 1), (1, 2)])
         engine, _fields, _master = program.make_engine(g, backend="columnar")
-        assert (0 in engine._phase_kernels) == kernel
-        assert_parity(program.run(g, backend="sim"), program.run(g, backend="columnar"))
+        assert 0 in engine._phase_kernels
+        run = program.run if kernel else functools.partial(self.run_scalar_slab, program)
+        assert_parity(program.run(g, backend="sim"), run(g, backend="columnar"))
         g.node_props["age"] = [2**31 + 5, 1, 2]
         assert program.run(g, backend="sim").outputs["o"][1] >= 2**31 + 5
         with pytest.raises(ValueError, match=r"214748365\d.*slot 'f0' of message tag 0"):
-            program.run(g, backend="columnar")
+            run(g, backend="columnar")
 
     def test_codec_names_tag_slot_and_value(self):
         schema = compile_algorithm("bipartite_matching").program.schema
@@ -1354,8 +1639,14 @@ class TestPhaseKernels:
         sssp = MessageCodec(compile_algorithm("sssp").program.schema)
         with pytest.raises(ValueError, match=r"2147483647.*slot 'f0' of message tag 0.*reserved"):
             sssp.pack[0]((0, 2**31 - 1))
+        # a fractional value is named the same way, on either kind of slot
+        with pytest.raises(ValueError, match=r"non-integral.*1\.5.*slot 'f0' of message tag 1"):
+            codec.pack[1]((1, 1.5))
+        with pytest.raises(ValueError, match=r"non-integral.*5\.5.*slot 'f0' of message tag 0"):
+            sssp.pack[0]((0, 5.5))
+        assert sssp.unpack[0](sssp.pack[0]((0, 5.0)), 1) == [(0, 5)]
         # a wrong *type* is still the codec's own error
         import struct
 
         with pytest.raises(struct.error):
-            codec.pack[1]((1, 1.5))
+            codec.pack[1]((1, "1"))

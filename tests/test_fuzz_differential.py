@@ -4,7 +4,10 @@ A seeded generator assembles random programs from the Pregel-compatible
 construct pool — vertex updates, push loops in both directions, pull loops
 (forcing Dissection + Edge Flipping), global reductions, filters, sequential
 While loops (exercising the state machine and intra-loop merging), group
-assignments — then asserts that the shared-memory interpreter and the
+assignments, and — one seed in eight — an edge-weighted relaxation in sssp's
+shape (``ToEdge()`` + ``E_P<Int>``, ``±INF`` initialisers, a ``|=`` improve
+flag whose comparison may or may not be the one the vectorizer accepts) —
+then asserts that the shared-memory interpreter and the
 compiled Pregel program agree on every output property and the returned
 scalar, and that the columnar backend (array kernels + bulk receivers
 wherever the vectorizer finds them eligible) is bit-identical to the
@@ -34,8 +37,8 @@ from repro.interp import interpret
 from repro.lang.errors import GreenMarlError
 
 HEADER = (
-    "Procedure fuzz(G: Graph, a: N_P<Int>, b: N_P<Int>, x: N_P<Double>; "
-    "oa: N_P<Int>, ox: N_P<Double>): Double {\n"
+    "Procedure fuzz(G: Graph, a: N_P<Int>, b: N_P<Int>, x: N_P<Double>, "
+    "len: E_P<Int>; oa: N_P<Int>, ox: N_P<Double>): Double {\n"
 )
 
 #: Stable int props: never pushed to, safe to read anywhere.
@@ -207,6 +210,47 @@ class ProgramBuilder:
             )
         return self.vertex_loop()
 
+    def relaxation(self) -> str:
+        """sssp's shape with the knobs turned: double-buffered ``oa``/``nxt``
+        relaxed along weighted edges from a few seed vertices.  The INF
+        initialiser escalates every Int column and gives the message an
+        INF-sentinel slot, the payload is per edge, and the optional flag's
+        comparison is drawn from the improve-flag idiom (which the columnar
+        backend compiles to array code) and its near misses (which it must
+        refuse) — all of it checked by the same oracles as any program."""
+        rng = self.rng
+        op, inf, strict = rng.choice((("min=", "+INF", "<"), ("max=", "-INF", ">")))
+        value = "n.oa + e.len" if rng.random() < 0.7 else f"n.oa + e.len * {rng.randint(2, 3)}"
+        flag = rng.choice(("improve", "swapped", "opposite", "loose", "mismatch", "none"))
+        compare = {
+            "improve": f"({value}) {strict} t.nxt",
+            "swapped": f"t.nxt {'>' if strict == '<' else '<'} ({value})",
+            "opposite": f"({value}) {'>' if strict == '<' else '<'} t.nxt",
+            "loose": f"({value}) {strict}= t.nxt",
+            "mismatch": f"({value} + 1) {strict} t.nxt",
+            "none": "",
+        }[flag]
+        outer = rng.choice(("[n.up]", f"[{self.bool_expr('n', STABLE_INT)}]", ""))
+        lines = [
+            HEADER,
+            "  N_P<Int> nxt; N_P<Bool> up; N_P<Bool> up_nxt;",
+            f"  G.oa = {inf}; G.nxt = {inf}; G.up = False; G.up_nxt = False;",
+            f"  Foreach (n: G.Nodes)[n.a < {rng.randint(1, 4)}] "
+            "{ n.oa = n.b; n.nxt = n.b; n.up = True; }",
+            f"  Int k = 0; While (k < {rng.randint(1, 4)}) {{",
+            f"    Foreach (n: G.Nodes){outer} {{ Foreach (t: n.Nbrs) {{",
+            "      Edge e = t.ToEdge();",
+            f"      t.up_nxt |= {compare};" if compare else "",
+            f"      t.nxt {op} {value};",
+            "    } }",
+            "    G.oa = G.nxt; G.up = G.up_nxt; G.up_nxt = False; k++;",
+            "  }",
+            "  Foreach (n: G.Nodes)[n.up] { n.ox = 1.5; }",
+            "  Return 0.0;",
+            "}",
+        ]
+        return "\n".join(line for line in lines if line)
+
     def build(self) -> str:
         lines = [HEADER]
         for _ in range(self.size):
@@ -220,11 +264,20 @@ class ProgramBuilder:
         return "\n".join(lines)
 
 
+def generate(seed: int, size: int) -> str:
+    """The program of one seed.  Which production a seed gets depends on the
+    seed alone, so the general programs' text is stable under changes to
+    the relaxation production and vice versa."""
+    builder = ProgramBuilder(seed, size)
+    return builder.relaxation() if seed % 8 == 7 else builder.build()
+
+
 def _compare(program: str, seed: int) -> None:
     graph = uniform_random(14, 40, seed=seed % 17 + 1)
     graph.add_node_prop("a", [(v * 7) % 11 for v in range(14)])
     graph.add_node_prop("b", [(v * 3) % 5 for v in range(14)])
     graph.add_node_prop("x", [v / 4.0 for v in range(14)])
+    graph.add_edge_prop_csr("len", [(i * 5) % 7 + 1 for i in range(graph.num_edges)])
 
     interp = interpret(program, graph)
     compiled = compile_source(program, emit_java=False)
@@ -274,7 +327,7 @@ def _close(a, b, tol=1e-9) -> bool:
 )
 @settings(max_examples=120, deadline=None)
 def test_random_programs_interpreter_equals_pregel(seed, size):
-    program = ProgramBuilder(seed, size).build()
+    program = generate(seed, size)
     try:
         compile_source(program, emit_java=False)
     except GreenMarlError:
@@ -290,7 +343,7 @@ def test_generator_yields_mostly_compilable_programs():
     ok = 0
     total = 120
     for seed in range(total):
-        program = ProgramBuilder(seed, 4).build()
+        program = generate(seed, 4)
         try:
             compile_source(program, emit_java=False)
             ok += 1
@@ -301,8 +354,12 @@ def test_generator_yields_mostly_compilable_programs():
 
 def test_fixed_regression_seeds():
     """A few pinned seeds stay green even if hypothesis explores elsewhere."""
-    for seed, size in ((1, 4), (99, 6), (12345, 5), (777, 3), (31337, 6)):
-        program = ProgramBuilder(seed, size).build()
+    general = ((1, 4), (99, 6), (12345, 5), (777, 3), (31337, 6))
+    # relaxations (seed % 8 == 7): no flag, the improve flag under max= and
+    # min=, and its loose / mismatched / swapped / opposite variants
+    relaxations = tuple((seed, 4) for seed in (7, 23, 31, 39, 47, 55, 63, 127))
+    for seed, size in general + relaxations:
+        program = generate(seed, size)
         try:
             compile_source(program, emit_java=False)
         except GreenMarlError:

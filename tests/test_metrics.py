@@ -259,9 +259,10 @@ class TestMeteredParityMatrix:
 
     @pytest.mark.parametrize(
         "alg,kernel_steps",
-        # pagerank runs every superstep as an array kernel; sssp only its
-        # one-superstep init phase — the relax loop stays scalar
-        [("pagerank", None), ("sssp", 1)],
+        # pagerank and sssp run every superstep as an array kernel;
+        # bipartite matching only its one-superstep init phase — the
+        # random-write rounds stay scalar
+        [("pagerank", None), ("sssp", None), ("bipartite_matching", 1)],
     )
     def test_columnar_compute_side_coverage(self, programs, graph, alg, kernel_steps):
         registry = MetricsRegistry()
@@ -360,6 +361,21 @@ class TestVectorizeTelemetry:
         from repro.obs import Tracer
 
         tracer = Tracer()
+        compiled = compile_algorithm("bipartite_matching", emit_java=False, tracer=tracer)
+        compiled.program.run(graph, {}, backend="columnar", tracer=tracer)
+        by_phase = {
+            e.info["phase"]: e.info
+            for e in tracer.events
+            if e.name == "compile.vectorize"
+        }
+        assert by_phase[0]["kernel"] and not by_phase[0]["eligible"]
+        assert not by_phase[3]["kernel"]
+        assert by_phase[3]["kernel_reason"].startswith("scalar receive loop")
+
+    def test_decisions_name_the_idioms(self, graph):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
         compiled = compile_algorithm("sssp", emit_java=False, tracer=tracer)
         compiled.program.run(
             graph, default_args("sssp", graph), backend="columnar", tracer=tracer
@@ -369,9 +385,11 @@ class TestVectorizeTelemetry:
             for e in tracer.events
             if e.name == "compile.vectorize"
         }
-        assert by_phase[0]["kernel"] and not by_phase[0]["eligible"]
-        assert not by_phase[9]["kernel"]
-        assert by_phase[9]["kernel_reason"].startswith("scalar receive loop")
+        # sssp's relax phase: the flag/min pair of its receive loop and the
+        # edge-weighted payload of its send are named, not just counted
+        assert by_phase[9]["eligible"] and by_phase[9]["kernel"]
+        assert by_phase[9]["reason"] == "vectorized (improve-flag min)"
+        assert by_phase[9]["kernel_reason"] == "kernel (per-edge send)"
 
     def test_sim_trace_has_no_decisions(self, graph):
         from repro.obs import Tracer
@@ -391,10 +409,13 @@ class TestVectorizeTelemetry:
         assert "vectorized_phases" not in run.metrics.parity_key()
 
     def test_vectorized_phases_lists_kernel_only_phases(self, programs, graph):
-        # sssp vectorizes no receive loop, but its init phase is a kernel:
-        # a phase is listed when either side runs as array code
-        run = _run(programs, graph, "sssp", "columnar")
+        # bipartite matching vectorizes no receive loop, but its init phase
+        # is a kernel: a phase is listed when either side runs as array code
+        run = _run(programs, graph, "bipartite_matching", "columnar")
         assert run.metrics.vectorized_phases == ["phase0"]
+        run = _run(programs, graph, "sssp", "columnar")
+        assert run.metrics.vectorized_phases == ["phase0", "phase9"]
+        assert "vectorized=[phase0,phase9]" in run.metrics.summary()
         run = _run(programs, graph, "bc_approx", "columnar")
         assert run.metrics.vectorized_phases == [
             "phase1", "phase4", "phase6", "phase12", "phase14",
