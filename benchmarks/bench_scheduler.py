@@ -113,8 +113,9 @@ def _scheduler_report(scale, report_dir):
     emit_report(
         report_dir,
         "scheduler",
-        "Superstep scheduling: frontier (sparse active set, batched routing)\n"
-        f"vs dense scan — manual BFS, best of 3, 4 workers; uniform-* are\n"
+        "Superstep scheduling: frontier (sparse active set) vs dense (the\n"
+        "sparse switch off; same batched routing, same vertex loop) —\n"
+        "manual BFS, best of 3, 4 workers; uniform-* are\n"
         f"stock uniform-random graphs at average degree {SWEEP_DEGREE} (sparse,\n"
         f"high-diameter regime); sweep wall time {wall:.2f}s\n"
         + sweep_table

@@ -456,11 +456,13 @@ def tracer_overhead(
     *,
     repeats: int = 5,
     seed: int = 1,
+    **run_opts,
 ) -> dict:
     """Measure what a *disabled* tracer costs on a Figure 6 workload.
 
     Runs the algorithm ``repeats`` times with ``tracer=None`` and ``repeats``
-    times with a :class:`repro.obs.NullTracer`, interleaved so drift hits both
+    times with a :class:`repro.obs.NullTracer` (``run_opts``, e.g.
+    ``backend=``, go to both arms), interleaved so drift hits both
     arms equally, and compares best-of wall times.  The two paths are meant
     to be identical (the engine installs its metering wrappers only for a
     *recording* tracer), so the ratio is a noise-bounded regression check —
@@ -474,8 +476,10 @@ def tracer_overhead(
     plain: list[float] = []
     nulled: list[float] = []
     for _ in range(max(1, repeats)):
-        plain.append(compiled.program.run(graph, args).metrics.wall_seconds)
-        nulled.append(compiled.program.run(graph, args, tracer=NULL_TRACER).metrics.wall_seconds)
+        plain.append(compiled.program.run(graph, args, **run_opts).metrics.wall_seconds)
+        nulled.append(
+            compiled.program.run(graph, args, tracer=NULL_TRACER, **run_opts).metrics.wall_seconds
+        )
     best_plain = min(plain)
     best_null = min(nulled)
     return {
@@ -494,6 +498,7 @@ def metrics_overhead(
     *,
     repeats: int = 5,
     seed: int = 1,
+    **run_opts,
 ) -> dict:
     """Measure what a *disabled* metrics registry costs on a Figure 6
     workload — the registry twin of :func:`tracer_overhead`.
@@ -511,10 +516,10 @@ def metrics_overhead(
     plain: list[float] = []
     nulled: list[float] = []
     for _ in range(max(1, repeats)):
-        plain.append(compiled.program.run(graph, args).metrics.wall_seconds)
+        plain.append(compiled.program.run(graph, args, **run_opts).metrics.wall_seconds)
         nulled.append(
             compiled.program.run(
-                graph, args, metrics_registry=NULL_REGISTRY
+                graph, args, metrics_registry=NULL_REGISTRY, **run_opts
             ).metrics.wall_seconds
         )
     best_plain = min(plain)

@@ -564,8 +564,8 @@ def main(argv: list[str] | None = None) -> int:
                 choices=("frontier", "dense"),
                 default="frontier",
                 help="superstep scheduling: 'frontier' iterates only the "
-                "active set when it is sparse (batched message routing); "
-                "'dense' always scans every vertex",
+                "active set when it is sparse; 'dense' turns that switch off "
+                "and always scans every un-voted vertex (same message routing)",
             )
             p.add_argument(
                 "--backend",

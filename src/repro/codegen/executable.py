@@ -556,16 +556,17 @@ class CompiledProgram:
     ) -> tuple[PregelEngine, dict[str, list], GeneratedMaster]:
         """Instantiate a PregelEngine for this program.
 
-        ``scheduling`` selects the engine's superstep scheduler: ``"frontier"``
-        (default) tracks the active set and iterates only it when sparse, with
-        batched per-worker message routing; ``"dense"`` is the classic scan of
-        every vertex.  Both are bit-identical on outputs and on every metered
-        quantity (``RunMetrics.parity_key()``); generated programs never call
-        ``vote_to_halt`` (§5.2), so they only benefit from frontier scheduling
-        through the batched routing path.  ``frontier_threshold`` is the
-        active-set density above which frontier mode falls back to the dense
-        scan (GraphIt-style direction switch).  Remaining ``engine_opts`` pass
-        through to :class:`PregelEngine`.
+        ``scheduling`` decides whether the vertex loop may go sparse:
+        ``"frontier"`` (default) tracks the active set of a voting program and
+        iterates only it while it is sparse; ``"dense"`` is that switch off —
+        every superstep scans every un-voted vertex.  Message routing (batched
+        per destination worker) is the same either way, on every backend, and
+        both are bit-identical on outputs and on every metered quantity
+        (``RunMetrics.parity_key()``); generated programs never call
+        ``vote_to_halt`` (§5.2), so for them the two coincide.
+        ``frontier_threshold`` is the active-set density above which frontier
+        mode scans densely (GraphIt-style direction switch).  Remaining
+        ``engine_opts`` pass through to :class:`PregelEngine`.
 
         ``backend`` selects the execution backend (``"sim"``, ``"columnar"``
         or ``"mp"``, or an :class:`ExecutionBackend` instance): how property

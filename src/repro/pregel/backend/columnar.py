@@ -66,21 +66,11 @@ class ColumnarEngine(PregelEngine):
 
     The run loop, scheduling, metering, and every hook are inherited; only
     the staging representation changes, behind ``_enqueue`` (the already
-    swappable per-send dispatch) and the ``_deliver_batched`` barrier hook.
+    swappable per-send dispatch) and the ``_deliver`` barrier hook.
     """
 
     def __init__(self, graph: Graph, *, schema=None, **engine_opts):
-        requested = engine_opts.get("scheduling", "frontier")
-        if requested not in ("frontier", "dense"):
-            raise ValueError(
-                f"unknown scheduling '{requested}' (expected 'frontier' or 'dense')"
-            )
-        # Slab staging *is* batched routing; a dense-scheduling request
-        # only changes which delivery code would run, and the two are
-        # parity-identical, so the engine always runs the batched path.
-        engine_opts["scheduling"] = "frontier"
         super().__init__(graph, **engine_opts)
-        self.scheduling = requested
         self.schema = schema
         self.metrics.backend = "columnar"
         #: (phase state, tag) -> vectorized bulk receive handler, and
@@ -158,14 +148,14 @@ class ColumnarEngine(PregelEngine):
 
     # -- vertex phase -----------------------------------------------------
 
-    def _vertex_phase(self, frontier, inbox) -> None:
+    def _vertex_phase(self, frontier) -> None:
         kernel = None
         if self._phase_kernels:
             # The master has already broadcast this superstep's state.
             kernel = self._phase_kernels.get(self.globals.broadcast.get("_state"))
         metered = self._mreg is not None and self._slab_active
         if kernel is None:
-            super()._vertex_phase(frontier, inbox)
+            super()._vertex_phase(frontier)
             if metered:
                 self._m_scalar_vertices.inc(self.graph.num_nodes)
             return
@@ -310,9 +300,9 @@ class ColumnarEngine(PregelEngine):
 
     # -- barrier --------------------------------------------------------
 
-    def _deliver_batched(self, mem, mem_limited, transport) -> None:
+    def _deliver(self) -> None:
         if not self._slab_active:
-            super()._deliver_batched(mem, mem_limited, transport)
+            super()._deliver()
             return
         touched = self._touched
         touched.clear()

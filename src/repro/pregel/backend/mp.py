@@ -108,20 +108,18 @@ from __future__ import annotations
 
 import atexit
 import os
-import random
 import signal
 import time
 import traceback
 from array import array
+from contextlib import contextmanager
 from typing import Any, Callable
 
 import numpy as np
 
 from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, RealFault
-from ..globalmap import GlobalObjectMap
 from ..graph import Graph
-from ..mem import MemoryExhausted
-from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, RunMetrics
+from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec
 from .columnar import build_typed_columns
@@ -312,11 +310,13 @@ class _TagStage:
         self.payload = bytearray()
 
 
-class MPEngine:
-    """Parent-side coordinator: runs the master, merges global puts and
-    combiner slots, drives the worker barrier, and owns checkpointing.
-    API-compatible with PregelEngine where the generated master, the
-    fault-tolerance manager, and the compiled-program wiring need it."""
+class MPEngine(PregelEngine):
+    """Parent-side coordinator: the shared superstep driver with real
+    worker processes for a body.  The master API, ``run()``, the superstep
+    loop and the checkpoint payload are :class:`PregelEngine`'s; this class
+    owns the process plumbing (``_session``), the barrier protocol
+    (``_superstep_body``: step → stat fold → exchange → ready), real-failure
+    recovery, and the parent's share of a checkpoint."""
 
     def __init__(
         self,
@@ -324,47 +324,16 @@ class MPEngine:
         *,
         schema,
         vertex_compute: Callable | None = None,
-        master_compute: Callable | None = None,
-        message_size: Callable[[tuple], int] | None = None,
-        num_workers: int = 4,
-        seed: int = 17,
-        max_supersteps: int = 1_000_000,
-        use_voting: bool = False,
-        record_per_superstep: bool = False,
-        combiners: dict | None = None,
-        partitioning: str = "hash",
-        track_makespan: bool = False,
-        ft=None,
-        scheduling: str = "frontier",
-        frontier_threshold: float = 0.25,
-        tracer=None,
-        transport=None,
-        supervisor=None,
-        mem=None,
-        metrics_registry=None,
         mp_slab_bytes: int | None = None,
         real_faults=(),
         exchange_deadline: float = 30.0,
         max_restarts: int = 3,
         transport_mode: str = "shm",
+        **engine_opts,
     ):
-        refusals = composition_refusals(
-            use_voting=use_voting,
-            combiners=combiners,
-            ft=ft,
-            transport=transport,
-            supervisor=supervisor,
-            mem=mem,
-            tracer=tracer,
-            track_makespan=track_makespan,
-            partitioning=partitioning,
-        )
+        refusals = composition_refusals(transport=engine_opts.get("transport"))
         if refusals:
             raise BackendUnsupported(refusals[0])
-        if scheduling not in ("frontier", "dense"):
-            raise ValueError(
-                f"unknown scheduling '{scheduling}' (expected 'frontier' or 'dense')"
-            )
         if schema is None:
             raise BackendUnsupported(
                 "the mp backend needs a program schema (compiled programs only)"
@@ -380,8 +349,13 @@ class MPEngine:
             raise ValueError(
                 f"unknown transport '{transport_mode}' (expected 'shm' or 'tcp')"
             )
-        if partitioning not in ("hash", "range"):
-            raise ValueError(f"unknown partitioning '{partitioning}'")
+        # The shared construction: ledger, placement, scheduling checks, and
+        # the ft → supervisor → mem attach sequence.  ``_voted`` is the one
+        # authoritative vote bitset: forked workers inherit it
+        # copy-on-write, mutate their own partition's slice, and ship that
+        # slice back in every exchange reply for the parent to fold (the FT
+        # replay also reads/writes it directly).
+        super().__init__(graph, vertex_compute, **engine_opts)
         real_faults = tuple(real_faults or ())
         for fault in real_faults:
             if fault.kind not in REAL_FAULT_KINDS:
@@ -391,54 +365,31 @@ class MPEngine:
                     f"'{fault.kind}:' faults are network faults — they need "
                     "the real socket transport (run with --transport tcp)"
                 )
-            if not 0 <= fault.worker < max(1, num_workers):
+            if not 0 <= fault.worker < self.num_workers:
                 raise ValueError(
                     f"fault targets worker {fault.worker} but the engine "
-                    f"has {max(1, num_workers)} workers"
+                    f"has {self.num_workers} workers"
                 )
-        if real_faults and ft is None:
+        if real_faults and self.ft is None:
             raise ValueError(
                 "real process faults (kill:/hang:/netsplit:/slowlink:) "
                 "require fault tolerance: pass ft=... / --checkpoint-every "
                 "so recovery has a checkpoint to restore"
             )
-        self.graph = graph
         self.schema = schema
-        self.scheduling = scheduling
-        self.num_workers = max(1, num_workers)
-        self.rng = random.Random(seed)
-        self.globals = GlobalObjectMap()
-        self.metrics = RunMetrics(backend="mp")
-        self.metrics.worker_sent = [0] * self.num_workers
-        self.superstep = 0
-        self.result: Any = None
-        self.partitioning = partitioning
+        self.metrics.backend = "mp"
         self.transport_mode = transport_mode
-        self._halt = False
-        self._vertex_compute = vertex_compute
-        self._master_compute = master_compute
-        self._message_size = message_size
-        self._max_supersteps = max_supersteps
-        self._record_per_superstep = record_per_superstep
-        self._combiners = combiners or {}
         self._codec = MessageCodec(schema)
         w = self.num_workers
-        n = graph.num_nodes
-        # Vertex -> worker placement, the simulator's exact formulas:
-        # 'hash' interleaves ids round-robin, 'range' owns contiguous
-        # blocks.  ``_part_slices[wid]`` is the matching column/bitset
-        # slice, so strided and contiguous partitions share every
-        # gather/scatter/vote path below.
-        if partitioning == "hash":
-            self._worker_of = bytes(v % w for v in range(n)) if w <= 256 else [
-                v % w for v in range(n)
-            ]
+        # ``_part_slices[wid]`` is the column/bitset slice matching the
+        # shared placement (``_worker_of``), so strided ('hash') and
+        # contiguous ('range') partitions share every gather/scatter/vote
+        # path below.
+        if self.partitioning == "hash":
             self._part_slices = [slice(wid, None, w) for wid in range(w)]
         else:
-            placed = [min(v * w // max(1, n), w - 1) for v in range(n)]
-            self._worker_of = bytes(placed) if w <= 256 else placed
             bounds = [0] * (w + 1)
-            for owner in placed:
+            for owner in self._worker_of:
                 bounds[owner + 1] += 1
             for wid in range(w):
                 bounds[wid + 1] += bounds[wid]
@@ -446,29 +397,7 @@ class MPEngine:
                 slice(bounds[wid], bounds[wid + 1]) for wid in range(w)
             ]
         self._columns: dict[str, Any] = {}
-        self.tracer = tracer
-        # Metrics registry: the parent owns the authoritative registry;
-        # each worker process builds its own post-fork and ships snapshots
-        # back in its barrier replies, merged parent-side (counters sum,
-        # histograms bucket-sum, gauges max) — set before ft.attach() so
-        # the FT manager picks up its instruments.
-        self.metrics_registry = metrics_registry
-        self._mreg = (
-            metrics_registry
-            if metrics_registry is not None and metrics_registry.enabled
-            else None
-        )
-        self.ft = ft
-        self._use_voting = use_voting
-        # One authoritative vote bitset in the parent: forked workers
-        # inherit it copy-on-write, mutate their own partition's slice,
-        # and ship that slice back in every exchange reply for the parent
-        # to fold (the FT replay also reads/writes this directly).
-        self._voted = bytearray(graph.num_nodes) if use_voting else None
         self._delivered = 0
-        self._track_makespan = track_makespan
-        self._ft_replaying = False
-        self._current_vertex = -1
         # real-failure machinery: scheduled process faults, the exchange
         # deadline, deferred detections, and the engine-level restart cap
         # (the Supervisor owns its own cap when one is attached).
@@ -479,7 +408,6 @@ class MPEngine:
         self._hang_now: dict[int, float] = {}
         self._net_now: dict[int, str] = {}
         self._dead_pending: list[tuple[int, str]] = []
-        self._abort_reason: str | None = None
         # tcp transport plumbing: parent-bound listeners (children inherit
         # across the fork; the parent closes its copy right after each
         # fork), the port map, and per-worker fork epochs (bumped on every
@@ -497,17 +425,14 @@ class MPEngine:
         self._inflight: dict[int, list] = {}
         self._refork_all = False
         self._refork_workers: set[int] = set()
-        # live process plumbing (populated by run(), mutated by _refork)
+        # live process plumbing (populated by _session, mutated by _refork)
         self._mpctx = None
         self._segments: list = []
         self._conns: list = []
         self._procs: list = []
         self._workers: list[_Worker] = []
-        if ft is not None:
-            ft.attach(self)
-        self.supervisor = supervisor
+        supervisor = self._supervisor
         if supervisor is not None:
-            supervisor.attach(self)  # requires ft — raises sim's message
             # The supervisor's scheduled silent crashes become real
             # SIGKILLs on this backend: same flag, real process death.
             self._real_pending.extend(
@@ -518,11 +443,9 @@ class MPEngine:
             # A fault can fire at superstep 0, before any periodic
             # checkpoint exists — force one so recovery always has a base.
             self.ft.force_initial_checkpoint = True
-        self.mem = mem
-        if mem is not None:
-            mem.attach(self)
         self._mem_prev_inbox = [0] * w
         if mp_slab_bytes is None:
+            mem = self.mem
             per_record = 8 + self.schema.max_message_size()
             traffic = (graph.num_edges * 2) // w + graph.num_nodes
             mp_slab_bytes = clamp_slab_bytes(
@@ -530,29 +453,21 @@ class MPEngine:
             )
         self._slab_bytes = mp_slab_bytes
 
-    # -- master-side API (GeneratedMaster's ctx) ------------------------
-
-    def get_agg(self, name: str, default: Any = None) -> Any:
-        return self.globals.get_aggregated(name, default)
-
-    def put_broadcast(self, name: str, value: Any) -> None:
-        self.globals.put_broadcast(name, value)
-        self.metrics.broadcast_values += 1
-
-    def halt(self, result: Any = None) -> None:
-        self._halt = True
-        if result is not None:
-            self.result = result
-
-    def set_result(self, value: Any) -> None:
-        self.result = value
-
-    def pick_random_node(self) -> int:
-        return self.rng.randrange(self.graph.num_nodes)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.graph.num_nodes
+    def _wire_boundaries(self) -> None:
+        """mp's start-of-superstep order: escalate what the last exchange
+        barrier detected and re-fork; the FT boundary (a due checkpoint
+        pulls fresh columns from the workers; simulated ``CrashEvent``
+        recovery restores/replays parent-side state and flags the affected
+        workers); re-fork those — before the master runs, exactly the
+        simulator's ordering; then real process faults, *after* the
+        boundary checkpoint, so a fault at superstep S always has a
+        recovery base <= S.  The simulated supervision clock and the
+        in-process memory ledger are not subscribed: liveness and byte
+        accounting ride the real barrier replies instead."""
+        self._hooks["on_superstep_start"] += (self._recover_detected,)
+        if self.ft is not None:
+            self._subscribe(self.ft)
+        self._hooks["on_superstep_start"] += (self._refork, self._inject_real_faults)
 
     # -- vertex-side ctx API (confined-recovery replay only) -------------
     #
@@ -560,154 +475,60 @@ class MPEngine:
     # parent executes generated vertex code only while replaying a failed
     # partition over its restored columns, where every send and put was
     # already delivered during the original execution and is suppressed.
+    # Votes are *state*, not traffic: the inherited vote_to_halt() re-applies
+    # them during replay so the recovered bitset matches the lost one.
 
-    def send(self, dst: int, msg: tuple) -> None:
+    def _replay_only(self, *_args) -> None:
         if not self._ft_replaying:
             raise RuntimeError("mp parent runs vertex code only during FT replay")
 
-    def send_nbrs(self, vid: int, msg: tuple) -> None:
-        if not self._ft_replaying:
-            raise RuntimeError("mp parent runs vertex code only during FT replay")
+    send = send_nbrs = send_list = put_global = _replay_only
 
-    def send_list(self, dsts: list, msg: tuple) -> None:
-        if not self._ft_replaying:
-            raise RuntimeError("mp parent runs vertex code only during FT replay")
-
-    def put_global(self, name: str, op, value) -> None:
-        if not self._ft_replaying:
-            raise RuntimeError("mp parent runs vertex code only during FT replay")
-
-    def vote_to_halt(self, vid: int) -> None:
-        # Votes are *state*, not traffic: unlike sends they are re-applied
-        # during replay so the recovered bitset matches the lost one.
-        if self._voted is None:
-            raise RuntimeError(VOTING_DISABLED_ERROR)
-        self._voted[vid] = 1
-
-    def get_global(self, name: str):
-        return self.globals.broadcast[name]
-
-    # -- checkpoint / restore (FaultTolerance manager hooks) -------------
+    # -- checkpoint / restore: the parent's share of the payload ---------
 
     def outbox_view(self) -> dict[int, list]:
         """The in-flight ``{dst: msgs}`` map (parent-side slab decode)."""
         return self._inflight
 
     def checkpoint_state(self) -> dict:
-        """Snapshot at a superstep boundary, sim-shaped.
-
-        The workers own the live partition columns, so the snapshot first
+        """The workers own the live partition columns, so the snapshot first
         pulls them back into the parent's columns — the FT manager
         serializes the registered ``ColumnState`` (over those same column
-        objects) right after this returns, so it sees fresh data.
-        """
+        objects) right after this returns, so it sees fresh data."""
         self._sync_columns()
-        metrics = self.metrics
-        return {
-            "superstep": self.superstep,
-            "outbox": dict(self._inflight),
-            "frontier": None,
-            "voted": bytes(self._voted) if self._voted is not None else None,
-            "rng": self.rng.getstate(),
-            "result": self.result,
-            "halt": self._halt,
-            "broadcast": dict(self.globals.broadcast),
-            "aggregated": dict(self.globals.aggregated),
-            "metrics": {
-                name: getattr(metrics, name)
-                for name in PregelEngine._CHECKPOINTED_METRICS
-            },
-            "per_superstep_messages": list(metrics.per_superstep_messages),
-            "worker_sent": list(metrics.worker_sent),
-        }
+        return super().checkpoint_state()
 
     def restore_state(self, state: dict, vertices: list[int] | None = None) -> None:
-        """Restore a checkpoint payload.
-
-        ``vertices`` selects confined recovery: the manager restores the
-        failed partition's columns and replays it in the parent, so the
-        engine only needs to remember which worker must be re-forked from
-        the recovered parent state.  ``None`` is a full rollback: master
-        state, metrics ledger, and the in-flight set rewind to the
-        boundary, and *every* worker is re-forked from the restored
-        columns before the replay resumes.
-        """
+        """Confined recovery (``vertices``): the manager restores the failed
+        partition's columns and replays it in the parent, so the engine
+        only needs to remember which worker must be re-forked from the
+        recovered parent state.  A full rollback re-forks *every* worker
+        from the restored columns before the replay resumes."""
+        super().restore_state(state, vertices)
         if vertices is not None:
-            if self._voted is not None and state["voted"] is not None:
-                saved = state["voted"]
-                for v in vertices:
-                    self._voted[v] = saved[v]
             self._refork_workers.add(self._worker_of[vertices[0]])
-            return
-        self.superstep = state["superstep"]
+        else:
+            self._refork_all = True
+
+    def _install_inflight(self, state: dict) -> None:
         self._inflight = dict(state["outbox"])
-        if self._voted is not None and state["voted"] is not None:
-            self._voted[:] = state["voted"]
-            # The halt check's delivery count rewinds with the timeline:
-            # the checkpoint's in-flight set is exactly what the restored
-            # superstep consumes.
-            self._delivered = sum(len(msgs) for msgs in self._inflight.values())
-        self.rng.setstate(state["rng"])
-        self.result = state["result"]
-        self._halt = state["halt"]
-        self.globals.broadcast.clear()
-        self.globals.broadcast.update(state["broadcast"])
-        self.globals.aggregated = dict(state["aggregated"])
-        metrics = self.metrics
-        for name, value in state["metrics"].items():
-            setattr(metrics, name, value)
-        saved_per_superstep = state["per_superstep_messages"]
-        if len(saved_per_superstep) > state["superstep"]:
-            raise ValueError(
-                f"checkpoint at superstep {state['superstep']} carries "
-                f"{len(saved_per_superstep)} per-superstep entries — a "
-                "checkpoint can never have more entries than completed "
-                "supersteps"
-            )
-        metrics.per_superstep_messages[:] = saved_per_superstep
-        if self._record_per_superstep and len(saved_per_superstep) < state["superstep"]:
-            metrics.per_superstep_messages.extend(
-                [0] * (state["superstep"] - len(saved_per_superstep))
-            )
-        metrics.worker_sent[:] = state["worker_sent"]
-        self._refork_all = True
-        # Rollback replay re-runs the dropped supersteps through the
-        # re-forked workers; the tracer drops their records so a recovered
-        # stream stays identical to a failure-free one.
-        if self.tracer is not None:
-            self.tracer.on_rollback(self.superstep)
+        # The halt check's delivery count rewinds with the timeline: the
+        # checkpoint's in-flight set is exactly what the restored superstep
+        # consumes.
+        self._delivered = sum(len(msgs) for msgs in self._inflight.values())
 
     # -- execution ------------------------------------------------------
 
-    def run(self) -> RunMetrics:
+    @contextmanager
+    def _session(self, tracer):
+        """Fork the workers (segments and tcp listeners first), hold them
+        for the superstep loop, pull the final columns, and release every
+        process, pipe, segment and socket on every exit path."""
         import multiprocessing
         from multiprocessing import shared_memory
 
-        if self._vertex_compute is None:
-            raise RuntimeError("no vertex program attached")
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
-        if traced:
-            tracer.event(
-                "run.begin",
-                cat="engine",
-                det={
-                    "num_workers": self.num_workers,
-                    "num_nodes": self.graph.num_nodes,
-                    "num_edges": self.graph.num_edges,
-                    "use_voting": self._use_voting,
-                    "partitioning": self.partitioning,
-                },
-                info={
-                    "scheduling": self.scheduling,
-                    "max_supersteps": self._max_supersteps,
-                },
-            )
-        start = time.perf_counter()
-        self._mpctx = ctx = multiprocessing.get_context("fork")
+        self._mpctx = multiprocessing.get_context("fork")
         w = self.num_workers
-        halt_reason = "max_supersteps"
-        oom = None
         try:
             for _ in range(w):
                 seg = shared_memory.SharedMemory(create=True, size=self._slab_bytes)
@@ -729,16 +550,9 @@ class MPEngine:
             ]
             for wid in range(w):
                 self._spawn_worker(wid, fresh=True)
-            if self.supervisor is not None:
-                self.supervisor.start_liveness(time.monotonic())
-            try:
-                halt_reason = self._coordinate()
-            except MemoryExhausted as exc:
-                # Same degradation contract as the simulator: the run ends
-                # with a structured report, not an exception.
-                oom = exc
-                halt_reason = "out_of_memory"
-                self._current_vertex = -1
+            if self._supervisor is not None:
+                self._supervisor.start_liveness(time.monotonic())
+            yield
             try:
                 self._gather_columns()
             except (_WorkerDead, OSError, RuntimeError):
@@ -764,42 +578,6 @@ class MPEngine:
             for sock in self._listeners:
                 if sock is not None:
                     _release_socket(sock)
-            if self.mem is not None:
-                # Mirrors the simulator's teardown: record the OOM (if any)
-                # into the report, then release spill/checkpoint scratch —
-                # this path runs on *every* exit, worker death included.
-                if oom is not None:
-                    self.mem.record_oom(oom)
-                self.mem.close()
-        if oom is not None and self.supervisor is not None:
-            self.supervisor.on_oom(oom)
-        m = self.metrics
-        m.supersteps = self.superstep
-        m.wall_seconds = time.perf_counter() - start
-        m.result = self.result
-        m.halt_reason = halt_reason
-        if self._mreg is not None:
-            self._mreg.counter("pregel.runs", det=True, halt_reason=halt_reason).inc()
-            self._mreg.histogram("pregel.run_seconds").observe(m.wall_seconds)
-            self._mreg.gauge("pregel.num_workers").set_max(self.num_workers)
-        if traced:
-            tracer.event(
-                "run.end",
-                cat="engine",
-                det={
-                    "supersteps": m.supersteps,
-                    "messages": m.messages,
-                    "message_bytes": m.message_bytes,
-                    "net_messages": m.net_messages,
-                    "net_bytes": m.net_bytes,
-                    "broadcast_values": m.broadcast_values,
-                    "worker_sent": list(m.worker_sent),
-                    "halt_reason": m.halt_reason,
-                    "result": m.result,
-                },
-                info={"wall_seconds": m.wall_seconds},
-            )
-        return m
 
     def _spawn_worker(self, wid: int, *, fresh: bool) -> None:
         """Fork worker ``wid`` from the parent's current state.
@@ -869,6 +647,9 @@ class MPEngine:
         return part
 
     def _refork(self) -> None:
+        """Re-fork the workers a recovery flagged (none flagged: nothing)."""
+        if not (self._refork_all or self._refork_workers):
+            return
         wids = (
             range(self.num_workers) if self._refork_all
             else sorted(self._refork_workers)
@@ -934,10 +715,10 @@ class MPEngine:
                         self._hang_now[fault.worker] = self._exchange_deadline * 4
                     else:
                         self._net_now[fault.worker] = fault.kind
-        if self.supervisor is not None:
+        if self._supervisor is not None:
             # A supervised crash_rate draws real kills per superstep, the
             # plan's seeded RNG deciding — same knob, real process death.
-            kills.extend(self.supervisor.draw_real_crashes())
+            kills.extend(self._supervisor.draw_real_crashes())
         for wid in dict.fromkeys(kills):
             proc = self._procs[wid]
             if proc.is_alive():
@@ -963,7 +744,7 @@ class MPEngine:
                 f"at superstep {self.superstep} with no fault tolerance "
                 "attached (pass ft=... / --checkpoint-every to recover)"
             )
-        supervisor = self.supervisor
+        supervisor = self._supervisor
         for wid, cause in failures:
             try:
                 if supervisor is not None:
@@ -1071,333 +852,241 @@ class MPEngine:
             raise RuntimeError(f"mp worker failed:\n{reply[1]}")
         return reply
 
-    def _coordinate(self) -> str:
+    def _recover_detected(self) -> None:
+        """Failures detected at the previous exchange barrier escalate
+        first: checkpoint recovery runs parent-side and flags the affected
+        workers.  They re-fork *before* the FT boundary — a due checkpoint
+        round-trips every worker pipe, so flagged workers must be live
+        again by then."""
+        if self._dead_pending:
+            dead, self._dead_pending = self._dead_pending, []
+            if not self._escalate(dead):
+                return  # _abort_reason is set: the driver ends the run
+        self._refork()
+
+    def _superstep_body(self, instr: bool, tracer):
+        """The mp body: step → stat fold → exchange → ready."""
         m = self.metrics
         ft = self.ft
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
         mreg = self._mreg
-        metered = mreg is not None
-        instr = traced or metered
-        if metered:
-            m_steps = mreg.counter("pregel.supersteps", det=True)
-            m_messages = mreg.counter("pregel.messages", det=True)
-            m_msg_bytes = mreg.counter("pregel.message_bytes", det=True)
-            m_net_messages = mreg.counter("pregel.net_messages", det=True)
-            m_net_bytes = mreg.counter("pregel.net_bytes", det=True)
-            m_broadcasts = mreg.counter("pregel.broadcasts", det=True)
-            m_step_s = mreg.histogram("pregel.superstep_seconds")
-            m_master_s = mreg.histogram("pregel.phase_seconds", phase="master")
-            m_exchange_s = mreg.histogram("pregel.phase_seconds", phase="exchange")
         worker_of = self._worker_of
         sizes = self._codec.sizes
         w = self.num_workers
-        supervisor = self.supervisor
+        supervisor = self._supervisor
         voted = self._voted
-        while self.superstep < self._max_supersteps:
-            # Failures detected at the previous exchange barrier escalate
-            # first: checkpoint recovery runs parent-side and flags the
-            # affected workers for re-fork.
-            if self._dead_pending:
-                dead, self._dead_pending = self._dead_pending, []
-                if not self._escalate(dead):
-                    return "unrecoverable"
-            # Re-fork *before* the FT boundary: a due checkpoint
-            # round-trips every worker pipe, so flagged workers must be
-            # live again by then.
-            if self._refork_all or self._refork_workers:
-                self._refork()
-            # Fault-tolerance boundary: checkpoint if due (pulling fresh
-            # columns from the workers), then inject any scheduled crash.
-            # Simulated CrashEvent recovery restores/replays parent-side
-            # state and flags the affected workers, re-forked here —
-            # before the master runs, exactly the simulator's ordering.
-            if ft is not None:
-                ft.on_superstep_start()
-                if self._refork_all or self._refork_workers:
-                    self._refork()
-            # Real process faults fire *after* the boundary checkpoint, so
-            # a fault at superstep S always has a recovery base <= S.
-            self._inject_real_faults()
-            if self._abort_reason is not None:
-                return self._abort_reason
-            if instr:
-                # Snapshot the ledger *after* any recovery so the superstep
-                # record meters exactly this superstep's deltas.
-                t_step0 = time.perf_counter()
-                s_messages = m.messages
-                s_message_bytes = m.message_bytes
-                s_net_messages = m.net_messages
-                s_net_bytes = m.net_bytes
-                s_broadcasts = m.broadcast_values
-                if traced:
-                    step_ts = tracer.now()
-                    s_worker_sent = list(m.worker_sent)
-            # Master phase: sees globals aggregated from the previous
-            # superstep — exactly the simulator's ordering.
-            if self._master_compute is not None:
-                self._master_compute(self)
-                if self._halt:
-                    return "master_halt"
-            if ft is not None:
-                ft.on_master_done()
-            if metered:
-                m_master_s.observe(time.perf_counter() - t_step0)
-            # Vote-to-halt termination, the simulator's dense rule at the
-            # same boundary: messages delivered at the last exchange wake
-            # their receivers (votes cleared worker-side before the slices
-            # fold), so "nothing delivered and everyone voted" halts.
-            if (
-                voted is not None
-                and self.superstep > 0
-                and self._delivered == 0
-                and 0 not in voted
-            ):
-                return "all_halted"
-            bcast = dict(self.globals.broadcast)
-            hang = self._hang_now
-            self._hang_now = {}
-            for wid in range(w):
-                self._send(wid, ("step", bcast, hang.get(wid, 0.0)))
-            # Vertex-phase barrier under a deadline.  A death here is
-            # recovered *within* the superstep when confinement allows it:
-            # the failed partition replays parent-side to this superstep's
-            # boundary, the worker re-forks from the restored columns, and
-            # the step command is re-issued — healthy workers never rewind
-            # and their replies stay valid.  A rollback instead abandons
-            # the superstep and restarts the loop from the restored one.
-            replies: list = [None] * w
-            pending = list(range(w))
-            rolled_back = False
-            while pending:
-                dead: list[tuple[int, str]] = []
-                for wid in pending:
-                    try:
-                        replies[wid] = self._recv(wid)
-                        if supervisor is not None:
-                            supervisor.observe_liveness(wid, time.monotonic())
-                    except _WorkerDead as exc:
-                        dead.append((wid, exc.cause))
-                if not dead:
-                    break
-                if not self._escalate(dead):
-                    return "unrecoverable"
-                if self._refork_all:
-                    rolled_back = True
-                    break
-                self._refork()
-                pending = [wid for wid, _cause in dead]
-                for wid in pending:
-                    self._send(wid, ("step", bcast, 0.0))
-            if rolled_back:
-                continue
-            step_messages = 0
-            step_net = 0
-            all_puts: list = []
-            all_slots: list = []
-            worker_computed = []
-            worker_sent_step = []
-            worker_seconds = []
-            worker_bytes = []
-            for wid, (_, _dir, _inline, counters, puts, slots) in enumerate(replies):
-                m.messages += counters["messages"]
-                m.message_bytes += counters["bytes"]
-                m.net_messages += counters["net_messages"]
-                m.net_bytes += counters["net_bytes"]
-                m.worker_sent[wid] += counters["sent"]
-                step_messages += counters["messages"]
-                step_net += counters["net_messages"]
-                worker_computed.append(counters["computed"])
-                worker_sent_step.append(counters["sent"])
-                worker_seconds.append(counters["seconds"])
-                worker_bytes.append(counters["staged"])
-                all_puts.extend(puts)
-                all_slots.extend(slots)
-            if ft is not None:
-                # The simulator meters one (argument-free) delivery account
-                # per cross-worker send during the phase; the parent makes
-                # the same number of calls, so the FT manager's seeded
-                # retry counters come out identical.
-                account = ft.account_delivery
-                for _ in range(step_net):
-                    account()
-            # Combiner barrier flush: a stable sort on the birth vid of
-            # each per-worker slot reconstructs the simulator's combiner
-            # table insertion order (ties = one vertex's sends, already in
-            # program order within its worker's slot list).  Metering at
-            # flush, on the folded payload — the message that travels.
-            combined_parts: list[list] = [[] for _ in range(w)]
-            if all_slots:
-                all_slots.sort(key=lambda s: s[0])
-                for birth, dst, tag, msg in all_slots:
-                    size = sizes[tag]
-                    m.messages += 1
-                    m.message_bytes += size
-                    dest = worker_of[dst]
-                    if worker_of[birth] != dest:
-                        m.net_messages += 1
-                        m.net_bytes += size
-                        if ft is not None:
-                            ft.account_delivery()
-                    combined_parts[dest].append((dst, msg))
-                step_messages += len(all_slots)
-            if self._record_per_superstep:
-                m.per_superstep_messages.append(step_messages)
-            # Re-fold vertex puts in ascending-vid order: bit-identical to
-            # the simulator's sequential fold (float sums included).
-            all_puts.sort(key=lambda p: p[2])
-            put_reduce = self.globals.put_reduce
-            for name, op, _vid, value in all_puts:
-                put_reduce(name, op, value)
-            directories = [r[1] for r in replies]
-            inlines = [r[2] for r in replies]
-            if self._track_makespan:
-                # The simulator's work units: one per computed vertex, one
-                # per send (sender side), one per message for its receiving
-                # worker — combined messages count their folded deliveries.
-                step_work = [c + s for c, s in zip(worker_computed, worker_sent_step)]
-                for directory in directories:
-                    for dest, _tag, count, _offset, _plen in directory:
-                        step_work[dest] += count
-                for entries in inlines:
-                    for dest, _tag, count, _db, _sb, _payload in entries:
-                        step_work[dest] += count
-                for dest in range(w):
-                    step_work[dest] += len(combined_parts[dest])
-                m.makespan_units += max(step_work)
-                m.ideal_units += sum(step_work) / w
-            if instr:
-                t_exchange = time.perf_counter()
-            if self.transport_mode == "tcp":
-                # The exchange command carries the current port/epoch map
-                # (a within-superstep re-fork may have moved a listener)
-                # plus this worker's armed network fault, if any.
-                ports, epochs = list(self._ports), list(self._epochs)
-                net_now, self._net_now = self._net_now, {}
-                for wid in range(w):
-                    fault = net_now.get(wid)
-                    if fault == "slowlink":
-                        fault = ("slowlink", self._exchange_deadline * 1.5)
-                    net = {"ports": ports, "epochs": epochs, "fault": fault}
-                    self._send(
-                        wid, ("exchange", directories, inlines, combined_parts, net)
-                    )
-            else:
-                for wid in range(w):
-                    self._send(
-                        wid, ("exchange", directories, inlines, combined_parts)
-                    )
-            # The exchange barrier: each worker replies ("ready",
-            # route_seconds, registry_snapshot | None, received_bytes,
-            # vote_slice | None) — this is where the per-worker registries
-            # merge into the parent's and the vote bitset folds.  A death
-            # here is *deferred*: the dead worker's slabs already sit in
-            # parent-owned segments (written before its stat reply), so the
-            # superstep's bookkeeping completes and the escalation runs at
-            # the top of the next loop, where recovery replays cover the
-            # missing reply's effects.
-            worker_route_seconds = [0.0] * w
-            delivered_bytes = [0] * w
-            peer_reports: dict[int, dict] = {}
-            for wid in range(w):
+        # Vote-to-halt termination, the simulator's dense rule at the
+        # same boundary: messages delivered at the last exchange wake
+        # their receivers (votes cleared worker-side before the slices
+        # fold), so "nothing delivered and everyone voted" halts.
+        if (
+            voted is not None
+            and self.superstep > 0
+            and self._delivered == 0
+            and 0 not in voted
+        ):
+            return "all_halted"
+        bcast = dict(self.globals.broadcast)
+        hang = self._hang_now
+        self._hang_now = {}
+        for wid in range(w):
+            self._send(wid, ("step", bcast, hang.get(wid, 0.0)))
+        # Vertex-phase barrier under a deadline.  A death here is
+        # recovered *within* the superstep when confinement allows it:
+        # the failed partition replays parent-side to this superstep's
+        # boundary, the worker re-forks from the restored columns, and
+        # the step command is re-issued — healthy workers never rewind
+        # and their replies stay valid.  A rollback instead abandons
+        # the superstep: the driver restarts it from the restored one.
+        replies: list = [None] * w
+        pending = list(range(w))
+        while pending:
+            dead: list[tuple[int, str]] = []
+            for wid in pending:
                 try:
-                    ready = self._recv(wid)
+                    replies[wid] = self._recv(wid)
+                    if supervisor is not None:
+                        supervisor.observe_liveness(wid, time.monotonic())
                 except _WorkerDead as exc:
-                    self._dead_pending.append((wid, exc.cause))
-                    continue
-                if supervisor is not None:
-                    supervisor.observe_liveness(wid, time.monotonic())
-                worker_route_seconds[wid] = ready[1] if len(ready) > 1 else 0.0
-                if metered and len(ready) > 2 and ready[2]:
-                    mreg.merge_snapshot(ready[2])
-                if len(ready) > 3:
-                    delivered_bytes[wid] = ready[3]
-                if voted is not None and len(ready) > 4 and ready[4] is not None:
-                    voted[self._part_slices[wid]] = ready[4]
-                if len(ready) > 5 and ready[5]:
-                    peer_reports[wid] = ready[5]
-            if peer_reports:
-                self._fold_peer_reports(peer_reports)
-            if metered:
-                m_exchange_s.observe(time.perf_counter() - t_exchange)
-            if voted is not None:
-                # Deliveries of this exchange (consumed next superstep) —
-                # the termination check's "inbox empty" side.
-                delivered = 0
-                for directory in directories:
-                    for _dest, _tag, count, _offset, _plen in directory:
-                        delivered += count
-                for entries in inlines:
-                    for _dest, _tag, count, _db, _sb, _payload in entries:
-                        delivered += count
-                delivered += sum(len(part) for part in combined_parts)
-                self._delivered = delivered
-            if self.mem is not None:
-                # Parent-enforced MemPlan: charge each worker's reported
-                # resident bytes — last exchange's inbox (consumed this
-                # superstep) plus this exchange's deliveries.  Crossing the
-                # hard budget raises MemoryExhausted, degraded by run() to
-                # halt_reason="out_of_memory" with the structured report.
-                self.mem.charge_exchange(
-                    self._mem_prev_inbox, delivered_bytes, self.superstep
+                    dead.append((wid, exc.cause))
+            if not dead:
+                break
+            if not self._escalate(dead):
+                return "unrecoverable"
+            if self._refork_all:
+                return None
+            self._refork()
+            pending = [wid for wid, _cause in dead]
+            for wid in pending:
+                self._send(wid, ("step", bcast, 0.0))
+        step_net = 0
+        all_puts: list = []
+        all_slots: list = []
+        worker_computed = []
+        worker_sent_step = []
+        worker_seconds = []
+        worker_bytes = []
+        for wid, (_, _dir, _inline, counters, puts, slots) in enumerate(replies):
+            m.messages += counters["messages"]
+            m.message_bytes += counters["bytes"]
+            m.net_messages += counters["net_messages"]
+            m.net_bytes += counters["net_bytes"]
+            m.worker_sent[wid] += counters["sent"]
+            step_net += counters["net_messages"]
+            worker_computed.append(counters["computed"])
+            worker_sent_step.append(counters["sent"])
+            worker_seconds.append(counters["seconds"])
+            worker_bytes.append(counters["staged"])
+            all_puts.extend(puts)
+            all_slots.extend(slots)
+        if ft is not None:
+            # The simulator meters one (argument-free) delivery account
+            # per cross-worker send during the phase; the parent makes
+            # the same number of calls, so the FT manager's seeded
+            # retry counters come out identical.
+            account = ft.account_delivery
+            for _ in range(step_net):
+                account()
+        # Combiner barrier flush: a stable sort on the birth vid of
+        # each per-worker slot reconstructs the simulator's combiner
+        # table insertion order (ties = one vertex's sends, already in
+        # program order within its worker's slot list).  Metering at
+        # flush, on the folded payload — the message that travels.
+        combined_parts: list[list] = [[] for _ in range(w)]
+        if all_slots:
+            all_slots.sort(key=lambda s: s[0])
+            for birth, dst, tag, msg in all_slots:
+                size = sizes[tag]
+                m.messages += 1
+                m.message_bytes += size
+                dest = worker_of[dst]
+                if worker_of[birth] != dest:
+                    m.net_messages += 1
+                    m.net_bytes += size
+                    if ft is not None:
+                        ft.account_delivery()
+                combined_parts[dest].append((dst, msg))
+        # Re-fold vertex puts in ascending-vid order: bit-identical to
+        # the simulator's sequential fold (float sums included).
+        all_puts.sort(key=lambda p: p[2])
+        put_reduce = self.globals.put_reduce
+        for name, op, _vid, value in all_puts:
+            put_reduce(name, op, value)
+        directories = [r[1] for r in replies]
+        inlines = [r[2] for r in replies]
+        if self._track_makespan:
+            # The simulator's work units, left in ``_step_work`` for the
+            # driver's makespan accounting: one per computed vertex, one
+            # per send (sender side), one per message for its receiving
+            # worker — combined messages count their folded deliveries.
+            step_work = self._step_work
+            for wid in range(w):
+                step_work[wid] = worker_computed[wid] + worker_sent_step[wid]
+            for directory in directories:
+                for dest, _tag, count, _offset, _plen in directory:
+                    step_work[dest] += count
+            for entries in inlines:
+                for dest, _tag, count, _db, _sb, _payload in entries:
+                    step_work[dest] += count
+            for dest in range(w):
+                step_work[dest] += len(combined_parts[dest])
+        if instr:
+            t_exchange = time.perf_counter()
+        if self.transport_mode == "tcp":
+            # The exchange command carries the current port/epoch map
+            # (a within-superstep re-fork may have moved a listener)
+            # plus this worker's armed network fault, if any.
+            ports, epochs = list(self._ports), list(self._epochs)
+            net_now, self._net_now = self._net_now, {}
+            for wid in range(w):
+                fault = net_now.get(wid)
+                if fault == "slowlink":
+                    fault = ("slowlink", self._exchange_deadline * 1.5)
+                net = {"ports": ports, "epochs": epochs, "fault": fault}
+                self._send(
+                    wid, ("exchange", directories, inlines, combined_parts, net)
                 )
-                self._mem_prev_inbox = delivered_bytes
-            if ft is not None:
-                # Decode this superstep's outbox from the slabs while the
-                # segments still hold them: checkpoint payloads and the
-                # confined-recovery logs both read it via outbox_view().
-                self._inflight = self._decode_outbox(directories, inlines)
-                for dst, msg in (pair for part in combined_parts for pair in part):
-                    bucket = self._inflight.get(dst)
-                    if bucket is None:
-                        self._inflight[dst] = [msg]
-                    else:
-                        bucket.append(msg)
-                ft.on_superstep_end()
-            self.globals.end_superstep()
-            self.superstep += 1
-            if metered:
-                m_steps.inc()
-                m_messages.inc(m.messages - s_messages)
-                m_msg_bytes.inc(m.message_bytes - s_message_bytes)
-                m_net_messages.inc(m.net_messages - s_net_messages)
-                m_net_bytes.inc(m.net_bytes - s_net_bytes)
-                m_broadcasts.inc(m.broadcast_values - s_broadcasts)
-                m_step_s.observe(time.perf_counter() - t_step0)
-            if traced:
-                tracer.event(
-                    "superstep",
-                    cat="engine",
-                    ts=step_ts,
-                    det={
-                        "step": self.superstep - 1,
-                        "active": sum(worker_computed),
-                        "halted": int(sum(voted)) if voted is not None else 0,
-                        "messages": m.messages - s_messages,
-                        "message_bytes": m.message_bytes - s_message_bytes,
-                        "net_messages": m.net_messages - s_net_messages,
-                        "net_bytes": m.net_bytes - s_net_bytes,
-                        "broadcasts": m.broadcast_values - s_broadcasts,
-                        "worker_computed": worker_computed,
-                        "worker_sent": [
-                            now - then
-                            for now, then in zip(m.worker_sent, s_worker_sent)
-                        ],
-                        "worker_bytes": worker_bytes,
-                    },
-                    info={
-                        "mode": "dense",
-                        "frontier": -1,
-                        "worker_seconds": worker_seconds,
-                        # Real-process identities + per-worker exchange
-                        # (route) timings: `gm-pregel profile` ranks
-                        # stragglers by actual OS process.  Info-only —
-                        # pids differ run to run by construction.
-                        "worker_pids": [proc.pid for proc in self._procs],
-                        "worker_route_seconds": worker_route_seconds,
-                    },
+        else:
+            for wid in range(w):
+                self._send(
+                    wid, ("exchange", directories, inlines, combined_parts)
                 )
-        return "max_supersteps"
+        # The exchange barrier: each worker replies ("ready",
+        # route_seconds, registry_snapshot | None, received_bytes,
+        # vote_slice | None) — this is where the per-worker registries
+        # merge into the parent's and the vote bitset folds.  A death
+        # here is *deferred*: the dead worker's slabs already sit in
+        # parent-owned segments (written before its stat reply), so the
+        # superstep's bookkeeping completes and the escalation runs at
+        # the next start-of-superstep boundary, where recovery replays
+        # cover the missing reply's effects.
+        worker_route_seconds = [0.0] * w
+        delivered_bytes = [0] * w
+        peer_reports: dict[int, dict] = {}
+        for wid in range(w):
+            try:
+                ready = self._recv(wid)
+            except _WorkerDead as exc:
+                self._dead_pending.append((wid, exc.cause))
+                continue
+            if supervisor is not None:
+                supervisor.observe_liveness(wid, time.monotonic())
+            worker_route_seconds[wid] = ready[1] if len(ready) > 1 else 0.0
+            if mreg is not None and len(ready) > 2 and ready[2]:
+                mreg.merge_snapshot(ready[2])
+            if len(ready) > 3:
+                delivered_bytes[wid] = ready[3]
+            if voted is not None and len(ready) > 4 and ready[4] is not None:
+                voted[self._part_slices[wid]] = ready[4]
+            if len(ready) > 5 and ready[5]:
+                peer_reports[wid] = ready[5]
+        if peer_reports:
+            self._fold_peer_reports(peer_reports)
+        phases = {"exchange": time.perf_counter() - t_exchange} if instr else {}
+        if voted is not None:
+            # Deliveries of this exchange (consumed next superstep) —
+            # the termination check's "inbox empty" side.
+            delivered = 0
+            for directory in directories:
+                for _dest, _tag, count, _offset, _plen in directory:
+                    delivered += count
+            for entries in inlines:
+                for _dest, _tag, count, _db, _sb, _payload in entries:
+                    delivered += count
+            delivered += sum(len(part) for part in combined_parts)
+            self._delivered = delivered
+        if self.mem is not None:
+            # Parent-enforced MemPlan: charge each worker's reported
+            # resident bytes — last exchange's inbox (consumed this
+            # superstep) plus this exchange's deliveries.  Crossing the
+            # hard budget raises MemoryExhausted, degraded by run() to
+            # halt_reason="out_of_memory" with the structured report.
+            self.mem.charge_exchange(
+                self._mem_prev_inbox, delivered_bytes, self.superstep
+            )
+            self._mem_prev_inbox = delivered_bytes
+        if ft is not None:
+            # Decode this superstep's outbox from the slabs while the
+            # segments still hold them: checkpoint payloads and the
+            # confined-recovery logs both read it via outbox_view().
+            self._inflight = self._decode_outbox(directories, inlines)
+            for dst, msg in (pair for part in combined_parts for pair in part):
+                bucket = self._inflight.get(dst)
+                if bucket is None:
+                    self._inflight[dst] = [msg]
+                else:
+                    bucket.append(msg)
+        info = {}
+        if tracer is not None:
+            # Real-process identities + per-worker exchange (route)
+            # timings: `gm-pregel profile` ranks stragglers by actual OS
+            # process.  Info-only — pids differ run to run by construction.
+            info = {
+                "worker_pids": [proc.pid for proc in self._procs],
+                "worker_route_seconds": worker_route_seconds,
+            }
+        return SuperstepRecord(
+            phases, None, worker_computed, worker_seconds, worker_bytes, info
+        )
 
     def _decode_outbox(self, directories, inlines) -> dict[int, list]:
         """Parent-side decode of every worker's slabs into one sim-shaped

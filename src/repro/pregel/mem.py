@@ -439,7 +439,6 @@ class MemoryManager:
         self._in_runs: list[list[_RunReader]] = []  # consumed ascending in the vertex phase
         self._in_leftover: list[dict[int, list]] = []
         self._out_runs: list[list[str]] = []        # sorted runs awaiting the next barrier
-        self._dense_inbox: dict[int, list] | None = None
         self._no_messages: tuple = ()
         self._ckpt_paths: list[str] = []
         self._oom: dict | None = None
@@ -568,24 +567,13 @@ class MemoryManager:
         if budget.outbox_bytes + budget.inbox_bytes + budget.fetch_bytes > budget.soft_bytes:
             self._split_superstep(budget.worker)
 
-    def _staged_part(self, worker: int) -> dict[int, list]:
-        """The live staged outbox headed for ``worker`` (extracted from the
-        flat dict in dense mode)."""
-        engine = self._engine
-        if engine._batched:
-            return engine._out_parts[worker]
-        outbox = engine._outbox
-        worker_of = engine._worker_of
-        part = {dst: outbox.pop(dst) for dst in list(outbox) if worker_of[dst] == worker}
-        return part
-
     def _split_superstep(self, worker: int) -> bool:
         """Giraph-style degradation: flush the staged outbox sub-batch for
         ``worker`` to a sorted run mid-phase; the next barrier re-merges
         runs ahead of the residual in-memory batch, preserving every
         receiver's send order."""
         engine = self._engine
-        part = self._staged_part(worker)
+        part = engine._out_parts[worker]
         if not part:
             return False
         budget = self.budgets[worker]
@@ -593,8 +581,7 @@ class MemoryManager:
         records = len(part)
         path = self._spill_path("outbox", worker)
         self._write_run(path, sorted(part.items()))
-        if engine._batched:
-            part.clear()
+        part.clear()
         self._out_runs[worker].append(path)
         budget.outbox_bytes = 0
         metrics = engine.metrics
@@ -632,16 +619,8 @@ class MemoryManager:
         self._spill_inbox(worker)
 
     def _slot_get(self, dst: int):
-        if self._dense_inbox is not None:
-            return self._dense_inbox.get(dst)
         value = self._engine._inbox_slots[dst]
         return None if value is self._no_messages else value
-
-    def _slot_set(self, dst: int, value) -> None:
-        if self._dense_inbox is not None:
-            self._dense_inbox[dst] = value
-        else:
-            self._engine._inbox_slots[dst] = value
 
     def _spill_inbox(self, worker: int) -> bool:
         """Spill the worker's resident (not-yet-consumed) inbox buckets as
@@ -664,7 +643,7 @@ class MemoryManager:
                     value.tail = []
                 else:
                     pickle.dump((dst, value), f, _PROTOCOL)
-                    self._slot_set(dst, _SpillRef())
+                    engine._inbox_slots[dst] = _SpillRef()
                 spilled += resident[dst]
                 records += 1
         if not records:
@@ -763,9 +742,8 @@ class MemoryManager:
             # traffic source is the in-memory batch (one bucket per dst),
             # so an aliased install is never extended afterwards; partial
             # pieces and run records are fresh lists owned here.
-            self._slot_set(dst, piece)
-            if receiving is not None:
-                receiving(dst)
+            self._engine._inbox_slots[dst] = piece
+            receiving(dst)
             total = resident[dst] = nbytes
         else:
             if type(current) is _SpillRef:
@@ -780,11 +758,10 @@ class MemoryManager:
         if total > self._largest_inbox:
             self._largest_inbox = total
 
-    def deliver_batched(self, incoming: list[dict[int, list]], receiving) -> None:
-        """Budgeted replacement for the barrier's batched routing: same
-        per-worker order, same per-receiver message order, plus credit
-        control and spilling."""
-        self._dense_inbox = None
+    def deliver(self, incoming: list[dict[int, list]], receiving) -> None:
+        """Budgeted replacement for the barrier's routing: same per-worker
+        order, same per-receiver message order, plus credit control and
+        spilling."""
         for worker, part in enumerate(incoming):
             if part or self._out_runs[worker]:
                 install = lambda dst, piece, nbytes, w=worker: self._install_piece(
@@ -792,31 +769,6 @@ class MemoryManager:
                 )
                 self._deliver_worker(worker, part, install)
                 part.clear()
-
-    def deliver_dense(self, outbox: dict[int, list]) -> dict[int, list]:
-        """Budgeted replacement for the dense barrier's inbox swap: group
-        the flat outbox by destination worker (ascending, matching the
-        transport's routing order) and credit-route each group."""
-        merged: dict[int, list] = {}
-        self._dense_inbox = merged
-        engine = self._engine
-        worker_of = engine._worker_of
-        parts: dict[int, dict[int, list]] = {}
-        for dst, msgs in outbox.items():
-            wid = worker_of[dst]
-            bucket = parts.get(wid)
-            if bucket is None:
-                parts[wid] = {dst: msgs}
-            else:
-                bucket[dst] = msgs
-        for worker in range(engine.num_workers):
-            part = parts.get(worker)
-            if part or self._out_runs[worker]:
-                install = lambda dst, piece, nbytes, w=worker: self._install_piece(
-                    w, dst, piece, nbytes, None
-                )
-                self._deliver_worker(worker, part or {}, install)
-        return merged
 
     # -- vertex phase: materializing spilled inboxes ----------------------
 
@@ -1001,12 +953,7 @@ class MemoryManager:
                             break
                         previous = merged.get(dst)
                         merged[dst] = msgs if previous is None else previous + msgs
-        live = (
-            engine._out_parts
-            if engine._batched
-            else [engine._outbox]
-        )
-        for part in live:
+        for part in engine._out_parts:
             for dst, msgs in part.items():
                 previous = merged.get(dst)
                 merged[dst] = msgs if previous is None else previous + msgs
@@ -1036,11 +983,9 @@ class MemoryManager:
             budget.inbox_bytes = 0
             budget.outbox_bytes = 0
             budget.fetch_bytes = 0
-        self._dense_inbox = None
         size_of = self._size_of
         worker_of = engine._worker_of
-        parts = engine._out_parts if engine._batched else [engine._outbox]
-        for part in parts:
+        for part in engine._out_parts:
             for dst, msgs in part.items():
                 budget = self.budgets[worker_of[dst]]
                 for msg in msgs:
@@ -1067,7 +1012,6 @@ class MemoryManager:
             budget = self.budgets[worker]
             budget.inbox_bytes = 0
             budget.fetch_bytes = 0
-        self._dense_inbox = None
 
     # -- lifecycle / reporting --------------------------------------------
 

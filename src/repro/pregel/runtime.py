@@ -24,34 +24,47 @@ Superstep scheduling
 Message-driven programs (BFS-like traversals, converging SSSP) leave most
 vertices idle after the first few supersteps, yet a naive BSP loop still
 visits every vertex every superstep — the dominant cost on large graphs.
-The engine therefore supports two scheduling modes (GraphIt-style
-sparse/dense direction switching, applied to the vertex iteration):
+There is one routing path and one vertex loop; ``scheduling`` only decides
+whether the loop may go sparse (GraphIt-style sparse/dense direction
+switching, applied to the vertex iteration):
 
-* ``scheduling="frontier"`` (the default) — track the *frontier* (vertices
-  with incoming messages ∪ vertices that have not voted to halt) explicitly
-  and iterate only it while it is sparse; when the frontier exceeds
-  ``frontier_threshold × num_nodes`` the engine falls back to the dense
-  scan, whose per-vertex cost is lower.  Messages are staged in per-worker
-  batched outboxes (one per *destination* worker, as a real Pregel's
-  outgoing buffers) and routed once at the barrier into a dense inbox
-  index, replacing the per-send dict lookup.  Routing by destination worker
-  preserves each receiver's message order exactly, so results and every
-  metered quantity are bit-identical to the dense scan.
-* ``scheduling="dense"`` — the classic loop over every vertex (skipping
-  voted ones under ``use_voting``); the opt-out baseline the frontier mode
-  is benchmarked and parity-tested against.
+* Messages are always staged in per-worker batched outboxes (one per
+  *destination* worker, as a real Pregel's outgoing buffers) and routed
+  once at the barrier into a dense inbox index.  Routing by destination
+  worker preserves each receiver's message order exactly.
+* ``scheduling="frontier"`` (the default) — under voting, track the
+  *frontier* (vertices with incoming messages ∪ vertices that have not
+  voted to halt) explicitly and iterate only it while it is smaller than
+  ``frontier_threshold × num_nodes``; above that the vertex loop scans
+  every un-voted vertex, whose per-vertex cost is lower.
+* ``scheduling="dense"`` — the sparse switch off: every superstep scans
+  every un-voted vertex and the active set is never built (termination is
+  "nothing delivered and everyone voted").  The reference the frontier mode
+  is benchmarked and parity-tested against; results and every metered
+  quantity are bit-identical either way.
 
 Engines without voting have no idle-vertex information (the compiler's
-generated programs deliberately do not vote, §5.2), so the frontier mode
-runs their vertex phase densely — batched routing still applies.
+generated programs deliberately do not vote, §5.2), so their vertex phase
+is always the full scan.
+
+One driver
+----------
+
+``PregelEngine.run`` / ``_superstep_loop`` are the only superstep loop in
+the package: ``sim`` and ``columnar`` run it with the in-process body
+(deliver → vertex phase → combiner flush), the ``mp`` backend's
+``MPEngine`` subclasses it and supplies its own body (step → stat fold →
+exchange → ready).  See the class docstring.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from itertools import filterfalse
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ft import FaultTolerance
@@ -274,10 +287,40 @@ def default_message_size(msg: tuple) -> int:
     return 1 + 8 * (len(msg) - 1)
 
 
+class SuperstepRecord(NamedTuple):
+    """What a superstep body hands the driver for the superstep record."""
+
+    #: the body's own phase clocks, name -> seconds, in execution order
+    #: (empty when neither a tracer nor a registry reads them).
+    phases: dict
+    #: the vertex list of a sparse superstep; None = a dense vertex phase.
+    frontier: list | None
+    #: per worker: vertices computed, compute seconds, staged payload
+    #: bytes (read by a recording tracer only).
+    worker_computed: list
+    worker_seconds: list
+    worker_bytes: list
+    #: further info-only fields of the trace record.
+    info: dict
+
+
+#: the boundary interface: a subscriber defines any of these, argument-free.
+_BOUNDARIES = ("on_superstep_start", "on_master_done", "on_superstep_end")
+
+
 class PregelEngine:
     """One Pregel job: a graph, a vertex program, and an optional master.
 
     The engine object itself is the context handed to both compute functions.
+
+    It is also the one superstep driver every backend runs: ``run()`` and
+    ``_superstep_loop`` own the superstep order, the ledger and the
+    trace/registry records, ``checkpoint_state``/``restore_state`` own the
+    checkpoint payload, and ft / supervisor / mem hear the superstep
+    boundaries as subscribers.  What a backend supplies is the superstep
+    *body* (``_superstep_body``) and the resources a run holds open around
+    the loop (``_session``); the in-process body here — deliver, vertex
+    phase, combiner flush — serves ``sim`` and ``columnar``.
     """
 
     def __init__(
@@ -331,17 +374,14 @@ class PregelEngine:
         )
 
         self._halt = False
-        self._outbox: dict[int, list] = {}
-        self._inbox: dict[int, list] = {}
         self._current_vertex = -1
         self._voted = bytearray(graph.num_nodes) if use_voting else None
-        # Superstep scheduling (see module docstring).  Frontier mode stages
-        # sends in per-destination-worker batches and routes them once at
-        # the barrier; the frontier itself is maintained incrementally (the
-        # survivors of the last frontier that did not vote, plus the new
-        # inbox keys) with a dirty flag forcing a full voted-bitmap scan
-        # after anything that invalidates it (start of run, dense fallback,
-        # checkpoint restore).
+        # Superstep scheduling (see module docstring).  Sends are staged in
+        # per-destination-worker batches and routed once at the barrier; the
+        # frontier is maintained incrementally (the survivors of the last
+        # frontier that did not vote, plus the new inbox keys) with a dirty
+        # flag forcing a full voted-bitmap scan after anything that
+        # invalidates it (start of run, dense fallback, checkpoint restore).
         if scheduling not in ("frontier", "dense"):
             raise ValueError(
                 f"unknown scheduling '{scheduling}' (expected 'frontier' or 'dense')"
@@ -350,19 +390,24 @@ class PregelEngine:
             raise ValueError("frontier_threshold must be in (0, 1]")
         self.scheduling = scheduling
         self._frontier_threshold = frontier_threshold
-        self._batched = scheduling == "frontier"
+        #: the sparse switch: a voting superstep whose active set is smaller
+        #: than this iterates only that set.  0 = switch off, which is all
+        #: ``scheduling="dense"`` means — the active set is never built.
+        self._sparse_below = (
+            max(1, int(frontier_threshold * graph.num_nodes))
+            if scheduling == "frontier"
+            else 0
+        )
         self._frontier: list[int] = []
         self._frontier_dirty = True
-        if self._batched:
-            # Per-destination-worker outboxes (a receiver's messages all live
-            # in its owner's batch, so per-receiver order is the global send
-            # order), double-buffered so delivery routing reuses the drained
-            # dicts instead of reallocating every superstep.
-            self._out_parts: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
-            self._in_parts: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
-            self._inbox_slots: list = [_NO_MESSAGES] * graph.num_nodes
-            self._touched: list[int] = []
-            self._enqueue = self._enqueue_batch  # type: ignore[method-assign]
+        # Per-destination-worker outboxes (a receiver's messages all live
+        # in its owner's batch, so per-receiver order is the global send
+        # order), double-buffered so delivery routing reuses the drained
+        # dicts instead of reallocating every superstep.
+        self._out_parts: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
+        self._in_parts: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
+        self._inbox_slots: list = [_NO_MESSAGES] * graph.num_nodes
+        self._touched: list[int] = []
         # Sender-side message combining (the Pregel paper's combiners): one
         # slot per (sender worker, destination, tag), folded on every send.
         self._combiners = combiners or {}
@@ -374,15 +419,12 @@ class PregelEngine:
         self.partitioning = partitioning
         n, w = graph.num_nodes, self.num_workers
         if partitioning == "hash":
-            self._worker_of = bytes(v % w for v in range(n)) if w <= 256 else [
-                v % w for v in range(n)
-            ]
+            placed = [v % w for v in range(n)]
         elif partitioning == "range":
-            self._worker_of = bytes(min(v * w // max(1, n), w - 1) for v in range(n)) if w <= 256 else [
-                min(v * w // max(1, n), w - 1) for v in range(n)
-            ]
+            placed = [min(v * w // max(1, n), w - 1) for v in range(n)]
         else:
             raise ValueError(f"unknown partitioning '{partitioning}'")
+        self._worker_of = bytes(placed) if w <= 256 else placed
         self._track_makespan = track_makespan
         # per-superstep work units per worker (compute + sends + receives)
         self._step_work: list[int] = [0] * self.num_workers
@@ -427,6 +469,32 @@ class PregelEngine:
         self._trace_worker_computed: list[int] = []
         self._trace_worker_seconds: list[float] = []
         self._trace_worker_bytes: list[int] = []
+        # Who hears the superstep boundaries: per boundary, the subscribed
+        # methods in call order.  Nothing attached = three empty tuples, so
+        # the bare loop is the fast path by construction.
+        self._hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
+        self._wire_boundaries()
+
+    def _subscribe(self, subscriber) -> None:
+        """Call ``subscriber``'s boundary methods (whichever of
+        ``on_superstep_start`` / ``on_master_done`` / ``on_superstep_end``
+        it defines) at every superstep, after those already subscribed."""
+        for name in _BOUNDARIES:
+            hook = getattr(subscriber, name, None)
+            if hook is not None:
+                self._hooks[name] += (hook,)
+
+    def _wire_boundaries(self) -> None:
+        """Subscribe the attached subsystems, in call order.  Supervision
+        goes before the FT hook: detection must see the barrier the workers
+        just crossed, and recovery needs the checkpoint the FT hook's
+        *previous* visits produced.  A limited memory plan goes last: at
+        the end of a superstep it releases the consumed inbox's charges and
+        drops its spill runs."""
+        limited_mem = self.mem if self._mem_limited else None
+        for subsystem in (self._supervisor, self.ft, limited_mem):
+            if subsystem is not None:
+                self._subscribe(subsystem)
 
     # ------------------------------------------------------------------
     # Vertex-side API
@@ -480,16 +548,9 @@ class PregelEngine:
             self._step_work[worker_of[dst]] += 1
 
     def _enqueue(self, dst: int, msg: tuple) -> None:
-        bucket = self._outbox.get(dst)
-        if bucket is None:
-            self._outbox[dst] = [msg]
-        else:
-            bucket.append(msg)
-
-    def _enqueue_batch(self, dst: int, msg: tuple) -> None:
-        # Frontier mode: stage in the destination worker's outbox batch.  A
-        # receiver's messages all land in its owner's batch, so per-receiver
-        # order is the global send order, as with _enqueue.
+        # Stage in the destination worker's outbox batch.  A receiver's
+        # messages all land in its owner's batch, so per-receiver order is
+        # the global send order.
         part = self._out_parts[self._worker_of[dst]]
         bucket = part.get(dst)
         if bucket is None:
@@ -498,20 +559,17 @@ class PregelEngine:
             bucket.append(msg)
 
     def outbox_view(self) -> dict[int, list]:
-        """The in-flight messages as one ``{dst: msgs}`` map.
-
-        Dense mode returns the live outbox dict; frontier mode merges the
-        per-worker outbox batches (each destination appears in exactly one).
-        The fault-tolerance manager checkpoints and logs through this view,
-        so both schedulers share one checkpoint/log format.  Under a memory
-        budget the view also re-merges any superstep-split spill runs, so
-        checkpoints and confined-recovery logs see exactly the traffic a
-        budget-free run would have staged in memory.
+        """The in-flight messages as one ``{dst: msgs}`` map: the
+        per-worker outbox batches merged (each destination appears in
+        exactly one).  The fault-tolerance manager checkpoints and logs
+        through this view, so every backend shares one checkpoint/log
+        format.  Under a memory budget the view also re-merges any
+        superstep-split spill runs, so checkpoints and confined-recovery
+        logs see exactly the traffic a budget-free run would have staged
+        in memory.
         """
         if self._mem_limited:
             return self.mem.outbox_snapshot()
-        if not self._batched:
-            return self._outbox
         merged: dict[int, list] = {}
         for part in self._out_parts:
             merged.update(part)
@@ -640,16 +698,12 @@ class PregelEngine:
         state = {
             "superstep": self.superstep,
             "outbox": dict(self.outbox_view()),
-            # Frontier-mode scheduler state: the vertices computed in the
-            # last superstep, from which the next frontier's un-voted half
-            # derives.  None when unknown (dense scheduling, or before the
-            # first sparse superstep) — a restore then recomputes it from
-            # the voted bitmap, which is exact.
-            "frontier": (
-                list(self._frontier)
-                if self._batched and not self._frontier_dirty
-                else None
-            ),
+            # Scheduler state: the vertices computed in the last sparse
+            # superstep, from which the next frontier's un-voted half
+            # derives.  None when unknown (the sparse switch is off, or
+            # before the first sparse superstep) — a restore then
+            # recomputes it from the voted bitmap, which is exact.
+            "frontier": None if self._frontier_dirty else list(self._frontier),
             "voted": bytes(self._voted) if self._voted is not None else None,
             "rng": self.rng.getstate(),
             "result": self.result,
@@ -682,26 +736,7 @@ class PregelEngine:
             self._frontier_dirty = True
             return
         self.superstep = state["superstep"]
-        # Install the checkpointed buckets without duplicating each message
-        # list: a restored payload is freshly unpickled (FT) or engine
-        # buckets are never mutated in place after staging (direct restore
-        # of a captured state), so the per-bucket copies this used to make
-        # doubled the restore's memory footprint for nothing.
-        if self._batched:
-            parts = self._out_parts
-            for part in parts:
-                part.clear()
-            worker_of = self._worker_of
-            for dst, msgs in state["outbox"].items():
-                parts[worker_of[dst]][dst] = msgs
-        else:
-            self._outbox = dict(state["outbox"])
-        saved_frontier = state.get("frontier")
-        if self._batched and saved_frontier is not None:
-            self._frontier = list(saved_frontier)
-            self._frontier_dirty = False
-        else:
-            self._frontier_dirty = True
+        self._install_inflight(state)
         if self._voted is not None and state["voted"] is not None:
             self._voted[:] = state["voted"]
         self.rng.setstate(state["rng"])
@@ -732,16 +767,38 @@ class PregelEngine:
                 [0] * (state["superstep"] - len(saved_per_superstep))
             )
         metrics.worker_sent[:] = state["worker_sent"]
-        # Under a budget the live spill runs are stale now — the restored
-        # in-flight outbox was just installed in memory; the manager drops
-        # the run files and recharges the ledger from the installed batches.
-        if self._mem_limited:
-            self.mem.on_rollback()
         # Rollback recovery is about to replay the dropped supersteps: the
         # tracer must drop their records too, so a recovered run's stream
         # stays identical to a failure-free one.
         if self.tracer is not None:
             self.tracer.on_rollback(self.superstep)
+
+    def _install_inflight(self, state: dict) -> None:
+        """Full rollback, the part the engine's staging owns: make the
+        checkpoint's in-flight messages (and scheduler state) the next
+        delivery."""
+        # Install the checkpointed buckets without duplicating each message
+        # list: a restored payload is freshly unpickled (FT) or engine
+        # buckets are never mutated in place after staging (direct restore
+        # of a captured state), so per-bucket copies would double the
+        # restore's memory footprint for nothing.
+        parts = self._out_parts
+        for part in parts:
+            part.clear()
+        worker_of = self._worker_of
+        for dst, msgs in state["outbox"].items():
+            parts[worker_of[dst]][dst] = msgs
+        saved_frontier = state.get("frontier")
+        if self._sparse_below and saved_frontier is not None:
+            self._frontier = list(saved_frontier)
+            self._frontier_dirty = False
+        else:
+            self._frontier_dirty = True
+        # Under a budget the live spill runs are stale now — the restored
+        # in-flight outbox was just installed in memory; the manager drops
+        # the run files and recharges the ledger from the installed batches.
+        if self._mem_limited:
+            self.mem.on_rollback()
 
     # ------------------------------------------------------------------
     # Execution
@@ -792,18 +849,27 @@ class PregelEngine:
         self._vertex_compute = traced_compute
         self.send = traced_send  # type: ignore[method-assign]
 
-    def run(self) -> RunMetrics:
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
-        mem = self.mem
-        mem_limited = self._mem_limited
-        if traced:
+    @contextmanager
+    def _session(self, tracer):
+        """What a run holds open around its superstep loop.  In-process
+        that is only the on-demand execution hooks; a backend with real
+        resources (worker processes, segments, sockets) acquires them here
+        and releases them on every exit path."""
+        if tracer is not None:
             self._install_tracing()
-        if mem_limited:
+        if self._mem_limited:
             # After tracing: the budgeted compute wrapper must see the
             # traced hooks so spilled-inbox materialization is timed too.
-            mem.install()
-        if traced:
+            self.mem.install()
+        yield
+
+    def run(self) -> RunMetrics:
+        if self._vertex_compute is None:
+            raise RuntimeError("no vertex program attached")
+        tracer = self.tracer
+        if tracer is not None and not tracer.enabled:
+            tracer = None  # from here on: the *recording* tracer, or None
+        if tracer is not None:
             tracer.event(
                 "run.begin",
                 cat="engine",
@@ -821,46 +887,38 @@ class PregelEngine:
                 },
             )
         start = time.perf_counter()
-        graph = self.graph
-        n = graph.num_nodes
-        voted = self._voted
-        ft = self.ft
-        supervisor = self._supervisor
-        transport = self._transport
-        batched = self._batched
-        threshold = max(1, int(self._frontier_threshold * n))
+        mem = self.mem
         halt_reason = "max_supersteps"
         oom: MemoryExhausted | None = None
         try:
-            halt_reason = self._run_loop(
-                halt_reason, tracer, traced, mem, mem_limited
-            )
-        except MemoryExhausted as exc:
-            # Graceful degradation: an unsatisfiable budget ends the run
-            # with a structured report, never an exception.  The supervisor
-            # (when present) records the exhaustion like a detected death.
-            oom = exc
-            halt_reason = "out_of_memory"
-            self._current_vertex = -1
+            with self._session(tracer):
+                try:
+                    halt_reason = self._superstep_loop(tracer)
+                except MemoryExhausted as exc:
+                    # Graceful degradation: an unsatisfiable budget ends the
+                    # run with a structured report, never an exception.  The
+                    # supervisor (when present) records the exhaustion like
+                    # a detected death.
+                    oom = exc
+                    halt_reason = "out_of_memory"
+                    self._current_vertex = -1
         finally:
             if mem is not None:
                 if oom is not None:
                     mem.record_oom(oom)
                 mem.close()
-        if oom is not None and supervisor is not None:
-            supervisor.on_oom(oom)
-        self.metrics.supersteps = self.superstep
-        self.metrics.wall_seconds = time.perf_counter() - start
-        self.metrics.result = self.result
-        self.metrics.halt_reason = halt_reason
+        if oom is not None and self._supervisor is not None:
+            self._supervisor.on_oom(oom)
+        m = self.metrics
+        m.supersteps = self.superstep
+        m.wall_seconds = time.perf_counter() - start
+        m.result = self.result
+        m.halt_reason = halt_reason
         if self._mreg is not None:
             self._mreg.counter("pregel.runs", det=True, halt_reason=halt_reason).inc()
-            self._mreg.histogram("pregel.run_seconds").observe(
-                self.metrics.wall_seconds
-            )
+            self._mreg.histogram("pregel.run_seconds").observe(m.wall_seconds)
             self._mreg.gauge("pregel.num_workers").set_max(self.num_workers)
-        if traced:
-            m = self.metrics
+        if tracer is not None:
             tracer.event(
                 "run.end",
                 cat="engine",
@@ -877,15 +935,278 @@ class PregelEngine:
                 },
                 info={"wall_seconds": m.wall_seconds},
             )
-        return self.metrics
+        return m
 
-    def _deliver_batched(self, mem, mem_limited, transport) -> None:
+    def _superstep_loop(self, tracer) -> str:
+        """The superstep order, written once for every backend: boundary
+        subscribers, master phase, the backend's body, the superstep's
+        accounting, barrier.  Returns the halt reason."""
+        m = self.metrics
+        voted = self._voted
+        master = self._master_compute
+        on_start = self._hooks["on_superstep_start"]
+        on_master_done = self._hooks["on_master_done"]
+        on_end = self._hooks["on_superstep_end"]
+        track = self._track_makespan
+        step_work = self._step_work
+        # Metering (repro.obs.metrics) shares the tracer's phase clocks:
+        # ``instr`` gates the perf_counter reads, ``traced``/``metered``
+        # gate what they feed.  Instrument handles are resolved once here
+        # (the body's phase histograms at their first superstep) so the
+        # loop bumps plain attributes.
+        traced = tracer is not None
+        mreg = self._mreg
+        metered = mreg is not None
+        instr = traced or metered
+        if metered:
+            m_steps = mreg.counter("pregel.supersteps", det=True)
+            m_messages = mreg.counter("pregel.messages", det=True)
+            m_msg_bytes = mreg.counter("pregel.message_bytes", det=True)
+            m_net_messages = mreg.counter("pregel.net_messages", det=True)
+            m_net_bytes = mreg.counter("pregel.net_bytes", det=True)
+            m_broadcasts = mreg.counter("pregel.broadcasts", det=True)
+            m_step_s = mreg.histogram("pregel.superstep_seconds")
+            m_phase_s: dict = {}
+            m_frontier = mreg.histogram("pregel.frontier_size")
+        while self.superstep < self._max_supersteps:
+            # Start-of-superstep boundary: detection and escalation, a due
+            # checkpoint, scheduled faults — recovery may rewind
+            # ``self.superstep``.  A subscriber that gives up on the run
+            # (restart budget exhausted) sets ``_abort_reason``; the run
+            # then degrades to a partial result with that halt reason.
+            for hook in on_start:
+                hook()
+                if self._abort_reason is not None:
+                    return self._abort_reason
+            if instr:
+                # Snapshot the ledger *after* any recovery so the superstep
+                # record meters exactly this superstep's deltas.
+                t_step0 = time.perf_counter()
+                s_messages = m.messages
+                s_message_bytes = m.message_bytes
+                s_net_messages = m.net_messages
+                s_net_bytes = m.net_bytes
+                s_broadcasts = m.broadcast_values
+                if traced:
+                    step_ts = tracer.now()
+                    s_worker_sent = list(m.worker_sent)
+
+            # Master phase: sees globals aggregated from the previous superstep.
+            if master is not None:
+                master(self)
+                if self._halt:
+                    return "master_halt"
+            for hook in on_master_done:
+                hook()
+            if instr:
+                t_body = time.perf_counter()
+
+            before = m.messages
+            record = self._superstep_body(instr, tracer)
+            if record is None:
+                # A recovery inside the body rewound the superstep: nothing
+                # to account, go round again from the restored boundary.
+                continue
+            if type(record) is str:
+                return record  # the body's halt reason
+            if instr:
+                t_barrier = time.perf_counter()
+
+            # Barrier: account the superstep, then close it.
+            if self._record_per_superstep:
+                m.per_superstep_messages.append(m.messages - before)
+            if track:
+                m.makespan_units += max(step_work)
+                m.ideal_units += sum(step_work) / self.num_workers
+                for w in range(self.num_workers):
+                    step_work[w] = 0
+            for hook in on_end:
+                hook()
+            self.globals.end_superstep()
+            self.superstep += 1
+            if not instr:
+                continue
+            # The one place a superstep is reported, to registry and tracer.
+            t_now = time.perf_counter()
+            frontier = record.frontier
+            phases = {
+                "master": t_body - t_step0,
+                **record.phases,
+                "barrier": t_now - t_barrier,
+            }
+            if metered:
+                m_steps.inc()
+                m_messages.inc(m.messages - s_messages)
+                m_msg_bytes.inc(m.message_bytes - s_message_bytes)
+                m_net_messages.inc(m.net_messages - s_net_messages)
+                m_net_bytes.inc(m.net_bytes - s_net_bytes)
+                m_broadcasts.inc(m.broadcast_values - s_broadcasts)
+                m_step_s.observe(t_now - t_step0)
+                for phase, seconds in phases.items():
+                    histogram = m_phase_s.get(phase)
+                    if histogram is None:
+                        histogram = m_phase_s[phase] = mreg.histogram(
+                            "pregel.phase_seconds", phase=phase
+                        )
+                    histogram.observe(seconds)
+                if frontier is not None:
+                    m_frontier.observe(len(frontier))
+            if traced:
+                tracer.event(
+                    "superstep",
+                    cat="engine",
+                    ts=step_ts,
+                    det={
+                        "step": self.superstep - 1,
+                        "active": sum(record.worker_computed),
+                        "halted": int(sum(voted)) if voted is not None else 0,
+                        "messages": m.messages - s_messages,
+                        "message_bytes": m.message_bytes - s_message_bytes,
+                        "net_messages": m.net_messages - s_net_messages,
+                        "net_bytes": m.net_bytes - s_net_bytes,
+                        "broadcasts": m.broadcast_values - s_broadcasts,
+                        "worker_computed": list(record.worker_computed),
+                        "worker_sent": [
+                            now - then
+                            for now, then in zip(m.worker_sent, s_worker_sent)
+                        ],
+                        "worker_bytes": list(record.worker_bytes),
+                    },
+                    info={
+                        "mode": "sparse" if frontier is not None else "dense",
+                        "frontier": len(frontier) if frontier is not None else -1,
+                        **{f"{phase}_s": s for phase, s in phases.items()},
+                        "worker_seconds": list(record.worker_seconds),
+                        **record.info,
+                    },
+                )
+        return "max_supersteps"
+
+    def _superstep_body(self, instr: bool, tracer) -> "SuperstepRecord | str | None":
+        """One superstep between the master phase and the barrier — the
+        only part of the superstep order a backend writes.  In-process:
+        deliver last superstep's messages, run the vertex phase over the
+        active set, flush the combiner slots.
+
+        Returns the superstep's :class:`SuperstepRecord`; a halt reason
+        (``str``) when the body ends the run; or ``None`` when a recovery
+        inside it rewound the superstep and the driver must go round again.
+        ``instr`` says whether anything reads the phase clocks, ``tracer``
+        is the recording tracer or None."""
+        traced = tracer is not None
+        transport = self._transport
+        phases: dict = {}
+        if instr:
+            t_phase = time.perf_counter()
+            if traced:
+                tw_computed = self._trace_worker_computed
+                tw_seconds = self._trace_worker_seconds
+                tw_bytes = self._trace_worker_bytes
+                for w in range(self.num_workers):
+                    tw_computed[w] = 0
+                    tw_seconds[w] = 0.0
+                    tw_bytes[w] = 0
+                if transport is not None:
+                    _m = self.metrics
+                    s_dropped = _m.messages_dropped
+                    s_duplicated = _m.messages_duplicated
+                    s_reordered = _m.messages_reordered
+                    s_corrupted = _m.messages_corrupted
+                    s_retransmitted = _m.packets_retransmitted
+
+        # Deliver messages sent last superstep: the per-worker outbox
+        # batches are routed once, here at the barrier, into the dense inbox
+        # index (one slot per vertex).
+        self._deliver()
+        touched = self._touched
+
+        # Scheduling: wake the receivers, then either build this
+        # superstep's frontier (the sparse switch) or just run the voting
+        # halt check.  ``frontier is None`` means a dense vertex phase.
+        frontier = None
+        voted = self._voted
+        if voted is not None:
+            for dst in touched:
+                voted[dst] = 0
+            if self._sparse_below:
+                if self._frontier_dirty:
+                    unvoted = [v for v in range(len(voted)) if not voted[v]]
+                else:
+                    unvoted = [v for v in self._frontier if not voted[v]]
+                if touched:
+                    active = set(unvoted)
+                    active.update(touched)
+                else:
+                    active = unvoted  # already deduped and ascending
+                if self.superstep > 0 and not active:
+                    return "all_halted"
+                if len(active) < self._sparse_below:
+                    # Sparse superstep: every member is un-voted (message
+                    # receivers were just woken), so the vertex loop needs
+                    # no voted check.  Ascending order matches the dense
+                    # scan, keeping message order — and thus results —
+                    # bit-identical.
+                    frontier = sorted(active) if isinstance(active, set) else active
+                    self._frontier = frontier
+                    self._frontier_dirty = False
+                else:
+                    self._frontier_dirty = True
+            elif self.superstep > 0 and not touched and all(voted):
+                # Switch off: nothing delivered and everyone voted.
+                return "all_halted"
+
+        if instr:
+            t_now = time.perf_counter()
+            phases["route"], t_phase = t_now - t_phase, t_now
+            if traced and transport is not None:
+                # Info-only (like ft.*): faulted traces must project to
+                # the same deterministic stream as failure-free ones.
+                tracer.event(
+                    "net.route",
+                    cat="net",
+                    info={
+                        "step": self.superstep,
+                        "dropped": _m.messages_dropped - s_dropped,
+                        "duplicated": _m.messages_duplicated - s_duplicated,
+                        "reordered": _m.messages_reordered - s_reordered,
+                        "corrupted": _m.messages_corrupted - s_corrupted,
+                        "retransmitted": _m.packets_retransmitted - s_retransmitted,
+                        "route_s": phases["route"],
+                    },
+                )
+
+        self._vertex_phase(frontier)
+        self._current_vertex = -1  # leaving the vertex phase
+        if instr:
+            t_now = time.perf_counter()
+            phases["vertex"], t_phase = t_now - t_phase, t_now
+
+        # Flush combiner slots (metering the folded payloads).
+        if self._combined:
+            if self._mem_limited:
+                # The combiner table lived on the senders all superstep
+                # and cannot spill; charge it before the flush (which
+                # stages — and budget-charges — the folded payloads).
+                self.mem.check_combiner(self._combined)
+            self._flush_combined()
+        if instr:
+            phases["combine"] = time.perf_counter() - t_phase
+        return SuperstepRecord(
+            phases,
+            frontier,
+            self._trace_worker_computed,
+            self._trace_worker_seconds,
+            self._trace_worker_bytes,
+            {},
+        )
+
+    def _deliver(self) -> None:
         """Route the per-destination-worker outbox batches into the dense
-        inbox index at the barrier (frontier mode's delivery step).  The
-        drained dicts are reused as next superstep's outboxes (double
-        buffering).  Execution backends override this hook to swap the
-        staging representation (e.g. typed message slabs) while keeping the
-        run loop — and the barrier it synchronizes at — unchanged."""
+        inbox index at the barrier.  The drained dicts are reused as next
+        superstep's outboxes (double buffering).  Execution backends
+        override this hook to swap the staging representation (e.g. typed
+        message slabs) while keeping the run loop — and the barrier it
+        synchronizes at — unchanged."""
         incoming = self._out_parts
         self._out_parts = self._in_parts
         self._in_parts = incoming
@@ -893,11 +1214,12 @@ class PregelEngine:
         touched.clear()
         slots = self._inbox_slots
         receiving = touched.append
-        if mem_limited:
+        transport = self._transport
+        if self._mem_limited:
             # Credit-controlled routing: same worker order, same
             # per-receiver message order, bounded by the budget
             # (split runs re-merge ahead of the residual batch).
-            mem.deliver_batched(incoming, receiving)
+            self.mem.deliver(incoming, receiving)
         elif transport is None:
             for part in incoming:
                 if part:
@@ -916,323 +1238,32 @@ class PregelEngine:
                         receiving(dst)
                     part.clear()
 
-    def _vertex_phase(self, frontier, inbox) -> None:
-        """Run ``vertex.compute()`` over this superstep's active set.
-
-        ``frontier`` is the sparse vertex list of a frontier-mode superstep
-        (``None`` = every un-voted vertex); ``inbox`` is dense scheduling's
-        ``{dst: msgs}`` map, ``None`` under batched routing, whose dense
-        inbox index was filled at delivery and is reset here.  Execution
-        backends override this hook to run a phase as array code."""
+    def _vertex_phase(self, frontier) -> None:
+        """Run ``vertex.compute()`` over this superstep's active set:
+        ``frontier`` (the sparse vertex list), every vertex, or — under
+        voting — every vertex that has not voted by the time the scan
+        reaches it.  Reads the dense inbox index filled at delivery and
+        resets it.  Execution backends override this hook to run a phase as
+        array code."""
         n = self.graph.num_nodes
         voted = self._voted
+        if frontier is not None:
+            active = frontier
+        elif voted is None:
+            active = range(n)
+        else:
+            # Lazily filtered: a vote cast during the phase still skips a
+            # vertex the scan has not reached yet.
+            active = filterfalse(voted.__getitem__, range(n))
         compute = self._vertex_compute
         track = self._track_makespan
         step_work = self._step_work
         worker_of = self._worker_of
-        if inbox is None:
-            slots = self._inbox_slots
-            if frontier is not None:
-                for vid in frontier:
-                    self._current_vertex = vid
-                    if track:
-                        step_work[worker_of[vid]] += 1
-                    compute(self, vid, slots[vid])
-            elif voted is None:
-                for vid in range(n):
-                    self._current_vertex = vid
-                    if track:
-                        step_work[worker_of[vid]] += 1
-                    compute(self, vid, slots[vid])
-            else:
-                for vid in range(n):
-                    if voted[vid]:
-                        continue
-                    self._current_vertex = vid
-                    if track:
-                        step_work[worker_of[vid]] += 1
-                    compute(self, vid, slots[vid])
-            for dst in self._touched:
-                slots[dst] = _NO_MESSAGES
-        elif voted is None:
-            for vid in range(n):
-                self._current_vertex = vid
-                if track:
-                    step_work[worker_of[vid]] += 1
-                compute(self, vid, inbox.get(vid, _NO_MESSAGES))
-        else:
-            for vid in range(n):
-                if voted[vid]:
-                    continue
-                self._current_vertex = vid
-                if track:
-                    step_work[worker_of[vid]] += 1
-                compute(self, vid, inbox.get(vid, _NO_MESSAGES))
-
-    def _run_loop(self, halt_reason, tracer, traced, mem, mem_limited) -> str:
-        graph = self.graph
-        n = graph.num_nodes
-        voted = self._voted
-        ft = self.ft
-        supervisor = self._supervisor
-        transport = self._transport
-        batched = self._batched
-        threshold = max(1, int(self._frontier_threshold * n))
-        # Metering (repro.obs.metrics) shares the tracer's phase clocks:
-        # ``instr`` gates the perf_counter reads, ``traced``/``metered``
-        # gate what they feed.  Instrument handles are resolved once here
-        # so the loop bumps plain attributes.
-        mreg = self._mreg
-        metered = mreg is not None
-        instr = traced or metered
-        if metered:
-            m_steps = mreg.counter("pregel.supersteps", det=True)
-            m_messages = mreg.counter("pregel.messages", det=True)
-            m_msg_bytes = mreg.counter("pregel.message_bytes", det=True)
-            m_net_messages = mreg.counter("pregel.net_messages", det=True)
-            m_net_bytes = mreg.counter("pregel.net_bytes", det=True)
-            m_broadcasts = mreg.counter("pregel.broadcasts", det=True)
-            m_step_s = mreg.histogram("pregel.superstep_seconds")
-            m_phase_s = {
-                phase: mreg.histogram("pregel.phase_seconds", phase=phase)
-                for phase in ("master", "route", "vertex", "combine", "barrier")
-            }
-            m_frontier = mreg.histogram("pregel.frontier_size")
-        while self.superstep < self._max_supersteps:
-            # Supervision boundary (before the FT hook: detection must see
-            # the barrier the workers just crossed, and recovery needs the
-            # checkpoint the FT hook's *previous* visits produced).  A
-            # detected failure past the restart budget degrades the run.
-            if supervisor is not None:
-                supervisor.on_superstep_start()
-                if self._abort_reason is not None:
-                    halt_reason = self._abort_reason
-                    break
-            # Fault-tolerance boundary: checkpoint if due, then inject any
-            # scheduled crash (recovery may rewind ``self.superstep``).
-            if ft is not None:
-                ft.on_superstep_start()
-            if instr:
-                # Snapshot the ledger *after* any recovery so the superstep
-                # record meters exactly this superstep's deltas.
-                _m = self.metrics
-                t_step0 = t_phase = time.perf_counter()
-                s_messages = _m.messages
-                s_message_bytes = _m.message_bytes
-                s_net_messages = _m.net_messages
-                s_net_bytes = _m.net_bytes
-                s_broadcasts = _m.broadcast_values
-                if traced:
-                    step_ts = tracer.now()
-                    s_worker_sent = list(_m.worker_sent)
-                    if transport is not None:
-                        s_dropped = _m.messages_dropped
-                        s_duplicated = _m.messages_duplicated
-                        s_reordered = _m.messages_reordered
-                        s_corrupted = _m.messages_corrupted
-                        s_retransmitted = _m.packets_retransmitted
-                    tw_computed = self._trace_worker_computed
-                    tw_seconds = self._trace_worker_seconds
-                    tw_bytes = self._trace_worker_bytes
-                    for w in range(self.num_workers):
-                        tw_computed[w] = 0
-                        tw_seconds[w] = 0.0
-                        tw_bytes[w] = 0
-
-            # Master phase: sees globals aggregated from the previous superstep.
-            if self._master_compute is not None:
-                self._master_compute(self)
-                if self._halt:
-                    halt_reason = "master_halt"
-                    break
-            if ft is not None:
-                ft.on_master_done()
-            if instr:
-                t_now = time.perf_counter()
-                master_s, t_phase = t_now - t_phase, t_now
-
-            # Deliver messages sent last superstep.  Frontier mode routes the
-            # per-worker outbox batches once, here at the barrier, into the
-            # dense inbox index (one slot per vertex); the drained dicts are
-            # reused as next superstep's outboxes (double buffering).  Dense
-            # mode keeps the classic dict swap.
-            if batched:
-                self._deliver_batched(mem, mem_limited, transport)
-                touched = self._touched
-            elif mem_limited:
-                staged = self._outbox
-                self._outbox = {}
-                self._inbox = inbox = mem.deliver_dense(staged)
-            else:
-                self._inbox, self._outbox = self._outbox, {}
-                inbox = self._inbox
-                if transport is not None and inbox:
-                    # Dense mode stages one flat outbox; group it into
-                    # per-destination-worker batches (ascending worker id,
-                    # matching frontier mode's routing order) and route
-                    # each across the simulated channel.
-                    worker_of_ = self._worker_of
-                    parts: dict[int, dict[int, list]] = {}
-                    for dst, msgs in inbox.items():
-                        wid = worker_of_[dst]
-                        bucket = parts.get(wid)
-                        if bucket is None:
-                            parts[wid] = {dst: msgs}
-                        else:
-                            bucket[dst] = msgs
-                    merged: dict[int, list] = {}
-                    for wid in sorted(parts):
-                        merged.update(transport.route_part(wid, parts[wid]))
-                    self._inbox = inbox = merged
-
-            # Scheduling: build this superstep's frontier (frontier mode
-            # with voting), or just run the voting halt check (dense mode).
-            # ``frontier is None`` means a dense vertex phase.
-            frontier = None
-            if voted is not None:
-                if batched:
-                    for dst in touched:
-                        voted[dst] = 0
-                    if self._frontier_dirty:
-                        unvoted = [v for v in range(n) if not voted[v]]
-                    else:
-                        unvoted = [v for v in self._frontier if not voted[v]]
-                    if touched:
-                        active = set(unvoted)
-                        active.update(touched)
-                    else:
-                        active = unvoted  # already deduped and ascending
-                    if self.superstep > 0 and not active:
-                        halt_reason = "all_halted"
-                        break
-                    if len(active) < threshold:
-                        # Sparse superstep: every member is un-voted (message
-                        # receivers were just woken), so the vertex loop needs
-                        # no voted check.  Ascending order matches the dense
-                        # scan, keeping message order — and thus results —
-                        # bit-identical.
-                        frontier = (
-                            sorted(active) if isinstance(active, set) else active
-                        )
-                        self._frontier = frontier
-                        self._frontier_dirty = False
-                    else:
-                        self._frontier_dirty = True
-                else:
-                    for dst in inbox:
-                        voted[dst] = 0
-                    if self.superstep > 0 and not inbox and all(voted):
-                        halt_reason = "all_halted"
-                        break
-
-            if instr:
-                t_now = time.perf_counter()
-                route_s, t_phase = t_now - t_phase, t_now
-                if traced and transport is not None:
-                    # Info-only (like ft.*): faulted traces must project to
-                    # the same deterministic stream as failure-free ones.
-                    _m = self.metrics
-                    tracer.event(
-                        "net.route",
-                        cat="net",
-                        info={
-                            "step": self.superstep,
-                            "dropped": _m.messages_dropped - s_dropped,
-                            "duplicated": _m.messages_duplicated - s_duplicated,
-                            "reordered": _m.messages_reordered - s_reordered,
-                            "corrupted": _m.messages_corrupted - s_corrupted,
-                            "retransmitted": _m.packets_retransmitted - s_retransmitted,
-                            "route_s": route_s,
-                        },
-                    )
-
-            before = self.metrics.messages
-            track = self._track_makespan
-            step_work = self._step_work
-            self._vertex_phase(frontier, None if batched else inbox)
-            self._current_vertex = -1  # leaving the vertex phase
-            if instr:
-                t_now = time.perf_counter()
-                vertex_s, t_phase = t_now - t_phase, t_now
-
-            # Barrier: flush combiner slots (metering the folded payloads),
-            # then account the superstep.
-            if self._combined:
-                if mem_limited:
-                    # The combiner table lived on the senders all superstep
-                    # and cannot spill; charge it before the flush (which
-                    # stages — and budget-charges — the folded payloads).
-                    mem.check_combiner(self._combined)
-                self._flush_combined()
-            if instr:
-                t_now = time.perf_counter()
-                combine_s, t_phase = t_now - t_phase, t_now
-            if self._record_per_superstep:
-                self.metrics.per_superstep_messages.append(self.metrics.messages - before)
+        slots = self._inbox_slots
+        for vid in active:
+            self._current_vertex = vid
             if track:
-                self.metrics.makespan_units += max(step_work)
-                self.metrics.ideal_units += sum(step_work) / self.num_workers
-                for w in range(self.num_workers):
-                    step_work[w] = 0
-
-            if ft is not None:
-                ft.on_superstep_end()
-            if mem_limited:
-                # The vertex phase consumed this superstep's inbox: release
-                # its charges and drop its spill runs.
-                mem.on_superstep_end()
-            self.globals.end_superstep()
-            self.superstep += 1
-            if instr:
-                m = self.metrics
-                t_now = time.perf_counter()
-                barrier_s = t_now - t_phase
-                if metered:
-                    m_steps.inc()
-                    m_messages.inc(m.messages - s_messages)
-                    m_msg_bytes.inc(m.message_bytes - s_message_bytes)
-                    m_net_messages.inc(m.net_messages - s_net_messages)
-                    m_net_bytes.inc(m.net_bytes - s_net_bytes)
-                    m_broadcasts.inc(m.broadcast_values - s_broadcasts)
-                    m_step_s.observe(t_now - t_step0)
-                    m_phase_s["master"].observe(master_s)
-                    m_phase_s["route"].observe(route_s)
-                    m_phase_s["vertex"].observe(vertex_s)
-                    m_phase_s["combine"].observe(combine_s)
-                    m_phase_s["barrier"].observe(barrier_s)
-                    if frontier is not None:
-                        m_frontier.observe(len(frontier))
-            if traced:
-                tracer.event(
-                    "superstep",
-                    cat="engine",
-                    ts=step_ts,
-                    det={
-                        "step": self.superstep - 1,
-                        "active": sum(tw_computed),
-                        "halted": int(sum(voted)) if voted is not None else 0,
-                        "messages": m.messages - s_messages,
-                        "message_bytes": m.message_bytes - s_message_bytes,
-                        "net_messages": m.net_messages - s_net_messages,
-                        "net_bytes": m.net_bytes - s_net_bytes,
-                        "broadcasts": m.broadcast_values - s_broadcasts,
-                        "worker_computed": list(tw_computed),
-                        "worker_sent": [
-                            now - then
-                            for now, then in zip(m.worker_sent, s_worker_sent)
-                        ],
-                        "worker_bytes": list(tw_bytes),
-                    },
-                    info={
-                        "mode": "sparse" if frontier is not None else "dense",
-                        "frontier": len(frontier) if frontier is not None else -1,
-                        "master_s": master_s,
-                        "route_s": route_s,
-                        "vertex_s": vertex_s,
-                        "combine_s": combine_s,
-                        "barrier_s": barrier_s,
-                        "worker_seconds": list(tw_seconds),
-                    },
-                )
-
-        return halt_reason
+                step_work[worker_of[vid]] += 1
+            compute(self, vid, slots[vid])
+        for dst in self._touched:
+            slots[dst] = _NO_MESSAGES

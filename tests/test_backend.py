@@ -939,6 +939,144 @@ class TestMakespanOnMP:
         assert_parity(sim, mp)
 
 
+EVERY_BACKEND = ("sim", "columnar", pytest.param("mp", marks=needs_mp))
+
+
+class TestOneDriver:
+    """The three backends run one superstep driver: the same constructor
+    checks, the same scheduling decision, the same boundary calls."""
+
+    @staticmethod
+    def voting_bfs_engine(programs, backend, tracer, **opts):
+        """A vote-to-halt BFS over a sparse random graph (most supersteps
+        touch a handful of vertices), built through the backend itself."""
+        from repro.bench.harness import deep_bfs_root
+        from repro.graphgen import uniform_random
+
+        sparse = uniform_random(400, 480, seed=5)
+        root = deep_bfs_root(sparse)
+        reached = bytearray(sparse.num_nodes)
+
+        def vertex(ctx, vid, messages):
+            if not reached[vid] and (vid == root or messages):
+                reached[vid] = 1
+                for nbr in sparse.out_nbrs(vid):
+                    ctx.send(nbr, (0, 0.0))
+            ctx.vote_to_halt(vid)
+
+        engine = get_backend(backend).create_engine(
+            sparse,
+            master_compute=None,
+            message_size=lambda msg: 8,
+            schema=programs["pagerank"].schema,
+            engine_opts=dict(use_voting=True, num_workers=2, tracer=tracer, **opts),
+        )
+        engine._vertex_compute = vertex
+        return engine
+
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
+    def test_dense_never_takes_the_sparse_switch(self, programs, backend):
+        from repro.obs import Tracer
+
+        modes = {}
+        for scheduling in ("dense", "frontier"):
+            tracer = Tracer()
+            metrics = self.voting_bfs_engine(
+                programs, backend, tracer, scheduling=scheduling
+            ).run()
+            assert metrics.halt_reason == "all_halted" and metrics.supersteps > 3
+            modes[scheduling] = [
+                e.info["mode"] for e in tracer.events if e.name == "superstep"
+            ]
+        assert len(modes["dense"]) == len(modes["frontier"])
+        assert "sparse" not in modes["dense"]
+        if backend != "mp":  # mp workers scan their own partitions
+            assert "sparse" in modes["frontier"]
+
+    def test_run_begin_reports_the_same_keys_on_every_backend(self, programs):
+        from repro.obs import Tracer
+
+        keys = {}
+        for backend in BACKENDS:
+            if backend == "mp" and not mp_available():
+                continue
+            tracer = Tracer()
+            self.voting_bfs_engine(programs, backend, tracer).run()
+            (begin,) = [e for e in tracer.events if e.name == "run.begin"]
+            keys[backend] = (sorted(begin.det), sorted(begin.info))
+        assert len(set(map(str, keys.values()))) == 1, keys
+        assert "frontier_threshold" in keys["sim"][1]
+
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
+    @pytest.mark.parametrize("bad", (0.0, 1.5))
+    def test_frontier_threshold_validated_on_every_backend(
+        self, programs, graph, backend, bad
+    ):
+        with pytest.raises(ValueError, match=r"frontier_threshold must be in \(0, 1\]"):
+            programs["pagerank"].make_engine(
+                graph, default_args("pagerank", graph),
+                backend=backend, frontier_threshold=bad,
+            )
+
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
+    def test_run_without_a_vertex_program_on_every_backend(
+        self, programs, graph, backend
+    ):
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend=backend
+        )
+        engine._vertex_compute = None
+        with pytest.raises(RuntimeError, match="no vertex program attached"):
+            engine.run()
+
+    @pytest.mark.parametrize("crash", (None, CrashEvent(worker=1, superstep=1)))
+    def test_subscribers_hear_the_same_boundaries_on_every_backend(
+        self, programs, graph, crash
+    ):
+        """A recording subscriber sees one (boundary, superstep) sequence
+        whatever the backend — across an ft rollback too (the crash at the
+        superstep-1 boundary rewinds to the superstep-0 checkpoint)."""
+
+        class Recorder:
+            def __init__(self, engine):
+                self.engine, self.calls = engine, []
+
+            def on_superstep_start(self):
+                self.calls.append(("start", self.engine.superstep))
+
+            def on_master_done(self):
+                self.calls.append(("master_done", self.engine.superstep))
+
+            def on_superstep_end(self):
+                self.calls.append(("end", self.engine.superstep))
+
+        heard = {}
+        for backend in BACKENDS:
+            if backend == "mp" and not mp_available():
+                continue
+            opts = {}
+            if crash is not None:
+                plan = FaultPlan(checkpoint_every=2, crashes=(crash,))
+                opts["ft"] = FaultTolerance(plan)
+            engine, _fields, _master = programs["conductance"].make_engine(
+                graph, default_args("conductance", graph),
+                backend=backend, num_workers=2, **opts,
+            )
+            recorder = Recorder(engine)
+            engine._subscribe(recorder)
+            metrics = engine.run()
+            assert metrics.supersteps == 3
+            assert metrics.faults_injected == (crash is not None)
+            heard[backend] = recorder.calls
+        expected = [(b, s) for s in range(3) for b in ("start", "master_done", "end")]
+        expected.append(("start", 3))  # the master halts this superstep
+        if crash is not None:
+            # superstep 0 ran, the crash rewound to it, and it ran again
+            expected = expected[:3] + expected
+        for backend, calls in heard.items():
+            assert calls == expected, backend
+
+
 class TestSlabSizing:
     def test_clamp_applies_absolute_ceiling(self):
         from repro.pregel.backend.mp import _SLAB_CEILING, clamp_slab_bytes

@@ -2,6 +2,10 @@
 parity on every algorithm, batched message routing, interaction with voting,
 combiners, and fault recovery, and checkpointing of the frontier state."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms.manual import MANUAL_PROGRAMS, ManualBFS
@@ -11,6 +15,8 @@ from repro.bench.harness import default_args
 from repro.graphgen.registry import applicable_graphs, load_graph
 from repro.pregel import Graph, PregelEngine
 from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
+from repro.pregel.mem import MemoryManager, MemPlan
+from repro.pregel.net import NetFaultPlan, SimulatedTransport
 
 SCALE = 0.125  # 500-node graphs: big enough to cross worker boundaries
 
@@ -289,6 +295,93 @@ class TestFaultRecovery:
         )
         twin.restore_state(captured["state"])
         assert twin._frontier_dirty
+
+
+DENSE_REFERENCE = Path(__file__).parent / "goldens" / "dense_reference.json"
+
+DENSE_REFERENCE_PROGRAMS = (
+    [f"generated:{name}" for name in ALGORITHMS]
+    + [f"manual:{name}" for name in sorted(MANUAL_PROGRAMS)]
+    + ["manual:bfs"]
+)
+
+
+def _dense_reference_configs(generated: bool) -> dict:
+    """Engine compositions of the frozen dense matrix, as factories (the
+    ft / transport / mem managers are stateful: one per run)."""
+
+    def ft(recovery):
+        return FaultTolerance(
+            FaultPlan(
+                checkpoint_every=2,
+                crashes=(CrashEvent(worker=1, superstep=3),),
+                recovery=recovery,
+            )
+        )
+
+    configs = {
+        "plain": lambda: {},
+        "makespan": lambda: {"track_makespan": True},
+        "range": lambda: {"partitioning": "range"},
+        "ft-rollback": lambda: {"ft": ft("rollback")},
+        "ft-confined": lambda: {"ft": ft("confined")},
+        "lossy-transport": lambda: {
+            "transport": SimulatedTransport(
+                NetFaultPlan(
+                    drop_rate=0.2, dup_rate=0.1, reorder_rate=0.1, corrupt_rate=0.05
+                )
+            )
+        },
+        "mem-64k": lambda: {"mem": MemoryManager(MemPlan(budget_bytes=64 << 10))},
+        "mem-16k-ft": lambda: {
+            "mem": MemoryManager(MemPlan(budget_bytes=16 << 10)),
+            "ft": ft("rollback"),
+        },
+    }
+    if generated:
+        configs["combiners"] = lambda: {"use_combiners": True}
+    return configs
+
+
+def dense_reference_rows(program: str) -> dict:
+    """``{config: {"parity_key", "outputs_sha256"}}`` for one program of the
+    frozen matrix, every run at ``scheduling="dense"``."""
+    variant, name = program.split(":")
+    algorithm = "sssp" if name == "bfs" else name
+    graph = load_graph(applicable_graphs(algorithm)[0], SCALE)
+    args = default_args(algorithm, graph)
+    if variant == "generated":
+        run = compile_algorithm(name, emit_java=False).program.run
+    else:
+        run = (ManualBFS() if name == "bfs" else MANUAL_PROGRAMS[name]).run
+    rows = {}
+    for config, opts in _dense_reference_configs(variant == "generated").items():
+        result = run(graph, args, scheduling="dense", **opts())
+        outputs = json.dumps(result.outputs, sort_keys=True)
+        rows[config] = {
+            # through JSON, so the comparison sees what the golden file holds
+            "parity_key": json.loads(json.dumps(result.metrics.parity_key())),
+            "outputs_sha256": hashlib.sha256(outputs.encode()).hexdigest(),
+        }
+    return rows
+
+
+class TestDenseReference:
+    """``tests/goldens/dense_reference.json`` was captured at commit 96f0211
+    from the dict-inbox dense path (flat ``{dst: msgs}`` outbox swapped into
+    the inbox at the barrier), the last commit that had one.  It is frozen:
+    ``scheduling="dense"`` now runs the shared routing path with the sparse
+    switch off and must reproduce every row — 6 generated + 5 manual programs
+    + manual BFS × {plain, combiners, makespan, range partitioning, ft
+    rollback/confined, lossy transport, 64 KiB budget, 16 KiB budget + ft}."""
+
+    @pytest.mark.parametrize("program", DENSE_REFERENCE_PROGRAMS)
+    def test_dense_reproduces_frozen_reference(self, program):
+        frozen = json.loads(DENSE_REFERENCE.read_text())[program]
+        rows = dense_reference_rows(program)
+        assert sorted(rows) == sorted(frozen)
+        for config, row in rows.items():
+            assert row == frozen[config], f"{program} / {config}"
 
 
 class TestTraceParity:
