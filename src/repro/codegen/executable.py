@@ -19,6 +19,7 @@ GPS simulator so the generated programs can actually execute:
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -627,17 +628,22 @@ class CompiledProgram:
         )
         env["B"] = engine.globals.broadcast
         engine._vertex_compute = self._factory(env)
-        if hasattr(engine, "install_array_code"):
+        if hasattr(engine, "_columns"):
+            # The mp backend's parent process scatters the workers'
+            # partitions back into these columns after the run.
+            engine._columns = fields
+        columnar = hasattr(engine, "install_array_code")
+        if columnar or hasattr(engine, "compile_array_code"):
             from .vectorize import build_array_code
 
+            build = functools.partial(build_array_code, self.ir, self.schema, fields)
             tracer = getattr(engine, "tracer", None)
             tracing = tracer is not None and tracer.enabled
             decisions: list | None = [] if tracing else None
-            engine.install_array_code(
-                *build_array_code(
-                    self.ir, self.schema, fields, engine, decisions=decisions
-                )
-            )
+            if columnar:
+                engine.install_array_code(*build(engine, decisions=decisions))
+            else:  # mp: every worker compiles its own after the fork
+                engine.compile_array_code(build, decisions)
             if tracing and decisions is not None:
                 # info-only: which phases compiled to bulk receive handlers
                 # and array kernels, and why the rest stayed scalar.  Never
@@ -646,10 +652,6 @@ class CompiledProgram:
                 # comparisons.
                 for decision in decisions:
                     tracer.event("compile.vectorize", cat="compile", info=decision)
-        if hasattr(engine, "_columns"):
-            # The mp backend's parent process scatters the workers'
-            # partitions back into these columns after the run.
-            engine._columns = fields
         if getattr(engine, "ft", None) is not None:
             # Checkpoints must cover everything a worker crash can destroy:
             # the vertex property columns and the master's interpreter state.

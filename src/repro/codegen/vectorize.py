@@ -1,10 +1,11 @@
 """Array code for the columnar data plane: bulk receivers and phase kernels.
 
 The generated vertex program runs one Python call per vertex per
-superstep.  On the columnar slab fast path this module replaces that
-with numpy code over zero-copy ``np.frombuffer`` views of the existing
-``array.array`` property columns (storage does not change — scalar
-phases keep indexing native Python scalars out of the same buffers):
+superstep.  On the columnar slab fast path, and in every ``mp`` worker,
+this module replaces that with numpy code over zero-copy
+``np.frombuffer`` views of the existing ``array.array`` property columns
+(storage does not change — scalar phases keep indexing native Python
+scalars out of the same buffers):
 
 * a **bulk receive handler** per ``(phase state, tag)`` consumes a whole
   per-tag slab at the delivery barrier — decode the packed payload into
@@ -62,13 +63,14 @@ the design:
   slot.
 
 Anything outside those rules leaves the receive loop, or the whole
-phase, on the scalar path.  Both kinds of array code engage only on the
-columnar slab fast path.
+phase, on the scalar path.  Both kinds of array code engage on the
+columnar slab fast path and in the ``mp`` workers, each of which compiles
+them against itself and runs a kernel over its partition (the kernel's
+initial selection) and a handler over the records its peers sent it.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from array import array
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -639,17 +641,22 @@ class _Spec:
     """One vectorizable reduction: ``[if cond:] target op= value``, applied
     as ``reduce(view, dsts, values)``.  ``improved`` is set on a MIN/MAX
     reduce that an improve flag watches: the strict comparison telling, per
-    message, whether the reduce moved its receiver."""
+    message, whether the reduce moved its receiver.  ``ordered`` names a
+    reduce whose outcome depends on the order of the messages (a float
+    ``SUM``/``PRODUCT``), else it is None: ``MIN``/``MAX``/``OR``/``AND``
+    pick a value, integer ``SUM``/``PRODUCT`` are exact in int64, and an
+    improve flag only asks whether its reduce moved."""
 
-    __slots__ = ("target", "reduce", "cond", "value", "value_expr", "improved")
+    __slots__ = ("target", "reduce", "cond", "value", "value_expr", "improved", "ordered")
 
-    def __init__(self, target, reduce, cond, value, value_expr):
+    def __init__(self, target, reduce, cond, value, value_expr, ordered=None):
         self.target = target
         self.reduce = reduce
         self.cond = cond
         self.value = value
         self.value_expr = value_expr
         self.improved = None
+        self.ordered = ordered
 
 
 def _or_at(view, dsts, values) -> None:
@@ -751,8 +758,15 @@ def _analyse_loop(loop: VMsgLoop, scope: _Scope):
         for cond, red in guarded:
             cond_fn = _compile_expr(cond, scope) if cond is not None else None
             value_fn = _compile_expr(red.expr, scope)
+            view = scope.view(red.name)
+            float_fold = red.op in (GlobalOp.SUM, GlobalOp.PRODUCT) and view.dtype.kind == "f"
             spec = _Spec(
-                red.name, _reduce_at(red.op, scope.view(red.name)), cond_fn, value_fn, red.expr
+                red.name,
+                _reduce_at(red.op, view),
+                cond_fn,
+                value_fn,
+                red.expr,
+                f"float {red.op.value} into {red.name}" if float_fold else None,
             )
             specs.append(spec)
             if i in watchers:
@@ -819,6 +833,11 @@ def _make_handler(specs, rec_dtype, msg_fields, scope):
     slots = scope.msg_slots
 
     def handler(dsts, payload, count):
+        """Fold ``count`` messages: record k of ``payload`` goes to vertex
+        ``dsts[k]``, in the order the simulator would deliver them —
+        ascending sender, each sender's in send order.  A caller merging
+        records of several senders' slabs may skip restoring that order
+        when ``handler.ordered_merge`` is None."""
         if count == 0:
             return
         if len(dsts) != count:
@@ -847,38 +866,14 @@ def _make_handler(specs, rec_dtype, msg_fields, scope):
                 spec.reduce(view, sel, spec.value(ctx))
                 full["improved"][spec.target] = spec.improved(view[sel], old)
 
+    ordered = [spec.ordered for spec in specs if spec.ordered]
+    handler.ordered_merge = ", ".join(ordered) or None
     return handler
 
 
 # ---------------------------------------------------------------------------
 # Whole-phase kernels
 # ---------------------------------------------------------------------------
-
-
-def _fold(op: GlobalOp, values) -> Any:
-    """Fold one put per selected vertex, ascending vid, exactly as the
-    engine's ``put_reduce`` chain would: the first put seeds the slot,
-    each later one combines from the left."""
-    if values.dtype.kind == "f" and op in (GlobalOp.SUM, GlobalOp.PRODUCT):
-        # accumulate is a strict left fold; np.sum / reduce are pairwise
-        ufunc = _np.add if op is GlobalOp.SUM else _np.multiply
-        return ufunc.accumulate(values)[-1].item()
-    if op in (GlobalOp.OR, GlobalOp.AND):
-        # `a or b` / `a and b` hand back an operand: the first that decides
-        # the outcome (truthy for OR, falsy for AND), else the last
-        decides = _truth(values) if op is GlobalOp.OR else ~_truth(values)
-        first = int(decides.argmax())
-        return _item(values, first if decides[first] else -1)
-    items = values.tolist()  # Python values: exact ints, native floats
-    if op is GlobalOp.SUM:
-        return functools.reduce(operator.add, items)
-    if op is GlobalOp.PRODUCT:
-        return functools.reduce(operator.mul, items)
-    if op is GlobalOp.MIN:
-        return min(items)  # keeps the first minimum, like combine()
-    if op is GlobalOp.MAX:
-        return max(items)
-    return items[-1]  # OVERWRITE
 
 
 def _store(view, sel, value) -> None:
@@ -1008,15 +1003,15 @@ class _KernelBuilder:
             raise _Unvectorizable(f"more than one put to global {stmt.name}")
         self.put_names.add(stmt.name)
         value = self.expr(stmt.expr)
-        name, op, n, put = stmt.name, stmt.op, self.n, self.engine.put_global
+        name, op, n, put = stmt.name, stmt.op, self.n, self.engine.put_global_bulk
 
-        def put_fold(ctx):
+        def put_all(ctx):
             v, sel = value(ctx), ctx["sel"]
             if not isinstance(v, _np.ndarray) or not v.ndim:
                 v = _np.full(n if sel is None else len(sel), v)
-            put(name, op, _fold(op, v))
+            put(name, op, sel, v)
 
-        return put_fold
+        return put_all
 
     def send_nbrs(self, stmt: VSendNbrs) -> Callable[[dict], None]:
         if stmt.direction != "out":
@@ -1101,9 +1096,11 @@ def _build_kernel(phase, receivers, receive_reason, tag_schemas, columns, engine
     except _Unvectorizable as exc:
         return None, str(exc)
 
-    def kernel():
-        if builder.n:  # every vertex; an empty graph has none to compute
-            _run(body, {"sel": None, "msg": None, "loc": {}})
+    def kernel(sel=None):
+        # ``sel``: the ascending vertex ids to compute — a worker's partition
+        # — or None for every vertex; nothing runs over an empty selection
+        if builder.n if sel is None else len(sel):
+            _run(body, {"sel": sel, "msg": None, "loc": {}})
 
     return kernel, scope.named("kernel")
 
@@ -1115,15 +1112,17 @@ def build_array_code(
     phase: ``({(state, tag): handler}, {state: kernel})``.
 
     ``columns`` maps field name -> its storage column (the same objects
-    the generated vertex source closes over); ``engine`` is the columnar
-    engine the kernels stage sends and global puts through
-    (``send_nbrs_bulk`` / ``put_global``) and whose live broadcast dict
-    is read at call time.  Both maps are empty when numpy or the schema
-    is unavailable.
+    the generated vertex source closes over); ``engine`` is what the
+    kernels stage sends and global puts through (``out_edges`` /
+    ``send_nbrs_bulk`` / ``put_global_bulk``) and whose live broadcast dict
+    is read at call time: a columnar engine, or one mp worker, which calls
+    its kernels with its partition as the selection.  Both maps are empty
+    when numpy or the schema is unavailable.
 
     When ``decisions`` is a list, one record per phase is appended:
-    ``{"phase", "eligible", "reason", "tags", "kernel", "kernel_reason"}``
-    — the observability feed behind the ``compile.vectorize`` trace events.
+    ``{"phase", "eligible", "reason", "tags", "ordered_merge", "kernel",
+    "kernel_reason"}`` — the observability feed behind the
+    ``compile.vectorize`` trace events.
     """
     receivers: Dict[Tuple[int, int], Callable] = {}
     kernels: Dict[int, Callable] = {}
@@ -1154,6 +1153,16 @@ def build_array_code(
                     "eligible": built is not None,
                     "reason": reason,
                     "tags": sorted(tag for _state, tag in built) if built else [],
+                    # per bulk-received tag: must a receiver that merges
+                    # several workers' slabs restore sender order, and why
+                    "ordered_merge": [
+                        {
+                            "tag": tag,
+                            "ordered": handler.ordered_merge is not None,
+                            "reason": handler.ordered_merge or "order-insensitive reduces",
+                        }
+                        for (_state, tag), handler in sorted((built or {}).items())
+                    ],
                     "kernel": kernel is not None,
                     "kernel_reason": kernel_reason,
                 }

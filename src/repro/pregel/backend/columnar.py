@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..globalmap import fold_ordered
 from ..graph import Graph
 from ..runtime import PregelEngine, _NO_MESSAGES
 from .base import ExecutionBackend
@@ -59,6 +60,44 @@ def build_typed_columns(schema, fields: dict[str, list]) -> dict:
                 continue
         out[name] = values if column is None else column
     return out
+
+
+def vectorized_phases(receivers: dict, kernels: dict) -> list[str]:
+    """``RunMetrics.vectorized_phases`` for installed array code: the
+    phases that run either side — receive or compute — as array code."""
+    states = {state for state, _tag in receivers} | set(kernels)
+    return [f"phase{s}" for s in sorted(states)]
+
+
+class OutCsr:
+    """numpy views of a graph's out-CSR and of the vertex placement: what
+    a bulk neighbour send gathers from.  Built once per engine (on ``mp``
+    before the fork, so every worker shares it copy-on-write)."""
+
+    def __init__(self, graph: Graph, worker_of):
+        self.targets = np.asarray(graph.out_targets, dtype=np.int32)
+        self.offsets = np.asarray(graph.out_offsets, dtype=np.int64)
+        self.degrees = np.diff(self.offsets)
+        #: how many vertices have out-neighbours
+        self.num_senders = int(np.count_nonzero(self.degrees))
+        if isinstance(worker_of, bytes):
+            self.owner = np.frombuffer(worker_of, dtype=np.uint8)
+        else:  # >256 workers: the placement table is a plain int list
+            self.owner = np.asarray(worker_of, dtype=np.int64)
+        self.nbr_owner = self.owner[self.targets]
+
+    def out_edges(self, senders):
+        """``(edges, counts)`` for ascending ``senders`` that all have
+        out-neighbors: the CSR positions of their out-edges — sender by
+        sender, each slice in edge order — and how many each sender has.
+        ``edges`` is ``None`` when that is the whole CSR, as it is."""
+        counts = self.degrees[senders]
+        if len(senders) == self.num_senders:
+            return None, counts
+        ends = np.cumsum(counts)
+        edges = np.repeat(self.offsets[senders] - (ends - counts), counts)
+        edges += np.arange(ends[-1])
+        return edges, counts
 
 
 class ColumnarEngine(PregelEngine):
@@ -104,26 +143,17 @@ class ColumnarEngine(PregelEngine):
         self._slab_singles: list[list[int]] = [[] for _ in range(ntags)]
         self._slab_chunks: list[list] = [[] for _ in range(ntags)]
         self._slab_payloads: list[bytearray] = [bytearray() for _ in range(ntags)]
-        self._np_out_tgt = np.asarray(graph.out_targets, dtype=np.int32)
-        if isinstance(self._worker_of, bytes):
-            owner = np.frombuffer(self._worker_of, dtype=np.uint8)
-        else:  # >256 workers: the placement table is a plain int list
-            owner = np.asarray(self._worker_of, dtype=np.int64)
-        self._np_owner = owner
-        self._nbr_owner = owner[self._np_out_tgt]
+        self._csr = csr = OutCsr(graph, self._worker_of)
         # Per-vertex cross-worker neighbor counts, precomputed in one
         # vectorized pass so the per-send hot path stays numpy-free (a
         # per-call ``owners == w`` comparison costs microseconds).
         n = graph.num_nodes
-        self._np_out_off = np.asarray(graph.out_offsets, dtype=np.int64)
-        self._np_degrees = degrees = np.diff(self._np_out_off)
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        same = self._nbr_owner == np.repeat(owner, degrees)
-        self._np_cross_nbrs = degrees - np.bincount(src[same], minlength=n)
+        src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees)
+        same = csr.nbr_owner == np.repeat(csr.owner, csr.degrees)
+        self._np_cross_nbrs = csr.degrees - np.bincount(src[same], minlength=n)
         self._cross_nbrs = self._np_cross_nbrs.tolist()
-        #: how many vertices have out-neighbours / how many each worker owns
-        self._num_senders = int(np.count_nonzero(degrees))
-        self._worker_vertices = np.bincount(owner, minlength=self.num_workers).tolist()
+        #: how many vertices each worker owns
+        self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
         self._enqueue = self._slab_enqueue  # type: ignore[method-assign]
 
     def install_array_code(self, receivers: dict, kernels: dict) -> None:
@@ -141,10 +171,7 @@ class ColumnarEngine(PregelEngine):
         if self._slab_active:
             self._bulk_receivers = receivers
             self._phase_kernels = kernels
-            # Backend provenance for RunMetrics.summary(): which phases
-            # run either side as array code on this run.
-            states = {state for state, _tag in receivers} | set(kernels)
-            self.metrics.vectorized_phases = [f"phase{s}" for s in sorted(states)]
+            self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
 
     # -- vertex phase -----------------------------------------------------
 
@@ -198,7 +225,7 @@ class ColumnarEngine(PregelEngine):
         if singles:
             self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
             singles.clear()
-        self._slab_chunks[tag].append(self._np_out_tgt[s:e])
+        self._slab_chunks[tag].append(self._csr.targets[s:e])
         self._slab_payloads[tag] += self._codec.pack[tag](msg) * deg
         m = self.metrics
         size = self._codec.sizes[tag]
@@ -213,22 +240,19 @@ class ColumnarEngine(PregelEngine):
         if self._track_makespan:
             step_work = self._step_work
             step_work[sender_worker] += deg
-            owners = self._nbr_owner[s:e]
+            owners = self._csr.nbr_owner[s:e]
             for w, c in enumerate(np.bincount(owners, minlength=self.num_workers)):
                 step_work[w] += int(c)
 
     def out_edges(self, senders):
-        """``(edges, counts)`` for ascending ``senders`` that all have
-        out-neighbors: the CSR positions of their out-edges — sender by
-        sender, each slice in edge order — and how many each sender has.
-        ``edges`` is ``None`` when that is the whole CSR, as it is."""
-        counts = self._np_degrees[senders]
-        if len(senders) == self._num_senders:
-            return None, counts
-        ends = np.cumsum(counts)
-        edges = np.repeat(self._np_out_off[senders] - (ends - counts), counts)
-        edges += np.arange(ends[-1])
-        return edges, counts
+        """:meth:`OutCsr.out_edges` of this engine's graph."""
+        return self._csr.out_edges(senders)
+
+    def put_global_bulk(self, name: str, op, vids, values) -> None:
+        """A kernel's puts to one global, one per selected vertex in
+        ascending vid order (``vids`` None = every vertex): folded as the
+        per-vertex ``put_global`` chain would have."""
+        self.put_global(name, op, fold_ordered(op, values))
 
     def send_nbrs_bulk(self, tag: int, senders, edges, counts, records) -> None:
         """A whole phase's neighbor sends in one: stage ``records[k]`` along
@@ -240,7 +264,8 @@ class ColumnarEngine(PregelEngine):
         the per-vertex ``send_nbrs`` calls — or a per-edge ``send`` loop —
         would have produced.
         """
-        dsts = self._np_out_tgt if edges is None else self._np_out_tgt[edges]
+        csr = self._csr
+        dsts = csr.targets if edges is None else csr.targets[edges]
         singles = self._slab_singles[tag]
         if singles:
             self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
@@ -254,7 +279,7 @@ class ColumnarEngine(PregelEngine):
         m.messages += total
         m.message_bytes += size * total
         workers = self.num_workers
-        sent = np.bincount(self._np_owner[senders], weights=counts, minlength=workers)
+        sent = np.bincount(csr.owner[senders], weights=counts, minlength=workers)
         for w, c in enumerate(sent.astype(np.int64).tolist()):
             m.worker_sent[w] += c
         cross = int(self._np_cross_nbrs[senders].sum())
@@ -263,7 +288,7 @@ class ColumnarEngine(PregelEngine):
             m.net_bytes += size * cross
         if self._track_makespan:
             step_work = self._step_work
-            dst_owner = self._nbr_owner if edges is None else self._nbr_owner[edges]
+            dst_owner = csr.nbr_owner if edges is None else csr.nbr_owner[edges]
             received = np.bincount(dst_owner, minlength=workers).tolist()
             for w in range(workers):
                 step_work[w] += int(sent[w]) + received[w]

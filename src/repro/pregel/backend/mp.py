@@ -2,23 +2,40 @@
 
 The simulator *models* ``num_workers`` machines inside one process; this
 backend makes them real: one forked OS process per worker, each computing
-its hash partition of the vertices every superstep, exchanging the
+its partition of the vertices every superstep, exchanging the
 columnar backend's typed message slabs through ``multiprocessing.shared_memory``
 segments, and synchronizing at the same batched-routing barrier — here an
 actual parent-coordinated barrier rather than a simulated one.
 
+A worker is the partition's view of the columnar data plane: it compiles
+the program's array code (``repro.codegen.vectorize``) against itself
+after the fork and runs it exactly where :class:`ColumnarEngine` would —
+a phase kernel over its own vertices instead of the per-vertex loop, a
+bulk receive handler over a tag's incoming records instead of the dict
+inbox — selected per phase from the IR.  Sender combiners and
+vote-to-halt observe individual sends and keep the generated scalar
+program, as does the one step that consumes a recovery-seeded inbox; a
+tracer, fault tolerance, a memory budget and the tcp transport read
+per-worker totals and whole slabs, and cost the kernels nothing.
+
 Determinism (the whole point of the parity contract) is preserved by
 order-reconstructing merges at the parent barrier:
 
-* every slab record carries its **sender id**; a receiving worker merges
-  the incoming per-source slabs with a stable sort on sender, which
-  reconstructs the simulator's per-receiver message order exactly (global
-  send order = ascending sender id, since workers scan their partitions in
-  ascending order and partitions interleave);
-* vertex **global-object puts** ship to the parent as ``(vid, value)``
-  streams and are re-folded sequentially in ascending-vid order, so even
-  non-associative float reductions (a PageRank error sum) come out
-  bit-identical to the single-process fold;
+* every slab record carries its **sender id**; a receiving worker keeps
+  the incoming per-source slabs raw and delivers them at its next step,
+  when the broadcast state says which receive code they are for.  A
+  stable sort on sender merges them into the simulator's per-receiver
+  message order exactly (global send order = ascending sender id, since
+  workers scan their partitions in ascending order and partitions
+  interleave) — at array level ahead of a bulk receive handler, and only
+  if the vectorizer found an order-sensitive reduce in it (a float
+  ``SUM``/``PRODUCT``); record by record into the dict inbox otherwise;
+* vertex **global-object puts** ship to the parent — one ``(vid, value)``
+  per scalar put, one ``(vids, values)`` array pair per kernel put — and
+  are re-folded in ascending-vid order with the kernels' own ordered fold
+  (``globalmap.fold_ordered``), so even non-associative float reductions
+  (a PageRank error sum) come out bit-identical to the single-process
+  fold;
 * **combiners** fold per-process at the sender (each worker keeps one slot
   per ``(dst, tag)``, stamped with the vid of the slot's *first* send);
   the parent merges all workers' slots with a stable sort on that birth
@@ -122,9 +139,11 @@ from ..graph import Graph
 from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec
-from .columnar import build_typed_columns
+from ..globalmap import fold_ordered
+from .columnar import OutCsr, build_typed_columns, vectorized_phases
 
 _EMPTY: tuple = ()
+_NO_BYTES = np.empty(0, dtype=np.uint8)
 
 #: granularity of the deadline-based receive loop: how often the parent
 #: re-checks the worker's sentinel while waiting for a barrier reply.
@@ -298,16 +317,39 @@ def composition_refusals(
 
 
 class _TagStage:
-    """Outgoing messages for one (destination worker, tag): a destination
-    array, sender run-lengths, and the packed payload slab."""
+    """Outgoing messages for one (destination worker, tag).  Scalar sends
+    append to a destination array, sender run-lengths and the packed
+    payload; a kernel's bulk send — the only send of its phase on the tag
+    — sets ``bulk`` to its ``(dsts, senders, records | None)`` arrays."""
 
-    __slots__ = ("dsts", "senders", "counts", "payload")
+    __slots__ = ("dsts", "senders", "counts", "payload", "bulk")
 
     def __init__(self):
         self.dsts = array("i")
         self.senders: list[int] = []
         self.counts: list[int] = []
         self.payload = bytearray()
+        self.bulk = None
+
+    def take(self):
+        """``(count, dsts, senders, payload)`` — the slab's three sections
+        as byte arrays, in wire layout — or None when nothing was staged."""
+        if self.bulk is not None:
+            dsts, senders, records = self.bulk
+            payload = _NO_BYTES if records is None else records.view(np.uint8)
+            return len(dsts), dsts.view(np.uint8), senders.view(np.uint8), payload
+        if not self.dsts:
+            return None
+        senders = np.repeat(
+            np.asarray(self.senders, dtype=np.int32),
+            np.asarray(self.counts, dtype=np.int64),
+        )
+        return (
+            len(self.dsts),
+            np.frombuffer(self.dsts, dtype=np.uint8),
+            senders.view(np.uint8),
+            np.frombuffer(self.payload, dtype=np.uint8),
+        )
 
 
 class MPEngine(PregelEngine):
@@ -397,6 +439,13 @@ class MPEngine(PregelEngine):
                 slice(bounds[wid], bounds[wid + 1]) for wid in range(w)
             ]
         self._columns: dict[str, Any] = {}
+        #: the vectorizer, ``build(engine) -> (receivers, kernels)``: each
+        #: worker compiles its own array code with it after its fork (None:
+        #: the workers run the generated scalar program throughout).
+        self._array_code: Callable | None = None
+        #: numpy view of the out-CSR and the placement, built before the
+        #: first fork so the workers share it copy-on-write.
+        self._csr: OutCsr | None = None
         self._delivered = 0
         # real-failure machinery: scheduled process faults, the exchange
         # deadline, deferred detections, and the engine-level restart cap
@@ -452,6 +501,27 @@ class MPEngine(PregelEngine):
                 traffic * per_record, mem.plan if mem is not None else None
             )
         self._slab_bytes = mp_slab_bytes
+
+    def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
+        """Take the vectorizer: ``build(engine, decisions=None)`` returns
+        ``(receivers, kernels)`` compiled against ``engine``.
+
+        Every worker compiles its own array code after its fork — against
+        itself, so kernels stage through its slabs and column views bind
+        the process's live copy-on-write columns — and runs it per phase,
+        from the IR, as :class:`ColumnarEngine` does.  Sender combiners and
+        vote-to-halt observe individual sends, so with either on the
+        workers keep the generated scalar program.  The parent compiles
+        once against a worker that never runs, for the record: which
+        phases engage (``RunMetrics.vectorized_phases``) and why the others
+        do not (``decisions``, the ``compile.vectorize`` trace events)."""
+        engages = not self._combiners and self._voted is None
+        if engages:
+            self._array_code = build
+        if engages or decisions is not None:
+            receivers, kernels = build(_Worker(0, self, ()), decisions=decisions)
+            if engages:
+                self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
 
     def _wire_boundaries(self) -> None:
         """mp's start-of-superstep order: escalate what the last exchange
@@ -545,6 +615,7 @@ class MPEngine(PregelEngine):
                     self._listeners.append(sock)
                     self._ports.append(sock.getsockname()[1])
                     _track_socket(sock)
+            self._csr = OutCsr(self.graph, self._worker_of)
             self._workers = [
                 _Worker(wid, self, self._segments) for wid in range(w)
             ]
@@ -965,12 +1036,7 @@ class MPEngine(PregelEngine):
                     if ft is not None:
                         ft.account_delivery()
                 combined_parts[dest].append((dst, msg))
-        # Re-fold vertex puts in ascending-vid order: bit-identical to
-        # the simulator's sequential fold (float sums included).
-        all_puts.sort(key=lambda p: p[2])
-        put_reduce = self.globals.put_reduce
-        for name, op, _vid, value in all_puts:
-            put_reduce(name, op, value)
+        self._fold_puts(all_puts)
         directories = [r[1] for r in replies]
         inlines = [r[2] for r in replies]
         if self._track_makespan:
@@ -1088,6 +1154,46 @@ class MPEngine(PregelEngine):
             phases, None, worker_computed, worker_seconds, worker_bytes, info
         )
 
+    def _fold_puts(self, puts: list) -> None:
+        """Re-fold the workers' vertex puts in ascending-vid order:
+        bit-identical to the simulator's sequential fold, float sums
+        included.
+
+        A worker's scalar step ships one ``(name, op, vid, value)`` per
+        put, a kernel one ``(name, op, vids, values)`` array pair per
+        global — and one superstep can hold both for the same global (a
+        worker re-forked by a confined recovery re-runs the step scalar
+        while its peers' kernel replies are already in).  Either way each
+        global's puts become one vid-ordered array, folded with the
+        kernels' own ordered fold; values of unlike types stay Python
+        objects, which that fold combines one by one."""
+        streams: dict[tuple, list] = {}
+        for name, op, vids, values in puts:
+            streams.setdefault((name, op), []).append((vids, values))
+        folded = []
+        for (name, op), parts in streams.items():
+            if all(isinstance(values, np.ndarray) for _vids, values in parts) and (
+                len({values.dtype for _vids, values in parts}) == 1
+            ):
+                vids = np.concatenate([vids for vids, _values in parts])
+                values = np.concatenate([values for _vids, values in parts])
+            else:
+                vids = np.concatenate([np.atleast_1d(vids) for vids, _values in parts])
+                values = np.empty(len(vids), dtype=object)
+                values[:] = [
+                    x
+                    for _vids, part in parts
+                    for x in (part.tolist() if isinstance(part, np.ndarray) else (part,))
+                ]
+            # stable: one vertex's puts (one worker's) stay in program order
+            order = np.argsort(vids, kind="stable")
+            folded.append((vids[order[0]], name, op, fold_ordered(op, values[order])))
+        # slots open in the order a sequential fold would have opened them
+        folded.sort(key=lambda put: put[0])
+        put_reduce = self.globals.put_reduce
+        for _first, name, op, value in folded:
+            put_reduce(name, op, value)
+
     def _decode_outbox(self, directories, inlines) -> dict[int, list]:
         """Parent-side decode of every worker's slabs into one sim-shaped
         ``{dst: msgs}`` map (all destinations, not just one worker's).
@@ -1182,6 +1288,7 @@ class MPEngine(PregelEngine):
             for name, values in reply[1].items():
                 column = self._columns[name]
                 if isinstance(column, array):
+                    # the partition slice as the worker's raw column bytes
                     column[part] = array(column.typecode, values)
                 else:
                     for i, vid in enumerate(range(n)[part]):
@@ -1189,22 +1296,34 @@ class MPEngine(PregelEngine):
 
 
 class _Worker:
-    """One worker process: computes its hash partition, stages outgoing
+    """One worker process: the partition's view of the columnar data plane.
+
+    It computes its partition every superstep — a phase the vectorizer
+    compiled runs as the same array kernel :class:`ColumnarEngine` runs,
+    restricted to the partition's vertices; any other phase as the
+    generated scalar program, one call per vertex — stages outgoing
     messages as per-(destination, tag) slabs in its shared-memory segment
-    (folding combined tags into per-(dst, tag) slots instead), and rebuilds
-    its inbox from the other workers' slabs after the barrier.
+    (folding combined tags into per-(dst, tag) slots instead), keeps the
+    other workers' slabs destined here raw after the barrier, and delivers
+    them at the next step, when the broadcast state says which receive
+    code they are for: a bulk receive handler takes a tag's records as
+    arrays, a scalar receive loop takes them from the dict inbox.
 
     Constructed in the parent *before* fork, so every heavy structure (the
     graph CSR, property columns, the generated vertex function and its
     environment) is inherited copy-on-write — nothing is pickled.  A
     recovery re-fork reuses the same instance: the replacement process
-    inherits the parent's *restored* columns the same way."""
+    inherits the parent's *restored* columns the same way, and compiles
+    its array code against them in its own ``_init``."""
 
     def __init__(self, wid: int, engine: MPEngine, segments):
         self.wid = wid
         self.engine = engine
         self.segments = segments
         self._current_vertex = -1
+        # read by array code, which is compiled against this object
+        self.globals = engine.globals
+        self.graph = engine.graph
 
     # -- vertex-side ctx API (called by generated code) -----------------
 
@@ -1236,10 +1355,11 @@ class _Worker:
                 c["sent"] += len(targets)
                 c["staged"] += self._sizes[tag] * len(targets)
             return
-        offsets = self._grp_off[vid]
-        deg = offsets[-1] - offsets[0]
-        if deg == 0:
-            return
+        if self._grp_off is None:
+            self._group_nbrs()
+        offsets = self._grp_off.get(vid)
+        if offsets is None:
+            return  # no out-neighbours
         record = self._pack[tag](msg)
         grp_tgt = self._grp_tgt
         for dest in range(self._w):
@@ -1251,6 +1371,7 @@ class _Worker:
                 stage.senders.append(vid)
                 stage.counts.append(b - a)
                 stage.payload += record * (b - a)
+        deg = offsets[-1] - offsets[0]
         own = offsets[self.wid + 1] - offsets[self.wid]
         self._meter(tag, deg, deg - own)
 
@@ -1326,12 +1447,48 @@ class _Worker:
             c["net_messages"] += cross
             c["net_bytes"] += size * cross
 
+    # -- kernel-side API (called by array code) -------------------------
+
+    def out_edges(self, senders):
+        return self.engine._csr.out_edges(senders)
+
+    def send_nbrs_bulk(self, tag: int, senders, edges, counts, records) -> None:
+        """A kernel's one send on ``tag``: ``records[k]`` along out-edge
+        ``edges[k]`` (``out_edges(senders)``), split by destination worker
+        — stably, so each slab keeps ascending-sender, edge order, what the
+        per-vertex sends stage — and metered as they are."""
+        csr = self.engine._csr
+        dsts = csr.targets if edges is None else csr.targets[edges]
+        sender_ids = np.repeat(senders.astype(np.int32), counts)
+        owner = csr.nbr_owner if edges is None else csr.nbr_owner[edges]
+        order = np.argsort(owner, kind="stable")
+        ends = np.cumsum(np.bincount(owner, minlength=self._w)).tolist()
+        dsts, sender_ids = dsts[order], sender_ids[order]
+        if records is not None:
+            records = records[order]
+        a = 0
+        for dest, b in enumerate(ends):
+            if b > a:
+                self._stage[dest][tag].bulk = (
+                    dsts[a:b],
+                    sender_ids[a:b],
+                    None if records is None else records[a:b],
+                )
+            if dest == self.wid:
+                own = b - a
+            a = b
+        self._meter(tag, len(dsts), len(dsts) - own)
+
+    def put_global_bulk(self, name: str, op, vids, values) -> None:
+        """A kernel's puts to one global: shipped whole, folded with the
+        other workers' by the parent (``MPEngine._fold_puts``)."""
+        self._puts.append((name, op, vids, values))
+
     # -- process body ---------------------------------------------------
 
     def _init(self) -> None:
         engine = self.engine
-        graph = engine.graph
-        n = graph.num_nodes
+        n = engine.graph.num_nodes
         self._w = engine.num_workers
         # Per-process registry (built post-fork when the parent meters):
         # snapshots ship back — and reset — with every exchange reply, so
@@ -1353,6 +1510,7 @@ class _Worker:
         self._tag_ids = codec.tag_ids
         self._part_slice = engine._part_slices[self.wid]
         self._own_vids = list(range(n)[self._part_slice])
+        self._own_ids = np.arange(n, dtype=np.int64)[self._part_slice]
         # tcp transport: keep the fork-inherited copy of our own listener,
         # close the siblings' (their owners hold the live fds — a stray
         # inherited copy here would keep a "closed" listener accepting).
@@ -1383,7 +1541,15 @@ class _Worker:
             }
         self._puts: list = []
         self._counters = self._fresh_counters()
+        # What the next step consumes.  An exchange leaves the raw slab
+        # parts destined here, per tag, plus the parent's combined
+        # messages; a seed (recovery re-fork, re-seed after an abandoned
+        # tcp exchange) leaves a ready dict inbox instead, and the step
+        # that consumes one runs the scalar program.
+        self._parts: dict[int, list] = {}
+        self._combined_in: list = _EMPTY
         self._inbox: dict[int, list] = {}
+        self._seeded = False
         self._combined: dict = {}
         # Voting: fork-inherited copy of the parent's bitset (or None).
         self._voted = engine._voted
@@ -1399,26 +1565,36 @@ class _Worker:
         self._stage = [
             {tag: _TagStage() for tag in self._tag_ids} for _ in range(self._w)
         ]
-        # Group every vertex's out-neighbor slice by destination worker
-        # (stable), so a neighbor broadcast stages one contiguous run per
-        # destination.  One vectorized pass over the whole CSR.
-        tgt = np.asarray(graph.out_targets, dtype=np.int32)
-        if isinstance(self._worker_of, bytes):
-            owner = np.frombuffer(self._worker_of, dtype=np.uint8)
-        else:
-            owner = np.asarray(self._worker_of, dtype=np.int64)
-        nbr_owner = owner[tgt].astype(np.int64)
-        degrees = np.diff(np.asarray(graph.out_offsets, dtype=np.int64))
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        order = np.lexsort((nbr_owner, src))
-        self._grp_tgt = tgt[order]
-        counts = np.bincount(src * self._w + nbr_owner, minlength=n * self._w)
-        counts = counts.reshape(n, self._w)
-        grp_off = np.empty((n, self._w + 1), dtype=np.int64)
-        grp_off[:, 0] = np.asarray(graph.out_offsets[:-1], dtype=np.int64)
-        np.cumsum(counts, axis=1, out=grp_off[:, 1:])
-        grp_off[:, 1:] += grp_off[:, :1]
-        self._grp_off = grp_off.tolist()
+        self._grp_off: dict | None = None  # built by the first scalar send_nbrs
+        # Array code, compiled against this process: the kernels stage
+        # through the methods above and their column views bind the
+        # columns this fork inherited.
+        self._receivers: dict = {}
+        self._kernels: dict = {}
+        if engine._array_code is not None:
+            self._receivers, self._kernels = engine._array_code(self)
+
+    def _group_nbrs(self) -> None:
+        """Group every own vertex's out-neighbor slice by destination
+        worker (stable), so a scalar neighbor broadcast stages one
+        contiguous run per destination: ``_grp_tgt`` holds the regrouped
+        targets, ``_grp_off[vid]`` the ``w + 1`` bounds of vid's runs."""
+        csr = self.engine._csr
+        w = self._w
+        senders = self._own_ids[csr.degrees[self._own_ids] != 0]
+        if not senders.size:
+            self._grp_tgt, self._grp_off = csr.targets[:0], {}
+            return
+        edges, counts = csr.out_edges(senders)
+        tgt = csr.targets if edges is None else csr.targets[edges]
+        owner = csr.nbr_owner if edges is None else csr.nbr_owner[edges]
+        src = np.repeat(np.arange(len(senders), dtype=np.int64), counts)
+        self._grp_tgt = tgt[np.lexsort((owner, src))]
+        runs = np.bincount(src * w + owner, minlength=len(senders) * w)
+        bounds = np.zeros((len(senders), w + 1), dtype=np.int64)
+        np.cumsum(runs.reshape(len(senders), w), axis=1, out=bounds[:, 1:])
+        bounds += (np.cumsum(counts) - counts)[:, None]
+        self._grp_off = dict(zip(senders.tolist(), bounds.tolist()))
 
     @staticmethod
     def _fresh_counters() -> dict:
@@ -1436,121 +1612,15 @@ class _Worker:
     def main(self, conn) -> None:
         try:
             self._init()
-            engine = self.engine
-            compute = engine._vertex_compute
-            broadcast = engine.globals.broadcast
-            empty = _EMPTY
             while True:
                 cmd = conn.recv()
                 kind = cmd[0]
                 if kind == "step":
-                    broadcast.clear()
-                    broadcast.update(cmd[1])
-                    if len(cmd) > 2 and cmd[2]:
-                        # Injected hang: sleep past the parent's exchange
-                        # deadline — it detects the miss and recovers (we
-                        # get terminated mid-nap by the re-fork).
-                        time.sleep(cmd[2])
-                    inbox = self._inbox
-                    self._inbox = {}
-                    t0 = time.perf_counter()
-                    voted = self._voted
-                    if voted is None:
-                        for vid in self._own_vids:
-                            self._current_vertex = vid
-                            compute(self, vid, inbox.get(vid, empty))
-                        computed = len(self._own_vids)
-                    else:
-                        computed = 0
-                        for vid in self._own_vids:
-                            if voted[vid]:
-                                continue
-                            self._current_vertex = vid
-                            compute(self, vid, inbox.get(vid, empty))
-                            computed += 1
-                    self._current_vertex = -1
-                    c = self._counters
-                    c["computed"] = computed
-                    c["seconds"] = time.perf_counter() - t0
-                    if self._mreg is not None:
-                        wid = str(self.wid)
-                        self._mreg.histogram(
-                            "mp.worker_step_seconds", worker=wid
-                        ).observe(c["seconds"])
-                        self._mreg.counter(
-                            "mp.worker_staged_bytes", worker=wid
-                        ).inc(c["staged"])
-                    directory, inline = self._write_slabs()
-                    slots = [
-                        (birth, dst, tag, msg)
-                        for (dst, tag), (birth, msg) in self._combined.items()
-                    ]
-                    self._combined.clear()
-                    conn.send(
-                        ("stat", directory, inline, c, self._puts, slots)
-                    )
+                    conn.send(self._step(cmd))
                     self._counters = self._fresh_counters()
                     self._puts = []
                 elif kind == "exchange":
-                    t0 = time.perf_counter()
-                    self._recv_bytes = 0
-                    report = None
-                    if self._tcp is not None:
-                        report = self._exchange_tcp(
-                            cmd[1], cmd[2], cmd[4] if len(cmd) > 4 else None
-                        )
-                    else:
-                        self._read_slabs(cmd[1], cmd[2])
-                    voted = self._voted
-                    if report:
-                        # A peer failed: abandon the whole exchange —
-                        # discard the partial inbox, skip the combined
-                        # parts and the vote clears (the parent re-seeds
-                        # this worker after recovery) and report the
-                        # classified causes so the parent can fold blame.
-                        self._inbox = {}
-                        votes = (
-                            bytes(voted[self._part_slice])
-                            if voted is not None
-                            else None
-                        )
-                        route_s = time.perf_counter() - t0
-                        snap = (
-                            self._mreg.snapshot(reset=True)
-                            if self._mreg is not None
-                            else None
-                        )
-                        conn.send(("ready", route_s, snap, 0, votes, report))
-                        continue
-                    inbox = self._inbox
-                    ovh = self._mem_overhead
-                    sizes = self._sizes
-                    for dst, msg in cmd[3][self.wid]:
-                        if ovh is not None:
-                            self._recv_bytes += sizes[msg[0]] + ovh
-                        bucket = inbox.get(dst)
-                        if bucket is None:
-                            inbox[dst] = [msg]
-                        else:
-                            bucket.append(msg)
-                    votes = None
-                    if voted is not None:
-                        # Ship this partition's slice *before* the delivery
-                        # clears: the parent's fold then matches the
-                        # simulator's end-of-phase bitset (checkpoints and
-                        # traces included).  The local copy clears now —
-                        # delivered messages wake their receivers next step.
-                        votes = bytes(voted[self._part_slice])
-                        for dst in inbox:
-                            voted[dst] = 0
-                    route_s = time.perf_counter() - t0
-                    snap = None
-                    if self._mreg is not None:
-                        self._mreg.histogram(
-                            "mp.worker_route_seconds", worker=str(self.wid)
-                        ).observe(route_s)
-                        snap = self._mreg.snapshot(reset=True)
-                    conn.send(("ready", route_s, snap, self._recv_bytes, votes))
+                    conn.send(self._exchange(cmd))
                 elif kind == "snapshot":
                     conn.send(("columns", self._gather()))
                 elif kind == "seed":
@@ -1562,6 +1632,8 @@ class _Worker:
                     # already-cleared bitset), the missing wake-up for a
                     # live worker that abandoned its exchange.
                     self._inbox = cmd[1]
+                    self._seeded = True
+                    self._parts, self._combined_in = {}, _EMPTY
                     if self._voted is not None:
                         for dst in self._inbox:
                             self._voted[dst] = 0
@@ -1579,6 +1651,169 @@ class _Worker:
         finally:
             conn.close()
 
+    def _step(self, cmd) -> tuple:
+        """One vertex phase over this partition; returns the stat reply."""
+        broadcast = self.engine.globals.broadcast
+        broadcast.clear()
+        broadcast.update(cmd[1])
+        if len(cmd) > 2 and cmd[2]:
+            # Injected hang: sleep past the parent's exchange deadline — it
+            # detects the miss and recovers (we get terminated mid-nap by
+            # the re-fork).
+            time.sleep(cmd[2])
+        t0 = time.perf_counter()
+        mreg = self._mreg
+        wid = str(self.wid)
+        state = broadcast.get("_state")
+        # A seeded inbox holds every tag decoded already: that step is the
+        # scalar program's.  Otherwise the phase's own choice, as on the
+        # columnar engine: its kernel if the vectorizer built one.
+        kernel = None if self._seeded else self._kernels.get(state)
+        self._seeded = False
+        inbox = self._deliver(state)
+        own = self._own_vids
+        voted = self._voted
+        if kernel is not None:
+            # array code and voting never meet: every own vertex computes
+            kernel(self._own_ids)
+            computed = len(own)
+        else:
+            compute = self.engine._vertex_compute
+            empty = _EMPTY
+            if voted is None:
+                for vid in own:
+                    self._current_vertex = vid
+                    compute(self, vid, inbox.get(vid, empty))
+                computed = len(own)
+            else:
+                computed = 0
+                for vid in own:
+                    if voted[vid]:
+                        continue
+                    self._current_vertex = vid
+                    compute(self, vid, inbox.get(vid, empty))
+                    computed += 1
+            self._current_vertex = -1
+        c = self._counters
+        c["computed"] = computed
+        directory, inline = self._write_slabs()
+        slots = [
+            (birth, dst, tag, msg)
+            for (dst, tag), (birth, msg) in self._combined.items()
+        ]
+        self._combined.clear()
+        c["seconds"] = time.perf_counter() - t0
+        if mreg is not None:
+            mreg.histogram("mp.worker_step_seconds", worker=wid).observe(c["seconds"])
+            mreg.counter("mp.worker_staged_bytes", worker=wid).inc(c["staged"])
+            as_kernel = computed if kernel is not None else 0
+            mreg.counter("mp.kernel_vertices", worker=wid).inc(as_kernel)
+            mreg.counter("mp.scalar_vertices", worker=wid).inc(computed - as_kernel)
+        return ("stat", directory, inline, c, self._puts, slots)
+
+    def _deliver(self, state) -> dict:
+        """Hand the pending messages to this step's receive code and
+        return the dict inbox the scalar receive loops read.  A tag with a
+        bulk receive handler for ``state`` is consumed here, as arrays; the
+        records of every other tag are decoded into the inbox."""
+        inbox, self._inbox = self._inbox, {}
+        parts_by_tag, self._parts = self._parts, {}
+        bulk = scalar = 0
+        if self._mreg is not None:
+            scalar = sum(map(len, inbox.values()))  # a seeded inbox
+        for tag in self._tag_ids:
+            parts = parts_by_tag.get(tag)
+            if not parts:
+                continue
+            count = sum(part[3] for part in parts)
+            handler = self._receivers.get((state, tag))
+            if handler is None:
+                self._merge_parts(tag, parts, inbox)
+                scalar += count
+                continue
+            if len(parts) == 1:
+                dsts, _senders, payload, _count = parts[0]
+            else:
+                dsts = np.concatenate([part[0] for part in parts])
+                payload = b"".join(part[2] for part in parts)
+                if handler.ordered_merge is not None:
+                    # One part per source worker, each ascending in
+                    # sender: a stable sort on sender merges the runs
+                    # into the simulator's global send order.
+                    order = np.argsort(
+                        np.concatenate([part[1] for part in parts]), kind="stable"
+                    )
+                    dsts = dsts[order]
+                    if payload:
+                        size = self._sizes[tag]
+                        payload = np.frombuffer(payload, dtype=f"V{size}")[order]
+            handler(dsts, payload, count)
+            bulk += count
+        for dst, msg in self._combined_in:
+            bucket = inbox.get(dst)
+            if bucket is None:
+                inbox[dst] = [msg]
+            else:
+                bucket.append(msg)
+        scalar += len(self._combined_in)
+        self._combined_in = _EMPTY
+        if self._mreg is not None:
+            wid = str(self.wid)
+            self._mreg.counter("mp.bulk_records", worker=wid).inc(bulk)
+            self._mreg.counter("mp.scalar_records", worker=wid).inc(scalar)
+        return inbox
+
+    def _exchange(self, cmd) -> tuple:
+        """Collect the slabs destined here; returns the ready reply."""
+        t0 = time.perf_counter()
+        self._recv_bytes = 0
+        frames = None
+        report = None
+        if self._tcp is not None:
+            frames, report = self._exchange_tcp(
+                cmd[1], cmd[2], cmd[4] if len(cmd) > 4 else None
+            )
+        voted = self._voted
+        mreg = self._mreg
+        if report:
+            # A peer failed: abandon the whole exchange — keep no part of
+            # it, skip the combined parts and the vote clears (the parent
+            # re-seeds this worker after recovery) and report the
+            # classified causes so the parent can fold blame.
+            votes = bytes(voted[self._part_slice]) if voted is not None else None
+            route_s = time.perf_counter() - t0
+            snap = mreg.snapshot(reset=True) if mreg is not None else None
+            return ("ready", route_s, snap, 0, votes, report)
+        self._read_slabs(cmd[1], cmd[2], frames)
+        self._combined_in = combined = cmd[3][self.wid]
+        ovh = self._mem_overhead
+        if ovh is not None:
+            sizes = self._sizes
+            for _dst, msg in combined:
+                self._recv_bytes += sizes[msg[0]] + ovh
+        votes = None
+        if voted is not None:
+            # Ship this partition's slice *before* the delivery clears:
+            # the parent's fold then matches the simulator's end-of-phase
+            # bitset (checkpoints and traces included).  The local copy
+            # clears now — delivered messages wake their receivers next
+            # step.
+            votes = bytes(voted[self._part_slice])
+            waking = np.frombuffer(voted, dtype=np.uint8)
+            for parts in self._parts.values():
+                for dsts, _senders, _payload, _count in parts:
+                    waking[dsts] = 0
+            for dst, _msg in combined:
+                voted[dst] = 0
+        route_s = time.perf_counter() - t0
+        snap = None
+        if mreg is not None:
+            mreg.histogram(
+                "mp.worker_route_seconds", worker=str(self.wid)
+            ).observe(route_s)
+            snap = mreg.snapshot(reset=True)
+        return ("ready", route_s, snap, self._recv_bytes, votes)
+
     def _write_slabs(self):
         """Flush the staged per-(destination, tag) slabs into this worker's
         shared-memory segment; anything past its capacity travels inline
@@ -1590,8 +1825,8 @@ class _Worker:
         parity guarantee), while the receivers build their inboxes from
         the frames."""
         seg = self.segments[self.wid]
-        buf = seg.buf
         capacity = seg.size
+        segment = np.frombuffer(seg.buf, dtype=np.uint8)
         offset = 0
         directory = []
         inline = []
@@ -1599,37 +1834,35 @@ class _Worker:
         for dest in range(self._w):
             stages = self._stage[dest]
             for tag in self._tag_ids:
-                stage = stages[tag]
-                count = len(stage.dsts)
-                if count == 0:
+                slab = stages[tag].take()
+                if slab is None:
                     continue
-                dst_bytes = stage.dsts.tobytes()
-                sender_bytes = np.repeat(
-                    np.asarray(stage.senders, dtype=np.int32),
-                    np.asarray(stage.counts, dtype=np.int64),
-                ).tobytes()
-                payload = bytes(stage.payload)
+                stages[tag] = _TagStage()
+                count, dsts, senders, payload = slab
                 if tcp_out is not None and dest != self.wid:
                     tcp_out[dest].append(
-                        (tag, count, dst_bytes, sender_bytes, payload)
+                        (tag, count, dsts.tobytes(), senders.tobytes(), payload.tobytes())
                     )
-                total = len(dst_bytes) + len(sender_bytes) + len(payload)
-                if offset + total <= capacity:
-                    buf[offset : offset + len(dst_bytes)] = dst_bytes
-                    mid = offset + len(dst_bytes)
-                    buf[mid : mid + len(sender_bytes)] = sender_bytes
-                    pay = mid + len(sender_bytes)
-                    buf[pay : pay + len(payload)] = payload
-                    directory.append((dest, tag, count, offset, len(payload)))
-                    offset += total
+                mid = offset + dsts.size
+                pay = mid + senders.size
+                end = pay + payload.size
+                if end <= capacity:
+                    segment[offset:mid] = dsts
+                    segment[mid:pay] = senders
+                    segment[pay:end] = payload
+                    directory.append((dest, tag, count, offset, payload.size))
+                    offset = end
                 else:
-                    inline.append((dest, tag, count, dst_bytes, sender_bytes, payload))
-                self._stage[dest][tag] = _TagStage()
+                    inline.append(
+                        (dest, tag, count, dsts.tobytes(), senders.tobytes(), payload.tobytes())
+                    )
         return directory, inline
 
-    def _exchange_tcp(self, directories, inlines, net) -> dict | None:
-        """Run the socket leg of the exchange; ``None`` on success, else
-        the ``{peer: cause}`` failure report.
+    def _exchange_tcp(self, directories, inlines, net):
+        """Run the socket leg of the exchange: ``(frames, None)`` — the
+        other workers' parts destined here, ``{source: [(tag, count,
+        dst_bytes, sender_bytes, payload), ...]}`` — on success, else
+        ``(None, {peer: cause})``, the failure report.
 
         The directories every worker shipped through the parent double as
         the receive manifest: each (dest==us) entry from another source
@@ -1649,58 +1882,34 @@ class _Worker:
             time.sleep(fault[1])
         wid = self.wid
         expected: dict[int, int] = {}
-        for source, directory in enumerate(directories):
-            if source == wid:
-                continue
-            frames = sum(1 for entry in directory if entry[0] == wid)
-            if frames:
-                expected[source] = expected.get(source, 0) + frames
-        for source, entries in enumerate(inlines):
-            if source == wid:
-                continue
-            frames = sum(1 for entry in entries if entry[0] == wid)
-            if frames:
-                expected[source] = expected.get(source, 0) + frames
+        for source in range(self._w):
+            if source != wid:
+                slabs = (*directories[source], *inlines[source])
+                frames = sum(1 for entry in slabs if entry[0] == wid)
+                if frames:
+                    expected[source] = frames
         outgoing = {d: parts for d, parts in self._tcp_outgoing.items() if parts}
         self._tcp_outgoing = {d: [] for d in range(self._w) if d != wid}
-        parts, report = tcp.exchange(outgoing, expected, self._tcp_deadline)
-        if report:
-            return report
-        self._read_slabs_tcp(directories, inlines, parts)
-        return None
+        frames, report = tcp.exchange(outgoing, expected, self._tcp_deadline)
+        return (None, report) if report else (frames, None)
 
-    def _read_slabs_tcp(self, directories, inlines, tcp_parts) -> None:
-        """The tcp-mode inbox build: our own slabs from our segment (a
-        worker's messages to itself never touch the network), every other
-        source's from its received socket frames — the same per-(source,
-        tag) parts, so the identical stable sender sort reconstructs the
-        simulator's per-receiver order."""
+    def _read_slabs(self, directories, inlines, frames=None) -> None:
+        """Keep every slab destined here, raw, for the next step: per tag
+        one ``(dsts, senders, payload, count)`` part per source worker,
+        each in that worker's send order (ascending sender).  ``frames`` is
+        None over shm — every source's slabs are read from its segment (or
+        its inline overflow); over tcp it holds the other workers' parts
+        as received from the sockets, and only our own slabs (a worker's
+        messages to itself never touch the network) come from the segment."""
         wid = self.wid
         ovh = self._mem_overhead
         sizes = self._sizes
-        per_tag: dict[int, list] = {tag: [] for tag in self._tag_ids}
-        seg_buf = self.segments[wid].buf
-        for dest, tag, count, offset, payload_len in directories[wid]:
-            if dest != wid:
-                continue
+        pending = self._parts = {}
+
+        def keep(tag, count, dst_bytes, sender_bytes, payload):
             if ovh is not None:
                 self._recv_bytes += count * (sizes[tag] + ovh)
-            mid = offset + 4 * count
-            pay = mid + 4 * count
-            per_tag[tag].append(
-                (
-                    np.frombuffer(bytes(seg_buf[offset:mid]), dtype=np.int32),
-                    np.frombuffer(bytes(seg_buf[mid:pay]), dtype=np.int32),
-                    bytes(seg_buf[pay : pay + payload_len]),
-                    count,
-                )
-            )
-        for dest, tag, count, dst_bytes, sender_bytes, payload in inlines[wid]:
-            if dest != wid:
-                continue
-            if ovh is not None:
-                self._recv_bytes += count * (sizes[tag] + ovh)
-            per_tag[tag].append(
+            pending.setdefault(tag, []).append(
                 (
                     np.frombuffer(dst_bytes, dtype=np.int32),
                     np.frombuffer(sender_bytes, dtype=np.int32),
@@ -1708,96 +1917,66 @@ class _Worker:
                     count,
                 )
             )
-        for _source, frames in sorted(tcp_parts.items()):
-            for tag, count, dst_bytes, sender_bytes, payload in frames:
-                if ovh is not None:
-                    self._recv_bytes += count * (sizes[tag] + ovh)
-                per_tag[tag].append(
-                    (
-                        np.frombuffer(dst_bytes, dtype=np.int32),
-                        np.frombuffer(sender_bytes, dtype=np.int32),
-                        payload,
-                        count,
-                    )
-                )
-        self._merge_parts(per_tag)
 
-    def _read_slabs(self, directories, inlines) -> None:
-        """Build next superstep's inbox from every worker's slabs destined
-        here, merged per tag by sender id (stable) — the simulator's exact
-        per-receiver order."""
-        wid = self.wid
-        ovh = self._mem_overhead
-        sizes = self._sizes
-        per_tag: dict[int, list] = {tag: [] for tag in self._tag_ids}
-        for source, directory in enumerate(directories):
-            seg_buf = self.segments[source].buf
-            for dest, tag, count, offset, payload_len in directory:
-                if dest != wid:
-                    continue
-                if ovh is not None:
-                    self._recv_bytes += count * (sizes[tag] + ovh)
-                mid = offset + 4 * count
-                pay = mid + 4 * count
-                dst = np.frombuffer(bytes(seg_buf[offset:mid]), dtype=np.int32)
-                snd = np.frombuffer(bytes(seg_buf[mid:pay]), dtype=np.int32)
-                payload = bytes(seg_buf[pay : pay + payload_len])
-                per_tag[tag].append((dst, snd, payload, count))
-        for source, entries in enumerate(inlines):
-            for dest, tag, count, dst_bytes, sender_bytes, payload in entries:
-                if dest != wid:
-                    continue
-                if ovh is not None:
-                    self._recv_bytes += count * (sizes[tag] + ovh)
-                per_tag[tag].append(
-                    (
-                        np.frombuffer(dst_bytes, dtype=np.int32),
-                        np.frombuffer(sender_bytes, dtype=np.int32),
-                        payload,
-                        count,
-                    )
-                )
-        self._merge_parts(per_tag)
-
-    def _merge_parts(self, per_tag: dict[int, list]) -> None:
-        inbox = self._inbox
-        for tag in self._tag_ids:
-            parts = per_tag[tag]
-            if not parts:
+        for source in range(self._w):
+            if frames is not None and source != wid:
+                for part in frames.get(source, _EMPTY):
+                    keep(*part)
                 continue
-            if len(parts) == 1:
-                dst_all, snd_all, payload, count = parts[0]
-                records = self._unpack[tag](payload, count)
+            seg_buf = self.segments[source].buf
+            for dest, tag, count, offset, payload_len in directories[source]:
+                if dest == wid:
+                    mid = offset + 4 * count
+                    pay = mid + 4 * count
+                    keep(
+                        tag,
+                        count,
+                        bytes(seg_buf[offset:mid]),
+                        bytes(seg_buf[mid:pay]),
+                        bytes(seg_buf[pay : pay + payload_len]),
+                    )
+            for dest, *part in inlines[source]:
+                if dest == wid:
+                    keep(*part)
+
+    def _merge_parts(self, tag: int, parts: list, inbox: dict) -> None:
+        """Decode one tag's parts into per-receiver message lists, merged
+        by sender id (stable) — the simulator's exact per-receiver order."""
+        if len(parts) == 1:
+            dst_all, snd_all, payload, count = parts[0]
+            records = self._unpack[tag](payload, count)
+        else:
+            dst_all = np.concatenate([p[0] for p in parts])
+            snd_all = np.concatenate([p[1] for p in parts])
+            records = []
+            for _dst, _snd, payload, count in parts:
+                records.extend(self._unpack[tag](payload, count))
+        # Two stable sorts: first by sender (reconstructing the
+        # simulator's global send order), then by receiver (grouping
+        # bucket fills into list slices instead of per-record appends).
+        by_sender = np.argsort(snd_all, kind="stable")
+        order = by_sender[np.argsort(dst_all[by_sender], kind="stable")]
+        sorted_dsts = dst_all[order]
+        sorted_recs = [records[i] for i in order.tolist()]
+        cuts = np.flatnonzero(sorted_dsts[1:] != sorted_dsts[:-1]) + 1
+        starts = [0, *cuts.tolist()]
+        ends = [*cuts.tolist(), len(sorted_recs)]
+        for dst, a, b in zip(sorted_dsts[starts].tolist(), starts, ends):
+            bucket = inbox.get(dst)
+            if bucket is None:
+                inbox[dst] = sorted_recs[a:b]
             else:
-                dst_all = np.concatenate([p[0] for p in parts])
-                snd_all = np.concatenate([p[1] for p in parts])
-                records = []
-                for _dst, _snd, payload, count in parts:
-                    records.extend(self._unpack[tag](payload, count))
-            # Two stable sorts: first by sender (reconstructing the
-            # simulator's global send order), then by receiver (grouping
-            # bucket fills into list slices instead of per-record appends).
-            by_sender = np.argsort(snd_all, kind="stable")
-            order = by_sender[np.argsort(dst_all[by_sender], kind="stable")]
-            sorted_dsts = dst_all[order]
-            sorted_recs = [records[i] for i in order.tolist()]
-            cuts = np.flatnonzero(sorted_dsts[1:] != sorted_dsts[:-1]) + 1
-            starts = [0, *cuts.tolist()]
-            ends = [*cuts.tolist(), len(sorted_recs)]
-            for dst, a, b in zip(sorted_dsts[starts].tolist(), starts, ends):
-                bucket = inbox.get(dst)
-                if bucket is None:
-                    inbox[dst] = sorted_recs[a:b]
-                else:
-                    bucket.extend(sorted_recs[a:b])
+                bucket.extend(sorted_recs[a:b])
 
     def _gather(self) -> dict:
-        engine = self.engine
+        """This partition's slice of every column: a typed column as its
+        raw bytes, anything else (``_in_nbrs``, a column escalated to a
+        list) as a list of values."""
         part = self._part_slice
         out = {}
-        for name, column in engine._columns.items():
+        for name, column in self.engine._columns.items():
             if isinstance(column, array):
-                out[name] = column[part].tolist()
+                out[name] = column[part].tobytes()
             else:
                 out[name] = [column[v] for v in self._own_vids]
         return out

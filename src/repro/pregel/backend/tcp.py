@@ -138,7 +138,7 @@ class _Link:
     def __init__(self, peer: int):
         self.peer = peer
         self.sock: socket.socket | None = None
-        self.state = "idle"  # idle | connecting | open | failed
+        self.state = "idle"  # idle | connecting | open | done | failed
         self.outbuf = bytearray()
         self.inbuf = bytearray()
         #: seq -> [raw_frame, attempt, resend_at]
@@ -282,6 +282,12 @@ class TcpSlabTransport:
             # connection (the peer's dedup set absorbs any overlap).
             link.close()
             link.outbuf.clear()
+            if not link.unacked:
+                # Nothing in flight: the peer acked every frame, finished
+                # its own exchange and closed its end.  This link is done —
+                # reconnecting would only make us wait out the backoff.
+                link.state = "done"
+                return
             link.last_cause = "reset"
             if link.connect_attempts >= _MAX_CONNECT_ATTEMPTS:
                 link.state = "failed"
@@ -382,9 +388,10 @@ class TcpSlabTransport:
                     l for l in links.values() if l.state in ("connecting", "open")
                 ]
                 done_send = all(
-                    l.state == "open" and not l.unacked and not l.outbuf
+                    l.state == "done"
+                    or (l.state == "open" and not l.unacked and not l.outbuf)
                     for l in links.values()
-                ) if links else True
+                )
                 acks_flushed = all(len(entry[2]) == 0 for entry in inbound)
                 if done_send and not pending_recv and acks_flushed:
                     return parts, {}
@@ -392,7 +399,7 @@ class TcpSlabTransport:
                     for peer in pending_recv:
                         fail(peer, "timeout")
                     for link in links.values():
-                        if link.unacked or link.outbuf or link.state != "open":
+                        if link.unacked or link.outbuf or link.state not in ("open", "done"):
                             fail(link.peer, link.last_cause or "timeout")
                     if not report:  # only unflushed acks remain: give up clean
                         return parts, {}

@@ -10,6 +10,8 @@ every vertex within the same superstep (GPS runs ``master.compute()`` first).
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,6 +42,39 @@ def combine(op: GlobalOp, a: Any, b: Any) -> Any:
     if op is GlobalOp.OVERWRITE:
         return b
     raise ValueError(f"unknown reduction {op}")
+
+
+def fold_ordered(op: GlobalOp, values) -> Any:
+    """Fold a non-empty numpy array of puts to one global, in index order,
+    to exactly what a ``put_reduce`` chain over the same values leaves in
+    the slot: the first put seeds it, each later one combines from the
+    left.  Array kernels fold their own puts with it and the mp parent the
+    vid-merged puts of all workers, so both are the sequential fold by
+    construction."""
+    import numpy as np
+
+    if values.dtype.kind == "f" and op in (GlobalOp.SUM, GlobalOp.PRODUCT):
+        # accumulate is a strict left fold; np.sum / reduce are pairwise
+        ufunc = np.add if op is GlobalOp.SUM else np.multiply
+        return ufunc.accumulate(values)[-1].item()
+    if op in (GlobalOp.OR, GlobalOp.AND):
+        # `a or b` / `a and b` hand back an operand: the first that decides
+        # the outcome (truthy for OR, falsy for AND), else the last
+        truth = values if values.dtype.kind == "b" else (values != 0).astype(bool)
+        decides = truth if op is GlobalOp.OR else ~truth
+        first = int(decides.argmax())
+        x = values[first if decides[first] else -1]
+        return x.item() if isinstance(x, np.generic) else x
+    items = values.tolist()  # Python values: exact ints, native floats
+    if op is GlobalOp.SUM:
+        return functools.reduce(operator.add, items)
+    if op is GlobalOp.PRODUCT:
+        return functools.reduce(operator.mul, items)
+    if op is GlobalOp.MIN:
+        return min(items)  # keeps the first minimum, like combine()
+    if op is GlobalOp.MAX:
+        return max(items)
+    return items[-1]  # OVERWRITE
 
 
 @dataclass

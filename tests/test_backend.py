@@ -1677,7 +1677,7 @@ class TestPhaseKernels:
 
         import numpy as np
 
-        from repro.codegen.vectorize import _fold
+        from repro.pregel.globalmap import fold_ordered as _fold
         from repro.pregel.globalmap import GlobalOp, combine
 
         rng = random.Random(11)
@@ -1788,3 +1788,207 @@ class TestPhaseKernels:
 
         with pytest.raises(struct.error):
             codec.pack[1]((1, "1"))
+
+
+@needs_mp
+class TestPartitionKernels:
+    """An mp worker runs the same compiled array code as the columnar
+    engine, over its partition and behind the real barrier: selected per
+    phase from the IR, bit-identical to the simulator in every cell, and —
+    unlike on columnar — kept when a tracer, fault tolerance, a memory
+    budget or the tcp transport is attached."""
+
+    #: programs every phase of which is array code on both sides
+    ALL_KERNEL = ("pagerank", "sssp", "avg_teen_cnt")
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return load_graph("twitter", 0.02)  # 100 vertices: forks dominate
+
+    @staticmethod
+    def run_mp(programs, graph, alg, **opts):
+        """An mp run with a registry attached: ``(run, {counter: total})``
+        over the worker-labelled ``mp.*`` attribution counters."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        run = run_on(programs, graph, alg, "mp", metrics_registry=registry, **opts)
+        snap = registry.snapshot()
+        totals = {
+            name: sum(row["value"] for row in snap[f"mp.{name}"]["series"])
+            if f"mp.{name}" in snap else 0
+            for name in ("kernel_vertices", "scalar_vertices", "bulk_records", "scalar_records")
+        }
+        return run, totals
+
+    @pytest.mark.parametrize("partitioning", ("hash", "range"))
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_parity_matrix(self, programs, small, alg, partitioning):
+        for workers in (1, 2, 3, 4):
+            for makespan in (False, True):
+                opts = dict(
+                    num_workers=workers, partitioning=partitioning, track_makespan=makespan
+                )
+                sim = run_on(programs, small, alg, "sim", **opts)
+                for transport in ("shm", "tcp"):
+                    mp, totals = self.run_mp(
+                        programs, small, alg, transport_mode=transport, **opts
+                    )
+                    assert_parity(sim, mp)
+                    assert mp.metrics.makespan_units == sim.metrics.makespan_units
+                    assert mp.metrics.ideal_units == sim.metrics.ideal_units
+                    kernels = TestPhaseKernels.EXPECTED[alg]
+                    assert {f"phase{s}" for s in kernels} <= set(mp.metrics.vectorized_phases)
+                    assert totals["kernel_vertices"] > 0
+                    if alg in self.ALL_KERNEL:
+                        assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+                        assert totals["bulk_records"] > 0
+
+    def test_float_sums_interleave_across_three_workers(self, programs, graph):
+        # hash partitioning deals consecutive vertices to different workers:
+        # a receiver's pagerank contributions and the per-vertex `diff` puts
+        # arrive as three runs that must be merged by sender / by vid before
+        # the (non-associative) float folds — the receiver's ordered merge
+        # and the parent's put fold respectively
+        opts = dict(num_workers=3, partitioning="hash")
+        sim = run_on(programs, graph, "pagerank", "sim", **opts)
+        mp, totals = self.run_mp(programs, graph, "pagerank", **opts)
+        assert_parity(sim, mp)
+        assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+        assert totals["bulk_records"] > 0
+        # ... and the vectorizer says which merges those are
+        _engine, by_phase = TestPhaseKernels.decisions(
+            programs["pagerank"], graph, default_args("pagerank", graph)
+        )
+        assert [m["ordered"] for m in by_phase[4]["ordered_merge"]] == [True]
+        assert by_phase[4]["ordered_merge"][0]["reason"].startswith("float sum into ")
+        _engine, by_phase = TestPhaseKernels.decisions(
+            programs["sssp"], graph, default_args("sssp", graph)
+        )
+        assert by_phase[9]["ordered_merge"] == [
+            {"tag": 0, "ordered": False, "reason": "order-insensitive reduces"}
+        ]
+
+    @pytest.mark.parametrize(
+        "opts", ({"use_combiners": True}, {"use_voting": True}), ids=("combiners", "voting")
+    )
+    def test_compositions_that_observe_single_sends_stay_scalar(self, programs, graph, opts):
+        sim = run_on(programs, graph, "pagerank", "sim", num_workers=2, **opts)
+        mp, totals = self.run_mp(programs, graph, "pagerank", num_workers=2, **opts)
+        assert_parity(sim, mp)
+        assert mp.metrics.vectorized_phases == []
+        assert totals["kernel_vertices"] == totals["bulk_records"] == 0
+        assert totals["scalar_vertices"] > 0
+
+    @pytest.mark.parametrize("feature", ("tracer", "ft", "mem", "tcp"))
+    def test_attachments_do_not_cost_the_kernels(self, programs, graph, feature, tmp_path):
+        from repro.obs import Tracer
+        from repro.pregel.mem import MemPlan, MemoryManager
+
+        make = {
+            "tracer": lambda: {"tracer": Tracer()},
+            "ft": lambda: {"ft": FaultTolerance(FaultPlan(checkpoint_every=2))},
+            "mem": lambda: {
+                "mem": MemoryManager(MemPlan(budget_bytes=1 << 30, spill_dir=str(tmp_path)))
+            },
+            "tcp": lambda: {"transport_mode": "tcp"},
+        }[feature]
+        for alg in self.ALL_KERNEL:
+            sim_opts = {} if feature == "tcp" else make()
+            sim = run_on(programs, graph, alg, "sim", num_workers=2, **sim_opts)
+            mp, totals = self.run_mp(programs, graph, alg, num_workers=2, **make())
+            assert_parity(sim, mp)
+            assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+            assert totals["kernel_vertices"] == graph.num_nodes * sim.metrics.supersteps
+
+    @pytest.mark.parametrize(
+        "num_nodes,edges,workers",
+        [
+            (0, [], 2),                                  # empty graph
+            (1, [(0, 0)], 4),                            # workers > vertices
+            (3, [(0, 1), (1, 2), (2, 0)], 8),            # ... most partitions empty
+            (6, [(0, 1), (0, 2), (1, 2), (3, 0)], 4),    # sinks + isolated
+        ],
+    )
+    def test_degenerate_partitions(self, programs, num_nodes, edges, workers):
+        g = TestPhaseKernels.small_graph(num_nodes, edges)
+        algs = ("pagerank", "avg_teen_cnt", "conductance")
+        if num_nodes:  # these two start from a vertex
+            algs += ("sssp", "bc_approx")
+        for alg in algs:
+            for partitioning in ("hash", "range"):
+                opts = dict(num_workers=workers, partitioning=partitioning)
+                sim = run_on(programs, g, alg, "sim", **opts)
+                mp, totals = self.run_mp(programs, g, alg, **opts)
+                assert_parity(sim, mp)
+                if alg in self.ALL_KERNEL:
+                    assert totals["scalar_vertices"] == 0
+
+    def test_kernel_sized_send_overflows_onto_the_pipe(self, programs, graph):
+        # a segment too small for any slab: every bulk send rides the
+        # inline path, as whole-partition arrays
+        sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
+        mp, totals = self.run_mp(programs, graph, "pagerank", num_workers=2, mp_slab_bytes=64)
+        assert_parity(sim, mp)
+        assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+        assert totals["bulk_records"] > 0
+
+    # -- the mixed-shape barrier ------------------------------------------
+
+    @pytest.mark.parametrize("recovery", ("confined", "rollback"))
+    @pytest.mark.parametrize("transport", ("shm", "tcp"))
+    @pytest.mark.parametrize("alg", ("pagerank", "sssp"))
+    def test_kill_in_a_kernel_phase(self, programs, graph, alg, transport, recovery):
+        # The kill lands entering a superstep whose phase is a kernel with a
+        # put.  Confined: the re-forked worker is seeded with a dict inbox
+        # and re-runs the step scalar — tuple puts, per-vertex slabs — while
+        # its peers' kernel replies (array puts, bulk slabs) are already in.
+        # Rollback: every worker re-forks and runs one seeded scalar step.
+        workers, victim = 3, 1
+        sim = run_on(programs, graph, alg, "sim", num_workers=workers)
+        mp, totals = self.run_mp(
+            programs, graph, alg, num_workers=workers, transport_mode=transport,
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery)),
+            real_faults=(RealFault("kill", victim, 3),),
+            exchange_deadline=10.0,
+        )
+        assert mp.metrics.restarts == 1
+        assert_parity(sim, mp)
+        seeded = (
+            len(range(graph.num_nodes)[victim::workers])
+            if recovery == "confined" else graph.num_nodes
+        )
+        assert totals["scalar_vertices"] == seeded
+        assert totals["kernel_vertices"] > 0
+
+    def test_put_fold_takes_tuple_and_array_puts_for_one_global(self, programs, graph):
+        import numpy as np
+
+        from repro.pregel.globalmap import GlobalObjectMap, GlobalOp
+
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend="mp", num_workers=3
+        )
+        values = [1.0 / (4 + v * v) for v in range(9)]
+        flags = [v % 4 == 3 for v in range(9)]
+        puts = [
+            # worker 0 and 2 ran kernels, worker 1 the scalar program
+            ("s", GlobalOp.SUM, np.array([0, 3, 6]), np.array(values[0::3])),
+            *[("s", GlobalOp.SUM, v, values[v]) for v in (1, 4, 7)],
+            ("s", GlobalOp.SUM, np.array([2, 5, 8]), np.array(values[2::3])),
+            *[("any", GlobalOp.OR, v, flags[v]) for v in (1, 4, 7)],
+            ("any", GlobalOp.OR, np.array([0, 3, 6]), np.array(flags[0::3])),
+            ("any", GlobalOp.OR, np.array([2, 5, 8]), np.array(flags[2::3])),
+        ]
+        engine._fold_puts(puts)
+        want = GlobalObjectMap()
+        for v in range(9):
+            want.put_reduce("s", GlobalOp.SUM, values[v])
+            want.put_reduce("any", GlobalOp.OR, flags[v])
+        assert engine.globals._pending == want._pending
+        assert list(engine.globals._pending) == ["s", "any"]
+        # the order is observable: worker by worker the sum rounds otherwise
+        by_worker = values[0::3] + values[1::3] + values[2::3]
+        assert functools.reduce(lambda a, b: a + b, by_worker) != want._pending["s"]
+        with pytest.raises(ValueError, match="conflicting reductions on global 's'"):
+            engine._fold_puts([("s", GlobalOp.MIN, 0, 1.0)])

@@ -35,6 +35,7 @@ from repro.compiler import compile_source
 from repro.graphgen import uniform_random
 from repro.interp import interpret
 from repro.lang.errors import GreenMarlError
+from repro.pregel.backend.mp import mp_available
 
 HEADER = (
     "Procedure fuzz(G: Graph, a: N_P<Int>, b: N_P<Int>, x: N_P<Double>, "
@@ -272,7 +273,7 @@ def generate(seed: int, size: int) -> str:
     return builder.relaxation() if seed % 8 == 7 else builder.build()
 
 
-def _compare(program: str, seed: int) -> None:
+def _compare(program: str, seed: int, *, mp: bool = False) -> None:
     graph = uniform_random(14, 40, seed=seed % 17 + 1)
     graph.add_node_prop("a", [(v * 7) % 11 for v in range(14)])
     graph.add_node_prop("b", [(v * 3) % 5 for v in range(14)])
@@ -311,6 +312,16 @@ def _compare(program: str, seed: int) -> None:
     assert col.metrics.parity_key() == run.metrics.parity_key(), (
         f"columnar parity_key differs\n{program}"
     )
+    if mp:
+        # ... and the same array code over two real partitions: slabs
+        # merged across processes, puts folded by the parent
+        sim2 = compiled.program.run(graph, num_workers=2)
+        forked = compiled.program.run(graph, backend="mp", num_workers=2)
+        assert forked.outputs == sim2.outputs, f"mp outputs differ\n{program}"
+        assert forked.result == sim2.result, f"mp result differs\n{program}"
+        assert forked.metrics.parity_key() == sim2.metrics.parity_key(), (
+            f"mp parity_key differs\n{program}"
+        )
 
 
 def _close(a, b, tol=1e-9) -> bool:
@@ -364,4 +375,4 @@ def test_fixed_regression_seeds():
             compile_source(program, emit_java=False)
         except GreenMarlError:
             continue
-        _compare(program, seed)
+        _compare(program, seed, mp=mp_available())

@@ -347,7 +347,8 @@ class TestVectorizeTelemetry:
         for e in events:
             assert e.det is None  # info-only: sim never runs the vectorizer
             assert set(e.info) == {
-                "phase", "eligible", "reason", "tags", "kernel", "kernel_reason",
+                "phase", "eligible", "reason", "tags", "ordered_merge",
+                "kernel", "kernel_reason",
             }
         assert any(e.info["eligible"] for e in events)
         for e in events:
@@ -390,6 +391,40 @@ class TestVectorizeTelemetry:
         assert by_phase[9]["eligible"] and by_phase[9]["kernel"]
         assert by_phase[9]["reason"] == "vectorized (improve-flag min)"
         assert by_phase[9]["kernel_reason"] == "kernel (per-edge send)"
+
+    @needs_mp
+    def test_mp_trace_carries_decisions_and_merge_orders(self, programs, graph):
+        from repro.obs import Tracer, deterministic_jsonl
+
+        def decisions(alg, **opts):
+            tracer = Tracer()
+            run = programs[alg].run(
+                graph, default_args(alg, graph), backend="mp", num_workers=2,
+                tracer=tracer, **opts,
+            )
+            events = [e for e in tracer.events if e.name == "compile.vectorize"]
+            assert events and all(e.det is None for e in events)  # info-only
+            assert "compile.vectorize" not in deterministic_jsonl(tracer.events)
+            return run, {e.info["phase"]: e.info for e in events}
+
+        # the workers run what the record says, tracer attached or not
+        run, by_phase = decisions("pagerank")
+        assert run.metrics.vectorized_phases == ["phase0", "phase4"]
+        assert "vectorized=[phase0,phase4]" in run.metrics.summary()
+        # a float sum needs its messages in sender order; min / or do not
+        (merge,) = by_phase[4]["ordered_merge"]
+        assert (merge["tag"], merge["ordered"]) == (0, True)
+        assert merge["reason"].startswith("float sum into ")
+        run, by_phase = decisions("sssp")
+        assert [m["ordered"] for m in by_phase[9]["ordered_merge"]] == [False]
+        # a scalar phase says why, on mp as on columnar
+        run, by_phase = decisions("bipartite_matching")
+        assert by_phase[3]["kernel_reason"].startswith("scalar receive loop")
+        assert by_phase[3]["ordered_merge"] == []
+        # combiners observe single sends: decisions are still reported, but
+        # nothing engages
+        run, by_phase = decisions("pagerank", use_combiners=True)
+        assert by_phase[4]["kernel"] and run.metrics.vectorized_phases == []
 
     def test_sim_trace_has_no_decisions(self, graph):
         from repro.obs import Tracer
