@@ -232,10 +232,7 @@ def _validate_backend_composition(ns: argparse.Namespace) -> None:
         return
     from .pregel.backend.mp import composition_refusals, mp_available
 
-    sentinel = object()
-    refusals = composition_refusals(
-        transport=sentinel if ns.net_faults else None,
-    )
+    refusals = composition_refusals(ns.net_faults or None)
     if refusals:
         raise _die(refusals[0])
     if not mp_available():

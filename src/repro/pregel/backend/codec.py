@@ -16,12 +16,24 @@ the tuples the simulator would have delivered:
 * Bool payloads pack as one byte and decode to ``True``/``False``;
 * tagged programs lead each record with the tag byte, so ``iter_unpack``
   yields the exact ``(tag, *payload)`` tuple with zero per-record work.
+
+The module also owns the slab **part** — one tag's records as the tuple
+``(dsts, senders, payload, count)``: two ``int32`` arrays (receiving and
+sending vertex of each record) and the ``count`` packed records.  Its byte
+layout, ``dsts | senders | payload``, is the same in an ``mp`` worker's
+shared-memory segment, an inline overflow entry and a tcp frame body, and
+only :func:`write_part` / :func:`read_part` know it; :func:`split_by_owner`
+cuts one tag's staged records into one part per receiving worker, and
+:meth:`MessageCodec.merge_parts` / :meth:`MessageCodec.by_receiver` turn
+parts back into the simulator's per-receiver delivery order.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import repeat
+
+import numpy as np
 
 from ...pregelir.ir import INF_VALUE
 from ...pregelir.schema import (
@@ -176,6 +188,65 @@ def _make_unpacker(st: struct.Struct, ts: TagSchema, tagged: bool):
     return unpack
 
 
+def part_nbytes(part) -> int:
+    """How many bytes ``part`` takes in wire layout."""
+    return 8 * part[3] + len(part[2])
+
+
+def write_part(out, part) -> None:
+    """Write ``part`` into ``out`` — a ``uint8`` array of ``part_nbytes``
+    bytes, a stretch of a segment or a fresh body — in wire layout:
+    ``dsts | senders | payload``."""
+    dsts, senders, payload, count = part
+    out[: 4 * count] = dsts.view(np.uint8)
+    out[4 * count : 8 * count] = senders.view(np.uint8)
+    out[8 * count :] = np.frombuffer(payload, dtype=np.uint8)
+
+
+def read_part(body, count: int) -> tuple:
+    """Copy the ``count``-record part ``body`` holds in wire layout — a
+    stretch of a segment, an inline body or a frame body — out into
+    ``(dsts, senders, payload, count)``.  A body shorter than its count
+    says raises :class:`ValueError`."""
+    if not 0 <= 8 * count <= len(body):
+        raise ValueError(
+            f"slab part of {count} records needs {8 * count} bytes of "
+            f"vertex ids, its body has {len(body)}"
+        )
+    return (
+        np.frombuffer(bytes(body[: 4 * count]), dtype=np.int32),
+        np.frombuffer(bytes(body[4 * count : 8 * count]), dtype=np.int32),
+        bytes(body[8 * count :]),
+        count,
+    )
+
+
+def split_by_owner(dsts, senders, payload, owners, workers: int) -> list:
+    """Split one tag's staged records by receiving worker: entry ``w`` is
+    the part of the records whose destination worker ``w`` owns
+    (``owners[k]`` owns ``dsts[k]``), or None when it owns none.  The split
+    is stable, so every part keeps the staged order — ascending sender,
+    each sender's records in send order."""
+    count = len(dsts)
+    if workers == 1:
+        return [(dsts, senders, payload, count)]
+    size = len(payload) // count
+    order = np.argsort(owners, kind="stable")
+    dsts, senders = dsts[order], senders[order]
+    if size:
+        payload = np.frombuffer(payload, dtype=f"V{size}")[order].view(np.uint8)
+    parts: list = []
+    a = 0
+    for b in np.cumsum(np.bincount(owners, minlength=workers)).tolist():
+        parts.append(
+            (dsts[a:b], senders[a:b], payload[a * size : b * size], b - a)
+            if b > a
+            else None
+        )
+        a = b
+    return parts
+
+
 class MessageCodec:
     """Per-tag pack/unpack closures plus the wire sizes, from a schema."""
 
@@ -196,3 +267,44 @@ class MessageCodec:
             self.sizes[tag] = ts.size
             self.pack[tag] = _make_packer(st, ts, schema.tagged)
             self.unpack[tag] = _make_unpacker(st, ts, schema.tagged)
+
+    def merge_parts(self, tag: int, parts: list, by_sender: bool = True) -> tuple:
+        """One tag's parts as one ``(dsts, payload, count)`` slab.  Each
+        part holds one source worker's records in ascending-sender order; a
+        stable sort on sender merges several into the simulator's global
+        send order — skipped for a lone part, which is in it already, and
+        when the caller's fold does not observe order (``by_sender``)."""
+        if len(parts) == 1:
+            dsts, _senders, payload, count = parts[0]
+            return dsts, payload, count
+        dsts = np.concatenate([part[0] for part in parts])
+        payload = b"".join(part[2] for part in parts)
+        if by_sender:
+            order = np.argsort(
+                np.concatenate([part[1] for part in parts]), kind="stable"
+            )
+            dsts = dsts[order]
+            if payload:
+                payload = np.frombuffer(payload, dtype=f"V{self.sizes[tag]}")[order]
+        return dsts, payload, len(dsts)
+
+    def by_receiver(self, tag: int, parts: list):
+        """Decode one tag's parts into ``(dst, msgs)`` pairs, one per
+        receiver: ``msgs`` are its messages in the simulator's delivery
+        order — ascending sender, each sender's in send order.  Receive
+        code reads messages through tag-filtered loops, so handing them
+        over tag by tag is invisible.  One stable sort by destination turns
+        the bucket fills into list slices instead of per-record appends."""
+        dsts, payload, count = self.merge_parts(tag, parts)
+        if not count:
+            return ()
+        records = self.unpack[tag](payload, count)
+        order = np.argsort(dsts, kind="stable")
+        sorted_dsts = dsts[order]
+        sorted_recs = [records[i] for i in order.tolist()]
+        cuts = (np.flatnonzero(sorted_dsts[1:] != sorted_dsts[:-1]) + 1).tolist()
+        starts = [0, *cuts]
+        return zip(
+            sorted_dsts[starts].tolist(),
+            [sorted_recs[a:b] for a, b in zip(starts, [*cuts, count])],
+        )

@@ -364,25 +364,16 @@ class ColumnarEngine(PregelEngine):
                     continue
             if metered:
                 self._m_scalar_records.inc(len(dsts))
-            records = self._codec.unpack[tag](payload, len(dsts))
-            # Group by receiver with one stable sort: per-receiver order
-            # within a tag stays global send order, and receive code
-            # consumes messages through tag-filtered loops, so grouping by
-            # tag is invisible.  Bucket fills become list slices (C-speed)
-            # instead of 2M Python-level appends.
-            order = np.argsort(dsts, kind="stable")
-            sorted_dsts = dsts[order]
-            sorted_recs = [records[i] for i in order.tolist()]
-            cuts = np.flatnonzero(sorted_dsts[1:] != sorted_dsts[:-1]) + 1
-            starts = [0, *cuts.tolist()]
-            ends = [*cuts.tolist(), len(sorted_recs)]
-            for dst, a, b in zip(sorted_dsts[starts].tolist(), starts, ends):
+            # Per-receiver order within a tag is global send order, which is
+            # the order the one staged slab is in.
+            part = (dsts, None, payload, len(dsts))
+            for dst, msgs in self._codec.by_receiver(tag, [part]):
                 bucket = slots[dst]
                 if bucket is no_messages:
-                    slots[dst] = sorted_recs[a:b]
+                    slots[dst] = msgs
                     receiving(dst)
                 else:
-                    bucket.extend(sorted_recs[a:b])
+                    bucket.extend(msgs)
 
 
 class ColumnarBackend(ExecutionBackend):

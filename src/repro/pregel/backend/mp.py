@@ -14,28 +14,39 @@ a phase kernel over its own vertices instead of the per-vertex loop, a
 bulk receive handler over a tag's incoming records instead of the dict
 inbox — selected per phase from the IR.  Sender combiners and
 vote-to-halt observe individual sends and keep the generated scalar
-program, as does the one step that consumes a recovery-seeded inbox; a
-tracer, fault tolerance, a memory budget and the tcp transport read
-per-worker totals and whole slabs, and cost the kernels nothing.
+program, as does a phase the vectorizer refused; a tracer, fault
+tolerance (recovery included), a memory budget and the tcp transport
+read per-worker totals and whole slabs, and cost the kernels nothing.
+
+**One slab shape.**  The unit of the data plane is the *part* —
+``(dsts, senders, payload, count)``, one tag's records for one receiving
+worker — and :mod:`~repro.pregel.backend.codec` owns it: the byte layout
+(the same in a segment, an inline overflow entry and a tcp frame body),
+the stable split of a tag's staged records by owning worker, and the
+decode back into per-receiver message lists.  A worker stages its sends
+per tag, unsplit, in :class:`ColumnarEngine`'s shape, and seals each tag
+once when its step is over — one split, one metering, one write; what an
+exchange leaves a worker is ``(parts_by_tag, combined)``, and that is
+also the shape of the parent's in-flight log and of a recovery seed.
 
 Determinism (the whole point of the parity contract) is preserved by
 order-reconstructing merges at the parent barrier:
 
 * every slab record carries its **sender id**; a receiving worker keeps
-  the incoming per-source slabs raw and delivers them at its next step,
+  the incoming per-source parts raw and delivers them at its next step,
   when the broadcast state says which receive code they are for.  A
   stable sort on sender merges them into the simulator's per-receiver
   message order exactly (global send order = ascending sender id, since
   workers scan their partitions in ascending order and partitions
-  interleave) — at array level ahead of a bulk receive handler, and only
-  if the vectorizer found an order-sensitive reduce in it (a float
-  ``SUM``/``PRODUCT``); record by record into the dict inbox otherwise;
-* vertex **global-object puts** ship to the parent — one ``(vid, value)``
-  per scalar put, one ``(vids, values)`` array pair per kernel put — and
-  are re-folded in ascending-vid order with the kernels' own ordered fold
-  (``globalmap.fold_ordered``), so even non-associative float reductions
-  (a PageRank error sum) come out bit-identical to the single-process
-  fold;
+  interleave) — ahead of a bulk receive handler only if the vectorizer
+  found an order-sensitive reduce in it (a float ``SUM``/``PRODUCT``),
+  always ahead of the decode into the dict inbox;
+* vertex **global-object puts** ship to the parent as one ``(vids,
+  values)`` array pair per global — a kernel's put as it made it, a
+  scalar step's gathered — and are re-folded in ascending-vid order with
+  the kernels' own ordered fold (``globalmap.fold_ordered``), so even
+  non-associative float reductions (a PageRank error sum) come out
+  bit-identical to the single-process fold;
 * **combiners** fold per-process at the sender (each worker keeps one slot
   per ``(dst, tag)``, stamped with the vid of the slot's *first* send);
   the parent merges all workers' slots with a stable sort on that birth
@@ -45,13 +56,17 @@ order-reconstructing merges at the parent barrier:
   like the simulator's barrier flush;
 * **fault tolerance** checkpoints from the parent: ``checkpoint_state()``
   first pulls every worker's live partition columns back into the parent's
-  columns (so the registered ``ColumnState`` sees fresh data), and the
-  in-flight message set is the parent's own decode of the last exchange's
-  slabs.  Recovery restores parent-side state — confined replay runs *in
-  the parent* over the restored columns with sends/puts suppressed — and
-  then **re-forks** the affected worker processes from the parent, which
-  inherit the recovered columns copy-on-write and are re-seeded with their
-  partition's in-flight inbox;
+  columns (so the registered ``ColumnState`` sees fresh data); the
+  in-flight message set is the parent's log of the last exchange — the
+  parts, copied raw out of the segments, plus the combined messages —
+  decoded only when a checkpoint (or, under confined recovery, the
+  per-superstep message log) asks through ``outbox_view()``.  Recovery
+  restores parent-side state — confined replay runs *in the parent* over
+  the restored columns with sends/puts suppressed — and then **re-forks**
+  the affected worker processes from the parent, which inherit the
+  recovered columns copy-on-write and are seeded with their entry of that
+  log (after a rollback: the checkpoint's messages, re-packed into parts),
+  so a recovered step runs the same array code as any other;
 * **tracing** buffers per-process counters (computed, seconds, staged
   bytes) in each worker's barrier reply; the parent merges them by
   worker id into the same deterministic superstep records the simulator
@@ -81,30 +96,29 @@ restore, confined replay in the parent, re-fork of the dead process —
 with capped restarts degrading to ``halt_reason="unrecoverable"``.
 ``--inject-fault kill:W@S`` (real SIGKILL) and ``hang:W@S`` (sleep past
 the deadline) exercise the path; shared-memory segments and bound
-sockets are tracked module-wide and released on every exit path
-(``finally`` + ``atexit``).
+sockets are tracked in one module-wide registry and released on every
+exit path (``finally`` + ``atexit``).
 
 **Transports.** ``transport_mode="shm"`` (the default) carries every
 slab through the shared-memory segments.  ``"tcp"`` adds a real network
 data plane (:mod:`repro.pregel.backend.tcp`): each worker owns a
 loopback listening socket bound in the parent before the fork, and the
-*cross-worker* slabs travel as length-prefixed CRC-framed messages with
+*cross-worker* parts travel as length-prefixed CRC-framed messages with
 per-destination sequence numbers, acks, bounded retransmit with
 exponential backoff, and dedup — the :mod:`repro.pregel.net` delivery
-discipline against real kernel buffers.  Slabs are still written to the
-segments in tcp mode (the parent's checkpoint decode, makespan
+discipline against real kernel buffers.  Parts are still written to the
+segments in tcp mode (the parent's in-flight log, makespan
 accounting, and delivery counts read them there), so shm and tcp runs
-are bit-identical on ``parity_key()`` and outputs by construction; the
-receivers' *inboxes*, however, are built from the socket frames, so a
+are bit-identical on ``parity_key()`` and outputs by construction; what
+the receivers *deliver*, however, comes off the socket frames, so a
 peer that cannot be reached (connection refused / reset / silent past
 the per-peer deadline) is a classified real failure: the worker abandons
 the exchange, reports ``{peer: cause}`` in its barrier reply, and the
 parent folds the reports into a culprit, escalates through
-``ft.recover_worker`` and re-seeds the surviving workers' inboxes from
-its own slab decode.  ``--inject-fault netsplit:W@S`` (the worker closes
-its listening socket mid-exchange) and ``slowlink:W@S`` (the worker
-stalls past its peers' deadline) inject real network faults on this
-path.
+``ft.recover_worker`` and re-seeds the surviving workers from its log.
+``--inject-fault netsplit:W@S`` (the worker closes its listening socket
+mid-exchange) and ``slowlink:W@S`` (the worker stalls past its peers'
+deadline) inject real network faults on this path.
 
 **Partitioning.** ``partitioning="hash"`` (default) interleaves vertex
 ids across workers; ``"range"`` assigns contiguous id blocks with the
@@ -138,73 +152,46 @@ from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, RealFault
 from ..graph import Graph
 from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
-from .codec import MessageCodec
+from .codec import MessageCodec, part_nbytes, read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
 from .columnar import OutCsr, build_typed_columns, vectorized_phases
 
 _EMPTY: tuple = ()
-_NO_BYTES = np.empty(0, dtype=np.uint8)
 
 #: granularity of the deadline-based receive loop: how often the parent
 #: re-checks the worker's sentinel while waiting for a barrier reply.
 _POLL_TICK = 0.05
 
-#: every live shared-memory segment created by any MPEngine in this
-#: process, by name — the atexit backstop unlinks whatever an aborted or
-#: interrupted run left behind (``/dev/shm`` files outlive the process).
-_LIVE_SEGMENTS: dict[str, Any] = {}
-_CLEANUP_REGISTERED = False
+#: every shared-memory segment and parent-bound listener socket alive in
+#: this process, by id.  A run releases its own on every exit path; the
+#: atexit backstop sweeps whatever an aborted or interrupted run left
+#: behind (``/dev/shm`` files outlive the process).  A listener is tracked
+#: from bind until the parent closes its copy right after the owning
+#: worker forks.  Both names the no-leak checks import are this registry.
+_LIVE: dict[int, Any] = {}
+_LIVE_SEGMENTS = _LIVE_SOCKETS = _LIVE
 
 
-def _track_segment(seg) -> None:
-    global _CLEANUP_REGISTERED
-    _LIVE_SEGMENTS[seg.name] = seg
-    if not _CLEANUP_REGISTERED:
-        atexit.register(_cleanup_segments)
-        _CLEANUP_REGISTERED = True
+def _track(resource, *closers) -> None:
+    """Register ``resource`` with what releasing it calls, in order (a
+    segment: ``close`` then ``unlink``; a socket: ``close``)."""
+    _LIVE[id(resource)] = (resource, closers)
 
 
-def _release_segment(seg) -> None:
-    _LIVE_SEGMENTS.pop(seg.name, None)
-    seg.close()
-    try:
-        seg.unlink()
-    except FileNotFoundError:
-        pass
+def _release(resource) -> None:
+    """Run a tracked resource's closers; a second release is a no-op."""
+    _resource, closers = _LIVE.pop(id(resource), (None, ()))
+    for close in closers:
+        try:
+            close()
+        except OSError:  # closed or unlinked already
+            pass
 
 
-def _cleanup_segments() -> None:
-    for seg in list(_LIVE_SEGMENTS.values()):
-        _release_segment(seg)
-
-
-#: every parent-owned bound socket (tcp transport listeners) alive in
-#: this process, by id — like the segments, the atexit backstop closes
-#: whatever an aborted run left bound.  A listener is tracked from bind
-#: until the parent closes its copy right after the owning worker forks.
-_LIVE_SOCKETS: dict[int, Any] = {}
-_SOCKET_CLEANUP_REGISTERED = False
-
-
-def _track_socket(sock) -> None:
-    global _SOCKET_CLEANUP_REGISTERED
-    _LIVE_SOCKETS[id(sock)] = sock
-    if not _SOCKET_CLEANUP_REGISTERED:
-        atexit.register(_cleanup_sockets)
-        _SOCKET_CLEANUP_REGISTERED = True
-
-
-def _release_socket(sock) -> None:
-    _LIVE_SOCKETS.pop(id(sock), None)
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
-def _cleanup_sockets() -> None:
-    for sock in list(_LIVE_SOCKETS.values()):
-        _release_socket(sock)
+@atexit.register
+def _release_all() -> None:
+    for resource, _closers in list(_LIVE.values()):
+        _release(resource)
 
 
 class _WorkerDead(Exception):
@@ -272,33 +259,16 @@ def clamp_slab_bytes(requested: int, plan=None) -> int:
     return max(1 << 20, min(requested, cap))
 
 
-def composition_refusals(
-    *,
-    use_voting: bool = False,
-    combiners=None,
-    ft=None,
-    transport=None,
-    supervisor=None,
-    mem=None,
-    tracer=None,
-    track_makespan: bool = False,
-    partitioning: str = "hash",
-) -> list[str]:
+def composition_refusals(transport) -> list[str]:
     """Refusal messages for running a composition on the mp backend.
 
     Empty means the composition is supported.  Shared by
     :class:`MPEngine` construction and the CLI's pre-load validation, so
     a refused flag combination fails with the identical message whether
     it is caught in milliseconds (CLI, before the graph loads) or at
-    engine construction.  ``combiners``, ``ft``, ``tracer``,
-    ``use_voting``, ``supervisor``, ``mem``, ``track_makespan``, and
-    ``partitioning`` are accepted for signature stability: those
-    compositions are supported (range partitioning runs contiguous vid
-    blocks with the simulator's placement formula).
+    engine construction.  Only the simulated ``transport`` is refused;
+    every other composition runs (:attr:`MPBackend.supports`).
     """
-    # lifted compositions — no longer refused
-    del combiners, ft, tracer, use_voting, supervisor, mem, track_makespan
-    del partitioning
     refusals = []
 
     def refuse(feature: str, hint: str) -> None:
@@ -317,39 +287,79 @@ def composition_refusals(
 
 
 class _TagStage:
-    """Outgoing messages for one (destination worker, tag).  Scalar sends
-    append to a destination array, sender run-lengths and the packed
-    payload; a kernel's bulk send — the only send of its phase on the tag
-    — sets ``bulk`` to its ``(dsts, senders, records | None)`` arrays."""
+    """One tag's staged sends, unsplit, in :class:`ColumnarEngine`'s shape:
+    destination chunks (CSR slices, a kernel's gather, flushed runs of
+    scalar-send ``singles``) beside the packed payload — plus the
+    ``(sender, count)`` runs a receiving worker's merge needs.  A kernel's
+    bulk send hands its runs over as arrays: it is its phase's only send on
+    the tag (the vectorizer refuses a second)."""
 
-    __slots__ = ("dsts", "senders", "counts", "payload", "bulk")
+    __slots__ = ("singles", "chunks", "payload", "senders", "counts")
 
     def __init__(self):
-        self.dsts = array("i")
-        self.senders: list[int] = []
-        self.counts: list[int] = []
+        self.singles: list[int] = []
+        self.chunks: list = []
         self.payload = bytearray()
-        self.bulk = None
+        self.senders: Any = []
+        self.counts: Any = []
 
     def take(self):
-        """``(count, dsts, senders, payload)`` — the slab's three sections
-        as byte arrays, in wire layout — or None when nothing was staged."""
-        if self.bulk is not None:
-            dsts, senders, records = self.bulk
-            payload = _NO_BYTES if records is None else records.view(np.uint8)
-            return len(dsts), dsts.view(np.uint8), senders.view(np.uint8), payload
-        if not self.dsts:
+        """``(dsts, senders, payload)``, one entry per staged record in
+        send order, or None when nothing was staged."""
+        if self.singles:
+            self.chunks.append(np.asarray(self.singles, dtype=np.int32))
+        if not self.chunks:
             return None
+        chunks = self.chunks
+        dsts = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         senders = np.repeat(
             np.asarray(self.senders, dtype=np.int32),
             np.asarray(self.counts, dtype=np.int64),
         )
-        return (
-            len(self.dsts),
-            np.frombuffer(self.dsts, dtype=np.uint8),
-            senders.view(np.uint8),
-            np.frombuffer(self.payload, dtype=np.uint8),
-        )
+        return dsts, senders, self.payload
+
+
+def _slab_parts(segments, directories, inlines, sources, dest=None):
+    """``(dest, tag, part)`` for every slab the ``sources`` workers wrote
+    this superstep (only those for worker ``dest``, if given), copied out
+    of each source's segment or its inline overflow."""
+    for source in sources:
+        seg_buf = segments[source].buf
+        for to, tag, count, start, end in directories[source]:
+            if dest is None or to == dest:
+                yield to, tag, read_part(seg_buf[start:end], count)
+        for to, tag, count, body in inlines[source]:
+            if dest is None or to == dest:
+                yield to, tag, read_part(body, count)
+
+
+def _inbox_of(codec: MessageCodec, parts_by_tag: dict, combined) -> dict[int, list]:
+    """The sim-shaped ``{dst: msgs}`` inbox an exchange's leavings stand
+    for: each tag's raw parts decoded by receiver, then the parent's
+    combined ``(dst, msg)`` pairs."""
+    inbox: dict[int, list] = {}
+    for tag in codec.tag_ids:
+        parts = parts_by_tag.get(tag)
+        if parts:
+            for dst, msgs in codec.by_receiver(tag, parts):
+                bucket = inbox.get(dst)
+                if bucket is None:
+                    inbox[dst] = msgs
+                else:
+                    bucket.extend(msgs)
+    for dst, msg in combined:
+        inbox.setdefault(dst, []).append(msg)
+    return inbox
+
+
+def _wake(voted: bytearray, parts_by_tag: dict, combined) -> None:
+    """Clear the vote of every vertex an exchange's leavings deliver to."""
+    waking = np.frombuffer(voted, dtype=np.uint8)
+    for parts in parts_by_tag.values():
+        for dsts, _senders, _payload, _count in parts:
+            waking[dsts] = 0
+    for dst, _msg in combined:
+        voted[dst] = 0
 
 
 class MPEngine(PregelEngine):
@@ -373,7 +383,7 @@ class MPEngine(PregelEngine):
         transport_mode: str = "shm",
         **engine_opts,
     ):
-        refusals = composition_refusals(transport=engine_opts.get("transport"))
+        refusals = composition_refusals(engine_opts.get("transport"))
         if refusals:
             raise BackendUnsupported(refusals[0])
         if schema is None:
@@ -464,14 +474,18 @@ class MPEngine(PregelEngine):
         self._listeners: list = []
         self._ports: list[int] = []
         self._epochs: list[int] = [0] * w
-        #: set when an abandoned tcp exchange discarded live workers'
-        #: inboxes: the next _refork() re-seeds every surviving worker
-        #: from the parent's slab decode.
+        #: set when an abandoned tcp exchange discarded what the live
+        #: workers had received: the next _refork() re-seeds every
+        #: surviving worker from the parent's log.
         self._reseed_live = False
-        #: in-flight messages (sent last superstep, delivered to the live
-        #: worker inboxes) as the parent's own decode — checkpoint payloads
-        #: and confined-recovery logs read this through outbox_view().
-        self._inflight: dict[int, list] = {}
+        #: the in-flight log (ft only): per worker, what the last exchange
+        #: left it — ``(parts_by_tag, combined)``, the raw slab parts
+        #: copied out of the segments plus the combined messages, a
+        #: worker's own ``(_parts, _combined_in)``.  A seed ships an entry
+        #: as it is; ``outbox_view()`` decodes the log on demand and keeps
+        #: the result in ``_inflight`` until the next exchange.
+        self._log: list[tuple[dict, list]] = [({}, []) for _ in range(w)]
+        self._inflight: dict[int, list] | None = None
         self._refork_all = False
         self._refork_workers: set[int] = set()
         # live process plumbing (populated by _session, mutated by _refork)
@@ -557,7 +571,12 @@ class MPEngine(PregelEngine):
     # -- checkpoint / restore: the parent's share of the payload ---------
 
     def outbox_view(self) -> dict[int, list]:
-        """The in-flight ``{dst: msgs}`` map (parent-side slab decode)."""
+        """The in-flight ``{dst: msgs}`` map, decoded from the log when a
+        checkpoint or a confined-recovery log entry asks for it."""
+        if self._inflight is None:
+            self._inflight = {}
+            for parts_by_tag, combined in self._log:
+                self._inflight.update(_inbox_of(self._codec, parts_by_tag, combined))
         return self._inflight
 
     def checkpoint_state(self) -> dict:
@@ -581,11 +600,40 @@ class MPEngine(PregelEngine):
             self._refork_all = True
 
     def _install_inflight(self, state: dict) -> None:
-        self._inflight = dict(state["outbox"])
+        """Full rollback: re-pack the checkpoint's ``{dst: msgs}`` into the
+        log an exchange would have left — per worker one part per tag,
+        each receiver's messages in their checkpointed order, and a
+        combined tag's messages as the ``(dst, msg)`` pairs they travel
+        as (a folded value never meets the wire packers)."""
+        codec = self._codec
+        worker_of = self._worker_of
+        w = self.num_workers
+        staged = {tag: ([], bytearray()) for tag in codec.tag_ids}
+        combined: list[list] = [[] for _ in range(w)]
+        delivered = 0
+        for dst, msgs in state["outbox"].items():
+            delivered += len(msgs)
+            for msg in msgs:
+                tag = msg[0]
+                if tag in self._combiners:
+                    combined[worker_of[dst]].append((dst, msg))
+                else:
+                    staged[tag][0].append(dst)
+                    staged[tag][1].extend(codec.pack[tag](msg))
+        self._log = [({}, pairs) for pairs in combined]
+        for tag, (dsts, payload) in staged.items():
+            if dsts:
+                dsts = np.asarray(dsts, dtype=np.int32)
+                # a lone part per receiver is never merged: senders unused
+                parts = split_by_owner(dsts, dsts, payload, self._csr.owner[dsts], w)
+                for (parts_by_tag, _pairs), part in zip(self._log, parts):
+                    if part is not None:
+                        parts_by_tag[tag] = [part]
+        self._inflight = None
         # The halt check's delivery count rewinds with the timeline: the
         # checkpoint's in-flight set is exactly what the restored superstep
         # consumes.
-        self._delivered = sum(len(msgs) for msgs in self._inflight.values())
+        self._delivered = delivered
 
     # -- execution ------------------------------------------------------
 
@@ -603,7 +651,7 @@ class MPEngine(PregelEngine):
             for _ in range(w):
                 seg = shared_memory.SharedMemory(create=True, size=self._slab_bytes)
                 self._segments.append(seg)
-                _track_segment(seg)
+                _track(seg, seg.close, seg.unlink)
             if self.transport_mode == "tcp":
                 # Bind every worker's listener *before* any fork: the full
                 # port map is then inherited by every child, and each
@@ -614,7 +662,7 @@ class MPEngine(PregelEngine):
                     sock = tcp_transport.bind_listener()
                     self._listeners.append(sock)
                     self._ports.append(sock.getsockname()[1])
-                    _track_socket(sock)
+                    _track(sock, sock.close)
             self._csr = OutCsr(self.graph, self._worker_of)
             self._workers = [
                 _Worker(wid, self, self._segments) for wid in range(w)
@@ -644,23 +692,20 @@ class MPEngine(PregelEngine):
                     proc.terminate()
             for conn in self._conns:
                 conn.close()
-            for seg in self._segments:
-                _release_segment(seg)
-            for sock in self._listeners:
-                if sock is not None:
-                    _release_socket(sock)
+            for resource in (*self._segments, *self._listeners):
+                _release(resource)
 
     def _spawn_worker(self, wid: int, *, fresh: bool) -> None:
         """Fork worker ``wid`` from the parent's current state.
 
         ``fresh=False`` replaces a terminated worker during recovery: the
         new process copy-on-write-inherits the parent's restored/replayed
-        columns, and its inbox is re-seeded with its partition's slice of
-        the in-flight messages (the healthy workers still hold theirs)."""
+        columns, and is seeded with its entry of the in-flight log (the
+        healthy workers still hold theirs)."""
         ctx = self._mpctx
-        part = None
+        seed = None
         if not fresh:
-            part = self._seed_part(wid)
+            seed = self._seed(wid)
             if self.transport_mode == "tcp":
                 # The replacement worker needs a live listener: the old
                 # one died with the process (or was the netsplit).  Bind a
@@ -668,11 +713,9 @@ class MPEngine(PregelEngine):
                 # epoch so every receiver resets its sequence stream.
                 from . import tcp as tcp_transport
 
-                old = self._listeners[wid]
-                if old is not None:
-                    _release_socket(old)
+                _release(self._listeners[wid])
                 sock = tcp_transport.bind_listener()
-                _track_socket(sock)
+                _track(sock, sock.close)
                 self._listeners[wid] = sock
                 self._ports[wid] = sock.getsockname()[1]
                 self._epochs[wid] += 1
@@ -687,35 +730,28 @@ class MPEngine(PregelEngine):
             # the parent's copy so a worker-side close (the netsplit
             # fault, or a death) really drops the kernel listener and
             # peers see ECONNREFUSED.
-            _release_socket(self._listeners[wid])
+            _release(self._listeners[wid])
         if fresh:
             self._conns.append(parent_conn)
             self._procs.append(proc)
         else:
             self._conns[wid] = parent_conn
             self._procs[wid] = proc
-            parent_conn.send(("seed", part))
+            parent_conn.send(("seed", *seed))
 
-    def _seed_part(self, wid: int) -> dict[int, list]:
-        """This worker's slice of the in-flight messages, with the
+    def _seed(self, wid: int) -> tuple[dict, list]:
+        """What the last exchange left worker ``wid`` — its log entry, the
+        ``(parts_by_tag, combined)`` its next step delivers — with the
         matching parent-side vote clears applied.
 
-        The seeded in-flight messages *are* the partition's next
-        delivery; a normal exchange clears the receivers' votes
-        worker-side, so re-apply those clears here — a re-forked child
-        inherits the cleared bitset copy-on-write, and a live re-seeded
-        worker applies the same clears in its seed handler."""
-        worker_of = self._worker_of
-        part = {
-            dst: list(msgs)
-            for dst, msgs in self._inflight.items()
-            if worker_of[dst] == wid
-        }
+        A normal exchange clears the receivers' votes worker-side, so
+        re-apply those clears here — a re-forked child inherits the
+        cleared bitset copy-on-write, and a live re-seeded worker applies
+        the same clears in its seed handler."""
+        seed = self._log[wid]
         if self._voted is not None:
-            voted = self._voted
-            for dst in part:
-                voted[dst] = 0
-        return part
+            _wake(self._voted, *seed)
+        return seed
 
     def _refork(self) -> None:
         """Re-fork the workers a recovery flagged (none flagged: nothing)."""
@@ -740,16 +776,15 @@ class MPEngine(PregelEngine):
                     f"mp worker {wid} {exc.describe()} during recovery re-fork"
                 ) from None
         if self._reseed_live and not self._refork_all:
-            # An abandoned tcp exchange: the surviving workers discarded
-            # their partial inboxes, so re-seed them from the parent's own
-            # slab decode — the same per-destination lists a successful
-            # socket merge would have produced (identical stable sort).
+            # An abandoned tcp exchange: the surviving workers kept no part
+            # of it, so re-seed them from the parent's log — the very parts
+            # a successful socket exchange would have left them.
             reforked = set(wids)
             live = [
                 wid for wid in range(self.num_workers) if wid not in reforked
             ]
             for wid in live:
-                self._send(wid, ("seed", self._seed_part(wid)))
+                self._send(wid, ("seed", *self._seed(wid)))
             for wid in live:
                 try:
                     self._recv(wid)
@@ -852,7 +887,7 @@ class MPEngine(PregelEngine):
         still succeed, its frames just never arrive), the peer accused by
         the most reporters is blamed.  Any report means the reporters
         discarded their partial inboxes, so the next ``_refork()``
-        re-seeds every surviving worker from the parent's slab decode."""
+        re-seeds every surviving worker from the parent's log."""
         accused: dict[int, dict[str, int]] = {}
         for _reporter, report in reports.items():
             for peer, cause in report.items():
@@ -1047,44 +1082,36 @@ class MPEngine(PregelEngine):
             step_work = self._step_work
             for wid in range(w):
                 step_work[wid] = worker_computed[wid] + worker_sent_step[wid]
-            for directory in directories:
-                for dest, _tag, count, _offset, _plen in directory:
-                    step_work[dest] += count
-            for entries in inlines:
-                for dest, _tag, count, _db, _sb, _payload in entries:
+            for entries in (*directories, *inlines):
+                for dest, _tag, count, *_where in entries:
                     step_work[dest] += count
             for dest in range(w):
                 step_work[dest] += len(combined_parts[dest])
         if instr:
             t_exchange = time.perf_counter()
-        if self.transport_mode == "tcp":
-            # The exchange command carries the current port/epoch map
-            # (a within-superstep re-fork may have moved a listener)
-            # plus this worker's armed network fault, if any.
-            ports, epochs = list(self._ports), list(self._epochs)
-            net_now, self._net_now = self._net_now, {}
-            for wid in range(w):
+        # Over tcp the exchange command carries the current port/epoch map
+        # (a within-superstep re-fork may have moved a listener) plus this
+        # worker's armed network fault, if any; over shm, None.
+        tcp = self.transport_mode == "tcp"
+        ports, epochs = list(self._ports), list(self._epochs)
+        net_now, self._net_now = self._net_now, {}
+        for wid in range(w):
+            net = None
+            if tcp:
                 fault = net_now.get(wid)
                 if fault == "slowlink":
                     fault = ("slowlink", self._exchange_deadline * 1.5)
                 net = {"ports": ports, "epochs": epochs, "fault": fault}
-                self._send(
-                    wid, ("exchange", directories, inlines, combined_parts, net)
-                )
-        else:
-            for wid in range(w):
-                self._send(
-                    wid, ("exchange", directories, inlines, combined_parts)
-                )
+            self._send(wid, ("exchange", directories, inlines, combined_parts, net))
         # The exchange barrier: each worker replies ("ready",
         # route_seconds, registry_snapshot | None, received_bytes,
-        # vote_slice | None) — this is where the per-worker registries
-        # merge into the parent's and the vote bitset folds.  A death
-        # here is *deferred*: the dead worker's slabs already sit in
-        # parent-owned segments (written before its stat reply), so the
-        # superstep's bookkeeping completes and the escalation runs at
-        # the next start-of-superstep boundary, where recovery replays
-        # cover the missing reply's effects.
+        # vote_slice | None, peer_report | None) — this is where the
+        # per-worker registries merge into the parent's and the vote
+        # bitset folds.  A death here is *deferred*: the dead worker's
+        # slabs already sit in parent-owned segments (written before its
+        # stat reply), so the superstep's bookkeeping completes and the
+        # escalation runs at the next start-of-superstep boundary, where
+        # recovery replays cover the missing reply's effects.
         worker_route_seconds = [0.0] * w
         delivered_bytes = [0] * w
         peer_reports: dict[int, dict] = {}
@@ -1096,30 +1123,23 @@ class MPEngine(PregelEngine):
                 continue
             if supervisor is not None:
                 supervisor.observe_liveness(wid, time.monotonic())
-            worker_route_seconds[wid] = ready[1] if len(ready) > 1 else 0.0
-            if mreg is not None and len(ready) > 2 and ready[2]:
-                mreg.merge_snapshot(ready[2])
-            if len(ready) > 3:
-                delivered_bytes[wid] = ready[3]
-            if voted is not None and len(ready) > 4 and ready[4] is not None:
-                voted[self._part_slices[wid]] = ready[4]
-            if len(ready) > 5 and ready[5]:
-                peer_reports[wid] = ready[5]
+            _ready, route_s, snap, delivered_bytes[wid], votes, report = ready
+            worker_route_seconds[wid] = route_s
+            if mreg is not None and snap:
+                mreg.merge_snapshot(snap)
+            if votes is not None:
+                voted[self._part_slices[wid]] = votes
+            if report:
+                peer_reports[wid] = report
         if peer_reports:
             self._fold_peer_reports(peer_reports)
         phases = {"exchange": time.perf_counter() - t_exchange} if instr else {}
         if voted is not None:
             # Deliveries of this exchange (consumed next superstep) —
             # the termination check's "inbox empty" side.
-            delivered = 0
-            for directory in directories:
-                for _dest, _tag, count, _offset, _plen in directory:
-                    delivered += count
-            for entries in inlines:
-                for _dest, _tag, count, _db, _sb, _payload in entries:
-                    delivered += count
-            delivered += sum(len(part) for part in combined_parts)
-            self._delivered = delivered
+            self._delivered = sum(
+                entry[2] for entries in (*directories, *inlines) for entry in entries
+            ) + sum(len(part) for part in combined_parts)
         if self.mem is not None:
             # Parent-enforced MemPlan: charge each worker's reported
             # resident bytes — last exchange's inbox (consumed this
@@ -1131,16 +1151,15 @@ class MPEngine(PregelEngine):
             )
             self._mem_prev_inbox = delivered_bytes
         if ft is not None:
-            # Decode this superstep's outbox from the slabs while the
-            # segments still hold them: checkpoint payloads and the
-            # confined-recovery logs both read it via outbox_view().
-            self._inflight = self._decode_outbox(directories, inlines)
-            for dst, msg in (pair for part in combined_parts for pair in part):
-                bucket = self._inflight.get(dst)
-                if bucket is None:
-                    self._inflight[dst] = [msg]
-                else:
-                    bucket.append(msg)
+            # Copy this superstep's parts out while the segments still hold
+            # them: seeds ship them raw, checkpoint payloads and the
+            # confined-recovery logs decode them through outbox_view().
+            self._log = [({}, combined) for combined in combined_parts]
+            for dest, tag, part in _slab_parts(
+                self._segments, directories, inlines, range(w)
+            ):
+                self._log[dest][0].setdefault(tag, []).append(part)
+            self._inflight = None
         info = {}
         if tracer is not None:
             # Real-process identities + per-worker exchange (route)
@@ -1159,32 +1178,22 @@ class MPEngine(PregelEngine):
         bit-identical to the simulator's sequential fold, float sums
         included.
 
-        A worker's scalar step ships one ``(name, op, vid, value)`` per
-        put, a kernel one ``(name, op, vids, values)`` array pair per
-        global — and one superstep can hold both for the same global (a
-        worker re-forked by a confined recovery re-runs the step scalar
-        while its peers' kernel replies are already in).  Either way each
-        global's puts become one vid-ordered array, folded with the
-        kernels' own ordered fold; values of unlike types stay Python
-        objects, which that fold combines one by one."""
+        A worker ships one ``(name, op, vids, values)`` array pair per
+        global — a kernel's put as it made it, a scalar step's puts
+        gathered into an object array.  Each global's puts become one
+        vid-ordered array, folded with the kernels' own ordered fold;
+        values of unlike dtypes become Python objects, which that fold
+        combines one by one."""
         streams: dict[tuple, list] = {}
         for name, op, vids, values in puts:
             streams.setdefault((name, op), []).append((vids, values))
         folded = []
         for (name, op), parts in streams.items():
-            if all(isinstance(values, np.ndarray) for _vids, values in parts) and (
-                len({values.dtype for _vids, values in parts}) == 1
-            ):
-                vids = np.concatenate([vids for vids, _values in parts])
-                values = np.concatenate([values for _vids, values in parts])
-            else:
-                vids = np.concatenate([np.atleast_1d(vids) for vids, _values in parts])
-                values = np.empty(len(vids), dtype=object)
-                values[:] = [
-                    x
-                    for _vids, part in parts
-                    for x in (part.tolist() if isinstance(part, np.ndarray) else (part,))
-                ]
+            vids = np.concatenate([vids for vids, _values in parts])
+            arrays = [values for _vids, values in parts]
+            if len({values.dtype for values in arrays}) > 1:
+                arrays = [values.astype(object) for values in arrays]
+            values = np.concatenate(arrays)
             # stable: one vertex's puts (one worker's) stay in program order
             order = np.argsort(vids, kind="stable")
             folded.append((vids[order[0]], name, op, fold_ordered(op, values[order])))
@@ -1193,68 +1202,6 @@ class MPEngine(PregelEngine):
         put_reduce = self.globals.put_reduce
         for _first, name, op, value in folded:
             put_reduce(name, op, value)
-
-    def _decode_outbox(self, directories, inlines) -> dict[int, list]:
-        """Parent-side decode of every worker's slabs into one sim-shaped
-        ``{dst: msgs}`` map (all destinations, not just one worker's).
-
-        Per-tag stable sender sort reconstructs global send order per
-        receiver; receive loops are tag-filtered, so grouping a receiver's
-        messages by tag is invisible — the confined replay feeds these
-        lists straight to the generated receive code."""
-        codec = self._codec
-        per_tag: dict[int, list] = {tag: [] for tag in codec.tag_ids}
-        for source, directory in enumerate(directories):
-            seg_buf = self._segments[source].buf
-            for _dest, tag, count, offset, payload_len in directory:
-                mid = offset + 4 * count
-                pay = mid + 4 * count
-                per_tag[tag].append(
-                    (
-                        np.frombuffer(bytes(seg_buf[offset:mid]), dtype=np.int32),
-                        np.frombuffer(bytes(seg_buf[mid:pay]), dtype=np.int32),
-                        bytes(seg_buf[pay : pay + payload_len]),
-                        count,
-                    )
-                )
-        for entries in inlines:
-            for _dest, tag, count, dst_bytes, sender_bytes, payload in entries:
-                per_tag[tag].append(
-                    (
-                        np.frombuffer(dst_bytes, dtype=np.int32),
-                        np.frombuffer(sender_bytes, dtype=np.int32),
-                        payload,
-                        count,
-                    )
-                )
-        outbox: dict[int, list] = {}
-        for tag in codec.tag_ids:
-            parts = per_tag[tag]
-            if not parts:
-                continue
-            if len(parts) == 1:
-                dst_all, snd_all, payload, count = parts[0]
-                records = codec.unpack[tag](payload, count)
-            else:
-                dst_all = np.concatenate([p[0] for p in parts])
-                snd_all = np.concatenate([p[1] for p in parts])
-                records = []
-                for _dst, _snd, payload, count in parts:
-                    records.extend(codec.unpack[tag](payload, count))
-            by_sender = np.argsort(snd_all, kind="stable")
-            order = by_sender[np.argsort(dst_all[by_sender], kind="stable")]
-            sorted_dsts = dst_all[order]
-            sorted_recs = [records[i] for i in order.tolist()]
-            cuts = np.flatnonzero(sorted_dsts[1:] != sorted_dsts[:-1]) + 1
-            starts = [0, *cuts.tolist()]
-            ends = [*cuts.tolist(), len(sorted_recs)]
-            for dst, a, b in zip(sorted_dsts[starts].tolist(), starts, ends):
-                bucket = outbox.get(dst)
-                if bucket is None:
-                    outbox[dst] = sorted_recs[a:b]
-                else:
-                    bucket.extend(sorted_recs[a:b])
-        return outbox
 
     def _sync_columns(self) -> None:
         """Pull every worker's live partition back into the parent columns."""
@@ -1302,12 +1249,13 @@ class _Worker:
     compiled runs as the same array kernel :class:`ColumnarEngine` runs,
     restricted to the partition's vertices; any other phase as the
     generated scalar program, one call per vertex — stages outgoing
-    messages as per-(destination, tag) slabs in its shared-memory segment
-    (folding combined tags into per-(dst, tag) slots instead), keeps the
-    other workers' slabs destined here raw after the barrier, and delivers
-    them at the next step, when the broadcast state says which receive
-    code they are for: a bulk receive handler takes a tag's records as
-    arrays, a scalar receive loop takes them from the dict inbox.
+    messages per tag, seals them into per-(destination, tag) slab parts in
+    its shared-memory segment when the step is over (folding combined tags
+    into per-(dst, tag) slots instead), keeps the other workers' parts
+    destined here raw after the barrier, and delivers them at the next
+    step, when the broadcast state says which receive code they are for: a
+    bulk receive handler takes a tag's records as arrays, a scalar receive
+    loop takes them from the dict inbox.
 
     Constructed in the parent *before* fork, so every heavy structure (the
     graph CSR, property columns, the generated vertex function and its
@@ -1327,80 +1275,62 @@ class _Worker:
 
     # -- vertex-side ctx API (called by generated code) -----------------
 
+    # Uncombined sends stage unsplit, per tag; ``_write_slabs`` splits each
+    # tag by receiving worker and meters it, once, when the step is over.
+
     def send(self, dst: int, msg: tuple) -> None:
         tag = msg[0]
-        combiner = self._combiners.get(tag) if self._combiners else None
+        combiner = self._combiners.get(tag)
         if combiner is not None:
             self._fold(dst, tag, msg, combiner, 1)
             return
-        stage = self._stage[self._worker_of[dst]][tag]
-        stage.dsts.append(dst)
+        stage = self._stage[tag]
+        stage.singles.append(dst)
         stage.senders.append(self._current_vertex)
         stage.counts.append(1)
         stage.payload += self._pack[tag](msg)
-        self._meter(tag, 1, 1 if self._worker_of[dst] != self.wid else 0)
 
     def send_nbrs(self, vid: int, msg: tuple) -> None:
-        tag = msg[0]
-        if self._combiners and tag in self._combiners:
-            graph = self.engine.graph
-            targets = graph.out_targets[
-                graph.out_offsets[vid] : graph.out_offsets[vid + 1]
-            ]
-            if targets:
-                combiner = self._combiners[tag]
-                for dst in targets:
-                    self._fold(dst, tag, msg, combiner, 0)
-                c = self._counters
-                c["sent"] += len(targets)
-                c["staged"] += self._sizes[tag] * len(targets)
+        graph = self.graph
+        s = graph.out_offsets[vid]
+        e = graph.out_offsets[vid + 1]
+        if s == e:
             return
-        if self._grp_off is None:
-            self._group_nbrs()
-        offsets = self._grp_off.get(vid)
-        if offsets is None:
-            return  # no out-neighbours
-        record = self._pack[tag](msg)
-        grp_tgt = self._grp_tgt
-        for dest in range(self._w):
-            a = offsets[dest]
-            b = offsets[dest + 1]
-            if b > a:
-                stage = self._stage[dest][tag]
-                stage.dsts.frombytes(grp_tgt[a:b].tobytes())
-                stage.senders.append(vid)
-                stage.counts.append(b - a)
-                stage.payload += record * (b - a)
-        deg = offsets[-1] - offsets[0]
-        own = offsets[self.wid + 1] - offsets[self.wid]
-        self._meter(tag, deg, deg - own)
+        tag = msg[0]
+        if tag in self._combiners:
+            self._fold_list(graph.out_targets[s:e], tag, msg)
+            return
+        stage = self._stage[tag]
+        if stage.singles:
+            stage.chunks.append(np.asarray(stage.singles, dtype=np.int32))
+            stage.singles.clear()
+        stage.chunks.append(self.engine._csr.targets[s:e])
+        stage.senders.append(vid)
+        stage.counts.append(e - s)
+        stage.payload += self._pack[tag](msg) * (e - s)
 
     def send_list(self, dsts: list, msg: tuple) -> None:
         if not dsts:
             return
         tag = msg[0]
-        if self._combiners and tag in self._combiners:
-            combiner = self._combiners[tag]
-            for dst in dsts:
-                self._fold(dst, tag, msg, combiner, 0)
-            c = self._counters
-            c["sent"] += len(dsts)
-            c["staged"] += self._sizes[tag] * len(dsts)
+        if tag in self._combiners:
+            self._fold_list(dsts, tag, msg)
             return
-        record = self._pack[tag](msg)
-        vid = self._current_vertex
-        worker_of = self._worker_of
-        cross = 0
+        stage = self._stage[tag]
+        stage.singles.extend(dsts)
+        stage.senders.append(self._current_vertex)
+        stage.counts.append(len(dsts))
+        stage.payload += self._pack[tag](msg) * len(dsts)
+
+    def _fold_list(self, dsts, tag: int, msg: tuple) -> None:
+        """One combined send to each of ``dsts``, the sender's combine
+        work metered once for the lot."""
+        combiner = self._combiners[tag]
         for dst in dsts:
-            dest = worker_of[dst]
-            if dest != self.wid:
-                cross += 1
-            stage = self._stage[dest][tag]
-            stage.dsts.append(dst)
-            stage.senders.append(vid)
-            stage.counts.append(1)
-            stage.payload += record
-        self._meter(tag, len(dsts), cross)
+            self._fold(dst, tag, msg, combiner, 0)
+        c = self._counters
+        c["sent"] += len(dsts)
+        c["staged"] += self._sizes[tag] * len(dsts)
 
     def _fold(self, dst: int, tag: int, msg: tuple, combiner, meter: int) -> None:
         """Combiner send: fold into this worker's (dst, tag) slot, stamped
@@ -1419,7 +1349,9 @@ class _Worker:
             self._combined[key] = (self._current_vertex, msg)
 
     def put_global(self, name: str, op, value) -> None:
-        self._puts.append((name, op, self._current_vertex, value))
+        vids, values = self._put_runs.setdefault((name, op), ([], []))
+        vids.append(self._current_vertex)
+        values.append(value)
 
     def vote_to_halt(self, vid: int) -> None:
         # The fork-inherited bitset is private to this process: the vote
@@ -1454,30 +1386,14 @@ class _Worker:
 
     def send_nbrs_bulk(self, tag: int, senders, edges, counts, records) -> None:
         """A kernel's one send on ``tag``: ``records[k]`` along out-edge
-        ``edges[k]`` (``out_edges(senders)``), split by destination worker
-        — stably, so each slab keeps ascending-sender, edge order, what the
-        per-vertex sends stage — and metered as they are."""
+        ``edges[k]`` (``out_edges(senders)``), staged as one chunk — what
+        the per-vertex sends would have staged, in their order."""
         csr = self.engine._csr
-        dsts = csr.targets if edges is None else csr.targets[edges]
-        sender_ids = np.repeat(senders.astype(np.int32), counts)
-        owner = csr.nbr_owner if edges is None else csr.nbr_owner[edges]
-        order = np.argsort(owner, kind="stable")
-        ends = np.cumsum(np.bincount(owner, minlength=self._w)).tolist()
-        dsts, sender_ids = dsts[order], sender_ids[order]
+        stage = self._stage[tag]
+        stage.chunks.append(csr.targets if edges is None else csr.targets[edges])
+        stage.senders, stage.counts = senders, counts
         if records is not None:
-            records = records[order]
-        a = 0
-        for dest, b in enumerate(ends):
-            if b > a:
-                self._stage[dest][tag].bulk = (
-                    dsts[a:b],
-                    sender_ids[a:b],
-                    None if records is None else records[a:b],
-                )
-            if dest == self.wid:
-                own = b - a
-            a = b
-        self._meter(tag, len(dsts), len(dsts) - own)
+            stage.payload += records.view(np.uint8).data
 
     def put_global_bulk(self, name: str, op, vids, values) -> None:
         """A kernel's puts to one global: shipped whole, folded with the
@@ -1501,11 +1417,9 @@ class _Worker:
             from ...obs.metrics import MetricsRegistry
 
             self._mreg = MetricsRegistry()
-        self._worker_of = engine._worker_of
         self._combiners = engine._combiners
         codec = engine._codec
         self._pack = codec.pack
-        self._unpack = codec.unpack
         self._sizes = codec.sizes
         self._tag_ids = codec.tag_ids
         self._part_slice = engine._part_slices[self.wid]
@@ -1540,16 +1454,14 @@ class _Worker:
                 d: [] for d in range(self._w) if d != self.wid
             }
         self._puts: list = []
+        self._put_runs: dict = {}
         self._counters = self._fresh_counters()
-        # What the next step consumes.  An exchange leaves the raw slab
-        # parts destined here, per tag, plus the parent's combined
-        # messages; a seed (recovery re-fork, re-seed after an abandoned
-        # tcp exchange) leaves a ready dict inbox instead, and the step
-        # that consumes one runs the scalar program.
+        # What the next step consumes: the raw slab parts destined here,
+        # per tag, plus the parent's combined messages — left by an
+        # exchange, or shipped by the parent as a seed (recovery re-fork,
+        # re-seed after an abandoned tcp exchange) from its log of one.
         self._parts: dict[int, list] = {}
         self._combined_in: list = _EMPTY
-        self._inbox: dict[int, list] = {}
-        self._seeded = False
         self._combined: dict = {}
         # Voting: fork-inherited copy of the parent's bitset (or None).
         self._voted = engine._voted
@@ -1562,10 +1474,7 @@ class _Worker:
             else None
         )
         self._recv_bytes = 0
-        self._stage = [
-            {tag: _TagStage() for tag in self._tag_ids} for _ in range(self._w)
-        ]
-        self._grp_off: dict | None = None  # built by the first scalar send_nbrs
+        self._stage = {tag: _TagStage() for tag in self._tag_ids}
         # Array code, compiled against this process: the kernels stage
         # through the methods above and their column views bind the
         # columns this fork inherited.
@@ -1573,28 +1482,6 @@ class _Worker:
         self._kernels: dict = {}
         if engine._array_code is not None:
             self._receivers, self._kernels = engine._array_code(self)
-
-    def _group_nbrs(self) -> None:
-        """Group every own vertex's out-neighbor slice by destination
-        worker (stable), so a scalar neighbor broadcast stages one
-        contiguous run per destination: ``_grp_tgt`` holds the regrouped
-        targets, ``_grp_off[vid]`` the ``w + 1`` bounds of vid's runs."""
-        csr = self.engine._csr
-        w = self._w
-        senders = self._own_ids[csr.degrees[self._own_ids] != 0]
-        if not senders.size:
-            self._grp_tgt, self._grp_off = csr.targets[:0], {}
-            return
-        edges, counts = csr.out_edges(senders)
-        tgt = csr.targets if edges is None else csr.targets[edges]
-        owner = csr.nbr_owner if edges is None else csr.nbr_owner[edges]
-        src = np.repeat(np.arange(len(senders), dtype=np.int64), counts)
-        self._grp_tgt = tgt[np.lexsort((owner, src))]
-        runs = np.bincount(src * w + owner, minlength=len(senders) * w)
-        bounds = np.zeros((len(senders), w + 1), dtype=np.int64)
-        np.cumsum(runs.reshape(len(senders), w), axis=1, out=bounds[:, 1:])
-        bounds += (np.cumsum(counts) - counts)[:, None]
-        self._grp_off = dict(zip(senders.tolist(), bounds.tolist()))
 
     @staticmethod
     def _fresh_counters() -> dict:
@@ -1624,19 +1511,16 @@ class _Worker:
                 elif kind == "snapshot":
                     conn.send(("columns", self._gather()))
                 elif kind == "seed":
-                    # Recovery re-fork / post-abandon re-seed: install this
-                    # partition's slice of the in-flight messages as the
-                    # pending inbox.  The seeded messages are deliveries,
-                    # so clear their receivers' votes — a no-op for a
-                    # fresh fork (the child inherited the parent's
-                    # already-cleared bitset), the missing wake-up for a
-                    # live worker that abandoned its exchange.
-                    self._inbox = cmd[1]
-                    self._seeded = True
-                    self._parts, self._combined_in = {}, _EMPTY
+                    # Recovery re-fork / post-abandon re-seed: install what
+                    # the exchange would have left this partition.  The
+                    # seeded messages are deliveries, so clear their
+                    # receivers' votes — a no-op for a fresh fork (the
+                    # child inherited the parent's already-cleared
+                    # bitset), the missing wake-up for a live worker that
+                    # abandoned its exchange.
+                    _kind, self._parts, self._combined_in = cmd
                     if self._voted is not None:
-                        for dst in self._inbox:
-                            self._voted[dst] = 0
+                        _wake(self._voted, self._parts, self._combined_in)
                     conn.send(("ready",))
                 elif kind == "finish":
                     conn.send(("columns", self._gather()))
@@ -1656,7 +1540,7 @@ class _Worker:
         broadcast = self.engine.globals.broadcast
         broadcast.clear()
         broadcast.update(cmd[1])
-        if len(cmd) > 2 and cmd[2]:
+        if cmd[2]:
             # Injected hang: sleep past the parent's exchange deadline — it
             # detects the miss and recovers (we get terminated mid-nap by
             # the re-fork).
@@ -1665,11 +1549,9 @@ class _Worker:
         mreg = self._mreg
         wid = str(self.wid)
         state = broadcast.get("_state")
-        # A seeded inbox holds every tag decoded already: that step is the
-        # scalar program's.  Otherwise the phase's own choice, as on the
-        # columnar engine: its kernel if the vectorizer built one.
-        kernel = None if self._seeded else self._kernels.get(state)
-        self._seeded = False
+        # The phase's own choice, as on the columnar engine: its kernel if
+        # the vectorizer built one.
+        kernel = self._kernels.get(state)
         inbox = self._deliver(state)
         own = self._own_vids
         voted = self._voted
@@ -1694,6 +1576,11 @@ class _Worker:
                     compute(self, vid, inbox.get(vid, empty))
                     computed += 1
             self._current_vertex = -1
+            for (name, op), (vids, values) in self._put_runs.items():
+                boxed = np.empty(len(values), dtype=object)
+                boxed[:] = values
+                self._puts.append((name, op, np.asarray(vids), boxed))
+            self._put_runs = {}
         c = self._counters
         c["computed"] = computed
         directory, inline = self._write_slabs()
@@ -1714,155 +1601,118 @@ class _Worker:
     def _deliver(self, state) -> dict:
         """Hand the pending messages to this step's receive code and
         return the dict inbox the scalar receive loops read.  A tag with a
-        bulk receive handler for ``state`` is consumed here, as arrays; the
+        bulk receive handler for ``state`` is consumed here, as arrays —
+        merged by sender only if the handler's fold observes order; the
         records of every other tag are decoded into the inbox."""
-        inbox, self._inbox = self._inbox, {}
         parts_by_tag, self._parts = self._parts, {}
-        bulk = scalar = 0
-        if self._mreg is not None:
-            scalar = sum(map(len, inbox.values()))  # a seeded inbox
+        combined, self._combined_in = self._combined_in, _EMPTY
+        codec = self.engine._codec
+        bulk = 0
         for tag in self._tag_ids:
-            parts = parts_by_tag.get(tag)
-            if not parts:
-                continue
-            count = sum(part[3] for part in parts)
             handler = self._receivers.get((state, tag))
-            if handler is None:
-                self._merge_parts(tag, parts, inbox)
-                scalar += count
-                continue
-            if len(parts) == 1:
-                dsts, _senders, payload, _count = parts[0]
-            else:
-                dsts = np.concatenate([part[0] for part in parts])
-                payload = b"".join(part[2] for part in parts)
-                if handler.ordered_merge is not None:
-                    # One part per source worker, each ascending in
-                    # sender: a stable sort on sender merges the runs
-                    # into the simulator's global send order.
-                    order = np.argsort(
-                        np.concatenate([part[1] for part in parts]), kind="stable"
-                    )
-                    dsts = dsts[order]
-                    if payload:
-                        size = self._sizes[tag]
-                        payload = np.frombuffer(payload, dtype=f"V{size}")[order]
-            handler(dsts, payload, count)
-            bulk += count
-        for dst, msg in self._combined_in:
-            bucket = inbox.get(dst)
-            if bucket is None:
-                inbox[dst] = [msg]
-            else:
-                bucket.append(msg)
-        scalar += len(self._combined_in)
-        self._combined_in = _EMPTY
+            if handler is not None and tag in parts_by_tag:
+                ordered = handler.ordered_merge is not None
+                dsts, payload, count = codec.merge_parts(
+                    tag, parts_by_tag.pop(tag), ordered
+                )
+                handler(dsts, payload, count)
+                bulk += count
+        inbox = _inbox_of(codec, parts_by_tag, combined)
         if self._mreg is not None:
+            scalar = len(combined) + sum(
+                part[3] for parts in parts_by_tag.values() for part in parts
+            )
             wid = str(self.wid)
             self._mreg.counter("mp.bulk_records", worker=wid).inc(bulk)
             self._mreg.counter("mp.scalar_records", worker=wid).inc(scalar)
         return inbox
 
     def _exchange(self, cmd) -> tuple:
-        """Collect the slabs destined here; returns the ready reply."""
+        """Collect the parts destined here; returns the ready reply."""
         t0 = time.perf_counter()
         self._recv_bytes = 0
-        frames = None
-        report = None
+        frames = report = None
         if self._tcp is not None:
-            frames, report = self._exchange_tcp(
-                cmd[1], cmd[2], cmd[4] if len(cmd) > 4 else None
-            )
+            frames, report = self._exchange_tcp(cmd[1], cmd[2], cmd[4])
         voted = self._voted
-        mreg = self._mreg
-        if report:
-            # A peer failed: abandon the whole exchange — keep no part of
-            # it, skip the combined parts and the vote clears (the parent
-            # re-seeds this worker after recovery) and report the
-            # classified causes so the parent can fold blame.
-            votes = bytes(voted[self._part_slice]) if voted is not None else None
-            route_s = time.perf_counter() - t0
-            snap = mreg.snapshot(reset=True) if mreg is not None else None
-            return ("ready", route_s, snap, 0, votes, report)
-        self._read_slabs(cmd[1], cmd[2], frames)
-        self._combined_in = combined = cmd[3][self.wid]
-        ovh = self._mem_overhead
-        if ovh is not None:
-            sizes = self._sizes
-            for _dst, msg in combined:
-                self._recv_bytes += sizes[msg[0]] + ovh
-        votes = None
-        if voted is not None:
-            # Ship this partition's slice *before* the delivery clears:
-            # the parent's fold then matches the simulator's end-of-phase
-            # bitset (checkpoints and traces included).  The local copy
-            # clears now — delivered messages wake their receivers next
-            # step.
-            votes = bytes(voted[self._part_slice])
-            waking = np.frombuffer(voted, dtype=np.uint8)
-            for parts in self._parts.values():
-                for dsts, _senders, _payload, _count in parts:
-                    waking[dsts] = 0
-            for dst, _msg in combined:
-                voted[dst] = 0
+        # Ship this partition's vote slice *before* the delivery clears:
+        # the parent's fold then matches the simulator's end-of-phase
+        # bitset (checkpoints and traces included).
+        votes = bytes(voted[self._part_slice]) if voted is not None else None
+        if not report:
+            self._read_slabs(cmd[1], cmd[2], frames)
+            self._combined_in = combined = cmd[3][self.wid]
+            ovh = self._mem_overhead
+            if ovh is not None:
+                sizes = self._sizes
+                for _dst, msg in combined:
+                    self._recv_bytes += sizes[msg[0]] + ovh
+            if voted is not None:
+                # delivered messages wake their receivers next step
+                _wake(voted, self._parts, combined)
+        # else a peer failed and the whole exchange is abandoned: no part of
+        # it is kept, nor the combined messages, nor the vote clears (the
+        # parent re-seeds this worker after recovery); the report carries
+        # the classified causes so the parent can fold blame.
         route_s = time.perf_counter() - t0
         snap = None
+        mreg = self._mreg
         if mreg is not None:
             mreg.histogram(
                 "mp.worker_route_seconds", worker=str(self.wid)
             ).observe(route_s)
             snap = mreg.snapshot(reset=True)
-        return ("ready", route_s, snap, self._recv_bytes, votes)
+        return ("ready", route_s, snap, self._recv_bytes, votes, report)
 
     def _write_slabs(self):
-        """Flush the staged per-(destination, tag) slabs into this worker's
-        shared-memory segment; anything past its capacity travels inline
+        """Seal the staged sends, tag by tag — one split by receiving
+        worker, one metering, one write: each part goes into this worker's
+        shared-memory segment in the codec's layout (``directory`` says
+        where); anything past the segment's capacity travels ``inline``
         over the pipe instead (correctness never depends on the size).
 
         In tcp mode the cross-worker parts are *additionally* queued as
-        socket frames: the segments stay authoritative for the parent
-        (checkpoint decode, makespan, delivery counts — the structural
-        parity guarantee), while the receivers build their inboxes from
-        the frames."""
+        socket frame bodies: the segments stay authoritative for the parent
+        (its in-flight log, makespan, delivery counts — the structural
+        parity guarantee), while the receivers take their parts from the
+        frames."""
         seg = self.segments[self.wid]
-        capacity = seg.size
         segment = np.frombuffer(seg.buf, dtype=np.uint8)
         offset = 0
         directory = []
         inline = []
         tcp_out = self._tcp_outgoing if self._tcp is not None else None
-        for dest in range(self._w):
-            stages = self._stage[dest]
-            for tag in self._tag_ids:
-                slab = stages[tag].take()
-                if slab is None:
+        owner = self.engine._csr.owner
+        for tag in self._tag_ids:
+            staged = self._stage[tag].take()
+            if staged is None:
+                continue
+            self._stage[tag] = _TagStage()
+            dsts, senders, payload = staged
+            parts = split_by_owner(dsts, senders, payload, owner[dsts], self._w)
+            own = parts[self.wid]
+            self._meter(tag, len(dsts), len(dsts) - (own[3] if own else 0))
+            for dest, part in enumerate(parts):
+                if part is None:
                     continue
-                stages[tag] = _TagStage()
-                count, dsts, senders, payload = slab
-                if tcp_out is not None and dest != self.wid:
-                    tcp_out[dest].append(
-                        (tag, count, dsts.tobytes(), senders.tobytes(), payload.tobytes())
-                    )
-                mid = offset + dsts.size
-                pay = mid + senders.size
-                end = pay + payload.size
-                if end <= capacity:
-                    segment[offset:mid] = dsts
-                    segment[mid:pay] = senders
-                    segment[pay:end] = payload
-                    directory.append((dest, tag, count, offset, payload.size))
+                end = offset + part_nbytes(part)
+                fits = end <= seg.size
+                body = segment[offset:end] if fits else np.empty(end - offset, np.uint8)
+                write_part(body, part)
+                if fits:
+                    directory.append((dest, tag, part[3], offset, end))
                     offset = end
                 else:
-                    inline.append(
-                        (dest, tag, count, dsts.tobytes(), senders.tobytes(), payload.tobytes())
-                    )
+                    inline.append((dest, tag, part[3], body.tobytes()))
+                if tcp_out is not None and dest != self.wid:
+                    tcp_out[dest].append((tag, part[3], body.tobytes()))
         return directory, inline
 
     def _exchange_tcp(self, directories, inlines, net):
         """Run the socket leg of the exchange: ``(frames, None)`` — the
-        other workers' parts destined here, ``{source: [(tag, count,
-        dst_bytes, sender_bytes, payload), ...]}`` — on success, else
-        ``(None, {peer: cause})``, the failure report.
+        other workers' parts destined here, ``{source: [(tag, part),
+        ...]}`` — on success, else ``(None, {peer: cause})``, the failure
+        report.
 
         The directories every worker shipped through the parent double as
         the receive manifest: each (dest==us) entry from another source
@@ -1872,10 +1722,8 @@ class _Worker:
         with ECONNREFUSED at the kernel), a slowlink stalls us past our
         peers' socket deadline."""
         tcp = self._tcp
-        fault = None
-        if net is not None:
-            tcp.update_peers(net["ports"], net["epochs"])
-            fault = net.get("fault")
+        tcp.update_peers(net["ports"], net["epochs"])
+        fault = net["fault"]
         if fault == "netsplit":
             tcp.close_listener()
         elif fault is not None:  # ("slowlink", seconds)
@@ -1903,70 +1751,21 @@ class _Worker:
         messages to itself never touch the network) come from the segment."""
         wid = self.wid
         ovh = self._mem_overhead
-        sizes = self._sizes
         pending = self._parts = {}
-
-        def keep(tag, count, dst_bytes, sender_bytes, payload):
-            if ovh is not None:
-                self._recv_bytes += count * (sizes[tag] + ovh)
-            pending.setdefault(tag, []).append(
-                (
-                    np.frombuffer(dst_bytes, dtype=np.int32),
-                    np.frombuffer(sender_bytes, dtype=np.int32),
-                    payload,
-                    count,
-                )
-            )
-
         for source in range(self._w):
             if frames is not None and source != wid:
-                for part in frames.get(source, _EMPTY):
-                    keep(*part)
-                continue
-            seg_buf = self.segments[source].buf
-            for dest, tag, count, offset, payload_len in directories[source]:
-                if dest == wid:
-                    mid = offset + 4 * count
-                    pay = mid + 4 * count
-                    keep(
-                        tag,
-                        count,
-                        bytes(seg_buf[offset:mid]),
-                        bytes(seg_buf[mid:pay]),
-                        bytes(seg_buf[pay : pay + payload_len]),
-                    )
-            for dest, *part in inlines[source]:
-                if dest == wid:
-                    keep(*part)
-
-    def _merge_parts(self, tag: int, parts: list, inbox: dict) -> None:
-        """Decode one tag's parts into per-receiver message lists, merged
-        by sender id (stable) — the simulator's exact per-receiver order."""
-        if len(parts) == 1:
-            dst_all, snd_all, payload, count = parts[0]
-            records = self._unpack[tag](payload, count)
-        else:
-            dst_all = np.concatenate([p[0] for p in parts])
-            snd_all = np.concatenate([p[1] for p in parts])
-            records = []
-            for _dst, _snd, payload, count in parts:
-                records.extend(self._unpack[tag](payload, count))
-        # Two stable sorts: first by sender (reconstructing the
-        # simulator's global send order), then by receiver (grouping
-        # bucket fills into list slices instead of per-record appends).
-        by_sender = np.argsort(snd_all, kind="stable")
-        order = by_sender[np.argsort(dst_all[by_sender], kind="stable")]
-        sorted_dsts = dst_all[order]
-        sorted_recs = [records[i] for i in order.tolist()]
-        cuts = np.flatnonzero(sorted_dsts[1:] != sorted_dsts[:-1]) + 1
-        starts = [0, *cuts.tolist()]
-        ends = [*cuts.tolist(), len(sorted_recs)]
-        for dst, a, b in zip(sorted_dsts[starts].tolist(), starts, ends):
-            bucket = inbox.get(dst)
-            if bucket is None:
-                inbox[dst] = sorted_recs[a:b]
+                parts = frames.get(source, _EMPTY)
             else:
-                bucket.extend(sorted_recs[a:b])
+                parts = (
+                    (tag, part)
+                    for _dest, tag, part in _slab_parts(
+                        self.segments, directories, inlines, (source,), wid
+                    )
+                )
+            for tag, part in parts:
+                if ovh is not None:
+                    self._recv_bytes += part[3] * (self._sizes[tag] + ovh)
+                pending.setdefault(tag, []).append(part)
 
     def _gather(self) -> dict:
         """This partition's slice of every column: a typed column as its

@@ -4,8 +4,9 @@
 with actual sockets: every worker owns a loopback listening socket (bound
 in the parent before the fork so the full port map is known to every
 process), and each exchange round moves the columnar message slabs
-between workers as length-prefixed frames over real kernel TCP buffers.
-Worker-local slabs and the parent's checkpoint decode keep using the
+between workers as length-prefixed frames over real kernel TCP buffers;
+a data frame's body is one slab part in the layout :mod:`.codec` owns.
+Worker-local slabs and the parent's in-flight log keep using the
 shared-memory segments — the sockets carry exactly the traffic that
 would cross a network on a real cluster.
 
@@ -29,9 +30,10 @@ one:
   retransmission that straggles into the *next* exchange round is
   recognized and re-acked instead of polluting the new inbox;
 * **checksum-discard-unacked** — every frame ends in a CRC32 over its
-  header and body; a corrupt frame is dropped without an ack
-  (``tcp.checksum_failures``) and the sender's retransmission recovers
-  it, exactly the simulated channel's corruption contract.
+  header and body; a corrupt frame (``tcp.checksum_failures``), or one
+  whose body is shorter than its record count says
+  (``tcp.malformed_frames``), is dropped without an ack and the sender's
+  retransmission recovers it: the simulated channel's corruption contract.
 
 Failure classification is the part simulation cannot exercise: a peer
 whose listening socket is gone fails the connect with ECONNREFUSED
@@ -43,9 +45,9 @@ discards the partial inbox, and reports ``{peer: cause}`` to the parent,
 which folds the reports into a culprit and escalates through the
 ordinary ``ft.recover_worker`` → capped-restart → ``unrecoverable``
 degradation path.  Frame arrival order never reaches the algorithm: the
-receiver hands complete per-(source, tag) slab parts to the same
-stable-sender-sort merge the shared-memory path uses, so shm and tcp
-runs are bit-identical on ``parity_key()`` and outputs by construction.
+receiver keeps complete per-(source, tag) parts for the same codec merge
+the shared-memory path uses, so shm and tcp runs are bit-identical on
+``parity_key()`` and outputs by construction.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ import socket
 import struct
 import time
 import zlib
+
+from .codec import read_part
 
 #: frame header: total_length, src wid, src epoch, seq, kind, tag, count
 _HDR = struct.Struct("!IIIIIII")
@@ -212,22 +216,18 @@ class TcpSlabTransport:
                 pass
             self._listener = None
 
-    def close(self) -> None:
-        self.close_listener()
-
     # -- the exchange round ---------------------------------------------
 
     def exchange(self, outgoing: dict, expected: dict, deadline_s: float):
         """Run one slab-exchange round against every peer.
 
-        ``outgoing`` maps peer wid -> list of slab parts
-        ``(tag, count, dst_bytes, sender_bytes, payload)`` to deliver;
-        ``expected`` maps peer wid -> number of data frames that peer's
-        directory says it is sending here.  Returns ``(parts, report)``:
-        ``parts`` maps source wid -> received slab parts (same tuple
-        shape), ``report`` maps peer wid -> failure cause; a non-empty
-        report means the exchange was abandoned and ``parts`` must be
-        discarded by the caller."""
+        ``outgoing`` maps peer wid -> list of ``(tag, count, body)`` to
+        deliver (``body``: a part in the codec's wire layout); ``expected``
+        maps peer wid -> number of data frames that peer's directory says
+        it is sending here.  Returns ``(parts, report)``: ``parts`` maps
+        source wid -> received ``(tag, part)`` pairs, ``report`` maps peer
+        wid -> failure cause; a non-empty report means the exchange was
+        abandoned and ``parts`` must be discarded by the caller."""
         now = time.monotonic()
         deadline = now + deadline_s
         links: dict[int, _Link] = {}
@@ -235,12 +235,11 @@ class TcpSlabTransport:
             if not frames:
                 continue
             link = links[peer] = _Link(peer)
-            for tag, count, dst_bytes, sender_bytes, payload in frames:
+            for tag, count, body in frames:
                 seq = self._seq.get(peer, 0)
                 self._seq[peer] = seq + 1
                 raw = pack_frame(
-                    self.wid, self.epoch, seq, _KIND_DATA, tag, count,
-                    dst_bytes + sender_bytes + payload,
+                    self.wid, self.epoch, seq, _KIND_DATA, tag, count, body
                 )
                 link.unacked[seq] = [raw, 0, 0.0]
         pending_recv = {p: n for p, n in expected.items() if n > 0}
@@ -321,6 +320,13 @@ class TcpSlabTransport:
                 # sender is gone; nothing retransmits).
                 self._inc("tcp.stale_frames")
                 return
+            try:
+                part = read_part(body, count)
+            except ValueError:
+                # A body shorter than its count says: dropped unacked,
+                # like a checksum failure, before anything counts it in.
+                self._inc("tcp.malformed_frames")
+                return
             self._inc("tcp.frames_received")
             self._inc("tcp.bytes_received", _HDR.size + len(body) + _CRC.size)
             key = (src, epoch)
@@ -336,16 +342,9 @@ class TcpSlabTransport:
                 self._inc("tcp.reorders")
             self._next_expected[key] = max(nxt, seq + 1)
             conn_outbuf += ack
-            expect = len(body) - count * 8
-            if expect < 0 or src not in pending_recv and not parts.get(src):
-                if src not in pending_recv:
-                    return  # stale straggler from an unexpected source
-            dst_bytes = body[: 4 * count]
-            sender_bytes = body[4 * count : 8 * count]
-            payload = body[8 * count :]
-            parts.setdefault(src, []).append(
-                (tag, count, dst_bytes, sender_bytes, payload)
-            )
+            if src not in pending_recv and not parts.get(src):
+                return  # stale straggler from an unexpected source
+            parts.setdefault(src, []).append((tag, part))
             if src in pending_recv:
                 pending_recv[src] -= 1
                 if pending_recv[src] <= 0:

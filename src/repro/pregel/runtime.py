@@ -177,11 +177,12 @@ class RunMetrics:
     mem_peak_bytes: int = 0
     checkpoint_peak_bytes: int = 0
     # -- codegen/backend provenance ---------------------------------------
-    #: phases the columnar vectorizer runs as array code on this run — a
-    #: bulk receive handler, a whole-phase kernel, or both ("phase<id>"
-    #: labels) — empty on sim/mp and whenever the slab fast path is
-    #: inactive.  Backend provenance like ``backend``
-    #: itself, so excluded from parity_key().
+    #: phases the vectorizer runs as array code on this run — a bulk
+    #: receive handler, a whole-phase kernel, or both ("phase<id>" labels)
+    #: — on columnar and in the mp workers; empty on sim and wherever a
+    #: composition keeps the scalar program (columnar: slab fast path
+    #: inactive; mp: combiners, voting).  Backend provenance like
+    #: ``backend`` itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
 
     def makespan_inflation(self) -> float:

@@ -12,6 +12,7 @@ import functools
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import default_args
 from repro.compiler import compile_algorithm
@@ -210,6 +211,151 @@ class TestMessageCodec:
         assert all(size == 5 for size in codec.sizes.values())  # B + i
 
 
+class TestSlabCodec:
+    """The slab *part* — ``(dsts, senders, payload, count)`` — has one
+    owner, ``backend/codec.py``: its byte layout, the split by receiving
+    worker and the by-receiver decode are each written once there and
+    held here to what the copies they replaced did."""
+
+    #: (algorithm, tag, message maker): a double, an empty layout, a
+    #: tagged int record
+    LAYOUTS = (
+        ("pagerank", 0, lambda rng: (0, rng.random())),
+        ("avg_teen_cnt", 0, lambda rng: (0,)),
+        ("bipartite_matching", 1, lambda rng: (1, rng.randrange(1 << 20))),
+    )
+
+    @staticmethod
+    def codec(alg):
+        return MessageCodec(compile_algorithm(alg).program.schema)
+
+    @staticmethod
+    def make_part(codec, tag, make, rng, count, senders=None):
+        import numpy as np
+
+        msgs = [make(rng) for _ in range(count)]
+        if senders is None:
+            senders = sorted(rng.randrange(500) for _ in range(count))
+        part = (
+            np.array([rng.randrange(40) for _ in range(count)], dtype=np.int32),
+            np.array(senders, dtype=np.int32),
+            b"".join(codec.pack[tag](m) for m in msgs),
+            count,
+        )
+        return part, msgs
+
+    @staticmethod
+    def same_part(a, b):
+        assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+        assert bytes(a[2]) == bytes(b[2]) and a[3] == b[3]
+
+    def test_part_round_trips_through_every_container(self):
+        import random
+
+        import numpy as np
+
+        from repro.pregel.backend import tcp
+        from repro.pregel.backend.codec import part_nbytes, read_part, write_part
+
+        rng = random.Random(17)
+        for alg, tag, make in self.LAYOUTS:
+            codec = self.codec(alg)
+            for count in (0, 1, 9):
+                part, _msgs = self.make_part(codec, tag, make, rng, count)
+                size = part_nbytes(part)
+                assert size == count * (8 + codec.sizes[tag])
+                # a stretch of a shared-memory segment, written in place
+                segment = bytearray(b"\xff" * (size + 48))
+                write_part(np.frombuffer(segment, dtype=np.uint8)[24 : 24 + size], part)
+                assert segment[:24] == segment[24 + size :] == b"\xff" * 24
+                self.same_part(part, read_part(memoryview(segment)[24 : 24 + size], count))
+                # the inline overflow body
+                body = bytes(segment[24 : 24 + size])
+                self.same_part(part, read_part(body, count))
+                # a tcp frame body
+                wire = bytearray(tcp.pack_frame(1, 0, 0, tcp._KIND_DATA, tag, count, body))
+                ((ok, *_head, got_count, got_body),) = tcp.parse_frames(wire)
+                assert ok
+                self.same_part(part, read_part(got_body, got_count))
+
+    def test_body_shorter_than_its_count_is_rejected(self):
+        from repro.pregel.backend.codec import read_part
+
+        with pytest.raises(ValueError, match="5 records needs 40 bytes.*has 39"):
+            read_part(b"\0" * 39, 5)
+        with pytest.raises(ValueError):
+            read_part(b"", -1)
+        assert read_part(b"\0" * 40, 5)[2] == b""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(0, 99), min_size=1, max_size=60),
+        st.integers(1, 5),
+        st.sampled_from((0, 4)),
+    )
+    def test_owner_split_is_stable_and_lossless(self, dsts, workers, size):
+        import numpy as np
+
+        from repro.pregel.backend.codec import split_by_owner
+
+        count = len(dsts)
+        dsts = np.array(dsts, dtype=np.int32)
+        senders = np.arange(count, dtype=np.int32) // 3  # ascending runs
+        # record k's payload is k: the identity the split must carry along
+        payload = bytearray(np.arange(count, dtype="<i4").tobytes()) if size else bytearray()
+        owners = (dsts % workers).astype(np.uint8)
+        parts = split_by_owner(dsts, senders, payload, owners, workers)
+        assert len(parts) == workers
+        seen = []
+        for w, part in enumerate(parts):
+            want = [k for k in range(count) if owners[k] == w]
+            if not want:
+                assert part is None
+                continue
+            got_dsts, got_senders, got_payload, got_count = part
+            assert got_count == len(want)
+            # the owner's records, in input order
+            assert got_dsts.tolist() == dsts[want].tolist()
+            assert got_senders.tolist() == senders[want].tolist()
+            if size:
+                assert np.frombuffer(got_payload, dtype="<i4").tolist() == want
+            else:
+                assert len(got_payload) == 0
+            seen += want
+        assert sorted(seen) == list(range(count))
+
+    def test_by_receiver_equals_append_per_message(self):
+        import random
+
+        rng = random.Random(23)
+        for alg, tag, make in self.LAYOUTS:
+            codec = self.codec(alg)
+            for sources in (1, 2, 3, 5):
+                for _round in range(8):
+                    parts, sent = [], []
+                    for source in range(sources):
+                        count = rng.randrange(0, 30)
+                        if sources > 1 and not count:
+                            continue  # no worker writes an empty part
+                        # one vertex belongs to one worker: sender ids of
+                        # different sources never collide
+                        senders = sorted(
+                            rng.randrange(100) * sources + source for _ in range(count)
+                        )
+                        part, msgs = self.make_part(codec, tag, make, rng, count, senders)
+                        parts.append(part)
+                        sent += zip(senders, part[0].tolist(), msgs)
+                    # the reference: the simulator appends each message to
+                    # its receiver's list in global send order — ascending
+                    # sender, a sender's own in the order it sent them
+                    want: dict = {}
+                    for _sender, dst, msg in sorted(sent, key=lambda r: r[0]):
+                        want.setdefault(dst, []).append(msg)
+                    got = list(codec.by_receiver(tag, parts)) if parts else []
+                    assert [dst for dst, _msgs in got] == sorted(want)
+                    assert dict(got) == want
+
+
 class TestCLI:
     ARGS = ["--scale", "0.05", "--arg", "e=1e-9", "--arg", "d=0.85",
             "--arg", "max_iter=3"]
@@ -352,29 +498,18 @@ class TestRefusalMatrix:
             assert all(get_backend(name).supports.values()), name
 
     def test_mp_declaration_matches_refusals(self):
-        from repro.pregel.backend.mp import composition_refusals
+        from repro.pregel.backend.mp import MPBackend, composition_refusals
 
-        supports = get_backend("mp").supports
-        sentinel = object()
-        probes = {
-            "ft": {"ft": sentinel},
-            "net": {"transport": sentinel},
-            "mem": {"mem": sentinel},
-            "supervisor": {"supervisor": sentinel},
-            "tracer": {"tracer": sentinel},
-            "combiners": {"combiners": {0: sentinel}},
-            "voting": {"use_voting": True},
-            "track_makespan": {"track_makespan": True},
-            "range_partitioning": {"partitioning": "range"},
-        }
-        for feature, kwargs in probes.items():
-            refusals = composition_refusals(**kwargs)
-            if supports[feature]:
-                assert refusals == [], feature
-            else:
-                assert len(refusals) == 1, feature
-                assert refusals[0].startswith("the mp backend does not support"), feature
-                assert refusals[0].endswith("(run with --backend sim or columnar)"), feature
+        # composition_refusals reads the one thing mp refuses — a simulated
+        # transport — and the declaration names that feature and no other
+        assert composition_refusals(None) == []
+        refusals = composition_refusals(object())
+        assert len(refusals) == 1
+        assert refusals[0].startswith("the mp backend does not support")
+        assert refusals[0].endswith("(run with --backend sim or columnar)")
+        refused = [feature for feature, ok in MPBackend.supports.items() if not ok]
+        assert refused == ["net"]
+        assert get_backend("mp").supports is MPBackend.supports
 
     def test_lifted_compositions_are_declared_supported(self):
         supports = get_backend("mp").supports
@@ -635,6 +770,33 @@ class TestTcpTransport:
         assert value("tcp.acks_received") == value("tcp.frames_sent")
         assert value("tcp.bytes_received") == value("tcp.bytes_sent")
         assert value("tcp.connects") > 0
+
+    def test_frame_shorter_than_its_count_is_dropped_unacked(self):
+        import socket
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.pregel.backend import tcp
+
+        registry = MetricsRegistry()
+        listener = tcp.bind_listener()
+        port = listener.getsockname()[1]
+        transport = tcp.TcpSlabTransport(0, listener, [port, 0], [0, 0], registry)
+        peer = socket.create_connection(("127.0.0.1", port), timeout=5)
+        try:
+            # CRC-valid, from the expected source, announcing 5 records
+            # (40 id bytes) over a 12-byte body
+            peer.sendall(tcp.pack_frame(1, 0, 0, tcp._KIND_DATA, 0, 5, b"\0" * 12))
+            parts, report = transport.exchange({}, {1: 1}, 0.4)
+            # never accepted: nothing kept, the source still owes its frame
+            assert parts == {} and report == {1: "timeout"}
+            # ... and never acked: the connection closed without a byte
+            assert peer.recv(64) == b""
+        finally:
+            peer.close()
+            transport.close_listener()
+        snap = registry.snapshot()
+        assert snap["tcp.malformed_frames"]["series"][0]["value"] == 1
+        assert "tcp.frames_received" not in snap
 
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))
     @pytest.mark.parametrize("kind,superstep", [
@@ -1933,17 +2095,16 @@ class TestPartitionKernels:
         assert totals["scalar_vertices"] == totals["scalar_records"] == 0
         assert totals["bulk_records"] > 0
 
-    # -- the mixed-shape barrier ------------------------------------------
+    # -- recovery keeps the kernels ----------------------------------------
 
     @pytest.mark.parametrize("recovery", ("confined", "rollback"))
     @pytest.mark.parametrize("transport", ("shm", "tcp"))
     @pytest.mark.parametrize("alg", ("pagerank", "sssp"))
     def test_kill_in_a_kernel_phase(self, programs, graph, alg, transport, recovery):
         # The kill lands entering a superstep whose phase is a kernel with a
-        # put.  Confined: the re-forked worker is seeded with a dict inbox
-        # and re-runs the step scalar — tuple puts, per-vertex slabs — while
-        # its peers' kernel replies (array puts, bulk slabs) are already in.
-        # Rollback: every worker re-forks and runs one seeded scalar step.
+        # put.  A seed ships what the exchange would have left — raw parts —
+        # so the re-forked worker (confined) or every worker (rollback, from
+        # the re-packed checkpoint) re-runs the step as the kernel it is.
         workers, victim = 3, 1
         sim = run_on(programs, graph, alg, "sim", num_workers=workers)
         mp, totals = self.run_mp(
@@ -1954,14 +2115,34 @@ class TestPartitionKernels:
         )
         assert mp.metrics.restarts == 1
         assert_parity(sim, mp)
-        seeded = (
-            len(range(graph.num_nodes)[victim::workers])
-            if recovery == "confined" else graph.num_nodes
-        )
-        assert totals["scalar_vertices"] == seeded
+        assert totals["scalar_vertices"] == totals["scalar_records"] == 0
         assert totals["kernel_vertices"] > 0
 
-    def test_put_fold_takes_tuple_and_array_puts_for_one_global(self, programs, graph):
+    def test_rollback_ft_decodes_the_log_only_at_checkpoints(
+        self, programs, graph, monkeypatch
+    ):
+        # the parent keeps each exchange's parts raw; under rollback nothing
+        # asks for the {dst: msgs} view but a checkpoint (confined recovery
+        # would log it every superstep)
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend="mp", num_workers=2,
+            ft=FaultTolerance(FaultPlan(checkpoint_every=4, recovery="rollback")),
+        )
+        decoded_at = []
+        decode = MessageCodec.by_receiver
+
+        def counting(codec, tag, parts):
+            decoded_at.append(engine.superstep)  # parent-side calls only
+            return decode(codec, tag, parts)
+
+        monkeypatch.setattr(MessageCodec, "by_receiver", counting)
+        metrics = engine.run()
+        assert metrics.supersteps > 8 and metrics.checkpoints_taken >= 3
+        assert decoded_at and set(decoded_at) <= {4, 8, 12}
+        # one tag, one log entry per worker, one decode each per checkpoint
+        assert len(decoded_at) == 2 * len(set(decoded_at))
+
+    def test_put_fold_merges_the_workers_puts_by_vid(self, programs, graph):
         import numpy as np
 
         from repro.pregel.globalmap import GlobalObjectMap, GlobalOp
@@ -1971,14 +2152,20 @@ class TestPartitionKernels:
         )
         values = [1.0 / (4 + v * v) for v in range(9)]
         flags = [v % 4 == 3 for v in range(9)]
+        def boxed(items):  # a scalar step's puts to one global
+            out = np.empty(len(items), dtype=object)
+            out[:] = items
+            return out
+
         puts = [
-            # worker 0 and 2 ran kernels, worker 1 the scalar program
+            # per worker: "s" as a kernel's float array, "any" as a scalar
+            # step's object array
             ("s", GlobalOp.SUM, np.array([0, 3, 6]), np.array(values[0::3])),
-            *[("s", GlobalOp.SUM, v, values[v]) for v in (1, 4, 7)],
+            ("s", GlobalOp.SUM, np.array([1, 4, 7]), np.array(values[1::3])),
             ("s", GlobalOp.SUM, np.array([2, 5, 8]), np.array(values[2::3])),
-            *[("any", GlobalOp.OR, v, flags[v]) for v in (1, 4, 7)],
-            ("any", GlobalOp.OR, np.array([0, 3, 6]), np.array(flags[0::3])),
-            ("any", GlobalOp.OR, np.array([2, 5, 8]), np.array(flags[2::3])),
+            ("any", GlobalOp.OR, np.array([1, 4, 7]), boxed(flags[1::3])),
+            ("any", GlobalOp.OR, np.array([0, 3, 6]), boxed(flags[0::3])),
+            ("any", GlobalOp.OR, np.array([2, 5, 8]), boxed(flags[2::3])),
         ]
         engine._fold_puts(puts)
         want = GlobalObjectMap()
@@ -1991,4 +2178,4 @@ class TestPartitionKernels:
         by_worker = values[0::3] + values[1::3] + values[2::3]
         assert functools.reduce(lambda a, b: a + b, by_worker) != want._pending["s"]
         with pytest.raises(ValueError, match="conflicting reductions on global 's'"):
-            engine._fold_puts([("s", GlobalOp.MIN, 0, 1.0)])
+            engine._fold_puts([("s", GlobalOp.MIN, np.array([0]), np.array([1.0]))])
