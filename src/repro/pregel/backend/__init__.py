@@ -19,9 +19,11 @@ BACKENDS = ("sim", "columnar", "mp")
 def get_backend(backend) -> ExecutionBackend:
     """Resolve a backend name (or pass through an instance) to a backend.
 
-    Imports lazily so selecting ``sim`` never pays for numpy-heavy
-    modules, and raises ``ValueError`` — a usage error, exit code 2 on the
-    CLI — for unknown names.
+    Imports lazily so selecting ``sim`` never loads the array engines
+    (``columnar`` / ``mp`` / the codec) — numpy itself is loaded by then:
+    importing ``repro`` does not need it, building a ``Graph`` does.  Raises
+    ``ValueError`` — a usage error, exit code 2 on the CLI — for unknown
+    names.
     """
     if isinstance(backend, ExecutionBackend):
         return backend

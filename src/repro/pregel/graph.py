@@ -9,23 +9,47 @@ where the edge ``(u, v)`` and its values belong to the source vertex ``u``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
+
+#: typecode of each topology buffer.  Offsets count edges ('q'); vertex ids
+#: and CSR positions are 32-bit ('i'), which is also the wire format's width.
+_CSR_TYPECODES = {
+    "out_offsets": "q",
+    "out_targets": "i",
+    "in_offsets": "q",
+    "in_sources": "i",
+    "in_edge_ids": "i",
+}
+_MAX_INDEX = 2**31 - 1
 
 
 @dataclass
 class Graph:
+    """Topology lives in typed buffers (``array.array``): one buffer, two
+    views — native-int indexing, slicing and iteration for the scalar
+    engines, and a zero-copy ``np.asarray`` view for array code."""
+
     num_nodes: int
     # CSR over outgoing edges
-    out_offsets: list[int]
-    out_targets: list[int]
+    out_offsets: array
+    out_targets: array
     # CSR over incoming edges; in_edge_ids maps each in-edge back to its
     # position in the out-CSR (where edge properties live).
-    in_offsets: list[int]
-    in_sources: list[int]
-    in_edge_ids: list[int]
+    in_offsets: array
+    in_sources: array
+    in_edge_ids: array
     node_props: dict[str, list] = field(default_factory=dict)
     edge_props: dict[str, list] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a hand-constructed Graph may pass lists
+        for name, typecode in _CSR_TYPECODES.items():
+            buf = getattr(self, name)
+            if not (isinstance(buf, array) and buf.typecode == typecode):
+                setattr(self, name, array(typecode, buf))
 
     # -- construction -----------------------------------------------------
 
@@ -40,49 +64,64 @@ class Graph:
         ``edge_props`` values are aligned with ``edges``; they are re-ordered
         into CSR position internally.
         """
-        num_edges = len(edges)
-        out_deg = [0] * num_nodes
-        in_deg = [0] * num_nodes
-        for src, dst in edges:
-            if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-                raise ValueError(f"edge ({src}, {dst}) out of range for {num_nodes} nodes")
-            out_deg[src] += 1
-            in_deg[dst] += 1
+        import numpy as np
 
-        out_offsets = _prefix_sum(out_deg)
-        in_offsets = _prefix_sum(in_deg)
-        out_targets = [0] * num_edges
-        in_sources = [0] * num_edges
-        in_edge_ids = [0] * num_edges
+        _check_addressable(num_nodes, len(edges))
+        try:
+            flat = array("q", chain.from_iterable(edges))
+        except OverflowError:  # no int64 holds it, so no addressable graph does
+            src, dst = next(e for e in edges if not all(0 <= x < num_nodes for x in e))
+            raise ValueError(_out_of_range(src, dst, num_nodes)) from None
+        if len(flat) != 2 * len(edges):
+            raise ValueError("every edge must be a (src, dst) pair")
+        pairs = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+        return Graph.from_columns(num_nodes, pairs[:, 0], pairs[:, 1], edge_props)
 
-        cursor = list(out_offsets[:-1])
-        edge_pos = [0] * num_edges
-        for idx, (src, dst) in enumerate(edges):
-            pos = cursor[src]
-            cursor[src] += 1
-            out_targets[pos] = dst
-            edge_pos[idx] = pos
-        in_cursor = list(in_offsets[:-1])
-        for idx, (src, dst) in enumerate(edges):
-            pos = in_cursor[dst]
-            in_cursor[dst] += 1
-            in_sources[pos] = src
-            in_edge_ids[pos] = edge_pos[idx]
+    @staticmethod
+    def from_columns(
+        num_nodes: int, src, dst, edge_props: dict[str, Sequence] | None = None
+    ) -> "Graph":
+        """The CSR builder: ``src`` / ``dst`` are aligned columns of ints
+        (``int64`` arrays are used as they are), one entry per edge.  Edges
+        keep their input order within a source (out-CSR) and within a
+        destination (in-CSR), so message order follows the edge list."""
+        import numpy as np
 
+        num_edges = len(src)
+        _check_addressable(num_nodes, num_edges)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        bad = (src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes)
+        if bad.any():
+            first = int(bad.argmax())
+            raise ValueError(_out_of_range(int(src[first]), int(dst[first]), num_nodes))
+
+        def offsets(ids):
+            out = np.zeros(num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ids, minlength=num_nodes), out=out[1:])
+            return _buffer("q", out)
+
+        out_order = np.argsort(src, kind="stable")
+        in_order = np.argsort(dst, kind="stable")
+        edge_pos = np.empty(num_edges, dtype=np.int64)  # input index -> out-CSR position
+        edge_pos[out_order] = np.arange(num_edges)
         graph = Graph(
-            num_nodes, out_offsets, out_targets, in_offsets, in_sources, in_edge_ids
+            num_nodes,
+            offsets(src),
+            _buffer("i", dst[out_order]),
+            offsets(dst),
+            _buffer("i", src[in_order]),
+            _buffer("i", edge_pos[in_order]),
         )
         if edge_props:
+            csr_order = out_order.tolist()
             for name, values in edge_props.items():
                 if len(values) != num_edges:
                     raise ValueError(
                         f"edge property '{name}' has {len(values)} values for "
                         f"{num_edges} edges"
                     )
-                csr_values = [None] * num_edges
-                for idx, value in enumerate(values):
-                    csr_values[edge_pos[idx]] = value
-                graph.edge_props[name] = csr_values  # type: ignore[assignment]
+                graph.edge_props[name] = [values[i] for i in csr_order]
         return graph
 
     # -- topology --------------------------------------------------------
@@ -92,10 +131,10 @@ class Graph:
         return len(self.out_targets)
 
     def out_nbrs(self, v: int) -> list[int]:
-        return self.out_targets[self.out_offsets[v] : self.out_offsets[v + 1]]
+        return self.out_targets[self.out_offsets[v] : self.out_offsets[v + 1]].tolist()
 
     def in_nbrs(self, v: int) -> list[int]:
-        return self.in_sources[self.in_offsets[v] : self.in_offsets[v + 1]]
+        return self.in_sources[self.in_offsets[v] : self.in_offsets[v + 1]].tolist()
 
     def out_edge_range(self, v: int) -> range:
         """CSR edge-id positions of v's outgoing edges (index edge_props)."""
@@ -151,11 +190,21 @@ class Graph:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
 
 
-def _prefix_sum(counts: list[int]) -> list[int]:
-    offsets = [0] * (len(counts) + 1)
-    total = 0
-    for i, c in enumerate(counts):
-        offsets[i] = total
-        total += c
-    offsets[len(counts)] = total
-    return offsets
+def _check_addressable(num_nodes: int, num_edges: int) -> None:
+    if num_nodes > _MAX_INDEX or num_edges > _MAX_INDEX:
+        raise ValueError(
+            f"a graph of {num_nodes} nodes and {num_edges} edges exceeds the "
+            f"32-bit vertex-id / edge-id range (at most {_MAX_INDEX} of each)"
+        )
+
+
+def _out_of_range(src, dst, num_nodes: int) -> str:
+    return f"edge ({src}, {dst}) out of range for {num_nodes} nodes"
+
+
+def _buffer(typecode: str, column) -> array:
+    """A numpy column as an ``array.array`` of ``typecode`` (which numpy
+    reads as the same C type); the builder has range-checked the values."""
+    buf = array(typecode)
+    buf.frombytes(column.astype(typecode, copy=False).view("uint8"))
+    return buf

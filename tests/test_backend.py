@@ -1274,6 +1274,33 @@ class TestSlabSizing:
         assert_parity(sim, mp)
 
 
+class TestEnginesViewTheGraphBuffers:
+    """The engines' CSR arrays are views of the graph's typed buffers, not
+    converted copies — on ``mp`` built once in the parent, before the fork."""
+
+    @staticmethod
+    def assert_views(engine, graph):
+        import numpy as np
+
+        csr = engine._csr
+        assert np.shares_memory(csr.targets, np.asarray(graph.out_targets))
+        assert np.shares_memory(csr.offsets, np.asarray(graph.out_offsets))
+
+    def test_columnar(self, programs, graph):
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend="columnar"
+        )
+        self.assert_views(engine, graph)
+
+    @needs_mp
+    def test_mp_parent(self, programs, graph):
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend="mp", num_workers=2
+        )
+        engine.run()
+        self.assert_views(engine, graph)
+
+
 class TestVectorizedReceivers:
     """The columnar bulk-receive handlers: installed exactly where the
     vectorizer proves the receive loop is a pure column reduction, and

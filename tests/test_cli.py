@@ -259,6 +259,15 @@ class TestUsageErrors:
         )
         assert f"{bad}:3:" in msg
 
+    def test_edge_above_its_node_count_header_reports_line(self, capsys, tmp_path):
+        bad = tmp_path / "late_header.txt"
+        bad.write_text("0 5\n# nodes: 3\n1 2\n")
+        msg = _usage_error(
+            capsys,
+            ["run", gm("pagerank"), *PAGERANK_ARGS, "--graph-file", str(bad)],
+        )
+        assert f"{bad}:1: dangling edge 0 -> 5" in msg
+
     @pytest.mark.parametrize("bad", ["banana", "0", "64k@9", "4k@x"])
     def test_bad_mem_budget_spec(self, capsys, bad):
         msg = _usage_error(

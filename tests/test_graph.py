@@ -1,11 +1,17 @@
 """Graph substrate tests: CSR construction, in/out duality, edge-property
 alignment — unit cases plus hypothesis property tests."""
 
+import os
+import subprocess
+import sys
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
 from repro.pregel import Graph
+
+from . import reference_graph
 
 
 class TestConstruction:
@@ -126,3 +132,112 @@ class TestProperties:
         n, edges = data
         g = Graph.from_edges(n, edges)
         assert sorted(g.in_edge_ids) == list(range(len(edges)))
+
+
+# -- the array builder against the frozen three-pass reference -----------------
+
+_prop_values = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.none(),
+    st.tuples(st.integers(), st.text(max_size=2)),
+)
+
+
+@st.composite
+def builder_inputs(draw):
+    """``(num_nodes, edges, edge_props)``: 0 nodes, 0 edges, isolated
+    vertices, self-loops, parallel edges and unsorted input all occur;
+    property columns are int, float, non-numeric or mixed."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=40)) if n else []
+    columns = st.one_of(
+        st.lists(st.integers(-50, 50), min_size=len(edges), max_size=len(edges)),
+        st.lists(st.floats(allow_nan=False), min_size=len(edges), max_size=len(edges)),
+        st.lists(_prop_values, min_size=len(edges), max_size=len(edges)),
+    )
+    props = draw(st.dictionaries(st.sampled_from(["w", "len", "tag"]), columns, max_size=2))
+    return n, edges, props
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def assert_same_graph(got: Graph, want: Graph):
+    assert got == want
+    for name in ("out_offsets", "in_offsets"):
+        assert getattr(got, name).typecode == "q"
+    for name in ("out_targets", "in_sources", "in_edge_ids"):
+        assert getattr(got, name).typecode == "i"
+    assert list(got.edge_props) == list(want.edge_props)
+    for name, values in want.edge_props.items():
+        assert type(got.edge_props[name]) is list
+        assert _typed(got.edge_props[name]) == _typed(values)
+
+
+class TestBuilderMatchesReference:
+    @given(builder_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_same_csr_and_property_order(self, data):
+        n, edges, props = data
+        assert_same_graph(
+            Graph.from_edges(n, edges, edge_props=props),
+            reference_graph.from_edges(n, edges, edge_props=props),
+        )
+
+    @given(builder_inputs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_first_offender(self, data, draw):
+        n, edges, _props = data
+        bad = st.one_of(st.integers(-3, -1), st.integers(n, n + 3), st.just(2**70))
+        good = st.integers(0, max(n - 1, 0))
+        offenders = draw.draw(
+            st.lists(st.one_of(st.tuples(bad, good), st.tuples(good, bad)), min_size=1, max_size=3)
+        )
+        for offender in offenders:
+            edges.insert(draw.draw(st.integers(0, len(edges))), offender)
+        with pytest.raises(ValueError) as want:
+            reference_graph.from_edges(n, edges)
+        with pytest.raises(ValueError) as got:
+            Graph.from_edges(n, edges)
+        assert str(got.value) == str(want.value)
+
+    def test_same_wrong_length_message(self):
+        with pytest.raises(ValueError) as want:
+            reference_graph.from_edges(3, [(0, 1), (1, 2)], edge_props={"w": [1]})
+        with pytest.raises(ValueError) as got:
+            Graph.from_edges(3, [(0, 1), (1, 2)], edge_props={"w": [1]})
+        assert str(got.value) == str(want.value)
+
+    def test_list_constructed_graph_is_coerced(self):
+        g = Graph(2, [0, 1, 1], [1], [0, 0, 1], [0], [0])
+        assert g == Graph.from_edges(2, [(0, 1)])
+        assert g.out_offsets.typecode == "q" and g.out_targets.typecode == "i"
+        assert type(g.out_nbrs(0)) is list and type(g.in_nbrs(1)) is list
+
+    def test_non_integer_vertex_id_is_not_truncated(self):
+        with pytest.raises(TypeError):
+            Graph.from_edges(2, [(0.5, 1)])
+
+    def test_more_nodes_than_the_id_width_addresses(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            Graph.from_edges(2**31, [])
+
+    def test_topology_buffers_are_zero_copy_views(self):
+        import numpy as np
+
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        for name, dtype in (("out_targets", np.int32), ("out_offsets", np.int64),
+                            ("in_offsets", np.int64)):
+            buf = getattr(g, name)
+            assert np.shares_memory(np.asarray(buf, dtype=dtype), np.frombuffer(buf, dtype=dtype))
+
+
+def test_importing_the_package_and_the_cli_does_not_import_numpy():
+    # building a graph needs numpy; `gm-pregel compile` / `--help` do not
+    code = "import sys, repro, repro.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
