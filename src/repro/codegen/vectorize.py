@@ -10,13 +10,15 @@ scalars out of the same buffers):
 * a **bulk receive handler** per ``(phase state, tag)`` consumes a whole
   per-tag slab at the delivery barrier — decode the packed payload into
   typed numpy columns once, then apply each reduction with
-  ``np.ufunc.at`` over the destination-vertex array;
+  ``np.ufunc.at`` over the destination-vertex array (or, for the two
+  loop shapes below that are not reductions, one masked store / one
+  ``extend`` per receiving row);
 * a **phase kernel** per phase state runs the phase's filter + compute
   body as one array program over all vertices: column arithmetic for the
   vertex-local statements, one ordered fold per ``put_global``, and one
-  bulk staging call (CSR gather + one packed record per out-edge) per
-  neighbour send — the payload evaluated once per sender, or once per
-  edge when it reads an edge property.
+  bulk staging call (CSR gather + one packed record per staged message)
+  per neighbour send, in either direction — the payload evaluated once
+  per sender, or once per edge when it reads an edge property.
 
 Bit-parity with the simulator is the hard constraint, which dictates
 the design:
@@ -39,6 +41,31 @@ the design:
   each message against a running minimum, but
   ∃i: eᵢ < min(f₀, e₁..eᵢ₋₁)  ⇔  minᵢ eᵢ < f₀, so the flag is "the
   reduce moved ``f``" and needs only ``f`` before and after;
+* two loop shapes that are not reductions have a closed form too.  A
+  **first-match** loop — its whole body one ``if guard: field = value;
+  ...; put(global, op, value)`` in which nothing reads the message or can
+  raise, no value reads a field the block assigns and every put is
+  idempotent (``and``/``or``/``min``/``max``/overwrite; ``sum`` and
+  ``product`` count the firings and are refused) — shows only its first
+  firing per receiver: every further one stores the same values and puts
+  the same contribution, whether or not the block switched its own guard
+  off (BFS discovery: ``if lev == INF: lev = curr + 1; fin &= False``).
+  So the guard is evaluated once per *distinct* receiver against
+  pre-delivery state — its read of the fields its own block assigns is
+  the second exemption from the dependence rule — followed by one masked
+  store and one bulk put over the ascending hits, none at all when
+  nobody hits.  The §4.3 **in-neighbour build**,
+  ``_in_nbrs[v].append(sender id)``, is one stable sort of the slab by
+  receiver and one ``extend`` per receiving row; an append observes
+  message order, so it asks for the ordered merge like a float sum;
+* an in-direction send (``send_list(_in_nbrs[v], msg)``) is the same
+  gather as an out-direction one over different rows: the engine's
+  ``NbrGather`` re-derived over the ``_in_nbrs`` lists the first time such
+  a send runs — by then the prologue has delivered — and dropped by the
+  build handler whenever it appends.  The rows themselves stay the
+  list-of-lists every scalar path indexes, and the prologue's messages
+  stay sent and counted: a Pregel vertex learns its in-neighbours from
+  them, never from the graph's in-CSR;
 * an INF-sentinel ``'i'`` wire slot is decoded to doubles (every int32 is
   exact in one, and such a program's Int columns are ``'d'`` already)
   and encoded with the scalar packer's checks and errors; where Python
@@ -63,7 +90,9 @@ the design:
   slot.
 
 Anything outside those rules leaves the receive loop, or the whole
-phase, on the scalar path.  Both kinds of array code engage on the
+phase, on the scalar path, and the decision record names the construct
+(``assign of a message value (last writer wins)``, ``random write``,
+``sum put inside a receive loop``, ...).  Both kinds of array code engage on the
 columnar slab fast path and in the ``mp`` workers, each of which compiles
 them against itself and runs a kernel over its partition (the kernel's
 initial selection) and a handler over the records its peers sent it.
@@ -96,6 +125,7 @@ from ..pregelir.ir import (
     INF_VALUE,
     PregelIR,
     Un,
+    VAppendInNbr,
     VAssignLocal,
     VExpr,
     VFieldAssign,
@@ -105,6 +135,8 @@ from ..pregelir.ir import (
     VLocal,
     VMsgLoop,
     VSendNbrs,
+    VSendTo,
+    walk_stmts,
 )
 
 try:  # numpy is optional for the simulator; required for vectorization
@@ -262,6 +294,9 @@ def _truth(x: Any) -> Any:
 #           reduces (receive handlers only; see _improve_flag)
 
 
+_REVERSE_GATHER = ("gather", "in")  # never a column name: those are str
+
+
 class _Scope:
     """What one phase's compiled closures close over, and what analysing
     them collects.  ``graph`` marks a compute scope (a kernel's filter +
@@ -304,6 +339,20 @@ class _Scope:
             offsets = self.graph.out_offsets if direction == "out" else self.graph.in_offsets
             deg = self._shared[key] = _np.diff(_np.asarray(offsets, dtype=_np.int64))
         return deg
+
+    def reverse_gather(self, forward):
+        """The gather over the ``_in_nbrs`` rows, under the placement of
+        ``forward`` (the engine's out-direction gather): derived when an
+        in-direction send first asks, i.e. after the prologue delivered."""
+        gather = self._shared.get(_REVERSE_GATHER)
+        if gather is None:
+            gather = forward.over_rows(self.columns["_in_nbrs"])
+            self._shared[_REVERSE_GATHER] = gather
+        return gather
+
+    def drop_reverse_gather(self) -> None:
+        """The rows are about to change: the next send derives anew."""
+        self._shared.pop(_REVERSE_GATHER, None)
 
     def named(self, outcome: str) -> str:
         """``outcome`` with the idioms it took, for the decision record."""
@@ -738,7 +787,7 @@ def _analyse_loop(loop: VMsgLoop, scope: _Scope):
         ):
             guarded = [(stmt.cond, s) for s in stmt.then]
         else:
-            raise _Unvectorizable(f"statement {type(stmt).__name__}")
+            raise _Unvectorizable(_construct(stmt))
         watched = _improve_flag(loop.body, i)
         if watched is not None:
             # the comparison is never compiled, so its read of f stays out
@@ -775,7 +824,139 @@ def _analyse_loop(loop: VMsgLoop, scope: _Scope):
     return specs
 
 
-def _build_receivers(phase, tag_schemas, columns, broadcast, shared):
+def _reads_message(e: VExpr) -> bool:
+    return any(isinstance(sub, MsgField) for sub in _subexprs(e))
+
+
+def _construct(stmt) -> str:
+    """The construct that keeps a receive-loop statement scalar, by name."""
+    if isinstance(stmt, VFieldAssign) and _reads_message(stmt.expr):
+        return "assign of a message value (last writer wins)"
+    if isinstance(stmt, VSendTo):
+        return "random write"
+    if isinstance(stmt, VIf) and stmt.other:
+        return "guarded receive statements with an else arm"
+    return f"statement {type(stmt).__name__}"
+
+
+def _per_vertex(value, count: int):
+    """A put's value as one entry per putting vertex."""
+    if isinstance(value, _np.ndarray) and value.ndim:
+        return value
+    return _np.full(count, value)
+
+
+def _in_nbr_build(stmt: VAppendInNbr, rec_dtype, scope: _Scope):
+    """The §4.3 build, ``_in_nbrs[v].append(sender id)`` per message: one
+    stable sort of the slab by receiver, one ``extend`` per receiving row.
+    An append observes the order of the messages, so a worker merging its
+    peers' parts restores sender order first (``ordered_merge``)."""
+    rows = scope.columns.get("_in_nbrs")
+    slot = scope.msg_slots.get(0)
+    if (
+        stmt.source != MsgField(0)
+        or slot is None
+        or slot.code != "i"
+        or slot.inf_sentinel
+        or not isinstance(rows, list)
+    ):
+        raise _Unvectorizable("in-neighbour append of something other than a sender id slot")
+    scope.idioms.append("in-neighbour build")
+
+    def handler(dsts, payload, count):
+        if count == 0:
+            return
+        scope.drop_reverse_gather()
+        order = _np.argsort(dsts[:count], kind="stable")
+        receivers = dsts[order]
+        sources = _np.frombuffer(payload, dtype=rec_dtype, count=count)["s0"][order].tolist()
+        starts = _np.flatnonzero(_np.r_[True, receivers[1:] != receivers[:-1]])
+        bounds = starts.tolist() + [count]
+        for k, vid in enumerate(receivers[starts].tolist()):
+            rows[vid].extend(sources[bounds[k] : bounds[k + 1]])
+
+    handler.ordered_merge = "append to _in_nbrs"
+    return handler
+
+
+#: reductions a repeated put of one value leaves where the first put it
+_IDEMPOTENT = (GlobalOp.AND, GlobalOp.OR, GlobalOp.MIN, GlobalOp.MAX, GlobalOp.OVERWRITE)
+
+
+def _first_match(stmt: VIf, scope: _Scope, engine, taken_puts: set):
+    """``if guard: field = value; ...; put(global, op, value)`` as a loop's
+    whole body, where nothing reads the message: however many messages a
+    receiver has, only the first firing shows — every further one stores
+    the same values and puts the same contribution, whether the block
+    switched its own guard off or not.  So: one masked store plus one bulk
+    put over the distinct receivers whose guard holds before delivery, in
+    ascending order (the vertex loop's), and no put at all if there are
+    none.  Returns ``(handler, fields written)``."""
+    if stmt.other:
+        raise _Unvectorizable(_construct(stmt))
+    for s in stmt.then:
+        if isinstance(s, VGlobalPut) and s.op not in _IDEMPOTENT:
+            raise _Unvectorizable(f"{s.op.value} put inside a receive loop")
+        if _reads_message(s.expr):
+            what = "assign" if isinstance(s, VFieldAssign) else "put"
+            raise _Unvectorizable(f"guarded {what} of a message value")
+    if _reads_message(stmt.cond):
+        raise _Unvectorizable("first-match guard reads the message")
+    if _hazardous(stmt.cond) or any(_hazardous(s.expr) for s in stmt.then):
+        raise _Unvectorizable("first-match guard or value can raise")
+    assigned = {s.name for s in stmt.then if isinstance(s, VFieldAssign)}
+    if any(
+        isinstance(sub, Field) and sub.name in assigned
+        for s in stmt.then
+        for sub in _subexprs(s.expr)
+    ):
+        raise _Unvectorizable("first-match value reads a field the block assigns")
+    # the guard alone may read what its block assigns (as _improve_flag's
+    # comparison may): those reads stay out of the phase-wide check
+    reads, scope.reads = scope.reads, set()
+    cond = _compile_expr(stmt.cond, scope)
+    scope.reads = reads | (scope.reads - assigned)
+    stores, puts = [], []
+    for s in stmt.then:
+        value = _compile_expr(s.expr, scope)
+        if isinstance(s, VGlobalPut):
+            if s.name in taken_puts:
+                raise _Unvectorizable(f"more than one put to global {s.name}")
+            taken_puts.add(s.name)
+            puts.append((s.name, s.op, value))
+            continue
+        view = scope.view(s.name)
+        if view.dtype.kind != "f" and _expr_kind(s.expr, scope) != "i":
+            raise _Unvectorizable("non-integral store into integer column")
+        stores.append((view, value))
+    scope.idioms.append("first-match assign")
+    put_bulk, n = engine.put_global_bulk, engine.graph.num_nodes
+
+    def handler(dsts, payload, count):
+        if count == 0:
+            return
+        # each receiver once, ascending (a scatter: cheaper than sorting)
+        received = _np.zeros(n, dtype=bool)
+        received[dsts[:count]] = True
+        ctx = {"sel": _np.flatnonzero(received), "msg": None}
+        mask = _truth(cond(ctx))
+        if isinstance(mask, _np.ndarray):
+            ctx = _narrow(ctx, mask)
+        elif not mask:
+            return
+        hit = ctx["sel"]
+        if not hit.size:
+            return
+        for view, value in stores:
+            _store(view, hit, value(ctx))
+        for name, op, value in puts:
+            put_bulk(name, op, hit, _per_vertex(value(ctx), len(hit)))
+
+    handler.ordered_merge = None
+    return handler, sorted(assigned)
+
+
+def _build_receivers(phase, tag_schemas, columns, engine, shared):
     """Return ({(state, tag): handler}, reason) for one phase's receive part.
 
     The handler dict is ``None`` when the receive loops stay scalar;
@@ -797,8 +978,14 @@ def _build_receivers(phase, tag_schemas, columns, broadcast, shared):
         return None, "duplicate tag across receive statements"
 
     handlers = {}
-    scope = _Scope(columns, broadcast, shared)
+    scope = _Scope(columns, engine.globals.broadcast, shared)
     writes = []
+    # a handler's puts fold at delivery, ahead of every put of the compute
+    # body: a global takes either the one or the others (the kernels' "one
+    # put per global", phase-wide)
+    taken_puts = {
+        s.name for s in walk_stmts(phase.compute) if isinstance(s, VGlobalPut)
+    }
     try:
         for loop in stmts:
             tag_schema = tag_schemas.get(loop.tag)
@@ -806,20 +993,32 @@ def _build_receivers(phase, tag_schemas, columns, broadcast, shared):
                 raise _Unvectorizable("unknown tag")
             rec_dtype, scope.msg_slots = _record_dtype(tag_schema)
             scope.msg_used = set()
-            specs = _analyse_loop(loop, scope)
-            if any(i not in scope.msg_slots for i in scope.msg_used):
-                raise _Unvectorizable("message field out of range")
-            for spec in specs:
-                writes.append(spec.target)
-                if scope.view(spec.target).dtype.kind != "f":
-                    if _expr_kind(spec.value_expr, scope) != "i":
-                        raise _Unvectorizable("non-integral fold into integer column")
-            handlers[(phase.phase_id, loop.tag)] = _make_handler(
-                specs, rec_dtype, sorted(scope.msg_used), scope
-            )
+            body = loop.body
+            if len(body) == 1 and isinstance(body[0], VAppendInNbr):
+                handler, written = _in_nbr_build(body[0], rec_dtype, scope), ["_in_nbrs"]
+            elif (
+                len(body) == 1
+                and isinstance(body[0], VIf)
+                and body[0].then
+                and all(isinstance(s, (VFieldAssign, VGlobalPut)) for s in body[0].then)
+            ):
+                handler, written = _first_match(body[0], scope, engine, taken_puts)
+            else:
+                specs = _analyse_loop(loop, scope)
+                if any(i not in scope.msg_slots for i in scope.msg_used):
+                    raise _Unvectorizable("message field out of range")
+                for spec in specs:
+                    if scope.view(spec.target).dtype.kind != "f":
+                        if _expr_kind(spec.value_expr, scope) != "i":
+                            raise _Unvectorizable("non-integral fold into integer column")
+                handler = _make_handler(specs, rec_dtype, sorted(scope.msg_used), scope)
+                written = [spec.target for spec in specs]
+            handlers[(phase.phase_id, loop.tag)] = handler
+            writes += written
         # written fields must be pairwise distinct and never read by the
         # phase's receive statements (guards included; _improve_flag's
-        # comparison is the one exception): then per-statement batched
+        # comparison and a first-match guard's read of its own block's
+        # fields are the exceptions): then per-statement batched
         # application equals the simulator's per-message order.
         if len(set(writes)) != len(writes) or set(writes) & scope.reads:
             raise _Unvectorizable("field dependence between receive statements")
@@ -928,7 +1127,7 @@ class _KernelBuilder:
             return self.global_put(stmt)
         if isinstance(stmt, VSendNbrs):
             return self.send_nbrs(stmt)
-        raise _Unvectorizable(f"statement {type(stmt).__name__}")
+        raise _Unvectorizable(_construct(stmt))
 
     def expr(self, e: VExpr, *, float_sink: bool = False) -> Callable[[dict], Any]:
         """Compile ``e``.  A conditional whose arms differ in kind has
@@ -1006,16 +1205,12 @@ class _KernelBuilder:
         name, op, n, put = stmt.name, stmt.op, self.n, self.engine.put_global_bulk
 
         def put_all(ctx):
-            v, sel = value(ctx), ctx["sel"]
-            if not isinstance(v, _np.ndarray) or not v.ndim:
-                v = _np.full(n if sel is None else len(sel), v)
-            put(name, op, sel, v)
+            sel = ctx["sel"]
+            put(name, op, sel, _per_vertex(value(ctx), n if sel is None else len(sel)))
 
         return put_all
 
     def send_nbrs(self, stmt: VSendNbrs) -> Callable[[dict], None]:
-        if stmt.direction != "out":
-            raise _Unvectorizable("in-neighbour send")
         if stmt.tag in self.sent_tags:
             # two sends on one tag interleave per sender on the scalar path
             raise _Unvectorizable(f"more than one send on tag {stmt.tag}")
@@ -1027,12 +1222,25 @@ class _KernelBuilder:
         if len(stmt.payload) != len(tag_schema.slots):
             raise _Unvectorizable("payload does not match the tag layout")
         # a payload that reads an edge property is evaluated per out-edge,
-        # any other once per sender and repeated along the sender's edges
+        # any other once per sender and repeated along the sender's row
         per_edge = any(
             isinstance(sub, Call) and sub.name == "edge_prop"
             for e in stmt.payload
             for sub in _subexprs(e)
         )
+        # the rows the send goes along, taken when it runs: the out-CSR, or
+        # — the §4.3 prologue has delivered by then — the _in_nbrs rows
+        take_gather = out_gather = self.engine.out_gather
+        if stmt.direction == "in":
+            if per_edge:
+                raise _Unvectorizable("edge property on an in-neighbour send")
+            scope = self.scope
+            if not isinstance(scope.columns.get("_in_nbrs"), list):
+                raise _Unvectorizable("in-neighbour send without in-neighbour rows")
+
+            def take_gather():
+                return scope.reverse_gather(out_gather())
+
         payload = []
         for i, (e, slot) in enumerate(zip(stmt.payload, tag_schema.slots)):
             # a sentinel slot takes floats too (±INF, escalated columns):
@@ -1044,25 +1252,22 @@ class _KernelBuilder:
         if per_edge:
             self.scope.idioms.append("per-edge send")
         tag, tagged = stmt.tag, rec_dtype is not None and "t" in rec_dtype.names
-        deg = self.scope.degrees("out")
-        with_nbrs = _np.flatnonzero(deg)
-        num_edges = self.scope.graph.num_edges
-        out_edges, stage = self.engine.out_edges, self.engine.send_nbrs_bulk
+        stage = self.engine.send_nbrs_bulk
 
         def send(ctx):
-            sel = ctx["sel"]
+            gather, sel = take_gather(), ctx["sel"]
             # the payload is evaluated only for vertices that have someone
             # to send to (pagerank divides by the out-degree)
-            senders = with_nbrs if sel is None else sel[deg[sel] != 0]
+            senders = gather.with_nbrs if sel is None else sel[gather.degrees[sel] != 0]
             if not senders.size:
                 return
-            edges, counts = out_edges(senders)
+            edges, counts = gather.out_edges(senders)
             records = None
             if rec_dtype is not None:
                 sub = dict(ctx)
                 if per_edge:
                     sub["sel"] = _np.repeat(senders, counts)
-                    sub["edges"] = _np.arange(num_edges) if edges is None else edges
+                    sub["edges"] = _np.arange(len(gather.targets)) if edges is None else edges
                 else:
                     sub["sel"] = senders
                 records = _np.empty(len(sub["sel"]), dtype=rec_dtype)
@@ -1072,7 +1277,7 @@ class _KernelBuilder:
                     records[field] = _wire(value(sub), slot, tag)
                 if not per_edge:
                     records = _np.repeat(records, counts)
-            stage(tag, senders, edges, counts, records)
+            stage(tag, gather, senders, edges, counts, records)
 
         return send
 
@@ -1113,7 +1318,7 @@ def build_array_code(
 
     ``columns`` maps field name -> its storage column (the same objects
     the generated vertex source closes over); ``engine`` is what the
-    kernels stage sends and global puts through (``out_edges`` /
+    kernels stage sends and global puts through (``out_gather`` /
     ``send_nbrs_bulk`` / ``put_global_bulk``) and whose live broadcast dict
     is read at call time: a columnar engine, or one mp worker, which calls
     its kernels with its partition as the selection.  Both maps are empty
@@ -1136,9 +1341,7 @@ def build_array_code(
         if unavailable is not None:
             built, reason, kernel, kernel_reason = None, unavailable, None, unavailable
         else:
-            built, reason = _build_receivers(
-                phase, schema.tags, columns, engine.globals.broadcast, shared
-            )
+            built, reason = _build_receivers(phase, schema.tags, columns, engine, shared)
             kernel, kernel_reason = _build_kernel(
                 phase, built, reason, schema.tags, columns, engine, shared
             )

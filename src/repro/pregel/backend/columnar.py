@@ -10,7 +10,9 @@ batched-routing barrier.  Loop-invariant neighbor broadcasts
 the per-message Python send loop into a handful of bulk operations; a
 phase that ``repro.codegen.vectorize`` compiled to an array kernel skips
 the per-vertex loop altogether and stages a whole phase's broadcast in
-one ``send_nbrs_bulk`` call.
+one ``send_nbrs_bulk`` call — along the graph's out-CSR or, for an
+in-neighbour send, along the ``_in_nbrs`` rows, both behind one
+:class:`NbrGather`.
 
 Composition policy: the slab fast path engages only when nothing needs to
 observe individual staged messages.  Fault-tolerance checkpointing, the
@@ -25,6 +27,8 @@ identical either way: ``message_size`` is the schema wire size, so
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -69,30 +73,67 @@ def vectorized_phases(receivers: dict, kernels: dict) -> list[str]:
     return [f"phase{s}" for s in sorted(states)]
 
 
-class OutCsr:
-    """numpy views of a graph's out-CSR and of the vertex placement: what
-    a bulk neighbour send gathers from.  Built once per engine (on ``mp``
-    before the fork, so every worker shares it copy-on-write)."""
+class NbrGather:
+    """What a bulk neighbour send gathers from: per-vertex neighbour rows in
+    CSR form beside the vertex placement.  One class, two directions: over
+    the graph's out-CSR (``of_graph`` — zero-copy views, built once per
+    engine; on ``mp`` before the fork, so every worker shares it
+    copy-on-write) or over the ``_in_nbrs`` rows the §4.3 prologue built
+    (``over_rows`` — derived by the array code at its first in-direction
+    send).  The traffic a send along these rows meters — who owns each
+    destination, how many of a sender's destinations another worker owns —
+    is derived here, and only when a send asks for it."""
 
-    def __init__(self, graph: Graph, worker_of):
-        self.targets = np.asarray(graph.out_targets, dtype=np.int32)
-        self.offsets = np.asarray(graph.out_offsets, dtype=np.int64)
-        self.degrees = np.diff(self.offsets)
-        #: how many vertices have out-neighbours
-        self.num_senders = int(np.count_nonzero(self.degrees))
+    def __init__(self, targets, offsets, owner):
+        self.targets = targets  # int32, sender by sender
+        self.offsets = offsets
+        self.degrees = np.diff(offsets)
+        self.owner = owner
+
+    @classmethod
+    def of_graph(cls, graph: Graph, worker_of) -> "NbrGather":
         if isinstance(worker_of, bytes):
-            self.owner = np.frombuffer(worker_of, dtype=np.uint8)
+            owner = np.frombuffer(worker_of, dtype=np.uint8)
         else:  # >256 workers: the placement table is a plain int list
-            self.owner = np.asarray(worker_of, dtype=np.int64)
-        self.nbr_owner = self.owner[self.targets]
+            owner = np.asarray(worker_of, dtype=np.int64)
+        return cls(
+            np.asarray(graph.out_targets, dtype=np.int32),
+            np.asarray(graph.out_offsets, dtype=np.int64),
+            owner,
+        )
+
+    def over_rows(self, rows: list) -> "NbrGather":
+        """The gather over ``rows`` — one neighbour list per vertex, kept in
+        stored order — under this one's placement."""
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offsets[1:])
+        targets = np.fromiter(chain.from_iterable(rows), np.int32, int(offsets[-1]))
+        return NbrGather(targets, offsets, self.owner)
+
+    @cached_property
+    def with_nbrs(self):
+        """The vertices that have neighbours, ascending."""
+        return np.flatnonzero(self.degrees)
+
+    @cached_property
+    def nbr_owner(self):
+        return self.owner[self.targets]
+
+    @cached_property
+    def cross_nbrs(self):
+        """Per vertex: how many of its neighbours another worker owns."""
+        src = np.repeat(np.arange(len(self.degrees)), self.degrees)
+        return np.bincount(
+            src[self.nbr_owner != self.owner[src]], minlength=len(self.degrees)
+        )
 
     def out_edges(self, senders):
         """``(edges, counts)`` for ascending ``senders`` that all have
-        out-neighbors: the CSR positions of their out-edges — sender by
-        sender, each slice in edge order — and how many each sender has.
-        ``edges`` is ``None`` when that is the whole CSR, as it is."""
+        neighbours: the positions of their rows' entries — sender by
+        sender, each row in stored order — and how many each sender has.
+        ``edges`` is ``None`` when that is all of ``targets``, as it is."""
         counts = self.degrees[senders]
-        if len(senders) == self.num_senders:
+        if len(senders) == len(self.with_nbrs):
             return None, counts
         ends = np.cumsum(counts)
         edges = np.repeat(self.offsets[senders] - (ends - counts), counts)
@@ -143,15 +184,10 @@ class ColumnarEngine(PregelEngine):
         self._slab_singles: list[list[int]] = [[] for _ in range(ntags)]
         self._slab_chunks: list[list] = [[] for _ in range(ntags)]
         self._slab_payloads: list[bytearray] = [bytearray() for _ in range(ntags)]
-        self._csr = csr = OutCsr(graph, self._worker_of)
-        # Per-vertex cross-worker neighbor counts, precomputed in one
-        # vectorized pass so the per-send hot path stays numpy-free (a
-        # per-call ``owners == w`` comparison costs microseconds).
-        n = graph.num_nodes
-        src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees)
-        same = csr.nbr_owner == np.repeat(csr.owner, csr.degrees)
-        self._np_cross_nbrs = csr.degrees - np.bincount(src[same], minlength=n)
-        self._cross_nbrs = self._np_cross_nbrs.tolist()
+        self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
+        #: ``csr.cross_nbrs`` as Python ints, for the scalar ``send_nbrs``
+        #: (its per-send hot path stays numpy-free); built on its first call
+        self._cross_nbrs: list[int] | None = None
         #: how many vertices each worker owns
         self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
         self._enqueue = self._slab_enqueue  # type: ignore[method-assign]
@@ -233,6 +269,8 @@ class ColumnarEngine(PregelEngine):
         m.messages += deg
         m.message_bytes += size * deg
         m.worker_sent[sender_worker] += deg
+        if self._cross_nbrs is None:
+            self._cross_nbrs = self._csr.cross_nbrs.tolist()
         cross = self._cross_nbrs[vid]
         if cross:
             m.net_messages += cross
@@ -244,28 +282,28 @@ class ColumnarEngine(PregelEngine):
             for w, c in enumerate(np.bincount(owners, minlength=self.num_workers)):
                 step_work[w] += int(c)
 
-    def out_edges(self, senders):
-        """:meth:`OutCsr.out_edges` of this engine's graph."""
-        return self._csr.out_edges(senders)
+    def out_gather(self) -> NbrGather:
+        """The gather of an out-direction bulk send: the graph's out-CSR."""
+        return self._csr
 
     def put_global_bulk(self, name: str, op, vids, values) -> None:
-        """A kernel's puts to one global, one per selected vertex in
+        """Array code's puts to one global, one per selected vertex in
         ascending vid order (``vids`` None = every vertex): folded as the
         per-vertex ``put_global`` chain would have."""
         self.put_global(name, op, fold_ordered(op, values))
 
-    def send_nbrs_bulk(self, tag: int, senders, edges, counts, records) -> None:
-        """A whole phase's neighbor sends in one: stage ``records[k]`` along
-        out-edge ``edges[k]``.
+    def send_nbrs_bulk(self, tag: int, gather, senders, edges, counts, records) -> None:
+        """A whole phase's neighbor sends in one: stage ``records[k]`` for
+        ``gather.targets[edges[k]]``.
 
-        ``edges``/``counts`` are ``out_edges(senders)``; ``records`` is the
-        numpy array of packed wire records, one per edge (None for an empty
-        layout).  Staged order and every metered quantity are exactly what
-        the per-vertex ``send_nbrs`` calls — or a per-edge ``send`` loop —
-        would have produced.
+        ``edges``/``counts`` are ``gather.out_edges(senders)``; ``records``
+        is the numpy array of packed wire records, one per staged message
+        (None for an empty layout).  Staged order and every metered
+        quantity come from the gather, and are exactly what the per-vertex
+        ``send_nbrs`` / ``send_list`` calls — or a per-edge ``send`` loop —
+        along the same rows would have produced.
         """
-        csr = self._csr
-        dsts = csr.targets if edges is None else csr.targets[edges]
+        dsts = gather.targets if edges is None else gather.targets[edges]
         singles = self._slab_singles[tag]
         if singles:
             self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
@@ -279,16 +317,16 @@ class ColumnarEngine(PregelEngine):
         m.messages += total
         m.message_bytes += size * total
         workers = self.num_workers
-        sent = np.bincount(csr.owner[senders], weights=counts, minlength=workers)
+        sent = np.bincount(gather.owner[senders], weights=counts, minlength=workers)
         for w, c in enumerate(sent.astype(np.int64).tolist()):
             m.worker_sent[w] += c
-        cross = int(self._np_cross_nbrs[senders].sum())
+        cross = int(gather.cross_nbrs[senders].sum())
         if cross:
             m.net_messages += cross
             m.net_bytes += size * cross
         if self._track_makespan:
             step_work = self._step_work
-            dst_owner = csr.nbr_owner if edges is None else csr.nbr_owner[edges]
+            dst_owner = gather.nbr_owner if edges is None else gather.nbr_owner[edges]
             received = np.bincount(dst_owner, minlength=workers).tolist()
             for w in range(workers):
                 step_work[w] += int(sent[w]) + received[w]

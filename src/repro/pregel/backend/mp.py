@@ -154,7 +154,7 @@ from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec, part_nbytes, read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
-from .columnar import OutCsr, build_typed_columns, vectorized_phases
+from .columnar import NbrGather, build_typed_columns, vectorized_phases
 
 _EMPTY: tuple = ()
 
@@ -455,7 +455,7 @@ class MPEngine(PregelEngine):
         self._array_code: Callable | None = None
         #: numpy view of the out-CSR and the placement, built before the
         #: first fork so the workers share it copy-on-write.
-        self._csr: OutCsr | None = None
+        self._csr: NbrGather | None = None
         self._delivered = 0
         # real-failure machinery: scheduled process faults, the exchange
         # deadline, deferred detections, and the engine-level restart cap
@@ -663,7 +663,7 @@ class MPEngine(PregelEngine):
                     self._listeners.append(sock)
                     self._ports.append(sock.getsockname()[1])
                     _track(sock, sock.close)
-            self._csr = OutCsr(self.graph, self._worker_of)
+            self._csr = NbrGather.of_graph(self.graph, self._worker_of)
             self._workers = [
                 _Worker(wid, self, self._segments) for wid in range(w)
             ]
@@ -1381,22 +1381,22 @@ class _Worker:
 
     # -- kernel-side API (called by array code) -------------------------
 
-    def out_edges(self, senders):
-        return self.engine._csr.out_edges(senders)
+    def out_gather(self) -> NbrGather:
+        return self.engine._csr
 
-    def send_nbrs_bulk(self, tag: int, senders, edges, counts, records) -> None:
-        """A kernel's one send on ``tag``: ``records[k]`` along out-edge
-        ``edges[k]`` (``out_edges(senders)``), staged as one chunk — what
-        the per-vertex sends would have staged, in their order."""
-        csr = self.engine._csr
+    def send_nbrs_bulk(self, tag: int, gather, senders, edges, counts, records) -> None:
+        """A kernel's one send on ``tag``: ``records[k]`` for
+        ``gather.targets[edges[k]]`` (``gather.out_edges(senders)``), staged
+        as one chunk — what the per-vertex sends would have staged, in
+        their order."""
         stage = self._stage[tag]
-        stage.chunks.append(csr.targets if edges is None else csr.targets[edges])
+        stage.chunks.append(gather.targets if edges is None else gather.targets[edges])
         stage.senders, stage.counts = senders, counts
         if records is not None:
             stage.payload += records.view(np.uint8).data
 
     def put_global_bulk(self, name: str, op, vids, values) -> None:
-        """A kernel's puts to one global: shipped whole, folded with the
+        """Array code's puts to one global: shipped whole, folded with the
         other workers' by the parent (``MPEngine._fold_puts``)."""
         self._puts.append((name, op, vids, values))
 

@@ -299,24 +299,25 @@ class VertexPhase:
         return not self.receive and not self.compute
 
     def sent_tags(self) -> set[int]:
-        tags: set[int] = set()
-        _collect_tags(self.compute, tags)
-        _collect_tags(self.receive, tags)
-        return tags
+        return {
+            stmt.tag
+            for stmt in walk_stmts(self.compute + self.receive)
+            if isinstance(stmt, (VSendNbrs, VSendTo))
+        }
 
     def received_tags(self) -> set[int]:
         return {s.tag for s in self.receive if isinstance(s, VMsgLoop)}
 
 
-def _collect_tags(stmts: list[VStmt], tags: set[int]) -> None:
+def walk_stmts(stmts: list[VStmt]):
+    """``stmts`` and every statement nested in them, in program order."""
     for stmt in stmts:
-        if isinstance(stmt, (VSendNbrs, VSendTo)):
-            tags.add(stmt.tag)
-        elif isinstance(stmt, VIf):
-            _collect_tags(stmt.then, tags)
-            _collect_tags(stmt.other, tags)
+        yield stmt
+        if isinstance(stmt, VIf):
+            yield from walk_stmts(stmt.then)
+            yield from walk_stmts(stmt.other)
         elif isinstance(stmt, VMsgLoop):
-            _collect_tags(stmt.body, tags)
+            yield from walk_stmts(stmt.body)
 
 
 _TYPE_BYTES = {

@@ -103,6 +103,7 @@ from ..pregelir.ir import (
     VSendNbrs,
     VSendTo,
     VStmt,
+    walk_stmts,
     VertexPhase,
 )
 
@@ -182,7 +183,7 @@ class Translator:
         Green-Marl's parallel semantics)."""
         for phase in self.phases.values():
             ops: dict[str, GlobalOp] = {}
-            for stmt in _walk_vstmts(phase.receive + phase.compute):
+            for stmt in walk_stmts(phase.receive + phase.compute):
                 if isinstance(stmt, VGlobalPut):
                     seen = ops.get(stmt.name)
                     if seen is not None and seen is not stmt.op:
@@ -921,16 +922,6 @@ def _apply_reduce(op: ReduceOp, current: VExpr, value: VExpr) -> VExpr:
     if op is ReduceOp.ANY:
         return Bin(BinOp.OR, current, value)
     raise TranslationError(f"cannot apply reduction {op}")
-
-
-def _walk_vstmts(stmts: list[VStmt]):
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, VIf):
-            yield from _walk_vstmts(stmt.then)
-            yield from _walk_vstmts(stmt.other)
-        elif isinstance(stmt, VMsgLoop):
-            yield from _walk_vstmts(stmt.body)
 
 
 def _dedupe_finalizes(finalizes: list[MFinalize]) -> list[MFinalize]:

@@ -53,6 +53,36 @@ def run_on(programs, graph, alg, backend, **opts):
     return program.run(graph, default_args(alg, graph), backend=backend, **opts)
 
 
+#: programs every phase of which runs as array code, on columnar and on mp
+ALL_KERNEL = ("pagerank", "sssp", "avg_teen_cnt", "conductance", "bc_approx")
+
+
+def run_counted(programs, graph, alg, backend, **opts):
+    """A run with a registry attached: ``(run, {counter: total})`` over the
+    backend's array-code attribution counters (per worker on mp)."""
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    run = run_on(programs, graph, alg, backend, metrics_registry=registry, **opts)
+    snap = registry.snapshot()
+    totals = {
+        name: sum(row["value"] for row in snap[f"{backend}.{name}"]["series"])
+        if f"{backend}.{name}" in snap else 0
+        for name in ("kernel_vertices", "scalar_vertices", "bulk_records", "scalar_records")
+    }
+    return run, totals
+
+
+def in_nbr_rows(graph):
+    """The rows the §4.3 prologue must build: each vertex's in-neighbours,
+    ascending sender, a sender's parallel edges in edge order."""
+    rows = [[] for _ in range(graph.num_nodes)]
+    for v in range(graph.num_nodes):
+        for t in graph.out_nbrs(v):
+            rows[t].append(v)
+    return rows
+
+
 def assert_parity(oracle, other, *, ignore_partition_keys=False):
     key_a = oracle.metrics.parity_key()
     key_b = other.metrics.parity_key()
@@ -1320,8 +1350,7 @@ class TestVectorizedReceivers:
             assert self.handlers(programs, graph, alg), alg
 
     def test_dependent_or_stateful_phases_do_not(self, programs, graph):
-        # bipartite matching assigns fields and writes globals from its
-        # receive loops.
+        # bipartite matching assigns message values from its receive loops.
         assert self.handlers(programs, graph, "bipartite_matching") == {}
 
     def test_handlers_only_engage_on_slab_fast_path(self, programs, graph):
@@ -1347,8 +1376,8 @@ class TestPhaseKernels:
     EXPECTED = {
         "pagerank": [0, 4],
         "avg_teen_cnt": [0, 2],
-        "conductance": [4, 6],
-        "bc_approx": [1, 4, 6, 12, 14],
+        "conductance": [4, 6, 7],
+        "bc_approx": [1, 4, 6, 9, 10, 12, 14, 15],
         "sssp": [0, 9],
         "bipartite_matching": [0],
     }
@@ -1405,18 +1434,30 @@ class TestPhaseKernels:
             for phase, d in by_phase.items():
                 if not d["kernel"]:
                     reasons[alg, phase] = d["kernel_reason"]
-        # every scalar receive loop keeps its whole phase scalar, and the
-        # receiver's own reason rides along
-        assert reasons["bipartite_matching", 3] == (
-            "scalar receive loop (statement VIf)"
-        )
-        for key in (
-            ("bipartite_matching", 3), ("bipartite_matching", 5),
-            ("bipartite_matching", 8), ("conductance", 7),
-            ("bc_approx", 9), ("bc_approx", 15),
-        ):
-            assert reasons.pop(key).startswith("scalar receive loop ("), key
-        assert reasons == {("bc_approx", 10): "in-neighbour send"}
+        # what is left is bipartite matching's message-valued assigns: a
+        # scalar receive loop keeps its whole phase scalar, and the
+        # receiver's own reason — the construct, by name — rides along
+        last_writer = "scalar receive loop (assign of a message value (last writer wins))"
+        assert reasons == {
+            ("bipartite_matching", 3): (
+                "scalar receive loop (guarded assign of a message value)"
+            ),
+            ("bipartite_matching", 5): last_writer,
+            ("bipartite_matching", 8): last_writer,
+        }
+
+    def test_random_write_is_refused_by_name(self, programs, graph):
+        # phases 3 and 5 send to a vertex a column names; with their receive
+        # loops taken out of the way the compute body's own refusal shows
+        import copy
+
+        from repro.codegen.executable import CompiledProgram
+
+        ir = copy.deepcopy(programs["bipartite_matching"].ir)
+        for phase in (3, 5):
+            ir.phases[phase].receive.clear()
+        _engine, by_phase = self.decisions(CompiledProgram(ir), graph)
+        assert by_phase[3]["kernel_reason"] == by_phase[5]["kernel_reason"] == "random write"
 
     def test_decisions_name_the_idioms(self, programs, graph):
         _engine, by_phase = self.decisions(
@@ -1438,13 +1479,16 @@ class TestPhaseKernels:
             )
             sim = run_on(programs, graph, alg, "sim", track_makespan=True, **opts)
             for track in (False, True):
-                col = run_on(
+                col, totals = run_counted(
                     programs, graph, alg, "columnar", track_makespan=track, **opts
                 )
                 assert col.metrics.vectorized_phases == [
                     f"phase{p}" for p in self.EXPECTED[alg]
                 ]
                 assert_parity(sim, col)
+                if alg in ALL_KERNEL:
+                    assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+                    assert totals["bulk_records"] > 0
                 if track:
                     assert col.metrics.makespan_units == sim.metrics.makespan_units
                     assert col.metrics.ideal_units == sim.metrics.ideal_units
@@ -1509,8 +1553,8 @@ class TestPhaseKernels:
         "alg,args,kernels",
         [
             ("degree_stats", {}, [0, 2]),
-            ("hits", {"max_iter": 5}, [4, 10, 14, 16]),
-            ("connected_components", {}, [7, 9]),
+            ("hits", {"max_iter": 5}, [4, 7, 10, 14, 15, 16]),
+            ("connected_components", {}, [3, 7, 8, 9]),
         ],
     )
     def test_extra_algorithms(self, graph, alg, args, kernels):
@@ -1539,6 +1583,9 @@ class TestPhaseKernels:
             (1, [(0, 0)], 4),                            # ... with a self loop
             (3, [(0, 1), (1, 2), (2, 0)], 8),            # workers > vertices
             (6, [(0, 1), (0, 2), (1, 2), (3, 0)], 2),    # sinks + isolated
+            # parallel edges and a self loop into one row; 0 and 2 have no
+            # in-neighbours
+            (4, [(0, 1), (0, 1), (1, 1), (1, 3), (2, 1)], 2),
         ],
     )
     @pytest.mark.parametrize(
@@ -1551,6 +1598,39 @@ class TestPhaseKernels:
         col = run_on(programs, g, alg, "columnar", **opts)
         assert_parity(sim, col)
         assert col.metrics.makespan_units == sim.metrics.makespan_units
+        if "_in_nbrs" in col.fields:
+            # the bulk build keeps duplicates, in sender order
+            assert col.fields["_in_nbrs"] == sim.fields["_in_nbrs"] == in_nbr_rows(g)
+
+    @pytest.mark.parametrize("alg", ("bc_approx", "conductance"))
+    def test_reverse_gather_is_the_graphs_in_csr(self, programs, graph, alg, monkeypatch):
+        # the prologue's messages are the source, the graph's in-CSR only the
+        # oracle: rows and gather must come out equal to it — derived once,
+        # at the first in-direction send, however many sends follow
+        import numpy as np
+
+        from repro.pregel.backend.columnar import NbrGather
+
+        derived = []
+        over_rows = NbrGather.over_rows
+
+        def recording(self, rows):
+            derived.append(over_rows(self, rows))
+            return derived[-1]
+
+        monkeypatch.setattr(NbrGather, "over_rows", recording)
+        engine, fields, _master = programs[alg].make_engine(
+            graph, default_args(alg, graph), backend="columnar", num_workers=2
+        )
+        assert not derived and not any(fields["_in_nbrs"])
+        engine.run()
+        (reverse,) = derived
+        assert fields["_in_nbrs"] == in_nbr_rows(graph)
+        assert reverse.targets.tolist() == list(graph.in_sources)
+        assert reverse.offsets.tolist() == list(graph.in_offsets)
+        assert reverse.owner is engine._csr.owner
+        # ... and the forward one is still the graph's own buffers
+        TestEnginesViewTheGraphBuffers.assert_views(engine, graph)
 
     def test_zero_degree_senders_under_the_degree_guard(self, programs):
         # pagerank's payload divides by the out-degree; the kernel, like
@@ -1636,6 +1716,152 @@ class TestPhaseKernels:
             program.run(graph, args, backend="sim"),
             program.run(graph, args, backend="columnar"),
         )
+
+    # -- (c'') first-match receive loops, the in-neighbour build and send ------
+
+    FIRST_MATCH = (
+        "Procedure p(G: Graph, age: N_P<Int>, member: N_P<Int>; o: N_P<Int>, q: N_P<Int>): Int {{\n"
+        "  Int top = 0;\n"
+        "  G.o = 0; G.q = 0;\n"
+        "  Foreach (n: G.Nodes)[n.age > 30] {{ Foreach (t: n.Nbrs){guard} {{ {body} }} }}\n"
+        "  Return top;\n"
+        "}}"
+    )
+
+    def first_match_case(self, graph, guard, body):
+        program = self.compile(self.FIRST_MATCH.format(guard=guard, body=body))
+        _engine, by_phase = self.decisions(program, graph)
+        (receiving,) = [
+            d for d in by_phase.values() if d["reason"] != "no receive statements"
+        ]
+        sim = program.run(graph, backend="sim")
+        assert_parity(sim, program.run(graph, backend="columnar"))
+        assert_parity(sim, self.run_scalar_slab(program, graph))
+        return receiving, sim
+
+    @pytest.mark.parametrize(
+        "guard,body",
+        [
+            # the block switches its own guard off
+            ("[t.o == 0]", "t.o = 5; top max= t.age;"),
+            # ... or leaves it on: every firing stores and puts the same
+            ("[t.member == 1]", "t.o = t.age + 2; t.q = 1; top min= 0 - t.age;"),
+            # nobody passes: no store and no put at all
+            ("[t.age > 1000]", "t.o = 5; top max= 7;"),
+        ],
+    )
+    def test_first_match_loops_vectorize(self, graph, guard, body):
+        receiving, sim = self.first_match_case(graph, guard, body)
+        assert receiving["reason"] == "vectorized (first-match assign)"
+        assert receiving["kernel"]
+        assert receiving["ordered_merge"][0]["ordered"] is False
+        assert (sim.result != 0) == ("1000" not in guard)
+
+    @pytest.mark.parametrize(
+        "guard,body,reason",
+        [
+            ("[t.o == 0]", "t.o = 5; top += 1;", "sum put inside a receive loop"),
+            ("[t.o == 0]", "t.o = n.age;", "guarded assign of a message value"),
+            ("[t.o == 0]", "t.o = 5; top max= n.age;", "guarded put of a message value"),
+            ("[t.o < n.age]", "t.o = 5;", "first-match guard reads the message"),
+            ("[t.o == 0]", "t.o = t.o + 1;", "first-match value reads a field the block assigns"),
+            ("[100 / (t.age + 1) > 2]", "t.o = 5;", "first-match guard or value can raise"),
+            (
+                "", "If (t.o == 0) { t.o = 5; } Else { t.q = 1; }",
+                "guarded receive statements with an else arm",
+            ),
+        ],
+    )
+    def test_near_misses_of_first_match_stay_scalar(self, graph, guard, body, reason):
+        receiving, _sim = self.first_match_case(graph, guard, body)
+        assert receiving["reason"] == reason
+        assert receiving["kernel_reason"] == f"scalar receive loop ({reason})"
+
+    def surgery_case(self, programs, graph, alg, operate):
+        """``alg`` with ``operate(ir)`` applied: its decisions, and parity of
+        the array code with the simulator and with the scalar slab path."""
+        import copy
+
+        from repro.codegen.executable import CompiledProgram
+
+        ir = copy.deepcopy(programs[alg].ir)
+        operate(ir)
+        program = CompiledProgram(ir)
+        args = default_args(alg, graph)
+        _engine, by_phase = self.decisions(program, graph, args)
+        sim = program.run(graph, args, backend="sim")
+        assert_parity(sim, program.run(graph, args, backend="columnar"))
+        assert_parity(sim, self.run_scalar_slab(program, graph, args))
+        return by_phase
+
+    def test_second_loop_reading_the_assigned_field_stays_scalar(self, programs, graph):
+        from repro.pregel.globalmap import GlobalOp
+        from repro.pregelir.ir import Field, VFieldReduce, VMsgLoop
+
+        def operate(ir):
+            # beside the discover loop, a loop (on a tag nobody sends to this
+            # phase) folding the level the discover loop assigns
+            ir.phases[9].receive.append(
+                VMsgLoop(0, [VFieldReduce("delta", GlobalOp.SUM, Field("_gm_lev0"))])
+            )
+
+        by_phase = self.surgery_case(programs, graph, "bc_approx", operate)
+        assert by_phase[9]["reason"] == "field dependence between receive statements"
+        assert not by_phase[9]["kernel"] and by_phase[10]["kernel"]
+
+    def test_a_put_the_compute_body_also_makes_stays_scalar(self, programs, graph):
+        from repro.pregel.globalmap import GlobalOp
+        from repro.pregelir.ir import Lit, VGlobalPut
+
+        def operate(ir):
+            # every vertex also puts the AND's neutral element
+            ir.phases[9].compute.append(VGlobalPut("_gm_fin2", GlobalOp.AND, Lit(True)))
+
+        by_phase = self.surgery_case(programs, graph, "bc_approx", operate)
+        assert by_phase[9]["reason"] == "more than one put to global _gm_fin2"
+
+    def test_in_and_out_send_on_one_tag_stay_scalar(self, programs, graph):
+        from repro.pregelir.ir import VSendNbrs
+
+        def operate(ir):
+            ir.phases[7].compute.append(VSendNbrs(0, [], "out"))
+
+        by_phase = self.surgery_case(programs, graph, "conductance", operate)
+        assert by_phase[7]["kernel_reason"] == "more than one send on tag 0"
+        assert by_phase[7]["reason"] == "vectorized (in-neighbour build)"
+
+    def test_edge_property_on_an_in_send_is_refused(self, programs, graph):
+        # the generated scalar program refuses it too: an in-neighbour row
+        # holds vertex ids, not edges
+        from repro.codegen import vectorize
+        from repro.pregelir.ir import Call, VSendNbrs
+
+        program = programs["conductance"]
+        engine, fields, _master = program.make_engine(
+            graph, default_args("conductance", graph), backend="columnar"
+        )
+        scope = vectorize._Scope(fields, engine.globals.broadcast, {}, graph)
+        builder = vectorize._KernelBuilder(scope, program.schema.tags, engine)
+        send = VSendNbrs(1, [Call("edge_prop", ("len",))], "in")
+        with pytest.raises(
+            vectorize._Unvectorizable, match="edge property on an in-neighbour send"
+        ):
+            builder.send_nbrs(send)
+
+    def test_append_of_something_else_stays_scalar(self, programs, graph):
+        from repro.lang.ast import BinOp
+        from repro.pregelir.ir import Bin, Lit, MsgField, VAppendInNbr
+
+        def operate(ir):
+            (loop,) = ir.phases[15].receive
+            loop.body[0] = VAppendInNbr(Bin(BinOp.ADD, MsgField(0), Lit(0)))
+
+        by_phase = self.surgery_case(programs, graph, "bc_approx", operate)
+        reason = "in-neighbour append of something other than a sender id slot"
+        assert by_phase[15]["reason"] == reason
+        assert by_phase[15]["kernel_reason"] == f"scalar receive loop ({reason})"
+        # the reverse sweep still gathers from the rows the scalar loop built
+        assert by_phase[10]["kernel"]
 
     # -- (c') edge-weighted relaxation (sssp phase 9) --------------------------
 
@@ -1987,28 +2213,9 @@ class TestPartitionKernels:
     unlike on columnar — kept when a tracer, fault tolerance, a memory
     budget or the tcp transport is attached."""
 
-    #: programs every phase of which is array code on both sides
-    ALL_KERNEL = ("pagerank", "sssp", "avg_teen_cnt")
-
     @pytest.fixture(scope="class")
     def small(self):
         return load_graph("twitter", 0.02)  # 100 vertices: forks dominate
-
-    @staticmethod
-    def run_mp(programs, graph, alg, **opts):
-        """An mp run with a registry attached: ``(run, {counter: total})``
-        over the worker-labelled ``mp.*`` attribution counters."""
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        run = run_on(programs, graph, alg, "mp", metrics_registry=registry, **opts)
-        snap = registry.snapshot()
-        totals = {
-            name: sum(row["value"] for row in snap[f"mp.{name}"]["series"])
-            if f"mp.{name}" in snap else 0
-            for name in ("kernel_vertices", "scalar_vertices", "bulk_records", "scalar_records")
-        }
-        return run, totals
 
     @pytest.mark.parametrize("partitioning", ("hash", "range"))
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -2020,8 +2227,8 @@ class TestPartitionKernels:
                 )
                 sim = run_on(programs, small, alg, "sim", **opts)
                 for transport in ("shm", "tcp"):
-                    mp, totals = self.run_mp(
-                        programs, small, alg, transport_mode=transport, **opts
+                    mp, totals = run_counted(
+                        programs, small, alg, "mp", transport_mode=transport, **opts
                     )
                     assert_parity(sim, mp)
                     assert mp.metrics.makespan_units == sim.metrics.makespan_units
@@ -2029,7 +2236,7 @@ class TestPartitionKernels:
                     kernels = TestPhaseKernels.EXPECTED[alg]
                     assert {f"phase{s}" for s in kernels} <= set(mp.metrics.vectorized_phases)
                     assert totals["kernel_vertices"] > 0
-                    if alg in self.ALL_KERNEL:
+                    if alg in ALL_KERNEL:
                         assert totals["scalar_vertices"] == totals["scalar_records"] == 0
                         assert totals["bulk_records"] > 0
 
@@ -2041,7 +2248,7 @@ class TestPartitionKernels:
         # and the parent's put fold respectively
         opts = dict(num_workers=3, partitioning="hash")
         sim = run_on(programs, graph, "pagerank", "sim", **opts)
-        mp, totals = self.run_mp(programs, graph, "pagerank", **opts)
+        mp, totals = run_counted(programs, graph, "pagerank", "mp", **opts)
         assert_parity(sim, mp)
         assert totals["scalar_vertices"] == totals["scalar_records"] == 0
         assert totals["bulk_records"] > 0
@@ -2063,7 +2270,7 @@ class TestPartitionKernels:
     )
     def test_compositions_that_observe_single_sends_stay_scalar(self, programs, graph, opts):
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2, **opts)
-        mp, totals = self.run_mp(programs, graph, "pagerank", num_workers=2, **opts)
+        mp, totals = run_counted(programs, graph, "pagerank", "mp", num_workers=2, **opts)
         assert_parity(sim, mp)
         assert mp.metrics.vectorized_phases == []
         assert totals["kernel_vertices"] == totals["bulk_records"] == 0
@@ -2082,10 +2289,10 @@ class TestPartitionKernels:
             },
             "tcp": lambda: {"transport_mode": "tcp"},
         }[feature]
-        for alg in self.ALL_KERNEL:
+        for alg in ALL_KERNEL:
             sim_opts = {} if feature == "tcp" else make()
             sim = run_on(programs, graph, alg, "sim", num_workers=2, **sim_opts)
-            mp, totals = self.run_mp(programs, graph, alg, num_workers=2, **make())
+            mp, totals = run_counted(programs, graph, alg, "mp", num_workers=2, **make())
             assert_parity(sim, mp)
             assert totals["scalar_vertices"] == totals["scalar_records"] == 0
             assert totals["kernel_vertices"] == graph.num_nodes * sim.metrics.supersteps
@@ -2097,6 +2304,8 @@ class TestPartitionKernels:
             (1, [(0, 0)], 4),                            # workers > vertices
             (3, [(0, 1), (1, 2), (2, 0)], 8),            # ... most partitions empty
             (6, [(0, 1), (0, 2), (1, 2), (3, 0)], 4),    # sinks + isolated
+            # parallel edges and a self loop into one row, built across workers
+            (4, [(0, 1), (0, 1), (1, 1), (1, 3), (2, 1)], 3),
         ],
     )
     def test_degenerate_partitions(self, programs, num_nodes, edges, workers):
@@ -2108,16 +2317,18 @@ class TestPartitionKernels:
             for partitioning in ("hash", "range"):
                 opts = dict(num_workers=workers, partitioning=partitioning)
                 sim = run_on(programs, g, alg, "sim", **opts)
-                mp, totals = self.run_mp(programs, g, alg, **opts)
+                mp, totals = run_counted(programs, g, alg, "mp", **opts)
                 assert_parity(sim, mp)
-                if alg in self.ALL_KERNEL:
+                if alg in ALL_KERNEL:
                     assert totals["scalar_vertices"] == 0
+                if "_in_nbrs" in mp.fields:
+                    assert mp.fields["_in_nbrs"] == in_nbr_rows(g)
 
     def test_kernel_sized_send_overflows_onto_the_pipe(self, programs, graph):
         # a segment too small for any slab: every bulk send rides the
         # inline path, as whole-partition arrays
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
-        mp, totals = self.run_mp(programs, graph, "pagerank", num_workers=2, mp_slab_bytes=64)
+        mp, totals = run_counted(programs, graph, "pagerank", "mp", num_workers=2, mp_slab_bytes=64)
         assert_parity(sim, mp)
         assert totals["scalar_vertices"] == totals["scalar_records"] == 0
         assert totals["bulk_records"] > 0
@@ -2134,14 +2345,40 @@ class TestPartitionKernels:
         # the re-packed checkpoint) re-runs the step as the kernel it is.
         workers, victim = 3, 1
         sim = run_on(programs, graph, alg, "sim", num_workers=workers)
-        mp, totals = self.run_mp(
-            programs, graph, alg, num_workers=workers, transport_mode=transport,
+        mp, totals = run_counted(
+            programs, graph, alg, "mp", num_workers=workers, transport_mode=transport,
             ft=FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery)),
             real_faults=(RealFault("kill", victim, 3),),
             exchange_deadline=10.0,
         )
         assert mp.metrics.restarts == 1
         assert_parity(sim, mp)
+        assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+        assert totals["kernel_vertices"] > 0
+
+    @pytest.mark.parametrize("recovery", ("confined", "rollback"))
+    @pytest.mark.parametrize("transport", ("shm", "tcp"))
+    @pytest.mark.parametrize("superstep", (1, 17), ids=("build", "reverse-sweep"))
+    def test_kill_around_the_in_neighbour_rows(
+        self, programs, small, superstep, transport, recovery
+    ):
+        # bc on the 100-vertex graph: superstep 1 is the §4.3 build, 17 an
+        # in-direction send of the first reverse sweep.  A kill entering the
+        # build rolls back to the checkpoint taken *before* the prologue —
+        # the rows are rebuilt from empty, not appended to twice; one in the
+        # reverse sweep makes the re-forked worker derive its reverse gather
+        # from rows it inherited rather than built.
+        workers, victim = 3, 1
+        sim = run_on(programs, small, "bc_approx", "sim", num_workers=workers)
+        mp, totals = run_counted(
+            programs, small, "bc_approx", "mp", num_workers=workers, transport_mode=transport,
+            ft=FaultTolerance(FaultPlan(checkpoint_every=4, recovery=recovery)),
+            real_faults=(RealFault("kill", victim, superstep),),
+            exchange_deadline=10.0,
+        )
+        assert mp.metrics.restarts == 1
+        assert_parity(sim, mp)
+        assert mp.fields["_in_nbrs"] == sim.fields["_in_nbrs"] == in_nbr_rows(small)
         assert totals["scalar_vertices"] == totals["scalar_records"] == 0
         assert totals["kernel_vertices"] > 0
 

@@ -4,10 +4,13 @@ A seeded generator assembles random programs from the Pregel-compatible
 construct pool — vertex updates, push loops in both directions, pull loops
 (forcing Dissection + Edge Flipping), global reductions, filters, sequential
 While loops (exercising the state machine and intra-loop merging), group
-assignments, and — one seed in eight — an edge-weighted relaxation in sssp's
-shape (``ToEdge()`` + ``E_P<Int>``, ``±INF`` initialisers, a ``|=`` improve
-flag whose comparison may or may not be the one the vectorizer accepts) —
-then asserts that the shared-memory interpreter and the
+assignments, and — one seed in eight each — an edge-weighted relaxation in
+sssp's shape (``ToEdge()`` + ``E_P<Int>``, ``±INF`` initialisers, a ``|=``
+improve flag whose comparison may or may not be the one the vectorizer
+accepts) and a BFS traversal in bc's shape (``InBFS`` from a random root
+with an up-neighbour reduction, optionally ``InReverse`` with a
+down-neighbour one: the discover loop, the in-neighbour build and the
+reverse gather) — then asserts that the shared-memory interpreter and the
 compiled Pregel program agree on every output property and the returned
 scalar, and that the columnar backend (array kernels + bulk receivers
 wherever the vectorizer finds them eligible) is bit-identical to the
@@ -252,6 +255,52 @@ class ProgramBuilder:
         ]
         return "\n".join(line for line in lines if line)
 
+    def bfs(self) -> str:
+        """bc's shape with the knobs turned: a forward sweep from a random
+        root reducing over BFS parents, and (two times in three) a reverse
+        sweep reducing over BFS children along the in-neighbour rows the
+        §4.3 prologue builds.  On the columnar backend that is the
+        first-match discover loop, the bulk in-neighbour build, the reverse
+        gather and float ``SUM`` receivers.  Values only ever feed back
+        additively, so nothing outgrows a double."""
+        rng = self.rng
+
+        def level_filter() -> str:
+            return rng.choice(("[v != s]", f"[{self.bool_expr('v', STABLE_INT)}]", ""))
+
+        def nbr_filter() -> str:
+            return f"[{self.bool_expr('w', STABLE_INT)}]" if rng.random() < 0.4 else ""
+
+        if rng.random() < 0.3:
+            up = f"v.oa = Sum(w: v.UpNbrs){nbr_filter()}{{{self.int_expr('w', STABLE_INT, 1)}}};"
+        else:
+            term = rng.choice(("w.sg", f"(w.sg + {self.double_expr('w', ('x',), 1)})"))
+            up = f"v.sg = Sum(w: v.UpNbrs){nbr_filter()}{{{term}}};"
+        lines = [
+            HEADER,
+            "  N_P<Double> sg; N_P<Double> dl;",
+            f"  G.oa = 0; G.ox = 0.0; G.dl = 0.0; G.sg = {rng.randint(0, 2)}.5;",
+            "  Node s = G.PickRandom();",
+            "  s.sg = 1.0;",
+            f"  InBFS (v: G.Nodes From s){level_filter()} {{",
+            f"    {up}",
+            "  }",
+        ]
+        if rng.random() < 0.67:
+            mine = rng.choice(("v.x", "v.sg", self.double_expr("v", ("x",), 1)))
+            theirs = rng.choice(("w.dl", "(1.0 + w.dl)", f"(w.dl + {self.double_expr('w', ('x',), 1)})"))
+            glue = rng.choice(("+", "-", "*"))
+            lines += [
+                f"  InReverse{level_filter()} {{",
+                f"    v.dl = Sum(w: v.DownNbrs){nbr_filter()}{{({mine} {glue} {theirs})}};",
+                "    v.ox += v.dl;",
+                "  }",
+            ]
+        else:
+            lines.append("  Foreach (n: G.Nodes) { n.ox = n.sg; }")
+        lines += ["  Return 0.0;", "}"]
+        return "\n".join(lines)
+
     def build(self) -> str:
         lines = [HEADER]
         for _ in range(self.size):
@@ -268,9 +317,10 @@ class ProgramBuilder:
 def generate(seed: int, size: int) -> str:
     """The program of one seed.  Which production a seed gets depends on the
     seed alone, so the general programs' text is stable under changes to
-    the relaxation production and vice versa."""
+    the relaxation and BFS productions and vice versa."""
     builder = ProgramBuilder(seed, size)
-    return builder.relaxation() if seed % 8 == 7 else builder.build()
+    special = {7: builder.relaxation, 5: builder.bfs}
+    return special.get(seed % 8, builder.build)()
 
 
 def _compare(program: str, seed: int, *, mp: bool = False) -> None:
@@ -369,7 +419,11 @@ def test_fixed_regression_seeds():
     # relaxations (seed % 8 == 7): no flag, the improve flag under max= and
     # min=, and its loose / mismatched / swapped / opposite variants
     relaxations = tuple((seed, 4) for seed in (7, 23, 31, 39, 47, 55, 63, 127))
-    for seed, size in general + relaxations:
+    # traversals (seed % 8 == 5): forward only with an Int and with a Double
+    # up-neighbour sum, both sweeps all as array code (Int, Double), and with
+    # a down-neighbour term or cast the bulk receivers refuse
+    traversals = tuple((seed, 4) for seed in (13, 77, 21, 29, 5, 197))
+    for seed, size in general + relaxations + traversals:
         program = generate(seed, size)
         try:
             compile_source(program, emit_java=False)

@@ -453,7 +453,8 @@ class TestVectorizeTelemetry:
         assert "vectorized=[phase0,phase9]" in run.metrics.summary()
         run = _run(programs, graph, "bc_approx", "columnar")
         assert run.metrics.vectorized_phases == [
-            "phase1", "phase4", "phase6", "phase12", "phase14",
+            "phase1", "phase4", "phase6", "phase9", "phase10", "phase12",
+            "phase14", "phase15",
         ]
 
 
