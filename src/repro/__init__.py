@@ -25,25 +25,34 @@ Quick start::
     result = compiled.program.run(graph, {"K": 25})
 """
 
-from .compiler import CompilationResult, compile_algorithm, compile_procedure, compile_source
-from .interp import interpret
-from .lang import GreenMarlError, NotPregelCanonicalError, parse_procedure, pretty
-from .pregel import Graph, PregelEngine, RunMetrics
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CompilationResult",
-    "Graph",
-    "GreenMarlError",
-    "NotPregelCanonicalError",
-    "PregelEngine",
-    "RunMetrics",
-    "compile_algorithm",
-    "compile_procedure",
-    "compile_source",
-    "interpret",
-    "parse_procedure",
-    "pretty",
-    "__version__",
-]
+#: where each re-export lives.  Resolved on first access (PEP 562), so
+#: ``from repro.graphgen import load_graph`` loads no compiler and
+#: ``import repro`` costs what the caller goes on to use.
+_EXPORTS = {
+    "CompilationResult": ".compiler",
+    "compile_algorithm": ".compiler",
+    "compile_procedure": ".compiler",
+    "compile_source": ".compiler",
+    "interpret": ".interp",
+    "GreenMarlError": ".lang",
+    "NotPregelCanonicalError": ".lang",
+    "parse_procedure": ".lang",
+    "pretty": ".lang",
+    "Graph": ".pregel",
+    "PregelEngine": ".pregel",
+    "RunMetrics": ".pregel",
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module, __name__), name)
+    return value

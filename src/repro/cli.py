@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .compiler import compile_source
 from .graphgen.registry import TABLE1, load_graph
-from .interp import interpret
 from .lang.errors import GreenMarlError
 from .pregel.backend import BACKENDS, BackendUnsupported
 
@@ -454,6 +453,8 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
 
 
 def _cmd_interp(ns: argparse.Namespace) -> int:
+    from .interp import interpret
+
     _validate_run_shape(ns)
     source = Path(ns.file).read_text()
     graph = _load_cli_graph(ns)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
 from ..pregel.backend import get_backend
-from ..pregel.ft import ColumnState
 from ..pregel.globalmap import GlobalOp, combine
 from ..pregel.graph import Graph
 from ..pregel.runtime import PregelEngine, RunMetrics
@@ -655,6 +654,8 @@ class CompiledProgram:
         if getattr(engine, "ft", None) is not None:
             # Checkpoints must cover everything a worker crash can destroy:
             # the vertex property columns and the master's interpreter state.
+            from ..pregel.ft import ColumnState
+
             engine.ft.register(ColumnState(fields))
             engine.ft.register(master)
         return engine, fields, master

@@ -15,6 +15,29 @@ Shape — degree skew, bipartiteness, locality — is what drives Pregel
 behaviour (frontier growth, message volume, load imbalance); absolute scale
 only multiplies it.  Every generator takes ``num_nodes`` / ``avg_degree`` so
 experiments can sweep scale.
+
+:func:`twitter_like`, :func:`uniform_random` and :func:`attach_standard_props`
+are array code that replays ``random.Random(seed)`` bit for bit, so they build
+the graphs their scalar loops built (``tests/scalar_generators.py`` keeps
+those loops as the exact oracle):
+
+* ``random.Random(seed).getstate()`` is the Mersenne Twister's 624-word key
+  and position, which ``numpy.random.MT19937`` accepts; ``random_raw`` then
+  returns the same 32-bit words ``getrandbits(32)`` would;
+* ``random()`` is ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`` of two
+  consecutive words — exact in float64;
+* ``randrange(n)`` is ``_randbelow(n)``: each word shifted down to
+  ``n.bit_length()`` bits, the first one ``< n`` wins — a filter of the words;
+* the loops' stopping rule — the attempt at which the target-th distinct edge
+  first appears — is kept by drawing attempts in blocks and admitting each
+  block's unseen edges in first-appearance order (:func:`_first_distinct`).
+
+That works because these three consume the stream independently of what they
+drew before.  :func:`web_like`, :func:`skewed` and :func:`bipartite` do not —
+preferential attachment draws ``randrange(len(targets))`` where ``targets``
+grew or not by the previous accept, and ``bipartite`` alternates two
+``randrange`` limits, so which limit a word meets depends on how many words
+were rejected before it — and stay scalar loops.
 """
 
 from __future__ import annotations
@@ -23,17 +46,135 @@ import random
 
 from ..pregel.graph import Graph
 
+#: Attempts the array generators draw per block.  A block of RMAT attempts is
+#: ``_BLOCK * scale`` doubles, so what a draw allocates does not grow with the
+#: graph (and stays small enough for the allocator to reuse: at 2**17 the
+#: 10^6-edge graph takes twice as long, all of it page faults).
+_BLOCK = 1 << 14
+
+
+class _Stream:
+    """``random.Random(seed)``'s output, drawn as arrays (numpy is imported
+    here, not by ``import repro``)."""
+
+    def __init__(self, seed):
+        import numpy as np
+
+        *key, pos = random.Random(seed).getstate()[1]
+        twister = np.random.MT19937()
+        twister.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(key, dtype=np.uint32), "pos": pos},
+        }
+        self._np = np
+        self._raw = twister.random_raw
+        self._unread = np.empty(0, dtype=np.uint64)  # drawn but not yet consumed
+
+    def _peek(self, k):
+        unread = self._unread
+        if len(unread) < k:
+            fresh = self._raw(k - len(unread))
+            unread = self._np.concatenate((unread, fresh)) if len(unread) else fresh
+            self._unread = unread
+        return unread[:k]
+
+    def words(self, k):
+        """The next ``k`` values of ``getrandbits(32)``."""
+        out = self._peek(k)
+        self._unread = self._unread[k:]
+        return out
+
+    def doubles(self, k):
+        """The next ``k`` values of ``random()``."""
+        w = self.words(2 * k)
+        return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
+
+    def randbelow(self, n, count):
+        """The next ``count`` values of ``randrange(n)`` (int64).  Rejected
+        words are consumed, as ``_randbelow`` consumes them; the words after
+        the last accepted one stay unread for the next draw."""
+        if not 0 < n < 1 << 32:
+            raise ValueError(f"randbelow({n}) does not fit one 32-bit word")
+        np = self._np
+        bits = n.bit_length()
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            need = count - filled
+            # accepted with probability n / 2**bits > 1/2: the expected number
+            # of words for ``need`` accepts, and a little more
+            draws = self._peek((need << bits) // n + 16) >> (32 - bits)
+            hits = np.flatnonzero(draws < n)[:need]
+            out[filled : filled + len(hits)] = draws[hits]
+            filled += len(hits)
+            consumed = int(hits[-1]) + 1 if len(hits) == need else len(draws)
+            self._unread = self._unread[consumed:]
+        return out
+
+
+def _first_distinct(draw, target: int, max_attempts: int | None = None):
+    """The sorted distinct edge keys a scalar ``while len(edges) < target``
+    loop ends with.  ``draw(k)`` returns the keys of the next ``k`` attempts
+    that are not self-loops, in attempt order; attempts stop at the one where
+    the ``target``-th distinct key first appears, or after ``max_attempts``."""
+    import numpy as np
+
+    def unseen(keys, among):
+        """Where ``keys`` go in sorted ``among``, and which are not in it."""
+        at = np.searchsorted(among, keys)
+        new = np.ones(len(keys), dtype=bool)
+        inside = at < len(among)
+        new[inside] = among[at[inside]] != keys[inside]
+        return at, new
+
+    # Two sorted, disjoint levels: a block is inserted into ``recent``, which
+    # is folded into ``seen`` once it outgrows a 16th of it — inserting every
+    # block into one array is quadratic in the edge count.
+    seen = recent = np.empty(0, dtype=np.int64)
+    attempts = 0
+    while (room := target - len(seen) - len(recent)) > 0 and (
+        max_attempts is None or attempts < max_attempts
+    ):
+        # at least the edges still missing and at least all attempts so far: a
+        # small graph does not pay for a full block, a slow yield doubles
+        block = min(_BLOCK, max(room, attempts))
+        if max_attempts is not None:
+            block = min(block, max_attempts - attempts)
+        attempts += block
+        # sort-based on purpose: numpy 2.x's hash-based plain np.unique /
+        # np.union1d are several times slower on 64-bit keys
+        fresh, first = np.unique(draw(block), return_index=True)
+        new = unseen(fresh, seen)[1]
+        fresh, first = fresh[new], first[new]
+        at, new = unseen(fresh, recent)
+        fresh, first, at = fresh[new], first[new], at[new]
+        if len(fresh) > room:  # the target is reached inside this block
+            earliest = np.sort(np.argsort(first)[:room])
+            fresh, at = fresh[earliest], at[earliest]
+        recent = np.insert(recent, at, fresh)
+        if len(recent) > len(seen) >> 4:
+            seen = np.insert(seen, np.searchsorted(seen, recent), recent)
+            recent = recent[:0]
+    return np.insert(seen, np.searchsorted(seen, recent), recent)
+
 
 def uniform_random(num_nodes: int, num_edges: int, *, seed: int = 1) -> Graph:
     """Uniform random directed multigraph-free edge set (Erdős–Rényi G(n, m))."""
-    rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < num_edges:
-        a = rng.randrange(num_nodes)
-        b = rng.randrange(num_nodes)
-        if a != b:
-            edges.add((a, b))
-    return Graph.from_edges(num_nodes, sorted(edges))
+    max_edges = num_nodes * (num_nodes - 1) if num_nodes > 1 else 0
+    if num_edges > max_edges:
+        raise ValueError(
+            f"a simple directed graph on {num_nodes} nodes has at most "
+            f"{max_edges} edges, got num_edges={num_edges}"
+        )
+    stream = _Stream(seed)
+
+    def draw(k):
+        ends = stream.randbelow(num_nodes, 2 * k)
+        a, b = ends[0::2], ends[1::2]
+        keep = a != b
+        return a[keep] * num_nodes + b[keep]
+
+    return _from_keys(num_nodes, _first_distinct(draw, num_edges))
 
 
 def twitter_like(
@@ -47,35 +188,34 @@ def twitter_like(
 ) -> Graph:
     """RMAT/Kronecker generator with the classic (a, b, c, d) = (.57, .19,
     .19, .05) parameters, yielding the power-law degree skew of follower
-    networks."""
-    rng = random.Random(seed)
+    networks.
+
+    Aims at ``num_nodes * avg_degree`` distinct edges and gives up after 20
+    attempts per edge aimed at, so a target the node count cannot hold
+    (``twitter_like(5, avg_degree=16)``) returns fewer edges, silently."""
+    import numpy as np
+
+    stream = _Stream(seed)
     scale = max(1, (num_nodes - 1).bit_length())
-    size = 1 << scale
+    place = 1 << np.arange(scale - 1, -1, -1, dtype=np.int64)
     target_edges = num_nodes * avg_degree
-    edges: set[tuple[int, int]] = set()
-    attempts = 0
-    max_attempts = target_edges * 20
-    while len(edges) < target_edges and attempts < max_attempts:
-        attempts += 1
-        src = dst = 0
-        for _ in range(scale):
-            r = rng.random()
-            src <<= 1
-            dst <<= 1
-            if r < a:
-                pass
-            elif r < a + b:
-                dst |= 1
-            elif r < a + b + c:
-                src |= 1
-            else:
-                src |= 1
-                dst |= 1
-        src %= num_nodes
-        dst %= num_nodes
-        if src != dst:
-            edges.add((src, dst))
-    return Graph.from_edges(num_nodes, sorted(edges))
+
+    def draw(k):
+        # one row of quadrant draws per attempt, most significant bit first;
+        # the three comparisons are the scalar if / elif chain's
+        r = stream.doubles(k * scale).reshape(k, scale)
+        in_a, in_ab, in_abc = r < a, r < a + b, r < a + b + c
+        src = (~(in_a | in_ab)) @ place % num_nodes
+        dst = (~in_a & (in_ab | ~in_abc)) @ place % num_nodes
+        keep = src != dst
+        return src[keep] * num_nodes + dst[keep]
+
+    return _from_keys(num_nodes, _first_distinct(draw, target_edges, target_edges * 20))
+
+
+def _from_keys(num_nodes: int, keys) -> Graph:
+    """The graph of sorted edge keys ``src * num_nodes + dst``."""
+    return Graph.from_columns(num_nodes, keys // num_nodes, keys % num_nodes)
 
 
 def web_like(num_nodes: int, avg_degree: int = 16, *, seed: int = 1, locality: float = 0.8) -> Graph:
@@ -198,9 +338,9 @@ def attach_standard_props(graph: Graph, *, seed: int = 2) -> Graph:
     """Attach the node/edge properties the six algorithms consume: ``age``
     (for AvgTeen), ``member`` (for conductance), and the ``len`` edge weight
     (for SSSP)."""
-    rng = random.Random(seed)
+    stream = _Stream(seed)
     n = graph.num_nodes
-    graph.add_node_prop("age", [rng.randrange(8, 70) for _ in range(n)])
-    graph.add_node_prop("member", [int(rng.random() < 0.3) for _ in range(n)])
-    graph.add_edge_prop_csr("len", [rng.randrange(1, 16) for _ in range(graph.num_edges)])
+    graph.add_node_prop("age", (8 + stream.randbelow(62, n)).tolist())
+    graph.add_node_prop("member", (stream.doubles(n) < 0.3).astype(int).tolist())
+    graph.add_edge_prop_csr("len", (1 + stream.randbelow(15, graph.num_edges)).tolist())
     return graph

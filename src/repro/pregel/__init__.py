@@ -5,64 +5,46 @@ unreliable transport with reliable exactly-once delivery, supervision
 and memory-pressure robustness (per-worker budgets, credit-based
 backpressure, spill-to-disk, graceful out-of-memory degradation)."""
 
-from .ft import (
-    Checkpointable,
-    ColumnState,
-    CrashEvent,
-    FaultPlan,
-    FaultTolerance,
-    parse_crash,
-)
-from .globalmap import GlobalObjectMap, GlobalOp, combine
-from .graph import Graph
-from .mem import (
-    MemoryBudget,
-    MemoryExhausted,
-    MemoryManager,
-    MemoryReport,
-    MemPlan,
-    parse_mem_budget,
-)
-from .net import (
-    NetFaultPlan,
-    SimulatedTransport,
-    TransportError,
-    parse_net_faults,
-)
-from .runtime import PregelEngine, RunMetrics, default_message_size
-from .supervisor import (
-    PhiAccrualDetector,
-    Supervisor,
-    SupervisorPlan,
-    parse_heartbeat,
-)
+import importlib
 
-__all__ = [
-    "Checkpointable",
-    "ColumnState",
-    "CrashEvent",
-    "FaultPlan",
-    "FaultTolerance",
-    "GlobalObjectMap",
-    "GlobalOp",
-    "Graph",
-    "MemPlan",
-    "MemoryBudget",
-    "MemoryExhausted",
-    "MemoryManager",
-    "MemoryReport",
-    "NetFaultPlan",
-    "PhiAccrualDetector",
-    "PregelEngine",
-    "RunMetrics",
-    "SimulatedTransport",
-    "Supervisor",
-    "SupervisorPlan",
-    "TransportError",
-    "combine",
-    "default_message_size",
-    "parse_crash",
-    "parse_heartbeat",
-    "parse_mem_budget",
-    "parse_net_faults",
-]
+#: where each re-export lives.  Resolved on first access (PEP 562): building
+#: a graph loads ``.graph`` alone, not the engine and the robustness stack.
+_EXPORTS = {
+    "Checkpointable": ".ft",
+    "ColumnState": ".ft",
+    "CrashEvent": ".ft",
+    "FaultPlan": ".ft",
+    "FaultTolerance": ".ft",
+    "parse_crash": ".ft",
+    "GlobalObjectMap": ".globalmap",
+    "GlobalOp": ".globalmap",
+    "combine": ".globalmap",
+    "Graph": ".graph",
+    "MemPlan": ".mem",
+    "MemoryBudget": ".mem",
+    "MemoryExhausted": ".mem",
+    "MemoryManager": ".mem",
+    "MemoryReport": ".mem",
+    "parse_mem_budget": ".mem",
+    "NetFaultPlan": ".net",
+    "SimulatedTransport": ".net",
+    "TransportError": ".net",
+    "parse_net_faults": ".net",
+    "PregelEngine": ".runtime",
+    "RunMetrics": ".runtime",
+    "default_message_size": ".runtime",
+    "PhiAccrualDetector": ".supervisor",
+    "Supervisor": ".supervisor",
+    "SupervisorPlan": ".supervisor",
+    "parse_heartbeat": ".supervisor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module, __name__), name)
+    return value

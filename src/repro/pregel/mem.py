@@ -48,10 +48,11 @@ import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .runtime import PregelEngine
+# MemoryExhausted is defined beside the engine that catches it, so a run
+# without a budget never loads this module; it is re-exported from here.
+from .runtime import MemoryExhausted, PregelEngine
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -65,27 +66,6 @@ _CKPT_LIST_CHUNK = 256
 #: nesting depth to which the checkpoint encoder decomposes containers;
 #: deep enough to reach payload -> engine -> outbox -> per-vertex buckets.
 _CKPT_DEPTH = 4
-
-
-class MemoryExhausted(RuntimeError):
-    """A worker's budget cannot hold an irreducible allocation.
-
-    Raised only when spilling and splitting cannot help: a single vertex's
-    materialized inbox, one combiner table, or the checkpoint stream window
-    exceeds the worker's whole budget.  The engine converts this into
-    ``halt_reason="out_of_memory"`` — it never escapes ``run()``.
-    """
-
-    def __init__(self, worker: int, phase: str, needed: int, budget: int, superstep: int):
-        super().__init__(
-            f"worker {worker} out of memory in {phase} at superstep "
-            f"{superstep}: needs {needed} bytes, budget is {budget}"
-        )
-        self.worker = worker
-        self.phase = phase
-        self.needed = needed
-        self.budget = budget
-        self.superstep = superstep
 
 
 @dataclass(frozen=True)

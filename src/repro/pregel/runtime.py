@@ -76,7 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from .globalmap import GlobalObjectMap, GlobalOp
 from .graph import Graph
-from .mem import MemoryExhausted
 
 _NO_MESSAGES: tuple = ()
 
@@ -87,6 +86,27 @@ VOTING_DISABLED_ERROR = (
     "use_voting=False: pass use_voting=True to PregelEngine, or "
     "drive termination from the master via halt()"
 )
+
+
+class MemoryExhausted(RuntimeError):
+    """A worker's budget cannot hold an irreducible allocation.
+
+    Raised only when spilling and splitting cannot help: a single vertex's
+    materialized inbox, one combiner table, or the checkpoint stream window
+    exceeds the worker's whole budget.  The engine converts this into
+    ``halt_reason="out_of_memory"`` — it never escapes ``run()``.
+    """
+
+    def __init__(self, worker: int, phase: str, needed: int, budget: int, superstep: int):
+        super().__init__(
+            f"worker {worker} out of memory in {phase} at superstep "
+            f"{superstep}: needs {needed} bytes, budget is {budget}"
+        )
+        self.worker = worker
+        self.phase = phase
+        self.needed = needed
+        self.budget = budget
+        self.superstep = superstep
 
 
 class VertexCompute(Protocol):

@@ -1,10 +1,15 @@
 """Workload-generator and graph-I/O tests."""
 
 import math
+import random
+import threading
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.telemetry import graph_signature
+from repro.graphgen import generators
 from repro.graphgen import (
     TABLE1,
     applicable_graphs,
@@ -18,6 +23,8 @@ from repro.graphgen import (
     uniform_random,
     web_like,
 )
+
+from . import scalar_generators as scalar
 
 
 class TestUniformRandom:
@@ -40,6 +47,27 @@ class TestUniformRandom:
         assert list(a.edges()) != list(b.edges())
 
 
+    @pytest.mark.parametrize("n, m", [(3, 7), (1, 1), (0, 1), (40, 40 * 39 + 1)])
+    def test_more_edges_than_pairs_is_refused_not_a_hang(self, n, m):
+        # the scalar loop never returned: it waited for an edge that cannot exist
+        outcome = []
+
+        def call():
+            try:
+                uniform_random(n, m)
+            except ValueError as exc:
+                outcome.append(str(exc))
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "uniform_random is still looping"
+        assert outcome and f"at most {max(n, 0) * max(n - 1, 0)} edges" in outcome[0]
+
+    def test_every_pair_is_still_reachable(self):
+        assert uniform_random(5, 20, seed=3).num_edges == 20
+
+
 class TestTwitterLike:
     def test_size_near_target(self):
         g = twitter_like(500, avg_degree=8, seed=1)
@@ -57,6 +85,13 @@ class TestTwitterLike:
     def test_no_self_loops(self):
         g = twitter_like(200, avg_degree=6, seed=5)
         assert all(a != b for a, b in g.edges())
+
+
+    def test_unreachable_target_returns_short_silently(self):
+        # 5 nodes hold 20 edges, 80 were asked for: the loop gives up after
+        # 20 attempts per edge asked for.  Kept — it is part of the replay.
+        g = twitter_like(5, avg_degree=16)
+        assert 0 < g.num_edges <= 20 < 5 * 16
 
 
 class TestWebLike:
@@ -212,3 +247,166 @@ class TestEdgeListIO:
         path = tmp_path_factory.mktemp("io") / "g.txt"
         save_edge_list(g, path)
         assert sorted(load_edge_list(path).edges()) == sorted(g.edges())
+
+
+def _draws(seed, count, draw):
+    rng = random.Random(seed)
+    return [draw(rng) for _ in range(count)]
+
+
+class TestStreamReplaysRandom:
+    """``generators._Stream`` against ``random.Random`` on this interpreter."""
+
+    @given(st.integers(), st.integers(0, 300))
+    @settings(deadline=None)
+    def test_words_and_doubles(self, seed, count):
+        stream = generators._Stream(seed)
+        assert stream.doubles(count).tolist() == _draws(seed, count, lambda r: r.random())
+        stream = generators._Stream(seed)
+        assert stream.words(count).tolist() == _draws(seed, count, lambda r: r.getrandbits(32))
+
+    @given(st.integers(), st.integers(1, 2**32 - 1), st.integers(0, 300))
+    @settings(deadline=None)
+    def test_randbelow_is_randrange(self, seed, n, count):
+        got = generators._Stream(seed).randbelow(n, count)
+        assert got.dtype == "int64"
+        assert got.tolist() == _draws(seed, count, lambda r: r.randrange(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2**31, 2**32 - 1])
+    def test_randbelow_at_bit_length_edges(self, n):
+        # a power of two has one bit more than its largest value needs, so
+        # half its words are rejected; n == 1 rejects every set top bit
+        assert generators._Stream(9).randbelow(n, 500).tolist() == _draws(
+            9, 500, lambda r: r.randrange(n)
+        )
+
+    @pytest.mark.parametrize("n", [0, -3, 2**32])
+    def test_randbelow_outside_one_word(self, n):
+        with pytest.raises(ValueError, match="32-bit word"):
+            generators._Stream(1).randbelow(n, 1)
+
+    @given(
+        st.integers(),
+        st.lists(
+            st.tuples(st.sampled_from(["random", "below", "bits"]), st.integers(1, 1000), st.integers(0, 40)),
+            max_size=12,
+        ),
+    )
+    @settings(deadline=None)
+    def test_position_is_carried_across_mixed_draws(self, seed, script):
+        stream, rng = generators._Stream(seed), random.Random(seed)
+        for kind, n, count in script:
+            if kind == "random":
+                assert stream.doubles(count).tolist() == [rng.random() for _ in range(count)]
+            elif kind == "below":
+                assert stream.randbelow(n, count).tolist() == [rng.randrange(n) for _ in range(count)]
+            else:
+                assert stream.words(count).tolist() == [rng.getrandbits(32) for _ in range(count)]
+
+
+def _assert_same_graph(got, want):
+    assert got.num_nodes == want.num_nodes
+    for name in ("out_offsets", "out_targets", "in_offsets", "in_sources", "in_edge_ids"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.node_props == want.node_props
+    assert got.edge_props == want.edge_props
+    assert graph_signature(got) == graph_signature(want)
+
+
+class TestArrayGeneratorsReplayScalar:
+    """The array generators build the graphs ``tests/scalar_generators.py``
+    builds — the same buffers, not the same distribution."""
+
+    @given(
+        st.integers(1, 400),
+        st.integers(1, 20),
+        st.integers(0, 2**32),
+        st.sampled_from([(0.57, 0.19, 0.19), (0.45, 0.15, 0.15), (0.25, 0.25, 0.25), (0.9, 0.2, 0.1)]),
+    )
+    @settings(deadline=None)
+    def test_twitter_like(self, num_nodes, avg_degree, seed, abc):
+        a, b, c = abc
+        _assert_same_graph(
+            twitter_like(num_nodes, avg_degree, seed=seed, a=a, b=b, c=c),
+            scalar.twitter_like(num_nodes, avg_degree, seed=seed, a=a, b=b, c=c),
+        )
+
+    @given(st.data(), st.integers(0, 2**32))
+    @settings(deadline=None)
+    def test_uniform_random(self, data, seed):
+        n = data.draw(st.integers(0, 48))
+        m = data.draw(st.integers(0, max(n, 0) * max(n - 1, 0)))
+        _assert_same_graph(uniform_random(n, m, seed=seed), scalar.uniform_random(n, m, seed=seed))
+
+    @given(st.integers(0, 300), st.integers(0, 3000), st.integers(0, 2**32))
+    @settings(deadline=None)
+    def test_attach_standard_props(self, n, m, seed):
+        m = min(m, max(n, 0) * max(n - 1, 0))
+        got = attach_standard_props(scalar.uniform_random(n, m, seed=7), seed=seed)
+        want = scalar.attach_standard_props(scalar.uniform_random(n, m, seed=7), seed=seed)
+        _assert_same_graph(got, want)
+        assert {type(v) for col in (*got.node_props.values(), *got.edge_props.values()) for v in col} <= {int}
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 2.2])
+    def test_registry_twitter_is_the_same_file(self, scale, seed, tmp_path):
+        # the sizes the committed reports and benchmarks/e2e load; compared as
+        # saved: the .el and every .prop.* sidecar, byte for byte
+        got = load_graph("twitter", scale, seed)
+        want = scalar.attach_standard_props(
+            scalar.twitter_like(max(100, int(4000 * scale)), avg_degree=12, seed=seed)
+        )
+        _assert_same_graph(got, want)
+        save_edge_list(got, tmp_path / "got.el")
+        save_edge_list(want, tmp_path / "want.el")
+        saved = sorted(p.name for p in tmp_path.glob("got.el*"))
+        assert saved == ["got.el", "got.el.prop.age", "got.el.prop.member"]
+        for name in saved:
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("got", "want")).read_bytes()
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 9), (2, 1), (2, 5), (5, 16), (3, 0), (0, 4)])
+    def test_twitter_like_degenerate_sizes(self, n, d):
+        # one node: every attempt is a self-loop; two nodes at d=5 and five
+        # at d=16: the target is unreachable and the attempt cap ends the loop
+        _assert_same_graph(twitter_like(n, d, seed=4), scalar.twitter_like(n, d, seed=4))
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_target_reached_at_a_block_boundary(self, block, monkeypatch):
+        # count the oracle's attempts per seed and keep the seeds whose last
+        # attempt is the last of a block (residue 0) or the first of the next
+        calls = [0]
+
+        class Counting(random.Random):
+            def random(self):
+                calls[0] += 1
+                return super().random()
+
+        monkeypatch.setattr(scalar, "random", types.SimpleNamespace(Random=Counting))
+        monkeypatch.setattr(generators, "_BLOCK", block)
+        n, d = 40, 4  # 212-288 attempts: both sides of 4 * 64
+        scale = (n - 1).bit_length()
+        seen_residues = set()
+        for seed in range(300):
+            calls[0] = 0
+            want = scalar.twitter_like(n, d, seed=seed)
+            residue = calls[0] // scale % block
+            if residue in (0, 1) or seed < 20:
+                seen_residues.add(residue)
+                _assert_same_graph(twitter_like(n, d, seed=seed), want)
+        assert {0, 1} <= seen_residues
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_uniform_random_in_small_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(generators, "_BLOCK", block)
+        for seed in range(40):
+            for n, m in [(12, 60), (12, 132), (64, 65), (9, 7)]:
+                _assert_same_graph(uniform_random(n, m, seed=seed), scalar.uniform_random(n, m, seed=seed))
+
+    @pytest.mark.slow
+    def test_million_edges(self, request):
+        if "slow" not in request.config.getoption("markexpr"):
+            pytest.skip("6 s scalar oracle; run with -m slow (CI: bench-telemetry)")
+        got = attach_standard_props(twitter_like(84_000, avg_degree=12))
+        want = scalar.attach_standard_props(scalar.twitter_like(84_000, avg_degree=12))
+        assert got.num_edges == 1_008_000
+        _assert_same_graph(got, want)

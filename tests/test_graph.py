@@ -236,8 +236,62 @@ class TestBuilderMatchesReference:
             assert np.shares_memory(np.asarray(buf, dtype=dtype), np.frombuffer(buf, dtype=dtype))
 
 
+def _loaded_after(statement: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter that ran ``statement``."""
+    code = f"{statement}\nimport sys; print('\\n'.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def _under(loaded: set[str], *packages: str) -> set[str]:
+    return {m for m in loaded for p in packages if m == p or m.startswith(p + ".")}
+
+
 def test_importing_the_package_and_the_cli_does_not_import_numpy():
     # building a graph needs numpy; `gm-pregel compile` / `--help` do not
-    code = "import sys, repro, repro.cli; sys.exit('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert "numpy" not in _loaded_after("import repro, repro.cli")
+
+
+def test_building_a_graph_loads_no_compiler_and_no_engine():
+    loaded = _loaded_after("from repro.graphgen import load_graph, save_edge_list")
+    assert "repro.pregel.graph" in loaded
+    assert not _under(
+        loaded,
+        "repro.compiler", "repro.lang", "repro.transform", "repro.translate", "repro.codegen",
+        "repro.pregel.runtime", "repro.pregel.ft", "repro.pregel.mem", "repro.pregel.net",
+        "repro.pregel.supervisor",
+    )  # fmt: skip
+
+
+def test_the_cli_loads_the_robustness_stack_on_first_use():
+    loaded = _loaded_after("import repro.cli")
+    assert "repro.compiler" in loaded
+    assert not _under(
+        loaded,
+        "repro.pregel.ft", "repro.pregel.mem", "repro.pregel.net", "repro.pregel.supervisor",
+        "repro.interp", "repro.bench", "repro.codegen.java", "repro.obs",
+    )  # fmt: skip
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.pregel"])
+def test_package_roots_resolve_their_exports_on_first_access(package):
+    import importlib
+
+    root = importlib.import_module(package)
+    for name in root.__all__:
+        assert getattr(root, name) is not None
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(root.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        root.no_such_name
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name")
+
+
+def test_a_fresh_star_import_loads_every_export():
+    # in this process the names above may be cached already
+    code = "from repro import *; from repro.pregel import *; FaultTolerance, compile_source, interpret"
+    assert {"repro.pregel.ft", "repro.compiler", "repro.interp"} <= _loaded_after(code)
