@@ -2,17 +2,15 @@
 
 Vertex properties live in ``array.array`` columns typed from the program
 schema (``array`` indexing returns native Python scalars, so generated
-code behaves identically on lists and columns).  Messages are staged as
-per-tag *slabs* — a destination-id array plus a packed payload byte
-buffer — instead of per-destination tuple lists, and decoded once at the
-batched-routing barrier.  Loop-invariant neighbor broadcasts
-(``send_nbrs``) stage one CSR slice + ``record * degree`` bytes, turning
-the per-message Python send loop into a handful of bulk operations; a
-phase that ``repro.codegen.vectorize`` compiled to an array kernel skips
-the per-vertex loop altogether and stages a whole phase's broadcast in
-one ``send_nbrs_bulk`` call — along the graph's out-CSR or, for an
-in-neighbour send, along the ``_in_nbrs`` rows, both behind one
-:class:`NbrGather`.
+code behaves identically on lists and columns).  Messages go through the
+:class:`SlabPlane` — written once here, hosted by :class:`ColumnarEngine`
+and by every ``mp`` worker — as per-tag *slabs*, a destination-id array
+plus a packed payload buffer, instead of per-destination tuple lists.  A
+loop-invariant neighbor broadcast (``send_nbrs``) stages one CSR slice +
+``record * degree`` bytes; a phase that ``repro.codegen.vectorize``
+compiled to an array kernel skips the per-vertex loop and stages its
+whole broadcast in one ``send_nbrs_bulk`` — along the out-CSR or, for an
+in-neighbour send, the ``_in_nbrs`` rows, both behind one :class:`NbrGather`.
 
 Composition policy: the slab fast path engages only when nothing needs to
 observe individual staged messages.  Fault-tolerance checkpointing, the
@@ -29,7 +27,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import chain
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -141,13 +139,213 @@ class NbrGather:
         return edges, counts
 
 
-class ColumnarEngine(PregelEngine):
-    """PregelEngine whose staged messages are typed slabs.
+#: ``PregelEngine.send``'s refusal, word for word
+_OUTSIDE_PHASE = (
+    "send() called outside the vertex phase: messages must "
+    "originate from a vertex; master code broadcasts through "
+    "put_broadcast() instead"
+)
 
-    The run loop, scheduling, metering, and every hook are inherited; only
-    the staging representation changes, behind ``_enqueue`` (the already
-    swappable per-send dispatch) and the ``_deliver`` barrier hook.
+
+def _joined(chunks):
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+class _TagStage:
+    """One tag's staged sends, in send order: destination chunks (CSR
+    slices, a kernel's gather, flushed runs of scalar-send ``singles``)
+    beside the packed payload, and one ``(sender, count)`` run per send —
+    the scalar sends' in ``senders`` / ``counts`` until a bulk send or the
+    seal closes them into ``runs``.  Sealed, ``dsts`` and ``payload`` hold
+    one entry per record, ``senders`` and ``counts`` one per send, and
+    ``bulk`` is the ``(gather, edges)`` of a bulk send that staged all of
+    it — its traffic reads off the gather's caches — else None."""
+
+    def __init__(self, tag: int):
+        self.tag = tag
+        self.singles: list[int] = []
+        self.chunks: list = []
+        self.payload = bytearray()
+        self.senders: Any = []
+        self.counts: Any = []
+        self.runs: list = []
+        self.bulk = None
+
+    def flush(self) -> None:
+        """The scalar destinations so far become a chunk: a whole one is next."""
+        if self.singles:
+            self.chunks.append(np.asarray(self.singles, dtype=np.int32))
+            self.singles = []
+
+    def close(self) -> None:
+        self.flush()
+        if self.senders:
+            self.runs.append((np.asarray(self.senders), np.asarray(self.counts)))
+            self.senders, self.counts = [], []
+
+
+class SlabPlane:
+    """The message plane of a host that computes some of the vertices — a
+    :class:`ColumnarEngine` all of them, an ``mp`` worker its partition:
+    the send API generated code and array kernels call, staged per tag as
+    slabs, sealed once when the host's vertex phase is over, metered from
+    the sealed arrays, and handed to the next phase's receive code.
+    ``gather`` is the out-CSR under the placement; ``host`` supplies
+    ``_current_vertex`` (who is sending), ``graph`` and ``_bulk_receivers``.
+    Combiners, votes, the wire and the inbox are the host's."""
+
+    def __init__(self, codec: MessageCodec, gather: NbrGather, host):
+        self.codec = codec
+        self.gather = gather
+        self.host = host
+        self._pack = codec.pack
+        self._offsets = host.graph.out_offsets
+        self._stage = {tag: _TagStage(tag) for tag in codec.tag_ids}
+        self.bulk_records = self.scalar_records = 0  # of the last dispatch
+
+    def _sender(self) -> int:
+        sender = self.host._current_vertex
+        if sender < 0:
+            raise RuntimeError(_OUTSIDE_PHASE)
+        return sender
+
+    def send(self, dst: int, msg: tuple) -> None:
+        tag = msg[0]
+        stage = self._stage[tag]
+        stage.senders.append(self._sender())
+        stage.counts.append(1)
+        stage.singles.append(dst)
+        stage.payload += self._pack[tag](msg)
+
+    def send_nbrs(self, vid: int, msg: tuple) -> None:
+        s = self._offsets[vid]
+        e = self._offsets[vid + 1]
+        if s == e:
+            return
+        self._sender()
+        tag = msg[0]
+        stage = self._stage[tag]
+        stage.senders.append(vid)
+        stage.counts.append(e - s)
+        stage.flush()
+        stage.chunks.append(self.gather.targets[s:e])
+        stage.payload += self._pack[tag](msg) * (e - s)
+
+    def send_list(self, dsts: list, msg: tuple) -> None:
+        if not dsts:
+            return
+        tag = msg[0]
+        stage = self._stage[tag]
+        stage.senders.append(self._sender())
+        stage.counts.append(len(dsts))
+        stage.singles.extend(dsts)
+        stage.payload += self._pack[tag](msg) * len(dsts)
+
+    def send_nbrs_bulk(self, tag: int, gather, senders, edges, counts, records) -> None:
+        """A whole phase's neighbor sends in one: stage ``records[k]`` for
+        ``gather.targets[edges[k]]``.
+
+        ``edges``/``counts`` are ``gather.out_edges(senders)``; ``records``
+        is the numpy array of packed wire records, one per staged message
+        (None for an empty layout).  Staged order and every metered
+        quantity come from the gather, and are exactly what the per-vertex
+        ``send_nbrs`` / ``send_list`` calls — or a per-edge ``send`` loop —
+        along the same rows would have produced.
+        """
+        stage = self._stage[tag]
+        stage.close()
+        stage.chunks.append(gather.targets if edges is None else gather.targets[edges])
+        stage.runs.append((senders, counts))
+        stage.bulk = (gather, edges)
+        if records is not None:
+            stage.payload += records.view(np.uint8).data
+
+    def seal(self):
+        """Close the step's staging: the sealed stage of every tag that was
+        sent on, a fresh one in its place for the next step."""
+        for tag in self.codec.tag_ids:
+            stage = self._stage[tag]
+            stage.close()
+            if stage.chunks:
+                self._stage[tag] = _TagStage(tag)
+                stage.dsts = _joined(stage.chunks)
+                stage.senders, stage.counts = map(_joined, zip(*stage.runs))
+                if len(stage.chunks) > 1:
+                    stage.bulk = None
+                yield stage
+
+    def meter(self, ledger, tag: int, count: int, cross: int) -> None:
+        """The traffic of ``count`` sealed records of ``tag``, ``cross`` of
+        them for another worker's vertices, on ``ledger``."""
+        size = self.codec.sizes[tag]
+        ledger.messages += count
+        ledger.message_bytes += size * count
+        ledger.net_messages += cross
+        ledger.net_bytes += size * cross
+
+    def meter_workers(self, metrics, step_work, sealed: _TagStage) -> None:
+        """Meter a sealed tag across all the placement's workers, as
+        ``PregelEngine.send`` would have message by message: who sent, what
+        crossed, and — into ``step_work``, unless None — one unit per
+        message at its sender and one at its receiver."""
+        owner = self.gather.owner
+        workers = len(metrics.worker_sent)
+        sender_owner = owner[sealed.senders]
+        sent = np.bincount(sender_owner, weights=sealed.counts, minlength=workers)
+        sent = sent.astype(np.int64).tolist()
+        if sealed.bulk is None:
+            dst_owner = owner[sealed.dsts]
+            crossing = np.repeat(sender_owner, sealed.counts) != dst_owner
+            cross = int(np.count_nonzero(crossing))
+        else:
+            gather, edges = sealed.bulk
+            cross = int(gather.cross_nbrs[sealed.senders].sum())
+            if step_work is not None:
+                dst_owner = gather.nbr_owner if edges is None else gather.nbr_owner[edges]
+        self.meter(metrics, sealed.tag, len(sealed.dsts), cross)
+        for w, c in enumerate(sent):
+            metrics.worker_sent[w] += c
+        if step_work is not None:
+            received = np.bincount(dst_owner, minlength=workers).tolist()
+            for w in range(workers):
+                step_work[w] += sent[w] + received[w]
+
+    def dispatch(self, state, parts_by_tag: dict):
+        """Hand the pending parts to the receive code of phase ``state``:
+        a tag with a bulk handler for ``(state, tag)`` is consumed here, as
+        arrays — several parts merged by sender only if the handler's fold
+        observes order; every other tag is decoded and yielded as ``(dst,
+        msgs)``, one pair per receiver per tag, for the scalar receive
+        loops, which are tag-filtered: effects apply exactly once.  Counts
+        both kinds, for the host's registry."""
+        codec = self.codec
+        receivers = self.host._bulk_receivers
+        self.bulk_records = self.scalar_records = 0
+        for tag in codec.tag_ids:
+            parts = parts_by_tag.get(tag)
+            if not parts:
+                continue
+            handler = receivers.get((state, tag))
+            if handler is None:
+                self.scalar_records += sum(part[3] for part in parts)
+                yield from codec.by_receiver(tag, parts)
+            else:
+                ordered = handler.ordered_merge is not None
+                dsts, payload, count = codec.merge_parts(tag, parts, ordered)
+                handler(dsts, payload, count)
+                self.bulk_records += count
+
+
+class ColumnarEngine(PregelEngine):
+    """PregelEngine whose staged messages are typed slabs: the inherited
+    driver and in-process body over one :class:`SlabPlane` for all the
+    vertices.  The plane's send API shadows the inherited one, the vertex
+    phase ends in the seal, and ``_deliver`` is the plane's dispatch into
+    the dense inbox.
     """
+
+    #: array code stages through the plane, and runs on the slab path only
+    send_nbrs_bulk = None
 
     def __init__(self, graph: Graph, *, schema=None, **engine_opts):
         super().__init__(graph, **engine_opts)
@@ -177,32 +375,21 @@ class ColumnarEngine(PregelEngine):
             self._m_scalar_records = self._mreg.counter("columnar.scalar_records")
             self._m_kernel_vertices = self._mreg.counter("columnar.kernel_vertices")
             self._m_scalar_vertices = self._mreg.counter("columnar.scalar_vertices")
-        self._codec = MessageCodec(schema)
-        ntags = (max(schema.tags) + 1) if schema.tags else 0
-        #: per-tag staging: interleave-ordered destination chunks (numpy
-        #: CSR slices and flushed scalar-send runs) + packed payload bytes.
-        self._slab_singles: list[list[int]] = [[] for _ in range(ntags)]
-        self._slab_chunks: list[list] = [[] for _ in range(ntags)]
-        self._slab_payloads: list[bytearray] = [bytearray() for _ in range(ntags)]
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
-        #: ``csr.cross_nbrs`` as Python ints, for the scalar ``send_nbrs``
-        #: (its per-send hot path stays numpy-free); built on its first call
-        self._cross_nbrs: list[int] | None = None
+        self._plane = plane = SlabPlane(MessageCodec(schema), csr, self)
+        for name in ("send", "send_nbrs", "send_list", "send_nbrs_bulk"):
+            setattr(self, name, getattr(plane, name))
+        #: tag -> the lone part the last vertex phase sealed: the next delivery's
+        self._sealed: dict[int, list] = {}
         #: how many vertices each worker owns
         self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
-        self._enqueue = self._slab_enqueue  # type: ignore[method-assign]
 
     def install_array_code(self, receivers: dict, kernels: dict) -> None:
         """Register the vectorizer's output: bulk receive handlers keyed by
-        (state, tag) and whole-phase kernels keyed by state.
-
-        A registered handler consumes a whole per-tag slab at the delivery
-        barrier — the tag's messages then never reach per-vertex inbox
-        slots, and the scalar receive loop (tag-filtered) sees none of
-        them, so effects are applied exactly once.  A registered kernel
-        runs its phase's filter + compute body for every vertex in place
-        of the per-vertex loop.  Only honored while the slab fast path is
-        active; fallback staging keeps scalar semantics.
+        (state, tag), which the plane's dispatch hands whole slabs, and
+        whole-phase kernels keyed by state, each run in place of the
+        per-vertex loop.  Only honored while the slab fast path is active;
+        fallback staging keeps scalar semantics.
         """
         if self._slab_active:
             self._bulk_receivers = receivers
@@ -212,75 +399,34 @@ class ColumnarEngine(PregelEngine):
     # -- vertex phase -----------------------------------------------------
 
     def _vertex_phase(self, frontier) -> None:
-        kernel = None
-        if self._phase_kernels:
-            # The master has already broadcast this superstep's state.
-            kernel = self._phase_kernels.get(self.globals.broadcast.get("_state"))
-        metered = self._mreg is not None and self._slab_active
+        # The master has already broadcast this superstep's state.
+        kernel = self._phase_kernels.get(self.globals.broadcast.get("_state"))
         if kernel is None:
             super()._vertex_phase(frontier)
-            if metered:
-                self._m_scalar_vertices.inc(self.graph.num_nodes)
-            return
-        # Kernels exist only on the slab fast path, which excludes voting:
-        # the phase computes every vertex, as the dense loop would.
-        if self._track_makespan:
-            step_work = self._step_work
-            for w, owned in enumerate(self._worker_vertices):
-                step_work[w] += owned
-        kernel()
-        slots = self._inbox_slots
-        for dst in self._touched:
-            slots[dst] = _NO_MESSAGES
-        if metered:
-            self._m_kernel_vertices.inc(self.graph.num_nodes)
-
-    # -- staging --------------------------------------------------------
-
-    def _slab_enqueue(self, dst: int, msg: tuple) -> None:
-        # Scalar sends (random writes, per-edge payloads of scalar phases)
-        # append to the pending singles run; send() does the metering.
-        tag = msg[0]
-        self._slab_singles[tag].append(dst)
-        self._slab_payloads[tag] += self._codec.pack[tag](msg)
-
-    def send_nbrs(self, vid: int, msg: tuple) -> None:
-        if not self._slab_active:
-            PregelEngine.send_nbrs(self, vid, msg)
-            return
-        if self._ft_replaying:
-            return
-        graph = self.graph
-        s = graph.out_offsets[vid]
-        e = graph.out_offsets[vid + 1]
-        deg = e - s
-        if deg == 0:
-            return
-        tag = msg[0]
-        singles = self._slab_singles[tag]
-        if singles:
-            self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
-            singles.clear()
-        self._slab_chunks[tag].append(self._csr.targets[s:e])
-        self._slab_payloads[tag] += self._codec.pack[tag](msg) * deg
-        m = self.metrics
-        size = self._codec.sizes[tag]
-        sender_worker = self._worker_of[self._current_vertex]
-        m.messages += deg
-        m.message_bytes += size * deg
-        m.worker_sent[sender_worker] += deg
-        if self._cross_nbrs is None:
-            self._cross_nbrs = self._csr.cross_nbrs.tolist()
-        cross = self._cross_nbrs[vid]
-        if cross:
-            m.net_messages += cross
-            m.net_bytes += size * cross
-        if self._track_makespan:
-            step_work = self._step_work
-            step_work[sender_worker] += deg
-            owners = self._csr.nbr_owner[s:e]
-            for w, c in enumerate(np.bincount(owners, minlength=self.num_workers)):
-                step_work[w] += int(c)
+            if not self._slab_active:
+                return
+        else:
+            # Kernels exist only on the slab fast path, which excludes
+            # voting: the phase computes every vertex, as the dense loop
+            # would.
+            if self._track_makespan:
+                step_work = self._step_work
+                for w, owned in enumerate(self._worker_vertices):
+                    step_work[w] += owned
+            kernel()
+            slots = self._inbox_slots
+            for dst in self._touched:
+                slots[dst] = _NO_MESSAGES
+        if self._mreg is not None:
+            ran = self._m_scalar_vertices if kernel is None else self._m_kernel_vertices
+            ran.inc(self.graph.num_nodes)
+        # Sealed inside the phase, so the driver's per-superstep deltas see
+        # this superstep's sends; the records wait for the next delivery.
+        plane = self._plane
+        step_work = self._step_work if self._track_makespan else None
+        for sealed in plane.seal():
+            plane.meter_workers(self.metrics, step_work, sealed)
+            self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
 
     def out_gather(self) -> NbrGather:
         """The gather of an out-direction bulk send: the graph's out-CSR."""
@@ -292,75 +438,6 @@ class ColumnarEngine(PregelEngine):
         per-vertex ``put_global`` chain would have."""
         self.put_global(name, op, fold_ordered(op, values))
 
-    def send_nbrs_bulk(self, tag: int, gather, senders, edges, counts, records) -> None:
-        """A whole phase's neighbor sends in one: stage ``records[k]`` for
-        ``gather.targets[edges[k]]``.
-
-        ``edges``/``counts`` are ``gather.out_edges(senders)``; ``records``
-        is the numpy array of packed wire records, one per staged message
-        (None for an empty layout).  Staged order and every metered
-        quantity come from the gather, and are exactly what the per-vertex
-        ``send_nbrs`` / ``send_list`` calls — or a per-edge ``send`` loop —
-        along the same rows would have produced.
-        """
-        dsts = gather.targets if edges is None else gather.targets[edges]
-        singles = self._slab_singles[tag]
-        if singles:
-            self._slab_chunks[tag].append(np.asarray(singles, dtype=np.int32))
-            singles.clear()
-        self._slab_chunks[tag].append(dsts)
-        if records is not None:
-            self._slab_payloads[tag] += records.view(np.uint8).data
-        m = self.metrics
-        size = self._codec.sizes[tag]
-        total = len(dsts)
-        m.messages += total
-        m.message_bytes += size * total
-        workers = self.num_workers
-        sent = np.bincount(gather.owner[senders], weights=counts, minlength=workers)
-        for w, c in enumerate(sent.astype(np.int64).tolist()):
-            m.worker_sent[w] += c
-        cross = int(gather.cross_nbrs[senders].sum())
-        if cross:
-            m.net_messages += cross
-            m.net_bytes += size * cross
-        if self._track_makespan:
-            step_work = self._step_work
-            dst_owner = gather.nbr_owner if edges is None else gather.nbr_owner[edges]
-            received = np.bincount(dst_owner, minlength=workers).tolist()
-            for w in range(workers):
-                step_work[w] += int(sent[w]) + received[w]
-
-    def send_list(self, dsts: list, msg: tuple) -> None:
-        if not self._slab_active:
-            PregelEngine.send_list(self, dsts, msg)
-            return
-        if self._ft_replaying or not dsts:
-            return
-        n = len(dsts)
-        tag = msg[0]
-        self._slab_singles[tag].extend(dsts)
-        self._slab_payloads[tag] += self._codec.pack[tag](msg) * n
-        m = self.metrics
-        size = self._codec.sizes[tag]
-        worker_of = self._worker_of
-        sender_worker = worker_of[self._current_vertex]
-        m.messages += n
-        m.message_bytes += size * n
-        m.worker_sent[sender_worker] += n
-        cross = 0
-        for dst in dsts:
-            if worker_of[dst] != sender_worker:
-                cross += 1
-        if cross:
-            m.net_messages += cross
-            m.net_bytes += size * cross
-        if self._track_makespan:
-            step_work = self._step_work
-            step_work[sender_worker] += n
-            for dst in dsts:
-                step_work[worker_of[dst]] += 1
-
     # -- barrier --------------------------------------------------------
 
     def _deliver(self) -> None:
@@ -370,48 +447,24 @@ class ColumnarEngine(PregelEngine):
         touched = self._touched
         touched.clear()
         slots = self._inbox_slots
-        receiving = touched.append
-        no_messages = _NO_MESSAGES
-        metered = self._mreg is not None
-        for tag in self._codec.tag_ids:
-            singles = self._slab_singles[tag]
-            chunks = self._slab_chunks[tag]
-            if singles:
-                chunks.append(np.asarray(singles, dtype=np.int32))
-                singles.clear()
-            if not chunks:
-                continue
-            dsts = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            self._slab_chunks[tag] = []
-            payload = bytes(self._slab_payloads[tag])
-            self._slab_payloads[tag] = bytearray()
-            if metered:
-                self._m_slab_flushes.inc()
-                self._m_slab_records.inc(len(dsts))
-            if self._bulk_receivers:
-                # The master has already broadcast this superstep's state,
-                # so the handler keyed by (state, tag) is exactly the
-                # receive loop the vertex phase would run on these records.
-                handler = self._bulk_receivers.get(
-                    (self.globals.broadcast.get("_state"), tag)
-                )
-                if handler is not None:
-                    handler(dsts, payload, len(dsts))
-                    if metered:
-                        self._m_bulk_records.inc(len(dsts))
-                    continue
-            if metered:
-                self._m_scalar_records.inc(len(dsts))
-            # Per-receiver order within a tag is global send order, which is
-            # the order the one staged slab is in.
-            part = (dsts, None, payload, len(dsts))
-            for dst, msgs in self._codec.by_receiver(tag, [part]):
-                bucket = slots[dst]
-                if bucket is no_messages:
-                    slots[dst] = msgs
-                    receiving(dst)
-                else:
-                    bucket.extend(msgs)
+        sealed, self._sealed = self._sealed, {}
+        plane = self._plane
+        # The master has already broadcast this superstep's state, so the
+        # handler keyed by (state, tag) is exactly the receive loop the
+        # vertex phase would run on these records.  Per-receiver order
+        # within a tag is global send order: the one sealed slab's.
+        for dst, msgs in plane.dispatch(self.globals.broadcast.get("_state"), sealed):
+            bucket = slots[dst]
+            if bucket is _NO_MESSAGES:
+                slots[dst] = msgs
+                touched.append(dst)
+            else:
+                bucket.extend(msgs)
+        if self._mreg is not None:
+            self._m_slab_flushes.inc(len(sealed))
+            self._m_slab_records.inc(plane.bulk_records + plane.scalar_records)
+            self._m_bulk_records.inc(plane.bulk_records)
+            self._m_scalar_records.inc(plane.scalar_records)
 
 
 class ColumnarBackend(ExecutionBackend):

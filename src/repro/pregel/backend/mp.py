@@ -7,26 +7,21 @@ columnar backend's typed message slabs through ``multiprocessing.shared_memory``
 segments, and synchronizing at the same batched-routing barrier — here an
 actual parent-coordinated barrier rather than a simulated one.
 
-A worker is the partition's view of the columnar data plane: it compiles
-the program's array code (``repro.codegen.vectorize``) against itself
-after the fork and runs it exactly where :class:`ColumnarEngine` would —
-a phase kernel over its own vertices instead of the per-vertex loop, a
-bulk receive handler over a tag's incoming records instead of the dict
-inbox — selected per phase from the IR.  Sender combiners and
-vote-to-halt observe individual sends and keep the generated scalar
-program, as does a phase the vectorizer refused; a tracer, fault
-tolerance (recovery included), a memory budget and the tcp transport
-read per-worker totals and whole slabs, and cost the kernels nothing.
-
-**One slab shape.**  The unit of the data plane is the *part* —
+A worker is a process shell around one
+:class:`~repro.pregel.backend.columnar.SlabPlane` over its partition — the
+staging, seal, metering formula and receive dispatch
+:class:`ColumnarEngine` runs over all the vertices.  It compiles the
+program's array code (``repro.codegen.vectorize``) against itself after
+the fork and runs it where the engine would, selected per phase from the
+IR.  Sender combiners and vote-to-halt observe individual sends and keep
+the generated scalar program, as does a phase the vectorizer refused; a
+tracer, fault tolerance (recovery included), a memory budget and the tcp
+transport read per-worker totals and whole slabs, and cost the kernels
+nothing.  What the shell adds to a sealed tag is the wire: the *part* —
 ``(dsts, senders, payload, count)``, one tag's records for one receiving
-worker — and :mod:`~repro.pregel.backend.codec` owns it: the byte layout
-(the same in a segment, an inline overflow entry and a tcp frame body),
-the stable split of a tag's staged records by owning worker, and the
-decode back into per-receiver message lists.  A worker stages its sends
-per tag, unsplit, in :class:`ColumnarEngine`'s shape, and seals each tag
-once when its step is over — one split, one metering, one write; what an
-exchange leaves a worker is ``(parts_by_tag, combined)``, and that is
+worker, whose layout, split by owner and decode
+:mod:`~repro.pregel.backend.codec` owns — written once per receiver; what
+an exchange leaves a worker is ``(parts_by_tag, combined)``, and that is
 also the shape of the parent's in-flight log and of a recovery seed.
 
 Determinism (the whole point of the parity contract) is preserved by
@@ -144,6 +139,8 @@ import time
 import traceback
 from array import array
 from contextlib import contextmanager
+from itertools import filterfalse
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -154,7 +151,7 @@ from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec, part_nbytes, read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
-from .columnar import NbrGather, build_typed_columns, vectorized_phases
+from .columnar import NbrGather, SlabPlane, build_typed_columns, vectorized_phases
 
 _EMPTY: tuple = ()
 
@@ -286,39 +283,6 @@ def composition_refusals(transport) -> list[str]:
     return refusals
 
 
-class _TagStage:
-    """One tag's staged sends, unsplit, in :class:`ColumnarEngine`'s shape:
-    destination chunks (CSR slices, a kernel's gather, flushed runs of
-    scalar-send ``singles``) beside the packed payload — plus the
-    ``(sender, count)`` runs a receiving worker's merge needs.  A kernel's
-    bulk send hands its runs over as arrays: it is its phase's only send on
-    the tag (the vectorizer refuses a second)."""
-
-    __slots__ = ("singles", "chunks", "payload", "senders", "counts")
-
-    def __init__(self):
-        self.singles: list[int] = []
-        self.chunks: list = []
-        self.payload = bytearray()
-        self.senders: Any = []
-        self.counts: Any = []
-
-    def take(self):
-        """``(dsts, senders, payload)``, one entry per staged record in
-        send order, or None when nothing was staged."""
-        if self.singles:
-            self.chunks.append(np.asarray(self.singles, dtype=np.int32))
-        if not self.chunks:
-            return None
-        chunks = self.chunks
-        dsts = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        senders = np.repeat(
-            np.asarray(self.senders, dtype=np.int32),
-            np.asarray(self.counts, dtype=np.int64),
-        )
-        return dsts, senders, self.payload
-
-
 def _slab_parts(segments, directories, inlines, sources, dest=None):
     """``(dest, tag, part)`` for every slab the ``sources`` workers wrote
     this superstep (only those for worker ``dest``, if given), copied out
@@ -333,20 +297,18 @@ def _slab_parts(segments, directories, inlines, sources, dest=None):
                 yield to, tag, read_part(body, count)
 
 
-def _inbox_of(codec: MessageCodec, parts_by_tag: dict, combined) -> dict[int, list]:
+def _inbox_of(decoded, combined) -> dict[int, list]:
     """The sim-shaped ``{dst: msgs}`` inbox an exchange's leavings stand
-    for: each tag's raw parts decoded by receiver, then the parent's
-    combined ``(dst, msg)`` pairs."""
+    for: the raw parts' records as a plane's ``dispatch`` decodes them,
+    ``(dst, msgs)`` per receiver per tag, then the parent's combined
+    ``(dst, msg)`` pairs."""
     inbox: dict[int, list] = {}
-    for tag in codec.tag_ids:
-        parts = parts_by_tag.get(tag)
-        if parts:
-            for dst, msgs in codec.by_receiver(tag, parts):
-                bucket = inbox.get(dst)
-                if bucket is None:
-                    inbox[dst] = msgs
-                else:
-                    bucket.extend(msgs)
+    for dst, msgs in decoded:
+        bucket = inbox.get(dst)
+        if bucket is None:
+            inbox[dst] = msgs
+        else:
+            bucket.extend(msgs)
     for dst, msg in combined:
         inbox.setdefault(dst, []).append(msg)
     return inbox
@@ -432,6 +394,13 @@ class MPEngine(PregelEngine):
         self.metrics.backend = "mp"
         self.transport_mode = transport_mode
         self._codec = MessageCodec(schema)
+        #: numpy view of the out-CSR and the placement, built before the
+        #: first fork so the workers share it copy-on-write.
+        self._csr = NbrGather.of_graph(graph, self._worker_of)
+        #: the parent's own plane, for decoding its log and re-packing a
+        #: checkpoint; with no receive code, all it dispatches is decoded
+        self._bulk_receivers: dict = {}
+        self._plane = SlabPlane(self._codec, self._csr, self)
         w = self.num_workers
         # ``_part_slices[wid]`` is the column/bitset slice matching the
         # shared placement (``_worker_of``), so strided ('hash') and
@@ -453,9 +422,6 @@ class MPEngine(PregelEngine):
         #: worker compiles its own array code with it after its fork (None:
         #: the workers run the generated scalar program throughout).
         self._array_code: Callable | None = None
-        #: numpy view of the out-CSR and the placement, built before the
-        #: first fork so the workers share it copy-on-write.
-        self._csr: NbrGather | None = None
         self._delivered = 0
         # real-failure machinery: scheduled process faults, the exchange
         # deadline, deferred detections, and the engine-level restart cap
@@ -576,7 +542,8 @@ class MPEngine(PregelEngine):
         if self._inflight is None:
             self._inflight = {}
             for parts_by_tag, combined in self._log:
-                self._inflight.update(_inbox_of(self._codec, parts_by_tag, combined))
+                decoded = self._plane.dispatch(None, parts_by_tag)
+                self._inflight.update(_inbox_of(decoded, combined))
         return self._inflight
 
     def checkpoint_state(self) -> dict:
@@ -604,31 +571,30 @@ class MPEngine(PregelEngine):
         log an exchange would have left — per worker one part per tag,
         each receiver's messages in their checkpointed order, and a
         combined tag's messages as the ``(dst, msg)`` pairs they travel
-        as (a folded value never meets the wire packers)."""
-        codec = self._codec
+        as (a folded value never meets the wire packers).  A lone part per
+        receiver is never merged by sender, and the checkpoint names none:
+        every receiver re-sends its messages to itself."""
+        plane = self._plane
         worker_of = self._worker_of
         w = self.num_workers
-        staged = {tag: ([], bytearray()) for tag in codec.tag_ids}
         combined: list[list] = [[] for _ in range(w)]
         delivered = 0
         for dst, msgs in state["outbox"].items():
             delivered += len(msgs)
+            self._current_vertex = dst
             for msg in msgs:
-                tag = msg[0]
-                if tag in self._combiners:
+                if msg[0] in self._combiners:
                     combined[worker_of[dst]].append((dst, msg))
                 else:
-                    staged[tag][0].append(dst)
-                    staged[tag][1].extend(codec.pack[tag](msg))
+                    plane.send(dst, msg)
+        self._current_vertex = -1
         self._log = [({}, pairs) for pairs in combined]
-        for tag, (dsts, payload) in staged.items():
-            if dsts:
-                dsts = np.asarray(dsts, dtype=np.int32)
-                # a lone part per receiver is never merged: senders unused
-                parts = split_by_owner(dsts, dsts, payload, self._csr.owner[dsts], w)
-                for (parts_by_tag, _pairs), part in zip(self._log, parts):
-                    if part is not None:
-                        parts_by_tag[tag] = [part]
+        for sealed in plane.seal():
+            dsts = sealed.dsts
+            parts = split_by_owner(dsts, dsts, sealed.payload, self._csr.owner[dsts], w)
+            for (parts_by_tag, _pairs), part in zip(self._log, parts):
+                if part is not None:
+                    parts_by_tag[sealed.tag] = [part]
         self._inflight = None
         # The halt check's delivery count rewinds with the timeline: the
         # checkpoint's in-flight set is exactly what the restored superstep
@@ -663,7 +629,6 @@ class MPEngine(PregelEngine):
                     self._listeners.append(sock)
                     self._ports.append(sock.getsockname()[1])
                     _track(sock, sock.close)
-            self._csr = NbrGather.of_graph(self.graph, self._worker_of)
             self._workers = [
                 _Worker(wid, self, self._segments) for wid in range(w)
             ]
@@ -1032,16 +997,16 @@ class MPEngine(PregelEngine):
         worker_seconds = []
         worker_bytes = []
         for wid, (_, _dir, _inline, counters, puts, slots) in enumerate(replies):
-            m.messages += counters["messages"]
-            m.message_bytes += counters["bytes"]
-            m.net_messages += counters["net_messages"]
-            m.net_bytes += counters["net_bytes"]
-            m.worker_sent[wid] += counters["sent"]
-            step_net += counters["net_messages"]
-            worker_computed.append(counters["computed"])
-            worker_sent_step.append(counters["sent"])
-            worker_seconds.append(counters["seconds"])
-            worker_bytes.append(counters["staged"])
+            m.messages += counters.messages
+            m.message_bytes += counters.message_bytes
+            m.net_messages += counters.net_messages
+            m.net_bytes += counters.net_bytes
+            m.worker_sent[wid] += counters.sent
+            step_net += counters.net_messages
+            worker_computed.append(counters.computed)
+            worker_sent_step.append(counters.sent)
+            worker_seconds.append(counters.seconds)
+            worker_bytes.append(counters.staged)
             all_puts.extend(puts)
             all_slots.extend(slots)
         if ft is not None:
@@ -1243,19 +1208,17 @@ class MPEngine(PregelEngine):
 
 
 class _Worker:
-    """One worker process: the partition's view of the columnar data plane.
+    """One worker process: the shell around the partition's slab plane.
 
     It computes its partition every superstep — a phase the vectorizer
-    compiled runs as the same array kernel :class:`ColumnarEngine` runs,
-    restricted to the partition's vertices; any other phase as the
-    generated scalar program, one call per vertex — stages outgoing
-    messages per tag, seals them into per-(destination, tag) slab parts in
-    its shared-memory segment when the step is over (folding combined tags
-    into per-(dst, tag) slots instead), keeps the other workers' parts
-    destined here raw after the barrier, and delivers them at the next
-    step, when the broadcast state says which receive code they are for: a
-    bulk receive handler takes a tag's records as arrays, a scalar receive
-    loop takes them from the dict inbox.
+    compiled as the array kernel :class:`ColumnarEngine` runs, restricted
+    to the partition's vertices; any other as the generated scalar
+    program, one call per vertex — with sends going to the plane (combined
+    tags folded into per-(dst, tag) slots before it), writes each sealed
+    tag as per-destination parts into its shared-memory segment, keeps the
+    other workers' parts destined here raw after the barrier, and hands
+    them to the plane's dispatch at the next step, when the broadcast
+    state says which receive code they are for.
 
     Constructed in the parent *before* fork, so every heavy structure (the
     graph CSR, property columns, the generated vertex function and its
@@ -1272,81 +1235,55 @@ class _Worker:
         # read by array code, which is compiled against this object
         self.globals = engine.globals
         self.graph = engine.graph
+        self._combiners = engine._combiners
+        self._bulk_receivers: dict = {}
+        self._kernels: dict = {}
+        # Generated code and kernels send through the plane.  It knows
+        # nothing of combiners: with any on, a combined tag's sends fold first.
+        self._plane = plane = SlabPlane(engine._codec, engine._csr, self)
+        self.send_nbrs_bulk = plane.send_nbrs_bulk
+        for name, dsts_of in (
+            ("send", lambda dst: (dst,)),
+            ("send_nbrs", self.graph.out_nbrs),
+            ("send_list", lambda dsts: dsts),
+        ):
+            send = getattr(plane, name)
+            setattr(self, name, self._folding(send, dsts_of) if self._combiners else send)
 
     # -- vertex-side ctx API (called by generated code) -----------------
 
-    # Uncombined sends stage unsplit, per tag; ``_write_slabs`` splits each
-    # tag by receiving worker and meters it, once, when the step is over.
+    def _folding(self, plane_send: Callable, dsts_of: Callable) -> Callable:
+        """``plane_send`` behind the combiners: ``send(target, msg)`` folds a
+        combined tag's message into ``dsts_of(target)``'s slots instead."""
+        combined_tags = self._combiners
 
-    def send(self, dst: int, msg: tuple) -> None:
+        def send(target, msg: tuple) -> None:
+            if msg[0] in combined_tags:
+                self._fold(dsts_of(target), msg)
+            else:
+                plane_send(target, msg)
+
+        return send
+
+    def _fold(self, dsts, msg: tuple) -> None:
+        """One combined send to each of ``dsts``: fold into this worker's
+        (dst, tag) slots, each stamped with the vid of its first send (the
+        parent's merge key).  Only the sender's combine work is metered
+        here — delivered traffic is metered at the parent's flush, on the
+        folded payload."""
         tag = msg[0]
-        combiner = self._combiners.get(tag)
-        if combiner is not None:
-            self._fold(dst, tag, msg, combiner, 1)
-            return
-        stage = self._stage[tag]
-        stage.singles.append(dst)
-        stage.senders.append(self._current_vertex)
-        stage.counts.append(1)
-        stage.payload += self._pack[tag](msg)
-
-    def send_nbrs(self, vid: int, msg: tuple) -> None:
-        graph = self.graph
-        s = graph.out_offsets[vid]
-        e = graph.out_offsets[vid + 1]
-        if s == e:
-            return
-        tag = msg[0]
-        if tag in self._combiners:
-            self._fold_list(graph.out_targets[s:e], tag, msg)
-            return
-        stage = self._stage[tag]
-        if stage.singles:
-            stage.chunks.append(np.asarray(stage.singles, dtype=np.int32))
-            stage.singles.clear()
-        stage.chunks.append(self.engine._csr.targets[s:e])
-        stage.senders.append(vid)
-        stage.counts.append(e - s)
-        stage.payload += self._pack[tag](msg) * (e - s)
-
-    def send_list(self, dsts: list, msg: tuple) -> None:
-        if not dsts:
-            return
-        tag = msg[0]
-        if tag in self._combiners:
-            self._fold_list(dsts, tag, msg)
-            return
-        stage = self._stage[tag]
-        stage.singles.extend(dsts)
-        stage.senders.append(self._current_vertex)
-        stage.counts.append(len(dsts))
-        stage.payload += self._pack[tag](msg) * len(dsts)
-
-    def _fold_list(self, dsts, tag: int, msg: tuple) -> None:
-        """One combined send to each of ``dsts``, the sender's combine
-        work metered once for the lot."""
         combiner = self._combiners[tag]
+        combined = self._combined
         for dst in dsts:
-            self._fold(dst, tag, msg, combiner, 0)
+            key = (dst, tag)
+            slot = combined.get(key)
+            if slot is not None:
+                combined[key] = (slot[0], combiner(slot[1], msg))
+            else:
+                combined[key] = (self._current_vertex, msg)
         c = self._counters
-        c["sent"] += len(dsts)
-        c["staged"] += self._sizes[tag] * len(dsts)
-
-    def _fold(self, dst: int, tag: int, msg: tuple, combiner, meter: int) -> None:
-        """Combiner send: fold into this worker's (dst, tag) slot, stamped
-        with the vid of the slot's first send (the parent's merge key).
-        Only the sender's combine work is metered per send — delivered
-        traffic is metered at the parent's flush, on the folded payload."""
-        if meter:
-            c = self._counters
-            c["sent"] += 1
-            c["staged"] += self._sizes[tag]
-        key = (dst, tag)
-        slot = self._combined.get(key)
-        if slot is not None:
-            self._combined[key] = (slot[0], combiner(slot[1], msg))
-        else:
-            self._combined[key] = (self._current_vertex, msg)
+        c.sent += len(dsts)
+        c.staged += self._sizes[tag] * len(dsts)
 
     def put_global(self, name: str, op, value) -> None:
         vids, values = self._put_runs.setdefault((name, op), ([], []))
@@ -1368,32 +1305,10 @@ class _Worker:
     def num_nodes(self) -> int:
         return self.engine.graph.num_nodes
 
-    def _meter(self, tag: int, count: int, cross: int) -> None:
-        size = self._sizes[tag]
-        c = self._counters
-        c["messages"] += count
-        c["sent"] += count
-        c["bytes"] += size * count
-        c["staged"] += size * count
-        if cross:
-            c["net_messages"] += cross
-            c["net_bytes"] += size * cross
-
     # -- kernel-side API (called by array code) -------------------------
 
     def out_gather(self) -> NbrGather:
         return self.engine._csr
-
-    def send_nbrs_bulk(self, tag: int, gather, senders, edges, counts, records) -> None:
-        """A kernel's one send on ``tag``: ``records[k]`` for
-        ``gather.targets[edges[k]]`` (``gather.out_edges(senders)``), staged
-        as one chunk — what the per-vertex sends would have staged, in
-        their order."""
-        stage = self._stage[tag]
-        stage.chunks.append(gather.targets if edges is None else gather.targets[edges])
-        stage.senders, stage.counts = senders, counts
-        if records is not None:
-            stage.payload += records.view(np.uint8).data
 
     def put_global_bulk(self, name: str, op, vids, values) -> None:
         """Array code's puts to one global: shipped whole, folded with the
@@ -1417,11 +1332,7 @@ class _Worker:
             from ...obs.metrics import MetricsRegistry
 
             self._mreg = MetricsRegistry()
-        self._combiners = engine._combiners
-        codec = engine._codec
-        self._pack = codec.pack
-        self._sizes = codec.sizes
-        self._tag_ids = codec.tag_ids
+        self._sizes = engine._codec.sizes
         self._part_slice = engine._part_slices[self.wid]
         self._own_vids = list(range(n)[self._part_slice])
         self._own_ids = np.arange(n, dtype=np.int64)[self._part_slice]
@@ -1474,21 +1385,19 @@ class _Worker:
             else None
         )
         self._recv_bytes = 0
-        self._stage = {tag: _TagStage() for tag in self._tag_ids}
         # Array code, compiled against this process: the kernels stage
-        # through the methods above and their column views bind the
-        # columns this fork inherited.
-        self._receivers: dict = {}
-        self._kernels: dict = {}
+        # through the plane and their column views bind the columns this
+        # fork inherited.
         if engine._array_code is not None:
-            self._receivers, self._kernels = engine._array_code(self)
+            self._bulk_receivers, self._kernels = engine._array_code(self)
 
     @staticmethod
-    def _fresh_counters() -> dict:
-        return dict(
+    def _fresh_counters() -> SimpleNamespace:
+        # ``messages`` .. ``net_bytes``: the ledger fields the plane meters
+        return SimpleNamespace(
             messages=0,
             sent=0,
-            bytes=0,
+            message_bytes=0,
             net_messages=0,
             net_bytes=0,
             staged=0,
@@ -1562,19 +1471,13 @@ class _Worker:
         else:
             compute = self.engine._vertex_compute
             empty = _EMPTY
-            if voted is None:
-                for vid in own:
-                    self._current_vertex = vid
-                    compute(self, vid, inbox.get(vid, empty))
-                computed = len(own)
-            else:
-                computed = 0
-                for vid in own:
-                    if voted[vid]:
-                        continue
-                    self._current_vertex = vid
-                    compute(self, vid, inbox.get(vid, empty))
-                    computed += 1
+            # Lazily filtered, as the in-process loop is: a vote cast during
+            # the phase still skips a vertex the scan has not reached yet.
+            active = own if voted is None else filterfalse(voted.__getitem__, own)
+            computed = 0
+            for computed, vid in enumerate(active, 1):
+                self._current_vertex = vid
+                compute(self, vid, inbox.get(vid, empty))
             self._current_vertex = -1
             for (name, op), (vids, values) in self._put_runs.items():
                 boxed = np.empty(len(values), dtype=object)
@@ -1582,49 +1485,37 @@ class _Worker:
                 self._puts.append((name, op, np.asarray(vids), boxed))
             self._put_runs = {}
         c = self._counters
-        c["computed"] = computed
+        c.computed = computed
         directory, inline = self._write_slabs()
         slots = [
             (birth, dst, tag, msg)
             for (dst, tag), (birth, msg) in self._combined.items()
         ]
         self._combined.clear()
-        c["seconds"] = time.perf_counter() - t0
+        c.seconds = time.perf_counter() - t0
         if mreg is not None:
-            mreg.histogram("mp.worker_step_seconds", worker=wid).observe(c["seconds"])
-            mreg.counter("mp.worker_staged_bytes", worker=wid).inc(c["staged"])
+            mreg.histogram("mp.worker_step_seconds", worker=wid).observe(c.seconds)
+            mreg.counter("mp.worker_staged_bytes", worker=wid).inc(c.staged)
             as_kernel = computed if kernel is not None else 0
             mreg.counter("mp.kernel_vertices", worker=wid).inc(as_kernel)
             mreg.counter("mp.scalar_vertices", worker=wid).inc(computed - as_kernel)
         return ("stat", directory, inline, c, self._puts, slots)
 
     def _deliver(self, state) -> dict:
-        """Hand the pending messages to this step's receive code and
-        return the dict inbox the scalar receive loops read.  A tag with a
-        bulk receive handler for ``state`` is consumed here, as arrays —
-        merged by sender only if the handler's fold observes order; the
-        records of every other tag are decoded into the inbox."""
+        """Hand the pending messages to this step's receive code — the
+        plane's dispatch — and return the dict inbox the scalar receive
+        loops read: what the dispatch decoded, then the parent's combined
+        messages."""
         parts_by_tag, self._parts = self._parts, {}
         combined, self._combined_in = self._combined_in, _EMPTY
-        codec = self.engine._codec
-        bulk = 0
-        for tag in self._tag_ids:
-            handler = self._receivers.get((state, tag))
-            if handler is not None and tag in parts_by_tag:
-                ordered = handler.ordered_merge is not None
-                dsts, payload, count = codec.merge_parts(
-                    tag, parts_by_tag.pop(tag), ordered
-                )
-                handler(dsts, payload, count)
-                bulk += count
-        inbox = _inbox_of(codec, parts_by_tag, combined)
+        plane = self._plane
+        inbox = _inbox_of(plane.dispatch(state, parts_by_tag), combined)
         if self._mreg is not None:
-            scalar = len(combined) + sum(
-                part[3] for parts in parts_by_tag.values() for part in parts
-            )
             wid = str(self.wid)
-            self._mreg.counter("mp.bulk_records", worker=wid).inc(bulk)
-            self._mreg.counter("mp.scalar_records", worker=wid).inc(scalar)
+            self._mreg.counter("mp.bulk_records", worker=wid).inc(plane.bulk_records)
+            self._mreg.counter("mp.scalar_records", worker=wid).inc(
+                plane.scalar_records + len(combined)
+            )
         return inbox
 
     def _exchange(self, cmd) -> tuple:
@@ -1665,11 +1556,13 @@ class _Worker:
         return ("ready", route_s, snap, self._recv_bytes, votes, report)
 
     def _write_slabs(self):
-        """Seal the staged sends, tag by tag — one split by receiving
-        worker, one metering, one write: each part goes into this worker's
-        shared-memory segment in the codec's layout (``directory`` says
-        where); anything past the segment's capacity travels ``inline``
-        over the pipe instead (correctness never depends on the size).
+        """Seal the plane, and do what only a real worker does with a
+        sealed tag — one split by receiving worker, which its traffic is
+        metered from (what crosses is what is not kept here), one write:
+        each part goes into this worker's shared-memory segment in the
+        codec's layout (``directory`` says where); anything past the
+        segment's capacity travels ``inline`` over the pipe instead
+        (correctness never depends on the size).
 
         In tcp mode the cross-worker parts are *additionally* queued as
         socket frame bodies: the segments stay authoritative for the parent
@@ -1683,15 +1576,17 @@ class _Worker:
         inline = []
         tcp_out = self._tcp_outgoing if self._tcp is not None else None
         owner = self.engine._csr.owner
-        for tag in self._tag_ids:
-            staged = self._stage[tag].take()
-            if staged is None:
-                continue
-            self._stage[tag] = _TagStage()
-            dsts, senders, payload = staged
-            parts = split_by_owner(dsts, senders, payload, owner[dsts], self._w)
+        plane = self._plane
+        c = self._counters
+        for sealed in plane.seal():
+            tag, dsts = sealed.tag, sealed.dsts
+            senders = np.repeat(np.asarray(sealed.senders, dtype=np.int32), sealed.counts)
+            parts = split_by_owner(dsts, senders, sealed.payload, owner[dsts], self._w)
             own = parts[self.wid]
-            self._meter(tag, len(dsts), len(dsts) - (own[3] if own else 0))
+            count = len(dsts)
+            plane.meter(c, tag, count, count - (own[3] if own else 0))
+            c.sent += count
+            c.staged += self._sizes[tag] * count
             for dest, part in enumerate(parts):
                 if part is None:
                     continue

@@ -386,6 +386,176 @@ class TestSlabCodec:
                     assert dict(got) == want
 
 
+class TestSlabPlane:
+    """The slab plane — the one stage / seal / meter / dispatch that
+    ``ColumnarEngine`` and every ``mp`` worker run — driven directly, with
+    a stand-in host, and held to the simulator: what it seals is what an
+    append-per-message staging would hold, and what it meters is what
+    ``PregelEngine.send`` meters message by message."""
+
+    @staticmethod
+    def make_msg(schema, tag, rng):
+        return (
+            tag,
+            *(rng.random() if slot.code == "d" else rng.randrange(1 << 20)
+              for slot in schema.tags[tag].slots),
+        )  # fmt: skip
+
+    @classmethod
+    def script(cls, graph, schema, rng):
+        """Per tag, ascending senders; a sender makes a few scalar sends,
+        or belongs to the tag's one bulk send (a window of vertex ids, a
+        random subset of those with neighbours sending).  The tags' ops
+        are merged by first sender, as one scan of the vertices would
+        interleave them."""
+        n = graph.num_nodes
+        ops = []
+        for tag in sorted(schema.tags):
+            vid, bulk_left = 0, rng.random() < 0.7
+            while vid < n:
+                roll = rng.random()
+                if bulk_left and roll < 0.15:
+                    end = min(n, vid + rng.randrange(1, 8))
+                    senders = [
+                        v for v in range(vid, end) if graph.out_degree(v) and rng.random() < 0.8
+                    ]
+                    if senders:
+                        bulk_left = False
+                        msgs = [cls.make_msg(schema, tag, rng) for _ in senders]
+                        ops.append((vid, tag, "bulk", senders, msgs))
+                    vid = end
+                    continue
+                if roll < 0.6:
+                    for _ in range(rng.randrange(1, 4)):
+                        kind = rng.choice(("send", "send_nbrs", "send_list"))
+                        dsts = [rng.randrange(n) for _ in range(rng.randrange(0, 4))]
+                        arg = {"send": rng.randrange(n), "send_nbrs": vid, "send_list": dsts}[kind]
+                        ops.append((vid, tag, kind, arg, cls.make_msg(schema, tag, rng)))
+                vid += 1
+        ops.sort(key=lambda op: op[0])
+        return ops
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(("bc_approx", "avg_teen_cnt")),
+        st.integers(2, 24),
+        st.sampled_from((1, 2, 3, 5)),
+        st.sampled_from(("hash", "range")),
+        st.randoms(use_true_random=False),
+    )
+    def test_seal_and_metering_equal_the_simulators(self, alg, n, workers, partitioning, rng):
+        import numpy as np
+        from types import SimpleNamespace
+
+        from repro.pregel.backend.columnar import NbrGather, SlabPlane
+        from repro.pregel.graph import Graph
+        from repro.pregel.runtime import PregelEngine, RunMetrics
+
+        schema = compile_algorithm(alg).program.schema
+        codec = MessageCodec(schema)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 3 * n))]
+        graph = Graph.from_edges(n, edges)
+        # the reference: the simulator's own send, one message at a time
+        sim = PregelEngine(
+            graph, None, num_workers=workers, partitioning=partitioning,
+            message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
+        )  # fmt: skip
+        want = {tag: ([], [], bytearray()) for tag in codec.tag_ids}
+
+        def reference(sender, dst, msg):
+            sim._current_vertex = sender
+            sim.send(dst, msg)
+            dsts, senders, payload = want[msg[0]]
+            dsts.append(dst)
+            senders.append(sender)
+            payload += codec.pack[msg[0]](msg)
+
+        host = SimpleNamespace(_current_vertex=-1, graph=graph, _bulk_receivers={})
+        gather = NbrGather.of_graph(graph, sim._worker_of)
+        plane = SlabPlane(codec, gather, host)
+        for sender, tag, kind, arg, msg in self.script(graph, schema, rng):
+            if kind == "bulk":
+                senders = np.asarray(arg)
+                edge_ids, counts = gather.out_edges(senders)
+                records = None
+                if codec.sizes[tag]:
+                    packed = b"".join(
+                        codec.pack[tag](m) * c for m, c in zip(msg, counts.tolist())
+                    )
+                    records = np.frombuffer(packed, dtype=f"V{codec.sizes[tag]}")
+                plane.send_nbrs_bulk(tag, gather, senders, edge_ids, counts, records)
+                for v, m in zip(arg, msg):
+                    for dst in graph.out_nbrs(v):
+                        reference(v, dst, m)
+                continue
+            host._current_vertex = sender
+            getattr(plane, kind)(arg, msg)
+            host._current_vertex = -1
+            dsts = {"send": [arg], "send_nbrs": graph.out_nbrs(sender), "send_list": arg}[kind]
+            for dst in dsts:
+                reference(sender, dst, msg)
+
+        metrics = RunMetrics(worker_sent=[0] * workers)
+        step_work = [0] * workers
+        sealed = {one.tag: one for one in plane.seal()}
+        assert sorted(sealed) == [tag for tag in codec.tag_ids if want[tag][0]]
+        for tag, one in sealed.items():
+            dsts, senders, payload = want[tag]
+            assert one.dsts.tolist() == dsts
+            assert np.repeat(one.senders, one.counts).tolist() == senders
+            assert bytes(one.payload) == bytes(payload)
+            plane.meter_workers(metrics, step_work, one)
+        assert not list(plane.seal())  # the seal left every stage empty
+        for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
+            assert getattr(metrics, name) == getattr(sim.metrics, name), name
+        assert step_work == sim._step_work
+
+    @pytest.mark.parametrize("backend", ["sim", "columnar"])
+    @pytest.mark.parametrize("api", ["send", "send_nbrs", "send_list"])
+    def test_a_send_outside_the_vertex_phase_is_refused(self, programs, graph, backend, api):
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend=backend, num_workers=2
+        )
+        assert backend == "sim" or engine._slab_active
+        sender = next(v for v in graph.nodes() if graph.out_degree(v))
+        target = {"send": 1, "send_nbrs": sender, "send_list": [1, 2]}[api]
+        with pytest.raises(RuntimeError, match=r"send\(\) called outside the vertex phase"):
+            getattr(engine, api)(target, (0, 0.5))
+        assert engine.metrics.messages == 0
+        assert engine.metrics.worker_sent == [0, 0]
+
+    def test_dispatch_hands_a_tag_to_its_handler_or_decodes_it(self):
+        import numpy as np
+        from types import SimpleNamespace
+
+        from repro.pregel.backend.columnar import NbrGather, SlabPlane
+        from repro.pregel.graph import Graph
+
+        codec = MessageCodec(compile_algorithm("bc_approx").program.schema)
+        graph = Graph.from_edges(4, [(0, 1)])
+        seen = []
+
+        def handler(dsts, payload, count):
+            seen.append((dsts.tolist(), bytes(payload), count))
+
+        handler.ordered_merge = None
+        host = SimpleNamespace(_current_vertex=0, graph=graph, _bulk_receivers={(7, 3): handler})
+        plane = SlabPlane(codec, NbrGather.of_graph(graph, bytes(4)), host)
+        plane.send(2, (3, 11))
+        plane.send(1, (0, 0.5))
+        plane.send(1, (0, 0.25))
+        parts = {
+            one.tag: [(one.dsts, None, one.payload, len(one.dsts))] for one in plane.seal()
+        }
+        # phase 7 has a bulk handler for tag 3; tag 0 is decoded by receiver
+        assert list(plane.dispatch(7, parts)) == [(1, [(0, 0.5), (0, 0.25)])]
+        assert seen == [([2], codec.pack[3]((3, 11)), 1)]
+        assert (plane.bulk_records, plane.scalar_records) == (1, 2)
+        # no other phase has one: everything is decoded
+        assert dict(plane.dispatch(8, parts)) == {1: [(0, 0.5), (0, 0.25)], 2: [(3, 11)]}
+        assert (plane.bulk_records, plane.scalar_records) == (0, 3)
+
+
 class TestCLI:
     ARGS = ["--scale", "0.05", "--arg", "e=1e-9", "--arg", "d=0.85",
             "--arg", "max_iter=3"]
