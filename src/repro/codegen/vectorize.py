@@ -1,7 +1,7 @@
 """Array code for the columnar data plane: bulk receivers and phase kernels.
 
 The generated vertex program runs one Python call per vertex per
-superstep.  On the columnar slab fast path, and in every ``mp`` worker,
+superstep.  On the columnar slab engine, and in every ``mp`` worker,
 this module replaces that with numpy code over zero-copy
 ``np.frombuffer`` views of the existing ``array.array`` property columns
 (storage does not change — scalar phases keep indexing native Python
@@ -93,7 +93,7 @@ Anything outside those rules leaves the receive loop, or the whole
 phase, on the scalar path, and the decision record names the construct
 (``assign of a message value (last writer wins)``, ``random write``,
 ``sum put inside a receive loop``, ...).  Both kinds of array code engage on the
-columnar slab fast path and in the ``mp`` workers, each of which compiles
+columnar slab engine and in the ``mp`` workers, each of which compiles
 them against itself and runs a kernel over its partition (the kernel's
 initial selection) and a handler over the records its peers sent it.
 """

@@ -37,8 +37,8 @@ class ExecutionBackend:
     name: str = ""
 
     #: robustness features this backend honors (documentation + tests):
-    #: feature name -> True (full support) / "fallback" (works, but the
-    #: typed fast path is bypassed) / False (BackendUnsupported).
+    #: feature name -> True (full support) / "fallback" (works, on the
+    #: simulator's engine over this backend's columns) / False (BackendUnsupported).
     supports: dict[str, Any] = {}
 
     def build_columns(

@@ -12,14 +12,16 @@ compiled to an array kernel skips the per-vertex loop and stages its
 whole broadcast in one ``send_nbrs_bulk`` — along the out-CSR or, for an
 in-neighbour send, the ``_in_nbrs`` rows, both behind one :class:`NbrGather`.
 
-Composition policy: the slab fast path engages only when nothing needs to
-observe individual staged messages.  Fault-tolerance checkpointing, the
-simulated transport, a limited memory budget, a recording tracer, sender
-combiners, and vote-to-halt all fall back to the simulator's tuple
-staging — same typed columns, same metered quantities, same results —
-so every robustness feature keeps working on this backend.  Metering is
-identical either way: ``message_size`` is the schema wire size, so
-``message_bytes`` always equals the actual slab payload bytes.
+Composition policy, one for both hosts: a recording tracer and the
+simulated transport read what the seal already holds, so they cost no
+array code; sender combiners and vote-to-halt observe individual sends, so
+with either on the host keeps the generated scalar program
+(``array_code_engages``) — still on slabs, a combined tag folded by the
+inherited ``send``.  Checkpointing and a limited memory budget read the
+simulator's tuple outbox: ``ColumnarBackend.create_engine`` gives those a
+plain ``PregelEngine`` over the same typed columns.  Metering is identical
+throughout: ``message_size`` is the schema wire size, so ``message_bytes``
+always equals the actual slab payload bytes.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import chain
+from time import perf_counter
 from typing import Any, Callable
 
 import numpy as np
 
 from ..globalmap import fold_ordered
 from ..graph import Graph
-from ..runtime import PregelEngine, _NO_MESSAGES
+from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES
 from .base import ExecutionBackend
 from .codec import MessageCodec
 
@@ -69,6 +72,26 @@ def vectorized_phases(receivers: dict, kernels: dict) -> list[str]:
     phases that run either side — receive or compute — as array code."""
     states = {state for state, _tag in receivers} | set(kernels)
     return [f"phase{s}" for s in sorted(states)]
+
+
+def array_code_engages(engine) -> bool:
+    """Whether a slab host — ``ColumnarEngine``, ``MPEngine`` — runs the
+    vectorizer's output: unless sender combiners or vote-to-halt, which
+    observe individual sends, are on.  Nothing else turns array code off."""
+    return not engine._combiners and engine._voted is None
+
+
+def folding(plane_send: Callable, combined_tags, fold: Callable) -> Callable:
+    """``plane_send`` behind a host's combiners — the plane knows nothing
+    of them: a combined tag's message goes to ``fold(target, msg)``."""
+
+    def send(target, msg: tuple) -> None:
+        if msg[0] in combined_tags:
+            fold(target, msg)
+        else:
+            plane_send(target, msg)
+
+    return send
 
 
 class NbrGather:
@@ -139,14 +162,6 @@ class NbrGather:
         return edges, counts
 
 
-#: ``PregelEngine.send``'s refusal, word for word
-_OUTSIDE_PHASE = (
-    "send() called outside the vertex phase: messages must "
-    "originate from a vertex; master code broadcasts through "
-    "put_broadcast() instead"
-)
-
-
 def _joined(chunks):
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
@@ -206,7 +221,7 @@ class SlabPlane:
     def _sender(self) -> int:
         sender = self.host._current_vertex
         if sender < 0:
-            raise RuntimeError(_OUTSIDE_PHASE)
+            raise RuntimeError(OUTSIDE_PHASE_ERROR)
         return sender
 
     def send(self, dst: int, msg: tuple) -> None:
@@ -283,11 +298,12 @@ class SlabPlane:
         ledger.net_messages += cross
         ledger.net_bytes += size * cross
 
-    def meter_workers(self, metrics, step_work, sealed: _TagStage) -> None:
+    def meter_workers(self, metrics, step_work, sealed: _TagStage, staged_bytes=None) -> None:
         """Meter a sealed tag across all the placement's workers, as
         ``PregelEngine.send`` would have message by message: who sent, what
-        crossed, and — into ``step_work``, unless None — one unit per
-        message at its sender and one at its receiver."""
+        crossed, — into ``step_work``, unless None — one unit per message
+        at its sender and one at its receiver, and — into ``staged_bytes``,
+        unless None — the wire bytes each worker staged (the tracer's)."""
         owner = self.gather.owner
         workers = len(metrics.worker_sent)
         sender_owner = owner[sealed.senders]
@@ -305,6 +321,10 @@ class SlabPlane:
         self.meter(metrics, sealed.tag, len(sealed.dsts), cross)
         for w, c in enumerate(sent):
             metrics.worker_sent[w] += c
+        if staged_bytes is not None:
+            size = self.codec.sizes[sealed.tag]
+            for w, c in enumerate(sent):
+                staged_bytes[w] += size * c
         if step_work is not None:
             received = np.bincount(dst_owner, minlength=workers).tolist()
             for w in range(workers):
@@ -344,30 +364,14 @@ class ColumnarEngine(PregelEngine):
     the dense inbox.
     """
 
-    #: array code stages through the plane, and runs on the slab path only
-    send_nbrs_bulk = None
-
-    def __init__(self, graph: Graph, *, schema=None, **engine_opts):
+    def __init__(self, graph: Graph, *, schema, **engine_opts):
         super().__init__(graph, **engine_opts)
-        self.schema = schema
         self.metrics.backend = "columnar"
         #: (phase state, tag) -> vectorized bulk receive handler, and
         #: phase state -> whole-phase array kernel; installed by the code
-        #: generator, consulted only on the slab fast path.
+        #: generator.
         self._bulk_receivers: dict = {}
         self._phase_kernels: dict = {}
-        tracing = self.tracer is not None and self.tracer.enabled
-        self._slab_active = (
-            schema is not None
-            and not self._combiners
-            and self._voted is None
-            and self.ft is None
-            and self._transport is None
-            and not self._mem_limited
-            and not tracing
-        )
-        if not self._slab_active:
-            return
         if self._mreg is not None:
             self._m_slab_flushes = self._mreg.counter("columnar.slab_flushes")
             self._m_slab_records = self._mreg.counter("columnar.slab_records")
@@ -376,57 +380,89 @@ class ColumnarEngine(PregelEngine):
             self._m_kernel_vertices = self._mreg.counter("columnar.kernel_vertices")
             self._m_scalar_vertices = self._mreg.counter("columnar.scalar_vertices")
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
-        self._plane = plane = SlabPlane(MessageCodec(schema), csr, self)
-        for name in ("send", "send_nbrs", "send_list", "send_nbrs_bulk"):
-            setattr(self, name, getattr(plane, name))
-        #: tag -> the lone part the last vertex phase sealed: the next delivery's
+        self._plane = SlabPlane(MessageCodec(schema), csr, self)
+        self._bind_sends(super().send)
+        #: the next delivery's: tag -> the lone part the last vertex phase
+        #: sealed, and the ``(dst, msg)`` its combiner flush folded — off the
+        #: wire: a folded value never meets the packers
         self._sealed: dict[int, list] = {}
+        self._folded: list = []
         #: how many vertices each worker owns
         self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
+
+    def _bind_sends(self, fold: Callable) -> None:
+        """Shadow the inherited send API with the plane's.  A combined tag's
+        message takes ``fold`` instead — the inherited ``send``, so the fold and
+        its flush are the simulator's; the inherited list sends loop over it."""
+        plane = self._plane
+        self.send_nbrs_bulk = plane.send_nbrs_bulk
+        for name in ("send", "send_nbrs", "send_list"):
+            send = getattr(plane, name)
+            if self._combiners:
+                inherited = fold if name == "send" else getattr(super(), name)
+                send = folding(send, self._combiners, inherited)
+            setattr(self, name, send)
+
+    def _install_tracing(self) -> None:
+        # The seal meters the plane's sends for the tracer, whole; only a
+        # combined tag's — the inherited fold — go message by message.
+        self._trace_compute()
+        self._bind_sends(self._traced_send())
+
+    def _enqueue(self, dst: int, msg: tuple) -> None:
+        self._folded.append((dst, msg))  # the combiner flush: its only caller here
 
     def install_array_code(self, receivers: dict, kernels: dict) -> None:
         """Register the vectorizer's output: bulk receive handlers keyed by
         (state, tag), which the plane's dispatch hands whole slabs, and
         whole-phase kernels keyed by state, each run in place of the
-        per-vertex loop.  Only honored while the slab fast path is active;
-        fallback staging keeps scalar semantics.
+        per-vertex loop.  Honored unless the composition observes single
+        sends (``array_code_engages``).
         """
-        if self._slab_active:
+        if array_code_engages(self):
             self._bulk_receivers = receivers
             self._phase_kernels = kernels
             self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
 
     # -- vertex phase -----------------------------------------------------
 
-    def _vertex_phase(self, frontier) -> None:
+    def _vertex_phase(self, frontier) -> int:
         # The master has already broadcast this superstep's state.
         kernel = self._phase_kernels.get(self.globals.broadcast.get("_state"))
         if kernel is None:
-            super()._vertex_phase(frontier)
-            if not self._slab_active:
-                return
+            ran = super()._vertex_phase(frontier)
         else:
-            # Kernels exist only on the slab fast path, which excludes
-            # voting: the phase computes every vertex, as the dense loop
-            # would.
+            # Array code and voting never meet: the phase computes every
+            # vertex, as the dense loop would.
+            ran = self.graph.num_nodes
+            owned = self._worker_vertices
             if self._track_makespan:
                 step_work = self._step_work
-                for w, owned in enumerate(self._worker_vertices):
-                    step_work[w] += owned
+                for w, count in enumerate(owned):
+                    step_work[w] += count
+            t0 = perf_counter()
             kernel()
+            computed = self._trace_worker_computed  # empty unless a tracer records
+            if computed:
+                # what traced_compute counts vertex by vertex; the seconds
+                # (info-only) are the kernel's wall split by owned vertices
+                each = (perf_counter() - t0) / max(1, ran)
+                computed[:] = owned
+                self._trace_worker_seconds[:] = [each * count for count in owned]
             slots = self._inbox_slots
             for dst in self._touched:
                 slots[dst] = _NO_MESSAGES
         if self._mreg is not None:
-            ran = self._m_scalar_vertices if kernel is None else self._m_kernel_vertices
-            ran.inc(self.graph.num_nodes)
+            (self._m_scalar_vertices if kernel is None else self._m_kernel_vertices).inc(ran)
         # Sealed inside the phase, so the driver's per-superstep deltas see
         # this superstep's sends; the records wait for the next delivery.
         plane = self._plane
         step_work = self._step_work if self._track_makespan else None
+        staged_bytes = self._trace_worker_bytes or None
         for sealed in plane.seal():
-            plane.meter_workers(self.metrics, step_work, sealed)
+            plane.meter_workers(self.metrics, step_work, sealed, staged_bytes)
             self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
+        return ran
 
     def out_gather(self) -> NbrGather:
         """The gather of an out-direction bulk send: the graph's out-CSR."""
@@ -441,19 +477,27 @@ class ColumnarEngine(PregelEngine):
     # -- barrier --------------------------------------------------------
 
     def _deliver(self) -> None:
-        if not self._slab_active:
-            super()._deliver()
-            return
         touched = self._touched
         touched.clear()
         slots = self._inbox_slots
         sealed, self._sealed = self._sealed, {}
+        folded, self._folded = self._folded, []
         plane = self._plane
+        if self._transport is not None:
+            # Per destination worker, ascending, an empty batch skipped: the
+            # calls, and so the RNG draws, of the tuple staging's route_part.
+            dsts = [parts[0][0] for parts in sealed.values()]
+            dsts.append(np.fromiter((dst for dst, _msg in folded), np.int64, len(folded)))
+            totals = np.bincount(self._csr.owner[np.concatenate(dsts)])
+            for wid in np.flatnonzero(totals).tolist():
+                self._transport.route_count(wid, int(totals[wid]))
         # The master has already broadcast this superstep's state, so the
         # handler keyed by (state, tag) is exactly the receive loop the
         # vertex phase would run on these records.  Per-receiver order
-        # within a tag is global send order: the one sealed slab's.
-        for dst, msgs in plane.dispatch(self.globals.broadcast.get("_state"), sealed):
+        # within a tag is global send order: the one sealed slab's, and —
+        # as the flush enqueues last — the folded messages after it.
+        delivered = plane.dispatch(self.globals.broadcast.get("_state"), sealed)
+        for dst, msgs in chain(delivered, ((dst, [msg]) for dst, msg in folded)):
             bucket = slots[dst]
             if bucket is _NO_MESSAGES:
                 slots[dst] = msgs
@@ -464,19 +508,19 @@ class ColumnarEngine(PregelEngine):
             self._m_slab_flushes.inc(len(sealed))
             self._m_slab_records.inc(plane.bulk_records + plane.scalar_records)
             self._m_bulk_records.inc(plane.bulk_records)
-            self._m_scalar_records.inc(plane.scalar_records)
+            self._m_scalar_records.inc(plane.scalar_records + len(folded))
 
 
 class ColumnarBackend(ExecutionBackend):
     name = "columnar"
     supports = {
         "ft": "fallback",
-        "net": "fallback",
+        "net": True,
         "mem": "fallback",
         "supervisor": True,
-        "tracer": "fallback",
-        "combiners": "fallback",
-        "voting": "fallback",
+        "tracer": True,
+        "combiners": True,
+        "voting": True,
         "track_makespan": True,
         "range_partitioning": True,
     }
@@ -494,15 +538,19 @@ class ColumnarBackend(ExecutionBackend):
         message_size: Callable[[tuple], int],
         schema,
         engine_opts: dict,
-    ) -> ColumnarEngine:
-        return ColumnarEngine(
-            graph,
-            schema=schema,
-            vertex_compute=None,  # type: ignore[arg-type]
-            master_compute=master_compute,
-            message_size=message_size,
-            **engine_opts,
+    ) -> PregelEngine:
+        opts = dict(
+            engine_opts, vertex_compute=None, master_compute=master_compute, message_size=message_size
         )
+        mem = engine_opts.get("mem")
+        if schema is None or engine_opts.get("ft") is not None or (mem is not None and mem.limited):
+            # The one choice between slabs and tuple staging: checkpoints,
+            # recovery logs and budget charges read the tuple outbox, and no
+            # schema is no wire layout — ``supports``' "fallback".
+            engine = PregelEngine(graph, **opts)
+            engine.metrics.backend = self.name
+            return engine
+        return ColumnarEngine(graph, schema=schema, **opts)
 
     def column_values(self, column) -> list:
         return column.tolist() if isinstance(column, array) else column

@@ -151,7 +151,8 @@ from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec, part_nbytes, read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
-from .columnar import NbrGather, SlabPlane, build_typed_columns, vectorized_phases
+from .columnar import NbrGather, SlabPlane, array_code_engages, build_typed_columns
+from .columnar import folding, vectorized_phases
 
 _EMPTY: tuple = ()
 
@@ -489,13 +490,13 @@ class MPEngine(PregelEngine):
         Every worker compiles its own array code after its fork — against
         itself, so kernels stage through its slabs and column views bind
         the process's live copy-on-write columns — and runs it per phase,
-        from the IR, as :class:`ColumnarEngine` does.  Sender combiners and
-        vote-to-halt observe individual sends, so with either on the
-        workers keep the generated scalar program.  The parent compiles
+        from the IR, as :class:`ColumnarEngine` does and under its rule
+        (``array_code_engages``): with sender combiners or vote-to-halt on,
+        the workers keep the generated scalar program.  The parent compiles
         once against a worker that never runs, for the record: which
         phases engage (``RunMetrics.vectorized_phases``) and why the others
         do not (``decisions``, the ``compile.vectorize`` trace events)."""
-        engages = not self._combiners and self._voted is None
+        engages = array_code_engages(self)
         if engages:
             self._array_code = build
         if engages or decisions is not None:
@@ -1248,22 +1249,13 @@ class _Worker:
             ("send_list", lambda dsts: dsts),
         ):
             send = getattr(plane, name)
-            setattr(self, name, self._folding(send, dsts_of) if self._combiners else send)
+            if self._combiners:
+                send = folding(
+                    send, self._combiners, lambda to, msg, of=dsts_of: self._fold(of(to), msg)
+                )
+            setattr(self, name, send)
 
     # -- vertex-side ctx API (called by generated code) -----------------
-
-    def _folding(self, plane_send: Callable, dsts_of: Callable) -> Callable:
-        """``plane_send`` behind the combiners: ``send(target, msg)`` folds a
-        combined tag's message into ``dsts_of(target)``'s slots instead."""
-        combined_tags = self._combiners
-
-        def send(target, msg: tuple) -> None:
-            if msg[0] in combined_tags:
-                self._fold(dsts_of(target), msg)
-            else:
-                plane_send(target, msg)
-
-        return send
 
     def _fold(self, dsts, msg: tuple) -> None:
         """One combined send to each of ``dsts``: fold into this worker's

@@ -31,7 +31,7 @@ land in ``RunMetrics`` (``messages_dropped`` / ``messages_duplicated`` /
 / ``net_backoff_units``) and the transport's own ``stats`` ledger carries
 simulated latency units and protocol round counts for the benchmarks.
 
-With an all-zero fault plan the transport takes a **fast path** — sequence
+With an all-zero fault plan the transport takes a **fast path** — ledger
 accounting only, no per-message simulation — so a "reliable transport" run
 stays within a few percent of direct routing (``benchmarks/bench_net.py``
 enforces the ceiling in CI).
@@ -161,7 +161,8 @@ class SimulatedTransport:
     the stats ledger) and hand it to the engine:
     ``program.run(graph, args, transport=SimulatedTransport(plan))``.  The
     engine routes every barrier's per-destination-worker message batches
-    through :meth:`route_part`.
+    through :meth:`route_part` (``columnar``: their sizes, through
+    :meth:`route_count`).
     """
 
     def __init__(self, plan: NetFaultPlan):
@@ -169,7 +170,6 @@ class SimulatedTransport:
         self._rng = random.Random(plan.seed)
         self._engine: "PregelEngine | None" = None
         self._mreg = None  # engine's metrics registry, picked up at attach()
-        self._next_seq: list[int] = []
         #: protocol-level ledger (simulated latency, rounds, ack losses);
         #: result-relevant fault counters live in ``RunMetrics``.
         self.stats = {
@@ -194,7 +194,6 @@ class SimulatedTransport:
             raise RuntimeError("a SimulatedTransport drives exactly one run")
         self._engine = engine
         self._mreg = getattr(engine, "_mreg", None)
-        self._next_seq = [0] * engine.num_workers
 
     # -- routing ---------------------------------------------------------
 
@@ -208,28 +207,26 @@ class SimulatedTransport:
         only cost retransmissions, backoff, and simulated latency, all of
         which are metered.
         """
-        total = 0
-        for msgs in part.values():
-            total += len(msgs)
-        self.stats["messages_routed"] += total
-        seq_base = self._next_seq[worker]
-        self._next_seq[worker] = seq_base + total
-        if total == 0 or not self.plan.lossy:
-            # Fast path: a perfect channel needs no simulation — sequence
-            # accounting only, the caller's batch is delivered as-is.
-            self.stats["latency_units"] += self.plan.latency_units if total else 0.0
-            return part
+        total = sum(map(len, part.values()))
         avg_bytes = 0.0
-        if self._engine._mem_limited:
+        if total and self.plan.lossy and self._engine._mem_limited:
             size_of = self._engine.mem._size_of
-            nbytes = 0
-            for msgs in part.values():
-                for msg in msgs:
-                    nbytes += size_of(msg)
-            avg_bytes = nbytes / total
-        self._simulate_stream(total, worker, avg_bytes)
+            avg_bytes = sum(size_of(msg) for msgs in part.values() for msg in msgs) / total
+        self.route_count(worker, total, avg_bytes)
         # Exactly-once in-order delivery reconstructed the sent stream.
         return part
+
+    def route_count(self, worker: int, total: int, avg_bytes: float = 0.0) -> None:
+        """One barrier's ``total`` messages for destination ``worker`` — all
+        the protocol reads of a batch, so a backend that stages typed slabs
+        calls this with the slabs' record count."""
+        self.stats["messages_routed"] += total
+        if total == 0 or not self.plan.lossy:
+            # Fast path: a perfect channel needs no simulation — the
+            # ledger only, the caller's batch is delivered as-is.
+            self.stats["latency_units"] += self.plan.latency_units if total else 0.0
+        else:
+            self._simulate_stream(total, worker, avg_bytes)
 
     # -- channel simulation ----------------------------------------------
 

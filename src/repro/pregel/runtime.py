@@ -88,6 +88,14 @@ VOTING_DISABLED_ERROR = (
 )
 
 
+#: A send with no vertex computing: refused in these words by every backend.
+OUTSIDE_PHASE_ERROR = (
+    "send() called outside the vertex phase: messages must "
+    "originate from a vertex; master code broadcasts through "
+    "put_broadcast() instead"
+)
+
+
 class MemoryExhausted(RuntimeError):
     """A worker's budget cannot hold an irreducible allocation.
 
@@ -200,8 +208,8 @@ class RunMetrics:
     #: phases the vectorizer runs as array code on this run — a bulk
     #: receive handler, a whole-phase kernel, or both ("phase<id>" labels)
     #: — on columnar and in the mp workers; empty on sim and wherever a
-    #: composition keeps the scalar program (columnar: slab fast path
-    #: inactive; mp: combiners, voting).  Backend provenance like
+    #: composition keeps the scalar program (combiners, voting; columnar
+    #: also under ft or a limited budget).  Backend provenance like
     #: ``backend`` itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
 
@@ -525,11 +533,7 @@ class PregelEngine:
         """Send ``msg`` to vertex ``dst``, delivered next superstep."""
         sender = self._current_vertex
         if sender < 0:
-            raise RuntimeError(
-                "send() called outside the vertex phase: messages must "
-                "originate from a vertex; master code broadcasts through "
-                "put_broadcast() instead"
-            )
+            raise RuntimeError(OUTSIDE_PHASE_ERROR)
         if self._ft_replaying:
             # Confined-recovery replay: this message was already delivered
             # during the original execution of this superstep.
@@ -832,24 +836,22 @@ class PregelEngine:
         function (per-worker computed counts + compute seconds) and shadows
         ``send`` with an instance attribute (per-worker staged payload
         bytes), so the engine's loops and the per-send fast path carry zero
-        extra branches when tracing is off.  Per-worker bytes are metered on
-        the *staged* payload (pre-combiner-fold: the sends are identical
-        under either scheduler, which keeps the quantity deterministic).
+        extra branches when tracing is off.  The two install separately: a
+        backend that meters whole slabs takes the first and not the shadow.
         Confined-recovery replay (``_ft_replaying``) is transparent to both
         wrappers — its work was already counted by the original execution.
         """
+        self._trace_compute()
+        self.send = self._traced_send()  # type: ignore[method-assign]
+
+    def _trace_compute(self) -> None:
         workers = self.num_workers
-        self._trace_worker_computed = [0] * workers
-        self._trace_worker_seconds = [0.0] * workers
+        self._trace_worker_computed = computed = [0] * workers
+        self._trace_worker_seconds = seconds = [0.0] * workers
         self._trace_worker_bytes = [0] * workers
         inner = self._vertex_compute
         worker_of = self._worker_of
-        computed = self._trace_worker_computed
-        seconds = self._trace_worker_seconds
-        staged_bytes = self._trace_worker_bytes
-        size_of = self._message_size
         perf = time.perf_counter
-        cls_send = PregelEngine.send
 
         def traced_compute(ctx, vid, messages):
             if self._ft_replaying:
@@ -861,14 +863,25 @@ class PregelEngine:
             inner(ctx, vid, messages)
             seconds[w] += perf() - t0
 
+        self._vertex_compute = traced_compute
+
+    def _traced_send(self) -> Callable[[int, tuple], None]:
+        """The inherited ``send`` behind the tracer's byte meter: per-worker
+        bytes of the *staged* payload (pre-combiner-fold: the sends are
+        identical under either scheduler, which keeps the quantity
+        deterministic)."""
+        worker_of = self._worker_of
+        staged_bytes = self._trace_worker_bytes
+        size_of = self._message_size
+        cls_send = PregelEngine.send
+
         def traced_send(dst, msg):
             sender = self._current_vertex
             if sender >= 0 and not self._ft_replaying:
                 staged_bytes[worker_of[sender]] += size_of(msg)
             cls_send(self, dst, msg)
 
-        self._vertex_compute = traced_compute
-        self.send = traced_send  # type: ignore[method-assign]
+        return traced_send
 
     @contextmanager
     def _session(self, tracer):
@@ -1241,31 +1254,26 @@ class PregelEngine:
             # per-receiver message order, bounded by the budget
             # (split runs re-merge ahead of the residual batch).
             self.mem.deliver(incoming, receiving)
-        elif transport is None:
-            for part in incoming:
+        else:
+            for wid, part in enumerate(incoming):
                 if part:
+                    if transport is not None:
+                        # The batch crosses the simulated channel; the
+                        # reliable protocol reconstructs the exact sent
+                        # stream (faults cost retransmissions, not data).
+                        transport.route_part(wid, part)
                     for dst, msgs in part.items():
                         slots[dst] = msgs
                         receiving(dst)
                     part.clear()
-        else:
-            # Each destination worker's batch crosses the simulated
-            # channel; the reliable protocol hands back the exact
-            # sent stream (faults cost retransmissions, not data).
-            for wid, part in enumerate(incoming):
-                if part:
-                    for dst, msgs in transport.route_part(wid, part).items():
-                        slots[dst] = msgs
-                        receiving(dst)
-                    part.clear()
 
-    def _vertex_phase(self, frontier) -> None:
+    def _vertex_phase(self, frontier) -> int:
         """Run ``vertex.compute()`` over this superstep's active set:
         ``frontier`` (the sparse vertex list), every vertex, or — under
         voting — every vertex that has not voted by the time the scan
-        reaches it.  Reads the dense inbox index filled at delivery and
-        resets it.  Execution backends override this hook to run a phase as
-        array code."""
+        reaches it; returns how many computed.  Reads the dense inbox index
+        filled at delivery and resets it.  Execution backends override this
+        hook to run a phase as array code."""
         n = self.graph.num_nodes
         voted = self._voted
         if frontier is not None:
@@ -1281,10 +1289,12 @@ class PregelEngine:
         step_work = self._step_work
         worker_of = self._worker_of
         slots = self._inbox_slots
-        for vid in active:
+        computed = 0
+        for computed, vid in enumerate(active, 1):
             self._current_vertex = vid
             if track:
                 step_work[worker_of[vid]] += 1
             compute(self, vid, slots[vid])
         for dst in self._touched:
             slots[dst] = _NO_MESSAGES
+        return computed

@@ -19,8 +19,11 @@ from repro.compiler import compile_algorithm
 from repro.graphgen.registry import load_graph
 from repro.pregel.backend import BACKENDS, BackendUnsupported, get_backend
 from repro.pregel.backend.codec import MessageCodec
+from repro.pregel.backend.columnar import ColumnarEngine
 from repro.pregel.backend.mp import mp_available
 from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance, RealFault
+from repro.pregel.net import NetFaultPlan, SimulatedTransport
+from repro.pregel.runtime import PregelEngine
 from repro.pregelir.ir import INF_VALUE
 
 ALGORITHMS = (
@@ -68,9 +71,32 @@ def run_counted(programs, graph, alg, backend, **opts):
     totals = {
         name: sum(row["value"] for row in snap[f"{backend}.{name}"]["series"])
         if f"{backend}.{name}" in snap else 0
-        for name in ("kernel_vertices", "scalar_vertices", "bulk_records", "scalar_records")
+        for name in (
+            "kernel_vertices", "scalar_vertices", "bulk_records", "scalar_records", "slab_records"
+        )
     }
     return run, totals
+
+
+class RecordingTransport(SimulatedTransport):
+    """A simulated transport that also notes every batch the protocol is
+    handed, as ``(destination worker, messages)``, in call order."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.batches = []
+
+    def route_count(self, worker, total, avg_bytes=0.0):
+        self.batches.append((worker, total))
+        super().route_count(worker, total, avg_bytes)
+
+
+def lossy_transport():
+    plan = NetFaultPlan(
+        drop_rate=0.1, dup_rate=0.05, reorder_rate=0.1, corrupt_rate=0.02,
+        jitter_units=1.0, seed=7,
+    )  # fmt: skip
+    return RecordingTransport(plan)
 
 
 def in_nbr_rows(graph):
@@ -124,7 +150,9 @@ class TestColumnarParityMatrix:
 
 
 class TestColumnarFallbacks:
-    """Robustness features keep working on columnar via tuple staging."""
+    """Robustness features keep working on columnar: combiners and the
+    tracer on the slab engine, fault tolerance on the simulator's engine
+    over the typed columns (``TestColumnarCompositions`` holds the table)."""
 
     def test_ft_crash_recovery_parity(self, programs, graph):
         plan = FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 3),))
@@ -150,6 +178,198 @@ class TestColumnarFallbacks:
                 e.det for e in tracer.events if e.name == "superstep"
             ]
         assert traces["sim"] == traces["columnar"]
+
+
+class TestColumnarCompositions:
+    """One composition table for the slab engine: under a tracer, a lossy
+    simulated transport, vote-to-halt, combiners, and all of them at once,
+    a columnar run is the simulator's on outputs, ``parity_key()``, the
+    makespan units, the transport's fault counters and ledger, and the
+    deterministic trace byte for byte — on every placement."""
+
+    FAULT_COUNTERS = (
+        "messages_dropped", "messages_duplicated", "messages_reordered",
+        "messages_corrupted", "packets_retransmitted", "net_backoff_units",
+    )  # fmt: skip
+
+    @staticmethod
+    def compositions():
+        from repro.obs import Tracer
+
+        return {
+            "tracer": lambda: {"tracer": Tracer()},
+            "net": lambda: {"transport": lossy_transport()},
+            "voting-frontier": lambda: {"use_voting": True, "scheduling": "frontier"},
+            "voting-dense": lambda: {"use_voting": True, "scheduling": "dense"},
+            "combiners": lambda: {"use_combiners": True},
+            "together": lambda: {
+                "tracer": Tracer(), "transport": lossy_transport(),
+                "use_combiners": True, "use_voting": True,
+            },
+        }  # fmt: skip
+
+    @classmethod
+    def observed(cls, metrics, opts) -> dict:
+        """Everything two backends must agree on for one run under ``opts``."""
+        from repro.obs.export import deterministic_jsonl
+
+        seen = {
+            "parity": metrics.parity_key(),
+            "units": (metrics.makespan_units, metrics.ideal_units),
+            "faults": [getattr(metrics, name) for name in cls.FAULT_COUNTERS],
+        }
+        if "transport" in opts:
+            seen["ledger"] = (opts["transport"].stats, opts["transport"].batches)
+        if "tracer" in opts:
+            events = opts["tracer"].events
+            seen["trace"] = deterministic_jsonl(events)
+            seen["net.route"] = [
+                {k: v for k, v in e.info.items() if k != "route_s"}
+                for e in events if e.name == "net.route"
+            ]  # fmt: skip
+        return seen
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        # forks aside, as TestPartitionKernels: 100 vertices — and a graph
+        # bipartite matching has something to match on
+        return {"twitter": load_graph("twitter", 0.02), "bipartite": load_graph("bipartite", 0.02)}
+
+    @pytest.mark.parametrize(
+        "composition",
+        ("tracer", "net", "voting-frontier", "voting-dense", "combiners", "together"),
+    )
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_matrix(self, programs, small, alg, composition):
+        make = self.compositions()[composition]
+        small = small["bipartite" if alg == "bipartite_matching" else "twitter"]
+        for partitioning in ("hash", "range"):
+            for workers in (1, 2, 3, 5):
+                seen = {}
+                for backend in ("sim", "columnar"):
+                    opts = make()
+                    run = run_on(
+                        programs, small, alg, backend, num_workers=workers,
+                        partitioning=partitioning, track_makespan=True, **opts,
+                    )  # fmt: skip
+                    seen[backend] = (self.observed(run.metrics, opts), run.outputs)
+                assert seen["sim"] == seen["columnar"], (partitioning, workers)
+                if "transport" in opts:
+                    assert run.metrics.messages_dropped > 0
+                if "tracer" in opts:
+                    steps = [e.det for e in opts["tracer"].events if e.name == "superstep"]
+                    # (avg_teen_cnt's one message is empty: zero bytes on the wire)
+                    assert any(sum(step["worker_bytes"]) for step in steps) or alg == "avg_teen_cnt"
+                    assert all(sum(step["worker_computed"]) == small.num_nodes for step in steps)
+
+    #: benchmarks/e2e's workloads: (algorithm, Table 1 graph) cases
+    WORKLOADS = {
+        "pagerank_web": (("pagerank", "sk-2005"),),
+        "sssp_twitter": (("sssp", "twitter"),),
+        "bc_twitter": (("bc_approx", "twitter"),),
+        "six_small": (
+            ("avg_teen_cnt", "twitter"), ("sssp", "twitter"), ("bc_approx", "twitter"),
+            ("pagerank", "sk-2005"), ("conductance", "sk-2005"),
+            ("bipartite_matching", "bipartite"),
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("feature", ("tracer", "net"))
+    def test_observers_cost_no_array_code(self, programs, workload, feature):
+        """On the benchmark's workloads (scaled down): what runs as array
+        code, and how many records go through handlers, the scalar receive
+        loops and the slabs at all, does not depend on who watches."""
+        for alg, graph_name in self.WORKLOADS[workload]:
+            g = load_graph(graph_name, 0.1)
+            plain, counted = run_counted(programs, g, alg, "columnar", num_workers=2)
+            col, totals = run_counted(
+                programs, g, alg, "columnar", num_workers=2, **self.compositions()[feature]()
+            )
+            assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
+            assert totals == counted
+            assert totals["slab_records"] > 0 or alg == "avg_teen_cnt"  # (sends once, last)
+            if alg in ALL_KERNEL:
+                assert totals["scalar_records"] == totals["scalar_vertices"] == 0
+            assert_parity(plain, col)
+
+    # -- a program that votes -------------------------------------------
+
+    @staticmethod
+    def gossip(graph, log):
+        """Hand-written, over bc_approx's wire layout: min-label propagation
+        on tag 3, every improvement announced on tag 0 as well (the tag the
+        combiner cells fold, by sum); a vertex logs its inbox verbatim and
+        votes to halt — so the run goes sparse and ends ``all_halted``."""
+        label = list(range(graph.num_nodes))
+
+        def vertex(ctx, vid, messages):
+            log.append((ctx.superstep, vid, list(messages)))
+            best = min([label[vid]] + [m[1] for m in messages if m[0] == 3])
+            if ctx.superstep == 0 or best < label[vid]:
+                label[vid] = best
+                ctx.send_nbrs(vid, (3, best))
+                for nbr in graph.out_nbrs(vid):
+                    ctx.send(nbr, (0, float(best)))
+                ctx.send_list(list(graph.out_nbrs(vid))[:2], (3, best))
+            ctx.vote_to_halt(vid)
+
+        return vertex
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(("frontier", "dense")),
+        st.sampled_from(("hash", "range")),
+        st.sampled_from((1, 2, 3, 5)),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_voting_program(self, scheduling, partitioning, workers, fold, traced, lossy):
+        from repro.obs import MetricsRegistry, Tracer
+
+        g = load_graph("twitter", 0.02)
+        schema = compile_algorithm("bc_approx").program.schema
+        sizes = {tag: schema.message_size(tag) for tag in schema.tags}
+        seen, logs, registries = {}, {}, {}
+        for backend in ("sim", "columnar"):
+            logs[backend] = log = []
+            registries[backend] = MetricsRegistry()
+            opts = {"tracer": Tracer()} if traced else {}
+            if lossy:
+                opts["transport"] = lossy_transport()
+            if fold:
+                opts["combiners"] = {0: lambda a, b: (0, a[1] + b[1])}
+            common = dict(
+                vertex_compute=self.gossip(g, log), num_workers=workers,
+                partitioning=partitioning, use_voting=True, scheduling=scheduling,
+                message_size=lambda msg: sizes[msg[0]], track_makespan=True,
+                metrics_registry=registries[backend], **opts,
+            )  # fmt: skip
+            if backend == "sim":
+                engine = PregelEngine(g, **common)
+            else:
+                engine = ColumnarEngine(g, schema=schema, **common)
+            seen[backend] = self.observed(engine.run(), opts)
+        assert seen["sim"] == seen["columnar"]
+        assert seen["sim"]["parity"]["halt_reason"] == "all_halted"
+        if fold:
+            # one tag on the plane, one folded: the inbox itself is the
+            # simulator's — plane records first, the flush's messages after
+            assert logs["sim"] == logs["columnar"]
+        for tag in (0, 3):  # without: tag by tag, as the receive loops read it
+            by_tag = {
+                backend: [(step, vid, [m for m in msgs if m[0] == tag]) for step, vid, msgs in log]
+                for backend, log in logs.items()
+            }
+            assert by_tag["sim"] == by_tag["columnar"]
+        # the counter reads the vertices that computed, not the graph's size
+        snap = registries["columnar"].snapshot()
+        ran = sum(row["value"] for row in snap["columnar.scalar_vertices"]["series"])
+        assert ran == len(logs["columnar"]) < g.num_nodes * seen["sim"]["parity"]["supersteps"]
+        if traced:
+            steps = [e.det for e in opts["tracer"].events if e.name == "superstep"]
+            assert ran == sum(sum(step["worker_computed"]) for step in steps)
 
 
 @needs_mp
@@ -391,7 +611,8 @@ class TestSlabPlane:
     ``ColumnarEngine`` and every ``mp`` worker run — driven directly, with
     a stand-in host, and held to the simulator: what it seals is what an
     append-per-message staging would hold, and what it meters is what
-    ``PregelEngine.send`` meters message by message."""
+    ``PregelEngine.send`` — and, per worker and in bytes, its traced
+    shadow — meters message by message."""
 
     @staticmethod
     def make_msg(schema, tag, rng):
@@ -461,10 +682,12 @@ class TestSlabPlane:
             message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
         )  # fmt: skip
         want = {tag: ([], [], bytearray()) for tag in codec.tag_ids}
+        sim._trace_compute()
+        traced_send = sim._traced_send()  # ... behind the tracer's byte meter
 
         def reference(sender, dst, msg):
             sim._current_vertex = sender
-            sim.send(dst, msg)
+            traced_send(dst, msg)
             dsts, senders, payload = want[msg[0]]
             dsts.append(dst)
             senders.append(sender)
@@ -496,7 +719,7 @@ class TestSlabPlane:
                 reference(sender, dst, msg)
 
         metrics = RunMetrics(worker_sent=[0] * workers)
-        step_work = [0] * workers
+        step_work, staged_bytes = [0] * workers, [0] * workers
         sealed = {one.tag: one for one in plane.seal()}
         assert sorted(sealed) == [tag for tag in codec.tag_ids if want[tag][0]]
         for tag, one in sealed.items():
@@ -504,11 +727,12 @@ class TestSlabPlane:
             assert one.dsts.tolist() == dsts
             assert np.repeat(one.senders, one.counts).tolist() == senders
             assert bytes(one.payload) == bytes(payload)
-            plane.meter_workers(metrics, step_work, one)
+            plane.meter_workers(metrics, step_work, one, staged_bytes)
         assert not list(plane.seal())  # the seal left every stage empty
         for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
             assert getattr(metrics, name) == getattr(sim.metrics, name), name
         assert step_work == sim._step_work
+        assert staged_bytes == sim._trace_worker_bytes
 
     @pytest.mark.parametrize("backend", ["sim", "columnar"])
     @pytest.mark.parametrize("api", ["send", "send_nbrs", "send_list"])
@@ -516,7 +740,7 @@ class TestSlabPlane:
         engine, _fields, _master = programs["pagerank"].make_engine(
             graph, default_args("pagerank", graph), backend=backend, num_workers=2
         )
-        assert backend == "sim" or engine._slab_active
+        assert backend == "sim" or isinstance(engine, ColumnarEngine)
         sender = next(v for v in graph.nodes() if graph.out_degree(v))
         target = {"send": 1, "send_nbrs": sender, "send_list": [1, 2]}[api]
         with pytest.raises(RuntimeError, match=r"send\(\) called outside the vertex phase"):
@@ -1531,8 +1755,11 @@ class TestVectorizedReceivers:
             backend="columnar",
             ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
         )
-        # Fallback staging (here: fault tolerance) keeps scalar semantics.
-        assert engine._bulk_receivers == {}
+        # Fault tolerance reads the tuple outbox: the simulator's engine,
+        # which has no array code to install.
+        assert type(engine) is PregelEngine
+        assert engine.metrics.backend == "columnar"
+        assert engine.metrics.vectorized_phases == []
 
 
 class TestPhaseKernels:
@@ -1569,13 +1796,13 @@ class TestPhaseKernels:
 
     @staticmethod
     def run_scalar_slab(program, graph, args=None, **opts):
-        """A columnar run on the slab fast path with the array code taken
+        """A columnar run on the slab engine with the array code taken
         out: the generated scalar program through ``MessageCodec.pack``."""
         from repro.codegen.executable import RunResult
 
         opts["backend"] = "columnar"
         engine, fields, _master = program.make_engine(graph, args, **opts)
-        assert engine._slab_active
+        assert isinstance(engine, ColumnarEngine)
         engine.install_array_code({}, {})
         metrics = engine.run()
         outputs = {
@@ -2293,9 +2520,13 @@ class TestPhaseKernels:
     # -- (d) composition ------------------------------------------------------
 
     @pytest.mark.parametrize(
-        "feature", ("ft", "tracer", "mem", "combiners", "voting")
+        "feature", ("ft", "tracer", "mem", "combiners", "voting", "net", "schemaless")
     )
     def test_kernels_disengage_with_the_slab_path(self, programs, graph, feature, tmp_path):
+        """The composition table, cell by cell: a tracer and a lossy
+        transport cost no array code; combiners and voting keep the slab
+        engine and turn it off; ft, a limited budget and a program without
+        a schema get the simulator's engine, labelled columnar."""
         from repro.obs import Tracer
         from repro.pregel.mem import MemPlan, MemoryManager
 
@@ -2309,18 +2540,39 @@ class TestPhaseKernels:
             },
             "combiners": lambda: {"use_combiners": True},
             "voting": lambda: {"use_voting": True},
+            "net": lambda: {"transport": lossy_transport()},
+            "schemaless": lambda: {},
         }[feature]
         args = default_args("pagerank", graph)
-        engine, _fields, _master = programs["pagerank"].make_engine(
-            graph, args, backend="columnar", **opts()
-        )
-        # exactly as the bulk receivers: fallback staging keeps the
-        # generated scalar vertex_compute for every phase
-        assert engine._phase_kernels == {} and engine._bulk_receivers == {}
-        assert engine.metrics.vectorized_phases == []
-        sim = programs["pagerank"].run(graph, args, backend="sim", **opts())
-        col = programs["pagerank"].run(graph, args, backend="columnar", **opts())
-        assert_parity(sim, col)
+        if feature == "schemaless":
+            engine = get_backend("columnar").create_engine(
+                graph, master_compute=None, message_size=len, schema=None, engine_opts={}
+            )
+        else:
+            engine, _fields, _master = programs["pagerank"].make_engine(
+                graph, args, backend="columnar", **opts()
+            )
+        assert engine.metrics.backend == "columnar"
+        if feature in ("ft", "mem", "schemaless"):
+            assert type(engine) is PregelEngine
+            assert engine.metrics.vectorized_phases == []
+        else:
+            assert isinstance(engine, ColumnarEngine) and engine._plane is not None
+            plain, counted = run_counted(programs, graph, "pagerank", "columnar")
+            col, totals = run_counted(programs, graph, "pagerank", "columnar", **opts())
+            if feature in ("tracer", "net"):
+                assert sorted(engine._phase_kernels) == self.EXPECTED["pagerank"]
+                assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
+                assert totals == counted and totals["scalar_records"] == 0
+            else:
+                assert engine._phase_kernels == {} and engine._bulk_receivers == {}
+                assert col.metrics.vectorized_phases == []
+                assert totals["kernel_vertices"] == totals["bulk_records"] == 0
+                assert totals["scalar_vertices"] == counted["kernel_vertices"]
+        if feature != "schemaless":
+            sim = programs["pagerank"].run(graph, args, backend="sim", **opts())
+            col = programs["pagerank"].run(graph, args, backend="columnar", **opts())
+            assert_parity(sim, col)
 
     # -- wire range (satellite bugfix) ------------------------------------------
 
@@ -2379,9 +2631,9 @@ class TestPhaseKernels:
 class TestPartitionKernels:
     """An mp worker runs the same compiled array code as the columnar
     engine, over its partition and behind the real barrier: selected per
-    phase from the IR, bit-identical to the simulator in every cell, and —
-    unlike on columnar — kept when a tracer, fault tolerance, a memory
-    budget or the tcp transport is attached."""
+    phase from the IR, bit-identical to the simulator in every cell, and
+    kept when a tracer, fault tolerance, a memory budget or the tcp
+    transport is attached."""
 
     @pytest.fixture(scope="class")
     def small(self):

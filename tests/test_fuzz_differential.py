@@ -352,8 +352,8 @@ def _compare(program: str, seed: int, *, mp: bool = False) -> None:
     except OverflowError:
         # Int columns are array('q'): a program whose integers outgrow
         # int64 fails at the store on every columnar path.  Voting switches
-        # the slab fast path — and with it all array code — off, so the
-        # generated scalar program must fail the same way.
+        # all array code off, so the generated scalar program must fail the
+        # same way.
         with pytest.raises(OverflowError):
             compiled.program.run(graph, backend="columnar", use_voting=True)
         return
