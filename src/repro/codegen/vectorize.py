@@ -8,64 +8,71 @@ this module replaces that with numpy code over zero-copy
 scalars out of the same buffers):
 
 * a **bulk receive handler** per ``(phase state, tag)`` consumes a whole
-  per-tag slab at the delivery barrier — decode the packed payload into
-  typed numpy columns once, then apply each reduction with
-  ``np.ufunc.at`` over the destination-vertex array (or, for the two
-  loop shapes below that are not reductions, one masked store / one
-  ``extend`` per receiving row);
+  per-tag slab at the delivery barrier.  Recognition lowers the receive
+  loop, statement by statement, to a short list of named ops
+  (``_lower_loop``); one emitter compiles the list into the handler —
+  decode the payload columns the ops read, once, then run the ops
+  (``_emit_handler``); the decision record carries the op names;
 * a **phase kernel** per phase state runs the phase's filter + compute
   body as one array program over all vertices: column arithmetic for the
   vertex-local statements, one ordered fold per ``put_global``, and one
-  bulk staging call (CSR gather + one packed record per staged message)
-  per neighbour send, in either direction — the payload evaluated once
-  per sender, or once per edge when it reads an edge property.
+  bulk staging call per send — a neighbour send in either direction (CSR
+  gather, the payload evaluated once per sender, or once per edge when it
+  reads an edge property) or a random write (one record per sender, to
+  the vertex a column expression names).
 
-Bit-parity with the simulator is the hard constraint, which dictates
-the design:
+Bit-parity with the simulator is the hard constraint.  A slab holds the
+records in delivery order — ascending sender, each sender's in send
+order — and the ops apply one after the other over the whole slab, each
+evaluating guards and values against pre-delivery column state.  That is
+the simulator's message-at-a-time interleaving when the fields the loops
+of a phase *write* are pairwise distinct and disjoint from the fields
+its receive statements *read* (two reads, below, are exempt), and when
+each op is its statement's closed form:
 
-* ``np.ufunc.at`` applies updates sequentially in index order, i.e. in
-  global send order — exactly the fold order the simulator's
-  per-message loop uses for any single receiver (``np.add.reduceat``
-  would use pairwise summation and break float parity, so it is not
-  used);
-* a receive loop is vectorized only when every statement is a plain
-  field reduction (``SUM``/``PRODUCT``/``MIN``/``MAX``, ``OR``/``AND``
-  into a Bool column), optionally guarded by a side-effect-free
-  condition, and the set of fields *written* by the loop is disjoint
-  from the set of fields *read* anywhere in the phase's receive
-  statements — so evaluating guards and values against pre-delivery
-  column state is indistinguishable from the simulator's
-  message-at-a-time interleaving;
-* one read of a written field is accepted, the improve flag
-  ``g |= e < f; f min= e`` (``_improve_flag``): the scalar loop compares
-  each message against a running minimum, but
-  ∃i: eᵢ < min(f₀, e₁..eᵢ₋₁)  ⇔  minᵢ eᵢ < f₀, so the flag is "the
-  reduce moved ``f``" and needs only ``f`` before and after;
-* two loop shapes that are not reductions have a closed form too.  A
-  **first-match** loop — its whole body one ``if guard: field = value;
-  ...; put(global, op, value)`` in which nothing reads the message or can
-  raise, no value reads a field the block assigns and every put is
-  idempotent (``and``/``or``/``min``/``max``/overwrite; ``sum`` and
-  ``product`` count the firings and are refused) — shows only its first
-  firing per receiver: every further one stores the same values and puts
-  the same contribution, whether or not the block switched its own guard
-  off (BFS discovery: ``if lev == INF: lev = curr + 1; fin &= False``).
-  So the guard is evaluated once per *distinct* receiver against
-  pre-delivery state — its read of the fields its own block assigns is
-  the second exemption from the dependence rule — followed by one masked
-  store and one bulk put over the ascending hits, none at all when
-  nobody hits.  The §4.3 **in-neighbour build**,
-  ``_in_nbrs[v].append(sender id)``, is one stable sort of the slab by
-  receiver and one ``extend`` per receiving row; an append observes
-  message order, so it asks for the ordered merge like a float sum;
-* an in-direction send (``send_list(_in_nbrs[v], msg)``) is the same
-  gather as an out-direction one over different rows: the engine's
-  ``NbrGather`` re-derived over the ``_in_nbrs`` lists the first time such
-  a send runs — by then the prologue has delivered — and dropped by the
-  build handler whenever it appends.  The rows themselves stay the
-  list-of-lists every scalar path indexes, and the prologue's messages
-  stay sent and counted: a Pregel vertex learns its in-neighbours from
-  them, never from the graph's in-CSR;
+* ``ScatterReduce`` — ``[if guard:] f op= value`` (``SUM``/``PRODUCT``/
+  ``MIN``/``MAX``, ``OR``/``AND`` into a Bool column): ``np.ufunc.at``
+  applies updates sequentially in index order, the fold order of the
+  per-message loop for any single receiver (``np.add.reduceat`` sums
+  pairwise and would break float parity).  A float ``SUM``/``PRODUCT``
+  observes that order; nothing else does;
+* ``ImproveFlag`` — ``g |= e < f; f min= e`` (``_improve_flag``; the first
+  exempt read): the scalar loop compares each message against a running
+  minimum, but ∃i: eᵢ < min(f₀, e₁..eᵢ₋₁)  ⇔  minᵢ eᵢ < f₀, so the flag
+  is "the reduce moved ``f``" and needs only ``f`` before and after;
+* ``Select(first|last)`` — ``[if guard:] field = value; ...; put(global,
+  op, value)``, where the guard reads no message, nothing can raise, no
+  value reads a field the block assigns and every put is idempotent and
+  message-free (``and``/``or``/``min``/``max``/overwrite; ``sum`` and
+  ``product`` count the firings and are refused): one record per receiver
+  whose guard holds before delivery, one masked store, one bulk put over
+  the ascending hits and none at all when nobody hits.  If no store reads
+  the message it is the **first** record — every further firing stores
+  the same values and puts the same contribution, whether or not the
+  block switched its own guard off, so the guard may read what its block
+  assigns (the second exempt read; BFS discovery: ``if lev == INF: lev =
+  curr + 1; fin &= False``) and any record will do.  If one does and the
+  guard reads nothing the block assigns, every record of a receiver fires
+  or none and the **last** writer wins (bipartite matching: ``if match ==
+  NIL: suitor = m.b``) — the last of the stable sort by receiver, which
+  observes delivery order; an integer column takes a bare message slot
+  only, so no earlier record can fail where the last one fits.  A
+  message-valued store under a guard that reads its own block's fields is
+  first-writer-wins only given a proof that the store switches the guard
+  off, and stays scalar;
+* ``RowAppend`` — the §4.3 build, ``_in_nbrs[v].append(sender id)``: the
+  same sort, one ``extend`` per receiver's run; observes delivery order.
+  An in-direction send (``send_list(_in_nbrs[v], msg)``) is then the
+  out-direction gather over different rows: the engine's ``NbrGather``
+  re-derived over the ``_in_nbrs`` lists the first time such a send runs —
+  by then the prologue has delivered — and dropped whenever a
+  ``RowAppend`` runs.  The rows themselves stay the list-of-lists every
+  scalar path indexes, and the prologue's messages stay sent and counted:
+  a Pregel vertex learns its in-neighbours from them, never from the
+  graph's in-CSR.
+
+On either side of the wire and in the kernels:
+
 * an INF-sentinel ``'i'`` wire slot is decoded to doubles (every int32 is
   exact in one, and such a program's Int columns are ``'d'`` already)
   and encoded with the scalar packer's checks and errors; where Python
@@ -82,27 +89,27 @@ the design:
   keeps integer folds exact;
 * guarded code is evaluated only over its mask (``VIf``, ``Cond``, the
   right operand of a hazardous ``and``/``or``, and a send's payload over
-  the vertices that have neighbours), so a guard still protects a
-  division; an *unguarded* division by zero raises as the scalar path
-  does instead of yielding ``inf``; int64 arithmetic that would wrap
-  continues on Python integers, and fails — like the scalar path — only
-  when such a value is stored into an ``array('q')`` column or a wire
-  slot.
+  the vertices that send), so a guard still protects a division; an
+  *unguarded* division by zero raises as the scalar path does instead of
+  yielding ``inf``; int64 arithmetic that would wrap continues on Python
+  integers, and fails — like the scalar path — only when such a value is
+  stored into an ``array('q')`` column or a wire slot.
 
 Anything outside those rules leaves the receive loop, or the whole
 phase, on the scalar path, and the decision record names the construct
-(``assign of a message value (last writer wins)``, ``random write``,
-``sum put inside a receive loop``, ...).  Both kinds of array code engage on the
-columnar slab engine and in the ``mp`` workers, each of which compiles
-them against itself and runs a kernel over its partition (the kernel's
-initial selection) and a handler over the records its peers sent it.
+(``guarded assign of a message value``, ``sum put inside a receive
+loop``, ``more than one send on tag 1``, ...).  Both kinds of array code
+engage on the columnar slab engine and in the ``mp`` workers, each of
+which compiles them against itself and runs a kernel over its partition
+(the kernel's initial selection) and a handler over the records its
+peers sent it.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
@@ -465,6 +472,8 @@ def _compile_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
     if isinstance(e, Inf):
         value = -INF_VALUE if e.negative else INF_VALUE
         return lambda ctx: value
+    if isinstance(e, Nil):
+        return lambda ctx: NIL_NODE
     if isinstance(e, GlobalGet):
         name, broadcast = e.name, scope.broadcast
         return lambda ctx: broadcast[name]
@@ -509,15 +518,8 @@ def _compile_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
         if e.op is UnOp.NOT:
             return lambda ctx: _np.logical_not(operand(ctx))
         return lambda ctx: abs(_signed(operand(ctx)))
-    if scope.local_kinds is not None:
-        return _compile_compute_expr(e, scope)
-    raise _Unvectorizable(f"expression {type(e).__name__}")
-
-
-def _compile_compute_expr(e: VExpr, scope: _Scope) -> Callable[[dict], Any]:
-    """The expression forms only a phase's compute body may use."""
-    if isinstance(e, Nil):
-        return lambda ctx: NIL_NODE
+    if scope.local_kinds is None:  # the rest, only a phase's compute body may use
+        raise _Unvectorizable(f"expression {type(e).__name__}")
     if isinstance(e, Local):
         name = e.name
         if name not in scope.local_kinds:
@@ -682,30 +684,58 @@ def _wire(value, slot, tag: int):
 
 
 # ---------------------------------------------------------------------------
-# Bulk receive handlers
+# Bulk receive handlers: a loop lowers to a list of ops, one emitter runs it
 # ---------------------------------------------------------------------------
 
 
-class _Spec:
-    """One vectorizable reduction: ``[if cond:] target op= value``, applied
-    as ``reduce(view, dsts, values)``.  ``improved`` is set on a MIN/MAX
-    reduce that an improve flag watches: the strict comparison telling, per
-    message, whether the reduce moved its receiver.  ``ordered`` names a
-    reduce whose outcome depends on the order of the messages (a float
-    ``SUM``/``PRODUCT``), else it is None: ``MIN``/``MAX``/``OR``/``AND``
-    pick a value, integer ``SUM``/``PRODUCT`` are exact in int64, and an
-    improve flag only asks whether its reduce moved."""
+class _Op(NamedTuple):
+    """One array op of a lowered receive loop (module docstring).
+    ``run(full)`` applies it to a decoded slab — ``full`` is the context of
+    all its records: ``sel`` the destination of each, ``msg`` the payload
+    columns; ``names`` is how the decision record shows it, ``writes`` the
+    fields it stores into, and ``ordered`` why it must meet the records in
+    delivery order — a worker merging its peers' parts then restores sender
+    order first — or None."""
 
-    __slots__ = ("target", "reduce", "cond", "value", "value_expr", "improved", "ordered")
+    names: list
+    writes: list
+    run: Callable[[dict], None]
+    ordered: Optional[str] = None
 
-    def __init__(self, target, reduce, cond, value, value_expr, ordered=None):
-        self.target = target
-        self.reduce = reduce
-        self.cond = cond
-        self.value = value
-        self.value_expr = value_expr
-        self.improved = None
-        self.ordered = ordered
+
+def _where(ctx: dict, cond) -> Optional[dict]:
+    """``ctx`` restricted to where ``cond`` holds (everywhere when there is
+    no ``cond``), or None when that is nowhere."""
+    if cond is None:
+        return ctx
+    mask = _truth(cond(ctx))
+    if isinstance(mask, _np.ndarray):
+        ctx = _narrow(ctx, mask)
+        return ctx if ctx["sel"].size else None
+    return ctx if mask else None
+
+
+def _by_receiver(full: dict, n: int):
+    """``(order, bounds, receivers)`` of a slab: its records stable-sorted
+    by receiver — each run one receiver's records in delivery order — the
+    runs' boundaries in that order (first 0, last the record count) and
+    the distinct receivers, ascending.  Sorted once per slab, as (receiver,
+    position) keys: positions are distinct, so a plain sort is the stable
+    one.  A NIL (-1) destination is vertex n-1, as every scalar inbox
+    indexes it."""
+    runs = full.get("runs")
+    if runs is None:
+        keys = full["sel"].astype(_np.int64)
+        keys[keys < 0] += n
+        keys <<= 32
+        keys |= _np.arange(len(keys))
+        keys.sort()
+        order = keys & 0xFFFFFFFF
+        receivers = keys >> 32
+        cuts = _np.flatnonzero(receivers[1:] != receivers[:-1]) + 1
+        bounds = _np.concatenate(([0], cuts, [len(keys)]))
+        runs = full["runs"] = (order, bounds, receivers[bounds[:-1]])
+    return runs
 
 
 def _or_at(view, dsts, values) -> None:
@@ -723,17 +753,16 @@ def _and_at(view, dsts, values) -> None:
     view[dsts[~_np.broadcast_to(_truth(values), dsts.shape)]] = 0
 
 
+_UFUNC = {
+    GlobalOp.SUM: "add", GlobalOp.PRODUCT: "multiply", GlobalOp.MIN: "minimum", GlobalOp.MAX: "maximum"
+}  # fmt: skip
+
+
 def _reduce_at(op: GlobalOp, view):
     """``reduce(view, dsts, values)`` folding ``values`` into ``view[dsts]``
     one message after the other, in index order."""
-    if op is GlobalOp.SUM:
-        return _np.add.at
-    if op is GlobalOp.PRODUCT:
-        return _np.multiply.at
-    if op is GlobalOp.MIN:
-        return _np.minimum.at
-    if op is GlobalOp.MAX:
-        return _np.maximum.at
+    if op in _UFUNC:
+        return getattr(_np, _UFUNC[op]).at
     if op in (GlobalOp.OR, GlobalOp.AND):
         if view.dtype.itemsize != 1:
             raise _Unvectorizable(f"{op.value}-reduction into a non-Bool column")
@@ -773,55 +802,152 @@ def _improve_flag(body: list, i: int) -> Optional[int]:
     return None
 
 
-def _analyse_loop(loop: VMsgLoop, scope: _Scope):
-    specs = []
-    watchers: Dict[int, list] = {}  # reduce statement -> flags waiting on it
-    for i, stmt in enumerate(loop.body):
-        if isinstance(stmt, VFieldReduce):
-            guarded = [(None, stmt)]
-        elif (
-            isinstance(stmt, VIf)
-            and not stmt.other
-            and stmt.then
-            and all(isinstance(s, VFieldReduce) for s in stmt.then)
-        ):
-            guarded = [(stmt.cond, s) for s in stmt.then]
-        else:
-            raise _Unvectorizable(_construct(stmt))
-        watched = _improve_flag(loop.body, i)
-        if watched is not None:
-            # the comparison is never compiled, so its read of f stays out
-            # of scope.reads; the flag is applied right after the reduce
-            reduce, f = loop.body[watched], loop.body[watched].name
-            watchers.setdefault(watched, []).append(
-                _Spec(
-                    stmt.name,
-                    _reduce_at(stmt.op, scope.view(stmt.name)),
-                    None,
-                    lambda ctx, f=f: ctx["improved"][f],
-                    stmt.expr,
-                )
-            )
-            scope.idioms.append(f"improve-flag {reduce.op.value}")
+def _scatter_reduce(red: VFieldReduce, cond, scope: _Scope, flag_of=None, watched=False) -> _Op:
+    """``ScatterReduce``, or — ``flag_of`` the MIN/MAX reduce the flag
+    watches — ``ImproveFlag``: its value is whether that reduce, lowered
+    ``watched``, moved its receiver, left per message in ``full["improved"]``."""
+    target, view = red.name, scope.view(red.name)
+    reduce = _reduce_at(red.op, view)
+    ordered = None
+    if flag_of is not None:
+        # the comparison is never compiled: its read of f stays out of scope.reads
+        name, moved = f"ImproveFlag({flag_of.op.value}) {target}", flag_of.name
+        scope.idioms.append(f"improve-flag {flag_of.op.value}")
+
+        def value(ctx):
+            return ctx["improved"][moved]
+
+    else:
+        name = f"ScatterReduce({red.op.value}) {target}"
+        value = _compile_expr(red.expr, scope)
+        if view.dtype.kind == "f":
+            if red.op in (GlobalOp.SUM, GlobalOp.PRODUCT):
+                ordered = f"float {red.op.value} into {target}"
+        elif _expr_kind(red.expr, scope) != "i":
+            raise _Unvectorizable("non-integral fold into integer column")
+    improved = _COMPARE[_STRICT[red.op]] if watched else None
+
+    def run(full):
+        ctx = _where(full, cond)
+        if ctx is None:
+            return
+        sel = ctx["sel"]
+        if improved is None:
+            reduce(view, sel, value(ctx))
+        else:  # a watched reduce is unguarded: sel is every destination
+            old = view[sel]
+            reduce(view, sel, value(ctx))
+            full["improved"][target] = improved(view[sel], old)
+
+    return _Op([name], [target], run, ordered)
+
+
+def _row_append(stmt: VAppendInNbr, scope: _Scope) -> _Op:
+    """``RowAppend``: the §4.3 build, one ``extend`` per receiver's run."""
+    rows = scope.columns.get("_in_nbrs")
+    slot = scope.msg_slots.get(0)
+    if (
+        stmt.source != MsgField(0)
+        or slot is None
+        or slot.code != "i"
+        or slot.inf_sentinel
+        or not isinstance(rows, list)
+    ):
+        raise _Unvectorizable("in-neighbour append of something other than a sender id slot")
+    scope.idioms.append("in-neighbour build")
+    scope.msg_used.add(0)
+
+    def run(full):
+        scope.drop_reverse_gather()
+        order, bounds, receivers = _by_receiver(full, len(rows))
+        sources, bounds = full["msg"][0][order].tolist(), bounds.tolist()
+        for k, vid in enumerate(receivers.tolist()):
+            rows[vid].extend(sources[bounds[k] : bounds[k + 1]])
+
+    return _Op(["RowAppend _in_nbrs"], ["_in_nbrs"], run, "append to _in_nbrs")
+
+
+#: reductions a repeated put of one value leaves where the first put it
+_IDEMPOTENT = (GlobalOp.AND, GlobalOp.OR, GlobalOp.MIN, GlobalOp.MAX, GlobalOp.OVERWRITE)
+
+
+def _select(cond, block: list, scope: _Scope, engine, taken_puts: set) -> _Op:
+    """``Select``: ``[if cond:] field = value; ...; put(global, op, value)``
+    as one masked store plus one bulk put over the receivers whose guard
+    holds, ascending (the vertex loop's order) — the first record of each
+    if no store reads the message, else the last."""
+    for s in block:
+        if isinstance(s, VGlobalPut) and s.op not in _IDEMPOTENT:
+            raise _Unvectorizable(f"{s.op.value} put inside a receive loop")
+        if isinstance(s, VGlobalPut) and _reads_message(s.expr):
+            raise _Unvectorizable("guarded put of a message value")
+    exprs = [s.expr for s in block] + ([cond] if cond is not None else [])
+    if cond is not None and _reads_message(cond):
+        raise _Unvectorizable("first-match guard reads the message")
+    if any(map(_hazardous, exprs)):
+        raise _Unvectorizable("first-match guard or value can raise")
+    assigned = {s.name for s in block if isinstance(s, VFieldAssign)}
+    if any(
+        isinstance(sub, Field) and sub.name in assigned
+        for s in block
+        for sub in _subexprs(s.expr)
+    ):
+        raise _Unvectorizable("first-match value reads a field the block assigns")
+    # the guard's reads of what its own block assigns stay out of the
+    # phase-wide check (as _improve_flag's comparison does)
+    reads, scope.reads = scope.reads, set()
+    guard = _compile_expr(cond, scope) if cond is not None else None
+    own, scope.reads = scope.reads & assigned, reads | (scope.reads - assigned)
+    last = any(isinstance(s, VFieldAssign) and _reads_message(s.expr) for s in block)
+    if last and own:
+        # first writer wins, if the store switches the guard off: no proof here
+        raise _Unvectorizable("guarded assign of a message value")
+    stores, puts, names = [], [], []
+    for s in block:
+        value = _compile_expr(s.expr, scope)
+        if isinstance(s, VGlobalPut):
+            if s.name in taken_puts:
+                raise _Unvectorizable(f"more than one put to global {s.name}")
+            taken_puts.add(s.name)
+            puts.append((s.name, s.op, value))
+            names.append(f"put {s.name} {s.op.value}")
             continue
-        for cond, red in guarded:
-            cond_fn = _compile_expr(cond, scope) if cond is not None else None
-            value_fn = _compile_expr(red.expr, scope)
-            view = scope.view(red.name)
-            float_fold = red.op in (GlobalOp.SUM, GlobalOp.PRODUCT) and view.dtype.kind == "f"
-            spec = _Spec(
-                red.name,
-                _reduce_at(red.op, view),
-                cond_fn,
-                value_fn,
-                red.expr,
-                f"float {red.op.value} into {red.name}" if float_fold else None,
-            )
-            specs.append(spec)
-            if i in watchers:
-                spec.improved = _COMPARE[_STRICT[red.op]]
-                specs.extend(watchers[i])
-    return specs
+        view = scope.view(s.name)
+        if view.dtype.kind != "f":
+            if _expr_kind(s.expr, scope) != "i":
+                raise _Unvectorizable("non-integral store into integer column")
+            # an earlier record's value must not fail where the last one
+            # fits: a bare slot, every value of which the column takes
+            if _reads_message(s.expr) and not (
+                isinstance(s.expr, MsgField)
+                and (view.dtype.itemsize > 1 or scope.msg_slots[s.expr.index].code == "?")
+            ):
+                raise _Unvectorizable("store of a message value that can raise")
+        stores.append((view, value))
+    fields = ",".join(sorted(assigned))
+    scope.idioms.append("last-writer assign" if last else "first-match assign")
+    names.insert(0, f"Select({'last' if last else 'first'}) {fields}".rstrip())
+    put_bulk, n = engine.put_global_bulk, engine.graph.num_nodes
+
+    def run(full):
+        if last:
+            order, bounds, sel = _by_receiver(full, n)
+            at = order[bounds[1:] - 1]
+            ctx = {"sel": sel, "msg": {i: col[at] for i, col in full["msg"].items()}}
+        else:  # each receiver once, ascending (a scatter: cheaper than sorting)
+            received = _np.zeros(n, dtype=bool)
+            received[full["sel"]] = True
+            ctx = {"sel": _np.flatnonzero(received), "msg": None}
+        ctx = _where(ctx, guard)
+        if ctx is None:
+            return
+        hit = ctx["sel"]
+        for view, value in stores:
+            _store(view, hit, value(ctx))
+        for name, op, value in puts:
+            put_bulk(name, op, hit, _per_vertex(value(ctx), len(hit)))
+
+    return _Op(names, sorted(assigned), run, f"last writer of {fields}" if last else None)
 
 
 def _reads_message(e: VExpr) -> bool:
@@ -829,11 +955,7 @@ def _reads_message(e: VExpr) -> bool:
 
 
 def _construct(stmt) -> str:
-    """The construct that keeps a receive-loop statement scalar, by name."""
-    if isinstance(stmt, VFieldAssign) and _reads_message(stmt.expr):
-        return "assign of a message value (last writer wins)"
-    if isinstance(stmt, VSendTo):
-        return "random write"
+    """The construct that keeps a statement scalar, by name."""
     if isinstance(stmt, VIf) and stmt.other:
         return "guarded receive statements with an else arm"
     return f"statement {type(stmt).__name__}"
@@ -846,128 +968,71 @@ def _per_vertex(value, count: int):
     return _np.full(count, value)
 
 
-def _in_nbr_build(stmt: VAppendInNbr, rec_dtype, scope: _Scope):
-    """The §4.3 build, ``_in_nbrs[v].append(sender id)`` per message: one
-    stable sort of the slab by receiver, one ``extend`` per receiving row.
-    An append observes the order of the messages, so a worker merging its
-    peers' parts restores sender order first (``ordered_merge``)."""
-    rows = scope.columns.get("_in_nbrs")
-    slot = scope.msg_slots.get(0)
-    if (
-        stmt.source != MsgField(0)
-        or slot is None
-        or slot.code != "i"
-        or slot.inf_sentinel
-        or not isinstance(rows, list)
-    ):
-        raise _Unvectorizable("in-neighbour append of something other than a sender id slot")
-    scope.idioms.append("in-neighbour build")
+def _lower_loop(loop: VMsgLoop, scope: _Scope, engine, taken_puts: set) -> list:
+    """The ops of one receive loop, statement by statement."""
+    ops: list = []
+    watchers: Dict[int, list] = {}  # reduce statement -> flags waiting on it
+    for i, stmt in enumerate(loop.body):
+        if isinstance(stmt, VAppendInNbr):
+            ops.append(_row_append(stmt, scope))
+            continue
+        guarded = isinstance(stmt, VIf) and not stmt.other
+        cond, block = (stmt.cond, stmt.then) if guarded else (None, [stmt])
+        if block and all(isinstance(s, (VFieldAssign, VGlobalPut)) for s in block):
+            ops.append(_select(cond, block, scope, engine, taken_puts))
+            continue
+        if not (block and all(isinstance(s, VFieldReduce) for s in block)):
+            raise _Unvectorizable(_construct(stmt))
+        watched = _improve_flag(loop.body, i)
+        if watched is not None:
+            # applied right after the reduce it watches
+            flag = _scatter_reduce(stmt, None, scope, flag_of=loop.body[watched])
+            watchers.setdefault(watched, []).append(flag)
+            continue
+        guard = _compile_expr(cond, scope) if cond is not None else None
+        for red in block:
+            ops.append(_scatter_reduce(red, guard, scope, watched=i in watchers))
+        ops += watchers.get(i, [])
+    if any(i not in scope.msg_slots for i in scope.msg_used):
+        raise _Unvectorizable("message field out of range")
+    return ops
+
+
+def _emit_handler(ops: list, rec_dtype, scope: _Scope):
+    """Compile a lowered loop into its slab handler: decode the payload
+    columns the ops read, once, then run the ops."""
+    steps = [op.run for op in ops]
+    slots = scope.msg_slots
+    msg_fields = sorted(scope.msg_used) if rec_dtype is not None else ()
 
     def handler(dsts, payload, count):
+        """Apply ``count`` messages, record k of ``payload`` to vertex
+        ``dsts[k]``, in delivery order — which a caller merging several
+        senders' slabs need not restore when ``ordered_merge`` is None."""
         if count == 0:
             return
-        scope.drop_reverse_gather()
-        order = _np.argsort(dsts[:count], kind="stable")
-        receivers = dsts[order]
-        sources = _np.frombuffer(payload, dtype=rec_dtype, count=count)["s0"][order].tolist()
-        starts = _np.flatnonzero(_np.r_[True, receivers[1:] != receivers[:-1]])
-        bounds = starts.tolist() + [count]
-        for k, vid in enumerate(receivers[starts].tolist()):
-            rows[vid].extend(sources[bounds[k] : bounds[k + 1]])
+        if len(dsts) != count:
+            dsts = dsts[:count]
+        msg: Dict[int, Any] = {}
+        if msg_fields:
+            rec = _np.frombuffer(payload, dtype=rec_dtype, count=count)
+            for i in msg_fields:
+                msg[i] = _from_wire(rec[f"s{i}"], slots[i])
+        full = {"sel": dsts, "msg": msg, "improved": {}}
+        for step in steps:
+            step(full)
 
-    handler.ordered_merge = "append to _in_nbrs"
+    handler.ops = [name for op in ops for name in op.names]
+    handler.ordered_merge = ", ".join(op.ordered for op in ops if op.ordered) or None
     return handler
 
 
-#: reductions a repeated put of one value leaves where the first put it
-_IDEMPOTENT = (GlobalOp.AND, GlobalOp.OR, GlobalOp.MIN, GlobalOp.MAX, GlobalOp.OVERWRITE)
-
-
-def _first_match(stmt: VIf, scope: _Scope, engine, taken_puts: set):
-    """``if guard: field = value; ...; put(global, op, value)`` as a loop's
-    whole body, where nothing reads the message: however many messages a
-    receiver has, only the first firing shows — every further one stores
-    the same values and puts the same contribution, whether the block
-    switched its own guard off or not.  So: one masked store plus one bulk
-    put over the distinct receivers whose guard holds before delivery, in
-    ascending order (the vertex loop's), and no put at all if there are
-    none.  Returns ``(handler, fields written)``."""
-    if stmt.other:
-        raise _Unvectorizable(_construct(stmt))
-    for s in stmt.then:
-        if isinstance(s, VGlobalPut) and s.op not in _IDEMPOTENT:
-            raise _Unvectorizable(f"{s.op.value} put inside a receive loop")
-        if _reads_message(s.expr):
-            what = "assign" if isinstance(s, VFieldAssign) else "put"
-            raise _Unvectorizable(f"guarded {what} of a message value")
-    if _reads_message(stmt.cond):
-        raise _Unvectorizable("first-match guard reads the message")
-    if _hazardous(stmt.cond) or any(_hazardous(s.expr) for s in stmt.then):
-        raise _Unvectorizable("first-match guard or value can raise")
-    assigned = {s.name for s in stmt.then if isinstance(s, VFieldAssign)}
-    if any(
-        isinstance(sub, Field) and sub.name in assigned
-        for s in stmt.then
-        for sub in _subexprs(s.expr)
-    ):
-        raise _Unvectorizable("first-match value reads a field the block assigns")
-    # the guard alone may read what its block assigns (as _improve_flag's
-    # comparison may): those reads stay out of the phase-wide check
-    reads, scope.reads = scope.reads, set()
-    cond = _compile_expr(stmt.cond, scope)
-    scope.reads = reads | (scope.reads - assigned)
-    stores, puts = [], []
-    for s in stmt.then:
-        value = _compile_expr(s.expr, scope)
-        if isinstance(s, VGlobalPut):
-            if s.name in taken_puts:
-                raise _Unvectorizable(f"more than one put to global {s.name}")
-            taken_puts.add(s.name)
-            puts.append((s.name, s.op, value))
-            continue
-        view = scope.view(s.name)
-        if view.dtype.kind != "f" and _expr_kind(s.expr, scope) != "i":
-            raise _Unvectorizable("non-integral store into integer column")
-        stores.append((view, value))
-    scope.idioms.append("first-match assign")
-    put_bulk, n = engine.put_global_bulk, engine.graph.num_nodes
-
-    def handler(dsts, payload, count):
-        if count == 0:
-            return
-        # each receiver once, ascending (a scatter: cheaper than sorting)
-        received = _np.zeros(n, dtype=bool)
-        received[dsts[:count]] = True
-        ctx = {"sel": _np.flatnonzero(received), "msg": None}
-        mask = _truth(cond(ctx))
-        if isinstance(mask, _np.ndarray):
-            ctx = _narrow(ctx, mask)
-        elif not mask:
-            return
-        hit = ctx["sel"]
-        if not hit.size:
-            return
-        for view, value in stores:
-            _store(view, hit, value(ctx))
-        for name, op, value in puts:
-            put_bulk(name, op, hit, _per_vertex(value(ctx), len(hit)))
-
-    handler.ordered_merge = None
-    return handler, sorted(assigned)
-
-
 def _build_receivers(phase, tag_schemas, columns, engine, shared):
-    """Return ({(state, tag): handler}, reason) for one phase's receive part.
-
-    The handler dict is ``None`` when the receive loops stay scalar;
-    ``reason`` then names the first disqualifier (the same strings
-    `_Unvectorizable` carries), so callers can surface *why* a phase
-    missed the fast path.
-
-    Vectorization is all-or-nothing per phase: bulk handlers run at the
-    delivery barrier, before any scalar receive loop, so mixing the two
-    within a phase could reorder effects the simulator interleaves.
-    """
+    """``({(state, tag): handler}, reason)`` for one phase's receive part;
+    the dict is ``None`` when the receive loops stay scalar, and ``reason``
+    then names the first disqualifier.  All-or-nothing per phase: bulk
+    handlers run at the delivery barrier, before any scalar receive loop, so
+    mixing the two could reorder effects the simulator interleaves."""
     stmts = phase.receive
     if not stmts:
         return None, "no receive statements"
@@ -993,81 +1058,19 @@ def _build_receivers(phase, tag_schemas, columns, engine, shared):
                 raise _Unvectorizable("unknown tag")
             rec_dtype, scope.msg_slots = _record_dtype(tag_schema)
             scope.msg_used = set()
-            body = loop.body
-            if len(body) == 1 and isinstance(body[0], VAppendInNbr):
-                handler, written = _in_nbr_build(body[0], rec_dtype, scope), ["_in_nbrs"]
-            elif (
-                len(body) == 1
-                and isinstance(body[0], VIf)
-                and body[0].then
-                and all(isinstance(s, (VFieldAssign, VGlobalPut)) for s in body[0].then)
-            ):
-                handler, written = _first_match(body[0], scope, engine, taken_puts)
-            else:
-                specs = _analyse_loop(loop, scope)
-                if any(i not in scope.msg_slots for i in scope.msg_used):
-                    raise _Unvectorizable("message field out of range")
-                for spec in specs:
-                    if scope.view(spec.target).dtype.kind != "f":
-                        if _expr_kind(spec.value_expr, scope) != "i":
-                            raise _Unvectorizable("non-integral fold into integer column")
-                handler = _make_handler(specs, rec_dtype, sorted(scope.msg_used), scope)
-                written = [spec.target for spec in specs]
-            handlers[(phase.phase_id, loop.tag)] = handler
-            writes += written
+            ops = _lower_loop(loop, scope, engine, taken_puts)
+            handlers[(phase.phase_id, loop.tag)] = _emit_handler(ops, rec_dtype, scope)
+            writes += [name for op in ops for name in op.writes]
         # written fields must be pairwise distinct and never read by the
-        # phase's receive statements (guards included; _improve_flag's
-        # comparison and a first-match guard's read of its own block's
-        # fields are the exceptions): then per-statement batched
-        # application equals the simulator's per-message order.
+        # phase's receive statements (guards included; an ImproveFlag's
+        # comparison and a Select guard's read of its own block's fields are
+        # the exceptions): then op-at-a-time application over the slab
+        # equals the simulator's per-message order.
         if len(set(writes)) != len(writes) or set(writes) & scope.reads:
             raise _Unvectorizable("field dependence between receive statements")
     except _Unvectorizable as exc:
         return None, str(exc)
     return handlers, scope.named("vectorized")
-
-
-def _make_handler(specs, rec_dtype, msg_fields, scope):
-    targets = {spec.target: scope.view(spec.target) for spec in specs}
-    slots = scope.msg_slots
-
-    def handler(dsts, payload, count):
-        """Fold ``count`` messages: record k of ``payload`` goes to vertex
-        ``dsts[k]``, in the order the simulator would deliver them —
-        ascending sender, each sender's in send order.  A caller merging
-        records of several senders' slabs may skip restoring that order
-        when ``handler.ordered_merge`` is None."""
-        if count == 0:
-            return
-        if len(dsts) != count:
-            dsts = dsts[:count]
-        msg: Dict[int, Any] = {}
-        if rec_dtype is not None and msg_fields:
-            rec = _np.frombuffer(payload, dtype=rec_dtype, count=count)
-            for i in msg_fields:
-                msg[i] = _from_wire(rec[f"s{i}"], slots[i])
-        full = {"sel": dsts, "msg": msg, "improved": {}}
-        for spec in specs:
-            ctx = full
-            if spec.cond is not None:
-                mask = _truth(spec.cond(full))
-                if isinstance(mask, _np.ndarray):
-                    ctx = _narrow(full, mask)
-                    if not ctx["sel"].size:
-                        continue
-                elif not mask:
-                    continue
-            view, sel = targets[spec.target], ctx["sel"]
-            if spec.improved is None:
-                spec.reduce(view, sel, spec.value(ctx))
-            else:  # watched reduces are unguarded: sel is all of dsts
-                old = view[sel]
-                spec.reduce(view, sel, spec.value(ctx))
-                full["improved"][spec.target] = spec.improved(view[sel], old)
-
-    ordered = [spec.ordered for spec in specs if spec.ordered]
-    handler.ordered_merge = ", ".join(ordered) or None
-    return handler
 
 
 # ---------------------------------------------------------------------------
@@ -1127,6 +1130,8 @@ class _KernelBuilder:
             return self.global_put(stmt)
         if isinstance(stmt, VSendNbrs):
             return self.send_nbrs(stmt)
+        if isinstance(stmt, VSendTo):
+            return self.send_to(stmt)
         raise _Unvectorizable(_construct(stmt))
 
     def expr(self, e: VExpr, *, float_sink: bool = False) -> Callable[[dict], Any]:
@@ -1210,7 +1215,10 @@ class _KernelBuilder:
 
         return put_all
 
-    def send_nbrs(self, stmt: VSendNbrs) -> Callable[[dict], None]:
+    def records_of(self, stmt) -> Callable[[dict], Any]:
+        """Claim ``stmt``'s tag for this phase and compile its payload:
+        ``records(ctx)`` packs one wire record per evaluation point of
+        ``ctx`` (None for an empty layout)."""
         if stmt.tag in self.sent_tags:
             # two sends on one tag interleave per sender on the scalar path
             raise _Unvectorizable(f"more than one send on tag {stmt.tag}")
@@ -1221,6 +1229,29 @@ class _KernelBuilder:
         rec_dtype, _slots = _record_dtype(tag_schema)
         if len(stmt.payload) != len(tag_schema.slots):
             raise _Unvectorizable("payload does not match the tag layout")
+        payload = []
+        for i, (e, slot) in enumerate(zip(stmt.payload, tag_schema.slots)):
+            # a sentinel slot takes floats too (±INF, escalated columns):
+            # _wire checks each value as the scalar encoder would
+            floats = slot.code == "d" or slot.inf_sentinel
+            if not floats and slot.code in ("i", "q") and _expr_kind(e, self.scope) != "i":
+                raise _Unvectorizable("non-integral payload for an integer slot")
+            payload.append((f"s{i}", slot, self.expr(e, float_sink=floats)))
+        tag, tagged = stmt.tag, rec_dtype is not None and "t" in rec_dtype.names
+
+        def records(ctx):
+            if rec_dtype is None:
+                return None
+            out = _np.empty(len(ctx["sel"]), dtype=rec_dtype)
+            if tagged:
+                out["t"] = tag
+            for field, slot, value in payload:
+                out[field] = _wire(value(ctx), slot, tag)
+            return out
+
+        return records
+
+    def send_nbrs(self, stmt: VSendNbrs) -> Callable[[dict], None]:
         # a payload that reads an edge property is evaluated per out-edge,
         # any other once per sender and repeated along the sender's row
         per_edge = any(
@@ -1241,18 +1272,10 @@ class _KernelBuilder:
             def take_gather():
                 return scope.reverse_gather(out_gather())
 
-        payload = []
-        for i, (e, slot) in enumerate(zip(stmt.payload, tag_schema.slots)):
-            # a sentinel slot takes floats too (±INF, escalated columns):
-            # _wire checks each value as the scalar encoder would
-            floats = slot.code == "d" or slot.inf_sentinel
-            if not floats and slot.code in ("i", "q") and _expr_kind(e, self.scope) != "i":
-                raise _Unvectorizable("non-integral payload for an integer slot")
-            payload.append((f"s{i}", slot, self.expr(e, float_sink=floats)))
+        records_of = self.records_of(stmt)
         if per_edge:
             self.scope.idioms.append("per-edge send")
-        tag, tagged = stmt.tag, rec_dtype is not None and "t" in rec_dtype.names
-        stage = self.engine.send_nbrs_bulk
+        tag, stage = stmt.tag, self.engine.send_nbrs_bulk
 
         def send(ctx):
             gather, sel = take_gather(), ctx["sel"]
@@ -1262,22 +1285,33 @@ class _KernelBuilder:
             if not senders.size:
                 return
             edges, counts = gather.out_edges(senders)
-            records = None
-            if rec_dtype is not None:
-                sub = dict(ctx)
-                if per_edge:
-                    sub["sel"] = _np.repeat(senders, counts)
-                    sub["edges"] = _np.arange(len(gather.targets)) if edges is None else edges
-                else:
-                    sub["sel"] = senders
-                records = _np.empty(len(sub["sel"]), dtype=rec_dtype)
-                if tagged:
-                    records["t"] = tag
-                for field, slot, value in payload:
-                    records[field] = _wire(value(sub), slot, tag)
-                if not per_edge:
-                    records = _np.repeat(records, counts)
+            sub = dict(ctx, sel=senders)
+            if per_edge:
+                sub["sel"] = _np.repeat(senders, counts)
+                sub["edges"] = _np.arange(len(gather.targets)) if edges is None else edges
+            records = records_of(sub)
+            if records is not None and not per_edge:
+                records = _np.repeat(records, counts)
             stage(tag, gather, senders, edges, counts, records)
+
+        return send
+
+    def send_to(self, stmt: VSendTo) -> Callable[[dict], None]:
+        """A random write, ``send(destination expression, msg)``: one record
+        per selected vertex, to the vertex its destination names."""
+        if _hazardous(stmt.target):
+            raise _Unvectorizable("random write to a destination that can raise")
+        if _expr_kind(stmt.target, self.scope) != "i":
+            raise _Unvectorizable("random write to a non-integral destination")
+        target, records_of = self.expr(stmt.target), self.records_of(stmt)
+        self.scope.idioms.append("column-addressed send")
+        tag, n, stage = stmt.tag, self.n, self.engine.send_to_bulk
+
+        def send(ctx):
+            sel = ctx["sel"]
+            sub = dict(ctx, sel=_np.arange(n) if sel is None else sel)
+            dsts = _np.broadcast_to(_np.asarray(target(sub)), sub["sel"].shape)
+            stage(tag, sub["sel"], dsts, records_of(sub))
 
         return send
 
@@ -1319,14 +1353,14 @@ def build_array_code(
     ``columns`` maps field name -> its storage column (the same objects
     the generated vertex source closes over); ``engine`` is what the
     kernels stage sends and global puts through (``out_gather`` /
-    ``send_nbrs_bulk`` / ``put_global_bulk``) and whose live broadcast dict
-    is read at call time: a columnar engine, or one mp worker, which calls
-    its kernels with its partition as the selection.  Both maps are empty
-    when numpy or the schema is unavailable.
+    ``send_nbrs_bulk`` / ``send_to_bulk`` / ``put_global_bulk``) and whose
+    live broadcast dict is read at call time: a columnar engine, or one mp
+    worker, which calls its kernels with its partition as the selection.
+    Both maps are empty when numpy or the schema is unavailable.
 
     When ``decisions`` is a list, one record per phase is appended:
-    ``{"phase", "eligible", "reason", "tags", "ordered_merge", "kernel",
-    "kernel_reason"}`` — the observability feed behind the
+    ``{"phase", "eligible", "reason", "ops", "tags", "ordered_merge",
+    "kernel", "kernel_reason"}`` — the observability feed behind the
     ``compile.vectorize`` trace events.
     """
     receivers: Dict[Tuple[int, int], Callable] = {}
@@ -1350,21 +1384,24 @@ def build_array_code(
         if kernel is not None:
             kernels[phase.phase_id] = kernel
         if decisions is not None:
+            bulk = sorted((tag, h) for (_state, tag), h in (built or {}).items())
             decisions.append(
                 {
                     "phase": phase.phase_id,
                     "eligible": built is not None,
                     "reason": reason,
-                    "tags": sorted(tag for _state, tag in built) if built else [],
-                    # per bulk-received tag: must a receiver that merges
-                    # several workers' slabs restore sender order, and why
+                    # per bulk-received tag: the ops its loop lowered to, and
+                    # — from them — must a receiver that merges several
+                    # workers' slabs restore sender order, and why
+                    "ops": [{"tag": tag, "ops": h.ops} for tag, h in bulk],
+                    "tags": [tag for tag, _h in bulk],
                     "ordered_merge": [
                         {
                             "tag": tag,
-                            "ordered": handler.ordered_merge is not None,
-                            "reason": handler.ordered_merge or "order-insensitive reduces",
+                            "ordered": h.ordered_merge is not None,
+                            "reason": h.ordered_merge or "order-insensitive reduces",
                         }
-                        for (_state, tag), handler in sorted((built or {}).items())
+                        for tag, h in bulk
                     ],
                     "kernel": kernel is not None,
                     "kernel_reason": kernel_reason,

@@ -275,6 +275,21 @@ class SlabPlane:
         if records is not None:
             stage.payload += records.view(np.uint8).data
 
+    def send_to_bulk(self, tag: int, senders, dsts, records) -> None:
+        """A whole phase's random writes in one: ascending ``senders[k]``
+        sends ``records[k]`` (None for an empty layout) to vertex
+        ``dsts[k]`` — what one scalar ``send`` per sender would have
+        staged, NIL (-1) destinations included, and metered as those are."""
+        wire = dsts.astype(np.int32)
+        if not np.array_equal(wire, dsts):
+            raise OverflowError("destination vertex id out of bounds for int32")
+        stage = self._stage[tag]
+        stage.close()
+        stage.chunks.append(wire)
+        stage.runs.append((senders, np.ones(len(senders), dtype=np.int64)))
+        if records is not None:
+            stage.payload += records.view(np.uint8).data
+
     def seal(self):
         """Close the step's staging: the sealed stage of every tag that was
         sent on, a fresh one in its place for the next step."""
@@ -396,6 +411,7 @@ class ColumnarEngine(PregelEngine):
         its flush are the simulator's; the inherited list sends loop over it."""
         plane = self._plane
         self.send_nbrs_bulk = plane.send_nbrs_bulk
+        self.send_to_bulk = plane.send_to_bulk
         for name in ("send", "send_nbrs", "send_list"):
             send = getattr(plane, name)
             if self._combiners:

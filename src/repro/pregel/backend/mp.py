@@ -1243,6 +1243,7 @@ class _Worker:
         # nothing of combiners: with any on, a combined tag's sends fold first.
         self._plane = plane = SlabPlane(engine._codec, engine._csr, self)
         self.send_nbrs_bulk = plane.send_nbrs_bulk
+        self.send_to_bulk = plane.send_to_bulk
         for name, dsts_of in (
             ("send", lambda dst: (dst,)),
             ("send_nbrs", self.graph.out_nbrs),

@@ -57,7 +57,19 @@ def run_on(programs, graph, alg, backend, **opts):
 
 
 #: programs every phase of which runs as array code, on columnar and on mp
-ALL_KERNEL = ("pagerank", "sssp", "avg_teen_cnt", "conductance", "bc_approx")
+ALL_KERNEL = ALGORITHMS
+
+
+@functools.lru_cache(maxsize=None)
+def _matching_graph(num_nodes):
+    return load_graph("bipartite", num_nodes / 4000)
+
+
+def graph_for(alg, graph):
+    """The graph a matrix cell runs ``alg`` on: ``graph`` — a twitter one,
+    where nothing ``is_left`` — but for bipartite matching the bipartite
+    graph of the same size, where it has something to match."""
+    return _matching_graph(graph.num_nodes) if alg == "bipartite_matching" else graph
 
 
 def run_counted(programs, graph, alg, backend, **opts):
@@ -231,9 +243,8 @@ class TestColumnarCompositions:
 
     @pytest.fixture(scope="class")
     def small(self):
-        # forks aside, as TestPartitionKernels: 100 vertices — and a graph
-        # bipartite matching has something to match on
-        return {"twitter": load_graph("twitter", 0.02), "bipartite": load_graph("bipartite", 0.02)}
+        # forks aside, as TestPartitionKernels: 100 vertices
+        return load_graph("twitter", 0.02)
 
     @pytest.mark.parametrize(
         "composition",
@@ -242,7 +253,7 @@ class TestColumnarCompositions:
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_matrix(self, programs, small, alg, composition):
         make = self.compositions()[composition]
-        small = small["bipartite" if alg == "bipartite_matching" else "twitter"]
+        small = graph_for(alg, small)
         for partitioning in ("hash", "range"):
             for workers in (1, 2, 3, 5):
                 seen = {}
@@ -626,7 +637,8 @@ class TestSlabPlane:
     def script(cls, graph, schema, rng):
         """Per tag, ascending senders; a sender makes a few scalar sends,
         or belongs to the tag's one bulk send (a window of vertex ids, a
-        random subset of those with neighbours sending).  The tags' ops
+        random subset sending: those with neighbours along their rows, or
+        any, each to a vertex of its own — NIL at times).  The tags' ops
         are merged by first sender, as one scan of the vertices would
         interleave them."""
         n = graph.num_nodes
@@ -637,13 +649,17 @@ class TestSlabPlane:
                 roll = rng.random()
                 if bulk_left and roll < 0.15:
                     end = min(n, vid + rng.randrange(1, 8))
+                    to = rng.random() < 0.5
                     senders = [
-                        v for v in range(vid, end) if graph.out_degree(v) and rng.random() < 0.8
-                    ]
+                        v for v in range(vid, end)
+                        if (to or graph.out_degree(v)) and rng.random() < 0.8
+                    ]  # fmt: skip
                     if senders:
                         bulk_left = False
                         msgs = [cls.make_msg(schema, tag, rng) for _ in senders]
-                        ops.append((vid, tag, "bulk", senders, msgs))
+                        if to:
+                            senders = (senders, [rng.randrange(-1, n) for _ in senders])
+                        ops.append((vid, tag, "bulk_to" if to else "bulk", senders, msgs))
                     vid = end
                     continue
                 if roll < 0.6:
@@ -697,6 +713,16 @@ class TestSlabPlane:
         gather = NbrGather.of_graph(graph, sim._worker_of)
         plane = SlabPlane(codec, gather, host)
         for sender, tag, kind, arg, msg in self.script(graph, schema, rng):
+            if kind == "bulk_to":
+                senders, dsts = arg
+                records = None
+                if codec.sizes[tag]:
+                    packed = b"".join(codec.pack[tag](m) for m in msg)
+                    records = np.frombuffer(packed, dtype=f"V{codec.sizes[tag]}")
+                plane.send_to_bulk(tag, np.asarray(senders), np.asarray(dsts), records)
+                for v, dst, m in zip(senders, dsts, msg):
+                    reference(v, dst, m)
+                continue
             if kind == "bulk":
                 senders = np.asarray(arg)
                 edge_ids, counts = gather.out_edges(senders)
@@ -747,6 +773,23 @@ class TestSlabPlane:
             getattr(engine, api)(target, (0, 0.5))
         assert engine.metrics.messages == 0
         assert engine.metrics.worker_sent == [0, 0]
+
+    def test_a_bulk_destination_the_wire_cannot_address_is_refused(self):
+        # the scalar send fails packing such an id into the int32 chunk;
+        # the bulk one must not let it wrap onto some other vertex
+        import numpy as np
+        from types import SimpleNamespace
+
+        from repro.pregel.backend.columnar import NbrGather, SlabPlane
+        from repro.pregel.graph import Graph
+
+        codec = MessageCodec(compile_algorithm("avg_teen_cnt").program.schema)
+        graph = Graph.from_edges(4, [(0, 1)])
+        host = SimpleNamespace(_current_vertex=-1, graph=graph, _bulk_receivers={})
+        plane = SlabPlane(codec, NbrGather.of_graph(graph, bytes(4)), host)
+        with pytest.raises(OverflowError, match="out of bounds for int32"):
+            plane.send_to_bulk(codec.tag_ids[0], np.array([0, 1]), np.array([2, 2**32 + 1]), None)
+        assert not list(plane.seal())
 
     def test_dispatch_hands_a_tag_to_its_handler_or_decodes_it(self):
         import numpy as np
@@ -1740,12 +1783,17 @@ class TestVectorizedReceivers:
     def test_reduction_phases_vectorize(self, programs, graph):
         # sssp's receive couples two fields across statements, but only
         # through the improve-flag idiom (`flag |= e < f; f min= e`)
-        for alg in ("pagerank", "avg_teen_cnt", "conductance", "bc_approx", "sssp"):
+        # ... and bipartite matching's store message values: last writer wins
+        for alg in ALGORITHMS:
             assert self.handlers(programs, graph, alg), alg
 
     def test_dependent_or_stateful_phases_do_not(self, programs, graph):
-        # bipartite matching assigns message values from its receive loops.
-        assert self.handlers(programs, graph, "bipartite_matching") == {}
+        # a store that switches its own guard off: the *first* writer wins
+        program = TestPhaseKernels.compile(
+            TestPhaseKernels.FIRST_MATCH.format(guard="[t.o == 0]", body="t.o = n.age;")
+        )
+        engine, _fields, _master = program.make_engine(graph, backend="columnar")
+        assert engine._bulk_receivers == {}
 
     def test_handlers_only_engage_on_slab_fast_path(self, programs, graph):
         program = programs["pagerank"]
@@ -1776,7 +1824,7 @@ class TestPhaseKernels:
         "conductance": [4, 6, 7],
         "bc_approx": [1, 4, 6, 9, 10, 12, 14, 15],
         "sssp": [0, 9],
-        "bipartite_matching": [0],
+        "bipartite_matching": [0, 3, 5, 8],
     }
 
     @staticmethod
@@ -1831,30 +1879,82 @@ class TestPhaseKernels:
             for phase, d in by_phase.items():
                 if not d["kernel"]:
                     reasons[alg, phase] = d["kernel_reason"]
-        # what is left is bipartite matching's message-valued assigns: a
-        # scalar receive loop keeps its whole phase scalar, and the
-        # receiver's own reason — the construct, by name — rides along
-        last_writer = "scalar receive loop (assign of a message value (last writer wins))"
-        assert reasons == {
-            ("bipartite_matching", 3): (
-                "scalar receive loop (guarded assign of a message value)"
-            ),
-            ("bipartite_matching", 5): last_writer,
-            ("bipartite_matching", 8): last_writer,
-        }
+        # every phase of the six paper algorithms is array code; what the
+        # vectorizer still refuses, it refuses on synthetic programs below
+        assert reasons == {}
 
-    def test_random_write_is_refused_by_name(self, programs, graph):
-        # phases 3 and 5 send to a vertex a column names; with their receive
-        # loops taken out of the way the compute body's own refusal shows
+    def random_write_case(self, programs, operate=lambda ir: None):
+        """Bipartite matching with ``operate(ir)`` applied, on a graph it
+        matches on: its decisions, and parity of what runs with the
+        simulator and with the scalar slab path."""
+        return self.surgery_case(
+            programs, _matching_graph(600), "bipartite_matching", operate
+        )
+
+    def test_random_write_is_a_column_addressed_send(self, programs):
+        # phases 3 and 5 send to a vertex a column names: one record per
+        # selected sender, staged whole
+        by_phase = self.random_write_case(programs)
+        for phase in (3, 5):
+            assert by_phase[phase]["kernel_reason"] == "kernel (column-addressed send)"
+
+    def test_two_random_writes_on_one_tag_stay_scalar(self, programs):
         import copy
 
-        from repro.codegen.executable import CompiledProgram
+        def operate(ir):
+            compute = ir.phases[3].compute
+            (guarded,) = [s for s in compute if s.then]
+            guarded.then.append(copy.deepcopy(guarded.then[-1]))
 
-        ir = copy.deepcopy(programs["bipartite_matching"].ir)
-        for phase in (3, 5):
-            ir.phases[phase].receive.clear()
-        _engine, by_phase = self.decisions(CompiledProgram(ir), graph)
-        assert by_phase[3]["kernel_reason"] == by_phase[5]["kernel_reason"] == "random write"
+        by_phase = self.random_write_case(programs, operate)
+        assert by_phase[3]["kernel_reason"] == "more than one send on tag 1"
+        assert by_phase[3]["eligible"] and by_phase[5]["kernel"]
+
+    def test_random_write_to_a_destination_that_can_raise_stays_scalar(self, programs):
+        from repro.lang.ast import BinOp
+        from repro.pregelir.ir import Bin, Lit
+
+        def operate(ir):
+            (guarded,) = [s for s in ir.phases[5].compute if s.then]
+            send = next(s for s in guarded.then if hasattr(s, "target"))
+            send.target = Bin(BinOp.DIV, send.target, Lit(1))
+
+        by_phase = self.random_write_case(programs, operate)
+        assert by_phase[5]["kernel_reason"] == "random write to a destination that can raise"
+
+    NIL_WRITE = (
+        "Procedure p(G: Graph, age: N_P<Int>; o: N_P<Int>) {\n"
+        "  N_P<Node> to;\n"
+        "  G.o = 0;\n"
+        "  Foreach (n: G.Nodes)[n.age > 30] { Node t = n.to; t.o = n.age; }\n"
+        "}"
+    )
+
+    def test_write_through_an_unset_node_property_lands_on_the_last_vertex(self):
+        # a known wart, pinned: NIL is -1, and every inbox — the
+        # interpreter's column, sim's and columnar's slots, a handler's
+        # numpy store — indexes it from the end
+        from repro.interp import interpret
+
+        g = load_graph("twitter", 0.02)
+        last = g.num_nodes - 1
+        want = interpret(self.NIL_WRITE, g).outputs["o"]
+        writers = [v for v in range(g.num_nodes) if g.node_props["age"][v] > 30]
+        assert want == [0] * last + [g.node_props["age"][writers[-1]]] and len(writers) > 1
+        program = self.compile(self.NIL_WRITE)
+        _engine, by_phase = self.decisions(program, g)
+        assert by_phase[0]["kernel_reason"] == "kernel (column-addressed send)"
+        runs = [
+            program.run(g, backend="sim", num_workers=3),
+            program.run(g, backend="columnar", num_workers=3),
+            self.run_scalar_slab(program, g, num_workers=3),
+        ]
+        if mp_available():
+            runs.append(program.run(g, backend="mp", num_workers=3))
+        for run in runs:
+            assert run.outputs["o"] == want
+            assert_parity(runs[0], run)
+        assert runs[0].metrics.messages == len(writers)
 
     def test_decisions_name_the_idioms(self, programs, graph):
         _engine, by_phase = self.decisions(
@@ -1863,6 +1963,25 @@ class TestPhaseKernels:
         assert by_phase[9]["reason"] == "vectorized (improve-flag min)"
         assert by_phase[9]["kernel_reason"] == "kernel (per-edge send)"
         assert by_phase[0]["kernel_reason"] == "kernel"
+        assert by_phase[9]["ops"] == [  # the flag is applied after the reduce it watches
+            {"tag": 0, "ops": ["ScatterReduce(min) dist_nxt", "ImproveFlag(min) updated_nxt"]}
+        ]
+        _engine, by_phase = self.decisions(programs["bipartite_matching"], graph)
+        assert [by_phase[p]["reason"] for p in (3, 5, 8)] == [
+            "vectorized (last-writer assign)"
+        ] * 3
+        assert by_phase[3]["ops"] == [
+            {"tag": 0, "ops": ["Select(last) suitor", "put finished and"]}
+        ]
+        assert by_phase[8]["ops"] == [{"tag": 2, "ops": ["Select(last) match"]}]
+        assert by_phase[0]["ops"] == []
+        _engine, by_phase = self.decisions(
+            programs["bc_approx"], graph, default_args("bc_approx", graph)
+        )
+        assert by_phase[15]["ops"] == [{"tag": 3, "ops": ["RowAppend _in_nbrs"]}]
+        assert ["Select(first) _gm_lev0", "put _gm_fin2 and"] in [
+            entry["ops"] for entry in by_phase[9]["ops"]
+        ]
 
     # -- (b) parity matrix ------------------------------------------------
 
@@ -1870,6 +1989,7 @@ class TestPhaseKernels:
     @pytest.mark.parametrize("partitioning", ("hash", "range"))
     @pytest.mark.parametrize("scheduling", ("frontier", "dense"))
     def test_parity_matrix(self, programs, graph, alg, scheduling, partitioning):
+        graph = graph_for(alg, graph)
         for workers in (1, 2, 4):
             opts = dict(
                 scheduling=scheduling, partitioning=partitioning, num_workers=workers
@@ -1889,13 +2009,6 @@ class TestPhaseKernels:
                 if track:
                     assert col.metrics.makespan_units == sim.metrics.makespan_units
                     assert col.metrics.ideal_units == sim.metrics.ideal_units
-
-    def test_bipartite_graph_parity(self, programs):
-        g = load_graph("bipartite", 0.15)
-        sim = run_on(programs, g, "bipartite_matching", "sim")
-        col = run_on(programs, g, "bipartite_matching", "columnar")
-        assert sim.result > 0
-        assert_parity(sim, col)
 
     FORMS = """
     Procedure forms(G: Graph, age: N_P<Int>, member: N_P<Int>, w: N_P<Double>;
@@ -2155,10 +2268,34 @@ class TestPhaseKernels:
         assert (sim.result != 0) == ("1000" not in guard)
 
     @pytest.mark.parametrize(
+        "guard,body",
+        [
+            # every record of a receiver whose guard holds stores: the last stays
+            ("[t.member == 1]", "t.o = n.age; t.q = 1; top min= 0 - t.age;"),
+            # ... of every receiver, without a guard
+            ("", "t.o = n.age;"),
+            # nobody passes: no store and no put at all
+            ("[t.age > 1000]", "t.o = n.age; top max= 7;"),
+        ],
+    )
+    def test_last_writer_loops_vectorize(self, graph, guard, body):
+        receiving, sim = self.first_match_case(graph, guard, body)
+        assert receiving["reason"] == "vectorized (last-writer assign)"
+        assert receiving["kernel"]
+        (merge,) = receiving["ordered_merge"]
+        assert merge["ordered"] and merge["reason"].startswith("last writer of o")
+        assert (len(set(sim.outputs["o"])) > 10) == ("1000" not in guard)
+
+    @pytest.mark.parametrize(
         "guard,body,reason",
         [
             ("[t.o == 0]", "t.o = 5; top += 1;", "sum put inside a receive loop"),
+            ("[t.member == 1]", "t.o = n.age; top += 1;", "sum put inside a receive loop"),
+            # first writer wins, if the store switches the guard off
             ("[t.o == 0]", "t.o = n.age;", "guarded assign of a message value"),
+            # an earlier record's value may fail where the last one does not
+            ("", "t.o = n.age + t.age;", "store of a message value that can raise"),
+            ("", "t.o = n.age / (t.age + 1);", "first-match guard or value can raise"),
             ("[t.o == 0]", "t.o = 5; top max= n.age;", "guarded put of a message value"),
             ("[t.o < n.age]", "t.o = 5;", "first-match guard reads the message"),
             ("[t.o == 0]", "t.o = t.o + 1;", "first-match value reads a field the block assigns"),
@@ -2642,6 +2779,7 @@ class TestPartitionKernels:
     @pytest.mark.parametrize("partitioning", ("hash", "range"))
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_parity_matrix(self, programs, small, alg, partitioning):
+        small = graph_for(alg, small)
         for workers in (1, 2, 3, 4):
             for makespan in (False, True):
                 opts = dict(
@@ -2661,6 +2799,41 @@ class TestPartitionKernels:
                     if alg in ALL_KERNEL:
                         assert totals["scalar_vertices"] == totals["scalar_records"] == 0
                         assert totals["bulk_records"] > 0
+
+    @pytest.mark.parametrize("kind", ("complete", "generated"))
+    def test_last_writer_order_matrix(self, programs, kind):
+        # Select(last) keeps, per receiver, the last record in delivery
+        # order — ascending sender — which several workers' parts only have
+        # once merged by sender.  K(6, 9) is the worst case: every girl has
+        # 6 suitors, every boy up to 9 answers.
+        from repro.graphgen.generators import attach_standard_props, bipartite
+
+        alg = "bipartite_matching"
+        if kind == "complete":
+            g = attach_standard_props(bipartite(6, 9, num_edges=54))
+            cells = [(w, p, "shm") for w in (1, 2, 3, 4, 8) for p in ("hash", "range")]
+            cells.append((3, "hash", "tcp"))
+        else:
+            g = load_graph("bipartite", 0.15)
+            cells = [(w, p, "shm") for w in (1, 2, 3, 4) for p in ("hash", "range")]
+        _engine, by_phase = TestPhaseKernels.decisions(programs[alg], g)
+        for phase, field in ((3, "suitor"), (5, "suitor"), (8, "match")):
+            (merge,) = by_phase[phase]["ordered_merge"]
+            assert merge["ordered"] and merge["reason"] == f"last writer of {field}"
+        for workers, partitioning, transport in cells:
+            opts = dict(num_workers=workers, partitioning=partitioning)
+            sim = run_on(programs, g, alg, "sim", **opts)
+            col, col_totals = run_counted(programs, g, alg, "columnar", **opts)
+            mp, mp_totals = run_counted(
+                programs, g, alg, "mp", transport_mode=transport, **opts
+            )
+            assert sim.result > 0
+            for run, totals in ((col, col_totals), (mp, mp_totals)):
+                assert_parity(sim, run)
+                assert run.outputs["match"] == sim.outputs["match"]
+                assert run.result == sim.result
+                assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+                assert totals["bulk_records"] > 0
 
     def test_float_sums_interleave_across_three_workers(self, programs, graph):
         # hash partitioning deals consecutive vertices to different workers:
@@ -2712,9 +2885,10 @@ class TestPartitionKernels:
             "tcp": lambda: {"transport_mode": "tcp"},
         }[feature]
         for alg in ALL_KERNEL:
+            g = graph_for(alg, graph)
             sim_opts = {} if feature == "tcp" else make()
-            sim = run_on(programs, graph, alg, "sim", num_workers=2, **sim_opts)
-            mp, totals = run_counted(programs, graph, alg, "mp", num_workers=2, **make())
+            sim = run_on(programs, g, alg, "sim", num_workers=2, **sim_opts)
+            mp, totals = run_counted(programs, g, alg, "mp", num_workers=2, **make())
             assert_parity(sim, mp)
             assert totals["scalar_vertices"] == totals["scalar_records"] == 0
             assert totals["kernel_vertices"] == graph.num_nodes * sim.metrics.supersteps

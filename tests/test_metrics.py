@@ -259,10 +259,9 @@ class TestMeteredParityMatrix:
 
     @pytest.mark.parametrize(
         "alg,kernel_steps",
-        # pagerank and sssp run every superstep as an array kernel;
-        # bipartite matching only its one-superstep init phase — the
-        # random-write rounds stay scalar
-        [("pagerank", None), ("sssp", None), ("bipartite_matching", 1)],
+        # every superstep of these runs as an array kernel (None; a number
+        # is how many do, the others keeping the scalar program)
+        [("pagerank", None), ("sssp", None), ("bipartite_matching", None)],
     )
     def test_columnar_compute_side_coverage(self, programs, graph, alg, kernel_steps):
         registry = MetricsRegistry()
@@ -347,7 +346,7 @@ class TestVectorizeTelemetry:
         for e in events:
             assert e.det is None  # info-only: sim never runs the vectorizer
             assert set(e.info) == {
-                "phase", "eligible", "reason", "tags", "ordered_merge",
+                "phase", "eligible", "reason", "ops", "tags", "ordered_merge",
                 "kernel", "kernel_reason",
             }
         assert any(e.info["eligible"] for e in events)
@@ -361,17 +360,26 @@ class TestVectorizeTelemetry:
     def test_kernel_refusals_carry_a_reason(self, graph):
         from repro.obs import Tracer
 
+        from repro.compiler import compile_source
+
         tracer = Tracer()
-        compiled = compile_algorithm("bipartite_matching", emit_java=False, tracer=tracer)
+        compiled = compile_source(
+            # a store that switches its own guard off: the first writer wins
+            "Procedure p(G: Graph, age: N_P<Int>; o: N_P<Int>) {\n"
+            "  G.o = 0;\n"
+            "  Foreach (n: G.Nodes) { Foreach (t: n.Nbrs)[t.o == 0] { t.o = n.age; } }\n"
+            "}",
+            emit_java=False, tracer=tracer,
+        )  # fmt: skip
         compiled.program.run(graph, {}, backend="columnar", tracer=tracer)
-        by_phase = {
-            e.info["phase"]: e.info
-            for e in tracer.events
-            if e.name == "compile.vectorize"
-        }
-        assert by_phase[0]["kernel"] and not by_phase[0]["eligible"]
-        assert not by_phase[3]["kernel"]
-        assert by_phase[3]["kernel_reason"].startswith("scalar receive loop")
+        init, receiving = [
+            e.info for e in tracer.events if e.name == "compile.vectorize"
+        ]
+        assert init["kernel"] and not init["eligible"]
+        assert not receiving["kernel"] and receiving["ops"] == []
+        assert receiving["kernel_reason"] == (
+            "scalar receive loop (guarded assign of a message value)"
+        )
 
     def test_decisions_name_the_idioms(self, graph):
         from repro.obs import Tracer
@@ -417,10 +425,14 @@ class TestVectorizeTelemetry:
         assert merge["reason"].startswith("float sum into ")
         run, by_phase = decisions("sssp")
         assert [m["ordered"] for m in by_phase[9]["ordered_merge"]] == [False]
-        # a scalar phase says why, on mp as on columnar
+        # a last writer is the last in sender order; the lowered ops ride along
         run, by_phase = decisions("bipartite_matching")
-        assert by_phase[3]["kernel_reason"].startswith("scalar receive loop")
-        assert by_phase[3]["ordered_merge"] == []
+        assert by_phase[3]["ops"] == [
+            {"tag": 0, "ops": ["Select(last) suitor", "put finished and"]}
+        ]
+        assert by_phase[3]["ordered_merge"] == [
+            {"tag": 0, "ordered": True, "reason": "last writer of suitor"}
+        ]
         # combiners observe single sends: decisions are still reported, but
         # nothing engages
         run, by_phase = decisions("pagerank", use_combiners=True)
@@ -444,10 +456,10 @@ class TestVectorizeTelemetry:
         assert "vectorized_phases" not in run.metrics.parity_key()
 
     def test_vectorized_phases_lists_kernel_only_phases(self, programs, graph):
-        # bipartite matching vectorizes no receive loop, but its init phase
-        # is a kernel: a phase is listed when either side runs as array code
+        # bipartite matching's init phase has no receive loop, but it is a
+        # kernel: a phase is listed when either side runs as array code
         run = _run(programs, graph, "bipartite_matching", "columnar")
-        assert run.metrics.vectorized_phases == ["phase0"]
+        assert run.metrics.vectorized_phases == ["phase0", "phase3", "phase5", "phase8"]
         run = _run(programs, graph, "sssp", "columnar")
         assert run.metrics.vectorized_phases == ["phase0", "phase9"]
         assert "vectorized=[phase0,phase9]" in run.metrics.summary()
