@@ -367,8 +367,8 @@ class _Scope:
         return outcome + (f" ({', '.join(idioms)})" if idioms else "")
 
     def edge_prop(self, name: str):
-        """An edge property as an array in CSR order: built once per engine,
-        and only if some kernel's send payload reads it."""
+        """An edge property as an array in CSR order — a view of the graph's
+        typed buffer — once per engine, if some kernel's send payload reads it."""
         key = ("edge_prop", name)
         values = self._shared.get(key)
         if values is None:
@@ -1288,7 +1288,8 @@ class _KernelBuilder:
             sub = dict(ctx, sel=senders)
             if per_edge:
                 sub["sel"] = _np.repeat(senders, counts)
-                sub["edges"] = _np.arange(len(gather.targets)) if edges is None else edges
+                at = _np.arange(len(gather.targets)) if edges is None else edges
+                sub["edges"] = at if gather.edge_ids is None else gather.edge_ids[at]
             records = records_of(sub)
             if records is not None and not per_edge:
                 records = _np.repeat(records, counts)

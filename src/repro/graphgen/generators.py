@@ -342,5 +342,5 @@ def attach_standard_props(graph: Graph, *, seed: int = 2) -> Graph:
     n = graph.num_nodes
     graph.add_node_prop("age", (8 + stream.randbelow(62, n)).tolist())
     graph.add_node_prop("member", (stream.doubles(n) < 0.3).astype(int).tolist())
-    graph.add_edge_prop_csr("len", (1 + stream.randbelow(15, graph.num_edges)).tolist())
+    graph.add_edge_prop_csr("len", 1 + stream.randbelow(15, graph.num_edges))
     return graph

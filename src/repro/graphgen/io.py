@@ -163,7 +163,7 @@ def _bulk_parse(path: Path):
         num_nodes = top + 1
     if ids.min(initial=0) < 0 or top >= num_nodes:
         return None
-    edge_props = {name: table[:, 2 + i].tolist() for i, name in enumerate(prop_names)}
+    edge_props = {name: table[:, 2 + i] for i, name in enumerate(prop_names)}
     return num_nodes, table[:, 0], table[:, 1], edge_props
 
 

@@ -188,19 +188,21 @@ def _make_unpacker(st: struct.Struct, ts: TagSchema, tagged: bool):
     return unpack
 
 
-def part_nbytes(part) -> int:
-    """How many bytes ``part`` takes in wire layout."""
-    return 8 * part[3] + len(part[2])
-
-
-def write_part(out, part) -> None:
-    """Write ``part`` into ``out`` — a ``uint8`` array of ``part_nbytes``
-    bytes, a stretch of a segment or a fresh body — in wire layout:
-    ``dsts | senders | payload``."""
+def write_part(out, part, order=None) -> None:
+    """Write ``part`` into ``out`` — a ``uint8`` array of the part's size,
+    a stretch of a segment or a fresh body — in wire layout: ``dsts |
+    senders | payload``.  With ``order``, ``part[2]`` is a whole slab's
+    payload and the part's records are the ones at ``order`` in it, taken
+    straight into ``out``."""
     dsts, senders, payload, count = part
     out[: 4 * count] = dsts.view(np.uint8)
     out[4 * count : 8 * count] = senders.view(np.uint8)
-    out[8 * count :] = np.frombuffer(payload, dtype=np.uint8)
+    records = out[8 * count :]
+    if order is None:
+        records[:] = np.frombuffer(payload, dtype=np.uint8)
+    elif len(records):
+        record = f"V{len(records) // count}"
+        np.take(np.frombuffer(payload, dtype=record), order, out=records.view(record))
 
 
 def read_part(body, count: int) -> tuple:

@@ -103,13 +103,18 @@ class NbrGather:
     (``over_rows`` — derived by the array code at its first in-direction
     send).  The traffic a send along these rows meters — who owns each
     destination, how many of a sender's destinations another worker owns —
-    is derived here, and only when a send asks for it."""
+    is derived here, and only when a send asks for it.  An ``mp`` worker
+    sends along its partition's rows (``of_partition``), whose split by
+    receiving worker is derived once, too (``owner_split``)."""
 
     def __init__(self, targets, offsets, owner):
         self.targets = targets  # int32, sender by sender
         self.offsets = offsets
         self.degrees = np.diff(offsets)
         self.owner = owner
+        #: each entry's position in the graph's out-CSR, where its edge
+        #: properties live; None: the entries are at those positions
+        self.edge_ids = None
 
     @classmethod
     def of_graph(cls, graph: Graph, worker_of) -> "NbrGather":
@@ -122,6 +127,26 @@ class NbrGather:
             np.asarray(graph.out_offsets, dtype=np.int64),
             owner,
         )
+
+    @classmethod
+    def of_partition(cls, csr: "NbrGather", wid: int, workers: int) -> "NbrGather":
+        """``csr`` restricted to the rows of the vertices worker ``wid``
+        owns, of ``workers``: every other row is empty, so global vids
+        still index it.  A range partition's entries are one stretch of
+        ``csr``'s and are viewed, not copied."""
+        rows = np.flatnonzero((csr.owner == wid) & (csr.degrees != 0))
+        counts = csr.degrees[rows]
+        edges = np.repeat(csr.offsets[rows] - np.cumsum(counts) + counts, counts)
+        edges += np.arange(len(edges))
+        offsets = np.zeros(len(csr.offsets), dtype=np.int64)
+        offsets[rows + 1] = counts
+        if len(edges) and edges[-1] - edges[0] + 1 == len(edges):
+            targets = csr.targets[edges[0] : edges[-1] + 1]
+        else:
+            targets = csr.targets[edges]
+        part = cls(targets, np.cumsum(offsets, out=offsets), csr.owner)
+        part.edge_ids, part.workers = edges, workers
+        return part
 
     def over_rows(self, rows: list) -> "NbrGather":
         """The gather over ``rows`` — one neighbour list per vertex, kept in
@@ -139,6 +164,23 @@ class NbrGather:
     @cached_property
     def nbr_owner(self):
         return self.owner[self.targets]
+
+    @cached_property
+    def owner_split(self) -> list:
+        """A partition's entries split by the worker that owns their
+        destination: per receiving worker ``(dsts, senders, order)`` — its
+        entries' destinations and int32 senders in stored order, and their
+        positions in ``targets`` — or None where it owns none.  This is
+        what ``split_by_owner`` cuts a send along all the rows into."""
+        order = np.argsort(self.nbr_owner, kind="stable")
+        senders = np.repeat(self.with_nbrs.astype(np.int32), self.degrees[self.with_nbrs])
+        parts: list = []
+        a = 0
+        for b in np.cumsum(np.bincount(self.nbr_owner, minlength=self.workers)).tolist():
+            mine = order[a:b]
+            parts.append((self.targets[mine], senders[mine], mine) if b > a else None)
+            a = b
+        return parts
 
     @cached_property
     def cross_nbrs(self):

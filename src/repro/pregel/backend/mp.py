@@ -20,9 +20,13 @@ transport read per-worker totals and whole slabs, and cost the kernels
 nothing.  What the shell adds to a sealed tag is the wire: the *part* —
 ``(dsts, senders, payload, count)``, one tag's records for one receiving
 worker, whose layout, split by owner and decode
-:mod:`~repro.pregel.backend.codec` owns — written once per receiver; what
-an exchange leaves a worker is ``(parts_by_tag, combined)``, and that is
-also the shape of the parent's in-flight log and of a recovery seed.
+:mod:`~repro.pregel.backend.codec` owns — written once per receiver.  Array
+code sends along the worker's partition gather (``NbrGather.of_partition``),
+which caches the split of its rows by receiving worker, so a send along all
+of them is written from that split straight into the segment; every other
+tag is cut by ``split_by_owner``.  What an exchange leaves a worker is
+``(parts_by_tag, combined)``, and that is also the shape of the parent's
+in-flight log and of a recovery seed.
 
 Determinism (the whole point of the parity contract) is preserved by
 order-reconstructing merges at the parent barrier:
@@ -139,6 +143,7 @@ import time
 import traceback
 from array import array
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import filterfalse
 from types import SimpleNamespace
 from typing import Any, Callable
@@ -149,7 +154,7 @@ from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, RealFault
 from ..graph import Graph
 from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
 from .base import BackendUnsupported, ExecutionBackend
-from .codec import MessageCodec, part_nbytes, read_part, split_by_owner, write_part
+from .codec import MessageCodec, read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
 from .columnar import NbrGather, SlabPlane, array_code_engages, build_typed_columns
 from .columnar import folding, vectorized_phases
@@ -1188,9 +1193,7 @@ class MPEngine(PregelEngine):
         self._scatter_columns(tolerate_dead=True)
 
     def _scatter_columns(self, *, tolerate_dead: bool = False) -> None:
-        n = self.graph.num_nodes
-        w = self.num_workers
-        for wid in range(w):
+        for wid in range(self.num_workers):
             try:
                 reply = self._recv(wid)
             except _WorkerDead:
@@ -1202,10 +1205,8 @@ class MPEngine(PregelEngine):
                 column = self._columns[name]
                 if isinstance(column, array):
                     # the partition slice as the worker's raw column bytes
-                    column[part] = array(column.typecode, values)
-                else:
-                    for i, vid in enumerate(range(n)[part]):
-                        column[vid] = values[i]
+                    values = array(column.typecode, values)
+                column[part] = values
 
 
 class _Worker:
@@ -1300,8 +1301,15 @@ class _Worker:
 
     # -- kernel-side API (called by array code) -------------------------
 
+    @cached_property
+    def _out(self) -> NbrGather:
+        """What array code sends along: the out-CSR's rows of this
+        partition, derived in the worker process when first asked for
+        (every process built from this instance derives the same)."""
+        return NbrGather.of_partition(self.engine._csr, self.wid, self.engine.num_workers)
+
     def out_gather(self) -> NbrGather:
-        return self.engine._csr
+        return self._out
 
     def put_global_bulk(self, name: str, op, vids, values) -> None:
         """Array code's puts to one global: shipped whole, folded with the
@@ -1555,7 +1563,10 @@ class _Worker:
         each part goes into this worker's shared-memory segment in the
         codec's layout (``directory`` says where); anything past the
         segment's capacity travels ``inline`` over the pipe instead
-        (correctness never depends on the size).
+        (correctness never depends on the size).  A send along all the
+        partition's rows takes the split the partition gather cached, and
+        each part's records go from the sealed payload straight into
+        place; every other tag is cut by ``split_by_owner``.
 
         In tcp mode the cross-worker parts are *additionally* queued as
         socket frame bodies: the segments stay authoritative for the parent
@@ -1571,22 +1582,36 @@ class _Worker:
         owner = self.engine._csr.owner
         plane = self._plane
         c = self._counters
+        split = 0
         for sealed in plane.seal():
-            tag, dsts = sealed.tag, sealed.dsts
-            senders = np.repeat(np.asarray(sealed.senders, dtype=np.int32), sealed.counts)
-            parts = split_by_owner(dsts, senders, sealed.payload, owner[dsts], self._w)
-            own = parts[self.wid]
+            tag, dsts, payload = sealed.tag, sealed.dsts, sealed.payload
+            size = self._sizes[tag]
             count = len(dsts)
-            plane.meter(c, tag, count, count - (own[3] if own else 0))
+            bulk = sealed.bulk
+            if bulk is not None and bulk[1] is None and bulk[0] is self._out:
+                parts = [
+                    cut and ((cut[0], cut[1], payload, len(cut[2])), cut[2])
+                    for cut in self._out.owner_split
+                ]
+            else:
+                senders = np.repeat(np.asarray(sealed.senders, dtype=np.int32), sealed.counts)
+                parts = [
+                    part and (part, None)
+                    for part in split_by_owner(dsts, senders, payload, owner[dsts], self._w)
+                ]
+                split += count
+            own = parts[self.wid]
+            plane.meter(c, tag, count, count - (own[0][3] if own else 0))
             c.sent += count
-            c.staged += self._sizes[tag] * count
-            for dest, part in enumerate(parts):
-                if part is None:
+            c.staged += size * count
+            for dest, cut in enumerate(parts):
+                if cut is None:
                     continue
-                end = offset + part_nbytes(part)
+                part, order = cut
+                end = offset + part[3] * (8 + size)
                 fits = end <= seg.size
                 body = segment[offset:end] if fits else np.empty(end - offset, np.uint8)
-                write_part(body, part)
+                write_part(body, part, order)
                 if fits:
                     directory.append((dest, tag, part[3], offset, end))
                     offset = end
@@ -1594,6 +1619,8 @@ class _Worker:
                     inline.append((dest, tag, part[3], body.tobytes()))
                 if tcp_out is not None and dest != self.wid:
                     tcp_out[dest].append((tag, part[3], body.tobytes()))
+        if self._mreg is not None:
+            self._mreg.counter("mp.split_records", worker=str(self.wid)).inc(split)
         return directory, inline
 
     def _exchange_tcp(self, directories, inlines, net):
@@ -1658,14 +1685,15 @@ class _Worker:
     def _gather(self) -> dict:
         """This partition's slice of every column: a typed column as its
         raw bytes, anything else (``_in_nbrs``, a column escalated to a
-        list) as a list of values."""
+        list) as the list slice — pickled, rows of vertex ids are smaller
+        and rebuild faster than the same rows flattened to arrays."""
         part = self._part_slice
         out = {}
         for name, column in self.engine._columns.items():
             if isinstance(column, array):
                 out[name] = column[part].tobytes()
             else:
-                out[name] = [column[v] for v in self._own_vids]
+                out[name] = column[part]
         return out
 
 

@@ -42,7 +42,7 @@ class Graph:
     in_sources: array
     in_edge_ids: array
     node_props: dict[str, list] = field(default_factory=dict)
-    edge_props: dict[str, list] = field(default_factory=dict)
+    edge_props: dict[str, Sequence] = field(default_factory=dict)  # see _edge_column
 
     def __post_init__(self):
         # a hand-constructed Graph may pass lists
@@ -113,15 +113,13 @@ class Graph:
             _buffer("i", src[in_order]),
             _buffer("i", edge_pos[in_order]),
         )
-        if edge_props:
-            csr_order = out_order.tolist()
-            for name, values in edge_props.items():
-                if len(values) != num_edges:
-                    raise ValueError(
-                        f"edge property '{name}' has {len(values)} values for "
-                        f"{num_edges} edges"
-                    )
-                graph.edge_props[name] = [values[i] for i in csr_order]
+        for name, values in (edge_props or {}).items():
+            if len(values) != num_edges:
+                raise ValueError(
+                    f"edge property '{name}' has {len(values)} values for "
+                    f"{num_edges} edges"
+                )
+            graph.edge_props[name] = _edge_column(values, out_order)
         return graph
 
     # -- topology --------------------------------------------------------
@@ -172,7 +170,7 @@ class Graph:
         self.node_props[name] = column
         return column
 
-    def add_edge_prop_csr(self, name: str, values: Sequence | None = None, default=0) -> list:
+    def add_edge_prop_csr(self, name: str, values: Sequence | None = None, default=0):
         """Add an edge property already in CSR order."""
         if values is not None:
             if len(values) != self.num_edges:
@@ -180,10 +178,9 @@ class Graph:
                     f"edge property '{name}' has {len(values)} values for "
                     f"{self.num_edges} edges"
                 )
-            column = list(values)
         else:
-            column = [default] * self.num_edges
-        self.edge_props[name] = column
+            values = [default] * self.num_edges
+        column = self.edge_props[name] = _edge_column(values)
         return column
 
     def __repr__(self) -> str:
@@ -200,6 +197,30 @@ def _check_addressable(num_nodes: int, num_edges: int) -> None:
 
 def _out_of_range(src, dst, num_nodes: int) -> str:
     return f"edge ({src}, {dst}) out of range for {num_nodes} nodes"
+
+
+def _edge_column(values, order=None):
+    """How an edge property is stored, its values taken in ``order`` (None:
+    as given): ``array('q')`` when every value is an ``int`` that int64
+    holds, ``array('d')`` when every one is a ``float`` — indexing either
+    yields the Python value it was given, and array code views it — else a
+    list, as an empty column is.  A non-empty int or float numpy column is
+    the first kind or the second."""
+    import numpy as np
+
+    column = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "if" and len(values)):
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        kinds = set(map(type, values))
+        dtype = {int: np.int64, float: np.float64}.get(kinds.pop()) if len(kinds) == 1 else None
+        try:
+            column = None if dtype is None else np.array(values, dtype=dtype)
+        except OverflowError:  # an int no int64 holds
+            column = None
+        if column is None:
+            return list(values) if order is None else [values[i] for i in order.tolist()]
+    column = np.ascontiguousarray(column if order is None else column[order])
+    return _buffer("q" if column.dtype.kind == "i" else "d", column)
 
 
 def _buffer(typecode: str, column) -> array:

@@ -402,14 +402,6 @@ class TestMultiprocessingBackend:
         same_w = run_on(programs, graph, "sssp", "mp", num_workers=4)
         assert_parity(base, same_w)
 
-    def test_slab_overflow_falls_back_to_inline(self, programs, graph):
-        sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
-        # A segment too small for any slab: every exchange rides the pipe.
-        mp = run_on(
-            programs, graph, "pagerank", "mp", num_workers=2, mp_slab_bytes=64
-        )
-        assert_parity(sim, mp)
-
     def test_unsupported_compositions_refuse_cleanly(self, programs, graph):
         # The engine refuses at construction, before the feature object is
         # ever touched, so a sentinel stands in for the real manager.
@@ -516,15 +508,14 @@ class TestSlabCodec:
         import numpy as np
 
         from repro.pregel.backend import tcp
-        from repro.pregel.backend.codec import part_nbytes, read_part, write_part
+        from repro.pregel.backend.codec import read_part, write_part
 
         rng = random.Random(17)
         for alg, tag, make in self.LAYOUTS:
             codec = self.codec(alg)
             for count in (0, 1, 9):
                 part, _msgs = self.make_part(codec, tag, make, rng, count)
-                size = part_nbytes(part)
-                assert size == count * (8 + codec.sizes[tag])
+                size = count * (8 + codec.sizes[tag])
                 # a stretch of a shared-memory segment, written in place
                 segment = bytearray(b"\xff" * (size + 48))
                 write_part(np.frombuffer(segment, dtype=np.uint8)[24 : 24 + size], part)
@@ -584,6 +575,64 @@ class TestSlabCodec:
                 assert len(got_payload) == 0
             seen += want
         assert sorted(seen) == list(range(count))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 14),
+        st.integers(1, 5),
+        st.sampled_from(("hash", "range")),
+        st.sampled_from((0, 1, 8, 17)),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_dense_send_writes_what_split_by_owner_cuts(
+        self, n, workers, partitioning, size, rng
+    ):
+        # A send along all of a partition's rows writes each part from the
+        # split its gather cached, the records taken straight from the
+        # sealed payload: the bytes split_by_owner + write_part put there.
+        # Record k is a per-edge payload — the record of the edge at CSR
+        # position edge_ids[k].
+        import numpy as np
+
+        from repro.pregel.backend.codec import split_by_owner, write_part
+        from repro.pregel.backend.columnar import NbrGather
+        from repro.pregel.graph import Graph
+
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(4 * n + 1))]
+        graph = Graph.from_edges(n, edges)
+        if partitioning == "hash":
+            placed = [v % workers for v in range(n)]
+        else:  # the engines' range placement
+            placed = [min(v * workers // max(1, n), workers - 1) for v in range(n)]
+        csr = NbrGather.of_graph(graph, bytes(placed))
+        of_edge = np.frombuffer(
+            bytes(rng.randrange(256) for _ in range(size * graph.num_edges)), f"V{max(size, 1)}"
+        )
+        for wid in range(workers):
+            gather = NbrGather.of_partition(csr, wid, workers)
+            # the partition's rows at global vids, every other row empty
+            positions = [p for v in range(n) if placed[v] == wid for p in graph.out_edge_range(v)]
+            assert gather.edge_ids.tolist() == positions
+            assert gather.targets.tolist() == [graph.out_targets[p] for p in positions]
+            assert gather.degrees.tolist() == [
+                graph.out_degree(v) if placed[v] == wid else 0 for v in range(n)
+            ]
+            if not positions:
+                continue  # a send with no record seals nothing
+            # the sealed tag: per-edge records, ascending sender, stored order
+            senders = np.repeat(gather.with_nbrs.astype(np.int32), gather.degrees[gather.with_nbrs])
+            payload = bytearray(of_edge[gather.edge_ids].tobytes() if size else b"")
+            owners = csr.owner[gather.targets]
+            want = split_by_owner(gather.targets, senders, payload, owners, workers)
+            assert len(gather.owner_split) == workers
+            for cut, part in zip(gather.owner_split, want):
+                assert (cut is None) == (part is None)
+                if part is None:
+                    continue
+                got, ref = np.zeros((2, part[3] * (8 + size)), np.uint8)
+                write_part(got, (cut[0], cut[1], payload, len(cut[2])), cut[2])
+                write_part(ref, part)
+                assert got.tobytes() == ref.tobytes()
 
     def test_by_receiver_equals_append_per_message(self):
         import random
@@ -1397,17 +1446,6 @@ class TestRangePartitioning:
         )
         mp = run_on(
             programs, graph, alg, "mp", num_workers=3, partitioning="range",
-        )
-        assert_parity(sim, mp)
-
-    def test_range_and_tcp_compose(self, programs, graph):
-        sim = run_on(
-            programs, graph, "pagerank", "sim", num_workers=2,
-            partitioning="range",
-        )
-        mp = run_on(
-            programs, graph, "pagerank", "mp", num_workers=2,
-            partitioning="range", transport_mode="tcp",
         )
         assert_parity(sim, mp)
 
@@ -2920,15 +2958,6 @@ class TestPartitionKernels:
                 if "_in_nbrs" in mp.fields:
                     assert mp.fields["_in_nbrs"] == in_nbr_rows(g)
 
-    def test_kernel_sized_send_overflows_onto_the_pipe(self, programs, graph):
-        # a segment too small for any slab: every bulk send rides the
-        # inline path, as whole-partition arrays
-        sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
-        mp, totals = run_counted(programs, graph, "pagerank", "mp", num_workers=2, mp_slab_bytes=64)
-        assert_parity(sim, mp)
-        assert totals["scalar_vertices"] == totals["scalar_records"] == 0
-        assert totals["bulk_records"] > 0
-
     # -- recovery keeps the kernels ----------------------------------------
 
     @pytest.mark.parametrize("recovery", ("confined", "rollback"))
@@ -3039,3 +3068,65 @@ class TestPartitionKernels:
         assert functools.reduce(lambda a, b: a + b, by_worker) != want._pending["s"]
         with pytest.raises(ValueError, match="conflicting reductions on global 's'"):
             engine._fold_puts([("s", GlobalOp.MIN, np.array([0]), np.array([1.0]))])
+
+
+@needs_mp
+class TestDenseSends:
+    """A send along all of an mp worker's rows goes from the split its
+    partition gather cached straight into the segment — or the inline
+    body, or a tcp frame — and never through ``split_by_owner``
+    (``mp.split_records`` counts what does): sim ≡ columnar ≡ mp on
+    outputs and ``parity_key()`` for the programs that send along every
+    edge, through a kill and its recovery too."""
+
+    ARGS = {"hits": {"max_iter": 5}, "degree_stats": {}}
+    #: (workers, partitioning, extra mp options)
+    CELLS = [
+        *((w, p, {}) for w in (1, 2, 3, 4) for p in ("hash", "range")),
+        (3, "range", {"transport_mode": "tcp"}),
+        (2, "hash", {"mp_slab_bytes": 64}),  # no segment room: every part inline
+        (  # kill:1@3, or at the last superstep of a shorter run
+            3, "hash", {
+                "ft": lambda _last: FaultTolerance(FaultPlan(checkpoint_every=2)),
+                "real_faults": lambda last: (RealFault("kill", 1, min(3, last)),),
+                "exchange_deadline": 10.0,
+            },
+        ),
+    ]  # fmt: skip
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        return load_graph("twitter", 0.05)
+
+    @pytest.mark.parametrize("alg", ("pagerank", "conductance", "avg_teen_cnt", "hits", "degree_stats"))
+    def test_parity_matrix(self, dense, alg):
+        from repro.obs import MetricsRegistry
+
+        program = compile_algorithm(alg, emit_java=False).program
+        args = self.ARGS.get(alg) or default_args(alg, dense)
+        splits = set()
+        for workers, partitioning, extra in self.CELLS:
+            opts = dict(num_workers=workers, partitioning=partitioning)
+            sim = program.run(dense, args, backend="sim", **opts)
+            assert_parity(sim, program.run(dense, args, backend="columnar", **opts))
+            registry = MetricsRegistry()
+            mp = program.run(
+                dense, args, backend="mp", metrics_registry=registry, **opts,
+                **{k: v(sim.metrics.supersteps - 1) if callable(v) else v for k, v in extra.items()},
+            )  # fmt: skip
+            assert_parity(sim, mp)
+            assert mp.metrics.restarts == ("real_faults" in extra)
+            snap = registry.snapshot()
+            totals = {
+                name: sum(row["value"] for row in snap[f"mp.{name}"]["series"])
+                for name in ("split_records", "bulk_records", "scalar_records", "scalar_vertices")
+            }
+            assert totals["scalar_vertices"] == totals["scalar_records"] == 0
+            if not mp.metrics.restarts:  # a recovery sends some supersteps twice
+                splits.add(totals["split_records"])
+            if alg == "pagerank":
+                assert totals["split_records"] == 0 < totals["bulk_records"]
+            elif alg in ("hits", "conductance"):  # and in-direction sends
+                assert 0 < totals["split_records"] < totals["bulk_records"]
+        # which sends split is the program's, not the placement's
+        assert len(splits) == 1

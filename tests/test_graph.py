@@ -4,6 +4,8 @@ alignment — unit cases plus hypothesis property tests."""
 import os
 import subprocess
 import sys
+from array import array
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -75,7 +77,44 @@ class TestEdgeProperties:
         g.add_node_prop("x", default=5)
         g.add_edge_prop_csr("w", default=2)
         assert g.node_props["x"] == [5, 5]
-        assert g.edge_props["w"] == [2]
+        assert g.edge_props["w"] == array("q", [2])
+
+    @pytest.mark.parametrize(
+        "values,storage",
+        [
+            ([3, 1, 2], "q"),
+            ([-(2**63), 0, 2**63 - 1], "q"),
+            ([0.5, 1.0, -2.25], "d"),
+            ([True, False, True], list),
+            ([1, 2.5, 3], list),
+            ([2**63, 1, 2], list),
+        ],
+        ids=("int", "int64-bounds", "float", "bool", "mixed", "huge-int"),
+    )
+    def test_storage_follows_the_values(self, tmp_path, values, storage):
+        # ints and floats are typed buffers that index to the Python values
+        # they were given, anything else stays a list — built from an edge
+        # list, added in CSR order or loaded from a file; what is written
+        # is the frozen writer's edge list, byte for byte
+        from repro.graphgen.io import load_edge_list, save_edge_list
+
+        edges = [(2, 0), (0, 1), (1, 2)]
+        want = reference_graph.from_edges(3, edges, edge_props={"w": values})
+        built = Graph.from_edges(3, edges, edge_props={"w": values})
+        added = Graph.from_edges(3, edges)
+        added.add_edge_prop_csr("w", want.edge_props["w"])
+        reference_graph.save_edge_list(want, tmp_path / "want.el")
+        for got in (built, added):
+            column = got.edge_props["w"]
+            assert getattr(column, "typecode", type(column)) == storage
+            assert _typed(column) == _typed(want.edge_props["w"])
+            save_edge_list(got, tmp_path / "got.el")
+            assert (tmp_path / "got.el").read_bytes() == (tmp_path / "want.el").read_bytes()
+        if type(values[0]) is not bool:  # a bool is written as no number
+            loaded = load_edge_list(tmp_path / "want.el")
+            assert_same_graph(loaded, reference_graph.load_edge_list(tmp_path / "want.el"))
+            column = loaded.edge_props["w"]
+            assert getattr(column, "typecode", type(column)) == storage
 
     def test_add_node_prop_length_check(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -166,16 +205,27 @@ def _typed(values):
     return [(type(v), v) for v in values]
 
 
+def _storage(values):
+    """How ``Graph`` stores an edge property of ``values``: an int64
+    buffer for ints, a double buffer for floats, else a list."""
+    kinds = set(map(type, values))
+    if kinds == {int} and all(-(2**63) <= v < 2**63 for v in values):
+        return "q"
+    return "d" if kinds == {float} else list
+
+
 def assert_same_graph(got: Graph, want: Graph):
-    assert got == want
+    # the frozen reference keeps every edge property a list
+    assert replace(got, edge_props={}) == replace(want, edge_props={})
     for name in ("out_offsets", "in_offsets"):
         assert getattr(got, name).typecode == "q"
     for name in ("out_targets", "in_sources", "in_edge_ids"):
         assert getattr(got, name).typecode == "i"
     assert list(got.edge_props) == list(want.edge_props)
     for name, values in want.edge_props.items():
-        assert type(got.edge_props[name]) is list
-        assert _typed(got.edge_props[name]) == _typed(values)
+        column = got.edge_props[name]
+        assert getattr(column, "typecode", type(column)) == _storage(values)
+        assert _typed(column) == _typed(values)
 
 
 class TestBuilderMatchesReference:

@@ -115,7 +115,7 @@ class TestWellFormedInput:
         save_edge_list(graph, path)
         loaded = load_edge_list(path)
         assert loaded.num_nodes == 3
-        assert loaded.edge_props["w"] == [1.0, 2.0, 3.5]
+        assert loaded.edge_props["w"].tolist() == [1.0, 2.0, 3.5]
         assert loaded.node_props["rank"] == [0.1, 0.2, 0.3]
 
     def test_header_optional(self, tmp_path):
