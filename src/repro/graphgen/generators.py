@@ -37,12 +37,25 @@ drew before.  :func:`web_like`, :func:`skewed` and :func:`bipartite` do not —
 preferential attachment draws ``randrange(len(targets))`` where ``targets``
 grew or not by the previous accept, and ``bipartite`` alternates two
 ``randrange`` limits, so which limit a word meets depends on how many words
-were rejected before it — and stay scalar loops.
+were rejected before it.  They stay sequential loops over ``random.Random``,
+but what they paid per edge was never the stream: it was ``randrange``'s
+argument checks and two calls, a set of tuples and sorting those tuples.
+So they draw the same words with less around them (the old loops are the
+oracle in ``tests/scalar_generators.py``):
+
+* ``randrange(lo, hi)`` is ``lo + _randbelow(hi - lo)``, and
+  ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until the draw is
+  ``< n`` — written out with ``getrandbits`` bound locally;
+* ``random()`` and ``expovariate()`` stay calls;
+* an edge is the int key ``src * n + dst`` in a set, sorted once by numpy
+  and handed to :func:`_from_keys`, as the array generators do.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
 from ..pregel.graph import Graph
 
@@ -158,8 +171,16 @@ def _first_distinct(draw, target: int, max_attempts: int | None = None):
     return np.insert(seen, np.searchsorted(seen, recent), recent)
 
 
+def _at_least(lowest, **args) -> None:
+    """Raise ``ValueError`` naming the first argument below ``lowest``."""
+    for name, value in args.items():
+        if value < lowest:
+            raise ValueError(f"{name} must be >= {lowest}, got {value}")
+
+
 def uniform_random(num_nodes: int, num_edges: int, *, seed: int = 1) -> Graph:
     """Uniform random directed multigraph-free edge set (Erdős–Rényi G(n, m))."""
+    _at_least(0, num_nodes=num_nodes, num_edges=num_edges)
     max_edges = num_nodes * (num_nodes - 1) if num_nodes > 1 else 0
     if num_edges > max_edges:
         raise ValueError(
@@ -195,6 +216,7 @@ def twitter_like(
     (``twitter_like(5, avg_degree=16)``) returns fewer edges, silently."""
     import numpy as np
 
+    _at_least(0, num_nodes=num_nodes, avg_degree=avg_degree)
     stream = _Stream(seed)
     scale = max(1, (num_nodes - 1).bit_length())
     place = 1 << np.arange(scale - 1, -1, -1, dtype=np.int64)
@@ -218,31 +240,56 @@ def _from_keys(num_nodes: int, keys) -> Graph:
     return Graph.from_columns(num_nodes, keys // num_nodes, keys % num_nodes)
 
 
+def _sorted_keys(edges: set[int]):
+    """``edges`` as a sorted int64 array; empties the set to free it early."""
+    import numpy as np
+
+    keys = np.fromiter(edges, dtype=np.int64, count=len(edges))
+    edges.clear()
+    keys.sort()
+    return keys
+
+
 def web_like(num_nodes: int, avg_degree: int = 16, *, seed: int = 1, locality: float = 0.8) -> Graph:
     """Copying-model web graph: each new page links to recent (local) pages
     with probability ``locality``, otherwise copies a link target of one of
     its local predecessors — producing host-like locality plus a skewed
     in-degree tail, the structure of crawls like sk-2005."""
+    _at_least(0, num_nodes=num_nodes)
+    if not avg_degree > 0:
+        raise ValueError(f"avg_degree must be > 0, got {avg_degree}")
+    if not 0 <= locality <= 1:
+        raise ValueError(f"locality must be in [0, 1], got {locality}")
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
+    draw, bits, expovariate = rng.random, rng.getrandbits, rng.expovariate
+    n, rate = num_nodes, 1.0 / avg_degree
+    edges: set[int] = set()  # keys src * n + dst
     # Link targets seen so far; sampling from this list is preferential
     # attachment (popular pages accumulate in-links, as in real crawls).
     targets: list[int] = [0]
-    window = max(4, num_nodes // 50)
-    for v in range(1, num_nodes):
-        out_deg = max(1, int(rng.expovariate(1.0 / avg_degree)))
-        for _ in range(out_deg):
-            if rng.random() < locality:
-                t = rng.randrange(max(0, v - window), v)
-            else:
-                t = targets[rng.randrange(len(targets))]
-            if t != v and (v, t) not in edges:
-                edges.add((v, t))
+    window = max(4, n // 50)
+    for v in range(1, n):
+        span, row = min(v, window), v * n
+        lo, span_bits = v - span, span.bit_length()
+        for _ in range(max(1, int(expovariate(rate)))):
+            if draw() < locality:  # randrange(lo, v)
+                t = bits(span_bits)
+                while t >= span:
+                    t = bits(span_bits)
+                t += lo
+            else:  # targets[randrange(len(targets))]
+                size = len(targets)
+                t = bits(size.bit_length())
+                while t >= size:
+                    t = bits(size.bit_length())
+                t = targets[t]
+            if t != v and row + t not in edges:
+                edges.add(row + t)
                 targets.append(t)
                 # web graphs are locally reciprocal: site navigation links
-                if rng.random() < 0.25 and (t, v) not in edges:
-                    edges.add((t, v))
-    return Graph.from_edges(num_nodes, sorted(edges))
+                if draw() < 0.25 and t * n + v not in edges:
+                    edges.add(t * n + v)
+    return _from_keys(n, _sorted_keys(edges))
 
 
 def bipartite(
@@ -250,16 +297,21 @@ def bipartite(
 ) -> Graph:
     """Uniform random bipartite graph; edges run left→right, with the
     ``is_left`` node property attached (as the paper's matching input)."""
-    rng = random.Random(seed)
+    _at_least(0, num_left=num_left, num_right=num_right, num_edges=num_edges)
+    bits = random.Random(seed).getrandbits
     total = num_left + num_right
-    edges: set[tuple[int, int]] = set()
-    max_possible = num_left * num_right
-    target = min(num_edges, max_possible)
+    left_bits, right_bits = num_left.bit_length(), num_right.bit_length()
+    edges: set[int] = set()  # keys src * total + dst
+    target = min(num_edges, num_left * num_right)
     while len(edges) < target:
-        a = rng.randrange(num_left)
-        b = num_left + rng.randrange(num_right)
-        edges.add((a, b))
-    graph = Graph.from_edges(total, sorted(edges))
+        a = bits(left_bits)  # randrange(num_left)
+        while a >= num_left:
+            a = bits(left_bits)
+        b = bits(right_bits)  # randrange(num_right)
+        while b >= num_right:
+            b = bits(right_bits)
+        edges.add(a * total + num_left + b)
+    graph = _from_keys(total, _sorted_keys(edges))
     graph.add_node_prop("is_left", [v < num_left for v in range(total)])
     return graph
 
@@ -301,37 +353,35 @@ def skewed(
     max_deg = max(2, min(num_nodes - 1, avg_degree * 8))
     weights = [d ** -exponent for d in range(1, max_deg + 1)]
     total_w = sum(weights)
-    cumulative = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total_w
-        cumulative.append(acc)
+    cumulative = list(accumulate(w / total_w for w in weights))
     # Scale draws so the expected degree matches avg_degree.
     mean_draw = sum((d + 1) * w for d, w in enumerate(weights)) / total_w
     boost = max(1.0, avg_degree / mean_draw)
-    edges: set[tuple[int, int]] = set()
+    draw, bits = rng.random, rng.getrandbits
+    n, n_bits = num_nodes, num_nodes.bit_length()
+    edges: set[int] = set()  # keys src * n + dst
     targets: list[int] = [0]  # preferential-attachment pool
-    for v in range(num_nodes):
-        r = rng.random()
-        deg = max_deg
-        for d, edge_cum in enumerate(cumulative):
-            if r <= edge_cum:
-                deg = d + 1
-                break
-        deg = max(1, int(deg * boost))
-        for _ in range(deg):
-            if targets and rng.random() < 0.5:
-                t = targets[rng.randrange(len(targets))]
-            else:
-                t = rng.randrange(num_nodes)
-            if t != v and (v, t) not in edges:
-                edges.add((v, t))
+    for v in range(n):
+        # the least degree whose cumulative weight reaches the draw
+        deg = min(bisect_left(cumulative, draw()) + 1, max_deg)
+        row = v * n
+        for _ in range(max(1, int(deg * boost))):
+            if draw() < 0.5:  # targets[randrange(len(targets))]
+                size = len(targets)
+                t = bits(size.bit_length())
+                while t >= size:
+                    t = bits(size.bit_length())
+                t = targets[t]
+            else:  # randrange(n)
+                t = bits(n_bits)
+                while t >= n:
+                    t = bits(n_bits)
+            if t != v and row + t not in edges:
+                edges.add(row + t)
                 targets.append(t)
     # Force the hub: the first hub_degree non-hub vertices all point at 0.
-    hub_sources = [v for v in range(1, num_nodes)][:hub_degree]
-    for v in hub_sources:
-        edges.add((v, 0))
-    return Graph.from_edges(num_nodes, sorted(edges))
+    edges.update(range(n, (hub_degree + 1) * n, n))
+    return _from_keys(n, _sorted_keys(edges))
 
 
 def attach_standard_props(graph: Graph, *, seed: int = 2) -> Graph:

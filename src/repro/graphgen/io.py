@@ -36,22 +36,36 @@ class GraphFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+#: edge lines formatted per write: enough to amortise the pass, few enough
+#: that the text of a large graph is never held whole
+_ROWS = 1 << 15
+
+
 def save_edge_list(graph: Graph, path: str | Path, *, edge_props: list[str] | None = None) -> None:
+    """Write ``graph`` in the format above: each block of edge lines is one
+    ``"%s %s ...\\n" * rows`` format pass (``%s`` is ``str()``, so every
+    column, typed or a list, reads as ``str`` of its values)."""
+    import numpy as np
+
     path = Path(path)
     names = edge_props if edge_props is not None else sorted(graph.edge_props)
-    offsets = graph.out_offsets
-    sources: list[str] = []
-    for v in graph.nodes():
-        sources.extend([str(v)] * (offsets[v + 1] - offsets[v]))
-    columns = [sources, map(str, graph.out_targets)]
-    columns.extend(map(str, graph.edge_props[name]) for name in names)
+    columns = [graph.out_targets, *(graph.edge_props[name] for name in names)]
+    width = 1 + len(columns)
+    line = " ".join(["%s"] * width) + "\n"
+    degrees = np.diff(np.frombuffer(graph.out_offsets, dtype=np.int64))
+    sources = np.repeat(np.arange(graph.num_nodes), degrees)
     with path.open("w") as fh:
         fh.write(f"# nodes: {graph.num_nodes}\n")
         if names:
             fh.write(f"# edge-props: {' '.join(names)}\n")
-        if sources:
-            fh.write("\n".join(map(" ".join, zip(*columns))))
-            fh.write("\n")
+        for lo in range(0, len(sources), _ROWS):
+            block = sources[lo : lo + _ROWS].tolist()
+            rows = len(block)
+            flat = [None] * (rows * width)
+            flat[0::width] = block
+            for i, column in enumerate(columns, 1):
+                flat[i::width] = column[lo : lo + rows]
+            fh.write(line * rows % tuple(flat))
     for name, values in graph.node_props.items():
         side = path.with_suffix(path.suffix + f".prop.{name}")
         with side.open("w") as fh:

@@ -19,61 +19,47 @@ engine's hot loops completely untouched (measured <5% on the Figure 6
 PageRank run; see ``benchmarks/bench_obs.py``).
 """
 
-from .tracer import NULL_TRACER, NullTracer, Span, TraceEvent, Tracer, deterministic_events
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    deterministic_snapshot,
-    prometheus_text,
-)
-from .export import (
-    chrome_trace,
-    deterministic_jsonl,
-    load_jsonl,
-    strip_timing,
-    timeline_report,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .profile import (
-    StragglerRow,
-    WorkerStats,
-    profile_report,
-    straggler_supersteps,
-    worker_profile,
-)
+import importlib
 
-__all__ = [
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NullTracer",
-    "Span",
-    "StragglerRow",
-    "TraceEvent",
-    "Tracer",
-    "WorkerStats",
-    "chrome_trace",
-    "deterministic_events",
-    "deterministic_jsonl",
-    "deterministic_snapshot",
-    "load_jsonl",
-    "profile_report",
-    "prometheus_text",
-    "straggler_supersteps",
-    "strip_timing",
-    "timeline_report",
-    "to_jsonl",
-    "worker_profile",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+#: where each re-export lives.  Resolved on first access (PEP 562): an
+#: untraced compile imports ``.tracer`` for ``NULL_TRACER`` and loads
+#: neither the registry nor the exporters.
+_EXPORTS = {
+    "NULL_TRACER": ".tracer",
+    "NullTracer": ".tracer",
+    "Span": ".tracer",
+    "TraceEvent": ".tracer",
+    "Tracer": ".tracer",
+    "deterministic_events": ".tracer",
+    "NULL_REGISTRY": ".metrics",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "NullRegistry": ".metrics",
+    "deterministic_snapshot": ".metrics",
+    "prometheus_text": ".metrics",
+    "chrome_trace": ".export",
+    "deterministic_jsonl": ".export",
+    "load_jsonl": ".export",
+    "strip_timing": ".export",
+    "timeline_report": ".export",
+    "to_jsonl": ".export",
+    "write_chrome_trace": ".export",
+    "write_jsonl": ".export",
+    "StragglerRow": ".profile",
+    "WorkerStats": ".profile",
+    "profile_report": ".profile",
+    "straggler_supersteps": ".profile",
+    "worker_profile": ".profile",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module, __name__), name)
+    return value

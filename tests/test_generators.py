@@ -67,6 +67,14 @@ class TestUniformRandom:
     def test_every_pair_is_still_reachable(self):
         assert uniform_random(5, 20, seed=3).num_edges == 20
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [(dict(num_nodes=-3, num_edges=0), "num_nodes"), (dict(num_nodes=5, num_edges=-1), "num_edges")],
+    )
+    def test_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            uniform_random(**kwargs)
+
 
 class TestTwitterLike:
     def test_size_near_target(self):
@@ -93,6 +101,14 @@ class TestTwitterLike:
         g = twitter_like(5, avg_degree=16)
         assert 0 < g.num_edges <= 20 < 5 * 16
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [(dict(num_nodes=-3), "num_nodes"), (dict(num_nodes=10, avg_degree=-1), "avg_degree")],
+    )
+    def test_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            twitter_like(**kwargs)
+
 
 class TestWebLike:
     def test_reaches_target_size(self):
@@ -110,6 +126,25 @@ class TestWebLike:
         a = web_like(200, seed=7)
         b = web_like(200, seed=7)
         assert list(a.edges()) == list(b.edges())
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(num_nodes=-5), "num_nodes"),
+            (dict(num_nodes=10, avg_degree=0), "avg_degree"),
+            (dict(num_nodes=10, avg_degree=-2), "avg_degree"),
+            (dict(num_nodes=10, avg_degree=4, locality=1.5), "locality"),
+            (dict(num_nodes=10, avg_degree=4, locality=-0.1), "locality"),
+            (dict(num_nodes=10, avg_degree=4, locality=math.nan), "locality"),
+        ],
+    )
+    def test_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            web_like(**kwargs)
+
+    def test_degenerate_sizes_are_valid(self):
+        assert web_like(0).num_nodes == 0
+        assert web_like(1).num_edges == 0
 
 
 class TestSkewed:
@@ -172,6 +207,18 @@ class TestBipartite:
     def test_edge_count_capped_by_complete_graph(self):
         g = bipartite(3, 3, num_edges=100, seed=1)
         assert g.num_edges == 9
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((-1, 5, 3), "num_left"), ((5, -1, 3), "num_right"), ((5, 5, -1), "num_edges")],
+    )
+    def test_validation(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            bipartite(*args)
+
+    def test_an_empty_side_is_valid(self):
+        g = bipartite(0, 5, 3)
+        assert (g.num_nodes, g.num_edges) == (5, 0)
 
 
 class TestStandardProps:
@@ -313,6 +360,20 @@ def _assert_same_graph(got, want):
     assert graph_signature(got) == graph_signature(want)
 
 
+def _assert_same_files(got, want, tmp_path, sidecars):
+    """``got`` is the graph the oracle's ``want`` becomes with the standard
+    properties, and both save to the same files — the .el and every .prop.*
+    sidecar, byte for byte — through the live writer and the frozen one."""
+    want = scalar.attach_standard_props(want)
+    _assert_same_graph(got, want)
+    save_edge_list(got, tmp_path / "got.el")
+    scalar.save_edge_list(want, tmp_path / "want.el")
+    saved = sorted(p.name for p in tmp_path.glob("got.el*"))
+    assert saved == ["got.el", *(f"got.el.prop.{name}" for name in sorted(sidecars))]
+    for name in saved:
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("got", "want")).read_bytes()
+
+
 class TestArrayGeneratorsReplayScalar:
     """The array generators build the graphs ``tests/scalar_generators.py``
     builds — the same buffers, not the same distribution."""
@@ -350,19 +411,9 @@ class TestArrayGeneratorsReplayScalar:
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("scale", [0.25, 0.5, 2.2])
     def test_registry_twitter_is_the_same_file(self, scale, seed, tmp_path):
-        # the sizes the committed reports and benchmarks/e2e load; compared as
-        # saved: the .el and every .prop.* sidecar, byte for byte
-        got = load_graph("twitter", scale, seed)
-        want = scalar.attach_standard_props(
-            scalar.twitter_like(max(100, int(4000 * scale)), avg_degree=12, seed=seed)
-        )
-        _assert_same_graph(got, want)
-        save_edge_list(got, tmp_path / "got.el")
-        save_edge_list(want, tmp_path / "want.el")
-        saved = sorted(p.name for p in tmp_path.glob("got.el*"))
-        assert saved == ["got.el", "got.el.prop.age", "got.el.prop.member"]
-        for name in saved:
-            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("got", "want")).read_bytes()
+        # the sizes the committed reports and benchmarks/e2e load
+        want = scalar.twitter_like(max(100, int(4000 * scale)), avg_degree=12, seed=seed)
+        _assert_same_files(load_graph("twitter", scale, seed), want, tmp_path, ["age", "member"])
 
     @pytest.mark.parametrize("n, d", [(1, 1), (1, 9), (2, 1), (2, 5), (5, 16), (3, 0), (0, 4)])
     def test_twitter_like_degenerate_sizes(self, n, d):
@@ -410,3 +461,141 @@ class TestArrayGeneratorsReplayScalar:
         want = scalar.attach_standard_props(scalar.twitter_like(84_000, avg_degree=12))
         assert got.num_edges == 1_008_000
         _assert_same_graph(got, want)
+
+
+class TestLoopsReplayScalar:
+    """``web_like``, ``bipartite`` and ``skewed`` — tight loops over
+    ``random.Random`` — build the graphs their old loops in
+    ``tests/scalar_generators.py`` build, buffer for buffer."""
+
+    @given(
+        st.integers(0, 400),
+        st.integers(1, 20),
+        st.integers(0, 2**32),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+    )
+    @settings(deadline=None)
+    def test_web_like(self, num_nodes, avg_degree, seed, locality):
+        _assert_same_graph(
+            web_like(num_nodes, avg_degree, seed=seed, locality=locality),
+            scalar.web_like(num_nodes, avg_degree, seed=seed, locality=locality),
+        )
+
+    @given(st.data(), st.integers(0, 60), st.integers(0, 60), st.integers(0, 2**32))
+    @settings(deadline=None)
+    def test_bipartite(self, data, num_left, num_right, seed):
+        # past L * R the target is capped at the complete bipartite graph
+        num_edges = data.draw(st.integers(0, num_left * num_right + 20))
+        _assert_same_graph(
+            bipartite(num_left, num_right, num_edges, seed=seed),
+            scalar.bipartite(num_left, num_right, num_edges, seed=seed),
+        )
+
+    @given(
+        st.data(),
+        st.integers(2, 300),
+        st.integers(0, 20),
+        st.integers(0, 2**32),
+        st.floats(1.01, 4.0),
+    )
+    @settings(deadline=None)
+    def test_skewed(self, data, num_nodes, avg_degree, seed, exponent):
+        hub_degree = data.draw(st.one_of(st.none(), st.integers(1, num_nodes - 1)))
+        kwargs = dict(seed=seed, exponent=exponent, hub_degree=hub_degree)
+        _assert_same_graph(
+            skewed(num_nodes, avg_degree, **kwargs), scalar.skewed(num_nodes, avg_degree, **kwargs)
+        )
+
+    def test_skewed_degree_past_the_last_cumulative_weight(self, monkeypatch):
+        # a draw above the last cumulative weight takes the largest degree,
+        # as the old scan's default did; random() stays below 1.0, so both
+        # generators are handed a stream whose draws reach past it
+        class Stretched(random.Random):
+            def random(self):
+                return super().random() * 1.05
+
+            def getrandbits(self, k):  # keeps randrange on getrandbits
+                return super().getrandbits(k)
+
+        for module in (generators, scalar):
+            monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Stretched))
+        for exponent in (1.01, 2.1):
+            for seed in range(20):
+                _assert_same_graph(
+                    skewed(60, 4, seed=seed, exponent=exponent),
+                    scalar.skewed(60, 4, seed=seed, exponent=exponent),
+                )
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 2.2])
+    @pytest.mark.parametrize("key", ["sk-2005", "bipartite"])
+    def test_registry_graph_is_the_same_file(self, key, scale, seed, tmp_path):
+        # the sizes the committed reports and benchmarks/e2e load
+        if key == "sk-2005":
+            want = scalar.web_like(max(100, int(4000 * scale)), avg_degree=12, seed=seed)
+            sidecars = ["age", "member"]
+        else:
+            half = max(50, int(2000 * scale))
+            want = scalar.bipartite(half, half, num_edges=half * 12, seed=seed)
+            sidecars = ["age", "is_left", "member"]
+        _assert_same_files(load_graph(key, scale, seed), want, tmp_path, sidecars)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("key", ["web_like", "bipartite"])
+    def test_million_edges(self, key, request):
+        if "slow" not in request.config.getoption("markexpr"):
+            pytest.skip("10 s scalar oracle; run with -m slow (CI: bench-telemetry)")
+        if key == "web_like":
+            args, edges = (84_000, 12), 1_207_536
+        else:
+            args, edges = (84_000, 84_000, 1_008_000), 1_008_000
+        got = getattr(generators, key)(*args)
+        assert got.num_edges == edges
+        _assert_same_graph(got, getattr(scalar, key)(*args))
+
+
+class TestWriterReplaysScalar:
+    """``save_edge_list`` writes what the frozen column-wise writer in
+    ``tests/scalar_generators.py`` writes, byte for byte."""
+
+    EDGES = [(2, 0), (0, 1), (1, 2), (0, 2), (2, 1)]
+
+    @pytest.mark.parametrize(
+        "props",
+        [
+            {},
+            {"w": [3, -(2**63), 0, 2**63 - 1, 7]},
+            {"w": [0.5, 1.0, -2.25, 1e300, 0.1]},
+            {"w": [True, False, True, True, False]},
+            {"w": [1, 2.5, 3, -4, 5.0]},
+            {"w": [0.5, 1.0, -2.25, 1e300, 0.1], "k": [1, 2, 3, 4, 5], "b": [True] * 5},
+        ],
+        ids=("no-props", "int", "float", "bool", "mixed", "three"),
+    )
+    @pytest.mark.parametrize("rows", [2, 1 << 15])
+    def test_columns(self, props, rows, tmp_path, monkeypatch):
+        from repro.graphgen import io
+        from repro.pregel import Graph
+
+        monkeypatch.setattr(io, "_ROWS", rows)  # 2: blocks end mid-node and at its last row
+        typed = Graph.from_edges(3, self.EDGES, edge_props=props)
+        listed = Graph.from_edges(3, self.EDGES)
+        for name, values in typed.edge_props.items():  # the same values as lists
+            listed.edge_props[name] = list(values)
+        for graph in (typed, listed):
+            for kwargs in ({}, {"edge_props": sorted(props)[:1]}):
+                save_edge_list(graph, tmp_path / "got.el", **kwargs)
+                scalar.save_edge_list(graph, tmp_path / "want.el", **kwargs)
+                got = (tmp_path / "got.el").read_bytes()
+                assert got == (tmp_path / "want.el").read_bytes()
+                assert got.count(b"\n") >= 1 + len(self.EDGES)
+
+    def test_zero_edges_and_node_props(self, tmp_path):
+        from repro.pregel import Graph
+
+        for graph in (Graph.from_edges(0, []), Graph.from_edges(4, [])):
+            graph.add_node_prop("flag", [True, False, True, False][: graph.num_nodes])
+            save_edge_list(graph, tmp_path / "got.el")
+            scalar.save_edge_list(graph, tmp_path / "want.el")
+            for suffix in ("", ".prop.flag"):
+                assert (tmp_path / f"got.el{suffix}").read_bytes() == (tmp_path / f"want.el{suffix}").read_bytes()

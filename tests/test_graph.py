@@ -325,7 +325,12 @@ def test_the_cli_loads_the_robustness_stack_on_first_use():
     )  # fmt: skip
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.pregel"])
+def test_an_untraced_compile_loads_the_tracer_and_nothing_else_of_obs():
+    loaded = _loaded_after("from repro.compiler import compile_algorithm; compile_algorithm('pagerank')")
+    assert _under(loaded, "repro.obs") == {"repro.obs", "repro.obs.tracer"}
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.pregel", "repro.obs"])
 def test_package_roots_resolve_their_exports_on_first_access(package):
     import importlib
 
