@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .compiler import compile_source
 from .graphgen.registry import TABLE1, load_graph
-from .lang.errors import GreenMarlError
+from .lang.errors import GreenMarlError, MissingArgument
 from .pregel.backend import BACKENDS, BackendUnsupported
 
 
@@ -75,10 +76,9 @@ def _validate_run_shape(ns: argparse.Namespace) -> None:
         raise _die(f"--checkpoint-every must be >= 0, got {ns.checkpoint_every}")
     if getattr(ns, "max_restarts", 0) < 0:
         raise _die(f"--max-restarts must be >= 0, got {ns.max_restarts}")
-    if getattr(ns, "exchange_deadline", 30.0) <= 0:
-        raise _die(
-            f"--exchange-deadline must be > 0, got {ns.exchange_deadline}"
-        )
+    deadline = getattr(ns, "exchange_deadline", 30.0)
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise _die(f"--exchange-deadline must be > 0 and finite, got {deadline}")
 
 
 def _cmd_compile(ns: argparse.Namespace) -> int:
@@ -736,6 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     except GreenMarlError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
+    except MissingArgument as exc:  # run, trace, profile, metrics, interp
+        raise _die(f"{exc}: pass --arg {exc.name}=VALUE") from None
     except BrokenPipeError:
         # output piped into a pager/head that closed early — not an error
         sys.stderr.close()

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
+from ..lang.errors import MissingArgument
 from ..pregel.backend import get_backend
 from ..pregel.globalmap import GlobalOp, combine
 from ..pregel.graph import Graph
@@ -540,7 +541,7 @@ class CompiledProgram:
             if param.name in args:
                 init[param.name] = args[param.name]
             elif not param.is_output:
-                raise ValueError(f"missing scalar argument '{param.name}'")
+                raise MissingArgument(param.name)
         return init
 
     def make_engine(
@@ -631,18 +632,14 @@ class CompiledProgram:
             # The mp backend's parent process scatters the workers'
             # partitions back into these columns after the run.
             engine._columns = fields
-        columnar = hasattr(engine, "install_array_code")
-        if columnar or hasattr(engine, "compile_array_code"):
+        if hasattr(engine, "compile_array_code"):
             from .vectorize import build_array_code
 
             build = functools.partial(build_array_code, self.ir, self.schema, fields)
             tracer = getattr(engine, "tracer", None)
             tracing = tracer is not None and tracer.enabled
             decisions: list | None = [] if tracing else None
-            if columnar:
-                engine.install_array_code(*build(engine, decisions=decisions))
-            else:  # mp: every worker compiles its own after the fork
-                engine.compile_array_code(build, decisions)
+            engine.compile_array_code(build, decisions)
             if tracing and decisions is not None:
                 # info-only: which phases compiled to bulk receive handlers
                 # and array kernels, and why the rest stayed scalar.  Never

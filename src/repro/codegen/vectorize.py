@@ -100,9 +100,9 @@ phase, on the scalar path, and the decision record names the construct
 (``guarded assign of a message value``, ``sum put inside a receive
 loop``, ``more than one send on tag 1``, ...).  Both kinds of array code
 engage on the columnar slab engine and in the ``mp`` workers, each of
-which compiles them against itself and runs a kernel over its partition
-(the kernel's initial selection) and a handler over the records its
-peers sent it.
+which compiles them against its fork of that engine and runs a kernel
+over its partition (the kernel's initial selection) and a handler over
+the records its peers sent it.
 """
 
 from __future__ import annotations
@@ -1355,8 +1355,9 @@ def build_array_code(
     the generated vertex source closes over); ``engine`` is what the
     kernels stage sends and global puts through (``out_gather`` /
     ``send_nbrs_bulk`` / ``send_to_bulk`` / ``put_global_bulk``) and whose
-    live broadcast dict is read at call time: a columnar engine, or one mp
-    worker, which calls its kernels with its partition as the selection.
+    live broadcast dict is read at call time: a columnar engine — on mp, a
+    worker's fork of one, which calls its kernels with its partition as
+    the selection.
     Both maps are empty when numpy or the schema is unavailable.
 
     When ``decisions`` is a list, one record per phase is appended:

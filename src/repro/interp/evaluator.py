@@ -49,6 +49,7 @@ from ..lang.ast import (
     While,
 )
 from ..lang import types as ty
+from ..lang.errors import MissingArgument
 from ..lang.parser import parse_procedure
 from ..pregel.graph import Graph
 
@@ -117,7 +118,7 @@ class Interpreter:
                 if param.name in args:
                     self.scalars[param.name] = args[param.name]
                 elif not param.is_output:
-                    raise ValueError(f"missing scalar argument '{param.name}'")
+                    raise MissingArgument(param.name)
                 else:
                     self.scalars[param.name] = ty.default_value(ptype)
 

@@ -46,6 +46,14 @@ class Span:
 UNKNOWN_SPAN = Span()
 
 
+class MissingArgument(ValueError):
+    """A scalar procedure parameter the caller passed no value for."""
+
+    def __init__(self, name: str):
+        super().__init__(f"missing scalar argument '{name}'")
+        self.name = name
+
+
 class GreenMarlError(Exception):
     """Base class for every diagnostic the compiler raises."""
 

@@ -3,9 +3,10 @@
 Vertex properties live in ``array.array`` columns typed from the program
 schema (``array`` indexing returns native Python scalars, so generated
 code behaves identically on lists and columns).  Messages go through the
-:class:`SlabPlane` — written once here, hosted by :class:`ColumnarEngine`
-and by every ``mp`` worker — as per-tag *slabs*, a destination-id array
-plus a packed payload buffer, instead of per-destination tuple lists.  A
+:class:`SlabPlane` — written once here, hosted by :class:`ColumnarEngine`,
+which every ``mp`` worker runs over its partition — as per-tag *slabs*, a
+destination-id array plus a packed payload buffer, instead of
+per-destination tuple lists.  A
 loop-invariant neighbor broadcast (``send_nbrs``) stages one CSR slice +
 ``record * degree`` bytes; a phase that ``repro.codegen.vectorize``
 compiled to an array kernel skips the per-vertex loop and stages its
@@ -430,22 +431,29 @@ class ColumnarEngine(PregelEngine):
         self._bulk_receivers: dict = {}
         self._phase_kernels: dict = {}
         if self._mreg is not None:
-            self._m_slab_flushes = self._mreg.counter("columnar.slab_flushes")
-            self._m_slab_records = self._mreg.counter("columnar.slab_records")
-            self._m_bulk_records = self._mreg.counter("columnar.bulk_records")
-            self._m_scalar_records = self._mreg.counter("columnar.scalar_records")
-            self._m_kernel_vertices = self._mreg.counter("columnar.kernel_vertices")
-            self._m_scalar_vertices = self._mreg.counter("columnar.scalar_vertices")
+            self._resolve_instruments(self._mreg)
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
         self._plane = SlabPlane(MessageCodec(schema), csr, self)
         self._bind_sends(super().send)
-        #: the next delivery's: tag -> the lone part the last vertex phase
-        #: sealed, and the ``(dst, msg)`` its combiner flush folded — off the
-        #: wire: a folded value never meets the packers
+        #: the next delivery's: tag -> its parts — the lone one the last
+        #: vertex phase sealed; on an mp worker, one per sending worker — and
+        #: the ``(dst, msg)`` the combiner flush folded — off the wire: a
+        #: folded value never meets the packers
         self._sealed: dict[int, list] = {}
         self._folded: list = []
         #: how many vertices each worker owns
         self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
+        #: a partition a kernel computes -> its vertex ids as int64
+        self._partition_ids: dict = {}
+
+    def _resolve_instruments(self, mreg) -> None:
+        """The registry's ``columnar.*`` counters, resolved once."""
+        self._m_slab_flushes = mreg.counter("columnar.slab_flushes")
+        self._m_slab_records = mreg.counter("columnar.slab_records")
+        self._m_bulk_records = mreg.counter("columnar.bulk_records")
+        self._m_scalar_records = mreg.counter("columnar.scalar_records")
+        self._m_kernel_vertices = mreg.counter("columnar.kernel_vertices")
+        self._m_scalar_vertices = mreg.counter("columnar.scalar_vertices")
 
     def _bind_sends(self, fold: Callable) -> None:
         """Shadow the inherited send API with the plane's.  A combined tag's
@@ -482,6 +490,11 @@ class ColumnarEngine(PregelEngine):
             self._phase_kernels = kernels
             self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
 
+    def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
+        """Compile the vectorizer against this engine and install its output:
+        ``build(engine, decisions=None)`` returns ``(receivers, kernels)``."""
+        self.install_array_code(*build(self, decisions=decisions))
+
     # -- vertex phase -----------------------------------------------------
 
     def _vertex_phase(self, frontier) -> int:
@@ -491,15 +504,24 @@ class ColumnarEngine(PregelEngine):
             ran = super()._vertex_phase(frontier)
         else:
             # Array code and voting never meet: the phase computes every
-            # vertex, as the dense loop would.
-            ran = self.graph.num_nodes
+            # vertex, as the dense loop would — or, on an mp worker, every
+            # vertex of its partition, a range, whose work its parent accounts.
+            if frontier is None:
+                sel, ran = None, self.graph.num_nodes
+            else:
+                sel = self._partition_ids.get(frontier)
+                if sel is None:
+                    sel = self._partition_ids[frontier] = np.arange(
+                        frontier.start, frontier.stop, frontier.step, dtype=np.int64
+                    )
+                ran = len(sel)
             owned = self._worker_vertices
             if self._track_makespan:
                 step_work = self._step_work
                 for w, count in enumerate(owned):
                     step_work[w] += count
             t0 = perf_counter()
-            kernel()
+            kernel(sel)
             computed = self._trace_worker_computed  # empty unless a tracer records
             if computed:
                 # what traced_compute counts vertex by vertex; the seconds
@@ -512,15 +534,19 @@ class ColumnarEngine(PregelEngine):
                 slots[dst] = _NO_MESSAGES
         if self._mreg is not None:
             (self._m_scalar_vertices if kernel is None else self._m_kernel_vertices).inc(ran)
-        # Sealed inside the phase, so the driver's per-superstep deltas see
-        # this superstep's sends; the records wait for the next delivery.
+        self._seal()
+        return ran
+
+    def _seal(self) -> None:
+        """Seal the phase's sends — inside the phase, so the driver's
+        per-superstep deltas see them — meter them, and keep them for the
+        next delivery."""
         plane = self._plane
         step_work = self._step_work if self._track_makespan else None
         staged_bytes = self._trace_worker_bytes or None
         for sealed in plane.seal():
             plane.meter_workers(self.metrics, step_work, sealed, staged_bytes)
             self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
-        return ran
 
     def out_gather(self) -> NbrGather:
         """The gather of an out-direction bulk send: the graph's out-CSR."""

@@ -7,13 +7,12 @@ columnar backend's typed message slabs through ``multiprocessing.shared_memory``
 segments, and synchronizing at the same batched-routing barrier — here an
 actual parent-coordinated barrier rather than a simulated one.
 
-A worker is a process shell around one
-:class:`~repro.pregel.backend.columnar.SlabPlane` over its partition — the
-staging, seal, metering formula and receive dispatch
-:class:`ColumnarEngine` runs over all the vertices.  It compiles the
-program's array code (``repro.codegen.vectorize``) against itself after
-the fork and runs it where the engine would, selected per phase from the
-IR.  Sender combiners and vote-to-halt observe individual sends and keep
+A worker is a process shell around the forked engine — :class:`MPEngine`
+is a :class:`~repro.pregel.backend.columnar.ColumnarEngine`, whose vertex
+phase, delivery and slab plane each worker runs over its partition.  It
+compiles the program's array code (``repro.codegen.vectorize``) against
+that engine after the fork and runs it where ``columnar`` would,
+selected per phase from the IR.  Sender combiners and vote-to-halt observe individual sends and keep
 the generated scalar program, as does a phase the vectorizer refused; a
 tracer, fault tolerance (recovery included), a memory budget and the tcp
 transport read per-worker totals and whole slabs, and cost the kernels
@@ -39,7 +38,7 @@ order-reconstructing merges at the parent barrier:
   workers scan their partitions in ascending order and partitions
   interleave) — ahead of a bulk receive handler only if the vectorizer
   found an order-sensitive reduce in it (a float ``SUM``/``PRODUCT``),
-  always ahead of the decode into the dict inbox;
+  always ahead of the decode into the dense inbox;
 * vertex **global-object puts** ship to the parent as one ``(vids,
   values)`` array pair per global — a kernel's put as it made it, a
   scalar step's gathered — and are re-folded in ascending-vid order with
@@ -137,6 +136,7 @@ validate a composition *before* loading a graph, with identical messages.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import signal
 import time
@@ -144,7 +144,7 @@ import traceback
 from array import array
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import filterfalse
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import Any, Callable
 
@@ -152,12 +152,11 @@ import numpy as np
 
 from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, RealFault
 from ..graph import Graph
-from ..runtime import VOTING_DISABLED_ERROR, PregelEngine, SuperstepRecord
-from .base import BackendUnsupported, ExecutionBackend
-from .codec import MessageCodec, read_part, split_by_owner, write_part
+from ..runtime import SuperstepRecord
+from .base import BackendUnsupported
+from .codec import read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
-from .columnar import NbrGather, SlabPlane, array_code_engages, build_typed_columns
-from .columnar import folding, vectorized_phases
+from .columnar import ColumnarBackend, ColumnarEngine, NbrGather, array_code_engages
 
 _EMPTY: tuple = ()
 
@@ -330,13 +329,12 @@ def _wake(voted: bytearray, parts_by_tag: dict, combined) -> None:
         voted[dst] = 0
 
 
-class MPEngine(PregelEngine):
-    """Parent-side coordinator: the shared superstep driver with real
-    worker processes for a body.  The master API, ``run()``, the superstep
-    loop and the checkpoint payload are :class:`PregelEngine`'s; this class
-    owns the process plumbing (``_session``), the barrier protocol
-    (``_superstep_body``: step → stat fold → exchange → ready), real-failure
-    recovery, and the parent's share of a checkpoint."""
+class MPEngine(ColumnarEngine):
+    """Parent-side coordinator: the columnar engine with real worker
+    processes for a body, each running its fork of this engine over its
+    partition.  This class owns the process plumbing (``_session``), the
+    barrier protocol (``_superstep_body``: step → stat fold → exchange →
+    ready), real-failure recovery, and the parent's share of a checkpoint."""
 
     def __init__(
         self,
@@ -363,19 +361,19 @@ class MPEngine(PregelEngine):
                 "the mp backend needs fork start-method and "
                 "multiprocessing.shared_memory, unavailable on this platform"
             )
-        if exchange_deadline <= 0:
-            raise ValueError("exchange_deadline must be > 0")
+        if not (math.isfinite(exchange_deadline) and exchange_deadline > 0):
+            raise ValueError("exchange_deadline must be > 0 and finite")
         if transport_mode not in ("shm", "tcp"):
             raise ValueError(
                 f"unknown transport '{transport_mode}' (expected 'shm' or 'tcp')"
             )
-        # The shared construction: ledger, placement, scheduling checks, and
-        # the ft → supervisor → mem attach sequence.  ``_voted`` is the one
-        # authoritative vote bitset: forked workers inherit it
-        # copy-on-write, mutate their own partition's slice, and ship that
-        # slice back in every exchange reply for the parent to fold (the FT
-        # replay also reads/writes it directly).
-        super().__init__(graph, vertex_compute, **engine_opts)
+        # The shared construction: ledger, placement, scheduling checks, the
+        # ft → supervisor → mem attach sequence and the slab plane, all
+        # inherited copy-on-write by every fork.  ``_voted`` is the one
+        # authoritative vote bitset: each worker mutates its partition's
+        # slice and ships it back in every exchange reply for the parent to
+        # fold (the FT replay also reads/writes it directly).
+        super().__init__(graph, schema=schema, vertex_compute=vertex_compute, **engine_opts)
         real_faults = tuple(real_faults or ())
         for fault in real_faults:
             if fault.kind not in REAL_FAULT_KINDS:
@@ -399,14 +397,6 @@ class MPEngine(PregelEngine):
         self.schema = schema
         self.metrics.backend = "mp"
         self.transport_mode = transport_mode
-        self._codec = MessageCodec(schema)
-        #: numpy view of the out-CSR and the placement, built before the
-        #: first fork so the workers share it copy-on-write.
-        self._csr = NbrGather.of_graph(graph, self._worker_of)
-        #: the parent's own plane, for decoding its log and re-packing a
-        #: checkpoint; with no receive code, all it dispatches is decoded
-        self._bulk_receivers: dict = {}
-        self._plane = SlabPlane(self._codec, self._csr, self)
         w = self.num_workers
         # ``_part_slices[wid]`` is the column/bitset slice matching the
         # shared placement (``_worker_of``), so strided ('hash') and
@@ -415,13 +405,9 @@ class MPEngine(PregelEngine):
         if self.partitioning == "hash":
             self._part_slices = [slice(wid, None, w) for wid in range(w)]
         else:
-            bounds = [0] * (w + 1)
-            for owner in self._worker_of:
-                bounds[owner + 1] += 1
-            for wid in range(w):
-                bounds[wid + 1] += bounds[wid]
+            ends = list(accumulate(self._worker_vertices))
             self._part_slices = [
-                slice(bounds[wid], bounds[wid + 1]) for wid in range(w)
+                slice(end - count, end) for end, count in zip(ends, self._worker_vertices)
             ]
         self._columns: dict[str, Any] = {}
         #: the vectorizer, ``build(engine) -> (receivers, kernels)``: each
@@ -488,26 +474,27 @@ class MPEngine(PregelEngine):
             )
         self._slab_bytes = mp_slab_bytes
 
+    def _resolve_instruments(self, mreg) -> None:
+        """None: each worker counts its partition's traffic under ``mp.*``."""
+
     def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
         """Take the vectorizer: ``build(engine, decisions=None)`` returns
         ``(receivers, kernels)`` compiled against ``engine``.
 
         Every worker compiles its own array code after its fork — against
-        itself, so kernels stage through its slabs and column views bind
-        the process's live copy-on-write columns — and runs it per phase,
-        from the IR, as :class:`ColumnarEngine` does and under its rule
-        (``array_code_engages``): with sender combiners or vote-to-halt on,
-        the workers keep the generated scalar program.  The parent compiles
-        once against a worker that never runs, for the record: which
-        phases engage (``RunMetrics.vectorized_phases``) and why the others
-        do not (``decisions``, the ``compile.vectorize`` trace events)."""
+        its forked engine, so kernels stage through its slabs and column
+        views bind the process's live copy-on-write columns — and runs it
+        per phase, from the IR, under the columnar rule
+        (``array_code_engages``).  The parent compiles once against itself
+        and keeps none of it, for the record: which phases engage
+        (``RunMetrics.vectorized_phases``) and why the others do not
+        (``decisions``, the ``compile.vectorize`` trace events)."""
         engages = array_code_engages(self)
         if engages:
             self._array_code = build
         if engages or decisions is not None:
-            receivers, kernels = build(_Worker(0, self, ()), decisions=decisions)
-            if engages:
-                self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
+            super().compile_array_code(build, decisions)
+            self._bulk_receivers, self._phase_kernels = {}, {}
 
     def _wire_boundaries(self) -> None:
         """mp's start-of-superstep order: escalate what the last exchange
@@ -538,7 +525,10 @@ class MPEngine(PregelEngine):
         if not self._ft_replaying:
             raise RuntimeError("mp parent runs vertex code only during FT replay")
 
-    send = send_nbrs = send_list = put_global = _replay_only
+    send = send_nbrs = send_list = send_nbrs_bulk = send_to_bulk = put_global = _replay_only
+
+    def _bind_sends(self, fold: Callable) -> None:
+        """None: the parent stages no send — a worker binds its fork's."""
 
     # -- checkpoint / restore: the parent's share of the payload ---------
 
@@ -947,7 +937,7 @@ class MPEngine(PregelEngine):
         ft = self.ft
         mreg = self._mreg
         worker_of = self._worker_of
-        sizes = self._codec.sizes
+        sizes = self._plane.codec.sizes
         w = self.num_workers
         supervisor = self._supervisor
         voted = self._voted
@@ -966,7 +956,7 @@ class MPEngine(PregelEngine):
         hang = self._hang_now
         self._hang_now = {}
         for wid in range(w):
-            self._send(wid, ("step", bcast, hang.get(wid, 0.0)))
+            self._send(wid, ("step", bcast, self.superstep, hang.get(wid, 0.0)))
         # Vertex-phase barrier under a deadline.  A death here is
         # recovered *within* the superstep when confinement allows it:
         # the failed partition replays parent-side to this superstep's
@@ -994,7 +984,7 @@ class MPEngine(PregelEngine):
             self._refork()
             pending = [wid for wid, _cause in dead]
             for wid in pending:
-                self._send(wid, ("step", bcast, 0.0))
+                self._send(wid, ("step", bcast, self.superstep, 0.0))
         step_net = 0
         all_puts: list = []
         all_slots: list = []
@@ -1210,17 +1200,17 @@ class MPEngine(PregelEngine):
 
 
 class _Worker:
-    """One worker process: the shell around the partition's slab plane.
+    """One worker process: the shell around the forked engine.
 
-    It computes its partition every superstep — a phase the vectorizer
-    compiled as the array kernel :class:`ColumnarEngine` runs, restricted
-    to the partition's vertices; any other as the generated scalar
-    program, one call per vertex — with sends going to the plane (combined
-    tags folded into per-(dst, tag) slots before it), writes each sealed
-    tag as per-destination parts into its shared-memory segment, keeps the
-    other workers' parts destined here raw after the barrier, and hands
-    them to the plane's dispatch at the next step, when the broadcast
-    state says which receive code they are for.
+    The worker adapts its copy of the parent's :class:`MPEngine` in place
+    (``_init``) and runs the engine's delivery and vertex phase over its
+    partition every superstep.  The shell adds what only a worker does:
+    combined tags fold into per-(dst, tag) slots stamped for the parent's
+    merge, puts ship to the parent, each sealed tag is written as
+    per-destination parts into the shared-memory segment, and the other
+    workers' parts destined here are kept raw after the barrier until the
+    next step's delivery, when the broadcast state says which receive code
+    they are for.
 
     Constructed in the parent *before* fork, so every heavy structure (the
     graph CSR, property columns, the generated vertex function and its
@@ -1233,73 +1223,35 @@ class _Worker:
         self.wid = wid
         self.engine = engine
         self.segments = segments
-        self._current_vertex = -1
-        # read by array code, which is compiled against this object
-        self.globals = engine.globals
-        self.graph = engine.graph
-        self._combiners = engine._combiners
-        self._bulk_receivers: dict = {}
-        self._kernels: dict = {}
-        # Generated code and kernels send through the plane.  It knows
-        # nothing of combiners: with any on, a combined tag's sends fold first.
-        self._plane = plane = SlabPlane(engine._codec, engine._csr, self)
-        self.send_nbrs_bulk = plane.send_nbrs_bulk
-        self.send_to_bulk = plane.send_to_bulk
-        for name, dsts_of in (
-            ("send", lambda dst: (dst,)),
-            ("send_nbrs", self.graph.out_nbrs),
-            ("send_list", lambda dsts: dsts),
-        ):
-            send = getattr(plane, name)
-            if self._combiners:
-                send = folding(
-                    send, self._combiners, lambda to, msg, of=dsts_of: self._fold(of(to), msg)
-                )
-            setattr(self, name, send)
 
-    # -- vertex-side ctx API (called by generated code) -----------------
+    # -- what the forked engine's sends and puts become -------------------
 
-    def _fold(self, dsts, msg: tuple) -> None:
-        """One combined send to each of ``dsts``: fold into this worker's
-        (dst, tag) slots, each stamped with the vid of its first send (the
-        parent's merge key).  Only the sender's combine work is metered
-        here — delivered traffic is metered at the parent's flush, on the
-        folded payload."""
+    def _fold(self, dst: int, msg: tuple) -> None:
+        """A combined send: fold into this worker's (dst, tag) slot, stamped
+        with the vid of its first send (the parent's merge key).  Only the
+        sender's combine work is metered here — delivered traffic is
+        metered at the parent's flush, on the folded payload."""
         tag = msg[0]
-        combiner = self._combiners[tag]
         combined = self._combined
-        for dst in dsts:
-            key = (dst, tag)
-            slot = combined.get(key)
-            if slot is not None:
-                combined[key] = (slot[0], combiner(slot[1], msg))
-            else:
-                combined[key] = (self._current_vertex, msg)
+        key = (dst, tag)
+        slot = combined.get(key)
+        if slot is not None:
+            combined[key] = (slot[0], self._combiners[tag](slot[1], msg))
+        else:
+            combined[key] = (self.engine._current_vertex, msg)
         c = self._counters
-        c.sent += len(dsts)
-        c.staged += self._sizes[tag] * len(dsts)
+        c.sent += 1
+        c.staged += self._sizes[tag]
 
     def put_global(self, name: str, op, value) -> None:
         vids, values = self._put_runs.setdefault((name, op), ([], []))
-        vids.append(self._current_vertex)
+        vids.append(self.engine._current_vertex)
         values.append(value)
 
-    def vote_to_halt(self, vid: int) -> None:
-        # The fork-inherited bitset is private to this process: the vote
-        # reaches the parent as this partition's slice in the next
-        # exchange reply, where the authoritative copy folds it in.
-        if self._voted is None:
-            raise RuntimeError(VOTING_DISABLED_ERROR)
-        self._voted[vid] = 1
-
-    def get_global(self, name: str):
-        return self.engine.globals.broadcast[name]
-
-    @property
-    def num_nodes(self) -> int:
-        return self.engine.graph.num_nodes
-
-    # -- kernel-side API (called by array code) -------------------------
+    def put_global_bulk(self, name: str, op, vids, values) -> None:
+        """Array code's puts to one global: shipped whole, folded with the
+        other workers' by the parent (``MPEngine._fold_puts``)."""
+        self._puts.append((name, op, vids, values))
 
     @cached_property
     def _out(self) -> NbrGather:
@@ -1308,19 +1260,10 @@ class _Worker:
         (every process built from this instance derives the same)."""
         return NbrGather.of_partition(self.engine._csr, self.wid, self.engine.num_workers)
 
-    def out_gather(self) -> NbrGather:
-        return self._out
-
-    def put_global_bulk(self, name: str, op, vids, values) -> None:
-        """Array code's puts to one global: shipped whole, folded with the
-        other workers' by the parent (``MPEngine._fold_puts``)."""
-        self._puts.append((name, op, vids, values))
-
     # -- process body ---------------------------------------------------
 
     def _init(self) -> None:
         engine = self.engine
-        n = engine.graph.num_nodes
         self._w = engine.num_workers
         # Per-process registry (built post-fork when the parent meters):
         # snapshots ship back — and reset — with every exchange reply, so
@@ -1333,10 +1276,10 @@ class _Worker:
             from ...obs.metrics import MetricsRegistry
 
             self._mreg = MetricsRegistry()
-        self._sizes = engine._codec.sizes
+        self._sizes = engine._plane.codec.sizes
+        self._combiners = engine._combiners
         self._part_slice = engine._part_slices[self.wid]
-        self._own_vids = list(range(n)[self._part_slice])
-        self._own_ids = np.arange(n, dtype=np.int64)[self._part_slice]
+        self._own = range(engine.graph.num_nodes)[self._part_slice]
         # tcp transport: keep the fork-inherited copy of our own listener,
         # close the siblings' (their owners hold the live fds — a stray
         # inherited copy here would keep a "closed" listener accepting).
@@ -1375,8 +1318,6 @@ class _Worker:
         self._parts: dict[int, list] = {}
         self._combined_in: list = _EMPTY
         self._combined: dict = {}
-        # Voting: fork-inherited copy of the parent's bitset (or None).
-        self._voted = engine._voted
         # Memory budgets: per-delivery receive accounting (payload +
         # envelope, the MemPlan's charge model), reported in the exchange
         # reply and charged parent-side.
@@ -1386,11 +1327,20 @@ class _Worker:
             else None
         )
         self._recv_bytes = 0
-        # Array code, compiled against this process: the kernels stage
-        # through the plane and their column views bind the columns this
-        # fork inherited.
+        # The forked engine becomes this partition's: the shell counts
+        # ``mp.*``, the parent accounts work from the replies, puts ship to
+        # it, array code sends along the partition's rows, a combined send
+        # takes the birth-stamped fold, and the seal writes the slabs.  Then
+        # the array code compiles against the engine.
+        engine._mreg = None
+        engine._track_makespan = False
+        engine.put_global = self.put_global
+        engine.put_global_bulk = self.put_global_bulk
+        engine.out_gather = lambda: self._out
+        ColumnarEngine._bind_sends(engine, self._fold)
+        engine._seal = self._write_slabs
         if engine._array_code is not None:
-            self._bulk_receivers, self._kernels = engine._array_code(self)
+            engine.install_array_code(*engine._array_code(engine))
 
     @staticmethod
     def _fresh_counters() -> SimpleNamespace:
@@ -1429,8 +1379,8 @@ class _Worker:
                     # bitset), the missing wake-up for a live worker that
                     # abandoned its exchange.
                     _kind, self._parts, self._combined_in = cmd
-                    if self._voted is not None:
-                        _wake(self._voted, self._parts, self._combined_in)
+                    if self.engine._voted is not None:
+                        _wake(self.engine._voted, self._parts, self._combined_in)
                     conn.send(("ready",))
                 elif kind == "finish":
                     conn.send(("columns", self._gather()))
@@ -1446,78 +1396,59 @@ class _Worker:
             conn.close()
 
     def _step(self, cmd) -> tuple:
-        """One vertex phase over this partition; returns the stat reply."""
-        broadcast = self.engine.globals.broadcast
-        broadcast.clear()
-        broadcast.update(cmd[1])
-        if cmd[2]:
+        """One vertex phase of the engine over this partition; returns the
+        stat reply."""
+        engine = self.engine
+        _kind, broadcast, engine.superstep, hang = cmd
+        engine.globals.broadcast.clear()
+        engine.globals.broadcast.update(broadcast)
+        if hang:
             # Injected hang: sleep past the parent's exchange deadline — it
             # detects the miss and recovers (we get terminated mid-nap by
             # the re-fork).
-            time.sleep(cmd[2])
+            time.sleep(hang)
         t0 = time.perf_counter()
-        mreg = self._mreg
-        wid = str(self.wid)
-        state = broadcast.get("_state")
-        # The phase's own choice, as on the columnar engine: its kernel if
-        # the vectorizer built one.
-        kernel = self._kernels.get(state)
-        inbox = self._deliver(state)
-        own = self._own_vids
-        voted = self._voted
-        if kernel is not None:
-            # array code and voting never meet: every own vertex computes
-            kernel(self._own_ids)
-            computed = len(own)
-        else:
-            compute = self.engine._vertex_compute
-            empty = _EMPTY
-            # Lazily filtered, as the in-process loop is: a vote cast during
-            # the phase still skips a vertex the scan has not reached yet.
-            active = own if voted is None else filterfalse(voted.__getitem__, own)
-            computed = 0
-            for computed, vid in enumerate(active, 1):
-                self._current_vertex = vid
-                compute(self, vid, inbox.get(vid, empty))
-            self._current_vertex = -1
-            for (name, op), (vids, values) in self._put_runs.items():
-                boxed = np.empty(len(values), dtype=object)
-                boxed[:] = values
-                self._puts.append((name, op, np.asarray(vids), boxed))
-            self._put_runs = {}
+        self._deliver()
+        as_kernel = broadcast.get("_state") in engine._phase_kernels
         c = self._counters
-        c.computed = computed
-        directory, inline = self._write_slabs()
+        c.computed = computed = engine._vertex_phase(self._own)
+        engine._current_vertex = -1
+        for (name, op), (vids, values) in self._put_runs.items():
+            boxed = np.empty(len(values), dtype=object)
+            boxed[:] = values
+            self._puts.append((name, op, np.asarray(vids), boxed))
+        self._put_runs = {}
         slots = [
             (birth, dst, tag, msg)
             for (dst, tag), (birth, msg) in self._combined.items()
         ]
         self._combined.clear()
         c.seconds = time.perf_counter() - t0
+        mreg = self._mreg
         if mreg is not None:
+            wid = str(self.wid)
             mreg.histogram("mp.worker_step_seconds", worker=wid).observe(c.seconds)
             mreg.counter("mp.worker_staged_bytes", worker=wid).inc(c.staged)
-            as_kernel = computed if kernel is not None else 0
-            mreg.counter("mp.kernel_vertices", worker=wid).inc(as_kernel)
-            mreg.counter("mp.scalar_vertices", worker=wid).inc(computed - as_kernel)
-        return ("stat", directory, inline, c, self._puts, slots)
+            mreg.counter("mp.kernel_vertices", worker=wid).inc(computed if as_kernel else 0)
+            mreg.counter("mp.scalar_vertices", worker=wid).inc(0 if as_kernel else computed)
+        return ("stat", *self._slabs, c, self._puts, slots)
 
-    def _deliver(self, state) -> dict:
-        """Hand the pending messages to this step's receive code — the
-        plane's dispatch — and return the dict inbox the scalar receive
-        loops read: what the dispatch decoded, then the parent's combined
-        messages."""
-        parts_by_tag, self._parts = self._parts, {}
-        combined, self._combined_in = self._combined_in, _EMPTY
-        plane = self._plane
-        inbox = _inbox_of(plane.dispatch(state, parts_by_tag), combined)
+    def _deliver(self) -> None:
+        """Hand what the last exchange left here to the engine's delivery —
+        the plane's dispatch into the dense inbox, the parent's combined
+        messages after it."""
+        engine = self.engine
+        engine._sealed, self._parts = self._parts, {}
+        engine._folded, self._combined_in = self._combined_in, _EMPTY
+        combined = len(engine._folded)
+        engine._deliver()
         if self._mreg is not None:
+            plane = engine._plane
             wid = str(self.wid)
             self._mreg.counter("mp.bulk_records", worker=wid).inc(plane.bulk_records)
             self._mreg.counter("mp.scalar_records", worker=wid).inc(
-                plane.scalar_records + len(combined)
+                plane.scalar_records + combined
             )
-        return inbox
 
     def _exchange(self, cmd) -> tuple:
         """Collect the parts destined here; returns the ready reply."""
@@ -1526,7 +1457,7 @@ class _Worker:
         frames = report = None
         if self._tcp is not None:
             frames, report = self._exchange_tcp(cmd[1], cmd[2], cmd[4])
-        voted = self._voted
+        voted = self.engine._voted
         # Ship this partition's vote slice *before* the delivery clears:
         # the parent's fold then matches the simulator's end-of-phase
         # bitset (checkpoints and traces included).
@@ -1556,14 +1487,15 @@ class _Worker:
             snap = mreg.snapshot(reset=True)
         return ("ready", route_s, snap, self._recv_bytes, votes, report)
 
-    def _write_slabs(self):
-        """Seal the plane, and do what only a real worker does with a
-        sealed tag — one split by receiving worker, which its traffic is
+    def _write_slabs(self) -> None:
+        """The forked engine's seal: seal the plane, and do what only a real
+        worker does with a sealed tag — one split by receiving worker, which its traffic is
         metered from (what crosses is what is not kept here), one write:
         each part goes into this worker's shared-memory segment in the
         codec's layout (``directory`` says where); anything past the
         segment's capacity travels ``inline`` over the pipe instead
-        (correctness never depends on the size).  A send along all the
+        (correctness never depends on the size); ``_slabs`` keeps the two
+        for the stat reply.  A send along all the
         partition's rows takes the split the partition gather cached, and
         each part's records go from the sealed payload straight into
         place; every other tag is cut by ``split_by_owner``.
@@ -1580,7 +1512,7 @@ class _Worker:
         inline = []
         tcp_out = self._tcp_outgoing if self._tcp is not None else None
         owner = self.engine._csr.owner
-        plane = self._plane
+        plane = self.engine._plane
         c = self._counters
         split = 0
         for sealed in plane.seal():
@@ -1621,7 +1553,7 @@ class _Worker:
                     tcp_out[dest].append((tag, part[3], body.tobytes()))
         if self._mreg is not None:
             self._mreg.counter("mp.split_records", worker=str(self.wid)).inc(split)
-        return directory, inline
+        self._slabs = directory, inline
 
     def _exchange_tcp(self, directories, inlines, net):
         """Run the socket leg of the exchange: ``(frames, None)`` — the
@@ -1697,7 +1629,9 @@ class _Worker:
         return out
 
 
-class MPBackend(ExecutionBackend):
+class MPBackend(ColumnarBackend):
+    """The columnar backend's typed columns, run by real worker processes."""
+
     name = "mp"
     supports = {
         "ft": True,
@@ -1710,9 +1644,6 @@ class MPBackend(ExecutionBackend):
         "track_makespan": True,
         "range_partitioning": True,
     }
-
-    def build_columns(self, schema, graph, fields, args):
-        return build_typed_columns(schema, fields)
 
     def create_engine(
         self,
@@ -1730,6 +1661,3 @@ class MPBackend(ExecutionBackend):
             message_size=message_size,
             **engine_opts,
         )
-
-    def column_values(self, column) -> list:
-        return column.tolist() if isinstance(column, array) else column

@@ -117,14 +117,17 @@ class CrashEvent:
 
 
 def parse_crash(spec: str) -> CrashEvent:
-    """Parse the CLI syntax ``WORKER@STEP`` (e.g. ``1@5``)."""
+    """Parse the CLI syntax ``WORKER@STEP`` (e.g. ``1@5``); both are >= 0."""
     try:
         worker_text, step_text = spec.split("@", 1)
-        return CrashEvent(int(worker_text), int(step_text))
+        crash = CrashEvent(int(worker_text), int(step_text))
     except ValueError:
+        crash = None
+    if crash is None or crash.worker < 0 or crash.superstep < 0:
         raise ValueError(
-            f"invalid fault spec '{spec}': expected WORKER@STEP, e.g. 1@5"
-        ) from None
+            f"invalid fault spec '{spec}': expected WORKER@STEP with both >= 0, e.g. 1@5"
+        )
+    return crash
 
 
 #: the real fault kinds ``parse_fault`` and the mp engine accept.  ``kill``
@@ -177,8 +180,8 @@ def parse_fault(spec: str) -> CrashEvent | RealFault:
             crash = parse_crash(rest)
         except ValueError:
             raise ValueError(
-                f"invalid fault spec '{spec}': expected {kind}:WORKER@STEP, "
-                f"e.g. {kind}:1@5"
+                f"invalid fault spec '{spec}': expected {kind}:WORKER@STEP "
+                f"with both >= 0, e.g. {kind}:1@5"
             ) from None
         return RealFault(kind, crash.worker, crash.superstep)
     return parse_crash(spec)

@@ -93,7 +93,7 @@ class NetFaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 0.9:
                 raise ValueError(f"{name} must be in [0, 0.9], got {rate}")
-        if self.latency_units < 0 or self.jitter_units < 0:
+        if not (self.latency_units >= 0 and self.jitter_units >= 0):  # NaN too
             raise ValueError("latency_units and jitter_units must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")

@@ -1269,21 +1269,18 @@ class PregelEngine:
 
     def _vertex_phase(self, frontier) -> int:
         """Run ``vertex.compute()`` over this superstep's active set:
-        ``frontier`` (the sparse vertex list), every vertex, or — under
-        voting — every vertex that has not voted by the time the scan
-        reaches it; returns how many computed.  Reads the dense inbox index
-        filled at delivery and resets it.  Execution backends override this
-        hook to run a phase as array code."""
-        n = self.graph.num_nodes
+        ``frontier`` — the sparse vertex list, or a range to scan (an mp
+        worker's partition) — else every vertex; a scan, under voting, skips
+        every vertex that has voted by the time it reaches it.  Returns how
+        many computed.  Reads the dense inbox index filled at delivery and
+        resets it.  Execution backends override this hook to run a phase as
+        array code."""
+        active = range(self.graph.num_nodes) if frontier is None else frontier
         voted = self._voted
-        if frontier is not None:
-            active = frontier
-        elif voted is None:
-            active = range(n)
-        else:
+        if voted is not None and type(active) is range:
             # Lazily filtered: a vote cast during the phase still skips a
             # vertex the scan has not reached yet.
-            active = filterfalse(voted.__getitem__, range(n))
+            active = filterfalse(voted.__getitem__, active)
         compute = self._vertex_compute
         track = self._track_makespan
         step_work = self._step_work

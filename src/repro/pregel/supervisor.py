@@ -124,11 +124,12 @@ class SupervisorPlan:
     seed: int = 43
 
     def __post_init__(self):
-        if self.heartbeat_interval <= 0:
+        # NaN fails every comparison: each check needs a true one to pass
+        if not self.heartbeat_interval > 0:
             raise ValueError("heartbeat_interval must be > 0")
-        if self.phi_threshold <= 0:
+        if not self.phi_threshold > 0:
             raise ValueError("phi_threshold must be > 0")
-        if self.deadline_timeout < 0 or self.barrier_timeout < 0:
+        if not (self.deadline_timeout >= 0 and self.barrier_timeout >= 0):
             raise ValueError("timeouts must be >= 0")
         if self.straggle_strikes < 1:
             raise ValueError("straggle_strikes must be >= 1")
@@ -138,7 +139,7 @@ class SupervisorPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.straggle_factor < 1.0:
+        if not self.straggle_factor >= 1.0:
             raise ValueError("straggle_factor must be >= 1.0")
 
 

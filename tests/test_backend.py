@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import os
+from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.harness import default_args
 from repro.compiler import compile_algorithm
@@ -20,7 +21,7 @@ from repro.graphgen.registry import load_graph
 from repro.pregel.backend import BACKENDS, BackendUnsupported, get_backend
 from repro.pregel.backend.codec import MessageCodec
 from repro.pregel.backend.columnar import ColumnarEngine
-from repro.pregel.backend.mp import mp_available
+from repro.pregel.backend.mp import MPEngine, mp_available
 from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance, RealFault
 from repro.pregel.net import NetFaultPlan, SimulatedTransport
 from repro.pregel.runtime import PregelEngine
@@ -307,12 +308,12 @@ class TestColumnarCompositions:
     # -- a program that votes -------------------------------------------
 
     @staticmethod
-    def gossip(graph, log):
+    def gossip(graph, log, label):
         """Hand-written, over bc_approx's wire layout: min-label propagation
-        on tag 3, every improvement announced on tag 0 as well (the tag the
-        combiner cells fold, by sum); a vertex logs its inbox verbatim and
-        votes to halt — so the run goes sparse and ends ``all_halted``."""
-        label = list(range(graph.num_nodes))
+        into the ``label`` column on tag 3, every improvement announced on
+        tag 0 as well (the tag the combiner cells fold, by sum); a vertex
+        logs its inbox verbatim and votes to halt — so the run goes sparse
+        and ends ``all_halted``."""
 
         def vertex(ctx, vid, messages):
             log.append((ctx.superstep, vid, list(messages)))
@@ -336,15 +337,20 @@ class TestColumnarCompositions:
         st.booleans(),
         st.booleans(),
     )
+    @example("dense", "hash", 3, True, False, False)
     def test_voting_program(self, scheduling, partitioning, workers, fold, traced, lossy):
         from repro.obs import MetricsRegistry, Tracer
 
         g = load_graph("twitter", 0.02)
         schema = compile_algorithm("bc_approx").program.schema
         sizes = {tag: schema.message_size(tag) for tag in schema.tags}
-        seen, logs, registries = {}, {}, {}
-        for backend in ("sim", "columnar"):
+        seen, logs, registries, labels = {}, {}, {}, {}
+        # the mp cell: a folded tag and a decoded one into each of three
+        # workers' dense inbox, the votes folded at the parent's barrier
+        mp_cell = workers == 3 and fold and not lossy and mp_available()
+        for backend in ("sim", "columnar", "mp") if mp_cell else ("sim", "columnar"):
             logs[backend] = log = []
+            labels[backend] = label = array("q", range(g.num_nodes))
             registries[backend] = MetricsRegistry()
             opts = {"tracer": Tracer()} if traced else {}
             if lossy:
@@ -352,17 +358,22 @@ class TestColumnarCompositions:
             if fold:
                 opts["combiners"] = {0: lambda a, b: (0, a[1] + b[1])}
             common = dict(
-                vertex_compute=self.gossip(g, log), num_workers=workers,
+                vertex_compute=self.gossip(g, log, label), num_workers=workers,
                 partitioning=partitioning, use_voting=True, scheduling=scheduling,
                 message_size=lambda msg: sizes[msg[0]], track_makespan=True,
                 metrics_registry=registries[backend], **opts,
             )  # fmt: skip
             if backend == "sim":
                 engine = PregelEngine(g, **common)
-            else:
+            elif backend == "columnar":
                 engine = ColumnarEngine(g, schema=schema, **common)
-            seen[backend] = self.observed(engine.run(), opts)
-        assert seen["sim"] == seen["columnar"]
+            else:
+                engine = MPEngine(g, schema=schema, **common)
+                engine._columns = {"label": label}  # gathered back at the end
+            seen[backend] = self.observed(engine.run(), opts), list(label)
+        assert seen["sim"] == seen["columnar"] == seen.get("mp", seen["sim"])
+        assert labels["sim"] != array("q", range(g.num_nodes))
+        seen = {backend: observed for backend, (observed, _label) in seen.items()}
         assert seen["sim"]["parity"]["halt_reason"] == "all_halted"
         if fold:
             # one tag on the plane, one folded: the inbox itself is the
@@ -372,6 +383,7 @@ class TestColumnarCompositions:
             by_tag = {
                 backend: [(step, vid, [m for m in msgs if m[0] == tag]) for step, vid, msgs in log]
                 for backend, log in logs.items()
+                if backend != "mp"  # (logged in the worker processes)
             }
             assert by_tag["sim"] == by_tag["columnar"]
         # the counter reads the vertices that computed, not the graph's size
@@ -391,6 +403,39 @@ class TestMultiprocessingBackend:
         mp = run_on(programs, graph, alg, "mp", num_workers=2)
         assert mp.metrics.backend == "mp"
         assert_parity(sim, mp)
+
+    @pytest.mark.parametrize("transport", ("shm", "tcp"))
+    @pytest.mark.parametrize("partitioning", ("hash", "range"))
+    def test_workers_run_the_forked_engine(self, programs, graph, transport, partitioning):
+        # A hand-written program's context in a worker is the engine the
+        # worker forked from: a ColumnarEngine, as on columnar.  What it
+        # writes into its columns comes back with the end-of-run gather.
+        def program(seen, heard):
+            def vertex(ctx, vid, messages):
+                if isinstance(ctx, ColumnarEngine):
+                    seen[vid] += 10**ctx.superstep
+                heard[vid] += len(messages)
+                ctx.send_nbrs(vid, (0, float(vid)))
+
+            return vertex
+
+        runs = {}
+        for backend in ("columnar", "mp"):
+            seen, heard = (array("q", [0]) * graph.num_nodes for _ in range(2))
+            opts = dict(
+                vertex_compute=program(seen, heard), num_workers=3, max_supersteps=3,
+                partitioning=partitioning,
+            )  # fmt: skip
+            schema = programs["pagerank"].schema
+            if backend == "columnar":
+                engine = ColumnarEngine(graph, schema=schema, **opts)
+            else:
+                engine = MPEngine(graph, schema=schema, transport_mode=transport, **opts)
+                engine._columns = {"seen": seen, "heard": heard}
+            runs[backend] = engine.run().parity_key(), list(seen), list(heard)
+        assert runs["mp"] == runs["columnar"]
+        assert set(runs["mp"][1]) == {111}  # supersteps 0, 1 and 2
+        assert sum(runs["mp"][2]) > 0
 
     @pytest.mark.parametrize("workers", (1, 3))
     def test_worker_count_invariance(self, programs, graph, workers):
@@ -809,16 +854,20 @@ class TestSlabPlane:
         assert step_work == sim._step_work
         assert staged_bytes == sim._trace_worker_bytes
 
-    @pytest.mark.parametrize("backend", ["sim", "columnar"])
+    @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
     @pytest.mark.parametrize("api", ["send", "send_nbrs", "send_list"])
     def test_a_send_outside_the_vertex_phase_is_refused(self, programs, graph, backend, api):
+        if backend == "mp" and not mp_available():
+            pytest.skip("needs fork start-method and multiprocessing.shared_memory")
         engine, _fields, _master = programs["pagerank"].make_engine(
             graph, default_args("pagerank", graph), backend=backend, num_workers=2
         )
         assert backend == "sim" or isinstance(engine, ColumnarEngine)
         sender = next(v for v in graph.nodes() if graph.out_degree(v))
         target = {"send": 1, "send_nbrs": sender, "send_list": [1, 2]}[api]
-        with pytest.raises(RuntimeError, match=r"send\(\) called outside the vertex phase"):
+        # the mp parent stages no send: its sends are the replay guard
+        refusal = "only during FT replay" if backend == "mp" else "outside the vertex phase"
+        with pytest.raises(RuntimeError, match=refusal):
             getattr(engine, api)(target, (0, 0.5))
         assert engine.metrics.messages == 0
         assert engine.metrics.worker_sent == [0, 0]

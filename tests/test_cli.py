@@ -311,6 +311,54 @@ class TestUsageErrors:
         assert "--inject-fault" in msg
         assert expected in msg
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--inject-fault=0@-3"],
+            ["--inject-fault=-1@2"],
+            ["--backend", "mp", "--checkpoint-every", "1", "--inject-fault=kill:-1@2"],
+            ["--heartbeat", "crash=-1@2"],
+        ],
+    )
+    def test_negative_fault_coordinates(self, capsys, flags):
+        # before the graph loads: the bad spec wins over a missing graph file
+        msg = _usage_error(
+            capsys,
+            ["run", gm("pagerank"), *PAGERANK_ARGS, "--workers", "2",
+             "--graph-file", "/nonexistent/never.el", *flags],
+        )
+        assert "both >= 0" in msg
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            (["--backend", "mp", "--checkpoint-every", "1", "--inject-fault", "hang:0@2",
+              "--exchange-deadline", "nan"], "--exchange-deadline must be > 0"),
+            (["--heartbeat", "interval=nan"], "heartbeat_interval"),
+            (["--heartbeat", "phi=nan"], "phi_threshold"),
+            (["--heartbeat", "deadline=nan"], "timeouts"),
+            (["--heartbeat", "straggle-factor=nan"], "straggle_factor"),
+            (["--net-faults", "latency=nan"], "latency_units"),
+            (["--net-faults", "jitter=nan"], "jitter_units"),
+        ],
+    )
+    def test_nan_fault_and_deadline_specs(self, capsys, flags, expected):
+        msg = _usage_error(
+            capsys,
+            ["run", gm("pagerank"), *PAGERANK_ARGS, "--graph-file", "/nonexistent/never.el",
+             *flags],
+        )
+        assert expected in msg
+
+    @pytest.mark.parametrize("command", ["run", "trace", "profile", "interp"])
+    def test_missing_scalar_arg(self, capsys, command):
+        msg = _usage_error(
+            capsys,
+            [command, gm("pagerank"), "--arg", "e=1e-9", "--arg", "d=0.85", "--scale", "0.05"],
+        )
+        assert "missing scalar argument 'max_iter'" in msg
+        assert "--arg max_iter=" in msg
+
     @pytest.mark.parametrize("deadline", ["0", "-1.5"])
     def test_nonpositive_exchange_deadline(self, capsys, deadline):
         msg = _usage_error(

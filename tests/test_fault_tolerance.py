@@ -21,6 +21,7 @@ from repro.pregel.ft import (
     FaultPlan,
     FaultTolerance,
     parse_crash,
+    parse_fault,
 )
 
 SCALE = 0.25
@@ -212,10 +213,15 @@ class TestPlanValidation:
     def test_parse_crash(self):
         assert parse_crash("1@5") == CrashEvent(worker=1, superstep=5)
 
-    @pytest.mark.parametrize("bad", ("", "1", "x@5", "1@y", "@"))
+    @pytest.mark.parametrize("bad", ("", "1", "x@5", "1@y", "@", "0@-3", "-1@2", "-1@-1"))
     def test_parse_crash_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both >= 0"):
             parse_crash(bad)
+
+    @pytest.mark.parametrize("bad", ("kill:-1@2", "hang:0@-1"))
+    def test_parse_fault_rejects_negative_coordinates(self, bad):
+        with pytest.raises(ValueError, match="both >= 0"):
+            parse_fault(bad)
 
     def test_unknown_recovery_rejected(self):
         with pytest.raises(ValueError):

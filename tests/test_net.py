@@ -54,10 +54,11 @@ class TestPlanValidation:
             NetFaultPlan(**{field: -0.1})
 
     def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            NetFaultPlan(latency_units=-1)
-        with pytest.raises(ValueError):
-            NetFaultPlan(jitter_units=-1)
+        for value in (-1, float("nan")):
+            with pytest.raises(ValueError):
+                NetFaultPlan(latency_units=value)
+            with pytest.raises(ValueError):
+                NetFaultPlan(jitter_units=value)
 
     def test_max_attempts_floor(self):
         with pytest.raises(ValueError):
@@ -75,7 +76,9 @@ class TestSpecParsing:
     def test_empty_spec_is_default(self):
         assert parse_net_faults("") == NetFaultPlan()
 
-    @pytest.mark.parametrize("bad", ("drop", "bogus=1", "drop=x", "drop=0.99"))
+    @pytest.mark.parametrize(
+        "bad", ("drop", "bogus=1", "drop=x", "drop=0.99", "latency=nan", "jitter=nan")
+    )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_net_faults(bad)

@@ -374,6 +374,11 @@ class TestPlanValidation:
             {"crash_rate": 1.0},
             {"straggle_rate": -0.1},
             {"straggle_factor": 0.5},
+            {"heartbeat_interval": float("nan")},
+            {"phi_threshold": float("nan")},
+            {"deadline_timeout": float("nan")},
+            {"barrier_timeout": float("nan")},
+            {"straggle_factor": float("nan")},
         ),
     )
     def test_bad_plans_rejected(self, kwargs):
@@ -399,7 +404,11 @@ class TestPlanValidation:
         assert parse_heartbeat("") == SupervisorPlan()
 
     @pytest.mark.parametrize(
-        "bad", ("junk", "bogus=1", "crash=zz", "straggler=x", "interval=x")
+        "bad",
+        (
+            "junk", "bogus=1", "crash=zz", "straggler=x", "interval=x", "crash=-1@2",
+            "crash=0@-3", "interval=nan", "phi=nan", "deadline=nan", "straggle-factor=nan",
+        ),
     )
     def test_parse_heartbeat_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
