@@ -22,8 +22,8 @@ from ..lang.ast import (
     Stmt,
     VarDecl,
 )
-from ..lang.errors import Span, TransformError
-from .access import Access, AccessKind, declared_names, lvalue_access, stmt_reads
+from ..lang.errors import TransformError
+from .access import AccessKind, declared_names, lvalue_access
 
 
 @dataclass
@@ -157,19 +157,3 @@ def _classify_write(
         else:
             report.global_scalar_writes.append(name)
 
-
-def loop_reads_iterator_prop(loop: Foreach, iterator: str) -> bool:
-    """Whether any statement or filter of ``loop`` reads a property through
-    ``iterator`` (used for message-payload necessity checks)."""
-    reads = stmt_reads(loop)
-    return any(
-        a.kind in (AccessKind.PROP, AccessKind.METHOD) and a.var == iterator for a in reads
-    )
-
-
-def filter_mentions(filter_reads: list[Access], name: str) -> bool:
-    return any(a.var == name for a in filter_reads)
-
-
-def span_of(stmt: Stmt) -> Span:
-    return stmt.span

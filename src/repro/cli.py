@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .compiler import compile_source
 from .graphgen.registry import TABLE1, load_graph
-from .lang.errors import GreenMarlError, MissingArgument
+from .lang.errors import BadArgument, GreenMarlError, MissingArgument
 from .pregel.backend import BACKENDS, BackendUnsupported
 
 
@@ -53,6 +53,15 @@ def _die(message: str) -> "SystemExit":
     never a traceback."""
     print(f"gm-pregel: error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _read_program(ns: argparse.Namespace) -> str:
+    """The Green-Marl source ``ns.file`` names; a path that cannot be read
+    (missing, a directory) is a usage error."""
+    try:
+        return Path(ns.file).read_text()
+    except OSError as exc:
+        raise _die(f"cannot read {ns.file}: {exc.strerror or exc}") from None
 
 
 def _parse_args_list(pairs: list[str]) -> dict:
@@ -82,7 +91,7 @@ def _validate_run_shape(ns: argparse.Namespace) -> None:
 
 
 def _cmd_compile(ns: argparse.Namespace) -> int:
-    source = Path(ns.file).read_text()
+    source = _read_program(ns)
     result = compile_source(
         source,
         state_merging=not ns.no_state_merging,
@@ -181,7 +190,11 @@ def _build_supervisor(ns: argparse.Namespace):
     from .pregel.supervisor import Supervisor, parse_heartbeat
 
     try:
-        return Supervisor(parse_heartbeat(ns.heartbeat, max_restarts=ns.max_restarts))
+        plan = parse_heartbeat(ns.heartbeat, max_restarts=ns.max_restarts)
+        for worker in (*(crash.worker for crash in plan.silent_crashes), *plan.stragglers):
+            if worker >= ns.workers:
+                raise ValueError(f"names worker {worker} but --workers is {ns.workers}")
+        return Supervisor(plan)
     except ValueError as exc:
         raise _die(f"--heartbeat: {exc}") from None
 
@@ -263,7 +276,7 @@ def _execute_traced(
         from .obs import Tracer
 
         tracer = Tracer()
-    source = Path(ns.file).read_text()
+    source = _read_program(ns)
     graph = _load_cli_graph(ns)
     result = compile_source(source, emit_java=False, tracer=tracer)
     args = _parse_args_list(ns.arg)
@@ -456,7 +469,7 @@ def _cmd_interp(ns: argparse.Namespace) -> int:
     from .interp import interpret
 
     _validate_run_shape(ns)
-    source = Path(ns.file).read_text()
+    source = _read_program(ns)
     graph = _load_cli_graph(ns)
     args = _parse_args_list(ns.arg)
     result = interpret(source, graph, args, seed=ns.seed)
@@ -738,6 +751,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MissingArgument as exc:  # run, trace, profile, metrics, interp
         raise _die(f"{exc}: pass --arg {exc.name}=VALUE") from None
+    except BadArgument as exc:
+        raise _die(str(exc)) from None
     except BrokenPipeError:
         # output piped into a pager/head that closed early — not an error
         sys.stderr.close()

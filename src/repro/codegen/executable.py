@@ -67,7 +67,6 @@ from ..pregelir.ir import (
     VSendNbrs,
     VSendTo,
     VStmt,
-    VertexPhase,
 )
 
 _BIN_PY = {
@@ -533,13 +532,15 @@ class CompiledProgram:
             fields["_in_nbrs"] = [[] for _ in range(graph.num_nodes)]
         return fields
 
-    def _scalar_args(self, args: dict) -> dict:
+    def _scalar_args(self, args: dict, num_nodes: int) -> dict:
         init = {}
         for param in self.ir.params:
             if param.gm_type.is_graph() or param.gm_type.is_property():
                 continue
             if param.name in args:
-                init[param.name] = args[param.name]
+                init[param.name] = ty.check_scalar_arg(
+                    param.name, param.gm_type, args[param.name], num_nodes
+                )
             elif not param.is_output:
                 raise MissingArgument(param.name)
         return init
@@ -590,7 +591,7 @@ class CompiledProgram:
         fields = backend_impl.build_columns(
             self.schema, graph, self._build_fields(graph, args), args
         )
-        master = GeneratedMaster(self.ir, self._scalar_args(args))
+        master = GeneratedMaster(self.ir, self._scalar_args(args, graph.num_nodes))
 
         env: dict = {
             "B": None,  # patched below (needs the engine's broadcast dict)
@@ -682,7 +683,3 @@ class CompiledProgram:
 def _field_default(elem: ty.Type):
     value = ty.default_value(elem)
     return value
-
-
-def compile_ir(ir: PregelIR) -> CompiledProgram:
-    return CompiledProgram(ir)

@@ -116,7 +116,9 @@ class Interpreter:
                     raise ValueError(f"graph is missing edge property '{param.name}'")
             else:
                 if param.name in args:
-                    self.scalars[param.name] = args[param.name]
+                    self.scalars[param.name] = ty.check_scalar_arg(
+                        param.name, ptype, args[param.name], self.graph.num_nodes
+                    )
                 elif not param.is_output:
                     raise MissingArgument(param.name)
                 else:

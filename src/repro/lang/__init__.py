@@ -1,7 +1,6 @@
 """Green-Marl language frontend: lexer, parser, AST, types, type checker."""
 
 from .errors import (
-    DiagnosticSink,
     GreenMarlError,
     LexError,
     NotPregelCanonicalError,
@@ -16,7 +15,6 @@ from .parser import parse_procedure, parse_program
 from .pretty import pretty
 
 __all__ = [
-    "DiagnosticSink",
     "GreenMarlError",
     "LexError",
     "NotPregelCanonicalError",

@@ -471,10 +471,6 @@ def ident(name: str, *, type: Type | None = None, span: Span = UNKNOWN_SPAN) -> 
     return Ident(name, type=type, span=span)
 
 
-def intlit(value: int) -> IntLit:
-    return IntLit(value)
-
-
 def prop(target_name: str, prop_name: str, *, span: Span = UNKNOWN_SPAN) -> PropAccess:
     return PropAccess(Ident(target_name, span=span), prop_name, span=span)
 

@@ -8,7 +8,7 @@ error when a program cannot be made Pregel-canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +51,14 @@ class MissingArgument(ValueError):
 
     def __init__(self, name: str):
         super().__init__(f"missing scalar argument '{name}'")
+        self.name = name
+
+
+class BadArgument(ValueError):
+    """A scalar procedure argument its parameter's declared type cannot take."""
+
+    def __init__(self, name: str, expected: str, value):
+        super().__init__(f"scalar argument '{name}' must be {expected}, got {value!r}")
         self.name = name
 
 
@@ -118,13 +126,3 @@ class TranslationError(GreenMarlError):
 
     def kind(self) -> str:
         return "translation error"
-
-
-@dataclass
-class DiagnosticSink:
-    """Collects non-fatal warnings emitted during compilation."""
-
-    warnings: list[str] = field(default_factory=list)
-
-    def warn(self, message: str, span: Span = UNKNOWN_SPAN) -> None:
-        self.warnings.append(f"{span}: warning: {message}")

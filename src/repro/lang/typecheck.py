@@ -84,11 +84,6 @@ class CheckResult:
     def symbol(self, ident: Ident) -> Symbol:
         return self.resolved[ident]
 
-    def prop_elem_type(self, name: str) -> ty.Type:
-        prop_type = self.properties[name].type
-        assert isinstance(prop_type, (ty.NodePropType, ty.EdgePropType))
-        return prop_type.elem
-
 
 class TypeChecker:
     def __init__(self, proc: Procedure):

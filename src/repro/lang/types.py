@@ -8,7 +8,10 @@ Types are immutable values compared structurally.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
+
+from .errors import BadArgument
 
 
 class Prim(enum.Enum):
@@ -159,6 +162,27 @@ def comparable(a: Type, b: Type) -> bool:
 
 #: Runtime representation of the NIL node/edge literal (an invalid id).
 NIL = -1
+
+
+def check_scalar_arg(name: str, t: Type, value, num_nodes: int):
+    """``value`` if a scalar parameter ``name`` of type ``t`` can take it,
+    else :class:`~repro.lang.errors.BadArgument`: an Int or Long takes an
+    int, a Float or Double an int or a float (a bool is neither), a Bool a
+    bool, and a Node a vertex id of the graph or NIL."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if t.is_node():
+        if not (integral and (value == NIL or 0 <= value < num_nodes)):
+            raise BadArgument(name, f"Node (a vertex id in [0, {num_nodes}) or NIL, {NIL})", value)
+    elif isinstance(t, PrimType):
+        if t.is_boolean():
+            ok = isinstance(value, bool)
+        elif t.is_integral():
+            ok = integral
+        else:
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not ok:
+            raise BadArgument(name, str(t), value)
+    return value
 
 
 def default_value(t: Type):

@@ -18,11 +18,14 @@ simulated transport read what the seal already holds, so they cost no
 array code; sender combiners and vote-to-halt observe individual sends, so
 with either on the host keeps the generated scalar program
 (``array_code_engages``) — still on slabs, a combined tag folded by the
-inherited ``send``.  Checkpointing and a limited memory budget read the
-simulator's tuple outbox: ``ColumnarBackend.create_engine`` gives those a
-plain ``PregelEngine`` over the same typed columns.  Metering is identical
-throughout: ``message_size`` is the schema wire size, so ``message_bytes``
-always equals the actual slab payload bytes.
+inherited ``send``.  Fault tolerance costs no array code either: a
+checkpoint decodes the raw parts a host keeps in flight, a rollback
+re-stages through the plane, a confined replay's sends drop at its sender
+check.  A limited memory budget reads the simulator's tuple outbox:
+``ColumnarBackend.create_engine`` gives it a plain ``PregelEngine`` over the
+same typed columns.  Metering is identical throughout: ``message_size`` is
+the schema wire size, so ``message_bytes`` always equals the actual slab
+payload bytes.
 """
 
 from __future__ import annotations
@@ -249,8 +252,9 @@ class SlabPlane:
     slabs, sealed once when the host's vertex phase is over, metered from
     the sealed arrays, and handed to the next phase's receive code.
     ``gather`` is the out-CSR under the placement; ``host`` supplies
-    ``_current_vertex`` (who is sending), ``graph`` and ``_bulk_receivers``.
-    Combiners, votes, the wire and the inbox are the host's."""
+    ``_current_vertex`` (who is sending), ``_ft_replaying``, ``graph`` and
+    ``_bulk_receivers``.  Combiners, votes, the wire and the inbox are the
+    host's."""
 
     def __init__(self, codec: MessageCodec, gather: NbrGather, host):
         self.codec = codec
@@ -261,16 +265,23 @@ class SlabPlane:
         self._stage = {tag: _TagStage(tag) for tag in codec.tag_ids}
         self.bulk_records = self.scalar_records = 0  # of the last dispatch
 
-    def _sender(self) -> int:
-        sender = self.host._current_vertex
+    def _sender(self) -> int | None:
+        """The vertex a scalar send is from; None during a confined-recovery
+        replay, whose sends the original execution delivered (bulk sends
+        never run in one)."""
+        host = self.host
+        sender = host._current_vertex
         if sender < 0:
             raise RuntimeError(OUTSIDE_PHASE_ERROR)
-        return sender
+        return None if host._ft_replaying else sender
 
     def send(self, dst: int, msg: tuple) -> None:
+        sender = self._sender()
+        if sender is None:
+            return
         tag = msg[0]
         stage = self._stage[tag]
-        stage.senders.append(self._sender())
+        stage.senders.append(sender)
         stage.counts.append(1)
         stage.singles.append(dst)
         stage.payload += self._pack[tag](msg)
@@ -278,9 +289,8 @@ class SlabPlane:
     def send_nbrs(self, vid: int, msg: tuple) -> None:
         s = self._offsets[vid]
         e = self._offsets[vid + 1]
-        if s == e:
+        if s == e or self._sender() is None:
             return
-        self._sender()
         tag = msg[0]
         stage = self._stage[tag]
         stage.senders.append(vid)
@@ -290,11 +300,12 @@ class SlabPlane:
         stage.payload += self._pack[tag](msg) * (e - s)
 
     def send_list(self, dsts: list, msg: tuple) -> None:
-        if not dsts:
+        sender = self._sender() if dsts else None
+        if sender is None:
             return
         tag = msg[0]
         stage = self._stage[tag]
-        stage.senders.append(self._sender())
+        stage.senders.append(sender)
         stage.counts.append(len(dsts))
         stage.singles.extend(dsts)
         stage.payload += self._pack[tag](msg) * len(dsts)
@@ -540,13 +551,18 @@ class ColumnarEngine(PregelEngine):
     def _seal(self) -> None:
         """Seal the phase's sends — inside the phase, so the driver's
         per-superstep deltas see them — meter them, and keep them for the
-        next delivery."""
+        next delivery.  Under ft, each record that crosses workers is one
+        delivery the manager meters for transient loss, as a send is."""
         plane = self._plane
+        metrics = self.metrics
         step_work = self._step_work if self._track_makespan else None
         staged_bytes = self._trace_worker_bytes or None
+        crossed = metrics.net_messages
         for sealed in plane.seal():
-            plane.meter_workers(self.metrics, step_work, sealed, staged_bytes)
+            plane.meter_workers(metrics, step_work, sealed, staged_bytes)
             self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
+        if self.ft is not None:
+            self.ft.account_delivery(metrics.net_messages - crossed)
 
     def out_gather(self) -> NbrGather:
         """The gather of an out-direction bulk send: the graph's out-CSR."""
@@ -557,6 +573,46 @@ class ColumnarEngine(PregelEngine):
         ascending vid order (``vids`` None = every vertex): folded as the
         per-vertex ``put_global`` chain would have."""
         self.put_global(name, op, fold_ordered(op, values))
+
+    # -- checkpoint / restore -----------------------------------------
+
+    def _in_flight(self) -> list:
+        """What the next delivery reads, as ``(parts_by_tag, combined)``
+        entries: the parts the last vertex phase sealed and the pairs the
+        combiner flush folded."""
+        return [(self._sealed, self._folded)]
+
+    def outbox_view(self) -> dict[int, list]:
+        """The in-flight ``{dst: msgs}`` map, decoded from the raw entries
+        when a checkpoint or a confined-recovery log asks for it: per
+        receiver, its records tag by tag as the dispatch decodes them, then
+        its combined messages."""
+        inbox: dict[int, list] = {}
+        for parts_by_tag, combined in self._in_flight():
+            for dst, msgs in self._plane.dispatch(None, parts_by_tag):
+                inbox.setdefault(dst, []).extend(msgs)
+            for dst, msg in combined:
+                inbox.setdefault(dst, []).append(msg)
+        return inbox
+
+    def _stage_inflight(self, outbox: dict) -> None:
+        """Stage a checkpoint's ``{dst: msgs}`` through the plane: every
+        receiver re-sends its messages to itself in their checkpointed
+        order — a lone part per tag, never merged by sender — and a combined
+        tag's travel as the ``(dst, msg)`` pairs a flush leaves.  Sealed
+        unmetered: the restored ledger already holds their traffic."""
+        plane = self._plane
+        combiners = self._combiners
+        self._folded = folded = []
+        for dst, msgs in outbox.items():
+            self._current_vertex = dst
+            for msg in msgs:
+                if msg[0] in combiners:
+                    folded.append((dst, msg))
+                else:
+                    plane.send(dst, msg)
+        self._current_vertex = -1
+        self._sealed = {s.tag: [(s.dsts, None, s.payload, len(s.dsts))] for s in plane.seal()}
 
     # -- barrier --------------------------------------------------------
 
@@ -598,7 +654,7 @@ class ColumnarEngine(PregelEngine):
 class ColumnarBackend(ExecutionBackend):
     name = "columnar"
     supports = {
-        "ft": "fallback",
+        "ft": True,
         "net": True,
         "mem": "fallback",
         "supervisor": True,
@@ -627,10 +683,10 @@ class ColumnarBackend(ExecutionBackend):
             engine_opts, vertex_compute=None, master_compute=master_compute, message_size=message_size
         )
         mem = engine_opts.get("mem")
-        if schema is None or engine_opts.get("ft") is not None or (mem is not None and mem.limited):
-            # The one choice between slabs and tuple staging: checkpoints,
-            # recovery logs and budget charges read the tuple outbox, and no
-            # schema is no wire layout — ``supports``' "fallback".
+        if schema is None or (mem is not None and mem.limited):
+            # The one choice between slabs and tuple staging: budget charges
+            # read the tuple outbox, and no schema is no wire layout —
+            # ``supports``' "fallback".
             engine = PregelEngine(graph, **opts)
             engine.metrics.backend = self.name
             return engine

@@ -52,19 +52,19 @@ order-reconstructing merges at the parent barrier:
   (one vid belongs to one worker, so ties stay in per-worker — i.e.
   program — order), then meters and routes the folded payloads exactly
   like the simulator's barrier flush;
-* **fault tolerance** checkpoints from the parent: ``checkpoint_state()``
-  first pulls every worker's live partition columns back into the parent's
-  columns (so the registered ``ColumnState`` sees fresh data); the
-  in-flight message set is the parent's log of the last exchange — the
-  parts, copied raw out of the segments, plus the combined messages —
-  decoded only when a checkpoint (or, under confined recovery, the
-  per-superstep message log) asks through ``outbox_view()``.  Recovery
-  restores parent-side state — confined replay runs *in the parent* over
-  the restored columns with sends/puts suppressed — and then **re-forks**
-  the affected worker processes from the parent, which inherit the
-  recovered columns copy-on-write and are seeded with their entry of that
-  log (after a rollback: the checkpoint's messages, re-packed into parts),
-  so a recovered step runs the same array code as any other;
+* **fault tolerance** is ``columnar``'s, from the parent:
+  ``checkpoint_state()`` first pulls every worker's live partition columns
+  back into the parent's columns (so the registered ``ColumnState`` sees
+  fresh data); the in-flight entries ``outbox_view()`` decodes are the
+  parent's log of the last exchange — per worker the parts, copied raw out
+  of the segments, plus the combined messages.  Recovery restores
+  parent-side state — confined replay runs *in the parent* over the
+  restored columns, its sends dropped by the plane as on ``columnar`` — and
+  then **re-forks** the affected worker processes from the parent, which
+  inherit the recovered columns copy-on-write and are seeded with their
+  entry of that log (after a rollback: the checkpoint's messages, staged as
+  ``columnar`` stages them and split by owner), so a recovered step runs
+  the same array code as any other;
 * **tracing** buffers per-process counters (computed, seconds, staged
   bytes) in each worker's barrier reply; the parent merges them by
   worker id into the same deterministic superstep records the simulator
@@ -302,23 +302,6 @@ def _slab_parts(segments, directories, inlines, sources, dest=None):
                 yield to, tag, read_part(body, count)
 
 
-def _inbox_of(decoded, combined) -> dict[int, list]:
-    """The sim-shaped ``{dst: msgs}`` inbox an exchange's leavings stand
-    for: the raw parts' records as a plane's ``dispatch`` decodes them,
-    ``(dst, msgs)`` per receiver per tag, then the parent's combined
-    ``(dst, msg)`` pairs."""
-    inbox: dict[int, list] = {}
-    for dst, msgs in decoded:
-        bucket = inbox.get(dst)
-        if bucket is None:
-            inbox[dst] = msgs
-        else:
-            bucket.extend(msgs)
-    for dst, msg in combined:
-        inbox.setdefault(dst, []).append(msg)
-    return inbox
-
-
 def _wake(voted: bytearray, parts_by_tag: dict, combined) -> None:
     """Clear the vote of every vertex an exchange's leavings deliver to."""
     waking = np.frombuffer(voted, dtype=np.uint8)
@@ -440,10 +423,8 @@ class MPEngine(ColumnarEngine):
         #: left it — ``(parts_by_tag, combined)``, the raw slab parts
         #: copied out of the segments plus the combined messages, a
         #: worker's own ``(_parts, _combined_in)``.  A seed ships an entry
-        #: as it is; ``outbox_view()`` decodes the log on demand and keeps
-        #: the result in ``_inflight`` until the next exchange.
+        #: as it is; ``outbox_view()`` decodes the log on demand.
         self._log: list[tuple[dict, list]] = [({}, []) for _ in range(w)]
-        self._inflight: dict[int, list] | None = None
         self._refork_all = False
         self._refork_workers: set[int] = set()
         # live process plumbing (populated by _session, mutated by _refork)
@@ -512,35 +493,16 @@ class MPEngine(ColumnarEngine):
             self._subscribe(self.ft)
         self._hooks["on_superstep_start"] += (self._refork, self._inject_real_faults)
 
-    # -- vertex-side ctx API (confined-recovery replay only) -------------
+    # -- checkpoint / restore: the parent's share of the payload ---------
     #
     # Normal supersteps run the vertex phase in the worker processes; the
     # parent executes generated vertex code only while replaying a failed
-    # partition over its restored columns, where every send and put was
-    # already delivered during the original execution and is suppressed.
-    # Votes are *state*, not traffic: the inherited vote_to_halt() re-applies
-    # them during replay so the recovered bitset matches the lost one.
+    # partition over its restored columns, where its sends and puts are
+    # dropped as on columnar, and its votes — state, not traffic — re-apply.
 
-    def _replay_only(self, *_args) -> None:
-        if not self._ft_replaying:
-            raise RuntimeError("mp parent runs vertex code only during FT replay")
-
-    send = send_nbrs = send_list = send_nbrs_bulk = send_to_bulk = put_global = _replay_only
-
-    def _bind_sends(self, fold: Callable) -> None:
-        """None: the parent stages no send — a worker binds its fork's."""
-
-    # -- checkpoint / restore: the parent's share of the payload ---------
-
-    def outbox_view(self) -> dict[int, list]:
-        """The in-flight ``{dst: msgs}`` map, decoded from the log when a
-        checkpoint or a confined-recovery log entry asks for it."""
-        if self._inflight is None:
-            self._inflight = {}
-            for parts_by_tag, combined in self._log:
-                decoded = self._plane.dispatch(None, parts_by_tag)
-                self._inflight.update(_inbox_of(decoded, combined))
-        return self._inflight
+    def _in_flight(self) -> list:
+        """The log: what the last exchange left each worker."""
+        return self._log
 
     def checkpoint_state(self) -> dict:
         """The workers own the live partition columns, so the snapshot first
@@ -563,39 +525,25 @@ class MPEngine(ColumnarEngine):
             self._refork_all = True
 
     def _install_inflight(self, state: dict) -> None:
-        """Full rollback: re-pack the checkpoint's ``{dst: msgs}`` into the
-        log an exchange would have left — per worker one part per tag,
-        each receiver's messages in their checkpointed order, and a
-        combined tag's messages as the ``(dst, msg)`` pairs they travel
-        as (a folded value never meets the wire packers).  A lone part per
-        receiver is never merged by sender, and the checkpoint names none:
-        every receiver re-sends its messages to itself."""
-        plane = self._plane
+        """Full rollback: the checkpoint's messages staged as ``columnar``
+        stages them, split by owner into the log an exchange would have
+        left.  The halt check's delivery count rewinds with the timeline:
+        the checkpoint's in-flight set is what the restored superstep
+        consumes."""
+        outbox = state["outbox"]
+        self._stage_inflight(outbox)
         worker_of = self._worker_of
         w = self.num_workers
-        combined: list[list] = [[] for _ in range(w)]
-        delivered = 0
-        for dst, msgs in state["outbox"].items():
-            delivered += len(msgs)
-            self._current_vertex = dst
-            for msg in msgs:
-                if msg[0] in self._combiners:
-                    combined[worker_of[dst]].append((dst, msg))
-                else:
-                    plane.send(dst, msg)
-        self._current_vertex = -1
-        self._log = [({}, pairs) for pairs in combined]
-        for sealed in plane.seal():
-            dsts = sealed.dsts
-            parts = split_by_owner(dsts, dsts, sealed.payload, self._csr.owner[dsts], w)
+        self._log = [({}, []) for _ in range(w)]
+        for dst, msg in self._folded:
+            self._log[worker_of[dst]][1].append((dst, msg))
+        for tag, [(dsts, _senders, payload, _count)] in self._sealed.items():
+            parts = split_by_owner(dsts, dsts, payload, self._csr.owner[dsts], w)
             for (parts_by_tag, _pairs), part in zip(self._log, parts):
                 if part is not None:
-                    parts_by_tag[sealed.tag] = [part]
-        self._inflight = None
-        # The halt check's delivery count rewinds with the timeline: the
-        # checkpoint's in-flight set is exactly what the restored superstep
-        # consumes.
-        self._delivered = delivered
+                    parts_by_tag[tag] = [part]
+        self._sealed, self._folded = {}, []
+        self._delivered = sum(map(len, outbox.values()))
 
     # -- execution ------------------------------------------------------
 
@@ -806,8 +754,7 @@ class MPEngine(ColumnarEngine):
         if self.ft is None:
             wid, cause = failures[0]
             raise RuntimeError(
-                f"mp worker {wid} "
-                f"{'missed the exchange deadline' if cause == 'timeout' else 'died unexpectedly'} "
+                f"mp worker {wid} {_WorkerDead(wid, cause).describe()} "
                 f"at superstep {self.superstep} with no fault tolerance "
                 "attached (pass ft=... / --checkpoint-every to recover)"
             )
@@ -1006,13 +953,10 @@ class MPEngine(ColumnarEngine):
             all_puts.extend(puts)
             all_slots.extend(slots)
         if ft is not None:
-            # The simulator meters one (argument-free) delivery account
-            # per cross-worker send during the phase; the parent makes
-            # the same number of calls, so the FT manager's seeded
-            # retry counters come out identical.
-            account = ft.account_delivery
-            for _ in range(step_net):
-                account()
+            # One delivery account per cross-worker send, as the simulator
+            # meters during the phase: the FT manager's seeded retry
+            # counters come out identical.
+            ft.account_delivery(step_net)
         # Combiner barrier flush: a stable sort on the birth vid of
         # each per-worker slot reconstructs the simulator's combiner
         # table insertion order (ties = one vertex's sends, already in
@@ -1120,7 +1064,6 @@ class MPEngine(ColumnarEngine):
                 self._segments, directories, inlines, range(w)
             ):
                 self._log[dest][0].setdefault(tag, []).append(part)
-            self._inflight = None
         info = {}
         if tracer is not None:
             # Real-process identities + per-worker exchange (route)
@@ -1337,7 +1280,7 @@ class _Worker:
         engine.put_global = self.put_global
         engine.put_global_bulk = self.put_global_bulk
         engine.out_gather = lambda: self._out
-        ColumnarEngine._bind_sends(engine, self._fold)
+        engine._bind_sends(self._fold)
         engine._seal = self._write_slabs
         if engine._array_code is not None:
             engine.install_array_code(*engine._array_code(engine))

@@ -315,17 +315,19 @@ class FaultTolerance:
             engine = self._engine
             self._outbox_log[engine.superstep] = engine.outbox_view()
 
-    def account_delivery(self) -> None:
-        """Meter transient delivery failures of one cross-worker message."""
+    def account_delivery(self, count: int = 1) -> None:
+        """Meter transient delivery failures of ``count`` cross-worker
+        messages, one after another."""
         rate = self.plan.message_loss_rate
         if rate <= 0.0:
             return
         metrics = self._engine.metrics
-        attempt = 1
-        while attempt <= self.plan.max_retries and self._rng.random() < rate:
-            metrics.messages_retried += 1
-            metrics.retry_backoff_units += 1 << (attempt - 1)
-            attempt += 1
+        for _ in range(count):
+            attempt = 1
+            while attempt <= self.plan.max_retries and self._rng.random() < rate:
+                metrics.messages_retried += 1
+                metrics.retry_backoff_units += 1 << (attempt - 1)
+                attempt += 1
 
     # -- observability ---------------------------------------------------
 

@@ -209,7 +209,7 @@ class RunMetrics:
     #: receive handler, a whole-phase kernel, or both ("phase<id>" labels)
     #: — on columnar and in the mp workers; empty on sim and wherever a
     #: composition keeps the scalar program (combiners, voting; columnar
-    #: also under ft or a limited budget).  Backend provenance like
+    #: also under a limited budget).  Backend provenance like
     #: ``backend`` itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
 
@@ -802,17 +802,7 @@ class PregelEngine:
         """Full rollback, the part the engine's staging owns: make the
         checkpoint's in-flight messages (and scheduler state) the next
         delivery."""
-        # Install the checkpointed buckets without duplicating each message
-        # list: a restored payload is freshly unpickled (FT) or engine
-        # buckets are never mutated in place after staging (direct restore
-        # of a captured state), so per-bucket copies would double the
-        # restore's memory footprint for nothing.
-        parts = self._out_parts
-        for part in parts:
-            part.clear()
-        worker_of = self._worker_of
-        for dst, msgs in state["outbox"].items():
-            parts[worker_of[dst]][dst] = msgs
+        self._stage_inflight(state["outbox"])
         saved_frontier = state.get("frontier")
         if self._sparse_below and saved_frontier is not None:
             self._frontier = list(saved_frontier)
@@ -824,6 +814,20 @@ class PregelEngine:
         # the run files and recharges the ledger from the installed batches.
         if self._mem_limited:
             self.mem.on_rollback()
+
+    def _stage_inflight(self, outbox: dict) -> None:
+        """Stage a checkpoint's ``{dst: msgs}`` as the next delivery."""
+        # Install the checkpointed buckets without duplicating each message
+        # list: a restored payload is freshly unpickled (FT) or engine
+        # buckets are never mutated in place after staging (direct restore
+        # of a captured state), so per-bucket copies would double the
+        # restore's memory footprint for nothing.
+        parts = self._out_parts
+        for part in parts:
+            part.clear()
+        worker_of = self._worker_of
+        for dst, msgs in outbox.items():
+            parts[worker_of[dst]][dst] = msgs
 
     # ------------------------------------------------------------------
     # Execution

@@ -184,12 +184,13 @@ def parse_heartbeat(spec: str, *, max_restarts: int = 3) -> SupervisorPlan:
         if key == "crash":
             crashes.extend(parse_crash(part) for part in text.split("+"))
         elif key == "straggler":
-            try:
-                stragglers.extend(int(part) for part in text.split("+"))
-            except ValueError:
+            parts = [part.strip() for part in text.split("+")]
+            if not all(part.isdigit() for part in parts):
                 raise ValueError(
-                    f"invalid --heartbeat straggler list '{text}'"
-                ) from None
+                    f"invalid --heartbeat straggler list '{text}': expected "
+                    "WORKER[+WORKER...], each >= 0"
+                )
+            stragglers.extend(map(int, parts))
         elif key in _HB_KEYS:
             field_name, caster = _HB_KEYS[key]
             try:

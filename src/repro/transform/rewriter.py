@@ -75,11 +75,6 @@ def substitute_ident(expr: Expr, name: str, replacement: Expr) -> Expr:
     return map_expr(expr, rewrite)
 
 
-def rename_ident(expr: Expr, old: str, new: str) -> Expr:
-    """Rename identifier ``old`` to ``new`` throughout ``expr``."""
-    return substitute_ident(expr, old, Ident(new))
-
-
 def rewrite_exprs_in_block(block: "ast_mod.Block", fn) -> None:
     """Apply ``fn`` (a :func:`map_expr` callback) to every expression in every
     statement of ``block``, recursively — including assignment targets,
@@ -121,20 +116,3 @@ def rewrite_exprs_in_block(block: "ast_mod.Block", fn) -> None:
                 stmt.expr = map_expr(stmt.expr, fn)
         elif isinstance(stmt, ast_mod.Block):
             rewrite_exprs_in_block(stmt, fn)
-
-
-def substitute_prop_read(expr: Expr, var_name: str, prop_name: str, replacement: Expr) -> Expr:
-    """Replace reads of ``var_name.prop_name`` in ``expr`` with a clone of
-    ``replacement``."""
-
-    def rewrite(e: Expr) -> Expr:
-        if (
-            isinstance(e, PropAccess)
-            and e.prop == prop_name
-            and isinstance(e.target, Ident)
-            and e.target.name == var_name
-        ):
-            return clone_expr(replacement)
-        return e
-
-    return map_expr(expr, rewrite)

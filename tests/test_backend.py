@@ -195,9 +195,10 @@ class TestColumnarFallbacks:
 
 class TestColumnarCompositions:
     """One composition table for the slab engine: under a tracer, a lossy
-    simulated transport, vote-to-halt, combiners, and all of them at once,
-    a columnar run is the simulator's on outputs, ``parity_key()``, the
-    makespan units, the transport's fault counters and ledger, and the
+    simulated transport, vote-to-halt, combiners, all of them at once, and
+    a crash recovered over the lossy transport, a columnar run is the
+    simulator's on outputs, ``parity_key()``, the makespan units, the
+    transport's fault counters and ledger, the ft ledger and the
     deterministic trace byte for byte — on every placement."""
 
     FAULT_COUNTERS = (
@@ -219,6 +220,15 @@ class TestColumnarCompositions:
                 "tracer": Tracer(), "transport": lossy_transport(),
                 "use_combiners": True, "use_voting": True,
             },
+            "ft-net": lambda: {
+                "ft": FaultTolerance(
+                    FaultPlan(
+                        checkpoint_every=2, crashes=(CrashEvent(0, 3),),
+                        message_loss_rate=0.3,
+                    )
+                ),
+                "transport": lossy_transport(),
+            },
         }  # fmt: skip
 
     @classmethod
@@ -233,6 +243,8 @@ class TestColumnarCompositions:
         }
         if "transport" in opts:
             seen["ledger"] = (opts["transport"].stats, opts["transport"].batches)
+        if "ft" in opts:
+            seen["ft"] = (metrics.faults_injected, metrics.messages_retried, metrics.retry_backoff_units)
         if "tracer" in opts:
             events = opts["tracer"].events
             seen["trace"] = deterministic_jsonl(events)
@@ -249,7 +261,7 @@ class TestColumnarCompositions:
 
     @pytest.mark.parametrize(
         "composition",
-        ("tracer", "net", "voting-frontier", "voting-dense", "combiners", "together"),
+        ("tracer", "net", "voting-frontier", "voting-dense", "combiners", "together", "ft-net"),
     )
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_matrix(self, programs, small, alg, composition):
@@ -803,7 +815,9 @@ class TestSlabPlane:
             senders.append(sender)
             payload += codec.pack[msg[0]](msg)
 
-        host = SimpleNamespace(_current_vertex=-1, graph=graph, _bulk_receivers={})
+        host = SimpleNamespace(
+            _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={}
+        )
         gather = NbrGather.of_graph(graph, sim._worker_of)
         plane = SlabPlane(codec, gather, host)
         for sender, tag, kind, arg, msg in self.script(graph, schema, rng):
@@ -865,9 +879,8 @@ class TestSlabPlane:
         assert backend == "sim" or isinstance(engine, ColumnarEngine)
         sender = next(v for v in graph.nodes() if graph.out_degree(v))
         target = {"send": 1, "send_nbrs": sender, "send_list": [1, 2]}[api]
-        # the mp parent stages no send: its sends are the replay guard
-        refusal = "only during FT replay" if backend == "mp" else "outside the vertex phase"
-        with pytest.raises(RuntimeError, match=refusal):
+        # one refusal on every backend, the mp parent's plane included
+        with pytest.raises(RuntimeError, match="outside the vertex phase"):
             getattr(engine, api)(target, (0, 0.5))
         assert engine.metrics.messages == 0
         assert engine.metrics.worker_sent == [0, 0]
@@ -883,7 +896,9 @@ class TestSlabPlane:
 
         codec = MessageCodec(compile_algorithm("avg_teen_cnt").program.schema)
         graph = Graph.from_edges(4, [(0, 1)])
-        host = SimpleNamespace(_current_vertex=-1, graph=graph, _bulk_receivers={})
+        host = SimpleNamespace(
+            _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={}
+        )
         plane = SlabPlane(codec, NbrGather.of_graph(graph, bytes(4)), host)
         with pytest.raises(OverflowError, match="out of bounds for int32"):
             plane.send_to_bulk(codec.tag_ids[0], np.array([0, 1]), np.array([2, 2**32 + 1]), None)
@@ -904,7 +919,9 @@ class TestSlabPlane:
             seen.append((dsts.tolist(), bytes(payload), count))
 
         handler.ordered_merge = None
-        host = SimpleNamespace(_current_vertex=0, graph=graph, _bulk_receivers={(7, 3): handler})
+        host = SimpleNamespace(
+            _current_vertex=0, _ft_replaying=False, graph=graph, _bulk_receivers={(7, 3): handler}
+        )
         plane = SlabPlane(codec, NbrGather.of_graph(graph, bytes(4)), host)
         plane.send(2, (3, 11))
         plane.send(1, (0, 0.5))
@@ -1095,7 +1112,8 @@ class TestRefusalMatrix:
 
 @needs_mp
 class TestLiftedCompositions:
-    """The three compositions PR 6 refused, locked to sim parity."""
+    """The three compositions mp once refused, locked to sim parity — and
+    fault tolerance on columnar, which checkpoints from the slab plane."""
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_combiners_parity(self, programs, graph, alg):
@@ -1113,8 +1131,11 @@ class TestLiftedCompositions:
             )
 
         sim = run_on(programs, graph, alg, "sim", ft=ft())
+        col = run_on(programs, graph, alg, "columnar", ft=ft())
         mp = run_on(programs, graph, alg, "mp", ft=ft())
-        assert sim.metrics.faults_injected == mp.metrics.faults_injected == 1
+        assert sim.metrics.faults_injected == col.metrics.faults_injected == 1
+        assert mp.metrics.faults_injected == 1
+        assert_parity(sim, col)
         assert_parity(sim, mp)
 
     @pytest.mark.parametrize("alg", ("pagerank", "sssp"))
@@ -1129,8 +1150,39 @@ class TestLiftedCompositions:
             )
 
         sim = run_on(programs, graph, alg, "sim", ft=ft())
+        col = run_on(programs, graph, alg, "columnar", ft=ft())
         mp = run_on(programs, graph, alg, "mp", ft=ft())
+        assert_parity(sim, col)
         assert_parity(sim, mp)
+
+    @pytest.mark.parametrize("use_combiners", (False, True))
+    @pytest.mark.parametrize("recovery", ("rollback", "confined"))
+    def test_ft_ledger_under_message_loss(self, programs, graph, recovery, use_combiners):
+        # transient loss draws from the manager's seeded RNG once per
+        # cross-worker delivery: equal counts on every backend, equal
+        # retries — and columnar keeps its array code throughout
+        ledger = (
+            "faults_injected", "lost_supersteps", "recovery_replay_work",
+            "messages_retried", "retry_backoff_units",
+        )  # fmt: skip
+        runs = {}
+        for backend in ("sim", "columnar", "mp"):
+            ft = FaultTolerance(
+                FaultPlan(
+                    checkpoint_every=2, crashes=(CrashEvent(1, 3),),
+                    recovery=recovery, message_loss_rate=0.3,
+                )
+            )  # fmt: skip
+            run = run_on(programs, graph, "pagerank", backend, ft=ft, use_combiners=use_combiners)
+            runs[backend] = run, [getattr(run.metrics, name) for name in ledger]
+        (sim, sim_ledger), (col, col_ledger), (mp, mp_ledger) = runs.values()
+        assert sim_ledger[0] == 1 and sim_ledger[3] > 0
+        assert sim_ledger == col_ledger == mp_ledger
+        assert_parity(sim, col)
+        assert_parity(sim, mp)
+        plain = run_on(programs, graph, "pagerank", "columnar", use_combiners=use_combiners)
+        assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases
+        assert (plain.metrics.vectorized_phases != []) is not use_combiners
 
     def test_recovered_run_matches_failure_free_outputs(self, programs, graph):
         clean = run_on(programs, graph, "pagerank", "sim")
@@ -1155,14 +1207,14 @@ class TestLiftedCompositions:
         from repro.obs import Tracer, deterministic_jsonl
 
         streams = {}
-        for backend in ("sim", "mp"):
+        for backend in ("sim", "columnar", "mp"):
             tracer = Tracer()
             ft = FaultTolerance(
                 FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 3),))
             )
             run_on(programs, graph, "pagerank", backend, ft=ft, tracer=tracer)
             streams[backend] = deterministic_jsonl(tracer.events)
-        assert streams["sim"] == streams["mp"]
+        assert streams["sim"] == streams["columnar"] == streams["mp"]
 
     def test_combined_ft_and_combiners(self, programs, graph):
         def run(backend):
@@ -1173,7 +1225,9 @@ class TestLiftedCompositions:
                 programs, graph, "sssp", backend, ft=ft, use_combiners=True
             )
 
-        assert_parity(run("sim"), run("mp"))
+        sim = run("sim")
+        assert_parity(sim, run("columnar"))
+        assert_parity(sim, run("mp"))
 
 
 @needs_mp
@@ -1890,11 +1944,12 @@ class TestVectorizedReceivers:
             backend="columnar",
             ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
         )
-        # Fault tolerance reads the tuple outbox: the simulator's engine,
-        # which has no array code to install.
-        assert type(engine) is PregelEngine
-        assert engine.metrics.backend == "columnar"
-        assert engine.metrics.vectorized_phases == []
+        # Fault tolerance reads the slab plane's raw parts: the slab engine,
+        # its handlers installed as without it.
+        assert isinstance(engine, ColumnarEngine)
+        assert sorted(engine._bulk_receivers) == sorted(self.handlers(programs, graph, "pagerank"))
+        assert engine._bulk_receivers
+        assert engine.metrics.vectorized_phases != []
 
 
 class TestPhaseKernels:
@@ -2747,10 +2802,10 @@ class TestPhaseKernels:
         "feature", ("ft", "tracer", "mem", "combiners", "voting", "net", "schemaless")
     )
     def test_kernels_disengage_with_the_slab_path(self, programs, graph, feature, tmp_path):
-        """The composition table, cell by cell: a tracer and a lossy
-        transport cost no array code; combiners and voting keep the slab
-        engine and turn it off; ft, a limited budget and a program without
-        a schema get the simulator's engine, labelled columnar."""
+        """The composition table, cell by cell: a tracer, a lossy transport
+        and ft cost no array code; combiners and voting keep the slab
+        engine and turn it off; a limited budget and a program without a
+        schema get the simulator's engine, labelled columnar."""
         from repro.obs import Tracer
         from repro.pregel.mem import MemPlan, MemoryManager
 
@@ -2777,14 +2832,14 @@ class TestPhaseKernels:
                 graph, args, backend="columnar", **opts()
             )
         assert engine.metrics.backend == "columnar"
-        if feature in ("ft", "mem", "schemaless"):
+        if feature in ("mem", "schemaless"):
             assert type(engine) is PregelEngine
             assert engine.metrics.vectorized_phases == []
         else:
             assert isinstance(engine, ColumnarEngine) and engine._plane is not None
             plain, counted = run_counted(programs, graph, "pagerank", "columnar")
             col, totals = run_counted(programs, graph, "pagerank", "columnar", **opts())
-            if feature in ("tracer", "net"):
+            if feature in ("tracer", "net", "ft"):
                 assert sorted(engine._phase_kernels) == self.EXPECTED["pagerank"]
                 assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
                 assert totals == counted and totals["scalar_records"] == 0

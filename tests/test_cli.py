@@ -408,7 +408,88 @@ class TestUsageErrors:
         assert "hang:W@S" in out
 
 
+class TestUnreadableProgram:
+    @pytest.mark.parametrize("command", ["compile", "run", "trace", "profile", "metrics", "interp"])
+    def test_missing_file_or_directory_is_a_usage_error(self, capsys, tmp_path, command):
+        for path in (tmp_path / "absent.gm", tmp_path):
+            msg = _usage_error(capsys, [command, str(path)])
+            assert f"cannot read {path}" in msg
+
+
+class TestScalarArgumentTypes:
+    """A scalar --arg its parameter's declared type cannot take: one line,
+    exit 2, naming the parameter and the type — on every command that
+    binds arguments."""
+
+    @pytest.mark.parametrize(
+        "alg, arg, named",
+        [
+            ("pagerank", "max_iter=abc", "'max_iter' must be Int"),
+            ("pagerank", "max_iter=1.5", "'max_iter' must be Int"),
+            ("pagerank", "max_iter=true", "'max_iter' must be Int"),
+            ("pagerank", "e=x", "'e' must be Double"),
+            ("pagerank", "d=false", "'d' must be Double"),
+            ("sssp", "root=999999", "'root' must be Node"),
+            ("sssp", "root=-2", "'root' must be Node"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "trace", "profile", "metrics", "interp"])
+    def test_mistyped_argument_is_a_usage_error(self, capsys, command, alg, arg, named):
+        args = {"pagerank": PAGERANK_ARGS, "sssp": []}[alg]
+        msg = _usage_error(capsys, [command, gm(alg), *args, "--arg", arg, "--scale", "0.05"])
+        assert named in msg
+
+    @pytest.mark.parametrize("command", ["run", "interp"])
+    def test_well_typed_arguments_still_run(self, capsys, command):
+        # an int is a Double; NIL is a Node
+        assert main([command, gm("pagerank"), "--arg", "e=0", "--arg", "d=1",
+                     "--arg", "max_iter=2", "--scale", "0.05"]) == 0
+        assert main([command, gm("sssp"), "--arg", "root=-1", "--scale", "0.05"]) == 0
+
+
 class TestNetAndSupervisorFlags:
+    @pytest.mark.parametrize(
+        "spec", ["straggler=9", "straggler=-1", "crash=5@3", "crash=0@1+2@4"]
+    )
+    def test_heartbeat_worker_out_of_range_fails_before_load(self, capsys, spec):
+        # the missing graph file is never reached: the flags alone refuse
+        msg = _usage_error(
+            capsys,
+            ["run", gm("pagerank"), *PAGERANK_ARGS, "--workers", "2",
+             "--heartbeat", spec, "--graph-file", "/nonexistent/never.el"],
+        )
+        assert "--heartbeat" in msg
+
+    def test_heartbeat_crash_and_straggler_on_columnar(self, capsys, tmp_path):
+        import json
+
+        ledgers, reports = {}, {}
+        for backend in ("sim", "columnar"):
+            path = tmp_path / f"{backend}.json"
+            code = main(
+                ["run", gm("pagerank"), *PAGERANK_ARGS, "--scale", "0.05",
+                 "--backend", backend, "--checkpoint-every", "2",
+                 "--heartbeat", "crash=1@2,straggler=2,strikes=1",
+                 "--metrics-json", str(path)],
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            reports[backend] = [line for line in out.splitlines() if not line.startswith("metrics:")]
+            ledgers[backend] = json.loads(path.read_text())
+        assert reports["sim"] == reports["columnar"]
+        assert any("declared dead" in line for line in reports["columnar"])
+        sim, col = ledgers["sim"], ledgers["columnar"]
+        assert sim["restarts"] == col["restarts"] == 1
+        assert sim["workers_quarantined"] == col["workers_quarantined"] == 1
+        assert col["vectorized_phases"] and not sim["vectorized_phases"]
+        for ledger in ledgers.values():
+            # provenance, and the pickled size of a checkpoint: the slab
+            # plane decodes one message tuple per record where the
+            # simulator's outbox shares one per neighbour broadcast
+            for key in ("wall_seconds", "backend", "vectorized_phases", "checkpoint_bytes"):
+                ledger.pop(key)
+        assert sim == col
+
     def test_net_faults_run_meters_and_roundtrips_json(self, tmp_path, capsys):
         import json
 

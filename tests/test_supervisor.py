@@ -406,7 +406,8 @@ class TestPlanValidation:
     @pytest.mark.parametrize(
         "bad",
         (
-            "junk", "bogus=1", "crash=zz", "straggler=x", "interval=x", "crash=-1@2",
+            "junk", "bogus=1", "crash=zz", "straggler=x", "straggler=-1", "straggler=1+-2",
+            "interval=x", "crash=-1@2",
             "crash=0@-3", "interval=nan", "phi=nan", "deadline=nan", "straggle-factor=nan",
         ),
     )
