@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..compiler import compile_algorithm
 from ..graphgen.registry import applicable_graphs, load_graph
-from ..pregel.ft import CrashEvent, FaultPlan, FaultTolerance, RealFault
+from ..pregel.ft import CrashEvent, FaultPlan, FaultTolerance
 from ..pregel.net import NetFaultPlan, SimulatedTransport
 from ..pregel.supervisor import Supervisor, SupervisorPlan
 from .harness import default_args
@@ -412,7 +412,13 @@ def mp_kill_sweep(
     rows: list[MPKillRow] = []
     for recovery in ("rollback", "confined"):
         for kind in kinds:
-            ft = FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery))
+            ft = FaultTolerance(
+                FaultPlan(
+                    checkpoint_every=2,
+                    crashes=(CrashEvent(1, crash_step, kind),),
+                    recovery=recovery,
+                )
+            )
             t0 = time.perf_counter()
             run = program.run(
                 graph,
@@ -420,7 +426,6 @@ def mp_kill_sweep(
                 backend="mp",
                 num_workers=workers,
                 ft=ft,
-                real_faults=(RealFault(kind, 1, crash_step),),
                 exchange_deadline=deadline_s,
                 transport_mode=transport,
             )

@@ -124,24 +124,24 @@ def _load_cli_graph(ns: argparse.Namespace):
 
 
 def _build_fault_tolerance(ns: argparse.Namespace):
-    """``(FaultTolerance | None, real_faults)`` from the CLI flags.
+    """A FaultTolerance manager from the CLI flags, or None when unused.
 
     ``--heartbeat`` implies fault tolerance (detection escalates into
     checkpoint recovery), so supervision alone still gets a manager.
-    ``--inject-fault`` accepts simulated crashes (``W@S``, any backend)
-    and real process faults (``kill:W@S`` / ``hang:W@S``, mp only) —
-    the latter are returned separately for the mp engine.
+    ``--inject-fault`` takes every fault kind into the one plan: simulated
+    crashes (``W@S``, any backend) and real faults (``kill:W@S`` …, mp
+    only), refused here, before the graph loads, in the engine's words.
+    ``--max-restarts`` is the plan's restart budget.
     """
     if not ns.checkpoint_every and not ns.inject_fault and not ns.heartbeat:
-        return None, ()
-    from .pregel.ft import (
-        NETWORK_FAULT_KINDS,
-        FaultPlan,
-        FaultTolerance,
-        RealFault,
-        parse_fault,
-    )
+        return None
+    from .pregel.ft import FaultPlan, FaultTolerance, fault_refusal, parse_fault
 
+    fireable = ()
+    if ns.backend == "mp":
+        from .pregel.backend.mp import fireable_faults
+
+        fireable = fireable_faults(getattr(ns, "transport", "shm"))
     try:
         faults = [parse_fault(spec) for spec in ns.inject_fault]
         for fault in faults:
@@ -149,26 +149,19 @@ def _build_fault_tolerance(ns: argparse.Namespace):
                 raise ValueError(
                     f"names worker {fault.worker} but --workers is {ns.workers}"
                 )
-        real = tuple(f for f in faults if isinstance(f, RealFault))
-        if real and ns.backend != "mp":
-            raise ValueError(
-                f"'{real[0].kind}:' faults are real process faults — they "
-                "need real worker processes (run with --backend mp)"
-            )
-        network = tuple(f for f in real if f.kind in NETWORK_FAULT_KINDS)
-        if network and getattr(ns, "transport", "shm") != "tcp":
-            raise ValueError(
-                f"'{network[0].kind}:' faults are network faults — they "
-                "need the real socket transport (run with --transport tcp)"
-            )
+        for fault in faults:
+            refusal = fault_refusal(fault.kind, fireable)
+            if refusal is not None:
+                raise ValueError(refusal)
         plan = FaultPlan(
             checkpoint_every=ns.checkpoint_every,
-            crashes=tuple(f for f in faults if not isinstance(f, RealFault)),
+            crashes=tuple(faults),
             recovery=ns.recovery,
+            max_restarts=ns.max_restarts,
         )
     except ValueError as exc:
         raise _die(f"--inject-fault: {exc}") from None
-    return FaultTolerance(plan), real
+    return FaultTolerance(plan)
 
 
 def _build_transport(ns: argparse.Namespace):
@@ -184,13 +177,13 @@ def _build_transport(ns: argparse.Namespace):
 
 
 def _build_supervisor(ns: argparse.Namespace):
-    """A Supervisor from ``--heartbeat``/``--max-restarts``, or None."""
+    """A Supervisor from ``--heartbeat``, or None."""
     if not ns.heartbeat:
         return None
     from .pregel.supervisor import Supervisor, parse_heartbeat
 
     try:
-        plan = parse_heartbeat(ns.heartbeat, max_restarts=ns.max_restarts)
+        plan = parse_heartbeat(ns.heartbeat)
         for worker in (*(crash.worker for crash in plan.silent_crashes), *plan.stragglers):
             if worker >= ns.workers:
                 raise ValueError(f"names worker {worker} but --workers is {ns.workers}")
@@ -267,7 +260,7 @@ def _execute_traced(
     # malformed --inject-fault / --heartbeat / --mem-budget spec is a
     # usage error and must exit 2 in milliseconds, not after seconds of
     # graph generation.
-    ft, real_faults = _build_fault_tolerance(ns)
+    ft = _build_fault_tolerance(ns)
     transport = _build_transport(ns)
     supervisor = _build_supervisor(ns)
     mem = _build_mem(ns)
@@ -287,9 +280,7 @@ def _execute_traced(
         # mp-only knobs: the sim/columnar engines have no worker
         # processes, so they do not take these keyword arguments.
         engine_opts.update(
-            real_faults=real_faults,
             exchange_deadline=ns.exchange_deadline,
-            max_restarts=ns.max_restarts,
             transport_mode=getattr(ns, "transport", "shm"),
         )
     try:
@@ -354,17 +345,19 @@ def _cmd_run(ns: argparse.Namespace) -> int:
                 f"{report.oom['budget_bytes']}-byte budget; partial result "
                 f"covers {run.metrics.supersteps} superstep(s)"
             )
+    m = run.metrics
+    if m.halt_reason == "unrecoverable":
+        # Graceful degradation: the restart budget ran out, so this is a
+        # *partial* result — say so structurally, don't raise.  The
+        # supervisor, when one detected the deaths, says it; else recovery.
+        print(
+            f"{'recovery' if supervisor is None else 'supervisor'}: DEGRADED "
+            f"(halt_reason=unrecoverable) after {m.restarts}/{ns.max_restarts} "
+            f"restart(s); partial result covers {m.supersteps} superstep(s)"
+        )
     if supervisor is not None:
         report = supervisor.report()
-        if report["degraded"]:
-            # Graceful degradation: the restart budget ran out, so this is
-            # a *partial* result — say so structurally, don't raise.
-            print(
-                f"supervisor: DEGRADED (halt_reason=unrecoverable) after "
-                f"{report['restarts_used']}/{report['max_restarts']} restart(s); "
-                f"partial result covers {report['completed_supersteps']} superstep(s)"
-            )
-        else:
+        if m.halt_reason != "unrecoverable":
             print(
                 f"supervisor: {report['restarts_used']} restart(s), "
                 f"{report['heartbeats_missed']} heartbeat(s) missed, "

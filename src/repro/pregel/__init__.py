@@ -15,7 +15,7 @@ _EXPORTS = {
     "CrashEvent": ".ft",
     "FaultPlan": ".ft",
     "FaultTolerance": ".ft",
-    "parse_crash": ".ft",
+    "parse_fault": ".ft",
     "GlobalObjectMap": ".globalmap",
     "GlobalOp": ".globalmap",
     "combine": ".globalmap",

@@ -91,11 +91,13 @@ process sentinel, so a SIGKILL'd worker is detected in milliseconds (EOF
 never a deadlock.  Detections escalate through
 :meth:`~repro.pregel.ft.FaultTolerance.recover_worker` — checkpoint
 restore, confined replay in the parent, re-fork of the dead process —
-with capped restarts degrading to ``halt_reason="unrecoverable"``.
-``--inject-fault kill:W@S`` (real SIGKILL) and ``hang:W@S`` (sleep past
-the deadline) exercise the path; shared-memory segments and bound
-sockets are tracked in one module-wide registry and released on every
-exit path (``finally`` + ``atexit``).
+each spending a restart of ``FaultPlan.max_restarts`` as on ``sim``; past
+the budget the run degrades to ``halt_reason="unrecoverable"`` and hands
+back the latest checkpoint whole (live workers may have run ahead of the
+dead one).  The plan's real faults — ``kill:W@S`` (real SIGKILL) and
+``hang:W@S`` (sleep past the deadline) — exercise the path; shared-memory
+segments and bound sockets are tracked in one module-wide registry and
+released on every exit path (``finally`` + ``atexit``).
 
 **Transports.** ``transport_mode="shm"`` (the default) carries every
 slab through the shared-memory segments.  ``"tcp"`` adds a real network
@@ -128,8 +130,9 @@ contiguous partitions.
 
 The backend still refuses — with :class:`BackendUnsupported` — the
 simulated transport (real pipes and sockets carry the slabs;
-channel-fault modeling would have nothing real to model).
-:func:`composition_refusals` exposes the refusal list so the CLI can
+channel-fault modeling would have nothing real to model), and over shm a
+scheduled network fault (:func:`fireable_faults`).
+:func:`composition_refusals` and :func:`fireable_faults` let the CLI
 validate a composition *before* loading a graph, with identical messages.
 """
 
@@ -150,7 +153,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, RealFault
+from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, CrashEvent
 from ..graph import Graph
 from ..runtime import SuperstepRecord
 from .base import BackendUnsupported
@@ -261,6 +264,12 @@ def clamp_slab_bytes(requested: int, plan=None) -> int:
     return max(1 << 20, min(requested, cap))
 
 
+def fireable_faults(transport_mode: str) -> tuple[str, ...]:
+    """The real fault kinds an mp engine fires: the network ones over tcp."""
+    network = () if transport_mode == "tcp" else NETWORK_FAULT_KINDS
+    return tuple(kind for kind in REAL_FAULT_KINDS if kind not in network)
+
+
 def composition_refusals(transport) -> list[str]:
     """Refusal messages for running a composition on the mp backend.
 
@@ -326,9 +335,7 @@ class MPEngine(ColumnarEngine):
         schema,
         vertex_compute: Callable | None = None,
         mp_slab_bytes: int | None = None,
-        real_faults=(),
         exchange_deadline: float = 30.0,
-        max_restarts: int = 3,
         transport_mode: str = "shm",
         **engine_opts,
     ):
@@ -350,6 +357,8 @@ class MPEngine(ColumnarEngine):
             raise ValueError(
                 f"unknown transport '{transport_mode}' (expected 'shm' or 'tcp')"
             )
+        # What ``ft.attach`` checks a scheduled fault's kind against.
+        self.REAL_FAULT_KINDS = fireable_faults(transport_mode)
         # The shared construction: ledger, placement, scheduling checks, the
         # ft → supervisor → mem attach sequence and the slab plane, all
         # inherited copy-on-write by every fork.  ``_voted`` is the one
@@ -357,26 +366,6 @@ class MPEngine(ColumnarEngine):
         # slice and ships it back in every exchange reply for the parent to
         # fold (the FT replay also reads/writes it directly).
         super().__init__(graph, schema=schema, vertex_compute=vertex_compute, **engine_opts)
-        real_faults = tuple(real_faults or ())
-        for fault in real_faults:
-            if fault.kind not in REAL_FAULT_KINDS:
-                raise ValueError(f"unknown real fault kind '{fault.kind}'")
-            if fault.kind in NETWORK_FAULT_KINDS and transport_mode != "tcp":
-                raise ValueError(
-                    f"'{fault.kind}:' faults are network faults — they need "
-                    "the real socket transport (run with --transport tcp)"
-                )
-            if not 0 <= fault.worker < self.num_workers:
-                raise ValueError(
-                    f"fault targets worker {fault.worker} but the engine "
-                    f"has {self.num_workers} workers"
-                )
-        if real_faults and self.ft is None:
-            raise ValueError(
-                "real process faults (kill:/hang:/netsplit:/slowlink:) "
-                "require fault tolerance: pass ft=... / --checkpoint-every "
-                "so recovery has a checkpoint to restore"
-            )
         self.schema = schema
         self.metrics.backend = "mp"
         self.transport_mode = transport_mode
@@ -398,13 +387,12 @@ class MPEngine(ColumnarEngine):
         #: the workers run the generated scalar program throughout).
         self._array_code: Callable | None = None
         self._delivered = 0
-        # real-failure machinery: scheduled process faults, the exchange
-        # deadline, deferred detections, and the engine-level restart cap
-        # (the Supervisor owns its own cap when one is attached).
-        self._real_pending: list[RealFault] = list(real_faults)
+        # real-failure machinery: the plan's real faults (the FT manager
+        # fires its crashes), the exchange deadline, deferred detections.
+        self._real_pending: list[CrashEvent] = [
+            c for c in (self.ft.plan.crashes if self.ft else ()) if c.kind != "crash"
+        ]
         self._exchange_deadline = float(exchange_deadline)
-        self._max_restarts = max_restarts
-        self._restarts_used = 0
         self._hang_now: dict[int, float] = {}
         self._net_now: dict[int, str] = {}
         self._dead_pending: list[tuple[int, str]] = []
@@ -433,18 +421,13 @@ class MPEngine(ColumnarEngine):
         self._conns: list = []
         self._procs: list = []
         self._workers: list[_Worker] = []
-        supervisor = self._supervisor
-        if supervisor is not None:
+        if self._supervisor is not None:
             # The supervisor's scheduled silent crashes become real
             # SIGKILLs on this backend: same flag, real process death.
             self._real_pending.extend(
-                RealFault("kill", crash.worker, crash.superstep)
-                for crash in supervisor.plan.silent_crashes
+                CrashEvent(crash.worker, crash.superstep, "kill")
+                for crash in self._supervisor.plan.silent_crashes
             )
-        if self.ft is not None and (self._real_pending or supervisor is not None):
-            # A fault can fire at superstep 0, before any periodic
-            # checkpoint exists — force one so recovery always has a base.
-            self.ft.force_initial_checkpoint = True
         self._mem_prev_inbox = [0] * w
         if mp_slab_bytes is None:
             mem = self.mem
@@ -491,7 +474,7 @@ class MPEngine(ColumnarEngine):
         self._hooks["on_superstep_start"] += (self._recover_detected,)
         if self.ft is not None:
             self._subscribe(self.ft)
-        self._hooks["on_superstep_start"] += (self._refork, self._inject_real_faults)
+        self._hooks["on_superstep_start"] += (self._refork, self._fire_faults)
 
     # -- checkpoint / restore: the parent's share of the payload ---------
     #
@@ -585,9 +568,12 @@ class MPEngine(ColumnarEngine):
                 self._gather_columns()
             except (_WorkerDead, OSError, RuntimeError):
                 # An unrecoverable abort can leave dead workers behind;
-                # collect what the live ones return and keep the parent's
-                # (restored) columns for the rest.
+                # collect what the live ones return.
                 pass
+            if self._abort_reason is not None:
+                # The live workers may have run ahead of the dead one: hand
+                # back the latest checkpoint whole, one consistent boundary.
+                self.ft.rewind()
             for proc in self._procs:
                 proc.join(timeout=30)
         except _WorkerDead as exc:
@@ -706,7 +692,7 @@ class MPEngine(ColumnarEngine):
         self._refork_all = False
         self._refork_workers.clear()
 
-    def _inject_real_faults(self) -> None:
+    def _fire_faults(self) -> None:
         """Fire scheduled real process faults for the current superstep:
         ``kill`` SIGKILLs the worker's OS process now, ``hang`` arms a
         sleep past the exchange deadline in this superstep's step command,
@@ -743,10 +729,11 @@ class MPEngine(ColumnarEngine):
     def _escalate(self, failures: list[tuple[int, str]]) -> bool:
         """Escalate detected worker failures into checkpoint recovery.
 
-        Returns False when the run must abort (restart budget exhausted,
-        or no checkpoint to restore) — the caller degrades to
-        ``halt_reason="unrecoverable"``; this never raises for a
-        recoverable-contract failure and never hangs."""
+        Each death spends a restart of the fault plan's budget, through the
+        supervisor when one is attached.  Returns False when the run must
+        abort (budget spent, or no checkpoint to restore) — the caller
+        degrades to ``halt_reason="unrecoverable"``; this never raises for
+        a recoverable-contract failure and never hangs."""
         now = time.monotonic()
         if self._mreg is not None:
             for _wid, cause in failures:
@@ -760,25 +747,11 @@ class MPEngine(ColumnarEngine):
             )
         supervisor = self._supervisor
         for wid, cause in failures:
-            try:
-                if supervisor is not None:
-                    if not supervisor.on_worker_failure(wid, now, cause):
-                        self._abort_reason = "unrecoverable"
-                        return False
-                else:
-                    if self._restarts_used >= self._max_restarts:
-                        self._abort_reason = "unrecoverable"
-                        return False
-                    self._restarts_used += 1
-                    self.metrics.restarts += 1
-                    if self._mreg is not None:
-                        self._mreg.counter(
-                            "supervisor.restarts", backend="mp"
-                        ).inc()
-                    self.ft.recover_worker(wid)
-            except RuntimeError as exc:
-                if "no checkpoint" not in str(exc):
-                    raise
+            if supervisor is not None:
+                recovered = supervisor.on_worker_failure(wid, now, cause)
+            else:
+                recovered = self.ft.recover_worker(wid)
+            if not recovered:
                 self._abort_reason = "unrecoverable"
                 return False
         return True

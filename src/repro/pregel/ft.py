@@ -19,10 +19,15 @@ Three pieces:
   doubles as deep isolation: a later restore can never alias live state.
 * **Deterministic fault injection** — a :class:`FaultPlan` carries a
   schedule of :class:`CrashEvent`\\ s (worker *w* dies at the barrier
-  entering superstep *s*, losing the partition it owns) plus an optional
-  transient cross-worker message-loss rate whose retry/backoff cost is
-  metered from a dedicated seeded RNG (so the fault machinery never
-  perturbs the algorithm's own random stream).
+  entering superstep *s*, losing the partition it owns), every kind in one
+  schedule parsed by one grammar (:func:`parse_fault`, ``[KIND:]W@S``):
+  this manager fires the announced ``crash`` kind, the mp engine the real
+  process and network kinds.  The plan also holds the run's one restart
+  budget (``max_restarts``), spent by every *detected* failure through
+  :meth:`FaultTolerance.recover_worker` — the supervisor's and the mp
+  parent's alike — and an optional transient cross-worker message-loss
+  rate whose retry/backoff cost is metered from a dedicated seeded RNG (so
+  the fault machinery never perturbs the algorithm's own random stream).
 * **Recovery** — two strategies, selected by ``FaultPlan.recovery``:
 
   - ``"rollback"`` (Pregel's classic checkpoint recovery): *every*
@@ -105,86 +110,119 @@ class ColumnState:
                     col[v] = saved[v]
 
 
-@dataclass(frozen=True)
-class CrashEvent:
-    """Worker ``worker`` fails at the barrier entering superstep ``superstep``,
-    losing the vertex partition (fields, voted bits, undelivered inbox) it
-    owns.  Each event fires at most once — recovery re-executes the same
-    superstep numbers, and a crash is not re-injected into its own replay."""
-
-    worker: int
-    superstep: int
-
-
-def parse_crash(spec: str) -> CrashEvent:
-    """Parse the CLI syntax ``WORKER@STEP`` (e.g. ``1@5``); both are >= 0."""
-    try:
-        worker_text, step_text = spec.split("@", 1)
-        crash = CrashEvent(int(worker_text), int(step_text))
-    except ValueError:
-        crash = None
-    if crash is None or crash.worker < 0 or crash.superstep < 0:
-        raise ValueError(
-            f"invalid fault spec '{spec}': expected WORKER@STEP with both >= 0, e.g. 1@5"
-        )
-    return crash
-
-
-#: the real fault kinds ``parse_fault`` and the mp engine accept.  ``kill``
-#: and ``hang`` are process faults (any mp transport); ``netsplit`` and
-#: ``slowlink`` are *network* faults that only mean something when the
-#: slabs actually travel a network — they additionally require the tcp
-#: transport (``--transport tcp``).
-REAL_FAULT_KINDS = ("kill", "hang", "netsplit", "slowlink")
+#: every kind of scheduled fault.  ``crash`` is simulated, on any backend;
+#: the rest are *real* faults only the mp engine fires: ``kill`` and
+#: ``hang`` are process faults (any mp transport), ``netsplit`` and
+#: ``slowlink`` network faults that need slabs to travel a network (tcp).
+FAULT_KINDS = ("crash", "kill", "hang", "netsplit", "slowlink")
+REAL_FAULT_KINDS = FAULT_KINDS[1:]
 NETWORK_FAULT_KINDS = ("netsplit", "slowlink")
 
 
 @dataclass(frozen=True)
-class RealFault:
-    """A real process- or network-level fault for the mp backend.
+class CrashEvent:
+    """Worker ``worker`` fails at the barrier entering superstep
+    ``superstep``, losing the vertex partition (fields, voted bits,
+    undelivered inbox) it owns.  Each event fires at most once — recovery
+    re-executes the same superstep numbers, and a fault is not re-injected
+    into its own replay.
 
-    ``kill`` SIGKILLs worker ``worker``'s OS process at superstep
-    ``superstep``; ``hang`` makes it sleep past the parent's exchange
-    deadline.  Under the tcp transport, ``netsplit`` closes the worker's
-    listening socket mid-exchange (peers see ECONNREFUSED) and
-    ``slowlink`` throttles the worker's outbound link below the exchange
-    deadline (peers time out waiting for its frames).  Unlike a
-    :class:`CrashEvent` the failure is *not announced* — the parent must
-    detect it through its deadline-based barrier (and, for the network
-    kinds, the workers' own peer-failure classification) and escalate
-    into the same checkpoint recovery.  Each fault fires at most once."""
+    A ``crash`` is announced: the FT manager recovers from it directly.
+    The real kinds are not — ``kill`` SIGKILLs the worker's process,
+    ``hang`` sleeps past the exchange deadline, ``netsplit`` closes its tcp
+    listener mid-exchange, ``slowlink`` stalls its frames past the peers'
+    deadline — so the mp parent must detect them and escalate into the
+    same checkpoint recovery."""
 
-    kind: str  # "kill" | "hang" | "netsplit" | "slowlink"
     worker: int
     superstep: int
+    kind: str = "crash"
+
+    def __post_init__(self):
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind '{self.kind}'")
+        if self.worker < 0 or self.superstep < 0:
+            raise ValueError("fault coordinates must be >= 0")
 
 
-def parse_fault(spec: str) -> CrashEvent | RealFault:
-    """Parse one ``--inject-fault`` spec.
+def bad_fault_spec(spec: str, kind: str = "crash") -> ValueError:
+    """The error for a malformed ``[KIND:]W@S`` spec of ``kind``."""
+    eg = "" if kind == "crash" else f"{kind}:"
+    return ValueError(
+        f"invalid fault spec '{spec}': expected {eg}WORKER@STEP "
+        f"with both >= 0, e.g. {eg}1@5"
+    )
 
-    ``W@S`` is a simulated :class:`CrashEvent` (any backend);
-    ``kill:W@S`` / ``hang:W@S`` are :class:`RealFault` process faults
-    (mp backend only — SIGKILL / sleep-past-deadline), and
-    ``netsplit:W@S`` / ``slowlink:W@S`` are real network faults
-    (mp backend with ``--transport tcp`` only)."""
-    if ":" in spec:
-        kind, _, rest = spec.partition(":")
-        if kind not in REAL_FAULT_KINDS:
+
+def parse_fault(spec: str) -> CrashEvent:
+    """Parse one fault spec, ``[KIND:]WORKER@STEP`` (e.g. ``1@5``,
+    ``kill:1@5``): a bare ``W@S`` is a simulated ``crash`` (any backend);
+    a ``KIND:`` prefix names a real kind (mp backend only)."""
+    kind, colon, rest = spec.partition(":")
+    if not colon:
+        kind, rest = "crash", spec
+    elif kind not in REAL_FAULT_KINDS:
+        raise ValueError(
+            f"invalid fault spec '{spec}': unknown kind '{kind}' "
+            "(expected WORKER@STEP, or one of "
+            + ", ".join(f"{k}:WORKER@STEP" for k in REAL_FAULT_KINDS)
+            + ")"
+        )
+    try:
+        worker_text, step_text = rest.split("@", 1)
+        return CrashEvent(int(worker_text), int(step_text), kind)
+    except ValueError:
+        raise bad_fault_spec(spec, kind) from None
+
+
+def fault_refusal(kind: str, fireable: tuple[str, ...]) -> str | None:
+    """Why an engine that fires the real kinds ``fireable`` refuses a
+    ``kind`` fault, or None when it can fire it.  Engines raise it at
+    construction; the CLI prints it before the graph loads."""
+    if kind == "crash" or kind in fireable:
+        return None
+    if not fireable:
+        return (
+            f"'{kind}:' faults are real process faults — they need real "
+            "worker processes (run with --backend mp)"
+        )
+    return (
+        f"'{kind}:' faults are network faults — they need the real socket "
+        "transport (run with --transport tcp)"
+    )
+
+
+def parse_spec(flag: str, spec: str, keys: dict, lists: tuple = ()) -> dict:
+    """Parse a ``key=value,...`` flag spec into keyword arguments.
+
+    ``keys`` maps a spec key to ``(field, cast)``.  A key in ``lists`` may
+    repeat: its values are returned as text, in a list under the key
+    itself, for the caller to parse.  Errors name ``flag``."""
+    names = ", ".join((*lists, *sorted(keys)))
+    kwargs: dict = {}
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if "=" not in item:
             raise ValueError(
-                f"invalid fault spec '{spec}': unknown kind '{kind}' "
-                "(expected WORKER@STEP, or one of "
-                + ", ".join(f"{k}:WORKER@STEP" for k in REAL_FAULT_KINDS)
-                + ")"
+                f"invalid {flag} entry '{item}': expected key=value with keys {names}"
             )
-        try:
-            crash = parse_crash(rest)
-        except ValueError:
+        key, text = item.split("=", 1)
+        key, text = key.strip(), text.strip()
+        if key in lists:
+            kwargs.setdefault(key, []).append(text)
+        elif key in keys:
+            field_name, cast = keys[key]
+            try:
+                kwargs[field_name] = cast(text)
+            except ValueError:
+                raise ValueError(f"invalid {flag} value for '{key}': '{text}'") from None
+        else:
             raise ValueError(
-                f"invalid fault spec '{spec}': expected {kind}:WORKER@STEP "
-                f"with both >= 0, e.g. {kind}:1@5"
-            ) from None
-        return RealFault(kind, crash.worker, crash.superstep)
-    return parse_crash(spec)
+                f"unknown {flag} key '{key}' (expected {'' if lists else 'one of '}{names})"
+            )
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -193,8 +231,13 @@ class FaultPlan:
 
     * ``checkpoint_every`` — checkpoint at supersteps 0, k, 2k, …; 0 disables
       periodic checkpoints (an initial superstep-0 checkpoint is still taken
-      whenever crashes are scheduled, mirroring the durable job input).
-    * ``crashes`` — the injection schedule.
+      whenever a fault is scheduled, mirroring the durable job input).
+    * ``crashes`` — the injection schedule, every kind of fault: the
+      manager fires the ``crash`` events, the mp engine the real ones.
+    * ``max_restarts`` — the restart budget: detected failures beyond it
+      abort the run with ``halt_reason="unrecoverable"`` (graceful
+      degradation).  Spent by :meth:`FaultTolerance.recover_worker`,
+      whoever detected the failure — the supervisor or the mp parent.
     * ``recovery`` — ``"rollback"`` or ``"confined"`` (see module docstring).
     * ``message_loss_rate`` / ``max_retries`` — probability that one delivery
       attempt of a cross-worker message fails transiently; each failed
@@ -209,6 +252,7 @@ class FaultPlan:
     checkpoint_every: int = 0
     crashes: tuple[CrashEvent, ...] = ()
     recovery: str = "rollback"
+    max_restarts: int = 3
     message_loss_rate: float = 0.0
     max_retries: int = 3
     seed: int = 29
@@ -221,6 +265,8 @@ class FaultPlan:
             )
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
         if not 0.0 <= self.message_loss_rate < 1.0:
             raise ValueError("message_loss_rate must be in [0, 1)")
 
@@ -241,12 +287,18 @@ class FaultTolerance:
         #: is pickled bytes, or a streamed on-disk handle when the engine
         #: runs under a memory budget (see _take_checkpoint).
         self._checkpoints: list[tuple[int, object]] = []
-        self._pending = sorted(plan.crashes, key=lambda c: c.superstep)
+        #: the announced faults this manager fires itself; the real kinds
+        #: are the mp engine's to fire (and its deadline barrier's to detect).
+        self._pending = sorted(
+            (c for c in plan.crashes if c.kind == "crash"), key=lambda c: c.superstep
+        )
         self._rng = random.Random(plan.seed)
         #: set by the supervisor: heartbeat-detected failures need a
-        #: recovery point even when no crash is *scheduled*, so the initial
+        #: recovery point even when no fault is *scheduled*, so the initial
         #: superstep-0 checkpoint is forced regardless of ``crashes``.
         self.force_initial_checkpoint = False
+        #: detected failures recovered so far, against ``plan.max_restarts``.
+        self.restarts_used = 0
         # Confined recovery replays a partition from what the healthy side
         # already knows: the messages delivered each superstep and the
         # master's broadcast map each superstep (keyed by superstep number,
@@ -259,12 +311,17 @@ class FaultTolerance:
     def attach(self, engine: "PregelEngine") -> None:
         if self._engine is not None:
             raise RuntimeError("a FaultTolerance manager drives exactly one run")
-        for crash in self._pending:
+        for crash in self.plan.crashes:
             if not 0 <= crash.worker < engine.num_workers:
                 raise ValueError(
                     f"fault schedules worker {crash.worker} but the engine "
                     f"has {engine.num_workers} workers"
                 )
+            refusal = fault_refusal(crash.kind, engine.REAL_FAULT_KINDS)
+            if refusal is not None:
+                from .backend.base import BackendUnsupported
+
+                raise BackendUnsupported(refusal)
         self._engine = engine
         self._mreg = getattr(engine, "_mreg", None)
 
@@ -285,7 +342,7 @@ class FaultTolerance:
         step = engine.superstep
         every = self.plan.checkpoint_every
         due = (every > 0 and step % every == 0) or (
-            step == 0 and (self._pending or self.force_initial_checkpoint)
+            step == 0 and (self.plan.crashes or self.force_initial_checkpoint)
         )
         if due:
             self._take_checkpoint()
@@ -387,9 +444,13 @@ class FaultTolerance:
 
     def recover_worker(
         self, worker: int, partitions: Sequence[int] | None = None
-    ) -> None:
-        """Detector-driven recovery: the supervisor detected (rather than
-        pre-declared) that ``worker`` died at the current barrier.
+    ) -> bool:
+        """Detector-driven recovery: the supervisor or the mp parent
+        detected (rather than was told) that ``worker`` died at the current
+        barrier.  Each call spends one restart of ``plan.max_restarts`` —
+        the run's one budget.  Returns False, recovering nothing, when the
+        budget is spent or no checkpoint exists: the caller degrades the
+        run to ``halt_reason="unrecoverable"``.
 
         ``partitions`` lists the logical partitions the dead worker was
         *hosting* (after straggler quarantine a worker can host partitions
@@ -397,11 +458,36 @@ class FaultTolerance:
         ``None`` means the worker hosted only its own partition.
         """
         engine = self._engine
+        if self.restarts_used >= self.plan.max_restarts or not self._checkpoints:
+            return False
+        self.restarts_used += 1
+        engine.metrics.restarts += 1
+        if self._mreg is not None:
+            self._mreg.counter("supervisor.restarts", backend=engine.metrics.backend).inc()
         self._recover(
             CrashEvent(worker, engine.superstep),
             partitions=partitions,
             source="detected",
         )
+        return True
+
+    def rewind(self) -> None:
+        """Restore the latest checkpoint whole, engine and program state: a
+        run that gives up partway through a superstep (the mp parent,
+        whose live workers ran ahead of a dead one) hands back one
+        consistent boundary.  Without a checkpoint there is none to give."""
+        if self._checkpoints:
+            self._restore(self._load())
+
+    def _load(self) -> dict:
+        """The latest checkpoint's payload."""
+        _step, blob = self._checkpoints[-1]
+        return pickle.loads(blob) if isinstance(blob, bytes) else blob.load()
+
+    def _restore(self, payload: dict) -> None:
+        self._engine.restore_state(payload["engine"])
+        for program, state in zip(self._programs, payload["programs"]):
+            program.restore_state(state)
 
     def _recover(
         self,
@@ -409,15 +495,12 @@ class FaultTolerance:
         partitions: Sequence[int] | None = None,
         source: str = "scheduled",
     ) -> None:
+        # A checkpoint exists: a scheduled fault forces the superstep-0
+        # one, and recover_worker checks before it calls.
         engine = self._engine
-        if not self._checkpoints:
-            raise RuntimeError(
-                f"worker {crash.worker} crashed at superstep {crash.superstep} "
-                "with no checkpoint to recover from"
-            )
         metrics = engine.metrics
         metrics.faults_injected += 1
-        ckpt_step, blob = self._checkpoints[-1]
+        ckpt_step = self._checkpoints[-1][0]
         lost = engine.superstep - ckpt_step
         metrics.lost_supersteps += lost
         if self._mreg is not None:
@@ -438,11 +521,9 @@ class FaultTolerance:
             )
         t0 = time.perf_counter()
         replay_before = metrics.recovery_replay_work
-        payload = pickle.loads(blob) if isinstance(blob, bytes) else blob.load()
+        payload = self._load()
         if self.plan.recovery == "rollback":
-            engine.restore_state(payload["engine"])
-            for program, state in zip(self._programs, payload["programs"]):
-                program.restore_state(state)
+            self._restore(payload)
             # Every partition re-executes the lost supersteps.
             metrics.recovery_replay_work += lost * engine.graph.num_nodes
         else:

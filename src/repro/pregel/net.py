@@ -43,6 +43,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .ft import parse_spec
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import PregelEngine
 
@@ -127,31 +129,7 @@ def parse_net_faults(spec: str) -> NetFaultPlan:
     Keys: ``drop``, ``dup``, ``reorder``, ``corrupt`` (rates in [0, 0.9]),
     ``latency``, ``jitter`` (simulated units), ``max-attempts``, ``seed``.
     """
-    kwargs: dict = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(
-                f"invalid --net-faults entry '{item}': expected key=value "
-                f"with keys {', '.join(sorted(_SPEC_KEYS))}"
-            )
-        key, text = item.split("=", 1)
-        key = key.strip()
-        if key not in _SPEC_KEYS:
-            raise ValueError(
-                f"unknown --net-faults key '{key}' "
-                f"(expected one of {', '.join(sorted(_SPEC_KEYS))})"
-            )
-        field_name, caster = _SPEC_KEYS[key]
-        try:
-            kwargs[field_name] = caster(text.strip())
-        except ValueError:
-            raise ValueError(
-                f"invalid --net-faults value for '{key}': '{text.strip()}'"
-            ) from None
-    return NetFaultPlan(**kwargs)
+    return NetFaultPlan(**parse_spec("--net-faults", spec, _SPEC_KEYS))
 
 
 class SimulatedTransport:

@@ -352,6 +352,11 @@ class PregelEngine:
     phase, combiner flush — serves ``sim`` and ``columnar``.
     """
 
+    #: the real fault kinds this engine can fire (``repro.pregel.ft``):
+    #: none in-process — a scheduled ``kill:`` / ``netsplit:`` … is refused
+    #: at construction (``ft.attach``), not silently ignored.
+    REAL_FAULT_KINDS: tuple[str, ...] = ()
+
     def __init__(
         self,
         graph: Graph,

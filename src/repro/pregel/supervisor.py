@@ -25,8 +25,9 @@ restart budget on their own.  This module adds that layer to the simulator:
 * **Escalation → automatic recovery** — a detected death triggers the
   *existing* recovery machinery (:meth:`FaultTolerance.recover_worker`,
   rollback or confined per the plan) for the partitions the dead worker
-  hosted, and the worker is restarted.  Restarts are capped at
-  ``max_restarts``.
+  hosted, and the worker is restarted.  Each restart spends one unit of
+  the run's one budget, :attr:`FaultPlan.max_restarts`, which the FT
+  manager keeps whoever detected the death.
 * **Straggler quarantine** — a worker that blows ``barrier_timeout`` for
   ``straggle_strikes`` consecutive barriers is quarantined: its partitions
   are re-hosted onto the least-loaded live workers.  Hosting is *physical*
@@ -53,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ft import CrashEvent
+from .ft import CrashEvent, bad_fault_spec, parse_fault, parse_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import PregelEngine
@@ -99,8 +100,6 @@ class SupervisorPlan:
       threshold *or* exceeds the hard deadline (0 disables the deadline).
     * ``barrier_timeout`` / ``straggle_strikes`` — a worker slower than the
       barrier timeout for N consecutive barriers is quarantined.
-    * ``max_restarts`` — detected failures beyond this budget abort the run
-      with ``halt_reason="unrecoverable"`` (graceful degradation).
     * ``silent_crashes`` — scripted silent deaths (the supervisor is not
       told; it must detect them).  ``crash_rate`` adds seeded random deaths
       per live worker per superstep.
@@ -115,7 +114,6 @@ class SupervisorPlan:
     deadline_timeout: float = 5.0
     barrier_timeout: float = 6.0
     straggle_strikes: int = 3
-    max_restarts: int = 3
     silent_crashes: tuple[CrashEvent, ...] = ()
     crash_rate: float = 0.0
     stragglers: tuple[int, ...] = ()
@@ -133,8 +131,6 @@ class SupervisorPlan:
             raise ValueError("timeouts must be >= 0")
         if self.straggle_strikes < 1:
             raise ValueError("straggle_strikes must be >= 1")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
         for name in ("crash_rate", "straggle_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -156,54 +152,31 @@ _HB_KEYS = {
 }
 
 
-def parse_heartbeat(spec: str, *, max_restarts: int = 3) -> SupervisorPlan:
+def parse_heartbeat(spec: str) -> SupervisorPlan:
     """Parse the CLI syntax, e.g.
     ``interval=1,deadline=4,crash=1@3+0@6,straggler=2,seed=5``.
 
-    ``crash=W@S`` schedules silent worker deaths ("+"-separated for several),
+    ``crash=W@S`` schedules silent worker deaths ("+"-separated for several;
+    bare ``W@S`` — the supervisor detects them, so they have no kind),
     ``straggler=W`` marks always-slow workers; the remaining keys map onto
-    :class:`SupervisorPlan` fields.  ``max_restarts`` comes from the
-    dedicated ``--max-restarts`` flag.
+    :class:`SupervisorPlan` fields.  The restart budget is the fault
+    plan's (``--max-restarts``).
     """
-    from .ft import parse_crash
-
-    kwargs: dict = {"max_restarts": max_restarts}
+    kwargs = parse_spec("--heartbeat", spec, _HB_KEYS, lists=("crash", "straggler"))
     crashes: list[CrashEvent] = []
+    for part in (p for text in kwargs.pop("crash", ()) for p in text.split("+")):
+        if ":" in part:
+            raise bad_fault_spec(part)
+        crashes.append(parse_fault(part))
     stragglers: list[int] = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
+    for text in kwargs.pop("straggler", ()):
+        parts = [part.strip() for part in text.split("+")]
+        if not all(part.isdigit() for part in parts):
             raise ValueError(
-                f"invalid --heartbeat entry '{item}': expected key=value with "
-                f"keys crash, straggler, {', '.join(sorted(_HB_KEYS))}"
+                f"invalid --heartbeat straggler list '{text}': expected "
+                "WORKER[+WORKER...], each >= 0"
             )
-        key, text = item.split("=", 1)
-        key, text = key.strip(), text.strip()
-        if key == "crash":
-            crashes.extend(parse_crash(part) for part in text.split("+"))
-        elif key == "straggler":
-            parts = [part.strip() for part in text.split("+")]
-            if not all(part.isdigit() for part in parts):
-                raise ValueError(
-                    f"invalid --heartbeat straggler list '{text}': expected "
-                    "WORKER[+WORKER...], each >= 0"
-                )
-            stragglers.extend(map(int, parts))
-        elif key in _HB_KEYS:
-            field_name, caster = _HB_KEYS[key]
-            try:
-                kwargs[field_name] = caster(text)
-            except ValueError:
-                raise ValueError(
-                    f"invalid --heartbeat value for '{key}': '{text}'"
-                ) from None
-        else:
-            raise ValueError(
-                f"unknown --heartbeat key '{key}' (expected crash, straggler, "
-                f"{', '.join(sorted(_HB_KEYS))})"
-            )
+        stragglers.extend(map(int, parts))
     return SupervisorPlan(
         silent_crashes=tuple(crashes), stragglers=tuple(stragglers), **kwargs
     )
@@ -232,7 +205,6 @@ class Supervisor:
         self._detectors: list[PhiAccrualDetector] = []
         self._strikes: list[int] = []
         self._quarantined: set[int] = set()
-        self.restarts_used = 0
         self.degraded = False
         self.oom: dict | None = None
         self._detections: list[dict] = []
@@ -347,10 +319,6 @@ class Supervisor:
                 silence = min(silence, plan.deadline_timeout)
             detected_at = max(self._clock, self._last_heartbeat[w] + silence)
             missed = int((detected_at - self._last_heartbeat[w]) // interval)
-            engine.metrics.heartbeats_missed += missed
-            if self._mreg is not None:
-                self._mreg.counter("supervisor.detections").inc()
-                self._mreg.counter("supervisor.heartbeats_missed").inc(missed)
             self._clock = max(self._clock, detected_at)
             detection = {
                 "worker": w,
@@ -360,46 +328,8 @@ class Supervisor:
                 "phi": detector.phi(detected_at - self._last_heartbeat[w]),
                 "heartbeats_missed": missed,
             }
-            if tracer is not None:
-                tracer.event("supervisor.suspect", cat="supervisor", info=dict(detection))
-            if self.restarts_used >= plan.max_restarts:
-                # Retry budget exhausted: degrade to a partial result
-                # instead of raising — the run halts at this barrier.
-                self.degraded = True
-                detection["action"] = "degraded"
-                self._detections.append(detection)
-                engine._abort_reason = "unrecoverable"
-                if tracer is not None:
-                    tracer.event(
-                        "supervisor.degraded",
-                        cat="supervisor",
-                        info={
-                            "worker": w,
-                            "restarts_used": self.restarts_used,
-                            "max_restarts": plan.max_restarts,
-                            "superstep": engine.superstep,
-                        },
-                    )
-                return
-            self.restarts_used += 1
-            engine.metrics.restarts += 1
-            if self._mreg is not None:
-                self._mreg.counter("supervisor.restarts").inc()
-            detection["action"] = "restarted"
-            self._detections.append(detection)
-            engine.ft.recover_worker(w, partitions=self._hosted(w))
-            self._last_heartbeat[w] = self._clock
-            self._strikes[w] = 0
-            if tracer is not None:
-                tracer.event(
-                    "supervisor.restart",
-                    cat="supervisor",
-                    info={
-                        "worker": w,
-                        "restarts_used": self.restarts_used,
-                        "recovery": engine.ft.plan.recovery,
-                    },
-                )
+            if not self._escalate(w, detection, tracer, self._clock):
+                return  # degraded: the run halts at this barrier
 
         # Straggler quarantine: consecutive blown barriers re-host the
         # worker's partitions (physical placement only — the logical
@@ -461,69 +391,54 @@ class Supervisor:
 
     def on_worker_failure(self, worker: int, now: float, cause: str) -> bool:
         """A real worker process failed its exchange deadline (died or
-        hung).  Escalate exactly like a simulated detection: meter the
-        silence, recover through the FT manager — or, past the restart
-        budget, degrade the run (returns False; the engine aborts with
-        ``halt_reason="unrecoverable"``)."""
+        hung).  Escalate exactly like a simulated detection (returns False
+        on degrading; the engine aborts with ``halt_reason="unrecoverable"``)."""
         engine = self._engine
-        plan = self.plan
         self._clock = now - self._real_epoch
-        detector = self._detectors[worker]
         silence = now - self._last_heartbeat[worker]
-        missed = int(silence // plan.heartbeat_interval)
-        engine.metrics.heartbeats_missed += missed
-        if self._mreg is not None:
-            self._mreg.counter("supervisor.detections").inc()
-            self._mreg.counter("supervisor.heartbeats_missed").inc(missed)
         detection = {
             "worker": worker,
             "superstep": engine.superstep,
             "clock": self._clock,
             "silence": silence,
-            "phi": detector.phi(silence),
-            "heartbeats_missed": missed,
+            "phi": self._detectors[worker].phi(silence),
+            "heartbeats_missed": int(silence // self.plan.heartbeat_interval),
             "cause": cause,
         }
-        tracer = self._tracer()
+        return self._escalate(worker, detection, self._tracer(), now)
+
+    def _escalate(self, worker: int, detection: dict, tracer, now: float) -> bool:
+        """The one escalation of a detected death, simulated or real: meter
+        the silence, then recover the partitions ``worker`` hosted through
+        the FT manager, which spends the plan's restart budget — or, with
+        the budget spent, degrade to a partial result instead of raising.
+        ``now`` is the worker's fresh heartbeat on the detector's clock."""
+        engine = self._engine
+        ft = engine.ft
+        engine.metrics.heartbeats_missed += detection["heartbeats_missed"]
+        if self._mreg is not None:
+            self._mreg.counter("supervisor.detections").inc()
+            self._mreg.counter("supervisor.heartbeats_missed").inc(
+                detection["heartbeats_missed"]
+            )
         if tracer is not None:
             tracer.event("supervisor.suspect", cat="supervisor", info=dict(detection))
-        if self.restarts_used >= plan.max_restarts:
-            self.degraded = True
-            detection["action"] = "degraded"
-            self._detections.append(detection)
-            engine._abort_reason = "unrecoverable"
-            if tracer is not None:
-                tracer.event(
-                    "supervisor.degraded",
-                    cat="supervisor",
-                    info={
-                        "worker": worker,
-                        "restarts_used": self.restarts_used,
-                        "max_restarts": plan.max_restarts,
-                        "superstep": engine.superstep,
-                    },
-                )
-            return False
-        self.restarts_used += 1
-        engine.metrics.restarts += 1
-        if self._mreg is not None:
-            self._mreg.counter("supervisor.restarts", backend="mp").inc()
-        detection["action"] = "restarted"
+        restarted = ft.recover_worker(worker, partitions=self._hosted(worker))
+        detection["action"] = "restarted" if restarted else "degraded"
         self._detections.append(detection)
-        engine.ft.recover_worker(worker, partitions=self._hosted(worker))
-        self._last_heartbeat[worker] = now
-        self._strikes[worker] = 0
+        info = {"worker": worker, "restarts_used": ft.restarts_used}
+        if restarted:
+            self._last_heartbeat[worker] = now
+            self._strikes[worker] = 0
+            info["recovery"] = ft.plan.recovery
+        else:
+            self.degraded = True
+            engine._abort_reason = "unrecoverable"
+            info.update(max_restarts=ft.plan.max_restarts, superstep=engine.superstep)
         if tracer is not None:
-            tracer.event(
-                "supervisor.restart",
-                cat="supervisor",
-                info={
-                    "worker": worker,
-                    "restarts_used": self.restarts_used,
-                    "recovery": engine.ft.plan.recovery,
-                },
-            )
-        return True
+            name = "supervisor.restart" if restarted else "supervisor.degraded"
+            tracer.event(name, cat="supervisor", info=info)
+        return restarted
 
     def on_oom(self, exc) -> None:
         """Memory exhaustion escalates like a silent crash: the worker that
@@ -588,8 +503,8 @@ class Supervisor:
         return {
             "degraded": self.degraded,
             "halt_reason": halt_reason,
-            "restarts_used": self.restarts_used,
-            "max_restarts": self.plan.max_restarts,
+            "restarts_used": engine.ft.restarts_used if engine else 0,
+            "max_restarts": engine.ft.plan.max_restarts if engine else 0,
             "heartbeats_missed": engine.metrics.heartbeats_missed if engine else 0,
             "clock_units": self._clock,
             "completed_supersteps": engine.superstep if engine else 0,

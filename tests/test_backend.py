@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 from array import array
 
 import pytest
@@ -22,9 +23,10 @@ from repro.pregel.backend import BACKENDS, BackendUnsupported, get_backend
 from repro.pregel.backend.codec import MessageCodec
 from repro.pregel.backend.columnar import ColumnarEngine
 from repro.pregel.backend.mp import MPEngine, mp_available
-from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance, RealFault
+from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
 from repro.pregel.net import NetFaultPlan, SimulatedTransport
 from repro.pregel.runtime import PregelEngine
+from repro.pregel.supervisor import Supervisor, SupervisorPlan
 from repro.pregelir.ir import INF_VALUE
 
 ALGORITHMS = (
@@ -1109,6 +1111,17 @@ class TestRefusalMatrix:
         refused = {name for name, ok in supports.items() if not ok}
         assert refused == {"net"}
 
+    @pytest.mark.parametrize("backend", ("sim", "columnar"))
+    def test_in_process_engines_refuse_real_faults(self, programs, graph, backend):
+        # refused at construction, in the words the CLI prints
+        text = (
+            "'kill:' faults are real process faults — they need real worker "
+            "processes (run with --backend mp)"
+        )
+        ft = FaultTolerance(FaultPlan(crashes=(CrashEvent(1, 2, "kill"),)))
+        with pytest.raises(BackendUnsupported, match=re.escape(text)):
+            run_on(programs, graph, "pagerank", backend, ft=ft)
+
 
 @needs_mp
 class TestLiftedCompositions:
@@ -1237,8 +1250,13 @@ class TestRealProcessFaults:
     latest checkpoint, finish bit-identical to the failure-free run, and
     leak nothing when recovery is impossible."""
 
-    def ft(self, recovery="rollback"):
-        return FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery))
+    def ft(self, *faults, recovery="rollback", max_restarts=3):
+        return FaultTolerance(
+            FaultPlan(
+                checkpoint_every=2, crashes=faults, recovery=recovery,
+                max_restarts=max_restarts,
+            )
+        )
 
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -1249,8 +1267,7 @@ class TestRealProcessFaults:
         sim = run_on(programs, graph, alg, "sim", num_workers=2)
         mp = run_on(
             programs, graph, alg, "mp", num_workers=2,
-            ft=self.ft(recovery),
-            real_faults=(RealFault("kill", 1, 1),),
+            ft=self.ft(CrashEvent(1, 1, "kill"), recovery=recovery),
             exchange_deadline=10.0,
         )
         assert mp.metrics.restarts == 1
@@ -1264,8 +1281,7 @@ class TestRealProcessFaults:
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=self.ft(recovery),
-            real_faults=(RealFault("hang", 0, 3),),
+            ft=self.ft(CrashEvent(0, 3, "hang"), recovery=recovery),
             exchange_deadline=0.75,
         )
         assert mp.metrics.restarts == 1
@@ -1273,14 +1289,13 @@ class TestRealProcessFaults:
 
     def test_two_workers_killed_same_exchange_recover(self, programs, graph):
         # Both partitions vanish from one exchange barrier; each blamed
-        # worker costs one restart from the budget and the run still
-        # finishes bit-identical.
+        # worker costs one restart from the budget — a budget of two
+        # covers both — and the run still finishes bit-identical.
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=3)
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=3,
-            ft=self.ft(),
-            real_faults=(RealFault("kill", 1, 2), RealFault("kill", 2, 2)),
-            exchange_deadline=10.0, max_restarts=3,
+            ft=self.ft(CrashEvent(1, 2, "kill"), CrashEvent(2, 2, "kill"), max_restarts=2),
+            exchange_deadline=10.0,
         )
         assert mp.metrics.restarts == 2
         assert_parity(sim, mp)
@@ -1291,9 +1306,8 @@ class TestRealProcessFaults:
         # never hang in the recovery barrier.
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=3,
-            ft=self.ft(),
-            real_faults=(RealFault("kill", 1, 2), RealFault("kill", 2, 2)),
-            exchange_deadline=10.0, max_restarts=1,
+            ft=self.ft(CrashEvent(1, 2, "kill"), CrashEvent(2, 2, "kill"), max_restarts=1),
+            exchange_deadline=10.0,
         )
         assert mp.metrics.halt_reason == "unrecoverable"
 
@@ -1307,9 +1321,7 @@ class TestRealProcessFaults:
         before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=self.ft(), mem=mem,
-            real_faults=(RealFault("kill", 1, 3),),
-            max_restarts=0,
+            ft=self.ft(CrashEvent(1, 3, "kill"), max_restarts=0), mem=mem,
         )
         # Graceful degradation: a structured partial result, not an
         # exception and not a hang.
@@ -1323,12 +1335,28 @@ class TestRealProcessFaults:
         # run's private spill directory is gone too.
         assert list(tmp_path.iterdir()) == []
 
-    def test_real_faults_require_fault_tolerance(self, programs, graph):
-        with pytest.raises(ValueError, match="require fault tolerance"):
-            run_on(
-                programs, graph, "pagerank", "mp", num_workers=2,
-                real_faults=(RealFault("kill", 1, 1),),
+    @pytest.mark.parametrize("alg", ("pagerank", "sssp", "bc_approx"))
+    def test_degraded_run_returns_the_latest_checkpoint(self, programs, graph, alg):
+        # The live worker has run the failed superstep's vertex phase by the
+        # time the dead one is given up on: the partial result is the
+        # latest checkpoint, whole.  With one at the failed boundary it is
+        # sim's degraded result; with an older one, a clean run stopped at
+        # the checkpoint's superstep.
+        def ft(every, *faults):
+            return FaultTolerance(
+                FaultPlan(checkpoint_every=every, crashes=faults, max_restarts=0)
             )
+
+        silent = Supervisor(SupervisorPlan(silent_crashes=(CrashEvent(1, 3),)))
+        sim = run_on(programs, graph, alg, "sim", num_workers=2, ft=ft(1), supervisor=silent)
+        kill = CrashEvent(1, 3, "kill")
+        mp = run_on(programs, graph, alg, "mp", num_workers=2, ft=ft(1, kill))
+        assert mp.metrics.halt_reason == sim.metrics.halt_reason == "unrecoverable"
+        assert_parity(sim, mp)
+        mp = run_on(programs, graph, alg, "mp", num_workers=2, ft=ft(2, kill))
+        clean = run_on(programs, graph, alg, "sim", num_workers=2, max_supersteps=2)
+        assert mp.metrics.supersteps == 2
+        assert mp.outputs == clean.outputs
 
     def test_exchange_deadline_must_be_positive(self, programs, graph):
         with pytest.raises(ValueError, match="exchange_deadline"):
@@ -1346,8 +1374,13 @@ class TestTcpTransport:
     sim — failure-free, under real network faults with recovery, and with
     zero leaked sockets on every exit path."""
 
-    def ft(self, recovery="rollback"):
-        return FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery))
+    def ft(self, *faults, recovery="rollback", max_restarts=3):
+        return FaultTolerance(
+            FaultPlan(
+                checkpoint_every=2, crashes=faults, recovery=recovery,
+                max_restarts=max_restarts,
+            )
+        )
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     @pytest.mark.parametrize("scheduling", ("frontier", "dense"))
@@ -1435,8 +1468,7 @@ class TestTcpTransport:
         )
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=self.ft(recovery),
-            real_faults=(RealFault(kind, 1, superstep),),
+            ft=self.ft(CrashEvent(1, superstep, kind), recovery=recovery),
             transport_mode="tcp", exchange_deadline=3.0,
         )
         assert mp.metrics.restarts == 1
@@ -1450,8 +1482,7 @@ class TestTcpTransport:
         registry = MetricsRegistry()
         run = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=self.ft(),
-            real_faults=(RealFault("netsplit", 1, 2),),
+            ft=self.ft(CrashEvent(1, 2, "netsplit")),
             transport_mode="tcp", exchange_deadline=3.0,
             metrics_registry=registry,
         )
@@ -1478,8 +1509,7 @@ class TestTcpTransport:
         )
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=self.ft(),
-            real_faults=(RealFault("netsplit", 1, superstep),),
+            ft=self.ft(CrashEvent(1, superstep, "netsplit")),
             transport_mode="tcp", exchange_deadline=3.0,
         )
         assert mp.metrics.restarts == 1
@@ -1489,9 +1519,8 @@ class TestTcpTransport:
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=3)
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=3,
-            ft=self.ft(),
-            real_faults=(RealFault("kill", 1, 2), RealFault("kill", 2, 2)),
-            transport_mode="tcp", exchange_deadline=3.0, max_restarts=3,
+            ft=self.ft(CrashEvent(1, 2, "kill"), CrashEvent(2, 2, "kill"), max_restarts=3),
+            transport_mode="tcp", exchange_deadline=3.0,
         )
         assert mp.metrics.restarts == 2
         assert_parity(sim, mp)
@@ -1506,9 +1535,8 @@ class TestTcpTransport:
         before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=self.ft(), mem=mem,
-            real_faults=(RealFault("netsplit", 1, 2),),
-            transport_mode="tcp", exchange_deadline=3.0, max_restarts=0,
+            ft=self.ft(CrashEvent(1, 2, "netsplit"), max_restarts=0), mem=mem,
+            transport_mode="tcp", exchange_deadline=3.0,
         )
         # Structured degradation with nothing left behind: no bound
         # sockets, no shm segments, no spill files.
@@ -1521,11 +1549,15 @@ class TestTcpTransport:
         assert list(tmp_path.iterdir()) == []
 
     def test_network_faults_require_tcp_transport(self, programs, graph):
-        with pytest.raises(ValueError, match="--transport tcp"):
+        # refused at construction, in the words the CLI prints
+        text = (
+            "'netsplit:' faults are network faults — they need the real "
+            "socket transport (run with --transport tcp)"
+        )
+        with pytest.raises(BackendUnsupported, match=re.escape(text)):
             run_on(
                 programs, graph, "pagerank", "mp", num_workers=2,
-                ft=self.ft(),
-                real_faults=(RealFault("netsplit", 1, 1),),
+                ft=self.ft(CrashEvent(1, 1, "netsplit")),
             )
 
     def test_unknown_transport_mode_raises(self, programs, graph):
@@ -1577,8 +1609,6 @@ class TestSupervisedMP:
     SIGKILLs that only the deadline barrier's liveness pings reveal."""
 
     def test_silent_crash_detected_restarted_and_parity(self, programs, graph):
-        from repro.pregel.supervisor import Supervisor, SupervisorPlan
-
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
         supervisor = Supervisor(
             SupervisorPlan(silent_crashes=(CrashEvent(1, 3),))
@@ -1597,18 +1627,34 @@ class TestSupervisedMP:
         assert detection["cause"] == "died"
 
     def test_restart_budget_exhaustion_degrades(self, programs, graph):
-        from repro.pregel.supervisor import Supervisor, SupervisorPlan
-
-        supervisor = Supervisor(
-            SupervisorPlan(silent_crashes=(CrashEvent(1, 3),), max_restarts=0)
-        )
+        supervisor = Supervisor(SupervisorPlan(silent_crashes=(CrashEvent(1, 3),)))
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=0)),
             supervisor=supervisor,
         )
         assert mp.metrics.halt_reason == "unrecoverable"
         assert supervisor.report()["degraded"]
+
+    def test_budget_of_n_covers_n_detected_deaths(self, programs, graph):
+        # the plan's budget, spent through the supervisor's escalation:
+        # two covers both deaths bit-identically, one degrades at the second
+        sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
+        crashes = (CrashEvent(1, 3), CrashEvent(0, 5))
+        for budget in (2, 1):
+            supervisor = Supervisor(SupervisorPlan(silent_crashes=crashes))
+            mp = run_on(
+                programs, graph, "pagerank", "mp", num_workers=2,
+                ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=budget)),
+                supervisor=supervisor,
+            )
+            report = supervisor.report()
+            assert report["restarts_used"] == mp.metrics.restarts == budget
+            assert report["max_restarts"] == budget
+            if budget == 2:
+                assert_parity(sim, mp)
+        assert mp.metrics.halt_reason == "unrecoverable"
+        assert [d["action"] for d in report["detections"]] == ["restarted", "degraded"]
 
 
 @needs_mp
@@ -1873,11 +1919,13 @@ class TestSlabSizing:
     @needs_mp
     def test_tiny_slab_still_parity_identical(self, programs, graph):
         # Overflow spills through the inline pipe path: capacity is a
-        # performance knob, never a correctness one.
+        # performance knob, never a correctness one.  (1 MiB would be this
+        # graph's auto-sized segment; 64 bytes sends sssp's edge-payload
+        # parts inline.)
         sim = run_on(programs, graph, "sssp", "sim", num_workers=2)
         mp = run_on(
             programs, graph, "sssp", "mp", num_workers=2,
-            mp_slab_bytes=1 << 20,
+            mp_slab_bytes=64,
         )
         assert_parity(sim, mp)
 
@@ -3076,8 +3124,9 @@ class TestPartitionKernels:
         sim = run_on(programs, graph, alg, "sim", num_workers=workers)
         mp, totals = run_counted(
             programs, graph, alg, "mp", num_workers=workers, transport_mode=transport,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery)),
-            real_faults=(RealFault("kill", victim, 3),),
+            ft=FaultTolerance(FaultPlan(
+                checkpoint_every=2, crashes=(CrashEvent(victim, 3, "kill"),), recovery=recovery,
+            )),
             exchange_deadline=10.0,
         )
         assert mp.metrics.restarts == 1
@@ -3101,8 +3150,10 @@ class TestPartitionKernels:
         sim = run_on(programs, small, "bc_approx", "sim", num_workers=workers)
         mp, totals = run_counted(
             programs, small, "bc_approx", "mp", num_workers=workers, transport_mode=transport,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=4, recovery=recovery)),
-            real_faults=(RealFault("kill", victim, superstep),),
+            ft=FaultTolerance(FaultPlan(
+                checkpoint_every=4, crashes=(CrashEvent(victim, superstep, "kill"),),
+                recovery=recovery,
+            )),
             exchange_deadline=10.0,
         )
         assert mp.metrics.restarts == 1
@@ -3191,8 +3242,9 @@ class TestDenseSends:
         (2, "hash", {"mp_slab_bytes": 64}),  # no segment room: every part inline
         (  # kill:1@3, or at the last superstep of a shorter run
             3, "hash", {
-                "ft": lambda _last: FaultTolerance(FaultPlan(checkpoint_every=2)),
-                "real_faults": lambda last: (RealFault("kill", 1, min(3, last)),),
+                "ft": lambda last: FaultTolerance(
+                    FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, min(3, last), "kill"),))
+                ),
                 "exchange_deadline": 10.0,
             },
         ),
@@ -3219,7 +3271,7 @@ class TestDenseSends:
                 **{k: v(sim.metrics.supersteps - 1) if callable(v) else v for k, v in extra.items()},
             )  # fmt: skip
             assert_parity(sim, mp)
-            assert mp.metrics.restarts == ("real_faults" in extra)
+            assert mp.metrics.restarts == ("ft" in extra)
             snap = registry.snapshot()
             totals = {
                 name: sum(row["value"] for row in snap[f"mp.{name}"]["series"])

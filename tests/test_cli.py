@@ -652,3 +652,23 @@ class TestRealFaultFlags:
         out = capsys.readouterr().out
         assert "cause=died" in out
         assert "-> restarted" in out
+
+    @needs_mp
+    def test_unsupervised_degraded_run_says_so(self, capsys):
+        # no --heartbeat: the mp parent detected the death and spent the
+        # plan's budget, so recovery reports the partial result — the
+        # latest checkpoint's superstep
+        code = main(
+            ["run", gm("pagerank"), *PAGERANK_ARGS, "--scale", "0.05",
+             "--backend", "mp", "--workers", "2", "--checkpoint-every", "2",
+             "--inject-fault", "kill:1@3", "--max-restarts", "0",
+             "--exchange-deadline", "10"],
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "halt=unrecoverable" in out
+        assert (
+            "recovery: DEGRADED (halt_reason=unrecoverable) after 0/0 restart(s); "
+            "partial result covers 2 superstep(s)"
+        ) in out
+        assert "supervisor:" not in out

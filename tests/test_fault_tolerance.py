@@ -20,7 +20,6 @@ from repro.pregel.ft import (
     CrashEvent,
     FaultPlan,
     FaultTolerance,
-    parse_crash,
     parse_fault,
 )
 
@@ -211,12 +210,32 @@ class TestTransientMessageLoss:
 
 class TestPlanValidation:
     def test_parse_crash(self):
-        assert parse_crash("1@5") == CrashEvent(worker=1, superstep=5)
+        assert parse_fault("1@5") == CrashEvent(worker=1, superstep=5)
+        assert parse_fault("1@5").kind == "crash"
+
+    @pytest.mark.parametrize("kind", ("kill", "hang", "netsplit", "slowlink"))
+    def test_parse_fault_every_kind(self, kind):
+        # one grammar, one record: [KIND:]W@S
+        assert parse_fault(f"{kind}:2@7") == CrashEvent(2, 7, kind)
+
+    @pytest.mark.parametrize("bad", ("crash:1@5", "boom:1@5"))
+    def test_parse_fault_rejects_unknown_prefix(self, bad):
+        # a bare W@S is the crash kind; a prefix names a real kind
+        with pytest.raises(ValueError, match="unknown kind"):
+            parse_fault(bad)
 
     @pytest.mark.parametrize("bad", ("", "1", "x@5", "1@y", "@", "0@-3", "-1@2", "-1@-1"))
     def test_parse_crash_rejects_garbage(self, bad):
         with pytest.raises(ValueError, match="both >= 0"):
-            parse_crash(bad)
+            parse_fault(bad)
+
+    def test_fault_record_checks_its_kind(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            CrashEvent(1, 2, "meteor")
+
+    def test_negative_restart_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            FaultPlan(max_restarts=-1)
 
     @pytest.mark.parametrize("bad", ("kill:-1@2", "hang:0@-1"))
     def test_parse_fault_rejects_negative_coordinates(self, bad):

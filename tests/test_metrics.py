@@ -299,7 +299,7 @@ class TestMeteredParityMatrix:
     @needs_mp
     @pytest.mark.parametrize("kind,cause", [("kill", "died"), ("hang", "timeout")])
     def test_mp_real_fault_families(self, programs, graph, kind, cause):
-        from repro.pregel.ft import FaultPlan, FaultTolerance, RealFault
+        from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
 
         registry = MetricsRegistry()
         run = programs["pagerank"].run(
@@ -308,8 +308,9 @@ class TestMeteredParityMatrix:
             backend="mp",
             num_workers=2,
             metrics_registry=registry,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
-            real_faults=(RealFault(kind, 1, 1),),
+            ft=FaultTolerance(
+                FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 1, kind),))
+            ),
             exchange_deadline=0.75 if kind == "hang" else 10.0,
         )
         assert run.metrics.restarts == 1

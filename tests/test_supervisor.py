@@ -119,14 +119,12 @@ class TestDegradation:
 
     def test_exhausted_budget_degrades_not_raises(self):
         program, graph, args = self._pagerank()
-        supervisor = Supervisor(
-            SupervisorPlan(max_restarts=0, silent_crashes=(CrashEvent(1, 5),))
-        )
+        supervisor = Supervisor(SupervisorPlan(silent_crashes=(CrashEvent(1, 5),)))
         run = program.run(
             graph,
             args,
             num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=0)),
             supervisor=supervisor,
         )
         assert run.metrics.halt_reason == "unrecoverable"
@@ -143,24 +141,20 @@ class TestDegradation:
         baseline = program.run(graph, args, num_workers=WORKERS)
         crashes = (CrashEvent(1, 3), CrashEvent(2, 5), CrashEvent(3, 7))
         # budget 3 covers all three detected deaths → full, identical run
-        healthy = Supervisor(
-            SupervisorPlan(max_restarts=3, silent_crashes=crashes)
-        )
+        healthy = Supervisor(SupervisorPlan(silent_crashes=crashes))
         run = program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=3)),
             supervisor=healthy,
         )
         assert run.metrics.restarts == 3
         assert run.outputs == baseline.outputs
         assert run.metrics.parity_key() == baseline.metrics.parity_key()
         # budget 2 dies on the third
-        degraded = Supervisor(
-            SupervisorPlan(max_restarts=2, silent_crashes=crashes)
-        )
+        degraded = Supervisor(SupervisorPlan(silent_crashes=crashes))
         run = program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=2)),
             supervisor=degraded,
         )
         assert run.metrics.halt_reason == "unrecoverable"
@@ -287,12 +281,10 @@ class TestRandomFailures:
         baseline = program.run(graph, args, num_workers=WORKERS)
 
         def once():
-            supervisor = Supervisor(
-                SupervisorPlan(crash_rate=0.05, max_restarts=50, seed=9)
-            )
+            supervisor = Supervisor(SupervisorPlan(crash_rate=0.05, seed=9))
             run = program.run(
                 graph, args, num_workers=WORKERS,
-                ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+                ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=50)),
                 supervisor=supervisor,
             )
             return run
@@ -370,7 +362,7 @@ class TestPlanValidation:
             {"phi_threshold": 0},
             {"deadline_timeout": -1},
             {"straggle_strikes": 0},
-            {"max_restarts": -1},
+            {"barrier_timeout": -1},
             {"crash_rate": 1.0},
             {"straggle_rate": -0.1},
             {"straggle_factor": 0.5},
@@ -390,11 +382,10 @@ class TestPlanValidation:
             "interval=0.5,phi=3,deadline=4,barrier=8,strikes=2,"
             "crash=1@3+0@6,straggler=2+3,crash-rate=0.01,"
             "straggle-rate=0.02,straggle-factor=6,seed=5",
-            max_restarts=7,
         )
         assert plan == SupervisorPlan(
             heartbeat_interval=0.5, phi_threshold=3.0, deadline_timeout=4.0,
-            barrier_timeout=8.0, straggle_strikes=2, max_restarts=7,
+            barrier_timeout=8.0, straggle_strikes=2,
             silent_crashes=(CrashEvent(1, 3), CrashEvent(0, 6)),
             stragglers=(2, 3), crash_rate=0.01, straggle_rate=0.02,
             straggle_factor=6.0, seed=5,
@@ -407,7 +398,7 @@ class TestPlanValidation:
         "bad",
         (
             "junk", "bogus=1", "crash=zz", "straggler=x", "straggler=-1", "straggler=1+-2",
-            "interval=x", "crash=-1@2",
+            "interval=x", "crash=-1@2", "crash=kill:1@2",
             "crash=0@-3", "interval=nan", "phi=nan", "deadline=nan", "straggle-factor=nan",
         ),
     )
