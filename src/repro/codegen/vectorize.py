@@ -1324,7 +1324,7 @@ def _run(body: list, ctx: dict) -> None:
 
 def _build_kernel(phase, receivers, receive_reason, tag_schemas, columns, engine, shared):
     """Return (kernel, reason) for one phase; ``kernel`` is ``None`` when
-    the phase keeps the generated scalar ``vertex_compute``."""
+    the phase keeps its generated scalar loop."""
     if phase.receive and receivers is None:
         return None, f"scalar receive loop ({receive_reason})"
     scope = _Scope(columns, engine.globals.broadcast, shared, engine.graph)

@@ -41,7 +41,7 @@ class SimBackend(ExecutionBackend):
     ) -> PregelEngine:
         engine = PregelEngine(
             graph,
-            vertex_compute=None,  # type: ignore[arg-type]
+            vertex_compute=None,
             master_compute=master_compute,
             message_size=message_size,
             **engine_opts,

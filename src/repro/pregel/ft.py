@@ -55,7 +55,9 @@ import pickle
 import random
 import time
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime uses duck typing)
@@ -576,7 +578,6 @@ class FaultTolerance:
         crash_step = engine.superstep
         ckpt_outbox = payload["engine"]["outbox"]
         voted = engine._voted
-        compute = engine._vertex_compute
         saved_broadcast = dict(engine.globals.broadcast)
         broadcast = engine.globals.broadcast
         work = 0
@@ -586,21 +587,19 @@ class FaultTolerance:
                 # Messages delivered at `step` were sent at `step - 1`; the
                 # checkpoint carries the in-flight set for its own superstep.
                 sent = ckpt_outbox if step == ckpt_step else self._outbox_log.get(step - 1, {})
-                inbox = {
+                inbox = defaultdict(tuple, {
                     dst: msgs for dst, msgs in sent.items() if worker_of[dst] == worker
-                }
+                })  # fmt: skip
                 engine.superstep = step
                 broadcast.clear()
                 broadcast.update(self._broadcast_log.get(step, {}))
+                active = vids
                 if voted is not None:
                     for dst in inbox:
                         voted[dst] = 0
-                for vid in vids:
-                    if voted is not None and voted[vid]:
-                        continue
-                    engine._current_vertex = vid
-                    compute(engine, vid, inbox.get(vid, ()))
-                    work += 1
+                    active = filterfalse(voted.__getitem__, vids)
+                # the loop reads this superstep's logged broadcast
+                work += engine._phase_loop()(engine, active, inbox)
         finally:
             engine._ft_replaying = False
             engine._current_vertex = -1

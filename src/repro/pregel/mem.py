@@ -216,13 +216,30 @@ class MemoryBudget:
 class _SpillRef:
     """Inbox-slot marker: this vertex's messages live (partly) in spill
     runs; ``tail`` holds whatever arrived after the last spill and is still
-    resident.  The engine's vertex phase materializes the full list through
-    :meth:`MemoryManager.fetch_messages` before calling compute."""
+    resident.  The budgeted vertex loop materializes the full list through
+    :meth:`MemoryManager.fetch_messages` when it reads the slot."""
 
     __slots__ = ("tail",)
 
     def __init__(self):
         self.tail: list = []
+
+
+class _FetchingSlots:
+    """The inbox slots as a budgeted vertex loop reads them: a spilled
+    vertex's messages are materialized (and charged) on read."""
+
+    __slots__ = ("_slots", "_fetch")
+
+    def __init__(self, slots, fetch):
+        self._slots = slots
+        self._fetch = fetch
+
+    def __getitem__(self, vid: int):
+        messages = self._slots[vid]
+        if type(messages) is _SpillRef:
+            return self._fetch(vid, messages)
+        return messages
 
 
 class _RunReader:
@@ -470,22 +487,31 @@ class MemoryManager:
 
         ``_enqueue`` is shadowed with an instance attribute so both direct
         sends and combiner flushes charge the destination worker's outbox;
-        the vertex function is wrapped so spilled inboxes are materialized
-        before compute and resident buckets are released after it.
+        ``_phase_loop`` is shadowed so every vertex loop reads its slots
+        through the spill fetch — a spilled inbox is materialized as the
+        loop reads it — and releases each vertex's resident buckets once
+        the loop moves past it.
         """
         engine = self._engine
         from .runtime import _NO_MESSAGES
 
         self._no_messages = _NO_MESSAGES
-        inner_compute = engine._vertex_compute
+        inner_phase_loop = engine._phase_loop
         fetch = self.fetch_messages
         release = self._release_vertex
 
-        def budgeted_compute(ctx, vid, messages):
-            if type(messages) is _SpillRef:
-                messages = fetch(vid, messages)
-            inner_compute(ctx, vid, messages)
-            release(vid)
+        def released(active):
+            for vid in active:
+                yield vid
+                release(vid)
+
+        def budgeted_phase_loop():
+            loop = inner_phase_loop()
+
+            def budgeted_loop(ctx, active, slots):
+                return loop(ctx, released(active), _FetchingSlots(slots, fetch))
+
+            return budgeted_loop
 
         inner_enqueue = engine._enqueue
         charge = self.charge_outbox
@@ -494,7 +520,7 @@ class MemoryManager:
             inner_enqueue(dst, msg)
             charge(dst, msg)
 
-        engine._vertex_compute = budgeted_compute
+        engine._phase_loop = budgeted_phase_loop  # type: ignore[method-assign]
         engine._enqueue = budgeted_enqueue  # type: ignore[method-assign]
 
     # -- observability ----------------------------------------------------

@@ -64,7 +64,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import filterfalse
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ft import FaultTolerance
@@ -119,6 +119,46 @@ class MemoryExhausted(RuntimeError):
 
 class VertexCompute(Protocol):
     def __call__(self, ctx: "PregelEngine", vid: int, messages: list) -> None: ...
+
+
+class PhaseLoop(Protocol):
+    """One superstep's vertex phase: compute every vertex of ``active`` (its
+    messages are ``slots[vid]``); returns how many it iterated."""
+
+    def __call__(self, ctx: "PregelEngine", active: Iterable[int], slots) -> int: ...
+
+
+#: a generated program: per master state, its phase's loop
+PhaseLoops = dict[int, PhaseLoop]
+
+
+def per_vertex_loop(compute: VertexCompute) -> PhaseLoop:
+    """Adapt a per-vertex function (a hand-written program, user code) into
+    the engine's loop shape; the body is the engine's per-vertex loop."""
+
+    def adapted_loop(ctx, active, slots):
+        computed = 0
+        for computed, vid in enumerate(active, 1):
+            ctx._current_vertex = vid
+            compute(ctx, vid, slots[vid])
+        return computed
+
+    return adapted_loop
+
+
+def _count_only(ctx, active, slots) -> int:
+    """A state with no phase: its vertices count as computed."""
+    computed = 0
+    for computed, _vid in enumerate(active, 1):
+        pass
+    return computed
+
+
+def _counting(active: Iterable[int], worker_of, counts: list) -> Iterator[int]:
+    """``active`` as the loop draws it, counted per worker on the way."""
+    for vid in active:
+        counts[worker_of[vid]] += 1
+        yield vid
 
 
 class MasterCompute(Protocol):
@@ -360,7 +400,7 @@ class PregelEngine:
     def __init__(
         self,
         graph: Graph,
-        vertex_compute: VertexCompute,
+        vertex_compute: VertexCompute | PhaseLoops | None,
         master_compute: MasterCompute | None = None,
         *,
         num_workers: int = 4,
@@ -382,7 +422,10 @@ class PregelEngine:
         metrics_registry: "MetricsRegistry | None" = None,
     ):
         self.graph = graph
+        #: the vertex program: a per-vertex function, or a generated
+        #: program's :data:`PhaseLoops` table (see ``_phase_loop``)
         self._vertex_compute = vertex_compute
+        self._adapted: tuple | None = None
         self._master_compute = master_compute
         self.num_workers = max(1, num_workers)
         self.rng = random.Random(seed)
@@ -841,38 +884,29 @@ class PregelEngine:
     def _install_tracing(self) -> None:
         """Swap in the traced execution hooks (recording tracer only).
 
-        The untraced hot path stays byte-identical: tracing wraps the vertex
-        function (per-worker computed counts + compute seconds) and shadows
-        ``send`` with an instance attribute (per-worker staged payload
-        bytes), so the engine's loops and the per-send fast path carry zero
-        extra branches when tracing is off.  The two install separately: a
-        backend that meters whole slabs takes the first and not the shadow.
-        Confined-recovery replay (``_ft_replaying``) is transparent to both
-        wrappers — its work was already counted by the original execution.
+        The untraced hot path stays byte-identical: tracing allocates the
+        per-worker counters the vertex phase fills around the loop it runs
+        (computed counts + compute seconds, see ``_counted_loop``) and
+        shadows ``send`` with an instance attribute (per-worker staged
+        payload bytes), so the engine's loops and the per-send fast path
+        carry zero extra branches when tracing is off.  The two install
+        separately: a backend that meters whole slabs takes the first and
+        not the shadow.  Confined-recovery replay (``_ft_replaying``) is
+        transparent to both — it runs no vertex phase, and the send meter
+        skips it: its work was already counted by the original execution.
         """
         self._trace_compute()
         self.send = self._traced_send()  # type: ignore[method-assign]
 
     def _trace_compute(self) -> None:
+        """Allocate the tracer's per-worker counters: vertices computed and
+        compute seconds (filled by the vertex phase), staged bytes (by the
+        send meter or the seal).  Non-empty counters are what says a
+        recording tracer is attached."""
         workers = self.num_workers
-        self._trace_worker_computed = computed = [0] * workers
-        self._trace_worker_seconds = seconds = [0.0] * workers
+        self._trace_worker_computed = [0] * workers
+        self._trace_worker_seconds = [0.0] * workers
         self._trace_worker_bytes = [0] * workers
-        inner = self._vertex_compute
-        worker_of = self._worker_of
-        perf = time.perf_counter
-
-        def traced_compute(ctx, vid, messages):
-            if self._ft_replaying:
-                inner(ctx, vid, messages)
-                return
-            w = worker_of[vid]
-            computed[w] += 1
-            t0 = perf()
-            inner(ctx, vid, messages)
-            seconds[w] += perf() - t0
-
-        self._vertex_compute = traced_compute
 
     def _traced_send(self) -> Callable[[int, tuple], None]:
         """The inherited ``send`` behind the tracer's byte meter: per-worker
@@ -1277,7 +1311,7 @@ class PregelEngine:
                     part.clear()
 
     def _vertex_phase(self, frontier) -> int:
-        """Run ``vertex.compute()`` over this superstep's active set:
+        """Run this superstep's vertex loop over its active set:
         ``frontier`` — the sparse vertex list, or a range to scan (an mp
         worker's partition) — else every vertex; a scan, under voting, skips
         every vertex that has voted by the time it reaches it.  Returns how
@@ -1290,17 +1324,53 @@ class PregelEngine:
             # Lazily filtered: a vote cast during the phase still skips a
             # vertex the scan has not reached yet.
             active = filterfalse(voted.__getitem__, active)
-        compute = self._vertex_compute
-        track = self._track_makespan
-        step_work = self._step_work
-        worker_of = self._worker_of
+        loop = self._phase_loop()
         slots = self._inbox_slots
-        computed = 0
-        for computed, vid in enumerate(active, 1):
-            self._current_vertex = vid
-            if track:
-                step_work[worker_of[vid]] += 1
-            compute(self, vid, slots[vid])
+        if self._track_makespan or self._trace_worker_computed:
+            computed = self._counted_loop(loop, active, slots)
+        else:
+            computed = loop(self, active, slots)
         for dst in self._touched:
             slots[dst] = _NO_MESSAGES
+        if self._mreg is not None:
+            generated = type(self._vertex_compute) is dict
+            self._mreg.counter(
+                "pregel.loop_vertices", loop="generated" if generated else "adapted"
+            ).inc(computed)
+        return computed
+
+    def _phase_loop(self) -> PhaseLoop:
+        """This superstep's vertex loop, resolved once: a generated program
+        runs the loop of the state the master broadcast (a state with no
+        phase only counts its vertices); a per-vertex function runs through
+        its adapter, built once per function."""
+        program = self._vertex_compute
+        if type(program) is dict:
+            return program.get(self.globals.broadcast.get("_state", -1), _count_only)
+        adapted = self._adapted
+        if adapted is None or adapted[0] is not program:
+            adapted = self._adapted = (program, per_vertex_loop(program))
+        return adapted[1]
+
+    def _counted_loop(self, loop: PhaseLoop, active, slots) -> int:
+        """Run ``loop`` and count what it iterated per worker — a scan's
+        vertices, the frontier's, or the vote-filtered iterable's as the loop
+        draws it — into the makespan ledger's work units and the tracer's
+        computed counts; the tracer's seconds (info-only) are the loop's wall
+        split by those counts."""
+        counts = [0] * self.num_workers
+        t0 = time.perf_counter()
+        computed = loop(self, _counting(active, self._worker_of, counts), slots)
+        elapsed = time.perf_counter() - t0
+        if self._track_makespan:
+            step_work = self._step_work
+            for w, count in enumerate(counts):
+                step_work[w] += count
+        tw_computed = self._trace_worker_computed
+        if tw_computed:
+            tw_seconds = self._trace_worker_seconds
+            each = elapsed / max(1, computed)
+            for w, count in enumerate(counts):
+                tw_computed[w] += count
+                tw_seconds[w] += each * count
         return computed

@@ -42,3 +42,11 @@ def skewed_graph() -> Graph:
     graph = twitter_like(200, avg_degree=8, seed=5)
     attach_standard_props(graph, seed=6)
     return graph
+
+
+def loop_vertices(registry) -> dict[str, int]:
+    """``pregel.loop_vertices`` of a registry, by loop kind: vertices the
+    generated phase loops computed, and those a per-vertex function's
+    adapter did."""
+    family = registry.snapshot().get("pregel.loop_vertices", {"series": []})
+    return {row["labels"]["loop"]: row["value"] for row in family["series"]}

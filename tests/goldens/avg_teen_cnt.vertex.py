@@ -1,30 +1,33 @@
 # Generated Pregel vertex program for 'avg_teen_cnt'.
-def make_vertex_compute(env):
-    globals().update(env)
-    
-    def _phase_0(ctx, vid, messages):
-        # par@4+par@4
+
+def _loop_0(ctx, active, slots):
+    # par@4+par@4
+    _n = 0
+    for _n, vid in enumerate(active, 1):
+        ctx._current_vertex = vid
+        messages = slots[vid]
         F__gm_p_gm_r00[vid] = 0
         if ((F_age[vid] >= 13) and (F_age[vid] <= 19)):
             if OUT_OFF[vid] != OUT_OFF[vid + 1]:
                 _msg = (0,)
                 ctx.send_nbrs(vid, _msg)
-    
-    def _phase_2(ctx, vid, messages):
-        # recv@4+par@4+par@7+par@7
+    return _n
+
+def _loop_2(ctx, active, slots):
+    # recv@4+par@4+par@7+par@7
+    B_K = B['K']
+    _n = 0
+    for _n, vid in enumerate(active, 1):
+        ctx._current_vertex = vid
+        messages = slots[vid]
         for _m in messages:
             if _m[0] == 0:
                 F__gm_p_gm_r00[vid] = F__gm_p_gm_r00[vid] + 1
         F_teen_cnt[vid] = F__gm_p_gm_r00[vid]
-        if (F_age[vid] > B['K']):
+        if (F_age[vid] > B_K):
             ctx.put_global('_gm_r1', OP_SUM, F_teen_cnt[vid])
-        if (F_age[vid] > B['K']):
+        if (F_age[vid] > B_K):
             ctx.put_global('_gm_r2', OP_SUM, 1)
-    
-    _DISPATCH = {0: _phase_0, 2: _phase_2}
-    
-    def vertex_compute(ctx, vid, messages):
-        _fn = _DISPATCH.get(B.get('_state', -1))
-        if _fn is not None:
-            _fn(ctx, vid, messages)
-    return vertex_compute
+    return _n
+
+PHASE_LOOPS = {0: _loop_0, 2: _loop_2}

@@ -29,6 +29,8 @@ from repro.pregel.runtime import PregelEngine
 from repro.pregel.supervisor import Supervisor, SupervisorPlan
 from repro.pregelir.ir import INF_VALUE
 
+from .conftest import loop_vertices
+
 ALGORITHMS = (
     "avg_teen_cnt",
     "pagerank",
@@ -1207,13 +1209,17 @@ class TestLiftedCompositions:
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_deterministic_trace_byte_identity(self, programs, graph, alg):
-        from repro.obs import Tracer, deterministic_jsonl
+        from repro.obs import MetricsRegistry, Tracer, deterministic_jsonl
 
         streams = {}
         for backend in ("sim", "columnar", "mp"):
-            tracer = Tracer()
-            run_on(programs, graph, alg, backend, tracer=tracer)
+            tracer, registry = Tracer(), MetricsRegistry()
+            run_on(programs, graph, alg, backend, tracer=tracer, metrics_registry=registry)
             streams[backend] = deterministic_jsonl(tracer.events)
+            if backend == "sim":
+                # the traced counts are what the generated phase loops iterated
+                active = [e.det["active"] for e in tracer.events if e.name == "superstep"]
+                assert loop_vertices(registry) == {"generated": sum(active)}
         assert streams["sim"] == streams["columnar"] == streams["mp"]
 
     def test_traced_ft_recovery_stream_matches_sim(self, programs, graph):

@@ -27,7 +27,7 @@ class TestCompileCommand:
 
     def test_emit_python(self, capsys):
         assert main(["compile", gm("bc_approx"), "--emit", "python"]) == 0
-        assert "def vertex_compute" in capsys.readouterr().out
+        assert "PHASE_LOOPS = {" in capsys.readouterr().out
 
     def test_optimization_flags(self, capsys):
         main(["compile", gm("pagerank"), "--emit", "states"])

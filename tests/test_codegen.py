@@ -5,7 +5,11 @@ import pytest
 
 from repro.compiler import compile_algorithm, compile_source
 from repro.algorithms.sources import ALGORITHMS
+from repro.bench.harness import default_args
+from repro.graphgen.registry import load_graph
 from repro.pregel import Graph
+from repro.pregel.backend import get_backend
+from repro.translate.merge import phase_global_reads
 
 
 class TestPythonBackend:
@@ -18,7 +22,49 @@ class TestPythonBackend:
         compiled = compile_algorithm("bc_approx", emit_java=False)
         src = compiled.program.vertex_source
         for pid in compiled.ir.phases:
-            assert f"def _phase_{pid}(" in src
+            assert f"def _loop_{pid}(" in src
+
+    def test_one_loop_per_phase_without_dispatch(self):
+        for name in ALGORITHMS:
+            compiled = compile_algorithm(name, emit_java=False)
+            src = compiled.program.vertex_source
+            for pid in compiled.ir.phases:
+                assert src.count(f"def _loop_{pid}(") == 1
+            assert src.count("def ") == len(compiled.ir.phases)
+            assert "_state" not in src and "globals()" not in src
+
+    def test_phases_read_only_what_the_master_broadcasts(self):
+        # a phase's loop reads its broadcast values when the superstep
+        # starts: each must be a master field, which every MVPhase
+        # broadcasts (the fuzzed programs check the same in _compare)
+        for name in ALGORITHMS:
+            ir = compile_algorithm(name, emit_java=False).ir
+            for phase in ir.phases.values():
+                assert phase_global_reads(phase) <= set(ir.master_fields), phase.label
+
+    @pytest.mark.parametrize(
+        "alg,backend",
+        [("avg_teen_cnt", "sim"), ("pagerank", "sim"), ("sssp", "sim"), ("pagerank", "columnar")],
+    )
+    @pytest.mark.parametrize("make_order", ((0, 1), (1, 0)))
+    def test_engines_of_one_program_keep_their_own_bindings(self, alg, backend, make_order):
+        # two engines made from one CompiledProgram, run after both were
+        # made: each reads its own broadcast map and columns (on columnar,
+        # combiners keep pagerank's phases scalar)
+        program = compile_algorithm(alg, emit_java=False).program
+        graphs = [load_graph("twitter", 0.05, seed) for seed in (1, 2)]
+        opts = dict(backend=backend, use_combiners=backend == "columnar")
+        alone = [program.run(g, default_args(alg, g), **opts) for g in graphs]
+        engines = {}
+        for i in make_order:
+            engines[i] = program.make_engine(graphs[i], default_args(alg, graphs[i]), **opts)
+        backend_impl = get_backend(backend)
+        for i in (0, 1):
+            engine, fields, _master = engines[i]
+            metrics = engine.run()
+            assert metrics.parity_key() == alone[i].metrics.parity_key()
+            for name, values in alone[i].outputs.items():
+                assert backend_impl.column_values(fields[name]) == values
 
     def test_degree_zero_vertex_does_not_divide(self):
         # sink vertices must not evaluate pg_rank/degree payloads

@@ -54,7 +54,7 @@ class TestExprPy:
         assert expr_py(Nil()) == "NIL"
         assert expr_py(Local("v")) == "L_v"
         assert expr_py(Field("dist")) == "F_dist[vid]"
-        assert expr_py(GlobalGet("K")) == "B['K']"
+        assert expr_py(GlobalGet("K")) == "B_K"  # bound once per superstep
         assert expr_py(MsgField(0)) == "_m[1]"
         assert expr_py(MyId()) == "vid"
 

@@ -14,6 +14,7 @@ from repro.algorithms.sources import ALGORITHMS
 from repro.bench.harness import default_args, fault_ablation
 from repro.compiler import compile_algorithm
 from repro.graphgen.registry import applicable_graphs, load_graph
+from repro.obs import MetricsRegistry
 from repro.pregel import Graph, PregelEngine
 from repro.pregel.ft import (
     ColumnState,
@@ -23,6 +24,8 @@ from repro.pregel.ft import (
     parse_fault,
 )
 
+from .conftest import loop_vertices
+
 SCALE = 0.25
 WORKERS = 4
 
@@ -31,7 +34,11 @@ def _graph_for(algorithm: str) -> Graph:
     return load_graph(applicable_graphs(algorithm)[0], SCALE)
 
 
-def _assert_recovered_run_identical(program, graph, args, *, recovery, checkpoint_every=2):
+def _assert_recovered_run_identical(
+    program, graph, args, *, recovery, loop, checkpoint_every=2
+):
+    """``loop`` is the kind of vertex loop the program runs — its replay
+    included (``recovery_replay_work`` is what the loops returned)."""
     baseline = program.run(graph, args, num_workers=WORKERS)
     supersteps = baseline.metrics.supersteps
     crash_step = max(1, supersteps - 1)
@@ -40,10 +47,15 @@ def _assert_recovered_run_identical(program, graph, args, *, recovery, checkpoin
         crashes=(CrashEvent(worker=1, superstep=crash_step),),
         recovery=recovery,
     )
-    run = program.run(graph, args, num_workers=WORKERS, ft=FaultTolerance(plan))
+    registry = MetricsRegistry()
+    run = program.run(
+        graph, args, num_workers=WORKERS, ft=FaultTolerance(plan), metrics_registry=registry
+    )
     assert run.metrics.faults_injected == 1
     assert run.metrics.checkpoints_taken >= 1
     assert run.metrics.checkpoint_bytes > 0
+    assert set(loop_vertices(registry)) == {loop}
+    assert (run.metrics.recovery_replay_work > 0) == (run.metrics.lost_supersteps > 0)
     assert run.outputs == baseline.outputs
     assert run.metrics.parity_key() == baseline.metrics.parity_key()
     return baseline, run
@@ -58,8 +70,9 @@ class TestRecoveryParity:
         graph = _graph_for(algorithm)
         compiled = compile_algorithm(algorithm, emit_java=False)
         _assert_recovered_run_identical(
-            compiled.program, graph, default_args(algorithm, graph), recovery=recovery
-        )
+            compiled.program, graph, default_args(algorithm, graph), recovery=recovery,
+            loop="generated",
+        )  # fmt: skip
 
     @pytest.mark.parametrize("algorithm", sorted(MANUAL_PROGRAMS))
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))
@@ -67,7 +80,7 @@ class TestRecoveryParity:
         graph = _graph_for(algorithm)
         _assert_recovered_run_identical(
             MANUAL_PROGRAMS[algorithm], graph, default_args(algorithm, graph),
-            recovery=recovery,
+            recovery=recovery, loop="adapted",
         )
 
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))

@@ -39,6 +39,7 @@ from repro.graphgen import uniform_random
 from repro.interp import interpret
 from repro.lang.errors import GreenMarlError
 from repro.pregel.backend.mp import mp_available
+from repro.translate.merge import phase_global_reads
 
 HEADER = (
     "Procedure fuzz(G: Graph, a: N_P<Int>, b: N_P<Int>, x: N_P<Double>, "
@@ -332,6 +333,9 @@ def _compare(program: str, seed: int, *, mp: bool = False) -> None:
 
     interp = interpret(program, graph)
     compiled = compile_source(program, emit_java=False)
+    for phase in compiled.ir.phases.values():
+        # what each phase's loop reads when its superstep starts
+        assert phase_global_reads(phase) <= set(compiled.ir.master_fields), program
     run = compiled.program.run(graph)
 
     for name in ("oa", "ox"):

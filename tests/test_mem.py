@@ -20,8 +20,10 @@ import pytest
 
 from repro.algorithms.manual import MANUAL_PROGRAMS, ManualBFS
 from repro.bench.harness import default_args
+from repro.compiler import compile_algorithm
 from repro.graphgen import skewed
 from repro.graphgen.registry import applicable_graphs, load_graph
+from repro.obs import MetricsRegistry
 from repro.pregel import Graph
 from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
 from repro.pregel.mem import (
@@ -33,6 +35,8 @@ from repro.pregel.mem import (
 from repro.pregel.net import NetFaultPlan, SimulatedTransport
 from repro.pregel.supervisor import Supervisor, SupervisorPlan
 
+from .conftest import loop_vertices
+
 SCALE = 0.25
 WORKERS = 4
 
@@ -40,6 +44,8 @@ WORKERS = 4
 MIXED = dict(drop_rate=0.15, dup_rate=0.1, reorder_rate=0.15, corrupt_rate=0.05, seed=13)
 
 ALL_PROGRAMS = dict(MANUAL_PROGRAMS) | {"bfs": ManualBFS()}
+#: compiled programs under a budget: their phase loops read spilled inboxes
+GENERATED = ("generated:pagerank", "generated:sssp")
 
 
 def _graph_for(algorithm: str) -> Graph:
@@ -48,7 +54,12 @@ def _graph_for(algorithm: str) -> Graph:
 
 
 def _workload(algorithm: str):
-    program = ALL_PROGRAMS[algorithm]
+    kind, _, name = algorithm.rpartition(":")
+    if kind == "generated":
+        program = compile_algorithm(name, emit_java=False).program
+        algorithm = name
+    else:
+        program = ALL_PROGRAMS[algorithm]
     graph = _graph_for(algorithm)
     args = default_args(algorithm, graph)
     return program, graph, args
@@ -150,7 +161,7 @@ class TestUnlimitedFastPath:
 
 
 class TestParityUnderPressure:
-    @pytest.mark.parametrize("algorithm", sorted(ALL_PROGRAMS))
+    @pytest.mark.parametrize("algorithm", sorted(ALL_PROGRAMS) + list(GENERATED))
     @pytest.mark.parametrize("scheduling", ("dense", "frontier"))
     def test_tight_budget_bit_identical(self, algorithm, scheduling):
         """Quarter-of-peak budgets force spills/splits on every message-heavy
@@ -158,9 +169,12 @@ class TestParityUnderPressure:
         program, graph, args = _workload(algorithm)
         peak = _observed_peak(program, graph, args, scheduling=scheduling)
         tight = max(1024, peak // 4)
+        registry = MetricsRegistry()
         _, run = _assert_budget_run_identical(
-            program, graph, args, tight, scheduling=scheduling
+            program, graph, args, tight, scheduling=scheduling, metrics_registry=registry
         )
+        loop = "generated" if algorithm in GENERATED else "adapted"
+        assert set(loop_vertices(registry)) == {loop}
         if peak > 4096:
             # Message-heavy workloads must actually have exercised the
             # machinery, not completed trivially under the tight budget.

@@ -149,6 +149,35 @@ class TestVoting:
         # superstep 1 must run exactly the reactivated vertex 3
         assert [entry for entry in active_log if entry[0] == 1] == [(1, 3)]
 
+    @pytest.mark.parametrize("traced", (False, True))
+    @pytest.mark.parametrize("attached", ("constructor", "assigned"))
+    def test_vote_cast_during_the_phase_skips_a_later_vertex(self, traced, attached):
+        # an even vertex also votes its odd successor halted before the
+        # scan reaches it: a per-vertex function runs through the adapter,
+        # whose scan filters votes lazily, under a tracer or not
+        from repro.obs import Tracer
+
+        computed = []
+
+        def vertex(ctx, vid, messages):
+            computed.append((ctx.superstep, vid))
+            if vid % 2 == 0:
+                ctx.vote_to_halt(vid)
+                ctx.vote_to_halt(vid + 1)
+
+        tracer = Tracer() if traced else None
+        initial = vertex if attached == "constructor" else None
+        engine = PregelEngine(
+            line_graph(6), initial, use_voting=True, tracer=tracer, scheduling="dense"
+        )
+        engine._vertex_compute = vertex
+        metrics = engine.run()
+        assert computed == [(0, 0), (0, 2), (0, 4)]
+        assert metrics.halt_reason == "all_halted"
+        if traced:
+            (step,) = [e for e in tracer.events if e.name == "superstep"]
+            assert step.det["active"] == 3
+
     def test_without_voting_all_vertices_run(self):
         g = line_graph(4)
         count = [0]

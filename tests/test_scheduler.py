@@ -17,6 +17,9 @@ from repro.pregel import Graph, PregelEngine
 from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
 from repro.pregel.mem import MemoryManager, MemPlan
 from repro.pregel.net import NetFaultPlan, SimulatedTransport
+from repro.obs import MetricsRegistry, Tracer
+
+from .conftest import loop_vertices
 
 SCALE = 0.125  # 500-node graphs: big enough to cross worker boundaries
 
@@ -124,7 +127,9 @@ class TestSparseExecution:
 
 class TestAlgorithmParity:
     """Frontier scheduling is bit-identical to the dense scan — outputs and
-    the whole metered ledger — for all six algorithms."""
+    the whole metered ledger — for all six algorithms.  Generated programs
+    run their phase loops, hand-written ones the per-vertex adapter
+    (``pregel.loop_vertices``)."""
 
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_generated_parity(self, algorithm):
@@ -132,10 +137,21 @@ class TestAlgorithmParity:
         graph = load_graph(key, SCALE)
         compiled = compile_algorithm(algorithm, emit_java=False)
         args = default_args(algorithm, graph)
-        dense = compiled.program.run(graph, args, scheduling="dense")
-        frontier = compiled.program.run(graph, args, scheduling="frontier")
-        assert frontier.outputs == dense.outputs
-        assert frontier.metrics.parity_key() == dense.metrics.parity_key()
+        for use_voting in (False, True):
+            runs = {}
+            for scheduling in ("dense", "frontier"):
+                registry = MetricsRegistry()
+                runs[scheduling] = run = compiled.program.run(
+                    graph, args, scheduling=scheduling, use_voting=use_voting,
+                    metrics_registry=registry,
+                )  # fmt: skip
+                # generated programs never vote: every superstep loops over all
+                assert loop_vertices(registry) == {
+                    "generated": graph.num_nodes * run.metrics.supersteps
+                }
+            dense, frontier = runs["dense"], runs["frontier"]
+            assert frontier.outputs == dense.outputs
+            assert frontier.metrics.parity_key() == dense.metrics.parity_key()
 
     @pytest.mark.parametrize("algorithm", sorted(MANUAL_PROGRAMS))
     def test_manual_parity(self, algorithm):
@@ -143,10 +159,12 @@ class TestAlgorithmParity:
         graph = load_graph(key, SCALE)
         program = MANUAL_PROGRAMS[algorithm]
         args = default_args(algorithm, graph)
-        dense = program.run(graph, args, scheduling="dense")
+        registry = MetricsRegistry()
+        dense = program.run(graph, args, scheduling="dense", metrics_registry=registry)
         frontier = program.run(graph, args, scheduling="frontier")
         assert frontier.outputs == dense.outputs
         assert frontier.metrics.parity_key() == dense.metrics.parity_key()
+        assert set(loop_vertices(registry)) == {"adapted"}
 
     def test_parity_with_combiners(self):
         graph = load_graph("twitter", SCALE)
@@ -160,15 +178,25 @@ class TestAlgorithmParity:
         assert frontier.metrics.parity_key() == dense.metrics.parity_key()
 
     def test_parity_with_voting_sparse_supersteps(self):
-        # manual SSSP votes to halt; force the sparse path with a permissive
-        # threshold so both regimes are actually exercised
+        # manual SSSP and BFS vote to halt; force the sparse path with a
+        # permissive threshold so both regimes are actually exercised — each
+        # through the per-vertex adapter, its computed vertices the traced ones
         graph = load_graph("twitter", SCALE)
         args = default_args("sssp", graph)
-        sssp = MANUAL_PROGRAMS["sssp"]
-        dense = sssp.run(graph, args, scheduling="dense")
-        frontier = sssp.run(graph, args, scheduling="frontier", frontier_threshold=1.0)
-        assert frontier.outputs == dense.outputs
-        assert frontier.metrics.parity_key() == dense.metrics.parity_key()
+        for program in (MANUAL_PROGRAMS["sssp"], ManualBFS()):
+            runs = {}
+            for scheduling in ("dense", "frontier"):
+                tracer, registry = Tracer(), MetricsRegistry()
+                runs[scheduling] = program.run(
+                    graph, args, scheduling=scheduling, frontier_threshold=1.0,
+                    tracer=tracer, metrics_registry=registry,
+                )  # fmt: skip
+                active = [e.det["active"] for e in tracer.events if e.name == "superstep"]
+                assert loop_vertices(registry) == {"adapted": sum(active)}
+                assert min(active) < graph.num_nodes  # votes skipped vertices
+            dense, frontier = runs["dense"], runs["frontier"]
+            assert frontier.outputs == dense.outputs
+            assert frontier.metrics.parity_key() == dense.metrics.parity_key()
 
 
 class TestFaultRecovery:
