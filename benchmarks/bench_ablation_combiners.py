@@ -4,7 +4,10 @@ Two studies on the communication model:
 
 * **Combiners**: the opt-in combiner inference folds reduction-shaped
   messages at the sender (PageRank's partial sums, CC's min-labels).  The
-  bench shows the message/byte reduction and that results are preserved.
+  bench shows the message/byte reduction, that results are preserved, and
+  that every backend folds alike: ``columnar`` and ``mp`` meter the
+  simulator's messages and net bytes, and ``columnar`` keeps the array code
+  of its combiner-free run.  One wall time per run is reported beside.
 * **Worker sweep**: network I/O as a function of the simulated cluster size —
   with W workers a random graph sends ~(W-1)/W of its messages across the
   network, the reason the paper measures network I/O at all.
@@ -12,11 +15,14 @@ Two studies on the communication model:
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench import default_args, render_table
 from repro.compiler import compile_algorithm
 from repro.graphgen import load_graph
+from repro.pregel.backend.mp import mp_available
 
 from conftest import emit_report
 
@@ -27,32 +33,51 @@ def test_combiner_report(benchmark, scale, report_dir):
 
 def _combiner_report(scale, report_dir):
     graph = load_graph("twitter", scale)
-    rows = []
+    backends = ("sim", "columnar", "mp") if mp_available() else ("sim", "columnar")
+    rows, walls = [], []
     for name in ("pagerank", "connected_components"):
         compiled = compile_algorithm(name, emit_java=False)
         args = default_args(name, graph)
-        plain = compiled.program.run(graph, args, num_workers=4)
-        combined = compiled.program.run(graph, args, num_workers=4, use_combiners=True)
+        runs, wall = {}, {}
+        for backend in backends:
+            for use_combiners in (False, True):
+                t0 = time.perf_counter()
+                runs[backend, use_combiners] = compiled.program.run(
+                    graph, args, backend=backend, num_workers=4, use_combiners=use_combiners
+                )
+                wall[backend, use_combiners] = time.perf_counter() - t0
+            walls.append([name, backend, f"{wall[backend, False]:.3f}", f"{wall[backend, True]:.3f}"])
+        plain, combined = runs["sim", False].metrics, runs["sim", True].metrics
         rows.append(
             [
                 name,
-                plain.metrics.messages,
-                combined.metrics.messages,
-                f"{plain.metrics.messages / max(1, combined.metrics.messages):.2f}x",
-                plain.metrics.net_bytes,
-                combined.metrics.net_bytes,
+                plain.messages,
+                combined.messages,
+                f"{plain.messages / max(1, combined.messages):.2f}x",
+                plain.net_bytes,
+                combined.net_bytes,
             ]
         )
-        assert combined.metrics.messages < plain.metrics.messages, name
+        assert combined.messages < plain.messages, name
+        for (backend, use_combiners), run in runs.items():
+            sim = runs["sim", use_combiners]
+            assert run.outputs == sim.outputs, (name, backend, use_combiners)
+            traffic = (run.metrics.messages, run.metrics.net_bytes)
+            assert traffic == (sim.metrics.messages, sim.metrics.net_bytes), (name, backend)
+        vectorized = runs["columnar", True].metrics.vectorized_phases
+        assert vectorized == runs["columnar", False].metrics.vectorized_phases != [], name
     table = render_table(
         ["Algorithm", "msgs (plain)", "msgs (combined)", "reduction",
          "net bytes (plain)", "net bytes (combined)"],
         rows,
     )
+    wall_table = render_table(["Algorithm", "backend", "wall s (plain)", "wall s (combined)"], walls)
     emit_report(
         report_dir,
         "ablation_combiners",
-        "Ablation: sender-side message combining (4 workers)\n" + table,
+        "Ablation: sender-side message combining (4 workers; every backend meters the\n"
+        "same messages and net bytes)\n" + table
+        + "\n\nWall time of one run (informational, not a gate)\n" + wall_table,
     )
 
 

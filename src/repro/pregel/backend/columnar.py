@@ -14,16 +14,17 @@ whole broadcast in one ``send_nbrs_bulk`` — along the out-CSR or, for an
 in-neighbour send, the ``_in_nbrs`` rows, both behind one :class:`NbrGather`.
 
 Composition policy, one for both hosts: a recording tracer and the
-simulated transport read what the seal already holds, so they cost no
-array code; sender combiners and vote-to-halt observe individual sends, so
-with either on the host keeps the generated scalar program
-(``array_code_engages``) — still on slabs, a combined tag folded by the
-inherited ``send``.  Fault tolerance costs no array code either: a
-checkpoint decodes the raw parts a host keeps in flight, a rollback
-re-stages through the plane, a confined replay's sends drop at its sender
-check.  A limited memory budget reads the simulator's tuple outbox:
-``ColumnarBackend.create_engine`` gives it a plain ``PregelEngine`` over the
-same typed columns.  Metering is identical throughout: ``message_size`` is
+simulated transport read what the seal already holds, and sender
+combiners fold a combined tag when the seal closes it — its records, in
+send order, into one per ``(sending worker, dst)`` slot with the
+simulator's combiner callables — so none of the three costs array code;
+vote-to-halt observes individual sends, so with it on the host keeps the
+generated scalar program (``array_code_engages``), still on slabs.  Fault
+tolerance costs no array code either: a checkpoint decodes the raw parts a
+host keeps in flight, a rollback re-stages them as lone unfolded parts, a
+confined replay's sends drop at its sender check.  A limited memory budget
+reads the simulator's tuple outbox: ``ColumnarBackend.create_engine`` gives
+it a plain ``PregelEngine`` over the same typed columns.  Metering is identical throughout: ``message_size`` is
 the schema wire size, so ``message_bytes`` always equals the actual slab
 payload bytes.
 """
@@ -80,22 +81,9 @@ def vectorized_phases(receivers: dict, kernels: dict) -> list[str]:
 
 def array_code_engages(engine) -> bool:
     """Whether a slab host — ``ColumnarEngine``, ``MPEngine`` — runs the
-    vectorizer's output: unless sender combiners or vote-to-halt, which
-    observe individual sends, are on.  Nothing else turns array code off."""
-    return not engine._combiners and engine._voted is None
-
-
-def folding(plane_send: Callable, combined_tags, fold: Callable) -> Callable:
-    """``plane_send`` behind a host's combiners — the plane knows nothing
-    of them: a combined tag's message goes to ``fold(target, msg)``."""
-
-    def send(target, msg: tuple) -> None:
-        if msg[0] in combined_tags:
-            fold(target, msg)
-        else:
-            plane_send(target, msg)
-
-    return send
+    vectorizer's output: unless vote-to-halt, which observes individual
+    sends, is on.  Nothing else turns array code off."""
+    return engine._voted is None
 
 
 class NbrGather:
@@ -218,9 +206,11 @@ class _TagStage:
     beside the packed payload, and one ``(sender, count)`` run per send —
     the scalar sends' in ``senders`` / ``counts`` until a bulk send or the
     seal closes them into ``runs``.  Sealed, ``dsts`` and ``payload`` hold
-    one entry per record, ``senders`` and ``counts`` one per send, and
-    ``bulk`` is the ``(gather, edges)`` of a bulk send that staged all of
-    it — its traffic reads off the gather's caches — else None."""
+    one entry per record, ``senders`` and ``counts`` one per send,
+    ``staged`` how many records the sends staged, and ``bulk`` is the
+    ``(gather, edges)`` of a bulk send that staged all of it — its traffic
+    reads off the gather's caches — else None.  A combined tag's seal folds
+    its records, one per slot, and ``births`` holds each one's sender."""
 
     def __init__(self, tag: int):
         self.tag = tag
@@ -231,6 +221,7 @@ class _TagStage:
         self.counts: Any = []
         self.runs: list = []
         self.bulk = None
+        self.births = None
 
     def flush(self) -> None:
         """The scalar destinations so far become a chunk: a whole one is next."""
@@ -244,6 +235,12 @@ class _TagStage:
             self.runs.append((np.asarray(self.senders), np.asarray(self.counts)))
             self.senders, self.counts = [], []
 
+    def record_senders(self):
+        """Each sealed record's sender, as int32."""
+        if self.births is not None:
+            return self.births
+        return np.repeat(np.asarray(self.senders, dtype=np.int32), self.counts)
+
 
 class SlabPlane:
     """The message plane of a host that computes some of the vertices — a
@@ -252,14 +249,15 @@ class SlabPlane:
     slabs, sealed once when the host's vertex phase is over, metered from
     the sealed arrays, and handed to the next phase's receive code.
     ``gather`` is the out-CSR under the placement; ``host`` supplies
-    ``_current_vertex`` (who is sending), ``_ft_replaying``, ``graph`` and
-    ``_bulk_receivers``.  Combiners, votes, the wire and the inbox are the
-    host's."""
+    ``_current_vertex`` (who is sending), ``_ft_replaying``, ``graph``,
+    ``_bulk_receivers`` and ``_combiners``, which the seal folds with.
+    Votes, the wire and the inbox are the host's."""
 
     def __init__(self, codec: MessageCodec, gather: NbrGather, host):
         self.codec = codec
         self.gather = gather
         self.host = host
+        self._combiners = host._combiners
         self._pack = codec.pack
         self._offsets = host.graph.out_offsets
         self._stage = {tag: _TagStage(tag) for tag in codec.tag_ids}
@@ -346,7 +344,9 @@ class SlabPlane:
 
     def seal(self):
         """Close the step's staging: the sealed stage of every tag that was
-        sent on, a fresh one in its place for the next step."""
+        sent on — a combined tag's folded — a fresh one in its place for the
+        next step."""
+        combiners = self._combiners
         for tag in self.codec.tag_ids:
             stage = self._stage[tag]
             stage.close()
@@ -354,9 +354,32 @@ class SlabPlane:
                 self._stage[tag] = _TagStage(tag)
                 stage.dsts = _joined(stage.chunks)
                 stage.senders, stage.counts = map(_joined, zip(*stage.runs))
+                stage.staged = len(stage.dsts)
                 if len(stage.chunks) > 1:
                     stage.bulk = None
+                if tag in combiners:
+                    self._fold_slots(stage, combiners[tag])
                 yield stage
+
+    def _fold_slots(self, stage: _TagStage, combine: Callable) -> None:
+        """The simulator's combiner table over a sealed tag: its records,
+        decoded in send order, fold with ``combine`` into one slot per
+        ``(sending worker, dst)``; each slot, in the order they opened,
+        becomes one record from its first sender.  A folded payload is
+        packed like any send's, so one the wire cannot carry raises."""
+        senders, dsts = stage.record_senders(), stage.dsts
+        # a slot's key: its dst (NIL included) in its sending worker's block
+        block = len(self.gather.degrees) + 1
+        keys = self.gather.owner[senders].astype(np.int64) * block + dsts + 1
+        msgs = self.codec.unpack[stage.tag](stage.payload, stage.staged)
+        folded: dict = {}
+        for key, msg in zip(keys.tolist(), msgs):
+            slot = folded.get(key)
+            folded[key] = msg if slot is None else combine(slot, msg)
+        opened = np.sort(np.unique(keys, return_index=True)[1])
+        stage.dsts, stage.births = dsts[opened], senders[opened]
+        stage.payload = b"".join(map(self._pack[stage.tag], folded.values()))
+        stage.bulk = None
 
     def meter(self, ledger, tag: int, count: int, cross: int) -> None:
         """The traffic of ``count`` sealed records of ``tag``, ``cross`` of
@@ -369,10 +392,12 @@ class SlabPlane:
 
     def meter_workers(self, metrics, step_work, sealed: _TagStage, staged_bytes=None) -> None:
         """Meter a sealed tag across all the placement's workers, as
-        ``PregelEngine.send`` would have message by message: who sent, what
-        crossed, — into ``step_work``, unless None — one unit per message
-        at its sender and one at its receiver, and — into ``staged_bytes``,
-        unless None — the wire bytes each worker staged (the tracer's)."""
+        ``PregelEngine.send`` and its combiner flush would have message by
+        message: who sent, what crossed, — into ``step_work``, unless None
+        — one unit per send at its sender and one per record at its
+        receiver, and — into ``staged_bytes``, unless None — the wire bytes
+        each worker staged (the tracer's).  A combined tag's sends count
+        before the fold, its traffic after."""
         owner = self.gather.owner
         workers = len(metrics.worker_sent)
         sender_owner = owner[sealed.senders]
@@ -380,7 +405,7 @@ class SlabPlane:
         sent = sent.astype(np.int64).tolist()
         if sealed.bulk is None:
             dst_owner = owner[sealed.dsts]
-            crossing = np.repeat(sender_owner, sealed.counts) != dst_owner
+            crossing = owner[sealed.record_senders()] != dst_owner
             cross = int(np.count_nonzero(crossing))
         else:
             gather, edges = sealed.bulk
@@ -444,14 +469,12 @@ class ColumnarEngine(PregelEngine):
         if self._mreg is not None:
             self._resolve_instruments(self._mreg)
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
-        self._plane = SlabPlane(MessageCodec(schema), csr, self)
-        self._bind_sends(super().send)
+        self._plane = plane = SlabPlane(MessageCodec(schema), csr, self)
+        for name in ("send", "send_nbrs", "send_list", "send_nbrs_bulk", "send_to_bulk"):
+            setattr(self, name, getattr(plane, name))
         #: the next delivery's: tag -> its parts — the lone one the last
-        #: vertex phase sealed; on an mp worker, one per sending worker — and
-        #: the ``(dst, msg)`` the combiner flush folded — off the wire: a
-        #: folded value never meets the packers
+        #: vertex phase sealed; on an mp worker, one per sending worker
         self._sealed: dict[int, list] = {}
-        self._folded: list = []
         #: how many vertices each worker owns
         self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
         #: a partition a kernel computes -> its vertex ids as int64
@@ -466,28 +489,8 @@ class ColumnarEngine(PregelEngine):
         self._m_kernel_vertices = mreg.counter("columnar.kernel_vertices")
         self._m_scalar_vertices = mreg.counter("columnar.scalar_vertices")
 
-    def _bind_sends(self, fold: Callable) -> None:
-        """Shadow the inherited send API with the plane's.  A combined tag's
-        message takes ``fold`` instead — the inherited ``send``, so the fold and
-        its flush are the simulator's; the inherited list sends loop over it."""
-        plane = self._plane
-        self.send_nbrs_bulk = plane.send_nbrs_bulk
-        self.send_to_bulk = plane.send_to_bulk
-        for name in ("send", "send_nbrs", "send_list"):
-            send = getattr(plane, name)
-            if self._combiners:
-                inherited = fold if name == "send" else getattr(super(), name)
-                send = folding(send, self._combiners, inherited)
-            setattr(self, name, send)
-
     def _install_tracing(self) -> None:
-        # The seal meters the plane's sends for the tracer, whole; only a
-        # combined tag's — the inherited fold — go message by message.
-        self._trace_compute()
-        self._bind_sends(self._traced_send())
-
-    def _enqueue(self, dst: int, msg: tuple) -> None:
-        self._folded.append((dst, msg))  # the combiner flush: its only caller here
+        self._trace_compute()  # the seal meters the plane's sends, whole
 
     def install_array_code(self, receivers: dict, kernels: dict) -> None:
         """Register the vectorizer's output: bulk receive handlers keyed by
@@ -577,42 +580,38 @@ class ColumnarEngine(PregelEngine):
     # -- checkpoint / restore -----------------------------------------
 
     def _in_flight(self) -> list:
-        """What the next delivery reads, as ``(parts_by_tag, combined)``
-        entries: the parts the last vertex phase sealed and the pairs the
-        combiner flush folded."""
-        return [(self._sealed, self._folded)]
+        """What the next delivery reads, as ``parts_by_tag`` entries: the
+        parts the last vertex phase sealed."""
+        return [self._sealed]
 
     def outbox_view(self) -> dict[int, list]:
         """The in-flight ``{dst: msgs}`` map, decoded from the raw entries
         when a checkpoint or a confined-recovery log asks for it: per
-        receiver, its records tag by tag as the dispatch decodes them, then
-        its combined messages."""
+        receiver, its records tag by tag as the dispatch decodes them."""
         inbox: dict[int, list] = {}
-        for parts_by_tag, combined in self._in_flight():
+        for parts_by_tag in self._in_flight():
             for dst, msgs in self._plane.dispatch(None, parts_by_tag):
                 inbox.setdefault(dst, []).extend(msgs)
-            for dst, msg in combined:
-                inbox.setdefault(dst, []).append(msg)
         return inbox
 
     def _stage_inflight(self, outbox: dict) -> None:
-        """Stage a checkpoint's ``{dst: msgs}`` through the plane: every
-        receiver re-sends its messages to itself in their checkpointed
-        order — a lone part per tag, never merged by sender — and a combined
-        tag's travel as the ``(dst, msg)`` pairs a flush leaves.  Sealed
-        unmetered: the restored ledger already holds their traffic."""
-        plane = self._plane
-        combiners = self._combiners
-        self._folded = folded = []
+        """Stage a checkpoint's ``{dst: msgs}`` as the next delivery: per
+        tag a lone part holding every receiver's messages in their
+        checkpointed order — packed as sends are, but never merged by
+        sender nor folded (a combined tag's were folded when first sealed,
+        per sending worker).  Unmetered: the restored ledger already holds
+        their traffic."""
+        pack = self._plane.codec.pack
+        staged: dict[int, tuple[list, bytearray]] = {}
         for dst, msgs in outbox.items():
-            self._current_vertex = dst
             for msg in msgs:
-                if msg[0] in combiners:
-                    folded.append((dst, msg))
-                else:
-                    plane.send(dst, msg)
-        self._current_vertex = -1
-        self._sealed = {s.tag: [(s.dsts, None, s.payload, len(s.dsts))] for s in plane.seal()}
+                dsts, payload = staged.setdefault(msg[0], ([], bytearray()))
+                dsts.append(dst)
+                payload += pack[msg[0]](msg)
+        self._sealed = {
+            tag: [(np.asarray(dsts, dtype=np.int32), None, payload, len(dsts))]
+            for tag, (dsts, payload) in staged.items()
+        }
 
     # -- barrier --------------------------------------------------------
 
@@ -621,23 +620,20 @@ class ColumnarEngine(PregelEngine):
         touched.clear()
         slots = self._inbox_slots
         sealed, self._sealed = self._sealed, {}
-        folded, self._folded = self._folded, []
         plane = self._plane
-        if self._transport is not None:
+        if self._transport is not None and sealed:
             # Per destination worker, ascending, an empty batch skipped: the
             # calls, and so the RNG draws, of the tuple staging's route_part.
-            dsts = [parts[0][0] for parts in sealed.values()]
-            dsts.append(np.fromiter((dst for dst, _msg in folded), np.int64, len(folded)))
-            totals = np.bincount(self._csr.owner[np.concatenate(dsts)])
+            dsts = np.concatenate([parts[0][0] for parts in sealed.values()])
+            totals = np.bincount(self._csr.owner[dsts])
             for wid in np.flatnonzero(totals).tolist():
                 self._transport.route_count(wid, int(totals[wid]))
         # The master has already broadcast this superstep's state, so the
         # handler keyed by (state, tag) is exactly the receive loop the
         # vertex phase would run on these records.  Per-receiver order
-        # within a tag is global send order: the one sealed slab's, and —
-        # as the flush enqueues last — the folded messages after it.
-        delivered = plane.dispatch(self.globals.broadcast.get("_state"), sealed)
-        for dst, msgs in chain(delivered, ((dst, [msg]) for dst, msg in folded)):
+        # within a tag is global send order — for a combined tag, slot order
+        # — the one sealed slab's.
+        for dst, msgs in plane.dispatch(self.globals.broadcast.get("_state"), sealed):
             bucket = slots[dst]
             if bucket is _NO_MESSAGES:
                 slots[dst] = msgs
@@ -648,7 +644,7 @@ class ColumnarEngine(PregelEngine):
             self._m_slab_flushes.inc(len(sealed))
             self._m_slab_records.inc(plane.bulk_records + plane.scalar_records)
             self._m_bulk_records.inc(plane.bulk_records)
-            self._m_scalar_records.inc(plane.scalar_records + len(folded))
+            self._m_scalar_records.inc(plane.scalar_records)
 
 
 class ColumnarBackend(ExecutionBackend):

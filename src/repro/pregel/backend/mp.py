@@ -12,11 +12,12 @@ is a :class:`~repro.pregel.backend.columnar.ColumnarEngine`, whose vertex
 phase, delivery and slab plane each worker runs over its partition.  It
 compiles the program's array code (``repro.codegen.vectorize``) against
 that engine after the fork and runs it where ``columnar`` would,
-selected per phase from the IR.  Sender combiners and vote-to-halt observe individual sends and keep
-the generated scalar program, as does a phase the vectorizer refused; a
-tracer, fault tolerance (recovery included), a memory budget and the tcp
-transport read per-worker totals and whole slabs, and cost the kernels
-nothing.  What the shell adds to a sealed tag is the wire: the *part* —
+selected per phase from the IR.  Vote-to-halt observes individual sends
+and keeps the generated scalar program, as does a phase the vectorizer
+refused; sender combiners fold in the worker's seal, and a tracer, fault
+tolerance (recovery included), a memory budget and the tcp transport read
+per-worker totals and whole slabs, so none of them costs the kernels
+anything.  What the shell adds to a sealed tag is the wire: the *part* —
 ``(dsts, senders, payload, count)``, one tag's records for one receiving
 worker, whose layout, split by owner and decode
 :mod:`~repro.pregel.backend.codec` owns — written once per receiver.  Array
@@ -24,8 +25,8 @@ code sends along the worker's partition gather (``NbrGather.of_partition``),
 which caches the split of its rows by receiving worker, so a send along all
 of them is written from that split straight into the segment; every other
 tag is cut by ``split_by_owner``.  What an exchange leaves a worker is
-``(parts_by_tag, combined)``, and that is also the shape of the parent's
-in-flight log and of a recovery seed.
+``parts_by_tag``, and that is also the shape of the parent's in-flight log
+and of a recovery seed.
 
 Determinism (the whole point of the parity contract) is preserved by
 order-reconstructing merges at the parent barrier:
@@ -45,26 +46,24 @@ order-reconstructing merges at the parent barrier:
   the kernels' own ordered fold (``globalmap.fold_ordered``), so even
   non-associative float reductions (a PageRank error sum) come out
   bit-identical to the single-process fold;
-* **combiners** fold per-process at the sender (each worker keeps one slot
-  per ``(dst, tag)``, stamped with the vid of the slot's *first* send);
-  the parent merges all workers' slots with a stable sort on that birth
-  vid, which reconstructs the simulator's combiner-table insertion order
-  (one vid belongs to one worker, so ties stay in per-worker — i.e.
-  program — order), then meters and routes the folded payloads exactly
-  like the simulator's barrier flush;
+* **combiners** fold in each worker's seal (``SlabPlane``): one record per
+  ``(dst, tag)`` slot, sent from the vid of the slot's *first* send, which
+  travels in the parts like any record — the receiver's stable sender
+  merge is then the simulator's combiner-table order (one slot per worker
+  per receiver, opened by ascending vid);
 * **fault tolerance** is ``columnar``'s, from the parent:
   ``checkpoint_state()`` first pulls every worker's live partition columns
   back into the parent's columns (so the registered ``ColumnState`` sees
   fresh data); the in-flight entries ``outbox_view()`` decodes are the
   parent's log of the last exchange — per worker the parts, copied raw out
-  of the segments, plus the combined messages.  Recovery restores
-  parent-side state — confined replay runs *in the parent* over the
-  restored columns, its sends dropped by the plane as on ``columnar`` — and
-  then **re-forks** the affected worker processes from the parent, which
-  inherit the recovered columns copy-on-write and are seeded with their
-  entry of that log (after a rollback: the checkpoint's messages, staged as
-  ``columnar`` stages them and split by owner), so a recovered step runs
-  the same array code as any other;
+  of the segments.  Recovery restores parent-side state — confined replay
+  runs *in the parent* over the restored columns, its sends dropped by the
+  plane as on ``columnar`` — and then **re-forks** the affected worker
+  processes from the parent, which inherit the recovered columns
+  copy-on-write and are seeded with their entry of that log (after a
+  rollback: the checkpoint's messages, staged as ``columnar`` stages them
+  and split by owner), so a recovered step runs the same array code as any
+  other;
 * **tracing** buffers per-process counters (computed, seconds, staged
   bytes) in each worker's barrier reply; the parent merges them by
   worker id into the same deterministic superstep records the simulator
@@ -311,14 +310,12 @@ def _slab_parts(segments, directories, inlines, sources, dest=None):
                 yield to, tag, read_part(body, count)
 
 
-def _wake(voted: bytearray, parts_by_tag: dict, combined) -> None:
+def _wake(voted: bytearray, parts_by_tag: dict) -> None:
     """Clear the vote of every vertex an exchange's leavings deliver to."""
     waking = np.frombuffer(voted, dtype=np.uint8)
     for parts in parts_by_tag.values():
         for dsts, _senders, _payload, _count in parts:
             waking[dsts] = 0
-    for dst, _msg in combined:
-        voted[dst] = 0
 
 
 class MPEngine(ColumnarEngine):
@@ -408,11 +405,10 @@ class MPEngine(ColumnarEngine):
         #: surviving worker from the parent's log.
         self._reseed_live = False
         #: the in-flight log (ft only): per worker, what the last exchange
-        #: left it — ``(parts_by_tag, combined)``, the raw slab parts
-        #: copied out of the segments plus the combined messages, a
-        #: worker's own ``(_parts, _combined_in)``.  A seed ships an entry
-        #: as it is; ``outbox_view()`` decodes the log on demand.
-        self._log: list[tuple[dict, list]] = [({}, []) for _ in range(w)]
+        #: left it — ``parts_by_tag``, the raw slab parts copied out of the
+        #: segments, a worker's own ``_parts``.  A seed ships an entry as it
+        #: is; ``outbox_view()`` decodes the log on demand.
+        self._log: list[dict] = [{} for _ in range(w)]
         self._refork_all = False
         self._refork_workers: set[int] = set()
         # live process plumbing (populated by _session, mutated by _refork)
@@ -515,17 +511,14 @@ class MPEngine(ColumnarEngine):
         consumes."""
         outbox = state["outbox"]
         self._stage_inflight(outbox)
-        worker_of = self._worker_of
         w = self.num_workers
-        self._log = [({}, []) for _ in range(w)]
-        for dst, msg in self._folded:
-            self._log[worker_of[dst]][1].append((dst, msg))
+        self._log = [{} for _ in range(w)]
         for tag, [(dsts, _senders, payload, _count)] in self._sealed.items():
             parts = split_by_owner(dsts, dsts, payload, self._csr.owner[dsts], w)
-            for (parts_by_tag, _pairs), part in zip(self._log, parts):
+            for parts_by_tag, part in zip(self._log, parts):
                 if part is not None:
                     parts_by_tag[tag] = [part]
-        self._sealed, self._folded = {}, []
+        self._sealed = {}
         self._delivered = sum(map(len, outbox.values()))
 
     # -- execution ------------------------------------------------------
@@ -632,12 +625,12 @@ class MPEngine(ColumnarEngine):
         else:
             self._conns[wid] = parent_conn
             self._procs[wid] = proc
-            parent_conn.send(("seed", *seed))
+            parent_conn.send(("seed", seed))
 
-    def _seed(self, wid: int) -> tuple[dict, list]:
+    def _seed(self, wid: int) -> dict:
         """What the last exchange left worker ``wid`` — its log entry, the
-        ``(parts_by_tag, combined)`` its next step delivers — with the
-        matching parent-side vote clears applied.
+        ``parts_by_tag`` its next step delivers — with the matching
+        parent-side vote clears applied.
 
         A normal exchange clears the receivers' votes worker-side, so
         re-apply those clears here — a re-forked child inherits the
@@ -645,7 +638,7 @@ class MPEngine(ColumnarEngine):
         the same clears in its seed handler."""
         seed = self._log[wid]
         if self._voted is not None:
-            _wake(self._voted, *seed)
+            _wake(self._voted, seed)
         return seed
 
     def _refork(self) -> None:
@@ -679,7 +672,7 @@ class MPEngine(ColumnarEngine):
                 wid for wid in range(self.num_workers) if wid not in reforked
             ]
             for wid in live:
-                self._send(wid, ("seed", *self._seed(wid)))
+                self._send(wid, ("seed", self._seed(wid)))
             for wid in live:
                 try:
                     self._recv(wid)
@@ -856,8 +849,6 @@ class MPEngine(ColumnarEngine):
         m = self.metrics
         ft = self.ft
         mreg = self._mreg
-        worker_of = self._worker_of
-        sizes = self._plane.codec.sizes
         w = self.num_workers
         supervisor = self._supervisor
         voted = self._voted
@@ -907,12 +898,11 @@ class MPEngine(ColumnarEngine):
                 self._send(wid, ("step", bcast, self.superstep, 0.0))
         step_net = 0
         all_puts: list = []
-        all_slots: list = []
         worker_computed = []
         worker_sent_step = []
         worker_seconds = []
         worker_bytes = []
-        for wid, (_, _dir, _inline, counters, puts, slots) in enumerate(replies):
+        for wid, (_, _dir, _inline, counters, puts) in enumerate(replies):
             m.messages += counters.messages
             m.message_bytes += counters.message_bytes
             m.net_messages += counters.net_messages
@@ -924,47 +914,25 @@ class MPEngine(ColumnarEngine):
             worker_seconds.append(counters.seconds)
             worker_bytes.append(counters.staged)
             all_puts.extend(puts)
-            all_slots.extend(slots)
         if ft is not None:
-            # One delivery account per cross-worker send, as the simulator
-            # meters during the phase: the FT manager's seeded retry
-            # counters come out identical.
+            # One delivery account per cross-worker record, as the simulator
+            # meters during the phase and its combiner flush: the FT
+            # manager's seeded retry counters come out identical.
             ft.account_delivery(step_net)
-        # Combiner barrier flush: a stable sort on the birth vid of
-        # each per-worker slot reconstructs the simulator's combiner
-        # table insertion order (ties = one vertex's sends, already in
-        # program order within its worker's slot list).  Metering at
-        # flush, on the folded payload — the message that travels.
-        combined_parts: list[list] = [[] for _ in range(w)]
-        if all_slots:
-            all_slots.sort(key=lambda s: s[0])
-            for birth, dst, tag, msg in all_slots:
-                size = sizes[tag]
-                m.messages += 1
-                m.message_bytes += size
-                dest = worker_of[dst]
-                if worker_of[birth] != dest:
-                    m.net_messages += 1
-                    m.net_bytes += size
-                    if ft is not None:
-                        ft.account_delivery()
-                combined_parts[dest].append((dst, msg))
         self._fold_puts(all_puts)
         directories = [r[1] for r in replies]
         inlines = [r[2] for r in replies]
         if self._track_makespan:
             # The simulator's work units, left in ``_step_work`` for the
             # driver's makespan accounting: one per computed vertex, one
-            # per send (sender side), one per message for its receiving
-            # worker — combined messages count their folded deliveries.
+            # per send (sender side), one per record for its receiving
+            # worker — a combined tag's folded ones.
             step_work = self._step_work
             for wid in range(w):
                 step_work[wid] = worker_computed[wid] + worker_sent_step[wid]
             for entries in (*directories, *inlines):
                 for dest, _tag, count, *_where in entries:
                     step_work[dest] += count
-            for dest in range(w):
-                step_work[dest] += len(combined_parts[dest])
         if instr:
             t_exchange = time.perf_counter()
         # Over tcp the exchange command carries the current port/epoch map
@@ -980,7 +948,7 @@ class MPEngine(ColumnarEngine):
                 if fault == "slowlink":
                     fault = ("slowlink", self._exchange_deadline * 1.5)
                 net = {"ports": ports, "epochs": epochs, "fault": fault}
-            self._send(wid, ("exchange", directories, inlines, combined_parts, net))
+            self._send(wid, ("exchange", directories, inlines, net))
         # The exchange barrier: each worker replies ("ready",
         # route_seconds, registry_snapshot | None, received_bytes,
         # vote_slice | None, peer_report | None) — this is where the
@@ -1017,7 +985,7 @@ class MPEngine(ColumnarEngine):
             # the termination check's "inbox empty" side.
             self._delivered = sum(
                 entry[2] for entries in (*directories, *inlines) for entry in entries
-            ) + sum(len(part) for part in combined_parts)
+            )
         if self.mem is not None:
             # Parent-enforced MemPlan: charge each worker's reported
             # resident bytes — last exchange's inbox (consumed this
@@ -1032,11 +1000,11 @@ class MPEngine(ColumnarEngine):
             # Copy this superstep's parts out while the segments still hold
             # them: seeds ship them raw, checkpoint payloads and the
             # confined-recovery logs decode them through outbox_view().
-            self._log = [({}, combined) for combined in combined_parts]
+            self._log = [{} for _ in range(w)]
             for dest, tag, part in _slab_parts(
                 self._segments, directories, inlines, range(w)
             ):
-                self._log[dest][0].setdefault(tag, []).append(part)
+                self._log[dest].setdefault(tag, []).append(part)
         info = {}
         if tracer is not None:
             # Real-process identities + per-worker exchange (route)
@@ -1121,8 +1089,7 @@ class _Worker:
     The worker adapts its copy of the parent's :class:`MPEngine` in place
     (``_init``) and runs the engine's delivery and vertex phase over its
     partition every superstep.  The shell adds what only a worker does:
-    combined tags fold into per-(dst, tag) slots stamped for the parent's
-    merge, puts ship to the parent, each sealed tag is written as
+    puts ship to the parent, each sealed tag is written as
     per-destination parts into the shared-memory segment, and the other
     workers' parts destined here are kept raw after the barrier until the
     next step's delivery, when the broadcast state says which receive code
@@ -1140,24 +1107,7 @@ class _Worker:
         self.engine = engine
         self.segments = segments
 
-    # -- what the forked engine's sends and puts become -------------------
-
-    def _fold(self, dst: int, msg: tuple) -> None:
-        """A combined send: fold into this worker's (dst, tag) slot, stamped
-        with the vid of its first send (the parent's merge key).  Only the
-        sender's combine work is metered here — delivered traffic is
-        metered at the parent's flush, on the folded payload."""
-        tag = msg[0]
-        combined = self._combined
-        key = (dst, tag)
-        slot = combined.get(key)
-        if slot is not None:
-            combined[key] = (slot[0], self._combiners[tag](slot[1], msg))
-        else:
-            combined[key] = (self.engine._current_vertex, msg)
-        c = self._counters
-        c.sent += 1
-        c.staged += self._sizes[tag]
+    # -- what the forked engine's puts become ------------------------------
 
     def put_global(self, name: str, op, value) -> None:
         vids, values = self._put_runs.setdefault((name, op), ([], []))
@@ -1193,7 +1143,6 @@ class _Worker:
 
             self._mreg = MetricsRegistry()
         self._sizes = engine._plane.codec.sizes
-        self._combiners = engine._combiners
         self._part_slice = engine._part_slices[self.wid]
         self._own = range(engine.graph.num_nodes)[self._part_slice]
         # tcp transport: keep the fork-inherited copy of our own listener,
@@ -1228,12 +1177,10 @@ class _Worker:
         self._put_runs: dict = {}
         self._counters = self._fresh_counters()
         # What the next step consumes: the raw slab parts destined here,
-        # per tag, plus the parent's combined messages — left by an
-        # exchange, or shipped by the parent as a seed (recovery re-fork,
-        # re-seed after an abandoned tcp exchange) from its log of one.
+        # per tag — left by an exchange, or shipped by the parent as a seed
+        # (recovery re-fork, re-seed after an abandoned tcp exchange) from
+        # its log of one.
         self._parts: dict[int, list] = {}
-        self._combined_in: list = _EMPTY
-        self._combined: dict = {}
         # Memory budgets: per-delivery receive accounting (payload +
         # envelope, the MemPlan's charge model), reported in the exchange
         # reply and charged parent-side.
@@ -1245,15 +1192,13 @@ class _Worker:
         self._recv_bytes = 0
         # The forked engine becomes this partition's: the shell counts
         # ``mp.*``, the parent accounts work from the replies, puts ship to
-        # it, array code sends along the partition's rows, a combined send
-        # takes the birth-stamped fold, and the seal writes the slabs.  Then
-        # the array code compiles against the engine.
+        # it, array code sends along the partition's rows, and the seal
+        # writes the slabs.  Then the array code compiles against the engine.
         engine._mreg = None
         engine._track_makespan = False
         engine.put_global = self.put_global
         engine.put_global_bulk = self.put_global_bulk
         engine.out_gather = lambda: self._out
-        engine._bind_sends(self._fold)
         engine._seal = self._write_slabs
         if engine._array_code is not None:
             engine.install_array_code(*engine._array_code(engine))
@@ -1294,9 +1239,9 @@ class _Worker:
                     # child inherited the parent's already-cleared
                     # bitset), the missing wake-up for a live worker that
                     # abandoned its exchange.
-                    _kind, self._parts, self._combined_in = cmd
+                    _kind, self._parts = cmd
                     if self.engine._voted is not None:
-                        _wake(self.engine._voted, self._parts, self._combined_in)
+                        _wake(self.engine._voted, self._parts)
                     conn.send(("ready",))
                 elif kind == "finish":
                     conn.send(("columns", self._gather()))
@@ -1334,11 +1279,6 @@ class _Worker:
             boxed[:] = values
             self._puts.append((name, op, np.asarray(vids), boxed))
         self._put_runs = {}
-        slots = [
-            (birth, dst, tag, msg)
-            for (dst, tag), (birth, msg) in self._combined.items()
-        ]
-        self._combined.clear()
         c.seconds = time.perf_counter() - t0
         mreg = self._mreg
         if mreg is not None:
@@ -1347,24 +1287,19 @@ class _Worker:
             mreg.counter("mp.worker_staged_bytes", worker=wid).inc(c.staged)
             mreg.counter("mp.kernel_vertices", worker=wid).inc(computed if as_kernel else 0)
             mreg.counter("mp.scalar_vertices", worker=wid).inc(0 if as_kernel else computed)
-        return ("stat", *self._slabs, c, self._puts, slots)
+        return ("stat", *self._slabs, c, self._puts)
 
     def _deliver(self) -> None:
-        """Hand what the last exchange left here to the engine's delivery —
-        the plane's dispatch into the dense inbox, the parent's combined
-        messages after it."""
+        """Hand what the last exchange left here to the engine's delivery:
+        the plane's dispatch into the dense inbox."""
         engine = self.engine
         engine._sealed, self._parts = self._parts, {}
-        engine._folded, self._combined_in = self._combined_in, _EMPTY
-        combined = len(engine._folded)
         engine._deliver()
         if self._mreg is not None:
             plane = engine._plane
             wid = str(self.wid)
             self._mreg.counter("mp.bulk_records", worker=wid).inc(plane.bulk_records)
-            self._mreg.counter("mp.scalar_records", worker=wid).inc(
-                plane.scalar_records + combined
-            )
+            self._mreg.counter("mp.scalar_records", worker=wid).inc(plane.scalar_records)
 
     def _exchange(self, cmd) -> tuple:
         """Collect the parts destined here; returns the ready reply."""
@@ -1372,7 +1307,7 @@ class _Worker:
         self._recv_bytes = 0
         frames = report = None
         if self._tcp is not None:
-            frames, report = self._exchange_tcp(cmd[1], cmd[2], cmd[4])
+            frames, report = self._exchange_tcp(cmd[1], cmd[2], cmd[3])
         voted = self.engine._voted
         # Ship this partition's vote slice *before* the delivery clears:
         # the parent's fold then matches the simulator's end-of-phase
@@ -1380,18 +1315,12 @@ class _Worker:
         votes = bytes(voted[self._part_slice]) if voted is not None else None
         if not report:
             self._read_slabs(cmd[1], cmd[2], frames)
-            self._combined_in = combined = cmd[3][self.wid]
-            ovh = self._mem_overhead
-            if ovh is not None:
-                sizes = self._sizes
-                for _dst, msg in combined:
-                    self._recv_bytes += sizes[msg[0]] + ovh
             if voted is not None:
                 # delivered messages wake their receivers next step
-                _wake(voted, self._parts, combined)
+                _wake(voted, self._parts)
         # else a peer failed and the whole exchange is abandoned: no part of
-        # it is kept, nor the combined messages, nor the vote clears (the
-        # parent re-seeds this worker after recovery); the report carries
+        # it is kept, nor the vote clears (the parent re-seeds this worker
+        # after recovery); the report carries
         # the classified causes so the parent can fold blame.
         route_s = time.perf_counter() - t0
         snap = None
@@ -1442,7 +1371,7 @@ class _Worker:
                     for cut in self._out.owner_split
                 ]
             else:
-                senders = np.repeat(np.asarray(sealed.senders, dtype=np.int32), sealed.counts)
+                senders = sealed.record_senders()
                 parts = [
                     part and (part, None)
                     for part in split_by_owner(dsts, senders, payload, owner[dsts], self._w)
@@ -1450,8 +1379,8 @@ class _Worker:
                 split += count
             own = parts[self.wid]
             plane.meter(c, tag, count, count - (own[0][3] if own else 0))
-            c.sent += count
-            c.staged += size * count
+            c.sent += sealed.staged
+            c.staged += size * sealed.staged
             for dest, cut in enumerate(parts):
                 if cut is None:
                     continue

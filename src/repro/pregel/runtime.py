@@ -248,8 +248,8 @@ class RunMetrics:
     #: phases the vectorizer runs as array code on this run — a bulk
     #: receive handler, a whole-phase kernel, or both ("phase<id>" labels)
     #: — on columnar and in the mp workers; empty on sim and wherever a
-    #: composition keeps the scalar program (combiners, voting; columnar
-    #: also under a limited budget).  Backend provenance like
+    #: composition keeps the scalar program (voting; columnar also under a
+    #: limited budget).  Backend provenance like
     #: ``backend`` itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
 

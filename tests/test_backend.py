@@ -391,11 +391,9 @@ class TestColumnarCompositions:
         assert labels["sim"] != array("q", range(g.num_nodes))
         seen = {backend: observed for backend, (observed, _label) in seen.items()}
         assert seen["sim"]["parity"]["halt_reason"] == "all_halted"
-        if fold:
-            # one tag on the plane, one folded: the inbox itself is the
-            # simulator's — plane records first, the flush's messages after
-            assert logs["sim"] == logs["columnar"]
-        for tag in (0, 3):  # without: tag by tag, as the receive loops read it
+        # tag by tag, as the receive loops read it (a folded tag is a slab
+        # like any other, dispatched in tag order)
+        for tag in (0, 3):
             by_tag = {
                 backend: [(step, vid, [m for m in msgs if m[0] == tag]) for step, vid, msgs in log]
                 for backend, log in logs.items()
@@ -784,44 +782,60 @@ class TestSlabPlane:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(("bc_approx", "avg_teen_cnt")),
+        st.sampled_from(("bc_approx", "avg_teen_cnt", "connected_components")),
         st.integers(2, 24),
         st.sampled_from((1, 2, 3, 5)),
         st.sampled_from(("hash", "range")),
+        st.sampled_from((None, "SUM", "MIN", "MAX")),
         st.randoms(use_true_random=False),
     )
-    def test_seal_and_metering_equal_the_simulators(self, alg, n, workers, partitioning, rng):
+    def test_seal_and_metering_equal_the_simulators(
+        self, alg, n, workers, partitioning, fold, rng
+    ):
         import numpy as np
         from types import SimpleNamespace
 
         from repro.pregel.backend.columnar import NbrGather, SlabPlane
+        from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
         from repro.pregel.runtime import PregelEngine, RunMetrics
+        from repro.translate.combiner import combiner_functions
 
         schema = compile_algorithm(alg).program.schema
         codec = MessageCodec(schema)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 3 * n))]
         graph = Graph.from_edges(n, edges)
+        # one tag of a single slot folded by ``fold``, if the layout has one
+        foldable = [tag for tag in codec.tag_ids if len(schema.tags[tag].slots) == 1]
+        combiners = {}
+        if fold is not None and foldable:
+            combiners = combiner_functions({rng.choice(foldable): GlobalOp[fold]})
         # the reference: the simulator's own send, one message at a time
         sim = PregelEngine(
             graph, None, num_workers=workers, partitioning=partitioning,
             message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
+            combiners=combiners,
         )  # fmt: skip
         want = {tag: ([], [], bytearray()) for tag in codec.tag_ids}
+        births = {}  # a combiner slot's first sender
         sim._trace_compute()
         traced_send = sim._traced_send()  # ... behind the tracer's byte meter
 
         def reference(sender, dst, msg):
             sim._current_vertex = sender
             traced_send(dst, msg)
+            if msg[0] in combiners:
+                births.setdefault((sim._worker_of[sender], dst, msg[0]), sender)
+                return
             dsts, senders, payload = want[msg[0]]
             dsts.append(dst)
             senders.append(sender)
             payload += codec.pack[msg[0]](msg)
 
         host = SimpleNamespace(
-            _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={}
-        )
+            _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={},
+            _combiners=combiners,
+        )  # fmt: skip
         gather = NbrGather.of_graph(graph, sim._worker_of)
         plane = SlabPlane(codec, gather, host)
         for sender, tag, kind, arg, msg in self.script(graph, schema, rng):
@@ -856,6 +870,14 @@ class TestSlabPlane:
             for dst in dsts:
                 reference(sender, dst, msg)
 
+        # the simulator's combiner table, slot by slot in the order they
+        # opened, then its flush, which meters the folded messages
+        for (worker, dst, tag), msg in sim._combined.items():
+            dsts, senders, payload = want[tag]
+            dsts.append(dst)
+            senders.append(births[worker, dst, tag])
+            payload += codec.pack[tag](msg)
+        sim._flush_combined()
         metrics = RunMetrics(worker_sent=[0] * workers)
         step_work, staged_bytes = [0] * workers, [0] * workers
         sealed = {one.tag: one for one in plane.seal()}
@@ -863,7 +885,7 @@ class TestSlabPlane:
         for tag, one in sealed.items():
             dsts, senders, payload = want[tag]
             assert one.dsts.tolist() == dsts
-            assert np.repeat(one.senders, one.counts).tolist() == senders
+            assert one.record_senders().tolist() == senders
             assert bytes(one.payload) == bytes(payload)
             plane.meter_workers(metrics, step_work, one, staged_bytes)
         assert not list(plane.seal())  # the seal left every stage empty
@@ -901,8 +923,9 @@ class TestSlabPlane:
         codec = MessageCodec(compile_algorithm("avg_teen_cnt").program.schema)
         graph = Graph.from_edges(4, [(0, 1)])
         host = SimpleNamespace(
-            _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={}
-        )
+            _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={},
+            _combiners={},
+        )  # fmt: skip
         plane = SlabPlane(codec, NbrGather.of_graph(graph, bytes(4)), host)
         with pytest.raises(OverflowError, match="out of bounds for int32"):
             plane.send_to_bulk(codec.tag_ids[0], np.array([0, 1]), np.array([2, 2**32 + 1]), None)
@@ -924,8 +947,9 @@ class TestSlabPlane:
 
         handler.ordered_merge = None
         host = SimpleNamespace(
-            _current_vertex=0, _ft_replaying=False, graph=graph, _bulk_receivers={(7, 3): handler}
-        )
+            _current_vertex=0, _ft_replaying=False, graph=graph,
+            _bulk_receivers={(7, 3): handler}, _combiners={},
+        )  # fmt: skip
         plane = SlabPlane(codec, NbrGather.of_graph(graph, bytes(4)), host)
         plane.send(2, (3, 11))
         plane.send(1, (0, 0.5))
@@ -940,6 +964,35 @@ class TestSlabPlane:
         # no other phase has one: everything is decoded
         assert dict(plane.dispatch(8, parts)) == {1: [(0, 0.5), (0, 0.25)], 2: [(3, 11)]}
         assert (plane.bulk_records, plane.scalar_records) == (0, 3)
+
+    @pytest.mark.parametrize("backend", ("columnar", pytest.param("mp", marks=needs_mp)))
+    def test_a_rollback_restages_folded_records_as_checkpointed(self, programs, graph, backend):
+        """A rollback stages the checkpoint's messages without folding them
+        again: a receiver's records of one combined tag — one per sending
+        worker, folded when first sealed — come back as checkpointed, and
+        the recovered run is the simulator's."""
+        args = default_args("pagerank", graph)
+
+        def ft():
+            return FaultTolerance(FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 3),)))
+
+        opts = dict(num_workers=3, use_combiners=True)
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, args, backend=backend, ft=ft(), **opts
+        )
+        install, restaged = engine._install_inflight, []
+
+        def recording(state):
+            install(state)
+            restaged.append((state["outbox"], engine.outbox_view()))
+
+        engine._install_inflight = recording
+        assert engine.run().faults_injected == 1
+        [(checkpointed, staged)] = restaged
+        assert max(map(len, checkpointed.values())) >= 2  # (pagerank: one tag)
+        assert staged == checkpointed
+        sim = run_on(programs, graph, "pagerank", "sim", ft=ft(), **opts)
+        assert_parity(sim, run_on(programs, graph, "pagerank", backend, ft=ft(), **opts))
 
 
 class TestCLI:
@@ -1196,8 +1249,7 @@ class TestLiftedCompositions:
         assert_parity(sim, col)
         assert_parity(sim, mp)
         plain = run_on(programs, graph, "pagerank", "columnar", use_combiners=use_combiners)
-        assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases
-        assert (plain.metrics.vectorized_phases != []) is not use_combiners
+        assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
 
     def test_recovered_run_matches_failure_free_outputs(self, programs, graph):
         clean = run_on(programs, graph, "pagerank", "sim")
@@ -2856,10 +2908,10 @@ class TestPhaseKernels:
         "feature", ("ft", "tracer", "mem", "combiners", "voting", "net", "schemaless")
     )
     def test_kernels_disengage_with_the_slab_path(self, programs, graph, feature, tmp_path):
-        """The composition table, cell by cell: a tracer, a lossy transport
-        and ft cost no array code; combiners and voting keep the slab
-        engine and turn it off; a limited budget and a program without a
-        schema get the simulator's engine, labelled columnar."""
+        """The composition table, cell by cell: a tracer, a lossy transport,
+        ft and combiners cost no array code; voting keeps the slab engine
+        and turns it off; a limited budget and a program without a schema
+        get the simulator's engine, labelled columnar."""
         from repro.obs import Tracer
         from repro.pregel.mem import MemPlan, MemoryManager
 
@@ -2893,10 +2945,15 @@ class TestPhaseKernels:
             assert isinstance(engine, ColumnarEngine) and engine._plane is not None
             plain, counted = run_counted(programs, graph, "pagerank", "columnar")
             col, totals = run_counted(programs, graph, "pagerank", "columnar", **opts())
-            if feature in ("tracer", "net", "ft"):
+            if feature in ("tracer", "net", "ft", "combiners"):
                 assert sorted(engine._phase_kernels) == self.EXPECTED["pagerank"]
                 assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
-                assert totals == counted and totals["scalar_records"] == 0
+                assert totals["scalar_records"] == totals["scalar_vertices"] == 0
+                assert totals["kernel_vertices"] == counted["kernel_vertices"]
+                if feature == "combiners":  # the handlers take the folded records
+                    assert 0 < totals["bulk_records"] < counted["bulk_records"]
+                else:
+                    assert totals == counted
             else:
                 assert engine._phase_kernels == {} and engine._bulk_receivers == {}
                 assert col.metrics.vectorized_phases == []
@@ -2937,6 +2994,29 @@ class TestPhaseKernels:
         assert program.run(g, backend="sim").outputs["o"][1] >= 2**31 + 5
         with pytest.raises(ValueError, match=r"214748365\d.*slot 'f0' of message tag 0"):
             run(g, backend="columnar")
+
+    def test_a_fold_outside_the_wire_slot(self):
+        # each send fits the 32-bit slot, the sums folded from them do not:
+        # the simulator folds off the wire; the slab hosts put the folded
+        # record on it, and refuse it as they would a send of that value
+        program = self.compile(
+            "Procedure p(G: Graph, age: N_P<Int>; o: N_P<Int>) {\n"
+            "  G.o = 0;\n"
+            "  Foreach (n: G.Nodes) { Foreach (t: n.Nbrs) { t.o += n.age; } }\n"
+            "}"
+        )
+        g = load_graph("twitter", 0.05)
+        g.node_props["age"] = [2**30] * g.num_nodes
+        opts = dict(num_workers=2, use_combiners=True)
+        assert max(program.run(g, backend="sim", **opts).outputs["o"]) == 124_554_051_584
+        wire = r"cannot encode integral payload value \d+ in slot 'f0' of message tag 0: "
+        with pytest.raises(ValueError, match=wire) as exc:
+            program.run(g, backend="columnar", **opts)
+        assert "\n" not in str(exc.value)
+        if mp_available():  # the worker's error, as its traceback's last line
+            with pytest.raises(RuntimeError, match="mp worker failed") as exc:
+                program.run(g, backend="mp", **opts)
+            assert re.match("ValueError: " + wire, str(exc.value).splitlines()[-1])
 
     def test_codec_names_tag_slot_and_value(self):
         schema = compile_algorithm("bipartite_matching").program.schema
@@ -3056,9 +3136,7 @@ class TestPartitionKernels:
             {"tag": 0, "ordered": False, "reason": "order-insensitive reduces"}
         ]
 
-    @pytest.mark.parametrize(
-        "opts", ({"use_combiners": True}, {"use_voting": True}), ids=("combiners", "voting")
-    )
+    @pytest.mark.parametrize("opts", ({"use_voting": True},), ids=("voting",))
     def test_compositions_that_observe_single_sends_stay_scalar(self, programs, graph, opts):
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2, **opts)
         mp, totals = run_counted(programs, graph, "pagerank", "mp", num_workers=2, **opts)
@@ -3067,12 +3145,13 @@ class TestPartitionKernels:
         assert totals["kernel_vertices"] == totals["bulk_records"] == 0
         assert totals["scalar_vertices"] > 0
 
-    @pytest.mark.parametrize("feature", ("tracer", "ft", "mem", "tcp"))
+    @pytest.mark.parametrize("feature", ("tracer", "ft", "mem", "tcp", "combiners"))
     def test_attachments_do_not_cost_the_kernels(self, programs, graph, feature, tmp_path):
         from repro.obs import Tracer
         from repro.pregel.mem import MemPlan, MemoryManager
 
         make = {
+            "combiners": lambda: {"use_combiners": True},
             "tracer": lambda: {"tracer": Tracer()},
             "ft": lambda: {"ft": FaultTolerance(FaultPlan(checkpoint_every=2))},
             "mem": lambda: {

@@ -50,10 +50,10 @@ class TestPythonBackend:
     def test_engines_of_one_program_keep_their_own_bindings(self, alg, backend, make_order):
         # two engines made from one CompiledProgram, run after both were
         # made: each reads its own broadcast map and columns (on columnar,
-        # combiners keep pagerank's phases scalar)
+        # voting keeps pagerank's phases scalar)
         program = compile_algorithm(alg, emit_java=False).program
         graphs = [load_graph("twitter", 0.05, seed) for seed in (1, 2)]
-        opts = dict(backend=backend, use_combiners=backend == "columnar")
+        opts = dict(backend=backend, use_voting=backend == "columnar")
         alone = [program.run(g, default_args(alg, g), **opts) for g in graphs]
         engines = {}
         for i in make_order:

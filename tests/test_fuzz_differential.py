@@ -14,7 +14,7 @@ reverse gather) — then asserts that the shared-memory interpreter and the
 compiled Pregel program agree on every output property and the returned
 scalar, and that the columnar backend (array kernels + bulk receivers
 wherever the vectorizer finds them eligible) is bit-identical to the
-simulator.  This sweeps interactions the hand-written tests cannot
+simulator, under sender combiners too when a tag is combinable.  This sweeps interactions the hand-written tests cannot
 enumerate.
 
 The generator only emits *race-free* parallel loops (Green-Marl leaves racy
@@ -39,6 +39,7 @@ from repro.graphgen import uniform_random
 from repro.interp import interpret
 from repro.lang.errors import GreenMarlError
 from repro.pregel.backend.mp import mp_available
+from repro.translate.combiner import infer_combiners
 from repro.translate.merge import phase_global_reads
 
 HEADER = (
@@ -361,21 +362,36 @@ def _compare(program: str, seed: int, *, mp: bool = False) -> None:
         with pytest.raises(OverflowError):
             compiled.program.run(graph, backend="columnar", use_voting=True)
         return
-    assert col.outputs == run.outputs, f"columnar outputs differ\n{program}"
-    assert col.result == run.result, f"columnar result differs\n{program}"
-    assert col.metrics.parity_key() == run.metrics.parity_key(), (
-        f"columnar parity_key differs\n{program}"
-    )
+    _assert_identical(run, col, "columnar", program)
+    # Sender combiners fold a combinable tag in the seal with the
+    # simulator's callables, array code running: the same run again.
+    combined = bool(infer_combiners(compiled.ir))
+    if combined:
+        _assert_identical(
+            compiled.program.run(graph, use_combiners=True),
+            compiled.program.run(graph, backend="columnar", use_combiners=True),
+            "columnar (combiners)",
+            program,
+        )
     if mp:
         # ... and the same array code over two real partitions: slabs
         # merged across processes, puts folded by the parent
-        sim2 = compiled.program.run(graph, num_workers=2)
-        forked = compiled.program.run(graph, backend="mp", num_workers=2)
-        assert forked.outputs == sim2.outputs, f"mp outputs differ\n{program}"
-        assert forked.result == sim2.result, f"mp result differs\n{program}"
-        assert forked.metrics.parity_key() == sim2.metrics.parity_key(), (
-            f"mp parity_key differs\n{program}"
-        )
+        for use_combiners in (False, True) if combined else (False,):
+            opts = dict(num_workers=2, use_combiners=use_combiners)
+            _assert_identical(
+                compiled.program.run(graph, **opts),
+                compiled.program.run(graph, backend="mp", **opts),
+                "mp (combiners)" if use_combiners else "mp",
+                program,
+            )
+
+
+def _assert_identical(oracle, other, what: str, program: str) -> None:
+    assert other.outputs == oracle.outputs, f"{what} outputs differ\n{program}"
+    assert other.result == oracle.result, f"{what} result differs\n{program}"
+    assert other.metrics.parity_key() == oracle.metrics.parity_key(), (
+        f"{what} parity_key differs\n{program}"
+    )
 
 
 def _close(a, b, tol=1e-9) -> bool:
@@ -420,6 +436,9 @@ def test_generator_yields_mostly_compilable_programs():
 def test_fixed_regression_seeds():
     """A few pinned seeds stay green even if hypothesis explores elsewhere."""
     general = ((1, 4), (99, 6), (12345, 5), (777, 3), (31337, 6))
+    # combinable tags: SUM and MAX beside a plain tag, MIN among six tags,
+    # SUM beside MIN (31337 folds a SUM, relaxation 7 a MAX)
+    combinable = ((0, 4), (10, 4), (54, 4))
     # relaxations (seed % 8 == 7): no flag, the improve flag under max= and
     # min=, and its loose / mismatched / swapped / opposite variants
     relaxations = tuple((seed, 4) for seed in (7, 23, 31, 39, 47, 55, 63, 127))
@@ -427,7 +446,7 @@ def test_fixed_regression_seeds():
     # up-neighbour sum, both sweeps all as array code (Int, Double), and with
     # a down-neighbour term or cast the bulk receivers refuse
     traversals = tuple((seed, 4) for seed in (13, 77, 21, 29, 5, 197))
-    for seed, size in general + relaxations + traversals:
+    for seed, size in general + combinable + relaxations + traversals:
         program = generate(seed, size)
         try:
             compile_source(program, emit_java=False)

@@ -434,10 +434,12 @@ class TestVectorizeTelemetry:
         assert by_phase[3]["ordered_merge"] == [
             {"tag": 0, "ordered": True, "reason": "last writer of suitor"}
         ]
-        # combiners observe single sends: decisions are still reported, but
-        # nothing engages
-        run, by_phase = decisions("pagerank", use_combiners=True)
+        # votes observe single sends: decisions are still reported, but
+        # nothing engages; combiners fold in the seal and keep the array code
+        run, by_phase = decisions("pagerank", use_voting=True)
         assert by_phase[4]["kernel"] and run.metrics.vectorized_phases == []
+        run, _by_phase = decisions("pagerank", use_combiners=True)
+        assert run.metrics.vectorized_phases == ["phase0", "phase4"]
 
     def test_sim_trace_has_no_decisions(self, graph):
         from repro.obs import Tracer
