@@ -46,8 +46,8 @@ def main() -> None:
     banner("5. Generated GPS Java (§4.3 boilerplate included)")
     print(compiled.java_source)
 
-    banner("6. Executable Python vertex program (what the simulator runs)")
-    print(compiled.program.vertex_source)
+    banner("6. Executable Python module: vertex loops and master (what the simulator runs)")
+    print(compiled.program.source)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``compile FILE.gm`` — run the full pipeline; ``--emit`` selects the
   artifact to print (java, canonical Green-Marl, the state machine, or the
-  executable Python vertex program);
+  executable Python module: vertex loops and master);
 * ``run FILE.gm`` — compile and execute on a generated graph, printing
   outputs and run metrics; ``--trace``/``--trace-chrome`` export the event
   log, ``--metrics-json`` dumps the complete metrics ledger;
@@ -106,7 +106,7 @@ def _cmd_compile(ns: argparse.Namespace) -> int:
         print()
         print("applied rules:", ", ".join(sorted(result.rules.applied)))
     elif ns.emit == "python":
-        print(result.program.vertex_source)
+        print(result.program.source)
     return 0
 
 

@@ -1,22 +1,24 @@
-"""Executable backend: Pregel IR → Python code running on the simulator.
+"""Executable backend: Pregel IR → Python source running on the simulator.
 
 This plays the role of the paper's Java code generation, but targets our
-GPS simulator so the generated programs can actually execute:
+GPS simulator so the generated programs can actually execute.  Both sides
+are printed as one Python module, compiled once per program and executed
+once per engine in a namespace holding that engine's graph CSR arrays,
+vertex-field columns and broadcast map:
 
-* the **vertex side** is generated as Python source: per vertex phase, one
-  loop over the active vertices the engine hands it, compiled once and
-  executed per engine in a namespace holding that engine's graph CSR
-  arrays, vertex-field columns and broadcast map.  Where GPS's generated
-  ``compute()`` switches on the master-broadcast state per vertex, the
-  engine here picks the current state's loop once per superstep, and the
-  loop reads the broadcast values its phase uses once — so the per-vertex
-  cost is the phase body alone, and generated programs run in the same
-  speed class as hand-written Pregel programs, keeping Figure 6's
-  normalized comparison meaningful;
-* the **master side** interprets the IR instruction stream: each superstep it
-  executes master instructions until an :class:`MVPhase` (broadcasting the
-  state number and the global scalars, like the generated GPS master does)
-  or an :class:`MHalt`.
+* the **vertex side** is, per vertex phase, one loop over the active
+  vertices the engine hands it.  Where GPS's generated ``compute()``
+  switches on the master-broadcast state per vertex, the engine here picks
+  the current state's loop once per superstep, and the loop reads the
+  broadcast values its phase uses once — so the per-vertex cost is the
+  phase body alone, and generated programs run in the same speed class as
+  hand-written Pregel programs, keeping Figure 6's normalized comparison
+  meaningful;
+* the **master side** is the §3.1 state machine, ``MASTER_STEP(ctx, M,
+  pc)``, as ``java.py`` prints it for GPS: one block per resume point,
+  keyed by instruction index.  Each superstep it runs from ``pc`` until an
+  :class:`MVPhase` (broadcasting the state number and the global scalars)
+  or an :class:`MHalt`; :class:`GeneratedMaster` only holds its state.
 
 ``CompiledProgram.run(graph, args)`` wires everything to a
 :class:`~repro.pregel.runtime.PregelEngine` and returns outputs + metrics.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 from dataclasses import dataclass, field
 
 from ..lang.ast import BinOp, UnOp
@@ -104,13 +107,19 @@ def gm_div(a, b):
 # ---------------------------------------------------------------------------
 
 
-def expr_py(e: VExpr) -> str:
+def expr_py(e: VExpr, ctx: str = "vertex") -> str:
+    """Render an IR expression; ``ctx`` is 'vertex' or 'master', as for
+    ``jexpr``: on the master a field is ``M[name]``."""
     if isinstance(e, Lit):
+        if isinstance(e.value, float) and math.isinf(e.value):
+            return "-INF" if e.value < 0 else "INF"
         return repr(e.value)
     if isinstance(e, Inf):
         return "-INF" if e.negative else "INF"
     if isinstance(e, Nil):
         return "NIL"
+    if ctx == "master" and isinstance(e, (Field, GlobalGet)):
+        return f"M[{e.name!r}]"
     if isinstance(e, Local):
         return f"L_{e.name}"
     if isinstance(e, Field):
@@ -123,22 +132,25 @@ def expr_py(e: VExpr) -> str:
         return "vid"
     if isinstance(e, Bin):
         if e.op is BinOp.DIV:
-            return f"gm_div({expr_py(e.lhs)}, {expr_py(e.rhs)})"
-        return f"({expr_py(e.lhs)} {_BIN_PY[e.op]} {expr_py(e.rhs)})"
+            return f"gm_div({expr_py(e.lhs, ctx)}, {expr_py(e.rhs, ctx)})"
+        return f"({expr_py(e.lhs, ctx)} {_BIN_PY[e.op]} {expr_py(e.rhs, ctx)})"
     if isinstance(e, Un):
         if e.op is UnOp.NEG:
-            return f"(-{expr_py(e.operand)})"
+            return f"(-{expr_py(e.operand, ctx)})"
         if e.op is UnOp.NOT:
-            return f"(not {expr_py(e.operand)})"
-        return f"abs({expr_py(e.operand)})"
+            return f"(not {expr_py(e.operand, ctx)})"
+        return f"abs({expr_py(e.operand, ctx)})"
     if isinstance(e, Cond):
-        return f"({expr_py(e.then)} if {expr_py(e.cond)} else {expr_py(e.other)})"
+        return (
+            f"({expr_py(e.then, ctx)} if {expr_py(e.cond, ctx)}"
+            f" else {expr_py(e.other, ctx)})"
+        )
     if isinstance(e, CastTo):
         if isinstance(e.to_type, ty.PrimType) and e.to_type.is_integral():
-            return f"int({expr_py(e.operand)})"
+            return f"int({expr_py(e.operand, ctx)})"
         if isinstance(e.to_type, ty.PrimType) and e.to_type.prim is ty.Prim.BOOL:
-            return f"bool({expr_py(e.operand)})"
-        return f"float({expr_py(e.operand)})"
+            return f"bool({expr_py(e.operand, ctx)})"
+        return f"float({expr_py(e.operand, ctx)})"
     if isinstance(e, Call):
         if e.name == "out_degree":
             return "(OUT_OFF[vid + 1] - OUT_OFF[vid])"
@@ -150,7 +162,9 @@ def expr_py(e: VExpr) -> str:
             return "NUM_EDGES"
         if e.name == "edge_prop":
             return f"EP_{e.args[0]}[_ei]"
-        raise ValueError(f"unknown builtin '{e.name}' in vertex context")
+        if e.name == "pick_random" and ctx == "master":
+            return "ctx.pick_random_node()"
+        raise ValueError(f"unknown builtin '{e.name}' in {ctx} context")
     raise ValueError(f"cannot generate code for {type(e).__name__}")
 
 
@@ -334,78 +348,104 @@ def _emit_phase_loop(out: _Emitter, phase) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Master interpreter
+# Master source
 # ---------------------------------------------------------------------------
 
 _MAX_MASTER_OPS = 10_000_000
 
 
-class GeneratedMaster:
-    """Interprets the IR master instruction stream, one superstep at a time."""
+def generate_master_source(ir: PregelIR) -> str:
+    """Python source of the generated master, ``MASTER_STEP(ctx, M, pc)``.
 
-    def __init__(self, ir: PregelIR, init_fields: dict):
-        self.ir = ir
-        self.fields: dict = {}
-        for name, t in ir.master_fields.items():
-            self.fields[name] = ty.default_value(t)
-        self.fields.update(init_fields)
-        self._pc = 0
-        self._labels = {
-            instr.label: idx
-            for idx, instr in enumerate(ir.master_code)
-            if isinstance(instr, MLabel)
-        }
+    ``M`` is the master fields, ``pc`` the instruction index to resume at:
+    the start, a label, or the instruction after a vertex phase — one block
+    each.  A call runs blocks until one yields a vertex phase, broadcasting
+    ``_state`` and then every field of ``M``, and returns the index to
+    resume at next superstep; or until it halts the engine, and returns
+    ``None``.  At most ``_MAX_MASTER_OPS`` blocks run per call.
+    """
+    code = ir.master_code
+    labels = {i.label: idx for idx, i in enumerate(code) if isinstance(i, MLabel)}
+    starts = {0, *labels.values()}
+    starts.update(idx + 1 for idx, i in enumerate(code) if isinstance(i, MVPhase))
+    out = _Emitter()
+    out.line(f"# Generated Pregel master for '{ir.name}'.")
+    out.line("")
+    out.line("def MASTER_STEP(ctx, M, pc):")
+    out.indent()
+    out.line(f"for _ in range({_MAX_MASTER_OPS}):")
+    out.indent()
+    for start in sorted(starts):
+        out.line(f"{'if' if start == 0 else 'elif'} pc == {start}:")
+        out.indent()
+        idx = start
+        while _emit_master_instr(out, code, idx, labels):
+            idx += 1
+            if idx in starts:
+                out.line(f"pc = {idx}")
+                break
+        out.dedent()
+    out.dedent()
+    out.line('raise RuntimeError("master did not yield a vertex phase (infinite loop?)")')
+    return out.text()
+
+
+def _emit_master_instr(out: _Emitter, code: list, idx: int, labels: dict) -> bool:
+    """Print instruction ``idx``; False when control leaves the block."""
+    instr = code[idx] if idx < len(code) else MHalt()  # falling off the end
+    if isinstance(instr, MHalt):
+        result = instr.result
+        out.line(f"ctx.halt({expr_py(result, 'master') if result is not None else ''})")
+        out.line("return None")
+        return False
+    if isinstance(instr, MAssign):
+        out.line(f"M[{instr.name!r}] = {expr_py(instr.expr, 'master')}")
+    elif isinstance(instr, MFinalize):
+        name = repr(instr.name)
+        out.line(f"if ctx.globals.has_aggregated({name}):")
+        out.line(f"    M[{name}] = combine(OP_{instr.op.name}, M[{name}], ctx.get_agg({name}))")
+    elif isinstance(instr, MLabel):
+        out.line(f"# {instr.label}:")
+    elif isinstance(instr, MJump):
+        out.line(f"pc = {labels[instr.label]}  # {instr.label}")
+        return False
+    elif isinstance(instr, MBranch):
+        cond = expr_py(instr.cond, "master")
+        out.line(f"pc = {labels[instr.on_true]} if {cond} else {labels[instr.on_false]}")
+        return False
+    elif isinstance(instr, MVPhase):
+        out.line(f"ctx.put_broadcast('_state', {instr.phase})")
+        out.line("for _name, _value in M.items():")
+        out.line("    ctx.put_broadcast(_name, _value)")
+        out.line(f"return {idx + 1}")
+        return False
+    else:
+        raise ValueError(f"unknown master instruction {type(instr).__name__}")
+    return True
+
+
+class GeneratedMaster:
+    """The master's state: its fields, the instruction index ``pc`` to
+    resume at, and whether it halted.  ``compute`` runs the generated
+    ``MASTER_STEP`` once per superstep."""
+
+    def __init__(self, step, fields: dict):
+        self.step = step
+        self.fields = fields
+        self.pc = 0
         self.halted = False
 
     def compute(self, ctx: PregelEngine) -> None:
-        code = self.ir.master_code
-        fields = self.fields
-        ops = 0
-        while True:
-            ops += 1
-            if ops > _MAX_MASTER_OPS:
-                raise RuntimeError("master did not yield a vertex phase (infinite loop?)")
-            if self._pc >= len(code):
-                ctx.halt()
-                self.halted = True
-                return
-            instr = code[self._pc]
-            if isinstance(instr, MAssign):
-                fields[instr.name] = self._eval(instr.expr, ctx)
-            elif isinstance(instr, MFinalize):
-                if ctx.globals.has_aggregated(instr.name):
-                    fields[instr.name] = combine(
-                        instr.op, fields[instr.name], ctx.get_agg(instr.name)
-                    )
-            elif isinstance(instr, MLabel):
-                pass
-            elif isinstance(instr, MJump):
-                self._pc = self._labels[instr.label]
-                continue
-            elif isinstance(instr, MBranch):
-                target = instr.on_true if self._eval(instr.cond, ctx) else instr.on_false
-                self._pc = self._labels[target]
-                continue
-            elif isinstance(instr, MVPhase):
-                ctx.put_broadcast("_state", instr.phase)
-                for name, value in fields.items():
-                    ctx.put_broadcast(name, value)
-                self._pc += 1
-                return
-            elif isinstance(instr, MHalt):
-                result = self._eval(instr.result, ctx) if instr.result is not None else None
-                ctx.halt()
-                ctx.set_result(result)
-                self.halted = True
-                return
-            else:
-                raise ValueError(f"unknown master instruction {type(instr).__name__}")
-            self._pc += 1
+        pc = self.step(ctx, self.fields, self.pc)
+        if pc is None:
+            self.halted = True
+        else:
+            self.pc = pc
 
     # -- fault tolerance (Checkpointable) -------------------------------
 
     def checkpoint_state(self) -> dict:
-        return {"fields": dict(self.fields), "pc": self._pc, "halted": self.halted}
+        return {"fields": dict(self.fields), "pc": self.pc, "halted": self.halted}
 
     def restore_state(self, state: dict, vertices=None) -> None:
         if vertices is not None:
@@ -414,80 +454,8 @@ class GeneratedMaster:
             return
         self.fields.clear()
         self.fields.update(state["fields"])
-        self._pc = state["pc"]
+        self.pc = state["pc"]
         self.halted = state["halted"]
-
-    def _eval(self, e: VExpr, ctx: PregelEngine):
-        if isinstance(e, Lit):
-            return e.value
-        if isinstance(e, Inf):
-            return -INF_VALUE if e.negative else INF_VALUE
-        if isinstance(e, Nil):
-            return NIL_NODE
-        if isinstance(e, Field):
-            return self.fields[e.name]
-        if isinstance(e, GlobalGet):
-            return self.fields[e.name]
-        if isinstance(e, Bin):
-            if e.op is BinOp.AND:
-                return self._eval(e.lhs, ctx) and self._eval(e.rhs, ctx)
-            if e.op is BinOp.OR:
-                return self._eval(e.lhs, ctx) or self._eval(e.rhs, ctx)
-            a, b = self._eval(e.lhs, ctx), self._eval(e.rhs, ctx)
-            return _eval_bin(e.op, a, b)
-        if isinstance(e, Un):
-            v = self._eval(e.operand, ctx)
-            if e.op is UnOp.NEG:
-                return -v
-            if e.op is UnOp.NOT:
-                return not v
-            return abs(v)
-        if isinstance(e, Cond):
-            return (
-                self._eval(e.then, ctx)
-                if self._eval(e.cond, ctx)
-                else self._eval(e.other, ctx)
-            )
-        if isinstance(e, CastTo):
-            v = self._eval(e.operand, ctx)
-            if isinstance(e.to_type, ty.PrimType) and e.to_type.is_integral():
-                return int(v)
-            if isinstance(e.to_type, ty.PrimType) and e.to_type.prim is ty.Prim.BOOL:
-                return bool(v)
-            return float(v)
-        if isinstance(e, Call):
-            if e.name == "num_nodes":
-                return ctx.graph.num_nodes
-            if e.name == "num_edges":
-                return ctx.graph.num_edges
-            if e.name == "pick_random":
-                return ctx.pick_random_node()
-            raise ValueError(f"unknown builtin '{e.name}' in master context")
-        raise ValueError(f"cannot evaluate {type(e).__name__} on the master")
-
-
-def _eval_bin(op: BinOp, a, b):
-    if op is BinOp.ADD:
-        return a + b
-    if op is BinOp.SUB:
-        return a - b
-    if op is BinOp.MUL:
-        return a * b
-    if op is BinOp.DIV:
-        return gm_div(a, b)
-    if op is BinOp.MOD:
-        return a % b
-    if op is BinOp.EQ:
-        return a == b
-    if op is BinOp.NEQ:
-        return a != b
-    if op is BinOp.LT:
-        return a < b
-    if op is BinOp.GT:
-        return a > b
-    if op is BinOp.LE:
-        return a <= b
-    return a >= b
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +477,18 @@ class CompiledProgram:
     def __init__(self, ir: PregelIR):
         self.ir = ir
         self.vertex_source = generate_vertex_source(ir)
-        self._code = compile(self.vertex_source, f"<generated:{ir.name}>", "exec")
+        self.master_source = generate_master_source(ir)
+        self._code = compile(self.source, f"<generated:{ir.name}>", "exec")
         # Derived here — after the optimizer has finished mutating phases
         # and message layouts — so the typed storage/wire schema can never
         # go stale relative to the message classes it describes (§4.3).
         self.schema = derive_schema(ir)
         ir.schema = self.schema
+
+    @property
+    def source(self) -> str:
+        """The whole generated module: the vertex loops, then the master."""
+        return f"{self.vertex_source}\n\n{self.master_source}"
 
     # -- wiring ---------------------------------------------------------
 
@@ -531,13 +505,14 @@ class CompiledProgram:
             elif name in graph.node_props:
                 fields[name] = list(graph.node_props[name])
             else:
-                fields[name] = [_field_default(elem)] * graph.num_nodes
+                fields[name] = [ty.default_value(elem)] * graph.num_nodes
         if self.ir.needs_in_nbrs:
             fields["_in_nbrs"] = [[] for _ in range(graph.num_nodes)]
         return fields
 
-    def _scalar_args(self, args: dict, num_nodes: int) -> dict:
-        init = {}
+    def _master_fields(self, args: dict, num_nodes: int) -> dict:
+        """The master's ``M``: field defaults, then the scalar arguments."""
+        init = {name: ty.default_value(t) for name, t in self.ir.master_fields.items()}
         for param in self.ir.params:
             if param.gm_type.is_graph() or param.gm_type.is_property():
                 continue
@@ -595,13 +570,12 @@ class CompiledProgram:
         fields = backend_impl.build_columns(
             self.schema, graph, self._build_fields(graph, args), args
         )
-        master = GeneratedMaster(self.ir, self._scalar_args(args, graph.num_nodes))
-
         env: dict = {
             "B": None,  # patched below (needs the engine's broadcast dict)
             "INF": INF_VALUE,
             "NIL": NIL_NODE,
             "gm_div": gm_div,
+            "combine": combine,
             "NUM_NODES": graph.num_nodes,
             "NUM_EDGES": graph.num_edges,
             "OUT_OFF": graph.out_offsets,
@@ -620,6 +594,12 @@ class CompiledProgram:
         # shared-memory segment) actually carries, and mem budgets stay
         # meaningful.
         sizes = {tag: self.schema.message_size(tag) for tag in self.schema.tags}
+        # One namespace per engine: two engines of this program never share
+        # a binding.
+        exec(self._code, env)
+        master = GeneratedMaster(
+            env["MASTER_STEP"], self._master_fields(args, graph.num_nodes)
+        )
 
         def message_size(msg: tuple) -> int:
             return sizes[msg[0]]
@@ -632,9 +612,6 @@ class CompiledProgram:
             engine_opts=engine_opts,
         )
         env["B"] = engine.globals.broadcast
-        # One namespace per engine: two engines of this program never share
-        # a binding.
-        exec(self._code, env)
         engine._vertex_compute = env["PHASE_LOOPS"]
         if hasattr(engine, "_columns"):
             # The mp backend's parent process scatters the workers'
@@ -658,7 +635,7 @@ class CompiledProgram:
                     tracer.event("compile.vectorize", cat="compile", info=decision)
         if getattr(engine, "ft", None) is not None:
             # Checkpoints must cover everything a worker crash can destroy:
-            # the vertex property columns and the master's interpreter state.
+            # the vertex property columns and the master's state.
             from ..pregel.ft import ColumnState
 
             engine.ft.register(ColumnState(fields))
@@ -685,8 +662,3 @@ class CompiledProgram:
             if p.is_output and p.name in fields
         }
         return RunResult(metrics, outputs, metrics.result, fields)
-
-
-def _field_default(elem: ty.Type):
-    value = ty.default_value(elem)
-    return value

@@ -19,6 +19,7 @@ plausible and structurally faithful rather than compiled.
 from __future__ import annotations
 
 import io
+import math
 
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
@@ -145,6 +146,8 @@ def jexpr(e, *, ctx: str, msgp: str = "m.f") -> str:
     if isinstance(e, Lit):
         if isinstance(e.value, bool):
             return "true" if e.value else "false"
+        if isinstance(e.value, float) and math.isinf(e.value):
+            return "-INF" if e.value < 0 else "INF"
         return repr(e.value)
     if isinstance(e, Inf):
         return "-INF" if e.negative else "INF"

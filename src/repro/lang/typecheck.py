@@ -16,6 +16,7 @@ and is simply re-run after every pass (programs are a few dozen statements).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import types as ty
@@ -55,6 +56,11 @@ from .ast import (
 )
 from .errors import Span, TypeCheckError
 from .symbols import Scope, Symbol, SymbolKind
+
+#: Names the generated program keeps for itself: the broadcast state number,
+#: the in-neighbour rows and the intra-loop merge flags.  A user variable of
+#: one of these names would share its slot.
+_RESERVED = re.compile(r"_state|_in_nbrs|_is_first_\d+")
 
 #: Built-in method signatures: (receiver kind, name) -> (arg types, result).
 _GRAPH_METHODS: dict[str, tuple[list[ty.Type], ty.Type]] = {
@@ -120,6 +126,10 @@ class TypeChecker:
 
     def _register(self, symbol: Symbol) -> None:
         assert self._result is not None
+        if _RESERVED.fullmatch(symbol.name):
+            raise TypeCheckError(
+                f"'{symbol.name}' is reserved by the generated program", symbol.decl.span
+            )
         if symbol.type.is_property():
             self._result.properties[symbol.name] = symbol
         elif symbol.is_scalar() and not symbol.type.is_graph():

@@ -406,9 +406,6 @@ def _phase_after_label(ir: PregelIR, label: str) -> VertexPhase | None:
     return None
 
 
-_FLAG_SEQ = [0]
-
-
 def _apply_intra_loop(ir: PregelIR, loop: _LoopShape) -> None:
     code = ir.master_code
     body = code[loop.body_start : loop.body_end]
@@ -420,8 +417,10 @@ def _apply_intra_loop(ir: PregelIR, loop: _LoopShape) -> None:
     first = ir.phases[body[first_idx].phase]  # type: ignore[union-attr]
     last = ir.phases[body[last_idx].phase]  # type: ignore[union-attr]
 
-    _FLAG_SEQ[0] += 1
-    flag = f"_is_first_{_FLAG_SEQ[0]}"
+    # Numbered per program, so a compilation's output is the same in every
+    # process (the type checker keeps user names off this shape).
+    seq = 1 + sum(name.startswith("_is_first_") for name in ir.master_fields)
+    flag = f"_is_first_{seq}"
     ir.master_fields[flag] = ty.BOOL
 
     # Build the merged phase: last-of-iteration-i parts (guarded by !flag),
@@ -438,7 +437,7 @@ def _apply_intra_loop(ir: PregelIR, loop: _LoopShape) -> None:
     del ir.phases[first.phase_id]
     del ir.phases[last.phase_id]
 
-    suffix = f"il{_FLAG_SEQ[0]}"
+    suffix = f"il{seq}"
     l_head = f"ilm_head_{suffix}"
     l_first = f"ilm_first_{suffix}"
     l_rest = f"ilm_rest_{suffix}"

@@ -27,7 +27,9 @@ class TestCompileCommand:
 
     def test_emit_python(self, capsys):
         assert main(["compile", gm("bc_approx"), "--emit", "python"]) == 0
-        assert "PHASE_LOOPS = {" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PHASE_LOOPS = {" in out
+        assert "def MASTER_STEP(ctx, M, pc):" in out
 
     def test_optimization_flags(self, capsys):
         main(["compile", gm("pagerank"), "--emit", "states"])

@@ -1,18 +1,23 @@
 """String-level tests for the executable backend: expression rendering,
-statement emission, and the master-instruction interpreter in isolation."""
+statement emission, and the generated master in isolation."""
+
+import re
 
 import pytest
 
 from repro.codegen.executable import (
-    GeneratedMaster,
+    CompiledProgram,
     _Emitter,
     emit_stmt,
     expr_py,
     gm_div,
 )
+from repro.compiler import compile_source
+from repro.interp import interpret
 from repro.lang.ast import BinOp, UnOp
 from repro.lang import types as ty
 from repro.pregel import Graph, PregelEngine
+from repro.pregel.backend.mp import mp_available
 from repro.pregel.globalmap import GlobalOp
 from repro.pregelir.ir import (
     Bin,
@@ -51,6 +56,9 @@ class TestExprPy:
         assert expr_py(Lit(True)) == "True"
         assert expr_py(Inf()) == "INF"
         assert expr_py(Inf(negative=True)) == "-INF"
+        # 1e400 lexes to inf: ``repr`` would print a bare ``inf``
+        assert expr_py(Lit(float("inf"))) == "INF"
+        assert expr_py(Lit(float("-inf"))) == "-INF"
         assert expr_py(Nil()) == "NIL"
         assert expr_py(Local("v")) == "L_v"
         assert expr_py(Field("dist")) == "F_dist[vid]"
@@ -84,6 +92,34 @@ class TestExprPy:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             expr_py(Call("bogus"))
+        with pytest.raises(ValueError):
+            expr_py(Call("pick_random"))  # the master's alone
+
+    def test_master_context(self):
+        assert expr_py(Field("x"), "master") == "M['x']"
+        assert expr_py(GlobalGet("x"), "master") == "M['x']"
+        assert expr_py(Call("pick_random"), "master") == "ctx.pick_random_node()"
+        e = Bin(BinOp.DIV, Field("x"), Call("num_nodes"))
+        assert expr_py(e, "master") == "gm_div(M['x'], NUM_NODES)"
+
+
+#: ``1e400`` in a vertex loop and in the master.
+_NON_FINITE = (
+    "Procedure p(G: Graph; o: N_P<Double>) { Foreach (n: G.Nodes) { n.o = 1e400; } }",
+    "Procedure p(G: Graph): Double { Double d = 1e400; Return d; }",
+)
+
+
+@pytest.mark.parametrize("source", _NON_FINITE, ids=["vertex", "master"])
+def test_non_finite_literal_runs_as_interpreted(source):
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    want = interpret(source, graph)
+    compiled = compile_source(source)
+    assert not re.search(r"\binf\b", compiled.java_source)
+    backends = ["sim", "columnar"] + (["mp"] if mp_available() else [])
+    for backend in backends:
+        run = compiled.program.run(graph, backend=backend, num_workers=2)
+        assert run.outputs == want.outputs and run.result == want.result, backend
 
 
 class TestEmitStmt:
@@ -155,9 +191,14 @@ def _tiny_ir(master_code) -> PregelIR:
     )
 
 
+def _master(code):
+    """The master of a one-phase program, built as ``make_engine`` builds it."""
+    _, _, master = CompiledProgram(_tiny_ir(code)).make_engine(Graph.from_edges(1, []))
+    return master
+
+
 def _run_master(code, supersteps=10):
-    ir = _tiny_ir(code)
-    master = GeneratedMaster(ir, {})
+    master = _master(code)
     graph = Graph.from_edges(1, [])
     engine = PregelEngine(graph, lambda c, v, m: None, master.compute)
     metrics = engine.run()
@@ -210,8 +251,7 @@ class TestGeneratedMaster:
 
     def test_runaway_master_detected(self):
         code = [MLabel("spin"), MJump("spin")]
-        ir = _tiny_ir(code)
-        master = GeneratedMaster(ir, {})
+        master = _master(code)
         graph = Graph.from_edges(1, [])
         engine = PregelEngine(graph, lambda c, v, m: None, master.compute)
         with pytest.raises(RuntimeError, match="did not yield"):
@@ -219,8 +259,7 @@ class TestGeneratedMaster:
 
     def test_broadcasts_state_and_fields(self):
         code = [MAssign("x", Lit(9)), MVPhase(0), MHalt(None)]
-        ir = _tiny_ir(code)
-        master = GeneratedMaster(ir, {})
+        master = _master(code)
         graph = Graph.from_edges(1, [])
         seen = {}
 

@@ -10,8 +10,10 @@ improve flag whose comparison may or may not be the one the vectorizer
 accepts) and a BFS traversal in bc's shape (``InBFS`` from a random root
 with an up-neighbour reduction, optionally ``InReverse`` with a
 down-neighbour one: the discover loop, the in-neighbour build and the
-reverse gather) — then asserts that the shared-memory interpreter and the
-compiled Pregel program agree on every output property and the returned
+reverse gather), and one seed in sixteen master code (a ``Do … While`` on
+a reduced scalar around a scalar ``If``/``Else``, a ternary, Int ``/`` and
+``%`` on negatives, casts) — then asserts that the shared-memory
+interpreter and the compiled Pregel program agree on every output property and the returned
 scalar, and that the columnar backend (array kernels + bulk receivers
 wherever the vectorizer finds them eligible) is bit-identical to the
 simulator, under sender combiners too when a tag is combinable.  This sweeps interactions the hand-written tests cannot
@@ -303,6 +305,37 @@ class ProgramBuilder:
         lines += ["  Return 0.0;", "}"]
         return "\n".join(lines)
 
+    def sequential(self) -> str:
+        """Master code with the knobs turned: a ``Do … While`` whose
+        condition reads the scalar its vertex loop reduced, a scalar
+        ``If``/``Else``, a ternary, ``&&`` and ``||``, Int ``/`` and ``%``
+        on negatives, both casts and ``G.NumNodes()`` — the state machine
+        the master runs, checked by the same oracles as any program."""
+        rng = self.rng
+        join = rng.choice(("&&", "||"))
+        div = rng.choice(("3", "-3", "(k + 2)", "-(k + 2)"))
+        mod = rng.choice(("4", "-4", "(k + 3)", "-(k + 3)"))
+        write = rng.choice(("n.a + m", "m % 5", f"(Int) (n.x * {rng.randint(1, 3)}.5) + k"))
+        lines = [
+            HEADER,
+            f"  Int m = {rng.randint(1, 9)} - G.NumNodes(); Int s = 0; Int k = 0;",
+            f"  Double w = {rng.randint(0, 3)}.5;",
+            "  Do {",
+            "    s = 0;",
+            f"    Foreach (n: G.Nodes)[{self.bool_expr('n', STABLE_INT)}] {{",
+            f"      s += {self.int_expr('n', STABLE_INT, 1)}; n.oa = {write};",
+            "    }",
+            f"    If (s % 2 == 0 {join} m < 0) {{ m = m / {div}; }} Else {{ m = m % {mod} - s; }}",
+            f"    w = w + (Double) m / {rng.randint(2, 5)}.0 + (s > {rng.randint(0, 20)} ? 1.5 : -0.5);",
+            "    k++;",
+            f"  }} While (k < {rng.randint(1, 4)} && (s > {rng.randint(0, 30)} "
+            f"|| (Int) w < {rng.randint(-5, 5)}));",
+            "  Foreach (n: G.Nodes) { n.ox = w + (Double) (n.a % 3); }",
+            "  Return w;",
+            "}",
+        ]
+        return "\n".join(lines)
+
     def build(self) -> str:
         lines = [HEADER]
         for _ in range(self.size):
@@ -319,8 +352,10 @@ class ProgramBuilder:
 def generate(seed: int, size: int) -> str:
     """The program of one seed.  Which production a seed gets depends on the
     seed alone, so the general programs' text is stable under changes to
-    the relaxation and BFS productions and vice versa."""
+    the relaxation, BFS and master productions and vice versa."""
     builder = ProgramBuilder(seed, size)
+    if seed % 16 == 11:
+        return builder.sequential()
     special = {7: builder.relaxation, 5: builder.bfs}
     return special.get(seed % 8, builder.build)()
 
@@ -446,7 +481,10 @@ def test_fixed_regression_seeds():
     # up-neighbour sum, both sweeps all as array code (Int, Double), and with
     # a down-neighbour term or cast the bulk receivers refuse
     traversals = tuple((seed, 4) for seed in (13, 77, 21, 29, 5, 197))
-    for seed, size in general + combinable + relaxations + traversals:
+    # master code (seed % 16 == 11): `||` with divisors (k + 2) / (k + 3),
+    # `&&` with -3 / -4, and `||` dividing by -(k + 2); 3–5 supersteps each
+    masters = tuple((seed, 4) for seed in (27, 91, 171))
+    for seed, size in general + combinable + relaxations + traversals + masters:
         program = generate(seed, size)
         try:
             compile_source(program, emit_java=False)

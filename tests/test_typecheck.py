@@ -79,6 +79,16 @@ class TestRejected:
     def test_redeclaration(self):
         expect_error("Int x = 0; Int x = 1;", "redeclaration")
 
+    def test_reserved_state_number(self):
+        expect_error("Int _state = 7;", "'_state' is reserved")
+
+    def test_reserved_in_neighbour_rows(self):
+        expect_error("", "'_in_nbrs' is reserved", params="G: Graph; _in_nbrs: N_P<Int>")
+
+    def test_reserved_merge_flag(self):
+        expect_error("Int _is_first_1 = 5;", "'_is_first_1' is reserved")
+        check_body("Int _is_first = 5; Int _gm_r1 = 0;")  # only the generated shapes
+
     def test_duplicate_parameter(self):
         with pytest.raises(TypeCheckError):
             check("Procedure p(G: Graph, a: Int, a: Int) { }")
