@@ -264,6 +264,10 @@ def _execute_traced(
     transport = _build_transport(ns)
     supervisor = _build_supervisor(ns)
     mem = _build_mem(ns)
+    if ns.backend == "columnar" and mem is not None and mem.limited:
+        from .pregel.backend.columnar import MEM_REFUSAL
+
+        raise _die(MEM_REFUSAL)
     tracer = None
     if force_trace or ns.trace or ns.trace_chrome:
         from .obs import Tracer

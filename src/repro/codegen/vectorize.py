@@ -111,6 +111,8 @@ import operator
 from array import array
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
+import numpy as _np
+
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
 from ..pregel.backend.codec import slot_range, wire_integral_error, wire_range_error
@@ -146,10 +148,6 @@ from ..pregelir.ir import (
     walk_stmts,
 )
 
-try:  # numpy is optional for the simulator; required for vectorization
-    import numpy as _np
-except ImportError:  # pragma: no cover - baked into the container
-    _np = None
 
 __all__ = ["build_array_code"]
 
@@ -1358,7 +1356,6 @@ def build_array_code(
     live broadcast dict is read at call time: a columnar engine — on mp, a
     worker's fork of one, which calls its kernels with its partition as
     the selection.
-    Both maps are empty when numpy or the schema is unavailable.
 
     When ``decisions`` is a list, one record per phase is appended:
     ``{"phase", "eligible", "reason", "ops", "tags", "ordered_merge",
@@ -1368,19 +1365,11 @@ def build_array_code(
     receivers: Dict[Tuple[int, int], Callable] = {}
     kernels: Dict[int, Callable] = {}
     shared: dict = {}
-    unavailable = None
-    if _np is None:
-        unavailable = "numpy unavailable"
-    elif schema is None:
-        unavailable = "no message schema"
     for phase in ir.phases.values():
-        if unavailable is not None:
-            built, reason, kernel, kernel_reason = None, unavailable, None, unavailable
-        else:
-            built, reason = _build_receivers(phase, schema.tags, columns, engine, shared)
-            kernel, kernel_reason = _build_kernel(
-                phase, built, reason, schema.tags, columns, engine, shared
-            )
+        built, reason = _build_receivers(phase, schema.tags, columns, engine, shared)
+        kernel, kernel_reason = _build_kernel(
+            phase, built, reason, schema.tags, columns, engine, shared
+        )
         if built:
             receivers.update(built)
         if kernel is not None:

@@ -37,9 +37,9 @@ class ExecutionBackend:
     name: str = ""
 
     #: robustness features this backend honors (documentation + tests):
-    #: feature name -> True (full support) / "fallback" (works, on the
-    #: simulator's engine over this backend's columns) / False (BackendUnsupported).
-    supports: dict[str, Any] = {}
+    #: feature name -> True (runs on this backend's engine) / False
+    #: (BackendUnsupported).
+    supports: dict[str, bool] = {}
 
     def build_columns(
         self, schema, graph: Graph, fields: dict[str, list], args: dict

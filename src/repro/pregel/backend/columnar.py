@@ -13,20 +13,21 @@ compiled to an array kernel skips the per-vertex loop and stages its
 whole broadcast in one ``send_nbrs_bulk`` — along the out-CSR or, for an
 in-neighbour send, the ``_in_nbrs`` rows, both behind one :class:`NbrGather`.
 
-Composition policy, one for both hosts: a recording tracer and the
-simulated transport read what the seal already holds, and sender
-combiners fold a combined tag when the seal closes it — its records, in
-send order, into one per ``(sending worker, dst)`` slot with the
-simulator's combiner callables — so none of the three costs array code;
-vote-to-halt observes individual sends, so with it on the host keeps the
-generated scalar program (``array_code_engages``), still on slabs.  Fault
-tolerance costs no array code either: a checkpoint decodes the raw parts a
-host keeps in flight, a rollback re-stages them as lone unfolded parts, a
-confined replay's sends drop at its sender check.  A limited memory budget
-reads the simulator's tuple outbox: ``ColumnarBackend.create_engine`` gives
-it a plain ``PregelEngine`` over the same typed columns.  Metering is identical throughout: ``message_size`` is
-the schema wire size, so ``message_bytes`` always equals the actual slab
-payload bytes.
+Composition policy, one for both hosts: the program alone decides which
+phases run as array code.  A recording tracer and the simulated transport
+read what the seal already holds; sender combiners fold a combined tag
+when the seal closes it — its records, in send order, into one per
+``(sending worker, dst)`` slot with the simulator's combiner callables;
+under vote-to-halt a kernel computes the vertices the scalar loop would
+and delivery wakes every receiver, a bulk handler's too.  Fault tolerance
+costs no array code either: a checkpoint decodes the raw parts a host
+keeps in flight, a rollback re-stages them as lone unfolded parts, a
+confined replay's sends drop at its sender check.  ``columnar`` refuses
+a limited memory budget, which charges the simulator's tuple outbox, and a
+program without a schema (``BackendUnsupported``); ``mp`` charges a budget
+from its exchange replies.  Metering is identical
+throughout: ``message_size`` is the schema wire size, so ``message_bytes``
+always equals the actual slab payload bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from ..globalmap import fold_ordered
 from ..graph import Graph
 from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES
-from .base import ExecutionBackend
+from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec
 
 
@@ -79,11 +80,13 @@ def vectorized_phases(receivers: dict, kernels: dict) -> list[str]:
     return [f"phase{s}" for s in sorted(states)]
 
 
-def array_code_engages(engine) -> bool:
-    """Whether a slab host — ``ColumnarEngine``, ``MPEngine`` — runs the
-    vectorizer's output: unless vote-to-halt, which observes individual
-    sends, is on.  Nothing else turns array code off."""
-    return engine._voted is None
+#: why ``columnar`` refuses a limited memory budget — at engine
+#: construction and, before the graph loads, in the CLI
+MEM_REFUSAL = (
+    "the columnar backend does not support a limited memory budget: its "
+    "message slabs are not charged against one (run with --backend sim, "
+    "which spills, or mp)"
+)
 
 
 class NbrGather:
@@ -496,13 +499,11 @@ class ColumnarEngine(PregelEngine):
         """Register the vectorizer's output: bulk receive handlers keyed by
         (state, tag), which the plane's dispatch hands whole slabs, and
         whole-phase kernels keyed by state, each run in place of the
-        per-vertex loop.  Honored unless the composition observes single
-        sends (``array_code_engages``).
+        per-vertex loop.  The program alone decides which phases those are.
         """
-        if array_code_engages(self):
-            self._bulk_receivers = receivers
-            self._phase_kernels = kernels
-            self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
+        self._bulk_receivers = receivers
+        self._phase_kernels = kernels
+        self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
 
     def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
         """Compile the vectorizer against this engine and install its output:
@@ -517,19 +518,24 @@ class ColumnarEngine(PregelEngine):
         if kernel is None:
             ran = super()._vertex_phase(frontier)
         else:
-            # Array code and voting never meet: the phase computes every
-            # vertex, as the dense loop would — or, on an mp worker, every
-            # vertex of its partition, a range, whose work its parent accounts.
-            if frontier is None:
-                sel, ran = None, self.graph.num_nodes
-            else:
+            # The kernel computes what the scalar loop would: every vertex —
+            # or, on an mp worker, every vertex of its partition, a range,
+            # whose work its parent accounts — and under vote-to-halt only
+            # the un-voted ones, or the sparse switch's frontier list.
+            sel, owned = frontier, self._worker_vertices
+            if type(frontier) is range:
                 sel = self._partition_ids.get(frontier)
                 if sel is None:
                     sel = self._partition_ids[frontier] = np.arange(
                         frontier.start, frontier.stop, frontier.step, dtype=np.int64
                     )
-                ran = len(sel)
-            owned = self._worker_vertices
+            if self._voted is not None:
+                if type(frontier) is not list:
+                    awake = np.frombuffer(self._voted, dtype=np.uint8) == 0
+                    sel = np.flatnonzero(awake) if sel is None else sel[awake[sel]]
+                sel = np.asarray(sel, dtype=np.int64)
+                owned = np.bincount(self._csr.owner[sel], minlength=self.num_workers).tolist()
+            ran = self.graph.num_nodes if sel is None else len(sel)
             if self._track_makespan:
                 step_work = self._step_work
                 for w, count in enumerate(owned):
@@ -539,7 +545,7 @@ class ColumnarEngine(PregelEngine):
             computed = self._trace_worker_computed  # empty unless a tracer records
             if computed:
                 # what traced_compute counts vertex by vertex; the seconds
-                # (info-only) are the kernel's wall split by owned vertices
+                # (info-only) are the kernel's wall split the same way
                 each = (perf_counter() - t0) / max(1, ran)
                 computed[:] = owned
                 self._trace_worker_seconds[:] = [each * count for count in owned]
@@ -633,7 +639,18 @@ class ColumnarEngine(PregelEngine):
         # vertex phase would run on these records.  Per-receiver order
         # within a tag is global send order — for a combined tag, slot order
         # — the one sealed slab's.
-        for dst, msgs in plane.dispatch(self.globals.broadcast.get("_state"), sealed):
+        state = self.globals.broadcast.get("_state")
+        if self._voted is not None:
+            # The one wake: every receiver's vote clears, one indexed store
+            # per part.  A bulk handler's receivers never reach ``touched``,
+            # so when one consumes a tag the frontier re-reads the votes.
+            awake = np.frombuffer(self._voted, dtype=np.uint8)
+            for tag, parts in sealed.items():
+                for part in parts:
+                    awake[part[0]] = 0
+                if (state, tag) in self._bulk_receivers:
+                    self._frontier_dirty = True
+        for dst, msgs in plane.dispatch(state, sealed):
             bucket = slots[dst]
             if bucket is _NO_MESSAGES:
                 slots[dst] = msgs
@@ -652,7 +669,7 @@ class ColumnarBackend(ExecutionBackend):
     supports = {
         "ft": True,
         "net": True,
-        "mem": "fallback",
+        "mem": False,
         "supervisor": True,
         "tracer": True,
         "combiners": True,
@@ -674,19 +691,18 @@ class ColumnarBackend(ExecutionBackend):
         message_size: Callable[[tuple], int],
         schema,
         engine_opts: dict,
-    ) -> PregelEngine:
-        opts = dict(
-            engine_opts, vertex_compute=None, master_compute=master_compute, message_size=message_size
-        )
+    ) -> ColumnarEngine:
+        if schema is None:
+            raise BackendUnsupported(
+                "the columnar backend needs a program schema (compiled programs only)"
+            )
         mem = engine_opts.get("mem")
-        if schema is None or (mem is not None and mem.limited):
-            # The one choice between slabs and tuple staging: budget charges
-            # read the tuple outbox, and no schema is no wire layout —
-            # ``supports``' "fallback".
-            engine = PregelEngine(graph, **opts)
-            engine.metrics.backend = self.name
-            return engine
-        return ColumnarEngine(graph, schema=schema, **opts)
+        if mem is not None and mem.limited:
+            raise BackendUnsupported(MEM_REFUSAL)
+        return ColumnarEngine(
+            graph, schema=schema, vertex_compute=None, master_compute=master_compute,
+            message_size=message_size, **engine_opts,
+        )  # fmt: skip
 
     def column_values(self, column) -> list:
         return column.tolist() if isinstance(column, array) else column

@@ -12,14 +12,14 @@ is a :class:`~repro.pregel.backend.columnar.ColumnarEngine`, whose vertex
 phase, delivery and slab plane each worker runs over its partition.  It
 compiles the program's array code (``repro.codegen.vectorize``) against
 that engine after the fork and runs it where ``columnar`` would,
-selected per phase from the IR.  Vote-to-halt observes individual sends
-and keeps the generated scalar program, as does a phase the vectorizer
-refused; sender combiners fold in the worker's seal, and a tracer, fault
-tolerance (recovery included), a memory budget and the tcp transport read
-per-worker totals and whole slabs, so none of them costs the kernels
-anything.  What the shell adds to a sealed tag is the wire: the *part* —
-``(dsts, senders, payload, count)``, one tag's records for one receiving
-worker, whose layout, split by owner and decode
+selected per phase from the IR; a phase the vectorizer refused keeps the
+generated scalar program.  Under vote-to-halt a kernel computes the
+partition's un-voted vertices; sender combiners fold in the worker's seal,
+and a tracer, fault tolerance (recovery included), a memory budget and the
+tcp transport read per-worker totals and whole slabs, so none of them
+costs the kernels anything.  What the shell adds to a sealed tag is the
+wire: the *part* — ``(dsts, senders, payload, count)``, one tag's records
+for one receiving worker, whose layout, split by owner and decode
 :mod:`~repro.pregel.backend.codec` owns — written once per receiver.  Array
 code sends along the worker's partition gather (``NbrGather.of_partition``),
 which caches the split of its rows by receiving worker, so a send along all
@@ -70,8 +70,9 @@ order-reconstructing merges at the parent barrier:
   emits, so ``deterministic_jsonl`` projects identically across backends;
 * **vote-to-halt** keeps one authoritative vote bitset in the parent:
   each forked worker inherits it copy-on-write, skips its voted vertices,
-  clears votes for every vertex it delivers to, and ships its partition's
-  slice back in the exchange reply; the parent folds the slices and
+  clears votes for every vertex its delivery reaches (``columnar``'s one
+  wake), and ships its partition's slice back in the exchange reply —
+  before that wake; the parent folds the slices and
   applies the simulator's dense halt rule (no deliveries + all voted) at
   the master boundary;
 * **supervision and memory budgets** run against *real* processes: every
@@ -158,7 +159,7 @@ from ..runtime import SuperstepRecord
 from .base import BackendUnsupported
 from .codec import read_part, split_by_owner, write_part
 from ..globalmap import fold_ordered
-from .columnar import ColumnarBackend, ColumnarEngine, NbrGather, array_code_engages
+from .columnar import ColumnarBackend, ColumnarEngine, NbrGather
 
 _EMPTY: tuple = ()
 
@@ -310,14 +311,6 @@ def _slab_parts(segments, directories, inlines, sources, dest=None):
                 yield to, tag, read_part(body, count)
 
 
-def _wake(voted: bytearray, parts_by_tag: dict) -> None:
-    """Clear the vote of every vertex an exchange's leavings deliver to."""
-    waking = np.frombuffer(voted, dtype=np.uint8)
-    for parts in parts_by_tag.values():
-        for dsts, _senders, _payload, _count in parts:
-            waking[dsts] = 0
-
-
 class MPEngine(ColumnarEngine):
     """Parent-side coordinator: the columnar engine with real worker
     processes for a body, each running its fork of this engine over its
@@ -444,17 +437,13 @@ class MPEngine(ColumnarEngine):
         Every worker compiles its own array code after its fork — against
         its forked engine, so kernels stage through its slabs and column
         views bind the process's live copy-on-write columns — and runs it
-        per phase, from the IR, under the columnar rule
-        (``array_code_engages``).  The parent compiles once against itself
-        and keeps none of it, for the record: which phases engage
-        (``RunMetrics.vectorized_phases``) and why the others do not
-        (``decisions``, the ``compile.vectorize`` trace events)."""
-        engages = array_code_engages(self)
-        if engages:
-            self._array_code = build
-        if engages or decisions is not None:
-            super().compile_array_code(build, decisions)
-            self._bulk_receivers, self._phase_kernels = {}, {}
+        per phase, from the IR, as ``columnar`` does.  The parent compiles
+        once against itself and keeps none of it, for the record: which
+        phases engage (``RunMetrics.vectorized_phases``) and why the others
+        do not (``decisions``, the ``compile.vectorize`` trace events)."""
+        self._array_code = build
+        super().compile_array_code(build, decisions)
+        self._bulk_receivers, self._phase_kernels = {}, {}
 
     def _wire_boundaries(self) -> None:
         """mp's start-of-superstep order: escalate what the last exchange
@@ -593,7 +582,7 @@ class MPEngine(ColumnarEngine):
         ctx = self._mpctx
         seed = None
         if not fresh:
-            seed = self._seed(wid)
+            seed = self._log[wid]
             if self.transport_mode == "tcp":
                 # The replacement worker needs a live listener: the old
                 # one died with the process (or was the netsplit).  Bind a
@@ -627,20 +616,6 @@ class MPEngine(ColumnarEngine):
             self._procs[wid] = proc
             parent_conn.send(("seed", seed))
 
-    def _seed(self, wid: int) -> dict:
-        """What the last exchange left worker ``wid`` — its log entry, the
-        ``parts_by_tag`` its next step delivers — with the matching
-        parent-side vote clears applied.
-
-        A normal exchange clears the receivers' votes worker-side, so
-        re-apply those clears here — a re-forked child inherits the
-        cleared bitset copy-on-write, and a live re-seeded worker applies
-        the same clears in its seed handler."""
-        seed = self._log[wid]
-        if self._voted is not None:
-            _wake(self._voted, seed)
-        return seed
-
     def _refork(self) -> None:
         """Re-fork the workers a recovery flagged (none flagged: nothing)."""
         if not (self._refork_all or self._refork_workers):
@@ -672,7 +647,7 @@ class MPEngine(ColumnarEngine):
                 wid for wid in range(self.num_workers) if wid not in reforked
             ]
             for wid in live:
-                self._send(wid, ("seed", self._seed(wid)))
+                self._send(wid, ("seed", self._log[wid]))
             for wid in live:
                 try:
                     self._recv(wid)
@@ -854,8 +829,8 @@ class MPEngine(ColumnarEngine):
         voted = self._voted
         # Vote-to-halt termination, the simulator's dense rule at the
         # same boundary: messages delivered at the last exchange wake
-        # their receivers (votes cleared worker-side before the slices
-        # fold), so "nothing delivered and everyone voted" halts.
+        # their receivers at the workers' next delivery, so "nothing
+        # delivered and everyone voted" halts.
         if (
             voted is not None
             and self.superstep > 0
@@ -1233,15 +1208,9 @@ class _Worker:
                     conn.send(("columns", self._gather()))
                 elif kind == "seed":
                     # Recovery re-fork / post-abandon re-seed: install what
-                    # the exchange would have left this partition.  The
-                    # seeded messages are deliveries, so clear their
-                    # receivers' votes — a no-op for a fresh fork (the
-                    # child inherited the parent's already-cleared
-                    # bitset), the missing wake-up for a live worker that
-                    # abandoned its exchange.
+                    # the exchange would have left this partition (its next
+                    # delivery wakes the receivers, as after any exchange).
                     _kind, self._parts = cmd
-                    if self.engine._voted is not None:
-                        _wake(self.engine._voted, self._parts)
                     conn.send(("ready",))
                 elif kind == "finish":
                     conn.send(("columns", self._gather()))
@@ -1309,19 +1278,15 @@ class _Worker:
         if self._tcp is not None:
             frames, report = self._exchange_tcp(cmd[1], cmd[2], cmd[3])
         voted = self.engine._voted
-        # Ship this partition's vote slice *before* the delivery clears:
-        # the parent's fold then matches the simulator's end-of-phase
-        # bitset (checkpoints and traces included).
+        # This partition's vote slice, as the phase left it: the next
+        # step's delivery wakes the receivers, so the parent's fold is the
+        # simulator's end-of-phase bitset (checkpoints and traces included).
         votes = bytes(voted[self._part_slice]) if voted is not None else None
         if not report:
             self._read_slabs(cmd[1], cmd[2], frames)
-            if voted is not None:
-                # delivered messages wake their receivers next step
-                _wake(voted, self._parts)
         # else a peer failed and the whole exchange is abandoned: no part of
-        # it is kept, nor the vote clears (the parent re-seeds this worker
-        # after recovery); the report carries
-        # the classified causes so the parent can fold blame.
+        # it is kept (the parent re-seeds this worker after recovery); the
+        # report carries the classified causes so the parent can fold blame.
         route_s = time.perf_counter() - t0
         snap = None
         mreg = self._mreg

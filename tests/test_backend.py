@@ -408,6 +408,64 @@ class TestColumnarCompositions:
             steps = [e.det for e in opts["tracer"].events if e.name == "superstep"]
             assert ran == sum(sum(step["worker_computed"]) for step in steps)
 
+    # -- a generated program under votes cast from outside it ------------
+
+    class ForcedVotes:
+        """A subscriber that votes every vertex ``v % 10 != superstep`` once
+        the master is done at supersteps 2, 3 and 5: a generated program,
+        which never votes, then computes only the vertices left awake and
+        those its messages wake — a bulk handler's receivers included."""
+
+        def __init__(self, engine):
+            self.engine = engine
+
+        def on_master_done(self):
+            engine = self.engine
+            if engine.superstep in (2, 3, 5):
+                for v in range(engine.graph.num_nodes):
+                    if v % 10 != engine.superstep:
+                        engine.vote_to_halt(v)
+
+    @pytest.mark.parametrize("scheduling", ("frontier", "dense"))
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_forced_votes(self, programs, small, alg, scheduling):
+        """Kernels and bulk handlers run under vote-to-halt and compute
+        exactly the vertices the scalar loop would: a columnar run is the
+        simulator's on outputs, ``parity_key()``, the makespan units and the
+        deterministic trace byte for byte."""
+        from repro.obs import Tracer
+        from repro.obs.export import deterministic_jsonl
+
+        small = graph_for(alg, small)
+        program = programs[alg]
+        modes = set()
+        for workers in (1, 3):
+            seen = {}
+            for backend in ("sim", "columnar"):
+                tracer = Tracer()
+                engine, fields, _master = program.make_engine(
+                    small, default_args(alg, small), backend=backend, num_workers=workers,
+                    use_voting=True, scheduling=scheduling, tracer=tracer, track_makespan=True,
+                )  # fmt: skip
+                engine._subscribe(self.ForcedVotes(engine))
+                metrics = engine.run()
+                outputs = {
+                    p.name: list(fields[p.name]) for p in program.ir.params if p.is_output
+                }
+                seen[backend] = (
+                    metrics.parity_key(),
+                    (metrics.makespan_units, metrics.ideal_units),
+                    deterministic_jsonl(tracer.events),
+                    outputs,
+                )
+                modes |= {e.info["mode"] for e in tracer.events if e.name == "superstep"}
+            assert seen["sim"] == seen["columnar"], workers
+            assert metrics.vectorized_phases == [
+                f"phase{p}" for p in TestPhaseKernels.EXPECTED[alg]
+            ]
+        if alg == "bipartite_matching" and scheduling == "frontier":
+            assert "sparse" in modes
+
 
 @needs_mp
 class TestMultiprocessingBackend:
@@ -1132,9 +1190,40 @@ class TestRefusalMatrix:
             supports = get_backend(name).supports
             assert set(supports) == set(self.FEATURES), name
 
-    def test_sim_and_columnar_refuse_nothing(self):
-        for name in ("sim", "columnar"):
-            assert all(get_backend(name).supports.values()), name
+    def test_supports_are_booleans(self):
+        for name in BACKENDS:
+            assert {type(ok) for ok in get_backend(name).supports.values()} == {bool}, name
+
+    def test_sim_refuses_nothing(self):
+        assert all(get_backend("sim").supports.values())
+
+    def test_columnar_refuses_only_a_memory_budget(self, programs, graph, capsys):
+        from repro.algorithms.sources import source_path
+        from repro.cli import main
+        from repro.pregel.backend.columnar import MEM_REFUSAL
+        from repro.pregel.mem import MemoryManager, MemPlan
+
+        supports = get_backend("columnar").supports
+        assert [feature for feature, ok in supports.items() if not ok] == ["mem"]
+        # at construction: a limited budget is refused, an unlimited one runs
+        args = default_args("pagerank", graph)
+        limited = MemoryManager(MemPlan(budget_bytes=1 << 30))
+        with pytest.raises(BackendUnsupported, match=re.escape(MEM_REFUSAL)):
+            programs["pagerank"].make_engine(graph, args, backend="columnar", mem=limited)
+        unlimited = MemoryManager(MemPlan())
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, args, backend="columnar", mem=unlimited
+        )
+        assert isinstance(engine, ColumnarEngine)
+        # in the CLI, in the same words, before the graph loads: a graph
+        # file that does not exist is never reached
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", str(source_path("pagerank")), *TestCLI.ARGS, "--backend", "columnar",
+                "--graph-file", "/nonexistent/graph.el", "--mem-budget", "1g",
+            ])  # fmt: skip
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().endswith(MEM_REFUSAL)
 
     def test_mp_declaration_matches_refusals(self):
         from repro.pregel.backend.mp import MPBackend, composition_refusals
@@ -1286,6 +1375,34 @@ class TestLiftedCompositions:
             run_on(programs, graph, "pagerank", backend, ft=ft, tracer=tracer)
             streams[backend] = deterministic_jsonl(tracer.events)
         assert streams["sim"] == streams["columnar"] == streams["mp"]
+
+    @pytest.mark.parametrize("recovery", ("rollback", "confined"))
+    @pytest.mark.parametrize("kind", ("crash", "kill"))
+    def test_voting_program_recovers(self, programs, graph, kind, recovery):
+        """A voting program on three workers recovers from a crash or a real
+        kill at superstep 4 — re-forked workers seeded from the parent's
+        log, their receivers woken by their next delivery — to the
+        simulator's failure-free run."""
+
+        def vertex(ctx, vid, messages):
+            # sends on supersteps 0-5, votes on odd ones and when idle
+            step = ctx.superstep
+            if step < 6 and (vid + step) % 4 == 0:
+                for nbr in graph.out_nbrs(vid):
+                    ctx.send(nbr, (0, float(vid)))
+            if step % 2 or not messages:
+                ctx.vote_to_halt(vid)
+
+        common = dict(vertex_compute=vertex, num_workers=3, use_voting=True)
+        sim = PregelEngine(graph, message_size=lambda m: 8, **common).run()
+        plan = FaultPlan(
+            checkpoint_every=2, crashes=(CrashEvent(1, 4, kind),), recovery=recovery
+        )
+        mp = MPEngine(graph, schema=programs["pagerank"].schema, ft=FaultTolerance(plan), **common)
+        mp.run()
+        assert mp.metrics.faults_injected == 1
+        assert sim.halt_reason == "all_halted" and sim.supersteps > 5
+        assert mp.metrics.parity_key() == sim.parity_key()
 
     def test_combined_ft_and_combiners(self, programs, graph):
         def run(backend):
@@ -2909,10 +3026,11 @@ class TestPhaseKernels:
     )
     def test_kernels_disengage_with_the_slab_path(self, programs, graph, feature, tmp_path):
         """The composition table, cell by cell: a tracer, a lossy transport,
-        ft and combiners cost no array code; voting keeps the slab engine
-        and turns it off; a limited budget and a program without a schema
-        get the simulator's engine, labelled columnar."""
+        ft, combiners and vote-to-halt cost no array code; a limited budget
+        and a program without a schema are refused, never run on another
+        engine."""
         from repro.obs import Tracer
+        from repro.pregel.backend.columnar import MEM_REFUSAL
         from repro.pregel.mem import MemPlan, MemoryManager
 
         opts = {
@@ -2930,39 +3048,33 @@ class TestPhaseKernels:
         }[feature]
         args = default_args("pagerank", graph)
         if feature == "schemaless":
-            engine = get_backend("columnar").create_engine(
-                graph, master_compute=None, message_size=len, schema=None, engine_opts={}
-            )
-        else:
-            engine, _fields, _master = programs["pagerank"].make_engine(
-                graph, args, backend="columnar", **opts()
-            )
+            with pytest.raises(BackendUnsupported, match="needs a program schema"):
+                get_backend("columnar").create_engine(
+                    graph, master_compute=None, message_size=len, schema=None, engine_opts={}
+                )
+            return
+        if feature == "mem":
+            with pytest.raises(BackendUnsupported, match=re.escape(MEM_REFUSAL)):
+                programs["pagerank"].make_engine(graph, args, backend="columnar", **opts())
+            return
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, args, backend="columnar", **opts()
+        )
         assert engine.metrics.backend == "columnar"
-        if feature in ("mem", "schemaless"):
-            assert type(engine) is PregelEngine
-            assert engine.metrics.vectorized_phases == []
+        assert isinstance(engine, ColumnarEngine) and engine._plane is not None
+        plain, counted = run_counted(programs, graph, "pagerank", "columnar")
+        col, totals = run_counted(programs, graph, "pagerank", "columnar", **opts())
+        assert sorted(engine._phase_kernels) == self.EXPECTED["pagerank"]
+        assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
+        assert totals["scalar_records"] == totals["scalar_vertices"] == 0
+        assert totals["kernel_vertices"] == counted["kernel_vertices"]
+        if feature == "combiners":  # the handlers take the folded records
+            assert 0 < totals["bulk_records"] < counted["bulk_records"]
         else:
-            assert isinstance(engine, ColumnarEngine) and engine._plane is not None
-            plain, counted = run_counted(programs, graph, "pagerank", "columnar")
-            col, totals = run_counted(programs, graph, "pagerank", "columnar", **opts())
-            if feature in ("tracer", "net", "ft", "combiners"):
-                assert sorted(engine._phase_kernels) == self.EXPECTED["pagerank"]
-                assert col.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
-                assert totals["scalar_records"] == totals["scalar_vertices"] == 0
-                assert totals["kernel_vertices"] == counted["kernel_vertices"]
-                if feature == "combiners":  # the handlers take the folded records
-                    assert 0 < totals["bulk_records"] < counted["bulk_records"]
-                else:
-                    assert totals == counted
-            else:
-                assert engine._phase_kernels == {} and engine._bulk_receivers == {}
-                assert col.metrics.vectorized_phases == []
-                assert totals["kernel_vertices"] == totals["bulk_records"] == 0
-                assert totals["scalar_vertices"] == counted["kernel_vertices"]
-        if feature != "schemaless":
-            sim = programs["pagerank"].run(graph, args, backend="sim", **opts())
-            col = programs["pagerank"].run(graph, args, backend="columnar", **opts())
-            assert_parity(sim, col)
+            assert totals == counted
+        sim = programs["pagerank"].run(graph, args, backend="sim", **opts())
+        col = programs["pagerank"].run(graph, args, backend="columnar", **opts())
+        assert_parity(sim, col)
 
     # -- wire range (satellite bugfix) ------------------------------------------
 
@@ -3136,14 +3248,22 @@ class TestPartitionKernels:
             {"tag": 0, "ordered": False, "reason": "order-insensitive reduces"}
         ]
 
-    @pytest.mark.parametrize("opts", ({"use_voting": True},), ids=("voting",))
-    def test_compositions_that_observe_single_sends_stay_scalar(self, programs, graph, opts):
-        sim = run_on(programs, graph, "pagerank", "sim", num_workers=2, **opts)
-        mp, totals = run_counted(programs, graph, "pagerank", "mp", num_workers=2, **opts)
-        assert_parity(sim, mp)
-        assert mp.metrics.vectorized_phases == []
-        assert totals["kernel_vertices"] == totals["bulk_records"] == 0
-        assert totals["scalar_vertices"] > 0
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_voting_keeps_the_kernels(self, programs, graph, alg):
+        # a kernel computes the un-voted vertices — of the graph on
+        # columnar, of its partition in an mp worker — and a generated
+        # program never votes: the same array code, over every vertex
+        g = graph_for(alg, graph)
+        sim = run_on(programs, g, alg, "sim", num_workers=2, use_voting=True)
+        for backend in ("columnar", "mp"):
+            plain, counted = run_counted(programs, g, alg, backend, num_workers=2)
+            run, totals = run_counted(
+                programs, g, alg, backend, num_workers=2, use_voting=True
+            )
+            assert_parity(sim, run)
+            assert run.metrics.vectorized_phases == plain.metrics.vectorized_phases != []
+            assert totals == counted
+            assert totals["scalar_vertices"] == totals["scalar_records"] == 0
 
     @pytest.mark.parametrize("feature", ("tracer", "ft", "mem", "tcp", "combiners"))
     def test_attachments_do_not_cost_the_kernels(self, programs, graph, feature, tmp_path):

@@ -50,7 +50,7 @@ class TestPythonBackend:
     def test_engines_of_one_program_keep_their_own_bindings(self, alg, backend, make_order):
         # two engines made from one CompiledProgram, run after both were
         # made: each reads its own broadcast map and columns (on columnar,
-        # voting keeps pagerank's phases scalar)
+        # under voting, pagerank's kernels run over the un-voted vertices)
         program = compile_algorithm(alg, emit_java=False).program
         graphs = [load_graph("twitter", 0.05, seed) for seed in (1, 2)]
         opts = dict(backend=backend, use_voting=backend == "columnar")

@@ -434,10 +434,10 @@ class TestVectorizeTelemetry:
         assert by_phase[3]["ordered_merge"] == [
             {"tag": 0, "ordered": True, "reason": "last writer of suitor"}
         ]
-        # votes observe single sends: decisions are still reported, but
-        # nothing engages; combiners fold in the seal and keep the array code
+        # the program alone decides: under votes the kernels compute the
+        # un-voted vertices, and combiners fold in the seal
         run, by_phase = decisions("pagerank", use_voting=True)
-        assert by_phase[4]["kernel"] and run.metrics.vectorized_phases == []
+        assert by_phase[4]["kernel"] and run.metrics.vectorized_phases == ["phase0", "phase4"]
         run, _by_phase = decisions("pagerank", use_combiners=True)
         assert run.metrics.vectorized_phases == ["phase0", "phase4"]
 
