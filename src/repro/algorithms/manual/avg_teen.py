@@ -27,7 +27,7 @@ class ManualAvgTeen(ManualProgram):
                 # check my age, notify followees (Figure 3 lines 15-26);
                 # the message body carries no payload — its arrival means "1".
                 if 13 <= age[vid] <= 19:
-                    ctx.send_to_out_nbrs(vid, (0,))
+                    ctx.send_nbrs(vid, (0,))
             elif superstep == 1:
                 teen_cnt[vid] = len(messages)
                 if age[vid] > k:

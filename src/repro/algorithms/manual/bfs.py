@@ -33,10 +33,10 @@ class ManualBFS(ManualProgram):
             if ctx.superstep == 0:
                 if vid == root:
                     level[vid] = 0
-                    ctx.send_to_out_nbrs(vid, (0,))
+                    ctx.send_nbrs(vid, (0,))
             elif messages and level[vid] < 0:
                 level[vid] = ctx.superstep
-                ctx.send_to_out_nbrs(vid, (0,))
+                ctx.send_nbrs(vid, (0,))
             ctx.vote_to_halt(vid)
 
         engine = PregelEngine(

@@ -42,7 +42,7 @@ class ManualBipartiteMatching(ManualProgram):
                 for m in messages:  # match notifications from phase 2
                     match[vid] = m[1]
                 if is_left[vid] and match[vid] == NIL:
-                    ctx.send_to_out_nbrs(vid, (0, vid))
+                    ctx.send_nbrs(vid, (0, vid))
             elif phase == 1:
                 if not is_left[vid] and match[vid] == NIL and messages:
                     suitor = NIL

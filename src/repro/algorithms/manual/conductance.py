@@ -34,7 +34,7 @@ class ManualConductance(ManualProgram):
                 else:
                     ctx.put_global("Dout", GlobalOp.SUM, deg)
                 # tell my out-neighbors whether I am inside the subset
-                ctx.send_to_out_nbrs(vid, (0, member[vid] == num))
+                ctx.send_nbrs(vid, (0, member[vid] == num))
             elif superstep == 1:
                 if member[vid] != num:
                     crossing = 0

@@ -23,7 +23,6 @@ class ManualPageRank(ManualProgram):
         inv_n = 1.0 / n
         pr = [inv_n] * n
         out_off = graph.out_offsets
-        out_tgt = graph.out_targets
 
         def vertex(ctx: PregelEngine, vid: int, messages) -> None:
             superstep = ctx.superstep
@@ -39,11 +38,9 @@ class ManualPageRank(ManualProgram):
             # Keep sending; the master halts the computation once converged
             # (the final round's messages dangle, exactly like the compiler's
             # intra-loop-merged code).
-            start, end = out_off[vid], out_off[vid + 1]
-            if start != end:
-                msg = (0, pr[vid] / (end - start))
-                for i in range(start, end):
-                    ctx.send(out_tgt[i], msg)
+            degree = out_off[vid + 1] - out_off[vid]
+            if degree:
+                ctx.send_nbrs(vid, (0, pr[vid] / degree))
 
         def master(ctx: PregelEngine) -> None:
             superstep = ctx.superstep

@@ -671,30 +671,67 @@ class PregelEngine:
                 self._step_work[worker_of[dst]] += 1
         self._combined.clear()
 
-    def send_to_out_nbrs(self, vid: int, msg: tuple) -> None:
-        graph = self.graph
-        for dst in graph.out_targets[graph.out_offsets[vid] : graph.out_offsets[vid + 1]]:
-            self.send(dst, msg)
-
     def send_nbrs(self, vid: int, msg: tuple) -> None:
-        """Bulk send: ``msg`` to every out-neighbor of ``vid``.
-
-        Generated code emits this for loop-invariant payloads so typed
-        backends can stage one packed record per neighbor block; here it is
-        the plain per-neighbor loop through ``self.send`` (which picks up
-        the traced-send instance shadow when tracing is installed).
-        """
+        """Bulk send: ``msg`` to every out-neighbor of ``vid`` — the
+        ``send_list`` of its out-CSR slice.  Generated code emits this for
+        loop-invariant payloads, as hand-written programs call it for a
+        neighbor broadcast."""
         graph = self.graph
-        send = self.send
-        for dst in graph.out_targets[graph.out_offsets[vid] : graph.out_offsets[vid + 1]]:
-            send(dst, msg)
+        offsets = graph.out_offsets
+        self.send_list(graph.out_targets[offsets[vid] : offsets[vid + 1]], msg)
 
-    def send_list(self, dsts: list, msg: tuple) -> None:
+    def send_list(self, dsts, msg: tuple) -> None:
         """Bulk send: ``msg`` to every vertex in ``dsts`` (in-neighbor
-        sends through the Incoming-Neighbors prologue's ``_in_nbrs``)."""
-        send = self.send
-        for dst in dsts:
-            send(dst, msg)
+        sends through the Incoming-Neighbors prologue's ``_in_nbrs``).
+
+        The block is staged in one pass, in ``dsts`` order — the buckets
+        and their order one ``send`` per destination would leave — and
+        metered once: the payload, its size and the sender's worker are
+        the block's, only the destinations' owners vary.  A tag a combiner
+        folds and a limited memory plan act per message, so under either
+        the block is that ``send`` loop.  An empty block is a no-op."""
+        if not dsts:
+            return
+        sender = self._current_vertex
+        if sender < 0:
+            raise RuntimeError(OUTSIDE_PHASE_ERROR)
+        if self._ft_replaying:
+            return  # already delivered by the original execution (see send)
+        if self._mem_limited or (self._combiners and msg[0] in self._combiners):
+            send = self.send
+            for dst in dsts:
+                send(dst, msg)
+            return
+        worker_of = self._worker_of
+        owners = list(map(worker_of.__getitem__, dsts))
+        parts = self._out_parts
+        for dst, owner in zip(dsts, owners):
+            part = parts[owner]
+            bucket = part.get(dst)
+            if bucket is None:
+                part[dst] = [msg]
+            else:
+                bucket.append(msg)
+        n = len(owners)
+        sender_worker = worker_of[sender]
+        remote = n - owners.count(sender_worker)
+        size = self._message_size(msg)
+        m = self.metrics
+        m.messages += n
+        m.message_bytes += n * size
+        m.worker_sent[sender_worker] += n
+        if remote:
+            m.net_messages += remote
+            m.net_bytes += remote * size
+            if self.ft is not None:
+                self.ft.account_delivery(remote)
+        if self._track_makespan:
+            step_work = self._step_work
+            step_work[sender_worker] += n
+            for owner in owners:
+                step_work[owner] += 1
+        if self._trace_worker_bytes:
+            self._trace_worker_bytes[sender_worker] += n * size
 
     def get_global(self, name: str) -> Any:
         return self.globals.broadcast[name]
@@ -889,11 +926,13 @@ class PregelEngine:
         (computed counts + compute seconds, see ``_counted_loop``) and
         shadows ``send`` with an instance attribute (per-worker staged
         payload bytes), so the engine's loops and the per-send fast path
-        carry zero extra branches when tracing is off.  The two install
-        separately: a backend that meters whole slabs takes the first and
-        not the shadow.  Confined-recovery replay (``_ft_replaying``) is
-        transparent to both — it runs no vertex phase, and the send meter
-        skips it: its work was already counted by the original execution.
+        carry zero extra branches when tracing is off.  The shadow meters
+        single sends; a block (``send_list``) meters its own bytes into the
+        same counter.  The two install separately: a backend that meters
+        whole slabs takes the first and not the shadow.  Confined-recovery
+        replay (``_ft_replaying``) is transparent to both — it runs no
+        vertex phase, and the send meters skip it: its work was already
+        counted by the original execution.
         """
         self._trace_compute()
         self.send = self._traced_send()  # type: ignore[method-assign]
@@ -912,7 +951,8 @@ class PregelEngine:
         """The inherited ``send`` behind the tracer's byte meter: per-worker
         bytes of the *staged* payload (pre-combiner-fold: the sends are
         identical under either scheduler, which keeps the quantity
-        deterministic)."""
+        deterministic).  A block meters the same bytes in ``send_list``,
+        or reaches this shadow once per message where it acts per message."""
         worker_of = self._worker_of
         staged_bytes = self._trace_worker_bytes
         size_of = self._message_size

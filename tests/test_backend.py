@@ -789,7 +789,8 @@ class TestSlabPlane:
     a stand-in host, and held to the simulator: what it seals is what an
     append-per-message staging would hold, and what it meters is what
     ``PregelEngine.send`` — and, per worker and in bytes, its traced
-    shadow — meters message by message."""
+    shadow — meters message by message.  The simulator's own block sends
+    are held to that per-message path on the same scripts."""
 
     @staticmethod
     def make_msg(schema, tag, rng):
@@ -951,6 +952,127 @@ class TestSlabPlane:
             assert getattr(metrics, name) == getattr(sim.metrics, name), name
         assert step_work == sim._step_work
         assert staged_bytes == sim._trace_worker_bytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(("bc_approx", "avg_teen_cnt", "connected_components")),
+        st.integers(2, 24),
+        st.sampled_from((1, 2, 3, 5)),
+        st.sampled_from(("hash", "range")),
+        st.sampled_from((None, "SUM", "MIN", "MAX")),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_block_send_is_its_sends(self, alg, n, workers, partitioning, fold, rng):
+        # the simulator's send_nbrs / send_list stage and meter a block in
+        # one pass: held to one PregelEngine.send per destination
+        from repro.pregel.globalmap import GlobalOp
+        from repro.pregel.graph import Graph
+        from repro.translate.combiner import combiner_functions
+
+        schema = compile_algorithm(alg).program.schema
+        codec = MessageCodec(schema)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 3 * n))]
+        graph = Graph.from_edges(n, edges)
+        foldable = [tag for tag in codec.tag_ids if len(schema.tags[tag].slots) == 1]
+        combiners = {}
+        if fold is not None and foldable:
+            combiners = combiner_functions({rng.choice(foldable): GlobalOp[fold]})
+
+        def engine():
+            one = PregelEngine(
+                graph, None, num_workers=workers, partitioning=partitioning,
+                message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
+                combiners=combiners,
+                ft=FaultTolerance(FaultPlan(message_loss_rate=0.3, max_retries=4)),
+            )  # fmt: skip
+            one._install_tracing()  # the tracer's counters and send meter
+            return one
+
+        block, each = engine(), engine()
+        for sender, _tag, kind, arg, msg in self.script(graph, schema, rng):
+            if kind == "bulk_to":  # the plane's bulk ops, as the simulator's calls
+                calls = [(v, "send", dst, m) for v, dst, m in zip(*arg, msg)]
+            elif kind == "bulk":
+                calls = [(v, "send_nbrs", v, m) for v, m in zip(arg, msg)]
+            else:
+                calls = [(sender, kind, arg, msg)]
+            for vid, api, to, m in calls:
+                block._current_vertex = each._current_vertex = vid
+                getattr(block, api)(to, m)
+                for dst in {"send": [to], "send_nbrs": graph.out_nbrs(vid), "send_list": to}[api]:
+                    each.send(dst, m)
+        for flush in (False, True):
+            if flush:  # the folded slots, metered at the barrier
+                block._flush_combined()
+                each._flush_combined()
+            assert [list(p.items()) for p in block._out_parts] == [
+                list(p.items()) for p in each._out_parts
+            ]
+            assert list(block._combined.items()) == list(each._combined.items())
+            for name in (
+                "messages", "message_bytes", "net_messages", "net_bytes", "worker_sent",
+                "messages_retried", "retry_backoff_units",
+            ):  # fmt: skip
+                assert getattr(block.metrics, name) == getattr(each.metrics, name), name
+            assert block._step_work == each._step_work
+            assert block._trace_worker_bytes == each._trace_worker_bytes
+
+    @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
+    @pytest.mark.parametrize("api", ["send_nbrs", "send_list"])
+    def test_an_empty_block_is_a_no_op(self, programs, graph, backend, api):
+        # no sender is needed to send nothing: a sink's send_nbrs and an
+        # empty send_list, outside the vertex phase, neither refuse nor stage
+        if backend == "mp" and not mp_available():
+            pytest.skip("needs fork start-method and multiprocessing.shared_memory")
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), backend=backend, num_workers=2
+        )
+        sink = next(v for v in graph.nodes() if not graph.out_degree(v))
+        getattr(engine, api)({"send_nbrs": sink, "send_list": []}[api], (0, 0.5))
+        assert engine.metrics.messages == 0
+        assert engine.metrics.worker_sent == [0, 0]
+        if backend == "sim":
+            assert not any(engine._out_parts)
+        else:
+            assert not list(engine._plane.seal())
+
+    @pytest.mark.parametrize("api", ["send_nbrs", "send_list"])
+    def test_a_block_replayed_under_recovery_stages_nothing(self, programs, graph, api):
+        engine, _fields, _master = programs["pagerank"].make_engine(
+            graph, default_args("pagerank", graph), num_workers=2, track_makespan=True,
+            ft=FaultTolerance(FaultPlan(message_loss_rate=0.3)),
+        )  # fmt: skip
+        engine._install_tracing()
+        sender = next(v for v in graph.nodes() if graph.out_degree(v))
+        engine._current_vertex = sender
+        engine._ft_replaying = True
+        getattr(engine, api)({"send_nbrs": sender, "send_list": [1, 2]}[api], (0, 0.5))
+        m = engine.metrics
+        assert (m.messages, m.message_bytes, m.net_messages, m.net_bytes) == (0, 0, 0, 0)
+        assert (m.messages_retried, m.retry_backoff_units) == (0, 0)
+        assert m.worker_sent == engine._step_work == engine._trace_worker_bytes == [0, 0]
+        assert not any(engine._out_parts)
+
+    @pytest.mark.parametrize("manual", [False, True])
+    def test_a_limited_budget_sends_message_by_message(self, programs, graph, manual):
+        # a limited MemPlan charges (and may spill) between two messages of
+        # one block, so its blocks go one send per message: outputs and
+        # ledger are the unbudgeted run's, spill counts the per-send path's
+        from repro.algorithms.manual import MANUAL_PROGRAMS
+        from repro.pregel.mem import MemoryManager, MemPlan
+
+        program = MANUAL_PROGRAMS["pagerank"] if manual else programs["pagerank"]
+        args = default_args("pagerank", graph)
+        mem = MemoryManager(MemPlan(budget_bytes=8192))
+        limited = program.run(graph, args, num_workers=2, mem=mem)
+        free = program.run(graph, args, num_workers=2)
+        assert limited.outputs == free.outputs
+        assert limited.metrics.parity_key() == free.metrics.parity_key()
+        assert limited.metrics.messages == 79200
+        r = mem.report()
+        assert (r.spilled_bytes, r.spill_files, r.outbox_parks, r.superstep_splits) == (
+            3548064, 832, 462, 351,
+        )  # fmt: skip
 
     @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
     @pytest.mark.parametrize("api", ["send", "send_nbrs", "send_list"])

@@ -48,13 +48,13 @@ class TestMessageDelivery:
         PregelEngine(g, vertex, master).run()
         assert received == [(1, 1, (0,))]
 
-    def test_send_to_out_nbrs(self):
+    def test_send_nbrs(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         hits = []
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0 and vid == 0:
-                ctx.send_to_out_nbrs(0, (0,))
+                ctx.send_nbrs(0, (0,))
             hits.extend([vid] * len(messages))
 
         def master(ctx):
@@ -234,7 +234,7 @@ class TestMetrics:
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0:
-                ctx.send_to_out_nbrs(vid, (0,))
+                ctx.send_nbrs(vid, (0,))
 
         def master(ctx):
             if ctx.superstep == 2:
@@ -376,7 +376,7 @@ class TestDeterminism:
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0:
-                ctx.send_to_out_nbrs(vid, (0, vid))
+                ctx.send_nbrs(vid, (0, vid))
             order.extend(m[1] for m in messages)
 
         def master(ctx):
@@ -393,7 +393,7 @@ class TestWorkerLoad:
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0:
-                ctx.send_to_out_nbrs(vid, (0,))
+                ctx.send_nbrs(vid, (0,))
 
         def master(ctx):
             if ctx.superstep == 2:
@@ -430,7 +430,7 @@ class TestPartitioning:
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0:
-                ctx.send_to_out_nbrs(vid, (0,))
+                ctx.send_nbrs(vid, (0,))
 
         def master(ctx):
             if ctx.superstep == 2:
@@ -479,7 +479,7 @@ class TestMakespan:
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0 and vid == 0:
-                ctx.send_to_out_nbrs(0, (0,))
+                ctx.send_nbrs(0, (0,))
 
         def master(ctx):
             if ctx.superstep == 2:
