@@ -40,10 +40,10 @@ class ManualSSSP(ManualProgram):
                         best = m[1]
                 changed = best < dist[vid]
                 dist[vid] = best
-            if changed:
+            lo, hi = out_off[vid], out_off[vid + 1]
+            if changed and lo != hi:
                 base = dist[vid]
-                for ei in range(out_off[vid], out_off[vid + 1]):
-                    ctx.send(out_tgt[ei], (0, base + length[ei]))
+                ctx.send_each(out_tgt[lo:hi], [(0, base + length[ei]) for ei in range(lo, hi)])
             ctx.vote_to_halt(vid)
 
         engine = PregelEngine(

@@ -75,6 +75,7 @@ from ..pregelir.ir import (
     VSendNbrs,
     VSendTo,
     VStmt,
+    walk_stmts,
 )
 from ..translate.merge import phase_global_reads
 
@@ -240,7 +241,9 @@ def emit_stmt(out: _Emitter, stmt: VStmt) -> None:
                 emit_stmt(out, s)
             out.dedent()
     elif isinstance(stmt, VGlobalPut):
-        out.line(f"ctx.put_global({stmt.name!r}, OP_{stmt.op.name}, {expr_py(stmt.expr)})")
+        # collected per global, put once after the loop (see _emit_phase_loop)
+        out.line(f"P_{stmt.name}_vids.append(vid)")
+        out.line(f"P_{stmt.name}_vals.append({expr_py(stmt.expr)})")
     elif isinstance(stmt, VSendNbrs):
         _emit_send_nbrs(out, stmt)
     elif isinstance(stmt, VSendTo):
@@ -282,9 +285,10 @@ def _emit_send_nbrs(out: _Emitter, stmt: VSendNbrs) -> None:
         out.line("ctx.send_list(F__in_nbrs[vid], _msg)")
         out.dedent()
     elif per_edge:
-        out.line("for _ei in range(OUT_OFF[vid], OUT_OFF[vid + 1]):")
+        out.line("_lo, _hi = OUT_OFF[vid], OUT_OFF[vid + 1]")
+        out.line("if _lo != _hi:")
         out.indent()
-        out.line(f"ctx.send(OUT_TGT[_ei], {msg})")
+        out.line(f"ctx.send_each(OUT_TGT[_lo:_hi], [{msg} for _ei in range(_lo, _hi)])")
         out.dedent()
     else:
         out.line("if OUT_OFF[vid] != OUT_OFF[vid + 1]:")
@@ -308,7 +312,9 @@ def generate_vertex_source(ir: PregelIR) -> str:
     superstep the engine calls the current state's loop, ``loop(ctx,
     active, slots) -> int``: it reads the broadcast values its phase uses
     once, then runs the phase body over every vertex of ``active`` (its
-    messages are ``slots[vid]``), and returns how many it iterated.
+    messages are ``slots[vid]``), and returns how many it iterated.  A
+    phase's global puts are collected per global in the loop and made once
+    after it, ``ctx.put_global_bulk``, when there were any.
     """
     out = _Emitter()
     out.line(f"# Generated Pregel vertex program for '{ir.name}'.")
@@ -328,6 +334,13 @@ def _emit_phase_loop(out: _Emitter, phase) -> None:
     out.line(f"# {phase.label}")
     for name in sorted(phase_global_reads(phase)):
         out.line(f"B_{name} = B[{name!r}]")
+    puts = {
+        stmt.name: stmt.op
+        for stmt in walk_stmts([*phase.receive, *phase.compute])
+        if isinstance(stmt, VGlobalPut)
+    }
+    for name in puts:
+        out.line(f"P_{name}_vids, P_{name}_vals = [], []")
     out.line("_n = 0")
     out.line("for _n, vid in enumerate(active, 1):")
     out.indent()
@@ -343,6 +356,9 @@ def _emit_phase_loop(out: _Emitter, phase) -> None:
     for stmt in phase.compute:
         emit_stmt(out, stmt)
     out.dedent()
+    for name, op in puts.items():
+        out.line(f"if P_{name}_vids:")
+        out.line(f"    ctx.put_global_bulk({name!r}, OP_{op.name}, P_{name}_vids, P_{name}_vals)")
     out.line("return _n")
     out.dedent()
 

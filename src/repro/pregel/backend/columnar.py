@@ -40,7 +40,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..globalmap import fold_ordered
 from ..graph import Graph
 from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES
 from .base import BackendUnsupported, ExecutionBackend
@@ -301,15 +300,23 @@ class SlabPlane:
         stage.payload += self._pack[tag](msg) * (e - s)
 
     def send_list(self, dsts: list, msg: tuple) -> None:
+        if dsts:
+            self.send_each(dsts, [msg] * len(dsts))
+
+    def send_each(self, dsts, msgs: list) -> None:
+        """``msgs[k]`` to ``dsts[k]``, payloads of one tag: one run from the
+        sender, the block packed in one join — the records, and the error
+        on one the wire cannot carry, of one ``send`` per message."""
         sender = self._sender() if dsts else None
         if sender is None:
             return
-        tag = msg[0]
+        tag = msgs[0][0]
+        payload = b"".join(map(self._pack[tag], msgs))
         stage = self._stage[tag]
         stage.senders.append(sender)
         stage.counts.append(len(dsts))
         stage.singles.extend(dsts)
-        stage.payload += self._pack[tag](msg) * len(dsts)
+        stage.payload += payload
 
     def send_nbrs_bulk(self, tag: int, gather, senders, edges, counts, records) -> None:
         """A whole phase's neighbor sends in one: stage ``records[k]`` for
@@ -473,7 +480,9 @@ class ColumnarEngine(PregelEngine):
             self._resolve_instruments(self._mreg)
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
         self._plane = plane = SlabPlane(MessageCodec(schema), csr, self)
-        for name in ("send", "send_nbrs", "send_list", "send_nbrs_bulk", "send_to_bulk"):
+        for name in (
+            "send", "send_nbrs", "send_list", "send_each", "send_nbrs_bulk", "send_to_bulk",
+        ):  # fmt: skip
             setattr(self, name, getattr(plane, name))
         #: the next delivery's: tag -> its parts — the lone one the last
         #: vertex phase sealed; on an mp worker, one per sending worker
@@ -576,12 +585,6 @@ class ColumnarEngine(PregelEngine):
     def out_gather(self) -> NbrGather:
         """The gather of an out-direction bulk send: the graph's out-CSR."""
         return self._csr
-
-    def put_global_bulk(self, name: str, op, vids, values) -> None:
-        """Array code's puts to one global, one per selected vertex in
-        ascending vid order (``vids`` None = every vertex): folded as the
-        per-vertex ``put_global`` chain would have."""
-        self.put_global(name, op, fold_ordered(op, values))
 
     # -- checkpoint / restore -----------------------------------------
 

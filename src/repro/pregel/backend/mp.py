@@ -41,9 +41,9 @@ order-reconstructing merges at the parent barrier:
   found an order-sensitive reduce in it (a float ``SUM``/``PRODUCT``),
   always ahead of the decode into the dense inbox;
 * vertex **global-object puts** ship to the parent as one ``(vids,
-  values)`` array pair per global — a kernel's put as it made it, a
-  scalar step's gathered — and are re-folded in ascending-vid order with
-  the kernels' own ordered fold (``globalmap.fold_ordered``), so even
+  values)`` pair per global — a kernel's arrays, a generated loop's
+  lists — and are re-folded in ascending-vid order with the one ordered
+  fold (``globalmap.fold_ordered``), so even
   non-associative float reductions (a PageRank error sum) come out
   bit-identical to the single-process fold;
 * **combiners** fold in each worker's seal (``SlabPlane``): one record per
@@ -147,7 +147,7 @@ import traceback
 from array import array
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from types import SimpleNamespace
 from typing import Any, Callable
 
@@ -158,7 +158,6 @@ from ..graph import Graph
 from ..runtime import SuperstepRecord
 from .base import BackendUnsupported
 from .codec import read_part, split_by_owner, write_part
-from ..globalmap import fold_ordered
 from .columnar import ColumnarBackend, ColumnarEngine, NbrGather
 
 _EMPTY: tuple = ()
@@ -998,30 +997,33 @@ class MPEngine(ColumnarEngine):
         bit-identical to the simulator's sequential fold, float sums
         included.
 
-        A worker ships one ``(name, op, vids, values)`` array pair per
-        global — a kernel's put as it made it, a scalar step's puts
-        gathered into an object array.  Each global's puts become one
-        vid-ordered array, folded with the kernels' own ordered fold;
-        values of unlike dtypes become Python objects, which that fold
-        combines one by one."""
+        A worker ships its bulk puts as they were made, ``(name, op, vids,
+        values)`` — a kernel's arrays, a generated loop's lists.  Each
+        global's puts become one vid-ordered run, folded by ``put_fold``:
+        an array if they all are of one dtype, else Python values."""
         streams: dict[tuple, list] = {}
         for name, op, vids, values in puts:
             streams.setdefault((name, op), []).append((vids, values))
         folded = []
         for (name, op), parts in streams.items():
-            vids = np.concatenate([vids for vids, _values in parts])
-            arrays = [values for _vids, values in parts]
-            if len({values.dtype for values in arrays}) > 1:
-                arrays = [values.astype(object) for values in arrays]
-            values = np.concatenate(arrays)
+            vids = np.concatenate([np.asarray(vids) for vids, _values in parts])
+            runs = [values for _vids, values in parts]
             # stable: one vertex's puts (one worker's) stay in program order
             order = np.argsort(vids, kind="stable")
-            folded.append((vids[order[0]], name, op, fold_ordered(op, values[order])))
+            if all(isinstance(run, np.ndarray) for run in runs) and (
+                len({run.dtype for run in runs}) == 1
+            ):
+                values = np.concatenate(runs)[order]
+            else:
+                items = list(chain.from_iterable(
+                    run.tolist() if isinstance(run, np.ndarray) else run for run in runs
+                ))  # fmt: skip
+                values = [items[k] for k in order.tolist()]
+            folded.append((vids[order[0]], name, op, values))
         # slots open in the order a sequential fold would have opened them
         folded.sort(key=lambda put: put[0])
-        put_reduce = self.globals.put_reduce
-        for _first, name, op, value in folded:
-            put_reduce(name, op, value)
+        for _first, name, op, values in folded:
+            self.globals.put_fold(name, op, values)
 
     def _sync_columns(self) -> None:
         """Pull every worker's live partition back into the parent columns."""
@@ -1084,14 +1086,10 @@ class _Worker:
 
     # -- what the forked engine's puts become ------------------------------
 
-    def put_global(self, name: str, op, value) -> None:
-        vids, values = self._put_runs.setdefault((name, op), ([], []))
-        vids.append(self.engine._current_vertex)
-        values.append(value)
-
     def put_global_bulk(self, name: str, op, vids, values) -> None:
-        """Array code's puts to one global: shipped whole, folded with the
-        other workers' by the parent (``MPEngine._fold_puts``)."""
+        """A generated loop's or array code's puts to one global: shipped
+        whole, folded with the other workers' by the parent
+        (``MPEngine._fold_puts``)."""
         self._puts.append((name, op, vids, values))
 
     @cached_property
@@ -1149,7 +1147,6 @@ class _Worker:
                 d: [] for d in range(self._w) if d != self.wid
             }
         self._puts: list = []
-        self._put_runs: dict = {}
         self._counters = self._fresh_counters()
         # What the next step consumes: the raw slab parts destined here,
         # per tag — left by an exchange, or shipped by the parent as a seed
@@ -1171,7 +1168,6 @@ class _Worker:
         # writes the slabs.  Then the array code compiles against the engine.
         engine._mreg = None
         engine._track_makespan = False
-        engine.put_global = self.put_global
         engine.put_global_bulk = self.put_global_bulk
         engine.out_gather = lambda: self._out
         engine._seal = self._write_slabs
@@ -1243,11 +1239,6 @@ class _Worker:
         c = self._counters
         c.computed = computed = engine._vertex_phase(self._own)
         engine._current_vertex = -1
-        for (name, op), (vids, values) in self._put_runs.items():
-            boxed = np.empty(len(values), dtype=object)
-            boxed[:] = values
-            self._puts.append((name, op, np.asarray(vids), boxed))
-        self._put_runs = {}
         c.seconds = time.perf_counter() - t0
         mreg = self._mreg
         if mreg is not None:

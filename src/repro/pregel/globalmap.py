@@ -45,36 +45,41 @@ def combine(op: GlobalOp, a: Any, b: Any) -> Any:
 
 
 def fold_ordered(op: GlobalOp, values) -> Any:
-    """Fold a non-empty numpy array of puts to one global, in index order,
-    to exactly what a ``put_reduce`` chain over the same values leaves in
-    the slot: the first put seeds it, each later one combines from the
-    left.  Array kernels fold their own puts with it and the mp parent the
-    vid-merged puts of all workers, so both are the sequential fold by
-    construction."""
-    import numpy as np
+    """Fold a non-empty list or numpy array of puts to one global, in index
+    order, to exactly what a ``put_reduce`` chain over the same values
+    leaves in the slot: the first put seeds it, each later one combines
+    from the left.  Every bulk put folds through it — a generated loop's
+    lists, an array kernel's arrays, the mp parent's vid-merged puts of all
+    workers — so each is the sequential fold by construction."""
+    if not isinstance(values, list):
+        import numpy as np
 
-    if values.dtype.kind == "f" and op in (GlobalOp.SUM, GlobalOp.PRODUCT):
-        # accumulate is a strict left fold; np.sum / reduce are pairwise
-        ufunc = np.add if op is GlobalOp.SUM else np.multiply
-        return ufunc.accumulate(values)[-1].item()
+        if values.dtype.kind == "f" and op in (GlobalOp.SUM, GlobalOp.PRODUCT):
+            # accumulate is a strict left fold; np.sum / reduce are pairwise
+            ufunc = np.add if op is GlobalOp.SUM else np.multiply
+            return ufunc.accumulate(values)[-1].item()
+        if op in (GlobalOp.OR, GlobalOp.AND):
+            # the first operand that decides (below), found without a loop
+            truth = values if values.dtype.kind == "b" else (values != 0).astype(bool)
+            decides = truth if op is GlobalOp.OR else ~truth
+            first = int(decides.argmax())
+            x = values[first if decides[first] else -1]
+            return x.item() if isinstance(x, np.generic) else x
+        values = values.tolist()  # Python values: exact ints, native floats
+    if op is GlobalOp.SUM:
+        return functools.reduce(operator.add, values)
+    if op is GlobalOp.PRODUCT:
+        return functools.reduce(operator.mul, values)
+    if op is GlobalOp.MIN:
+        return min(values)  # keeps the first minimum, like combine()
+    if op is GlobalOp.MAX:
+        return max(values)
     if op in (GlobalOp.OR, GlobalOp.AND):
         # `a or b` / `a and b` hand back an operand: the first that decides
         # the outcome (truthy for OR, falsy for AND), else the last
-        truth = values if values.dtype.kind == "b" else (values != 0).astype(bool)
-        decides = truth if op is GlobalOp.OR else ~truth
-        first = int(decides.argmax())
-        x = values[first if decides[first] else -1]
-        return x.item() if isinstance(x, np.generic) else x
-    items = values.tolist()  # Python values: exact ints, native floats
-    if op is GlobalOp.SUM:
-        return functools.reduce(operator.add, items)
-    if op is GlobalOp.PRODUCT:
-        return functools.reduce(operator.mul, items)
-    if op is GlobalOp.MIN:
-        return min(items)  # keeps the first minimum, like combine()
-    if op is GlobalOp.MAX:
-        return max(items)
-    return items[-1]  # OVERWRITE
+        decides = operator.truth if op is GlobalOp.OR else operator.not_
+        return next(filter(decides, values), values[-1])
+    return values[-1]  # OVERWRITE
 
 
 @dataclass
@@ -107,6 +112,18 @@ class GlobalObjectMap:
         else:
             self._pending[name] = value
             self._pending_ops[name] = op
+
+    def put_fold(self, name: str, op: GlobalOp, values) -> None:
+        """``put_reduce`` of each of ``values`` (a non-empty list or numpy
+        array) in order, as one ``fold_ordered`` — chained from the pending
+        value, if the slot holds one."""
+        if name in self._pending:
+            values = values if isinstance(values, list) else values.tolist()
+            self.put_reduce(name, op, values[0])  # checks the reduction
+            values = [self._pending[name], *values[1:]]
+        else:
+            self._pending_ops[name] = op
+        self._pending[name] = fold_ordered(op, values)
 
     # -- master side -----------------------------------------------------
 

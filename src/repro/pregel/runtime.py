@@ -63,7 +63,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -676,22 +676,34 @@ class PregelEngine:
         ``send_list`` of its out-CSR slice.  Generated code emits this for
         loop-invariant payloads, as hand-written programs call it for a
         neighbor broadcast."""
-        graph = self.graph
-        offsets = graph.out_offsets
-        self.send_list(graph.out_targets[offsets[vid] : offsets[vid + 1]], msg)
+        offsets = self.graph.out_offsets
+        s, e = offsets[vid], offsets[vid + 1]
+        if s != e:
+            self._send_block(self.graph.out_targets[s:e], repeat(msg), msg)
 
     def send_list(self, dsts, msg: tuple) -> None:
         """Bulk send: ``msg`` to every vertex in ``dsts`` (in-neighbor
-        sends through the Incoming-Neighbors prologue's ``_in_nbrs``).
+        sends through the Incoming-Neighbors prologue's ``_in_nbrs``) — the
+        ``send_each`` of one payload for every destination."""
+        if dsts:
+            self._send_block(dsts, repeat(msg), msg)
+
+    def send_each(self, dsts, msgs: list) -> None:
+        """Bulk send: ``msgs[k]`` to vertex ``dsts[k]``, payloads of one tag
+        (generated code's per-edge payloads along an out-CSR slice).
 
         The block is staged in one pass, in ``dsts`` order — the buckets
         and their order one ``send`` per destination would leave — and
-        metered once: the payload, its size and the sender's worker are
+        metered once: the tag, so the size, and the sender's worker are
         the block's, only the destinations' owners vary.  A tag a combiner
         folds and a limited memory plan act per message, so under either
         the block is that ``send`` loop.  An empty block is a no-op."""
-        if not dsts:
-            return
+        if dsts:
+            self._send_block(dsts, msgs, msgs[0])
+
+    def _send_block(self, dsts, msgs: Iterable[tuple], msg: tuple) -> None:
+        """``send_each`` of a non-empty block: ``msgs`` lines up with
+        ``dsts``, ``msg`` is one of them (the block's tag and size)."""
         sender = self._current_vertex
         if sender < 0:
             raise RuntimeError(OUTSIDE_PHASE_ERROR)
@@ -699,19 +711,19 @@ class PregelEngine:
             return  # already delivered by the original execution (see send)
         if self._mem_limited or (self._combiners and msg[0] in self._combiners):
             send = self.send
-            for dst in dsts:
-                send(dst, msg)
+            for dst, one in zip(dsts, msgs):
+                send(dst, one)
             return
         worker_of = self._worker_of
         owners = list(map(worker_of.__getitem__, dsts))
         parts = self._out_parts
-        for dst, owner in zip(dsts, owners):
+        for dst, owner, one in zip(dsts, owners, msgs):
             part = parts[owner]
             bucket = part.get(dst)
             if bucket is None:
-                part[dst] = [msg]
+                part[dst] = [one]
             else:
-                bucket.append(msg)
+                bucket.append(one)
         n = len(owners)
         sender_worker = worker_of[sender]
         remote = n - owners.count(sender_worker)
@@ -742,6 +754,16 @@ class PregelEngine:
             # during the original execution of this superstep.
             return
         self.globals.put_reduce(name, op, value)
+
+    def put_global_bulk(self, name: str, op: GlobalOp, vids, values) -> None:
+        """A loop's puts to one global, one per entry of ``vids`` (the
+        putting vertices, ascending; unused here), as one ``put_fold``:
+        what the per-vertex ``put_global`` chain leaves, floats included.
+        A generated loop makes one per global it puts to, after the loop;
+        array code one per put statement."""
+        if self._ft_replaying:
+            return  # already aggregated by the original execution (see put_global)
+        self.globals.put_fold(name, op, values)
 
     def vote_to_halt(self, vid: int) -> None:
         if self._voted is None:
@@ -927,7 +949,7 @@ class PregelEngine:
         shadows ``send`` with an instance attribute (per-worker staged
         payload bytes), so the engine's loops and the per-send fast path
         carry zero extra branches when tracing is off.  The shadow meters
-        single sends; a block (``send_list``) meters its own bytes into the
+        single sends; a block (``send_each``) meters its own bytes into the
         same counter.  The two install separately: a backend that meters
         whole slabs takes the first and not the shadow.  Confined-recovery
         replay (``_ft_replaying``) is transparent to both — it runs no
@@ -951,7 +973,7 @@ class PregelEngine:
         """The inherited ``send`` behind the tracer's byte meter: per-worker
         bytes of the *staged* payload (pre-combiner-fold: the sends are
         identical under either scheduler, which keeps the quantity
-        deterministic).  A block meters the same bytes in ``send_list``,
+        deterministic).  A block meters the same bytes in ``send_each``,
         or reaches this shadow once per message where it acts per message."""
         worker_of = self._worker_of
         staged_bytes = self._trace_worker_bytes

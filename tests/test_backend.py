@@ -1017,6 +1017,270 @@ class TestSlabPlane:
             assert block._step_work == each._step_work
             assert block._trace_worker_bytes == each._trace_worker_bytes
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(("bc_approx", "sssp", "connected_components")),
+        st.integers(2, 24),
+        st.sampled_from((1, 2, 3, 5)),
+        st.sampled_from(("hash", "range")),
+        st.sampled_from((None, "SUM", "MIN", "MAX")),
+        st.randoms(use_true_random=False),
+    )
+    def test_an_edge_block_is_its_sends(self, alg, n, workers, partitioning, fold, rng):
+        # send_each — one payload per destination, as a generated per-edge
+        # send makes — held to one send per destination: the simulator's
+        # buckets and ledger, and the plane's sealed records and metering
+        from types import SimpleNamespace
+
+        from repro.pregel.backend.columnar import NbrGather, SlabPlane
+        from repro.pregel.globalmap import GlobalOp
+        from repro.pregel.graph import Graph
+        from repro.pregel.runtime import RunMetrics
+        from repro.translate.combiner import combiner_functions
+
+        schema = compile_algorithm(alg).program.schema
+        codec = MessageCodec(schema)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 3 * n))]
+        graph = Graph.from_edges(n, edges)
+        foldable = [tag for tag in codec.tag_ids if len(schema.tags[tag].slots) == 1]
+        combiners = {}
+        if fold is not None and foldable:
+            combiners = combiner_functions({rng.choice(foldable): GlobalOp[fold]})
+        # ascending senders, each a few blocks of one tag: along its out-CSR
+        # slice, or to any vertices (repeats and empty blocks included)
+        script = []
+        for vid in range(n):
+            for _ in range(rng.randrange(0, 3)):
+                tag = rng.choice(codec.tag_ids)
+                if rng.random() < 0.5:
+                    offsets = graph.out_offsets
+                    dsts = graph.out_targets[offsets[vid] : offsets[vid + 1]]
+                else:
+                    dsts = [rng.randrange(n) for _ in range(rng.randrange(0, 5))]
+                script.append((vid, dsts, [self.make_msg(schema, tag, rng) for _ in dsts]))
+
+        def engine():
+            one = PregelEngine(
+                graph, None, num_workers=workers, partitioning=partitioning,
+                message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
+                combiners=combiners,
+                ft=FaultTolerance(FaultPlan(message_loss_rate=0.3, max_retries=4)),
+            )  # fmt: skip
+            one._install_tracing()  # the tracer's counters and send meter
+            return one
+
+        block, each = engine(), engine()
+        gather = NbrGather.of_graph(graph, block._worker_of)
+        hosts = [
+            SimpleNamespace(
+                _current_vertex=-1, _ft_replaying=False, graph=graph, _bulk_receivers={},
+                _combiners=combiners,
+            )  # fmt: skip
+            for _ in range(2)
+        ]
+        planes = [SlabPlane(codec, gather, host) for host in hosts]
+        for vid, dsts, msgs in script:
+            block._current_vertex = each._current_vertex = vid
+            hosts[0]._current_vertex = hosts[1]._current_vertex = vid
+            block.send_each(dsts, msgs)
+            planes[0].send_each(dsts, msgs)
+            for dst, msg in zip(dsts, msgs):
+                each.send(dst, msg)
+                planes[1].send(dst, msg)
+        traffic = ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent")
+        for flush in (False, True):
+            if flush:  # the folded slots, metered at the barrier
+                block._flush_combined()
+                each._flush_combined()
+            assert [list(p.items()) for p in block._out_parts] == [
+                list(p.items()) for p in each._out_parts
+            ]
+            assert list(block._combined.items()) == list(each._combined.items())
+            for name in (*traffic, "messages_retried", "retry_backoff_units"):
+                assert getattr(block.metrics, name) == getattr(each.metrics, name), name
+            assert block._step_work == each._step_work
+            assert block._trace_worker_bytes == each._trace_worker_bytes
+        # the plane: one run per block, the records of one send per message,
+        # metered as the simulator metered them once its combiner table flushed
+        sealed = [[], []]
+        for plane, records in zip(planes, sealed):
+            metrics = RunMetrics(worker_sent=[0] * workers)
+            step_work, staged_bytes = [0] * workers, [0] * workers
+            for one in plane.seal():
+                plane.meter_workers(metrics, step_work, one, staged_bytes)
+                records.append(
+                    (one.tag, one.dsts.tolist(), one.record_senders().tolist(), bytes(one.payload))
+                )
+            for name in traffic:
+                assert getattr(metrics, name) == getattr(each.metrics, name), name
+            assert step_work == each._step_work
+            assert staged_bytes == each._trace_worker_bytes
+        assert sealed[0] == sealed[1]
+
+    #: per reduction, a pending value and runs of puts whose sequential fold
+    #: a reordering, a pairwise fold or a fold not chained from the pending
+    #: value changes
+    nan = float("nan")
+    LOOP_PUTS = {
+        "SUM": (-1e16, ([1e16, 1.0, -1e16], [1e16, 1.0], [0.1, 0.2, 0.3], [3, 4, 2**70])),
+        "PRODUCT": (1e-200, ([1e200, 1e200, 1e-200], [1.1, 1.3, 1e-300], [3, -2, 2**40])),
+        "MIN": (1.0, ([0.0, -0.0], [-0.0, 0.0], [nan, 1.0], [nan, 0.5], [1.0, nan, 0.5])),
+        "MAX": (1.0, ([0.0, -0.0], [-0.0, 0.0], [nan, 1.0], [nan, 2.0], [1.0, nan, 2.0])),
+        "AND": (7, ([3, 0, 2], [2, 3], [True, 2.5], [1.5, 0.0, False], [True, True])),
+        "OR": (0.0, ([0, 0.0, 2.5, 3], [0, 0.0], [False, 0], [0, True, 2])),
+        "OVERWRITE": (5, ([1, 2.5, 3], [True], [-0.0])),
+    }
+
+    @needs_mp
+    @pytest.mark.parametrize("op", sorted(LOOP_PUTS))
+    def test_a_loop_put_is_its_puts(self, op):
+        # put_global_bulk — a generated loop's puts to one global, made once
+        # after the loop — leaves what one put_global per vertex leaves, on
+        # sim and columnar, and the mp parent's vid-ordered fold of the
+        # same puts split over its workers; onto a pending value it chains
+        import itertools
+        import math
+
+        import numpy as np
+
+        from repro.pregel.globalmap import GlobalObjectMap, GlobalOp
+
+        gop = GlobalOp[op]
+
+        def same(got, want):
+            if isinstance(want, float) and math.isnan(want):
+                return isinstance(got, float) and math.isnan(got)
+            return repr(got) == repr(want) and type(got) is type(want)
+
+        def chain(values):
+            want = GlobalObjectMap()
+            for value in values:
+                want.put_reduce("g", gop, value)
+            return want._pending["g"]
+
+        program = compile_algorithm("pagerank").program
+        graph = load_graph("twitter", 0.02)
+        args = default_args("pagerank", graph)
+        engines = {
+            b: program.make_engine(graph, args, backend=b, num_workers=3)[0]
+            for b in ("sim", "columnar", "mp")
+        }
+        first, runs = self.LOOP_PUTS[op]
+        for values, pending in itertools.product(runs, (None, first)):
+            vids = list(range(len(values)))
+            want = chain(values if pending is None else [pending, *values])
+            for backend, engine in engines.items():
+                engine.globals = GlobalObjectMap()
+                if pending is not None:
+                    engine.put_global("g", gop, pending)
+                if backend == "mp":  # the workers' lists, by worker
+                    engine._fold_puts([
+                        ("g", gop, vids[w::3], values[w::3]) for w in (2, 0, 1) if vids[w::3]
+                    ])  # fmt: skip
+                else:
+                    engine.put_global_bulk("g", gop, vids, list(values))
+                got = engine.globals._pending["g"]
+                assert same(got, want), (backend, values, pending, got, want)
+            # an array kernel's puts fold by the same rule
+            array = np.asarray(values)
+            if array.dtype != object and pending is None and len({type(v) for v in values}) == 1:
+                engine = engines["columnar"]
+                engine.globals = GlobalObjectMap()
+                with np.errstate(over="ignore"):
+                    engine.put_global_bulk("g", gop, None, array)
+                assert same(engine.globals._pending["g"], want), (values, "array")
+        # another reduction on the global is refused, in put_reduce's words
+        other = GlobalOp.MAX if gop is GlobalOp.MIN else GlobalOp.MIN
+        for engine in engines.values():
+            with pytest.raises(ValueError, match="conflicting reductions on global 'g'"):
+                engine.put_global_bulk("g", other, [0], [1])
+
+    def test_loop_puts_equal_the_interpreters(self, programs):
+        # a generated loop's puts on sim, columnar and mp — each as array
+        # code and as the generated loop — and the interpreter's sequential
+        # reductions give one result; a loop that puts nothing aggregates
+        # nothing; a confined replay of the put phase puts nothing
+        import itertools
+        import math
+        from collections import defaultdict
+
+        import numpy as np
+
+        from repro.compiler import compile_source
+        from repro.interp import interpret
+        from repro.pregel.graph import Graph
+        from repro.pregelir.ir import VGlobalPut, walk_stmts
+
+        source = (
+            "Procedure puts(G: Graph, x: N_P<Double>, y: N_P<Double>, b: N_P<Bool>;\n"
+            "    o_s: N_P<Double>, o_p: N_P<Double>, o_lo: N_P<Double>, o_hi: N_P<Double>,\n"
+            "    o_all: N_P<Bool>, o_any: N_P<Bool>, o_none: N_P<Double>) {\n"
+            "  Double s = 0.0; Double p = 1.0; Double lo = +INF; Double hi = -INF;\n"
+            "  Bool all = True; Bool any = False; Double none = 7.0;\n"
+            "  Foreach (n: G.Nodes) {\n"
+            "    s += n.x; p *= n.y; lo min= n.x; hi max= n.x; all &= n.b; any |= n.b;\n"
+            "  }\n"
+            "  Foreach (n: G.Nodes)[n.x > 1e300] { none += n.x; }\n"
+            "  Foreach (n: G.Nodes) {\n"
+            "    n.o_s = s; n.o_p = p; n.o_lo = lo; n.o_hi = hi;\n"
+            "    n.o_all = all; n.o_any = any; n.o_none = none;\n"
+            "  }\n"
+            "}\n"
+        )
+        program = compile_source(source).program
+        n = 12
+        graph = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+        args = {
+            "x": [1e16, 1.0, -1e16, 0.0, -0.0, 0.5, -0.0, 0.0, 1e16, 1.0, 0.25, -1e16],
+            "y": [1e200, 1e200, 1e-200, 1.5, 1.1, 1.3, 1.7, 0.9, 1.01, 1.2, 1.4, 1.05],
+            "b": [True] * 5 + [False] + [True] * 6,
+        }
+        outputs = ("o_s", "o_p", "o_lo", "o_hi", "o_all", "o_any", "o_none")
+        interp = interpret(source, graph, args)
+        want = {name: interp.props[name] for name in outputs}
+        # (the sum in any other order, or exactly, is not 0.0)
+        assert want["o_s"][0] == 0.0 and want["o_p"][0] == math.inf and want["o_none"][0] == 7.0
+        runs = {}
+        for backend, workers, scalar in itertools.product(
+            ("sim", "columnar", "mp"), (1, 3), (False, True)
+        ):
+            if (backend == "mp" and not mp_available()) or (backend == "sim" and scalar):
+                continue
+            engine, fields, _master = program.make_engine(
+                graph, args, backend=backend, num_workers=workers
+            )
+            if scalar:
+                engine._array_code = None
+                engine.install_array_code({}, {})
+            with np.errstate(over="ignore"):  # the product overflows, as it must
+                engine.run()
+            column = get_backend(backend).column_values
+            runs[backend, workers, scalar] = {name: column(fields[name]) for name in outputs}
+        def exact(columns):  # ±0.0 apart; a typed Bool column holds 0/1
+            return {
+                name: [bool(v) if name in ("o_all", "o_any") else repr(float(v)) for v in values]
+                for name, values in columns.items()
+            }
+
+        for cell, got in runs.items():
+            assert exact(got) == exact(want), cell
+
+        # confined replay: the put phase's loop, replayed, leaves no pending put
+        for backend in ("sim", "columnar"):
+            engine, _fields, _master = program.make_engine(graph, args, backend=backend)
+            [state] = [
+                pid for pid, phase in program.ir.phases.items()
+                if any(isinstance(stmt, VGlobalPut) for stmt in walk_stmts(phase.compute))
+            ]  # fmt: skip
+            loop = engine._vertex_compute[state]
+            for replaying in (True, False):
+                engine._ft_replaying = replaying
+                loop(engine, range(n), defaultdict(tuple))
+                engine._current_vertex = -1
+                assert bool(engine.globals._pending) is not replaying, backend
+            assert engine.globals._pending["s"] == 0.0
+            assert "none" not in engine.globals._pending
+
     @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
     @pytest.mark.parametrize("api", ["send_nbrs", "send_list"])
     def test_an_empty_block_is_a_no_op(self, programs, graph, backend, api):
@@ -3523,20 +3787,15 @@ class TestPartitionKernels:
         )
         values = [1.0 / (4 + v * v) for v in range(9)]
         flags = [v % 4 == 3 for v in range(9)]
-        def boxed(items):  # a scalar step's puts to one global
-            out = np.empty(len(items), dtype=object)
-            out[:] = items
-            return out
-
         puts = [
-            # per worker: "s" as a kernel's float array, "any" as a scalar
-            # step's object array
+            # per worker: "s" as a kernel's float arrays, "any" as a
+            # generated loop's lists
             ("s", GlobalOp.SUM, np.array([0, 3, 6]), np.array(values[0::3])),
             ("s", GlobalOp.SUM, np.array([1, 4, 7]), np.array(values[1::3])),
             ("s", GlobalOp.SUM, np.array([2, 5, 8]), np.array(values[2::3])),
-            ("any", GlobalOp.OR, np.array([1, 4, 7]), boxed(flags[1::3])),
-            ("any", GlobalOp.OR, np.array([0, 3, 6]), boxed(flags[0::3])),
-            ("any", GlobalOp.OR, np.array([2, 5, 8]), boxed(flags[2::3])),
+            ("any", GlobalOp.OR, [1, 4, 7], flags[1::3]),
+            ("any", GlobalOp.OR, [0, 3, 6], flags[0::3]),
+            ("any", GlobalOp.OR, [2, 5, 8], flags[2::3]),
         ]
         engine._fold_puts(puts)
         want = GlobalObjectMap()

@@ -140,7 +140,14 @@ class TestEmitStmt:
         text = self.render(
             VSendNbrs(0, [Bin(BinOp.ADD, Field("d"), Call("edge_prop", ("len",)))], "out")
         )
-        assert "for _ei in range(OUT_OFF[vid], OUT_OFF[vid + 1]):" in text
+        # one send_each per vertex, its payloads evaluated edge by edge,
+        # none of them on a sink
+        assert text.splitlines() == [
+            "_lo, _hi = OUT_OFF[vid], OUT_OFF[vid + 1]",
+            "if _lo != _hi:",
+            "    ctx.send_each(OUT_TGT[_lo:_hi], "
+            "[(0, (F_d[vid] + EP_len[_ei])) for _ei in range(_lo, _hi)])",
+        ]
 
     def test_in_direction_uses_in_nbrs_field(self):
         text = self.render(VSendNbrs(1, [Lit(1)], "in"))
