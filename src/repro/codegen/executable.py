@@ -35,7 +35,7 @@ from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
 from ..lang.errors import MissingArgument
 from ..pregel.backend import get_backend
-from ..pregel.globalmap import GlobalOp, combine
+from ..pregel.globalmap import GlobalOp
 from ..pregel.graph import Graph
 from ..pregel.runtime import PregelEngine, RunMetrics
 from ..pregelir.schema import derive_schema
@@ -77,7 +77,7 @@ from ..pregelir.ir import (
     VStmt,
     walk_stmts,
 )
-from ..translate.merge import phase_global_reads
+from ..translate.merge import phase_global_puts, phase_global_reads
 
 _BIN_PY = {
     BinOp.ADD: "+",
@@ -202,9 +202,12 @@ class _Emitter:
         return self._buf.getvalue()
 
 
+#: a field reduce, ``fold.combine``'s step printed inline
 _REDUCE_PY = {
     GlobalOp.SUM: "F_{f}[vid] = F_{f}[vid] + {e}",
     GlobalOp.PRODUCT: "F_{f}[vid] = F_{f}[vid] * {e}",
+    GlobalOp.MIN: "_v = {e}\nif _v < F_{f}[vid]: F_{f}[vid] = _v",
+    GlobalOp.MAX: "_v = {e}\nif _v > F_{f}[vid]: F_{f}[vid] = _v",
     GlobalOp.AND: "F_{f}[vid] = F_{f}[vid] and {e}",
     GlobalOp.OR: "F_{f}[vid] = F_{f}[vid] or {e}",
     GlobalOp.OVERWRITE: "F_{f}[vid] = {e}",
@@ -217,14 +220,8 @@ def emit_stmt(out: _Emitter, stmt: VStmt) -> None:
     elif isinstance(stmt, VFieldAssign):
         out.line(f"F_{stmt.name}[vid] = {expr_py(stmt.expr)}")
     elif isinstance(stmt, VFieldReduce):
-        if stmt.op is GlobalOp.MIN:
-            out.line(f"_v = {expr_py(stmt.expr)}")
-            out.line(f"if _v < F_{stmt.name}[vid]: F_{stmt.name}[vid] = _v")
-        elif stmt.op is GlobalOp.MAX:
-            out.line(f"_v = {expr_py(stmt.expr)}")
-            out.line(f"if _v > F_{stmt.name}[vid]: F_{stmt.name}[vid] = _v")
-        else:
-            out.line(_REDUCE_PY[stmt.op].format(f=stmt.name, e=expr_py(stmt.expr)))
+        for line in _REDUCE_PY[stmt.op].format(f=stmt.name, e=expr_py(stmt.expr)).split("\n"):
+            out.line(line)
     elif isinstance(stmt, VIf):
         out.line(f"if {expr_py(stmt.cond)}:")
         out.indent()
@@ -376,9 +373,11 @@ def generate_master_source(ir: PregelIR) -> str:
     ``M`` is the master fields, ``pc`` the instruction index to resume at:
     the start, a label, or the instruction after a vertex phase — one block
     each.  A call runs blocks until one yields a vertex phase, broadcasting
-    ``_state`` and then every field of ``M``, and returns the index to
-    resume at next superstep; or until it halts the engine, and returns
-    ``None``.  At most ``_MAX_MASTER_OPS`` blocks run per call.
+    ``_state`` and every field of ``M`` and opening the slot of each global
+    the phase puts to at its field (an :class:`MFinalize` takes the chain),
+    and returns the index to resume at next superstep; or until it halts
+    the engine, and returns ``None``.  At most ``_MAX_MASTER_OPS`` blocks
+    run per call.
     """
     code = ir.master_code
     labels = {i.label: idx for idx, i in enumerate(code) if isinstance(i, MLabel)}
@@ -395,7 +394,7 @@ def generate_master_source(ir: PregelIR) -> str:
         out.line(f"{'if' if start == 0 else 'elif'} pc == {start}:")
         out.indent()
         idx = start
-        while _emit_master_instr(out, code, idx, labels):
+        while _emit_master_instr(out, ir, idx, labels):
             idx += 1
             if idx in starts:
                 out.line(f"pc = {idx}")
@@ -406,8 +405,9 @@ def generate_master_source(ir: PregelIR) -> str:
     return out.text()
 
 
-def _emit_master_instr(out: _Emitter, code: list, idx: int, labels: dict) -> bool:
+def _emit_master_instr(out: _Emitter, ir: PregelIR, idx: int, labels: dict) -> bool:
     """Print instruction ``idx``; False when control leaves the block."""
+    code = ir.master_code
     instr = code[idx] if idx < len(code) else MHalt()  # falling off the end
     if isinstance(instr, MHalt):
         result = instr.result
@@ -419,7 +419,7 @@ def _emit_master_instr(out: _Emitter, code: list, idx: int, labels: dict) -> boo
     elif isinstance(instr, MFinalize):
         name = repr(instr.name)
         out.line(f"if ctx.globals.has_aggregated({name}):")
-        out.line(f"    M[{name}] = combine(OP_{instr.op.name}, M[{name}], ctx.get_agg({name}))")
+        out.line(f"    M[{name}] = ctx.get_agg({name})")
     elif isinstance(instr, MLabel):
         out.line(f"# {instr.label}:")
     elif isinstance(instr, MJump):
@@ -433,6 +433,8 @@ def _emit_master_instr(out: _Emitter, code: list, idx: int, labels: dict) -> boo
         out.line(f"ctx.put_broadcast('_state', {instr.phase})")
         out.line("for _name, _value in M.items():")
         out.line("    ctx.put_broadcast(_name, _value)")
+        for name in sorted(phase_global_puts(ir.phases[instr.phase])):
+            out.line(f"ctx.globals.open_at({name!r}, M[{name!r}])")
         out.line(f"return {idx + 1}")
         return False
     else:
@@ -577,9 +579,9 @@ class CompiledProgram:
         engine_opts["scheduling"] = scheduling
         engine_opts["frontier_threshold"] = frontier_threshold
         if use_combiners and "combiners" not in engine_opts:
-            from ..translate.combiner import combiner_functions, infer_combiners
+            from ..translate.combiner import infer_combiners
 
-            engine_opts["combiners"] = combiner_functions(infer_combiners(self.ir))
+            engine_opts["combiners"] = infer_combiners(self.ir)
         for name, param in ((p.name, p) for p in self.ir.params):
             if isinstance(param.gm_type, ty.EdgePropType) and name not in graph.edge_props:
                 raise ValueError(f"graph is missing edge property '{name}'")
@@ -591,7 +593,6 @@ class CompiledProgram:
             "INF": INF_VALUE,
             "NIL": NIL_NODE,
             "gm_div": gm_div,
-            "combine": combine,
             "NUM_NODES": graph.num_nodes,
             "NUM_EDGES": graph.num_edges,
             "OUT_OFF": graph.out_offsets,

@@ -31,10 +31,9 @@ its receive statements *read* (two reads, below, are exempt), and when
 each op is its statement's closed form:
 
 * ``ScatterReduce`` — ``[if guard:] f op= value`` (``SUM``/``PRODUCT``/
-  ``MIN``/``MAX``, ``OR``/``AND`` into a Bool column): ``np.ufunc.at``
-  applies updates sequentially in index order, the fold order of the
-  per-message loop for any single receiver (``np.add.reduceat`` sums
-  pairwise and would break float parity).  A float ``SUM``/``PRODUCT``
+  ``MIN``/``MAX``, ``OR``/``AND`` into a Bool column): ``fold_at``
+  (``repro.pregel.fold``) folds in index order, the fold order of the
+  per-message loop for any single receiver.  A float ``SUM``/``PRODUCT``
   observes that order; nothing else does;
 * ``ImproveFlag`` — ``g |= e < f; f min= e`` (``_improve_flag``; the first
   exempt read): the scalar loop compares each message against a running
@@ -83,10 +82,8 @@ On either side of the wire and in the kernels:
   a-time over all vertices then equals vertex-at-a-time, *except* where
   order shows — so at most one ``put_global`` per global name and one
   send per tag per phase are accepted (ascending-vid order of the one
-  statement is the simulator's order), float ``SUM``/``PRODUCT`` puts
-  fold left-to-right through ``ufunc.accumulate`` (never pairwise
-  ``np.sum``) and every other put folds over Python values, which also
-  keeps integer folds exact;
+  statement is the simulator's order) and every put is one ``fold`` of
+  its array, the chain a vertex loop's puts make;
 * guarded code is evaluated only over its mask (``VIf``, ``Cond``, the
   right operand of a hazardous ``and``/``or``, and a send's payload over
   the vertices that send), so a guard still protects a division; an
@@ -116,7 +113,7 @@ import numpy as _np
 from ..lang.ast import BinOp, UnOp
 from ..lang import types as ty
 from ..pregel.backend.codec import slot_range, wire_integral_error, wire_range_error
-from ..pregel.globalmap import GlobalOp
+from ..pregel.fold import GlobalOp, combine_each, fold_at
 from ..pregelir.ir import (
     Bin,
     Call,
@@ -736,38 +733,6 @@ def _by_receiver(full: dict, n: int):
     return runs
 
 
-def _or_at(view, dsts, values) -> None:
-    """``view[d] = view[d] or v`` per message on 0/1 values: a truthy
-    receiver keeps what it holds, a 0 becomes 1 if any of its values is
-    true (and else ends on its last, false, value: 0)."""
-    hit = dsts[_np.broadcast_to(_truth(values), dsts.shape)]
-    view[hit[view[hit] == 0]] = 1
-
-
-def _and_at(view, dsts, values) -> None:
-    """``view[d] = view[d] and v`` per message on 0/1 values: a 0 stays, a
-    truthy receiver becomes whether all of its values are true."""
-    view[dsts[view[dsts] != 0]] = 1
-    view[dsts[~_np.broadcast_to(_truth(values), dsts.shape)]] = 0
-
-
-_UFUNC = {
-    GlobalOp.SUM: "add", GlobalOp.PRODUCT: "multiply", GlobalOp.MIN: "minimum", GlobalOp.MAX: "maximum"
-}  # fmt: skip
-
-
-def _reduce_at(op: GlobalOp, view):
-    """``reduce(view, dsts, values)`` folding ``values`` into ``view[dsts]``
-    one message after the other, in index order."""
-    if op in _UFUNC:
-        return getattr(_np, _UFUNC[op]).at
-    if op in (GlobalOp.OR, GlobalOp.AND):
-        if view.dtype.itemsize != 1:
-            raise _Unvectorizable(f"{op.value}-reduction into a non-Bool column")
-        return _or_at if op is GlobalOp.OR else _and_at
-    raise _Unvectorizable(f"reduction op {op}")
-
-
 #: MIN/MAX reduce -> the strict comparison under which a value improves it
 _STRICT = {GlobalOp.MIN: BinOp.LT, GlobalOp.MAX: BinOp.GT}
 _MIRRORED = {BinOp.LT: BinOp.GT, BinOp.GT: BinOp.LT}
@@ -804,8 +769,11 @@ def _scatter_reduce(red: VFieldReduce, cond, scope: _Scope, flag_of=None, watche
     """``ScatterReduce``, or — ``flag_of`` the MIN/MAX reduce the flag
     watches — ``ImproveFlag``: its value is whether that reduce, lowered
     ``watched``, moved its receiver, left per message in ``full["improved"]``."""
-    target, view = red.name, scope.view(red.name)
-    reduce = _reduce_at(red.op, view)
+    target, view, op = red.name, scope.view(red.name), red.op
+    if op is GlobalOp.OVERWRITE:
+        raise _Unvectorizable(f"reduction op {op}")
+    if op in (GlobalOp.OR, GlobalOp.AND) and view.dtype.itemsize != 1:
+        raise _Unvectorizable(f"{op.value}-reduction into a non-Bool column")
     ordered = None
     if flag_of is not None:
         # the comparison is never compiled: its read of f stays out of scope.reads
@@ -831,10 +799,10 @@ def _scatter_reduce(red: VFieldReduce, cond, scope: _Scope, flag_of=None, watche
             return
         sel = ctx["sel"]
         if improved is None:
-            reduce(view, sel, value(ctx))
+            fold_at(op, view, sel, value(ctx))
         else:  # a watched reduce is unguarded: sel is every destination
             old = view[sel]
-            reduce(view, sel, value(ctx))
+            fold_at(op, view, sel, value(ctx))
             full["improved"][target] = improved(view[sel], old)
 
     return _Op([name], [target], run, ordered)
@@ -1090,17 +1058,6 @@ def _store(view, sel, value) -> None:
         view[sel] = value
 
 
-_FIELD_REDUCE = {
-    GlobalOp.SUM: _ARITH[BinOp.ADD],
-    GlobalOp.PRODUCT: _ARITH[BinOp.MUL],
-    GlobalOp.MIN: lambda cur, v: _np.where(v < cur, v, cur),
-    GlobalOp.MAX: lambda cur, v: _np.where(v > cur, v, cur),
-    GlobalOp.AND: lambda cur, v: _np.where(_truth(cur), v, cur),
-    GlobalOp.OR: lambda cur, v: _np.where(_truth(cur), cur, v),
-    GlobalOp.OVERWRITE: lambda cur, v: v,
-}
-
-
 class _KernelBuilder:
     """Compiles one phase's filter + compute body into a list of closures
     over a context, refusing (``_Unvectorizable``) whatever could make
@@ -1176,11 +1133,11 @@ class _KernelBuilder:
             raise _Unvectorizable("non-integral store into integer column")
         if isinstance(stmt, VFieldAssign):
             return lambda ctx: _store(view, ctx["sel"], value(ctx))
-        fold = _FIELD_REDUCE[stmt.op]
+        op, add, mul = stmt.op, _ARITH[BinOp.ADD], _ARITH[BinOp.MUL]
 
         def reduce_field(ctx):
             sel = ctx["sel"]
-            _store(view, sel, fold(_read(view, sel), value(ctx)))
+            _store(view, sel, combine_each(op, _read(view, sel), value(ctx), add, mul))
 
         return reduce_field
 

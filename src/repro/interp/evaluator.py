@@ -51,6 +51,7 @@ from ..lang.ast import (
 from ..lang import types as ty
 from ..lang.errors import MissingArgument
 from ..lang.parser import parse_procedure
+from ..pregel.fold import IDENTITY, OF_REDUCE, GlobalOp, combine
 from ..pregel.graph import Graph
 
 INF = float("inf")
@@ -217,15 +218,13 @@ class Interpreter:
         column[idx] = self.eval(stmt.expr)
 
     def _exec_reduce_assign(self, stmt: ReduceAssign) -> None:
-        target = stmt.target
+        target, op = stmt.target, OF_REDUCE[stmt.op.name]
         value = self.eval(stmt.expr)
         if isinstance(target, Ident):
-            self.scalars[target.name] = _reduce(
-                stmt.op, self.scalars[target.name], value
-            )
+            self.scalars[target.name] = combine(op, self.scalars[target.name], value)
             return
         column, idx = self._prop_slot(target)
-        column[idx] = _reduce(stmt.op, column[idx], value)
+        column[idx] = combine(op, column[idx], value)
 
     def _exec_deferred_assign(self, stmt: DeferredAssign) -> None:
         target = stmt.target
@@ -471,52 +470,21 @@ class Interpreter:
 
     def _eval_reduce(self, expr: ReduceExpr):
         op = expr.op
-        if op is ReduceOp.SUM:
-            acc: object = 0
-        elif op is ReduceOp.COUNT:
-            acc = 0
-        elif op is ReduceOp.PRODUCT:
-            acc = 1
-        elif op is ReduceOp.MIN:
-            acc = INF
-        elif op is ReduceOp.MAX:
-            acc = -INF
-        elif op is ReduceOp.ANY:
-            acc = False
-        elif op is ReduceOp.ALL:
-            acc = True
-        elif op is ReduceOp.AVG:
-            acc = 0.0
-        total, count = acc, 0
+        step = OF_REDUCE.get(op.name, GlobalOp.SUM)  # an Avg sums, then divides
+        total, count = 0.0 if op is ReduceOp.AVG else IDENTITY[step], 0
         for node, edge in self._iterate(expr.source):
             self.iters[expr.iterator] = (node, edge)
             try:
                 if op in (ReduceOp.ANY, ReduceOp.ALL):
-                    value = self.eval(expr.filter)  # predicate form
-                    if op is ReduceOp.ANY:
-                        total = total or value
-                        if total:
-                            break
-                    else:
-                        total = total and value
-                        if not total:
-                            break
+                    total = combine(step, total, self.eval(expr.filter))  # predicate form
+                    if bool(total) is (op is ReduceOp.ANY):
+                        break  # decided
                     continue
                 if expr.filter is not None and not self.eval(expr.filter):
                     continue
-                if op is ReduceOp.COUNT:
-                    total += 1
-                    continue
-                value = self.eval(expr.body)
+                value = 1 if op is ReduceOp.COUNT else self.eval(expr.body)
+                total = combine(step, total, value)
                 count += 1
-                if op is ReduceOp.SUM or op is ReduceOp.AVG:
-                    total += value
-                elif op is ReduceOp.PRODUCT:
-                    total *= value
-                elif op is ReduceOp.MIN:
-                    total = min(total, value)
-                elif op is ReduceOp.MAX:
-                    total = max(total, value)
             finally:
                 self.iters.pop(expr.iterator, None)
         if op is ReduceOp.AVG:
@@ -582,22 +550,6 @@ class Interpreter:
             BinOp.GE: lambda: a >= b,
         }
         return table[op]()
-
-
-def _reduce(op: ReduceOp, current, value):
-    if op is ReduceOp.SUM:
-        return current + value
-    if op is ReduceOp.PRODUCT:
-        return current * value
-    if op is ReduceOp.MIN:
-        return value if value < current else current
-    if op is ReduceOp.MAX:
-        return value if value > current else current
-    if op is ReduceOp.ALL:
-        return current and value
-    if op is ReduceOp.ANY:
-        return current or value
-    raise ValueError(f"cannot reduce with {op}")
 
 
 def interpret(

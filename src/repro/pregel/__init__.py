@@ -18,7 +18,7 @@ _EXPORTS = {
     "parse_fault": ".ft",
     "GlobalObjectMap": ".globalmap",
     "GlobalOp": ".globalmap",
-    "combine": ".globalmap",
+    "combine": ".fold",
     "Graph": ".graph",
     "MemPlan": ".mem",
     "MemoryBudget": ".mem",

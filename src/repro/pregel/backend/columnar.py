@@ -17,7 +17,7 @@ Composition policy, one for both hosts: the program alone decides which
 phases run as array code.  A recording tracer and the simulated transport
 read what the seal already holds; sender combiners fold a combined tag
 when the seal closes it — its records, in send order, into one per
-``(sending worker, dst)`` slot with the simulator's combiner callables;
+``(sending worker, dst)`` slot by the tag's op, as the simulator does;
 under vote-to-halt a kernel computes the vertices the scalar loop would
 and delivery wakes every receiver, a bulk handler's too.  Fault tolerance
 costs no array code either: a checkpoint decodes the raw parts a host
@@ -40,6 +40,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..fold import OPEN, GlobalOp, fold
 from ..graph import Graph
 from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES
 from .base import BackendUnsupported, ExecutionBackend
@@ -371,9 +372,9 @@ class SlabPlane:
                     self._fold_slots(stage, combiners[tag])
                 yield stage
 
-    def _fold_slots(self, stage: _TagStage, combine: Callable) -> None:
-        """The simulator's combiner table over a sealed tag: its records,
-        decoded in send order, fold with ``combine`` into one slot per
+    def _fold_slots(self, stage: _TagStage, op: GlobalOp) -> None:
+        """The simulator's combiner table over a sealed tag: its records'
+        values, decoded in send order, fold by ``op`` into one slot per
         ``(sending worker, dst)``; each slot, in the order they opened,
         becomes one record from its first sender.  A folded payload is
         packed like any send's, so one the wire cannot carry raises."""
@@ -382,13 +383,13 @@ class SlabPlane:
         block = len(self.gather.degrees) + 1
         keys = self.gather.owner[senders].astype(np.int64) * block + dsts + 1
         msgs = self.codec.unpack[stage.tag](stage.payload, stage.staged)
-        folded: dict = {}
+        slots: dict = {}
         for key, msg in zip(keys.tolist(), msgs):
-            slot = folded.get(key)
-            folded[key] = msg if slot is None else combine(slot, msg)
+            slots.setdefault(key, []).append(msg[1])
         opened = np.sort(np.unique(keys, return_index=True)[1])
         stage.dsts, stage.births = dsts[opened], senders[opened]
-        stage.payload = b"".join(map(self._pack[stage.tag], folded.values()))
+        tag, pack = stage.tag, self._pack[stage.tag]
+        stage.payload = b"".join(pack((tag, fold(op, OPEN, run))) for run in slots.values())
         stage.bulk = None
 
     def meter(self, ledger, tag: int, count: int, cross: int) -> None:

@@ -42,10 +42,9 @@ order-reconstructing merges at the parent barrier:
   always ahead of the decode into the dense inbox;
 * vertex **global-object puts** ship to the parent as one ``(vids,
   values)`` pair per global — a kernel's arrays, a generated loop's
-  lists — and are re-folded in ascending-vid order with the one ordered
-  fold (``globalmap.fold_ordered``), so even
-  non-associative float reductions (a PageRank error sum) come out
-  bit-identical to the single-process fold;
+  lists — and are re-folded in ascending-vid order by the one rule
+  (``repro.pregel.fold``), chained from the slot the master opened, so
+  even a float sum (a PageRank error sum) is the interpreter's chain;
 * **combiners** fold in each worker's seal (``SlabPlane``): one record per
   ``(dst, tag)`` slot, sent from the vid of the slot's *first* send, which
   travels in the parts like any record — the receiver's stable sender

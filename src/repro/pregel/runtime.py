@@ -74,6 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
 
+from .fold import OPEN, fold
 from .globalmap import GlobalObjectMap, GlobalOp
 from .graph import Graph
 
@@ -409,7 +410,7 @@ class PregelEngine:
         max_supersteps: int = 1_000_000,
         use_voting: bool = False,
         record_per_superstep: bool = False,
-        combiners: dict[int, Callable[[tuple, tuple], tuple]] | None = None,
+        combiners: dict[int, GlobalOp] | None = None,
         partitioning: str = "hash",
         track_makespan: bool = False,
         ft: "FaultTolerance | None" = None,
@@ -486,7 +487,7 @@ class PregelEngine:
         self._inbox_slots: list = [_NO_MESSAGES] * graph.num_nodes
         self._touched: list[int] = []
         # Sender-side message combining (the Pregel paper's combiners): one
-        # slot per (sender worker, destination, tag), folded on every send.
+        # slot per (sender worker, destination, tag), folded by the tag's op.
         self._combiners = combiners or {}
         self._combined: dict[tuple[int, int, int], tuple] = {}
         self.metrics.worker_sent = [0] * self.num_workers
@@ -589,8 +590,8 @@ class PregelEngine:
         worker_of = self._worker_of
         sender_worker = worker_of[sender]
         m = self.metrics
-        combiner = self._combiners.get(msg[0]) if self._combiners else None
-        if combiner is not None:
+        op = self._combiners.get(msg[0]) if self._combiners else None
+        if op is not None:
             # Delivered traffic (messages / bytes / net) is metered at flush
             # time, on the *folded* payload — folds may change the payload,
             # so metering the first message here would drift from what is
@@ -601,10 +602,8 @@ class PregelEngine:
                 self._step_work[sender_worker] += 1
             key = (sender_worker, dst, msg[0])
             slot = self._combined.get(key)
-            if slot is not None:
-                self._combined[key] = combiner(slot, msg)
-            else:
-                self._combined[key] = msg
+            held = OPEN if slot is None else slot[1]
+            self._combined[key] = (msg[0], fold(op, held, [msg[1]]))
             return
         self._enqueue(dst, msg)
         size = self._message_size(msg)

@@ -241,9 +241,10 @@ class MAssign(MInstr):
 
 @dataclass(slots=True)
 class MFinalize(MInstr):
-    """Fold the aggregated vertex puts of global ``name`` into the master
-    field: ``field = combine(field, agg)`` — the paper's
-    ``S = S + Global.get("S").IntVal()``.  No-op when no vertex put occurred.
+    """Take the vertex puts of global ``name`` into the master field — the
+    paper's ``S = S + Global.get("S").IntVal()``: the phase's yield opened
+    the slot at the field, so the aggregate is the field's whole chain
+    (``repro.pregel.fold``).  No-op when no vertex put occurred.
     """
 
     name: str

@@ -17,6 +17,8 @@ The pass must be followed by a re-typecheck; it generates untyped nodes.
 
 from __future__ import annotations
 
+import math
+
 from ..lang import ast
 from ..lang.ast import (
     Assign,
@@ -50,6 +52,7 @@ from ..lang.ast import (
 )
 from ..lang import types as ty
 from ..lang.errors import TransformError
+from ..pregel.fold import IDENTITY, OF_REDUCE
 from .rewriter import NameGenerator, clone_expr
 
 
@@ -85,20 +88,13 @@ def _outermost_reduces(expr: Expr) -> list[ReduceExpr]:
 
 
 def _reduce_init(op: ReduceOp, elem: ty.Type) -> Expr:
+    value = IDENTITY[OF_REDUCE[op.name]]  # an Avg hoists as a Sum and a Count
+    if isinstance(value, bool):
+        return BoolLit(value)
+    if math.isinf(value):
+        return InfLit(negative=value < 0)
     is_float = isinstance(elem, ty.PrimType) and elem.is_floating()
-    if op is ReduceOp.SUM or op is ReduceOp.COUNT:
-        return FloatLit(0.0) if is_float else IntLit(0)
-    if op is ReduceOp.PRODUCT:
-        return FloatLit(1.0) if is_float else IntLit(1)
-    if op is ReduceOp.MIN:
-        return InfLit(negative=False)
-    if op is ReduceOp.MAX:
-        return InfLit(negative=True)
-    if op is ReduceOp.ANY:
-        return BoolLit(False)
-    if op is ReduceOp.ALL:
-        return BoolLit(True)
-    raise TransformError(f"no initializer for reduction {op.name}")
+    return FloatLit(float(value)) if is_float else IntLit(value)
 
 
 class Normalizer:

@@ -13,27 +13,21 @@ A tag is combinable when every receive site for it is exactly one
 
 with the same commutative-associative ``op`` everywhere and a single-field
 payload: then folding payloads with ``op`` before delivery is
-observationally equivalent to applying them one by one.  (Guarded or
+observationally equivalent to applying them one by one — up to Pregel's
+combiner contract, which takes ``op`` to be associative and commutative: a
+float ``SUM``/``PRODUCT`` is not, so combined runs of one may round apart
+from uncombined ones (and from the interpreter), and of two equal MIN/MAX
+values (``-0.0``, ``0.0``) slots on different workers may deliver either.
+The engines fold a slot with ``repro.pregel.fold``'s rule, opened at the
+op's identity: a NaN never seeds a MIN/MAX slot.  (Guarded or
 multi-statement receives — e.g. SSSP's updated-flag logic — are conservatively
 rejected; correct combining there would require a per-program proof.)
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..pregel.globalmap import GlobalOp, combine
+from ..pregel.fold import IDENTITY, GlobalOp
 from ..pregelir.ir import MsgField, PregelIR, VFieldReduce, VIf, VMsgLoop, VStmt
-
-#: Reductions that are commutative and associative — safe to pre-fold.
-_COMBINABLE_OPS = (
-    GlobalOp.SUM,
-    GlobalOp.PRODUCT,
-    GlobalOp.MIN,
-    GlobalOp.MAX,
-    GlobalOp.AND,
-    GlobalOp.OR,
-)
 
 
 def _msg_loops(stmts: list[VStmt], out: list[VMsgLoop]) -> None:
@@ -61,7 +55,7 @@ def infer_combiners(ir: PregelIR) -> dict[int, GlobalOp]:
         if (
             len(loop.body) == 1
             and isinstance(loop.body[0], VFieldReduce)
-            and loop.body[0].op in _COMBINABLE_OPS
+            and loop.body[0].op in IDENTITY  # all but OVERWRITE
             and isinstance(loop.body[0].expr, MsgField)
             and loop.body[0].expr.index == 0
         ):
@@ -74,17 +68,3 @@ def infer_combiners(ir: PregelIR) -> dict[int, GlobalOp]:
         if ops and len(ops) == 1 and len(ir.messages[tag].fields) == 1:
             result[tag] = next(iter(ops))
     return result
-
-
-def combiner_functions(
-    combiners: dict[int, GlobalOp]
-) -> dict[int, Callable[[tuple, tuple], tuple]]:
-    """Engine-ready fold functions: combine two messages of the same tag."""
-
-    def make(tag: int, op: GlobalOp):
-        def fold(a: tuple, b: tuple) -> tuple:
-            return (tag, combine(op, a[1], b[1]))
-
-        return fold
-
-    return {tag: make(tag, op) for tag, op in combiners.items()}

@@ -37,6 +37,7 @@ from ..pregelir.ir import (
     Cond,
     Field,
     GlobalGet,
+    Inf,
     Lit,
     MAssign,
     MBranch,
@@ -200,6 +201,8 @@ def merge_states(ir: PregelIR, rules: RuleLog | None = None) -> int:
                 continue
             pa = ir.phases[code[i].phase]  # type: ignore[union-attr]
             pb = ir.phases[code[j].phase]  # type: ignore[union-attr]
+            seeds = _seeds(pa, pb, hoisted)
+            hoisted = [instr for instr in hoisted if not any(instr is s for s in seeds)]
             if not _can_merge(pa, pb, hoisted):
                 i = j
                 continue
@@ -209,13 +212,29 @@ def merge_states(ir: PregelIR, rules: RuleLog | None = None) -> int:
             pa.receive = pa.receive + pb.receive  # pb.receive is empty (checked)
             pa.label = f"{pa.label}+{pb.label}"
             del ir.phases[pb.phase_id]
-            # Postpone the hoisted finalizations to after the fused phase.
-            code[i + 1 : j + 1] = hoisted
+            # Postpone the hoisted instructions to after the fused phase.
+            code[i : j + 1] = [*seeds, code[i], *hoisted]
             merged += 1
             changed = True
     if merged and rules is not None:
         rules.mark("State Merging")
     return merged
+
+
+def _seeds(pa: VertexPhase, pb: VertexPhase, between: list[MInstr]) -> list[MAssign]:
+    """Constants ``between`` assigns to globals ``pb`` puts to, which ``pa``
+    and what precedes them leave alone: run ahead of the fused phase, they
+    set the field its slot opens at, so ``pb``'s puts chain as unfused."""
+    puts, touched = phase_global_puts(pb), phase_global_reads(pa)
+    seeds: list[MAssign] = []
+    for instr in between:
+        constant = isinstance(instr, MAssign) and isinstance(instr.expr, (Lit, Inf))
+        if constant and instr.name in puts - touched:
+            seeds.append(instr)  # type: ignore[arg-type]
+        elif isinstance(instr, MAssign):
+            _expr_fields(instr.expr, touched)
+        touched.add(instr.name)  # type: ignore[union-attr]
+    return seeds
 
 
 def _can_merge(pa: VertexPhase, pb: VertexPhase, between: list[MInstr]) -> bool:
@@ -226,11 +245,10 @@ def _can_merge(pa: VertexPhase, pb: VertexPhase, between: list[MInstr]) -> bool:
         hoisted_names = {instr.name for instr in between}  # type: ignore[union-attr]
         if hoisted_names & phase_global_reads(pb):
             return False  # pb would observe the pre-update broadcast value
-        finalize_names = {
-            instr.name for instr in between if isinstance(instr, MFinalize)
-        }
-        if finalize_names & phase_global_puts(pb):
-            return False  # the postponed finalize would double-count pb's puts
+        if hoisted_names & phase_global_puts(pb):
+            # a postponed finalize would double-count pb's puts, a postponed
+            # assignment change the value they chain from
+            return False
     return True
 
 

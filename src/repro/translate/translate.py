@@ -62,7 +62,7 @@ from ..lang.ast import (
 )
 from ..lang import types as ty
 from ..lang.errors import TranslationError
-from ..pregel.globalmap import GlobalOp
+from ..pregel.fold import OF_REDUCE, GlobalOp
 from ..transform.pipeline import CanonicalProgram, RuleLog
 from ..transform.rewriter import substitute_ident
 from ..pregelir import ir
@@ -106,15 +106,6 @@ from ..pregelir.ir import (
     walk_stmts,
     VertexPhase,
 )
-
-_REDUCE_TO_GLOBAL: dict[ReduceOp, GlobalOp] = {
-    ReduceOp.SUM: GlobalOp.SUM,
-    ReduceOp.PRODUCT: GlobalOp.PRODUCT,
-    ReduceOp.MIN: GlobalOp.MIN,
-    ReduceOp.MAX: GlobalOp.MAX,
-    ReduceOp.ALL: GlobalOp.AND,
-    ReduceOp.ANY: GlobalOp.OR,
-}
 
 #: Who can evaluate a leaf access during neighborhood communication.
 _SENDER, _RECEIVER, _BOTH = "sender", "receiver", "both"
@@ -483,7 +474,7 @@ class Translator:
         finalizes: list[MFinalize],
     ) -> list[VStmt]:
         target = stmt.target
-        op = _REDUCE_TO_GLOBAL[stmt.op]
+        op = OF_REDUCE[stmt.op.name]
         if isinstance(target, Ident):
             if target.name in env.locals:
                 return [
@@ -609,7 +600,7 @@ class Translator:
                     raise TranslationError(
                         "plain scalar assignment inside an inner loop", stmt.span
                     )
-                op = _REDUCE_TO_GLOBAL[stmt.op]
+                op = OF_REDUCE[stmt.op.name]
                 recv_finalizes.append(MFinalize(target.name, op))
                 return VGlobalPut(target.name, op, value)
             assert isinstance(target, PropAccess) and isinstance(target.target, Ident)
@@ -621,7 +612,7 @@ class Translator:
                 )
             if isinstance(stmt, ReduceAssign):
                 return VFieldReduce(
-                    target.prop, _REDUCE_TO_GLOBAL[stmt.op], value
+                    target.prop, OF_REDUCE[stmt.op.name], value
                 )
             return VFieldAssign(target.prop, value)
         if isinstance(stmt, If):
@@ -908,20 +899,17 @@ class _PayloadSplitter:
 # ---------------------------------------------------------------------------
 
 
+_REDUCE_BIN = {
+    ReduceOp.SUM: BinOp.ADD, ReduceOp.PRODUCT: BinOp.MUL, ReduceOp.ALL: BinOp.AND, ReduceOp.ANY: BinOp.OR
+}  # fmt: skip
+
+
 def _apply_reduce(op: ReduceOp, current: VExpr, value: VExpr) -> VExpr:
-    if op is ReduceOp.SUM:
-        return Bin(BinOp.ADD, current, value)
-    if op is ReduceOp.PRODUCT:
-        return Bin(BinOp.MUL, current, value)
-    if op is ReduceOp.MIN:
-        return Cond(Bin(BinOp.LT, value, current), value, current)
-    if op is ReduceOp.MAX:
-        return Cond(Bin(BinOp.GT, value, current), value, current)
-    if op is ReduceOp.ALL:
-        return Bin(BinOp.AND, current, value)
-    if op is ReduceOp.ANY:
-        return Bin(BinOp.OR, current, value)
-    raise TranslationError(f"cannot apply reduction {op}")
+    """``current op= value`` as an expression: ``fold.combine``'s step."""
+    if op is ReduceOp.MIN or op is ReduceOp.MAX:
+        strict = BinOp.LT if op is ReduceOp.MIN else BinOp.GT
+        return Cond(Bin(strict, value, current), value, current)
+    return Bin(_REDUCE_BIN[op], current, value)
 
 
 def _dedupe_finalizes(finalizes: list[MFinalize]) -> list[MFinalize]:

@@ -83,19 +83,19 @@ public class AvgTeenCnt {
                         _pc = 1;
                         return;  // yield: run vertex phase this superstep
                     case 1:
-                        putGlobal("_state", 2);
-                        broadcastGlobals();  // scalar master fields
-                        _pc = 2;
-                        return;  // yield: run vertex phase this superstep
-                    case 2:
                         _gm_r1 = 0;
+                        _pc = 2; break;
+                    case 2:
+                        _gm_r2 = 0;
                         _pc = 3; break;
                     case 3:
+                        putGlobal("_state", 2);
+                        broadcastGlobals();  // scalar master fields
+                        _pc = 4;
+                        return;  // yield: run vertex phase this superstep
+                    case 4:
                         if (hasGlobal("_gm_r1"))
                             _gm_r1 = combine_sum(_gm_r1, getGlobal("_gm_r1"));
-                        _pc = 4; break;
-                    case 4:
-                        _gm_r2 = 0;
                         _pc = 5; break;
                     case 5:
                         if (hasGlobal("_gm_r2"))

@@ -20,6 +20,7 @@ def MASTER_STEP(ctx, M, pc):
             ctx.put_broadcast('_state', 4)
             for _name, _value in M.items():
                 ctx.put_broadcast(_name, _value)
+            ctx.globals.open_at('diff', M['diff'])
             return 9
         elif pc == 9:
             pc = 10 if M['_is_first_1'] else 13
@@ -30,7 +31,7 @@ def MASTER_STEP(ctx, M, pc):
         elif pc == 13:
             # ilm_rest_il1:
             if ctx.globals.has_aggregated('diff'):
-                M['diff'] = combine(OP_SUM, M['diff'], ctx.get_agg('diff'))
+                M['diff'] = ctx.get_agg('diff')
             M['cnt'] = (M['cnt'] + 1)
             pc = 17 if ((M['diff'] > M['e']) and (M['cnt'] < M['max_iter'])) else 22
         elif pc == 17:

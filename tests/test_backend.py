@@ -356,6 +356,7 @@ class TestColumnarCompositions:
     @example("dense", "hash", 3, True, False, False)
     def test_voting_program(self, scheduling, partitioning, workers, fold, traced, lossy):
         from repro.obs import MetricsRegistry, Tracer
+        from repro.pregel.globalmap import GlobalOp
 
         g = load_graph("twitter", 0.02)
         schema = compile_algorithm("bc_approx").program.schema
@@ -372,7 +373,7 @@ class TestColumnarCompositions:
             if lossy:
                 opts["transport"] = lossy_transport()
             if fold:
-                opts["combiners"] = {0: lambda a, b: (0, a[1] + b[1])}
+                opts["combiners"] = {0: GlobalOp.SUM}
             common = dict(
                 vertex_compute=self.gossip(g, log, label), num_workers=workers,
                 partitioning=partitioning, use_voting=True, scheduling=scheduling,
@@ -858,7 +859,6 @@ class TestSlabPlane:
         from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
         from repro.pregel.runtime import PregelEngine, RunMetrics
-        from repro.translate.combiner import combiner_functions
 
         schema = compile_algorithm(alg).program.schema
         codec = MessageCodec(schema)
@@ -868,7 +868,7 @@ class TestSlabPlane:
         foldable = [tag for tag in codec.tag_ids if len(schema.tags[tag].slots) == 1]
         combiners = {}
         if fold is not None and foldable:
-            combiners = combiner_functions({rng.choice(foldable): GlobalOp[fold]})
+            combiners = {rng.choice(foldable): GlobalOp[fold]}
         # the reference: the simulator's own send, one message at a time
         sim = PregelEngine(
             graph, None, num_workers=workers, partitioning=partitioning,
@@ -967,7 +967,6 @@ class TestSlabPlane:
         # one pass: held to one PregelEngine.send per destination
         from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
-        from repro.translate.combiner import combiner_functions
 
         schema = compile_algorithm(alg).program.schema
         codec = MessageCodec(schema)
@@ -976,7 +975,7 @@ class TestSlabPlane:
         foldable = [tag for tag in codec.tag_ids if len(schema.tags[tag].slots) == 1]
         combiners = {}
         if fold is not None and foldable:
-            combiners = combiner_functions({rng.choice(foldable): GlobalOp[fold]})
+            combiners = {rng.choice(foldable): GlobalOp[fold]}
 
         def engine():
             one = PregelEngine(
@@ -1036,7 +1035,6 @@ class TestSlabPlane:
         from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
         from repro.pregel.runtime import RunMetrics
-        from repro.translate.combiner import combiner_functions
 
         schema = compile_algorithm(alg).program.schema
         codec = MessageCodec(schema)
@@ -1045,7 +1043,7 @@ class TestSlabPlane:
         foldable = [tag for tag in codec.tag_ids if len(schema.tags[tag].slots) == 1]
         combiners = {}
         if fold is not None and foldable:
-            combiners = combiner_functions({rng.choice(foldable): GlobalOp[fold]})
+            combiners = {rng.choice(foldable): GlobalOp[fold]}
         # ascending senders, each a few blocks of one tag: along its out-CSR
         # slice, or to any vertices (repeats and empty blocks included)
         script = []
@@ -1132,6 +1130,7 @@ class TestSlabPlane:
     }
 
     @needs_mp
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("op", sorted(LOOP_PUTS))
     def test_a_loop_put_is_its_puts(self, op):
         # put_global_bulk — a generated loop's puts to one global, made once
@@ -1186,8 +1185,7 @@ class TestSlabPlane:
             if array.dtype != object and pending is None and len({type(v) for v in values}) == 1:
                 engine = engines["columnar"]
                 engine.globals = GlobalObjectMap()
-                with np.errstate(over="ignore"):
-                    engine.put_global_bulk("g", gop, None, array)
+                engine.put_global_bulk("g", gop, None, array)
                 assert same(engine.globals._pending["g"], want), (values, "array")
         # another reduction on the global is refused, in put_reduce's words
         other = GlobalOp.MAX if gop is GlobalOp.MIN else GlobalOp.MIN
@@ -1195,6 +1193,7 @@ class TestSlabPlane:
             with pytest.raises(ValueError, match="conflicting reductions on global 'g'"):
                 engine.put_global_bulk("g", other, [0], [1])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_loop_puts_equal_the_interpreters(self, programs):
         # a generated loop's puts on sim, columnar and mp — each as array
         # code and as the generated loop — and the interpreter's sequential
@@ -1204,21 +1203,20 @@ class TestSlabPlane:
         import math
         from collections import defaultdict
 
-        import numpy as np
-
         from repro.compiler import compile_source
         from repro.interp import interpret
         from repro.pregel.graph import Graph
         from repro.pregelir.ir import VGlobalPut, walk_stmts
 
         source = (
-            "Procedure puts(G: Graph, x: N_P<Double>, y: N_P<Double>, b: N_P<Bool>;\n"
+            "Procedure puts(G: Graph, x: N_P<Double>, y: N_P<Double>, z: N_P<Double>,\n"
+            "    b: N_P<Bool>;\n"
             "    o_s: N_P<Double>, o_p: N_P<Double>, o_lo: N_P<Double>, o_hi: N_P<Double>,\n"
             "    o_all: N_P<Bool>, o_any: N_P<Bool>, o_none: N_P<Double>) {\n"
             "  Double s = 0.0; Double p = 1.0; Double lo = +INF; Double hi = -INF;\n"
             "  Bool all = True; Bool any = False; Double none = 7.0;\n"
             "  Foreach (n: G.Nodes) {\n"
-            "    s += n.x; p *= n.y; lo min= n.x; hi max= n.x; all &= n.b; any |= n.b;\n"
+            "    s += n.x; p *= n.y; lo min= n.z; hi max= n.z; all &= n.b; any |= n.b;\n"
             "  }\n"
             "  Foreach (n: G.Nodes)[n.x > 1e300] { none += n.x; }\n"
             "  Foreach (n: G.Nodes) {\n"
@@ -1233,6 +1231,8 @@ class TestSlabPlane:
         args = {
             "x": [1e16, 1.0, -1e16, 0.0, -0.0, 0.5, -0.0, 0.0, 1e16, 1.0, 0.25, -1e16],
             "y": [1e200, 1e200, 1e-200, 1.5, 1.1, 1.3, 1.7, 0.9, 1.01, 1.2, 1.4, 1.05],
+            # a NaN never wins a min or a max, nor seeds one
+            "z": [math.nan, 1.0, -1e16, 0.0, -0.0, 0.5, -0.0, math.nan, 1e16, 1.0, 0.25, -1e16],
             "b": [True] * 5 + [False] + [True] * 6,
         }
         outputs = ("o_s", "o_p", "o_lo", "o_hi", "o_all", "o_any", "o_none")
@@ -1240,6 +1240,7 @@ class TestSlabPlane:
         want = {name: interp.props[name] for name in outputs}
         # (the sum in any other order, or exactly, is not 0.0)
         assert want["o_s"][0] == 0.0 and want["o_p"][0] == math.inf and want["o_none"][0] == 7.0
+        assert (want["o_lo"][0], want["o_hi"][0]) == (-1e16, 1e16)
         runs = {}
         for backend, workers, scalar in itertools.product(
             ("sim", "columnar", "mp"), (1, 3), (False, True)
@@ -1252,8 +1253,7 @@ class TestSlabPlane:
             if scalar:
                 engine._array_code = None
                 engine.install_array_code({}, {})
-            with np.errstate(over="ignore"):  # the product overflows, as it must
-                engine.run()
+            engine.run()  # the product overflows, as silently as the interpreter's
             column = get_backend(backend).column_values
             runs[backend, workers, scalar] = {name: column(fields[name]) for name in outputs}
         def exact(columns):  # ±0.0 apart; a typed Bool column holds 0/1
@@ -3377,8 +3377,7 @@ class TestPhaseKernels:
 
         import numpy as np
 
-        from repro.pregel.globalmap import fold_ordered as _fold
-        from repro.pregel.globalmap import GlobalOp, combine
+        from repro.pregel.fold import OPEN, GlobalOp, combine, fold
 
         rng = random.Random(11)
         gop = GlobalOp[op]
@@ -3388,7 +3387,7 @@ class TestPhaseKernels:
         cases += [[0, 3, 0, 2], [2, 0, 3], [0.0, 2.5, 0.0]]  # returns an *operand*
         for items in cases:
             want = functools.reduce(lambda a, b: combine(gop, a, b), items)
-            got = _fold(gop, np.asarray(items))
+            got = fold(gop, OPEN, np.asarray(items))
             assert got == want and type(got) is type(want), (op, items)
 
     def test_empty_selection_makes_no_bool_put(self, graph):

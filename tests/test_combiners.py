@@ -6,7 +6,7 @@ from repro.compiler import compile_algorithm
 from repro.graphgen import attach_standard_props, uniform_random
 from repro.pregel import Graph, PregelEngine
 from repro.pregel.globalmap import GlobalOp
-from repro.translate.combiner import combiner_functions, infer_combiners
+from repro.translate.combiner import infer_combiners
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ class TestInference:
 class TestEngineFolding:
     def test_combined_sends_are_folded(self):
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
-        fns = combiner_functions({0: GlobalOp.SUM})
+        fns = {0: GlobalOp.SUM}
         got = []
 
         def vertex(ctx, vid, messages):
@@ -65,7 +65,7 @@ class TestEngineFolding:
     def test_per_worker_slots(self):
         # senders on different workers cannot share a combiner slot
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
-        fns = combiner_functions({0: GlobalOp.SUM})
+        fns = {0: GlobalOp.SUM}
         got = []
 
         def vertex(ctx, vid, messages):
@@ -83,7 +83,7 @@ class TestEngineFolding:
 
     def test_uncombined_tags_flow_normally(self):
         g = Graph.from_edges(2, [(0, 1)])
-        fns = combiner_functions({5: GlobalOp.SUM})
+        fns = {5: GlobalOp.SUM}
         got = []
 
         def vertex(ctx, vid, messages):
@@ -103,34 +103,33 @@ class TestEngineFolding:
 class TestMetering:
     def test_width_changing_combiner_meters_folded_payload(self):
         # regression: bytes used to be metered on the *first* send into a
-        # slot; a fold that widens the payload must be metered at flush on
-        # the message that actually travels
+        # slot; a fold whose payload sizes differently must be metered at
+        # flush on the message that actually travels
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
-
-        def concat(a, b):
-            return a + b[1:]
 
         def vertex(ctx, vid, messages):
             if ctx.superstep == 0 and vid < 2:
-                ctx.send(2, (0, vid))
+                ctx.send(2, (0, vid + 8))
 
         def master(ctx):
             if ctx.superstep == 2:
                 ctx.halt()
 
+        def size(msg):  # a varint-like payload: 1 tag byte + 1 or 8
+            return 2 if msg[1] < 16 else 9
+
         metrics = PregelEngine(
-            g, vertex, master, combiners={0: concat}, num_workers=1
+            g, vertex, master, combiners={0: GlobalOp.SUM}, message_size=size, num_workers=1
         ).run()
         assert metrics.messages == 1
-        # default sizing is 1 tag byte + 8 per payload field: the folded
-        # (0, 0, 1) is 17 bytes, not the 9 of the first send
-        assert metrics.message_bytes == 17
+        # the folded (0, 17) is 9 bytes, not the 2 of the first send
+        assert metrics.message_bytes == 9
 
     def test_worker_sent_counts_folded_sends(self):
         # both sends cost the sending worker even though they fold into one
         # delivered message; messages/net_messages stay flush-side
         g = Graph.from_edges(4, [(0, 3), (2, 3)])
-        fns = combiner_functions({0: GlobalOp.SUM})
+        fns = {0: GlobalOp.SUM}
 
         def vertex(ctx, vid, messages):
             # with 2 workers, vertices 0 and 2 share worker 0; dst 3 is on

@@ -4,7 +4,8 @@ timing, vote-to-halt, partition metering, determinism."""
 import pytest
 
 from repro.pregel import Graph, GlobalOp, PregelEngine
-from repro.pregel.globalmap import GlobalObjectMap, combine
+from repro.pregel.fold import combine
+from repro.pregel.globalmap import GlobalObjectMap
 
 
 def line_graph(n: int) -> Graph:
