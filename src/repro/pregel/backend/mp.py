@@ -386,8 +386,8 @@ class MPEngine(ColumnarEngine):
         self._dead_pending: list[tuple[int, str]] = []
         # tcp transport plumbing: parent-bound listeners (children inherit
         # across the fork; the parent closes its copy right after each
-        # fork), the port map, and per-worker fork epochs (bumped on every
-        # re-fork so receivers reset that sender's sequence stream).
+        # fork), the port map, and per-worker stream epochs (every one
+        # bumped on every recovery re-fork, so every stream starts fresh).
         self._listeners: list = []
         self._ports: list[int] = []
         self._epochs: list[int] = [0] * w
@@ -584,8 +584,7 @@ class MPEngine(ColumnarEngine):
             if self.transport_mode == "tcp":
                 # The replacement worker needs a live listener: the old
                 # one died with the process (or was the netsplit).  Bind a
-                # fresh port in the parent pre-fork and bump the worker's
-                # epoch so every receiver resets its sequence stream.
+                # fresh port in the parent pre-fork.
                 from . import tcp as tcp_transport
 
                 _release(self._listeners[wid])
@@ -593,7 +592,6 @@ class MPEngine(ColumnarEngine):
                 _track(sock, sock.close)
                 self._listeners[wid] = sock
                 self._ports[wid] = sock.getsockname()[1]
-                self._epochs[wid] += 1
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=self._workers[wid].main, args=(child_conn,), daemon=True
@@ -622,6 +620,9 @@ class MPEngine(ColumnarEngine):
             range(self.num_workers) if self._refork_all
             else sorted(self._refork_workers)
         )
+        # Every tcp stream restarts under a new epoch, the live workers'
+        # too: no receiver waits on a seq an abandoned exchange stamped.
+        self._epochs = [epoch + 1 for epoch in self._epochs]
         for wid in wids:
             proc = self._procs[wid]
             if proc.is_alive():

@@ -1,53 +1,28 @@
 """Real TCP (loopback) slab exchange for the mp backend.
 
-``--transport tcp`` replaces the shared-memory *cross-worker* data plane
-with actual sockets: every worker owns a loopback listening socket (bound
-in the parent before the fork so the full port map is known to every
-process), and each exchange round moves the columnar message slabs
-between workers as length-prefixed frames over real kernel TCP buffers;
-a data frame's body is one slab part in the layout :mod:`.codec` owns.
-Worker-local slabs and the parent's in-flight log keep using the
-shared-memory segments — the sockets carry exactly the traffic that
-would cross a network on a real cluster.
+``--transport tcp`` moves the *cross-worker* data plane onto sockets:
+every worker owns a loopback listening socket (bound in the parent before
+the fork, so every process knows the full port map), and each exchange
+round moves the columnar slab parts between workers as length-prefixed,
+CRC32-trailed frames whose body is a part in :mod:`.codec`'s layout.
+Worker-local slabs and the parent's in-flight log stay in the
+shared-memory segments.
 
-The protocol deliberately mirrors :mod:`repro.pregel.net`'s reliable
-delivery discipline, applied to a real channel instead of the simulated
-one:
+Delivery is :mod:`repro.pregel.net`'s protocol (docs/ARCHITECTURE.md §8):
+one ``Sender`` per destination peer and one ``Receiver`` per source peer,
+driven here with sockets, retransmit timers (``_ACK_BASE`` times the
+sender's backoff units) and failure classification.  Streams outlive one
+exchange; the parent bumps every worker's ``epoch`` on every recovery, so
+each recovery starts fresh streams and an old-epoch frame is stale.
 
-* **per-destination sequence numbers** — every data frame a worker sends
-  to a given peer carries a monotonically increasing sequence number for
-  that (sender, destination) stream, stamped with the sender's fork
-  *epoch* so a re-forked worker starts a fresh stream;
-* **ack / bounded retransmit with exponential backoff** — the receiver
-  acks every accepted frame on the same connection; an unacked frame is
-  retransmitted after ``ack_base * 2**attempt`` seconds (metered in
-  ``tcp.retransmits`` / ``tcp.backoff_units``, capped like the simulated
-  transport's backoff shift) up to a bounded attempt count;
-* **dedup + reorder accounting** — a per-(sender, epoch) seen-set drops
-  duplicate deliveries (an ack raced a retransmit timer) and re-acks
-  them (``tcp.dedup_hits``); sequence gaps are metered as
-  ``tcp.reorders``.  The seen-set persists across supersteps, so a
-  retransmission that straggles into the *next* exchange round is
-  recognized and re-acked instead of polluting the new inbox;
-* **checksum-discard-unacked** — every frame ends in a CRC32 over its
-  header and body; a corrupt frame (``tcp.checksum_failures``), or one
-  whose body is shorter than its record count says
-  (``tcp.malformed_frames``), is dropped without an ack and the sender's
-  retransmission recovers it: the simulated channel's corruption contract.
-
-Failure classification is the part simulation cannot exercise: a peer
-whose listening socket is gone fails the connect with ECONNREFUSED
-(``"refused"`` — a netsplit), a peer that died mid-connection surfaces
-ECONNRESET / EPIPE (``"reset"``), and a peer that is merely too slow
-exhausts the per-peer deadline (``"timeout"`` — a slowlink or a hang).
-The worker abandons the exchange on the first classified failure,
-discards the partial inbox, and reports ``{peer: cause}`` to the parent,
-which folds the reports into a culprit and escalates through the
-ordinary ``ft.recover_worker`` → capped-restart → ``unrecoverable``
-degradation path.  Frame arrival order never reaches the algorithm: the
-receiver keeps complete per-(source, tag) parts for the same codec merge
-the shared-memory path uses, so shm and tcp runs are bit-identical on
-``parity_key()`` and outputs by construction.
+A peer whose listener is gone fails the connect with ECONNREFUSED
+(``"refused"`` — a netsplit), one that died mid-connection surfaces
+ECONNRESET / EPIPE (``"reset"``), and one merely too slow exhausts the
+per-peer deadline (``"timeout"``).  The worker abandons the exchange on
+the first classified failure and reports ``{peer: cause}`` to the parent,
+which blames a culprit and escalates through ``ft.recover_worker``.  The
+receiver keeps complete per-(source, tag) parts for the codec merge the
+shm path uses, so shm and tcp runs are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -58,7 +33,9 @@ import socket
 import struct
 import time
 import zlib
+from contextlib import suppress
 
+from ..net import DUPLICATE, PARKED, Receiver, Sender, TransportError
 from .codec import read_part
 
 #: frame header: total_length, src wid, src epoch, seq, kind, tag, count
@@ -71,13 +48,12 @@ _KIND_ACK = 1
 #: waiting for socket readiness.
 _TICK = 0.02
 
-#: retransmit timer base; attempt ``k`` waits ``_ACK_BASE * 2**k``.
+#: retransmit timer base: a frame waits ``_ACK_BASE`` times its sender's
+#: backoff units before the next retransmission.
 _ACK_BASE = 0.05
-#: cap on the metered backoff shift, mirroring the simulated transport.
-_MAX_BACKOFF_SHIFT = 16
-#: bounded retransmit: a frame unacked after this many resends fails the
-#: peer with cause="timeout" instead of retrying forever.
-_MAX_RETRANSMITS = 6
+#: bounded retransmit: a frame unacked after this many transmissions fails
+#: the peer with cause="timeout" instead of retrying forever.
+_MAX_ATTEMPTS = 7
 #: bounded reconnect: a connection refused/reset this many times fails
 #: the peer with its connection-level cause.
 _MAX_CONNECT_ATTEMPTS = 4
@@ -130,33 +106,54 @@ def parse_frames(buf: bytearray) -> list:
     return frames
 
 
+def _recv(sock) -> bytes | None:
+    """What ``sock`` has: b"" once the peer is gone, None if nothing yet."""
+    try:
+        return sock.recv(65536)
+    except (BlockingIOError, InterruptedError):
+        return None
+    except OSError:
+        return b""
+
+
+def _send(sock, buf: bytearray) -> bool:
+    """Send what ``sock`` takes off the front of ``buf``; False if gone."""
+    try:
+        del buf[: sock.send(buf)]
+    except (BlockingIOError, InterruptedError):
+        pass
+    except OSError:
+        return False
+    return True
+
+
 class _Link:
-    """Sender-side state for one peer: a (re)connecting socket, the
-    outbound byte queue, and the unacked-frame retransmit ledger."""
+    """One exchange's sending end for one peer: a (re)connecting socket,
+    the outbound byte queue, the peer's ``Sender`` (whose unacked ledger
+    holds ``(tag, count, body)`` payloads) and a retransmit timer per
+    unacked seq."""
 
     __slots__ = (
-        "peer", "sock", "state", "outbuf", "inbuf", "unacked",
+        "peer", "sock", "state", "outbuf", "inbuf", "sender", "resend_at",
         "connect_attempts", "retry_at", "last_cause",
     )
 
-    def __init__(self, peer: int):
+    def __init__(self, peer: int, sender: Sender):
         self.peer = peer
         self.sock: socket.socket | None = None
         self.state = "idle"  # idle | connecting | open | done | failed
         self.outbuf = bytearray()
         self.inbuf = bytearray()
-        #: seq -> [raw_frame, attempt, resend_at]
-        self.unacked: dict[int, list] = {}
+        self.sender = sender
+        self.resend_at: dict[int, float] = {}
         self.connect_attempts = 0
         self.retry_at = 0.0
         self.last_cause: str | None = None
 
     def close(self) -> None:
         if self.sock is not None:
-            try:
+            with suppress(OSError):
                 self.sock.close()
-            except OSError:
-                pass
             self.sock = None
 
 
@@ -177,12 +174,10 @@ class TcpSlabTransport:
             listener.setblocking(False)
         self._ports = list(ports)
         self._epochs = list(epochs)
-        self.epoch = self._epochs[wid]
         self._mreg = mreg
-        self._seq: dict[int, int] = {}
-        #: (src, epoch) -> set of accepted seqs (dedup across exchanges)
-        self._seen: dict[tuple[int, int], set] = {}
-        self._next_expected: dict[tuple[int, int], int] = {}
+        #: this epoch's streams: a Sender per destination, Receiver per source
+        self._senders: dict[int, Sender] = {}
+        self._receivers: dict[int, Receiver] = {}
 
     # -- metering -------------------------------------------------------
 
@@ -194,26 +189,20 @@ class TcpSlabTransport:
 
     def update_peers(self, ports, epochs) -> None:
         """Apply the parent's current port/epoch map (broadcast with every
-        step command).  A bumped peer epoch means that worker was
-        re-forked: its receive state is fresh, so our outbound sequence
-        stream to it restarts and its stale dedup state is dropped."""
-        for peer, (old, new) in enumerate(zip(self._epochs, epochs)):
-            if new != old:
-                self._seq.pop(peer, None)
-                for key in [k for k in self._seen if k[0] == peer]:
-                    del self._seen[key]
-                    self._next_expected.pop(key, None)
+        exchange command).  Every recovery bumps every epoch, ours too, and
+        a new epoch starts fresh streams both ways."""
+        if list(epochs) != self._epochs:
+            self._epochs = list(epochs)
+            self._senders.clear()
+            self._receivers.clear()
         self._ports = list(ports)
-        self._epochs = list(epochs)
 
     def close_listener(self) -> None:
         """Close the listening socket (the netsplit fault: peers'
         connects fail with ECONNREFUSED from here on)."""
         if self._listener is not None:
-            try:
+            with suppress(OSError):
                 self._listener.close()
-            except OSError:
-                pass
             self._listener = None
 
     # -- the exchange round ---------------------------------------------
@@ -234,14 +223,10 @@ class TcpSlabTransport:
         for peer, frames in outgoing.items():
             if not frames:
                 continue
-            link = links[peer] = _Link(peer)
-            for tag, count, body in frames:
-                seq = self._seq.get(peer, 0)
-                self._seq[peer] = seq + 1
-                raw = pack_frame(
-                    self.wid, self.epoch, seq, _KIND_DATA, tag, count, body
-                )
-                link.unacked[seq] = [raw, 0, 0.0]
+            sender = self._senders.setdefault(peer, Sender(_MAX_ATTEMPTS))
+            link = links[peer] = _Link(peer, sender)
+            for frame in frames:
+                sender.attempt(sender.stamp(frame))  # sent once the link opens
         pending_recv = {p: n for p, n in expected.items() if n > 0}
         parts: dict[int, list] = {}
         inbound: list = []  # accepted connections: [sock, rbuf, outbuf]
@@ -264,43 +249,42 @@ class TcpSlabTransport:
                 connect_failed(link, code, now)
 
         def connect_failed(link: _Link, code: int, now: float) -> None:
+            lost(link, "refused" if code == errno.ECONNREFUSED else "reset", now)
+
+        def link_reset(link: _Link, now: float) -> None:
+            if link.sender.unacked:
+                # Mid-stream loss: re-queue every unacked frame on a fresh
+                # connection (the peer's receiver drops overlap as duplicates).
+                lost(link, "reset", now)
+            else:
+                # Nothing in flight: the peer acked every frame, finished
+                # its own exchange and closed its end.  This link is done —
+                # reconnecting would only make us wait out the backoff.
+                link.close()
+                link.state = "done"
+
+        def lost(link: _Link, cause: str, now: float) -> None:
+            # Reconnect after a backoff, or fail the peer out of attempts.
             link.close()
-            link.last_cause = (
-                "refused" if code == errno.ECONNREFUSED else "reset"
-            )
+            link.outbuf.clear()
+            link.last_cause = cause
             if link.connect_attempts >= _MAX_CONNECT_ATTEMPTS:
                 link.state = "failed"
-                fail(link.peer, link.last_cause)
+                fail(link.peer, cause)
             else:
                 link.state = "idle"
                 link.retry_at = now + _ACK_BASE * (1 << link.connect_attempts)
                 self._inc("tcp.reconnects")
 
-        def link_reset(link: _Link, now: float) -> None:
-            # Mid-stream loss: re-queue every unacked frame on a fresh
-            # connection (the peer's dedup set absorbs any overlap).
-            link.close()
-            link.outbuf.clear()
-            if not link.unacked:
-                # Nothing in flight: the peer acked every frame, finished
-                # its own exchange and closed its end.  This link is done —
-                # reconnecting would only make us wait out the backoff.
-                link.state = "done"
-                return
-            link.last_cause = "reset"
-            if link.connect_attempts >= _MAX_CONNECT_ATTEMPTS:
-                link.state = "failed"
-                fail(link.peer, "reset")
-                return
-            link.state = "idle"
-            link.retry_at = now + _ACK_BASE * (1 << link.connect_attempts)
-            self._inc("tcp.reconnects")
+        def data_frame(link: _Link, seq: int) -> bytes:
+            tag, count, body = link.sender.unacked[seq][1]
+            return pack_frame(self.wid, self._epochs[self.wid], seq, _KIND_DATA, tag, count, body)
 
         def queue_unacked(link: _Link, now: float) -> None:
-            for seq in sorted(link.unacked):
-                raw, attempt, _at = link.unacked[seq]
+            for seq in link.sender.unacked:
+                raw = data_frame(link, seq)
                 link.outbuf += raw
-                link.unacked[seq][2] = now + _ACK_BASE * (1 << attempt)
+                link.resend_at[seq] = now + _ACK_BASE * link.sender.wait(seq)
                 self._inc("tcp.frames_sent")
                 self._inc("tcp.bytes_sent", len(raw))
 
@@ -313,11 +297,9 @@ class TcpSlabTransport:
                 self._inc("tcp.checksum_failures")
                 return
             if not 0 <= src < len(self._epochs) or epoch != self._epochs[src]:
-                # A dead incarnation's stragglers: a connection that sat in
-                # our listen backlog across that peer's re-fork can replay
-                # old-epoch frames whose dedup state was already reset.
-                # The epoch stamp makes them droppable without an ack (the
-                # sender is gone; nothing retransmits).
+                # An abandoned stream's straggler (a connection that sat in
+                # our listen backlog across a recovery): dropped unacked,
+                # nothing retransmits it.
                 self._inc("tcp.stale_frames")
                 return
             try:
@@ -329,19 +311,13 @@ class TcpSlabTransport:
                 return
             self._inc("tcp.frames_received")
             self._inc("tcp.bytes_received", _HDR.size + len(body) + _CRC.size)
-            key = (src, epoch)
-            seen = self._seen.setdefault(key, set())
-            ack = pack_frame(self.wid, self.epoch, seq, _KIND_ACK, 0, 0, b"")
-            if seq in seen:
-                self._inc("tcp.dedup_hits")
-                conn_outbuf += ack  # re-ack: the original ack raced a timer
+            verdict = self._receivers.setdefault(src, Receiver()).accept(seq)
+            conn_outbuf += pack_frame(self.wid, self._epochs[self.wid], seq, _KIND_ACK, 0, 0, b"")
+            if verdict is DUPLICATE:
+                self._inc("tcp.dedup_hits")  # re-acked: its ack raced a timer
                 return
-            seen.add(seq)
-            nxt = self._next_expected.get(key, 0)
-            if seq != nxt:
+            if verdict is PARKED:
                 self._inc("tcp.reorders")
-            self._next_expected[key] = max(nxt, seq + 1)
-            conn_outbuf += ack
             if src not in pending_recv and not parts.get(src):
                 return  # stale straggler from an unexpected source
             parts.setdefault(src, []).append((tag, part))
@@ -362,33 +338,25 @@ class TcpSlabTransport:
                 for link in links.values():
                     if link.state != "open":
                         continue
-                    for seq, entry in list(link.unacked.items()):
-                        raw, attempt, resend_at = entry
+                    for seq, resend_at in list(link.resend_at.items()):
                         if now < resend_at:
                             continue
-                        if attempt >= _MAX_RETRANSMITS:
-                            link.last_cause = link.last_cause or "timeout"
+                        try:
+                            backoff = link.sender.attempt(seq)
+                        except TransportError:
                             link.state = "failed"
                             fail(link.peer, "timeout")
                             break
-                        entry[1] = attempt + 1
-                        entry[2] = now + _ACK_BASE * (
-                            1 << min(attempt + 1, _MAX_BACKOFF_SHIFT)
-                        )
-                        link.outbuf += raw
+                        link.resend_at[seq] = now + _ACK_BASE * link.sender.wait(seq)
+                        link.outbuf += data_frame(link, seq)
                         self._inc("tcp.retransmits")
-                        self._inc(
-                            "tcp.backoff_units",
-                            1 << min(attempt, _MAX_BACKOFF_SHIFT),
-                        )
+                        self._inc("tcp.backoff_units", backoff)
                 if report:
                     return parts, report
-                sending = [
-                    l for l in links.values() if l.state in ("connecting", "open")
-                ]
+                sending = [l for l in links.values() if l.state in ("connecting", "open")]
                 done_send = all(
                     l.state == "done"
-                    or (l.state == "open" and not l.unacked and not l.outbuf)
+                    or (l.state == "open" and not l.sender.unacked and not l.outbuf)
                     for l in links.values()
                 )
                 acks_flushed = all(len(entry[2]) == 0 for entry in inbound)
@@ -398,11 +366,9 @@ class TcpSlabTransport:
                     for peer in pending_recv:
                         fail(peer, "timeout")
                     for link in links.values():
-                        if link.unacked or link.outbuf or link.state not in ("open", "done"):
+                        if link.sender.unacked or link.outbuf or link.state not in ("open", "done"):
                             fail(link.peer, link.last_cause or "timeout")
-                    if not report:  # only unflushed acks remain: give up clean
-                        return parts, {}
-                    return parts, report
+                    return parts, report  # empty: only unflushed acks remained
                 rlist: list = [entry[0] for entry in inbound]
                 if self._listener is not None:
                     rlist.append(self._listener)
@@ -418,9 +384,7 @@ class TcpSlabTransport:
                     time.sleep(_TICK)
                     continue
                 try:
-                    readable, writable, _x = select.select(
-                        rlist, wlist, [], _TICK
-                    )
+                    readable, writable, _x = select.select(rlist, wlist, [], _TICK)
                 except (OSError, ValueError):
                     # A socket died between ticks; drop closed entries.
                     inbound = [e for e in inbound if e[0].fileno() >= 0]
@@ -432,31 +396,18 @@ class TcpSlabTransport:
                     if sock is None:
                         continue
                     if link.state == "connecting" and sock in writable_set:
-                        code = sock.getsockopt(
-                            socket.SOL_SOCKET, socket.SO_ERROR
-                        )
+                        code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
                         if code:
                             connect_failed(link, code, now)
                             continue
                         link.state = "open"
                         queue_unacked(link, now)
                     if link.state == "open" and link.outbuf and sock in writable_set:
-                        try:
-                            sent = sock.send(link.outbuf)
-                            del link.outbuf[:sent]
-                        except (BlockingIOError, InterruptedError):
-                            pass
-                        except OSError:
+                        if not _send(sock, link.outbuf):
                             link_reset(link, now)
                             continue
                     if link.state == "open" and sock in readable_set:
-                        try:
-                            data = sock.recv(65536)
-                        except (BlockingIOError, InterruptedError):
-                            data = None
-                        except OSError:
-                            link_reset(link, now)
-                            continue
+                        data = _recv(sock)
                         if data == b"":
                             link_reset(link, now)
                             continue
@@ -465,15 +416,14 @@ class TcpSlabTransport:
                             for frame in parse_frames(link.inbuf):
                                 ok, _src, _ep, seq, kind, _t, _c, _b = frame
                                 if kind == _KIND_ACK and ok:
-                                    link.unacked.pop(seq, None)
+                                    link.sender.ack(seq)
+                                    link.resend_at.pop(seq, None)
                                     self._inc("tcp.acks_received")
                 if self._listener is not None and self._listener in readable_set:
                     while True:
                         try:
                             conn, _addr = self._listener.accept()
-                        except (BlockingIOError, InterruptedError):
-                            break
-                        except OSError:
+                        except OSError:  # BlockingIOError: accepted them all
                             break
                         conn.setblocking(False)
                         inbound.append([conn, bytearray(), bytearray()])
@@ -482,12 +432,7 @@ class TcpSlabTransport:
                     sock, rbuf, outbuf = entry
                     alive = True
                     if sock in readable_set:
-                        try:
-                            data = sock.recv(65536)
-                        except (BlockingIOError, InterruptedError):
-                            data = None
-                        except OSError:
-                            data, alive = b"", False
+                        data = _recv(sock)
                         if data == b"":
                             alive = False
                         elif data:
@@ -495,26 +440,16 @@ class TcpSlabTransport:
                             for frame in parse_frames(rbuf):
                                 handle_frame(frame, outbuf)
                     if alive and outbuf and sock in writable_set:
-                        try:
-                            sent = sock.send(outbuf)
-                            del outbuf[:sent]
-                        except (BlockingIOError, InterruptedError):
-                            pass
-                        except OSError:
-                            alive = False
+                        alive = _send(sock, outbuf)
                     if alive:
                         next_inbound.append(entry)
                     else:
-                        try:
+                        with suppress(OSError):
                             sock.close()
-                        except OSError:
-                            pass
                 inbound = next_inbound
         finally:
             for link in links.values():
                 link.close()
             for entry in inbound:
-                try:
+                with suppress(OSError):
                     entry[0].close()
-                except OSError:
-                    pass

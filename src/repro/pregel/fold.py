@@ -7,8 +7,10 @@ implementation steps by ``combine`` from the value it reduces into.
 identity, so a NaN MIN/MAX value never seeds a slot and any other first
 value seeds it unchanged (ints stay ints, ``-0.0`` stays ``-0.0``).
 ``fold_at`` scatters the chain into a column, ``combine_each`` steps
-element-wise.  Numpy paths are taken only where they equal the chain, with
-overflow as silent as Python's.  Scalar loops print the step inline.
+element-wise.  Numpy paths are taken only where they equal the chain: a
+float overflows as silently as Python's, and a step past an Int column's
+int64 raises OverflowError as the scalar loops' store does.  Scalar loops
+print the step inline.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ def fold_at(op: GlobalOp, column, dsts, values) -> None:
             column[dsts[~truth]] = 0
         return
     ufunc = getattr(np, _UFUNC[op])
+    if column.dtype.kind == "i" and op in (GlobalOp.SUM, GlobalOp.PRODUCT) and dsts.size:
+        values = np.broadcast_to(values, dsts.shape)
+        if not _within_int64(op, column, dsts, values):
+            # int64 ufunc.at wraps: step the chain, whose store past int64
+            # raises OverflowError as the scalar loops' array('q') does
+            for d, v in zip(dsts.tolist(), values.tolist()):
+                column[d] = combine(op, int(column[d]), v)
+            return
     if column.dtype.kind == "f" and op in (GlobalOp.MIN, GlobalOp.MAX) and dsts.size:
         values = np.broadcast_to(values, dsts.shape)
         lo, hi = values.min(), values.max()
@@ -140,6 +150,20 @@ def fold_at(op: GlobalOp, column, dsts, values) -> None:
             return
     with np.errstate(over="ignore", invalid="ignore"):
         ufunc.at(column, dsts, values)
+
+
+def _within_int64(op: GlobalOp, column, dsts, values) -> bool:
+    """A cheap bound, with a bit to spare: no step of an Int SUM/PRODUCT
+    chain from ``column`` over ``values`` leaves int64."""
+    import numpy as np
+
+    col = max(int(column.max()), -int(column.min()))
+    val = np.abs(values.astype(np.float64))  # int64 or Python ints
+    if op is GlobalOp.SUM:
+        return col + float(val.sum()) < 2.0**62
+    top = float(val.max())  # factors in {-1, 0, 1} never grow a product
+    most = int(np.bincount(dsts).max())  # the longest chain into one slot
+    return top <= 1 or math.log2(max(col, 1)) + most * math.log2(top) < 62
 
 
 def combine_each(op: GlobalOp, a, b, add=operator.add, mul=operator.mul):

@@ -1,40 +1,34 @@
-"""Simulated unreliable transport between workers, hidden behind a reliable
-delivery protocol.
+"""Reliable delivery over an unreliable channel: one sans-IO protocol, and
+the simulated channel that exercises it.
 
-PR 1's transient-loss model (`FaultPlan.message_loss_rate`) *meters* an
-at-least-once network but never actually loses, duplicates, or reorders a
-message.  This module is the adversarial counterpart: a pluggable transport
-the engine routes every barrier through, whose simulated channels inflict
-**drop, duplicate, reorder, corrupt, and latency/jitter** faults on the
-wire — and a sender/receiver protocol that hides all of it:
+The protocol is a per-stream :class:`Sender` and :class:`Receiver` that
+do no IO; two transports move their messages.  :class:`SimulatedTransport`
+(below) drives them through a seeded channel that inflicts **drop,
+duplicate, reorder, corrupt, and latency/jitter** faults, and
+``backend/tcp.py`` drives them over loopback sockets.  Per stream:
 
-* every message bound for a destination worker is stamped with a **sequence
-  number** from that worker's inbound stream (the simulator's stand-in for
-  GPS's per-worker message buffers; sequencing the stream a receiver must
-  reconstruct is what makes cross-sender arrival order deterministic);
-* the sender retransmits unacknowledged messages with **exponential
-  backoff** (metered in ``RunMetrics.net_backoff_units``) until every
-  message is acknowledged, up to ``max_attempts`` per message;
-* the receiver keeps a **dedup table** (sequence numbers already processed
-  — duplicate arrivals, including retransmissions whose ack was lost, are
-  counted and discarded), a **reorder buffer** (out-of-order arrivals are
-  parked until the sequence gap closes), and a checksum (corrupt arrivals
-  are detected, discarded, and left unacked so the sender retransmits).
+* the sender stamps every message with the next **sequence number** and
+  keeps it in an unacked ledger until its ack arrives, retransmitting with
+  **exponential backoff** — retransmission ``k`` (from 0) costs
+  ``1 << min(k, 16)`` backoff units — up to ``max_attempts``
+  transmissions, past which :class:`TransportError` is raised;
+* the receiver acks every accepted message (each one, not cumulatively)
+  and classifies it: **new** when it extends the contiguous prefix of
+  accepted seqs (consuming any parked seqs the gap closed), **parked**
+  when it lands past a gap (a reorder, metered once per parked seq), or
+  **duplicate** when it was accepted before (discarded, re-acked — a
+  channel dup, or a retransmission whose ack was lost).  Corrupt arrivals
+  fail their checksum before the receiver sees them and stay unacked, so
+  the sender retransmits.  The receiver holds only ``expected`` and its
+  parked set, which empties once the stream is whole.
 
-The protocol therefore delivers **exactly once, in send order**, no matter
-the fault mix — which is the property that keeps a run's outputs and
-``RunMetrics.parity_key()`` bit-identical to a run over a perfect network
-(asserted for all six algorithms by ``tests/test_net.py`` and the chaos
-fuzz sweep).  What the faults *do* change is metered: per-fault counters
-land in ``RunMetrics`` (``messages_dropped`` / ``messages_duplicated`` /
-``messages_reordered`` / ``messages_corrupted`` / ``packets_retransmitted``
-/ ``net_backoff_units``) and the transport's own ``stats`` ledger carries
-simulated latency units and protocol round counts for the benchmarks.
-
-With an all-zero fault plan the transport takes a **fast path** — ledger
-accounting only, no per-message simulation — so a "reliable transport" run
-stays within a few percent of direct routing (``benchmarks/bench_net.py``
-enforces the ceiling in CI).
+Delivery is **exactly once** under any fault mix, so a run's outputs and
+``RunMetrics.parity_key()`` equal a perfect network's.  The simulated
+faults are metered in ``RunMetrics`` (``messages_dropped`` / ``_duplicated``
+/ ``_reordered`` / ``_corrupted``, ``packets_retransmitted``,
+``net_backoff_units``) and the transport's ``stats``.  An all-zero fault
+plan takes a **fast path** — ledger accounting only, within a few percent
+of direct routing (``benchmarks/bench_net.py``).
 """
 
 from __future__ import annotations
@@ -59,6 +53,81 @@ class TransportError(RuntimeError):
 #: this shift, so a pathological channel cannot overflow the ledger.
 _MAX_BACKOFF_SHIFT = 16
 
+#: a :meth:`Receiver.accept` verdict
+NEW, PARKED, DUPLICATE = "new", "parked", "duplicate"
+
+
+class Sender:
+    """One stream's sending end: stamps consecutive seqs and keeps the
+    unacked ledger, ``seq -> [transmissions, payload]`` in seq order.  Its
+    transport transmits, times and hands back acks."""
+
+    __slots__ = ("max_attempts", "next_seq", "unacked")
+
+    def __init__(self, max_attempts: int):
+        self.max_attempts = max_attempts
+        self.next_seq = 0
+        self.unacked: dict[int, list] = {}
+
+    def stamp(self, payload=None) -> int:
+        seq = self.next_seq
+        self.next_seq = seq + 1
+        self.unacked[seq] = [0, payload]
+        return seq
+
+    def attempt(self, seq: int) -> int:
+        """Count one transmission of ``seq`` and return its backoff units:
+        0 for the first, ``1 << min(k, 16)`` for retransmission ``k``
+        (from 0).  Past ``max_attempts`` transmissions, raise."""
+        entry = self.unacked[seq]
+        k = entry[0]
+        if k >= self.max_attempts:
+            raise TransportError(
+                f"message seq={seq} undelivered after {self.max_attempts} attempts"
+                " — raise max_attempts or lower the fault rates"
+            )
+        entry[0] = k + 1
+        return 1 << min(k - 1, _MAX_BACKOFF_SHIFT) if k else 0
+
+    def wait(self, seq: int) -> int:
+        """The next retransmission's backoff units: a timed transport's wait."""
+        return 1 << min(self.unacked[seq][0] - 1, _MAX_BACKOFF_SHIFT)
+
+    def ack(self, seq: int) -> None:
+        self.unacked.pop(seq, None)
+
+
+class Receiver:
+    """One stream's receiving end: ``expected`` is the next seq of the
+    contiguous prefix accepted so far, ``parked`` the seqs accepted past a
+    gap, ``parked_peak`` the parked set's peak size."""
+
+    __slots__ = ("expected", "parked", "parked_peak")
+
+    def __init__(self):
+        self.expected = 0
+        self.parked: set[int] = set()
+        self.parked_peak = 0
+
+    def accept(self, seq: int) -> str:
+        """Classify an arrival that passed its checksum (the transport acks
+        it whatever the verdict)."""
+        expected = self.expected
+        parked = self.parked
+        if seq == expected:
+            expected += 1
+            while expected in parked:  # the gap closed
+                parked.remove(expected)
+                expected += 1
+            self.expected = expected
+            return NEW
+        if seq < expected or seq in parked:
+            return DUPLICATE
+        parked.add(seq)
+        if len(parked) > self.parked_peak:
+            self.parked_peak = len(parked)
+        return PARKED
+
 
 @dataclass(frozen=True)
 class NetFaultPlan:
@@ -70,10 +139,10 @@ class NetFaultPlan:
     * ``drop_rate`` — the attempt vanishes; the sender times out and
       retransmits with exponential backoff.  Also applied to acks, so a
       delivered-but-unacked message is retransmitted and deduplicated.
-    * ``dup_rate`` — the attempt arrives twice; the receiver's dedup table
-      discards the copy.
+    * ``dup_rate`` — the attempt arrives twice; the receiver discards the
+      copy as a duplicate.
     * ``reorder_rate`` — arrivals within a protocol round are displaced;
-      the receiver's reorder buffer restores sequence order.
+      the receiver parks an arrival past a gap until the gap closes.
     * ``corrupt_rate`` — the payload is damaged in flight; the checksum
       catches it, the arrival is discarded unacked, and the sender
       retransmits.
@@ -135,12 +204,12 @@ def parse_net_faults(spec: str) -> NetFaultPlan:
 class SimulatedTransport:
     """Per-run transport: one inbound reliable stream per destination worker.
 
-    Create one per execution (it is stateful: sequence counters, the RNG,
-    the stats ledger) and hand it to the engine:
+    Create one per execution (it is stateful: the RNG, the stats ledger)
+    and hand it to the engine:
     ``program.run(graph, args, transport=SimulatedTransport(plan))``.  The
     engine routes every barrier's per-destination-worker message batches
     through :meth:`route_part` (``columnar``: their sizes, through
-    :meth:`route_count`).
+    :meth:`route_count`); each batch is one fresh stream.
     """
 
     def __init__(self, plan: NetFaultPlan):
@@ -156,12 +225,8 @@ class SimulatedTransport:
             "latency_units": 0.0,
             "acks_lost": 0,
             "max_attempts_seen": 0,
-            #: peak occupancy of the receiver's reorder buffer (messages
-            #: parked waiting for a sequence gap to close) — the protocol's
-            #: own memory footprint, charged against the worker's budget
-            #: peak when the engine runs under one (metered, not enforced:
-            #: protocol buffers cannot spill without breaking the ack
-            #: contract).
+            #: a receiver's peak parked set, charged (never enforced)
+            #: against the worker's budget peak when it runs under one
             "reorder_buffer_peak": 0,
         }
 
@@ -209,13 +274,10 @@ class SimulatedTransport:
     # -- channel simulation ----------------------------------------------
 
     def _simulate_stream(self, n: int, worker: int = 0, avg_bytes: float = 0.0) -> None:
-        """Push ``n`` sequenced messages through the unreliable channel until
-        the receiver has processed — and the sender has seen acked — every
-        one of them.  Mutates only the metrics/stats ledgers; the delivered
-        content is the sequence-ordered input by protocol construction.
+        """Push a fresh stream of ``n`` messages through the channel until
+        the sender has seen every one acked; only the ledgers change.
         ``avg_bytes`` (non-zero only under a memory budget) converts the
-        reorder buffer's peak occupancy into a byte charge against
-        ``worker``'s budget peak."""
+        parked set's peak into a byte charge against ``worker``'s budget."""
         plan = self.plan
         rng = self._rng
         metrics = self._engine.metrics
@@ -224,50 +286,29 @@ class SimulatedTransport:
         if mreg is not None:
             # Registry bumps happen once per routed stream from ledger
             # deltas — never inside the per-packet loop below.
-            s_dropped = metrics.messages_dropped
-            s_duplicated = metrics.messages_duplicated
-            s_reordered = metrics.messages_reordered
-            s_corrupted = metrics.messages_corrupted
-            s_retransmitted = metrics.packets_retransmitted
-            s_backoff = metrics.net_backoff_units
-        drop = plan.drop_rate
-        dup = plan.dup_rate
+            before = [getattr(metrics, name) for name, _c in _NET_COUNTERS]
+        drop, dup, corrupt = plan.drop_rate, plan.dup_rate, plan.corrupt_rate
         reorder = plan.reorder_rate
-        corrupt = plan.corrupt_rate
-        max_attempts = plan.max_attempts
         random_ = rng.random
 
-        attempts = [0] * n
-        received = bytearray(n)  # dedup table: seqs the receiver processed
-        acked = bytearray(n)     # sender side: retransmit until set
-        expected = 0             # next in-order seq the receiver can consume
-        parked = 0               # reorder-buffer occupancy (received > expected)
-        parked_peak = 0
-        unacked = n
+        sender, receiver = Sender(plan.max_attempts), Receiver()
+        for _ in range(n):
+            sender.stamp()
+        unacked = sender.unacked
+        attempt = sender.attempt
+        rounds = 0
         while unacked:
+            rounds += 1
             stats["protocol_rounds"] += 1
             stats["latency_units"] += plan.latency_units + (
                 random_() * plan.jitter_units if plan.jitter_units else 0.0
             )
             arrivals: list[tuple[int, bool]] = []
-            for seq in range(n):
-                if acked[seq]:
-                    continue
-                attempt = attempts[seq] = attempts[seq] + 1
-                if attempt > max_attempts:
-                    raise TransportError(
-                        f"message seq={seq} undelivered after {max_attempts} "
-                        "attempts — fault rates too hostile for the retry "
-                        "budget (raise max_attempts or lower the rates)"
-                    )
-                if attempt > 1:
-                    # Exponential backoff before every retransmission.
+            for seq in list(unacked):
+                backoff = attempt(seq)
+                if backoff:
                     metrics.packets_retransmitted += 1
-                    metrics.net_backoff_units += 1 << min(
-                        attempt - 2, _MAX_BACKOFF_SHIFT
-                    )
-                if attempt > stats["max_attempts_seen"]:
-                    stats["max_attempts_seen"] = attempt
+                    metrics.net_backoff_units += backoff
                 if random_() < drop:
                     metrics.messages_dropped += 1
                     continue
@@ -281,60 +322,51 @@ class SimulatedTransport:
                     if random_() < reorder:
                         j = rng.randrange(i, last + 1)
                         arrivals[i], arrivals[j] = arrivals[j], arrivals[i]
-            for seq, corrupted in arrivals:
-                if corrupted:
-                    # Checksum failure: discard, leave unacked → retransmit.
-                    metrics.messages_corrupted += 1
-                    continue
-                if received[seq]:
-                    # Dedup table hit: duplicate arrival (channel dup, or a
-                    # retransmission whose ack was lost) is discarded.
-                    metrics.messages_duplicated += 1
-                else:
-                    received[seq] = 1
-                    if seq != expected:
-                        # Parked in the reorder buffer until the gap closes.
-                        metrics.messages_reordered += 1
-                        parked += 1
-                        if parked > parked_peak:
-                            parked_peak = parked
-                    else:
-                        first = expected
-                        while expected < n and received[expected]:
-                            expected += 1
-                        # The gap closed: every seq past the first consumed
-                        # one was sitting in the reorder buffer.
-                        parked -= expected - first - 1
-                # Ack travels the faulty channel too; a lost ack keeps the
-                # message pending, forcing a retransmit the dedup table eats.
-                if drop and random_() < drop:
-                    stats["acks_lost"] += 1
-                elif not acked[seq]:
-                    acked[seq] = 1
-                    unacked -= 1
-        assert expected == n, "protocol invariant: stream fully reconstructed"
+            self.deliver(sender, receiver, arrivals)
+        assert receiver.expected == n and not receiver.parked, "stream whole"
+        # Every round transmits every unacked seq once, so a stream's
+        # rounds are its most-tried message's attempts.
+        stats["max_attempts_seen"] = max(stats["max_attempts_seen"], rounds)
+        parked_peak = receiver.parked_peak
         if mreg is not None:
             mreg.counter("net.messages_routed").inc(n)
-            mreg.counter("net.dropped").inc(metrics.messages_dropped - s_dropped)
-            mreg.counter("net.duplicated").inc(
-                metrics.messages_duplicated - s_duplicated
-            )
-            mreg.counter("net.reordered").inc(
-                metrics.messages_reordered - s_reordered
-            )
-            mreg.counter("net.corrupted").inc(
-                metrics.messages_corrupted - s_corrupted
-            )
-            mreg.counter("net.retransmitted").inc(
-                metrics.packets_retransmitted - s_retransmitted
-            )
-            mreg.counter("net.backoff_units").inc(
-                metrics.net_backoff_units - s_backoff
-            )
+            for (name, counter), old in zip(_NET_COUNTERS, before):
+                mreg.counter(counter).inc(getattr(metrics, name) - old)
             mreg.gauge("net.reorder_buffer_peak").set_max(parked_peak)
-        if parked_peak > stats["reorder_buffer_peak"]:
-            stats["reorder_buffer_peak"] = parked_peak
+        stats["reorder_buffer_peak"] = max(stats["reorder_buffer_peak"], parked_peak)
         if avg_bytes and parked_peak:
-            self._engine.mem.note_transport_buffer(
-                worker, int(parked_peak * avg_bytes)
-            )
+            self._engine.mem.note_transport_buffer(worker, int(parked_peak * avg_bytes))
+
+    def deliver(self, sender: Sender, receiver: Receiver, arrivals) -> None:
+        """Hand one round's ``(seq, corrupted)`` arrivals, in arrival order,
+        to ``receiver``, meter each verdict, and send each accepted seq's
+        ack back to ``sender`` over the channel, which may drop it."""
+        metrics = self._engine.metrics
+        drop = self.plan.drop_rate
+        random_ = self._rng.random
+        accept = receiver.accept
+        for seq, corrupted in arrivals:
+            if corrupted:
+                # Checksum failure: discard, leave unacked → retransmit.
+                metrics.messages_corrupted += 1
+                continue
+            verdict = accept(seq)
+            if verdict is DUPLICATE:
+                metrics.messages_duplicated += 1
+            elif verdict is PARKED:
+                metrics.messages_reordered += 1
+            if drop and random_() < drop:
+                self.stats["acks_lost"] += 1
+            else:
+                sender.ack(seq)
+
+
+#: the ``RunMetrics`` fault counters and the registry counter each feeds
+_NET_COUNTERS = (
+    ("messages_dropped", "net.dropped"),
+    ("messages_duplicated", "net.duplicated"),
+    ("messages_reordered", "net.reordered"),
+    ("messages_corrupted", "net.corrupted"),
+    ("packets_retransmitted", "net.retransmitted"),
+    ("net_backoff_units", "net.backoff_units"),
+)

@@ -216,8 +216,8 @@ class RunMetrics:
     # -- simulated transport (repro.pregel.net) --------------------------
     #: channel faults inflicted on the wire and absorbed by the reliable
     #: delivery protocol: attempts dropped in flight, duplicate arrivals
-    #: discarded by the dedup table, out-of-order arrivals parked in the
-    #: reorder buffer, corrupt arrivals caught by the checksum.  None of
+    #: the receiver discards, arrivals it parks past a sequence gap (a
+    #: reorder), corrupt arrivals caught by the checksum.  None of
     #: these reach results — they cost retransmissions and backoff.
     messages_dropped: int = 0
     messages_duplicated: int = 0

@@ -2011,6 +2011,43 @@ class TestTcpTransport:
         assert snap["tcp.malformed_frames"]["series"][0]["value"] == 1
         assert "tcp.frames_received" not in snap
 
+    def test_an_abandoned_exchange_leaves_fresh_streams_behind(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.pregel.backend import tcp
+
+        registry = MetricsRegistry()
+        listeners = [tcp.bind_listener() for _ in range(2)]
+        ports = [sock.getsockname()[1] for sock in listeners]
+        a, b = (
+            tcp.TcpSlabTransport(wid, listeners[wid], ports, [0, 0], registry)
+            for wid in range(2)
+        )
+        frame = (0, 1, bytes(8))  # (tag, count, body): one record
+        try:
+            # b sits this exchange out: a's two frames go unacked, a gives up
+            assert a.exchange({1: [frame, frame]}, {}, 0.3) == ({}, {1: "timeout"})
+            # the recovery bumps every epoch: both ends start fresh streams
+            for end in (a, b):
+                end.update_peers(ports, [1, 1])
+            with ThreadPoolExecutor(2) as pool:
+                sent = pool.submit(a.exchange, {1: [frame]}, {}, 5.0)
+                received = pool.submit(b.exchange, {}, {0: 1}, 5.0)
+                assert sent.result() == ({}, {})
+                parts, report = received.result()
+        finally:
+            for end in (a, b):
+                end.close_listener()
+        assert report == {} and len(parts[0]) == 1
+        # the new stream's seq 0 closed the prefix: nothing parked, no
+        # reorder metered; the abandoned frames were stale, not parked
+        assert {src: (r.expected, r.parked) for src, r in b._receivers.items()} == {0: (1, set())}
+        assert (a._senders[1].next_seq, a._senders[1].unacked) == (1, {})
+        snap = registry.snapshot()
+        assert "tcp.reorders" not in snap
+        assert snap["tcp.stale_frames"]["series"][0]["value"] >= 1
+
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))
     @pytest.mark.parametrize("kind,superstep", [
         ("kill", 1), ("netsplit", 2), ("slowlink", 1),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def outcome(fn):
         return type(exc)
 
 
+def scatter(typecode: str, column_values, message_values):
+    """A column of three of ``column_values`` with its ``array`` typecode,
+    and up to eight ``(destination, value)`` messages into it."""
+    return st.tuples(
+        st.just(typecode),
+        st.lists(st.sampled_from(column_values), min_size=3, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), st.sampled_from(message_values)), max_size=8),
+    )
+
+
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -87,23 +98,30 @@ class TestRule:
                 got = outcome(lambda: fold(op, seed, np.asarray(values)))
                 assert same(got, want), (op, seed, values, got, want)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([GlobalOp.SUM, GlobalOp.PRODUCT, GlobalOp.MIN, GlobalOp.MAX]),
-        st.lists(st.sampled_from([nan, inf, -inf, 0.0, -0.0, 1.0, -1.5, 1e308]), min_size=3, max_size=3),
-        st.lists(
-            st.tuples(st.integers(0, 2), st.sampled_from([nan, inf, -inf, 0.0, -0.0, 2.0, -1.5, 1e308])),
-            max_size=8,
+        st.one_of(
+            scatter("d", [nan, inf, -inf, 0.0, -0.0, 1.0, -1.5, 1e308], [nan, inf, -inf, 0.0, -0.0, 2.0, -1.5, 1e308]),
+            scatter("q", [0, 1, -1, 3, 2**31, 2**62, -(2**62)], [0, 1, -1, 2, -3, 2**31, 2**62, -(2**62)]),
         ),
     )
-    def test_fold_at_is_the_chain(self, op, column, messages):
-        want = list(column)
-        for d, v in messages:
-            want[d] = combine(op, want[d], v)
-        got = np.asarray(column)
+    def test_fold_at_is_the_chain(self, op, case):
+        # the reference stores into the scalar loops' column, an Int one
+        # raising OverflowError past int64
+        typecode, column, messages = case
+        want = array(typecode, column)
+
+        def chain():
+            for d, v in messages:
+                want[d] = combine(op, want[d], v)
+            return [repr(v) for v in want]
+
+        got = np.asarray(column, dtype=np.float64 if typecode == "d" else np.int64)
         dsts = np.asarray([d for d, _v in messages], dtype=np.int64)
-        fold_at(op, got, dsts, np.asarray([v for _d, v in messages], dtype=float))
-        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want], messages
+        values = np.asarray([v for _d, v in messages], dtype=got.dtype)
+        result = outcome(lambda: fold_at(op, got, dsts, values) or [repr(v) for v in got.tolist()])
+        assert result == outcome(chain), messages
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -202,6 +220,18 @@ def test_a_fused_phase_chains_from_its_field(init, fused):
     assert want == 1e16
     for backend, w, scalar in cells(workers=(1,)):
         assert repr(run(source, graph, args, backend, w, scalar=scalar)[0]) == repr(want)
+
+
+def test_an_int_field_past_int64_raises_on_array_code_and_scalar_loops():
+    # `t.o *= n.y` from 2**40 by 2**30: int64 ufunc.at would wrap to 0
+    source = (
+        "Procedure p(G: Graph, y: N_P<Int>, s0: Int; o: N_P<Int>) {\n"
+        "  G.o = s0; Foreach (n: G.Nodes) { Foreach (t: n.Nbrs) { t.o *= n.y; } } }"
+    )
+    graph, args = Graph.from_edges(2, [(0, 1)]), {"y": [2**30, 1], "s0": 2**40}
+    for scalar in (False, True):
+        with pytest.raises(OverflowError):
+            run(source, graph, args, "columnar", 1, scalar=scalar)
 
 
 # -- the property: a global, a field reduction, combiners -------------------

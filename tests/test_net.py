@@ -4,16 +4,28 @@ behind sequence-numbered exactly-once delivery, so a run over a hostile
 channel is bit-identical to a run over a perfect one, for every algorithm
 and both schedulers.  The faults themselves are metered, never delivered."""
 
+import socket
+from collections import Counter
+
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.algorithms.manual import MANUAL_PROGRAMS
 from repro.algorithms.sources import ALGORITHMS
 from repro.bench.harness import default_args
 from repro.compiler import compile_algorithm
 from repro.graphgen.registry import applicable_graphs, load_graph
+from repro.obs.metrics import MetricsRegistry
 from repro.pregel import Graph, PregelEngine
+from repro.pregel.backend import tcp
 from repro.pregel.net import (
+    DUPLICATE,
+    NEW,
+    PARKED,
     NetFaultPlan,
+    Receiver,
+    Sender,
     SimulatedTransport,
     TransportError,
     parse_net_faults,
@@ -161,6 +173,24 @@ class TestFaultMetering:
         ):
             assert getattr(first, name) == getattr(second, name)
 
+    def test_mixed_plan_meters_the_pinned_counts(self):
+        # the seeded channel's draw order, pinned: the counts a pagerank
+        # run over the MIXED plan meters, whatever drives the protocol
+        transport = SimulatedTransport(NetFaultPlan(**MIXED))
+        graph = _graph_for("pagerank")
+        program = compile_algorithm("pagerank", emit_java=False).program
+        m = program.run(
+            graph, default_args("pagerank", graph), num_workers=WORKERS, transport=transport
+        ).metrics
+        assert (
+            m.messages_dropped, m.messages_duplicated, m.messages_reordered,
+            m.messages_corrupted, m.packets_retransmitted, m.net_backoff_units,
+        ) == (25818, 32243, 119378, 7958, 51350, 93261)  # fmt: skip
+        assert transport.stats == {
+            "messages_routed": 120000, "protocol_rounds": 308, "latency_units": 308.0,
+            "acks_lost": 22628, "max_attempts_seen": 12, "reorder_buffer_peak": 6273,
+        }  # fmt: skip
+
     def test_summary_gains_transport_section_only_when_faulted(self):
         clean = self._run(NetFaultPlan()).metrics
         assert "transport:" not in clean.summary()
@@ -264,3 +294,150 @@ class TestTraceEvents:
         routed = next(e for e in faulted.events if e.name == "net.route")
         assert routed.det is None  # info-only: deterministic stream unchanged
         assert deterministic_jsonl(faulted.events) == deterministic_jsonl(clean.events)
+
+
+# -- the protocol core: one sender, one receiver ------------------------------
+
+
+def test_one_arrival_order_meters_alike_on_both_transports():
+    # arrivals 0, 2, 1, then 0 again: one seq parked past a gap, one dup
+    arrivals = (0, 2, 1, 0)
+    g = Graph.from_edges(2, [(0, 1)])
+    engine = PregelEngine(g, lambda c, v, m: None)
+    simulated = SimulatedTransport(NetFaultPlan())
+    simulated.attach(engine)
+    sender = Sender(3)
+    for _ in range(3):
+        sender.stamp()
+    simulated.deliver(sender, Receiver(), [(seq, False) for seq in arrivals])
+    assert (engine.metrics.messages_reordered, engine.metrics.messages_duplicated) == (1, 1)
+    assert sender.unacked == {}
+
+    registry = MetricsRegistry()
+    listener = tcp.bind_listener()
+    port = listener.getsockname()[1]
+    transport = tcp.TcpSlabTransport(1, listener, [0, port], [0, 0], registry)
+    peer = socket.create_connection(("127.0.0.1", port), timeout=5)
+    try:
+        peer.sendall(
+            b"".join(tcp.pack_frame(0, 0, seq, tcp._KIND_DATA, 0, 1, bytes(8)) for seq in arrivals)
+        )
+        parts, report = transport.exchange({}, {0: 3}, 5.0)
+    finally:
+        peer.close()
+        transport.close_listener()
+    assert report == {} and len(parts[0]) == 3
+    snap = registry.snapshot()
+    assert snap["tcp.reorders"]["series"][0]["value"] == 1
+    assert snap["tcp.dedup_hits"]["series"][0]["value"] == 1
+
+
+class ProtocolMachine(RuleBasedStateMachine):
+    """One sender and one receiver over a channel whose schedule the rules
+    draw: transmit, drop, duplicate, deliver any copy in flight (reorder),
+    corrupt, deliver or lose an ack, and abandon the stream for a new one."""
+
+    @initialize(max_attempts=st.integers(1, 20))
+    def new_stream(self, max_attempts):
+        self.sender = Sender(max_attempts)
+        self.receiver = Receiver()
+        self.wire: list[int] = []  # copies in flight to the receiver
+        self.acks: list[int] = []  # acks in flight back
+        self.accepted: Counter = Counter()  # NEW or PARKED verdicts per seq
+        self.expected = 0
+
+    def _choose(self, items: list, index: int) -> int:
+        return items.pop(index % len(items))
+
+    @rule(n=st.integers(1, 4))
+    def stamp(self, n):
+        for _ in range(n):
+            assert self.sender.stamp() == self.sender.next_seq - 1
+
+    def _attempt(self, seq: int) -> None:
+        k = self.sender.unacked[seq][0]
+        if k == self.sender.max_attempts:
+            with pytest.raises(TransportError):
+                self.sender.attempt(seq)
+            return
+        backoff = self.sender.attempt(seq)
+        assert backoff == (0 if k == 0 else 1 << min(k - 1, 16))
+        self.wire.append(seq)
+
+    @precondition(lambda self: self.sender.unacked)
+    @rule(index=st.integers(0, 63))
+    def transmit(self, index):
+        unacked = list(self.sender.unacked)
+        seq = unacked[index % len(unacked)]
+        if self.sender.unacked[seq][0] < self.sender.max_attempts:
+            self._attempt(seq)
+
+    @precondition(lambda self: self.sender.unacked)
+    @rule(max_attempts=st.integers(1, 20))
+    def exhaust_then_abandon(self, max_attempts):
+        # every copy of the oldest unacked seq is lost until the cap trips
+        seq = next(iter(self.sender.unacked))
+        while self.sender.unacked[seq][0] < self.sender.max_attempts:
+            self._attempt(seq)
+        self._attempt(seq)
+        self.new_stream(max_attempts)
+
+    @precondition(lambda self: self.wire)
+    @rule(index=st.integers(0, 63))
+    def drop(self, index):
+        self._choose(self.wire, index)
+
+    @precondition(lambda self: self.wire)
+    @rule(index=st.integers(0, 63))
+    def duplicate(self, index):
+        self.wire.append(self.wire[index % len(self.wire)])
+
+    @precondition(lambda self: self.wire)
+    @rule(index=st.integers(0, 63), corrupt=st.booleans(), ack_lost=st.booleans())
+    def arrive(self, index, corrupt, ack_lost):
+        seq = self._choose(self.wire, index)
+        if corrupt:
+            return  # fails its checksum: never reaches the receiver, no ack
+        before = self.receiver.expected
+        verdict = self.receiver.accept(seq)
+        if self.accepted[seq]:
+            assert verdict is DUPLICATE
+        else:
+            assert verdict is (NEW if seq == before else PARKED)
+            self.accepted[seq] += 1
+        if not ack_lost:
+            self.acks.append(seq)
+
+    @precondition(lambda self: self.acks)
+    @rule(index=st.integers(0, 63))
+    def ack(self, index):
+        seq = self._choose(self.acks, index)
+        self.sender.ack(seq)
+        assert seq not in self.sender.unacked
+
+    @rule(max_attempts=st.integers(1, 20))
+    def abandon(self, max_attempts):
+        self.new_stream(max_attempts)
+
+    @invariant()
+    def exactly_once_and_prefix(self):
+        receiver = self.receiver
+        assert receiver.expected >= self.expected  # only grows
+        self.expected = receiver.expected
+        assert set(self.accepted.values()) <= {1}
+        accepted = set(self.accepted)
+        # the prefix is every accepted seq up to the first gap
+        assert set(range(receiver.expected)) <= accepted and receiver.expected not in accepted
+        # the receiver holds the seqs past its prefix, and nothing else
+        assert receiver.parked == accepted - set(range(receiver.expected))
+        assert len(receiver.parked) <= receiver.parked_peak
+        acked = set(range(self.sender.next_seq)) - set(self.sender.unacked)
+        assert acked <= accepted
+        if accepted == set(range(self.sender.next_seq)):  # the stream is whole
+            assert receiver.parked == set() and receiver.expected == self.sender.next_seq
+
+
+ProtocolMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+TestProtocolMachine = ProtocolMachine.TestCase
