@@ -5,7 +5,8 @@ Three jobs, wired into the CI ``chaos`` job:
 * ``test_reliable_transport_overhead`` is the ISSUE's ≤5% ceiling: routing
   every barrier through the reliable transport's *fast path* (an all-zero
   fault plan — sequence accounting only, no channel simulation) must stay
-  within 5% of direct in-memory routing, measured best-of-N interleaved.
+  within 5% of direct in-memory routing: the median of 11 per-pair ratios,
+  each pair run back to back with the side that goes first alternating.
 * ``test_recovery_latency_sweep`` measures the supervision cycle as the
   channel degrades: detection silence (simulated units until the
   phi/deadline detector declares the silently-crashed worker dead),
@@ -38,15 +39,15 @@ def test_reliable_transport_overhead(benchmark, scale, report_dir):
 
 
 def _transport_overhead(scale, report_dir):
-    stats = transport_overhead(scale, repeats=7)
+    stats = transport_overhead(scale, pairs=11)
     emit_report(
         report_dir,
         "net_overhead",
         "Reliable-transport fast path vs direct routing "
-        "(PageRank/twitter, best of 7, interleaved)\n"
-        f"  direct routing     : {stats['direct_s'] * 1e3:8.2f} ms\n"
-        f"  reliable transport : {stats['transport_s'] * 1e3:8.2f} ms\n"
-        f"  ratio              : {stats['overhead_ratio']:.4f}  (budget < 1.05)",
+        "(PageRank/twitter, 11 pairs, first side alternating)\n"
+        f"  direct routing     : {stats['direct_s'] * 1e3:8.2f} ms  (median)\n"
+        f"  reliable transport : {stats['transport_s'] * 1e3:8.2f} ms  (median)\n"
+        f"  ratio              : {stats['overhead_ratio']:.4f}  (median of pair ratios; budget < 1.05)",
     )
     assert stats["overhead_ratio"] < 1.05, stats
 

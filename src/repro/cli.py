@@ -129,15 +129,16 @@ def _build_fault_tolerance(ns: argparse.Namespace):
     ``--heartbeat`` implies fault tolerance (detection escalates into
     checkpoint recovery), so supervision alone still gets a manager.
     ``--inject-fault`` takes every fault kind into the one plan: simulated
-    crashes (``W@S``, any backend) and real faults (``kill:W@S`` …, mp
-    only), refused here, before the graph loads, in the engine's words.
+    crashes (``W@S``, any backend) and real faults (``kill:W@S`` …, mp; a
+    ``kill`` also in process under ``--heartbeat``, as a silent death),
+    refused here, before the graph loads, in the engine's words.
     ``--max-restarts`` is the plan's restart budget.
     """
     if not ns.checkpoint_every and not ns.inject_fault and not ns.heartbeat:
         return None
     from .pregel.ft import FaultPlan, FaultTolerance, fault_refusal, parse_fault
 
-    fireable = ()
+    fireable = ("kill",) if ns.heartbeat else ()  # a supervised in-process engine
     if ns.backend == "mp":
         from .pregel.backend.mp import fireable_faults
 
@@ -184,7 +185,7 @@ def _build_supervisor(ns: argparse.Namespace):
 
     try:
         plan = parse_heartbeat(ns.heartbeat)
-        for worker in (*(crash.worker for crash in plan.silent_crashes), *plan.stragglers):
+        for worker in plan.stragglers:
             if worker >= ns.workers:
                 raise ValueError(f"names worker {worker} but --workers is {ns.workers}")
         return Supervisor(plan)
@@ -617,11 +618,13 @@ def main(argv: list[str] | None = None) -> int:
                 default=[],
                 metavar="[KIND:]WORKER@STEP",
                 help="crash the given worker entering the given superstep "
-                "(repeatable); the run recovers from the latest checkpoint.  "
-                "Plain W@S simulates the crash on any backend; kill:W@S "
-                "SIGKILLs the real worker process and hang:W@S wedges it "
-                "past the exchange deadline (both --backend mp only, "
-                "detected by the parent's deadline-based barrier); "
+                "(repeatable, one fault per worker and superstep); the run "
+                "recovers from the latest checkpoint.  Plain W@S simulates "
+                "the crash on any backend; kill:W@S SIGKILLs the real worker "
+                "process and hang:W@S wedges it past the exchange deadline "
+                "(both --backend mp, detected by the parent's deadline-based "
+                "barrier; kill:W@S also under --heartbeat on any backend, a "
+                "silent death the heartbeat detector notices); "
                 "netsplit:W@S closes the worker's listening socket "
                 "mid-exchange and slowlink:W@S stalls it past its peers' "
                 "deadline (both --backend mp --transport tcp only, "
@@ -647,9 +650,9 @@ def main(argv: list[str] | None = None) -> int:
                 metavar="SPEC",
                 help="supervise the run with heartbeat failure detection "
                 "and automatic recovery, e.g. "
-                "'interval=1,phi=4,deadline=5,crash=1@3,straggler=2,seed=5' "
-                "(crash=W@S schedules *silent* deaths the detector must "
-                "notice; implies fault tolerance)",
+                "'interval=1,phi=4,deadline=5,straggler=2,seed=5' (implies "
+                "fault tolerance); --inject-fault kill:W@S schedules a "
+                "silent death the detector must notice",
             )
             p.add_argument(
                 "--exchange-deadline",

@@ -570,18 +570,14 @@ class ColumnarEngine(PregelEngine):
     def _seal(self) -> None:
         """Seal the phase's sends — inside the phase, so the driver's
         per-superstep deltas see them — meter them, and keep them for the
-        next delivery.  Under ft, each record that crosses workers is one
-        delivery the manager meters for transient loss, as a send is."""
+        next delivery."""
         plane = self._plane
         metrics = self.metrics
         step_work = self._step_work if self._track_makespan else None
         staged_bytes = self._trace_worker_bytes or None
-        crossed = metrics.net_messages
         for sealed in plane.seal():
             plane.meter_workers(metrics, step_work, sealed, staged_bytes)
             self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
-        if self.ft is not None:
-            self.ft.account_delivery(metrics.net_messages - crossed)
 
     def out_gather(self) -> NbrGather:
         """The gather of an out-direction bulk send: the graph's out-CSR."""

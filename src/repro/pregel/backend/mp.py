@@ -345,8 +345,7 @@ class MPEngine(ColumnarEngine):
             raise ValueError(
                 f"unknown transport '{transport_mode}' (expected 'shm' or 'tcp')"
             )
-        # What ``ft.attach`` checks a scheduled fault's kind against.
-        self.REAL_FAULT_KINDS = fireable_faults(transport_mode)
+        self.transport_mode = transport_mode
         # The shared construction: ledger, placement, scheduling checks, the
         # ft → supervisor → mem attach sequence and the slab plane, all
         # inherited copy-on-write by every fork.  ``_voted`` is the one
@@ -356,7 +355,6 @@ class MPEngine(ColumnarEngine):
         super().__init__(graph, schema=schema, vertex_compute=vertex_compute, **engine_opts)
         self.schema = schema
         self.metrics.backend = "mp"
-        self.transport_mode = transport_mode
         w = self.num_workers
         # ``_part_slices[wid]`` is the column/bitset slice matching the
         # shared placement (``_worker_of``), so strided ('hash') and
@@ -408,13 +406,6 @@ class MPEngine(ColumnarEngine):
         self._conns: list = []
         self._procs: list = []
         self._workers: list[_Worker] = []
-        if self._supervisor is not None:
-            # The supervisor's scheduled silent crashes become real
-            # SIGKILLs on this backend: same flag, real process death.
-            self._real_pending.extend(
-                CrashEvent(crash.worker, crash.superstep, "kill")
-                for crash in self._supervisor.plan.silent_crashes
-            )
         self._mem_prev_inbox = [0] * w
         if mp_slab_bytes is None:
             mem = self.mem
@@ -424,6 +415,12 @@ class MPEngine(ColumnarEngine):
                 traffic * per_record, mem.plan if mem is not None else None
             )
         self._slab_bytes = mp_slab_bytes
+
+    @property
+    def REAL_FAULT_KINDS(self) -> tuple[str, ...]:
+        """What ``ft.attach`` checks a scheduled fault's kind against: the
+        parent fires every real kind, the network ones over tcp only."""
+        return fireable_faults(self.transport_mode)
 
     def _resolve_instruments(self, mreg) -> None:
         """None: each worker counts its partition's traffic under ``mp.*``."""
@@ -870,7 +867,6 @@ class MPEngine(ColumnarEngine):
             pending = [wid for wid, _cause in dead]
             for wid in pending:
                 self._send(wid, ("step", bcast, self.superstep, 0.0))
-        step_net = 0
         all_puts: list = []
         worker_computed = []
         worker_sent_step = []
@@ -882,17 +878,11 @@ class MPEngine(ColumnarEngine):
             m.net_messages += counters.net_messages
             m.net_bytes += counters.net_bytes
             m.worker_sent[wid] += counters.sent
-            step_net += counters.net_messages
             worker_computed.append(counters.computed)
             worker_sent_step.append(counters.sent)
             worker_seconds.append(counters.seconds)
             worker_bytes.append(counters.staged)
             all_puts.extend(puts)
-        if ft is not None:
-            # One delivery account per cross-worker record, as the simulator
-            # meters during the phase and its combiner flush: the FT
-            # manager's seeded retry counters come out identical.
-            ft.account_delivery(step_net)
         self._fold_puts(all_puts)
         directories = [r[1] for r in replies]
         inlines = [r[2] for r in replies]

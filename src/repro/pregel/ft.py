@@ -20,14 +20,16 @@ Three pieces:
 * **Deterministic fault injection** — a :class:`FaultPlan` carries a
   schedule of :class:`CrashEvent`\\ s (worker *w* dies at the barrier
   entering superstep *s*, losing the partition it owns), every kind in one
-  schedule parsed by one grammar (:func:`parse_fault`, ``[KIND:]W@S``):
-  this manager fires the announced ``crash`` kind, the mp engine the real
-  process and network kinds.  The plan also holds the run's one restart
+  schedule parsed by one grammar (:func:`parse_fault`, ``[KIND:]W@S``) —
+  every worker death of a run is one of them.  Whoever owns the workers
+  fires it: this manager the announced ``crash`` kind; the mp parent the
+  real process and network kinds; on ``sim`` and ``columnar`` an attached
+  :class:`~repro.pregel.supervisor.Supervisor` fires a ``kill`` silently
+  and detects it by heartbeat.  The plan also holds the run's one restart
   budget (``max_restarts``), spent by every *detected* failure through
   :meth:`FaultTolerance.recover_worker` — the supervisor's and the mp
-  parent's alike — and an optional transient cross-worker message-loss
-  rate whose retry/backoff cost is metered from a dedicated seeded RNG (so
-  the fault machinery never perturbs the algorithm's own random stream).
+  parent's alike.  Lossy delivery is not this plan's: it is the simulated
+  channel's (:class:`~repro.pregel.net.NetFaultPlan`).
 * **Recovery** — two strategies, selected by ``FaultPlan.recovery``:
 
   - ``"rollback"`` (Pregel's classic checkpoint recovery): *every*
@@ -52,7 +54,6 @@ totals bit-identical to a failure-free run — the property
 from __future__ import annotations
 
 import pickle
-import random
 import time
 from array import array
 from collections import defaultdict
@@ -113,9 +114,10 @@ class ColumnState:
 
 
 #: every kind of scheduled fault.  ``crash`` is simulated, on any backend;
-#: the rest are *real* faults only the mp engine fires: ``kill`` and
-#: ``hang`` are process faults (any mp transport), ``netsplit`` and
-#: ``slowlink`` network faults that need slabs to travel a network (tcp).
+#: the rest are *real* faults the mp engine fires: ``kill`` and ``hang``
+#: are process faults (any mp transport), ``netsplit`` and ``slowlink``
+#: network faults that need slabs to travel a network (tcp).  A supervised
+#: in-process engine fires ``kill`` too, as a silent death.
 FAULT_KINDS = ("crash", "kill", "hang", "netsplit", "slowlink")
 REAL_FAULT_KINDS = FAULT_KINDS[1:]
 NETWORK_FAULT_KINDS = ("netsplit", "slowlink")
@@ -130,7 +132,8 @@ class CrashEvent:
     into its own replay.
 
     A ``crash`` is announced: the FT manager recovers from it directly.
-    The real kinds are not — ``kill`` SIGKILLs the worker's process,
+    The real kinds are not — ``kill`` SIGKILLs the worker's process (or,
+    in process, silences its heartbeats under a supervisor),
     ``hang`` sleeps past the exchange deadline, ``netsplit`` closes its tcp
     listener mid-exchange, ``slowlink`` stalls its frames past the peers'
     deadline — so the mp parent must detect them and escalate into the
@@ -183,11 +186,14 @@ def fault_refusal(kind: str, fireable: tuple[str, ...]) -> str | None:
     construction; the CLI prints it before the graph loads."""
     if kind == "crash" or kind in fireable:
         return None
-    if not fireable:
-        return (
+    if "hang" not in fireable:  # in process: at most a supervisor's kill
+        refusal = (
             f"'{kind}:' faults are real process faults — they need real "
             "worker processes (run with --backend mp)"
         )
+        if kind == "kill":
+            refusal += ", or a supervisor to fire them silently (run with --heartbeat)"
+        return refusal
     return (
         f"'{kind}:' faults are network faults — they need the real socket "
         "transport (run with --transport tcp)"
@@ -234,30 +240,21 @@ class FaultPlan:
     * ``checkpoint_every`` — checkpoint at supersteps 0, k, 2k, …; 0 disables
       periodic checkpoints (an initial superstep-0 checkpoint is still taken
       whenever a fault is scheduled, mirroring the durable job input).
-    * ``crashes`` — the injection schedule, every kind of fault: the
-      manager fires the ``crash`` events, the mp engine the real ones.
+    * ``crashes`` — the injection schedule, every kind of fault and every
+      worker death of the run, at most one per ``(worker, superstep)``:
+      the manager fires the ``crash`` events, the mp engine the real ones,
+      a supervisor on ``sim``/``columnar`` the ``kill`` ones.
     * ``max_restarts`` — the restart budget: detected failures beyond it
       abort the run with ``halt_reason="unrecoverable"`` (graceful
       degradation).  Spent by :meth:`FaultTolerance.recover_worker`,
       whoever detected the failure — the supervisor or the mp parent.
     * ``recovery`` — ``"rollback"`` or ``"confined"`` (see module docstring).
-    * ``message_loss_rate`` / ``max_retries`` — probability that one delivery
-      attempt of a cross-worker message fails transiently; each failed
-      attempt is retried with exponential backoff (1, 2, 4, … simulated
-      units) up to ``max_retries`` times and metered in
-      ``messages_retried`` / ``retry_backoff_units``.  Delivery ultimately
-      succeeds, so results are unaffected — this meters the *cost* of an
-      at-least-once network, it does not drop data.
-    * ``seed`` — seeds the injector's own RNG, independent of the engine's.
     """
 
     checkpoint_every: int = 0
     crashes: tuple[CrashEvent, ...] = ()
     recovery: str = "rollback"
     max_restarts: int = 3
-    message_loss_rate: float = 0.0
-    max_retries: int = 3
-    seed: int = 29
 
     def __post_init__(self):
         if self.recovery not in ("rollback", "confined"):
@@ -269,8 +266,15 @@ class FaultPlan:
             raise ValueError("checkpoint_every must be >= 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if not 0.0 <= self.message_loss_rate < 1.0:
-            raise ValueError("message_loss_rate must be in [0, 1)")
+        seen = set()
+        for crash in self.crashes:
+            at = (crash.worker, crash.superstep)
+            if at in seen:
+                raise ValueError(
+                    f"worker {crash.worker} dies twice entering superstep "
+                    f"{crash.superstep}: schedule one fault per worker and superstep"
+                )
+            seen.add(at)
 
 
 class FaultTolerance:
@@ -294,7 +298,6 @@ class FaultTolerance:
         self._pending = sorted(
             (c for c in plan.crashes if c.kind == "crash"), key=lambda c: c.superstep
         )
-        self._rng = random.Random(plan.seed)
         #: set by the supervisor: heartbeat-detected failures need a
         #: recovery point even when no fault is *scheduled*, so the initial
         #: superstep-0 checkpoint is forced regardless of ``crashes``.
@@ -373,20 +376,6 @@ class FaultTolerance:
         if self.plan.recovery == "confined":
             engine = self._engine
             self._outbox_log[engine.superstep] = engine.outbox_view()
-
-    def account_delivery(self, count: int = 1) -> None:
-        """Meter transient delivery failures of ``count`` cross-worker
-        messages, one after another."""
-        rate = self.plan.message_loss_rate
-        if rate <= 0.0:
-            return
-        metrics = self._engine.metrics
-        for _ in range(count):
-            attempt = 1
-            while attempt <= self.plan.max_retries and self._rng.random() < rate:
-                metrics.messages_retried += 1
-                metrics.retry_backoff_units += 1 << (attempt - 1)
-                attempt += 1
 
     # -- observability ---------------------------------------------------
 

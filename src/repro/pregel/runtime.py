@@ -209,10 +209,6 @@ class RunMetrics:
     #: vertex computations re-executed during recovery: rollback recovery
     #: replays every partition, confined recovery only the failed one.
     recovery_replay_work: int = 0
-    #: transient-network accounting: cross-worker deliveries that needed a
-    #: retry, and the exponential-backoff units those retries cost.
-    messages_retried: int = 0
-    retry_backoff_units: int = 0
     # -- simulated transport (repro.pregel.net) --------------------------
     #: channel faults inflicted on the wire and absorbed by the reliable
     #: delivery protocol: attempts dropped in flight, duplicate arrivals
@@ -311,11 +307,6 @@ class RunMetrics:
                 f"lost_supersteps={self.lost_supersteps} "
                 f"replay_work={self.recovery_replay_work}"
             )
-        if self.messages_retried:
-            text += (
-                f" | net: retried={self.messages_retried} "
-                f"backoff_units={self.retry_backoff_units}"
-            )
         if (
             self.messages_dropped
             or self.messages_duplicated
@@ -392,11 +383,6 @@ class PregelEngine:
     the loop (``_session``); the in-process body here — deliver, vertex
     phase, combiner flush — serves ``sim`` and ``columnar``.
     """
-
-    #: the real fault kinds this engine can fire (``repro.pregel.ft``):
-    #: none in-process — a scheduled ``kill:`` / ``netsplit:`` … is refused
-    #: at construction (``ft.attach``), not silently ignored.
-    REAL_FAULT_KINDS: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -513,6 +499,7 @@ class PregelEngine:
         # reached the healthy workers in the original execution).
         self.ft = ft
         self._ft_replaying = False
+        self._supervisor = supervisor
         if ft is not None:
             ft.attach(self)
         # Simulated transport (repro.pregel.net): when present, every
@@ -527,7 +514,6 @@ class PregelEngine:
         # manager's recovery — attach() enforces that pairing.  A detected
         # failure past the restart budget sets ``_abort_reason`` and the
         # run degrades to a partial result with that halt_reason.
-        self._supervisor = supervisor
         self._abort_reason: str | None = None
         if supervisor is not None:
             supervisor.attach(self)
@@ -552,6 +538,14 @@ class PregelEngine:
         # the bare loop is the fast path by construction.
         self._hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
         self._wire_boundaries()
+
+    @property
+    def REAL_FAULT_KINDS(self) -> tuple[str, ...]:
+        """The real fault kinds this engine can fire (``repro.pregel.ft``):
+        in process, only ``kill``, and only under a supervisor, which fires
+        it silently and detects it by heartbeat.  Any other scheduled real
+        fault is refused at construction (``ft.attach``), not ignored."""
+        return ("kill",) if self._supervisor is not None else ()
 
     def _subscribe(self, subscriber) -> None:
         """Call ``subscriber``'s boundary methods (whichever of
@@ -613,8 +607,6 @@ class PregelEngine:
         if sender_worker != worker_of[dst]:
             m.net_messages += 1
             m.net_bytes += size
-            if self.ft is not None:
-                self.ft.account_delivery()
         if self._track_makespan:
             self._step_work[sender_worker] += 1
             self._step_work[worker_of[dst]] += 1
@@ -655,7 +647,6 @@ class PregelEngine:
         enqueue = self._enqueue
         size_of = self._message_size
         track = self._track_makespan
-        ft = self.ft
         for (sender_worker, dst, _tag), msg in self._combined.items():
             enqueue(dst, msg)
             size = size_of(msg)
@@ -664,8 +655,6 @@ class PregelEngine:
             if sender_worker != worker_of[dst]:
                 m.net_messages += 1
                 m.net_bytes += size
-                if ft is not None:
-                    ft.account_delivery()
             if track:
                 self._step_work[worker_of[dst]] += 1
         self._combined.clear()
@@ -734,8 +723,6 @@ class PregelEngine:
         if remote:
             m.net_messages += remote
             m.net_bytes += remote * size
-            if self.ft is not None:
-                self.ft.account_delivery(remote)
         if self._track_makespan:
             step_work = self._step_work
             step_work[sender_worker] += n

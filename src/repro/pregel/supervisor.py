@@ -10,10 +10,10 @@ restart budget on their own.  This module adds that layer to the simulator:
   a simulated duration (1 unit per hosted partition, inflated for
   stragglers) and emits heartbeats every ``heartbeat_interval`` units; the
   barrier completes at the slowest live worker.
-* **Failure model** — workers die *silently* (scripted
-  ``silent_crashes=(CrashEvent(w, s), ...)`` and/or a seeded per-superstep
-  ``crash_rate``): the supervisor is never told, it only sees the
-  heartbeats stop.  Stragglers (scripted ``stragglers`` and/or a seeded
+* **Failure model** — workers die *silently* (the fault plan's ``kill``
+  events, ``FaultPlan(crashes=(CrashEvent(w, s, "kill"), ...))``, and/or a
+  seeded per-superstep ``crash_rate``): the supervisor fires them but is
+  never told, it only sees the heartbeats stop.  Stragglers (scripted ``stragglers`` and/or a seeded
   ``straggle_rate``) run ``straggle_factor`` slower.
 * **Phi-style/deadline failure detector** — per worker, suspicion grows
   with silence: ``phi = elapsed / (mean_interval · ln 10)`` (the phi-accrual
@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ft import CrashEvent, bad_fault_spec, parse_fault, parse_spec
+from .ft import parse_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import PregelEngine
@@ -100,9 +100,8 @@ class SupervisorPlan:
       threshold *or* exceeds the hard deadline (0 disables the deadline).
     * ``barrier_timeout`` / ``straggle_strikes`` — a worker slower than the
       barrier timeout for N consecutive barriers is quarantined.
-    * ``silent_crashes`` — scripted silent deaths (the supervisor is not
-      told; it must detect them).  ``crash_rate`` adds seeded random deaths
-      per live worker per superstep.
+    * ``crash_rate`` — seeded random silent deaths per live worker per
+      superstep, after the fault plan's scripted ``kill`` events.
     * ``stragglers`` — workers that are always slow; ``straggle_rate`` adds
       seeded random slowness, both inflated by ``straggle_factor``.
     * ``seed`` — seeds the supervisor's own RNG, independent of the
@@ -114,7 +113,6 @@ class SupervisorPlan:
     deadline_timeout: float = 5.0
     barrier_timeout: float = 6.0
     straggle_strikes: int = 3
-    silent_crashes: tuple[CrashEvent, ...] = ()
     crash_rate: float = 0.0
     stragglers: tuple[int, ...] = ()
     straggle_rate: float = 0.0
@@ -153,21 +151,19 @@ _HB_KEYS = {
 
 
 def parse_heartbeat(spec: str) -> SupervisorPlan:
-    """Parse the CLI syntax, e.g.
-    ``interval=1,deadline=4,crash=1@3+0@6,straggler=2,seed=5``.
+    """Parse the CLI syntax, e.g. ``interval=1,deadline=4,straggler=2,seed=5``.
 
-    ``crash=W@S`` schedules silent worker deaths ("+"-separated for several;
-    bare ``W@S`` — the supervisor detects them, so they have no kind),
-    ``straggler=W`` marks always-slow workers; the remaining keys map onto
-    :class:`SupervisorPlan` fields.  The restart budget is the fault
-    plan's (``--max-restarts``).
+    ``straggler=W`` marks always-slow workers ("+"-separated for several);
+    the remaining keys map onto :class:`SupervisorPlan` fields.  A silent
+    death is the fault plan's (``--inject-fault kill:W@S``), and so is the
+    restart budget (``--max-restarts``).
     """
-    kwargs = parse_spec("--heartbeat", spec, _HB_KEYS, lists=("crash", "straggler"))
-    crashes: list[CrashEvent] = []
-    for part in (p for text in kwargs.pop("crash", ()) for p in text.split("+")):
-        if ":" in part:
-            raise bad_fault_spec(part)
-        crashes.append(parse_fault(part))
+    if any(item.partition("=")[0].strip() == "crash" for item in spec.split(",")):
+        raise ValueError(
+            "there is no crash= key (schedule a silent death with "
+            "--inject-fault kill:W@S)"
+        )
+    kwargs = parse_spec("--heartbeat", spec, _HB_KEYS, lists=("straggler",))
     stragglers: list[int] = []
     for text in kwargs.pop("straggler", ()):
         parts = [part.strip() for part in text.split("+")]
@@ -177,9 +173,7 @@ def parse_heartbeat(spec: str) -> SupervisorPlan:
                 "WORKER[+WORKER...], each >= 0"
             )
         stragglers.extend(map(int, parts))
-    return SupervisorPlan(
-        silent_crashes=tuple(crashes), stragglers=tuple(stragglers), **kwargs
-    )
+    return SupervisorPlan(stragglers=tuple(stragglers), **kwargs)
 
 
 class Supervisor:
@@ -199,7 +193,7 @@ class Supervisor:
         self._started = False
         self._clock = 0.0
         self._real_epoch = 0.0  # wall-clock origin of real-liveness mode
-        self._pending_crashes = sorted(plan.silent_crashes, key=lambda c: c.superstep)
+        self._pending_kills: list = []  # the fault plan's, read at attach()
         self._host_of: list[int] = []      # partition -> hosting worker
         self._last_heartbeat: list[float] = []
         self._detectors: list[PhiAccrualDetector] = []
@@ -221,12 +215,6 @@ class Supervisor:
                 "escalates into its checkpoint recovery (pass ft=...)"
             )
         workers = engine.num_workers
-        for crash in self._pending_crashes:
-            if not 0 <= crash.worker < workers:
-                raise ValueError(
-                    f"--heartbeat schedules a crash of worker {crash.worker} "
-                    f"but the engine has {workers} workers"
-                )
         for worker in self.plan.stragglers:
             if not 0 <= worker < workers:
                 raise ValueError(
@@ -235,6 +223,12 @@ class Supervisor:
                 )
         self._engine = engine
         self._mreg = getattr(engine, "_mreg", None)
+        # The silent deaths this supervisor fires in process (``ft.attach``
+        # checked their workers); the mp parent fires its own as SIGKILLs.
+        self._pending_kills = sorted(
+            (c for c in engine.ft.plan.crashes if c.kind == "kill"),
+            key=lambda c: c.superstep,
+        )
         # A recovery point must exist before anything can be detected dead.
         engine.ft.force_initial_checkpoint = True
 
@@ -282,13 +276,10 @@ class Supervisor:
                     plan.straggle_factor if w in slow else 1.0
                 )
 
-        # Silent deaths during that barrier: scripted first, then random.
+        # Silent deaths during that barrier: the plan's kills first, then random.
         crashed: list[int] = []
-        while (
-            self._pending_crashes
-            and self._pending_crashes[0].superstep == engine.superstep
-        ):
-            crashed.append(self._pending_crashes.pop(0).worker)
+        while self._pending_kills and self._pending_kills[0].superstep == engine.superstep:
+            crashed.append(self._pending_kills.pop(0).worker)
         if plan.crash_rate:
             for w in range(workers):
                 if w not in crashed and self._hosted(w) and rng.random() < plan.crash_rate:

@@ -226,10 +226,7 @@ class TestColumnarCompositions:
             },
             "ft-net": lambda: {
                 "ft": FaultTolerance(
-                    FaultPlan(
-                        checkpoint_every=2, crashes=(CrashEvent(0, 3),),
-                        message_loss_rate=0.3,
-                    )
+                    FaultPlan(checkpoint_every=2, crashes=(CrashEvent(0, 3),))
                 ),
                 "transport": lossy_transport(),
             },
@@ -248,7 +245,7 @@ class TestColumnarCompositions:
         if "transport" in opts:
             seen["ledger"] = (opts["transport"].stats, opts["transport"].batches)
         if "ft" in opts:
-            seen["ft"] = (metrics.faults_injected, metrics.messages_retried, metrics.retry_backoff_units)
+            seen["ft"] = (metrics.faults_injected, metrics.lost_supersteps, metrics.recovery_replay_work)
         if "tracer" in opts:
             events = opts["tracer"].events
             seen["trace"] = deterministic_jsonl(events)
@@ -982,7 +979,7 @@ class TestSlabPlane:
                 graph, None, num_workers=workers, partitioning=partitioning,
                 message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
                 combiners=combiners,
-                ft=FaultTolerance(FaultPlan(message_loss_rate=0.3, max_retries=4)),
+                ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
             one._install_tracing()  # the tracer's counters and send meter
             return one
@@ -1008,10 +1005,7 @@ class TestSlabPlane:
                 list(p.items()) for p in each._out_parts
             ]
             assert list(block._combined.items()) == list(each._combined.items())
-            for name in (
-                "messages", "message_bytes", "net_messages", "net_bytes", "worker_sent",
-                "messages_retried", "retry_backoff_units",
-            ):  # fmt: skip
+            for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
             assert block._step_work == each._step_work
             assert block._trace_worker_bytes == each._trace_worker_bytes
@@ -1062,7 +1056,7 @@ class TestSlabPlane:
                 graph, None, num_workers=workers, partitioning=partitioning,
                 message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
                 combiners=combiners,
-                ft=FaultTolerance(FaultPlan(message_loss_rate=0.3, max_retries=4)),
+                ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
             one._install_tracing()  # the tracer's counters and send meter
             return one
@@ -1094,7 +1088,7 @@ class TestSlabPlane:
                 list(p.items()) for p in each._out_parts
             ]
             assert list(block._combined.items()) == list(each._combined.items())
-            for name in (*traffic, "messages_retried", "retry_backoff_units"):
+            for name in traffic:
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
             assert block._step_work == each._step_work
             assert block._trace_worker_bytes == each._trace_worker_bytes
@@ -1304,7 +1298,7 @@ class TestSlabPlane:
     def test_a_block_replayed_under_recovery_stages_nothing(self, programs, graph, api):
         engine, _fields, _master = programs["pagerank"].make_engine(
             graph, default_args("pagerank", graph), num_workers=2, track_makespan=True,
-            ft=FaultTolerance(FaultPlan(message_loss_rate=0.3)),
+            ft=FaultTolerance(FaultPlan()),
         )  # fmt: skip
         engine._install_tracing()
         sender = next(v for v in graph.nodes() if graph.out_degree(v))
@@ -1313,7 +1307,6 @@ class TestSlabPlane:
         getattr(engine, api)({"send_nbrs": sender, "send_list": [1, 2]}[api], (0, 0.5))
         m = engine.metrics
         assert (m.messages, m.message_bytes, m.net_messages, m.net_bytes) == (0, 0, 0, 0)
-        assert (m.messages_retried, m.retry_backoff_units) == (0, 0)
         assert m.worker_sent == engine._step_work == engine._trace_worker_bytes == [0, 0]
         assert not any(engine._out_parts)
 
@@ -1701,25 +1694,20 @@ class TestLiftedCompositions:
     @pytest.mark.parametrize("use_combiners", (False, True))
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))
     def test_ft_ledger_under_message_loss(self, programs, graph, recovery, use_combiners):
-        # transient loss draws from the manager's seeded RNG once per
-        # cross-worker delivery: equal counts on every backend, equal
-        # retries — and columnar keeps its array code throughout
-        ledger = (
-            "faults_injected", "lost_supersteps", "recovery_replay_work",
-            "messages_retried", "retry_backoff_units",
-        )  # fmt: skip
+        # the cross-worker traffic a lossy channel would carry (parity's
+        # net_messages) and the recovery ledger: equal on every backend —
+        # and columnar keeps its array code throughout.  Lossy delivery is
+        # the simulated channel's (tests/test_net.py), which mp refuses.
+        ledger = ("faults_injected", "lost_supersteps", "recovery_replay_work")
         runs = {}
         for backend in ("sim", "columnar", "mp"):
             ft = FaultTolerance(
-                FaultPlan(
-                    checkpoint_every=2, crashes=(CrashEvent(1, 3),),
-                    recovery=recovery, message_loss_rate=0.3,
-                )
-            )  # fmt: skip
+                FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 3),), recovery=recovery)
+            )
             run = run_on(programs, graph, "pagerank", backend, ft=ft, use_combiners=use_combiners)
             runs[backend] = run, [getattr(run.metrics, name) for name in ledger]
         (sim, sim_ledger), (col, col_ledger), (mp, mp_ledger) = runs.values()
-        assert sim_ledger[0] == 1 and sim_ledger[3] > 0
+        assert sim_ledger[0] == 1 and sim.metrics.net_messages > 0
         assert sim_ledger == col_ledger == mp_ledger
         assert_parity(sim, col)
         assert_parity(sim, mp)
@@ -1908,9 +1896,9 @@ class TestRealProcessFaults:
                 FaultPlan(checkpoint_every=every, crashes=faults, max_restarts=0)
             )
 
-        silent = Supervisor(SupervisorPlan(silent_crashes=(CrashEvent(1, 3),)))
-        sim = run_on(programs, graph, alg, "sim", num_workers=2, ft=ft(1), supervisor=silent)
         kill = CrashEvent(1, 3, "kill")
+        silent = Supervisor(SupervisorPlan())  # fires the kill in process
+        sim = run_on(programs, graph, alg, "sim", num_workers=2, ft=ft(1, kill), supervisor=silent)
         mp = run_on(programs, graph, alg, "mp", num_workers=2, ft=ft(1, kill))
         assert mp.metrics.halt_reason == sim.metrics.halt_reason == "unrecoverable"
         assert_parity(sim, mp)
@@ -2203,17 +2191,18 @@ class TestRangePartitioning:
 
 @needs_mp
 class TestSupervisedMP:
-    """Real liveness supervision: scripted silent deaths become actual
+    """Real liveness supervision: the plan's ``kill`` faults are actual
     SIGKILLs that only the deadline barrier's liveness pings reveal."""
 
     def test_silent_crash_detected_restarted_and_parity(self, programs, graph):
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
-        supervisor = Supervisor(
-            SupervisorPlan(silent_crashes=(CrashEvent(1, 3),))
+        supervisor = Supervisor(SupervisorPlan())
+        plan = FaultPlan(
+            checkpoint_every=2, crashes=(CrashEvent(1, 3, "kill"),), recovery="confined"
         )
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, recovery="confined")),
+            ft=FaultTolerance(plan),
             supervisor=supervisor,
         )
         assert_parity(sim, mp)
@@ -2225,10 +2214,11 @@ class TestSupervisedMP:
         assert detection["cause"] == "died"
 
     def test_restart_budget_exhaustion_degrades(self, programs, graph):
-        supervisor = Supervisor(SupervisorPlan(silent_crashes=(CrashEvent(1, 3),)))
+        supervisor = Supervisor(SupervisorPlan())
+        plan = FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 3, "kill"),), max_restarts=0)
         mp = run_on(
             programs, graph, "pagerank", "mp", num_workers=2,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=0)),
+            ft=FaultTolerance(plan),
             supervisor=supervisor,
         )
         assert mp.metrics.halt_reason == "unrecoverable"
@@ -2238,12 +2228,13 @@ class TestSupervisedMP:
         # the plan's budget, spent through the supervisor's escalation:
         # two covers both deaths bit-identically, one degrades at the second
         sim = run_on(programs, graph, "pagerank", "sim", num_workers=2)
-        crashes = (CrashEvent(1, 3), CrashEvent(0, 5))
+        crashes = (CrashEvent(1, 3, "kill"), CrashEvent(0, 5, "kill"))
         for budget in (2, 1):
-            supervisor = Supervisor(SupervisorPlan(silent_crashes=crashes))
+            supervisor = Supervisor(SupervisorPlan())
+            plan = FaultPlan(checkpoint_every=2, crashes=crashes, max_restarts=budget)
             mp = run_on(
                 programs, graph, "pagerank", "mp", num_workers=2,
-                ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=budget)),
+                ft=FaultTolerance(plan),
                 supervisor=supervisor,
             )
             report = supervisor.report()

@@ -171,6 +171,11 @@ class TestArgParsing:
 
 PAGERANK_ARGS = ["--arg", "e=1e-9", "--arg", "d=0.85", "--arg", "max_iter=3"]
 
+needs_mp = pytest.mark.skipif(
+    not __import__("repro.pregel.backend.mp", fromlist=["mp_available"]).mp_available(),
+    reason="needs fork start-method and multiprocessing.shared_memory",
+)
+
 
 def _usage_error(capsys, argv) -> str:
     """Run argv, assert the exit-2 one-line contract, return the message."""
@@ -319,7 +324,7 @@ class TestUsageErrors:
             ["--inject-fault=0@-3"],
             ["--inject-fault=-1@2"],
             ["--backend", "mp", "--checkpoint-every", "1", "--inject-fault=kill:-1@2"],
-            ["--heartbeat", "crash=-1@2"],
+            ["--heartbeat", "interval=1", "--inject-fault=kill:-1@2"],
         ],
     )
     def test_negative_fault_coordinates(self, capsys, flags):
@@ -471,7 +476,7 @@ class TestNetAndSupervisorFlags:
             code = main(
                 ["run", gm("pagerank"), *PAGERANK_ARGS, "--scale", "0.05",
                  "--backend", backend, "--checkpoint-every", "2",
-                 "--heartbeat", "crash=1@2,straggler=2,strikes=1",
+                 "--heartbeat", "straggler=2,strikes=1", "--inject-fault", "kill:1@2",
                  "--metrics-json", str(path)],
             )
             assert code == 0
@@ -514,8 +519,8 @@ class TestNetAndSupervisorFlags:
         path = tmp_path / "metrics.json"
         code = main(
             ["run", gm("pagerank"), *PAGERANK_ARGS, "--scale", "0.05",
-             "--checkpoint-every", "2", "--heartbeat", "crash=1@2",
-             "--metrics-json", str(path)],
+             "--checkpoint-every", "2", "--heartbeat", "interval=1",
+             "--inject-fault", "kill:1@2", "--metrics-json", str(path)],
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -531,8 +536,9 @@ class TestNetAndSupervisorFlags:
         path = tmp_path / "metrics.json"
         code = main(
             ["run", gm("pagerank"), *PAGERANK_ARGS, "--scale", "0.05",
-             "--checkpoint-every", "2", "--heartbeat", "crash=1@2",
-             "--max-restarts", "0", "--metrics-json", str(path)],
+             "--checkpoint-every", "2", "--heartbeat", "interval=1",
+             "--inject-fault", "kill:1@2", "--max-restarts", "0",
+             "--metrics-json", str(path)],
         )
         assert code == 0  # degraded, not dead: partial results still report
         out = capsys.readouterr().out
@@ -546,12 +552,93 @@ class TestNetAndSupervisorFlags:
         code = main(
             ["run", gm("pagerank"), *PAGERANK_ARGS, "--scale", "0.05",
              "--checkpoint-every", "2", "--net-faults", "drop=0.1,seed=7",
-             "--heartbeat", "crash=1@2", "--trace", str(path)],
+             "--heartbeat", "interval=1", "--inject-fault", "kill:1@2",
+             "--trace", str(path)],
         )
         assert code == 0
         names = [e["name"] for e in load_jsonl(path)]
         assert "net.route" in names
         assert "supervisor.suspect" in names and "supervisor.restart" in names
+
+
+class TestOneFaultSchedule:
+    """Every worker death is one ``--inject-fault`` entry: a silent death is
+    ``kill:W@S``, fired in process by the ``--heartbeat`` supervisor and on
+    mp by the parent, at most one per worker and superstep."""
+
+    #: pagerank on twitter at scale 0.05, two workers, a checkpoint every
+    #: other superstep; worker 1 dies silently entering superstep 3
+    RUN = ["run", gm("pagerank"), "--arg", "e=1e-9", "--arg", "d=0.85",
+           "--arg", "max_iter=10", "--scale", "0.05", "--workers", "2",
+           "--checkpoint-every", "2"]  # fmt: skip
+    KILL = ["--heartbeat", "interval=1", "--inject-fault", "kill:1@3"]
+    #: the failure-free run's parity key, which recovery must reproduce
+    PARITY = {
+        "supersteps": 12, "messages": 26400, "message_bytes": 211200,
+        "net_messages": 11737, "net_bytes": 93896, "broadcast_values": 96,
+        "worker_sent": [18788, 7612], "halt_reason": "master_halt", "result": None,
+    }  # fmt: skip
+
+    def _run(self, capsys, tmp_path, *flags):
+        import json
+
+        path = tmp_path / "metrics.json"
+        assert main([*self.RUN, *flags, "--metrics-json", str(path)]) == 0
+        out = [line for line in capsys.readouterr().out.splitlines() if line.startswith("output")]
+        return json.loads(path.read_text()), out
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["sim", "columnar", pytest.param("mp", marks=needs_mp)],
+    )
+    def test_a_supervised_kill_is_the_silent_death(self, capsys, tmp_path, backend):
+        ledger, out = self._run(capsys, tmp_path, "--backend", backend, *self.KILL)
+        _clean, clean_out = self._run(capsys, tmp_path, "--backend", backend)
+        # one detected death, replayed from the superstep-2 checkpoint: one
+        # lost superstep of 200 vertices (heartbeats on mp are wall-clock
+        # liveness pings, not the simulated clock's)
+        assert (ledger["restarts"], ledger["recovery_replay_work"]) == (1, 200)
+        if backend != "mp":
+            assert ledger["heartbeats_missed"] == 5
+        assert {key: ledger[key] for key in self.PARITY} == self.PARITY
+        assert out == clean_out != []
+
+    @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
+    def test_a_worker_dies_once_per_boundary(self, capsys, backend):
+        # refused before the graph loads, whoever would fire the kills
+        msg = _usage_error(
+            capsys,
+            [*self.RUN, "--backend", backend, *self.KILL, "--inject-fault", "kill:1@3",
+             "--graph-file", "/nonexistent/never.el"],
+        )  # fmt: skip
+        assert "--inject-fault" in msg
+        assert "worker 1 dies twice entering superstep 3" in msg
+
+    def test_the_heartbeat_crash_key_is_gone(self, capsys):
+        msg = _usage_error(
+            capsys,
+            [*self.RUN, "--heartbeat", "crash=1@2", "--graph-file", "/nonexistent/never.el"],
+        )
+        assert "--heartbeat" in msg
+        assert "--inject-fault kill:W@S" in msg
+
+    @pytest.mark.parametrize("backend", ["sim", "columnar"])
+    def test_an_unsupervised_kill_is_refused_in_process(self, capsys, backend):
+        msg = _usage_error(
+            capsys,
+            [*self.RUN, "--backend", backend, "--inject-fault", "kill:1@2",
+             "--graph-file", "/nonexistent/never.el"],
+        )  # fmt: skip
+        assert "--heartbeat" in msg
+        assert "--backend mp" in msg
+
+    def test_a_supervised_kill_names_a_worker_the_run_has(self, capsys):
+        msg = _usage_error(
+            capsys,
+            [*self.RUN, "--heartbeat", "interval=1", "--inject-fault", "kill:2@3",
+             "--graph-file", "/nonexistent/never.el"],
+        )  # fmt: skip
+        assert "names worker 2 but --workers is 2" in msg
 
 
 class TestMemBudgetFlags:
@@ -613,11 +700,6 @@ class TestMemBudgetFlags:
 
 class TestRealFaultFlags:
     """End-to-end real process faults through the CLI (mp backend)."""
-
-    needs_mp = pytest.mark.skipif(
-        not __import__("repro.pregel.backend.mp", fromlist=["mp_available"]).mp_available(),
-        reason="needs fork start-method and multiprocessing.shared_memory",
-    )
 
     @needs_mp
     def test_kill_run_recovers_and_reports(self, capsys):

@@ -196,31 +196,6 @@ class TestCheckpointMechanics:
             program.run(graph, args, num_workers=WORKERS, ft=FaultTolerance(plan))
 
 
-class TestTransientMessageLoss:
-    def test_retries_metered_deterministically_without_changing_results(self):
-        graph = load_graph("twitter", SCALE)
-        compiled = compile_algorithm("pagerank", emit_java=False)
-        args = default_args("pagerank", graph)
-        baseline = compiled.program.run(graph, args, num_workers=WORKERS)
-        plan = FaultPlan(message_loss_rate=0.2, max_retries=4, seed=5)
-        first = compiled.program.run(graph, args, num_workers=WORKERS, ft=FaultTolerance(plan))
-        second = compiled.program.run(graph, args, num_workers=WORKERS, ft=FaultTolerance(plan))
-        assert first.outputs == baseline.outputs
-        assert first.metrics.parity_key() == baseline.metrics.parity_key()
-        assert first.metrics.messages_retried == second.metrics.messages_retried > 0
-        assert first.metrics.retry_backoff_units == second.metrics.retry_backoff_units
-        # backoff is exponential, so units dominate the retry count
-        assert first.metrics.retry_backoff_units >= first.metrics.messages_retried
-
-    def test_single_worker_has_no_retries(self):
-        graph = load_graph("twitter", SCALE)
-        compiled = compile_algorithm("pagerank", emit_java=False)
-        args = default_args("pagerank", graph)
-        plan = FaultPlan(message_loss_rate=0.5)
-        run = compiled.program.run(graph, args, num_workers=1, ft=FaultTolerance(plan))
-        assert run.metrics.messages_retried == 0
-
-
 class TestPlanValidation:
     def test_parse_crash(self):
         assert parse_fault("1@5") == CrashEvent(worker=1, superstep=5)
@@ -263,9 +238,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             FaultPlan(checkpoint_every=-1)
 
-    def test_loss_rate_range(self):
-        with pytest.raises(ValueError):
-            FaultPlan(message_loss_rate=1.0)
+    @pytest.mark.parametrize("kinds", (("kill", "kill"), ("crash", "kill"), ("hang", "crash")))
+    def test_one_death_per_worker_per_boundary(self, kinds):
+        # whatever the kinds, a worker dies at most once entering a superstep
+        crashes = tuple(CrashEvent(1, 3, kind) for kind in kinds)
+        with pytest.raises(ValueError, match="worker 1 dies twice entering superstep 3"):
+            FaultPlan(crashes=crashes)
+        FaultPlan(crashes=(CrashEvent(1, 3, kinds[0]), CrashEvent(0, 3, kinds[1])))
 
 
 class TestColumnState:

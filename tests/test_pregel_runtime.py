@@ -287,11 +287,13 @@ class TestMetrics:
     def test_summary_reports_retries_when_present(self):
         from repro.pregel.runtime import RunMetrics
 
+        # the channel's retransmissions, the one lossy-delivery model
         metrics = RunMetrics()
-        assert "retried" not in metrics.summary()
-        metrics.messages_retried = 3
-        metrics.retry_backoff_units = 7
-        assert "retried=3" in metrics.summary()
+        assert "retransmitted" not in metrics.summary()
+        metrics.messages_dropped = 3
+        metrics.packets_retransmitted = 3
+        metrics.net_backoff_units = 7
+        assert "retransmitted=3" in metrics.summary()
         assert "backoff_units=7" in metrics.summary()
 
 

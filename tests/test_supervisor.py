@@ -33,6 +33,12 @@ WORKERS = 4
 CHANNEL = dict(drop_rate=0.1, dup_rate=0.05, reorder_rate=0.1, seed=7)
 
 
+def _kills(*at: tuple[int, int]) -> tuple[CrashEvent, ...]:
+    """Silent deaths, ``(worker, superstep)`` each: the fault plan's
+    ``kill`` events, which a supervisor fires and must then detect."""
+    return tuple(CrashEvent(worker, step, "kill") for worker, step in at)
+
+
 def _graph_for(algorithm: str) -> Graph:
     return load_graph(applicable_graphs(algorithm)[0], SCALE)
 
@@ -41,14 +47,15 @@ def _supervised_run(program, graph, args, *, recovery, baseline, **opts):
     """Run under the acceptance fault mix: hostile channel + a *silent*
     crash the heartbeat detector (not a pre-declared schedule) must catch."""
     crash_step = max(1, baseline.metrics.supersteps - 2)
-    supervisor = Supervisor(
-        SupervisorPlan(silent_crashes=(CrashEvent(1, crash_step),))
+    supervisor = Supervisor(SupervisorPlan())
+    plan = FaultPlan(
+        checkpoint_every=2, crashes=_kills((1, crash_step)), recovery=recovery
     )
     run = program.run(
         graph,
         args,
         num_workers=WORKERS,
-        ft=FaultTolerance(FaultPlan(checkpoint_every=2, recovery=recovery)),
+        ft=FaultTolerance(plan),
         transport=SimulatedTransport(NetFaultPlan(**CHANNEL)),
         supervisor=supervisor,
         **opts,
@@ -119,12 +126,14 @@ class TestDegradation:
 
     def test_exhausted_budget_degrades_not_raises(self):
         program, graph, args = self._pagerank()
-        supervisor = Supervisor(SupervisorPlan(silent_crashes=(CrashEvent(1, 5),)))
+        supervisor = Supervisor(SupervisorPlan())
         run = program.run(
             graph,
             args,
             num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=0)),
+            ft=FaultTolerance(
+                FaultPlan(checkpoint_every=2, crashes=_kills((1, 5)), max_restarts=0)
+            ),
             supervisor=supervisor,
         )
         assert run.metrics.halt_reason == "unrecoverable"
@@ -139,22 +148,22 @@ class TestDegradation:
     def test_budget_of_n_survives_n_crashes_then_degrades(self):
         program, graph, args = self._pagerank()
         baseline = program.run(graph, args, num_workers=WORKERS)
-        crashes = (CrashEvent(1, 3), CrashEvent(2, 5), CrashEvent(3, 7))
+        crashes = _kills((1, 3), (2, 5), (3, 7))
         # budget 3 covers all three detected deaths → full, identical run
-        healthy = Supervisor(SupervisorPlan(silent_crashes=crashes))
+        healthy = Supervisor(SupervisorPlan())
         run = program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=3)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, crashes=crashes, max_restarts=3)),
             supervisor=healthy,
         )
         assert run.metrics.restarts == 3
         assert run.outputs == baseline.outputs
         assert run.metrics.parity_key() == baseline.metrics.parity_key()
         # budget 2 dies on the third
-        degraded = Supervisor(SupervisorPlan(silent_crashes=crashes))
+        degraded = Supervisor(SupervisorPlan())
         run = program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, crashes=crashes, max_restarts=2)),
             supervisor=degraded,
         )
         assert run.metrics.halt_reason == "unrecoverable"
@@ -191,15 +200,11 @@ class TestDetector:
         program = compile_algorithm("pagerank", emit_java=False).program
         args = default_args("pagerank", graph)
         supervisor = Supervisor(
-            SupervisorPlan(
-                heartbeat_interval=0.5,
-                deadline_timeout=3.0,
-                silent_crashes=(CrashEvent(1, 4),),
-            )
+            SupervisorPlan(heartbeat_interval=0.5, deadline_timeout=3.0)
         )
         run = program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, crashes=_kills((1, 4)))),
             supervisor=supervisor,
         )
         detection = supervisor.report()["detections"][0]
@@ -260,12 +265,12 @@ class TestQuarantine:
             SupervisorPlan(
                 stragglers=(2,), straggle_factor=10.0,
                 barrier_timeout=5.0, straggle_strikes=1,
-                silent_crashes=(CrashEvent(host, 6),),
             )
         )
+        plan = FaultPlan(checkpoint_every=2, crashes=_kills((host, 6)), recovery="confined")
         run = program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2, recovery="confined")),
+            ft=FaultTolerance(plan),
             supervisor=supervisor,
         )
         assert run.metrics.restarts == 1
@@ -323,13 +328,12 @@ class TestWiring:
         graph = load_graph("twitter", 0.05)
         program = compile_algorithm("pagerank", emit_java=False).program
         args = default_args("pagerank", graph)
-        supervisor = Supervisor(
-            SupervisorPlan(silent_crashes=(CrashEvent(WORKERS, 2),))
-        )
-        with pytest.raises(ValueError):
+        # the fault plan's own check, the one every death passes
+        with pytest.raises(ValueError, match=f"has {WORKERS} workers"):
             program.run(
                 graph, args, num_workers=WORKERS,
-                ft=FaultTolerance(FaultPlan()), supervisor=supervisor,
+                ft=FaultTolerance(FaultPlan(crashes=_kills((WORKERS, 2)))),
+                supervisor=Supervisor(SupervisorPlan()),
             )
 
     def test_supervisor_events_are_info_only(self):
@@ -341,12 +345,10 @@ class TestWiring:
         clean = Tracer()
         program.run(graph, args, num_workers=WORKERS, tracer=clean)
         supervised = Tracer()
-        supervisor = Supervisor(
-            SupervisorPlan(silent_crashes=(CrashEvent(1, 5),))
-        )
+        supervisor = Supervisor(SupervisorPlan())
         program.run(
             graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+            ft=FaultTolerance(FaultPlan(checkpoint_every=2, crashes=_kills((1, 5)))),
             supervisor=supervisor, tracer=supervised,
         )
         names = [e.name for e in supervised.events]
@@ -380,13 +382,12 @@ class TestPlanValidation:
     def test_parse_heartbeat_full(self):
         plan = parse_heartbeat(
             "interval=0.5,phi=3,deadline=4,barrier=8,strikes=2,"
-            "crash=1@3+0@6,straggler=2+3,crash-rate=0.01,"
+            "straggler=2+3,crash-rate=0.01,"
             "straggle-rate=0.02,straggle-factor=6,seed=5",
         )
         assert plan == SupervisorPlan(
             heartbeat_interval=0.5, phi_threshold=3.0, deadline_timeout=4.0,
             barrier_timeout=8.0, straggle_strikes=2,
-            silent_crashes=(CrashEvent(1, 3), CrashEvent(0, 6)),
             stragglers=(2, 3), crash_rate=0.01, straggle_rate=0.02,
             straggle_factor=6.0, seed=5,
         )
