@@ -132,13 +132,15 @@ def _build_fault_tolerance(ns: argparse.Namespace):
     crashes (``W@S``, any backend) and real faults (``kill:W@S`` …, mp; a
     ``kill`` also in process under ``--heartbeat``, as a silent death),
     refused here, before the graph loads, in the engine's words.
-    ``--max-restarts`` is the plan's restart budget.
+    ``--max-restarts`` is the plan's restart budget.  ``--heartbeat ''``
+    supervises with the default plan.
     """
-    if not ns.checkpoint_every and not ns.inject_fault and not ns.heartbeat:
+    supervised = ns.heartbeat is not None
+    if not ns.checkpoint_every and not ns.inject_fault and not supervised:
         return None
     from .pregel.ft import FaultPlan, FaultTolerance, fault_refusal, parse_fault
 
-    fireable = ("kill",) if ns.heartbeat else ()  # a supervised in-process engine
+    fireable = ("kill",) if supervised else ()  # a supervised in-process engine
     if ns.backend == "mp":
         from .pregel.backend.mp import fireable_faults
 
@@ -178,8 +180,8 @@ def _build_transport(ns: argparse.Namespace):
 
 
 def _build_supervisor(ns: argparse.Namespace):
-    """A Supervisor from ``--heartbeat``, or None."""
-    if not ns.heartbeat:
+    """A Supervisor from ``--heartbeat`` (``''``: the default plan), or None."""
+    if ns.heartbeat is None:
         return None
     from .pregel.supervisor import Supervisor, parse_heartbeat
 

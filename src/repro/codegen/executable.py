@@ -638,11 +638,10 @@ class CompiledProgram:
             from .vectorize import build_array_code
 
             build = functools.partial(build_array_code, self.ir, self.schema, fields)
-            tracer = getattr(engine, "tracer", None)
-            tracing = tracer is not None and tracer.enabled
-            decisions: list | None = [] if tracing else None
+            tracer = engine.tracer
+            decisions: list | None = [] if tracer is not None else None
             engine.compile_array_code(build, decisions)
-            if tracing and decisions is not None:
+            if tracer is not None:
                 # info-only: which phases compiled to bulk receive handlers
                 # and array kernels, and why the rest stayed scalar.  Never
                 # det — the sim backend skips the vectorizer entirely, so

@@ -1,12 +1,19 @@
 """Labeled metrics registry: counters, gauges, and log-bucketed histograms.
 
 Where the tracer (:mod:`repro.obs.tracer`) records an *ordered stream* of
-events for one run, the registry aggregates *cumulative quantities* that are
-cheap to bump on hot paths and cheap to merge across processes: message and
-byte totals, checkpoint sizes, spill volume, per-phase wall-time
-distributions.  It is the measurement substrate for the bench telemetry
-pipeline (``repro.bench.telemetry``), the ``gm-pregel metrics`` exporter,
-and any future long-running service.
+events for one run, the registry holds *cumulative quantities*, each
+counted in one place:
+
+* the run's ledger totals (every ``RunMetrics`` count, ``ft``/``mem``/
+  ``supervisor``/``net`` included, and the simulated transport's
+  ``stats``) are exported once, when a run ends, by the table
+  ``repro.pregel.runtime.LEDGER_FAMILIES``, so they equal the ledger and
+  the trace, rollback replays and all;
+* per superstep the engine adds only distributions of its phase clocks
+  (``pregel.superstep_seconds``/``phase_seconds``/``frontier_size``);
+* what no ledger holds is counted where it happens: ``columnar.*`` by the
+  slab plane, ``pregel.loop_vertices`` by the vertex phase, ``mp.*`` and
+  ``tcp.*`` by the ``mp`` parent from the counts its workers' replies carry.
 
 The same zero-cost discipline as the tracer applies:
 
@@ -20,9 +27,9 @@ The same zero-cost discipline as the tracer applies:
 
 Instrument identity is ``(name, sorted(labels))``; asking twice returns the
 same handle, asking with a different instrument type raises.  Histograms are
-log-bucketed at powers of two (``math.frexp`` exponents), stored sparsely,
-so observations spanning microseconds to minutes cost one dict bump and
-merge bucket-wise without rebinning.
+log-bucketed at powers of two (``math.frexp`` exponents), stored sparsely.
+Counters add and gauges keep the maximum (every gauge is a peak), so one
+registry can meter several runs.
 
 Like trace events' ``det``/``info`` split, every instrument carries a
 ``det`` flag: deterministic families (message counts, superstep totals)
@@ -30,15 +37,6 @@ must be bit-identical across ``sim``/``columnar``/``mp`` on identical runs;
 timing families are not.  :func:`deterministic_snapshot` projects a
 snapshot down to its deterministic half so tests can assert cross-backend
 equality, mirroring ``deterministic_events`` for traces.
-
-Merge semantics (used for the parent-side merge of per-worker registries at
-the mp barrier, and by ``gm-pregel compare`` tooling):
-
-* counters — summed;
-* histograms — bucket-wise summed (count/sum add, min/max widen);
-* gauges — merged by ``max`` (every gauge in the system is a peak or
-  high-water mark; a "last write wins" rule would be order-dependent
-  across workers and therefore nondeterministic).
 """
 
 from __future__ import annotations
@@ -168,11 +166,8 @@ class NullRegistry:
     def histogram(self, name, det=False, **labels):
         return _NULL_INSTRUMENT
 
-    def snapshot(self, reset=False) -> dict:
+    def snapshot(self) -> dict:
         return {}
-
-    def merge_snapshot(self, snap) -> None:
-        pass
 
 
 #: Shared no-op instance — safe because NullRegistry holds no state.
@@ -180,9 +175,8 @@ NULL_REGISTRY = NullRegistry()
 
 
 class MetricsRegistry:
-    """A recording registry: one per measured execution (or per worker
-    process — worker snapshots merge into the parent's registry at the mp
-    barrier)."""
+    """A recording registry: one per measured execution, or shared by
+    several runs whose totals it adds up."""
 
     enabled = True
 
@@ -215,16 +209,9 @@ class MetricsRegistry:
     def histogram(self, name: str, det: bool = False, **labels) -> Histogram:
         return self._instrument(name, Histogram, det, labels)
 
-    # -- snapshot / merge ------------------------------------------------
-
-    def snapshot(self, reset: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """A plain JSON-serializable dict of every family, deterministically
-        ordered (names sorted, series sorted by label tuple).
-
-        With ``reset=True`` the registry is emptied after snapshotting —
-        the mp workers use this so each barrier merge carries exactly one
-        superstep's increments.
-        """
+        ordered (names sorted, series sorted by label tuple)."""
         out: dict = {}
         for name in sorted(self._families):
             kind, det, series = self._families[name]
@@ -243,45 +230,13 @@ class MetricsRegistry:
                     row["value"] = inst.value
                 rows.append(row)
             out[name] = {"kind": kind, "det": det, "series": rows}
-        if reset:
-            self._families = {}
         return out
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` dict into this registry (counters sum,
-        histograms bucket-wise sum, gauges max)."""
-        for name, family in snap.items():
-            kind = family["kind"]
-            det = family.get("det", False)
-            cls = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}[kind]
-            for row in family["series"]:
-                inst = self._instrument(name, cls, det, row["labels"])
-                if kind == "counter":
-                    inst.value += row["value"]
-                elif kind == "gauge":
-                    if row["value"] > inst.value:
-                        inst.value = row["value"]
-                else:
-                    count = row["count"]
-                    if not count:
-                        continue
-                    inst.count += count
-                    inst.total += row["sum"]
-                    if row["min"] < inst.vmin:
-                        inst.vmin = row["min"]
-                    if row["max"] > inst.vmax:
-                        inst.vmax = row["max"]
-                    for bound, bcount in row["buckets"]:
-                        exp = _UNDERFLOW if bound == 0.0 else math.frexp(bound)[1] - 1
-                        inst.buckets[exp] = inst.buckets.get(exp, 0) + bcount
 
 
 def deterministic_snapshot(snap: dict) -> dict:
     """The deterministic projection of a snapshot: only families flagged
-    ``det``, and for histograms only the order-independent count/sum (wall
-    times never appear in det families, but bucket boundaries of merged
-    histograms could differ by merge order of float sums — counts cannot).
-    This is the dict asserted equal across sim/columnar/mp."""
+    ``det``, and for histograms only their counts.  This is the dict
+    asserted equal across sim/columnar/mp."""
     out = {}
     for name, family in snap.items():
         if not family.get("det"):

@@ -442,7 +442,7 @@ class SlabPlane:
         observes order; every other tag is decoded and yielded as ``(dst,
         msgs)``, one pair per receiver per tag, for the scalar receive
         loops, which are tag-filtered: effects apply exactly once.  Counts
-        both kinds, for the host's registry."""
+        both kinds: ``columnar.*`` meters them, an mp worker's reply ships them."""
         codec = self.codec
         receivers = self.host._bulk_receivers
         self.bulk_records = self.scalar_records = 0

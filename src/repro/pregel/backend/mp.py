@@ -309,6 +309,17 @@ def _slab_parts(segments, directories, inlines, sources, dest=None):
                 yield to, tag, read_part(body, count)
 
 
+def _meter_step(mreg, worker: str, c) -> None:
+    """Worker ``worker``'s ``mp.*`` series, bumped from its stat reply."""
+    mreg.histogram("mp.worker_step_seconds", worker=worker).observe(c.seconds)
+    mreg.counter("mp.worker_staged_bytes", worker=worker).inc(c.staged)
+    mreg.counter("mp.kernel_vertices", worker=worker).inc(c.kernel)
+    mreg.counter("mp.scalar_vertices", worker=worker).inc(c.computed - c.kernel)
+    mreg.counter("mp.bulk_records", worker=worker).inc(c.bulk_records)
+    mreg.counter("mp.scalar_records", worker=worker).inc(c.scalar_records)
+    mreg.counter("mp.split_records", worker=worker).inc(c.split_records)
+
+
 class MPEngine(ColumnarEngine):
     """Parent-side coordinator: the columnar engine with real worker
     processes for a body, each running its fork of this engine over its
@@ -423,7 +434,7 @@ class MPEngine(ColumnarEngine):
         return fireable_faults(self.transport_mode)
 
     def _resolve_instruments(self, mreg) -> None:
-        """None: each worker counts its partition's traffic under ``mp.*``."""
+        """None: the parent meters each worker's replies under ``mp.*``."""
 
     def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
         """Take the vectorizer: ``build(engine, decisions=None)`` returns
@@ -878,6 +889,8 @@ class MPEngine(ColumnarEngine):
             m.net_messages += counters.net_messages
             m.net_bytes += counters.net_bytes
             m.worker_sent[wid] += counters.sent
+            if mreg is not None:
+                _meter_step(mreg, str(wid), counters)
             worker_computed.append(counters.computed)
             worker_sent_step.append(counters.sent)
             worker_seconds.append(counters.seconds)
@@ -914,14 +927,14 @@ class MPEngine(ColumnarEngine):
                 net = {"ports": ports, "epochs": epochs, "fault": fault}
             self._send(wid, ("exchange", directories, inlines, net))
         # The exchange barrier: each worker replies ("ready",
-        # route_seconds, registry_snapshot | None, received_bytes,
+        # route_seconds, tcp_counts | None, received_bytes,
         # vote_slice | None, peer_report | None) — this is where the
-        # per-worker registries merge into the parent's and the vote
-        # bitset folds.  A death here is *deferred*: the dead worker's
-        # slabs already sit in parent-owned segments (written before its
-        # stat reply), so the superstep's bookkeeping completes and the
-        # escalation runs at the next start-of-superstep boundary, where
-        # recovery replays cover the missing reply's effects.
+        # parent meters the workers' exchanges and the vote bitset folds.
+        # A death here is *deferred*: the dead worker's slabs already sit
+        # in parent-owned segments (written before its stat reply), so the
+        # superstep's bookkeeping completes and the escalation runs at the
+        # next start-of-superstep boundary, where recovery replays cover the
+        # missing reply's effects.
         worker_route_seconds = [0.0] * w
         delivered_bytes = [0] * w
         peer_reports: dict[int, dict] = {}
@@ -933,10 +946,12 @@ class MPEngine(ColumnarEngine):
                 continue
             if supervisor is not None:
                 supervisor.observe_liveness(wid, time.monotonic())
-            _ready, route_s, snap, delivered_bytes[wid], votes, report = ready
+            _ready, route_s, tcp_counts, delivered_bytes[wid], votes, report = ready
             worker_route_seconds[wid] = route_s
-            if mreg is not None and snap:
-                mreg.merge_snapshot(snap)
+            if mreg is not None:
+                mreg.histogram("mp.worker_route_seconds", worker=str(wid)).observe(route_s)
+                for (name, labels), count in (tcp_counts or {}).items():
+                    mreg.counter(name, **dict(labels)).inc(count)
             if votes is not None:
                 voted[self._part_slices[wid]] = votes
             if report:
@@ -1094,17 +1109,6 @@ class _Worker:
     def _init(self) -> None:
         engine = self.engine
         self._w = engine.num_workers
-        # Per-process registry (built post-fork when the parent meters):
-        # snapshots ship back — and reset — with every exchange reply, so
-        # each barrier merge carries exactly one superstep's increments.
-        # Instruments are re-resolved per bump (the reset drops handles);
-        # at once-per-superstep frequency that lookup is noise.
-        self._mreg = None
-        parent_reg = engine.metrics_registry
-        if parent_reg is not None and parent_reg.enabled:
-            from ...obs.metrics import MetricsRegistry
-
-            self._mreg = MetricsRegistry()
         self._sizes = engine._plane.codec.sizes
         self._part_slice = engine._part_slices[self.wid]
         self._own = range(engine.graph.num_nodes)[self._part_slice]
@@ -1126,7 +1130,6 @@ class _Worker:
                 engine._listeners[self.wid],
                 engine._ports,
                 engine._epochs,
-                self._mreg,
             )
             # Workers must abandon a dead exchange *before* the parent's
             # own deadline expires on them, so the socket loop gets half
@@ -1152,8 +1155,8 @@ class _Worker:
             else None
         )
         self._recv_bytes = 0
-        # The forked engine becomes this partition's: the shell counts
-        # ``mp.*``, the parent accounts work from the replies, puts ship to
+        # The forked engine becomes this partition's: the shell counts what
+        # the replies carry, the parent accounts and meters it, puts ship to
         # it, array code sends along the partition's rows, and the seal
         # writes the slabs.  Then the array code compiles against the engine.
         engine._mreg = None
@@ -1166,7 +1169,8 @@ class _Worker:
 
     @staticmethod
     def _fresh_counters() -> SimpleNamespace:
-        # ``messages`` .. ``net_bytes``: the ledger fields the plane meters
+        # ``messages`` .. ``net_bytes``: the ledger fields the plane meters;
+        # the rest, what the parent traces and meters (``_meter_step``)
         return SimpleNamespace(
             messages=0,
             sent=0,
@@ -1175,7 +1179,11 @@ class _Worker:
             net_bytes=0,
             staged=0,
             computed=0,
+            kernel=0,  # of ``computed``, by a whole-phase kernel
             seconds=0.0,
+            bulk_records=0,  # the step's delivery, by bulk handlers
+            scalar_records=0,  # ... and decoded for the vertex loop
+            split_records=0,  # cut by ``split_by_owner`` in the seal
         )
 
     def main(self, conn) -> None:
@@ -1225,18 +1233,12 @@ class _Worker:
             time.sleep(hang)
         t0 = time.perf_counter()
         self._deliver()
-        as_kernel = broadcast.get("_state") in engine._phase_kernels
         c = self._counters
-        c.computed = computed = engine._vertex_phase(self._own)
+        c.computed = engine._vertex_phase(self._own)
+        if broadcast.get("_state") in engine._phase_kernels:
+            c.kernel = c.computed
         engine._current_vertex = -1
         c.seconds = time.perf_counter() - t0
-        mreg = self._mreg
-        if mreg is not None:
-            wid = str(self.wid)
-            mreg.histogram("mp.worker_step_seconds", worker=wid).observe(c.seconds)
-            mreg.counter("mp.worker_staged_bytes", worker=wid).inc(c.staged)
-            mreg.counter("mp.kernel_vertices", worker=wid).inc(computed if as_kernel else 0)
-            mreg.counter("mp.scalar_vertices", worker=wid).inc(0 if as_kernel else computed)
         return ("stat", *self._slabs, c, self._puts)
 
     def _deliver(self) -> None:
@@ -1245,11 +1247,8 @@ class _Worker:
         engine = self.engine
         engine._sealed, self._parts = self._parts, {}
         engine._deliver()
-        if self._mreg is not None:
-            plane = engine._plane
-            wid = str(self.wid)
-            self._mreg.counter("mp.bulk_records", worker=wid).inc(plane.bulk_records)
-            self._mreg.counter("mp.scalar_records", worker=wid).inc(plane.scalar_records)
+        c, plane = self._counters, engine._plane
+        c.bulk_records, c.scalar_records = plane.bulk_records, plane.scalar_records
 
     def _exchange(self, cmd) -> tuple:
         """Collect the parts destined here; returns the ready reply."""
@@ -1269,14 +1268,8 @@ class _Worker:
         # it is kept (the parent re-seeds this worker after recovery); the
         # report carries the classified causes so the parent can fold blame.
         route_s = time.perf_counter() - t0
-        snap = None
-        mreg = self._mreg
-        if mreg is not None:
-            mreg.histogram(
-                "mp.worker_route_seconds", worker=str(self.wid)
-            ).observe(route_s)
-            snap = mreg.snapshot(reset=True)
-        return ("ready", route_s, snap, self._recv_bytes, votes, report)
+        tcp_counts = self._tcp.take_counts() if self._tcp is not None else None
+        return ("ready", route_s, tcp_counts, self._recv_bytes, votes, report)
 
     def _write_slabs(self) -> None:
         """The forked engine's seal: seal the plane, and do what only a real
@@ -1342,8 +1335,7 @@ class _Worker:
                     inline.append((dest, tag, part[3], body.tobytes()))
                 if tcp_out is not None and dest != self.wid:
                     tcp_out[dest].append((tag, part[3], body.tobytes()))
-        if self._mreg is not None:
-            self._mreg.counter("mp.split_records", worker=str(self.wid)).inc(split)
+        c.split_records += split
         self._slabs = directory, inline
 
     def _exchange_tcp(self, directories, inlines, net):

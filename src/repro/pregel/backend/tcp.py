@@ -167,14 +167,17 @@ class TcpSlabTransport:
     — or a ``{peer: cause}`` failure report when a peer could not be
     reached inside the deadline."""
 
-    def __init__(self, wid: int, listener, ports, epochs, mreg=None):
+    def __init__(self, wid: int, listener, ports, epochs):
         self.wid = wid
         self._listener = listener
         if listener is not None:
             listener.setblocking(False)
         self._ports = list(ports)
         self._epochs = list(epochs)
-        self._mreg = mreg
+        #: ``tcp.*`` counts since the last ``take_counts``, keyed by
+        #: ``(family, ((label, value), ...))``: the worker ships them in
+        #: its exchange reply and the parent meters them
+        self.counts: dict[tuple, int] = {}
         #: this epoch's streams: a Sender per destination, Receiver per source
         self._senders: dict[int, Sender] = {}
         self._receivers: dict[int, Receiver] = {}
@@ -182,8 +185,13 @@ class TcpSlabTransport:
     # -- metering -------------------------------------------------------
 
     def _inc(self, name: str, amount: int = 1, **labels) -> None:
-        if self._mreg is not None:
-            self._mreg.counter(name, **labels).inc(amount)
+        key = (name, tuple(labels.items()))
+        self.counts[key] = self.counts.get(key, 0) + amount
+
+    def take_counts(self) -> dict[tuple, int]:
+        """The counts so far; counting starts again from none."""
+        counts, self.counts = self.counts, {}
+        return counts
 
     # -- lifecycle ------------------------------------------------------
 

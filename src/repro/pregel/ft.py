@@ -287,7 +287,6 @@ class FaultTolerance:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._engine: "PregelEngine | None" = None
-        self._mreg = None  # engine's metrics registry, picked up at attach()
         self._programs: list[Checkpointable] = []
         #: (superstep, blob) — latest entry is the recovery point.  The blob
         #: is pickled bytes, or a streamed on-disk handle when the engine
@@ -328,7 +327,6 @@ class FaultTolerance:
 
                 raise BackendUnsupported(refusal)
         self._engine = engine
-        self._mreg = getattr(engine, "_mreg", None)
 
     def register(self, program: Checkpointable) -> None:
         """Add program-owned state to every future checkpoint."""
@@ -377,17 +375,6 @@ class FaultTolerance:
             engine = self._engine
             self._outbox_log[engine.superstep] = engine.outbox_view()
 
-    # -- observability ---------------------------------------------------
-
-    def _tracer(self):
-        """The engine's recording tracer, or None.  FT events carry no
-        deterministic payload (``det=None``): a faulted run's trace must
-        still project to the same deterministic stream as its failure-free
-        twin, and checkpoints/crashes/recoveries only happen on the faulted
-        side."""
-        tracer = self._engine.tracer
-        return tracer if tracer is not None and tracer.enabled else None
-
     # -- checkpointing ---------------------------------------------------
 
     def _take_checkpoint(self) -> None:
@@ -411,11 +398,10 @@ class FaultTolerance:
         self._checkpoints.append((engine.superstep, blob))
         engine.metrics.checkpoints_taken += 1
         engine.metrics.checkpoint_bytes += nbytes
-        if self._mreg is not None:
-            self._mreg.counter("ft.checkpoints").inc()
-            self._mreg.histogram("ft.checkpoint_bytes").observe(nbytes)
-        tracer = self._tracer()
+        tracer = engine.tracer
         if tracer is not None:
+            # ft.* events are info-only: a faulted run's trace projects to
+            # the same deterministic stream as its failure-free twin.
             tracer.event(
                 "ft.checkpoint",
                 cat="ft",
@@ -453,8 +439,6 @@ class FaultTolerance:
             return False
         self.restarts_used += 1
         engine.metrics.restarts += 1
-        if self._mreg is not None:
-            self._mreg.counter("supervisor.restarts", backend=engine.metrics.backend).inc()
         self._recover(
             CrashEvent(worker, engine.superstep),
             partitions=partitions,
@@ -494,10 +478,7 @@ class FaultTolerance:
         ckpt_step = self._checkpoints[-1][0]
         lost = engine.superstep - ckpt_step
         metrics.lost_supersteps += lost
-        if self._mreg is not None:
-            self._mreg.counter("ft.crashes").inc()
-            self._mreg.counter("ft.lost_supersteps").inc(lost)
-        tracer = self._tracer()
+        tracer = engine.tracer
         if tracer is not None:
             tracer.event(
                 "ft.crash",
@@ -522,11 +503,6 @@ class FaultTolerance:
                 partitions if partitions is not None else (crash.worker,)
             ):
                 self._confined_recover(partition, ckpt_step, payload)
-        if self._mreg is not None:
-            self._mreg.counter("ft.recoveries", strategy=self.plan.recovery).inc()
-            self._mreg.counter("ft.replay_work").inc(
-                metrics.recovery_replay_work - replay_before
-            )
         if tracer is not None:
             tracer.event(
                 "ft.recovery",

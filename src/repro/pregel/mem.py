@@ -426,7 +426,6 @@ class MemoryManager:
     def __init__(self, plan: MemPlan):
         self.plan = plan
         self._engine: "PregelEngine | None" = None
-        self._mreg = None  # engine's metrics registry, picked up at attach()
         self.budgets: list[MemoryBudget] = []
         self._dir: str | None = None
         self._seq = 0
@@ -452,7 +451,6 @@ class MemoryManager:
     def attach(self, engine: "PregelEngine") -> None:
         if self._engine is not None:
             raise RuntimeError("a MemoryManager drives exactly one run")
-        self._mreg = getattr(engine, "_mreg", None)
         workers = engine.num_workers
         overrides = dict(self.plan.worker_budgets)
         for worker in overrides:
@@ -525,15 +523,10 @@ class MemoryManager:
 
     # -- observability ----------------------------------------------------
 
-    def _tracer(self):
-        """The engine's recording tracer, or None.  mem.* events carry no
-        deterministic payload (``det=None``): a budgeted run's trace must
+    def _event(self, name: str, **info) -> None:
+        """A mem.* trace event, info-only: a budgeted run's trace must
         project to the same deterministic stream as an unlimited one."""
         tracer = self._engine.tracer
-        return tracer if tracer is not None and tracer.enabled else None
-
-    def _event(self, name: str, **info) -> None:
-        tracer = self._tracer()
         if tracer is not None:
             tracer.event(name, cat="mem", info=info)
 
@@ -594,10 +587,6 @@ class MemoryManager:
         metrics.superstep_splits += 1
         metrics.spill_files += 1
         metrics.spilled_bytes += spilled
-        if self._mreg is not None:
-            self._mreg.counter("mem.superstep_splits").inc()
-            self._mreg.counter("mem.spill_files").inc()
-            self._mreg.counter("mem.spilled_bytes").inc(spilled)
         self._event(
             "mem.split",
             worker=worker,
@@ -614,8 +603,6 @@ class MemoryManager:
         and spill the destination's resident inbox to free credit."""
         engine = self._engine
         engine.metrics.outbox_parks += 1
-        if self._mreg is not None:
-            self._mreg.counter("mem.outbox_parks").inc()
         self._event(
             "mem.park",
             worker=worker,
@@ -662,9 +649,6 @@ class MemoryManager:
         metrics = engine.metrics
         metrics.spill_files += 1
         metrics.spilled_bytes += spilled
-        if self._mreg is not None:
-            self._mreg.counter("mem.spill_files").inc()
-            self._mreg.counter("mem.spilled_bytes").inc(spilled)
         self._event(
             "mem.spill",
             worker=worker,
@@ -918,8 +902,6 @@ class MemoryManager:
         metrics = engine.metrics
         if writer.peak > metrics.checkpoint_peak_bytes:
             metrics.checkpoint_peak_bytes = writer.peak
-        if self._mreg is not None:
-            self._mreg.gauge("mem.checkpoint_peak_bytes").set_max(writer.peak)
         tightest = min(self.budgets, key=lambda b: b.budget_bytes)
         if tightest.limited and writer.peak > tightest.budget_bytes:
             raise MemoryExhausted(
@@ -1053,8 +1035,6 @@ class MemoryManager:
             peak = max(budget.peak_bytes for budget in self.budgets)
             if peak > engine.metrics.mem_peak_bytes:
                 engine.metrics.mem_peak_bytes = peak
-            if self._mreg is not None:
-                self._mreg.gauge("mem.peak_bytes").set_max(peak)
 
     def report(self) -> MemoryReport:
         """The structured :class:`MemoryReport` for this run."""

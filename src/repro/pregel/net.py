@@ -216,7 +216,6 @@ class SimulatedTransport:
         self.plan = plan
         self._rng = random.Random(plan.seed)
         self._engine: "PregelEngine | None" = None
-        self._mreg = None  # engine's metrics registry, picked up at attach()
         #: protocol-level ledger (simulated latency, rounds, ack losses);
         #: result-relevant fault counters live in ``RunMetrics``.
         self.stats = {
@@ -236,7 +235,6 @@ class SimulatedTransport:
         if self._engine is not None:
             raise RuntimeError("a SimulatedTransport drives exactly one run")
         self._engine = engine
-        self._mreg = getattr(engine, "_mreg", None)
 
     # -- routing ---------------------------------------------------------
 
@@ -282,11 +280,6 @@ class SimulatedTransport:
         rng = self._rng
         metrics = self._engine.metrics
         stats = self.stats
-        mreg = self._mreg
-        if mreg is not None:
-            # Registry bumps happen once per routed stream from ledger
-            # deltas — never inside the per-packet loop below.
-            before = [getattr(metrics, name) for name, _c in _NET_COUNTERS]
         drop, dup, corrupt = plan.drop_rate, plan.dup_rate, plan.corrupt_rate
         reorder = plan.reorder_rate
         random_ = rng.random
@@ -328,11 +321,6 @@ class SimulatedTransport:
         # rounds are its most-tried message's attempts.
         stats["max_attempts_seen"] = max(stats["max_attempts_seen"], rounds)
         parked_peak = receiver.parked_peak
-        if mreg is not None:
-            mreg.counter("net.messages_routed").inc(n)
-            for (name, counter), old in zip(_NET_COUNTERS, before):
-                mreg.counter(counter).inc(getattr(metrics, name) - old)
-            mreg.gauge("net.reorder_buffer_peak").set_max(parked_peak)
         stats["reorder_buffer_peak"] = max(stats["reorder_buffer_peak"], parked_peak)
         if avg_bytes and parked_peak:
             self._engine.mem.note_transport_buffer(worker, int(parked_peak * avg_bytes))
@@ -360,13 +348,3 @@ class SimulatedTransport:
             else:
                 sender.ack(seq)
 
-
-#: the ``RunMetrics`` fault counters and the registry counter each feeds
-_NET_COUNTERS = (
-    ("messages_dropped", "net.dropped"),
-    ("messages_duplicated", "net.duplicated"),
-    ("messages_reordered", "net.reordered"),
-    ("messages_corrupted", "net.corrupted"),
-    ("packets_retransmitted", "net.retransmitted"),
-    ("net_backoff_units", "net.backoff_units"),
-)

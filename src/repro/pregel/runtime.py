@@ -244,9 +244,9 @@ class RunMetrics:
     # -- codegen/backend provenance ---------------------------------------
     #: phases the vectorizer runs as array code on this run — a bulk
     #: receive handler, a whole-phase kernel, or both ("phase<id>" labels)
-    #: — on columnar and in the mp workers; empty on sim and wherever a
-    #: composition keeps the scalar program (voting; columnar also under a
-    #: limited budget).  Backend provenance like
+    #: — on columnar and in the mp workers, decided by the program alone
+    #: (voting, and a memory budget on mp, change nothing; columnar refuses
+    #: a limited budget); empty on sim.  Backend provenance like
     #: ``backend`` itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
 
@@ -343,6 +343,54 @@ class RunMetrics:
         return text
 
 
+#: Where the registry reads each ledger total, once, when ``run()`` ends:
+#: per engine attribute that attaches the subsystem counting it (None: the
+#: run itself, whose families are ``det``), ``(family, key, kind, *label
+#: keys)`` — ``key`` a ``RunMetrics`` field or a simulated transport's
+#: ``stats`` entry.  Nothing else bumps these families.
+LEDGER_FAMILIES: dict[str | None, tuple] = {
+    None: (
+        ("pregel.supersteps", "supersteps", "counter"),
+        ("pregel.messages", "messages", "counter"),
+        ("pregel.message_bytes", "message_bytes", "counter"),
+        ("pregel.net_messages", "net_messages", "counter"),
+        ("pregel.net_bytes", "net_bytes", "counter"),
+        ("pregel.broadcasts", "broadcast_values", "counter"),
+    ),
+    "ft": (
+        ("ft.checkpoints", "checkpoints_taken", "counter"),
+        ("ft.checkpoint_bytes", "checkpoint_bytes", "counter"),
+        ("ft.crashes", "faults_injected", "counter"),
+        ("ft.lost_supersteps", "lost_supersteps", "counter"),
+        ("ft.replay_work", "recovery_replay_work", "counter"),
+        # spent from the fault plan's budget, supervised or not
+        ("supervisor.restarts", "restarts", "counter", "backend"),
+    ),
+    "_supervisor": (
+        ("supervisor.heartbeats_missed", "heartbeats_missed", "counter"),
+        ("supervisor.quarantines", "workers_quarantined", "counter"),
+    ),
+    "mem": (
+        ("mem.spilled_bytes", "spilled_bytes", "counter"),
+        ("mem.spill_files", "spill_files", "counter"),
+        ("mem.outbox_parks", "outbox_parks", "counter"),
+        ("mem.superstep_splits", "superstep_splits", "counter"),
+        ("mem.peak_bytes", "mem_peak_bytes", "gauge"),
+        ("mem.checkpoint_peak_bytes", "checkpoint_peak_bytes", "gauge"),
+    ),
+    "_transport": (
+        ("net.messages_routed", "messages_routed", "counter"),
+        ("net.dropped", "messages_dropped", "counter"),
+        ("net.duplicated", "messages_duplicated", "counter"),
+        ("net.reordered", "messages_reordered", "counter"),
+        ("net.corrupted", "messages_corrupted", "counter"),
+        ("net.retransmitted", "packets_retransmitted", "counter"),
+        ("net.backoff_units", "net_backoff_units", "counter"),
+        ("net.reorder_buffer_peak", "reorder_buffer_peak", "gauge"),
+    ),
+}
+
+
 def default_message_size(msg: tuple) -> int:
     """Fallback sizing: 1 byte tag + 8 bytes per payload field."""
     return 1 + 8 * (len(msg) - 1)
@@ -425,17 +473,17 @@ class PregelEngine:
         self.superstep = 0
         self.result: Any = None
         self.metrics = RunMetrics()
-        # Metrics registry (repro.obs.metrics): cumulative counters/gauges/
-        # histograms with the tracer's zero-cost discipline — ``None`` and a
-        # disabled registry both collapse to ``_mreg = None`` and the hot
-        # loops are untouched.  Set before the subsystem attach() calls below
-        # so ft/transport/supervisor/mem can pick up their instruments.
-        self.metrics_registry = metrics_registry
+        # Observability (repro.obs): a disabled tracer or registry is None
+        # here, the one check anything makes.  The registry reads the
+        # ledger's totals once, when run() ends (_export_ledger), and takes
+        # per superstep only the distributions of its phase clocks; the
+        # tracer's instrumentation is installed by run() (_install_tracing).
         self._mreg = (
             metrics_registry
             if metrics_registry is not None and metrics_registry.enabled
             else None
         )
+        self.tracer = tracer if tracer is not None and tracer.enabled else None
 
         self._halt = False
         self._current_vertex = -1
@@ -526,10 +574,6 @@ class PregelEngine:
         if mem is not None:
             mem.attach(self)
             self._mem_limited = mem.limited
-        # Observability (repro.obs): ``tracer=None`` (or a disabled tracer)
-        # leaves the hot loops untouched — instrumentation is installed by
-        # run() only when the tracer records (see _install_tracing).
-        self.tracer = tracer
         self._trace_worker_computed: list[int] = []
         self._trace_worker_seconds: list[float] = []
         self._trace_worker_bytes: list[int] = []
@@ -992,8 +1036,6 @@ class PregelEngine:
         if self._vertex_compute is None:
             raise RuntimeError("no vertex program attached")
         tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None  # from here on: the *recording* tracer, or None
         if tracer is not None:
             tracer.event(
                 "run.begin",
@@ -1040,9 +1082,7 @@ class PregelEngine:
         m.result = self.result
         m.halt_reason = halt_reason
         if self._mreg is not None:
-            self._mreg.counter("pregel.runs", det=True, halt_reason=halt_reason).inc()
-            self._mreg.histogram("pregel.run_seconds").observe(m.wall_seconds)
-            self._mreg.gauge("pregel.num_workers").set_max(self.num_workers)
+            self._export_ledger(self._mreg)
         if tracer is not None:
             tracer.event(
                 "run.end",
@@ -1062,6 +1102,28 @@ class PregelEngine:
             )
         return m
 
+    def _export_ledger(self, mreg: "MetricsRegistry") -> None:
+        """Hand the finished run's ledger to the registry: every family of
+        :data:`LEDGER_FAMILIES` whose subsystem is attached, plus the run
+        itself.  Counters add the run's totals (one registry may meter
+        several runs), gauges keep the peak."""
+        m = self.metrics
+        ledger = dict(vars(m))
+        if self._transport is not None:
+            ledger.update(self._transport.stats)
+        for gate, families in LEDGER_FAMILIES.items():
+            if gate is not None and getattr(self, gate) is None:
+                continue
+            for family, key, kind, *label_keys in families:
+                labels = {name: ledger[name] for name in label_keys}
+                if kind == "gauge":
+                    mreg.gauge(family, **labels).set_max(ledger[key])
+                else:
+                    mreg.counter(family, det=gate is None, **labels).inc(ledger[key])
+        mreg.counter("pregel.runs", det=True, halt_reason=m.halt_reason).inc()
+        mreg.histogram("pregel.run_seconds").observe(m.wall_seconds)
+        mreg.gauge("pregel.num_workers").set_max(self.num_workers)
+
     def _superstep_loop(self, tracer) -> str:
         """The superstep order, written once for every backend: boundary
         subscribers, master phase, the backend's body, the superstep's
@@ -1076,20 +1138,14 @@ class PregelEngine:
         step_work = self._step_work
         # Metering (repro.obs.metrics) shares the tracer's phase clocks:
         # ``instr`` gates the perf_counter reads, ``traced``/``metered``
-        # gate what they feed.  Instrument handles are resolved once here
-        # (the body's phase histograms at their first superstep) so the
-        # loop bumps plain attributes.
+        # gate what they feed — the registry takes their distributions, its
+        # totals are the ledger's (_export_ledger).  Histograms are resolved
+        # once here (the body's phases at their first superstep).
         traced = tracer is not None
         mreg = self._mreg
         metered = mreg is not None
         instr = traced or metered
         if metered:
-            m_steps = mreg.counter("pregel.supersteps", det=True)
-            m_messages = mreg.counter("pregel.messages", det=True)
-            m_msg_bytes = mreg.counter("pregel.message_bytes", det=True)
-            m_net_messages = mreg.counter("pregel.net_messages", det=True)
-            m_net_bytes = mreg.counter("pregel.net_bytes", det=True)
-            m_broadcasts = mreg.counter("pregel.broadcasts", det=True)
             m_step_s = mreg.histogram("pregel.superstep_seconds")
             m_phase_s: dict = {}
             m_frontier = mreg.histogram("pregel.frontier_size")
@@ -1104,16 +1160,16 @@ class PregelEngine:
                 if self._abort_reason is not None:
                     return self._abort_reason
             if instr:
-                # Snapshot the ledger *after* any recovery so the superstep
-                # record meters exactly this superstep's deltas.
                 t_step0 = time.perf_counter()
-                s_messages = m.messages
-                s_message_bytes = m.message_bytes
-                s_net_messages = m.net_messages
-                s_net_bytes = m.net_bytes
-                s_broadcasts = m.broadcast_values
                 if traced:
+                    # Snapshot the ledger *after* any recovery so the
+                    # superstep record holds exactly this superstep's deltas.
                     step_ts = tracer.now()
+                    s_messages = m.messages
+                    s_message_bytes = m.message_bytes
+                    s_net_messages = m.net_messages
+                    s_net_bytes = m.net_bytes
+                    s_broadcasts = m.broadcast_values
                     s_worker_sent = list(m.worker_sent)
 
             # Master phase: sees globals aggregated from the previous superstep.
@@ -1160,12 +1216,6 @@ class PregelEngine:
                 "barrier": t_now - t_barrier,
             }
             if metered:
-                m_steps.inc()
-                m_messages.inc(m.messages - s_messages)
-                m_msg_bytes.inc(m.message_bytes - s_message_bytes)
-                m_net_messages.inc(m.net_messages - s_net_messages)
-                m_net_bytes.inc(m.net_bytes - s_net_bytes)
-                m_broadcasts.inc(m.broadcast_values - s_broadcasts)
                 m_step_s.observe(t_now - t_step0)
                 for phase, seconds in phases.items():
                     histogram = m_phase_s.get(phase)

@@ -188,7 +188,6 @@ class Supervisor:
     def __init__(self, plan: SupervisorPlan):
         self.plan = plan
         self._engine: "PregelEngine | None" = None
-        self._mreg = None  # engine's metrics registry, picked up at attach()
         self._rng = random.Random(plan.seed)
         self._started = False
         self._clock = 0.0
@@ -222,7 +221,6 @@ class Supervisor:
                     f"has {workers} workers"
                 )
         self._engine = engine
-        self._mreg = getattr(engine, "_mreg", None)
         # The silent deaths this supervisor fires in process (``ft.attach``
         # checked their workers); the mp parent fires its own as SIGKILLs.
         self._pending_kills = sorted(
@@ -231,10 +229,6 @@ class Supervisor:
         )
         # A recovery point must exist before anything can be detected dead.
         engine.ft.force_initial_checkpoint = True
-
-    def _tracer(self):
-        tracer = self._engine.tracer
-        return tracer if tracer is not None and tracer.enabled else None
 
     def _hosted(self, worker: int) -> list[int]:
         return [p for p, host in enumerate(self._host_of) if host == worker]
@@ -302,7 +296,6 @@ class Supervisor:
         # A dead worker stalls the BSP barrier; the master waits until the
         # detector fires.  Detection latency = the silence the phi/deadline
         # detector needed, measured from the victim's last heartbeat.
-        tracer = self._tracer()
         for w in crashed:
             detector = self._detectors[w]
             silence = detector.silence_for_phi(plan.phi_threshold)
@@ -319,7 +312,7 @@ class Supervisor:
                 "phi": detector.phi(detected_at - self._last_heartbeat[w]),
                 "heartbeats_missed": missed,
             }
-            if not self._escalate(w, detection, tracer, self._clock):
+            if not self._escalate(w, detection, self._clock):
                 return  # degraded: the run halts at this barrier
 
         # Straggler quarantine: consecutive blown barriers re-host the
@@ -332,7 +325,7 @@ class Supervisor:
                 if durations[w] > plan.barrier_timeout:
                     self._strikes[w] += 1
                     if self._strikes[w] >= plan.straggle_strikes:
-                        self._quarantine(w, tracer)
+                        self._quarantine(w)
                 else:
                     self._strikes[w] = 0
 
@@ -396,9 +389,9 @@ class Supervisor:
             "heartbeats_missed": int(silence // self.plan.heartbeat_interval),
             "cause": cause,
         }
-        return self._escalate(worker, detection, self._tracer(), now)
+        return self._escalate(worker, detection, now)
 
-    def _escalate(self, worker: int, detection: dict, tracer, now: float) -> bool:
+    def _escalate(self, worker: int, detection: dict, now: float) -> bool:
         """The one escalation of a detected death, simulated or real: meter
         the silence, then recover the partitions ``worker`` hosted through
         the FT manager, which spends the plan's restart budget — or, with
@@ -407,11 +400,7 @@ class Supervisor:
         engine = self._engine
         ft = engine.ft
         engine.metrics.heartbeats_missed += detection["heartbeats_missed"]
-        if self._mreg is not None:
-            self._mreg.counter("supervisor.detections").inc()
-            self._mreg.counter("supervisor.heartbeats_missed").inc(
-                detection["heartbeats_missed"]
-            )
+        tracer = engine.tracer
         if tracer is not None:
             tracer.event("supervisor.suspect", cat="supervisor", info=dict(detection))
         restarted = ft.recover_worker(worker, partitions=self._hosted(worker))
@@ -449,11 +438,10 @@ class Supervisor:
         self._detections.append(detection)
         self.degraded = True
         self.oom = dict(detection)
-        tracer = self._tracer() if engine is not None else None
-        if tracer is not None:
-            tracer.event("supervisor.oom", cat="supervisor", info=dict(detection))
+        if engine is not None and engine.tracer is not None:
+            engine.tracer.event("supervisor.oom", cat="supervisor", info=dict(detection))
 
-    def _quarantine(self, worker: int, tracer) -> None:
+    def _quarantine(self, worker: int) -> None:
         targets = [
             w
             for w in range(self._engine.num_workers)
@@ -467,8 +455,6 @@ class Supervisor:
             self._host_of[p] = min(targets, key=lambda w: (load[w], w))
         self._quarantined.add(worker)
         self._engine.metrics.workers_quarantined += 1
-        if self._mreg is not None:
-            self._mreg.counter("supervisor.quarantines").inc()
         record = {
             "worker": worker,
             "superstep": self._engine.superstep,
@@ -476,6 +462,7 @@ class Supervisor:
             "partitions_moved": moved,
         }
         self._quarantines.append(record)
+        tracer = self._engine.tracer
         if tracer is not None:
             tracer.event("supervisor.quarantine", cat="supervisor", info=dict(record))
 

@@ -1975,13 +1975,11 @@ class TestTcpTransport:
     def test_frame_shorter_than_its_count_is_dropped_unacked(self):
         import socket
 
-        from repro.obs.metrics import MetricsRegistry
         from repro.pregel.backend import tcp
 
-        registry = MetricsRegistry()
         listener = tcp.bind_listener()
         port = listener.getsockname()[1]
-        transport = tcp.TcpSlabTransport(0, listener, [port, 0], [0, 0], registry)
+        transport = tcp.TcpSlabTransport(0, listener, [port, 0], [0, 0])
         peer = socket.create_connection(("127.0.0.1", port), timeout=5)
         try:
             # CRC-valid, from the expected source, announcing 5 records
@@ -1995,21 +1993,19 @@ class TestTcpTransport:
         finally:
             peer.close()
             transport.close_listener()
-        snap = registry.snapshot()
-        assert snap["tcp.malformed_frames"]["series"][0]["value"] == 1
-        assert "tcp.frames_received" not in snap
+        counts = transport.take_counts()
+        assert counts[("tcp.malformed_frames", ())] == 1
+        assert ("tcp.frames_received", ()) not in counts
 
     def test_an_abandoned_exchange_leaves_fresh_streams_behind(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.obs.metrics import MetricsRegistry
         from repro.pregel.backend import tcp
 
-        registry = MetricsRegistry()
         listeners = [tcp.bind_listener() for _ in range(2)]
         ports = [sock.getsockname()[1] for sock in listeners]
         a, b = (
-            tcp.TcpSlabTransport(wid, listeners[wid], ports, [0, 0], registry)
+            tcp.TcpSlabTransport(wid, listeners[wid], ports, [0, 0])
             for wid in range(2)
         )
         frame = (0, 1, bytes(8))  # (tag, count, body): one record
@@ -2032,9 +2028,9 @@ class TestTcpTransport:
         # reorder metered; the abandoned frames were stale, not parked
         assert {src: (r.expected, r.parked) for src, r in b._receivers.items()} == {0: (1, set())}
         assert (a._senders[1].next_seq, a._senders[1].unacked) == (1, {})
-        snap = registry.snapshot()
-        assert "tcp.reorders" not in snap
-        assert snap["tcp.stale_frames"]["series"][0]["value"] >= 1
+        counts = {**a.take_counts(), **b.take_counts()}
+        assert ("tcp.reorders", ()) not in counts
+        assert counts[("tcp.stale_frames", ())] >= 1
 
     @pytest.mark.parametrize("recovery", ("rollback", "confined"))
     @pytest.mark.parametrize("kind,superstep", [

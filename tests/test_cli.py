@@ -632,6 +632,19 @@ class TestOneFaultSchedule:
         assert "--heartbeat" in msg
         assert "--backend mp" in msg
 
+    def test_an_empty_heartbeat_spec_supervises_with_the_default_plan(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        path = tmp_path / "metrics.json"
+        flags = ["--heartbeat", "", "--inject-fault", "kill:1@3", "--metrics-json", str(path)]
+        assert main([*self.RUN, *flags]) == 0
+        out = capsys.readouterr().out
+        assert "supervisor:" in out
+        assert json.loads(path.read_text())["restarts"] == 1
+        assert "restarts=1" in out
+
     def test_a_supervised_kill_names_a_worker_the_run_has(self, capsys):
         msg = _usage_error(
             capsys,

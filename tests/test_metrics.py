@@ -3,8 +3,11 @@
 The contracts under test:
 
 * registry semantics — labeled instrument identity, log-bucketed
-  histograms, snapshot/merge (counters sum, histograms bucket-sum, gauges
-  max), the deterministic projection, Prometheus exposition;
+  histograms, snapshots, the deterministic projection, Prometheus
+  exposition;
+* one home per count — every family the registry reads from the ledger
+  equals its ``RunMetrics`` field (crashes, rollback replays, budgets and
+  lossy channels included), and ``mp`` worker series equal the trace's;
 * observational transparency — attaching a recording registry changes no
   run result: all six algorithms stay bit-identical on ``parity_key()``
   and outputs across sim/columnar/mp, metrics enabled or disabled;
@@ -115,41 +118,6 @@ class TestRegistryUnits:
             [2.0, 1],  # 1.5
             [4.0, 1],  # 3.0
         ]
-
-    def test_snapshot_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        assert reg.snapshot(reset=True)["c"]["series"][0]["value"] == 3
-        assert reg.snapshot() == {}
-
-    def test_merge_snapshot(self):
-        a = MetricsRegistry()
-        a.counter("c", det=True).inc(3)
-        a.gauge("g").set_max(5)
-        a.histogram("h").observe(0.75)
-        b = MetricsRegistry()
-        b.counter("c", det=True).inc(4)
-        b.gauge("g").set_max(9)
-        b.histogram("h").observe(0.75)
-        b.histogram("h").observe(100.0)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        assert snap["c"]["series"][0]["value"] == 7  # counters sum
-        assert snap["g"]["series"][0]["value"] == 9  # gauges max
-        h = snap["h"]["series"][0]
-        assert h["count"] == 3  # histograms bucket-sum
-        assert h["min"] == 0.75 and h["max"] == 100.0
-        assert [1.0, 2] in h["buckets"]  # 0.75 twice, merged bucket-wise
-        assert snap["c"]["det"] is True
-
-    def test_merge_preserves_round_trip(self):
-        src = MetricsRegistry()
-        src.histogram("h", phase="x").observe(0.1)
-        src.histogram("h", phase="x").observe(2.0)
-        snap = src.snapshot()
-        dst = MetricsRegistry()
-        dst.merge_snapshot(snap)
-        assert dst.snapshot() == snap
 
     def test_deterministic_projection(self):
         reg = MetricsRegistry()
@@ -323,6 +291,172 @@ class TestMeteredParityMatrix:
         assert [(row["labels"], row["value"]) for row in restarts] == [
             ({"backend": "mp"}, 1)
         ]
+
+
+# ---------------------------------------------------------------------------
+# One home per count: the registry reads the ledger
+# ---------------------------------------------------------------------------
+
+#: every registry family that holds a ledger total -> its RunMetrics field
+LEDGER_FIELDS = {
+    "pregel.supersteps": "supersteps",
+    "pregel.messages": "messages",
+    "pregel.message_bytes": "message_bytes",
+    "pregel.net_messages": "net_messages",
+    "pregel.net_bytes": "net_bytes",
+    "pregel.broadcasts": "broadcast_values",
+    "ft.checkpoints": "checkpoints_taken",
+    "ft.checkpoint_bytes": "checkpoint_bytes",
+    "ft.crashes": "faults_injected",
+    "ft.lost_supersteps": "lost_supersteps",
+    "ft.replay_work": "recovery_replay_work",
+    "supervisor.restarts": "restarts",
+    "supervisor.heartbeats_missed": "heartbeats_missed",
+    "supervisor.quarantines": "workers_quarantined",
+    "mem.spilled_bytes": "spilled_bytes",
+    "mem.spill_files": "spill_files",
+    "mem.outbox_parks": "outbox_parks",
+    "mem.superstep_splits": "superstep_splits",
+    "mem.peak_bytes": "mem_peak_bytes",
+    "mem.checkpoint_peak_bytes": "checkpoint_peak_bytes",
+    "net.dropped": "messages_dropped",
+    "net.duplicated": "messages_duplicated",
+    "net.reordered": "messages_reordered",
+    "net.corrupted": "messages_corrupted",
+    "net.retransmitted": "packets_retransmitted",
+    "net.backoff_units": "net_backoff_units",
+}
+
+#: the registry's own families of those prefixes: distributions, run counts
+REGISTRY_ONLY = {
+    "pregel.runs", "pregel.run_seconds", "pregel.num_workers",
+    "pregel.superstep_seconds", "pregel.phase_seconds", "pregel.frontier_size",
+    "pregel.loop_vertices",
+}  # fmt: skip
+
+
+def _ft(recovery="rollback", kind="crash"):
+    from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
+
+    return FaultTolerance(
+        FaultPlan(checkpoint_every=2, crashes=(CrashEvent(1, 3, kind),), recovery=recovery)
+    )
+
+
+def _assert_registry_is_ledger(snap: dict, metrics, *prefixes: str) -> None:
+    """Every family of ``prefixes`` is present, and each ledger family's
+    series add up to its RunMetrics field."""
+    for name, family in snap.items():
+        if not name.startswith(("pregel.", "ft.", "supervisor.", "mem.", "net.")):
+            continue
+        if name in REGISTRY_ONLY or name in ("net.messages_routed", "net.reorder_buffer_peak"):
+            continue  # the latter two read the transport's stats
+        assert family["kind"] in ("counter", "gauge"), name
+        total = sum(row["value"] for row in family["series"])
+        assert total == getattr(metrics, LEDGER_FIELDS[name]), name
+    expected = {name for name in LEDGER_FIELDS if name.startswith(prefixes)}
+    assert expected <= set(snap), expected - set(snap)
+
+
+class TestRegistryReadsTheLedger:
+    """The registry's totals are the ledger's, exported once at run end: a
+    rollback's replayed supersteps reach neither (the parent's registry
+    counted them, 9 supersteps / 33 466 messages on the repro below)."""
+
+    @pytest.mark.parametrize("recovery", ("rollback", "confined"))
+    @pytest.mark.parametrize(
+        "backend", ["sim", "columnar", pytest.param("mp", marks=needs_mp)]
+    )
+    def test_a_crash_recovered_from_a_checkpoint(self, programs, backend, recovery):
+        from repro.obs import Tracer
+
+        twitter = load_graph("twitter", 0.25)
+        registry, tracer = MetricsRegistry(), Tracer()
+        run = programs["sssp"].run(
+            twitter, default_args("sssp", twitter), backend=backend, num_workers=2,
+            metrics_registry=registry, tracer=tracer, ft=_ft(recovery),
+        )  # fmt: skip
+        m = run.metrics
+        snap = registry.snapshot()
+        steps = [e for e in tracer.events if e.name == "superstep"]
+        assert (m.supersteps, m.messages) == (8, 24099)
+        assert (len(steps), sum(e.det["messages"] for e in steps)) == (8, 24099)
+        totals = [snap[f"pregel.{name}"]["series"][0]["value"] for name in ("supersteps", "messages")]
+        assert totals == [8, 24099]
+        assert m.faults_injected == 1 and m.recovery_replay_work > 0
+        _assert_registry_is_ledger(snap, m, "pregel.", "ft.", "supervisor.restarts")
+
+    def test_a_supervised_silent_death(self, programs, graph):
+        from repro.pregel.supervisor import Supervisor, SupervisorPlan
+
+        registry = MetricsRegistry()
+        run = programs["pagerank"].run(
+            graph, default_args("pagerank", graph), num_workers=2,
+            metrics_registry=registry, ft=_ft(kind="kill"),
+            supervisor=Supervisor(SupervisorPlan()),
+        )  # fmt: skip
+        assert run.metrics.restarts == 1 and run.metrics.heartbeats_missed > 0
+        _assert_registry_is_ledger(registry.snapshot(), run.metrics, "ft.", "supervisor.")
+
+    def test_a_limited_memory_budget(self, programs, graph):
+        from repro.pregel.mem import MemoryManager, MemPlan
+
+        registry = MetricsRegistry()
+        run = programs["pagerank"].run(
+            graph, default_args("pagerank", graph), num_workers=2,
+            metrics_registry=registry, ft=_ft(),
+            mem=MemoryManager(MemPlan(budget_bytes=8192)),
+        )  # fmt: skip
+        m = run.metrics
+        assert m.spill_files and m.outbox_parks and m.superstep_splits
+        assert m.checkpoint_peak_bytes
+        _assert_registry_is_ledger(registry.snapshot(), m, "mem.", "ft.")
+
+    @pytest.mark.parametrize("backend", ["sim", "columnar"])
+    def test_a_lossy_channel(self, programs, graph, backend):
+        from repro.pregel.net import NetFaultPlan, SimulatedTransport
+
+        registry = MetricsRegistry()
+        transport = SimulatedTransport(
+            NetFaultPlan(drop_rate=0.1, dup_rate=0.05, reorder_rate=0.1, corrupt_rate=0.02, seed=3)
+        )
+        run = programs["pagerank"].run(
+            graph, default_args("pagerank", graph), backend=backend, num_workers=2,
+            metrics_registry=registry, transport=transport,
+        )  # fmt: skip
+        m = run.metrics
+        assert m.messages_dropped and m.messages_duplicated and m.messages_corrupted
+        snap = registry.snapshot()
+        _assert_registry_is_ledger(snap, m, "net.")
+        for name in ("messages_routed", "reorder_buffer_peak"):
+            assert snap[f"net.{name}"]["series"][0]["value"] == transport.stats[name] > 0
+
+    @needs_mp
+    def test_mp_worker_series_are_the_traced_counts(self, programs, graph):
+        from repro.obs import Tracer
+
+        registry, tracer = MetricsRegistry(), Tracer()
+        run = programs["sssp"].run(
+            graph, default_args("sssp", graph), backend="mp", num_workers=2,
+            metrics_registry=registry, tracer=tracer,
+        )  # fmt: skip
+        snap = registry.snapshot()
+        steps = [e.det for e in tracer.events if e.name == "superstep"]
+
+        def series(name, worker):
+            (row,) = [r for r in snap[name]["series"] if r["labels"] == {"worker": str(worker)}]
+            return row
+
+        for w in range(2):
+            staged = sum(step["worker_bytes"][w] for step in steps)
+            computed = sum(step["worker_computed"][w] for step in steps)
+            assert staged > 0 and computed > 0
+            assert series("mp.worker_staged_bytes", w)["value"] == staged
+            assert (
+                series("mp.kernel_vertices", w)["value"] + series("mp.scalar_vertices", w)["value"]
+                == computed
+            )
+            assert series("mp.worker_route_seconds", w)["count"] == run.metrics.supersteps
 
 
 # ---------------------------------------------------------------------------

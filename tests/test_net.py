@@ -16,7 +16,6 @@ from repro.algorithms.sources import ALGORITHMS
 from repro.bench.harness import default_args
 from repro.compiler import compile_algorithm
 from repro.graphgen.registry import applicable_graphs, load_graph
-from repro.obs.metrics import MetricsRegistry
 from repro.pregel import Graph, PregelEngine
 from repro.pregel.backend import tcp
 from repro.pregel.net import (
@@ -313,10 +312,9 @@ def test_one_arrival_order_meters_alike_on_both_transports():
     assert (engine.metrics.messages_reordered, engine.metrics.messages_duplicated) == (1, 1)
     assert sender.unacked == {}
 
-    registry = MetricsRegistry()
     listener = tcp.bind_listener()
     port = listener.getsockname()[1]
-    transport = tcp.TcpSlabTransport(1, listener, [0, port], [0, 0], registry)
+    transport = tcp.TcpSlabTransport(1, listener, [0, port], [0, 0])
     peer = socket.create_connection(("127.0.0.1", port), timeout=5)
     try:
         peer.sendall(
@@ -327,9 +325,9 @@ def test_one_arrival_order_meters_alike_on_both_transports():
         peer.close()
         transport.close_listener()
     assert report == {} and len(parts[0]) == 3
-    snap = registry.snapshot()
-    assert snap["tcp.reorders"]["series"][0]["value"] == 1
-    assert snap["tcp.dedup_hits"]["series"][0]["value"] == 1
+    counts = transport.take_counts()
+    assert counts[("tcp.reorders", ())] == 1
+    assert counts[("tcp.dedup_hits", ())] == 1
 
 
 class ProtocolMachine(RuleBasedStateMachine):
