@@ -23,7 +23,7 @@ from ..graphgen.registry import applicable_graphs, load_graph
 from ..pregel.ft import CrashEvent, FaultPlan, FaultTolerance
 from ..pregel.net import NetFaultPlan, SimulatedTransport
 from ..pregel.supervisor import Supervisor, SupervisorPlan
-from .harness import default_args
+from .harness import default_args, paired_overhead
 
 #: message-driven algorithms exercise the transport hardest; conductance
 #: and avg_teen_cnt are near-stateless two-step jobs, so the fuzz matrix
@@ -138,7 +138,7 @@ def run_case(
         step = max(1, min(crash.superstep, baseline.metrics.supersteps - 1))
         crash = CrashEvent(worker=crash.worker % workers, superstep=step, kind="kill")
     transport = SimulatedTransport(case.net_plan)
-    supervisor = Supervisor(SupervisorPlan(seed=case.seed))
+    supervisor = Supervisor(SupervisorPlan())
     mem = None
     if case.mem_budget:
         from ..pregel.mem import MemoryManager, MemPlan
@@ -264,32 +264,29 @@ def transport_overhead(
 ) -> dict:
     """Wall-time of the reliable-transport *fast path* (an all-zero fault
     plan) relative to direct in-memory routing — the ≤5% ceiling CI
-    enforces.  Each of ``pairs`` pairs times both runs back to back, the
-    side that goes first alternating, and the ratio is the median of the
-    per-pair ratios: host drift shared by a pair cancels, and one noisy
-    run moves the median by at most one rank."""
+    enforces — as :func:`~repro.bench.harness.paired_overhead` pairs
+    them.  Every routed run must equal the direct runs bit for bit."""
     graph = load_graph("twitter", scale)
     program = compile_algorithm("pagerank", emit_java=False).program
     args = default_args("pagerank", graph)
-    program.run(graph, args, num_workers=workers)  # untimed warmup
-    walls: dict[str, list[float]] = {"direct": [], "transport": []}
-    for pair in range(pairs):
-        runs = {}
-        order = ("direct", "transport") if pair % 2 == 0 else ("transport", "direct")
-        for side in order:
+    runs: dict[str, list] = {"direct": [], "transport": []}
+
+    def timed(side: str):
+        def arm() -> float:
             transport = SimulatedTransport(NetFaultPlan()) if side == "transport" else None
             t0 = time.perf_counter()
-            runs[side] = program.run(graph, args, num_workers=workers, transport=transport)
-            walls[side].append(time.perf_counter() - t0)
-        assert runs["transport"].outputs == runs["direct"].outputs
-        assert runs["transport"].metrics.parity_key() == runs["direct"].metrics.parity_key()
-    return {
-        "direct_s": statistics.median(walls["direct"]),
-        "transport_s": statistics.median(walls["transport"]),
-        "overhead_ratio": statistics.median(
-            t / d for t, d in zip(walls["transport"], walls["direct"])
-        ),
-    }
+            runs[side].append(program.run(graph, args, num_workers=workers, transport=transport))
+            return time.perf_counter() - t0
+
+        return arm
+
+    direct_s, transport_s, ratio = paired_overhead(
+        timed("direct"), timed("transport"), pairs
+    )
+    for direct, routed in zip(runs["direct"], runs["transport"]):
+        assert routed.outputs == direct.outputs
+        assert routed.metrics.parity_key() == direct.metrics.parity_key()
+    return {"direct_s": direct_s, "transport_s": transport_s, "overhead_ratio": ratio}
 
 
 @dataclass

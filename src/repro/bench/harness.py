@@ -449,45 +449,73 @@ def traced_run(
     return run, tracer
 
 
+def paired_overhead(baseline, candidate, pairs: int) -> tuple[float, float, float]:
+    """Time ``candidate`` against ``baseline`` — zero-argument callables
+    that each run once and return its wall seconds — in ``pairs``
+    back-to-back pairs, the side that goes first alternating, after one
+    untimed warmup of each.  Returns the median wall of each side and the
+    median of the per-pair ratios ``candidate / baseline``: host drift
+    shared by a pair cancels, and one noisy run moves the median by at
+    most one rank."""
+    baseline()
+    candidate()
+    sides = (baseline, candidate)
+    walls: tuple[list[float], list[float]] = ([], [])
+    for pair in range(max(1, pairs)):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            walls[side].append(sides[side]())
+    return (
+        statistics.median(walls[0]),
+        statistics.median(walls[1]),
+        statistics.median(c / b if b else 1.0 for b, c in zip(*walls)),
+    )
+
+
+def _disabled_sink_overhead(
+    algorithm: str, graph_key: str, scale: float, seed: int, pairs: int,
+    sink: dict, run_opts: dict,
+) -> tuple[float, float, float]:
+    """Runs with ``sink`` (a disabled tracer or registry) against runs
+    without, paired (:func:`paired_overhead`) on the engine's own wall."""
+    compiled = compile_algorithm(algorithm, emit_java=False)
+    graph = load_graph(graph_key, scale, seed)
+    args = default_args(algorithm, graph)
+    run = compiled.program.run
+    return paired_overhead(
+        lambda: run(graph, args, **run_opts).metrics.wall_seconds,
+        lambda: run(graph, args, **sink, **run_opts).metrics.wall_seconds,
+        pairs,
+    )
+
+
 def tracer_overhead(
     algorithm: str = "pagerank",
     graph_key: str = "twitter",
     scale: float = 0.25,
     *,
-    repeats: int = 5,
+    pairs: int = 11,
     seed: int = 1,
     **run_opts,
 ) -> dict:
     """Measure what a *disabled* tracer costs on a Figure 6 workload.
 
-    Runs the algorithm ``repeats`` times with ``tracer=None`` and ``repeats``
-    times with a :class:`repro.obs.NullTracer` (``run_opts``, e.g.
-    ``backend=``, go to both arms), interleaved so drift hits both
-    arms equally, and compares best-of wall times.  The two paths are meant
-    to be identical (the engine installs its metering wrappers only for a
-    *recording* tracer), so the ratio is a noise-bounded regression check —
-    CI asserts it stays under the ISSUE's 5% budget.
+    Pairs ``tracer=None`` runs with :class:`repro.obs.NullTracer` runs
+    (``run_opts``, e.g. ``backend=``, go to both arms).  The two paths are
+    meant to be identical (the engine installs its metering wrappers only
+    for a *recording* tracer), so the ratio is a noise-bounded regression
+    check — CI asserts it stays under a 5% budget.
     """
     from ..obs import NULL_TRACER
 
-    compiled = compile_algorithm(algorithm, emit_java=False)
-    graph = load_graph(graph_key, scale, seed)
-    args = default_args(algorithm, graph)
-    plain: list[float] = []
-    nulled: list[float] = []
-    for _ in range(max(1, repeats)):
-        plain.append(compiled.program.run(graph, args, **run_opts).metrics.wall_seconds)
-        nulled.append(
-            compiled.program.run(graph, args, tracer=NULL_TRACER, **run_opts).metrics.wall_seconds
-        )
-    best_plain = min(plain)
-    best_null = min(nulled)
+    plain, nulled, ratio = _disabled_sink_overhead(
+        algorithm, graph_key, scale, seed, pairs, {"tracer": NULL_TRACER}, run_opts
+    )
     return {
         "algorithm": algorithm,
         "graph": graph_key,
-        "best_plain_seconds": best_plain,
-        "best_null_tracer_seconds": best_null,
-        "overhead_ratio": best_null / best_plain if best_plain else 1.0,
+        "plain_seconds": plain,
+        "null_tracer_seconds": nulled,
+        "overhead_ratio": ratio,
     }
 
 
@@ -496,38 +524,26 @@ def metrics_overhead(
     graph_key: str = "twitter",
     scale: float = 0.25,
     *,
-    repeats: int = 5,
+    pairs: int = 11,
     seed: int = 1,
     **run_opts,
 ) -> dict:
     """Measure what a *disabled* metrics registry costs on a Figure 6
-    workload — the registry twin of :func:`tracer_overhead`.
-
-    Interleaves ``metrics_registry=None`` runs with ``NULL_REGISTRY`` runs
-    and compares best-of wall times; the engine treats both identically
-    (no metering handles are created), so the ratio is a noise-bounded
-    check that the zero-cost-when-disabled contract holds (<5% in CI).
+    workload — the registry twin of :func:`tracer_overhead`: pairs
+    ``metrics_registry=None`` runs with ``NULL_REGISTRY`` runs, which the
+    engine treats identically (no metering handles are created), so the
+    ratio checks the zero-cost-when-disabled contract (<5% in CI).
     """
     from ..obs import NULL_REGISTRY
 
-    compiled = compile_algorithm(algorithm, emit_java=False)
-    graph = load_graph(graph_key, scale, seed)
-    args = default_args(algorithm, graph)
-    plain: list[float] = []
-    nulled: list[float] = []
-    for _ in range(max(1, repeats)):
-        plain.append(compiled.program.run(graph, args, **run_opts).metrics.wall_seconds)
-        nulled.append(
-            compiled.program.run(
-                graph, args, metrics_registry=NULL_REGISTRY, **run_opts
-            ).metrics.wall_seconds
-        )
-    best_plain = min(plain)
-    best_null = min(nulled)
+    plain, nulled, ratio = _disabled_sink_overhead(
+        algorithm, graph_key, scale, seed, pairs,
+        {"metrics_registry": NULL_REGISTRY}, run_opts,
+    )
     return {
         "algorithm": algorithm,
         "graph": graph_key,
-        "best_plain_seconds": best_plain,
-        "best_null_registry_seconds": best_null,
-        "overhead_ratio": best_null / best_plain if best_plain else 1.0,
+        "plain_seconds": plain,
+        "null_registry_seconds": nulled,
+        "overhead_ratio": ratio,
     }

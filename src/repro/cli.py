@@ -186,11 +186,7 @@ def _build_supervisor(ns: argparse.Namespace):
     from .pregel.supervisor import Supervisor, parse_heartbeat
 
     try:
-        plan = parse_heartbeat(ns.heartbeat)
-        for worker in plan.stragglers:
-            if worker >= ns.workers:
-                raise ValueError(f"names worker {worker} but --workers is {ns.workers}")
-        return Supervisor(plan)
+        return Supervisor(parse_heartbeat(ns.heartbeat))
     except ValueError as exc:
         raise _die(f"--heartbeat: {exc}") from None
 
@@ -368,7 +364,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
             print(
                 f"supervisor: {report['restarts_used']} restart(s), "
                 f"{report['heartbeats_missed']} heartbeat(s) missed, "
-                f"{len(report['quarantined_workers'])} worker(s) quarantined, "
                 f"clock={report['clock_units']:.1f} units"
             )
         for detection in report["detections"]:
@@ -651,10 +646,10 @@ def main(argv: list[str] | None = None) -> int:
                 "--heartbeat",
                 metavar="SPEC",
                 help="supervise the run with heartbeat failure detection "
-                "and automatic recovery, e.g. "
-                "'interval=1,phi=4,deadline=5,straggler=2,seed=5' (implies "
-                "fault tolerance); --inject-fault kill:W@S schedules a "
-                "silent death the detector must notice",
+                "and automatic recovery, e.g. 'interval=1,phi=4,deadline=5' "
+                "('' for the defaults; implies fault tolerance); "
+                "--inject-fault kill:W@S schedules a silent death the "
+                "detector must notice",
             )
             p.add_argument(
                 "--exchange-deadline",

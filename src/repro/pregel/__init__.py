@@ -1,7 +1,7 @@
 """Pregel/GPS runtime simulator: graph, BSP engine, global-objects map,
 fault tolerance (checkpointing, crash injection, recovery), simulated
 unreliable transport with reliable exactly-once delivery, supervision
-(heartbeat failure detection, automatic recovery, straggler quarantine),
+(heartbeat failure detection escalating into checkpoint recovery),
 and memory-pressure robustness (per-worker budgets, credit-based
 backpressure, spill-to-disk, graceful out-of-memory degradation)."""
 

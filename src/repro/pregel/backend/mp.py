@@ -691,10 +691,6 @@ class MPEngine(ColumnarEngine):
                         self._hang_now[fault.worker] = self._exchange_deadline * 4
                     else:
                         self._net_now[fault.worker] = fault.kind
-        if self._supervisor is not None:
-            # A supervised crash_rate draws real kills per superstep, the
-            # plan's seeded RNG deciding — same knob, real process death.
-            kills.extend(self._supervisor.draw_real_crashes())
         for wid in dict.fromkeys(kills):
             proc = self._procs[wid]
             if proc.is_alive():
@@ -1147,13 +1143,13 @@ class _Worker:
         # its log of one.
         self._parts: dict[int, list] = {}
         # Memory budgets: per-delivery receive accounting (payload +
-        # envelope, the MemPlan's charge model), reported in the exchange
-        # reply and charged parent-side.
-        self._mem_overhead = (
-            engine.mem.plan.message_overhead_bytes
-            if engine.mem is not None
-            else None
-        )
+        # envelope, mem's charge model), reported in the exchange reply
+        # and charged parent-side.
+        self._mem_overhead = None
+        if engine.mem is not None:
+            from ..mem import MESSAGE_OVERHEAD_BYTES
+
+            self._mem_overhead = MESSAGE_OVERHEAD_BYTES
         self._recv_bytes = 0
         # The forked engine becomes this partition's: the shell counts what
         # the replies carry, the parent accounts and meters it, puts ship to

@@ -200,13 +200,11 @@ def fault_refusal(kind: str, fireable: tuple[str, ...]) -> str | None:
     )
 
 
-def parse_spec(flag: str, spec: str, keys: dict, lists: tuple = ()) -> dict:
+def parse_spec(flag: str, spec: str, keys: dict) -> dict:
     """Parse a ``key=value,...`` flag spec into keyword arguments.
 
-    ``keys`` maps a spec key to ``(field, cast)``.  A key in ``lists`` may
-    repeat: its values are returned as text, in a list under the key
-    itself, for the caller to parse.  Errors name ``flag``."""
-    names = ", ".join((*lists, *sorted(keys)))
+    ``keys`` maps a spec key to ``(field, cast)``.  Errors name ``flag``."""
+    names = ", ".join(sorted(keys))
     kwargs: dict = {}
     for item in spec.split(","):
         item = item.strip()
@@ -218,18 +216,14 @@ def parse_spec(flag: str, spec: str, keys: dict, lists: tuple = ()) -> dict:
             )
         key, text = item.split("=", 1)
         key, text = key.strip(), text.strip()
-        if key in lists:
-            kwargs.setdefault(key, []).append(text)
-        elif key in keys:
+        if key in keys:
             field_name, cast = keys[key]
             try:
                 kwargs[field_name] = cast(text)
             except ValueError:
                 raise ValueError(f"invalid {flag} value for '{key}': '{text}'") from None
         else:
-            raise ValueError(
-                f"unknown {flag} key '{key}' (expected {'' if lists else 'one of '}{names})"
-            )
+            raise ValueError(f"unknown {flag} key '{key}' (expected one of {names})")
     return kwargs
 
 
@@ -419,31 +413,21 @@ class FaultTolerance:
 
     # -- recovery --------------------------------------------------------
 
-    def recover_worker(
-        self, worker: int, partitions: Sequence[int] | None = None
-    ) -> bool:
+    def recover_worker(self, worker: int) -> bool:
         """Detector-driven recovery: the supervisor or the mp parent
         detected (rather than was told) that ``worker`` died at the current
         barrier.  Each call spends one restart of ``plan.max_restarts`` —
         the run's one budget.  Returns False, recovering nothing, when the
         budget is spent or no checkpoint exists: the caller degrades the
-        run to ``halt_reason="unrecoverable"``.
-
-        ``partitions`` lists the logical partitions the dead worker was
-        *hosting* (after straggler quarantine a worker can host partitions
-        other than its own); confined recovery replays each of them.
-        ``None`` means the worker hosted only its own partition.
+        run to ``halt_reason="unrecoverable"``.  Confined recovery replays
+        the dead worker's own partition.
         """
         engine = self._engine
         if self.restarts_used >= self.plan.max_restarts or not self._checkpoints:
             return False
         self.restarts_used += 1
         engine.metrics.restarts += 1
-        self._recover(
-            CrashEvent(worker, engine.superstep),
-            partitions=partitions,
-            source="detected",
-        )
+        self._recover(CrashEvent(worker, engine.superstep), source="detected")
         return True
 
     def rewind(self) -> None:
@@ -464,12 +448,7 @@ class FaultTolerance:
         for program, state in zip(self._programs, payload["programs"]):
             program.restore_state(state)
 
-    def _recover(
-        self,
-        crash: CrashEvent,
-        partitions: Sequence[int] | None = None,
-        source: str = "scheduled",
-    ) -> None:
+    def _recover(self, crash: CrashEvent, source: str = "scheduled") -> None:
         # A checkpoint exists: a scheduled fault forces the superstep-0
         # one, and recover_worker checks before it calls.
         engine = self._engine
@@ -499,10 +478,7 @@ class FaultTolerance:
             # Every partition re-executes the lost supersteps.
             metrics.recovery_replay_work += lost * engine.graph.num_nodes
         else:
-            for partition in (
-                partitions if partitions is not None else (crash.worker,)
-            ):
-                self._confined_recover(partition, ckpt_step, payload)
+            self._confined_recover(crash.worker, ckpt_step, payload)
         if tracer is not None:
             tracer.event(
                 "ft.recovery",

@@ -60,12 +60,27 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 _UNLIMITED = 1 << 62
 
 #: flat-list chunk size for the streamed checkpoint encoder (values per
-#: record); 256 floats pickle to ~2KB, inside the default 4KB window
+#: record); 256 floats pickle to ~2KB, inside the 4KB window
 _CKPT_LIST_CHUNK = 256
 
 #: nesting depth to which the checkpoint encoder decomposes containers;
 #: deep enough to reach payload -> engine -> outbox -> per-vertex buckets.
 _CKPT_DEPTH = 4
+
+#: fraction of the budget at which the outbox splits / the inbox spills,
+#: leaving headroom for the allocation that crossed it; the hard budget
+#: still gates irreducible allocations.
+SPILL_WATERMARK = 0.875
+
+#: the in-memory buffer granularity of the streamed checkpoint writer (its
+#: charge against the budget).
+CHECKPOINT_WINDOW_BYTES = 4096
+
+#: envelope cost charged per message on top of the program's declared
+#: payload size.  The network meter counts payload only (a BFS token is 0
+#: wire bytes), but a buffered message always occupies memory — the tuple,
+#: the list slot, the bookkeeping — so budgets charge payload + envelope.
+MESSAGE_OVERHEAD_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -79,24 +94,11 @@ class MemPlan:
     * ``spill_dir`` — parent directory for the run's private spill
       directory; ``None`` uses the system temp dir.  The private directory
       is always deleted when the run ends.
-    * ``spill_watermark`` — fraction of the budget at which the outbox
-      splits / the inbox spills, leaving headroom for the allocation that
-      crossed it; the hard budget still gates irreducible allocations.
-    * ``checkpoint_window_bytes`` — the in-memory buffer granularity of the
-      streamed checkpoint writer (its charge against the budget).
-    * ``message_overhead_bytes`` — envelope cost charged per message on top
-      of the program's declared payload size.  The network meter counts
-      payload only (a BFS token is 0 wire bytes), but a buffered message
-      always occupies memory — the tuple, the list slot, the bookkeeping —
-      so budgets charge payload + envelope.
     """
 
     budget_bytes: int = 0
     worker_budgets: tuple[tuple[int, int], ...] = ()
     spill_dir: str | None = None
-    spill_watermark: float = 0.875
-    checkpoint_window_bytes: int = 4096
-    message_overhead_bytes: int = 16
 
     def __post_init__(self):
         if self.budget_bytes < 0:
@@ -108,12 +110,6 @@ class MemPlan:
                 raise ValueError(
                     f"per-worker budget must be > 0, got {budget} for worker {worker}"
                 )
-        if not 0.0 < self.spill_watermark <= 1.0:
-            raise ValueError("spill_watermark must be in (0, 1]")
-        if self.checkpoint_window_bytes < 1:
-            raise ValueError("checkpoint_window_bytes must be >= 1")
-        if self.message_overhead_bytes < 0:
-            raise ValueError("message_overhead_bytes must be >= 0")
 
     @property
     def limited(self) -> bool:
@@ -187,11 +183,11 @@ class MemoryBudget:
         "peak_bytes",
     )
 
-    def __init__(self, worker: int, budget_bytes: int, watermark: float):
+    def __init__(self, worker: int, budget_bytes: int):
         self.worker = worker
         self.budget_bytes = budget_bytes
         self.soft_bytes = (
-            max(1, int(budget_bytes * watermark))
+            max(1, int(budget_bytes * SPILL_WATERMARK))
             if budget_bytes < _UNLIMITED
             else _UNLIMITED
         )
@@ -461,22 +457,14 @@ class MemoryManager:
                 )
         base = self.plan.budget_bytes or _UNLIMITED
         self.budgets = [
-            MemoryBudget(w, overrides.get(w, base), self.plan.spill_watermark)
-            for w in range(workers)
+            MemoryBudget(w, overrides.get(w, base)) for w in range(workers)
         ]
         self._resident = [{} for _ in range(workers)]
         self._in_runs = [[] for _ in range(workers)]
         self._in_leftover = [{} for _ in range(workers)]
         self._out_runs = [[] for _ in range(workers)]
-        # Budget charges = declared payload + per-message envelope: the
-        # network meter counts payload only, but a buffered message always
-        # occupies memory, so zero-wire-byte programs still meter.
         payload = engine._message_size
-        overhead = self.plan.message_overhead_bytes
-        if overhead:
-            self._size_of = lambda msg: payload(msg) + overhead
-        else:
-            self._size_of = payload
+        self._size_of = lambda msg: payload(msg) + MESSAGE_OVERHEAD_BYTES
         self._engine = engine
 
     def install(self) -> None:
@@ -896,7 +884,7 @@ class MemoryManager:
         engine = self._engine
         path = self._spill_path("ckpt", 0)
         with open(path, "wb") as f:
-            writer = _WindowWriter(f, self.plan.checkpoint_window_bytes)
+            writer = _WindowWriter(f, CHECKPOINT_WINDOW_BYTES)
             _stream_encode(payload, lambda record: pickle.dump(record, writer, _PROTOCOL))
             writer.flush()
         metrics = engine.metrics
@@ -951,8 +939,9 @@ class MemoryManager:
         """Full-rollback restore: the engine just reinstalled the
         checkpoint's in-flight outbox in memory, so every live run file is
         stale — delete them and recharge the ledger from the restored
-        staged batches (splitting again immediately if they exceed the
-        watermark)."""
+        staged batches.  The split comes before the peak: a restored
+        batch over the watermark spills at once, and only what stays
+        resident counts toward the peak."""
         engine = self._engine
         for worker in range(engine.num_workers):
             for reader in self._in_runs[worker]:
@@ -979,9 +968,9 @@ class MemoryManager:
                 for msg in msgs:
                     budget.outbox_bytes += size_of(msg)
         for budget in self.budgets:
-            budget.note_peak()
             if budget.total() > budget.soft_bytes:
                 self._split_superstep(budget.worker)
+            budget.note_peak()
 
     def on_superstep_end(self) -> None:
         """Barrier cleanup: the vertex phase consumed this superstep's

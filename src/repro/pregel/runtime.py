@@ -223,10 +223,9 @@ class RunMetrics:
     net_backoff_units: int = 0
     # -- supervision (repro.pregel.supervisor) ---------------------------
     #: heartbeats the failure detector missed before declaring workers
-    #: dead, detector-driven restarts, and stragglers quarantined.
+    #: dead, and detector-driven restarts.
     heartbeats_missed: int = 0
     restarts: int = 0
-    workers_quarantined: int = 0
     # -- memory accounting (repro.pregel.mem) -----------------------------
     #: bytes written to spill runs (inbox spills + superstep splits) and
     #: the number of run files; credit-exhausted delivery stalls (parks)
@@ -321,10 +320,10 @@ class RunMetrics:
                 f"retransmitted={self.packets_retransmitted} "
                 f"backoff_units={self.net_backoff_units}"
             )
-        if self.heartbeats_missed or self.restarts or self.workers_quarantined:
+        if self.heartbeats_missed or self.restarts:
             text += (
                 f" | supervisor: heartbeats_missed={self.heartbeats_missed} "
-                f"restarts={self.restarts} quarantined={self.workers_quarantined}"
+                f"restarts={self.restarts}"
             )
         if (
             self.spilled_bytes
@@ -368,7 +367,6 @@ LEDGER_FAMILIES: dict[str | None, tuple] = {
     ),
     "_supervisor": (
         ("supervisor.heartbeats_missed", "heartbeats_missed", "counter"),
-        ("supervisor.quarantines", "workers_quarantined", "counter"),
     ),
     "mem": (
         ("mem.spilled_bytes", "spilled_bytes", "counter"),

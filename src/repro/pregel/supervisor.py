@@ -1,20 +1,22 @@
 """Self-healing supervision: heartbeats, failure detection, automatic recovery.
 
-PR 1's fault tolerance recovers from crashes it is *told about* — a
-pre-declared :class:`~repro.pregel.ft.CrashEvent` schedule drives recovery
-directly.  Real Pregel/GPS masters are told nothing: they learn a worker is
+The fault-tolerance manager (:mod:`repro.pregel.ft`) recovers from crashes
+it is *told about* — a pre-declared :class:`~repro.pregel.ft.CrashEvent`
+schedule drives recovery directly.  Real Pregel/GPS masters are told nothing: they learn a worker is
 gone because its heartbeats stop, and they must decide, recover, and keep a
-restart budget on their own.  This module adds that layer to the simulator:
+restart budget on their own.  The supervisor is that failure detector and
+nothing else:
 
-* **Simulated cluster clock** — each superstep every live worker "runs" for
-  a simulated duration (1 unit per hosted partition, inflated for
-  stragglers) and emits heartbeats every ``heartbeat_interval`` units; the
-  barrier completes at the slowest live worker.
-* **Failure model** — workers die *silently* (the fault plan's ``kill``
-  events, ``FaultPlan(crashes=(CrashEvent(w, s, "kill"), ...))``, and/or a
-  seeded per-superstep ``crash_rate``): the supervisor fires them but is
-  never told, it only sees the heartbeats stop.  Stragglers (scripted ``stragglers`` and/or a seeded
-  ``straggle_rate``) run ``straggle_factor`` slower.
+* **Silent deaths come from the fault plan** — every worker death of a run
+  is a :attr:`FaultPlan.crashes` entry.  A ``kill`` event,
+  ``FaultPlan(crashes=(CrashEvent(w, s, "kill"), ...))``, is fired in
+  process by the supervisor on ``sim``/``columnar`` (as a real SIGKILL by
+  the mp parent), but the supervisor is never told: it only sees the
+  heartbeats stop.
+* **Simulated cluster clock** — every worker hosts its own partition, so
+  each barrier lasts one simulated unit, and live workers heartbeat every
+  ``heartbeat_interval`` units through it.  On ``mp`` the same detector
+  runs on wall time: every barrier reply is a heartbeat.
 * **Phi-style/deadline failure detector** — per worker, suspicion grows
   with silence: ``phi = elapsed / (mean_interval · ln 10)`` (the phi-accrual
   formulation under exponential inter-arrivals) accrues until it crosses
@@ -24,22 +26,16 @@ restart budget on their own.  This module adds that layer to the simulator:
   the silence the detector needed, and every missed heartbeat is metered.
 * **Escalation → automatic recovery** — a detected death triggers the
   *existing* recovery machinery (:meth:`FaultTolerance.recover_worker`,
-  rollback or confined per the plan) for the partitions the dead worker
-  hosted, and the worker is restarted.  Each restart spends one unit of
-  the run's one budget, :attr:`FaultPlan.max_restarts`, which the FT
-  manager keeps whoever detected the death.
-* **Straggler quarantine** — a worker that blows ``barrier_timeout`` for
-  ``straggle_strikes`` consecutive barriers is quarantined: its partitions
-  are re-hosted onto the least-loaded live workers.  Hosting is *physical*
-  placement only — the logical vertex→partition map (and with it every
-  deterministic metered quantity) never changes, exactly as GPS re-assigns
-  partition files without renumbering the partitions.
+  rollback or confined per the plan) for the dead worker's partition, and
+  the worker is restarted.  Each restart spends one unit of the run's one
+  budget, :attr:`FaultPlan.max_restarts`, which the FT manager keeps
+  whoever detected the death.
 * **Graceful degradation** — when a detected failure finds the restart
   budget exhausted, the run is aborted with
   ``halt_reason="unrecoverable"`` and a structured partial-result
   :meth:`report` instead of an exception.
 
-Because detection only ever *triggers* PR 1's bit-exact recovery (or aborts),
+Because detection only ever *triggers* that bit-exact recovery (or aborts),
 a supervised run that stays within its restart budget produces outputs and
 ``RunMetrics.parity_key()`` identical to the failure-free run — the
 acceptance property ``tests/test_supervisor.py`` asserts for all six
@@ -49,7 +45,6 @@ algorithms under both recovery strategies.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -92,32 +87,17 @@ class PhiAccrualDetector:
 
 @dataclass(frozen=True)
 class SupervisorPlan:
-    """Everything about a run's supervision, fixed up front (deterministic).
+    """The failure detector's settings, fixed up front (deterministic).
 
     * ``heartbeat_interval`` — simulated units between worker heartbeats.
-    * ``phi_threshold`` / ``deadline_timeout`` — the failure detector: a
-      worker is declared dead when its silence drives phi past the
-      threshold *or* exceeds the hard deadline (0 disables the deadline).
-    * ``barrier_timeout`` / ``straggle_strikes`` — a worker slower than the
-      barrier timeout for N consecutive barriers is quarantined.
-    * ``crash_rate`` — seeded random silent deaths per live worker per
-      superstep, after the fault plan's scripted ``kill`` events.
-    * ``stragglers`` — workers that are always slow; ``straggle_rate`` adds
-      seeded random slowness, both inflated by ``straggle_factor``.
-    * ``seed`` — seeds the supervisor's own RNG, independent of the
-      engine's and the transport's.
+    * ``phi_threshold`` / ``deadline_timeout`` — a worker is declared dead
+      when its silence drives phi past the threshold *or* exceeds the hard
+      deadline (0 disables the deadline).
     """
 
     heartbeat_interval: float = 1.0
     phi_threshold: float = 4.0
     deadline_timeout: float = 5.0
-    barrier_timeout: float = 6.0
-    straggle_strikes: int = 3
-    crash_rate: float = 0.0
-    stragglers: tuple[int, ...] = ()
-    straggle_rate: float = 0.0
-    straggle_factor: float = 8.0
-    seed: int = 43
 
     def __post_init__(self):
         # NaN fails every comparison: each check needs a true one to pass
@@ -125,55 +105,29 @@ class SupervisorPlan:
             raise ValueError("heartbeat_interval must be > 0")
         if not self.phi_threshold > 0:
             raise ValueError("phi_threshold must be > 0")
-        if not (self.deadline_timeout >= 0 and self.barrier_timeout >= 0):
+        if not self.deadline_timeout >= 0:
             raise ValueError("timeouts must be >= 0")
-        if self.straggle_strikes < 1:
-            raise ValueError("straggle_strikes must be >= 1")
-        for name in ("crash_rate", "straggle_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if not self.straggle_factor >= 1.0:
-            raise ValueError("straggle_factor must be >= 1.0")
 
 
 _HB_KEYS = {
     "interval": ("heartbeat_interval", float),
     "phi": ("phi_threshold", float),
     "deadline": ("deadline_timeout", float),
-    "barrier": ("barrier_timeout", float),
-    "strikes": ("straggle_strikes", int),
-    "crash-rate": ("crash_rate", float),
-    "straggle-rate": ("straggle_rate", float),
-    "straggle-factor": ("straggle_factor", float),
-    "seed": ("seed", int),
 }
 
 
 def parse_heartbeat(spec: str) -> SupervisorPlan:
-    """Parse the CLI syntax, e.g. ``interval=1,deadline=4,straggler=2,seed=5``.
+    """Parse the CLI syntax, e.g. ``interval=1,phi=4,deadline=5``.
 
-    ``straggler=W`` marks always-slow workers ("+"-separated for several);
-    the remaining keys map onto :class:`SupervisorPlan` fields.  A silent
-    death is the fault plan's (``--inject-fault kill:W@S``), and so is the
-    restart budget (``--max-restarts``).
+    A silent death is the fault plan's (``--inject-fault kill:W@S``), and
+    so is the restart budget (``--max-restarts``).
     """
     if any(item.partition("=")[0].strip() == "crash" for item in spec.split(",")):
         raise ValueError(
             "there is no crash= key (schedule a silent death with "
             "--inject-fault kill:W@S)"
         )
-    kwargs = parse_spec("--heartbeat", spec, _HB_KEYS, lists=("straggler",))
-    stragglers: list[int] = []
-    for text in kwargs.pop("straggler", ()):
-        parts = [part.strip() for part in text.split("+")]
-        if not all(part.isdigit() for part in parts):
-            raise ValueError(
-                f"invalid --heartbeat straggler list '{text}': expected "
-                "WORKER[+WORKER...], each >= 0"
-            )
-        stragglers.extend(map(int, parts))
-    return SupervisorPlan(stragglers=tuple(stragglers), **kwargs)
+    return SupervisorPlan(**parse_spec("--heartbeat", spec, _HB_KEYS))
 
 
 class Supervisor:
@@ -188,20 +142,15 @@ class Supervisor:
     def __init__(self, plan: SupervisorPlan):
         self.plan = plan
         self._engine: "PregelEngine | None" = None
-        self._rng = random.Random(plan.seed)
         self._started = False
         self._clock = 0.0
         self._real_epoch = 0.0  # wall-clock origin of real-liveness mode
         self._pending_kills: list = []  # the fault plan's, read at attach()
-        self._host_of: list[int] = []      # partition -> hosting worker
         self._last_heartbeat: list[float] = []
         self._detectors: list[PhiAccrualDetector] = []
-        self._strikes: list[int] = []
-        self._quarantined: set[int] = set()
         self.degraded = False
         self.oom: dict | None = None
         self._detections: list[dict] = []
-        self._quarantines: list[dict] = []
 
     # -- wiring ----------------------------------------------------------
 
@@ -213,13 +162,6 @@ class Supervisor:
                 "supervision requires a FaultTolerance manager: detection "
                 "escalates into its checkpoint recovery (pass ft=...)"
             )
-        workers = engine.num_workers
-        for worker in self.plan.stragglers:
-            if not 0 <= worker < workers:
-                raise ValueError(
-                    f"--heartbeat marks straggler {worker} but the engine "
-                    f"has {workers} workers"
-                )
         self._engine = engine
         # The silent deaths this supervisor fires in process (``ft.attach``
         # checked their workers); the mp parent fires its own as SIGKILLs.
@@ -230,62 +172,36 @@ class Supervisor:
         # A recovery point must exist before anything can be detected dead.
         engine.ft.force_initial_checkpoint = True
 
-    def _hosted(self, worker: int) -> list[int]:
-        return [p for p, host in enumerate(self._host_of) if host == worker]
+    def _arm(self, now: float) -> None:
+        """Every worker just heartbeated at ``now``; every detector starts
+        from the nominal interval."""
+        workers = self._engine.num_workers
+        self._started = True
+        self._last_heartbeat = [now] * workers
+        self._detectors = [
+            PhiAccrualDetector(self.plan.heartbeat_interval) for _ in range(workers)
+        ]
 
     # -- engine hook ------------------------------------------------------
 
     def on_superstep_start(self) -> None:
         """Runs at every superstep boundary, before the FT manager's own
-        hook: simulate the barrier that just completed (durations,
-        heartbeats, silent deaths), detect, and escalate."""
+        hook: simulate the barrier that just completed (one unit, the
+        heartbeats, the plan's silent deaths), detect, and escalate."""
         engine = self._engine
         if not self._started:
-            self._started = True
-            workers = engine.num_workers
-            self._host_of = list(range(workers))
-            self._last_heartbeat = [0.0] * workers
-            self._detectors = [
-                PhiAccrualDetector(self.plan.heartbeat_interval)
-                for _ in range(workers)
-            ]
-            self._strikes = [0] * workers
+            self._arm(0.0)
             return
         plan = self.plan
-        rng = self._rng
-        workers = engine.num_workers
+        self._clock += 1.0
 
-        # The barrier that just completed: per-worker simulated durations.
-        slow = set(plan.stragglers)
-        if plan.straggle_rate:
-            slow.update(
-                w for w in range(workers)
-                if w not in self._quarantined and rng.random() < plan.straggle_rate
-            )
-        durations = [0.0] * workers
-        for w in range(workers):
-            hosted = sum(1 for host in self._host_of if host == w)
-            if hosted:
-                durations[w] = hosted * (
-                    plan.straggle_factor if w in slow else 1.0
-                )
-
-        # Silent deaths during that barrier: the plan's kills first, then random.
         crashed: list[int] = []
         while self._pending_kills and self._pending_kills[0].superstep == engine.superstep:
             crashed.append(self._pending_kills.pop(0).worker)
-        if plan.crash_rate:
-            for w in range(workers):
-                if w not in crashed and self._hosted(w) and rng.random() < plan.crash_rate:
-                    crashed.append(w)
-
-        barrier = max((durations[w] for w in range(workers) if w not in crashed), default=1.0)
-        barrier = max(barrier, 1.0)
-        self._clock += barrier
 
         # Live workers heartbeated through the barrier.
         interval = plan.heartbeat_interval
-        for w in range(workers):
+        for w in range(engine.num_workers):
             if w not in crashed:
                 gap = self._clock - self._last_heartbeat[w]
                 beats = int(gap // interval)
@@ -315,20 +231,6 @@ class Supervisor:
             if not self._escalate(w, detection, self._clock):
                 return  # degraded: the run halts at this barrier
 
-        # Straggler quarantine: consecutive blown barriers re-host the
-        # worker's partitions (physical placement only — the logical
-        # partition map, and with it the metered ledger, is untouched).
-        if plan.barrier_timeout:
-            for w in range(workers):
-                if w in self._quarantined or w in crashed or not durations[w]:
-                    continue
-                if durations[w] > plan.barrier_timeout:
-                    self._strikes[w] += 1
-                    if self._strikes[w] >= plan.straggle_strikes:
-                        self._quarantine(w)
-                else:
-                    self._strikes[w] = 0
-
     # -- real-process liveness (mp backend) -------------------------------
     #
     # The simulated hook above models the cluster clock; the mp backend
@@ -338,19 +240,9 @@ class Supervisor:
 
     def start_liveness(self, now: float) -> None:
         """Arm the detector against real wall-clock heartbeats (mp): the
-        workers were just forked, so every partition hosts on its own
-        worker and every detector starts from the nominal interval."""
-        engine = self._engine
-        workers = engine.num_workers
-        self._started = True
+        workers were just forked."""
         self._real_epoch = now
-        self._host_of = list(range(workers))
-        self._last_heartbeat = [now] * workers
-        self._detectors = [
-            PhiAccrualDetector(self.plan.heartbeat_interval)
-            for _ in range(workers)
-        ]
-        self._strikes = [0] * workers
+        self._arm(now)
 
     def observe_liveness(self, worker: int, now: float) -> None:
         """One real heartbeat: worker ``worker``'s barrier reply arrived."""
@@ -359,19 +251,6 @@ class Supervisor:
             self._detectors[worker].observe(gap)
         self._last_heartbeat[worker] = now
         self._clock = now - self._real_epoch
-
-    def draw_real_crashes(self) -> list[int]:
-        """Seeded random silent deaths for one real superstep (mp): the
-        ``crash_rate`` knob draws per live worker, exactly like the
-        simulated model — but the death is a real SIGKILL."""
-        plan = self.plan
-        if not plan.crash_rate:
-            return []
-        return [
-            w
-            for w in range(self._engine.num_workers)
-            if self._rng.random() < plan.crash_rate
-        ]
 
     def on_worker_failure(self, worker: int, now: float, cause: str) -> bool:
         """A real worker process failed its exchange deadline (died or
@@ -393,9 +272,9 @@ class Supervisor:
 
     def _escalate(self, worker: int, detection: dict, now: float) -> bool:
         """The one escalation of a detected death, simulated or real: meter
-        the silence, then recover the partitions ``worker`` hosted through
-        the FT manager, which spends the plan's restart budget — or, with
-        the budget spent, degrade to a partial result instead of raising.
+        the silence, then recover ``worker``'s partition through the FT
+        manager, which spends the plan's restart budget — or, with the
+        budget spent, degrade to a partial result instead of raising.
         ``now`` is the worker's fresh heartbeat on the detector's clock."""
         engine = self._engine
         ft = engine.ft
@@ -403,13 +282,12 @@ class Supervisor:
         tracer = engine.tracer
         if tracer is not None:
             tracer.event("supervisor.suspect", cat="supervisor", info=dict(detection))
-        restarted = ft.recover_worker(worker, partitions=self._hosted(worker))
+        restarted = ft.recover_worker(worker)
         detection["action"] = "restarted" if restarted else "degraded"
         self._detections.append(detection)
         info = {"worker": worker, "restarts_used": ft.restarts_used}
         if restarted:
             self._last_heartbeat[worker] = now
-            self._strikes[worker] = 0
             info["recovery"] = ft.plan.recovery
         else:
             self.degraded = True
@@ -441,31 +319,6 @@ class Supervisor:
         if engine is not None and engine.tracer is not None:
             engine.tracer.event("supervisor.oom", cat="supervisor", info=dict(detection))
 
-    def _quarantine(self, worker: int) -> None:
-        targets = [
-            w
-            for w in range(self._engine.num_workers)
-            if w != worker and w not in self._quarantined
-        ]
-        if not targets:
-            return  # nobody left to take the work
-        moved = self._hosted(worker)
-        for p in moved:
-            load = {w: sum(1 for h in self._host_of if h == w) for w in targets}
-            self._host_of[p] = min(targets, key=lambda w: (load[w], w))
-        self._quarantined.add(worker)
-        self._engine.metrics.workers_quarantined += 1
-        record = {
-            "worker": worker,
-            "superstep": self._engine.superstep,
-            "clock": self._clock,
-            "partitions_moved": moved,
-        }
-        self._quarantines.append(record)
-        tracer = self._engine.tracer
-        if tracer is not None:
-            tracer.event("supervisor.quarantine", cat="supervisor", info=dict(record))
-
     # -- reporting --------------------------------------------------------
 
     def report(self) -> dict:
@@ -488,7 +341,4 @@ class Supervisor:
             "completed_supersteps": engine.superstep if engine else 0,
             "oom": dict(self.oom) if self.oom else None,
             "detections": [dict(d) for d in self._detections],
-            "quarantined_workers": sorted(self._quarantined),
-            "quarantines": [dict(q) for q in self._quarantines],
-            "partition_hosts": list(self._host_of),
         }

@@ -312,7 +312,6 @@ LEDGER_FIELDS = {
     "ft.replay_work": "recovery_replay_work",
     "supervisor.restarts": "restarts",
     "supervisor.heartbeats_missed": "heartbeats_missed",
-    "supervisor.quarantines": "workers_quarantined",
     "mem.spilled_bytes": "spilled_bytes",
     "mem.spill_files": "spill_files",
     "mem.outbox_parks": "outbox_parks",

@@ -1,6 +1,5 @@
 """Supervision layer (repro.pregel.supervisor): heartbeat failure detection,
-automatic escalation into checkpoint recovery, straggler quarantine, and
-graceful degradation.
+automatic escalation into checkpoint recovery, and graceful degradation.
 
 The acceptance property (ISSUE 4): for every algorithm, generated and
 manual, a run under a nonzero drop+dup+reorder fault plan with
@@ -8,6 +7,8 @@ heartbeat-*detected* (not pre-declared) worker crashes produces outputs and
 ``parity_key()`` byte-identical to the failure-free run, under both
 recovery strategies — and exhausting the restart budget degrades to a
 structured partial-result report instead of raising."""
+
+import math
 
 import pytest
 
@@ -213,92 +214,33 @@ class TestDetector:
         assert run.metrics.heartbeats_missed == detection["heartbeats_missed"] > 0
 
 
-class TestQuarantine:
-    def test_straggler_is_quarantined_and_results_unchanged(self):
+    @pytest.mark.parametrize("backend", ("sim", "columnar"))
+    @pytest.mark.parametrize("recovery,clock", (("rollback", 18.0), ("confined", 16.0)))
+    def test_default_plan_detection_is_pinned(self, backend, recovery, clock):
+        # every worker hosts its own partition, so a barrier is one unit:
+        # worker 1 last beat at clock 1, dies in superstep 2, and the
+        # 5-unit deadline fires before phi reaches 4 (5 / ln 10 ≈ 2.17)
         graph = load_graph("twitter", SCALE)
         program = compile_algorithm("pagerank", emit_java=False).program
         args = default_args("pagerank", graph)
-        baseline = program.run(graph, args, num_workers=WORKERS)
-        supervisor = Supervisor(
-            SupervisorPlan(
-                stragglers=(2,),
-                straggle_factor=10.0,
-                barrier_timeout=5.0,
-                straggle_strikes=2,
-            )
-        )
-        run = program.run(
-            graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
+        supervisor = Supervisor(SupervisorPlan())
+        program.run(
+            graph, args, backend=backend, num_workers=WORKERS,
+            ft=FaultTolerance(
+                FaultPlan(checkpoint_every=2, crashes=_kills((1, 2)), recovery=recovery)
+            ),
             supervisor=supervisor,
         )
         report = supervisor.report()
-        assert report["quarantined_workers"] == [2]
-        assert run.metrics.workers_quarantined == 1
-        # re-hosting is physical placement only: worker 2's partition moved
-        # to another host, the logical ledger — and the results — untouched
-        assert 2 not in report["partition_hosts"]
-        assert run.outputs == baseline.outputs
-        assert run.metrics.parity_key() == baseline.metrics.parity_key()
-
-    def test_quarantined_hosts_are_covered_on_crash(self):
-        # worker 2 is quarantined early; its partition re-hosts onto some
-        # live worker, which then silently dies — detection must recover
-        # every partition the dead worker hosted, still bit-identically.
-        graph = load_graph("twitter", SCALE)
-        program = compile_algorithm("pagerank", emit_java=False).program
-        args = default_args("pagerank", graph)
-        baseline = program.run(graph, args, num_workers=WORKERS)
-        probe = Supervisor(
-            SupervisorPlan(
-                stragglers=(2,), straggle_factor=10.0,
-                barrier_timeout=5.0, straggle_strikes=1,
-            )
-        )
-        program.run(
-            graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(FaultPlan(checkpoint_every=2)),
-            supervisor=probe,
-        )
-        host = probe.report()["partition_hosts"][2]
-        supervisor = Supervisor(
-            SupervisorPlan(
-                stragglers=(2,), straggle_factor=10.0,
-                barrier_timeout=5.0, straggle_strikes=1,
-            )
-        )
-        plan = FaultPlan(checkpoint_every=2, crashes=_kills((host, 6)), recovery="confined")
-        run = program.run(
-            graph, args, num_workers=WORKERS,
-            ft=FaultTolerance(plan),
-            supervisor=supervisor,
-        )
-        assert run.metrics.restarts == 1
-        assert run.outputs == baseline.outputs
-        assert run.metrics.parity_key() == baseline.metrics.parity_key()
-
-
-class TestRandomFailures:
-    def test_seeded_crash_rate_is_deterministic(self):
-        graph = load_graph("twitter", SCALE)
-        program = compile_algorithm("pagerank", emit_java=False).program
-        args = default_args("pagerank", graph)
-        baseline = program.run(graph, args, num_workers=WORKERS)
-
-        def once():
-            supervisor = Supervisor(SupervisorPlan(crash_rate=0.05, seed=9))
-            run = program.run(
-                graph, args, num_workers=WORKERS,
-                ft=FaultTolerance(FaultPlan(checkpoint_every=2, max_restarts=50)),
-                supervisor=supervisor,
-            )
-            return run
-
-        first, second = once(), once()
-        assert first.metrics.restarts == second.metrics.restarts
-        assert first.metrics.heartbeats_missed == second.metrics.heartbeats_missed
-        assert first.outputs == baseline.outputs
-        assert first.metrics.parity_key() == baseline.metrics.parity_key()
+        assert report["detections"] == [
+            {
+                "worker": 1, "superstep": 2, "clock": 6.0, "silence": 5.0,
+                "phi": pytest.approx(5.0 / math.log(10.0)),
+                "heartbeats_missed": 5, "action": "restarted",
+            }
+        ]
+        assert report["clock_units"] == clock
+        assert report["restarts_used"] == 1
 
 
 class TestWiring:
@@ -363,16 +305,9 @@ class TestPlanValidation:
             {"heartbeat_interval": 0},
             {"phi_threshold": 0},
             {"deadline_timeout": -1},
-            {"straggle_strikes": 0},
-            {"barrier_timeout": -1},
-            {"crash_rate": 1.0},
-            {"straggle_rate": -0.1},
-            {"straggle_factor": 0.5},
             {"heartbeat_interval": float("nan")},
             {"phi_threshold": float("nan")},
             {"deadline_timeout": float("nan")},
-            {"barrier_timeout": float("nan")},
-            {"straggle_factor": float("nan")},
         ),
     )
     def test_bad_plans_rejected(self, kwargs):
@@ -380,16 +315,9 @@ class TestPlanValidation:
             SupervisorPlan(**kwargs)
 
     def test_parse_heartbeat_full(self):
-        plan = parse_heartbeat(
-            "interval=0.5,phi=3,deadline=4,barrier=8,strikes=2,"
-            "straggler=2+3,crash-rate=0.01,"
-            "straggle-rate=0.02,straggle-factor=6,seed=5",
-        )
+        plan = parse_heartbeat("interval=0.5,phi=3,deadline=4")
         assert plan == SupervisorPlan(
-            heartbeat_interval=0.5, phi_threshold=3.0, deadline_timeout=4.0,
-            barrier_timeout=8.0, straggle_strikes=2,
-            stragglers=(2, 3), crash_rate=0.01, straggle_rate=0.02,
-            straggle_factor=6.0, seed=5,
+            heartbeat_interval=0.5, phi_threshold=3.0, deadline_timeout=4.0
         )
 
     def test_parse_heartbeat_empty_is_default(self):
@@ -401,6 +329,7 @@ class TestPlanValidation:
             "junk", "bogus=1", "crash=zz", "straggler=x", "straggler=-1", "straggler=1+-2",
             "interval=x", "crash=-1@2", "crash=kill:1@2",
             "crash=0@-3", "interval=nan", "phi=nan", "deadline=nan", "straggle-factor=nan",
+            "straggler=2", "crash-rate=0.1", "strikes=1",
         ),
     )
     def test_parse_heartbeat_rejects_garbage(self, bad):
