@@ -305,9 +305,17 @@ class TestPlanValidation:
             {"heartbeat_interval": 0},
             {"phi_threshold": 0},
             {"deadline_timeout": -1},
+            {"heartbeat_interval": -1},
+            {"phi_threshold": -1},
+            {"deadline_timeout": -0.5},
+            {"heartbeat_interval": float("-inf")},
+            {"phi_threshold": float("-inf")},
             {"heartbeat_interval": float("nan")},
             {"phi_threshold": float("nan")},
             {"deadline_timeout": float("nan")},
+            {"deadline_timeout": float("-inf")},
+            # a disabled deadline leaves phi the only detector: still > 0
+            {"phi_threshold": 0, "deadline_timeout": 0},
         ),
     )
     def test_bad_plans_rejected(self, kwargs):
