@@ -558,8 +558,8 @@ class CompiledProgram:
         ``scheduling`` decides whether the vertex loop may go sparse:
         ``"frontier"`` (default) tracks the active set of a voting program and
         iterates only it while it is sparse; ``"dense"`` is that switch off —
-        every superstep scans every un-voted vertex.  Message routing (batched
-        per destination worker) is the same either way, on every backend, and
+        every superstep scans every un-voted vertex.  Message staging and
+        delivery are the same either way, on every backend, and
         both are bit-identical on outputs and on every metered quantity
         (``RunMetrics.parity_key()``); generated programs never call
         ``vote_to_halt`` (§5.2), so for them the two coincide.

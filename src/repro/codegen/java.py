@@ -123,8 +123,9 @@ class _W:
     def line(self, text: str = "") -> None:
         self._buf.write("    " * self.depth + text + "\n")
 
-    def open(self, text: str) -> None:
-        self.line(text + " {")
+    def open(self, text: str, comment: str = "") -> None:
+        """``text {``, then a trailing ``// comment`` (after the brace)."""
+        self.line(text + " {" + (f"  // {comment}" if comment else ""))
         self.depth += 1
 
     def close(self, suffix: str = "") -> None:
@@ -406,8 +407,8 @@ def _emit_vertex_class(w: _W, ir: PregelIR, cls: str) -> None:
     for phase in sorted(ir.phases.values(), key=lambda p: p.phase_id):
         w.line()
         w.open(
-            f"private void do_state_{phase.phase_id}(Iterable<Message> messages)"
-            f"  // {phase.label}"
+            f"private void do_state_{phase.phase_id}(Iterable<Message> messages)",
+            phase.label,
         )
         if ir.needs_in_nbrs and any(
             isinstance(s, VMsgLoop) and any(isinstance(b, VAppendInNbr) for b in s.body)

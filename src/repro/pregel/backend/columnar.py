@@ -42,7 +42,7 @@ import numpy as np
 
 from ..fold import OPEN, GlobalOp, fold
 from ..graph import Graph
-from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES
+from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES, cross_counts
 from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec
 
@@ -180,10 +180,7 @@ class NbrGather:
     @cached_property
     def cross_nbrs(self):
         """Per vertex: how many of its neighbours another worker owns."""
-        src = np.repeat(np.arange(len(self.degrees)), self.degrees)
-        return np.bincount(
-            src[self.nbr_owner != self.owner[src]], minlength=len(self.degrees)
-        )
+        return cross_counts(self.degrees, self.nbr_owner, self.owner)
 
     def out_edges(self, senders):
         """``(edges, counts)`` for ascending ``senders`` that all have
@@ -629,7 +626,7 @@ class ColumnarEngine(PregelEngine):
         plane = self._plane
         if self._transport is not None and sealed:
             # Per destination worker, ascending, an empty batch skipped: the
-            # calls, and so the RNG draws, of the tuple staging's route_part.
+            # calls, and so the RNG draws, of the tuple staging's route_count.
             dsts = np.concatenate([parts[0][0] for parts in sealed.values()])
             totals = np.bincount(self._csr.owner[dsts])
             for wid in np.flatnonzero(totals).tolist():

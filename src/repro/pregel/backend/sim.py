@@ -1,7 +1,7 @@
 """The dict-based simulator backend — the default and the parity oracle.
 
 Exactly the pre-backend execution path: list property columns, tuple
-messages in per-destination-worker dict batches, one
+messages in one ``{dst: msgs}`` outbox, one
 :class:`~repro.pregel.runtime.PregelEngine` in-process.  Every robustness
 subsystem (ft / net / mem / supervisor / tracing / combiners / voting)
 composes here; the other backends are measured against this one.

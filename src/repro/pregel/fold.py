@@ -133,20 +133,22 @@ def fold_at(op: GlobalOp, column, dsts, values) -> None:
                 column[d] = combine(op, int(column[d]), v)
             return
     if column.dtype.kind == "f" and op in (GlobalOp.MIN, GlobalOp.MAX) and dsts.size:
+        # ufunc.at lets a NaN value win, and breaks a tie of -0.0 and 0.0
+        # either way: a NaN value steps as the identity, and a slot that
+        # ends at zero holds its own zero, else the first zero sent to it
         values = np.broadcast_to(values, dsts.shape)
         lo, hi = values.min(), values.max()
-        if np.isnan(lo) or lo <= 0 <= hi or np.isnan(column).any():
-            # ufunc.at lets a NaN win and breaks ties either way: each
-            # destination's extreme apart from NaNs (of -0.0 and 0.0 the
-            # first sent), then one step into the column
-            identity = IDENTITY[op]
-            values = np.where(np.isnan(values), identity, values)
-            best = np.full(len(column), identity)
-            ufunc.at(best, dsts, values)
+        if np.isnan(lo):
+            values = np.where(np.isnan(values), IDENTITY[op], values)
+            lo, hi = values.min(), values.max()
+        if lo <= 0 <= hi:
             zero = values == 0
             hit, first = np.unique(dsts[zero], return_index=True)
-            best[hit] = np.where(best[hit] == 0, values[zero][first], best[hit])
-            column[dsts] = combine_each(op, column[dsts], best[dsts])
+            held = column[hit]
+            with np.errstate(invalid="ignore"):  # a NaN slot stays NaN
+                ufunc.at(column, dsts, values)
+            ends = column[hit]
+            column[hit] = np.where(ends == 0, np.where(held == 0, held, values[zero][first]), ends)
             return
     with np.errstate(over="ignore", invalid="ignore"):
         ufunc.at(column, dsts, values)

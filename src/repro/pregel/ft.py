@@ -359,8 +359,8 @@ class FaultTolerance:
         """Log the superstep's outgoing messages (confined recovery replay).
 
         ``outbox_view()`` gives the in-flight ``{dst: msgs}`` map under either
-        scheduler (dense mode returns the live dict by reference; frontier
-        mode merges its per-worker outbox batches).  After the delivery swap
+        scheduler, a new map over the staged message lists (the slab
+        backends decode theirs).  After the delivery swap
         the engine only reads the message lists, so the log sees exactly what
         superstep+1 delivered.  A real cluster keeps the same log on the
         healthy workers.

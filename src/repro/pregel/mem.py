@@ -555,20 +555,20 @@ class MemoryManager:
             self._split_superstep(budget.worker)
 
     def _split_superstep(self, worker: int) -> bool:
-        """Giraph-style degradation: flush the staged outbox sub-batch for
-        ``worker`` to a sorted run mid-phase; the next barrier re-merges
-        runs ahead of the residual in-memory batch, preserving every
-        receiver's send order."""
+        """Giraph-style degradation: cut ``worker``'s receivers out of the
+        staged outbox into a sorted run mid-phase; the next barrier
+        re-merges runs ahead of the residual in-memory batch, preserving
+        every receiver's send order."""
         engine = self._engine
-        part = engine._out_parts[worker]
-        if not part:
+        outbox, worker_of = engine._outbox, engine._worker_of
+        mine = sorted(dst for dst in outbox if worker_of[dst] == worker)
+        if not mine:
             return False
         budget = self.budgets[worker]
         spilled = budget.outbox_bytes
-        records = len(part)
+        records = len(mine)
         path = self._spill_path("outbox", worker)
-        self._write_run(path, sorted(part.items()))
-        part.clear()
+        self._write_run(path, [(dst, outbox.pop(dst)) for dst in mine])
         self._out_runs[worker].append(path)
         budget.outbox_bytes = 0
         metrics = engine.metrics
@@ -666,9 +666,8 @@ class MemoryManager:
                         break
                     yield dst, msgs, False
             os.unlink(path)
-        if part:
-            for dst, msgs in part.items():
-                yield dst, msgs, True
+        for dst, msgs in part.items():
+            yield dst, msgs, True
 
     def _deliver_worker(self, worker: int, part: dict[int, list], install) -> None:
         """Route one destination worker's traffic under credit control:
@@ -701,7 +700,7 @@ class MemoryManager:
                         break
                 piece = msgs if taken == n and start == 0 else msgs[start : start + taken]
                 if transport is not None:
-                    piece = transport.route_part(worker, {dst: piece})[dst]
+                    transport.route_count(worker, taken, nbytes / taken)
                 install(dst, piece, nbytes)
                 budget.inbox_bytes += nbytes
                 if charged:
@@ -737,8 +736,9 @@ class MemoryManager:
             self._largest_inbox = total
 
     def deliver(self, incoming: list[dict[int, list]], receiving) -> None:
-        """Budgeted replacement for the barrier's routing: same per-worker
-        order, same per-receiver message order, plus credit control and
+        """Budgeted replacement for the barrier's routing of ``incoming``,
+        the outbox's per-destination-worker batches: worker by worker, each
+        receiver's messages in send order, under credit control and
         spilling."""
         for worker, part in enumerate(incoming):
             if part or self._out_runs[worker]:
@@ -746,7 +746,6 @@ class MemoryManager:
                     w, dst, piece, nbytes, receiving
                 )
                 self._deliver_worker(worker, part, install)
-                part.clear()
 
     # -- vertex phase: materializing spilled inboxes ----------------------
 
@@ -929,8 +928,8 @@ class MemoryManager:
                             break
                         previous = merged.get(dst)
                         merged[dst] = msgs if previous is None else previous + msgs
-        for part in engine._out_parts:
-            for dst, msgs in part.items():
+        for batch in engine._batches(engine._outbox):
+            for dst, msgs in batch.items():
                 previous = merged.get(dst)
                 merged[dst] = msgs if previous is None else previous + msgs
         return merged
@@ -939,8 +938,8 @@ class MemoryManager:
         """Full-rollback restore: the engine just reinstalled the
         checkpoint's in-flight outbox in memory, so every live run file is
         stale — delete them and recharge the ledger from the restored
-        staged batches.  The split comes before the peak: a restored
-        batch over the watermark spills at once, and only what stays
+        outbox.  The split comes before the peak: a worker's restored
+        receivers over the watermark spill at once, and only what stays
         resident counts toward the peak."""
         engine = self._engine
         for worker in range(engine.num_workers):
@@ -962,11 +961,10 @@ class MemoryManager:
             budget.fetch_bytes = 0
         size_of = self._size_of
         worker_of = engine._worker_of
-        for part in engine._out_parts:
-            for dst, msgs in part.items():
-                budget = self.budgets[worker_of[dst]]
-                for msg in msgs:
-                    budget.outbox_bytes += size_of(msg)
+        for dst, msgs in engine._outbox.items():
+            budget = self.budgets[worker_of[dst]]
+            for msg in msgs:
+                budget.outbox_bytes += size_of(msg)
         for budget in self.budgets:
             if budget.total() > budget.soft_bytes:
                 self._split_superstep(budget.worker)

@@ -208,8 +208,8 @@ class SimulatedTransport:
     and hand it to the engine:
     ``program.run(graph, args, transport=SimulatedTransport(plan))``.  The
     engine routes every barrier's per-destination-worker message batches
-    through :meth:`route_part` (``columnar``: their sizes, through
-    :meth:`route_count`); each batch is one fresh stream.
+    through :meth:`route_count`, by size (a budgeted ``sim`` run: each
+    credit chunk); each is one fresh stream.
     """
 
     def __init__(self, plan: NetFaultPlan):
@@ -238,29 +238,11 @@ class SimulatedTransport:
 
     # -- routing ---------------------------------------------------------
 
-    def route_part(self, worker: int, part: dict[int, list]) -> dict[int, list]:
-        """Deliver one barrier's batch for destination ``worker``.
-
-        ``part`` maps destination vertex → message list in global send order
-        (each receiver's messages all live in its owner's batch).  The
-        reliable protocol reconstructs exactly that stream on the far side,
-        so the returned map is content-identical to the input — the faults
-        only cost retransmissions, backoff, and simulated latency, all of
-        which are metered.
-        """
-        total = sum(map(len, part.values()))
-        avg_bytes = 0.0
-        if total and self.plan.lossy and self._engine._mem_limited:
-            size_of = self._engine.mem._size_of
-            avg_bytes = sum(size_of(msg) for msgs in part.values() for msg in msgs) / total
-        self.route_count(worker, total, avg_bytes)
-        # Exactly-once in-order delivery reconstructed the sent stream.
-        return part
-
     def route_count(self, worker: int, total: int, avg_bytes: float = 0.0) -> None:
-        """One barrier's ``total`` messages for destination ``worker`` — all
-        the protocol reads of a batch, so a backend that stages typed slabs
-        calls this with the slabs' record count."""
+        """One batch of ``total`` messages for destination ``worker`` — all
+        the protocol reads of it, so every backend hands over a count; the
+        reliable protocol reconstructs the sent stream, and faults cost only
+        retransmissions, backoff and latency, all metered."""
         self.stats["messages_routed"] += total
         if total == 0 or not self.plan.lossy:
             # Fast path: a perfect channel needs no simulation — the

@@ -28,10 +28,10 @@ There is one routing path and one vertex loop; ``scheduling`` only decides
 whether the loop may go sparse (GraphIt-style sparse/dense direction
 switching, applied to the vertex iteration):
 
-* Messages are always staged in per-worker batched outboxes (one per
-  *destination* worker, as a real Pregel's outgoing buffers) and routed
-  once at the barrier into a dense inbox index.  Routing by destination
-  worker preserves each receiver's message order exactly.
+* Messages are staged in one outbox, ``{dst: msgs}`` in global send
+  order, installed at the barrier into a dense inbox index; the simulated
+  channel and a memory budget get per-destination-worker batches cut from
+  it there.  Each receiver's messages keep their send order.
 * ``scheduling="frontier"`` (the default) — under voting, track the
   *frontier* (vertices with incoming messages ∪ vertices that have not
   voted to halt) explicitly and iterate only it while it is smaller than
@@ -61,7 +61,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from contextlib import contextmanager
+from functools import cached_property
 from dataclasses import dataclass, field, fields
 from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol
@@ -389,6 +391,16 @@ LEDGER_FAMILIES: dict[str | None, tuple] = {
 }
 
 
+def cross_counts(degrees, nbr_owner, owner):
+    """Per row of a neighbour CSR (numpy ``degrees``, each entry's owner
+    ``nbr_owner``): how many entries another worker owns than the row's
+    vertex (``owner``) — what a send along the row meters as net traffic."""
+    import numpy as np
+
+    src = np.repeat(np.arange(len(degrees)), degrees)
+    return np.bincount(src[nbr_owner != owner[src]], minlength=len(degrees))
+
+
 def default_message_size(msg: tuple) -> int:
     """Fallback sizing: 1 byte tag + 8 bytes per payload field."""
     return 1 + 8 * (len(msg) - 1)
@@ -487,7 +499,7 @@ class PregelEngine:
         self._current_vertex = -1
         self._voted = bytearray(graph.num_nodes) if use_voting else None
         # Superstep scheduling (see module docstring).  Sends are staged in
-        # per-destination-worker batches and routed once at the barrier; the
+        # one outbox and installed once at the barrier; the
         # frontier is maintained incrementally (the survivors of the last
         # frontier that did not vote, plus the new inbox keys) with a dirty
         # flag forcing a full voted-bitmap scan after anything that
@@ -510,12 +522,8 @@ class PregelEngine:
         )
         self._frontier: list[int] = []
         self._frontier_dirty = True
-        # Per-destination-worker outboxes (a receiver's messages all live
-        # in its owner's batch, so per-receiver order is the global send
-        # order), double-buffered so delivery routing reuses the drained
-        # dicts instead of reallocating every superstep.
-        self._out_parts: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
-        self._in_parts: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
+        # The one outbox: {dst: msgs} in global send order.
+        self._outbox: defaultdict[int, list] = defaultdict(list)
         self._inbox_slots: list = [_NO_MESSAGES] * graph.num_nodes
         self._touched: list[int] = []
         # Sender-side message combining (the Pregel paper's combiners): one
@@ -549,7 +557,7 @@ class PregelEngine:
         if ft is not None:
             ft.attach(self)
         # Simulated transport (repro.pregel.net): when present, every
-        # barrier's per-destination-worker message batches are routed
+        # barrier's per-destination-worker message totals are routed
         # through its reliable delivery protocol; None keeps the direct
         # in-memory hand-off (the untouched fast path).
         self._transport = transport
@@ -654,31 +662,32 @@ class PregelEngine:
             self._step_work[worker_of[dst]] += 1
 
     def _enqueue(self, dst: int, msg: tuple) -> None:
-        # Stage in the destination worker's outbox batch.  A receiver's
-        # messages all land in its owner's batch, so per-receiver order is
-        # the global send order.
-        part = self._out_parts[self._worker_of[dst]]
-        bucket = part.get(dst)
-        if bucket is None:
-            part[dst] = [msg]
-        else:
-            bucket.append(msg)
+        """Stage ``msg`` in the one outbox: each receiver's list in send order."""
+        self._outbox[dst].append(msg)
+
+    def _batches(self, outbox: dict[int, list]) -> list[dict[int, list]]:
+        """``outbox`` cut into per-destination-worker batches, each in the
+        outbox's order: what the simulated channel, a memory budget and a
+        checkpoint see of it."""
+        batches: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
+        worker_of = self._worker_of
+        for dst, msgs in outbox.items():
+            batches[worker_of[dst]][dst] = msgs
+        return batches
 
     def outbox_view(self) -> dict[int, list]:
-        """The in-flight messages as one ``{dst: msgs}`` map: the
-        per-worker outbox batches merged (each destination appears in
-        exactly one).  The fault-tolerance manager checkpoints and logs
-        through this view, so every backend shares one checkpoint/log
-        format.  Under a memory budget the view also re-merges any
-        superstep-split spill runs, so checkpoints and confined-recovery
-        logs see exactly the traffic a budget-free run would have staged
-        in memory.
-        """
+        """The in-flight messages as one ``{dst: msgs}`` map, the outbox's
+        per-worker batches merged in worker order.  The fault-tolerance
+        manager checkpoints and logs through this view, so every backend
+        shares one checkpoint/log format.  Under a memory budget the view
+        also re-merges any superstep-split spill runs, so checkpoints and
+        confined-recovery logs see exactly the traffic a budget-free run
+        would have staged in memory."""
         if self._mem_limited:
             return self.mem.outbox_snapshot()
         merged: dict[int, list] = {}
-        for part in self._out_parts:
-            merged.update(part)
+        for batch in self._batches(self._outbox):
+            merged.update(batch)
         return merged
 
     def _flush_combined(self) -> None:
@@ -705,18 +714,19 @@ class PregelEngine:
         """Bulk send: ``msg`` to every out-neighbor of ``vid`` — the
         ``send_list`` of its out-CSR slice.  Generated code emits this for
         loop-invariant payloads, as hand-written programs call it for a
-        neighbor broadcast."""
+        neighbor broadcast.  Its net traffic is read from ``_cross_nbrs``,
+        not looked up message by message."""
         offsets = self.graph.out_offsets
         s, e = offsets[vid], offsets[vid + 1]
         if s != e:
-            self._send_block(self.graph.out_targets[s:e], repeat(msg), msg)
+            self._send_block(self.graph.out_targets[s:e], None, msg, vid)
 
     def send_list(self, dsts, msg: tuple) -> None:
         """Bulk send: ``msg`` to every vertex in ``dsts`` (in-neighbor
         sends through the Incoming-Neighbors prologue's ``_in_nbrs``) — the
         ``send_each`` of one payload for every destination."""
         if dsts:
-            self._send_block(dsts, repeat(msg), msg)
+            self._send_block(dsts, None, msg)
 
     def send_each(self, dsts, msgs: list) -> None:
         """Bulk send: ``msgs[k]`` to vertex ``dsts[k]``, payloads of one tag
@@ -731,9 +741,11 @@ class PregelEngine:
         if dsts:
             self._send_block(dsts, msgs, msgs[0])
 
-    def _send_block(self, dsts, msgs: Iterable[tuple], msg: tuple) -> None:
+    def _send_block(self, dsts, msgs: list | None, msg: tuple, row: int = -1) -> None:
         """``send_each`` of a non-empty block: ``msgs`` lines up with
-        ``dsts``, ``msg`` is one of them (the block's tag and size)."""
+        ``dsts`` (None: ``msg`` to each), ``msg`` is one of them (the
+        block's tag and size); ``row`` is the vertex whose out-neighbours
+        ``dsts`` are, or -1."""
         sender = self._current_vertex
         if sender < 0:
             raise RuntimeError(OUTSIDE_PHASE_ERROR)
@@ -741,22 +753,25 @@ class PregelEngine:
             return  # already delivered by the original execution (see send)
         if self._mem_limited or (self._combiners and msg[0] in self._combiners):
             send = self.send
-            for dst, one in zip(dsts, msgs):
+            for dst, one in zip(dsts, repeat(msg) if msgs is None else msgs):
                 send(dst, one)
             return
+        outbox = self._outbox
+        if msgs is None:
+            for dst in dsts:
+                outbox[dst].append(msg)
+        else:
+            for dst, one in zip(dsts, msgs):
+                outbox[dst].append(one)
+        n = len(dsts)
         worker_of = self._worker_of
-        owners = list(map(worker_of.__getitem__, dsts))
-        parts = self._out_parts
-        for dst, owner, one in zip(dsts, owners, msgs):
-            part = parts[owner]
-            bucket = part.get(dst)
-            if bucket is None:
-                part[dst] = [one]
-            else:
-                bucket.append(one)
-        n = len(owners)
         sender_worker = worker_of[sender]
-        remote = n - owners.count(sender_worker)
+        track = self._track_makespan
+        if row >= 0 and not track and worker_of[row] == sender_worker:
+            remote = self._cross_nbrs[row]
+        else:  # per message: what crossed, and whose work each receive is
+            owners = list(map(worker_of.__getitem__, dsts))
+            remote = n - owners.count(sender_worker)
         size = self._message_size(msg)
         m = self.metrics
         m.messages += n
@@ -765,13 +780,24 @@ class PregelEngine:
         if remote:
             m.net_messages += remote
             m.net_bytes += remote * size
-        if self._track_makespan:
+        if track:
             step_work = self._step_work
             step_work[sender_worker] += n
             for owner in owners:
                 step_work[owner] += 1
         if self._trace_worker_bytes:
             self._trace_worker_bytes[sender_worker] += n * size
+
+    @cached_property
+    def _cross_nbrs(self) -> list[int]:
+        """Per vertex: how many of its out-neighbours another worker owns;
+        built at first use."""
+        import numpy as np
+
+        graph = self.graph
+        owner = np.fromiter(self._worker_of, np.int64, graph.num_nodes)
+        nbr_owner = owner[np.asarray(graph.out_targets)]
+        return cross_counts(np.diff(graph.out_offsets), nbr_owner, owner).tolist()
 
     def get_global(self, name: str) -> Any:
         return self.globals.broadcast[name]
@@ -946,23 +972,15 @@ class PregelEngine:
             self._frontier_dirty = True
         # Under a budget the live spill runs are stale now — the restored
         # in-flight outbox was just installed in memory; the manager drops
-        # the run files and recharges the ledger from the installed batches.
+        # the run files and recharges the ledger from the installed outbox.
         if self._mem_limited:
             self.mem.on_rollback()
 
     def _stage_inflight(self, outbox: dict) -> None:
         """Stage a checkpoint's ``{dst: msgs}`` as the next delivery."""
-        # Install the checkpointed buckets without duplicating each message
-        # list: a restored payload is freshly unpickled (FT) or engine
-        # buckets are never mutated in place after staging (direct restore
-        # of a captured state), so per-bucket copies would double the
-        # restore's memory footprint for nothing.
-        parts = self._out_parts
-        for part in parts:
-            part.clear()
-        worker_of = self._worker_of
-        for dst, msgs in outbox.items():
-            parts[worker_of[dst]][dst] = msgs
+        # The buckets are not copied: a restored payload is freshly unpickled
+        # (FT), and staged buckets are never mutated after staging.
+        self._outbox = defaultdict(list, outbox)
 
     # ------------------------------------------------------------------
     # Execution
@@ -1287,9 +1305,9 @@ class PregelEngine:
                     s_corrupted = _m.messages_corrupted
                     s_retransmitted = _m.packets_retransmitted
 
-        # Deliver messages sent last superstep: the per-worker outbox
-        # batches are routed once, here at the barrier, into the dense inbox
-        # index (one slot per vertex).
+        # Deliver messages sent last superstep: the one outbox is installed
+        # once, here at the barrier, into the dense inbox index (one slot
+        # per vertex).
         self._deliver()
         touched = self._touched
 
@@ -1374,37 +1392,35 @@ class PregelEngine:
         )
 
     def _deliver(self) -> None:
-        """Route the per-destination-worker outbox batches into the dense
-        inbox index at the barrier.  The drained dicts are reused as next
-        superstep's outboxes (double buffering).  Execution backends
+        """Install the one outbox into the dense inbox index at the barrier
+        and start the next.  Per-worker batches are cut from it only for the
+        simulated channel (each one's total, through ``route_count``) and a
+        limited memory plan (routed under credit control).  Execution backends
         override this hook to swap the staging representation (e.g. typed
         message slabs) while keeping the run loop — and the barrier it
         synchronizes at — unchanged."""
-        incoming = self._out_parts
-        self._out_parts = self._in_parts
-        self._in_parts = incoming
+        outbox = self._outbox
+        self._outbox = defaultdict(list)
         touched = self._touched
         touched.clear()
-        slots = self._inbox_slots
-        receiving = touched.append
-        transport = self._transport
         if self._mem_limited:
             # Credit-controlled routing: same worker order, same
             # per-receiver message order, bounded by the budget
             # (split runs re-merge ahead of the residual batch).
-            self.mem.deliver(incoming, receiving)
-        else:
-            for wid, part in enumerate(incoming):
-                if part:
-                    if transport is not None:
-                        # The batch crosses the simulated channel; the
-                        # reliable protocol reconstructs the exact sent
-                        # stream (faults cost retransmissions, not data).
-                        transport.route_part(wid, part)
-                    for dst, msgs in part.items():
-                        slots[dst] = msgs
-                        receiving(dst)
-                    part.clear()
+            self.mem.deliver(self._batches(outbox), touched.append)
+            return
+        transport = self._transport
+        if transport is not None:
+            # The batches cross the simulated channel; the reliable
+            # protocol reconstructs the exact sent stream (faults cost
+            # retransmissions, not data), so only their sizes travel.
+            for wid, batch in enumerate(self._batches(outbox)):
+                if batch:
+                    transport.route_count(wid, sum(map(len, batch.values())))
+        slots = self._inbox_slots
+        for dst, msgs in outbox.items():
+            slots[dst] = msgs
+        touched.extend(outbox)
 
     def _vertex_phase(self, frontier) -> int:
         """Run this superstep's vertex loop over its active set:

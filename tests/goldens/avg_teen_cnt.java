@@ -45,14 +45,14 @@ public class AvgTeenCnt {
             }
         }
         
-        private void do_state_0(Iterable<Message> messages)  // par@4+par@4 {
+        private void do_state_0(Iterable<Message> messages) {  // par@4+par@4
             getValue()._gm_p_gm_r00 = 0;
             if (((getValue().age >= 13) && (getValue().age <= 19))) {
                 sendToNbrs(Message.tag0());
             }
         }
         
-        private void do_state_2(Iterable<Message> messages)  // recv@4+par@4+par@7+par@7 {
+        private void do_state_2(Iterable<Message> messages) {  // recv@4+par@4+par@7+par@7
             for (Message m : messages) {
                 getValue()._gm_p_gm_r00 += 1;
             }

@@ -957,11 +957,13 @@ class TestSlabPlane:
         st.sampled_from((1, 2, 3, 5)),
         st.sampled_from(("hash", "range")),
         st.sampled_from((None, "SUM", "MIN", "MAX")),
+        st.booleans(),
         st.randoms(use_true_random=False),
     )
-    def test_a_block_send_is_its_sends(self, alg, n, workers, partitioning, fold, rng):
+    def test_a_block_send_is_its_sends(self, alg, n, workers, partitioning, fold, track, rng):
         # the simulator's send_nbrs / send_list stage and meter a block in
-        # one pass: held to one PregelEngine.send per destination
+        # one pass: held to one PregelEngine.send per destination (without
+        # makespan tracking, send_nbrs meters from its cross-worker table)
         from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
 
@@ -977,7 +979,7 @@ class TestSlabPlane:
         def engine():
             one = PregelEngine(
                 graph, None, num_workers=workers, partitioning=partitioning,
-                message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
+                message_size=lambda msg: codec.sizes[msg[0]], track_makespan=track,
                 combiners=combiners,
                 ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
@@ -1001,9 +1003,7 @@ class TestSlabPlane:
             if flush:  # the folded slots, metered at the barrier
                 block._flush_combined()
                 each._flush_combined()
-            assert [list(p.items()) for p in block._out_parts] == [
-                list(p.items()) for p in each._out_parts
-            ]
+            assert list(block._outbox.items()) == list(each._outbox.items())
             assert list(block._combined.items()) == list(each._combined.items())
             for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
@@ -1084,9 +1084,7 @@ class TestSlabPlane:
             if flush:  # the folded slots, metered at the barrier
                 block._flush_combined()
                 each._flush_combined()
-            assert [list(p.items()) for p in block._out_parts] == [
-                list(p.items()) for p in each._out_parts
-            ]
+            assert list(block._outbox.items()) == list(each._outbox.items())
             assert list(block._combined.items()) == list(each._combined.items())
             for name in traffic:
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
@@ -1290,7 +1288,7 @@ class TestSlabPlane:
         assert engine.metrics.messages == 0
         assert engine.metrics.worker_sent == [0, 0]
         if backend == "sim":
-            assert not any(engine._out_parts)
+            assert not engine._outbox
         else:
             assert not list(engine._plane.seal())
 
@@ -1308,7 +1306,7 @@ class TestSlabPlane:
         m = engine.metrics
         assert (m.messages, m.message_bytes, m.net_messages, m.net_bytes) == (0, 0, 0, 0)
         assert m.worker_sent == engine._step_work == engine._trace_worker_bytes == [0, 0]
-        assert not any(engine._out_parts)
+        assert not engine._outbox
 
     @pytest.mark.parametrize("manual", [False, True])
     def test_a_limited_budget_sends_message_by_message(self, programs, graph, manual):
@@ -3895,3 +3893,40 @@ class TestDenseSends:
                 assert 0 < totals["split_records"] < totals["bulk_records"]
         # which sends split is the program's, not the placement's
         assert len(splits) == 1
+
+
+class TestOneOutbox:
+    """The simulator stages every message in one ``{dst: msgs}`` outbox and
+    cuts per-destination-worker batches from it only at the barrier."""
+
+    @pytest.mark.parametrize("alg", ["pagerank", "sssp"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("partitioning", ["hash", "range"])
+    def test_route_count_totals_are_what_each_worker_received(
+        self, programs, graph, alg, workers, partitioning
+    ):
+        # per delivery, ascending, an empty batch skipped: the totals the
+        # simulated channel is handed are the messages that worker's
+        # receivers hold once the outbox is installed
+        transport = lossy_transport()
+        engine, _fields, _master = programs[alg].make_engine(
+            graph, default_args(alg, graph), num_workers=workers,
+            partitioning=partitioning, transport=transport,
+        )  # fmt: skip
+        received = []
+        deliver = engine._deliver
+
+        def counted_deliver():
+            deliver()
+            totals = [0] * workers
+            for dst in engine._touched:
+                totals[engine._worker_of[dst]] += len(engine._inbox_slots[dst])
+            received.extend((wid, total) for wid, total in enumerate(totals) if total)
+
+        engine._deliver = counted_deliver
+        metrics = engine.run()
+        assert transport.batches == received
+        assert {wid for wid, _total in received} == set(range(workers))
+        assert metrics.parity_key() == run_on(
+            programs, graph, alg, "sim", num_workers=workers, partitioning=partitioning
+        ).metrics.parity_key()

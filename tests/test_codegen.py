@@ -4,7 +4,7 @@ Java emitter (§4.3 artifacts)."""
 import pytest
 
 from repro.compiler import compile_algorithm, compile_source
-from repro.algorithms.sources import ALGORITHMS
+from repro.algorithms.sources import ALGORITHMS, EXTRA_ALGORITHMS
 from repro.bench.harness import default_args
 from repro.graphgen.registry import load_graph
 from repro.pregel import Graph
@@ -127,6 +127,16 @@ class TestJavaBackend:
         for name in ALGORITHMS:
             src = compile_algorithm(name).java_source
             assert src.count("{") == src.count("}"), name
+
+    @pytest.mark.parametrize("name", ALGORITHMS + EXTRA_ALGORITHMS)
+    def test_braces_balance_outside_comments(self, name):
+        # what javac reads: a trailing `// label` must not swallow a brace
+        depth = 0
+        for line in compile_algorithm(name).java_source.splitlines():
+            code = line.split("//", 1)[0]
+            depth += code.count("{") - code.count("}")
+            assert depth >= 0, line
+        assert depth == 0
 
     def test_message_class_has_serialization(self):
         src = compile_algorithm("pagerank").java_source

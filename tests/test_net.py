@@ -96,13 +96,14 @@ class TestSpecParsing:
 
 
 class TestFastPath:
-    def test_zero_fault_plan_returns_part_unchanged(self):
+    def test_zero_fault_plan_only_counts(self):
         transport = SimulatedTransport(NetFaultPlan())
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         engine = PregelEngine(g, lambda c, v, m: None, num_workers=WORKERS)
         transport.attach(engine)
-        part = {1: [(0, 1.0)], 3: [(0, 2.0), (0, 3.0)]}
-        assert transport.route_part(1, part) is part
+        state = transport._rng.getstate()
+        transport.route_count(1, 3)
+        assert transport._rng.getstate() == state  # no channel simulated
         assert transport.stats["messages_routed"] == 3
         assert engine.metrics.messages_dropped == 0
         assert engine.metrics.packets_retransmitted == 0
