@@ -32,7 +32,7 @@ from pathlib import Path
 from .compiler import compile_source
 from .graphgen.registry import TABLE1, load_graph
 from .lang.errors import BadArgument, GreenMarlError, MissingArgument
-from .pregel.backend import BACKENDS, BackendUnsupported
+from .pregel.backend import BACKENDS, BackendUnsupported, get_backend
 
 
 def _parse_value(text: str):
@@ -220,32 +220,6 @@ def _build_mem(ns: argparse.Namespace):
     return MemoryManager(plan)
 
 
-def _validate_backend_composition(ns: argparse.Namespace) -> None:
-    """Refuse unsupported backend/feature compositions *before* the graph
-    loads.  The engine constructor re-checks (it is the authority), but by
-    then the CLI has spent seconds generating a large graph — validating
-    from the flags alone makes ``--backend mp --net-faults ...`` on a
-    1M-vertex graph fail in milliseconds, with the identical exit-2
-    message, because both paths share :func:`composition_refusals`."""
-    if ns.backend != "mp":
-        if getattr(ns, "transport", "shm") == "tcp":
-            raise _die(
-                "--transport tcp needs real worker processes to connect "
-                "(run with --backend mp)"
-            )
-        return
-    from .pregel.backend.mp import composition_refusals, mp_available
-
-    refusals = composition_refusals(ns.net_faults or None)
-    if refusals:
-        raise _die(refusals[0])
-    if not mp_available():
-        raise _die(
-            "the mp backend needs fork start-method and "
-            "multiprocessing.shared_memory, unavailable on this platform"
-        )
-
-
 def _execute_traced(
     ns: argparse.Namespace, *, force_trace: bool = False, metrics_registry=None
 ):
@@ -254,7 +228,11 @@ def _execute_traced(
     Returns ``(graph, run, tracer)``; trace/metrics exports are written here
     so every run-shaped subcommand shares them."""
     _validate_run_shape(ns)
-    _validate_backend_composition(ns)
+    if ns.backend != "mp" and getattr(ns, "transport", "shm") == "tcp":
+        raise _die(
+            "--transport tcp needs real worker processes to connect "
+            "(run with --backend mp)"
+        )
     # Build every flag-derived component *before* the graph loads: a
     # malformed --inject-fault / --heartbeat / --mem-budget spec is a
     # usage error and must exit 2 in milliseconds, not after seconds of
@@ -263,10 +241,11 @@ def _execute_traced(
     transport = _build_transport(ns)
     supervisor = _build_supervisor(ns)
     mem = _build_mem(ns)
-    if ns.backend == "columnar" and mem is not None and mem.limited:
-        from .pregel.backend.columnar import MEM_REFUSAL
-
-        raise _die(MEM_REFUSAL)
+    # A composition the engine refuses, in the words its constructor raises
+    # (the one ``refusal`` of its class): exit 2 before the graph loads.
+    refusal = get_backend(ns.backend).refusal(compiled=True, mem=mem, transport=transport)
+    if refusal is not None:
+        raise _die(refusal)
     tracer = None
     if force_trace or ns.trace or ns.trace_chrome:
         from .obs import Tracer

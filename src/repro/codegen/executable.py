@@ -26,7 +26,6 @@ vertex-field columns and broadcast map:
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -547,37 +546,23 @@ class CompiledProgram:
         graph: Graph,
         args: dict | None = None,
         *,
-        backend="sim",
+        backend: str = "sim",
         use_combiners: bool = False,
-        scheduling: str = "frontier",
-        frontier_threshold: float = 0.25,
         **engine_opts,
     ) -> tuple[PregelEngine, dict[str, list], GeneratedMaster]:
-        """Instantiate a PregelEngine for this program.
+        """Instantiate an engine for this program.
 
-        ``scheduling`` decides whether the vertex loop may go sparse:
-        ``"frontier"`` (default) tracks the active set of a voting program and
-        iterates only it while it is sparse; ``"dense"`` is that switch off —
-        every superstep scans every un-voted vertex.  Message staging and
-        delivery are the same either way, on every backend, and
-        both are bit-identical on outputs and on every metered quantity
-        (``RunMetrics.parity_key()``); generated programs never call
-        ``vote_to_halt`` (§5.2), so for them the two coincide.
-        ``frontier_threshold`` is the active-set density above which frontier
-        mode scans densely (GraphIt-style direction switch).  Remaining
-        ``engine_opts`` pass through to :class:`PregelEngine`.
-
-        ``backend`` selects the execution backend (``"sim"``, ``"columnar"``
-        or ``"mp"``, or an :class:`ExecutionBackend` instance): how property
+        ``backend`` names the engine class (``"sim"``, ``"columnar"`` or
+        ``"mp"``, :func:`~repro.pregel.backend.get_backend`): how property
         columns are stored, how staged messages are represented, and which
-        engine drives the supersteps.  All backends are parity-identical;
+        superstep body runs.  All backends are parity-identical;
         compositions a backend refuses raise
-        :class:`~repro.pregel.backend.BackendUnsupported`.
+        :class:`~repro.pregel.backend.BackendUnsupported`.  ``engine_opts``
+        (``scheduling``, ``num_workers``, ``ft`` …) pass through to the
+        engine's constructor, which owns their defaults.
         """
-        backend_impl = get_backend(backend)
+        engine_cls = get_backend(backend)
         args = dict(args or {})
-        engine_opts["scheduling"] = scheduling
-        engine_opts["frontier_threshold"] = frontier_threshold
         if use_combiners and "combiners" not in engine_opts:
             from ..translate.combiner import infer_combiners
 
@@ -585,9 +570,7 @@ class CompiledProgram:
         for name, param in ((p.name, p) for p in self.ir.params):
             if isinstance(param.gm_type, ty.EdgePropType) and name not in graph.edge_props:
                 raise ValueError(f"graph is missing edge property '{name}'")
-        fields = backend_impl.build_columns(
-            self.schema, graph, self._build_fields(graph, args), args
-        )
+        fields = engine_cls.build_columns(self.schema, self._build_fields(graph, args))
         env: dict = {
             "B": None,  # patched below (needs the engine's broadcast dict)
             "INF": INF_VALUE,
@@ -621,35 +604,17 @@ class CompiledProgram:
         def message_size(msg: tuple) -> int:
             return sizes[msg[0]]
 
-        engine = backend_impl.create_engine(
+        engine = engine_cls(
             graph,
+            vertex_compute=env["PHASE_LOOPS"],
             master_compute=master.compute,
             message_size=message_size,
             schema=self.schema,
-            engine_opts=engine_opts,
+            **engine_opts,
         )
         env["B"] = engine.globals.broadcast
-        engine._vertex_compute = env["PHASE_LOOPS"]
-        if hasattr(engine, "_columns"):
-            # The mp backend's parent process scatters the workers'
-            # partitions back into these columns after the run.
-            engine._columns = fields
-        if hasattr(engine, "compile_array_code"):
-            from .vectorize import build_array_code
-
-            build = functools.partial(build_array_code, self.ir, self.schema, fields)
-            tracer = engine.tracer
-            decisions: list | None = [] if tracer is not None else None
-            engine.compile_array_code(build, decisions)
-            if tracer is not None:
-                # info-only: which phases compiled to bulk receive handlers
-                # and array kernels, and why the rest stayed scalar.  Never
-                # det — the sim backend skips the vectorizer entirely, so
-                # these events must not enter cross-backend deterministic
-                # comparisons.
-                for decision in decisions:
-                    tracer.event("compile.vectorize", cat="compile", info=decision)
-        if getattr(engine, "ft", None) is not None:
+        engine.bind_program(fields, self._array_code)
+        if engine.ft is not None:
             # Checkpoints must cover everything a worker crash can destroy:
             # the vertex property columns and the master's state.
             from ..pregel.ft import ColumnState
@@ -657,6 +622,14 @@ class CompiledProgram:
             engine.ft.register(ColumnState(fields))
             engine.ft.register(master)
         return engine, fields, master
+
+    def _array_code(self, columns: dict, engine, decisions: list | None = None):
+        """This program's bulk receive handlers and phase kernels over
+        ``columns``, compiled against ``engine`` (``codegen.vectorize``,
+        imported by the slab engines only)."""
+        from .vectorize import build_array_code
+
+        return build_array_code(self.ir, self.schema, columns, engine, decisions)
 
     def run(
         self,
@@ -671,9 +644,8 @@ class CompiledProgram:
             graph, args, backend=backend, use_combiners=use_combiners, **engine_opts
         )
         metrics = engine.run()
-        backend_impl = get_backend(backend)
         outputs = {
-            p.name: backend_impl.column_values(fields[p.name])
+            p.name: engine.column_values(fields[p.name])
             for p in self.ir.params
             if p.is_output and p.name in fields
         }

@@ -12,8 +12,9 @@ program has the exact shape the paper describes:
 * a master class holding the global scalars, running the state machine and
   broadcasting the state number and globals each superstep.
 
-The Java is an artifact (we have no JVM/GPS here); it is syntactically
-plausible and structurally faithful rather than compiled.
+The Java is an artifact, not compiled: a JDK needs the GPS API it extends
+(``Vertex``, ``Master``, ``Writable``), which this repository does not
+ship.  It is syntactically plausible and structurally faithful.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class _W:
 # ---------------------------------------------------------------------------
 
 
-def jexpr(e, *, ctx: str, msgp: str = "m.f") -> str:
-    """Render an IR expression; ``ctx`` is 'vertex' or 'master'; ``msgp`` is
-    the Java prefix for message payload fields (tag-qualified when tagged)."""
+def jexpr(e, *, ctx: str, msg: tuple[str, ...] = ()) -> str:
+    """Render an IR expression; ``ctx`` is 'vertex' or 'master'; ``msg`` holds
+    the Java accessor of each payload field being read (:func:`_jfield`)."""
     if isinstance(e, Lit):
         if isinstance(e.value, bool):
             return "true" if e.value else "false"
@@ -161,24 +162,24 @@ def jexpr(e, *, ctx: str, msgp: str = "m.f") -> str:
     if isinstance(e, GlobalGet):
         return f'getGlobal("{e.name}")'
     if isinstance(e, MsgField):
-        return f"{msgp}{e.index}"
+        return msg[e.index]
     if isinstance(e, MyId):
         return "getId()"
     if isinstance(e, Bin):
-        return f"({jexpr(e.lhs, ctx=ctx, msgp=msgp)} {_BIN_JAVA[e.op]} {jexpr(e.rhs, ctx=ctx, msgp=msgp)})"
+        return f"({jexpr(e.lhs, ctx=ctx, msg=msg)} {_BIN_JAVA[e.op]} {jexpr(e.rhs, ctx=ctx, msg=msg)})"
     if isinstance(e, Un):
         if e.op is UnOp.NEG:
-            return f"(-{jexpr(e.operand, ctx=ctx, msgp=msgp)})"
+            return f"(-{jexpr(e.operand, ctx=ctx, msg=msg)})"
         if e.op is UnOp.NOT:
-            return f"(!{jexpr(e.operand, ctx=ctx, msgp=msgp)})"
-        return f"Math.abs({jexpr(e.operand, ctx=ctx, msgp=msgp)})"
+            return f"(!{jexpr(e.operand, ctx=ctx, msg=msg)})"
+        return f"Math.abs({jexpr(e.operand, ctx=ctx, msg=msg)})"
     if isinstance(e, Cond):
         return (
-            f"({jexpr(e.cond, ctx=ctx, msgp=msgp)} ? {jexpr(e.then, ctx=ctx, msgp=msgp)}"
-            f" : {jexpr(e.other, ctx=ctx, msgp=msgp)})"
+            f"({jexpr(e.cond, ctx=ctx, msg=msg)} ? {jexpr(e.then, ctx=ctx, msg=msg)}"
+            f" : {jexpr(e.other, ctx=ctx, msg=msg)})"
         )
     if isinstance(e, CastTo):
-        return f"(({java_type(e.to_type)}) {jexpr(e.operand, ctx=ctx, msgp=msgp)})"
+        return f"(({java_type(e.to_type)}) {jexpr(e.operand, ctx=ctx, msg=msg)})"
     if isinstance(e, Call):
         if e.name == "out_degree":
             return "getOutEdges().size()"
@@ -201,17 +202,17 @@ def jexpr(e, *, ctx: str, msgp: str = "m.f") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _jstmt(w: _W, stmt: VStmt, ir: PregelIR, msgp: str = "m.f") -> None:
+def _jstmt(w: _W, stmt: VStmt, ir: PregelIR, msg: tuple[str, ...] = ()) -> None:
     ctx = "vertex"
     if isinstance(stmt, VLocal):
-        w.line(f"double {stmt.name} = {jexpr(stmt.expr, ctx=ctx, msgp=msgp)};")
+        w.line(f"double {stmt.name} = {jexpr(stmt.expr, ctx=ctx, msg=msg)};")
     elif isinstance(stmt, VAssignLocal):
-        w.line(f"{stmt.name} = {jexpr(stmt.expr, ctx=ctx, msgp=msgp)};")
+        w.line(f"{stmt.name} = {jexpr(stmt.expr, ctx=ctx, msg=msg)};")
     elif isinstance(stmt, VFieldAssign):
-        w.line(f"getValue().{stmt.name} = {jexpr(stmt.expr, ctx=ctx, msgp=msgp)};")
+        w.line(f"getValue().{stmt.name} = {jexpr(stmt.expr, ctx=ctx, msg=msg)};")
     elif isinstance(stmt, VFieldReduce):
         field = f"getValue().{stmt.name}"
-        value = jexpr(stmt.expr, ctx=ctx, msgp=msgp)
+        value = jexpr(stmt.expr, ctx=ctx, msg=msg)
         if stmt.op is GlobalOp.SUM:
             w.line(f"{field} += {value};")
         elif stmt.op is GlobalOp.PRODUCT:
@@ -227,39 +228,40 @@ def _jstmt(w: _W, stmt: VStmt, ir: PregelIR, msgp: str = "m.f") -> None:
         else:
             w.line(f"{field} = {value};")
     elif isinstance(stmt, VIf):
-        w.open(f"if ({jexpr(stmt.cond, ctx=ctx, msgp=msgp)})")
+        w.open(f"if ({jexpr(stmt.cond, ctx=ctx, msg=msg)})")
         for s in stmt.then:
-            _jstmt(w, s, ir, msgp)
+            _jstmt(w, s, ir, msg)
         if stmt.other:
             w.close(" else {")
             w.depth += 1
             for s in stmt.other:
-                _jstmt(w, s, ir, msgp)
+                _jstmt(w, s, ir, msg)
             w.close()
         else:
             w.close()
     elif isinstance(stmt, VGlobalPut):
         cls = _GLOBAL_CLASSES[stmt.op]
         w.line(
-            f'putGlobal("{stmt.name}", new {cls}({jexpr(stmt.expr, ctx=ctx, msgp=msgp)}));'
+            f'putGlobal("{stmt.name}", new {cls}({jexpr(stmt.expr, ctx=ctx, msg=msg)}));'
         )
     elif isinstance(stmt, VSendNbrs):
         _jsend_nbrs(w, stmt, ir)
     elif isinstance(stmt, VSendTo):
-        args = ", ".join(jexpr(p, ctx=ctx, msgp=msgp) for p in stmt.payload)
+        args = ", ".join(jexpr(p, ctx=ctx, msg=msg) for p in stmt.payload)
         w.line(
-            f"sendMessage({jexpr(stmt.target, ctx=ctx, msgp=msgp)}, "
+            f"sendMessage({jexpr(stmt.target, ctx=ctx, msg=msg)}, "
             f"Message.tag{stmt.tag}({args}));"
         )
     elif isinstance(stmt, VAppendInNbr):
-        w.line(f"inNbrsBuilder.add({jexpr(stmt.source, ctx=ctx, msgp=msgp)});")
+        w.line(f"inNbrsBuilder.add({jexpr(stmt.source, ctx=ctx, msg=msg)});")
     elif isinstance(stmt, VMsgLoop):
-        body_msgp = f"m.t{stmt.tag}_f" if ir.tagged else "m.f"
+        layout = ir.messages[stmt.tag]
+        body_msg = tuple(f"m.{_jfield(ir, layout, name)}" for name, _t in layout.fields)
         w.open("for (Message m : messages)")
         if ir.tagged:
             w.open(f"if (m.tag == {stmt.tag})")
         for s in stmt.body:
-            _jstmt(w, s, ir, body_msgp)
+            _jstmt(w, s, ir, body_msg)
         if ir.tagged:
             w.close()
         w.close()
@@ -316,17 +318,19 @@ def _camel(name: str) -> str:
     return "".join(part.capitalize() for part in name.split("_")) or "Program"
 
 
+def _jfield(ir: PregelIR, layout, fname: str) -> str:
+    """The one name ``Message`` declares and is read by for ``fname``."""
+    return f"t{layout.tag}_{fname}" if ir.tagged else fname
+
+
 def _emit_message_class(w: _W, ir: PregelIR) -> None:
     w.open("public static class Message implements Writable")
     if ir.tagged:
         w.line("byte tag;")
 
-    def jfield(layout, fname: str) -> str:
-        return f"t{layout.tag}_{fname}" if ir.tagged else fname
-
     for layout in ir.messages.values():
         for fname, ftype in layout.fields:
-            w.line(f"{java_type(ftype)} {jfield(layout, fname)};  // {layout.label}")
+            w.line(f"{java_type(ftype)} {_jfield(ir, layout, fname)};  // {layout.label}")
     for layout in ir.messages.values():
         params = ", ".join(f"{java_type(t)} {n}" for n, t in layout.fields)
         w.open(f"static Message tag{layout.tag}({params})")
@@ -334,7 +338,7 @@ def _emit_message_class(w: _W, ir: PregelIR) -> None:
         if ir.tagged:
             w.line(f"m.tag = {layout.tag};")
         for fname, _ in layout.fields:
-            w.line(f"m.{jfield(layout, fname)} = {fname};")
+            w.line(f"m.{_jfield(ir, layout, fname)} = {fname};")
         w.line("return m;")
         w.close()
     # Serialization boilerplate (§4.3): the payload layout decides what is
@@ -347,14 +351,14 @@ def _emit_message_class(w: _W, ir: PregelIR) -> None:
             w.line(f"case {layout.tag}:")
             w.depth += 1
             for fname, ftype in layout.fields:
-                w.line(f"out.write{_io_method(ftype)}({jfield(layout, fname)});")
+                w.line(f"out.write{_io_method(ftype)}({_jfield(ir, layout, fname)});")
             w.line("break;")
             w.depth -= 1
         w.close()
     else:
         for layout in ir.messages.values():
             for fname, ftype in layout.fields:
-                w.line(f"out.write{_io_method(ftype)}({jfield(layout, fname)});")
+                w.line(f"out.write{_io_method(ftype)}({_jfield(ir, layout, fname)});")
     w.close()
     w.open("public void readFields(DataInput in) throws IOException")
     if ir.tagged:
@@ -364,14 +368,14 @@ def _emit_message_class(w: _W, ir: PregelIR) -> None:
             w.line(f"case {layout.tag}:")
             w.depth += 1
             for fname, ftype in layout.fields:
-                w.line(f"{jfield(layout, fname)} = in.read{_io_method(ftype)}();")
+                w.line(f"{_jfield(ir, layout, fname)} = in.read{_io_method(ftype)}();")
             w.line("break;")
             w.depth -= 1
         w.close()
     else:
         for layout in ir.messages.values():
             for fname, ftype in layout.fields:
-                w.line(f"{jfield(layout, fname)} = in.read{_io_method(ftype)}();")
+                w.line(f"{_jfield(ir, layout, fname)} = in.read{_io_method(ftype)}();")
     w.close()
     w.close()
 

@@ -43,34 +43,7 @@ import numpy as np
 from ..fold import OPEN, GlobalOp, fold
 from ..graph import Graph
 from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES, cross_counts
-from .base import BackendUnsupported, ExecutionBackend
 from .codec import MessageCodec
-
-
-def build_typed_columns(schema, fields: dict[str, list]) -> dict:
-    """Convert list columns to ``array.array`` columns per the schema.
-
-    ``_in_nbrs`` (list-of-lists from the Incoming-Neighbors prologue) and
-    any column whose initial values do not fit the scheduled typecode
-    (e.g. a float-valued property handed to an Int field, which the
-    simulator happily stores) keep a representation that can hold them.
-    """
-    out: dict = {}
-    for name, values in fields.items():
-        code = schema.columns.get(name)
-        if code is None:
-            out[name] = values  # _in_nbrs and friends: not a scalar column
-            continue
-        column = None
-        start = {"b": 0, "q": 1, "d": 2}[code]
-        for tc in ("b", "q", "d")[start:]:
-            try:
-                column = array(tc, values)
-                break
-            except (TypeError, OverflowError):
-                continue
-        out[name] = values if column is None else column
-    return out
 
 
 def vectorized_phases(receivers: dict, kernels: dict) -> list[str]:
@@ -467,7 +440,7 @@ class ColumnarEngine(PregelEngine):
     """
 
     def __init__(self, graph: Graph, *, schema, **engine_opts):
-        super().__init__(graph, **engine_opts)
+        super().__init__(graph, schema=schema, **engine_opts)
         self.metrics.backend = "columnar"
         #: (phase state, tag) -> vectorized bulk receive handler, and
         #: phase state -> whole-phase array kernel; installed by the code
@@ -489,6 +462,44 @@ class ColumnarEngine(PregelEngine):
         self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
         #: a partition a kernel computes -> its vertex ids as int64
         self._partition_ids: dict = {}
+
+    @classmethod
+    def refusal(cls, *, compiled: bool, mem=None, transport=None) -> str | None:
+        if not compiled:
+            return "the columnar backend needs a program schema (compiled programs only)"
+        if mem is not None and mem.limited:
+            return MEM_REFUSAL
+        return None
+
+    @staticmethod
+    def build_columns(schema, fields: dict[str, list]) -> dict:
+        """Convert list columns to ``array.array`` columns per the schema.
+
+        ``_in_nbrs`` (list-of-lists from the Incoming-Neighbors prologue) and
+        any column whose initial values do not fit the scheduled typecode
+        (e.g. a float-valued property handed to an Int field, which the
+        simulator happily stores) keep a representation that can hold them.
+        """
+        out: dict = {}
+        for name, values in fields.items():
+            code = schema.columns.get(name)
+            if code is None:
+                out[name] = values  # _in_nbrs and friends: not a scalar column
+                continue
+            column = None
+            start = {"b": 0, "q": 1, "d": 2}[code]
+            for tc in ("b", "q", "d")[start:]:
+                try:
+                    column = array(tc, values)
+                    break
+                except (TypeError, OverflowError):
+                    continue
+            out[name] = values if column is None else column
+        return out
+
+    @staticmethod
+    def column_values(column) -> list:
+        return column.tolist() if isinstance(column, array) else column
 
     def _resolve_instruments(self, mreg) -> None:
         """The registry's ``columnar.*`` counters, resolved once."""
@@ -512,10 +523,18 @@ class ColumnarEngine(PregelEngine):
         self._phase_kernels = kernels
         self.metrics.vectorized_phases = vectorized_phases(receivers, kernels)
 
-    def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
-        """Compile the vectorizer against this engine and install its output:
-        ``build(engine, decisions=None)`` returns ``(receivers, kernels)``."""
-        self.install_array_code(*build(self, decisions=decisions))
+    def bind_program(self, columns: dict, array_code: Callable) -> None:
+        """Compile the program's array code over ``columns`` against this
+        engine and install it.  Under a tracer, one ``compile.vectorize``
+        event per phase records which phases compiled to bulk receive
+        handlers and array kernels, and why the rest stayed scalar —
+        info-only: ``sim`` compiles none, so the events must not enter
+        cross-backend deterministic comparisons."""
+        tracer = self.tracer
+        decisions: list | None = [] if tracer is not None else None
+        self.install_array_code(*array_code(columns, self, decisions))
+        for decision in decisions or ():
+            tracer.event("compile.vectorize", cat="compile", info=decision)
 
     # -- vertex phase -----------------------------------------------------
 
@@ -659,47 +678,3 @@ class ColumnarEngine(PregelEngine):
             self._m_slab_records.inc(plane.bulk_records + plane.scalar_records)
             self._m_bulk_records.inc(plane.bulk_records)
             self._m_scalar_records.inc(plane.scalar_records)
-
-
-class ColumnarBackend(ExecutionBackend):
-    name = "columnar"
-    supports = {
-        "ft": True,
-        "net": True,
-        "mem": False,
-        "supervisor": True,
-        "tracer": True,
-        "combiners": True,
-        "voting": True,
-        "track_makespan": True,
-        "range_partitioning": True,
-    }
-
-    def build_columns(
-        self, schema, graph: Graph, fields: dict[str, list], args: dict
-    ) -> dict:
-        return build_typed_columns(schema, fields)
-
-    def create_engine(
-        self,
-        graph: Graph,
-        *,
-        master_compute: Callable,
-        message_size: Callable[[tuple], int],
-        schema,
-        engine_opts: dict,
-    ) -> ColumnarEngine:
-        if schema is None:
-            raise BackendUnsupported(
-                "the columnar backend needs a program schema (compiled programs only)"
-            )
-        mem = engine_opts.get("mem")
-        if mem is not None and mem.limited:
-            raise BackendUnsupported(MEM_REFUSAL)
-        return ColumnarEngine(
-            graph, schema=schema, vertex_compute=None, master_compute=master_compute,
-            message_size=message_size, **engine_opts,
-        )  # fmt: skip
-
-    def column_values(self, column) -> list:
-        return column.tolist() if isinstance(column, array) else column

@@ -131,7 +131,7 @@ The backend still refuses — with :class:`BackendUnsupported` — the
 simulated transport (real pipes and sockets carry the slabs;
 channel-fault modeling would have nothing real to model), and over shm a
 scheduled network fault (:func:`fireable_faults`).
-:func:`composition_refusals` and :func:`fireable_faults` let the CLI
+:meth:`MPEngine.refusal` and :func:`fireable_faults` let the CLI
 validate a composition *before* loading a graph, with identical messages.
 """
 
@@ -145,7 +145,7 @@ import time
 import traceback
 from array import array
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain
 from types import SimpleNamespace
 from typing import Any, Callable
@@ -155,9 +155,8 @@ import numpy as np
 from ..ft import NETWORK_FAULT_KINDS, REAL_FAULT_KINDS, CrashEvent
 from ..graph import Graph
 from ..runtime import SuperstepRecord
-from .base import BackendUnsupported
 from .codec import read_part, split_by_owner, write_part
-from .columnar import ColumnarBackend, ColumnarEngine, NbrGather
+from .columnar import ColumnarEngine, NbrGather
 
 _EMPTY: tuple = ()
 
@@ -268,33 +267,6 @@ def fireable_faults(transport_mode: str) -> tuple[str, ...]:
     return tuple(kind for kind in REAL_FAULT_KINDS if kind not in network)
 
 
-def composition_refusals(transport) -> list[str]:
-    """Refusal messages for running a composition on the mp backend.
-
-    Empty means the composition is supported.  Shared by
-    :class:`MPEngine` construction and the CLI's pre-load validation, so
-    a refused flag combination fails with the identical message whether
-    it is caught in milliseconds (CLI, before the graph loads) or at
-    engine construction.  Only the simulated ``transport`` is refused;
-    every other composition runs (:attr:`MPBackend.supports`).
-    """
-    refusals = []
-
-    def refuse(feature: str, hint: str) -> None:
-        refusals.append(
-            f"the mp backend does not support {feature}: {hint} "
-            "(run with --backend sim or columnar)"
-        )
-
-    if transport is not None:
-        refuse(
-            "the simulated transport",
-            "real pipes and sockets carry the slabs — --transport tcp "
-            "runs a real network instead",
-        )
-    return refusals
-
-
 def _slab_parts(segments, directories, inlines, sources, dest=None):
     """``(dest, tag, part)`` for every slab the ``sources`` workers wrote
     this superstep (only those for worker ``dest``, if given), copied out
@@ -338,18 +310,6 @@ class MPEngine(ColumnarEngine):
         transport_mode: str = "shm",
         **engine_opts,
     ):
-        refusals = composition_refusals(engine_opts.get("transport"))
-        if refusals:
-            raise BackendUnsupported(refusals[0])
-        if schema is None:
-            raise BackendUnsupported(
-                "the mp backend needs a program schema (compiled programs only)"
-            )
-        if not mp_available():
-            raise BackendUnsupported(
-                "the mp backend needs fork start-method and "
-                "multiprocessing.shared_memory, unavailable on this platform"
-            )
         if not (math.isfinite(exchange_deadline) and exchange_deadline > 0):
             raise ValueError("exchange_deadline must be > 0 and finite")
         if transport_mode not in ("shm", "tcp"):
@@ -364,7 +324,6 @@ class MPEngine(ColumnarEngine):
         # slice and ships it back in every exchange reply for the parent to
         # fold (the FT replay also reads/writes it directly).
         super().__init__(graph, schema=schema, vertex_compute=vertex_compute, **engine_opts)
-        self.schema = schema
         self.metrics.backend = "mp"
         w = self.num_workers
         # ``_part_slices[wid]`` is the column/bitset slice matching the
@@ -427,6 +386,23 @@ class MPEngine(ColumnarEngine):
             )
         self._slab_bytes = mp_slab_bytes
 
+    @classmethod
+    def refusal(cls, *, compiled: bool, mem=None, transport=None) -> str | None:
+        if transport is not None:
+            return (
+                "the mp backend does not support the simulated transport: real "
+                "pipes and sockets carry the slabs — --transport tcp runs a real "
+                "network instead (run with --backend sim or columnar)"
+            )
+        if not compiled:
+            return "the mp backend needs a program schema (compiled programs only)"
+        if not mp_available():
+            return (
+                "the mp backend needs fork start-method and "
+                "multiprocessing.shared_memory, unavailable on this platform"
+            )
+        return None
+
     @property
     def REAL_FAULT_KINDS(self) -> tuple[str, ...]:
         """What ``ft.attach`` checks a scheduled fault's kind against: the
@@ -436,9 +412,9 @@ class MPEngine(ColumnarEngine):
     def _resolve_instruments(self, mreg) -> None:
         """None: the parent meters each worker's replies under ``mp.*``."""
 
-    def compile_array_code(self, build: Callable, decisions: list | None = None) -> None:
-        """Take the vectorizer: ``build(engine, decisions=None)`` returns
-        ``(receivers, kernels)`` compiled against ``engine``.
+    def bind_program(self, columns: dict, array_code: Callable) -> None:
+        """Keep the program's columns, which the parent scatters the
+        workers' partitions back into after the run, and its vectorizer.
 
         Every worker compiles its own array code after its fork — against
         its forked engine, so kernels stage through its slabs and column
@@ -446,9 +422,10 @@ class MPEngine(ColumnarEngine):
         per phase, from the IR, as ``columnar`` does.  The parent compiles
         once against itself and keeps none of it, for the record: which
         phases engage (``RunMetrics.vectorized_phases``) and why the others
-        do not (``decisions``, the ``compile.vectorize`` trace events)."""
-        self._array_code = build
-        super().compile_array_code(build, decisions)
+        do not (the ``compile.vectorize`` trace events)."""
+        self._columns = columns
+        self._array_code = partial(array_code, columns)
+        super().bind_program(columns, array_code)
         self._bulk_receivers, self._phase_kernels = {}, {}
 
     def _wire_boundaries(self) -> None:
@@ -1406,37 +1383,3 @@ class _Worker:
             else:
                 out[name] = column[part]
         return out
-
-
-class MPBackend(ColumnarBackend):
-    """The columnar backend's typed columns, run by real worker processes."""
-
-    name = "mp"
-    supports = {
-        "ft": True,
-        "net": False,
-        "mem": True,
-        "supervisor": True,
-        "tracer": True,
-        "combiners": True,
-        "voting": True,
-        "track_makespan": True,
-        "range_partitioning": True,
-    }
-
-    def create_engine(
-        self,
-        graph: Graph,
-        *,
-        master_compute: Callable,
-        message_size: Callable[[tuple], int],
-        schema,
-        engine_opts: dict,
-    ) -> MPEngine:
-        return MPEngine(
-            graph,
-            schema=schema,
-            master_compute=master_compute,
-            message_size=message_size,
-            **engine_opts,
-        )

@@ -317,7 +317,7 @@ class FaultTolerance:
                 )
             refusal = fault_refusal(crash.kind, engine.REAL_FAULT_KINDS)
             if refusal is not None:
-                from .backend.base import BackendUnsupported
+                from .backend import BackendUnsupported
 
                 raise BackendUnsupported(refusal)
         self._engine = engine

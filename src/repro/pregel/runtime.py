@@ -76,6 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
 
+from .backend import BackendUnsupported
 from .fold import OPEN, fold
 from .globalmap import GlobalObjectMap, GlobalOp
 from .graph import Graph
@@ -440,6 +441,24 @@ class PregelEngine:
     *body* (``_superstep_body``) and the resources a run holds open around
     the loop (``_session``); the in-process body here — deliver, vertex
     phase, combiner flush — serves ``sim`` and ``columnar``.
+
+    This class is the ``sim`` backend, and each backend is its engine class
+    (:func:`~repro.pregel.backend.get_backend`): ``build_columns`` /
+    ``column_values`` convert a compiled program's property columns to and
+    from the class's storage, ``bind_program`` hands the engine those
+    columns and the program's array code, and ``refusal`` names a
+    composition the class refuses — raised here as
+    :class:`~repro.pregel.backend.BackendUnsupported`, printed by the CLI
+    before the graph loads.
+
+    ``scheduling`` decides whether the vertex loop may go sparse:
+    ``"frontier"`` (default) tracks the active set of a voting program and
+    iterates only it while it is smaller than ``frontier_threshold`` of the
+    vertices; ``"dense"`` is that switch off.  Message staging and delivery
+    are the same either way, on every backend, and both are bit-identical
+    on outputs and on every metered quantity (``RunMetrics.parity_key()``);
+    generated programs never call ``vote_to_halt`` (§5.2), so for them the
+    two coincide.
     """
 
     def __init__(
@@ -465,8 +484,14 @@ class PregelEngine:
         supervisor: "Supervisor | None" = None,
         mem: "MemoryManager | None" = None,
         metrics_registry: "MetricsRegistry | None" = None,
+        schema=None,
     ):
+        refusal = self.refusal(compiled=schema is not None, mem=mem, transport=transport)
+        if refusal is not None:
+            raise BackendUnsupported(refusal)
         self.graph = graph
+        #: the compiled program's typed schema (None: a hand-written program)
+        self.schema = schema
         #: the vertex program: a per-vertex function, or a generated
         #: program's :data:`PhaseLoops` table (see ``_phase_loop``)
         self._vertex_compute = vertex_compute
@@ -588,6 +613,29 @@ class PregelEngine:
         # the bare loop is the fast path by construction.
         self._hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
         self._wire_boundaries()
+
+    @classmethod
+    def refusal(cls, *, compiled: bool, mem=None, transport=None) -> str | None:
+        """Why this engine class refuses to run a program (``compiled``:
+        it has a schema) under a memory manager and a simulated transport,
+        or None: it runs them.  ``sim`` refuses nothing."""
+        return None
+
+    @staticmethod
+    def build_columns(schema, fields: dict[str, list]) -> dict:
+        """A compiled program's list property columns, in this engine's
+        storage: ``sim`` keeps the lists."""
+        return fields
+
+    @staticmethod
+    def column_values(column) -> list:
+        """A plain list view of one property column (for outputs)."""
+        return column
+
+    def bind_program(self, columns: dict, array_code: Callable) -> None:
+        """Take a compiled program's property columns and its vectorizer,
+        ``array_code(columns, engine, decisions) -> (receivers, kernels)``:
+        a no-op on ``sim``, which runs the generated scalar loops only."""
 
     @property
     def REAL_FAULT_KINDS(self) -> tuple[str, ...]:

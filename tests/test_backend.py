@@ -24,7 +24,7 @@ from repro.pregel.backend.codec import MessageCodec
 from repro.pregel.backend.columnar import ColumnarEngine
 from repro.pregel.backend.mp import MPEngine, mp_available
 from repro.pregel.ft import CrashEvent, FaultPlan, FaultTolerance
-from repro.pregel.net import NetFaultPlan, SimulatedTransport
+from repro.pregel.net import NetFaultPlan, SimulatedTransport, parse_net_faults
 from repro.pregel.runtime import PregelEngine
 from repro.pregel.supervisor import Supervisor, SupervisorPlan
 from repro.pregelir.ir import INF_VALUE
@@ -38,6 +38,14 @@ ALGORITHMS = (
     "sssp",
     "bipartite_matching",
     "bc_approx",
+)
+
+#: the words ``mp`` refuses a simulated transport in, at construction and
+#: in the CLI
+MP_TRANSPORT_REFUSAL = (
+    "the mp backend does not support the simulated transport: real pipes and "
+    "sockets carry the slabs — --transport tcp runs a real network instead "
+    "(run with --backend sim or columnar)"
 )
 
 needs_mp = pytest.mark.skipif(
@@ -531,13 +539,23 @@ class TestMultiprocessingBackend:
 
 class TestRegistry:
     def test_known_backends(self):
+        # a backend is its engine class
         assert BACKENDS == ("sim", "columnar", "mp")
-        for name in ("sim", "columnar"):
-            assert get_backend(name).name == name
+        engines = (PregelEngine, ColumnarEngine, MPEngine)
+        assert tuple(get_backend(name) for name in BACKENDS) == engines
 
-    def test_instance_passthrough(self):
-        backend = get_backend("columnar")
-        assert get_backend(backend) is backend
+    def test_selecting_sim_loads_no_array_engine(self):
+        from .test_graph import _loaded_after, _under
+
+        loaded = _loaded_after(
+            "import repro.cli\nfrom repro.pregel.backend import get_backend\nget_backend('sim')"
+        )
+        assert "repro.pregel.runtime" in loaded
+        assert not _under(
+            loaded,
+            "repro.pregel.backend.columnar", "repro.pregel.backend.mp",
+            "repro.pregel.backend.codec", "repro.codegen.vectorize",
+        )  # fmt: skip
 
     def test_unknown_name_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -1524,9 +1542,7 @@ class TestCLI:
             main(["run", self.gm("pagerank"), *self.ARGS,
                   "--backend", "mp", "--net-faults", "drop=0.05"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "does not support the simulated transport" in err
-        assert "--backend sim or columnar" in err
+        assert capsys.readouterr().err == f"gm-pregel: error: {MP_TRANSPORT_REFUSAL}\n"
 
     def test_mp_refusal_fires_before_graph_load(self, capsys):
         # The composition is validated from the flags alone: a refused
@@ -1539,7 +1555,16 @@ class TestCLI:
                   "--backend", "mp", "--net-faults", "drop=0.05",
                   "--graph-file", "/nonexistent/never.el"])
         assert exc.value.code == 2
-        assert "does not support the simulated transport" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"gm-pregel: error: {MP_TRANSPORT_REFUSAL}\n"
+
+    def test_mp_refusal_is_the_engines(self, programs, graph):
+        # what the CLI prints before the graph loads is what make_engine raises
+        with pytest.raises(BackendUnsupported) as exc:
+            programs["pagerank"].make_engine(
+                graph, default_args("pagerank", graph), backend="mp",
+                transport=SimulatedTransport(parse_net_faults("drop=0.05")),
+            )  # fmt: skip
+        assert str(exc.value) == MP_TRANSPORT_REFUSAL
 
     def test_mp_unavailable_is_usage_error(self, capsys, monkeypatch):
         import repro.pregel.backend.mp as mp_mod
@@ -1553,26 +1578,9 @@ class TestCLI:
 
 
 class TestRefusalMatrix:
-    """Every (backend x feature) pair: the ``supports`` declaration, the
-    construction-time refusal, and the CLI's pre-load validation must
-    agree — a feature either runs or fails fast with one message."""
-
-    FEATURES = (
-        "ft", "net", "mem", "supervisor", "tracer", "combiners",
-        "voting", "track_makespan", "range_partitioning",
-    )
-
-    def test_declarations_cover_every_feature(self):
-        for name in BACKENDS:
-            supports = get_backend(name).supports
-            assert set(supports) == set(self.FEATURES), name
-
-    def test_supports_are_booleans(self):
-        for name in BACKENDS:
-            assert {type(ok) for ok in get_backend(name).supports.values()} == {bool}, name
-
-    def test_sim_refuses_nothing(self):
-        assert all(get_backend("sim").supports.values())
+    """Every refusal is stated once, by its engine class's ``refusal``:
+    the construction-time refusal and the CLI's pre-load validation read
+    it, so a feature either runs or fails fast with one message."""
 
     def test_columnar_refuses_only_a_memory_budget(self, programs, graph, capsys):
         from repro.algorithms.sources import source_path
@@ -1580,12 +1588,10 @@ class TestRefusalMatrix:
         from repro.pregel.backend.columnar import MEM_REFUSAL
         from repro.pregel.mem import MemoryManager, MemPlan
 
-        supports = get_backend("columnar").supports
-        assert [feature for feature, ok in supports.items() if not ok] == ["mem"]
         # at construction: a limited budget is refused, an unlimited one runs
         args = default_args("pagerank", graph)
         limited = MemoryManager(MemPlan(budget_bytes=1 << 30))
-        with pytest.raises(BackendUnsupported, match=re.escape(MEM_REFUSAL)):
+        with pytest.raises(BackendUnsupported, match=re.escape(MEM_REFUSAL)) as raised:
             programs["pagerank"].make_engine(graph, args, backend="columnar", mem=limited)
         unlimited = MemoryManager(MemPlan())
         engine, _fields, _master = programs["pagerank"].make_engine(
@@ -1600,37 +1606,15 @@ class TestRefusalMatrix:
                 "--graph-file", "/nonexistent/graph.el", "--mem-budget", "1g",
             ])  # fmt: skip
         assert exc.value.code == 2
-        assert capsys.readouterr().err.strip().endswith(MEM_REFUSAL)
+        assert capsys.readouterr().err == f"gm-pregel: error: {raised.value}\n"
 
-    def test_mp_declaration_matches_refusals(self):
-        from repro.pregel.backend.mp import MPBackend, composition_refusals
+    def test_mp_declaration_matches_refusals(self, monkeypatch):
+        import repro.pregel.backend.mp as mp_mod
 
-        # composition_refusals reads the one thing mp refuses — a simulated
-        # transport — and the declaration names that feature and no other
-        assert composition_refusals(None) == []
-        refusals = composition_refusals(object())
-        assert len(refusals) == 1
-        assert refusals[0].startswith("the mp backend does not support")
-        assert refusals[0].endswith("(run with --backend sim or columnar)")
-        refused = [feature for feature, ok in MPBackend.supports.items() if not ok]
-        assert refused == ["net"]
-        assert get_backend("mp").supports is MPBackend.supports
-
-    def test_lifted_compositions_are_declared_supported(self):
-        supports = get_backend("mp").supports
-        assert supports["ft"] is True
-        assert supports["combiners"] is True
-        assert supports["tracer"] is True
-        assert supports["voting"] is True
-        assert supports["supervisor"] is True
-        assert supports["mem"] is True
-        assert supports["track_makespan"] is True
-        assert supports["range_partitioning"] is True
-
-    def test_only_simulated_transport_remains_refused(self):
-        supports = get_backend("mp").supports
-        refused = {name for name, ok in supports.items() if not ok}
-        assert refused == {"net"}
+        # the one composition mp refuses is a simulated transport
+        monkeypatch.setattr(mp_mod, "mp_available", lambda: True)
+        assert MPEngine.refusal(compiled=True) is None
+        assert MPEngine.refusal(compiled=True, transport=object()) == MP_TRANSPORT_REFUSAL
 
     @pytest.mark.parametrize("backend", ("sim", "columnar"))
     def test_in_process_engines_refuse_real_faults(self, programs, graph, backend):
@@ -2363,15 +2347,11 @@ class TestOneDriver:
                     ctx.send(nbr, (0, 0.0))
             ctx.vote_to_halt(vid)
 
-        engine = get_backend(backend).create_engine(
-            sparse,
-            master_compute=None,
-            message_size=lambda msg: 8,
+        return get_backend(backend)(
+            sparse, vertex_compute=vertex, message_size=lambda msg: 8,
             schema=programs["pagerank"].schema,
-            engine_opts=dict(use_voting=True, num_workers=2, tracer=tracer, **opts),
-        )
-        engine._vertex_compute = vertex
-        return engine
+            use_voting=True, num_workers=2, tracer=tracer, **opts,
+        )  # fmt: skip
 
     @pytest.mark.parametrize("backend", EVERY_BACKEND)
     def test_dense_never_takes_the_sparse_switch(self, programs, backend):
@@ -3456,9 +3436,7 @@ class TestPhaseKernels:
         args = default_args("pagerank", graph)
         if feature == "schemaless":
             with pytest.raises(BackendUnsupported, match="needs a program schema"):
-                get_backend("columnar").create_engine(
-                    graph, master_compute=None, message_size=len, schema=None, engine_opts={}
-                )
+                ColumnarEngine(graph, vertex_compute=None, message_size=len, schema=None)
             return
         if feature == "mem":
             with pytest.raises(BackendUnsupported, match=re.escape(MEM_REFUSAL)):

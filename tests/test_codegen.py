@@ -1,6 +1,8 @@
 """Code-generation tests: the executable Python backend and the GPS-style
 Java emitter (§4.3 artifacts)."""
 
+import re
+
 import pytest
 
 from repro.compiler import compile_algorithm, compile_source
@@ -137,6 +139,16 @@ class TestJavaBackend:
             depth += code.count("{") - code.count("}")
             assert depth >= 0, line
         assert depth == 0
+
+    @pytest.mark.parametrize("name", ALGORITHMS + EXTRA_ALGORITHMS)
+    def test_message_fields_read_are_declared(self, name):
+        # every `m.<field>` a receive loop reads is a field `Message` declares
+        src = compile_algorithm(name).java_source
+        start = src.index("public static class Message")
+        fields = src[start : src.index("public void write", start)]
+        declared = set(re.findall(r"^\s+\w+ (\w+);", fields, re.M))
+        read = set(re.findall(r"\bm\.(\w+)", src)) - {"tag"}
+        assert read <= declared, sorted(read - declared)
 
     def test_message_class_has_serialization(self):
         src = compile_algorithm("pagerank").java_source
