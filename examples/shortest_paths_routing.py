@@ -16,6 +16,7 @@ import random
 from repro.algorithms.manual import MANUAL_PROGRAMS
 from repro.algorithms.reference import sssp as dijkstra
 from repro.compiler import compile_algorithm
+from repro.obs import Tracer
 from repro.pregel import Graph
 
 
@@ -49,12 +50,11 @@ def main() -> None:
     print(f"Road network: {graph} (grid diameter ~{2 * 39} hops)")
 
     compiled = compile_algorithm("sssp")
-    generated = compiled.program.run(
-        graph, {"root": root}, record_per_superstep=True, num_workers=8
-    )
-    manual = MANUAL_PROGRAMS["sssp"].run(
-        graph, {"root": root}, record_per_superstep=True, num_workers=8
-    )
+    # both traced (so the wall times compare like with like); the trace's
+    # superstep events carry the per-superstep message counts
+    tracer = Tracer()
+    generated = compiled.program.run(graph, {"root": root}, num_workers=8, tracer=tracer)
+    manual = MANUAL_PROGRAMS["sssp"].run(graph, {"root": root}, num_workers=8, tracer=Tracer())
 
     expected = dijkstra(graph, root)
     assert generated.outputs["dist"] == expected
@@ -66,7 +66,7 @@ def main() -> None:
     assert generated.metrics.messages == manual.metrics.messages
     print()
 
-    per_step = generated.metrics.per_superstep_messages
+    per_step = [e.det["messages"] for e in tracer.events if e.name == "superstep"]
     peak = max(per_step)
     quiet = sum(1 for m in per_step if m < 0.02 * peak)
     print(f"Message wave: peak {peak} msgs/superstep; "

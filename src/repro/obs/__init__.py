@@ -49,6 +49,7 @@ _EXPORTS = {
     "write_jsonl": ".export",
     "StragglerRow": ".profile",
     "WorkerStats": ".profile",
+    "makespan": ".profile",
     "profile_report": ".profile",
     "straggler_supersteps": ".profile",
     "worker_profile": ".profile",

@@ -12,8 +12,10 @@ profile view makes that visible from a recorded trace:
 * :func:`straggler_supersteps` — the supersteps with the worst
   compute-time imbalance (max/mean over workers), i.e. where a real cluster
   would stall at the barrier;
-* :func:`profile_report` — both, rendered as the ``gm-pregel profile``
-  terminal view.
+* :func:`makespan` — the same stall in deterministic work units: the
+  simulated cluster time of the run beside its perfectly balanced time;
+* :func:`profile_report` — all three, rendered as the ``gm-pregel
+  profile`` terminal view.
 """
 
 from __future__ import annotations
@@ -75,6 +77,28 @@ def worker_profile(events) -> list[WorkerStats]:
     return stats
 
 
+def makespan(events) -> tuple[int, float]:
+    """Simulated cluster time of a traced run, ``(units, ideal)``: per
+    superstep, the busiest worker's work — vertices computed + messages
+    sent (combiner folds included) + messages received (after folds) —
+    summed over supersteps, and the same work spread evenly over the
+    workers.  ``units / ideal`` is the makespan inflation (1.0 = balanced):
+    a skewed graph's run is dominated by the hub-owning worker, the effect
+    behind the paper's per-graph run times."""
+    units, ideal = 0, 0.0
+    for e in _superstep_events(events):
+        det = e.det
+        work = [
+            computed + sent + received
+            for computed, sent, received in zip(
+                det["worker_computed"], det["worker_sent"], det["worker_received"]
+            )
+        ]
+        units += max(work)
+        ideal += sum(work) / len(work)
+    return units, ideal
+
+
 @dataclass
 class StragglerRow:
     """One superstep's load-imbalance summary."""
@@ -116,8 +140,8 @@ def straggler_supersteps(events, top: int = 5) -> list[StragglerRow]:
 
 
 def profile_report(events, top: int = 5) -> str:
-    """The ``gm-pregel profile`` terminal view: per-worker totals plus the
-    worst straggler supersteps."""
+    """The ``gm-pregel profile`` terminal view: per-worker totals, the send
+    imbalance and makespan inflation, and the worst straggler supersteps."""
     stats = worker_profile(events)
     if not stats:
         return "(no superstep records in trace)"
@@ -157,6 +181,8 @@ def profile_report(events, top: int = 5) -> str:
         mean = sum(sent) / len(sent)
         lines.append("")
         lines.append(f"send load imbalance (max/mean): {max(sent) / mean:.2f}")
+        units, ideal = makespan(events)
+        lines.append(f"makespan inflation (busiest/balanced): {units / ideal:.2f}")
 
     stragglers = straggler_supersteps(events, top)
     if stragglers:

