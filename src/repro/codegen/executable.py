@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..lang.ast import BinOp, UnOp
@@ -107,9 +108,10 @@ def gm_div(a, b):
 # ---------------------------------------------------------------------------
 
 
-def expr_py(e: VExpr, ctx: str = "vertex") -> str:
+def expr_py(e: VExpr, ctx: str = "vertex", held: frozenset = frozenset()) -> str:
     """Render an IR expression; ``ctx`` is 'vertex' or 'master', as for
-    ``jexpr``: on the master a field is ``M[name]``."""
+    ``jexpr``: on the master a field is ``M[name]``.  A vertex field in
+    ``held`` is the local ``H_<name>`` a message loop folds it in."""
     if isinstance(e, Lit):
         if isinstance(e.value, float) and math.isinf(e.value):
             return "-INF" if e.value < 0 else "INF"
@@ -123,7 +125,7 @@ def expr_py(e: VExpr, ctx: str = "vertex") -> str:
     if isinstance(e, Local):
         return f"L_{e.name}"
     if isinstance(e, Field):
-        return f"F_{e.name}[vid]"
+        return f"H_{e.name}" if e.name in held else f"F_{e.name}[vid]"
     if isinstance(e, GlobalGet):
         return f"B_{e.name}"  # read once per superstep, at the loop's start
     if isinstance(e, MsgField):
@@ -132,25 +134,25 @@ def expr_py(e: VExpr, ctx: str = "vertex") -> str:
         return "vid"
     if isinstance(e, Bin):
         if e.op is BinOp.DIV:
-            return f"gm_div({expr_py(e.lhs, ctx)}, {expr_py(e.rhs, ctx)})"
-        return f"({expr_py(e.lhs, ctx)} {_BIN_PY[e.op]} {expr_py(e.rhs, ctx)})"
+            return f"gm_div({expr_py(e.lhs, ctx, held)}, {expr_py(e.rhs, ctx, held)})"
+        return f"({expr_py(e.lhs, ctx, held)} {_BIN_PY[e.op]} {expr_py(e.rhs, ctx, held)})"
     if isinstance(e, Un):
         if e.op is UnOp.NEG:
-            return f"(-{expr_py(e.operand, ctx)})"
+            return f"(-{expr_py(e.operand, ctx, held)})"
         if e.op is UnOp.NOT:
-            return f"(not {expr_py(e.operand, ctx)})"
-        return f"abs({expr_py(e.operand, ctx)})"
+            return f"(not {expr_py(e.operand, ctx, held)})"
+        return f"abs({expr_py(e.operand, ctx, held)})"
     if isinstance(e, Cond):
         return (
-            f"({expr_py(e.then, ctx)} if {expr_py(e.cond, ctx)}"
-            f" else {expr_py(e.other, ctx)})"
+            f"({expr_py(e.then, ctx, held)} if {expr_py(e.cond, ctx, held)}"
+            f" else {expr_py(e.other, ctx, held)})"
         )
     if isinstance(e, CastTo):
         if isinstance(e.to_type, ty.PrimType) and e.to_type.is_integral():
-            return f"int({expr_py(e.operand, ctx)})"
+            return f"int({expr_py(e.operand, ctx, held)})"
         if isinstance(e.to_type, ty.PrimType) and e.to_type.prim is ty.Prim.BOOL:
-            return f"bool({expr_py(e.operand, ctx)})"
-        return f"float({expr_py(e.operand, ctx)})"
+            return f"bool({expr_py(e.operand, ctx, held)})"
+        return f"float({expr_py(e.operand, ctx, held)})"
     if isinstance(e, Call):
         if e.name == "out_degree":
             return "(OUT_OFF[vid + 1] - OUT_OFF[vid])"
@@ -184,9 +186,19 @@ def _contains_edge_prop(e: VExpr) -> bool:
 
 
 class _Emitter:
-    def __init__(self):
+    """Indented source lines, and what the statement being emitted needs to
+    know of its phase (all empty outside one): the vertex fields' types,
+    the fields the enclosing message loop holds in locals, the one
+    neighbour send deferred past the loop, and the vids list each global's
+    puts collect in."""
+
+    def __init__(self, fields: dict | None = None):
         self._buf = io.StringIO()
         self._depth = 0
+        self.fields = fields or {}
+        self.held: frozenset = frozenset()
+        self.deferred: VSendNbrs | None = None
+        self.put_vids: dict[str, str] = {}
 
     def line(self, text: str) -> None:
         self._buf.write("    " * self._depth + text + "\n")
@@ -200,29 +212,37 @@ class _Emitter:
     def text(self) -> str:
         return self._buf.getvalue()
 
+    def expr(self, e: VExpr) -> str:
+        return expr_py(e, "vertex", self.held)
 
-#: a field reduce, ``fold.combine``'s step printed inline
+    def target(self, name: str) -> str:
+        """Where a write to field ``name`` goes: its held local, or its column."""
+        return f"H_{name}" if name in self.held else f"F_{name}[vid]"
+
+
+#: a field reduce into target ``t``, ``fold.combine``'s step printed inline
 _REDUCE_PY = {
-    GlobalOp.SUM: "F_{f}[vid] = F_{f}[vid] + {e}",
-    GlobalOp.PRODUCT: "F_{f}[vid] = F_{f}[vid] * {e}",
-    GlobalOp.MIN: "_v = {e}\nif _v < F_{f}[vid]: F_{f}[vid] = _v",
-    GlobalOp.MAX: "_v = {e}\nif _v > F_{f}[vid]: F_{f}[vid] = _v",
-    GlobalOp.AND: "F_{f}[vid] = F_{f}[vid] and {e}",
-    GlobalOp.OR: "F_{f}[vid] = F_{f}[vid] or {e}",
-    GlobalOp.OVERWRITE: "F_{f}[vid] = {e}",
+    GlobalOp.SUM: "{t} = {t} + {e}",
+    GlobalOp.PRODUCT: "{t} = {t} * {e}",
+    GlobalOp.MIN: "_v = {e}\nif _v < {t}: {t} = _v",
+    GlobalOp.MAX: "_v = {e}\nif _v > {t}: {t} = _v",
+    GlobalOp.AND: "{t} = {t} and {e}",
+    GlobalOp.OR: "{t} = {t} or {e}",
+    GlobalOp.OVERWRITE: "{t} = {e}",
 }
 
 
 def emit_stmt(out: _Emitter, stmt: VStmt) -> None:
     if isinstance(stmt, VLocal) or isinstance(stmt, VAssignLocal):
-        out.line(f"L_{stmt.name} = {expr_py(stmt.expr)}")
+        out.line(f"L_{stmt.name} = {out.expr(stmt.expr)}")
     elif isinstance(stmt, VFieldAssign):
-        out.line(f"F_{stmt.name}[vid] = {expr_py(stmt.expr)}")
+        out.line(f"{out.target(stmt.name)} = {out.expr(stmt.expr)}")
     elif isinstance(stmt, VFieldReduce):
-        for line in _REDUCE_PY[stmt.op].format(f=stmt.name, e=expr_py(stmt.expr)).split("\n"):
+        step = _REDUCE_PY[stmt.op].format(t=out.target(stmt.name), e=out.expr(stmt.expr))
+        for line in step.split("\n"):
             out.line(line)
     elif isinstance(stmt, VIf):
-        out.line(f"if {expr_py(stmt.cond)}:")
+        out.line(f"if {out.expr(stmt.cond)}:")
         out.indent()
         if stmt.then:
             for s in stmt.then:
@@ -238,60 +258,104 @@ def emit_stmt(out: _Emitter, stmt: VStmt) -> None:
             out.dedent()
     elif isinstance(stmt, VGlobalPut):
         # collected per global, put once after the loop (see _emit_phase_loop)
-        out.line(f"P_{stmt.name}_vids.append(vid)")
-        out.line(f"P_{stmt.name}_vals.append({expr_py(stmt.expr)})")
+        own = f"P_{stmt.name}_vids"
+        if out.put_vids.get(stmt.name, own) == own:  # else the block's first put appends
+            out.line(f"{own}.append(vid)")
+        out.line(f"P_{stmt.name}_vals.append({out.expr(stmt.expr)})")
     elif isinstance(stmt, VSendNbrs):
         _emit_send_nbrs(out, stmt)
     elif isinstance(stmt, VSendTo):
-        payload = ", ".join(expr_py(p) for p in stmt.payload)
+        payload = ", ".join(out.expr(p) for p in stmt.payload)
         msg = f"({stmt.tag}, {payload})" if payload else f"({stmt.tag},)"
-        out.line(f"ctx.send({expr_py(stmt.target)}, {msg})")
+        out.line(f"ctx.send({out.expr(stmt.target)}, {msg})")
     elif isinstance(stmt, VAppendInNbr):
-        out.line(f"F__in_nbrs[vid].append({expr_py(stmt.source)})")
+        out.line(f"F__in_nbrs[vid].append({out.expr(stmt.source)})")
     elif isinstance(stmt, VMsgLoop):
-        out.line("for _m in messages:")
-        out.indent()
-        out.line(f"if _m[0] == {stmt.tag}:")
-        out.indent()
-        if stmt.body:
-            for s in stmt.body:
-                emit_stmt(out, s)
-        else:
-            out.line("pass")
-        out.dedent()
-        out.dedent()
+        _emit_msg_loop(out, stmt)
     else:
         raise ValueError(f"cannot emit {type(stmt).__name__}")
 
 
+def _held_fields(loop: VMsgLoop, fields: dict) -> list[str]:
+    """The fields ``loop``'s body writes that it can fold in locals, read
+    before the loop and stored once after it with the same chain of steps:
+    Float, Double and Bool fields, and any field the body only takes the
+    min, max or last value of.  An integer sum or product stores per
+    message, so a typed column raises at the message that overflows it."""
+    ops: dict[str, set] = {}
+    for s in walk_stmts(loop.body):
+        if isinstance(s, VFieldAssign):
+            ops.setdefault(s.name, set()).add(GlobalOp.OVERWRITE)
+        elif isinstance(s, VFieldReduce):
+            ops.setdefault(s.name, set()).add(s.op)
+    exact = {GlobalOp.MIN, GlobalOp.MAX, GlobalOp.OVERWRITE}
+    return [
+        name
+        for name, used in ops.items()
+        if used <= exact
+        or (
+            isinstance(fields.get(name), ty.PrimType)
+            and (fields[name].is_floating() or fields[name].is_boolean())
+        )
+    ]
+
+
+def _emit_msg_loop(out: _Emitter, loop: VMsgLoop) -> None:
+    held = _held_fields(loop, out.fields)
+    if held:
+        out.line("if messages:")
+        out.indent()
+        for name in held:
+            out.line(f"H_{name} = F_{name}[vid]")
+    outer, out.held = out.held, out.held | frozenset(held)
+    out.line("for _m in messages:")
+    out.indent()
+    out.line(f"if _m[0] == {loop.tag}:")
+    out.indent()
+    if loop.body:
+        for s in loop.body:
+            emit_stmt(out, s)
+    else:
+        out.line("pass")
+    out.dedent()
+    out.dedent()
+    out.held = outer
+    if held:
+        for name in held:
+            out.line(f"F_{name}[vid] = H_{name}")
+        out.dedent()
+
+
 def _emit_send_nbrs(out: _Emitter, stmt: VSendNbrs) -> None:
     per_edge = any(_contains_edge_prop(p) for p in stmt.payload)
-    payload = ", ".join(expr_py(p) for p in stmt.payload)
+    payload = ", ".join(out.expr(p) for p in stmt.payload)
     msg = f"({stmt.tag}, {payload})" if payload else f"({stmt.tag},)"
     # The payload is evaluated only when there is at least one neighbor:
     # flipped loops may divide by the sender's own degree (e.g. PageRank),
     # which is undefined — and never needed — on sink vertices.
-    if stmt.direction == "in":
-        if per_edge:
+    if per_edge:
+        if stmt.direction == "in":
             raise ValueError("edge properties are unavailable on in-direction sends")
-        out.line(f"if F__in_nbrs[vid]:")
-        out.indent()
-        out.line(f"_msg = {msg}")
-        # Bulk send: typed backends stage one packed record per block.
-        out.line("ctx.send_list(F__in_nbrs[vid], _msg)")
-        out.dedent()
-    elif per_edge:
         out.line("_lo, _hi = OUT_OFF[vid], OUT_OFF[vid + 1]")
         out.line("if _lo != _hi:")
         out.indent()
         out.line(f"ctx.send_each(OUT_TGT[_lo:_hi], [{msg} for _ei in range(_lo, _hi)])")
         out.dedent()
+        return
+    if stmt.direction == "in":
+        out.line("if F__in_nbrs[vid]:")
     else:
         out.line("if OUT_OFF[vid] != OUT_OFF[vid + 1]:")
-        out.indent()
-        out.line(f"_msg = {msg}")
-        out.line("ctx.send_nbrs(vid, _msg)")
-        out.dedent()
+    out.indent()
+    if stmt is out.deferred:  # sent after the loop, row by row (_emit_phase_loop)
+        out.line("S_vids.append(vid)")
+        out.line(f"S_msgs.append({msg})")
+    elif stmt.direction == "in":
+        # Bulk send: typed backends stage one packed record per block.
+        out.line(f"ctx.send_list(F__in_nbrs[vid], {msg})")
+    else:
+        out.line(f"ctx.send_nbrs(vid, {msg})")
+    out.dedent()
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +372,23 @@ def generate_vertex_source(ir: PregelIR) -> str:
     superstep the engine calls the current state's loop, ``loop(ctx,
     active, slots) -> int``: it reads the broadcast values its phase uses
     once, then runs the phase body over every vertex of ``active`` (its
-    messages are ``slots[vid]``), and returns how many it iterated.  A
-    phase's global puts are collected per global in the loop and made once
-    after it, ``ctx.put_global_bulk``, when there were any.
+    messages are ``slots[vid]``), and returns how many it iterated.  The
+    body calls the engine as little as it can:
+
+    * a phase's global puts collect per global in the loop, one vids list
+      per block of puts, and are made once after it,
+      ``ctx.put_global_bulk``;
+    * a phase whose one send is a neighbour send outside any message loop
+      collects its rows and sends them after the loop in one
+      ``ctx.send_nbrs_rows`` — in the loop's ascending order, so staged as
+      the per-vertex calls would be; any other send is one call per vertex
+      (per edge block for an edge-property payload);
+    * a message loop folds each field it can hold in a local and stores it
+      once (``_held_fields``).
+
+    Adjacent ``if``s on one condition are one block (``_merge_ifs``).
     """
-    out = _Emitter()
+    out = _Emitter(ir.vertex_fields)
     out.line(f"# Generated Pregel vertex program for '{ir.name}'.")
     for phase in ir.phases.values():
         _emit_phase_loop(out, phase)
@@ -322,8 +398,99 @@ def generate_vertex_source(ir: PregelIR) -> str:
     return out.text()
 
 
+def _reads(e: VExpr):
+    """``(kind, name)`` of every field and local ``e`` reads."""
+    if isinstance(e, (Field, Local)):
+        yield type(e), e.name
+    for attr in ("lhs", "rhs", "operand", "cond", "then", "other"):
+        child = getattr(e, attr, None)
+        if isinstance(child, VExpr):
+            yield from _reads(child)
+
+
+def _writes(stmts: list[VStmt]):
+    """``(kind, name)`` of every field and local ``stmts`` write."""
+    for s in walk_stmts(stmts):
+        if isinstance(s, (VFieldAssign, VFieldReduce)):
+            yield Field, s.name
+        elif isinstance(s, (VLocal, VAssignLocal)):
+            yield Local, s.name
+
+
+def _merge_ifs(stmts: list[VStmt]) -> list[VStmt]:
+    """``stmts`` with each ``if`` that follows one on the same condition
+    folded into it, at every depth — when the first one's branches write
+    nothing the condition reads, so it evaluates the same twice.  The IR
+    is left as it is."""
+    merged: list[VStmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, VIf):
+            prev = merged[-1] if merged else None
+            if (
+                isinstance(prev, VIf)
+                and prev.cond == stmt.cond
+                and not set(_writes(prev.then + prev.other)) & set(_reads(stmt.cond))
+            ):
+                merged.pop()
+                stmt = VIf(prev.cond, prev.then + stmt.then, prev.other + stmt.other)
+            stmt = VIf(stmt.cond, _merge_ifs(stmt.then), _merge_ifs(stmt.other))
+        elif isinstance(stmt, VMsgLoop):
+            stmt = VMsgLoop(stmt.tag, _merge_ifs(stmt.body))
+        merged.append(stmt)
+    return merged
+
+
+def _blocks(stmts: list[VStmt]):
+    """``stmts`` and every statement list nested in them."""
+    yield stmts
+    for s in stmts:
+        if isinstance(s, VIf):
+            yield from _blocks(s.then)
+            yield from _blocks(s.other)
+        elif isinstance(s, VMsgLoop):
+            yield from _blocks(s.body)
+
+
+def _put_vids(top: list[list[VStmt]]) -> dict[str, str]:
+    """Per global put to in the blocks under ``top``, the list its putting
+    vertices collect in: its own, but the puts of one block to globals put
+    to nowhere else share the first one's, which it appends to once."""
+    count = Counter(
+        s.name for block in top for s in walk_stmts(block) if isinstance(s, VGlobalPut)
+    )
+    vids_of: dict[str, str] = {}
+    for block in (b for stmts in top for b in _blocks(stmts)):
+        shared = None
+        for s in block:
+            if isinstance(s, VGlobalPut):
+                single = count[s.name] == 1
+                vids_of[s.name] = (single and shared) or f"P_{s.name}_vids"
+                if single:
+                    shared = vids_of[s.name]
+    return vids_of
+
+
+def _deferred_send(stmts: list[VStmt]) -> VSendNbrs | None:
+    """The send ``stmts`` make after the loop instead of per vertex: their
+    only send, when it is a neighbour send of one payload outside any
+    message loop."""
+    sends = [s for s in walk_stmts(stmts) if isinstance(s, (VSendNbrs, VSendTo))]
+    if len(sends) != 1 or not isinstance(sends[0], VSendNbrs):
+        return None
+    send = sends[0]
+    if any(_contains_edge_prop(p) for p in send.payload):
+        return None
+    looped = (
+        s for loop in walk_stmts(stmts) if isinstance(loop, VMsgLoop) for s in walk_stmts(loop.body)
+    )
+    return None if any(s is send for s in looped) else send
+
+
 def _emit_phase_loop(out: _Emitter, phase) -> None:
     pid = phase.phase_id
+    receive, compute = _merge_ifs(phase.receive), _merge_ifs(phase.compute)
+    out.put_vids = _put_vids([receive, compute])
+    out.deferred = _deferred_send(receive + compute)
     out.line("")
     out.line(f"def _loop_{pid}(ctx, active, slots):")
     out.indent()
@@ -332,31 +499,43 @@ def _emit_phase_loop(out: _Emitter, phase) -> None:
         out.line(f"B_{name} = B[{name!r}]")
     puts = {
         stmt.name: stmt.op
-        for stmt in walk_stmts([*phase.receive, *phase.compute])
+        for stmt in walk_stmts(receive + compute)
         if isinstance(stmt, VGlobalPut)
     }
     for name in puts:
-        out.line(f"P_{name}_vids, P_{name}_vals = [], []")
+        vids = out.put_vids[name]
+        if vids == f"P_{name}_vids":
+            out.line(f"{vids}, P_{name}_vals = [], []")
+        else:
+            out.line(f"P_{name}_vals = []")
+    if out.deferred is not None:
+        out.line("S_vids, S_msgs = [], []")
     out.line("_n = 0")
     out.line("for _n, vid in enumerate(active, 1):")
     out.indent()
     out.line("ctx._current_vertex = vid")
     out.line("messages = slots[vid]")
-    for stmt in phase.receive:
+    for stmt in receive:
         emit_stmt(out, stmt)
     if phase.filter is not None:
-        out.line(f"if not ({expr_py(phase.filter)}):")
+        out.line(f"if not ({out.expr(phase.filter)}):")
         out.indent()
         out.line("continue")
         out.dedent()
-    for stmt in phase.compute:
+    for stmt in compute:
         emit_stmt(out, stmt)
     out.dedent()
     for name, op in puts.items():
-        out.line(f"if P_{name}_vids:")
-        out.line(f"    ctx.put_global_bulk({name!r}, OP_{op.name}, P_{name}_vids, P_{name}_vals)")
+        vids = out.put_vids[name]
+        out.line(f"if {vids}:")
+        out.line(f"    ctx.put_global_bulk({name!r}, OP_{op.name}, {vids}, P_{name}_vals)")
+    if out.deferred is not None:
+        rows = ", F__in_nbrs" if out.deferred.direction == "in" else ""
+        out.line("if S_vids:")
+        out.line(f"    ctx.send_nbrs_rows(S_vids, S_msgs{rows})")
     out.line("return _n")
     out.dedent()
+    out.put_vids, out.deferred = {}, None
 
 
 # ---------------------------------------------------------------------------

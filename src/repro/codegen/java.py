@@ -60,6 +60,7 @@ from ..pregelir.ir import (
     VSendTo,
     VStmt,
 )
+from ..translate.merge import phase_global_puts
 
 _JAVA_TYPES = {
     ty.Prim.INT: "int",
@@ -85,6 +86,13 @@ _BIN_JAVA = {
     BinOp.OR: "||",
 }
 
+#: an infinity assigned to an integer field: the type's bound
+_INT_INF = {
+    (t, inf): f"{box}.{bound}_VALUE"
+    for t, box in (("int", "Integer"), ("long", "Long"))
+    for inf, bound in (("INF", "MAX"), ("-INF", "MIN"))
+}
+
 _GLOBAL_CLASSES = {
     GlobalOp.SUM: "SumGlobal",
     GlobalOp.PRODUCT: "ProductGlobal",
@@ -105,15 +113,7 @@ def java_type(t: ty.Type) -> str:
 
 
 def _io_method(t: ty.Type) -> str:
-    if isinstance(t, ty.PrimType):
-        return {
-            ty.Prim.INT: "Int",
-            ty.Prim.LONG: "Long",
-            ty.Prim.FLOAT: "Float",
-            ty.Prim.DOUBLE: "Double",
-            ty.Prim.BOOL: "Boolean",
-        }[t.prim]
-    return "Int"
+    return java_type(t).capitalize()  # DataOutput.writeInt, readBoolean, ...
 
 
 class _W:
@@ -248,10 +248,8 @@ def _jstmt(w: _W, stmt: VStmt, ir: PregelIR, msg: tuple[str, ...] = ()) -> None:
         _jsend_nbrs(w, stmt, ir)
     elif isinstance(stmt, VSendTo):
         args = ", ".join(jexpr(p, ctx=ctx, msg=msg) for p in stmt.payload)
-        w.line(
-            f"sendMessage({jexpr(stmt.target, ctx=ctx, msg=msg)}, "
-            f"Message.tag{stmt.tag}({args}));"
-        )
+        target = jexpr(stmt.target, ctx=ctx, msg=msg)
+        w.line(f"sendMessage({target}, Message.tag{stmt.tag}({args}));")
     elif isinstance(stmt, VAppendInNbr):
         w.line(f"inNbrsBuilder.add({jexpr(stmt.source, ctx=ctx, msg=msg)});")
     elif isinstance(stmt, VMsgLoop):
@@ -414,17 +412,15 @@ def _emit_vertex_class(w: _W, ir: PregelIR, cls: str) -> None:
             f"private void do_state_{phase.phase_id}(Iterable<Message> messages)",
             phase.label,
         )
-        if ir.needs_in_nbrs and any(
+        builds_in_nbrs = ir.needs_in_nbrs and any(
             isinstance(s, VMsgLoop) and any(isinstance(b, VAppendInNbr) for b in s.body)
             for s in phase.receive
-        ):
+        )
+        if builds_in_nbrs:
             w.line("IntArrayBuilder inNbrsBuilder = new IntArrayBuilder();")
         for stmt in phase.receive:
             _jstmt(w, stmt, ir)
-        if ir.needs_in_nbrs and any(
-            isinstance(s, VMsgLoop) and any(isinstance(b, VAppendInNbr) for b in s.body)
-            for s in phase.receive
-        ):
+        if builds_in_nbrs:
             w.line("getValue()._in_nbrs = inNbrsBuilder.toArray();")
         if phase.filter is not None:
             w.line(f"if (!({jexpr(phase.filter, ctx='vertex')})) return;")
@@ -453,14 +449,13 @@ def _emit_master_class(w: _W, ir: PregelIR, cls: str) -> None:
         w.line(f"case {idx}:")
         w.depth += 1
         if isinstance(instr, MAssign):
-            w.line(f"{instr.name} = {jexpr(instr.expr, ctx='master')};")
+            value = jexpr(instr.expr, ctx="master")
+            value = _INT_INF.get((java_type(ir.master_fields[instr.name]), value), value)
+            w.line(f"{instr.name} = {value};")
             w.line(f"_pc = {idx + 1}; break;")
         elif isinstance(instr, MFinalize):
-            w.line(f'if (hasGlobal("{instr.name}"))')
-            w.line(
-                f'    {instr.name} = combine_{instr.op.name.lower()}'
-                f'({instr.name}, getGlobal("{instr.name}"));'
-            )
+            # the phase's puts folded from the field (openGlobal at its yield)
+            w.line(f'if (hasGlobal("{instr.name}")) {instr.name} = getGlobal("{instr.name}");')
             w.line(f"_pc = {idx + 1}; break;")
         elif isinstance(instr, MLabel):
             w.line(f"_pc = {idx + 1}; break;  // {instr.label}:")
@@ -474,6 +469,8 @@ def _emit_master_class(w: _W, ir: PregelIR, cls: str) -> None:
         elif isinstance(instr, MVPhase):
             w.line(f'putGlobal("_state", {instr.phase});')
             w.line("broadcastGlobals();  // scalar master fields")
+            for name in sorted(phase_global_puts(ir.phases[instr.phase])):
+                w.line(f'openGlobal("{name}", {name});')
             w.line(f"_pc = {idx + 1};")
             w.line("return;  // yield: run vertex phase this superstep")
         elif isinstance(instr, MHalt):

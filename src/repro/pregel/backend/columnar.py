@@ -258,17 +258,36 @@ class SlabPlane:
         stage.payload += self._pack[tag](msg)
 
     def send_nbrs(self, vid: int, msg: tuple) -> None:
-        s = self._offsets[vid]
-        e = self._offsets[vid + 1]
-        if s == e or self._sender() is None:
+        if self._offsets[vid] != self._offsets[vid + 1]:
+            self.send_nbrs_rows((vid,), (msg,))
+
+    def send_nbrs_rows(self, vids, msgs, rows=None) -> None:
+        """``msgs[k]`` to every neighbour of ``vids[k]`` along the out-CSR,
+        or ``rows[vids[k]]`` (``PregelEngine.send_nbrs_rows``): per
+        non-empty row one run from its vertex, its records packed in one —
+        what one ``send_nbrs`` / ``send_list`` per row stages."""
+        if not vids or self._sender() is None:
             return
-        tag = msg[0]
+        tag = msgs[0][0]
         stage = self._stage[tag]
-        stage.senders.append(vid)
-        stage.counts.append(e - s)
-        stage.flush()
-        stage.chunks.append(self.gather.targets[s:e])
-        stage.payload += self._pack[tag](msg) * (e - s)
+        pack = self._pack[tag]
+        if rows is None:
+            offsets, targets = self._offsets, self.gather.targets
+            blocks = (targets[offsets[v] : offsets[v + 1]] for v in vids)
+            stage.flush()
+        else:
+            blocks = map(rows.__getitem__, vids)
+        for vid, msg, dsts in zip(vids, msgs, blocks):
+            n = len(dsts)
+            if n:
+                records = pack(msg) * n
+                stage.senders.append(vid)
+                stage.counts.append(n)
+                if rows is None:
+                    stage.chunks.append(dsts)
+                else:
+                    stage.singles.extend(dsts)
+                stage.payload += records
 
     def send_list(self, dsts: list, msg: tuple) -> None:
         if dsts:
@@ -450,7 +469,8 @@ class ColumnarEngine(PregelEngine):
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
         self._plane = plane = SlabPlane(MessageCodec(schema), csr, self)
         for name in (
-            "send", "send_nbrs", "send_list", "send_each", "send_nbrs_bulk", "send_to_bulk",
+            "send", "send_nbrs", "send_nbrs_rows", "send_list", "send_each",
+            "send_nbrs_bulk", "send_to_bulk",
         ):  # fmt: skip
             setattr(self, name, getattr(plane, name))
         #: the next delivery's: tag -> its parts — the lone one the last

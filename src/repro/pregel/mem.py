@@ -389,12 +389,17 @@ def _stream_encode(obj, dump, depth: int = _CKPT_DEPTH) -> None:
 
 
 def _stream_decode(f) -> dict:
+    """``_stream_encode``'s records read back through one unpickler: the
+    stream's pickler memoized what repeats (its own record tags, payload
+    tuples a vertex sent to many receivers) across records."""
+    load = pickle.Unpickler(f).load
+
     def read():
-        tag, value = pickle.load(f)
+        tag, value = load()
         if tag == "D":
             out: dict = {}
             for _ in range(value):
-                _k, key = pickle.load(f)
+                _k, key = load()
                 out[key] = read()
             return out
         if tag == "E":
@@ -402,7 +407,7 @@ def _stream_decode(f) -> dict:
         if tag == "L":
             items: list = []
             while len(items) < value:
-                _c, chunk = pickle.load(f)
+                _c, chunk = load()
                 items.extend(chunk)
             return items
         return value
@@ -475,8 +480,10 @@ class MemoryManager:
         sends and combiner flushes charge the destination worker's outbox;
         ``_phase_loop`` is shadowed so every vertex loop reads its slots
         through the spill fetch — a spilled inbox is materialized as the
-        loop reads it — and releases each vertex's resident buckets once
-        the loop moves past it.
+        loop reads it — and runs one vertex per call, releasing its
+        resident buckets after it: what a loop stages after its last
+        vertex (a generated loop's neighbour rows) is then charged before
+        the vertex's inbox is released, as a send from inside would be.
         """
         engine = self._engine
         from .runtime import _NO_MESSAGES
@@ -486,16 +493,16 @@ class MemoryManager:
         fetch = self.fetch_messages
         release = self._release_vertex
 
-        def released(active):
-            for vid in active:
-                yield vid
-                release(vid)
-
         def budgeted_phase_loop():
             loop = inner_phase_loop()
 
             def budgeted_loop(ctx, active, slots):
-                return loop(ctx, released(active), _FetchingSlots(slots, fetch))
+                fetching = _FetchingSlots(slots, fetch)
+                computed = 0
+                for vid in active:
+                    computed += loop(ctx, (vid,), fetching)
+                    release(vid)
+                return computed
 
             return budgeted_loop
 
@@ -884,7 +891,7 @@ class MemoryManager:
         path = self._spill_path("ckpt", 0)
         with open(path, "wb") as f:
             writer = _WindowWriter(f, CHECKPOINT_WINDOW_BYTES)
-            _stream_encode(payload, lambda record: pickle.dump(record, writer, _PROTOCOL))
+            _stream_encode(payload, pickle.Pickler(writer, _PROTOCOL).dump)
             writer.flush()
         metrics = engine.metrics
         if writer.peak > metrics.checkpoint_peak_bytes:

@@ -740,15 +740,64 @@ class PregelEngine:
         self._combined.clear()
 
     def send_nbrs(self, vid: int, msg: tuple) -> None:
-        """Bulk send: ``msg`` to every out-neighbor of ``vid`` — the
-        ``send_list`` of its out-CSR slice.  Generated code emits this for
-        loop-invariant payloads, as hand-written programs call it for a
-        neighbor broadcast.  Its net traffic is read from ``_cross_nbrs``,
-        not looked up message by message."""
+        """Bulk send: ``msg`` to every out-neighbor of ``vid`` — the one-row
+        ``send_nbrs_rows``, a no-op on a sink.  Hand-written programs call
+        it for a neighbor broadcast."""
         offsets = self.graph.out_offsets
-        s, e = offsets[vid], offsets[vid + 1]
-        if s != e:
-            self._send_block(self.graph.out_targets[s:e], None, msg, vid)
+        if offsets[vid] != offsets[vid + 1]:
+            self.send_nbrs_rows((vid,), (msg,))
+
+    def send_nbrs_rows(self, vids, msgs, rows=None) -> None:
+        """Bulk send: ``msgs[k]`` to every neighbour of ``vids[k]`` — its
+        out-CSR row, or ``rows[vids[k]]`` (the ``_in_nbrs`` column) — one
+        tag, each vertex its row's sender.  A generated phase whose one
+        send is a neighbour send makes one after its loop, over the rows in
+        the loop's order: staged as one ``send_nbrs`` / ``send_list`` per
+        vertex would be.  An empty row is a no-op.
+
+        Untraced, with no limited memory plan and no combiner on the tag,
+        the rows stage in one pass and meter once, an out-CSR row's net
+        traffic read from ``_cross_nbrs``.  Otherwise each row is the
+        ``_send_block`` a per-vertex call makes, from its vertex."""
+        if self._current_vertex < 0:
+            raise RuntimeError(OUTSIDE_PHASE_ERROR)
+        if self._ft_replaying:
+            return  # already delivered by the original execution (see send)
+        blocks = map((self._out_rows if rows is None else rows).__getitem__, vids)
+        if (
+            self._trace_worker_bytes
+            or self._mem_limited
+            or (self._combiners and msgs[0][0] in self._combiners)
+        ):
+            for vid, msg, dsts in zip(vids, msgs, blocks):
+                if dsts:
+                    self._current_vertex = vid
+                    self._send_block(dsts, None, msg)
+            return
+        outbox = self._outbox
+        worker_of = self._worker_of
+        sent = self.metrics.worker_sent
+        staged = remote = 0
+        for vid, msg, dsts in zip(vids, msgs, blocks):
+            for dst in dsts:
+                outbox[dst].append(msg)
+            n = len(dsts)
+            owner = worker_of[vid]
+            sent[owner] += n
+            staged += n
+            if rows is not None and n:
+                remote += n - list(map(worker_of.__getitem__, dsts)).count(owner)
+        if rows is None:
+            remote = sum(map(self._cross_nbrs.__getitem__, vids))
+        if not staged:
+            return
+        size = self._message_size(msgs[0])
+        m = self.metrics
+        m.messages += staged
+        m.message_bytes += staged * size
+        if remote:
+            m.net_messages += remote
+            m.net_bytes += remote * size
 
     def send_list(self, dsts, msg: tuple) -> None:
         """Bulk send: ``msg`` to every vertex in ``dsts`` (in-neighbor
@@ -770,11 +819,10 @@ class PregelEngine:
         if dsts:
             self._send_block(dsts, msgs, msgs[0])
 
-    def _send_block(self, dsts, msgs: list | None, msg: tuple, row: int = -1) -> None:
+    def _send_block(self, dsts, msgs: list | None, msg: tuple) -> None:
         """``send_each`` of a non-empty block: ``msgs`` lines up with
         ``dsts`` (None: ``msg`` to each), ``msg`` is one of them (the
-        block's tag and size); ``row`` is the vertex whose out-neighbours
-        ``dsts`` are, or -1."""
+        block's tag and size)."""
         sender = self._current_vertex
         if sender < 0:
             raise RuntimeError(OUTSIDE_PHASE_ERROR)
@@ -795,12 +843,8 @@ class PregelEngine:
         n = len(dsts)
         worker_of = self._worker_of
         sender_worker = worker_of[sender]
-        staged_bytes = self._trace_worker_bytes
-        if row >= 0 and not staged_bytes and worker_of[row] == sender_worker:
-            remote = self._cross_nbrs[row]
-        else:  # per message: what crossed, and which worker receives each
-            owners = list(map(worker_of.__getitem__, dsts))
-            remote = n - owners.count(sender_worker)
+        owners = list(map(worker_of.__getitem__, dsts))
+        remote = n - owners.count(sender_worker)
         size = self._message_size(msg)
         m = self.metrics
         m.messages += n
@@ -809,11 +853,22 @@ class PregelEngine:
         if remote:
             m.net_messages += remote
             m.net_bytes += remote * size
+        staged_bytes = self._trace_worker_bytes
         if staged_bytes:
             staged_bytes[sender_worker] += n * size
             received = self._trace_worker_received
             for owner in owners:
                 received[owner] += 1
+
+    @cached_property
+    def _out_rows(self) -> list[list[int]]:
+        """Per vertex, its out-neighbours as a list, sharing one int object
+        per vertex id; built at first use (``send_nbrs_rows`` iterates it)."""
+        graph = self.graph
+        ids = list(range(graph.num_nodes))
+        targets = list(map(ids.__getitem__, graph.out_targets))
+        offsets = graph.out_offsets
+        return [targets[offsets[v] : offsets[v + 1]] for v in ids]
 
     @cached_property
     def _cross_nbrs(self) -> list[int]:

@@ -91,15 +91,15 @@ public class AvgTeenCnt {
                     case 3:
                         putGlobal("_state", 2);
                         broadcastGlobals();  // scalar master fields
+                        openGlobal("_gm_r1", _gm_r1);
+                        openGlobal("_gm_r2", _gm_r2);
                         _pc = 4;
                         return;  // yield: run vertex phase this superstep
                     case 4:
-                        if (hasGlobal("_gm_r1"))
-                            _gm_r1 = combine_sum(_gm_r1, getGlobal("_gm_r1"));
+                        if (hasGlobal("_gm_r1")) _gm_r1 = getGlobal("_gm_r1");
                         _pc = 5; break;
                     case 5:
-                        if (hasGlobal("_gm_r2"))
-                            _gm_r2 = combine_sum(_gm_r2, getGlobal("_gm_r2"));
+                        if (hasGlobal("_gm_r2")) _gm_r2 = getGlobal("_gm_r2");
                         _pc = 6; break;
                     case 6:
                         avg = ((float) ((_gm_r2 == 0) ? 0.0 : (((double) _gm_r1) / ((double) _gm_r2))));

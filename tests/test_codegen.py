@@ -2,6 +2,10 @@
 Java emitter (§4.3 artifacts)."""
 
 import re
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,35 @@ class TestJavaBackend:
     def test_in_nbrs_program_builds_array(self):
         src = compile_algorithm("conductance").java_source
         assert "_in_nbrs" in src
+
+    @pytest.mark.parametrize("name", ALGORITHMS + EXTRA_ALGORITHMS)
+    def test_master_folds_from_the_field_it_opened(self, name):
+        # as the Python master: a phase's yield opens each global it puts
+        # to at its field, and the finalize takes the aggregate as-is
+        src = compile_algorithm(name).java_source
+        assert "combine_" not in src
+        for put in set(re.findall(r'putGlobal\("(\w+)", new', src)):
+            assert f'openGlobal("{put}", {put});' in src, put
+            assert f'if (hasGlobal("{put}")) {put} = getGlobal("{put}");' in src, put
+
+    def test_int_global_opens_at_its_typed_minimum(self):
+        # degree_stats' Int MAX global: -INF is a double, lossy in an int
+        src = compile_algorithm("degree_stats").java_source
+        assert "int _gm_r0;" in src and "_gm_r0 = Integer.MIN_VALUE;" in src
+        assert "-INF" not in src
+        if shutil.which("javac") is None:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "DegreeStats.java"
+            path.write_text(src)
+            javac = subprocess.run(
+                ["javac", "-Xmaxerrs", "100000", "-d", tmp, str(path)],
+                capture_output=True, text=True, timeout=300,
+            )  # fmt: skip
+        # the GPS API is not here, so javac fails; none of its errors is a
+        # narrowing of the emitter's own values
+        assert "cannot find symbol" in javac.stderr
+        assert "possible lossy conversion" not in javac.stderr
 
 
 class TestCompilationResult:

@@ -165,6 +165,164 @@ class TestEmitStmt:
         text = self.render(VIf(Lit(True), [], []))
         assert "pass" in text
 
+    def test_a_msg_loop_folds_a_double_field_in_a_local(self):
+        out = _Emitter({"a": ty.DOUBLE})
+        emit_stmt(out, VMsgLoop(0, [VFieldReduce("a", GlobalOp.SUM, MsgField(0))]))
+        assert out.text().splitlines() == [
+            "if messages:",
+            "    H_a = F_a[vid]",
+            "    for _m in messages:",
+            "        if _m[0] == 0:",
+            "            H_a = H_a + _m[1]",
+            "    F_a[vid] = H_a",
+        ]
+
+    def test_an_int_sum_stores_per_message_and_an_int_min_folds_in_a_local(self):
+        # an int64 column must raise at the message that overflows it; a
+        # min is one of the values it folds, so it cannot overflow
+        out = _Emitter({"a": ty.INT, "b": ty.INT})
+        body = [VFieldReduce("a", GlobalOp.SUM, MsgField(0)), VFieldReduce("b", GlobalOp.MIN, Field("a"))]
+        emit_stmt(out, VMsgLoop(0, body))
+        text = out.text()
+        assert "F_a[vid] = F_a[vid] + _m[1]" in text
+        assert "if _v < H_b: H_b = _v" in text and "_v = F_a[vid]" in text
+        assert "H_a" not in text
+
+
+def _scalar_engine(source: str, graph, args, backend: str, **opts):
+    """An engine of ``source`` that runs every phase as its generated loop."""
+    engine, fields, _master = compile_source(source, emit_java=False).program.make_engine(
+        graph, args, backend=backend, **opts
+    )
+    if backend != "sim":
+        engine.install_array_code({}, {})
+    return engine, fields
+
+
+def _phase_loop(source: str, marker: str) -> str:
+    """The generated loop of ``source`` whose text holds ``marker``."""
+    loops = compile_source(source, emit_java=False).program.vertex_source.split("\ndef ")
+    [loop] = [loop for loop in loops if marker in loop]
+    return loop
+
+
+class TestPhaseLoop:
+    def test_one_neighbour_send_goes_after_the_loop(self):
+        from repro.compiler import compile_algorithm
+
+        for name, rows in (("pagerank", ""), ("conductance", ", F__in_nbrs")):
+            source = compile_algorithm(name, emit_java=False).program.vertex_source
+            assert "ctx.send_nbrs(" not in source and "ctx.send_list(" not in source
+            assert f"ctx.send_nbrs_rows(S_vids, S_msgs{rows})" in source
+
+    def test_adjacent_ifs_on_one_condition_are_one_block(self):
+        merged = (
+            "Procedure p(G: Graph; a: N_P<Int>): Int {\n"
+            "  Int s = 0; Int t = 0;\n"
+            "  Foreach (n: G.Nodes) { If (n.a > 1) { s += n.a; } If (n.a > 1) { t += 1; } }\n"
+            "  Return s * 10 + t; }"
+        )
+        loop = _phase_loop(merged, "P_")
+        assert loop.count("if (F_a[vid] > 1):") == 1
+        assert loop.count(".append(vid)") == 1  # the block's puts share one vids list
+        # a block that writes what the condition reads is left alone
+        kept = merged.replace("s += n.a;", "s += n.a; n.a = 0;")
+        assert _phase_loop(kept, "P_").count("if (F_a[vid] > 1):") == 2
+        graph = Graph.from_edges(4, [(0, 1)])
+        args = {"a": [0, 2, 3, 1]}
+        for source, want in ((merged, 52), (kept, 50)):
+            assert interpret(source, graph, args).result == want
+            for backend in ("sim", "columnar"):
+                engine, _fields = _scalar_engine(source, graph, args, backend)
+                assert engine.run().result == want, backend
+
+    def test_two_send_sites_keep_per_vertex_calls(self):
+        # a neighbour send beside a random write: the staged order mixes
+        # the two per sender, so neither goes out after the loop
+        source = (
+            "Procedure two_sites(G: Graph, a: N_P<Int>, b: N_P<Int>, tgt: N_P<Node>;"
+            " x: N_P<Int>, y: N_P<Int>) {\n"
+            "  G.x = -1; G.y = -1;\n"
+            "  Foreach (n: G.Nodes) {\n"
+            "    Foreach (t: n.Nbrs) { t.x = n.a; }\n"
+            "    Node m = n.tgt; m.y = n.b; } }"
+        )
+        loop = _phase_loop(source, "ctx.send(")
+        assert "ctx.send_nbrs(vid, " in loop and "send_nbrs_rows" not in loop
+        n = 7
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and (u * 3 + v) % 4 == 0]
+        graph = Graph.from_edges(n, edges)
+        args = {
+            "a": [10 + v for v in range(n)],
+            "b": [20 + v for v in range(n)],
+            "tgt": [(5 * v + 2) % n for v in range(n)],
+        }
+        want = interpret(source, graph, args).outputs
+        # the order one send per call stages, per receiver
+        order: dict = {}
+        for v in range(n):
+            for t in graph.out_nbrs(v):
+                order.setdefault(t, []).append((0, args["a"][v]))
+            order.setdefault(args["tgt"][v], []).append((1, args["b"][v]))
+        for backend in ("sim", "columnar"):
+            engine, fields = _scalar_engine(source, graph, args, backend, num_workers=3)
+            staged = []
+            deliver = engine._deliver
+
+            def capture():
+                staged.append(engine.outbox_view())
+                deliver()
+
+            engine._deliver = capture
+            engine.run()
+            got = {name: engine.column_values(fields[name]) for name in ("x", "y")}
+            assert got == want, backend
+            if backend == "sim":
+                assert staged[1] == order
+            else:  # the slabs decode tag by tag, each in send order
+                assert staged[1] == {
+                    dst: sorted(msgs, key=lambda m: m[0]) for dst, msgs in order.items()
+                }
+
+    @pytest.mark.parametrize("name", ["pagerank", "conductance"])
+    def test_traced_and_untraced_runs_keep_one_ledger(self, name):
+        # untraced, the rows stage in one pass; traced, row by row
+        from repro.bench.harness import default_args
+        from repro.compiler import compile_algorithm
+        from repro.graphgen.registry import load_graph
+        from repro.obs import Tracer
+
+        graph = load_graph("twitter" if name == "pagerank" else "sk-2005", 0.1)
+        program = compile_algorithm(name, emit_java=False).program
+        args = default_args(name, graph)
+        runs = [
+            program.run(graph, args, num_workers=3, tracer=tracer)
+            for tracer in (None, Tracer())
+        ]
+        for run in runs:
+            assert sum(run.metrics.worker_sent) == run.metrics.messages > 0
+        free, traced = runs
+        assert traced.outputs == free.outputs
+        assert traced.metrics.parity_key() == free.metrics.parity_key()
+        assert traced.metrics.worker_sent == free.metrics.worker_sent
+
+    def test_combined_runs_keep_their_counts(self):
+        # a combined tag's rows fold send by send, as per-vertex calls did
+        from repro.bench.harness import default_args
+        from repro.compiler import compile_algorithm
+        from repro.graphgen.registry import load_graph
+
+        pinned = {
+            ("pagerank", "twitter"): (22154, 177232, 16841, 134728, [69212, 26587, 26884, 9317]),
+            ("conductance", "sk-2005"): (18322, 61858, 13800, 46576, [4719, 4515, 4531, 4557]),
+        }
+        for (name, graph_name), want in pinned.items():
+            graph = load_graph(graph_name, 0.25)
+            program = compile_algorithm(name, emit_java=False).program
+            m = program.run(graph, default_args(name, graph), num_workers=4, use_combiners=True).metrics
+            got = (m.messages, m.message_bytes, m.net_messages, m.net_bytes, m.worker_sent)
+            assert got == want, name
+
 
 class TestGmDiv:
     @pytest.mark.parametrize(

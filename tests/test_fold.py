@@ -234,6 +234,23 @@ def test_an_int_field_past_int64_raises_on_array_code_and_scalar_loops():
             run(source, graph, args, "columnar", 1, scalar=scalar)
 
 
+def test_an_int_sum_receive_loop_raises_at_the_overflowing_message():
+    # the scalar loop stores an integer sum message by message (it folds no
+    # Int field in a local), so the int64 column raises at the second of
+    # three messages and holds the sum up to the first
+    source = (
+        "Procedure p(G: Graph, y: N_P<Long>; o: N_P<Long>) {\n"
+        "  Foreach (n: G.Nodes) { Foreach (t: n.Nbrs) { t.o += n.y; } } }"
+    )
+    graph = Graph.from_edges(4, [(1, 0), (2, 0), (3, 0)])
+    args = {"y": [0, 2**61, 2**61, 2**61], "o": [2**62, 0, 0, 0]}
+    engine, fields, _master = compiled(source).make_engine(graph, args, backend="columnar", num_workers=1)
+    engine.install_array_code({}, {})
+    with pytest.raises(OverflowError):
+        engine.run()
+    assert fields["o"][0] == 2**62 + 2**61
+
+
 # -- the property: a global, a field reduction, combiners -------------------
 
 FOLD3 = """Procedure fold3(G: Graph, x: N_P<{t}>, y: N_P<{t}>, s0: {s}; o: N_P<{s}>): {s} {{
