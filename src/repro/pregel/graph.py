@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -127,6 +128,17 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.out_targets)
+
+    @cached_property
+    def out_rows(self) -> list[tuple[int, ...]]:
+        """Per vertex, its out-neighbours as a tuple, sharing one int object
+        per vertex id: what ``PregelEngine.send_nbrs_rows`` iterates.  Built
+        at first use and kept with the graph, so the engines run over it
+        share one and no run pays for (or frees) ``num_nodes`` rows."""
+        ids = list(range(self.num_nodes))
+        targets = tuple(map(ids.__getitem__, self.out_targets))
+        offsets = self.out_offsets
+        return [targets[offsets[v] : offsets[v + 1]] for v in ids]
 
     def out_nbrs(self, v: int) -> list[int]:
         return self.out_targets[self.out_offsets[v] : self.out_offsets[v + 1]].tolist()

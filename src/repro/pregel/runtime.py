@@ -763,7 +763,7 @@ class PregelEngine:
             raise RuntimeError(OUTSIDE_PHASE_ERROR)
         if self._ft_replaying:
             return  # already delivered by the original execution (see send)
-        blocks = map((self._out_rows if rows is None else rows).__getitem__, vids)
+        blocks = map((self.graph.out_rows if rows is None else rows).__getitem__, vids)
         if (
             self._trace_worker_bytes
             or self._mem_limited
@@ -859,16 +859,6 @@ class PregelEngine:
             received = self._trace_worker_received
             for owner in owners:
                 received[owner] += 1
-
-    @cached_property
-    def _out_rows(self) -> list[list[int]]:
-        """Per vertex, its out-neighbours as a list, sharing one int object
-        per vertex id; built at first use (``send_nbrs_rows`` iterates it)."""
-        graph = self.graph
-        ids = list(range(graph.num_nodes))
-        targets = list(map(ids.__getitem__, graph.out_targets))
-        offsets = graph.out_offsets
-        return [targets[offsets[v] : offsets[v + 1]] for v in ids]
 
     @cached_property
     def _cross_nbrs(self) -> list[int]:

@@ -12,8 +12,11 @@ from repro.codegen.executable import (
     expr_py,
     gm_div,
 )
-from repro.compiler import compile_source
+from repro.bench.harness import default_args
+from repro.compiler import compile_algorithm, compile_source
+from repro.graphgen.registry import load_graph
 from repro.interp import interpret
+from repro.obs import Tracer
 from repro.lang.ast import BinOp, UnOp
 from repro.lang import types as ty
 from repro.pregel import Graph, PregelEngine
@@ -208,8 +211,6 @@ def _phase_loop(source: str, marker: str) -> str:
 
 class TestPhaseLoop:
     def test_one_neighbour_send_goes_after_the_loop(self):
-        from repro.compiler import compile_algorithm
-
         for name, rows in (("pagerank", ""), ("conductance", ", F__in_nbrs")):
             source = compile_algorithm(name, emit_java=False).program.vertex_source
             assert "ctx.send_nbrs(" not in source and "ctx.send_list(" not in source
@@ -287,11 +288,6 @@ class TestPhaseLoop:
     @pytest.mark.parametrize("name", ["pagerank", "conductance"])
     def test_traced_and_untraced_runs_keep_one_ledger(self, name):
         # untraced, the rows stage in one pass; traced, row by row
-        from repro.bench.harness import default_args
-        from repro.compiler import compile_algorithm
-        from repro.graphgen.registry import load_graph
-        from repro.obs import Tracer
-
         graph = load_graph("twitter" if name == "pagerank" else "sk-2005", 0.1)
         program = compile_algorithm(name, emit_java=False).program
         args = default_args(name, graph)
@@ -308,10 +304,6 @@ class TestPhaseLoop:
 
     def test_combined_runs_keep_their_counts(self):
         # a combined tag's rows fold send by send, as per-vertex calls did
-        from repro.bench.harness import default_args
-        from repro.compiler import compile_algorithm
-        from repro.graphgen.registry import load_graph
-
         pinned = {
             ("pagerank", "twitter"): (22154, 177232, 16841, 134728, [69212, 26587, 26884, 9317]),
             ("conductance", "sk-2005"): (18322, 61858, 13800, 46576, [4719, 4515, 4531, 4557]),
