@@ -347,7 +347,7 @@ def _emit_send_nbrs(out: _Emitter, stmt: VSendNbrs) -> None:
     else:
         out.line("if OUT_OFF[vid] != OUT_OFF[vid + 1]:")
     out.indent()
-    if stmt is out.deferred:  # sent after the loop, row by row (_emit_phase_loop)
+    if stmt is out.deferred:  # one send_nbrs_rows after the loop (_emit_phase_loop)
         out.line("S_vids.append(vid)")
         out.line(f"S_msgs.append({msg})")
     elif stmt.direction == "in":
