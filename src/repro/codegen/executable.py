@@ -352,7 +352,7 @@ def _emit_send_nbrs(out: _Emitter, stmt: VSendNbrs) -> None:
         out.line(f"S_msgs.append({msg})")
     elif stmt.direction == "in":
         # Bulk send: typed backends stage one packed record per block.
-        out.line(f"ctx.send_list(F__in_nbrs[vid], {msg})")
+        out.line(f"ctx.send_nbrs_rows((vid,), ({msg},), F__in_nbrs)")
     else:
         out.line(f"ctx.send_nbrs(vid, {msg})")
     out.dedent()

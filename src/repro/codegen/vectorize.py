@@ -61,11 +61,11 @@ each op is its statement's closed form:
   off, and stays scalar;
 * ``RowAppend`` — the §4.3 build, ``_in_nbrs[v].append(sender id)``: the
   same sort, one ``extend`` per receiver's run; observes delivery order.
-  An in-direction send (``send_list(_in_nbrs[v], msg)``) is then the
-  out-direction gather over different rows: the engine's ``NbrGather``
-  re-derived over the ``_in_nbrs`` lists the first time such a send runs —
-  by then the prologue has delivered — and dropped whenever a
-  ``RowAppend`` runs.  The rows themselves stay the list-of-lists every
+  An in-direction send (``send_nbrs_rows(vids, msgs, _in_nbrs)``) is
+  then the out-direction gather over different rows: the engine's
+  ``NbrGather`` re-derived over the ``_in_nbrs`` lists the first time
+  such a send runs — by then the prologue has delivered — and dropped
+  whenever a ``RowAppend`` runs.  The rows themselves stay the list-of-lists every
   scalar path indexes, and the prologue's messages stay sent and counted:
   a Pregel vertex learns its in-neighbours from them, never from the
   graph's in-CSR.

@@ -265,7 +265,7 @@ class SlabPlane:
         """``msgs[k]`` to every neighbour of ``vids[k]`` along the out-CSR,
         or ``rows[vids[k]]`` (``PregelEngine.send_nbrs_rows``): per
         non-empty row one run from its vertex, its records packed in one —
-        what one ``send_nbrs`` / ``send_list`` per row stages."""
+        what one ``send`` per destination, row by row, stages."""
         if not vids or self._sender() is None:
             return
         tag = msgs[0][0]
@@ -288,10 +288,6 @@ class SlabPlane:
                 else:
                     stage.singles.extend(dsts)
                 stage.payload += records
-
-    def send_list(self, dsts: list, msg: tuple) -> None:
-        if dsts:
-            self.send_each(dsts, [msg] * len(dsts))
 
     def send_each(self, dsts, msgs: list) -> None:
         """``msgs[k]`` to ``dsts[k]``, payloads of one tag: one run from the
@@ -316,8 +312,8 @@ class SlabPlane:
         is the numpy array of packed wire records, one per staged message
         (None for an empty layout).  Staged order and every metered
         quantity come from the gather, and are exactly what the per-vertex
-        ``send_nbrs`` / ``send_list`` calls — or a per-edge ``send`` loop —
-        along the same rows would have produced.
+        ``send_nbrs`` / ``send_nbrs_rows`` calls — or a per-edge ``send``
+        loop — along the same rows would have produced.
         """
         stage = self._stage[tag]
         stage.close()
@@ -390,27 +386,22 @@ class SlabPlane:
         ledger.net_messages += cross
         ledger.net_bytes += size * cross
 
-    def meter_workers(self, metrics, sealed: _TagStage, staged_bytes=None, received=None) -> None:
+    def meter_workers(self, metrics, sealed: _TagStage, staged_bytes=None) -> None:
         """Meter a sealed tag across all the placement's workers, as
         ``PregelEngine.send`` and its combiner flush would have message by
         message: who sent, what crossed, and — into the tracer's
-        ``staged_bytes`` and ``received``, unless None — the wire bytes each
-        worker staged and the records each worker's vertices receive.  A
-        combined tag's sends count before the fold, its traffic after."""
+        ``staged_bytes``, unless None — the wire bytes each worker staged.
+        A combined tag's sends count before the fold, its traffic after."""
         owner = self.gather.owner
         workers = len(metrics.worker_sent)
         sender_owner = owner[sealed.senders]
         sent = np.bincount(sender_owner, weights=sealed.counts, minlength=workers)
         sent = sent.astype(np.int64).tolist()
         if sealed.bulk is None:
-            dst_owner = owner[sealed.dsts]
-            crossing = owner[sealed.record_senders()] != dst_owner
+            crossing = owner[sealed.record_senders()] != owner[sealed.dsts]
             cross = int(np.count_nonzero(crossing))
         else:
-            gather, edges = sealed.bulk
-            cross = int(gather.cross_nbrs[sealed.senders].sum())
-            if received is not None:
-                dst_owner = gather.nbr_owner if edges is None else gather.nbr_owner[edges]
+            cross = int(sealed.bulk[0].cross_nbrs[sealed.senders].sum())
         self.meter(metrics, sealed.tag, len(sealed.dsts), cross)
         for w, c in enumerate(sent):
             metrics.worker_sent[w] += c
@@ -418,9 +409,6 @@ class SlabPlane:
             size = self.codec.sizes[sealed.tag]
             for w, c in enumerate(sent):
                 staged_bytes[w] += size * c
-        if received is not None:
-            for w, c in enumerate(np.bincount(dst_owner, minlength=workers).tolist()):
-                received[w] += c
 
     def dispatch(self, state, parts_by_tag: dict):
         """Hand the pending parts to the receive code of phase ``state``:
@@ -469,8 +457,8 @@ class ColumnarEngine(PregelEngine):
         self._csr = csr = NbrGather.of_graph(graph, self._worker_of)
         self._plane = plane = SlabPlane(MessageCodec(schema), csr, self)
         for name in (
-            "send", "send_nbrs", "send_nbrs_rows", "send_list", "send_each",
-            "send_nbrs_bulk", "send_to_bulk",
+            "send", "send_nbrs", "send_nbrs_rows", "send_each", "send_nbrs_bulk",
+            "send_to_bulk",
         ):  # fmt: skip
             setattr(self, name, getattr(plane, name))
         #: the next delivery's: tag -> its parts — the lone one the last
@@ -527,9 +515,6 @@ class ColumnarEngine(PregelEngine):
         self._m_scalar_records = mreg.counter("columnar.scalar_records")
         self._m_kernel_vertices = mreg.counter("columnar.kernel_vertices")
         self._m_scalar_vertices = mreg.counter("columnar.scalar_vertices")
-
-    def _install_tracing(self) -> None:
-        self._trace_compute()  # the seal meters the plane's sends, whole
 
     def install_array_code(self, receivers: dict, kernels: dict) -> None:
         """Register the vectorizer's output: bulk receive handlers keyed by
@@ -606,9 +591,8 @@ class ColumnarEngine(PregelEngine):
         plane = self._plane
         metrics = self.metrics
         staged_bytes = self._trace_worker_bytes or None
-        received = self._trace_worker_received or None
         for sealed in plane.seal():
-            plane.meter_workers(metrics, sealed, staged_bytes, received)
+            plane.meter_workers(metrics, sealed, staged_bytes)
             self._sealed[sealed.tag] = [(sealed.dsts, None, sealed.payload, len(sealed.dsts))]
 
     def out_gather(self) -> NbrGather:
@@ -621,6 +605,18 @@ class ColumnarEngine(PregelEngine):
         """What the next delivery reads, as ``parts_by_tag`` entries: the
         parts the last vertex phase sealed."""
         return [self._sealed]
+
+    def _in_flight_totals(self, sealed: dict | None = None) -> list[int]:
+        """Per destination worker, how many records ``sealed``'s parts
+        hold (default: what the last vertex phase sealed) — what each
+        worker receives at the next delivery."""
+        if sealed is None:
+            sealed = self._sealed
+        dsts = [part[0] for parts in sealed.values() for part in parts]
+        if not dsts:
+            return [0] * self.num_workers
+        owner = self._csr.owner[_joined(dsts)]
+        return np.bincount(owner, minlength=self.num_workers).tolist()
 
     def outbox_view(self) -> dict[int, list]:
         """The in-flight ``{dst: msgs}`` map, decoded from the raw entries
@@ -659,13 +655,8 @@ class ColumnarEngine(PregelEngine):
         slots = self._inbox_slots
         sealed, self._sealed = self._sealed, {}
         plane = self._plane
-        if self._transport is not None and sealed:
-            # Per destination worker, ascending, an empty batch skipped: the
-            # calls, and so the RNG draws, of the tuple staging's route_count.
-            dsts = np.concatenate([parts[0][0] for parts in sealed.values()])
-            totals = np.bincount(self._csr.owner[dsts])
-            for wid in np.flatnonzero(totals).tolist():
-                self._transport.route_count(wid, int(totals[wid]))
+        if self._transport is not None:
+            self._route(sealed)
         # The master has already broadcast this superstep's state, so the
         # handler keyed by (state, tag) is exactly the receive loop the
         # vertex phase would run on these records.  Per-receiver order

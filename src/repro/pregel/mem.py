@@ -473,8 +473,8 @@ class MemoryManager:
         self._engine = engine
 
     def install(self) -> None:
-        """Swap in the budgeted execution hooks (limited plans only; called
-        by ``run()``, mirroring the tracer's install-on-demand pattern).
+        """Swap in the budgeted execution hooks (limited plans only;
+        called by ``run()``).
 
         ``_enqueue`` is shadowed with an instance attribute so both direct
         sends and combiner flushes charge the destination worker's outbox;

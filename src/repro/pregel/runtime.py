@@ -30,8 +30,9 @@ switching, applied to the vertex iteration):
 
 * Messages are staged in one outbox, ``{dst: msgs}`` in global send
   order, installed at the barrier into a dense inbox index; the simulated
-  channel and a memory budget get per-destination-worker batches cut from
-  it there.  Each receiver's messages keep their send order.
+  channel gets its per-destination-worker totals there, and a memory
+  budget batches cut from it.  Each receiver's messages keep their send
+  order.
 * ``scheduling="frontier"`` (the default) — under voting, track the
   *frontier* (vertices with incoming messages ∪ vertices that have not
   voted to halt) explicitly and iterate only it while it is smaller than
@@ -500,7 +501,7 @@ class PregelEngine:
         # here, the one check anything makes.  The registry reads the
         # ledger's totals once, when run() ends (_export_ledger), and takes
         # per superstep only the distributions of its phase clocks; the
-        # tracer's instrumentation is installed by run() (_install_tracing).
+        # tracer's per-worker counters are allocated by run() (_trace_compute).
         self._mreg = (
             metrics_registry
             if metrics_registry is not None and metrics_registry.enabled
@@ -593,7 +594,6 @@ class PregelEngine:
         self._trace_worker_computed: list[int] = []
         self._trace_worker_seconds: list[float] = []
         self._trace_worker_bytes: list[int] = []
-        self._trace_worker_received: list[int] = []
         # Who hears the superstep boundaries: per boundary, the subscribed
         # methods in call order.  Nothing attached = three empty tuples, so
         # the bare loop is the fast path by construction.
@@ -668,6 +668,9 @@ class PregelEngine:
         worker_of = self._worker_of
         sender_worker = worker_of[sender]
         m = self.metrics
+        staged_bytes = self._trace_worker_bytes
+        if staged_bytes:  # a recording tracer: the staged payload, pre-fold
+            staged_bytes[sender_worker] += self._message_size(msg)
         op = self._combiners.get(msg[0]) if self._combiners else None
         if op is not None:
             # Delivered traffic (messages / bytes / net) is metered at flush
@@ -696,8 +699,7 @@ class PregelEngine:
 
     def _batches(self, outbox: dict[int, list]) -> list[dict[int, list]]:
         """``outbox`` cut into per-destination-worker batches, each in the
-        outbox's order: what the simulated channel, a memory budget and a
-        checkpoint see of it."""
+        outbox's order: what a memory budget and a checkpoint see of it."""
         batches: list[dict[int, list]] = [{} for _ in range(self.num_workers)]
         worker_of = self._worker_of
         for dst, msgs in outbox.items():
@@ -726,7 +728,6 @@ class PregelEngine:
         m = self.metrics
         enqueue = self._enqueue
         size_of = self._message_size
-        received = self._trace_worker_received
         for (sender_worker, dst, _tag), msg in self._combined.items():
             enqueue(dst, msg)
             size = size_of(msg)
@@ -735,8 +736,6 @@ class PregelEngine:
             if sender_worker != worker_of[dst]:
                 m.net_messages += 1
                 m.net_bytes += size
-            if received:
-                received[worker_of[dst]] += 1
         self._combined.clear()
 
     def send_nbrs(self, vid: int, msg: tuple) -> None:
@@ -752,23 +751,20 @@ class PregelEngine:
         out-CSR row, or ``rows[vids[k]]`` (the ``_in_nbrs`` column) — one
         tag, each vertex its row's sender.  A generated phase whose one
         send is a neighbour send makes one after its loop, over the rows in
-        the loop's order: staged as one ``send_nbrs`` / ``send_list`` per
-        vertex would be.  An empty row is a no-op.
+        the loop's order, and a per-vertex one ``((vid,), (msg,), rows)``:
+        staged as one ``send`` per destination would be.  An empty row is a
+        no-op.
 
-        Untraced, with no limited memory plan and no combiner on the tag,
-        the rows stage in one pass and meter once, an out-CSR row's net
-        traffic read from ``_cross_nbrs``.  Otherwise each row is the
-        ``_send_block`` a per-vertex call makes, from its vertex."""
+        With no limited memory plan and no combiner on the tag, the rows
+        stage in one pass and meter once, an out-CSR row's net traffic read
+        from ``_cross_nbrs``.  Otherwise each row is the ``_send_block`` a
+        per-vertex call makes, from its vertex."""
         if self._current_vertex < 0:
             raise RuntimeError(OUTSIDE_PHASE_ERROR)
         if self._ft_replaying:
             return  # already delivered by the original execution (see send)
         blocks = map((self.graph.out_rows if rows is None else rows).__getitem__, vids)
-        if (
-            self._trace_worker_bytes
-            or self._mem_limited
-            or (self._combiners and msgs[0][0] in self._combiners)
-        ):
+        if self._mem_limited or (self._combiners and msgs[0][0] in self._combiners):
             for vid, msg, dsts in zip(vids, msgs, blocks):
                 if dsts:
                     self._current_vertex = vid
@@ -777,13 +773,17 @@ class PregelEngine:
         outbox = self._outbox
         worker_of = self._worker_of
         sent = self.metrics.worker_sent
+        staged_bytes = self._trace_worker_bytes
+        # a recording tracer's staged bytes are per worker: count this
+        # call's sends apart, and meter both once
+        counts = [0] * self.num_workers if staged_bytes else sent
         staged = remote = 0
         for vid, msg, dsts in zip(vids, msgs, blocks):
             for dst in dsts:
                 outbox[dst].append(msg)
             n = len(dsts)
             owner = worker_of[vid]
-            sent[owner] += n
+            counts[owner] += n
             staged += n
             if rows is not None and n:
                 remote += n - list(map(worker_of.__getitem__, dsts)).count(owner)
@@ -798,13 +798,10 @@ class PregelEngine:
         if remote:
             m.net_messages += remote
             m.net_bytes += remote * size
-
-    def send_list(self, dsts, msg: tuple) -> None:
-        """Bulk send: ``msg`` to every vertex in ``dsts`` (in-neighbor
-        sends through the Incoming-Neighbors prologue's ``_in_nbrs``) — the
-        ``send_each`` of one payload for every destination."""
-        if dsts:
-            self._send_block(dsts, None, msg)
+        if staged_bytes:
+            for w, count in enumerate(counts):
+                sent[w] += count
+                staged_bytes[w] += count * size
 
     def send_each(self, dsts, msgs: list) -> None:
         """Bulk send: ``msgs[k]`` to vertex ``dsts[k]``, payloads of one tag
@@ -843,8 +840,7 @@ class PregelEngine:
         n = len(dsts)
         worker_of = self._worker_of
         sender_worker = worker_of[sender]
-        owners = list(map(worker_of.__getitem__, dsts))
-        remote = n - owners.count(sender_worker)
+        remote = n - list(map(worker_of.__getitem__, dsts)).count(sender_worker)
         size = self._message_size(msg)
         m = self.metrics
         m.messages += n
@@ -856,9 +852,6 @@ class PregelEngine:
         staged_bytes = self._trace_worker_bytes
         if staged_bytes:
             staged_bytes[sender_worker] += n * size
-            received = self._trace_worker_received
-            for owner in owners:
-                received[owner] += 1
 
     @cached_property
     def _cross_nbrs(self) -> list[int]:
@@ -1037,73 +1030,29 @@ class PregelEngine:
     # Execution
     # ------------------------------------------------------------------
 
-    def _install_tracing(self) -> None:
-        """Swap in the traced execution hooks (recording tracer only).
-
-        The untraced hot path stays byte-identical: tracing allocates the
-        per-worker counters the vertex phase fills around the loop it runs
-        (computed counts + compute seconds, see ``_counted_loop``) and
-        shadows ``send`` with an instance attribute (per-worker staged
-        payload bytes and received messages), so the engine's loops and the
-        per-send fast path carry zero extra branches when tracing is off.
-        The shadow meters single sends; a block (``send_each``) and the
-        combiner flush meter their own into the same counters.  The two
-        install separately: a backend that meters whole slabs takes the
-        first and not the shadow.  Confined-recovery replay
-        (``_ft_replaying``) is transparent to both — it runs no vertex
-        phase, and the send meters skip it: its work was already counted
-        by the original execution.
-        """
-        self._trace_compute()
-        self.send = self._traced_send()  # type: ignore[method-assign]
-
     def _trace_compute(self) -> None:
         """Allocate the tracer's per-worker counters: vertices computed and
-        compute seconds (filled by the vertex phase), staged bytes and
-        received messages (by the send meters or the seal).  Non-empty
-        counters are what says a recording tracer is attached."""
+        compute seconds (filled by the vertex phase) and staged payload
+        bytes (by the sends, or the seal).  Non-empty counters are what says
+        a recording tracer is attached; the sends and loops a traced run
+        executes are an untraced run's.  What each worker receives is read
+        at the end of the body (``_in_flight_totals``).  Confined-recovery
+        replay (``_ft_replaying``) runs no vertex phase and its sends meter
+        nothing: the original execution counted its work."""
         workers = self.num_workers
         self._trace_worker_computed = [0] * workers
         self._trace_worker_seconds = [0.0] * workers
         self._trace_worker_bytes = [0] * workers
-        self._trace_worker_received = [0] * workers
-
-    def _traced_send(self) -> Callable[[int, tuple], None]:
-        """The inherited ``send`` behind the tracer's meters: per-worker
-        bytes of the *staged* payload (pre-combiner-fold: the sends are
-        identical under either scheduler, which keeps the quantity
-        deterministic), and per receiving worker the messages staged — a
-        combined tag's once folded, by the flush.  A block meters the same
-        in ``send_each``, or reaches this shadow once per message where it
-        acts per message."""
-        worker_of = self._worker_of
-        staged_bytes = self._trace_worker_bytes
-        received = self._trace_worker_received
-        size_of = self._message_size
-        combiners = self._combiners
-        cls_send = PregelEngine.send
-
-        def traced_send(dst, msg):
-            sender = self._current_vertex
-            if sender >= 0 and not self._ft_replaying:
-                staged_bytes[worker_of[sender]] += size_of(msg)
-                if msg[0] not in combiners:
-                    received[worker_of[dst]] += 1
-            cls_send(self, dst, msg)
-
-        return traced_send
 
     @contextmanager
     def _session(self, tracer):
         """What a run holds open around its superstep loop.  In-process
-        that is only the on-demand execution hooks; a backend with real
-        resources (worker processes, segments, sockets) acquires them here
-        and releases them on every exit path."""
+        that is only the tracer's counters and a limited memory plan's
+        hooks; a backend with real resources (worker processes, segments,
+        sockets) acquires them here and releases them on every exit path."""
         if tracer is not None:
-            self._install_tracing()
+            self._trace_compute()
         if self._mem_limited:
-            # After tracing: the budgeted compute wrapper must see the
-            # traced hooks so spilled-inbox materialization is timed too.
             self.mem.install()
         yield
 
@@ -1343,12 +1292,10 @@ class PregelEngine:
                 tw_computed = self._trace_worker_computed
                 tw_seconds = self._trace_worker_seconds
                 tw_bytes = self._trace_worker_bytes
-                tw_received = self._trace_worker_received
                 for w in range(self.num_workers):
                     tw_computed[w] = 0
                     tw_seconds[w] = 0.0
                     tw_bytes[w] = 0
-                    tw_received[w] = 0
                 if transport is not None:
                     _m = self.metrics
                     s_dropped = _m.messages_dropped
@@ -1440,14 +1387,36 @@ class PregelEngine:
             self._trace_worker_computed,
             self._trace_worker_seconds,
             self._trace_worker_bytes,
-            self._trace_worker_received,
+            self._in_flight_totals() if traced else [],
             {},
         )
 
+    def _in_flight_totals(self, outbox: dict | None = None) -> list[int]:
+        """Per destination worker, how many messages ``outbox`` holds —
+        by default the staged one, a limited memory plan's split runs
+        included: what each worker receives at the next delivery."""
+        if outbox is None:
+            outbox = self.outbox_view() if self._mem_limited else self._outbox
+        totals = [0] * self.num_workers
+        worker_of = self._worker_of
+        for dst, msgs in outbox.items():
+            totals[worker_of[dst]] += len(msgs)
+        return totals
+
+    def _route(self, in_flight) -> None:
+        """Hand the simulated channel each destination worker's total of
+        ``in_flight`` (``_in_flight_totals``), ascending, an empty one
+        skipped.  The reliable protocol reconstructs the exact sent stream
+        (faults cost retransmissions, not data), so only the totals travel."""
+        route_count = self._transport.route_count
+        for wid, total in enumerate(self._in_flight_totals(in_flight)):
+            if total:
+                route_count(wid, total)
+
     def _deliver(self) -> None:
         """Install the one outbox into the dense inbox index at the barrier
-        and start the next.  Per-worker batches are cut from it only for the
-        simulated channel (each one's total, through ``route_count``) and a
+        and start the next.  The simulated channel reads its per-worker
+        totals (``_route``); per-worker batches are cut from it only for a
         limited memory plan (routed under credit control).  Execution backends
         override this hook to swap the staging representation (e.g. typed
         message slabs) while keeping the run loop — and the barrier it
@@ -1462,14 +1431,8 @@ class PregelEngine:
             # (split runs re-merge ahead of the residual batch).
             self.mem.deliver(self._batches(outbox), touched.append)
             return
-        transport = self._transport
-        if transport is not None:
-            # The batches cross the simulated channel; the reliable
-            # protocol reconstructs the exact sent stream (faults cost
-            # retransmissions, not data), so only their sizes travel.
-            for wid, batch in enumerate(self._batches(outbox)):
-                if batch:
-                    transport.route_count(wid, sum(map(len, batch.values())))
+        if self._transport is not None:
+            self._route(outbox)
         slots = self._inbox_slots
         for dst, msgs in outbox.items():
             slots[dst] = msgs

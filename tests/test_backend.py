@@ -356,7 +356,8 @@ class TestColumnarCompositions:
                 ctx.send_nbrs(vid, (3, best))
                 for nbr in graph.out_nbrs(vid):
                     ctx.send(nbr, (0, float(best)))
-                ctx.send_list(list(graph.out_nbrs(vid))[:2], (3, best))
+                dsts = list(graph.out_nbrs(vid))[:2]
+                ctx.send_each(dsts, [(3, best)] * len(dsts))
             ctx.vote_to_halt(vid)
 
         return vertex
@@ -817,9 +818,42 @@ class TestSlabPlane:
     ``ColumnarEngine`` and every ``mp`` worker run — driven directly, with
     a stand-in host, and held to the simulator: what it seals is what an
     append-per-message staging would hold, and what it meters is what
-    ``PregelEngine.send`` — and, per worker and in bytes, its traced
-    shadow — meters message by message.  The simulator's own block sends
-    are held to that per-message path on the same scripts."""
+    ``PregelEngine.send`` meters message by message — per worker, in
+    bytes and in messages received, as a recording tracer reads them
+    (``_trace_compute``, ``_in_flight_totals``).  The simulator's own
+    block sends are held to that per-message path on the same scripts."""
+
+    #: a script's one-block calls, by kind: what each sends to which
+    #: destinations.  ``send_each`` is one payload for every destination,
+    #: ``send_rows`` a per-vertex ``send_nbrs_rows`` along its own row.
+    KINDS = ("send", "send_nbrs", "send_each", "send_rows")
+
+    @staticmethod
+    def call(target, kind, sender, arg, msg) -> None:
+        """Make ``kind`` of the script on ``target`` (an engine or a plane)."""
+        if kind == "send_each":
+            target.send_each(arg, [msg] * len(arg))
+        elif kind == "send_rows":
+            target.send_nbrs_rows((sender,), (msg,), {sender: arg})
+        else:
+            getattr(target, kind)(arg, msg)
+
+    @staticmethod
+    def destinations(graph, kind, sender, arg) -> list:
+        """The destinations ``kind`` of the script sends to, in order."""
+        if kind == "send":
+            return [arg]
+        return list(graph.out_nbrs(sender)) if kind == "send_nbrs" else arg
+
+    @staticmethod
+    def plane_received(gather, workers, sealed) -> list:
+        """What ``columnar`` reads as each worker's received messages from
+        ``sealed`` stages (``ColumnarEngine._in_flight_totals``)."""
+        from types import SimpleNamespace
+
+        host = SimpleNamespace(_csr=gather, num_workers=workers)
+        parts = {one.tag: [(one.dsts, None, one.payload, len(one.dsts))] for one in sealed}
+        return ColumnarEngine._in_flight_totals(host, parts)
 
     @staticmethod
     def make_msg(schema, tag, rng):
@@ -860,9 +894,9 @@ class TestSlabPlane:
                     continue
                 if roll < 0.6:
                     for _ in range(rng.randrange(1, 4)):
-                        kind = rng.choice(("send", "send_nbrs", "send_list"))
+                        kind = rng.choice(cls.KINDS)
                         dsts = [rng.randrange(n) for _ in range(rng.randrange(0, 4))]
-                        arg = {"send": rng.randrange(n), "send_nbrs": vid, "send_list": dsts}[kind]
+                        arg = {"send": rng.randrange(n), "send_nbrs": vid}.get(kind, dsts)
                         ops.append((vid, tag, kind, arg, cls.make_msg(schema, tag, rng)))
                 vid += 1
         ops.sort(key=lambda op: op[0])
@@ -904,12 +938,11 @@ class TestSlabPlane:
         )  # fmt: skip
         want = {tag: ([], [], bytearray()) for tag in codec.tag_ids}
         births = {}  # a combiner slot's first sender
-        sim._trace_compute()
-        traced_send = sim._traced_send()  # ... behind the tracer's meters
+        sim._trace_compute()  # ... with the tracer's counters
 
         def reference(sender, dst, msg):
             sim._current_vertex = sender
-            traced_send(dst, msg)
+            sim.send(dst, msg)
             if msg[0] in combiners:
                 births.setdefault((sim._worker_of[sender], dst, msg[0]), sender)
                 return
@@ -950,10 +983,9 @@ class TestSlabPlane:
                         reference(v, dst, m)
                 continue
             host._current_vertex = sender
-            getattr(plane, kind)(arg, msg)
+            self.call(plane, kind, sender, arg, msg)
             host._current_vertex = -1
-            dsts = {"send": [arg], "send_nbrs": graph.out_nbrs(sender), "send_list": arg}[kind]
-            for dst in dsts:
+            for dst in self.destinations(graph, kind, sender, arg):
                 reference(sender, dst, msg)
 
         # the simulator's combiner table, slot by slot in the order they
@@ -965,7 +997,7 @@ class TestSlabPlane:
             payload += codec.pack[tag](msg)
         sim._flush_combined()
         metrics = RunMetrics(worker_sent=[0] * workers)
-        staged_bytes, received = [0] * workers, [0] * workers
+        staged_bytes = [0] * workers
         sealed = {one.tag: one for one in plane.seal()}
         assert sorted(sealed) == [tag for tag in codec.tag_ids if want[tag][0]]
         for tag, one in sealed.items():
@@ -973,12 +1005,14 @@ class TestSlabPlane:
             assert one.dsts.tolist() == dsts
             assert one.record_senders().tolist() == senders
             assert bytes(one.payload) == bytes(payload)
-            plane.meter_workers(metrics, one, staged_bytes, received)
+            plane.meter_workers(metrics, one, staged_bytes)
         assert not list(plane.seal())  # the seal left every stage empty
         for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
             assert getattr(metrics, name) == getattr(sim.metrics, name), name
         assert staged_bytes == sim._trace_worker_bytes
-        assert received == sim._trace_worker_received
+        received = self.plane_received(gather, workers, sealed.values())
+        assert received == sim._in_flight_totals()
+        assert sum(received) == metrics.messages
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -991,9 +1025,9 @@ class TestSlabPlane:
         st.randoms(use_true_random=False),
     )
     def test_a_block_send_is_its_sends(self, alg, n, workers, partitioning, fold, traced, rng):
-        # the simulator's send_nbrs / send_list stage and meter a block in
-        # one pass: held to one PregelEngine.send per destination (untraced,
-        # send_nbrs meters from its cross-worker table)
+        # the simulator's send_nbrs / send_nbrs_rows / send_each stage and
+        # meter a block in one pass: held to one PregelEngine.send per
+        # destination (send_nbrs meters from its cross-worker table)
         from repro.pregel.globalmap import GlobalOp
         from repro.pregel.graph import Graph
 
@@ -1013,7 +1047,7 @@ class TestSlabPlane:
                 ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
             if traced:
-                one._install_tracing()  # the tracer's counters and send meters
+                one._trace_compute()  # the tracer's counters
             return one
 
         block, each = engine(), engine()
@@ -1026,8 +1060,8 @@ class TestSlabPlane:
                 calls = [(sender, kind, arg, msg)]
             for vid, api, to, m in calls:
                 block._current_vertex = each._current_vertex = vid
-                getattr(block, api)(to, m)
-                for dst in {"send": [to], "send_nbrs": graph.out_nbrs(vid), "send_list": to}[api]:
+                self.call(block, api, vid, to, m)
+                for dst in self.destinations(graph, api, vid, to):
                     each.send(dst, m)
         for flush in (False, True):
             if flush:  # the folded slots, metered at the barrier
@@ -1038,7 +1072,7 @@ class TestSlabPlane:
             for name in ("messages", "message_bytes", "net_messages", "net_bytes", "worker_sent"):
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
             assert block._trace_worker_bytes == each._trace_worker_bytes
-            assert block._trace_worker_received == each._trace_worker_received
+            assert block._in_flight_totals() == each._in_flight_totals()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1087,7 +1121,7 @@ class TestSlabPlane:
                 message_size=lambda msg: codec.sizes[msg[0]], combiners=combiners,
                 ft=FaultTolerance(FaultPlan()),
             )  # fmt: skip
-            one._install_tracing()  # the tracer's counters and send meters
+            one._trace_compute()  # the tracer's counters
             return one
 
         block, each = engine(), engine()
@@ -1118,22 +1152,23 @@ class TestSlabPlane:
             for name in traffic:
                 assert getattr(block.metrics, name) == getattr(each.metrics, name), name
             assert block._trace_worker_bytes == each._trace_worker_bytes
-            assert block._trace_worker_received == each._trace_worker_received
+            assert block._in_flight_totals() == each._in_flight_totals()
         # the plane: one run per block, the records of one send per message,
         # metered as the simulator metered them once its combiner table flushed
         sealed = [[], []]
         for plane, records in zip(planes, sealed):
             metrics = RunMetrics(worker_sent=[0] * workers)
-            staged_bytes, received = [0] * workers, [0] * workers
-            for one in plane.seal():
-                plane.meter_workers(metrics, one, staged_bytes, received)
+            staged_bytes = [0] * workers
+            stages = list(plane.seal())
+            for one in stages:
+                plane.meter_workers(metrics, one, staged_bytes)
                 records.append(
                     (one.tag, one.dsts.tolist(), one.record_senders().tolist(), bytes(one.payload))
                 )
             for name in traffic:
                 assert getattr(metrics, name) == getattr(each.metrics, name), name
             assert staged_bytes == each._trace_worker_bytes
-            assert received == each._trace_worker_received
+            assert self.plane_received(gather, workers, stages) == each._in_flight_totals()
         assert sealed[0] == sealed[1]
 
     #: per reduction, a pending value and runs of puts whose sequential fold
@@ -1303,17 +1338,20 @@ class TestSlabPlane:
             assert "none" not in engine.globals._pending
 
     @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
-    @pytest.mark.parametrize("api", ["send_nbrs", "send_list"])
+    @pytest.mark.parametrize("api", ["send_nbrs", "send_each"])
     def test_an_empty_block_is_a_no_op(self, programs, graph, backend, api):
         # no sender is needed to send nothing: a sink's send_nbrs and an
-        # empty send_list, outside the vertex phase, neither refuse nor stage
+        # empty send_each, outside the vertex phase, neither refuse nor stage
         if backend == "mp" and not mp_available():
             pytest.skip("needs fork start-method and multiprocessing.shared_memory")
         engine, _fields, _master = programs["pagerank"].make_engine(
             graph, default_args("pagerank", graph), backend=backend, num_workers=2
         )
         sink = next(v for v in graph.nodes() if not graph.out_degree(v))
-        getattr(engine, api)({"send_nbrs": sink, "send_list": []}[api], (0, 0.5))
+        if api == "send_nbrs":
+            engine.send_nbrs(sink, (0, 0.5))
+        else:
+            engine.send_each([], [])
         assert engine.metrics.messages == 0
         assert engine.metrics.worker_sent == [0, 0]
         if backend == "sim":
@@ -1321,21 +1359,24 @@ class TestSlabPlane:
         else:
             assert not list(engine._plane.seal())
 
-    @pytest.mark.parametrize("api", ["send_nbrs", "send_list"])
+    @pytest.mark.parametrize("api", ["send_nbrs", "send_each"])
     def test_a_block_replayed_under_recovery_stages_nothing(self, programs, graph, api):
         engine, _fields, _master = programs["pagerank"].make_engine(
             graph, default_args("pagerank", graph), num_workers=2,
             ft=FaultTolerance(FaultPlan()),
         )  # fmt: skip
-        engine._install_tracing()
+        engine._trace_compute()
         sender = next(v for v in graph.nodes() if graph.out_degree(v))
         engine._current_vertex = sender
         engine._ft_replaying = True
-        getattr(engine, api)({"send_nbrs": sender, "send_list": [1, 2]}[api], (0, 0.5))
+        if api == "send_nbrs":
+            engine.send_nbrs(sender, (0, 0.5))
+        else:
+            engine.send_each([1, 2], [(0, 0.5)] * 2)
         m = engine.metrics
         assert (m.messages, m.message_bytes, m.net_messages, m.net_bytes) == (0, 0, 0, 0)
         assert m.worker_sent == engine._trace_worker_bytes == [0, 0]
-        assert engine._trace_worker_received == [0, 0]
+        assert engine._in_flight_totals() == [0, 0]
         assert not engine._outbox
 
     @pytest.mark.parametrize("manual", [False, True])
@@ -1360,7 +1401,7 @@ class TestSlabPlane:
         )  # fmt: skip
 
     @pytest.mark.parametrize("backend", ["sim", "columnar", "mp"])
-    @pytest.mark.parametrize("api", ["send", "send_nbrs", "send_list"])
+    @pytest.mark.parametrize("api", ["send", "send_nbrs", "send_each"])
     def test_a_send_outside_the_vertex_phase_is_refused(self, programs, graph, backend, api):
         if backend == "mp" and not mp_available():
             pytest.skip("needs fork start-method and multiprocessing.shared_memory")
@@ -1369,10 +1410,14 @@ class TestSlabPlane:
         )
         assert backend == "sim" or isinstance(engine, ColumnarEngine)
         sender = next(v for v in graph.nodes() if graph.out_degree(v))
-        target = {"send": 1, "send_nbrs": sender, "send_list": [1, 2]}[api]
+        target, msg = {
+            "send": (1, (0, 0.5)),
+            "send_nbrs": (sender, (0, 0.5)),
+            "send_each": ([1, 2], [(0, 0.5)] * 2),
+        }[api]
         # one refusal on every backend, the mp parent's plane included
         with pytest.raises(RuntimeError, match="outside the vertex phase"):
-            getattr(engine, api)(target, (0, 0.5))
+            getattr(engine, api)(target, msg)
         assert engine.metrics.messages == 0
         assert engine.metrics.worker_sent == [0, 0]
 
@@ -3912,3 +3957,33 @@ class TestOneOutbox:
         assert metrics.parity_key() == run_on(
             programs, graph, alg, "sim", num_workers=workers, partitioning=partitioning
         ).metrics.parity_key()
+
+    def test_a_traced_run_sends_as_an_untraced_one(self, programs, graph, monkeypatch):
+        # a recording tracer adds no send path: the engine keeps its class's
+        # send, and pagerank's rows go out in one pass, never block by block;
+        # what each worker received is read at the barrier, as columnar does
+        from repro.obs import deterministic_events
+
+        calls = []
+        block = PregelEngine._send_block
+
+        def counted(engine, *args):
+            calls.append(args)
+            return block(engine, *args)
+
+        monkeypatch.setattr(PregelEngine, "_send_block", counted)
+        streams = {}
+        for backend in ("sim", "columnar"):
+            tracer = Tracer()
+            engine, _fields, _master = programs["pagerank"].make_engine(
+                graph, default_args("pagerank", graph), backend=backend, num_workers=2,
+                tracer=tracer,
+            )  # fmt: skip
+            engine.run()
+            streams[backend] = deterministic_events(tracer.events)
+            if backend == "sim":
+                assert "send" not in vars(engine)
+                assert calls == []
+        received = [e["det"]["worker_received"] for e in streams["sim"] if e["name"] == "superstep"]
+        assert any(map(any, received))
+        assert streams["sim"] == streams["columnar"]

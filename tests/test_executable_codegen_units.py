@@ -213,7 +213,7 @@ class TestPhaseLoop:
     def test_one_neighbour_send_goes_after_the_loop(self):
         for name, rows in (("pagerank", ""), ("conductance", ", F__in_nbrs")):
             source = compile_algorithm(name, emit_java=False).program.vertex_source
-            assert "ctx.send_nbrs(" not in source and "ctx.send_list(" not in source
+            assert "ctx.send_nbrs(" not in source and "send_nbrs_rows((vid,)" not in source
             assert f"ctx.send_nbrs_rows(S_vids, S_msgs{rows})" in source
 
     def test_adjacent_ifs_on_one_condition_are_one_block(self):
@@ -285,9 +285,61 @@ class TestPhaseLoop:
                     dst: sorted(msgs, key=lambda m: m[0]) for dst, msgs in order.items()
                 }
 
+    def test_an_in_neighbour_send_beside_a_second_site_is_a_one_row_call(self):
+        # the in-direction send of a two-site phase stays per vertex: one
+        # row of the _in_nbrs column per call, staged as one send per
+        # destination would be, beside the random write
+        source = (
+            "Procedure in_sites(G: Graph, a: N_P<Int>, b: N_P<Int>, tgt: N_P<Node>;"
+            " x: N_P<Int>, y: N_P<Int>) {\n"
+            "  G.x = -1; G.y = -1;\n"
+            "  Foreach (n: G.Nodes) {\n"
+            "    Foreach (t: n.InNbrs) { t.x = n.a; }\n"
+            "    Node m = n.tgt; m.y = n.b; } }"
+        )
+        loop = _phase_loop(source, "ctx.send(")
+        assert "ctx.send_nbrs_rows((vid,), ((" in loop and ", F__in_nbrs)" in loop
+        assert "S_vids" not in loop
+        n = 7
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and (u * 3 + v) % 4 == 0]
+        graph = Graph.from_edges(n, edges)
+        args = {
+            "a": [10 + v for v in range(n)],
+            "b": [20 + v for v in range(n)],
+            "tgt": [(5 * v + 2) % n for v in range(n)],
+        }
+        want = interpret(source, graph, args).outputs
+        for backend in ("sim", "columnar"):
+            engine, fields = _scalar_engine(source, graph, args, backend, num_workers=3)
+            staged = []
+            deliver = engine._deliver
+
+            def capture():
+                staged.append(engine.outbox_view())
+                deliver()
+
+            engine._deliver = capture
+            engine.run()
+            got = {name: engine.column_values(fields[name]) for name in ("x", "y")}
+            assert got == want, backend
+            # the order one send per destination stages, per receiver
+            rows = fields["_in_nbrs"]
+            order: dict = {}
+            for v in range(n):
+                for t in rows[v]:
+                    order.setdefault(t, []).append((0, args["a"][v]))
+                order.setdefault(args["tgt"][v], []).append((1, args["b"][v]))
+            sent = staged[2]  # after the §4.3 prologue's row messages
+            if backend == "sim":
+                assert sent == order
+            else:  # the slabs decode tag by tag, each in send order
+                assert sent == {
+                    dst: sorted(msgs, key=lambda m: m[0]) for dst, msgs in order.items()
+                }
+
     @pytest.mark.parametrize("name", ["pagerank", "conductance"])
     def test_traced_and_untraced_runs_keep_one_ledger(self, name):
-        # untraced, the rows stage in one pass; traced, row by row
+        # traced or not, the rows stage in one pass
         graph = load_graph("twitter" if name == "pagerank" else "sk-2005", 0.1)
         program = compile_algorithm(name, emit_java=False).program
         args = default_args(name, graph)

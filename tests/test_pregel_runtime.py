@@ -453,7 +453,7 @@ class TestMakespan:
         from repro.obs import makespan
 
         engine = self._run(2)
-        assert engine._trace_worker_computed == engine._trace_worker_received == []
+        assert engine._trace_worker_computed == engine._trace_worker_bytes == []
         assert makespan([]) == (0, 0.0)
 
     def test_units_counted(self):
