@@ -10,14 +10,18 @@ Edge-Flipping, §4.1), and inventories the global reductions it performs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..lang.ast import (
     Assign,
     Block,
     DeferredAssign,
     Foreach,
+    Ident,
     If,
     IterKind,
+    Procedure,
+    PropAccess,
     ReduceAssign,
     Stmt,
     VarDecl,
@@ -157,3 +161,49 @@ def _classify_write(
         else:
             report.global_scalar_writes.append(name)
 
+
+def refuse_racing_writes(proc: Procedure) -> None:
+    """Refuse a vertex-parallel loop in which a plain ``=`` writes one
+    property of a vertex other than the loop's own iterator — through a
+    neighbour iterator (a push) or a node variable (a random write) — from
+    two or more sites.  At one site the sequentially last writer wins, and
+    the compiled program keeps that order in its one message tag; two sites
+    send two tags, which a receiver folds one after the other, so no single
+    order of the writes is kept.  Reductions and a single site stay legal."""
+    for outer in _statements(proc.body):
+        if not (
+            isinstance(outer, Foreach)
+            and outer.parallel
+            and outer.source.kind is IterKind.NODES
+        ):
+            continue
+        first: dict[str, Assign] = {}
+        for stmt in _statements(outer.body):
+            if not (isinstance(stmt, Assign) and isinstance(stmt.target, PropAccess)):
+                continue
+            vertex = stmt.target.target
+            if not (
+                isinstance(vertex, Ident)
+                and vertex.name != outer.iterator
+                and vertex.type is not None
+                and vertex.type.is_node()
+            ):
+                continue
+            prop = stmt.target.prop
+            site = first.setdefault(prop, stmt)
+            if site is not stmt:
+                raise TransformError(
+                    f"property '{prop}' of another vertex is assigned at {site.span} "
+                    f"and at {stmt.span} in one parallel loop: which write wins is "
+                    "not defined; assign it from one site, or use a reduction",
+                    stmt.span,
+                )
+
+
+def _statements(stmt: Stmt) -> Iterator[Stmt]:
+    """``stmt`` and the statements nested in it, in source order (the
+    expressions are not visited)."""
+    yield stmt
+    for child in stmt.children():
+        if isinstance(child, Stmt):
+            yield from _statements(child)

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..fold import OPEN, GlobalOp, fold
 from ..graph import Graph
-from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES, cross_counts
+from ..runtime import OUTSIDE_PHASE_ERROR, PregelEngine, _NO_MESSAGES, cross_counts, owner_array
 from .codec import MessageCodec
 
 
@@ -86,14 +86,10 @@ class NbrGather:
 
     @classmethod
     def of_graph(cls, graph: Graph, worker_of) -> "NbrGather":
-        if isinstance(worker_of, bytes):
-            owner = np.frombuffer(worker_of, dtype=np.uint8)
-        else:  # >256 workers: the placement table is a plain int list
-            owner = np.asarray(worker_of, dtype=np.int64)
         return cls(
             np.asarray(graph.out_targets, dtype=np.int32),
             np.asarray(graph.out_offsets, dtype=np.int64),
-            owner,
+            owner_array(worker_of),
         )
 
     @classmethod
@@ -464,10 +460,6 @@ class ColumnarEngine(PregelEngine):
         #: the next delivery's: tag -> its parts — the lone one the last
         #: vertex phase sealed; on an mp worker, one per sending worker
         self._sealed: dict[int, list] = {}
-        #: how many vertices each worker owns
-        self._worker_vertices = np.bincount(csr.owner, minlength=self.num_workers).tolist()
-        #: a partition a kernel computes -> its vertex ids as int64
-        self._partition_ids: dict = {}
 
     @classmethod
     def refusal(cls, *, compiled: bool, mem=None, transport=None) -> str | None:
@@ -551,31 +543,12 @@ class ColumnarEngine(PregelEngine):
             # or, on an mp worker, every vertex of its partition, a range,
             # whose work its parent accounts — and under vote-to-halt only
             # the un-voted ones, or the sparse switch's frontier list.
-            sel = frontier
-            if type(frontier) is range:
-                sel = self._partition_ids.get(frontier)
-                if sel is None:
-                    sel = self._partition_ids[frontier] = np.arange(
-                        frontier.start, frontier.stop, frontier.step, dtype=np.int64
-                    )
-            if self._voted is not None:
-                if type(frontier) is not list:
-                    awake = np.frombuffer(self._voted, dtype=np.uint8) == 0
-                    sel = np.flatnonzero(awake) if sel is None else sel[awake[sel]]
-                sel = np.asarray(sel, dtype=np.int64)
+            sel = self._selection(frontier)
             ran = self.graph.num_nodes if sel is None else len(sel)
             t0 = perf_counter()
             kernel(sel)
-            computed = self._trace_worker_computed  # empty unless a tracer records
-            if computed:
-                # what _counted_loop counts vertex by vertex; the seconds
-                # (info-only) are the kernel's wall split the same way
-                each = (perf_counter() - t0) / max(1, ran)
-                owned = self._worker_vertices
-                if self._voted is not None:
-                    owned = np.bincount(self._csr.owner[sel], minlength=self.num_workers).tolist()
-                computed[:] = owned
-                self._trace_worker_seconds[:] = [each * count for count in owned]
+            if self._trace_worker_computed:  # empty unless a tracer records
+                self._trace_phase(sel, ran, perf_counter() - t0)
             slots = self._inbox_slots
             for dst in self._touched:
                 slots[dst] = _NO_MESSAGES

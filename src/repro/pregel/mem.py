@@ -436,6 +436,7 @@ class MemoryManager:
         self._in_runs: list[list[_RunReader]] = []  # consumed ascending in the vertex phase
         self._in_leftover: list[dict[int, list]] = []
         self._out_runs: list[list[str]] = []        # sorted runs awaiting the next barrier
+        self.out_run_messages: list[int] = []       # messages in each worker's runs
         self._no_messages: tuple = ()
         self._ckpt_paths: list[str] = []
         self._oom: dict | None = None
@@ -468,6 +469,7 @@ class MemoryManager:
         self._in_runs = [[] for _ in range(workers)]
         self._in_leftover = [{} for _ in range(workers)]
         self._out_runs = [[] for _ in range(workers)]
+        self.out_run_messages = [0] * workers
         payload = engine._message_size
         self._size_of = lambda msg: payload(msg) + MESSAGE_OVERHEAD_BYTES
         self._engine = engine
@@ -575,8 +577,10 @@ class MemoryManager:
         spilled = budget.outbox_bytes
         records = len(mine)
         path = self._spill_path("outbox", worker)
-        self._write_run(path, [(dst, outbox.pop(dst)) for dst in mine])
+        run = [(dst, outbox.pop(dst)) for dst in mine]
+        self._write_run(path, run)
         self._out_runs[worker].append(path)
+        self.out_run_messages[worker] += sum(len(msgs) for _dst, msgs in run)
         budget.outbox_bytes = 0
         metrics = engine.metrics
         metrics.superstep_splits += 1
@@ -664,6 +668,7 @@ class MemoryManager:
         move their charge to the inbox as they deliver)."""
         runs = self._out_runs[worker]
         self._out_runs[worker] = []
+        self.out_run_messages[worker] = 0
         for path in runs:
             with open(path, "rb") as f:
                 while True:
@@ -960,6 +965,7 @@ class MemoryManager:
                 if os.path.exists(path):
                     os.unlink(path)
             self._out_runs[worker].clear()
+            self.out_run_messages[worker] = 0
             self._in_leftover[worker].clear()
             self._resident[worker].clear()
             budget = self.budgets[worker]

@@ -66,8 +66,8 @@ from collections import defaultdict
 from contextlib import contextmanager
 from functools import cached_property
 from dataclasses import dataclass, field, fields
-from itertools import filterfalse, repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol
+from itertools import filterfalse, repeat, tee
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ft import FaultTolerance
@@ -157,13 +157,6 @@ def _count_only(ctx, active, slots) -> int:
     for computed, _vid in enumerate(active, 1):
         pass
     return computed
-
-
-def _counting(active: Iterable[int], worker_of, counts: list) -> Iterator[int]:
-    """``active`` as the loop draws it, counted per worker on the way."""
-    for vid in active:
-        counts[worker_of[vid]] += 1
-        yield vid
 
 
 class MasterCompute(Protocol):
@@ -392,6 +385,16 @@ def cross_counts(degrees, nbr_owner, owner):
     return np.bincount(src[nbr_owner != owner[src]], minlength=len(degrees))
 
 
+def owner_array(worker_of):
+    """A placement table (``PregelEngine._worker_of``) as a numpy array: a
+    view of its bytes up to 256 workers, else int64."""
+    import numpy as np
+
+    if isinstance(worker_of, bytes):
+        return np.frombuffer(worker_of, dtype=np.uint8)
+    return np.asarray(worker_of, dtype=np.int64)
+
+
 def default_message_size(msg: tuple) -> int:
     """Fallback sizing: 1 byte tag + 8 bytes per payload field."""
     return 1 + 8 * (len(msg) - 1)
@@ -594,6 +597,8 @@ class PregelEngine:
         self._trace_worker_computed: list[int] = []
         self._trace_worker_seconds: list[float] = []
         self._trace_worker_bytes: list[int] = []
+        #: a partition range a phase computes -> its vertex ids as int64
+        self._partition_ids: dict = {}
         # Who hears the superstep boundaries: per boundary, the subscribed
         # methods in call order.  Nothing attached = three empty tuples, so
         # the bare loop is the fast path by construction.
@@ -854,13 +859,26 @@ class PregelEngine:
             staged_bytes[sender_worker] += n * size
 
     @cached_property
+    def _owner(self):
+        """Per vertex, the worker that owns it (``owner_array``); built at
+        first use."""
+        return owner_array(self._worker_of)
+
+    @cached_property
+    def _worker_vertices(self) -> list[int]:
+        """How many vertices each worker owns."""
+        import numpy as np
+
+        return np.bincount(self._owner, minlength=self.num_workers).tolist()
+
+    @cached_property
     def _cross_nbrs(self) -> list[int]:
         """Per vertex: how many of its out-neighbours another worker owns;
         built at first use."""
         import numpy as np
 
         graph = self.graph
-        owner = np.fromiter(self._worker_of, np.int64, graph.num_nodes)
+        owner = self._owner
         nbr_owner = owner[np.asarray(graph.out_targets)]
         return cross_counts(np.diff(graph.out_offsets), nbr_owner, owner).tolist()
 
@@ -1248,7 +1266,7 @@ class PregelEngine:
                     det={
                         "step": self.superstep - 1,
                         "active": sum(record.worker_computed),
-                        "halted": int(sum(voted)) if voted is not None else 0,
+                        "halted": len(voted) - voted.count(0) if voted is not None else 0,
                         "messages": m.messages - s_messages,
                         "message_bytes": m.message_bytes - s_message_bytes,
                         "net_messages": m.net_messages - s_net_messages,
@@ -1394,10 +1412,13 @@ class PregelEngine:
     def _in_flight_totals(self, outbox: dict | None = None) -> list[int]:
         """Per destination worker, how many messages ``outbox`` holds —
         by default the staged one, a limited memory plan's split runs
-        included: what each worker receives at the next delivery."""
-        if outbox is None:
-            outbox = self.outbox_view() if self._mem_limited else self._outbox
+        included (counted as they were split): what each worker receives
+        at the next delivery."""
         totals = [0] * self.num_workers
+        if outbox is None:
+            outbox = self._outbox
+            if self._mem_limited:
+                totals = list(self.mem.out_run_messages)
         worker_of = self._worker_of
         for dst, msgs in outbox.items():
             totals[worker_of[dst]] += len(msgs)
@@ -1455,7 +1476,14 @@ class PregelEngine:
         loop = self._phase_loop()
         slots = self._inbox_slots
         if self._trace_worker_computed:
-            computed = self._counted_loop(loop, active, slots)
+            # a lazily filtered scan's vertices are known only as the loop
+            # draws them: tee keeps the drawn ids, with no frame per vertex
+            active, drawn = tee(active) if type(active) is filterfalse else (active, None)
+            t0 = time.perf_counter()
+            computed = loop(self, active, slots)
+            seconds = time.perf_counter() - t0
+            sel = self._selection(frontier) if drawn is None else list(drawn)
+            self._trace_phase(sel, computed, seconds)
         else:
             computed = loop(self, active, slots)
         for dst in self._touched:
@@ -1480,18 +1508,38 @@ class PregelEngine:
             adapted = self._adapted = (program, per_vertex_loop(program))
         return adapted[1]
 
-    def _counted_loop(self, loop: PhaseLoop, active, slots) -> int:
-        """Run ``loop`` and count what it iterated per worker — a scan's
-        vertices, the frontier's, or the vote-filtered iterable's as the loop
-        draws it — into the tracer's computed counts; its seconds
-        (info-only) are the loop's wall split by those counts."""
-        counts = [0] * self.num_workers
-        t0 = time.perf_counter()
-        computed = loop(self, _counting(active, self._worker_of, counts), slots)
-        each = (time.perf_counter() - t0) / max(1, computed)
-        tw_computed = self._trace_worker_computed
-        tw_seconds = self._trace_worker_seconds
-        for w, count in enumerate(counts):
-            tw_computed[w] += count
-            tw_seconds[w] += each * count
-        return computed
+    def _selection(self, frontier):
+        """The vertices a kernel computes this superstep, as int64 ids, or
+        None for every vertex: ``frontier`` — the sparse switch's list, or an
+        mp worker's partition range — else all of them, and under
+        vote-to-halt only those un-voted when the phase starts."""
+        import numpy as np
+
+        sel = frontier
+        if type(frontier) is range:
+            sel = self._partition_ids.get(frontier)
+            if sel is None:
+                sel = self._partition_ids[frontier] = np.arange(
+                    frontier.start, frontier.stop, frontier.step, dtype=np.int64
+                )
+        if self._voted is not None:
+            if type(frontier) is not list:
+                awake = np.frombuffer(self._voted, dtype=np.uint8) == 0
+                sel = np.flatnonzero(awake) if sel is None else sel[awake[sel]]
+            sel = np.asarray(sel, dtype=np.int64)
+        return sel
+
+    def _trace_phase(self, sel, computed: int, seconds: float) -> None:
+        """The tracer's per-worker counts of a vertex phase that computed
+        the ids ``sel``: for None, every vertex, the placement's counts,
+        else one ``bincount`` of their owners; the seconds (info-only) are
+        the phase's wall split by those counts."""
+        import numpy as np
+
+        if sel is None:
+            owned = self._worker_vertices
+        else:
+            owned = np.bincount(self._owner[sel], minlength=self.num_workers).tolist()
+        each = seconds / max(1, computed)
+        self._trace_worker_computed[:] = owned
+        self._trace_worker_seconds[:] = [each * count for count in owned]

@@ -14,6 +14,7 @@ from ..lang.ast import Procedure
 from ..lang.errors import NotPregelCanonicalError
 from ..lang.typecheck import CheckResult, typecheck
 from ..analysis.canonical import check_canonical
+from ..analysis.loops import refuse_racing_writes
 from .bfs_lowering import lower_bfs
 from .dissect import dissect
 from .edge_flip import flip_edges
@@ -96,6 +97,7 @@ def to_canonical(
         typecheck(proc)
 
     result = typecheck(proc)
+    refuse_racing_writes(proc)
     graph_name = result.graph_name
     names = NameGenerator.for_procedure(proc)
 

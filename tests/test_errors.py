@@ -114,3 +114,84 @@ class TestEndToEndFailures:
         message = str(err.value)
         assert "sequential For" in message
         assert "Return inside a parallel loop" in message
+
+
+class TestRacingWrites:
+    """A plain ``=`` to one property of another vertex from two sites of one
+    parallel loop is refused: each site sends its own message tag, and a
+    receiver folds tag after tag, so the interpreter's sequentially last
+    write is not what the engines keep.  One site, and reductions, stay."""
+
+    N = 7
+
+    def _graph_and_args(self):
+        from repro.pregel import Graph
+
+        n = self.N
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and (u * 3 + v) % 4 == 0]
+        args = {
+            "a": [10 + v for v in range(n)],
+            "b": [20 + v for v in range(n)],
+            "tgt": [(5 * v + 2) % n for v in range(n)],
+        }
+        return Graph.from_edges(n, edges), args
+
+    @staticmethod
+    def _source(body: str) -> str:
+        return (
+            "Procedure race(G: Graph, a: N_P<Int>, b: N_P<Int>, tgt: N_P<Node>;"
+            " last: N_P<Int>) {\n"
+            "  G.last = -1;\n"
+            "  Foreach (n: G.Nodes) {\n" + body + "\n  }\n}"
+        )
+
+    def test_two_sites_writing_one_property_are_refused(self):
+        # the 7-vertex repro: the interpreter kept [14, 15, 16, 23, 26, 22,
+        # 25] while sim, columnar and mp all gave [21, 24, 20, 23, 26, 22, 25]
+        from repro.lang.errors import TransformError
+
+        source = self._source(
+            "    Foreach (t: n.Nbrs) { t.last = n.a; }\n"
+            "    Node m = n.tgt; m.last = n.b;"
+        )
+        with pytest.raises(TransformError) as err:
+            compile_source(source, emit_java=False)
+        assert "property 'last' of another vertex is assigned at 4:27 and at 5:21" in str(
+            err.value
+        )
+        assert (err.value.span.line, err.value.span.col) == (5, 21)
+
+    def test_two_random_writes_in_branches_are_refused(self):
+        from repro.lang.errors import TransformError
+
+        source = self._source(
+            "    Node m = n.tgt;\n"
+            "    If (n.a > 12) { m.last = n.a; } Else { m.last = n.b; }"
+        )
+        with pytest.raises(TransformError, match="assigned at 5:21 and at 5:44"):
+            compile_source(source, emit_java=False)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    Foreach (t: n.Nbrs) { t.last = n.a; }",
+            "    Node m = n.tgt; m.last = n.b;",
+            "    Foreach (t: n.Nbrs) { t.last max= n.a; }\n"
+            "    Node m = n.tgt; m.last max= n.b;",
+            # the iterator's own write is not a second site: bipartite
+            # matching's phase 3 writes b.match beside one g.match
+            "    Node m = n.tgt; If (n.a > 13) { n.last = n.b; } Else { m.last = n.a; }",
+        ],
+        ids=["one push site", "one random site", "reductions", "iterator and one site"],
+    )
+    def test_one_site_and_reductions_stay_legal(self, body):
+        from repro.interp import interpret
+
+        graph, args = self._graph_and_args()
+        source = self._source(body)
+        program = compile_source(source, emit_java=False).program
+        if "n.last" not in body:  # both others agree with the interpreter
+            want = interpret(source, graph, args).outputs["last"]
+            for backend in ("sim", "columnar"):
+                got = program.run(graph, args, backend=backend, num_workers=3)
+                assert got.outputs["last"] == want, backend

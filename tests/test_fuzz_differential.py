@@ -10,17 +10,21 @@ improve flag whose comparison may or may not be the one the vectorizer
 accepts) and a BFS traversal in bc's shape (``InBFS`` from a random root
 with an up-neighbour reduction, optionally ``InReverse`` with a
 down-neighbour one: the discover loop, the in-neighbour build and the
-reverse gather), and one seed in sixteen master code (a ``Do … While`` on
+reverse gather), one seed in sixteen master code (a ``Do … While`` on
 a reduced scalar around a scalar ``If``/``Else``, a ternary, Int ``/`` and
-``%`` on negatives, casts) — then asserts that the shared-memory
+``%`` on negatives, casts), and one in sixteen a handshake in bipartite
+matching's shape (one plain write site per property and loop, many
+writers per receiver) — then asserts that the shared-memory
 interpreter and the compiled Pregel program agree on every output property and the returned
 scalar, and that the columnar backend (array kernels + bulk receivers
 wherever the vectorizer finds them eligible) is bit-identical to the
 simulator, under sender combiners too when a tag is combinable.  This sweeps interactions the hand-written tests cannot
 enumerate.
 
-The generator only emits *race-free* parallel loops (Green-Marl leaves racy
-programs nondeterministic, so there is nothing to compare): within one loop,
+The general productions only emit *race-free* parallel loops (Green-Marl
+leaves racy programs nondeterministic, so there is nothing to compare);
+the handshake's races have one write site each, where the sequentially
+last writer wins on every backend.  Within one general loop,
 
 * a property written through the inner iterator (a push target) is never
   read — by anyone — nor written per-vertex in the same loop;
@@ -336,6 +340,41 @@ class ProgramBuilder:
         ]
         return "\n".join(lines)
 
+    def one_site(self) -> str:
+        """bipartite matching's shape with the knobs turned: one write site
+        per property and loop, many writers per receiver.  Vertices below
+        a cut in ``a`` propose to their neighbours above it (a push: each
+        receiver keeps one proposer), each courted vertex answers its
+        proposer (a random write: each proposer keeps one answer), and each
+        answered proposer writes its own ``oa`` beside one random write of
+        its partner's, on the other side of the cut.  Which writer wins is
+        the sequential order's, on every backend and worker count."""
+        rng = self.rng
+        cut = rng.randint(3, 8)
+        direction = rng.choice(("Nbrs", "InNbrs"))
+        mine = rng.choice(("n.b", f"n.a * {rng.randint(2, 5)} + n.b", "n.Degree()"))
+        theirs = rng.choice(("n.a", "n.b + k", "n.Degree()"))
+        lines = [
+            HEADER,
+            "  N_P<Node> pick; Int count = 0;",
+            "  G.oa = -1; G.ox = 0.0; G.pick = NIL;",
+            f"  Int k = 0; While (k < {rng.randint(1, 3)}) {{",
+            f"    Foreach (n: G.Nodes)[n.a < {cut} && n.oa < 0] {{",
+            f"      Foreach (t: n.{direction})[t.a >= {cut}] {{ t.pick = n; }}",
+            "    }",
+            f"    Foreach (g: G.Nodes)[g.a >= {cut} && g.pick != NIL] {{",
+            "      Node m = g.pick; m.pick = g; g.ox = (Double) g.b + 0.5;",
+            "    }",
+            f"    Foreach (n: G.Nodes)[n.a < {cut} && n.pick != NIL] {{",
+            f"      Node m = n.pick; n.oa = {mine}; m.oa = {theirs}; count += 1;",
+            "    }",
+            "    k++;",
+            "  }",
+            "  Return (Double) count;",
+            "}",
+        ]
+        return "\n".join(lines)
+
     def build(self) -> str:
         lines = [HEADER]
         for _ in range(self.size):
@@ -356,17 +395,23 @@ def generate(seed: int, size: int) -> str:
     builder = ProgramBuilder(seed, size)
     if seed % 16 == 11:
         return builder.sequential()
+    if seed % 16 == 14:
+        return builder.one_site()
     special = {7: builder.relaxation, 5: builder.bfs}
     return special.get(seed % 8, builder.build)()
 
 
-def _compare(program: str, seed: int, *, mp: bool = False) -> None:
+def _graph(seed: int):
     graph = uniform_random(14, 40, seed=seed % 17 + 1)
     graph.add_node_prop("a", [(v * 7) % 11 for v in range(14)])
     graph.add_node_prop("b", [(v * 3) % 5 for v in range(14)])
     graph.add_node_prop("x", [v / 4.0 for v in range(14)])
     graph.add_edge_prop_csr("len", [(i * 5) % 7 + 1 for i in range(graph.num_edges)])
+    return graph
 
+
+def _compare(program: str, seed: int, *, mp: bool = False) -> None:
+    graph = _graph(seed)
     interp = interpret(program, graph)
     compiled = compile_source(program, emit_java=False)
     for phase in compiled.ir.phases.values():
@@ -492,3 +537,20 @@ def test_fixed_regression_seeds():
         except GreenMarlError:
             continue
         _compare(program, seed, mp=mp_available())
+
+
+@pytest.mark.parametrize("seed", (14, 30, 46))
+def test_one_site_many_writers_agree_at_every_width(seed):
+    """The handshake (seed % 16 == 14): a push and random writes with many
+    writers per receiver keep the interpreter's last writer on every
+    backend at W in {1, 2, 3}."""
+    program = generate(seed, 4)
+    graph = _graph(seed)
+    want = interpret(program, graph)
+    compiled = compile_source(program, emit_java=False).program
+    for backend in ("sim", "columnar", "mp") if mp_available() else ("sim", "columnar"):
+        for workers in (1, 2, 3):
+            run = compiled.run(graph, backend=backend, num_workers=workers)
+            assert (run.outputs, run.result) == (want.outputs, want.result), (
+                f"{backend} at W={workers}\n{program}"
+            )
