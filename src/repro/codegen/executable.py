@@ -776,16 +776,20 @@ class CompiledProgram:
         # One namespace per engine: two engines of this program never share
         # a binding.
         exec(self._code, env)
-        master = GeneratedMaster(
-            env["MASTER_STEP"], self._master_fields(args, graph.num_nodes)
-        )
+        # The generated functions call none of each other, so the
+        # namespace keeps only their data: without the functions ``env``
+        # holds no cycle, and a dropped engine dies by reference count.
+        loops, step = env.pop("PHASE_LOOPS"), env.pop("MASTER_STEP")
+        for name in [k for k, v in env.items() if getattr(v, "__globals__", None) is env]:
+            del env[name]
+        master = GeneratedMaster(step, self._master_fields(args, graph.num_nodes))
 
         def message_size(msg: tuple) -> int:
             return sizes[msg[0]]
 
         engine = engine_cls(
             graph,
-            vertex_compute=env["PHASE_LOOPS"],
+            vertex_compute=loops,
             master_compute=master.compute,
             message_size=message_size,
             schema=self.schema,

@@ -60,6 +60,7 @@ exchange → ready).  See the class docstring.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from collections import defaultdict
@@ -599,11 +600,8 @@ class PregelEngine:
         self._trace_worker_bytes: list[int] = []
         #: a partition range a phase computes -> its vertex ids as int64
         self._partition_ids: dict = {}
-        # Who hears the superstep boundaries: per boundary, the subscribed
-        # methods in call order.  Nothing attached = three empty tuples, so
-        # the bare loop is the fast path by construction.
-        self._hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
-        self._wire_boundaries()
+        #: what hears the superstep boundaries after the attached subsystems
+        self._subscribers: list = []
 
     @classmethod
     def refusal(cls, *, compiled: bool, mem=None, transport=None) -> str | None:
@@ -640,22 +638,27 @@ class PregelEngine:
         """Call ``subscriber``'s boundary methods (whichever of
         ``on_superstep_start`` / ``on_master_done`` / ``on_superstep_end``
         it defines) at every superstep, after those already subscribed."""
+        self._subscribers.append(subscriber)
+
+    @staticmethod
+    def _hook(hooks: dict, subscriber) -> None:
+        """Append ``subscriber``'s boundary methods to ``hooks``."""
         for name in _BOUNDARIES:
             hook = getattr(subscriber, name, None)
             if hook is not None:
-                self._hooks[name] += (hook,)
+                hooks[name] += (hook,)
 
-    def _wire_boundaries(self) -> None:
-        """Subscribe the attached subsystems, in call order.  Supervision
-        goes before the FT hook: detection must see the barrier the workers
-        just crossed, and recovery needs the checkpoint the FT hook's
-        *previous* visits produced.  A limited memory plan goes last: at
-        the end of a superstep it releases the consumed inbox's charges and
-        drops its spill runs."""
+    def _wire_boundaries(self, hooks: dict) -> None:
+        """Hook the attached subsystems, then the subscribers, in call
+        order.  Supervision goes before the FT hook: detection must see the
+        barrier the workers just crossed, and recovery needs the checkpoint
+        the FT hook's *previous* visits produced.  A limited memory plan
+        goes last: at the end of a superstep it releases the consumed
+        inbox's charges and drops its spill runs."""
         limited_mem = self.mem if self._mem_limited else None
-        for subsystem in (self._supervisor, self.ft, limited_mem):
+        for subsystem in (self._supervisor, self.ft, limited_mem, *self._subscribers):
             if subsystem is not None:
-                self._subscribe(subsystem)
+                self._hook(hooks, subsystem)
 
     # ------------------------------------------------------------------
     # Vertex-side API
@@ -1099,6 +1102,11 @@ class PregelEngine:
         mem = self.mem
         halt_reason = "max_supersteps"
         oom: MemoryExhausted | None = None
+        # The run path allocates no reference cycles (tests/test_gc.py), so
+        # the cyclic collector would scan the run's objects to free none:
+        # it is paused for the run (and the mp workers forked inside it).
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             with self._session(tracer):
                 try:
@@ -1112,6 +1120,8 @@ class PregelEngine:
                     halt_reason = "out_of_memory"
                     self._current_vertex = -1
         finally:
+            if collecting:
+                gc.enable()
             if mem is not None:
                 if oom is not None:
                     mem.record_oom(oom)
@@ -1173,9 +1183,14 @@ class PregelEngine:
         m = self.metrics
         voted = self._voted
         master = self._master_compute
-        on_start = self._hooks["on_superstep_start"]
-        on_master_done = self._hooks["on_master_done"]
-        on_end = self._hooks["on_superstep_end"]
+        # Who hears the boundaries: per boundary, the subscribed methods in
+        # call order, wired per run so the engine holds no bound method of
+        # itself.  Nothing attached = three empty tuples: the fast path.
+        hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
+        self._wire_boundaries(hooks)
+        on_start = hooks["on_superstep_start"]
+        on_master_done = hooks["on_master_done"]
+        on_end = hooks["on_superstep_end"]
         # Metering (repro.obs.metrics) shares the tracer's phase clocks:
         # ``instr`` gates the perf_counter reads, ``traced``/``metered``
         # gate what they feed — the registry takes their distributions, its

@@ -3,6 +3,7 @@ must agree on messages, bytes, and (up to the startup phase) timesteps."""
 
 import pytest
 
+from repro.algorithms.manual import MANUAL_PROGRAMS
 from repro.bench import (
     PAPER_TABLE2,
     count_loc,
@@ -12,6 +13,8 @@ from repro.bench import (
     run_pair,
     table2_rows,
 )
+from repro.bench.harness import paired_overhead
+from repro.compiler import compile_algorithm
 from repro.graphgen import load_graph
 
 
@@ -72,10 +75,18 @@ class TestParity:
 
     def test_normalized_runtime_in_paper_band(self, twitter):
         # the paper saw 0.92x..1.35x; interpretation overheads differ here but
-        # the generated code must stay in the same performance class.
-        pair = run_pair("pagerank", twitter, "twitter", repeats=3)
-        assert pair.normalized_runtime is not None
-        assert 0.5 <= pair.normalized_runtime <= 2.5
+        # the generated code must stay in the same performance class.  Each
+        # side is its engine's run, the ratio the median of interleaved pairs:
+        # a best-of-3 of 20-40 ms runs dipped below 0.5 one run in five.
+        args = default_args("pagerank", twitter)
+        generated = compile_algorithm("pagerank", emit_java=False).program
+        manual = MANUAL_PROGRAMS["pagerank"]
+        _manual_s, _generated_s, ratio = paired_overhead(
+            lambda: manual.run(twitter, args).metrics.wall_seconds,
+            lambda: generated.run(twitter, args).metrics.wall_seconds,
+            pairs=15,
+        )
+        assert 0.5 <= ratio <= 2.5
 
 
 class TestHarness:

@@ -160,6 +160,13 @@ GUARDS = (
         " combined flush",
         "        self._combined_in.extend(parts)",
     ),
+    Guard(
+        r"gc\.(disable|enable|freeze|unfreeze|set_threshold)\(", "src/**/*.py", 2,
+        "A run pays no cyclic GC",
+        "the collector's pause has one home: PregelEngine.run pauses it for the run and"
+        " restores it, in runtime.py, one line each",
+        "    gc.disable()  # the CLI pauses the collector too",
+    ),
 )
 
 
