@@ -105,7 +105,6 @@ the records its peers sent it.
 from __future__ import annotations
 
 import operator
-import weakref
 from array import array
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -894,7 +893,7 @@ def _select(cond, block: list, scope: _Scope, engine, taken_puts: set) -> _Op:
     fields = ",".join(sorted(assigned))
     scope.idioms.append("last-writer assign" if last else "first-match assign")
     names.insert(0, f"Select({'last' if last else 'first'}) {fields}".rstrip())
-    n = engine.graph.num_nodes
+    put_bulk, n = engine.put_global_bulk, engine.graph.num_nodes
 
     def run(full):
         if last:
@@ -912,7 +911,7 @@ def _select(cond, block: list, scope: _Scope, engine, taken_puts: set) -> _Op:
         for view, value in stores:
             _store(view, hit, value(ctx))
         for name, op, value in puts:
-            engine.put_global_bulk(name, op, hit, _per_vertex(value(ctx), len(hit)))
+            put_bulk(name, op, hit, _per_vertex(value(ctx), len(hit)))
 
     return _Op(names, sorted(assigned), run, f"last writer of {fields}" if last else None)
 
@@ -1163,12 +1162,11 @@ class _KernelBuilder:
             raise _Unvectorizable(f"more than one put to global {stmt.name}")
         self.put_names.add(stmt.name)
         value = self.expr(stmt.expr)
-        name, op, n, engine = stmt.name, stmt.op, self.n, self.engine
+        name, op, n, put = stmt.name, stmt.op, self.n, self.engine.put_global_bulk
 
         def put_all(ctx):
             sel = ctx["sel"]
-            values = _per_vertex(value(ctx), n if sel is None else len(sel))
-            engine.put_global_bulk(name, op, sel, values)
+            put(name, op, sel, _per_vertex(value(ctx), n if sel is None else len(sel)))
 
         return put_all
 
@@ -1218,11 +1216,7 @@ class _KernelBuilder:
         )
         # the rows the send goes along, taken when it runs: the out-CSR, or
         # — the §4.3 prologue has delivered by then — the _in_nbrs rows
-        engine = self.engine
-
-        def take_gather():
-            return engine.out_gather()
-
+        take_gather = out_gather = self.engine.out_gather
         if stmt.direction == "in":
             if per_edge:
                 raise _Unvectorizable("edge property on an in-neighbour send")
@@ -1231,12 +1225,12 @@ class _KernelBuilder:
                 raise _Unvectorizable("in-neighbour send without in-neighbour rows")
 
             def take_gather():
-                return scope.reverse_gather(engine.out_gather())
+                return scope.reverse_gather(out_gather())
 
         records_of = self.records_of(stmt)
         if per_edge:
             self.scope.idioms.append("per-edge send")
-        tag = stmt.tag
+        tag, stage = stmt.tag, self.engine.send_nbrs_bulk
 
         def send(ctx):
             gather, sel = take_gather(), ctx["sel"]
@@ -1254,7 +1248,7 @@ class _KernelBuilder:
             records = records_of(sub)
             if records is not None and not per_edge:
                 records = _np.repeat(records, counts)
-            engine.send_nbrs_bulk(tag, gather, senders, edges, counts, records)
+            stage(tag, gather, senders, edges, counts, records)
 
         return send
 
@@ -1267,13 +1261,13 @@ class _KernelBuilder:
             raise _Unvectorizable("random write to a non-integral destination")
         target, records_of = self.expr(stmt.target), self.records_of(stmt)
         self.scope.idioms.append("column-addressed send")
-        tag, n, engine = stmt.tag, self.n, self.engine
+        tag, n, stage = stmt.tag, self.n, self.engine.send_to_bulk
 
         def send(ctx):
             sel = ctx["sel"]
             sub = dict(ctx, sel=_np.arange(n) if sel is None else sel)
             dsts = _np.broadcast_to(_np.asarray(target(sub)), sub["sel"].shape)
-            engine.send_to_bulk(tag, sub["sel"], dsts, records_of(sub))
+            stage(tag, sub["sel"], dsts, records_of(sub))
 
         return send
 
@@ -1328,9 +1322,6 @@ def build_array_code(
     receivers: Dict[Tuple[int, int], Callable] = {}
     kernels: Dict[int, Callable] = {}
     shared: dict = {}
-    # the engine keeps what this returns: array code reaches it weakly, and
-    # looks its sends and puts up when a phase runs
-    engine = weakref.proxy(engine)
     for phase in ir.phases.values():
         built, reason = _build_receivers(phase, schema.tags, columns, engine, shared)
         kernel, kernel_reason = _build_kernel(

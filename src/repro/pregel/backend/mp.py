@@ -429,7 +429,7 @@ class MPEngine(ColumnarEngine):
         super().bind_program(columns, array_code)
         self._bulk_receivers, self._phase_kernels = {}, {}
 
-    def _wire_boundaries(self, hooks: dict) -> None:
+    def _wire_boundaries(self) -> None:
         """mp's start-of-superstep order: escalate what the last exchange
         barrier detected and re-fork; the FT boundary (a due checkpoint
         pulls fresh columns from the workers; simulated ``CrashEvent``
@@ -440,12 +440,10 @@ class MPEngine(ColumnarEngine):
         recovery base <= S.  The simulated supervision clock and the
         in-process memory ledger are not subscribed: liveness and byte
         accounting ride the real barrier replies instead."""
-        hooks["on_superstep_start"] += (self._recover_detected,)
+        self._hooks["on_superstep_start"] += (self._recover_detected,)
         if self.ft is not None:
-            self._hook(hooks, self.ft)
-        hooks["on_superstep_start"] += (self._refork, self._fire_faults)
-        for subscriber in self._subscribers:
-            self._hook(hooks, subscriber)
+            self._subscribe(self.ft)
+        self._hooks["on_superstep_start"] += (self._refork, self._fire_faults)
 
     # -- checkpoint / restore: the parent's share of the payload ---------
     #
@@ -525,7 +523,7 @@ class MPEngine(ColumnarEngine):
                     self._ports.append(sock.getsockname()[1])
                     _track(sock, sock.close)
             self._workers = [
-                _Worker(wid, self._segments) for wid in range(w)
+                _Worker(wid, self, self._segments) for wid in range(w)
             ]
             for wid in range(w):
                 self._spawn_worker(wid, fresh=True)
@@ -582,7 +580,7 @@ class MPEngine(ColumnarEngine):
                 self._ports[wid] = sock.getsockname()[1]
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
-            target=self._workers[wid].main, args=(self, child_conn), daemon=True
+            target=self._workers[wid].main, args=(child_conn,), daemon=True
         )
         proc.start()
         child_conn.close()
@@ -1054,8 +1052,9 @@ class _Worker:
     inherits the parent's *restored* columns the same way, and compiles
     its array code against them in its own ``_init``."""
 
-    def __init__(self, wid: int, segments):
+    def __init__(self, wid: int, engine: MPEngine, segments):
         self.wid = wid
+        self.engine = engine
         self.segments = segments
 
     # -- what the forked engine's puts become ------------------------------
@@ -1154,9 +1153,7 @@ class _Worker:
             split_records=0,  # cut by ``split_by_owner`` in the seal
         )
 
-    def main(self, engine: MPEngine, conn) -> None:
-        # the forked engine: a shell in the parent holds none
-        self.engine = engine
+    def main(self, conn) -> None:
         try:
             self._init()
             while True:

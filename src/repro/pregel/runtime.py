@@ -600,8 +600,11 @@ class PregelEngine:
         self._trace_worker_bytes: list[int] = []
         #: a partition range a phase computes -> its vertex ids as int64
         self._partition_ids: dict = {}
-        #: what hears the superstep boundaries after the attached subsystems
-        self._subscribers: list = []
+        # Who hears the superstep boundaries: per boundary, the subscribed
+        # methods in call order.  Nothing attached = three empty tuples, so
+        # the bare loop is the fast path by construction.
+        self._hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
+        self._wire_boundaries()
 
     @classmethod
     def refusal(cls, *, compiled: bool, mem=None, transport=None) -> str | None:
@@ -638,27 +641,22 @@ class PregelEngine:
         """Call ``subscriber``'s boundary methods (whichever of
         ``on_superstep_start`` / ``on_master_done`` / ``on_superstep_end``
         it defines) at every superstep, after those already subscribed."""
-        self._subscribers.append(subscriber)
-
-    @staticmethod
-    def _hook(hooks: dict, subscriber) -> None:
-        """Append ``subscriber``'s boundary methods to ``hooks``."""
         for name in _BOUNDARIES:
             hook = getattr(subscriber, name, None)
             if hook is not None:
-                hooks[name] += (hook,)
+                self._hooks[name] += (hook,)
 
-    def _wire_boundaries(self, hooks: dict) -> None:
-        """Hook the attached subsystems, then the subscribers, in call
-        order.  Supervision goes before the FT hook: detection must see the
-        barrier the workers just crossed, and recovery needs the checkpoint
-        the FT hook's *previous* visits produced.  A limited memory plan
-        goes last: at the end of a superstep it releases the consumed
-        inbox's charges and drops its spill runs."""
+    def _wire_boundaries(self) -> None:
+        """Subscribe the attached subsystems, in call order.  Supervision
+        goes before the FT hook: detection must see the barrier the workers
+        just crossed, and recovery needs the checkpoint the FT hook's
+        *previous* visits produced.  A limited memory plan goes last: at
+        the end of a superstep it releases the consumed inbox's charges and
+        drops its spill runs."""
         limited_mem = self.mem if self._mem_limited else None
-        for subsystem in (self._supervisor, self.ft, limited_mem, *self._subscribers):
+        for subsystem in (self._supervisor, self.ft, limited_mem):
             if subsystem is not None:
-                self._hook(hooks, subsystem)
+                self._subscribe(subsystem)
 
     # ------------------------------------------------------------------
     # Vertex-side API
@@ -1183,14 +1181,9 @@ class PregelEngine:
         m = self.metrics
         voted = self._voted
         master = self._master_compute
-        # Who hears the boundaries: per boundary, the subscribed methods in
-        # call order, wired per run so the engine holds no bound method of
-        # itself.  Nothing attached = three empty tuples: the fast path.
-        hooks: dict[str, tuple] = {name: () for name in _BOUNDARIES}
-        self._wire_boundaries(hooks)
-        on_start = hooks["on_superstep_start"]
-        on_master_done = hooks["on_master_done"]
-        on_end = hooks["on_superstep_end"]
+        on_start = self._hooks["on_superstep_start"]
+        on_master_done = self._hooks["on_master_done"]
+        on_end = self._hooks["on_superstep_end"]
         # Metering (repro.obs.metrics) shares the tracer's phase clocks:
         # ``instr`` gates the perf_counter reads, ``traced``/``metered``
         # gate what they feed — the registry takes their distributions, its

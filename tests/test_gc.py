@@ -8,12 +8,13 @@ then finds nothing — over the six algorithms on every backend, the
 manual baselines, and pagerank and bc_approx under every composition the
 engines run.  The exit-path tests hold ``run()`` to leaving the collector
 as it found it.  The last tests drop a finished engine: on ``sim`` it dies
-by reference count; the slab engines keep one named cycle.
+by reference count; the slab engines keep the cycles named there.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -219,49 +220,42 @@ def test_run_restores_the_collector(programs, exit_path, enabled):
 # -- a dropped engine ----------------------------------------------------------
 
 
-def dropped(program, alg, backend, size=5, cut=False) -> int:
-    """What the collector frees of an engine built, run and dropped; with
-    ``cut``, after cutting the slab engines' one cycle by hand."""
+def dropped(program, alg, backend, size=5) -> tuple[bool, int]:
+    """Build, run and drop an engine with the collector paused: whether the
+    engine outlived the drop, and what the collector then frees."""
     graph = _graph(alg)
-
-    def build_run_drop():
+    gc.collect()
+    gc.disable()
+    try:
         engine = program.make_engine(
             graph, _args(alg, graph, size), backend=backend, num_workers=WORKERS
         )[0]
         engine.run()
-        if cut:
-            engine._plane.host = None
-
-    return collected_after(build_run_drop)
+        ref = weakref.ref(engine)
+        del engine
+        return ref() is not None, gc.collect()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_a_dropped_sim_engine_dies_by_reference_count(programs, alg):
     # the generated namespace keeps no function, so it holds no cycle
-    assert dropped(programs[alg], alg, "sim") == 0
+    assert dropped(programs[alg], alg, "sim") == (False, 0)
 
 
-#: what a dropped slab engine leaves the collector on these graphs: the
-#: engine, its plane, columns and array code, all held by one cycle — the
-#: engine's sends are its ``SlabPlane``'s bound methods, and the plane reads
-#: who is sending off ``SlabPlane.host``, the engine, on every scalar send
-SLAB_CYCLE = {
-    ("columnar", "pagerank"): 255,
-    ("columnar", "sssp"): 315,
-    ("columnar", "bc_approx"): 1013,
-    ("mp", "pagerank"): 97,
-    ("mp", "sssp"): 103,
-    ("mp", "bc_approx"): 355,
-}
-
-
-@pytest.mark.parametrize("backend, alg", SLAB_CYCLE)
-def test_a_dropped_slab_engine_keeps_one_cycle(programs, backend, alg):
-    if backend == "mp" and not mp_available():
-        pytest.skip("needs fork + shared memory")
-    program = programs[alg]
-    assert dropped(program, alg, backend) == SLAB_CYCLE[backend, alg]
-    # one cycle per engine, whatever the run's length
-    assert dropped(program, alg, backend, size=20) == SLAB_CYCLE[backend, alg]
-    # and the only one: cut, the engine dies by reference count
-    assert dropped(program, alg, backend, cut=True) == 0
+# A dropped slab engine waits for the collector.  What holds it in cycles:
+# its sends are its ``SlabPlane``'s bound methods, and the plane reads who
+# is sending off ``SlabPlane.host``, the engine, on every scalar send; its
+# array code's closures hold the engine's bound sends and puts; on ``mp``,
+# ``_hooks`` holds the engine's own boundary methods and every ``_Worker``
+# shell holds the engine.  Each is held once per engine, so what the
+# collector frees does not grow with the run (on CPython 3.11, at scale
+# 0.05: 253 / 313 / 1 011 objects on columnar, 101 / 107 / 359 on mp, for
+# pagerank / sssp / bc_approx — counts that move with the interpreter).
+@pytest.mark.parametrize("backend", BACKENDS[1:])
+@pytest.mark.parametrize("alg", ["pagerank", "sssp", "bc_approx"])
+def test_a_dropped_slab_engine_waits_for_the_collector(programs, alg, backend):
+    alive, found = dropped(programs[alg], alg, backend)
+    assert alive and found > 0
+    assert dropped(programs[alg], alg, backend, size=20) == (True, found)
